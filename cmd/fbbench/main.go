@@ -727,7 +727,7 @@ func runANNBench(k int, seed int64) {
 
 // runChaosBench runs the fault-injection figure: a crash-schedule sweep
 // over every mutating filesystem operation of a durable insert workload
-// (single-tree and sharded layouts, asserting zero acknowledged loss),
+// (the durable module at 1 and at N shards, asserting zero acknowledged loss),
 // degraded-mode serving with the journal disk gone bad, and quota
 // governance — availability, error taxonomy and recovery times.
 func runChaosBench(seed int64) {
@@ -741,10 +741,10 @@ func runChaosBench(seed int64) {
 	}
 	fmt.Println("# crash-schedule sweep: one fresh module + injected kill per mutating fs op, then recovery on a healthy disk")
 	fmt.Printf("%-14s %13s %10s %10s %12s %12s %12s\n",
-		"layout", "crash-points", "acked-lost", "rec-fail", "extra-replay", "rec-mean(us)", "rec-max(us)")
-	for _, sweep := range []experiments.ChaosCrashSweep{res.SingleTree, res.Sharded} {
-		fmt.Printf("%-14s %13d %10d %10d %12d %12.0f %12.0f\n",
-			sweep.Layout, sweep.CrashPoints, sweep.AckedLost, sweep.RecoveryFailures,
+		"shards", "crash-points", "acked-lost", "rec-fail", "extra-replay", "rec-mean(us)", "rec-max(us)")
+	for _, sweep := range res.CrashSweeps {
+		fmt.Printf("%-14d %13d %10d %10d %12d %12.0f %12.0f\n",
+			sweep.Shards, sweep.CrashPoints, sweep.AckedLost, sweep.RecoveryFailures,
 			sweep.ExtraReplayed, sweep.RecoveryMeanMicros, sweep.RecoveryMaxMicros)
 	}
 	d := res.Degraded
@@ -765,7 +765,7 @@ func runChaosBench(seed int64) {
 // runLifecycleBench runs the bypass-lifecycle figure: the drifting soak
 // with aging+compaction against an aging-off control (bounded memory at
 // stable hit rate vs unbounded growth), then the compaction
-// crash-schedule sweep on both durable layouts (recovery must land on a
+// crash-schedule sweep at 1 and at N shards (recovery must land on a
 // pre- or post-compaction census bitwise — never a hybrid).
 func runLifecycleBench(seed int64, inserts int, horizon uint64, compactEvery int) {
 	cfg := experiments.DefaultLifecycleConfig()
@@ -798,10 +798,10 @@ func runLifecycleBench(seed int64, inserts int, horizon uint64, compactEvery int
 	}
 	fmt.Println("\n# compaction crash sweep: one fresh module + injected kill per mutating fs op, recovery checked against the healthy census sequence")
 	fmt.Printf("%-14s %13s %10s %10s %8s %10s %10s\n",
-		"layout", "crash-points", "rec-fail", "acked-lost", "hybrid", "post-comp", "in-flight")
-	for _, sweep := range []experiments.LifecycleCrashSweep{res.SingleTree, res.Sharded} {
-		fmt.Printf("%-14s %13d %10d %10d %8d %10d %10d\n",
-			sweep.Layout, sweep.CrashPoints, sweep.RecoveryFailures, sweep.AckedLost,
+		"shards", "crash-points", "rec-fail", "acked-lost", "hybrid", "post-comp", "in-flight")
+	for _, sweep := range res.CrashSweeps {
+		fmt.Printf("%-14d %13d %10d %10d %8d %10d %10d\n",
+			sweep.Shards, sweep.CrashPoints, sweep.RecoveryFailures, sweep.AckedLost,
 			sweep.HybridStates, sweep.PostCompaction, sweep.InFlightReplayed)
 	}
 	fmt.Println()

@@ -11,12 +11,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/faultfs"
-	"repro/internal/histogram"
-	"repro/internal/imagegen"
 	"repro/internal/obsv"
-	"repro/internal/service"
+	"repro/internal/shardedbypass"
 )
 
 // newFaultyTestServer wires the production handler over one durable
@@ -25,33 +22,10 @@ import (
 func newFaultyTestServer(t *testing.T) (*httptest.Server, *dataset.Dataset, *faultfs.FS) {
 	t.Helper()
 	fs := faultfs.New(nil)
-	ds, err := dataset.Build(imagegen.IMSILike(5, 0.03), histogram.DefaultExtractor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := engine.New(ds, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec, err := core.NewHistogramCodec(ds.Dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	durable, err := core.OpenDurable(t.TempDir(), codec.D(), codec.P(),
-		core.Config{Epsilon: 0.05, DefaultWeights: codec.DefaultWeights()},
-		core.DurableOptions{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { durable.Close() })
-	svc, err := service.New(eng, durable, service.Options{DefaultK: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &collection{name: "default", backend: "heap", source: "synth:test", ds: ds, svc: svc, durable: durable}
+	c := newTestCollectionWith(t, "default", 5, shardedbypass.Options{Durable: core.DurableOptions{FS: fs}})
 	srv := httptest.NewServer(hardened(newMux(map[string]*collection{"default": c}, "default", nil, false), 0, nil))
 	t.Cleanup(srv.Close)
-	return srv, ds, fs
+	return srv, c.ds, fs
 }
 
 // driveSession runs one full oracle-scored session over HTTP and returns

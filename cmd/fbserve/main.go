@@ -52,11 +52,10 @@
 //
 // With several collections and -dir, each collection's durable state
 // lives under <dir>/<name>/ (a single collection keeps the whole dir,
-// preserving existing layouts). -shards S > 1 partitions every
-// collection's bypass across S independent Simplex Trees (see
-// internal/shardedbypass); the shard count is baked into each module
-// directory's manifest, so reopening with a different -shards is
-// refused.
+// preserving existing layouts). Every collection's bypass is one
+// internal/shardedbypass module of -shards independent Simplex Trees
+// (default 1); the shard count is baked into each module directory's
+// manifest, so reopening with a different -shards is refused.
 //
 // -export-fbmx name=path builds the named collection, writes its
 // feature matrix to path as an FBMX file (atomically), and exits — the
@@ -264,18 +263,17 @@ type serverTimeouts struct {
 }
 
 // collection is one named collection's full serving stack: dataset over
-// its backend, retrieval engine, bypass (with optional durable/sharded
-// handles for shutdown), and its own service — sessions, prediction
-// cache and admission control are all per collection.
+// its backend, retrieval engine, bypass module, and its own service —
+// sessions, prediction cache and admission control are all per
+// collection.
 type collection struct {
 	name    string
 	backend string // "heap" or "mmap"
 	source  string // the spec it was built from
 	ds      *dataset.Dataset
 	svc     *service.Service
-	health  shardHealth            // non-nil when the bypass is sharded
-	durable *core.DurableBypass    // shutdown handle (nil unless durable unsharded)
-	sharded *shardedbypass.Sharded // shutdown handle (nil unless sharded)
+	byp     *shardedbypass.Sharded // the bypass behind svc: health and shutdown handle
+	durable bool                   // byp journals to a module directory
 	mm      *store.MmapMatrix      // close handle (nil unless FBMX-backed)
 	ann     *ann.Index             // approximate retrieval tier (nil = exact scan)
 	annSrc  string                 // "built" or the loaded sidecar path
@@ -316,7 +314,7 @@ func main() {
 		maxSessions = flag.Int("max-sessions", 1024, "in-flight session bound per collection (further opens get 429)")
 		iterBudget  = flag.Int("iter-budget", engine.DefaultMaxIterations, "feedback rounds allowed per session")
 		cacheSize   = flag.Int("cache", 1024, "LRU prediction cache entries per collection (negative disables)")
-		shards      = flag.Int("shards", 1, "partition each bypass across this many independent Simplex Trees (1 = single-tree compatibility mode)")
+		shards      = flag.Int("shards", 1, "partition each bypass across this many independent Simplex Trees")
 		exportFBMX  = flag.String("export-fbmx", "", "name=path: write the named collection's feature matrix as an FBMX file and exit")
 		exportFBIX  = flag.String("export-fbix", "", "name=path: build the named collection's IVF index (per -ann, or defaults) and write it as an FBIX sidecar, then exit")
 		maxVertices = flag.Int("max-vertices", 0, "per-collection Simplex Tree vertex quota; at the bound inserts get 507, reads stay live (0 = unlimited)")
@@ -476,7 +474,7 @@ func main() {
 				case <-ticker.C:
 					for _, name := range order {
 						stats, err := colls[name].svc.CompactAged(context.Background())
-						if err != nil && !errors.Is(err, service.ErrNotCompactable) {
+						if err != nil {
 							log.Printf("fbserve: %s: compaction: %v", name, err)
 						}
 						var before, after, reclaimed int
@@ -514,40 +512,38 @@ func main() {
 			log.Printf("fbserve: %s: drain: %v", name, err)
 		}
 		log.Printf("%s: drained %d sessions (%d outcomes inserted)", name, closed, inserted)
-		if c.durable != nil {
-			if err := c.durable.Compact(); err != nil {
-				log.Printf("fbserve: %s: compact: %v", name, err)
-			}
-			if err := c.durable.Close(); err != nil {
-				log.Printf("fbserve: %s: close: %v", name, err)
-			}
-			log.Printf("%s: compacted WAL; %d points durable", name, c.durable.Stats().Points)
+		c.shutdown()
+	}
+}
+
+// shutdown makes the collection's learned state durable — every shard's
+// WAL compacted into its snapshot, then closed — and releases the
+// retrieval backend. Sessions must have been drained first.
+func (c *collection) shutdown() {
+	if c.durable {
+		if err := c.byp.Compact(); err != nil {
+			log.Printf("fbserve: %s: compact: %v", c.name, err)
 		}
-		if c.sharded != nil && cfg.dir != "" {
-			if err := c.sharded.Compact(); err != nil {
-				log.Printf("fbserve: %s: compact: %v", name, err)
-			}
-			if err := c.sharded.Close(); err != nil {
-				log.Printf("fbserve: %s: close: %v", name, err)
-			}
-			log.Printf("%s: compacted %d shard WALs; %d points durable", name, c.sharded.NumShards(), c.sharded.Stats().Points)
+		if err := c.byp.Close(); err != nil {
+			log.Printf("fbserve: %s: close: %v", c.name, err)
 		}
-		if c.ann != nil {
-			if err := c.ann.Close(); err != nil {
-				log.Printf("fbserve: %s: releasing index: %v", name, err)
-			}
+		log.Printf("%s: compacted %d shard WALs; %d points durable", c.name, c.byp.NumShards(), c.byp.Stats().Points)
+	}
+	if c.ann != nil {
+		if err := c.ann.Close(); err != nil {
+			log.Printf("fbserve: %s: releasing index: %v", c.name, err)
 		}
-		if c.mm != nil {
-			if err := c.mm.Close(); err != nil {
-				log.Printf("fbserve: %s: unmapping collection: %v", name, err)
-			}
+	}
+	if c.mm != nil {
+		if err := c.mm.Close(); err != nil {
+			log.Printf("fbserve: %s: unmapping collection: %v", c.name, err)
 		}
 	}
 }
 
 // moduleStateAt reports whether dir holds durable bypass state — a
-// single-tree snapshot/WAL pair or a sharded module manifest — used to
-// refuse layout changes that would silently shadow learned state.
+// module manifest or a root-layout snapshot/WAL pair — used to refuse
+// collection-layout changes that would silently shadow learned state.
 func moduleStateAt(dir string) bool {
 	for _, f := range []string{core.SnapshotFile, core.JournalFile, shardedbypass.ManifestFile} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err == nil {
@@ -730,24 +726,18 @@ func buildCollection(name, spec string, cfg serveConfig) (*collection, error) {
 		}
 	}
 
-	c := &collection{name: name, backend: backend, source: spec, ds: ds, mm: mm, ann: idx, annSrc: annSrc}
-	var byp service.Bypass
-	switch {
-	case cfg.shards > 1 && dir != "":
-		// Durable sharded: shards recover their WALs in parallel while
-		// the server comes up; requests hitting a replaying shard get 503.
-		c.sharded, err = shardedbypass.OpenAsync(dir, codec.D(), codec.P(), treeCfg, shardedbypass.Options{
-			Shards:    cfg.shards,
-			Durable:   core.DurableOptions{CompactEvery: cfg.compactEach, Sync: cfg.syncWAL},
-			Obs:       cfg.obs,
-			ObsLabels: obsLabels,
-		})
+	c := &collection{name: name, backend: backend, source: spec, ds: ds, mm: mm, ann: idx, annSrc: annSrc, durable: dir != ""}
+	bypOpts := shardedbypass.Options{Shards: cfg.shards, Obs: cfg.obs, ObsLabels: obsLabels}
+	if c.durable {
+		// Shards recover their WALs in parallel while the server comes up;
+		// requests hitting a replaying shard get 503.
+		bypOpts.Durable = core.DurableOptions{CompactEvery: cfg.compactEach, Sync: cfg.syncWAL}
+		c.byp, err = shardedbypass.OpenAsync(dir, codec.D(), codec.P(), treeCfg, bypOpts)
 		if err != nil {
-			return fail(fmt.Errorf("opening sharded module: %w", err))
+			return fail(fmt.Errorf("opening durable module: %w", err))
 		}
-		byp, c.health = c.sharded, c.sharded
-		go func(name string, sharded *shardedbypass.Sharded, dir string) {
-			if err := sharded.WaitReady(); err != nil {
+		go func() {
+			if err := c.byp.WaitReady(); err != nil {
 				// Terminal for this collection only: its healthz reports
 				// "failed" (500) and shard-routed requests keep erroring,
 				// while every other collection serves on. Killing the
@@ -755,47 +745,17 @@ func buildCollection(name, spec string, cfg serveConfig) (*collection, error) {
 				log.Printf("fbserve: %s: shard recovery failed (collection unavailable): %v", name, err)
 				return
 			}
-			log.Printf("%s: sharded module at %s: %d shards live, %d points recovered, %d journaled inserts",
-				name, dir, sharded.NumShards(), sharded.Stats().Points, sharded.Journaled())
-		}(name, c.sharded, dir)
-	case cfg.shards > 1:
-		c.sharded, err = shardedbypass.New(codec.D(), codec.P(), treeCfg, shardedbypass.Options{
-			Shards: cfg.shards, Obs: cfg.obs, ObsLabels: obsLabels,
-		})
+			log.Printf("%s: durable module at %s: %d shards live, %d points recovered, %d journaled inserts",
+				name, dir, c.byp.NumShards(), c.byp.Stats().Points, c.byp.Journaled())
+		}()
+	} else {
+		c.byp, err = shardedbypass.New(codec.D(), codec.P(), treeCfg, bypOpts)
 		if err != nil {
 			return fail(err)
 		}
-		byp, c.health = c.sharded, c.sharded
-	case dir != "":
-		// The legacy single-tree path must not open (and silently shadow)
-		// a sharded module directory: its state lives under shard-*/,
-		// which core.OpenDurable would never read.
-		if m, ok, merr := shardedbypass.ReadManifest(dir); merr != nil {
-			return fail(fmt.Errorf("reading manifest at %s: %w", dir, merr))
-		} else if ok {
-			return fail(fmt.Errorf("module at %s is sharded (%d shards); pass -shards %d", dir, m.Shards, m.Shards))
-		}
-		c.durable, err = core.OpenDurable(dir, codec.D(), codec.P(), treeCfg, core.DurableOptions{
-			CompactEvery: cfg.compactEach,
-			Sync:         cfg.syncWAL,
-			Obs:          cfg.obs,
-			ObsLabels:    obsLabels,
-		})
-		if err != nil {
-			return fail(fmt.Errorf("opening durable module: %w", err))
-		}
-		byp = c.durable
-		log.Printf("%s: durable module at %s: %d points recovered, %d journaled inserts",
-			name, dir, c.durable.Stats().Points, c.durable.Journaled())
-	default:
-		mem, err := core.New(codec.D(), codec.P(), treeCfg)
-		if err != nil {
-			return fail(err)
-		}
-		byp = mem
 	}
 
-	c.svc, err = service.New(eng, byp, service.Options{
+	c.svc, err = service.New(eng, c.byp, service.Options{
 		MaxSessions:     cfg.maxSessions,
 		IterationBudget: cfg.iterBudget,
 		CacheSize:       cfg.cacheSize,
@@ -966,15 +926,6 @@ func registerProcessMetrics(reg *obsv.Registry) {
 			runtime.ReadMemStats(&ms)
 			return float64(ms.NumGC)
 		})
-}
-
-// shardHealth is the slice of the sharded bypass the health endpoint
-// needs: readiness, terminal recovery failures, and per-shard state.
-type shardHealth interface {
-	Ready() bool
-	Err() error
-	NumShards() int
-	ShardInfos() []shardedbypass.ShardInfo
 }
 
 // statsFor assembles one collection's stats block.
@@ -1163,22 +1114,22 @@ func hardened(h http.Handler, requestTimeout time.Duration, reg *obsv.Registry) 
 
 // collectionHealth reports one collection's liveness as (body, status).
 func collectionHealth(c *collection) (map[string]any, int) {
-	if c.health != nil && !c.health.Ready() {
+	if !c.byp.Ready() {
 		// A failed shard recovery is terminal — 500, not the retryable
 		// 503 of a replay in progress, so probes distinguish "warming
 		// up" from "broken".
-		if err := c.health.Err(); err != nil {
+		if err := c.byp.Err(); err != nil {
 			return map[string]any{"status": "failed", "error": err.Error()}, http.StatusInternalServerError
 		}
 		replaying := []int{}
-		for _, info := range c.health.ShardInfos() {
+		for _, info := range c.byp.ShardInfos() {
 			if info.Replaying {
 				replaying = append(replaying, info.Shard)
 			}
 		}
 		return map[string]any{
 			"status":    "replaying",
-			"shards":    c.health.NumShards(),
+			"shards":    c.byp.NumShards(),
 			"replaying": replaying,
 		}, http.StatusServiceUnavailable
 	}

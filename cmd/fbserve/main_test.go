@@ -10,24 +10,27 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/histogram"
 	"repro/internal/imagegen"
+	"repro/internal/persist"
 	"repro/internal/service"
 	"repro/internal/shardedbypass"
-	"repro/internal/simplextree"
 	"repro/internal/store"
 )
 
-// newTestCollection wires one named collection's serving stack over a
-// small synthetic dataset and a durable bypass rooted in a temp dir —
-// the same composition buildCollection does.
-func newTestCollection(t *testing.T, name string, seed int64) (*collection, *core.DurableBypass) {
+// newTestCollectionWith wires one named collection's serving stack over a
+// small synthetic dataset and a durable bypass module rooted in a temp
+// dir — the same composition buildCollection does. opts picks the shard
+// count (zero is 1), the filesystem seam and the metrics registry.
+func newTestCollectionWith(t *testing.T, name string, seed int64, opts shardedbypass.Options) *collection {
 	t.Helper()
 	ds, err := dataset.Build(imagegen.IMSILike(seed, 0.03), histogram.DefaultExtractor)
 	if err != nil {
@@ -41,28 +44,34 @@ func newTestCollection(t *testing.T, name string, seed int64) (*collection, *cor
 	if err != nil {
 		t.Fatal(err)
 	}
-	durable, err := core.OpenDurable(t.TempDir(), codec.D(), codec.P(),
-		core.Config{Epsilon: 0.05, DefaultWeights: codec.DefaultWeights()},
-		core.DurableOptions{})
+	byp, err := shardedbypass.Open(t.TempDir(), codec.D(), codec.P(),
+		core.Config{Epsilon: 0.05, DefaultWeights: codec.DefaultWeights()}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { durable.Close() })
-	svc, err := service.New(eng, durable, service.Options{DefaultK: 8})
+	t.Cleanup(func() { byp.Close() })
+	svc, err := service.New(eng, byp, service.Options{DefaultK: 8, Obs: opts.Obs, ObsLabels: opts.ObsLabels})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &collection{name: name, backend: "heap", source: "synth:test", ds: ds, svc: svc, durable: durable}, durable
+	return &collection{name: name, backend: "heap", source: "synth:test", ds: ds, svc: svc, byp: byp, durable: true}
+}
+
+// newTestCollection is the default composition: one shard, real
+// filesystem, no metrics.
+func newTestCollection(t *testing.T, name string, seed int64) *collection {
+	t.Helper()
+	return newTestCollectionWith(t, name, seed, shardedbypass.Options{})
 }
 
 // newTestServer wires the production handler over a single default
 // collection — the legacy single-collection composition.
-func newTestServer(t *testing.T) (*httptest.Server, *dataset.Dataset, *core.DurableBypass) {
+func newTestServer(t *testing.T) (*httptest.Server, *dataset.Dataset, *shardedbypass.Sharded) {
 	t.Helper()
-	c, durable := newTestCollection(t, "default", 5)
+	c := newTestCollection(t, "default", 5)
 	srv := httptest.NewServer(newMux(map[string]*collection{"default": c}, "default", nil, false))
 	t.Cleanup(srv.Close)
-	return srv, c.ds, durable
+	return srv, c.ds, c.byp
 }
 
 func postJSON(t *testing.T, url string, body any, out any) int {
@@ -325,36 +334,13 @@ func TestConcurrentHTTPSessions(t *testing.T) {
 	}
 }
 
-// newShardedTestServer is newTestServer over a durable 4-shard bypass.
+// newShardedTestServer is newTestServer over a durable S-shard bypass.
 func newShardedTestServer(t *testing.T, shards int) (*httptest.Server, *dataset.Dataset, *shardedbypass.Sharded) {
 	t.Helper()
-	ds, err := dataset.Build(imagegen.IMSILike(5, 0.03), histogram.DefaultExtractor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := engine.New(ds, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec, err := core.NewHistogramCodec(ds.Dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := shardedbypass.Open(t.TempDir(), codec.D(), codec.P(),
-		core.Config{Epsilon: 0.05, DefaultWeights: codec.DefaultWeights()},
-		shardedbypass.Options{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sharded.Close() })
-	svc, err := service.New(eng, sharded, service.Options{DefaultK: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &collection{name: "default", backend: "heap", ds: ds, svc: svc, sharded: sharded, health: sharded}
+	c := newTestCollectionWith(t, "default", 5, shardedbypass.Options{Shards: shards})
 	srv := httptest.NewServer(newMux(map[string]*collection{"default": c}, "default", nil, false))
 	t.Cleanup(srv.Close)
-	return srv, ds, sharded
+	return srv, c.ds, c.byp
 }
 
 // TestShardedEndToEnd drives a full session against a 4-shard durable
@@ -424,50 +410,33 @@ func TestShardedEndToEnd(t *testing.T) {
 	}
 }
 
-// fakeShardHealth stands in for a sharded bypass mid-recovery.
-type fakeShardHealth struct{ readyShards []bool }
+// gateFS holds every open of a path containing hold until release is
+// called — a shard whose recovery takes a while.
+type gateFS struct {
+	persist.FS
+	hold string
+	gate chan struct{}
+	once *sync.Once
+}
 
-func (f *fakeShardHealth) Ready() bool {
-	for _, r := range f.readyShards {
-		if !r {
-			return false
-		}
+func newGateFS(hold string) gateFS {
+	return gateFS{FS: persist.OSFS, hold: hold, gate: make(chan struct{}), once: new(sync.Once)}
+}
+
+func (g gateFS) release() { g.once.Do(func() { close(g.gate) }) }
+
+func (g gateFS) OpenFile(name string, flag int, perm os.FileMode) (persist.File, error) {
+	if strings.Contains(name, g.hold) {
+		<-g.gate
 	}
-	return true
-}
-func (f *fakeShardHealth) Err() error     { return nil }
-func (f *fakeShardHealth) NumShards() int { return len(f.readyShards) }
-func (f *fakeShardHealth) ShardInfos() []shardedbypass.ShardInfo {
-	out := make([]shardedbypass.ShardInfo, len(f.readyShards))
-	for i, r := range f.readyShards {
-		out[i] = shardedbypass.ShardInfo{Shard: i, Replaying: !r}
-	}
-	return out
+	return g.FS.OpenFile(name, flag, perm)
 }
 
-// replayingBypass satisfies service.Bypass but reports every shard-routed
-// operation as still replaying — the serving state during startup
-// recovery.
-type replayingBypass struct{ d, p int }
-
-func (b *replayingBypass) D() int { return b.d }
-func (b *replayingBypass) P() int { return b.p }
-func (b *replayingBypass) Predict(q []float64) (core.OQP, error) {
-	return core.OQP{}, fmt.Errorf("shard 2: %w", shardedbypass.ErrReplaying)
-}
-func (b *replayingBypass) Insert(q []float64, oqp core.OQP) (bool, error) {
-	return false, fmt.Errorf("shard 2: %w", shardedbypass.ErrReplaying)
-}
-func (b *replayingBypass) Stats() simplextree.Stats { return simplextree.Stats{} }
-
-// TestReplayingReturns503 pins the startup-recovery contract: while a
-// shard is replaying, /healthz reports 503 with the replaying shard ids
-// and a query routed to a replaying shard gets 503, not 500.
-func TestReplayingReturns503(t *testing.T) {
-	ds, err := dataset.Build(imagegen.IMSILike(5, 0.03), histogram.DefaultExtractor)
-	if err != nil {
-		t.Fatal(err)
-	}
+// newRecoveringCollection opens the module at dir with OpenAsync over
+// gate — the shards gate holds stay "replaying" until gate.release() —
+// and wires a default collection over ds around it.
+func newRecoveringCollection(t *testing.T, ds *dataset.Dataset, dir string, shards int, gate gateFS) *collection {
+	t.Helper()
 	eng, err := engine.New(ds, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -476,14 +445,48 @@ func TestReplayingReturns503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := service.New(eng, &replayingBypass{d: codec.D(), p: codec.P()}, service.Options{DefaultK: 5})
+	byp, err := shardedbypass.OpenAsync(dir, codec.D(), codec.P(),
+		core.Config{Epsilon: 0.05, DefaultWeights: codec.DefaultWeights()},
+		shardedbypass.Options{Shards: shards, Durable: core.DurableOptions{FS: gate}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &collection{name: "default", backend: "heap", ds: ds, svc: svc,
-		health: &fakeShardHealth{readyShards: []bool{true, false, true}}}
+	t.Cleanup(func() {
+		gate.release() // Close waits for every shard's recovery to settle
+		byp.Close()
+	})
+	svc, err := service.New(eng, byp, service.Options{DefaultK: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &collection{name: "default", backend: "heap", source: "synth:test", ds: ds, svc: svc, byp: byp, durable: true}
+}
+
+// TestReplayingReturns503 pins the startup-recovery contract on a real
+// module: while shard 1 of 3 is still recovering, /healthz reports 503
+// with the replaying shard ids and a query routed to that shard gets
+// 503, not 500; once recovery finishes both turn 200.
+func TestReplayingReturns503(t *testing.T) {
+	ds, err := dataset.Build(imagegen.IMSILike(5, 0.03), histogram.DefaultExtractor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := newGateFS("shard-001")
+	c := newRecoveringCollection(t, ds, t.TempDir(), 3, gate)
+	byp, codec := c.byp, c.svc.Codec()
 	srv := httptest.NewServer(newMux(map[string]*collection{"default": c}, "default", nil, false))
 	defer srv.Close()
+
+	// Shards 0 and 2 recover on their own; only the held shard 1 stays.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		infos := byp.ShardInfos()
+		if !infos[0].Replaying && !infos[2].Replaying {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("unheld shards never finished recovering: %+v", infos)
+		}
+	}
 
 	var health struct {
 		Status    string           `json:"status"`
@@ -508,10 +511,36 @@ func TestReplayingReturns503(t *testing.T) {
 		t.Fatalf("scoped healthz body: %+v", scoped)
 	}
 
-	item := 0
+	// An item the partition function routes to the replaying shard.
+	item := -1
+	for i := range ds.Items {
+		qp, err := codec.QueryPoint(ds.Items[i].Feature)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if byp.ShardOf(qp) == 1 {
+			item = i
+			break
+		}
+	}
+	if item < 0 {
+		t.Fatal("no item routes to shard 1")
+	}
 	var errResp errorResponse
 	if code := postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 5}, &errResp); code != http.StatusServiceUnavailable {
 		t.Fatalf("query against a replaying shard: status %d, want 503", code)
+	}
+
+	gate.release()
+	if err := byp.WaitReady(); err != nil {
+		t.Fatal(err)
+	}
+	if code := getJSON(t, srv.URL+"/healthz", &health); code != http.StatusOK || health.Status != "ok" {
+		t.Fatalf("healthz after recovery: %d %+v", code, health)
+	}
+	var st stateJSON
+	if code := postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 5}, &st); code != http.StatusOK {
+		t.Fatalf("query after recovery: status %d", code)
 	}
 }
 
@@ -597,7 +626,8 @@ func newMmapTestCollection(t *testing.T, name string, ds *dataset.Dataset) *coll
 	if err != nil {
 		t.Fatal(err)
 	}
-	byp, err := core.New(codec.D(), codec.P(), core.Config{Epsilon: 0.05, DefaultWeights: codec.DefaultWeights()})
+	byp, err := shardedbypass.New(codec.D(), codec.P(),
+		core.Config{Epsilon: 0.05, DefaultWeights: codec.DefaultWeights()}, shardedbypass.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +635,7 @@ func newMmapTestCollection(t *testing.T, name string, ds *dataset.Dataset) *coll
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &collection{name: name, backend: "mmap", source: path, ds: mds, svc: svc, mm: mm}
+	return &collection{name: name, backend: "mmap", source: path, ds: mds, svc: svc, byp: byp, mm: mm}
 }
 
 // TestMultiCollectionServing drives one process serving two collections
@@ -613,7 +643,7 @@ func newMmapTestCollection(t *testing.T, name string, ds *dataset.Dataset) *coll
 // seed — and asserts route scoping, per-collection stats isolation
 // (sessions, caches, trees), and the unknown-collection 404.
 func TestMultiCollectionServing(t *testing.T) {
-	birds, _ := newTestCollection(t, "birds", 5)
+	birds := newTestCollection(t, "birds", 5)
 	photos := newMmapTestCollection(t, "photos", birds.ds)
 	colls := map[string]*collection{"birds": birds, "photos": photos}
 	srv := httptest.NewServer(newMux(colls, "", nil, false))
@@ -753,10 +783,10 @@ func TestLayoutFlipRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.durable == nil {
-		t.Fatal("single-collection durable build has no durable handle")
+	if !c.durable {
+		t.Fatal("single-collection build with -dir is not durable")
 	}
-	c.durable.Close()
+	c.byp.Close()
 	flatMulti := flat
 	flatMulti.multi = true
 	if _, err := buildCollection("birds", spec, flatMulti); err == nil {
@@ -773,7 +803,7 @@ func TestLayoutFlipRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2.durable.Close()
+	c2.byp.Close()
 	nestedSingle := nested
 	nestedSingle.multi = false
 	if _, err := buildCollection("birds", spec, nestedSingle); err == nil {
@@ -788,7 +818,7 @@ func TestLayoutFlipRefused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fresh multi-layout build refused: %v", err)
 	}
-	c3.durable.Close()
+	c3.byp.Close()
 }
 
 // TestCollectionSpecParsing pins the -collection flag grammar.

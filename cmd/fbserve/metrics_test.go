@@ -7,13 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/engine"
-	"repro/internal/histogram"
-	"repro/internal/imagegen"
 	"repro/internal/obsv"
-	"repro/internal/service"
+	"repro/internal/shardedbypass"
 )
 
 // newInstrumentedTestServer wires the production handler over one
@@ -24,33 +20,10 @@ func newInstrumentedTestServer(t *testing.T, pprofOn bool) (*httptest.Server, *d
 	reg := obsv.NewRegistry()
 	registerProcessMetrics(reg)
 	labels := []obsv.Label{obsv.L("collection", "default")}
-	ds, err := dataset.Build(imagegen.IMSILike(7, 0.03), histogram.DefaultExtractor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := engine.New(ds, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec, err := core.NewHistogramCodec(ds.Dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	durable, err := core.OpenDurable(t.TempDir(), codec.D(), codec.P(),
-		core.Config{Epsilon: 0.05, DefaultWeights: codec.DefaultWeights()},
-		core.DurableOptions{Obs: reg, ObsLabels: labels})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { durable.Close() })
-	svc, err := service.New(eng, durable, service.Options{DefaultK: 8, Obs: reg, ObsLabels: labels})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &collection{name: "default", backend: "heap", source: "synth:test", ds: ds, svc: svc, durable: durable}
+	c := newTestCollectionWith(t, "default", 7, shardedbypass.Options{Obs: reg, ObsLabels: labels})
 	srv := httptest.NewServer(hardened(newMux(map[string]*collection{"default": c}, "default", reg, pprofOn), 0, reg))
 	t.Cleanup(srv.Close)
-	return srv, ds, reg
+	return srv, c.ds, reg
 }
 
 // TestMetricsEndpoint drives real traffic through the instrumented
@@ -102,7 +75,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`fb_service_request_seconds_bucket{collection="default",op="open",le="+Inf"} 1`,
 		`fb_service_requests_total{collection="default",op="close",outcome="ok"} 1`,
 		`fb_service_cache_requests_total{collection="default",result="miss"}`,
-		`fb_wal_append_seconds_count{collection="default"}`,
+		`fb_wal_append_seconds_count{collection="default",shard="0"}`,
+		`fb_wal_bytes{collection="default",shard="0"}`,
 		`fb_service_sessions_active{collection="default"} 0`,
 		`fb_process_goroutines`,
 		`fb_process_start_time_seconds`,
@@ -183,5 +157,36 @@ func TestPprofGating(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
 		t.Fatalf("pprof on: status %d, body %.80s", resp.StatusCode, body)
+	}
+}
+
+// TestMemoryCollectionExportsNoPersistenceSeries: the default fbserve
+// (no -dir) serves a memory-mode module, which has no journal and no
+// snapshot — so it must not export series that could only ever read 0.
+func TestMemoryCollectionExportsNoPersistenceSeries(t *testing.T) {
+	reg := obsv.NewRegistry()
+	cfg := serveConfig{scale: 0.03, seed: 5, k: 8, epsilon: 0.05,
+		maxSessions: 16, iterBudget: 5, cacheSize: 16, shards: 1, obs: reg}
+	if _, err := buildCollection("default", "synth:scale=0.03,seed=5", cfg); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	for _, family := range []string{"fb_wal_", "fb_snapshot_"} {
+		if strings.Contains(text, family) {
+			t.Errorf("memory collection exports a %s* series", family)
+		}
+	}
+	// The per-shard series that do apply are there, labelled shard="0".
+	for _, want := range []string{
+		`fb_tree_points{collection="default",shard="0"}`,
+		`fb_shard_insert_seconds_count{collection="default",shard="0"}`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("memory collection lacks %s", want)
+		}
 	}
 }

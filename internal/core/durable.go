@@ -193,15 +193,7 @@ func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*Durabl
 		return nil, fmt.Errorf("%w: journal epoch %d is ahead of snapshot epoch %d", persist.ErrCorrupt, walEpoch, snapEpoch)
 	}
 	replayed, err := wal.Replay(func(q, value []float64, stamp uint64) error {
-		// Legacy (version-1) records predate stamps: replay them as fresh
-		// inserts so they age from the current clock instead of appearing
-		// infinitely old.
-		var ierr error
-		if stamp == 0 {
-			_, ierr = tree.Insert(q, value)
-		} else {
-			_, ierr = tree.InsertStamped(q, value, stamp)
-		}
+		_, ierr := tree.InsertStamped(q, value, stamp)
 		return ierr
 	})
 	if err != nil {

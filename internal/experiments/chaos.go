@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultfs"
+	"repro/internal/persist"
 	"repro/internal/shardedbypass"
 	"repro/internal/simplextree"
 	"repro/internal/vec"
@@ -19,9 +20,10 @@ import (
 
 // ChaosConfig drives the fault-injection benchmark: a crash-schedule
 // sweep over every mutating filesystem operation of a durable insert
-// workload (single-tree and sharded layouts), a degraded-mode phase (the
-// disk under the journal goes bad mid-flight), and a quota-exhaustion
-// phase — each reporting availability, error taxonomy and recovery time.
+// workload (the durable module at 1 and at Shards shards), a
+// degraded-mode phase (the disk under the journal goes bad mid-flight),
+// and a quota-exhaustion phase — each reporting availability, error
+// taxonomy and recovery time.
 type ChaosConfig struct {
 	// Seed makes the workloads deterministic.
 	Seed int64
@@ -33,7 +35,8 @@ type ChaosConfig struct {
 	// points cover snapshot rename and journal truncation, not just
 	// appends.
 	CompactEvery int
-	// Shards is the sharded layout's partition count.
+	// Shards is the partition count of the second crash sweep (the first
+	// always runs one shard).
 	Shards int
 	// DegradedInserts is the number of insert attempts against the
 	// read-only degraded module.
@@ -45,7 +48,7 @@ type ChaosConfig struct {
 
 // DefaultChaosConfig is the operating point of the committed artifact:
 // small enough that the full crash sweep (one fresh module + recovery
-// per mutating op, two layouts) stays in CI budget, large enough that
+// per mutating op, two shard counts) stays in CI budget, large enough that
 // every crash-point class — header write, append, append fsync, snapshot
 // write/rename, directory fsync, journal truncation — is enumerated.
 func DefaultChaosConfig() ChaosConfig {
@@ -61,11 +64,12 @@ func DefaultChaosConfig() ChaosConfig {
 	}
 }
 
-// ChaosCrashSweep is one layout's crash-schedule result: the workload is
-// run once per mutating filesystem operation with a process-kill
-// injected at exactly that operation, then recovered on a healthy disk.
+// ChaosCrashSweep is one shard count's crash-schedule result: the
+// workload is run once per mutating filesystem operation with a
+// process-kill injected at exactly that operation, then recovered on a
+// healthy disk.
 type ChaosCrashSweep struct {
-	Layout string `json:"layout"`
+	Shards int `json:"shards"`
 	// CrashPoints is the number of schedules = mutating ops of the
 	// fault-free workload.
 	CrashPoints int `json:"crash_points"`
@@ -120,12 +124,11 @@ type ChaosQuota struct {
 
 // ChaosResult aggregates the whole figure.
 type ChaosResult struct {
-	D          int             `json:"d"`
-	P          int             `json:"p"`
-	SingleTree ChaosCrashSweep `json:"single_tree"`
-	Sharded    ChaosCrashSweep `json:"sharded"`
-	Degraded   ChaosDegraded   `json:"degraded"`
-	Quota      ChaosQuota      `json:"quota"`
+	D           int               `json:"d"`
+	P           int               `json:"p"`
+	CrashSweeps []ChaosCrashSweep `json:"crash_sweeps"` // one per shard count
+	Degraded    ChaosDegraded     `json:"degraded"`
+	Quota       ChaosQuota        `json:"quota"`
 }
 
 // chaosPoint draws a strictly interior simplex point: every coordinate
@@ -180,94 +183,50 @@ func chaosVertexKey(v *simplextree.Vertex) string {
 	return string(buf)
 }
 
-// chaosModule abstracts the two layouts behind the operations the sweep
-// needs: insert, census, close.
-type chaosModule interface {
-	Insert(q []float64, oqp core.OQP) (bool, error)
-	Census() (map[string]bool, error)
-	Close() error
+// sweepShardCounts is the shard counts a crash sweep enumerates: the
+// single-tree module and the configured partition count.
+func sweepShardCounts(shards int) []int {
+	if shards == 1 {
+		return []int{1}
+	}
+	return []int{1, shards}
 }
 
-type singleModule struct{ db *core.DurableBypass }
-
-func (m singleModule) Insert(q []float64, oqp core.OQP) (bool, error) { return m.db.Insert(q, oqp) }
-func (m singleModule) Close() error                                   { return m.db.Close() }
-func (m singleModule) Census() (map[string]bool, error) {
-	set := map[string]bool{}
-	m.db.Tree().Walk(func(v *simplextree.Vertex) { set[chaosVertexKey(v)] = true })
-	return set, nil
+// openChaosModule opens the durable module rooted at dir with the given
+// shard count over fs (nil = the real filesystem).
+func openChaosModule(dir string, shards int, fs persist.FS, cfg ChaosConfig) (*shardedbypass.Sharded, error) {
+	return shardedbypass.Open(dir, cfg.D, cfg.P, core.Config{Epsilon: 0}, shardedbypass.Options{
+		Shards:  shards,
+		Durable: core.DurableOptions{CompactEvery: cfg.CompactEvery, Sync: true, FS: fs},
+	})
 }
 
-type shardedModule struct{ s *shardedbypass.Sharded }
-
-func (m shardedModule) Insert(q []float64, oqp core.OQP) (bool, error) { return m.s.Insert(q, oqp) }
-func (m shardedModule) Close() error                                   { return m.s.Close() }
-func (m shardedModule) Census() (map[string]bool, error) {
+// chaosCensus is the module's vertex set by bitwise identity.
+func chaosCensus(m *shardedbypass.Sharded) (map[string]bool, error) {
 	set := map[string]bool{}
-	err := m.s.Walk(func(v *simplextree.Vertex) { set[chaosVertexKey(v)] = true })
+	err := m.Walk(func(v *simplextree.Vertex) { set[chaosVertexKey(v)] = true })
 	return set, err
-}
-
-// chaosLayout opens one of the two layouts rooted at dir over fs (nil =
-// the real filesystem).
-type chaosLayout struct {
-	name string
-	open func(dir string, fs *faultfs.FS, cfg ChaosConfig) (chaosModule, error)
-}
-
-func chaosLayouts(cfg ChaosConfig) []chaosLayout {
-	dur := func(fs *faultfs.FS) core.DurableOptions {
-		opts := core.DurableOptions{CompactEvery: cfg.CompactEvery, Sync: true}
-		if fs != nil {
-			opts.FS = fs
-		}
-		return opts
-	}
-	return []chaosLayout{
-		{
-			name: "single-tree",
-			open: func(dir string, fs *faultfs.FS, cfg ChaosConfig) (chaosModule, error) {
-				db, err := core.OpenDurable(dir, cfg.D, cfg.P, core.Config{Epsilon: 0}, dur(fs))
-				if err != nil {
-					return nil, err
-				}
-				return singleModule{db}, nil
-			},
-		},
-		{
-			name: fmt.Sprintf("sharded(%d)", cfg.Shards),
-			open: func(dir string, fs *faultfs.FS, cfg ChaosConfig) (chaosModule, error) {
-				s, err := shardedbypass.Open(dir, cfg.D, cfg.P, core.Config{Epsilon: 0}, shardedbypass.Options{
-					Shards:  cfg.Shards,
-					Durable: dur(fs),
-				})
-				if err != nil {
-					return nil, err
-				}
-				return shardedModule{s}, nil
-			},
-		},
-	}
 }
 
 // chaosWorkload drives cfg.Inserts inserts; insert errors are swallowed
 // (a crashed run errors by design) — the census of the module's own
 // in-memory tree at return is exactly the acknowledged state.
-func chaosWorkload(m chaosModule, cfg ChaosConfig) {
+func chaosWorkload(m *shardedbypass.Sharded, cfg ChaosConfig) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 41))
 	for i := 0; i < cfg.Inserts; i++ {
 		_, _ = m.Insert(chaosPoint(rng, cfg.D), chaosOQP(rng, cfg.D, cfg.P))
 	}
 }
 
-// runCrashSweep enumerates every crash point of one layout's workload.
-func runCrashSweep(root string, lay chaosLayout, cfg ChaosConfig) (ChaosCrashSweep, error) {
-	out := ChaosCrashSweep{Layout: lay.name}
+// runCrashSweep enumerates every crash point of the workload at one
+// shard count.
+func runCrashSweep(root string, shards int, cfg ChaosConfig) (ChaosCrashSweep, error) {
+	out := ChaosCrashSweep{Shards: shards}
 
 	// Counting run: how many mutating filesystem operations does the
 	// fault-free workload perform?
 	countFS := faultfs.New(nil)
-	m, err := lay.open(filepath.Join(root, "count"), countFS, cfg)
+	m, err := openChaosModule(filepath.Join(root, "count"), shards, countFS, cfg)
 	if err != nil {
 		return out, fmt.Errorf("counting run: %w", err)
 	}
@@ -283,11 +242,11 @@ func runCrashSweep(root string, lay chaosLayout, cfg ChaosConfig) (ChaosCrashSwe
 	// open acknowledges nothing, but its recovery still (re)creates a
 	// fresh module — so the corner set, not the empty set, is what
 	// recovery owes it.
-	bm, err := lay.open(filepath.Join(root, "baseline"), nil, cfg)
+	bm, err := openChaosModule(filepath.Join(root, "baseline"), shards, nil, cfg)
 	if err != nil {
 		return out, fmt.Errorf("baseline open: %w", err)
 	}
-	baseline, err := bm.Census()
+	baseline, err := chaosCensus(bm)
 	if err != nil {
 		_ = bm.Close()
 		return out, fmt.Errorf("baseline census: %w", err)
@@ -301,11 +260,11 @@ func runCrashSweep(root string, lay chaosLayout, cfg ChaosConfig) (ChaosCrashSwe
 		dir := filepath.Join(root, fmt.Sprintf("crash-%04d", n))
 		fs := faultfs.New(nil)
 		fs.SetCrashAt(n)
-		m, err := lay.open(dir, fs, cfg)
+		m, err := openChaosModule(dir, shards, fs, cfg)
 		var want map[string]bool
 		if err == nil {
 			chaosWorkload(m, cfg)
-			want, err = m.Census()
+			want, err = chaosCensus(m)
 			if err != nil {
 				return out, fmt.Errorf("crash %d census: %w", n, err)
 			}
@@ -321,7 +280,7 @@ func runCrashSweep(root string, lay chaosLayout, cfg ChaosConfig) (ChaosCrashSwe
 
 		// Recovery on a healthy disk.
 		t0 := time.Now()
-		rm, err := lay.open(dir, nil, cfg)
+		rm, err := openChaosModule(dir, shards, nil, cfg)
 		rec := float64(time.Since(t0).Microseconds())
 		if err != nil {
 			out.RecoveryFailures++
@@ -331,7 +290,7 @@ func runCrashSweep(root string, lay chaosLayout, cfg ChaosConfig) (ChaosCrashSwe
 		if rec > recMax {
 			recMax = rec
 		}
-		got, err := rm.Census()
+		got, err := chaosCensus(rm)
 		if err != nil {
 			_ = rm.Close()
 			return out, fmt.Errorf("recovery %d census: %w", n, err)
@@ -518,12 +477,12 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	defer os.RemoveAll(root)
 
 	res := ChaosResult{D: cfg.D, P: cfg.P}
-	layouts := chaosLayouts(cfg)
-	if res.SingleTree, err = runCrashSweep(filepath.Join(root, "single"), layouts[0], cfg); err != nil {
-		return res, fmt.Errorf("single-tree crash sweep: %w", err)
-	}
-	if res.Sharded, err = runCrashSweep(filepath.Join(root, "sharded"), layouts[1], cfg); err != nil {
-		return res, fmt.Errorf("sharded crash sweep: %w", err)
+	for _, shards := range sweepShardCounts(cfg.Shards) {
+		sweep, err := runCrashSweep(filepath.Join(root, fmt.Sprintf("shards-%d", shards)), shards, cfg)
+		if err != nil {
+			return res, fmt.Errorf("%d-shard crash sweep: %w", shards, err)
+		}
+		res.CrashSweeps = append(res.CrashSweeps, sweep)
 	}
 	if res.Degraded, err = runDegraded(root, cfg); err != nil {
 		return res, fmt.Errorf("degraded phase: %w", err)

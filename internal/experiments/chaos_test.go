@@ -22,18 +22,21 @@ func TestRunChaosInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sweep := range []ChaosCrashSweep{res.SingleTree, res.Sharded} {
+	if len(res.CrashSweeps) != 2 || res.CrashSweeps[0].Shards != 1 || res.CrashSweeps[1].Shards != cfg.Shards {
+		t.Fatalf("crash sweeps cover %+v, want shard counts 1 and %d", res.CrashSweeps, cfg.Shards)
+	}
+	for _, sweep := range res.CrashSweeps {
 		if sweep.CrashPoints == 0 {
-			t.Fatalf("%s: no crash points enumerated", sweep.Layout)
+			t.Fatalf("%d shards: no crash points enumerated", sweep.Shards)
 		}
 		if sweep.RecoveryFailures != 0 {
-			t.Errorf("%s: %d recovery failures", sweep.Layout, sweep.RecoveryFailures)
+			t.Errorf("%d shards: %d recovery failures", sweep.Shards, sweep.RecoveryFailures)
 		}
 		if sweep.AckedLost != 0 {
-			t.Errorf("%s: %d acknowledged inserts lost", sweep.Layout, sweep.AckedLost)
+			t.Errorf("%d shards: %d acknowledged inserts lost", sweep.Shards, sweep.AckedLost)
 		}
 		if sweep.ExtraReplayed > sweep.CrashPoints {
-			t.Errorf("%s: %d extra replays over %d schedules", sweep.Layout, sweep.ExtraReplayed, sweep.CrashPoints)
+			t.Errorf("%d shards: %d extra replays over %d schedules", sweep.Shards, sweep.ExtraReplayed, sweep.CrashPoints)
 		}
 	}
 	d := res.Degraded

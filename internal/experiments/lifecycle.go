@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultfs"
+	"repro/internal/persist"
 	"repro/internal/shardedbypass"
 	"repro/internal/simplextree"
 )
@@ -20,7 +21,7 @@ import (
 // early stop being reinforced — run twice (aging on with periodic
 // compaction vs an aging-off control), plus a crash-schedule sweep over
 // every mutating filesystem operation of a workload that compacts
-// mid-stream, on both durable layouts.
+// mid-stream, on the durable module at 1 and at Shards shards.
 type LifecycleConfig struct {
 	// Seed makes the workloads deterministic.
 	Seed int64
@@ -46,7 +47,8 @@ type LifecycleConfig struct {
 	// after every CrashCompactEvery of them, under CrashAgeHorizon, so
 	// crash points cover the compaction swap (snapshot write, rename,
 	// directory fsync, journal reset) with real reclamation happening.
-	// Shards is the sharded layout's partition count.
+	// Shards is the partition count of the second sweep (the first always
+	// runs one shard).
 	CrashInserts      int
 	CrashCompactEvery int
 	CrashAgeHorizon   uint64
@@ -99,15 +101,16 @@ type LifecycleSeries struct {
 	Samples     []LifecyclePoint `json:"samples"`
 }
 
-// LifecycleCrashSweep is one layout's compaction crash-schedule result.
+// LifecycleCrashSweep is one shard count's compaction crash-schedule
+// result.
 // Every schedule kills the module at exactly one mutating filesystem
 // operation, recovers on a healthy disk, and checks the recovered census
 // (vertex point, value AND stamp, bitwise) against the healthy run's
 // census sequence: it must land on the last acknowledged state, or on
 // the in-flight operation's state — never between or beside them.
 type LifecycleCrashSweep struct {
-	Layout      string `json:"layout"`
-	CrashPoints int    `json:"crash_points"`
+	Shards      int `json:"shards"`
+	CrashPoints int `json:"crash_points"`
 	// RecoveryFailures counts schedules whose reopen failed (must be 0).
 	RecoveryFailures int `json:"recovery_failures"`
 	// AckedLost counts acknowledged vertices the recovered census is
@@ -126,15 +129,14 @@ type LifecycleCrashSweep struct {
 
 // LifecycleResult aggregates the whole figure.
 type LifecycleResult struct {
-	D            int                 `json:"d"`
-	P            int                 `json:"p"`
-	Inserts      int                 `json:"inserts"`
-	AgeHorizon   uint64              `json:"age_horizon"`
-	CompactEvery int                 `json:"compact_every"`
-	Aging        LifecycleSeries     `json:"aging"`
-	Control      LifecycleSeries     `json:"control"`
-	SingleTree   LifecycleCrashSweep `json:"single_tree"`
-	Sharded      LifecycleCrashSweep `json:"sharded"`
+	D            int                   `json:"d"`
+	P            int                   `json:"p"`
+	Inserts      int                   `json:"inserts"`
+	AgeHorizon   uint64                `json:"age_horizon"`
+	CompactEvery int                   `json:"compact_every"`
+	Aging        LifecycleSeries       `json:"aging"`
+	Control      LifecycleSeries       `json:"control"`
+	CrashSweeps  []LifecycleCrashSweep `json:"crash_sweeps"` // one per shard count
 }
 
 // driftPoint draws an interior simplex point from a window whose center
@@ -238,93 +240,30 @@ func runLifecycleMode(cfg LifecycleConfig, horizon uint64) (LifecycleSeries, err
 	return out, nil
 }
 
-// lcModule abstracts the two durable layouts behind the operations the
-// compaction crash sweep needs.
-type lcModule struct {
-	insert  func(q []float64, oqp core.OQP) (bool, error)
-	compact func() ([]core.CompactionStats, error)
-	walk    func(fn func(v *simplextree.Vertex)) error
-	close   func() error
-}
-
 // lcVertexKey is a vertex's full bitwise identity — point, value and
 // aging stamp — so census equality also pins that recovery restored the
 // timestamps replay depends on.
 func lcVertexKey(v *simplextree.Vertex) string {
-	buf := make([]byte, 0, 8*(len(v.Point)+len(v.Value)+1))
-	for _, x := range v.Point {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	for _, x := range v.Value {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, v.Stamp())
-	return string(buf)
+	return string(binary.LittleEndian.AppendUint64([]byte(chaosVertexKey(v)), v.Stamp()))
 }
 
-func (m lcModule) census() (map[string]bool, error) {
+func lcCensus(m *shardedbypass.Sharded) (map[string]bool, error) {
 	set := map[string]bool{}
-	err := m.walk(func(v *simplextree.Vertex) { set[lcVertexKey(v)] = true })
+	err := m.Walk(func(v *simplextree.Vertex) { set[lcVertexKey(v)] = true })
 	return set, err
 }
 
-// lcLayout opens one durable layout rooted at dir over fs (nil = the
-// real filesystem), with aging enabled so compactions actually reclaim.
-type lcLayout struct {
-	name string
-	open func(dir string, fs *faultfs.FS) (lcModule, error)
-}
-
-func lifecycleLayouts(cfg LifecycleConfig) []lcLayout {
-	treeCfg := core.Config{Epsilon: 0, AgeHorizon: cfg.CrashAgeHorizon}
-	dur := func(fs *faultfs.FS) core.DurableOptions {
-		// Journal-depth compaction is disabled: every snapshot swap in
-		// the schedule is an explicit CompactAged, so the sweep's crash
-		// points map one-to-one onto the lifecycle path under test.
-		opts := core.DurableOptions{CompactEvery: 1 << 30, Sync: true}
-		if fs != nil {
-			opts.FS = fs
-		}
-		return opts
-	}
-	return []lcLayout{
-		{
-			name: "single-tree",
-			open: func(dir string, fs *faultfs.FS) (lcModule, error) {
-				db, err := core.OpenDurable(dir, cfg.D, cfg.P, treeCfg, dur(fs))
-				if err != nil {
-					return lcModule{}, err
-				}
-				return lcModule{
-					insert:  db.Insert,
-					compact: db.CompactAged,
-					walk: func(fn func(v *simplextree.Vertex)) error {
-						db.Tree().Walk(fn)
-						return nil
-					},
-					close: db.Close,
-				}, nil
-			},
-		},
-		{
-			name: fmt.Sprintf("sharded(%d)", cfg.Shards),
-			open: func(dir string, fs *faultfs.FS) (lcModule, error) {
-				s, err := shardedbypass.Open(dir, cfg.D, cfg.P, treeCfg, shardedbypass.Options{
-					Shards:  cfg.Shards,
-					Durable: dur(fs),
-				})
-				if err != nil {
-					return lcModule{}, err
-				}
-				return lcModule{
-					insert:  s.Insert,
-					compact: s.CompactAged,
-					walk:    s.Walk,
-					close:   s.Close,
-				}, nil
-			},
-		},
-	}
+// openLifecycleModule opens the durable module rooted at dir with the
+// given shard count over fs (nil = the real filesystem), with aging
+// enabled so compactions actually reclaim. Journal-depth compaction is
+// disabled: every snapshot swap in the schedule is an explicit
+// CompactAged, so the sweep's crash points map one-to-one onto the
+// lifecycle path under test.
+func openLifecycleModule(dir string, shards int, fs persist.FS, cfg LifecycleConfig) (*shardedbypass.Sharded, error) {
+	return shardedbypass.Open(dir, cfg.D, cfg.P, core.Config{Epsilon: 0, AgeHorizon: cfg.CrashAgeHorizon}, shardedbypass.Options{
+		Shards:  shards,
+		Durable: core.DurableOptions{CompactEvery: 1 << 30, Sync: true, FS: fs},
+	})
 }
 
 // lcOp is one step of the deterministic crash-phase workload.
@@ -346,12 +285,12 @@ func lifecycleOps(cfg LifecycleConfig) []lcOp {
 	return ops
 }
 
-func lcApply(m lcModule, op lcOp) error {
+func lcApply(m *shardedbypass.Sharded, op lcOp) error {
 	if op.compact {
-		_, err := m.compact()
+		_, err := m.CompactAged()
 		return err
 	}
-	_, err := m.insert(op.q, op.oqp)
+	_, err := m.Insert(op.q, op.oqp)
 	return err
 }
 
@@ -370,9 +309,9 @@ func lcEqual(a, b map[string]bool) bool {
 	return len(a) == len(b) && lcMissing(a, b) == 0
 }
 
-// runLifecycleCrashSweep enumerates every crash point of one layout's
-// compacting workload and verifies recovery against the healthy run's
-// census sequence.
+// runLifecycleCrashSweep enumerates every crash point of the compacting
+// workload at one shard count and verifies recovery against the healthy
+// run's census sequence.
 //
 // The invariant: with k acknowledged operations at crash time, the
 // recovered census must satisfy lo ⊆ census ⊆ hi, where lo/hi bracket
@@ -381,19 +320,19 @@ func lcEqual(a, b map[string]bool) bool {
 // bracket is ordered either way). A census outside the bracket is a
 // hybrid: it either lost acknowledged state or mixes pre- and
 // post-compaction trees.
-func runLifecycleCrashSweep(root string, lay lcLayout, cfg LifecycleConfig) (LifecycleCrashSweep, error) {
-	out := LifecycleCrashSweep{Layout: lay.name}
+func runLifecycleCrashSweep(root string, shards int, cfg LifecycleConfig) (LifecycleCrashSweep, error) {
+	out := LifecycleCrashSweep{Shards: shards}
 	ops := lifecycleOps(cfg)
 
 	// Healthy run: the census sequence S[0..len(ops)] every schedule's
 	// recovery is checked against. S[0] is the fresh module (domain
 	// corners only).
-	sm, err := lay.open(filepath.Join(root, "seq"), nil)
+	sm, err := openLifecycleModule(filepath.Join(root, "seq"), shards, nil, cfg)
 	if err != nil {
 		return out, fmt.Errorf("sequence open: %w", err)
 	}
 	seq := make([]map[string]bool, 0, len(ops)+1)
-	c0, err := sm.census()
+	c0, err := lcCensus(sm)
 	if err != nil {
 		return out, fmt.Errorf("sequence census: %w", err)
 	}
@@ -402,20 +341,20 @@ func runLifecycleCrashSweep(root string, lay lcLayout, cfg LifecycleConfig) (Lif
 		if err := lcApply(sm, op); err != nil {
 			return out, fmt.Errorf("sequence op %d: %w", i, err)
 		}
-		c, err := sm.census()
+		c, err := lcCensus(sm)
 		if err != nil {
 			return out, fmt.Errorf("sequence census %d: %w", i, err)
 		}
 		seq = append(seq, c)
 	}
-	if err := sm.close(); err != nil {
+	if err := sm.Close(); err != nil {
 		return out, fmt.Errorf("sequence close: %w", err)
 	}
 
 	// Counting run: mutating filesystem operations of the fault-free
 	// workload (including close) = the number of crash schedules.
 	countFS := faultfs.New(nil)
-	cm, err := lay.open(filepath.Join(root, "count"), countFS)
+	cm, err := openLifecycleModule(filepath.Join(root, "count"), shards, countFS, cfg)
 	if err != nil {
 		return out, fmt.Errorf("counting open: %w", err)
 	}
@@ -424,7 +363,7 @@ func runLifecycleCrashSweep(root string, lay lcLayout, cfg LifecycleConfig) (Lif
 			return out, fmt.Errorf("counting op %d: %w", i, err)
 		}
 	}
-	if err := cm.close(); err != nil {
+	if err := cm.Close(); err != nil {
 		return out, fmt.Errorf("counting close: %w", err)
 	}
 	total := countFS.Ops()
@@ -434,7 +373,7 @@ func runLifecycleCrashSweep(root string, lay lcLayout, cfg LifecycleConfig) (Lif
 		dir := filepath.Join(root, fmt.Sprintf("crash-%04d", n))
 		fs := faultfs.New(nil)
 		fs.SetCrashAt(n)
-		m, err := lay.open(dir, fs)
+		m, err := openLifecycleModule(dir, shards, fs, cfg)
 		acked := 0
 		if err == nil {
 			for _, op := range ops {
@@ -445,23 +384,23 @@ func runLifecycleCrashSweep(root string, lay lcLayout, cfg LifecycleConfig) (Lif
 				}
 				acked++
 			}
-			_ = m.close() // post-crash close errors are expected
+			_ = m.Close() // post-crash close errors are expected
 		}
 		if !fs.Crashed() {
 			return out, fmt.Errorf("crash %d/%d never fired", n, total)
 		}
 
-		rm, err := lay.open(dir, nil)
+		rm, err := openLifecycleModule(dir, shards, nil, cfg)
 		if err != nil {
 			out.RecoveryFailures++
 			continue
 		}
-		got, err := rm.census()
+		got, err := lcCensus(rm)
 		if err != nil {
-			_ = rm.close()
+			_ = rm.Close()
 			return out, fmt.Errorf("recovery %d census: %w", n, err)
 		}
-		if err := rm.close(); err != nil {
+		if err := rm.Close(); err != nil {
 			return out, fmt.Errorf("recovery %d close: %w", n, err)
 		}
 
@@ -493,7 +432,7 @@ func runLifecycleCrashSweep(root string, lay lcLayout, cfg LifecycleConfig) (Lif
 }
 
 // RunLifecycle runs the full lifecycle figure: both soak modes, then the
-// compaction crash sweep on both durable layouts in a temp directory.
+// compaction crash sweep at each shard count in a temp directory.
 func RunLifecycle(cfg LifecycleConfig) (LifecycleResult, error) {
 	if cfg.D <= 0 || cfg.P < 0 || cfg.Inserts <= 1 || cfg.AgeHorizon == 0 ||
 		cfg.SampleEvery <= 0 || cfg.RecentWindow <= 0 ||
@@ -517,12 +456,12 @@ func RunLifecycle(cfg LifecycleConfig) (LifecycleResult, error) {
 		return res, err
 	}
 	defer os.RemoveAll(root)
-	layouts := lifecycleLayouts(cfg)
-	if res.SingleTree, err = runLifecycleCrashSweep(filepath.Join(root, "single"), layouts[0], cfg); err != nil {
-		return res, fmt.Errorf("single-tree crash sweep: %w", err)
-	}
-	if res.Sharded, err = runLifecycleCrashSweep(filepath.Join(root, "sharded"), layouts[1], cfg); err != nil {
-		return res, fmt.Errorf("sharded crash sweep: %w", err)
+	for _, shards := range sweepShardCounts(cfg.Shards) {
+		sweep, err := runLifecycleCrashSweep(filepath.Join(root, fmt.Sprintf("shards-%d", shards)), shards, cfg)
+		if err != nil {
+			return res, fmt.Errorf("%d-shard crash sweep: %w", shards, err)
+		}
+		res.CrashSweeps = append(res.CrashSweeps, sweep)
 	}
 	return res, nil
 }

@@ -8,7 +8,7 @@ import "testing"
 // over the recent window stays perfect; with aging off, the same
 // drifting workload grows the tree without bound (ε=0: one vertex per
 // insert). The embedded crash sweeps must report zero acked-insert
-// loss, zero recovery failures and zero hybrid states on both layouts.
+// loss, zero recovery failures and zero hybrid states at both shard counts.
 func TestRunLifecycleBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lifecycle soak skipped in -short mode")
@@ -48,14 +48,17 @@ func TestRunLifecycleBounded(t *testing.T) {
 		}
 	}
 
-	// Crash sweeps: compaction swap safety on both durable layouts.
-	for _, sweep := range []LifecycleCrashSweep{res.SingleTree, res.Sharded} {
+	// Crash sweeps: compaction swap safety at both shard counts.
+	if len(res.CrashSweeps) != 2 || res.CrashSweeps[0].Shards != 1 || res.CrashSweeps[1].Shards != cfg.Shards {
+		t.Fatalf("crash sweeps cover %+v, want shard counts 1 and %d", res.CrashSweeps, cfg.Shards)
+	}
+	for _, sweep := range res.CrashSweeps {
 		if sweep.CrashPoints == 0 {
-			t.Fatalf("%s sweep enumerated no crash points", sweep.Layout)
+			t.Fatalf("%d-shard sweep enumerated no crash points", sweep.Shards)
 		}
 		if sweep.RecoveryFailures != 0 || sweep.AckedLost != 0 || sweep.HybridStates != 0 {
-			t.Fatalf("%s sweep: %d recovery failures, %d acked vertices lost, %d hybrid states (want all zero)",
-				sweep.Layout, sweep.RecoveryFailures, sweep.AckedLost, sweep.HybridStates)
+			t.Fatalf("%d-shard sweep: %d recovery failures, %d acked vertices lost, %d hybrid states (want all zero)",
+				sweep.Shards, sweep.RecoveryFailures, sweep.AckedLost, sweep.HybridStates)
 		}
 	}
 }

@@ -58,8 +58,8 @@ func walImage(tb testing.TB, dim, oqpDim, records int) []byte {
 }
 
 // walV1Image builds a legacy version-1 image (16-byte header, stampless
-// records) so the fuzzer's committed seeds keep covering the
-// compatibility path.
+// records): no longer readable, kept as a seed so the fuzzer keeps
+// proving the refusal is an ErrCorrupt and not a misparse.
 func walV1Image(tb testing.TB, dim, oqpDim, records int) []byte {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(43))
@@ -91,12 +91,12 @@ func walV1Image(tb testing.TB, dim, oqpDim, records int) []byte {
 func FuzzWALReplay(f *testing.F) {
 	valid := walImage(f, 3, 6, 4)
 	validV1 := walV1Image(f, 3, 6, 4)
-	f.Add(append([]byte{2, 5}, valid...))                     // v2: dims match (1+2=3, 1+5=6)
+	f.Add(append([]byte{2, 5}, valid...))                     // dims match (1+2=3, 1+5=6)
 	f.Add(append([]byte{0, 0}, valid...))                     // dim mismatch → ErrCorrupt
 	f.Add(append([]byte{2, 5}, valid[:len(valid)-7]...))      // torn tail record → tolerated
-	f.Add(append([]byte{2, 5}, valid[:walHeaderSizeV2-3]...)) // torn v2 epoch field → ErrCorrupt
-	f.Add(append([]byte{2, 5}, validV1...))                   // legacy v1: replays with stamp 0
-	f.Add(append([]byte{2, 5}, validV1[:len(validV1)-5]...))  // v1 torn tail → tolerated
+	f.Add(append([]byte{2, 5}, valid[:walHeaderSize-3]...))   // torn epoch field → ErrCorrupt
+	f.Add(append([]byte{2, 5}, validV1...))                   // legacy v1 → ErrCorrupt (unsupported version)
+	f.Add(append([]byte{2, 5}, validV1[:len(validV1)-5]...))  // v1 torn tail → ErrCorrupt likewise
 	f.Add([]byte{2, 5})                                       // empty log → short header
 	f.Add(append([]byte{2, 5}, []byte("FBWLgarbage....")...)) // bad header fields
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -121,14 +121,11 @@ func FuzzWALReplay(f *testing.F) {
 		if n != replayed {
 			t.Fatalf("ReplayWAL reported %d records, callback saw %d", n, replayed)
 		}
-		// A replayed record must have fit inside the input. When records
-		// replayed without error the header parsed, so its version field is
-		// trustworthy for the size arithmetic.
+		// A replayed record must have fit inside the input.
 		if err == nil && n > 0 {
-			version := binary.LittleEndian.Uint32(img[4:8])
-			max := (len(img) - walHeaderSize(version)) / walRecordSize(version, dim, oqpDim)
+			max := (len(img) - walHeaderSize) / walRecordSize(dim, oqpDim)
 			if n > max {
-				t.Fatalf("replayed %d version-%d records from %d bytes (max %d)", n, version, len(img), max)
+				t.Fatalf("replayed %d records from %d bytes (max %d)", n, len(img), max)
 			}
 		}
 		// Determinism: a second replay of the same bytes sees the same
@@ -176,8 +173,8 @@ func fbsxImage(tb testing.TB, d, n, inserts int, epoch uint64) []byte {
 }
 
 // fbsxV1Image rewrites a version-2 snapshot image into the legacy
-// version-1 layout (no epoch/clock header fields, stampless vertices)
-// so the committed seeds keep covering the compatibility path.
+// version-1 layout (no epoch/clock header fields, stampless vertices):
+// a well-formed image of a version the loader must refuse.
 func fbsxV1Image(tb testing.TB, v2 []byte) []byte {
 	tb.Helper()
 	dim := int(binary.LittleEndian.Uint32(v2[8:12]))
@@ -210,8 +207,8 @@ func FuzzFBSX(f *testing.F) {
 	valid := fbsxImage(f, 3, 6, 4, 7)
 	validV1 := fbsxV1Image(f, valid)
 	f.Add(valid)
-	f.Add(validV1)
-	f.Add(valid[:36])                    // torn v2 lifecycle header
+	f.Add(validV1)                       // legacy v1 → ErrCorrupt (unsupported version)
+	f.Add(valid[:36])                    // torn lifecycle header
 	f.Add(valid[:52])                    // torn clock field
 	f.Add(valid[:len(valid)-3])          // torn checksum
 	f.Add(validV1[:len(validV1)-5])      // torn v1 tail

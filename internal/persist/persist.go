@@ -6,17 +6,16 @@
 // Format (little-endian):
 //
 //	magic   [4]byte  "FBSX"
-//	version uint32   1 or 2
+//	version uint32   2
 //	dim     uint32   query-domain dimensionality D
 //	oqpDim  uint32   stored-vector dimensionality N
 //	epsilon float64
 //	tol     float64
 //	points  uint32   stored-point counter
-//	epoch   uint64   (version 2 only) compaction epoch
-//	clock   uint64   (version 2 only) logical insert clock
+//	epoch   uint64   compaction epoch
+//	clock   uint64   logical insert clock
 //	nVerts  uint32   vertex table size
-//	  vertex: D float64 point, N float64 value,
-//	          stamp uint64 (version 2 only)         (× nVerts)
+//	  vertex: D float64 point, N float64 value, stamp uint64  (× nVerts)
 //	node (recursive, pre-order):
 //	  verts    [D+1]int32
 //	  nChild   uint32            0 for leaves
@@ -24,10 +23,10 @@
 //	            then per child: replaced int32, node
 //	crc32   uint32   IEEE checksum of everything before it
 //
-// Version 2 adds the lifecycle-plane fields: the compaction epoch pairs
-// the snapshot with the WAL that extends it, the clock and per-vertex
-// stamps carry the logical ages that aging decisions are made from.
-// Version 1 files load with epoch, clock, and all stamps zero.
+// The compaction epoch pairs the snapshot with the WAL that extends it;
+// the clock and per-vertex stamps carry the logical ages that aging
+// decisions are made from. Any other version — including the
+// pre-lifecycle version 1 — is refused with ErrCorrupt.
 package persist
 
 import (
@@ -45,8 +44,8 @@ import (
 
 var magic = [4]byte{'F', 'B', 'S', 'X'}
 
-// Version is the current format version. Version-1 files remain
-// loadable (their lifecycle fields read as zero).
+// Version is the format version: the only one written and the only one
+// read.
 const Version = 2
 
 // maxSaneCount bounds table sizes read from untrusted files so a corrupt
@@ -127,7 +126,7 @@ func Load(r io.Reader) (*simplextree.Tree, error) {
 }
 
 // LoadWithEpoch is Load returning also the compaction epoch stamped in
-// the snapshot (0 for version-1 files, which predate epochs).
+// the snapshot.
 func LoadWithEpoch(r io.Reader) (*simplextree.Tree, uint64, error) {
 	crc := crc32.NewIEEE()
 	br := &checksumReader{r: bufio.NewReader(r), h: crc}
@@ -145,16 +144,11 @@ func LoadWithEpoch(r io.Reader) (*simplextree.Tree, uint64, error) {
 	if err := readAll(br, &version, &dim, &oqpDim, &epsilon, &tol, &points); err != nil {
 		return nil, 0, fmt.Errorf("%w: reading header: %w", ErrCorrupt, err)
 	}
-	if version < 1 || version > Version {
+	if version != Version {
 		return nil, 0, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, version)
 	}
-	if version >= 2 {
-		if err := readAll(br, &epoch, &clock); err != nil {
-			return nil, 0, fmt.Errorf("%w: reading lifecycle header: %w", ErrCorrupt, err)
-		}
-	}
-	if err := readAll(br, &nVerts); err != nil {
-		return nil, 0, fmt.Errorf("%w: reading vertex count: %w", ErrCorrupt, err)
+	if err := readAll(br, &epoch, &clock, &nVerts); err != nil {
+		return nil, 0, fmt.Errorf("%w: reading lifecycle header: %w", ErrCorrupt, err)
 	}
 	if dim == 0 || dim > maxSaneCount || oqpDim == 0 || oqpDim > maxSaneCount || nVerts > maxSaneCount {
 		return nil, 0, fmt.Errorf("%w: implausible header (D=%d N=%d verts=%d)", ErrCorrupt, dim, oqpDim, nVerts)
@@ -177,10 +171,8 @@ func LoadWithEpoch(r io.Reader) (*simplextree.Tree, uint64, error) {
 			return nil, 0, fmt.Errorf("%w: vertex %d value: %w", ErrCorrupt, i, err)
 		}
 		var stamp uint64
-		if version >= 2 {
-			if err := readAll(br, &stamp); err != nil {
-				return nil, 0, fmt.Errorf("%w: vertex %d stamp: %w", ErrCorrupt, i, err)
-			}
+		if err := readAll(br, &stamp); err != nil {
+			return nil, 0, fmt.Errorf("%w: vertex %d stamp: %w", ErrCorrupt, i, err)
 		}
 		snap.Vertices = append(snap.Vertices, simplextree.SnapshotVertex{Point: point, Value: value, Stamp: stamp})
 	}
@@ -217,7 +209,7 @@ func LoadFileFS(fsys FS, path string) (*simplextree.Tree, error) {
 }
 
 // LoadFileEpochFS is LoadFileFS returning also the snapshot's compaction
-// epoch (0 for version-1 files).
+// epoch.
 func LoadFileEpochFS(fsys FS, path string) (*simplextree.Tree, uint64, error) {
 	f, err := OpenRead(fsys, path)
 	if err != nil {

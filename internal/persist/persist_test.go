@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -196,16 +197,22 @@ func TestLoadRejectsBitFlips(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsWrongVersion: only the current version loads. A
+// well-formed legacy version-1 image is refused exactly like a version
+// from the future.
 func TestLoadRejectsWrongVersion(t *testing.T) {
 	tr := buildTree(t, 2, 2, 5, 9)
 	var buf bytes.Buffer
 	if err := Save(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
-	b[4] = 99 // version byte (little-endian uint32 after 4-byte magic)
-	if _, err := Load(bytes.NewReader(b)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("err = %v", err)
+	future := append([]byte(nil), buf.Bytes()...)
+	future[4] = 99 // version byte (little-endian uint32 after 4-byte magic)
+	for name, img := range map[string][]byte{"v99": future, "v1": fbsxV1Image(t, buf.Bytes())} {
+		_, err := Load(bytes.NewReader(img))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version") {
+			t.Errorf("%s: err = %v, want ErrCorrupt: unsupported version", name, err)
+		}
 	}
 }
 

@@ -10,24 +10,23 @@ package persist
 //
 //	header:
 //	  magic   [4]byte  "FBWL"
-//	  version uint32   1 or 2
+//	  version uint32   2
 //	  dim     uint32   query-domain dimensionality D
 //	  oqpDim  uint32   stored-vector dimensionality N
-//	  epoch   uint64   (version 2 only) compaction epoch of the module
-//	record (fixed size per version, repeated):
+//	  epoch   uint64   compaction epoch of the module
+//	record (fixed size, repeated):
 //	  q       [D]float64
 //	  value   [N]float64
-//	  stamp   uint64   (version 2 only) logical insert timestamp
+//	  stamp   uint64   logical insert timestamp
 //	  crc32   uint32   IEEE checksum of the record bytes before it
 //
-// Version 2 is the lifecycle-plane format: the header's epoch pairs the
-// log with the snapshot it extends (a log whose epoch trails the
-// snapshot's is a stale pre-compaction journal and is discarded on
-// recovery), and each record carries the logical timestamp its vertex
-// was stamped with, so replay reconstructs ages bitwise. Version 1 logs
-// (no epoch, no stamps) remain fully replayable — records surface with
-// stamp 0 and the log keeps appending in its own format until the next
-// Reset rewrites it as version 2.
+// The header's epoch pairs the log with the snapshot it extends (a log
+// whose epoch trails the snapshot's is a stale pre-compaction journal and
+// is discarded on recovery), and each record carries the logical
+// timestamp its vertex was stamped with, so replay reconstructs ages
+// bitwise. Any other version — including the pre-lifecycle version 1,
+// which nothing has written since stamps were introduced — is refused
+// with ErrCorrupt.
 //
 // Records carry the same CRC-32/IEEE checksum the snapshot format uses,
 // but per record, so a torn final write (a crash mid-append) is
@@ -51,13 +50,13 @@ import (
 
 var walMagic = [4]byte{'F', 'B', 'W', 'L'}
 
-// WALVersion is the current log format version, written by every fresh
-// header. Version 1 logs are still read (see the format comment).
+// WALVersion is the log format version: the only one written and the
+// only one read.
 const WALVersion = 2
 
 const (
-	walHeaderSizeV1 = 4 + 4 + 4 + 4
-	walHeaderSizeV2 = walHeaderSizeV1 + 8
+	walHeaderPrefix = 4 + 4 + 4 + 4 // magic, version, dim, oqpDim
+	walHeaderSize   = walHeaderPrefix + 8
 )
 
 // errTornWALHeader marks a file too short to hold its own header — the
@@ -77,8 +76,7 @@ type WAL struct {
 	path    string
 	dim     int
 	oqpDim  int
-	version uint32 // on-disk format of this log (v1 until a Reset upgrades it)
-	epoch   uint64 // header epoch (0 for v1 logs)
+	epoch   uint64 // header epoch
 	buf     []byte // reused record encoding buffer
 	records int    // valid records on disk
 	off     int64  // offset just past the last valid record
@@ -89,19 +87,9 @@ type WAL struct {
 	fsyncH  *obsv.Histogram // optional: fsync latency (per-append and explicit)
 }
 
-func walHeaderSize(version uint32) int {
-	if version >= 2 {
-		return walHeaderSizeV2
-	}
-	return walHeaderSizeV1
-}
-
-func walRecordSize(version uint32, dim, oqpDim int) int {
-	size := 8*(dim+oqpDim) + 4
-	if version >= 2 {
-		size += 8 // stamp
-	}
-	return size
+// walRecordSize is q, value, stamp and checksum.
+func walRecordSize(dim, oqpDim int) int {
+	return 8*(dim+oqpDim) + 8 + 4
 }
 
 // OpenWAL opens (or creates) the write-ahead log at path for trees of
@@ -126,12 +114,12 @@ func OpenWALFS(fsys FS, path string, dim, oqpDim int) (*WAL, error) {
 		return nil, err
 	}
 	w := &WAL{
-		fs:      fsys,
-		f:       f,
-		path:    path,
-		dim:     dim,
-		oqpDim:  oqpDim,
-		version: WALVersion,
+		fs:     fsys,
+		f:      f,
+		path:   path,
+		dim:    dim,
+		oqpDim: oqpDim,
+		buf:    make([]byte, walRecordSize(dim, oqpDim)),
 	}
 	info, err := f.Stat()
 	if err != nil {
@@ -151,21 +139,20 @@ func OpenWALFS(fsys FS, path string, dim, oqpDim int) (*WAL, error) {
 			_ = f.Close()
 			return nil, err
 		}
-		w.off = int64(walHeaderSize(w.version))
-		w.buf = make([]byte, walRecordSize(w.version, dim, oqpDim))
+		w.off = walHeaderSize
 		return w, nil
 	}
-	if info.Size() < walHeaderSizeV1 {
+	if info.Size() < walHeaderPrefix {
 		// Empty file, or a header torn by a crash during creation (or
 		// during Reset, between the truncate and the header rewrite). A
 		// file this short cannot hold records, so nothing is lost:
 		// rewrite the header instead of reporting corruption.
 		return rewriteFresh()
 	}
-	validEnd, records, version, epoch, err := scanWAL(f, dim, oqpDim)
+	validEnd, records, epoch, err := scanWAL(f, dim, oqpDim)
 	if errors.Is(err, errTornWALHeader) {
-		// A version-2 header torn after its fixed prefix: still too short
-		// for records, same recovery.
+		// A header torn after its fixed prefix: still too short for
+		// records, same recovery.
 		return rewriteFresh()
 	}
 	if err != nil {
@@ -184,9 +171,7 @@ func OpenWALFS(fsys FS, path string, dim, oqpDim int) (*WAL, error) {
 		_ = f.Close()
 		return nil, err
 	}
-	w.version = version
 	w.epoch = epoch
-	w.buf = make([]byte, walRecordSize(version, dim, oqpDim))
 	w.records = records
 	w.off = validEnd
 	return w, nil
@@ -206,90 +191,76 @@ func (w *WAL) SetMetrics(appendH, fsyncH *obsv.Histogram) {
 	w.fsyncH = fsyncH
 }
 
-// Epoch reports the compaction epoch stamped in the log header (0 for
-// version-1 logs, which predate epochs).
+// Epoch reports the compaction epoch stamped in the log header.
 func (w *WAL) Epoch() uint64 { return w.epoch }
-
-// Version reports the on-disk format version of this log.
-func (w *WAL) Version() uint32 { return w.version }
 
 // writeHeader writes the log header at the current (zero) offset.
 func (w *WAL) writeHeader() error {
-	hdr := make([]byte, walHeaderSize(w.version))
+	var hdr [walHeaderSize]byte
 	copy(hdr[0:4], walMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], w.version)
+	binary.LittleEndian.PutUint32(hdr[4:8], WALVersion)
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(w.dim))
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(w.oqpDim))
-	if w.version >= 2 {
-		binary.LittleEndian.PutUint64(hdr[16:24], w.epoch)
-	}
-	_, err := w.f.Write(hdr)
+	binary.LittleEndian.PutUint64(hdr[16:24], w.epoch)
+	_, err := w.f.Write(hdr[:])
 	return err
 }
 
 // scanWAL validates the header and every record of r, returning the file
 // offset just past the last valid record, the record count, and the
-// header's version and epoch. A truncated tail is tolerated (the
-// returned offset excludes it); a complete record with a checksum
-// mismatch is ErrCorrupt.
-func scanWAL(f File, dim, oqpDim int) (validEnd int64, records int, version uint32, epoch uint64, err error) {
+// header's epoch. A truncated tail is tolerated (the returned offset
+// excludes it); a complete record with a checksum mismatch is ErrCorrupt.
+func scanWAL(f File, dim, oqpDim int) (validEnd int64, records int, epoch uint64, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, 0, 0, err
+		return 0, 0, 0, err
 	}
 	br := bufio.NewReader(f)
-	version, epoch, err = readWALHeader(br, dim, oqpDim)
+	epoch, err = readWALHeader(br, dim, oqpDim)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return 0, 0, 0, err
 	}
-	recSize := walRecordSize(version, dim, oqpDim)
-	buf := make([]byte, recSize)
-	offset := int64(walHeaderSize(version))
+	buf := make([]byte, walRecordSize(dim, oqpDim))
+	offset := int64(walHeaderSize)
 	for {
 		_, err := io.ReadFull(br, buf)
-		if err == io.EOF {
-			return offset, records, version, epoch, nil // clean end on a record boundary
-		}
-		if err == io.ErrUnexpectedEOF {
-			return offset, records, version, epoch, nil // torn tail: tolerate, drop
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			// Clean end on a record boundary, or a torn tail: tolerate, drop.
+			return offset, records, epoch, nil
 		}
 		if err != nil {
-			return 0, 0, 0, 0, err
+			return 0, 0, 0, err
 		}
 		if err := checkWALRecord(buf); err != nil {
-			return 0, 0, 0, 0, err
+			return 0, 0, 0, err
 		}
-		offset += int64(recSize)
+		offset += int64(len(buf))
 		records++
 	}
 }
 
 // readWALHeader consumes and validates the header from r, returning the
-// format version and (for version 2) the epoch.
-func readWALHeader(r io.Reader, dim, oqpDim int) (version uint32, epoch uint64, err error) {
-	var hdr [walHeaderSizeV1]byte
+// epoch.
+func readWALHeader(r io.Reader, dim, oqpDim int) (epoch uint64, err error) {
+	var hdr [walHeaderPrefix]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, fmt.Errorf("%w: reading WAL header: %w", ErrCorrupt, err)
+		return 0, fmt.Errorf("%w: reading WAL header: %w", ErrCorrupt, err)
 	}
 	if [4]byte(hdr[0:4]) != walMagic {
-		return 0, 0, fmt.Errorf("%w: bad WAL magic %q", ErrCorrupt, hdr[0:4])
+		return 0, fmt.Errorf("%w: bad WAL magic %q", ErrCorrupt, hdr[0:4])
 	}
-	version = binary.LittleEndian.Uint32(hdr[4:8])
-	if version < 1 || version > WALVersion {
-		return 0, 0, fmt.Errorf("%w: unsupported WAL version %d", ErrCorrupt, version)
+	if version := binary.LittleEndian.Uint32(hdr[4:8]); version != WALVersion {
+		return 0, fmt.Errorf("%w: unsupported WAL version %d", ErrCorrupt, version)
 	}
 	gotDim := binary.LittleEndian.Uint32(hdr[8:12])
 	gotOQP := binary.LittleEndian.Uint32(hdr[12:16])
 	if gotDim != uint32(dim) || gotOQP != uint32(oqpDim) {
-		return 0, 0, fmt.Errorf("%w: WAL is for D=%d N=%d, want D=%d N=%d", ErrCorrupt, gotDim, gotOQP, dim, oqpDim)
+		return 0, fmt.Errorf("%w: WAL is for D=%d N=%d, want D=%d N=%d", ErrCorrupt, gotDim, gotOQP, dim, oqpDim)
 	}
-	if version >= 2 {
-		var ep [8]byte
-		if _, err := io.ReadFull(r, ep[:]); err != nil {
-			return 0, 0, fmt.Errorf("reading WAL epoch: %w", errTornWALHeader)
-		}
-		epoch = binary.LittleEndian.Uint64(ep[:])
+	var ep [8]byte
+	if _, err := io.ReadFull(r, ep[:]); err != nil {
+		return 0, fmt.Errorf("reading WAL epoch: %w", errTornWALHeader)
 	}
-	return version, epoch, nil
+	return binary.LittleEndian.Uint64(ep[:]), nil
 }
 
 // checkWALRecord verifies the trailing checksum of one complete record.
@@ -310,8 +281,7 @@ func checkWALRecord(rec []byte) error {
 // back by truncating to the last record boundary, so the log never
 // advances misaligned; if even the rollback fails, the WAL refuses
 // further appends instead of corrupting the records already
-// acknowledged. Appending to a version-1 log keeps that log's record
-// format (the stamp is not persisted until a Reset upgrades the file).
+// acknowledged.
 func (w *WAL) Append(q, value []float64, stamp uint64) error {
 	if w.broken != nil {
 		return w.broken
@@ -335,10 +305,8 @@ func (w *WAL) Append(q, value []float64, stamp uint64) error {
 		binary.LittleEndian.PutUint64(w.buf[off:], math.Float64bits(x))
 		off += 8
 	}
-	if w.version >= 2 {
-		binary.LittleEndian.PutUint64(w.buf[off:], stamp)
-		off += 8
-	}
+	binary.LittleEndian.PutUint64(w.buf[off:], stamp)
+	off += 8
 	binary.LittleEndian.PutUint32(w.buf[off:], crc32.ChecksumIEEE(w.buf[:off]))
 	if _, err := w.f.Write(w.buf); err != nil {
 		return w.rollback(err)
@@ -398,10 +366,8 @@ func (w *WAL) Sync() error { return w.syncTimed() }
 
 // Reset truncates the log back to an empty header carrying the given
 // compaction epoch — the log-compaction step after the tree state has
-// been captured in a snapshot stamped with the same epoch. A Reset
-// always writes the current format version, upgrading a version-1 log
-// in place (it holds no records afterwards, so no stamps are invented).
-// A successful Reset also clears the broken state left by an
+// been captured in a snapshot stamped with the same epoch. A
+// successful Reset also clears the broken state left by an
 // unrecoverable append failure, since the rewritten log is aligned
 // again.
 func (w *WAL) Reset(epoch uint64) error {
@@ -411,16 +377,14 @@ func (w *WAL) Reset(epoch uint64) error {
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	prevVersion, prevEpoch := w.version, w.epoch
-	w.version = WALVersion
+	prevEpoch := w.epoch
 	w.epoch = epoch
 	if err := w.writeHeader(); err != nil {
-		w.version, w.epoch = prevVersion, prevEpoch
+		w.epoch = prevEpoch
 		return err
 	}
-	w.buf = make([]byte, walRecordSize(w.version, w.dim, w.oqpDim))
 	w.records = 0
-	w.off = int64(walHeaderSize(w.version))
+	w.off = walHeaderSize
 	w.broken = nil
 	return w.f.Sync()
 }
@@ -431,9 +395,8 @@ func (w *WAL) Close() error { return w.f.Close() }
 // Replay reads the log from the beginning through a separate read handle
 // and invokes fn for every valid record in order, returning the number
 // replayed. A truncated tail record is silently dropped; a checksum
-// mismatch on a complete record is ErrCorrupt. Version-1 records carry
-// stamp 0. The q and value slices are reused across calls; fn must not
-// retain them.
+// mismatch on a complete record is ErrCorrupt. The q and value slices
+// are reused across calls; fn must not retain them.
 func (w *WAL) Replay(fn func(q, value []float64, stamp uint64) error) (int, error) {
 	f, err := OpenRead(w.fs, w.path)
 	if err != nil {
@@ -450,12 +413,10 @@ func ReplayWAL(r io.Reader, dim, oqpDim int, fn func(q, value []float64, stamp u
 		return 0, fmt.Errorf("persist: invalid WAL dimensions D=%d N=%d", dim, oqpDim)
 	}
 	br := bufio.NewReader(r)
-	version, _, err := readWALHeader(br, dim, oqpDim)
-	if err != nil {
+	if _, err := readWALHeader(br, dim, oqpDim); err != nil {
 		return 0, err
 	}
-	recSize := walRecordSize(version, dim, oqpDim)
-	buf := make([]byte, recSize)
+	buf := make([]byte, walRecordSize(dim, oqpDim))
 	q := make([]float64, dim)
 	value := make([]float64, oqpDim)
 	replayed := 0
@@ -477,10 +438,7 @@ func ReplayWAL(r io.Reader, dim, oqpDim int, fn func(q, value []float64, stamp u
 		for i := range value {
 			value[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[base+8*i:]))
 		}
-		var stamp uint64
-		if version >= 2 {
-			stamp = binary.LittleEndian.Uint64(buf[base+8*oqpDim:])
-		}
+		stamp := binary.LittleEndian.Uint64(buf[base+8*oqpDim:])
 		if err := fn(q, value, stamp); err != nil {
 			return replayed, err
 		}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -115,7 +116,7 @@ func TestWALTruncatedTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recSize := walRecordSize(WALVersion, dim, oqpDim)
+	recSize := walRecordSize(dim, oqpDim)
 	torn := data[:len(data)-recSize/2]
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
@@ -171,8 +172,8 @@ func TestWALCorruptChecksumErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt a byte inside the third record's payload.
-	recSize := walRecordSize(WALVersion, dim, oqpDim)
-	data[walHeaderSizeV2+2*recSize+5] ^= 0xff
+	recSize := walRecordSize(dim, oqpDim)
+	data[walHeaderSize+2*recSize+5] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -302,78 +303,36 @@ func writeV1WAL(t testing.TB, path string, qs, vs [][]float64) {
 	}
 }
 
-// TestWALV1Compatibility pins the legacy contract: version-1 logs replay
-// with stamp 0, keep appending in their own format, and upgrade to the
-// current version only at Reset.
-func TestWALV1Compatibility(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "legacy.fbwl")
+// TestWALV1Refused: a well-formed version-1 log is refused by open and
+// by replay with ErrCorrupt naming the version, and the file is left as
+// it was — a refused log is never "repaired" into an empty one.
+func TestWALV1Refused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "legacy.fbwl")
 	const dim, oqpDim = 3, 4
 	qs, vs := walRecordsForTest(rand.New(rand.NewSource(8)), 5, dim, oqpDim)
 	writeV1WAL(t, path, qs, vs)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	w, err := OpenWAL(path, dim, oqpDim)
+	_, err = OpenWAL(path, dim, oqpDim)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported WAL version 1") {
+		t.Errorf("open of v1 log: err = %v, want ErrCorrupt: unsupported WAL version 1", err)
+	}
+	_, err = ReplayWAL(bytes.NewReader(before), dim, oqpDim, func(q, v []float64, stamp uint64) error {
+		t.Error("v1 record replayed")
+		return nil
+	})
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("replay of v1 log: err = %v, want ErrCorrupt", err)
+	}
+	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Version() != 1 || w.Epoch() != 0 {
-		t.Errorf("v1 log opened as version %d epoch %d, want 1/0", w.Version(), w.Epoch())
-	}
-	if w.Records() != len(qs) {
-		t.Errorf("records = %d, want %d", w.Records(), len(qs))
-	}
-	// Appending keeps the file's own record format; the stamp is dropped.
-	if err := w.Append(qs[0], vs[0], 42); err != nil {
-		t.Fatal(err)
-	}
-	i, stamps := 0, []uint64(nil)
-	if _, err := w.Replay(func(q, v []float64, stamp uint64) error {
-		if !equalFloats(q, qs[i%len(qs)]) {
-			t.Errorf("record %d point mismatch", i)
-		}
-		stamps = append(stamps, stamp)
-		i++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if i != len(qs)+1 {
-		t.Fatalf("replayed %d, want %d", i, len(qs)+1)
-	}
-	for j, s := range stamps {
-		if s != 0 {
-			t.Errorf("v1 record %d replayed with stamp %d, want 0", j, s)
-		}
-	}
-	// Reset upgrades the log to the current version with the given epoch.
-	if err := w.Reset(3); err != nil {
-		t.Fatal(err)
-	}
-	if w.Version() != WALVersion || w.Epoch() != 3 {
-		t.Errorf("after reset: version %d epoch %d, want %d/3", w.Version(), w.Epoch(), WALVersion)
-	}
-	if err := w.Append(qs[1], vs[1], 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := OpenWAL(path, dim, oqpDim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	if w2.Version() != WALVersion || w2.Epoch() != 3 || w2.Records() != 1 {
-		t.Errorf("upgraded log reopened as version %d epoch %d records %d, want %d/3/1",
-			w2.Version(), w2.Epoch(), w2.Records(), WALVersion)
-	}
-	if _, err := w2.Replay(func(q, v []float64, stamp uint64) error {
-		if stamp != 7 {
-			t.Errorf("upgraded record stamp = %d, want 7", stamp)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(before, after) {
+		t.Error("refused v1 log was modified on disk")
 	}
 }
 
@@ -395,7 +354,7 @@ func equalFloats(a, b []float64) bool {
 func TestWALTornHeaderRecovered(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.fbwl")
-	// A valid current-format header, for tearing at v2-specific offsets.
+	// A valid header, for tearing inside the epoch field.
 	full, err := OpenWAL(path, 3, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -407,8 +366,8 @@ func TestWALTornHeaderRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, size := range []int{1, 7, walHeaderSizeV1 - 1, walHeaderSizeV1, walHeaderSizeV2 - 1} {
-		if size < walHeaderSizeV1 {
+	for _, size := range []int{1, 7, walHeaderPrefix - 1, walHeaderPrefix, walHeaderSize - 1} {
+		if size < walHeaderPrefix {
 			// Below the fixed prefix any content recovers; use zeros.
 			if err := os.WriteFile(path, make([]byte, size), 0o644); err != nil {
 				t.Fatal(err)
@@ -416,7 +375,7 @@ func TestWALTornHeaderRecovered(t *testing.T) {
 		} else {
 			// At or past the fixed prefix the magic/version must be intact
 			// (zeros there are corruption, not a torn header): tear a valid
-			// version-2 header before its epoch field completes.
+			// header before its epoch field completes.
 			if err := os.WriteFile(path, validHdr[:size], 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -226,10 +227,10 @@ func newShardedTestService(t *testing.T, shards int, opts Options) (*Service, *d
 func TestShardedServiceScopedInvalidation(t *testing.T) {
 	const shards = 4
 	svc, ds := newShardedTestService(t, shards, Options{DefaultK: 5})
-	parts := svc.parts
-	if parts == nil || parts.NumShards() != shards {
-		t.Fatalf("service did not detect the partitioned bypass")
+	if svc.module == nil || svc.shards != shards {
+		t.Fatalf("service did not detect the sharded module")
 	}
+	parts := svc.byp.(*shardedbypass.Sharded)
 
 	// Fill the cache: open+close (no feedback → no insert) across items
 	// covering at least two shards.
@@ -325,8 +326,15 @@ func TestShardedServiceScopedInvalidation(t *testing.T) {
 // invalidation drops everything (the pre-sharding semantics).
 func TestUnshardedSingleShardCache(t *testing.T) {
 	svc, ds := newTestService(t, Options{DefaultK: 5})
-	if svc.parts != nil {
-		t.Fatal("plain core.Bypass detected as partitioned")
+	if svc.module != nil || svc.shards != 1 {
+		t.Fatal("plain core.Bypass detected as a sharded module")
+	}
+	// One healthy, non-compactable shard.
+	if err := svc.Degraded(); err != nil {
+		t.Errorf("plain Bypass reports degraded: %v", err)
+	}
+	if _, err := svc.CompactAged(context.Background()); !errors.Is(err, ErrNotCompactable) {
+		t.Errorf("CompactAged over a plain Bypass: %v, want ErrNotCompactable", err)
 	}
 	for i := 0; i < 6; i++ {
 		st, err := svc.Open(context.Background(), ds.Items[i].Feature, 5)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/histogram"
 	"repro/internal/imagegen"
+	"repro/internal/shardedbypass"
 )
 
 // TestContextCancellation: every lifecycle method returns the context's
@@ -70,10 +71,10 @@ func newDurableService(t *testing.T, fs *faultfs.FS) (*Service, *dataset.Dataset
 	if err != nil {
 		t.Fatal(err)
 	}
-	byp, err := core.OpenDurable(t.TempDir(), codec.D(), codec.P(), core.Config{
+	byp, err := shardedbypass.Open(t.TempDir(), codec.D(), codec.P(), core.Config{
 		Epsilon:        0.05,
 		DefaultWeights: codec.DefaultWeights(),
-	}, core.DurableOptions{FS: fs})
+	}, shardedbypass.Options{Durable: core.DurableOptions{FS: fs}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,46 +73,32 @@ type Bypass interface {
 	Stats() simplextree.Stats
 }
 
-// PartitionedBypass is the optional sharding surface of a Bypass
-// (implemented by shardedbypass.Sharded). When the service's Bypass
-// provides it, the prediction cache keeps one generation per shard and an
-// insert into shard k invalidates only shard k's cached predictions;
-// Stats additionally reports per-shard counters. A plain Bypass behaves
-// as a single shard.
+// ShardedBypass is the one optional surface of a Bypass, implemented by
+// shardedbypass.Sharded — the module the serving stack constructs, at
+// every shard count including 1. A Bypass that provides it gets:
 //
-// ShardOf must agree with the pinned partition function engine.ShardOf —
-// QuerySignature mod NumShards — which the whole plane routes by; the
-// service exploits the identity to derive an entry's shard from the
-// cache key it already computed.
-type PartitionedBypass interface {
+//   - per-shard cache generations: an insert into shard k invalidates
+//     only shard k's cached predictions, and Stats reports per-shard
+//     counters. Routing is the pinned partition function engine.ShardOf —
+//     QuerySignature mod NumShards — so the service derives an entry's
+//     shard from the cache key it already computed;
+//   - health: Degraded reports the sticky persistence failure that
+//     flipped a shard to read-only serving (nil while healthy), surfaced
+//     in Stats so transports can expose it without probing with writes;
+//   - lifecycle: CompactAged rebuilds every shard's tree keeping only
+//     vertices reinforced within the aging horizon and reports one
+//     CompactionStats per shard, indexed by shard id. The service exposes
+//     it as Service.CompactAged so compaction runs through the layer that
+//     owns the prediction cache — a pass that reclaims vertices changes
+//     prediction outputs and must invalidate the affected shards' entries.
+//
+// A plain five-method Bypass (core.Bypass, core.DurableBypass, a test
+// fake) behaves as one healthy, non-compactable shard.
+type ShardedBypass interface {
 	Bypass
 	NumShards() int
-	ShardOf(q []float64) int
 	ShardInfos() []shardedbypass.ShardInfo
-}
-
-// DegradableBypass is the optional health surface of a Bypass
-// (implemented by core.DurableBypass and shardedbypass.Sharded): Degraded
-// reports the sticky persistence failure that flipped the module — or one
-// of its shards — to read-only serving, nil while healthy. The service
-// surfaces it in Stats so transports can expose degraded state on their
-// health endpoints without probing the store with writes.
-type DegradableBypass interface {
-	Bypass
 	Degraded() error
-}
-
-// CompactableBypass is the optional lifecycle surface of a Bypass
-// (implemented by core.Bypass, core.DurableBypass and
-// shardedbypass.Sharded): CompactAged rebuilds the tree(s) keeping only
-// vertices reinforced within the aging horizon and reports one
-// CompactionStats per shard, indexed by shard id (a one-element slice for
-// an unsharded module). The service exposes it as Service.CompactAged so
-// transports and schedulers drive compaction through the layer that owns
-// the prediction cache — a compaction that reclaims vertices changes
-// prediction outputs and must invalidate the affected shards' entries.
-type CompactableBypass interface {
-	Bypass
 	CompactAged() ([]core.CompactionStats, error)
 }
 
@@ -160,14 +146,13 @@ func (o *Options) fill() {
 // Service is a thread-safe multi-session FeedbackBypass server over one
 // shared engine and one shared Bypass.
 type Service struct {
-	eng   *engine.Engine
-	byp   Bypass
-	parts PartitionedBypass // byp's sharding surface; nil when unsharded
-	deg   DegradableBypass  // byp's health surface; nil when not degradable
-	comp  CompactableBypass // byp's lifecycle surface; nil when not compactable
-	codec core.HistogramCodec
-	opts  Options
-	cache *predictionCache // nil when disabled
+	eng    *engine.Engine
+	byp    Bypass
+	module ShardedBypass // byp's sharded-module surface; nil for a plain Bypass
+	shards int           // module.NumShards(); 1 for a plain Bypass
+	codec  core.HistogramCodec
+	opts   Options
+	cache  *predictionCache // nil when disabled
 
 	mu       sync.RWMutex
 	sessions map[uint64]*session
@@ -346,20 +331,14 @@ func New(eng *engine.Engine, byp Bypass, opts Options) (*Service, error) {
 		opts:     opts,
 		sessions: make(map[uint64]*session),
 		nextID:   1,
+		shards:   1,
 	}
-	shards := 1
-	if parts, ok := byp.(PartitionedBypass); ok {
-		s.parts = parts
-		shards = parts.NumShards()
-	}
-	if deg, ok := byp.(DegradableBypass); ok {
-		s.deg = deg
-	}
-	if comp, ok := byp.(CompactableBypass); ok {
-		s.comp = comp
+	if module, ok := byp.(ShardedBypass); ok {
+		s.module = module
+		s.shards = module.NumShards()
 	}
 	if opts.CacheSize > 0 {
-		s.cache = newPredictionCache(opts.CacheSize, shards)
+		s.cache = newPredictionCache(opts.CacheSize, s.shards)
 	}
 	if opts.Obs != nil {
 		s.met = newSvcMetrics(opts.Obs, opts.ObsLabels)
@@ -379,24 +358,15 @@ func New(eng *engine.Engine, byp Bypass, opts Options) (*Service, error) {
 	return s, nil
 }
 
-// shardOf maps a query point to its bypass shard (0 for an unsharded
-// Bypass) — the scope of cache invalidation for inserts at that point.
-func (s *Service) shardOf(qp []float64) int {
-	if s.parts == nil {
-		return 0
-	}
-	return s.parts.ShardOf(qp)
-}
-
 // Degraded reports the sticky persistence failure that flipped the
-// underlying store (or one of its shards) to read-only serving, or nil —
-// when the store is healthy, or when it does not expose a health surface
-// (a plain in-memory Bypass cannot degrade).
+// underlying module (or one of its shards) to read-only serving, or nil —
+// when the module is healthy, or when the Bypass is a plain one (which
+// the service treats as always healthy).
 func (s *Service) Degraded() error {
-	if s.deg == nil {
+	if s.module == nil {
 		return nil
 	}
-	return s.deg.Degraded()
+	return s.module.Degraded()
 }
 
 // Codec returns the histogram codec the service maps queries with.
@@ -467,10 +437,7 @@ func (s *Service) predict(qp []float64) (core.OQP, bool, error) {
 	// The shard is the signature reduced mod S (the pinned partition
 	// function), so the cache key already in hand names it — no second
 	// pass over the query point.
-	shard := 0
-	if s.parts != nil {
-		shard = int(sig % uint64(s.parts.NumShards()))
-	}
+	shard := int(sig % uint64(s.shards))
 	gen := s.cache.Generation(shard)
 	oqp, err := s.byp.Predict(qp)
 	if s.met != nil {
@@ -805,7 +772,7 @@ func (s *Service) closeSession(ctx context.Context, id uint64) (CloseResult, err
 		// shard may now differ from fresh ones. Generation-bump-and-drop
 		// scoped to the shard keeps the parity guarantee without touching
 		// entries the insert cannot have affected.
-		s.cache.Invalidate(s.shardOf(qp))
+		s.cache.Invalidate(engine.ShardOf(qp, s.shards))
 	}
 	return out, nil
 }
@@ -846,7 +813,7 @@ func (s *Service) Drain(ctx context.Context) (closedSessions, inserted int, err 
 }
 
 // ErrNotCompactable is returned by CompactAged when the underlying
-// Bypass does not expose a lifecycle surface.
+// Bypass is not a ShardedBypass.
 var ErrNotCompactable = errors.New("service: bypass does not support compaction")
 
 // CompactAged runs one aging pass over the shared Bypass: every shard
@@ -871,10 +838,10 @@ func (s *Service) CompactAged(ctx context.Context) ([]core.CompactionStats, erro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if s.comp == nil {
+	if s.module == nil {
 		return nil, ErrNotCompactable
 	}
-	stats, err := s.comp.CompactAged()
+	stats, err := s.module.CompactAged()
 	for shard, st := range stats {
 		if st.Reclaimed > 0 {
 			s.reclaimedByService.Add(int64(st.Reclaimed))
@@ -933,13 +900,13 @@ type Stats struct {
 	Reclaimed   int64 `json:"reclaimed,omitempty"`
 
 	// Tree aggregates every shard (the whole learned mapping); Shards
-	// breaks it down per partition when the Bypass is sharded.
+	// breaks it down per partition when the Bypass is a ShardedBypass.
 	Tree   simplextree.Stats `json:"tree"`
 	Shards []ShardStat       `json:"shards,omitempty"`
 }
 
 // Stats snapshots the service counters and the shared tree's shape,
-// including per-shard counters when the Bypass is partitioned.
+// including per-shard counters when the Bypass is a ShardedBypass.
 func (s *Service) Stats() Stats {
 	s.mu.RLock()
 	active := len(s.sessions)
@@ -968,8 +935,8 @@ func (s *Service) Stats() Stats {
 	if s.cache != nil {
 		st.CacheEntries = s.cache.Len()
 	}
-	if s.parts != nil {
-		infos := s.parts.ShardInfos()
+	if s.module != nil {
+		infos := s.module.ShardInfos()
 		var gens []uint64
 		if s.cache != nil {
 			gens = s.cache.Generations()

@@ -149,7 +149,7 @@ func TestTornShardCompaction(t *testing.T) {
 		t.Fatal("no shard received an insert")
 	}
 	victim := sh.shards[torn].durable
-	if err := persist.SaveFile(filepath.Join(shardDir(dir, torn), "tree.fbsx"), victim.Tree()); err != nil {
+	if err := persist.SaveFile(filepath.Join(shardDir(dir, torn, false), "tree.fbsx"), victim.Tree()); err != nil {
 		t.Fatal(err)
 	}
 	// Crash (no Close) and recover.

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -26,31 +28,33 @@ func shardedVertexSet(s *Sharded) map[string]bool {
 		if p.err != nil || p.byp == nil {
 			continue
 		}
-		p.byp.Tree().Walk(func(v *simplextree.Vertex) {
-			buf := make([]byte, 0, 8*(len(v.Point)+len(v.Value)))
-			var b [8]byte
-			for _, x := range v.Point {
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
-				buf = append(buf, b[:]...)
-			}
-			for _, x := range v.Value {
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
-				buf = append(buf, b[:]...)
-			}
-			set[string(buf)] = true
-		})
+		p.byp.Tree().Walk(func(v *simplextree.Vertex) { set[vertexKey(v)] = true })
 	}
 	return set
 }
 
-// shardedCrashWorkload opens a 3-shard module through fs and drives a
-// fixed insert schedule. Returns nil when Open itself died at the crash
-// point; insert errors after the crash are expected and swallowed.
-func shardedCrashWorkload(t *testing.T, dir string, fs *faultfs.FS) *Sharded {
+// vertexKey is a vertex's bitwise identity: Point ++ Value as raw float64
+// bits.
+func vertexKey(v *simplextree.Vertex) string {
+	buf := make([]byte, 0, 8*(len(v.Point)+len(v.Value)))
+	for _, x := range v.Point {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+	}
+	for _, x := range v.Value {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+	}
+	return string(buf)
+}
+
+// shardedCrashWorkload opens the module at dir through fs with the given
+// shard count and drives a fixed insert schedule. Returns nil when Open
+// itself died at the crash point; insert errors after the crash are
+// expected and swallowed.
+func shardedCrashWorkload(t *testing.T, dir string, shards int, fs *faultfs.FS) *Sharded {
 	t.Helper()
 	const d, p = 3, 2
 	sh, err := Open(dir, d, p, core.Config{Epsilon: 0}, Options{
-		Shards: 3,
+		Shards: shards,
 		Durable: core.DurableOptions{
 			CompactEvery: 3,
 			Sync:         true,
@@ -81,7 +85,7 @@ func TestCrashScheduleSharded(t *testing.T) {
 	const d, p = 3, 2
 
 	counting := faultfs.New(nil)
-	sh := shardedCrashWorkload(t, t.TempDir(), counting)
+	sh := shardedCrashWorkload(t, t.TempDir(), 3, counting)
 	if sh == nil {
 		t.Fatal("counting run failed to open")
 	}
@@ -98,7 +102,7 @@ func TestCrashScheduleSharded(t *testing.T) {
 		dir := t.TempDir()
 		fs := faultfs.New(nil)
 		fs.SetCrashAt(n)
-		sh := shardedCrashWorkload(t, dir, fs)
+		sh := shardedCrashWorkload(t, dir, 3, fs)
 		var want map[string]bool
 		if sh != nil {
 			want = shardedVertexSet(sh)
@@ -119,6 +123,85 @@ func TestCrashScheduleSharded(t *testing.T) {
 		}
 		if sh != nil && len(got) > len(want)+1 {
 			t.Fatalf("crash point %d/%d: recovered %d vertices, crash-time trees had %d (more than the one in-flight insert extra)", n, m, len(got), len(want))
+		}
+	}
+}
+
+// seedRootModule writes a root-layout module at dir the way a
+// pre-sharding deployment did — core.OpenDurable, a few inserts, a clean
+// close — and returns its vertex census.
+func seedRootModule(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	const d, p = 3, 2
+	db, err := core.OpenDurable(dir, d, p, core.Config{Epsilon: 0}, core.DurableOptions{Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(45))
+	for i := 0; i < 4; i++ {
+		if _, err := db.Insert(randomSimplexPoint(rng, d), randomOQP(rng, d, p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set := map[string]bool{}
+	db.Tree().Walk(func(v *simplextree.Vertex) { set[vertexKey(v)] = true })
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// TestCrashScheduleRootLayout enumerates every crash point along
+// open → insert → WAL-append → compact for a root-layout module served
+// through this package: whatever the crash state — including every step
+// of the snapshot swap mid-compaction — recovery keeps every vertex that
+// was acknowledged (the seeded ones included), resurrects at most the one
+// insert in flight, and the directory stays a root-layout one.
+func TestCrashScheduleRootLayout(t *testing.T) {
+	const d, p = 3, 2
+
+	counting := faultfs.New(nil)
+	countDir := t.TempDir()
+	seedRootModule(t, countDir)
+	sh := shardedCrashWorkload(t, countDir, 0, counting)
+	if sh == nil {
+		t.Fatal("counting run failed to open")
+	}
+	m := counting.Ops()
+	if sh.Journaled() >= 12 {
+		t.Fatalf("the shard never compacted in the workload (journaled=%d); the schedule misses the compact path", sh.Journaled())
+	}
+	t.Logf("crash schedule: %d mutating filesystem operations", m)
+
+	for n := 1; n <= m; n++ {
+		dir := t.TempDir()
+		want := seedRootModule(t, dir)
+		fs := faultfs.New(nil)
+		fs.SetCrashAt(n)
+		if sh := shardedCrashWorkload(t, dir, 0, fs); sh != nil {
+			want = shardedVertexSet(sh)
+		}
+
+		recovered, err := Open(dir, d, p, core.Config{Epsilon: 0}, Options{})
+		if err != nil {
+			t.Fatalf("crash point %d/%d: recovery failed: %v", n, m, err)
+		}
+		got := shardedVertexSet(recovered)
+		if err := recovered.Close(); err != nil {
+			t.Fatalf("crash point %d/%d: closing recovered module: %v", n, m, err)
+		}
+		for k := range want {
+			if !got[k] {
+				t.Fatalf("crash point %d/%d: acknowledged vertex lost in recovery (%d recovered, %d expected)", n, m, len(got), len(want))
+			}
+		}
+		if len(got) > len(want)+1 {
+			t.Fatalf("crash point %d/%d: recovered %d vertices, crash-time tree had %d (more than the one in-flight insert extra)", n, m, len(got), len(want))
+		}
+		for _, name := range []string{ManifestFile, "shard-000"} {
+			if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+				t.Fatalf("crash point %d/%d: %s appeared in a root-layout module directory", n, m, name)
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultfs"
+	"repro/internal/obsv"
 	"repro/internal/simplextree"
 )
 
@@ -284,5 +285,42 @@ func TestShardedQuotaCompactRetryMemory(t *testing.T) {
 	}
 	if infos[0].Reclaimed == 0 {
 		t.Fatal("quota-pressure compaction reclaimed nothing")
+	}
+}
+
+// TestShardedQuotaCompactRetryMemoryBatch: InsertBatch on a single-shard
+// in-memory module takes the same per-insert path as Insert — at its
+// vertex quota with aging on, the batch compacts, retries and is
+// accepted whole instead of stopping at ErrQuotaExceeded, and every pair
+// is timed. Same geometry as TestShardedQuotaCompactRetryMemory.
+func TestShardedQuotaCompactRetryMemoryBatch(t *testing.T) {
+	const d, p = 3, 2
+	sh, err := New(d, p, core.Config{Epsilon: 0, MaxVertices: 8, AgeHorizon: 2},
+		Options{Shards: 1, Obs: obsv.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(61))
+	qs := make([][]float64, 5)
+	oqps := make([]core.OQP, 5)
+	for i := range qs {
+		qs[i], oqps[i] = randomSimplexPoint(rng, d), randomOQP(rng, d, p)
+	}
+	stored, err := sh.InsertBatch(qs, oqps)
+	if err != nil {
+		t.Fatalf("batch at the quota: %v", err)
+	}
+	if stored != len(qs) {
+		t.Fatalf("batch stored %d of %d pairs", stored, len(qs))
+	}
+	info := sh.ShardInfos()[0]
+	if info.Compactions != 1 || info.Reclaimed == 0 {
+		t.Fatalf("quota-pressure compaction: %d passes reclaimed %d, want 1 pass reclaiming something", info.Compactions, info.Reclaimed)
+	}
+	if info.Inserts != int64(len(qs)) {
+		t.Errorf("shard counted %d inserts, want %d", info.Inserts, len(qs))
+	}
+	if got := sh.shards[0].insertH.Count(); got != uint64(len(qs)) {
+		t.Errorf("fb_shard_insert_seconds observed %d inserts, want %d", got, len(qs))
 	}
 }

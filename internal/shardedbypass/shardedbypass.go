@@ -15,7 +15,11 @@
 // Durable layout: a module directory holds a manifest (persist.Manifest,
 // written once before any shard state exists) and one subdirectory per
 // shard (shard-000/, shard-001/, ...), each an ordinary core.DurableBypass
-// directory. Recovery opens every shard in parallel and is deterministic
+// directory. One mapping rule (shardDir) covers the directories that
+// predate the manifest: a root-level snapshot/journal pair with no
+// manifest — what core.OpenDurable writes — is a one-shard module whose
+// shard 0 lives at the module root, opened in place without adding a
+// manifest. Recovery opens every shard in parallel and is deterministic
 // per shard because each shard's WAL holds exactly that shard's accepted
 // inserts in application order; cross-shard ordering is not recorded and
 // not needed — the partition function makes shards independent learners.
@@ -26,7 +30,7 @@
 // (drain every shard's WAL through compaction, then re-insert every
 // stored point under the new partition function), never an accident.
 //
-// S = 1 is the compatibility mode: one shard, the identity partition, and
+// S = 1 is the single-tree module: one shard, the identity partition, and
 // behavior bitwise-identical to core.DurableBypass — same ε decisions,
 // same predictions, same WAL bytes (pinned by TestSingleShardParity).
 package shardedbypass
@@ -63,9 +67,9 @@ var ErrReplaying = errors.New("shardedbypass: shard is replaying")
 
 // Options tunes a sharded bypass.
 type Options struct {
-	// Shards is the partition count S; 1 (the compatibility mode) when
-	// zero. When opening an existing durable module, Shards must match
-	// the manifest (or be zero to adopt it).
+	// Shards is the partition count S; 1 when zero. When opening an
+	// existing durable module, Shards must match the manifest (or be zero
+	// to adopt it); a manifest-less root-layout module is one shard.
 	Shards int
 	// Durable tunes each shard's WAL behaviour (durable mode only). Note
 	// CompactEvery is per shard: S shards compact independently, each
@@ -133,10 +137,11 @@ func (p *shard) lifecycleCounters() (compactions, reclaimed uint64) {
 	return p.compactions.Load(), p.reclaimed.Load()
 }
 
-// observe registers this shard's instruments in reg. The gauge callbacks
-// tolerate every shard state: they report zero until recovery settles
-// and after a recovery failure.
-func (p *shard) observe(reg *obsv.Registry, labels []obsv.Label) {
+// observe registers this shard's instruments in reg; the journal-size
+// gauge exists for durable modules only (a memory-mode shard has no
+// journal to report). The gauge callbacks tolerate every shard state:
+// they report zero until recovery settles and after a recovery failure.
+func (p *shard) observe(reg *obsv.Registry, labels []obsv.Label, durable bool) {
 	if reg == nil {
 		return
 	}
@@ -162,8 +167,11 @@ func (p *shard) observe(reg *obsv.Registry, labels []obsv.Label) {
 		}
 		return float64(p.byp.Stats().Depth)
 	}, ls...)
+	if !durable {
+		return
+	}
 	reg.GaugeFunc("fb_wal_bytes", "Journal on-disk size per shard (recovery debt).", func() float64 {
-		if !live() || p.durable == nil {
+		if !live() {
 			return 0
 		}
 		return float64(p.durable.WALSize())
@@ -199,10 +207,26 @@ type ShardInfo struct {
 	Reclaimed   uint64 `json:"reclaimed,omitempty"`
 }
 
-// shardDir names shard i's subdirectory: shard-000, shard-001, ...
-// Three digits are a display convention, not a limit (shard-1023 is fine).
-func shardDir(dir string, i int) string {
+// shardDir is the path-mapping rule of the durable layout: shard i of the
+// module at dir lives in dir/shard-000, dir/shard-001, ... (three digits
+// are a display convention, not a limit — shard-1023 is fine), except in
+// a root-layout module, whose single shard is the module root itself.
+func shardDir(dir string, i int, rootLayout bool) string {
+	if rootLayout {
+		return dir
+	}
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
+}
+
+// isRootLayout reports whether dir holds a module written at its root by
+// core.OpenDurable: a snapshot or journal with no manifest beside it.
+func isRootLayout(fsys persist.FS, dir string) bool {
+	for _, name := range []string{core.SnapshotFile, core.JournalFile} {
+		if _, err := fsys.Stat(filepath.Join(dir, name)); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
 func validateOptions(d, p int, opts Options) (int, error) {
@@ -253,7 +277,7 @@ func New(d, p int, cfg core.Config, opts Options) (*Sharded, error) {
 		ready := make(chan struct{})
 		close(ready)
 		sh.shards[i] = &shard{id: i, ready: ready, byp: b}
-		sh.shards[i].observe(opts.Obs, opts.ObsLabels)
+		sh.shards[i].observe(opts.Obs, opts.ObsLabels, false)
 	}
 	return sh, nil
 }
@@ -283,7 +307,9 @@ func Open(dir string, d, p int, cfg core.Config, opts Options) (*Sharded, error)
 // created, so a crash between manifest and shard creation recovers as S
 // empty shards. On later opens the manifest is the source of truth:
 // opts.Shards must match it (zero adopts it), and a geometry mismatch is
-// an error, never a silent reshard.
+// an error, never a silent reshard. A root-layout module (see shardDir)
+// opens in place as its one shard; asking it for more is refused the
+// same way.
 func OpenAsync(dir string, d, p int, cfg core.Config, opts Options) (*Sharded, error) {
 	s, err := validateOptions(d, p, opts)
 	if err != nil {
@@ -294,6 +320,7 @@ func OpenAsync(dir string, d, p int, cfg core.Config, opts Options) (*Sharded, e
 		return nil, err
 	}
 	manifestPath := filepath.Join(dir, ManifestFile)
+	rootLayout := false
 	m, err := persist.LoadManifestFS(fsys, manifestPath)
 	switch {
 	case err == nil:
@@ -304,16 +331,15 @@ func OpenAsync(dir string, d, p int, cfg core.Config, opts Options) (*Sharded, e
 			return nil, fmt.Errorf("shardedbypass: module at %s is for D=%d N=%d, want D=%d N=%d", dir, m.Dim, m.OQPDim, d, d+p)
 		}
 		s = m.Shards
-	case errors.Is(err, os.ErrNotExist):
-		// No manifest: only a directory with no module state at all may be
-		// initialized. A legacy single-tree module (root-level snapshot or
-		// journal, the pre-sharding fbserve layout) must not be silently
-		// shadowed by S fresh empty shards — sharding it is a migration.
-		for _, name := range []string{core.SnapshotFile, core.JournalFile} {
-			if _, serr := fsys.Stat(filepath.Join(dir, name)); serr == nil {
-				return nil, fmt.Errorf("shardedbypass: %s holds a legacy single-tree module (%s present, no manifest); sharding an existing module is an explicit migration", dir, name)
-			}
+	case errors.Is(err, os.ErrNotExist) && isRootLayout(fsys, dir):
+		// The module's learned state must not be silently shadowed by S
+		// fresh empty shards, and nothing is added to its directory: it
+		// keeps opening through core.OpenDurable as well.
+		if s != 1 {
+			return nil, fmt.Errorf("shardedbypass: module at %s has 1 shard (root layout, no manifest), asked for %d (resharding is an explicit migration)", dir, s)
 		}
+		rootLayout = true
+	case errors.Is(err, os.ErrNotExist):
 		m = persist.Manifest{Shards: s, Dim: d, OQPDim: d + p}
 		if err := persist.SaveManifestFS(fsys, manifestPath, m); err != nil {
 			return nil, fmt.Errorf("shardedbypass: writing manifest: %w", err)
@@ -326,12 +352,12 @@ func OpenAsync(dir string, d, p int, cfg core.Config, opts Options) (*Sharded, e
 	sh := &Sharded{d: d, p: p, dir: dir, shards: make([]*shard, s)}
 	for i := range sh.shards {
 		sh.shards[i] = &shard{id: i, ready: make(chan struct{})}
-		sh.shards[i].observe(opts.Obs, opts.ObsLabels)
+		sh.shards[i].observe(opts.Obs, opts.ObsLabels, true)
 	}
 	for _, p0 := range sh.shards {
 		go func(p0 *shard) {
 			defer close(p0.ready)
-			sd := shardDir(dir, p0.id)
+			sd := shardDir(dir, p0.id, rootLayout)
 			dopts := opts.Durable
 			if opts.Obs != nil {
 				dopts.Obs = opts.Obs
@@ -365,21 +391,6 @@ func OpenAsync(dir string, d, p int, cfg core.Config, opts Options) (*Sharded, e
 		}(p0)
 	}
 	return sh, nil
-}
-
-// ReadManifest reports the sharded-module manifest at dir, with ok false
-// when dir is not a sharded module directory (no manifest). Serving
-// layers use it to refuse opening a sharded directory through the legacy
-// single-tree path.
-func ReadManifest(dir string) (persist.Manifest, bool, error) {
-	m, err := persist.LoadManifest(filepath.Join(dir, ManifestFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return persist.Manifest{}, false, nil
-	}
-	if err != nil {
-		return persist.Manifest{}, false, err
-	}
-	return m, true, nil
 }
 
 // D returns the query-domain dimensionality.
@@ -529,13 +540,12 @@ func (s *Sharded) InsertBatch(qs [][]float64, oqps []core.OQP) (int, error) {
 			return 0, err
 		}
 		if p.durable != nil {
+			// One lock acquisition and one compaction check for the whole
+			// batch, exactly as core.DurableBypass journals it.
 			stored, err := p.durable.InsertBatch(qs, oqps)
 			p.inserts.Add(int64(stored))
 			return stored, err
 		}
-		stored, err := p.byp.InsertBatch(qs, oqps)
-		p.inserts.Add(int64(stored))
-		return stored, err
 	}
 	byShard := make(map[int][]int)
 	for i, q := range qs {

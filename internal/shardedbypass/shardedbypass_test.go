@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/persist"
+	"repro/internal/simplextree"
 	"repro/internal/vec"
 )
 
@@ -100,7 +102,7 @@ func TestSingleShardParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardWAL, err := os.ReadFile(filepath.Join(shardDir(shardedDir, 0), "tree.fbwl"))
+	shardWAL, err := os.ReadFile(filepath.Join(shardDir(shardedDir, 0, false), "tree.fbwl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +285,7 @@ func TestMissingShardDirRecovers(t *testing.T) {
 	if err := sh.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.RemoveAll(shardDir(dir, 1)); err != nil {
+	if err := os.RemoveAll(shardDir(dir, 1, false)); err != nil {
 		t.Fatal(err)
 	}
 	re, err := Open(dir, d, p, cfg, Options{})
@@ -351,52 +353,148 @@ func TestReplayingSentinel(t *testing.T) {
 	}
 }
 
-// TestLegacyDirRefused: a directory holding a pre-sharding single-tree
-// module (root-level snapshot/journal, no manifest) must not be
-// silently shadowed by fresh empty shards.
-func TestLegacyDirRefused(t *testing.T) {
+// dirImage reads every regular file under dir, keyed by relative path.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	img := map[string]string{}
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		img[rel] = string(data)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestRootLayoutIsOneShard pins the path-mapping rule: a module written
+// by core.OpenDurable at a directory root opens through this package as
+// its one shard (Shards 0 or 1) with the same vertex census, keeps
+// appending to the root-level files — no manifest, no shard-000/ ever
+// appears — and asking it for more shards is still refused.
+func TestRootLayoutIsOneShard(t *testing.T) {
 	const d, p = 3, 3
 	dir := t.TempDir()
-	legacy, err := core.OpenDurable(dir, d, p, core.Config{Epsilon: 0}, core.DurableOptions{})
+	cfg := core.Config{Epsilon: 0}
+	root, err := core.OpenDurable(dir, d, p, cfg, core.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(51))
-	if _, err := legacy.Insert(randomSimplexPoint(rng, d), randomOQP(rng, d, p)); err != nil {
+	for i := 0; i < 9; i++ {
+		if _, err := root.Insert(randomSimplexPoint(rng, d), randomOQP(rng, d, p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]bool{}
+	root.Tree().Walk(func(v *simplextree.Vertex) { want[vertexKey(v)] = true })
+	if err := root.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, d, p, core.Config{Epsilon: 0}, Options{Shards: 4}); err == nil {
-		t.Fatal("sharding a legacy single-tree directory must be refused")
-	}
-	// ReadManifest reports it as not-sharded (the serving layer's legacy
-	// path uses this to keep serving it).
-	if _, ok, err := ReadManifest(dir); err != nil || ok {
-		t.Fatalf("ReadManifest on legacy dir: ok=%v err=%v", ok, err)
-	}
-}
 
-// TestReadManifest covers the sharded-dir detection the serving layer's
-// legacy path guards with.
-func TestReadManifest(t *testing.T) {
-	const d, p = 3, 3
-	dir := t.TempDir()
-	sh, err := Open(dir, d, p, core.Config{}, Options{Shards: 4})
+	if _, err := Open(dir, d, p, cfg, Options{Shards: 4}); err == nil {
+		t.Fatal("opening a root-layout module with Shards=4 must be refused")
+	}
+
+	before := dirImage(t, dir)
+	for _, shards := range []int{0, 1} {
+		sh, err := Open(dir, d, p, cfg, Options{Shards: shards})
+		if err != nil {
+			t.Fatalf("Shards=%d: %v", shards, err)
+		}
+		if sh.NumShards() != 1 {
+			t.Fatalf("Shards=%d: opened as %d shards, want 1", shards, sh.NumShards())
+		}
+		if got := shardedVertexSet(sh); !shardedSetEqual(got, want) {
+			t.Fatalf("Shards=%d: census has %d vertices, want the %d core.OpenDurable wrote", shards, len(got), len(want))
+		}
+		if err := sh.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// A plain open/close rewrites nothing and adds nothing.
+		if after := dirImage(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("Shards=%d: a plain open/close changed the module directory", shards)
+		}
+	}
+
+	// Inserts keep landing in the root-level journal.
+	sh, err := Open(dir, d, p, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sh.Close()
-	m, ok, err := ReadManifest(dir)
-	if err != nil || !ok {
-		t.Fatalf("ReadManifest on sharded dir: ok=%v err=%v", ok, err)
+	if _, err := sh.Insert(randomSimplexPoint(rng, d), randomOQP(rng, d, p)); err != nil {
+		t.Fatal(err)
 	}
-	if m.Shards != 4 || m.Dim != d || m.OQPDim != d+p {
-		t.Fatalf("manifest %+v", m)
+	want = shardedVertexSet(sh)
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok, err := ReadManifest(t.TempDir()); err != nil || ok {
-		t.Fatalf("ReadManifest on empty dir: ok=%v err=%v", ok, err)
+	after := dirImage(t, dir)
+	if len(after[core.JournalFile]) <= len(before[core.JournalFile]) {
+		t.Error("the insert did not grow the root-level journal")
+	}
+	for rel := range after {
+		if rel != core.JournalFile && rel != core.SnapshotFile {
+			t.Errorf("unexpected file %s in a root-layout module directory", rel)
+		}
+	}
+	// And core.OpenDurable still reads what this package appended.
+	root, err = core.OpenDurable(dir, d, p, cfg, core.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root.Close()
+	got := map[string]bool{}
+	root.Tree().Walk(func(v *simplextree.Vertex) { got[vertexKey(v)] = true })
+	if !shardedSetEqual(got, want) {
+		t.Fatalf("core.OpenDurable recovers %d vertices, want %d", len(got), len(want))
+	}
+}
+
+// TestPlainOpenCloseRewritesNothing: opening and closing a manifest-layout
+// module leaves every byte of its directory as it was.
+func TestPlainOpenCloseRewritesNothing(t *testing.T) {
+	const d, p = 3, 3
+	dir := t.TempDir()
+	cfg := core.Config{Epsilon: 0}
+	sh, err := Open(dir, d, p, cfg, Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(53))
+	for i := 0; i < 12; i++ {
+		if _, err := sh.Insert(randomSimplexPoint(rng, d), randomOQP(rng, d, p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := shardedVertexSet(sh)
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirImage(t, dir)
+	re, err := Open(dir, d, p, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := shardedVertexSet(re); !shardedSetEqual(got, want) {
+		t.Fatalf("reopened census has %d vertices, want %d", len(got), len(want))
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := dirImage(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("a plain open/close changed the module directory")
 	}
 }
 

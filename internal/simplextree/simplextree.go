@@ -84,7 +84,8 @@ type Vertex struct {
 }
 
 // Stamp reports the logical time the vertex was last stored or
-// reinforced; 0 for vertices that predate aging (legacy snapshots/WALs).
+// reinforced; 0 for a vertex no insert has stamped (the domain corners
+// of a fresh tree).
 func (v *Vertex) Stamp() uint64 { return v.stamp.Load() }
 
 type node struct {
@@ -161,8 +162,6 @@ type Tree struct {
 	observer Observer
 
 	scratch sync.Pool // *scratch
-
-	lastTraversed int // Deprecated bookkeeping; see LastTraversed
 }
 
 // Options configures a Tree.
@@ -350,19 +349,6 @@ func (t *Tree) SetObserver(fn Observer) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.observer = fn
-}
-
-// LastTraversed reports the number of simplices visited by the most
-// recent Insert.
-//
-// Deprecated: predictions no longer store traversal counts — the read
-// path is pure so it can run in parallel. Use the PredictStats returned
-// by PredictInto/PredictBatch (or InsertStats) instead. Only the write
-// path still updates this counter.
-func (t *Tree) LastTraversed() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.lastTraversed
 }
 
 // Depth returns the maximum node depth (1 = root only) — the "Depth of
@@ -684,8 +670,7 @@ func (t *Tree) insertLocked(q, value []float64, stamp uint64) (bool, error) {
 	}
 	sc := t.scratch.Get().(*scratch)
 	defer t.scratch.Put(sc)
-	leaf, lam, traversed, err := t.lookup(q, sc)
-	t.lastTraversed = traversed
+	leaf, lam, _, err := t.lookup(q, sc)
 	if err != nil {
 		return false, err
 	}

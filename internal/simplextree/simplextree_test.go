@@ -463,14 +463,13 @@ func TestTraversedStatsGrowWithDepth(t *testing.T) {
 	// Insert nested points around q to deepen its leaf.
 	pts := [][]float64{{0.3, 0.3}, {0.305, 0.31}, {0.308, 0.315}}
 	for _, p := range pts {
-		if _, err := tr.Insert(p, []float64{1}); err != nil {
+		changed, err := tr.Insert(p, []float64{1})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// The write path still records its own traversal for the deprecated
-	// accessor.
-	if tr.LastTraversed() < 1 {
-		t.Errorf("insert traversal = %d, want ≥ 1", tr.LastTraversed())
+		if !changed {
+			t.Errorf("insert at %v did not split its leaf", p)
+		}
 	}
 	st, err = tr.PredictInto(dst, q)
 	if err != nil {

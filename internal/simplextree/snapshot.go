@@ -18,7 +18,7 @@ type Snapshot struct {
 	Tol     float64
 	Points  int // stored-point counter (NumPoints)
 	// Clock is the logical time of the lifecycle plane (see Tree.Clock);
-	// 0 for snapshots of trees that never aged (and for legacy formats).
+	// 0 for a tree that has accepted no insert.
 	Clock uint64
 
 	Vertices []SnapshotVertex
@@ -29,8 +29,8 @@ type Snapshot struct {
 type SnapshotVertex struct {
 	Point []float64
 	Value []float64
-	// Stamp is the vertex's last-reinforcement logical time (0 in
-	// legacy snapshots, which predate aging).
+	// Stamp is the vertex's last-reinforcement logical time (0 for a
+	// vertex no insert has stamped: the domain corners of a fresh tree).
 	Stamp uint64
 }
 
@@ -193,9 +193,9 @@ func FromSnapshot(s *Snapshot) (*Tree, error) {
 	}
 	clock := s.Clock
 	for _, v := range verts {
-		// A legacy snapshot has Clock 0 while stamps may not (or, after
-		// hand-editing, vice versa); the clock must cover every stamp for
-		// aging arithmetic to stay monotone.
+		// A hand-assembled snapshot may carry a clock behind its stamps;
+		// the clock must cover every stamp for aging arithmetic to stay
+		// monotone.
 		if st := v.stamp.Load(); st > clock {
 			clock = st
 		}

@@ -5,16 +5,14 @@
 // exactly where a swallowed error turns into acknowledged-insert loss —
 // a Sync whose failure nobody sees is a durability lie.
 //
-// The port keeps the original's narrow name-based contract and waiver
-// spelling (`//errgate:ok <reason>` still works, alongside the unified
-// `//fbvet:ok <reason>`), and adds one type-informed refinement the
-// parser-only walker could not: a call whose results include no error
-// is never flagged, whatever it is named.
+// The port keeps the original's narrow name-based contract and adds one
+// type-informed refinement the parser-only walker could not: a call
+// whose results include no error is never flagged, whatever it is named.
 //
 // Every intentional discard must be spelled `_ = f.Close()` (visible in
-// review) or carry a waiver. Test files are exempt; `defer` and `go`
-// statements are out of scope (their result is unrecoverable by
-// construction).
+// review) or carry a `//fbvet:ok <reason>` waiver. Test files are
+// exempt; `defer` and `go` statements are out of scope (their result is
+// unrecoverable by construction).
 package errgate
 
 import (
@@ -27,10 +25,6 @@ import (
 
 	"repro/tools/fbvet/analyzers/internal/lint"
 )
-
-// LegacyMarker is the waiver spelling of the standalone tools/errgate;
-// existing waivers keep working under the analyzer port.
-const LegacyMarker = "errgate:ok"
 
 // risky holds method/function names that, on every I/O-bearing type in
 // this module (os.File, persist.File, persist.FS, *core.DurableBypass,
@@ -55,14 +49,14 @@ var Analyzer = &analysis.Analyzer{
 	Name: "errgate",
 	Doc: "forbid bare-statement calls that discard an I/O error " +
 		"(Close/Sync/Remove/...); spell intentional discards `_ = ...` " +
-		"or waive with //errgate:ok or //fbvet:ok",
+		"or waive with //fbvet:ok",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	in := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	waivers := lint.CollectWaivers(pass, LegacyMarker)
+	waivers := lint.CollectWaivers(pass)
 
 	in.Preorder([]ast.Node{(*ast.ExprStmt)(nil)}, func(n ast.Node) {
 		stmt := n.(*ast.ExprStmt)

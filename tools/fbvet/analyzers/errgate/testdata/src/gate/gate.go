@@ -1,5 +1,5 @@
 // Fixture for the errgate analyzer port: bare statements discarding
-// I/O errors, both waiver spellings, and the type-informed refinement.
+// I/O errors, the waiver, and the type-informed refinement.
 package gate
 
 import (
@@ -16,12 +16,8 @@ func bareEncode(w io.Writer, v any) {
 	json.NewEncoder(w).Encode(v) // want `result of \(\.\.\.\)\.Encode\(\) is discarded`
 }
 
-func waivedLegacySpelling(f *os.File) {
-	f.Close() //errgate:ok fixture: legacy waiver spelling must keep working
-}
-
-func waivedUnifiedSpelling(f *os.File) {
-	f.Close() //fbvet:ok fixture: unified waiver spelling
+func waived(f *os.File) {
+	f.Close() //fbvet:ok fixture: waiver
 }
 
 func explicitDiscard(f *os.File) {

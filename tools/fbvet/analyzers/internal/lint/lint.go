@@ -6,8 +6,7 @@
 // comment line immediately above it — carries a `//fbvet:ok <reason>`
 // comment. The reason is mandatory by convention (it is the reviewer's
 // record of why the invariant does not apply) but not enforced
-// mechanically. Analyzers may accept additional legacy markers
-// (errgate accepts `//errgate:ok`).
+// mechanically.
 package lint
 
 import (
@@ -18,7 +17,7 @@ import (
 	"golang.org/x/tools/go/analysis"
 )
 
-// Marker is the canonical waiver comment marker.
+// Marker is the waiver comment marker.
 const Marker = "fbvet:ok"
 
 // Scoped reports whether the package under analysis is inside one of
@@ -54,16 +53,14 @@ type Waivers struct {
 	lines map[string]map[int]bool // filename -> line -> waived
 }
 
-// CollectWaivers scans every comment in the package for the given
-// markers (Marker is always included) and records the lines they
-// annotate.
-func CollectWaivers(pass *analysis.Pass, extraMarkers ...string) *Waivers {
-	markers := append([]string{Marker}, extraMarkers...)
+// CollectWaivers scans every comment in the package for Marker and
+// records the lines it annotates.
+func CollectWaivers(pass *analysis.Pass) *Waivers {
 	w := &Waivers{fset: pass.Fset, lines: make(map[string]map[int]bool)}
 	for _, f := range pass.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !containsAny(c.Text, markers) {
+				if !strings.Contains(c.Text, Marker) {
 					continue
 				}
 				p := pass.Fset.Position(c.Pos())
@@ -77,15 +74,6 @@ func CollectWaivers(pass *analysis.Pass, extraMarkers ...string) *Waivers {
 		}
 	}
 	return w
-}
-
-func containsAny(s string, subs []string) bool {
-	for _, sub := range subs {
-		if strings.Contains(s, sub) {
-			return true
-		}
-	}
-	return false
 }
 
 // Waived reports whether pos is covered by a waiver: a marker on the

@@ -112,8 +112,8 @@ func Commit(fs FS, oldpath, newpath string) error {
 	}
 }
 
-// TestVettoolWaiversHonored proves both waiver spellings survive the
-// toolchain round-trip, not just the in-process harness.
+// TestVettoolWaiversHonored proves the waiver survives the toolchain
+// round-trip, not just the in-process harness.
 func TestVettoolWaiversHonored(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and invokes the go toolchain")
@@ -129,7 +129,7 @@ func Sweep(path string) error {
 }
 
 func Drop(f *os.File) {
-	f.Close() //errgate:ok smoke: legacy spelling
+	f.Close() //fbvet:ok smoke: deliberate discard under test
 }
 `,
 	})
