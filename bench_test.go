@@ -26,10 +26,8 @@ import (
 	"repro/internal/histogram"
 	"repro/internal/imagegen"
 	"repro/internal/knn"
-	"repro/internal/mtree"
 	"repro/internal/persist"
 	"repro/internal/simplextree"
-	"repro/internal/vptree"
 )
 
 // benchConfig is the shared small-scale configuration for figure
@@ -637,56 +635,6 @@ func BenchmarkKNNSearchBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := scan.SearchBatch(qs, 50, m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKNNVPTree(b *testing.B) {
-	data := benchCollection(b, 2000)
-	tree, err := vptree.Build(data, distance.Euclidean{}, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.Search(data[i%len(data)], 50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKNNMTree(b *testing.B) {
-	data := benchCollection(b, 2000)
-	tree, err := mtree.BuildFrom(data, distance.Euclidean{}, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.Search(data[i%len(data)], 50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKNNVPTreeWeighted(b *testing.B) {
-	data := benchCollection(b, 2000)
-	tree, err := vptree.Build(data, distance.Euclidean{}, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := make([]float64, len(data[0]))
-	for i := range w {
-		w[i] = 0.5 + float64(i%4)
-	}
-	wm, err := distance.NewWeightedEuclidean(w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.SearchWeighted(data[i%len(data)], 50, wm); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -79,68 +80,62 @@ func main() {
 			KNN:    map[string]knnBenchResult{},
 		}
 	}
-	want := func(f string) bool { return *figure == "all" || *figure == f }
 	start := time.Now()
 
-	if *figure == "knn" {
-		runKNNBench(*scale, *k, *numEval, *seed)
-		writeReport(*jsonPath)
-		fmt.Printf("# total %.1fs\n", time.Since(start).Seconds())
-		return
+	// Standalone figures build their own state and are not part of "all".
+	standalone := []struct {
+		name string
+		run  func()
+	}{
+		{"knn", func() { runKNNBench(*scale, *k, *numEval, *seed) }},
+		{"tree", func() { runTreeBench(*queries, *epsilon, *seed) }},
+		{"serve", func() { runServeBench(*scale, *k, *numEval, *seed, *epsilon) }},
+		{"shard", func() { runShardBench(*scale, *k, *numEval, *seed, *epsilon) }},
+		{"store", func() { runStoreBench(*scale, *k, *numEval, *seed, *epsilon) }},
+		{"chaos", func() { runChaosBench(*seed) }},
+		{"ann", func() { runANNBench(*k, *seed) }},
+		{"soak", func() { runSoakBench(*scale, *k, *seed, *epsilon, *soakClients, *soakDur, *soakSample) }},
+		{"lifecycle", func() { runLifecycleBench(*seed, *lcInserts, uint64(*lcHorizon), *lcCompact) }},
 	}
-	if *figure == "tree" {
-		runTreeBench(*queries, *epsilon, *seed)
-		writeReport(*jsonPath)
-		fmt.Printf("# total %.1fs\n", time.Since(start).Seconds())
-		return
+	// The paper's figures; those marked shared read one trained session.
+	paper := []struct {
+		name   string
+		shared bool
+		print  func(s *experiments.Session)
+	}{
+		{"1", true, printFigure1},
+		{"9", true, printFigure9},
+		{"10", true, printFigure10},
+		{"11", true, func(s *experiments.Session) { printFigure11(s, *numEval) }},
+		{"12", false, func(*experiments.Session) { printFigure12(cfg) }},
+		{"13", false, func(*experiments.Session) { printFigure13(cfg, *numEval) }},
+		{"14", true, printFigure14},
+		{"15", false, func(*experiments.Session) { printFigure15(cfg) }},
+		{"16", true, printFigure16},
 	}
-	if *figure == "serve" {
-		runServeBench(*scale, *k, *numEval, *seed, *epsilon)
-		writeReport(*jsonPath)
-		fmt.Printf("# total %.1fs\n", time.Since(start).Seconds())
-		return
+	want := func(f string) bool { return *figure == "all" || *figure == f }
+	valid, needShared := []string{"all"}, false
+	for _, f := range paper {
+		valid = append(valid, f.name)
+		needShared = needShared || f.shared && want(f.name)
 	}
-	if *figure == "shard" {
-		runShardBench(*scale, *k, *numEval, *seed, *epsilon)
-		writeReport(*jsonPath)
-		fmt.Printf("# total %.1fs\n", time.Since(start).Seconds())
-		return
+	for _, b := range standalone {
+		if *figure == b.name {
+			b.run()
+			writeReport(*jsonPath)
+			fmt.Printf("# total %.1fs\n", time.Since(start).Seconds())
+			return
+		}
 	}
-	if *figure == "store" {
-		runStoreBench(*scale, *k, *numEval, *seed, *epsilon)
-		writeReport(*jsonPath)
-		fmt.Printf("# total %.1fs\n", time.Since(start).Seconds())
-		return
-	}
-	if *figure == "chaos" {
-		runChaosBench(*seed)
-		writeReport(*jsonPath)
-		fmt.Printf("# total %.1fs\n", time.Since(start).Seconds())
-		return
-	}
-	if *figure == "ann" {
-		runANNBench(*k, *seed)
-		writeReport(*jsonPath)
-		fmt.Printf("# total %.1fs\n", time.Since(start).Seconds())
-		return
-	}
-	if *figure == "soak" {
-		runSoakBench(*scale, *k, *seed, *epsilon, *soakClients, *soakDur, *soakSample)
-		writeReport(*jsonPath)
-		fmt.Printf("# total %.1fs\n", time.Since(start).Seconds())
-		return
-	}
-	if *figure == "lifecycle" {
-		runLifecycleBench(*seed, *lcInserts, uint64(*lcHorizon), *lcCompact)
-		writeReport(*jsonPath)
-		fmt.Printf("# total %.1fs\n", time.Since(start).Seconds())
-		return
+	if !slices.Contains(valid, *figure) {
+		for _, b := range standalone {
+			valid = append(valid, b.name)
+		}
+		fmt.Fprintf(os.Stderr, "fbbench: unknown -figure %q; valid: %s\n", *figure, strings.Join(valid, ", "))
+		os.Exit(2)
 	}
 
-	// Figures 10, 14 and 16 share one savings-enabled session; Figure 1
-	// and 9 reuse it too.
 	var shared *experiments.Session
-	needShared := want("1") || want("9") || want("10") || want("11") || want("14") || want("16")
 	if needShared {
 		scfg := cfg
 		scfg.MeasureSavings = want("10") // only Figure 15 needs it elsewhere
@@ -156,42 +151,11 @@ func main() {
 		fmt.Printf("# collection: %d images, tree: %d points, depth %d (%.1fs)\n\n",
 			shared.DS.Len(), shared.Bypass.Stats().Points, shared.Bypass.Stats().Depth, time.Since(start).Seconds())
 	}
-
-	if want("1") {
-		section = "figure1"
-		printFigure1(shared)
-	}
-	if want("9") {
-		section = "figure9"
-		printFigure9(shared)
-	}
-	if want("10") {
-		section = "figure10"
-		printFigure10(shared)
-	}
-	if want("11") {
-		section = "figure11"
-		printFigure11(shared, *numEval)
-	}
-	if want("12") {
-		section = "figure12"
-		printFigure12(cfg)
-	}
-	if want("13") {
-		section = "figure13"
-		printFigure13(cfg, *numEval)
-	}
-	if want("14") {
-		section = "figure14"
-		printFigure14(shared)
-	}
-	if want("15") {
-		section = "figure15"
-		printFigure15(cfg)
-	}
-	if want("16") {
-		section = "figure16"
-		printFigure16(shared)
+	for _, f := range paper {
+		if want(f.name) {
+			section = "figure" + f.name
+			f.print(shared)
+		}
 	}
 	if *save != "" {
 		if shared == nil {

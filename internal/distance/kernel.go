@@ -67,15 +67,3 @@ func (k Kernel) SquaredAbandon(q, row []float64, bound2 float64) (sum float64, a
 	}
 	return vec.SqDistWAbandon(q, row, k.w, bound2)
 }
-
-// SquaredBoundAbove returns a squared-space bound guaranteed to be ≥ tau²
-// for a true-space radius tau: fl(tau·tau) can round below the exact
-// product, so one ulp is added back. Abandoning a candidate whose partial
-// squared sum exceeds this value can never discard a candidate within
-// true-space radius tau.
-func SquaredBoundAbove(tau float64) float64 {
-	if math.IsInf(tau, 1) {
-		return tau
-	}
-	return math.Nextafter(tau*tau, math.Inf(1))
-}

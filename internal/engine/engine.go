@@ -16,7 +16,6 @@ import (
 	"repro/internal/feedback"
 	"repro/internal/knn"
 	"repro/internal/vec"
-	"repro/internal/vptree"
 )
 
 // DefaultMaxIterations bounds the feedback loop. Most queries stabilize in
@@ -34,9 +33,7 @@ const NoFeedbackLoop = -1
 // Engine is an interactive similarity retrieval system over a dataset.
 type Engine struct {
 	ds       *dataset.Dataset
-	scan     *knn.Scan
-	searcher knn.BatchSearcher // the serving tier: the scan, or an injected index (e.g. ann.Index)
-	index    *vptree.Tree      // optional: Euclidean VP-tree for weighted lower-bound search
+	searcher knn.BatchSearcher // the one retrieval seam: the exact scan, or an injected index (e.g. ann.Index)
 	fb       *feedback.Engine
 	maxIters int
 }
@@ -52,25 +49,15 @@ type Options struct {
 	// MaxIterations bounds the feedback loop; DefaultMaxIterations when 0,
 	// no loop at all when NoFeedbackLoop. Other negatives are errors.
 	MaxIterations int
-	// UseIndex answers retrievals through a VP-tree built on the Euclidean
-	// metric, serving the per-query weighted distances exactly via the
-	// √(min wᵢ)·L2 lower bound. At the paper's dimensionality (D = 32)
-	// metric pruning rarely beats a scan — see BenchmarkKNN* — but the
-	// option exercises the index path the paper's query-processing step
-	// describes.
-	UseIndex bool
-	// IndexSeed seeds vantage-point selection when UseIndex is set.
-	IndexSeed int64
 	// Searcher injects a pre-built retrieval tier — typically an IVF
 	// ann.Index over the dataset's backend — in place of the exact scan.
-	// The tier must cover exactly the dataset's rows. Mutually exclusive
-	// with UseIndex.
+	// The tier must cover exactly the dataset's rows.
 	Searcher knn.BatchSearcher
 }
 
 // New builds an engine over the dataset. Sequential scan is the default
 // query-processing strategy because the feedback loop changes the metric
-// at every iteration; Options.UseIndex switches to an exact VP-tree path.
+// at every iteration; Options.Searcher replaces it.
 func New(ds *dataset.Dataset, opts Options) (*Engine, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, errors.New("engine: empty dataset")
@@ -87,26 +74,13 @@ func New(ds *dataset.Dataset, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	scan, err := knn.NewScanBackend(ds.Matrix())
-	if err != nil {
-		return nil, err
-	}
-	e := &Engine{ds: ds, scan: scan, searcher: scan, fb: fb, maxIters: opts.MaxIterations}
-	if opts.Searcher != nil {
-		if opts.UseIndex {
-			return nil, errors.New("engine: UseIndex and Searcher are mutually exclusive")
-		}
-		if opts.Searcher.Len() != ds.Len() {
-			return nil, fmt.Errorf("engine: injected searcher covers %d rows, dataset has %d", opts.Searcher.Len(), ds.Len())
-		}
-		e.searcher = opts.Searcher
-	}
-	if opts.UseIndex {
-		idx, err := vptree.Build(ds.Features(), distance.Euclidean{}, opts.IndexSeed)
-		if err != nil {
+	e := &Engine{ds: ds, searcher: opts.Searcher, fb: fb, maxIters: opts.MaxIterations}
+	if e.searcher == nil {
+		if e.searcher, err = knn.NewScanBackend(ds.Matrix()); err != nil {
 			return nil, err
 		}
-		e.index = idx
+	} else if e.searcher.Len() != ds.Len() {
+		return nil, fmt.Errorf("engine: injected searcher covers %d rows, dataset has %d", e.searcher.Len(), ds.Len())
 	}
 	return e, nil
 }
@@ -129,21 +103,13 @@ func (e *Engine) Retrieve(q, w []float64, k int) ([]knn.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.index != nil {
-		return e.index.SearchWeighted(q, k, m)
-	}
 	return e.searcher.Search(q, k, m)
 }
 
-// Retrieval names the active retrieval tier — "scan", "vptree", or the
-// injected searcher's own description (e.g. "ivf(nlist=…,nprobe=…)") —
-// for the serving layer's stats surface.
-func (e *Engine) Retrieval() string {
-	if e.index != nil {
-		return "vptree"
-	}
-	return e.searcher.Describe()
-}
+// Retrieval names the active retrieval tier — "scan", or the injected
+// searcher's own description (e.g. "ivf(nlist=…,nprobe=…)") — for the
+// serving layer's stats surface.
+func (e *Engine) Retrieval() string { return e.searcher.Describe() }
 
 // WeightedQuery pairs a query point with the weight vector of its
 // re-weighted metric.
@@ -156,20 +122,15 @@ type WeightedQuery struct {
 // collection is streamed once for the whole batch, with each query
 // evaluated under its own weighted metric against the hot block. Results
 // are positionally aligned with qs and identical to calling Retrieve per
-// query. Singleton batches and the index path answer queries one by one
-// (a lone kernel query is served with more parallelism by the sharded
-// Search; tree descent has no batch variant).
+// query. A singleton batch goes through Retrieve (a lone kernel query is
+// served with more parallelism by the sharded Search).
 func (e *Engine) RetrieveBatch(qs []WeightedQuery, k int) ([][]knn.Result, error) {
-	if e.index != nil || len(qs) == 1 {
-		out := make([][]knn.Result, len(qs))
-		for i, wq := range qs {
-			res, err := e.Retrieve(wq.Q, wq.W, k)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
+	if len(qs) == 1 {
+		res, err := e.Retrieve(qs[0].Q, qs[0].W, k)
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
+		return [][]knn.Result{res}, nil
 	}
 	points := make([][]float64, len(qs))
 	metrics := make([]distance.Metric, len(qs))

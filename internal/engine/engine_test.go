@@ -294,32 +294,6 @@ func TestRetrieveBatchMatchesRetrieve(t *testing.T) {
 	}
 }
 
-func TestRetrieveBatchWithIndex(t *testing.T) {
-	ds := clusteredDataset(t, 150, 13)
-	e, err := New(ds, Options{UseIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniform := e.UniformWeights()
-	qs := []WeightedQuery{
-		{Q: ds.Items[0].Feature, W: uniform},
-		{Q: ds.Items[5].Feature, W: uniform},
-	}
-	batch, err := e.RetrieveBatch(qs, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, wq := range qs {
-		want, err := e.Retrieve(wq.Q, wq.W, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !knn.SameIndexSet(batch[i], want) {
-			t.Fatalf("query %d: index batch diverges from Retrieve", i)
-		}
-	}
-}
-
 // BenchmarkFeedbackSignature measures the allocation-free FNV-1a cycle
 // key that replaced the fmt.Fprintf string builder in RunLoop.
 func BenchmarkFeedbackSignature(b *testing.B) {

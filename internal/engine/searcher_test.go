@@ -67,9 +67,6 @@ func TestInjectedSearcher(t *testing.T) {
 		t.Fatal("batch retrieval through injected searcher differs")
 	}
 
-	if _, err := New(ds, Options{Searcher: idx, UseIndex: true}); err == nil {
-		t.Fatal("UseIndex + Searcher accepted")
-	}
 	small, err := knn.NewScan([][]float64{{1, 2}, {3, 4}})
 	if err != nil {
 		t.Fatal(err)

@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/histogram"
+	"repro/internal/httpapi"
 	"repro/internal/imagegen"
 	"repro/internal/service"
 )
@@ -121,37 +122,26 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 	if err != nil {
 		return ServeResult{}, err
 	}
-	eng, err := engine.New(ds, engine.Options{})
-	if err != nil {
-		return ServeResult{}, err
-	}
-	codec, err := core.NewHistogramCodec(ds.Dim)
-	if err != nil {
-		return ServeResult{}, err
-	}
-	byp, err := core.New(codec.D(), codec.P(), core.Config{
-		Epsilon:        cfg.Epsilon,
-		DefaultWeights: codec.DefaultWeights(),
+	c, err := httpapi.Assemble("serve", ds, nil, httpapi.Config{
+		K: cfg.K, Epsilon: cfg.Epsilon, IterBudget: cfg.IterationBudget, CacheSize: cfg.CacheSize,
+		MaxSessions: closedLoopSessions,
 	})
 	if err != nil {
 		return ServeResult{}, err
 	}
-	svc, err := service.New(eng, byp, service.Options{
-		MaxSessions:     1 << 16, // closed loop: admission never binds
-		IterationBudget: cfg.IterationBudget,
-		CacheSize:       cfg.CacheSize,
-		DefaultK:        cfg.K,
-	})
-	if err != nil {
-		return ServeResult{}, err
-	}
+	svc := c.Service
 	out := ServeResult{Collection: ds.Len(), Dim: ds.Dim, K: cfg.K}
 	for _, clients := range cfg.Levels {
 		if clients <= 0 {
 			return ServeResult{}, fmt.Errorf("experiments: non-positive client count %d", clients)
 		}
-		level, err := runServeLevel(svc, ds, cfg, clients)
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(clients)*1009))
+		items, err := ds.SampleQueries(rng, cfg.SessionsPerLevel)
 		if err != nil {
+			return ServeResult{}, err
+		}
+		level := ServeLevelResult{Clients: clients}
+		if level.Train, level.Bypass, err = runPhasePair(svc, cfg.K, clients, items); err != nil {
 			return ServeResult{}, err
 		}
 		out.Levels = append(out.Levels, level)
@@ -160,113 +150,97 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 	return out, nil
 }
 
-// runServeLevel measures one concurrency level: a train phase (feedback
-// loops to convergence, outcomes inserted) followed by a bypass phase
-// (the same query stream re-issued without feedback) at the same client
-// count.
-func runServeLevel(svc *service.Service, ds *dataset.Dataset, cfg ServeConfig, clients int) (ServeLevelResult, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(clients)*1009))
-	items, err := ds.SampleQueries(rng, cfg.SessionsPerLevel)
-	if err != nil {
-		return ServeLevelResult{}, err
+// closedLoopSessions is the admission bound the closed-loop figures
+// assemble their stack with: every client has at most one session in
+// flight, so admission never binds.
+const closedLoopSessions = 1 << 16
+
+// refineSession opens a session on item and, with feedback, plays the
+// category oracle (engine.Score) round after round until the service
+// reports convergence. observe receives the latency of every service
+// call made.
+func refineSession(svc *service.Service, item dataset.Item, k int, withFeedback bool, observe func(time.Duration)) (service.SessionState, error) {
+	ctx := context.Background()
+	t0 := time.Now()
+	st, err := svc.Open(ctx, item.Feature, k)
+	observe(time.Since(t0))
+	for err == nil && withFeedback && !st.Converged {
+		scores := svc.Engine().Score(item.Category, st.Results)
+		t0 = time.Now()
+		st, err = svc.Feedback(ctx, st.ID, scores)
+		observe(time.Since(t0))
 	}
-	train, err := runServePhase(svc, ds, cfg, clients, items, true)
+	return st, err
+}
+
+// oracleSession drives one complete session — Open, the oracle's
+// feedback rounds, Close — the closed-loop client every serving figure
+// shares.
+func oracleSession(svc *service.Service, item dataset.Item, k int, withFeedback bool, observe func(time.Duration)) (service.CloseResult, error) {
+	st, err := refineSession(svc, item, k, withFeedback, observe)
 	if err != nil {
-		return ServeLevelResult{}, err
+		return service.CloseResult{}, err
 	}
-	// The bypass phase re-issues the stream twice: every query in the
-	// first pass misses the (insert-invalidated) cache and fills it; the
-	// second pass models the repeat traffic an interactive service
-	// actually sees and is answered from the LRU.
-	twice := make([]int, 0, 2*len(items))
-	twice = append(twice, items...)
-	twice = append(twice, items...)
-	bypass, err := runServePhase(svc, ds, cfg, clients, twice, false)
-	if err != nil {
-		return ServeLevelResult{}, err
+	t0 := time.Now()
+	res, err := svc.Close(context.Background(), st.ID)
+	observe(time.Since(t0))
+	return res, err
+}
+
+// runPhasePair is the serve protocol over one query stream at one client
+// count: a train phase (oracle feedback loops to convergence, outcomes
+// inserted) followed by a bypass phase re-issuing the stream twice
+// without feedback. Every query in the first pass misses the
+// (insert-invalidated) cache and fills it; the second pass models the
+// repeat traffic an interactive service actually sees and is answered
+// from the LRU.
+func runPhasePair(svc *service.Service, k, clients int, items []int) (train, bypass ServePhaseResult, err error) {
+	if train, err = runServePhase(svc, k, clients, items, true); err != nil {
+		return train, bypass, err
 	}
-	return ServeLevelResult{Clients: clients, Train: train, Bypass: bypass}, nil
+	twice := append(append(make([]int, 0, 2*len(items)), items...), items...)
+	bypass, err = runServePhase(svc, k, clients, twice, false)
+	return train, bypass, err
 }
 
 // runServePhase drives `clients` goroutines through complete sessions
 // over the shared query stream. With feedback, sessions run the oracle
 // loop to convergence; without, they are pure bypass reads (Open + Close).
-func runServePhase(svc *service.Service, ds *dataset.Dataset, cfg ServeConfig, clients int, items []int, withFeedback bool) (ServePhaseResult, error) {
+func runServePhase(svc *service.Service, k, clients int, items []int, withFeedback bool) (ServePhaseResult, error) {
+	ds := svc.Engine().Dataset()
 	before := svc.Stats()
 
 	type clientOut struct {
 		latencies []time.Duration
-		feedbacks int
 		err       error
 	}
 	outs := make([]clientOut, clients)
-	next := make(chan int)
-	done := make(chan struct{})
-	go func() {
-		defer close(next)
-		for i := range items {
-			select {
-			case next <- i:
-			case <-done:
-				return
-			}
-		}
-	}()
+	var next atomic.Int64 // index of the next unclaimed session in items
+	var wg sync.WaitGroup
 	start := time.Now()
-	wgDone := make(chan struct{}, clients)
-	for c := 0; c < clients; c++ {
-		go func(c int) {
-			defer func() { wgDone <- struct{}{} }()
-			o := &outs[c]
-			for idx := range next {
-				item := ds.Items[items[idx]]
-				t0 := time.Now()
-				st, err := svc.Open(context.Background(), item.Feature, cfg.K)
-				o.latencies = append(o.latencies, time.Since(t0))
-				if err != nil {
-					o.err = err
+	for c := range outs {
+		wg.Add(1)
+		go func(o *clientOut) {
+			defer wg.Done()
+			observe := func(d time.Duration) { o.latencies = append(o.latencies, d) }
+			for o.err == nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(items) {
 					return
 				}
-				for withFeedback && !st.Converged {
-					scores := make([]float64, len(st.Results))
-					for i, r := range st.Results {
-						if ds.IsGood(r.Index, item.Category) {
-							scores[i] = 1
-						}
-					}
-					t0 = time.Now()
-					st, err = svc.Feedback(context.Background(), st.ID, scores)
-					o.latencies = append(o.latencies, time.Since(t0))
-					if err != nil {
-						o.err = err
-						return
-					}
-					o.feedbacks++
-				}
-				t0 = time.Now()
-				_, err = svc.Close(context.Background(), st.ID)
-				o.latencies = append(o.latencies, time.Since(t0))
-				if err != nil {
-					o.err = err
-					return
-				}
+				_, o.err = oracleSession(svc, ds.Items[items[i]], k, withFeedback, observe)
 			}
-		}(c)
+		}(&outs[c])
 	}
-	for c := 0; c < clients; c++ {
-		<-wgDone
-	}
-	close(done)
+	wg.Wait()
 	wall := time.Since(start)
 
 	var all []time.Duration
-	feedbacks := 0
 	for c := range outs {
 		if outs[c].err != nil {
 			return ServePhaseResult{}, outs[c].err
 		}
 		all = append(all, outs[c].latencies...)
-		feedbacks += outs[c].feedbacks
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	after := svc.Stats()
@@ -274,20 +248,26 @@ func runServePhase(svc *service.Service, ds *dataset.Dataset, cfg ServeConfig, c
 	res := ServePhaseResult{
 		Sessions:       len(items),
 		Ops:            len(all),
-		Feedbacks:      feedbacks,
+		Feedbacks:      len(all) - 2*len(items), // every session is one Open, one Close and its rounds
 		WallSecs:       wall.Seconds(),
 		SessionsPerSec: float64(len(items)) / wall.Seconds(),
 		P50Micros:      float64(percentile(all, 0.50).Microseconds()),
 		P99Micros:      float64(percentile(all, 0.99).Microseconds()),
-		Inserted:       after.InsertsStored - before.InsertsStored,
 	}
+	res.setBypassEffect(before, after)
+	return res, nil
+}
+
+// setBypassEffect fills the phase's bypass-effectiveness columns from the
+// service counters bracketing it.
+func (r *ServePhaseResult) setBypassEffect(before, after service.Stats) {
+	r.Inserted = after.InsertsStored - before.InsertsStored
 	if dp := after.Predictions - before.Predictions; dp > 0 {
-		res.CacheHitRate = float64(after.CacheHits-before.CacheHits) / float64(dp)
+		r.CacheHitRate = float64(after.CacheHits-before.CacheHits) / float64(dp)
 	}
 	if do := after.Opened - before.Opened; do > 0 {
-		res.WarmRate = float64(after.WarmStarts-before.WarmStarts) / float64(do)
+		r.WarmRate = float64(after.WarmStarts-before.WarmStarts) / float64(do)
 	}
-	return res, nil
 }
 
 // percentile returns the p-quantile (0 ≤ p ≤ 1) of sorted durations by

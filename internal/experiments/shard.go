@@ -11,10 +11,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/histogram"
+	"repro/internal/httpapi"
 	"repro/internal/imagegen"
-	"repro/internal/service"
 	"repro/internal/shardedbypass"
 )
 
@@ -124,10 +123,6 @@ func RunShard(cfg ShardConfig) (ShardResult, error) {
 	if err != nil {
 		return ShardResult{}, err
 	}
-	eng, err := engine.New(ds, engine.Options{})
-	if err != nil {
-		return ShardResult{}, err
-	}
 	codec, err := core.NewHistogramCodec(ds.Dim)
 	if err != nil {
 		return ShardResult{}, err
@@ -184,7 +179,7 @@ func RunShard(cfg ShardConfig) (ShardResult, error) {
 	}
 
 	for i := range out.Levels {
-		if err := runShardServePhases(eng, ds, codec, cfg, &out.Levels[i]); err != nil {
+		if err := runShardServePhases(ds, cfg, &out.Levels[i]); err != nil {
 			return ShardResult{}, err
 		}
 	}
@@ -192,40 +187,26 @@ func RunShard(cfg ShardConfig) (ShardResult, error) {
 }
 
 // runShardServePhases fills in the serving-layer measurements of one
-// level: a fresh in-memory sharded bypass behind the full service
+// level: a fresh in-memory S-shard stack from the production assembly
 // (matching the serve benchmark's protocol so the S = 1 row is
 // comparable to benchmarks/bench_serve.json), then the cache-retention
 // instrument.
-func runShardServePhases(eng *engine.Engine, ds *dataset.Dataset, codec core.HistogramCodec, cfg ShardConfig, level *ShardLevelResult) error {
+func runShardServePhases(ds *dataset.Dataset, cfg ShardConfig, level *ShardLevelResult) error {
 	shards := level.Shards
-	byp, err := shardedbypass.New(codec.D(), codec.P(), core.Config{
-		Epsilon:        cfg.Epsilon,
-		DefaultWeights: codec.DefaultWeights(),
-	}, shardedbypass.Options{Shards: shards})
-	if err != nil {
-		return err
-	}
-	svc, err := service.New(eng, byp, service.Options{
-		MaxSessions: 1 << 16,
-		CacheSize:   cfg.CacheSize,
-		DefaultK:    cfg.K,
+	c, err := httpapi.Assemble("shard", ds, nil, httpapi.Config{
+		K: cfg.K, Epsilon: cfg.Epsilon, CacheSize: cfg.CacheSize, Shards: shards,
+		MaxSessions: closedLoopSessions,
 	})
 	if err != nil {
 		return err
 	}
+	svc := c.Service
 	srng := rand.New(rand.NewSource(cfg.Seed + int64(shards)*271))
 	items, err := ds.SampleQueries(srng, cfg.Sessions)
 	if err != nil {
 		return err
 	}
-	phaseCfg := ServeConfig{K: cfg.K}
-	if level.Train, err = runServePhase(svc, ds, phaseCfg, cfg.Clients, items, true); err != nil {
-		return err
-	}
-	twice := make([]int, 0, 2*len(items))
-	twice = append(twice, items...)
-	twice = append(twice, items...)
-	if level.Bypass, err = runServePhase(svc, ds, phaseCfg, cfg.Clients, twice, false); err != nil {
+	if level.Train, level.Bypass, err = runPhasePair(svc, cfg.K, cfg.Clients, items); err != nil {
 		return err
 	}
 
@@ -238,42 +219,26 @@ func runShardServePhases(eng *engine.Engine, ds *dataset.Dataset, codec core.His
 	// bias the ratio. The insert lands in exactly one shard, so S−1 of S
 	// shards keep their entries (S = 1 drops everything — the
 	// pre-sharding behavior).
-	inserted := false
-	for tries := 0; tries < 64 && !inserted; tries++ {
-		idx := ds.Items[srng.Intn(ds.Len())]
-		st, err := svc.Open(context.Background(), idx.Feature, cfg.K)
+	for tries := 0; tries < 64; tries++ {
+		st, err := refineSession(svc, ds.Items[srng.Intn(ds.Len())], cfg.K, true, func(time.Duration) {})
 		if err != nil {
 			return err
-		}
-		for !st.Converged {
-			scores := make([]float64, len(st.Results))
-			for i, r := range st.Results {
-				if ds.IsGood(r.Index, idx.Category) {
-					scores[i] = 1
-				}
-			}
-			if st, err = svc.Feedback(context.Background(), st.ID, scores); err != nil {
-				return err
-			}
 		}
 		before := svc.Stats().CacheEntries
 		res, err := svc.Close(context.Background(), st.ID)
 		if err != nil {
 			return err
 		}
-		inserted = res.Inserted
-		if inserted {
+		if res.Inserted {
 			level.CacheEntriesBefore = before
 			level.CacheEntriesAfter = svc.Stats().CacheEntries
 			if before > 0 {
 				level.CacheRetention = float64(level.CacheEntriesAfter) / float64(before)
 			}
+			return nil
 		}
 	}
-	if !inserted {
-		return fmt.Errorf("experiments: no training session inserted (shards=%d)", shards)
-	}
-	return nil
+	return fmt.Errorf("experiments: no training session inserted (shards=%d)", shards)
 }
 
 // runInsertTrial writes the point stream into a fresh durable sharded

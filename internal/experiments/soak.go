@@ -12,10 +12,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/histogram"
+	"repro/internal/httpapi"
 	"repro/internal/imagegen"
 	"repro/internal/obsv"
 	"repro/internal/service"
@@ -156,32 +155,14 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 	if err != nil {
 		return SoakResult{}, err
 	}
-	eng, err := engine.New(ds, engine.Options{})
-	if err != nil {
-		return SoakResult{}, err
-	}
-	codec, err := core.NewHistogramCodec(ds.Dim)
-	if err != nil {
-		return SoakResult{}, err
-	}
-	byp, err := core.New(codec.D(), codec.P(), core.Config{
-		Epsilon:        cfg.Epsilon,
-		DefaultWeights: codec.DefaultWeights(),
+	stack, err := httpapi.Assemble("soak", ds, nil, httpapi.Config{
+		K: cfg.K, Epsilon: cfg.Epsilon, IterBudget: cfg.IterationBudget, CacheSize: cfg.CacheSize,
+		MaxSessions: closedLoopSessions, Obs: reg,
 	})
 	if err != nil {
 		return SoakResult{}, err
 	}
-	svc, err := service.New(eng, byp, service.Options{
-		MaxSessions:     1 << 16, // closed loop: admission never binds
-		IterationBudget: cfg.IterationBudget,
-		CacheSize:       cfg.CacheSize,
-		DefaultK:        cfg.K,
-		Obs:             reg,
-		ObsLabels:       []obsv.Label{obsv.L("collection", "soak")},
-	})
-	if err != nil {
-		return SoakResult{}, err
-	}
+	svc := stack.Service
 
 	var (
 		sessions atomic.Uint64
@@ -202,9 +183,9 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(c)*7919))
 			for ctx.Err() == nil {
 				item := ds.Items[rng.Intn(ds.Len())]
+				n := 0
 				t0 := time.Now()
-				n, err := runSoakSession(svc, ds, item, cfg.K)
-				if err != nil {
+				if _, err := oracleSession(svc, item, cfg.K, true, func(time.Duration) { n++ }); err != nil {
 					// Shutdown races (ctx expired mid-session) are expected;
 					// anything else aborts the soak.
 					if ctx.Err() != nil {
@@ -275,33 +256,6 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 		})
 	}
 	return out, nil
-}
-
-// runSoakSession drives one full oracle-scored session and returns the
-// number of service calls it made.
-func runSoakSession(svc *service.Service, ds *dataset.Dataset, item dataset.Item, k int) (int, error) {
-	ctx := context.Background()
-	st, err := svc.Open(ctx, item.Feature, k)
-	if err != nil {
-		return 0, err
-	}
-	n := 1
-	for !st.Converged {
-		scores := make([]float64, len(st.Results))
-		for i, r := range st.Results {
-			if ds.IsGood(r.Index, item.Category) {
-				scores[i] = 1
-			}
-		}
-		st, err = svc.Feedback(ctx, st.ID, scores)
-		n++
-		if err != nil {
-			return n, err
-		}
-	}
-	_, err = svc.Close(ctx, st.ID)
-	n++
-	return n, err
 }
 
 // collectSoakSample reads the cumulative counters and the runtime.

@@ -7,14 +7,12 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/distance"
-	"repro/internal/engine"
 	"repro/internal/histogram"
+	"repro/internal/httpapi"
 	"repro/internal/imagegen"
 	"repro/internal/knn"
-	"repro/internal/service"
 	"repro/internal/store"
 )
 
@@ -191,44 +189,19 @@ func runStoreBackend(cfg StoreConfig, kind string, backend store.Backend, ds *da
 	}
 	res.BatchMicrosPerQuery = float64(time.Since(t0).Nanoseconds()) / 1e3 / float64(len(qs))
 
-	// Serve protocol: a fresh engine + bypass + service retrieving from
-	// this backend, driven through the shared phase runner.
-	eng, err := engine.New(ds, engine.Options{})
-	if err != nil {
-		return res, err
-	}
-	codec, err := core.NewHistogramCodec(ds.Dim)
-	if err != nil {
-		return res, err
-	}
-	byp, err := core.New(codec.D(), codec.P(), core.Config{
-		Epsilon:        cfg.Epsilon,
-		DefaultWeights: codec.DefaultWeights(),
+	// Serve protocol: a fresh production stack retrieving from this
+	// backend, driven through the shared phase runner.
+	c, err := httpapi.Assemble(kind, ds, nil, httpapi.Config{
+		K: cfg.K, Epsilon: cfg.Epsilon, MaxSessions: closedLoopSessions,
 	})
 	if err != nil {
 		return res, err
 	}
-	svc, err := service.New(eng, byp, service.Options{
-		MaxSessions: 1 << 16,
-		DefaultK:    cfg.K,
-	})
-	if err != nil {
-		return res, err
-	}
-	serveCfg := ServeConfig{Seed: cfg.Seed, Scale: cfg.Scale, K: cfg.K, Epsilon: cfg.Epsilon, SessionsPerLevel: cfg.Sessions}
 	rng := rand.New(rand.NewSource(cfg.Seed + 8111))
 	items, err := ds.SampleQueries(rng, cfg.Sessions)
 	if err != nil {
 		return res, err
 	}
-	res.Train, err = runServePhase(svc, ds, serveCfg, cfg.Clients, items, true)
-	if err != nil {
-		return res, err
-	}
-	twice := append(append(make([]int, 0, 2*len(items)), items...), items...)
-	res.Bypass, err = runServePhase(svc, ds, serveCfg, cfg.Clients, twice, false)
-	if err != nil {
-		return res, err
-	}
-	return res, nil
+	res.Train, res.Bypass, err = runPhasePair(c.Service, cfg.K, cfg.Clients, items)
+	return res, err
 }

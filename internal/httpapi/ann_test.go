@@ -1,4 +1,4 @@
-package main
+package httpapi
 
 import (
 	"net/http/httptest"
@@ -14,33 +14,33 @@ import (
 )
 
 func TestANNSpecParsing(t *testing.T) {
-	var as annSpecs
-	if err := as.add("nlist=64,nprobe=8,quant=i8,seed=7"); err != nil {
+	var as ANNSpecs
+	if err := as.Add("nlist=64,nprobe=8,quant=i8,seed=7"); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.add("photos:nlist=256"); err != nil {
+	if err := as.Add("photos:nlist=256"); err != nil {
 		t.Fatal(err)
 	}
-	if s := as.forName("photos"); s == nil || s.nlist != 256 || s.quant != ann.QuantF32 {
-		t.Fatalf("photos spec = %+v", as.forName("photos"))
+	if s := as.ForName("photos"); s == nil || s.nlist != 256 || s.quant != ann.QuantF32 {
+		t.Fatalf("photos spec = %+v", as.ForName("photos"))
 	}
-	if s := as.forName("birds"); s == nil || s.nlist != 64 || s.nprobe != 8 || s.quant != ann.QuantI8 || s.seed != 7 {
-		t.Fatalf("fallback spec = %+v", as.forName("birds"))
+	if s := as.ForName("birds"); s == nil || s.nlist != 64 || s.nprobe != 8 || s.quant != ann.QuantI8 || s.seed != 7 {
+		t.Fatalf("fallback spec = %+v", as.ForName("birds"))
 	}
-	if err := as.add("nlist=10"); err == nil {
+	if err := as.Add("nlist=10"); err == nil {
 		t.Fatal("duplicate collection-wide spec accepted")
 	}
-	if err := as.add("photos:nlist=10"); err == nil {
+	if err := as.Add("photos:nlist=10"); err == nil {
 		t.Fatal("duplicate per-collection spec accepted")
 	}
 	for _, bad := range []string{"nlist", "nlist=x", "quant=f16", "bogus=1"} {
-		var fresh annSpecs
-		if err := fresh.add(bad); err == nil {
+		var fresh ANNSpecs
+		if err := fresh.Add(bad); err == nil {
 			t.Fatalf("bad spec %q accepted", bad)
 		}
 	}
-	var empty annSpecs
-	if empty.forName("any") != nil {
+	var empty ANNSpecs
+	if empty.ForName("any") != nil {
 		t.Fatal("empty specs resolved a non-nil spec")
 	}
 }
@@ -48,19 +48,19 @@ func TestANNSpecParsing(t *testing.T) {
 // TestANNServing serves a collection through a built IVF tier end to
 // end: sessions open and iterate normally, and /stats names the tier.
 func TestANNServing(t *testing.T) {
-	cfg := serveConfig{scale: 0.05, seed: 3, k: 8, epsilon: 0.05,
-		maxSessions: 16, iterBudget: 5, cacheSize: 16, shards: 1}
-	if err := cfg.ann.add("nlist=16,nprobe=4"); err != nil {
+	cfg := Config{Scale: 0.05, Seed: 3, K: 8, Epsilon: 0.05,
+		MaxSessions: 16, IterBudget: 5, CacheSize: 16, Shards: 1}
+	if err := cfg.ANN.Add("nlist=16,nprobe=4"); err != nil {
 		t.Fatal(err)
 	}
-	c, err := buildCollection("default", "synth:scale=0.05,seed=3", cfg)
+	c, err := BuildCollection("default", "synth:scale=0.05,seed=3", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.ann == nil || c.annSrc != "built" {
 		t.Fatalf("collection has no built ANN tier (src %q)", c.annSrc)
 	}
-	srv := httptest.NewServer(newMux(map[string]*collection{"default": c}, "default", nil, false))
+	srv := httptest.NewServer(NewMux(map[string]*Collection{"default": c}, "default", nil, false))
 	defer srv.Close()
 
 	var stats struct {
@@ -124,11 +124,11 @@ func TestANNSidecarAutoload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := serveConfig{k: 8, epsilon: 0.05, maxSessions: 16, iterBudget: 5, cacheSize: 16, shards: 1}
-	if err := cfg.ann.add("nprobe=5"); err != nil {
+	cfg := Config{K: 8, Epsilon: 0.05, MaxSessions: 16, IterBudget: 5, CacheSize: 16, Shards: 1}
+	if err := cfg.ANN.Add("nprobe=5"); err != nil {
 		t.Fatal(err)
 	}
-	c, err := buildCollection("col", fbmx, cfg)
+	c, err := BuildCollection("col", fbmx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

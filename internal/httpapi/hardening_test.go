@@ -1,4 +1,4 @@
-package main
+package httpapi
 
 import (
 	"bytes"
@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,9 +24,9 @@ func newFaultyTestServer(t *testing.T) (*httptest.Server, *dataset.Dataset, *fau
 	t.Helper()
 	fs := faultfs.New(nil)
 	c := newTestCollectionWith(t, "default", 5, shardedbypass.Options{Durable: core.DurableOptions{FS: fs}})
-	srv := httptest.NewServer(hardened(newMux(map[string]*collection{"default": c}, "default", nil, false), 0, nil))
+	srv := httptest.NewServer(Hardened(NewMux(map[string]*Collection{"default": c}, "default", nil, false), 0, nil))
 	t.Cleanup(srv.Close)
-	return srv, c.ds, fs
+	return srv, c.Dataset, fs
 }
 
 // driveSession runs one full oracle-scored session over HTTP and returns
@@ -145,7 +146,7 @@ func TestDegradedServingHTTP(t *testing.T) {
 // as 503 + Retry-After through the service's context path.
 func TestHardenedMiddleware(t *testing.T) {
 	reg := obsv.NewRegistry()
-	h := hardened(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := Hardened(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("handler bug")
 	}), 0, reg)
 	rec := httptest.NewRecorder()
@@ -170,7 +171,7 @@ func TestHardenedMiddleware(t *testing.T) {
 
 	// A request that outlives its deadline gets the context error mapped:
 	// the handler below simulates a service call observing ctx expiry.
-	h = hardened(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h = Hardened(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		deadline, ok := r.Context().Deadline()
 		if !ok {
 			t.Error("request context has no deadline")
@@ -200,5 +201,35 @@ func TestHardenedMiddleware(t *testing.T) {
 	}
 	if m := reg.Snapshot().Find("fb_http_timeouts_total"); m == nil || m.Value != 1 {
 		t.Fatalf("fb_http_timeouts_total = %+v, want 1", m)
+	}
+}
+
+// TestOversizedBodyRejected: a request body over maxBodyBytes is refused
+// with 413 and the usual error body on every POST route instead of being
+// buffered, and the collection keeps serving afterwards.
+func TestOversizedBodyRejected(t *testing.T) {
+	c := newTestCollection(t, "default", 5)
+	srv := httptest.NewServer(Hardened(NewMux(map[string]*Collection{"default": c}, "default", nil, false), 0, nil))
+	defer srv.Close()
+	big := `{"feature":[` + strings.Repeat("0.5,", maxBodyBytes/4+1) + `0.5]}`
+	for _, route := range []string{"/query", "/feedback", "/close"} {
+		resp, err := http.Post(srv.URL+route, "application/json", strings.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var errResp errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&errResp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d-byte body: status %d, want 413", route, len(big), resp.StatusCode)
+		}
+		if err != nil || errResp.Error == "" || errResp.RequestID != resp.Header.Get("X-Request-Id") {
+			t.Fatalf("%s 413 body: %v %+v, want an error naming request %q", route, err, errResp, resp.Header.Get("X-Request-Id"))
+		}
+	}
+	item := 0
+	var st stateJSON
+	if code := postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 8}, &st); code != http.StatusOK || len(st.Results) != 8 {
+		t.Fatalf("query after the oversized bodies: status %d, %d results", code, len(st.Results))
 	}
 }

@@ -1,4 +1,4 @@
-package main
+package httpapi
 
 import (
 	"bytes"
@@ -28,9 +28,9 @@ import (
 
 // newTestCollectionWith wires one named collection's serving stack over a
 // small synthetic dataset and a durable bypass module rooted in a temp
-// dir — the same composition buildCollection does. opts picks the shard
+// dir — the same composition BuildCollection does. opts picks the shard
 // count (zero is 1), the filesystem seam and the metrics registry.
-func newTestCollectionWith(t *testing.T, name string, seed int64, opts shardedbypass.Options) *collection {
+func newTestCollectionWith(t *testing.T, name string, seed int64, opts shardedbypass.Options) *Collection {
 	t.Helper()
 	ds, err := dataset.Build(imagegen.IMSILike(seed, 0.03), histogram.DefaultExtractor)
 	if err != nil {
@@ -54,12 +54,12 @@ func newTestCollectionWith(t *testing.T, name string, seed int64, opts shardedby
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &collection{name: name, backend: "heap", source: "synth:test", ds: ds, svc: svc, byp: byp, durable: true}
+	return &Collection{Name: name, backend: "heap", source: "synth:test", Dataset: ds, Service: svc, Bypass: byp, durable: true}
 }
 
 // newTestCollection is the default composition: one shard, real
 // filesystem, no metrics.
-func newTestCollection(t *testing.T, name string, seed int64) *collection {
+func newTestCollection(t *testing.T, name string, seed int64) *Collection {
 	t.Helper()
 	return newTestCollectionWith(t, name, seed, shardedbypass.Options{})
 }
@@ -69,9 +69,9 @@ func newTestCollection(t *testing.T, name string, seed int64) *collection {
 func newTestServer(t *testing.T) (*httptest.Server, *dataset.Dataset, *shardedbypass.Sharded) {
 	t.Helper()
 	c := newTestCollection(t, "default", 5)
-	srv := httptest.NewServer(newMux(map[string]*collection{"default": c}, "default", nil, false))
+	srv := httptest.NewServer(NewMux(map[string]*Collection{"default": c}, "default", nil, false))
 	t.Cleanup(srv.Close)
-	return srv, c.ds, c.byp
+	return srv, c.Dataset, c.Bypass
 }
 
 func postJSON(t *testing.T, url string, body any, out any) int {
@@ -338,9 +338,9 @@ func TestConcurrentHTTPSessions(t *testing.T) {
 func newShardedTestServer(t *testing.T, shards int) (*httptest.Server, *dataset.Dataset, *shardedbypass.Sharded) {
 	t.Helper()
 	c := newTestCollectionWith(t, "default", 5, shardedbypass.Options{Shards: shards})
-	srv := httptest.NewServer(newMux(map[string]*collection{"default": c}, "default", nil, false))
+	srv := httptest.NewServer(NewMux(map[string]*Collection{"default": c}, "default", nil, false))
 	t.Cleanup(srv.Close)
-	return srv, c.ds, c.byp
+	return srv, c.Dataset, c.Bypass
 }
 
 // TestShardedEndToEnd drives a full session against a 4-shard durable
@@ -435,7 +435,7 @@ func (g gateFS) OpenFile(name string, flag int, perm os.FileMode) (persist.File,
 // newRecoveringCollection opens the module at dir with OpenAsync over
 // gate — the shards gate holds stay "replaying" until gate.release() —
 // and wires a default collection over ds around it.
-func newRecoveringCollection(t *testing.T, ds *dataset.Dataset, dir string, shards int, gate gateFS) *collection {
+func newRecoveringCollection(t *testing.T, ds *dataset.Dataset, dir string, shards int, gate gateFS) *Collection {
 	t.Helper()
 	eng, err := engine.New(ds, engine.Options{})
 	if err != nil {
@@ -459,7 +459,7 @@ func newRecoveringCollection(t *testing.T, ds *dataset.Dataset, dir string, shar
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &collection{name: "default", backend: "heap", source: "synth:test", ds: ds, svc: svc, byp: byp, durable: true}
+	return &Collection{Name: "default", backend: "heap", source: "synth:test", Dataset: ds, Service: svc, Bypass: byp, durable: true}
 }
 
 // TestReplayingReturns503 pins the startup-recovery contract on a real
@@ -473,8 +473,8 @@ func TestReplayingReturns503(t *testing.T) {
 	}
 	gate := newGateFS("shard-001")
 	c := newRecoveringCollection(t, ds, t.TempDir(), 3, gate)
-	byp, codec := c.byp, c.svc.Codec()
-	srv := httptest.NewServer(newMux(map[string]*collection{"default": c}, "default", nil, false))
+	byp, codec := c.Bypass, c.Service.Codec()
+	srv := httptest.NewServer(NewMux(map[string]*Collection{"default": c}, "default", nil, false))
 	defer srv.Close()
 
 	// Shards 0 and 2 recover on their own; only the held shard 1 stays.
@@ -600,7 +600,7 @@ func TestStatusForMapping(t *testing.T) {
 // newMmapTestCollection writes ds's features to a temp FBMX file and
 // builds an mmap-backed collection over it, labels dropped — the
 // -collection name=path.fbmx composition.
-func newMmapTestCollection(t *testing.T, name string, ds *dataset.Dataset) *collection {
+func newMmapTestCollection(t *testing.T, name string, ds *dataset.Dataset) *Collection {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name+".fbmx")
 	if err := store.WriteFBMX(path, ds.Matrix()); err != nil {
@@ -635,7 +635,7 @@ func newMmapTestCollection(t *testing.T, name string, ds *dataset.Dataset) *coll
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &collection{name: name, backend: "mmap", source: path, ds: mds, svc: svc, byp: byp, mm: mm}
+	return &Collection{Name: name, backend: "mmap", source: path, Dataset: mds, Service: svc, Bypass: byp, mm: mm}
 }
 
 // TestMultiCollectionServing drives one process serving two collections
@@ -644,9 +644,9 @@ func newMmapTestCollection(t *testing.T, name string, ds *dataset.Dataset) *coll
 // (sessions, caches, trees), and the unknown-collection 404.
 func TestMultiCollectionServing(t *testing.T) {
 	birds := newTestCollection(t, "birds", 5)
-	photos := newMmapTestCollection(t, "photos", birds.ds)
-	colls := map[string]*collection{"birds": birds, "photos": photos}
-	srv := httptest.NewServer(newMux(colls, "", nil, false))
+	photos := newMmapTestCollection(t, "photos", birds.Dataset)
+	colls := map[string]*Collection{"birds": birds, "photos": photos}
+	srv := httptest.NewServer(NewMux(colls, "", nil, false))
 	t.Cleanup(srv.Close)
 
 	// Unknown collection → 404 with a JSON error.
@@ -700,7 +700,7 @@ func TestMultiCollectionServing(t *testing.T) {
 
 	// Give feedback in birds only; stats must show the activity (and the
 	// insert, if any) in birds alone. photos keeps its own counters.
-	category := birds.ds.Items[item].Category
+	category := birds.Dataset.Items[item].Category
 	var st stateJSON
 	if code := postJSON(t, srv.URL+"/c/birds/query", queryRequest{Item: &item, K: 5}, &st); code != http.StatusOK {
 		t.Fatal("birds query failed")
@@ -769,27 +769,27 @@ func TestMultiCollectionServing(t *testing.T) {
 // state written under one collection-count layout must not be silently
 // shadowed when the process is restarted with the other layout.
 func TestLayoutFlipRefused(t *testing.T) {
-	base := serveConfig{
-		scale: 0.02, seed: 3, k: 5, epsilon: 0.05,
-		compactEach: 512, maxSessions: 16, iterBudget: 5, cacheSize: 16, shards: 1,
+	base := Config{
+		Scale: 0.02, Seed: 3, K: 5, Epsilon: 0.05,
+		CompactEvery: 512, MaxSessions: 16, IterBudget: 5, CacheSize: 16, Shards: 1,
 	}
 	spec := "synth:scale=0.02,seed=3"
 
 	// Flat layout first (single collection), then reopen as multi: the
 	// root module state must be refused, not shadowed by dir/birds/.
 	flat := base
-	flat.dir = t.TempDir()
-	c, err := buildCollection("birds", spec, flat)
+	flat.Dir = t.TempDir()
+	c, err := BuildCollection("birds", spec, flat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !c.durable {
 		t.Fatal("single-collection build with -dir is not durable")
 	}
-	c.byp.Close()
+	c.Bypass.Close()
 	flatMulti := flat
-	flatMulti.multi = true
-	if _, err := buildCollection("birds", spec, flatMulti); err == nil {
+	flatMulti.Multi = true
+	if _, err := BuildCollection("birds", spec, flatMulti); err == nil {
 		t.Fatal("multi-collection reopen over flat module state was accepted")
 	}
 
@@ -797,57 +797,57 @@ func TestLayoutFlipRefused(t *testing.T) {
 	// module must be refused rather than ignored in favour of a fresh
 	// module at the root.
 	nested := base
-	nested.dir = t.TempDir()
-	nested.multi = true
-	c2, err := buildCollection("birds", spec, nested)
+	nested.Dir = t.TempDir()
+	nested.Multi = true
+	c2, err := BuildCollection("birds", spec, nested)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2.byp.Close()
+	c2.Bypass.Close()
 	nestedSingle := nested
-	nestedSingle.multi = false
-	if _, err := buildCollection("birds", spec, nestedSingle); err == nil {
+	nestedSingle.Multi = false
+	if _, err := BuildCollection("birds", spec, nestedSingle); err == nil {
 		t.Fatal("single-collection reopen over nested module state was accepted")
 	}
 
 	// A fresh directory in either layout still opens fine.
 	fresh := base
-	fresh.dir = t.TempDir()
-	fresh.multi = true
-	c3, err := buildCollection("birds", spec, fresh)
+	fresh.Dir = t.TempDir()
+	fresh.Multi = true
+	c3, err := BuildCollection("birds", spec, fresh)
 	if err != nil {
 		t.Fatalf("fresh multi-layout build refused: %v", err)
 	}
-	c3.byp.Close()
+	c3.Bypass.Close()
 }
 
 // TestCollectionSpecParsing pins the -collection flag grammar.
 func TestCollectionSpecParsing(t *testing.T) {
-	var cs collectionSpecs
+	var cs CollectionSpecs
 	for _, ok := range []string{"a=synth:", "b-2=synth:scale=0.1,seed=9", "c_x=/data/f.fbmx", "d=fbmx:/data/f"} {
-		if err := cs.add(ok); err != nil {
+		if err := cs.Add(ok); err != nil {
 			t.Errorf("add(%q): %v", ok, err)
 		}
 	}
 	for _, bad := range []string{"", "noequals", "=spec", "name=", "a=synth:", "sp ace=synth:", "a/b=synth:"} {
-		if err := cs.add(bad); err == nil {
+		if err := cs.Add(bad); err == nil {
 			t.Errorf("add(%q) accepted", bad)
 		}
 	}
-	cfg := serveConfig{scale: 0.05, seed: 3}
-	if _, _, _, err := buildDataset("synth:scale=bogus", cfg); err == nil {
+	cfg := Config{Scale: 0.05, Seed: 3}
+	if _, _, _, err := BuildDataset("synth:scale=bogus", cfg); err == nil {
 		t.Error("bogus synth scale accepted")
 	}
-	if _, _, _, err := buildDataset("synth:rows=5", cfg); err == nil {
+	if _, _, _, err := BuildDataset("synth:rows=5", cfg); err == nil {
 		t.Error("unknown synth key accepted")
 	}
-	if _, _, _, err := buildDataset("plainpath", cfg); err == nil {
+	if _, _, _, err := BuildDataset("plainpath", cfg); err == nil {
 		t.Error("pathless spec accepted")
 	}
-	if _, _, _, err := buildDataset(filepath.Join(t.TempDir(), "missing.fbmx"), cfg); !errors.Is(err, os.ErrNotExist) {
+	if _, _, _, err := BuildDataset(filepath.Join(t.TempDir(), "missing.fbmx"), cfg); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("missing fbmx file: %v", err)
 	}
-	ds, backend, mm, err := buildDataset("synth:scale=0.02,seed=4", cfg)
+	ds, backend, mm, err := BuildDataset("synth:scale=0.02,seed=4", cfg)
 	if err != nil || backend != "heap" || mm != nil || ds.Len() == 0 {
 		t.Fatalf("synth build: %v %s %v", err, backend, mm)
 	}
@@ -855,7 +855,7 @@ func TestCollectionSpecParsing(t *testing.T) {
 	if err := store.WriteFBMX(path, ds.Matrix()); err != nil {
 		t.Fatal(err)
 	}
-	mds, backend, mm, err := buildDataset(path, cfg)
+	mds, backend, mm, err := BuildDataset(path, cfg)
 	if err != nil || backend != "mmap" || mm == nil {
 		t.Fatalf("fbmx build: %v %s", err, backend)
 	}

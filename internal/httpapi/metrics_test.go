@@ -1,4 +1,4 @@
-package main
+package httpapi
 
 import (
 	"io"
@@ -14,16 +14,16 @@ import (
 
 // newInstrumentedTestServer wires the production handler over one
 // durable collection with the observability plane attached end to end —
-// the same composition buildCollection does when -addr serving starts.
+// the same composition BuildCollection does when -addr serving starts.
 func newInstrumentedTestServer(t *testing.T, pprofOn bool) (*httptest.Server, *dataset.Dataset, *obsv.Registry) {
 	t.Helper()
 	reg := obsv.NewRegistry()
-	registerProcessMetrics(reg)
+	RegisterProcessMetrics(reg)
 	labels := []obsv.Label{obsv.L("collection", "default")}
 	c := newTestCollectionWith(t, "default", 7, shardedbypass.Options{Obs: reg, ObsLabels: labels})
-	srv := httptest.NewServer(hardened(newMux(map[string]*collection{"default": c}, "default", reg, pprofOn), 0, reg))
+	srv := httptest.NewServer(Hardened(NewMux(map[string]*Collection{"default": c}, "default", reg, pprofOn), 0, reg))
 	t.Cleanup(srv.Close)
-	return srv, c.ds, reg
+	return srv, c.Dataset, reg
 }
 
 // TestMetricsEndpoint drives real traffic through the instrumented
@@ -165,9 +165,9 @@ func TestPprofGating(t *testing.T) {
 // snapshot — so it must not export series that could only ever read 0.
 func TestMemoryCollectionExportsNoPersistenceSeries(t *testing.T) {
 	reg := obsv.NewRegistry()
-	cfg := serveConfig{scale: 0.03, seed: 5, k: 8, epsilon: 0.05,
-		maxSessions: 16, iterBudget: 5, cacheSize: 16, shards: 1, obs: reg}
-	if _, err := buildCollection("default", "synth:scale=0.03,seed=5", cfg); err != nil {
+	cfg := Config{Scale: 0.03, Seed: 5, K: 8, Epsilon: 0.05,
+		MaxSessions: 16, IterBudget: 5, CacheSize: 16, Shards: 1, Obs: reg}
+	if _, err := BuildCollection("default", "synth:scale=0.03,seed=5", cfg); err != nil {
 		t.Fatal(err)
 	}
 	var buf strings.Builder

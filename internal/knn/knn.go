@@ -1,8 +1,8 @@
 // Package knn implements the "query processing" step of §2: given a query
 // point and a distance function, return the k closest database objects.
 // It provides a Searcher interface with a sequential-scan implementation;
-// packages vptree and mtree provide index-accelerated implementations for
-// fixed metrics (the paper cites X-trees and M-trees for this role).
+// package ann provides the approximate IVF tier behind the same interface
+// (the paper cites X-trees and M-trees for this role).
 package knn
 
 import (

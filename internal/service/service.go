@@ -879,9 +879,9 @@ type Stats struct {
 	Inserts        int64 `json:"inserts"`
 	InsertsStored  int64 `json:"inserts_stored"`
 
-	// Retrieval names the engine's active retrieval tier — "scan",
-	// "vptree", or an approximate index like "ivf(nlist=64,nprobe=8,
-	// quant=f32)" — so operators can see which tier is answering queries.
+	// Retrieval names the engine's active retrieval tier — "scan", or an
+	// approximate index like "ivf(nlist=64,nprobe=8,quant=f32)" — so
+	// operators can see which tier is answering queries.
 	Retrieval string `json:"retrieval,omitempty"`
 
 	// Degraded carries the store's sticky persistence failure (empty while

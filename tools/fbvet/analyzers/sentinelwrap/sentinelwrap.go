@@ -1,6 +1,6 @@
 // Package sentinelwrap enforces the error-chain contract of the
 // serving and persistence layers (internal/service, internal/persist,
-// internal/store, internal/ann, internal/core): the HTTP status
+// internal/store, internal/ann, internal/core, internal/httpapi): the HTTP status
 // mapping, the degraded-mode latch and every test in the fault plane
 // dispatch on errors.Is/errors.As, so an error that reaches fmt.Errorf
 // must be wrapped with %w, not flattened to text with %v/%s — and
@@ -33,6 +33,7 @@ var Domains = []string{
 	"internal/store",
 	"internal/ann",
 	"internal/core",
+	"internal/httpapi", // statusFor maps sentinels to HTTP codes: a flattened one becomes a 500
 }
 
 var Analyzer = &analysis.Analyzer{
