@@ -594,26 +594,34 @@ func BenchmarkKNNScanSingle(b *testing.B) {
 }
 
 // BenchmarkKNNScanWeighted runs the kernel path under a re-weighted
-// metric — the shape of every post-feedback retrieval in the loop.
+// metric — the shape of every post-feedback retrieval in the loop — at
+// paper scale and at the 97,910 rows of the bench/ `bigscan` workload
+// (fbserve -scale 10, k = 10), so the lone-query cost there is readable
+// without the HTTP harness.
 func BenchmarkKNNScanWeighted(b *testing.B) {
-	data := benchCollection(b, paperScaleN)
-	scan, err := knn.NewScan(data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := make([]float64, len(data[0]))
-	for i := range w {
-		w[i] = 0.5 + float64(i%4)
-	}
-	wm, err := distance.NewWeightedEuclidean(w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := scan.Search(data[i%len(data)], 50, wm); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct{ scale, k int }{{1, 50}, {10, 10}} {
+		b.Run(fmt.Sprintf("scale=%d/k=%d", c.scale, c.k), func(b *testing.B) {
+			data := benchCollection(b, c.scale*paperScaleN)
+			scan, err := knn.NewScan(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := make([]float64, len(data[0]))
+			for i := range w {
+				w[i] = 0.5 + float64(i%4)
+			}
+			wm, err := distance.NewWeightedEuclidean(w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := scan.Search(data[(i*131)%len(data)], c.k, wm); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(data)), "rows")
+		})
 	}
 }
 

@@ -264,9 +264,9 @@ func writeReport(path string) {
 }
 
 // runKNNBench measures the retrieval core in isolation: per-query latency
-// of the cache-tiled SearchBatch versus the naive per-row Metric path,
-// under both the default Euclidean metric and a re-weighted metric — the
-// two retrieval shapes of the feedback loop.
+// of the cache-tiled SearchBatch, of lone Search calls, and of the naive
+// per-row Metric path, under the default Euclidean metric and a
+// re-weighted metric — the two retrieval shapes of the feedback loop.
 func runKNNBench(scale float64, k, numQueries int, seed int64) {
 	header(fmt.Sprintf("KNN retrieval core (scale %.2f, k = %d, %d queries)", scale, k, numQueries))
 	ds, err := dataset.Build(imagegen.IMSILike(seed, scale), histogram.DefaultExtractor)
@@ -289,20 +289,26 @@ func runKNNBench(scale float64, k, numQueries int, seed int64) {
 	if err != nil {
 		fail(err)
 	}
+	// lone runs the queries one Search call at a time — the shape of a
+	// serving session, which has no batch to share a cache block with.
+	lone := func(search func(q []float64, k int, m distance.Metric) ([]knn.Result, error), m distance.Metric) func() error {
+		return func() error {
+			for _, q := range qs {
+				if _, err := search(q, k, m); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
 	runs := []struct {
 		name   string
 		search func() error
 	}{
 		{"batch-euclidean", func() error { _, err := scan.SearchBatch(qs, k, distance.Euclidean{}); return err }},
 		{"batch-weighted", func() error { _, err := scan.SearchBatch(qs, k, wm); return err }},
-		{"naive-euclidean", func() error {
-			for _, q := range qs {
-				if _, err := scan.SearchNaive(q, k, distance.Euclidean{}); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
+		{"lone-weighted", lone(scan.Search, wm)},
+		{"naive-euclidean", lone(scan.SearchNaive, distance.Euclidean{})},
 	}
 	fmt.Printf("%-18s %14s %12s\n", "mode", "ns/query", "queries/s")
 	for _, r := range runs {

@@ -30,9 +30,9 @@
 // The packages under internal implement every substrate of the paper's
 // evaluation: distance functions, relevance-feedback engines, HSV
 // histogram extraction, a synthetic categorized image collection, k-NN
-// query processing (sequential scan, VP-tree, M-tree), and the experiment
-// harness reproducing Figures 1 and 9–16 (see DESIGN.md and
-// EXPERIMENTS.md).
+// query processing (an exact kernelized scan and an approximate IVF tier
+// behind one Searcher interface), and the experiment harness reproducing
+// Figures 1 and 9–16 (see DESIGN.md and EXPERIMENTS.md).
 package feedbackbypass
 
 import (

@@ -1,8 +1,11 @@
 package dataset
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/histogram"
@@ -145,6 +148,65 @@ func TestBuildFromGenerator(t *testing.T) {
 	}
 	if total != d.Len() {
 		t.Errorf("category index covers %d of %d", total, d.Len())
+	}
+}
+
+// TestBuildMatchesSerialGenerate pins the streaming, parallel Build to
+// the serial pipeline it replaced — render everything, then extract in
+// id order — by one FNV-64a over every feature bit and every item's
+// (category, theme), under GOMAXPROCS 1 and 4.
+func TestBuildMatchesSerialGenerate(t *testing.T) {
+	cfg := imagegen.IMSILike(1, 0.05)
+	h := fnv.New64a()
+	put := func(cat, theme string, feat []float64) {
+		var b [8]byte
+		for _, v := range feat {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		h.Write([]byte(cat + "\x00" + theme + "\x00"))
+	}
+	imgs, err := imagegen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range imgs {
+		feat, err := histogram.DefaultExtractor.Extract(g.Image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		put(g.Category, g.Theme, feat)
+	}
+	want := h.Sum64()
+
+	for _, procs := range []int{1, 4} {
+		old := runtime.GOMAXPROCS(procs)
+		d, err := Build(cfg, histogram.DefaultExtractor)
+		runtime.GOMAXPROCS(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Len() != len(imgs) {
+			t.Fatalf("GOMAXPROCS=%d: %d items, want %d", procs, d.Len(), len(imgs))
+		}
+		h.Reset()
+		slab := d.Matrix().Slab(0, d.Len())
+		for i, it := range d.Items {
+			if it.ID != i {
+				t.Fatalf("GOMAXPROCS=%d: item %d has ID %d", procs, i, it.ID)
+			}
+			put(it.Category, it.Theme, slab[i*d.Dim:(i+1)*d.Dim])
+		}
+		if got := h.Sum64(); got != want {
+			t.Errorf("GOMAXPROCS=%d: Build hashes to %#x, serial Generate→Extract to %#x", procs, got, want)
+		}
+		for cat, idx := range d.ByCategory {
+			for j, i := range idx {
+				if d.Items[i].Category != cat || (j > 0 && idx[j-1] >= i) {
+					t.Fatalf("GOMAXPROCS=%d: ByCategory[%q] is not the ascending index list of its items", procs, cat)
+				}
+			}
+		}
 	}
 }
 

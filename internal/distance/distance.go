@@ -19,8 +19,7 @@ import (
 // Metric measures dissimilarity between equal-length feature vectors.
 // Implementations must be symmetric, non-negative, and zero on identical
 // inputs; all the metrics in this package additionally satisfy the
-// triangle inequality for valid parameters, which the index structures
-// (VP-tree, M-tree) rely on.
+// triangle inequality for valid parameters.
 type Metric interface {
 	// Distance returns d(a, b). It panics on dimension mismatch, matching
 	// the package vec convention for programmer errors.

@@ -104,26 +104,51 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Count returns the number of images the configuration generates.
+func (c Config) Count() int {
+	n := 0
+	for _, cat := range c.Categories {
+		n += cat.Count
+	}
+	return n
+}
+
+// Render renders image id of a validated configuration; ids run through
+// the categories in order, from 0 to Count()-1. The pixels depend on
+// (Seed, id) alone — every image draws from its own RNG — so images can
+// be rendered in any order, or concurrently, with identical results.
+func (c Config) Render(id int) (Generated, error) {
+	first := 0
+	for _, cat := range c.Categories {
+		if id >= first && id < first+cat.Count {
+			rng := rand.New(rand.NewSource(imageSeed(c.Seed, id)))
+			theme := cat.Themes[rng.Intn(len(cat.Themes))]
+			img, err := renderImage(rng, c.ImageW, c.ImageH, cat.Signature, theme.Blobs)
+			if err != nil {
+				return Generated{}, err
+			}
+			return Generated{ID: id, Category: cat.Name, Theme: theme.Name, Image: img}, nil
+		}
+		first += cat.Count
+	}
+	return Generated{}, fmt.Errorf("imagegen: image %d outside the collection's %d", id, first)
+}
+
 // Generate renders the full collection deterministically from the seed.
 // Image i of the configuration always receives the same pixels, regardless
-// of how many categories precede it.
+// of how many categories precede it. All rasters are held at once;
+// dataset.Build streams Render instead.
 func Generate(cfg Config) ([]Generated, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var out []Generated
-	id := 0
-	for _, cat := range cfg.Categories {
-		for n := 0; n < cat.Count; n++ {
-			rng := rand.New(rand.NewSource(imageSeed(cfg.Seed, id)))
-			theme := cat.Themes[rng.Intn(len(cat.Themes))]
-			img, err := renderImage(rng, cfg.ImageW, cfg.ImageH, cat.Signature, theme.Blobs)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, Generated{ID: id, Category: cat.Name, Theme: theme.Name, Image: img})
-			id++
+	out := make([]Generated, cfg.Count())
+	for id := range out {
+		g, err := cfg.Render(id)
+		if err != nil {
+			return nil, err
 		}
+		out[id] = g
 	}
 	return out, nil
 }

@@ -3,14 +3,13 @@
 // batch scan. The naive path pays a virtual Metric.Distance call and a
 // math.Sqrt per database vector; the kernel path walks the contiguous
 // feature slab, compares candidates by their squared distance (monotone
-// in the true distance), abandons a candidate as soon as its partial sum
+// in the true distance), drops a candidate as soon as its partial sum
 // exceeds the current k-th best, and takes one square root per *reported
-// result*. Batches additionally tile the collection into L2-sized row
-// blocks so one streamed block serves every query in the batch — at
-// paper scale a lone query is memory-bound (the whole feature slab
-// streams through cache per search), so amortizing the stream across a
-// query batch is where the large win lives. The parity property tests
-// assert every path returns []Result identical to the generic path.
+// result*. At D = 32 lone and batched queries alike run the phased tile
+// cascade (scanTile32), whose first phase streams the dimension-blocked
+// head slab instead of the full rows. Batches additionally share each
+// L2-sized row block across every query in the batch. The parity property
+// tests assert every path returns []Result identical to the generic path.
 package knn
 
 import (
@@ -20,18 +19,16 @@ import (
 	"sync"
 
 	"repro/internal/distance"
-	"repro/internal/store"
 )
 
 // minShardRows is the smallest shard worth a goroutine: below this the
 // spawn/merge overhead dominates the scan itself.
 const minShardRows = 1024
 
-// DefaultBatchTile is the default number of rows per cache block of the
-// tiled batch scan: 512 rows × 32 dims × 8 B = 128 KiB, comfortably
-// L2-resident while the batch's query vectors stay in L1. Callers whose
-// working set differs — the ANN rerank path scans much shorter row runs —
-// can tune it per Scan with SetBatchTile.
+// DefaultBatchTile is the number of rows per tile of the phased cascade
+// and per cache block of the batch scan: 512 rows × 32 dims × 8 B =
+// 128 KiB, comfortably L2-resident while the batch's query vectors stay
+// in L1.
 const DefaultBatchTile = 512
 
 // scanWorkers returns how many shards to scan n rows with.
@@ -107,7 +104,9 @@ func (s *Scan) searchKernel(q []float64, k int, kern distance.Kernel) []Result {
 	workers := scanWorkers(n)
 	if workers == 1 {
 		st := newScanState(k)
-		scanRows(s.mat, q, kern, 0, n, &st)
+		bufs := s.getTileBufs()
+		s.scanRange(q, kern, 0, n, &st, bufs)
+		putTileBufs(bufs)
 		return finishSquared(st.items, k)
 	}
 	// Contiguous shards keep each worker on one linear slab of the store.
@@ -117,11 +116,13 @@ func (s *Scan) searchKernel(q []float64, k int, kern distance.Kernel) []Result {
 		lo := w * n / workers
 		hi := (w + 1) * n / workers
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
 			states[w] = newScanState(k)
-			scanRows(s.mat, q, kern, lo, hi, &states[w])
-		}(w, lo, hi)
+			bufs := s.getTileBufs()
+			s.scanRange(q, kern, lo, hi, &states[w], bufs)
+			putTileBufs(bufs)
+		}()
 	}
 	wg.Wait()
 	// Deterministic merge: the union of per-shard candidates is re-ranked
@@ -139,129 +140,35 @@ func (s *Scan) searchKernel(q []float64, k int, kern distance.Kernel) []Result {
 	return finishSquared(merged.items, k)
 }
 
-// scanRows accumulates rows [lo, hi) into st in *squared* space: the
+// scanRange accumulates rows [lo, hi) into st in *squared* space: the
 // state holds squared distances, whose (value, index) order matches the
 // true-distance order because x ↦ √x is monotone. Dimensionality 32 (the
-// paper's histogram width) dispatches to loops with compile-time-constant
-// trip counts; other dimensionalities go through the canonical
-// vec-backed kernel, so every path produces sums bitwise identical to
-// the naive Metric implementations. Abandon-check cadence varies by
-// loop; cadence only changes how much of a doomed row is read, never a
-// surviving sum.
-func scanRows(mat store.Backend, q []float64, kern distance.Kernel, lo, hi int, st *scanState) {
-	dim := mat.Dim()
-	if dim == 32 {
-		if kern.Weights() == nil {
-			scanRows32(mat, q, lo, hi, st)
-		} else {
-			scanRows32W(mat, q, kern.Weights(), lo, hi, st)
+// paper's histogram width, the only one with a head slab) runs the phased
+// cascade tile by tile through bufs; other dimensionalities go through
+// the canonical vec-backed kernel, so every path produces sums bitwise
+// identical to the naive Metric implementations. The two differ only in
+// how much of a doomed row is read, never in a surviving sum.
+func (s *Scan) scanRange(q []float64, kern distance.Kernel, lo, hi int, st *scanState, bufs *tileBufs) {
+	if s.head != nil {
+		w := kern.Weights()
+		tile := s.tile()
+		for blockLo := lo; blockLo < hi; blockLo += tile {
+			s.scanTile32(q, w, blockLo, min(blockLo+tile, hi), st, bufs)
 		}
 		return
 	}
+	dim := s.mat.Dim()
 	bound2 := st.bound2
-	slab := mat.Slab(lo, hi)
+	slab := s.mat.Slab(lo, hi)
 	for i := lo; i < hi; i++ {
 		off := (i - lo) * dim
 		row := slab[off : off+dim : off+dim]
-		s, abandoned := kern.SquaredAbandon(q, row, bound2)
+		sum, abandoned := kern.SquaredAbandon(q, row, bound2)
 		if abandoned {
 			continue
 		}
-		st.offer(i, s)
+		st.offer(i, sum)
 		bound2 = st.bound2
-	}
-}
-
-// scanRows32 is the unweighted D=32 fast path: four 8-element blocks with
-// constant indices, abandon check per block.
-func scanRows32(mat store.Backend, q []float64, lo, hi int, st *scanState) {
-	bound2 := st.bound2
-	slab := mat.Slab(lo, hi)
-	q = q[:32]
-	for i := lo; i < hi; i++ {
-		off := (i - lo) * 32
-		row := slab[off : off+32 : off+32]
-		var s0, s1, s2, s3 float64
-		abandoned := false
-		for blk := 0; blk < 32; blk += 8 {
-			qq := q[blk : blk+8 : blk+8]
-			rr := row[blk : blk+8 : blk+8]
-			d0 := qq[0] - rr[0]
-			s0 += d0 * d0
-			d1 := qq[1] - rr[1]
-			s1 += d1 * d1
-			d2 := qq[2] - rr[2]
-			s2 += d2 * d2
-			d3 := qq[3] - rr[3]
-			s3 += d3 * d3
-			d4 := qq[4] - rr[4]
-			s0 += d4 * d4
-			d5 := qq[5] - rr[5]
-			s1 += d5 * d5
-			d6 := qq[6] - rr[6]
-			s2 += d6 * d6
-			d7 := qq[7] - rr[7]
-			s3 += d7 * d7
-			if (s0+s1)+(s2+s3) > bound2 {
-				abandoned = true
-				break
-			}
-		}
-		if abandoned {
-			continue
-		}
-		s := (s0 + s1) + (s2 + s3)
-		if s <= bound2 {
-			st.offer(i, s)
-			bound2 = st.bound2
-		}
-	}
-}
-
-// scanRows32W is the weighted D=32 fast path.
-func scanRows32W(mat store.Backend, q, w []float64, lo, hi int, st *scanState) {
-	bound2 := st.bound2
-	slab := mat.Slab(lo, hi)
-	q = q[:32]
-	w = w[:32]
-	for i := lo; i < hi; i++ {
-		off := (i - lo) * 32
-		row := slab[off : off+32 : off+32]
-		var s0, s1, s2, s3 float64
-		abandoned := false
-		for blk := 0; blk < 32; blk += 8 {
-			qq := q[blk : blk+8 : blk+8]
-			rr := row[blk : blk+8 : blk+8]
-			ww := w[blk : blk+8 : blk+8]
-			d0 := qq[0] - rr[0]
-			s0 += ww[0] * d0 * d0
-			d1 := qq[1] - rr[1]
-			s1 += ww[1] * d1 * d1
-			d2 := qq[2] - rr[2]
-			s2 += ww[2] * d2 * d2
-			d3 := qq[3] - rr[3]
-			s3 += ww[3] * d3 * d3
-			d4 := qq[4] - rr[4]
-			s0 += ww[4] * d4 * d4
-			d5 := qq[5] - rr[5]
-			s1 += ww[5] * d5 * d5
-			d6 := qq[6] - rr[6]
-			s2 += ww[6] * d6 * d6
-			d7 := qq[7] - rr[7]
-			s3 += ww[7] * d7 * d7
-			if (s0+s1)+(s2+s3) > bound2 {
-				abandoned = true
-				break
-			}
-		}
-		if abandoned {
-			continue
-		}
-		s := (s0 + s1) + (s2 + s3)
-		if s <= bound2 {
-			st.offer(i, s)
-			bound2 = st.bound2
-		}
 	}
 }
 
@@ -375,99 +282,97 @@ func newTileBufs(tile int) *tileBufs {
 	}
 }
 
+// tileBufPool recycles tileBufs across searches, so a lone query's scan
+// allocates nothing per shard beyond its candidate list.
+var tileBufPool sync.Pool
+
+// getTileBufs returns scratch for one worker of the D = 32 cascade, or
+// nil at other dimensionalities, which need none.
+func (s *Scan) getTileBufs() *tileBufs {
+	if s.head == nil {
+		return nil
+	}
+	tile := s.tile()
+	if b, _ := tileBufPool.Get().(*tileBufs); b != nil && len(b.surv) >= tile {
+		return b
+	}
+	return newTileBufs(tile)
+}
+
+func putTileBufs(b *tileBufs) {
+	if b != nil {
+		tileBufPool.Put(b)
+	}
+}
+
 // scanBatchTiled processes queries qs[qlo:qhi] against the whole
 // collection, tiling rows into L2-sized blocks: the outer loop streams
 // one block, the inner loop advances every query's scan state across it.
 // Per query this offers candidates in exactly the row order 0..n-1 with
 // exactly the sums a standalone Search computes, so the result list is
 // identical to per-query Search.
-//
-// At D = 32 each tile runs a branch-free vertical cascade instead of the
-// abandoning row loop: dims [0,8) are accumulated for every row with
-// survivors compacted against the tile-entry bound, then three more
-// 8-dimension passes extend the shrinking survivor set, and final sums
-// within the live bound are offered. Early abandonment's per-row exit
-// branch mispredicts on nearly every row inside a hot tile and costs
-// more than the arithmetic it skips; the cascade's filters are branchless
-// cursor advances. Filtering against the tile-entry bound (always ≥ the
-// live bound) can only keep extra candidates, never drop one a
-// sequential scan would keep — the final live-bound check restores
-// exactness.
 func (s *Scan) scanBatchTiled(qs [][]float64, k int, kerns []distance.Kernel, out [][]Result, qlo, qhi int) {
-	n, dim := s.mat.Len(), s.mat.Dim()
+	n := s.mat.Len()
 	states := make([]scanState, qhi-qlo)
 	for i := range states {
 		states[i] = newScanState(k)
 	}
 	tile := s.tile()
-	var bufs *tileBufs
-	if dim == 32 {
-		bufs = newTileBufs(tile)
-	}
+	bufs := s.getTileBufs()
 	for blockLo := 0; blockLo < n; blockLo += tile {
-		blockHi := blockLo + tile
-		if blockHi > n {
-			blockHi = n
-		}
+		blockHi := min(blockLo+tile, n)
 		for qi := qlo; qi < qhi; qi++ {
-			st := &states[qi-qlo]
-			if dim != 32 {
-				scanRows(s.mat, qs[qi], kerns[qi], blockLo, blockHi, st)
-				continue
-			}
-			if w := kerns[qi].Weights(); w == nil {
-				scanTile32(s.mat, qs[qi], blockLo, blockHi, st, bufs)
-			} else {
-				scanTile32W(s.mat, qs[qi], w, blockLo, blockHi, st, bufs)
-			}
+			s.scanRange(qs[qi], kerns[qi], blockLo, blockHi, &states[qi-qlo], bufs)
 		}
 	}
+	putTileBufs(bufs)
 	for qi := qlo; qi < qhi; qi++ {
 		out[qi] = finishSquared(states[qi-qlo].items, k)
 	}
 }
 
 // scanTile32 runs the four-pass cascade over rows [blockLo, blockHi) for
-// one unweighted query at D = 32, through the phase kernels (SSE2 on
-// amd64, identical Go loops elsewhere — phase1.go).
-func scanTile32(mat store.Backend, q []float64, blockLo, blockHi int, st *scanState, b *tileBufs) {
+// one query at D = 32 (w == nil: unweighted), through the phase kernels
+// (AVX2 or SSE2 on amd64, identical Go loops elsewhere — phase1.go).
+//
+// The cascade is branch-free and vertical instead of an abandoning row
+// loop: dims [0,8) are accumulated for every row with survivors
+// compacted against the tile-entry bound, then three more 8-dimension
+// passes extend the shrinking survivor set, and final sums within the
+// live bound are offered. Early abandonment's per-row exit branch
+// mispredicts on nearly every row and costs more than the arithmetic it
+// skips; the cascade's filters are branchless cursor advances. Phase 1
+// rejects most rows (78–91% on the paper's histograms; DESIGN.md has the
+// table), so it reads the head slab — 64 contiguous bytes per row — and only the survivors'
+// later segments are gathered from the 256-byte row-major rows.
+// Filtering against the tile-entry bound (always ≥ the live bound) can
+// only keep extra candidates, never drop one a sequential scan would
+// keep — the final live-bound check restores exactness.
+func (s *Scan) scanTile32(q, w []float64, blockLo, blockHi int, st *scanState, b *tileBufs) {
 	rows := blockHi - blockLo
-	slab := mat.Slab(blockLo, blockHi)
+	head := s.head[blockLo*8 : blockHi*8]
+	slab := s.mat.Slab(blockLo, blockHi)
 	bound2 := st.bound2
 	q = q[:32]
 	s0b, s1b, s2b, s3b := b.s0, b.s1, b.s2, b.s3
 	surv := b.surv
-	c := phase1x32Sel(&q[0], &slab[0], rows, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], &surv[0])
-	c = phaseNext8Sel(&q[8], &slab[8], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
-	c = phaseNext8Sel(&q[16], &slab[16], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
-	c = phaseNext8Sel(&q[24], &slab[24], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
+	var c int
+	if w == nil {
+		c = phase1x32Sel(&q[0], &head[0], rows, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], &surv[0])
+		c = phaseNext8Sel(&q[8], &slab[8], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
+		c = phaseNext8Sel(&q[16], &slab[16], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
+		c = phaseNext8Sel(&q[24], &slab[24], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
+	} else {
+		w = w[:32]
+		c = phase1x32wSel(&q[0], &w[0], &head[0], rows, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], &surv[0])
+		c = phaseNext8wSel(&q[8], &w[8], &slab[8], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
+		c = phaseNext8wSel(&q[16], &w[16], &slab[16], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
+		c = phaseNext8wSel(&q[24], &w[24], &slab[24], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
+	}
 	for j := 0; j < c; j++ {
 		if sum := (s0b[j] + s1b[j]) + (s2b[j] + s3b[j]); sum <= bound2 {
 			st.offer(blockLo+int(surv[j]), sum)
 			bound2 = st.bound2
 		}
 	}
-	st.bound2 = bound2
-}
-
-// scanTile32W is the weighted counterpart of scanTile32.
-func scanTile32W(mat store.Backend, q, w []float64, blockLo, blockHi int, st *scanState, b *tileBufs) {
-	rows := blockHi - blockLo
-	slab := mat.Slab(blockLo, blockHi)
-	bound2 := st.bound2
-	q = q[:32]
-	w = w[:32]
-	s0b, s1b, s2b, s3b := b.s0, b.s1, b.s2, b.s3
-	surv := b.surv
-	c := phase1x32wSel(&q[0], &w[0], &slab[0], rows, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], &surv[0])
-	c = phaseNext8wSel(&q[8], &w[8], &slab[8], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
-	c = phaseNext8wSel(&q[16], &w[16], &slab[16], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
-	c = phaseNext8wSel(&q[24], &w[24], &slab[24], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
-	for j := 0; j < c; j++ {
-		if sum := (s0b[j] + s1b[j]) + (s2b[j] + s3b[j]); sum <= bound2 {
-			st.offer(blockLo+int(surv[j]), sum)
-			bound2 = st.bound2
-		}
-	}
-	st.bound2 = bound2
 }

@@ -54,8 +54,14 @@ type BatchSearcher interface {
 // DESIGN.md, "Retrieval core").
 type Scan struct {
 	mat store.Backend
-	// batchTile is the row count per cache block of the tiled batch scan;
-	// 0 means DefaultBatchTile (see SetBatchTile).
+	// head is the dimension-blocked head slab of a D = 32 collection: a
+	// contiguous n × 8 copy of dims [0,8) of every row, which phase 1 of
+	// the tile cascade streams at 64 B/row instead of pulling whole
+	// 256 B rows through cache for the majority it rejects. Nil at other
+	// dimensionalities.
+	head []float64
+	// batchTile is the row count per tile; 0 means DefaultBatchTile. Only
+	// the tile-size parity test sets it.
 	batchTile int
 }
 
@@ -66,26 +72,8 @@ func NewScan(data [][]float64) (*Scan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("knn: %w", err)
 	}
-	return &Scan{mat: mat}, nil
+	return NewScanBackend(mat)
 }
-
-// SetBatchTile sets the number of rows per cache block of the tiled
-// batch scan (SearchBatch / SearchBatchMulti). The default,
-// DefaultBatchTile, suits a full-collection scan on a typical L2; the
-// ANN rerank path and unusual cache hierarchies can tune it. Any
-// positive value returns identical results — tiling never changes which
-// candidates are offered, only the streaming granularity. Not safe to
-// call concurrently with searches.
-func (s *Scan) SetBatchTile(rows int) error {
-	if rows <= 0 {
-		return fmt.Errorf("knn: batch tile must be positive, got %d", rows)
-	}
-	s.batchTile = rows
-	return nil
-}
-
-// BatchTile returns the active batch tile size.
-func (s *Scan) BatchTile() int { return s.tile() }
 
 func (s *Scan) tile() int {
 	if s.batchTile <= 0 {
@@ -97,12 +85,28 @@ func (s *Scan) tile() int {
 // NewScanBackend builds a scan searcher directly over any feature
 // backend (aliased, not copied). The kernels stream the backend's slabs
 // without per-row copies, so an mmap-resident collection is scanned in
-// place.
+// place. A D = 32 backend additionally gets its head slab copied here
+// (+25% of the feature bytes, on the heap for either backend), so the
+// backend's contents must not change afterwards.
 func NewScanBackend(b store.Backend) (*Scan, error) {
 	if b == nil || b.Len() == 0 {
 		return nil, fmt.Errorf("knn: empty collection")
 	}
-	return &Scan{mat: b}, nil
+	s := &Scan{mat: b}
+	if b.Dim() == 32 {
+		s.head = headSlab(b.Slab(0, b.Len()), b.Len())
+	}
+	return s, nil
+}
+
+// headSlab copies dims [0,8) of every row of a 32-wide row-major slab
+// into the contiguous stride-8 layout phase 1 reads.
+func headSlab(slab []float64, rows int) []float64 {
+	head := make([]float64, rows*8)
+	for r := 0; r < rows; r++ {
+		copy(head[r*8:r*8+8], slab[r*32:r*32+8])
+	}
+	return head
 }
 
 // NewScanMatrix builds a scan searcher directly over a flat feature

@@ -111,7 +111,7 @@ func TestMmapParityAllPaths(t *testing.T) {
 }
 
 // TestMmapParityTiledBatch pins the cache-tiled batch path — including
-// the D=32 vertical cascade with its SSE2 phase kernels on amd64 — and
+// the D=32 vertical cascade with its phase kernels on amd64 — and
 // the mixed-metric SearchBatchMulti against the heap backend bitwise.
 func TestMmapParityTiledBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(911))
@@ -212,13 +212,14 @@ func TestMmapParityShardedScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bufs := mapped.getTileBufs()
 	for _, workers := range []int{2, 5} {
 		n := mapped.Len()
 		merged := newScanState(25)
 		for wkr := 0; wkr < workers; wkr++ {
 			lo, hi := wkr*n/workers, (wkr+1)*n/workers
 			st := newScanState(25)
-			scanRows(mapped.Matrix(), q, kern, lo, hi, &st)
+			mapped.scanRange(q, kern, lo, hi, &st, bufs)
 			for _, r := range st.items {
 				if r.Distance <= merged.bound2 {
 					merged.offer(r.Index, r.Distance)

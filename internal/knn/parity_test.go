@@ -226,6 +226,7 @@ func TestParallelScanParity(t *testing.T) {
 	if !ok {
 		t.Fatal("no kernel for Euclidean")
 	}
+	bufs := scan.getTileBufs()
 	for trial := 0; trial < 5; trial++ {
 		q := data[rng.Intn(len(data))]
 		k := 1 + rng.Intn(80)
@@ -242,7 +243,7 @@ func TestParallelScanParity(t *testing.T) {
 				lo := wkr * n / workers
 				hi := (wkr + 1) * n / workers
 				st := newScanState(k)
-				scanRows(scan.Matrix(), q, kern, lo, hi, &st)
+				scan.scanRange(q, kern, lo, hi, &st, bufs)
 				for _, r := range st.items {
 					if r.Distance <= merged.bound2 {
 						merged.offer(r.Index, r.Distance)
@@ -252,6 +253,119 @@ func TestParallelScanParity(t *testing.T) {
 			got := finishSquared(merged.items, k)
 			if !resultsBitwiseEqual(got, want) {
 				t.Fatalf("trial %d workers %d: sharded scan != naive", trial, workers)
+			}
+		}
+	}
+}
+
+// TestLoneCascadeParity pins the lone-query path — sharded, tiled, phase
+// 1 over the head slab — at D = 32: Search == SearchNaive == the same
+// query inside a SearchBatchMulti batch, with == on every Result, on
+// heap and mmap backends, under GOMAXPROCS 1 and 4. Rows are small
+// integers (every distance is heavily tied), and copies of the first
+// query sit on both sides of every tile boundary and of every shard
+// boundary a 2-, 3- or 4-way split produces, so the (distance, index)
+// tie-break is decided across exactly the seams the cascade introduces.
+func TestLoneCascadeParity(t *testing.T) {
+	const dim = 32
+	rng := rand.New(rand.NewSource(808))
+	// n = 9 is k−1 for k = 10: the candidate list never fills.
+	for _, n := range []int{1, 9, 511, 512, 513, 1023, 2048 + 7, 20000} {
+		data := make([][]float64, n)
+		for i := range data {
+			v := make([]float64, dim)
+			for j := range v {
+				v[j] = float64(rng.Intn(4))
+			}
+			data[i] = v
+		}
+		qs := [][]float64{data[rng.Intn(n)], data[rng.Intn(n)], make([]float64, dim)}
+		for j := range qs[2] {
+			qs[2][j] = float64(rng.Intn(4)) + 0.5 // not in the collection
+		}
+		seams := []int{}
+		for b := DefaultBatchTile; b < n; b += DefaultBatchTile {
+			seams = append(seams, b)
+		}
+		for workers := 2; workers <= 4; workers++ {
+			for w := 1; w < workers; w++ {
+				seams = append(seams, w*n/workers)
+			}
+		}
+		for _, b := range seams {
+			for i := b - 1; i <= b; i++ {
+				if i >= 0 && i < n {
+					data[i] = qs[0]
+				}
+			}
+		}
+		w := make([]float64, dim)
+		wz := make([]float64, dim)
+		for j := range w {
+			w[j] = float64(1 + rng.Intn(3))
+			wz[j] = float64(rng.Intn(3)) // about a third are zero
+		}
+		wz[dim-1] = 1
+		// Zero weights on all of dims [0,8): phase 1 can reject nothing.
+		wh := append(make([]float64, 8), w[8:]...)
+		metrics := []distance.Metric{distance.Euclidean{}}
+		for _, ws := range [][]float64{w, wz, wh} {
+			wm, err := distance.NewWeightedEuclidean(ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			metrics = append(metrics, wm)
+		}
+
+		heap, mapped := mmapTwin(t, data)
+		for _, k := range []int{1, 10, n + 3} {
+			for mi, m := range metrics {
+				// k = 20,003 makes every offer a 20k-long sorted insert: one
+				// metric, two queries, sharded only (n = 2055 covers the rest
+				// of that k).
+				bigK := k > 5000
+				if bigK && mi != 2 {
+					continue
+				}
+				qs := qs
+				if bigK {
+					qs = qs[:2]
+				}
+				want := make([][]Result, len(qs))
+				ms := make([]distance.Metric, len(qs))
+				for qi, q := range qs {
+					var err error
+					if want[qi], err = heap.SearchNaive(q, k, m); err != nil {
+						t.Fatal(err)
+					}
+					ms[qi] = m
+				}
+				for _, procs := range []int{1, 4} {
+					if bigK && procs == 1 {
+						continue
+					}
+					old := runtime.GOMAXPROCS(procs)
+					for si, scan := range []*Scan{heap, mapped} {
+						name := [...]string{"heap", "mmap"}[si]
+						batch, err := scan.SearchBatchMulti(qs, k, ms)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for qi, q := range qs {
+							got, err := scan.Search(q, k, m)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !resultsBitwiseEqual(got, want[qi]) {
+								t.Fatalf("n=%d k=%d %s %s procs=%d query %d: Search != SearchNaive", n, k, m.Name(), name, procs, qi)
+							}
+							if !resultsBitwiseEqual(batch[qi], want[qi]) {
+								t.Fatalf("n=%d k=%d %s %s procs=%d query %d: SearchBatchMulti != SearchNaive", n, k, m.Name(), name, procs, qi)
+							}
+						}
+					}
+					runtime.GOMAXPROCS(old)
+				}
 			}
 		}
 	}

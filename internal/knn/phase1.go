@@ -4,15 +4,16 @@
 // outputs) and the fallback for other architectures.
 package knn
 
-// phase1x32Go accumulates dims [0,8) of every row of slab into the
-// stripe buffers, writing stripes and row ids at the survivor cursor
-// (compacted: a failing row is overwritten by the next), and returns the
-// number of rows whose partial sum is within bound2.
-func phase1x32Go(q, slab []float64, rows int, bound2 float64, s0b, s1b, s2b, s3b []float64, surv []int32) int {
+// phase1x32Go accumulates dims [0,8) of every row into the stripe
+// buffers, writing stripes and row ids at the survivor cursor (compacted:
+// a failing row is overwritten by the next), and returns the number of
+// rows whose partial sum is within bound2. head is the tile's slice of
+// the head slab: row r's first eight dimensions at head[r*8 : r*8+8].
+func phase1x32Go(q, head []float64, rows int, bound2 float64, s0b, s1b, s2b, s3b []float64, surv []int32) int {
 	q = q[:32]
 	c1 := 0
 	for r := 0; r < rows; r++ {
-		row := slab[r*32 : r*32+8 : r*32+8]
+		row := head[r*8 : r*8+8 : r*8+8]
 		d0 := q[0] - row[0]
 		s0 := d0 * d0
 		d1 := q[1] - row[1]
@@ -41,12 +42,12 @@ func phase1x32Go(q, slab []float64, rows int, bound2 float64, s0b, s1b, s2b, s3b
 }
 
 // phase1x32wGo is the weighted counterpart of phase1x32Go.
-func phase1x32wGo(q, w, slab []float64, rows int, bound2 float64, s0b, s1b, s2b, s3b []float64, surv []int32) int {
+func phase1x32wGo(q, w, head []float64, rows int, bound2 float64, s0b, s1b, s2b, s3b []float64, surv []int32) int {
 	q = q[:32]
 	w = w[:32]
 	c1 := 0
 	for r := 0; r < rows; r++ {
-		row := slab[r*32 : r*32+8 : r*32+8]
+		row := head[r*8 : r*8+8 : r*8+8]
 		d0 := q[0] - row[0]
 		s0 := w[0] * d0 * d0
 		d1 := q[1] - row[1]

@@ -9,10 +9,10 @@
 
 #include "textflag.h"
 
-// func phase1x32(q, slab *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int
+// func phase1x32(q, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int
 TEXT ·phase1x32(SB), NOSPLIT, $0-80
 	MOVQ  q+0(FP), SI
-	MOVQ  slab+8(FP), DI
+	MOVQ  head+8(FP), DI
 	MOVQ  rows+16(FP), CX
 	MOVSD bound2+24(FP), X12
 	MOVQ  s0b+32(FP), R8
@@ -73,7 +73,7 @@ loop:
 	MOVBLZX  AX, AX
 	ADDQ     AX, BX
 
-	ADDQ $256, DI // next row (32 dims x 8 bytes)
+	ADDQ $64, DI // next head row (8 dims x 8 bytes)
 	INCQ DX
 	DECQ CX
 	JNZ  loop
@@ -82,11 +82,11 @@ done:
 	MOVQ BX, ret+72(FP)
 	RET
 
-// func phase1x32w(q, w, slab *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int
+// func phase1x32w(q, w, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int
 TEXT ·phase1x32w(SB), NOSPLIT, $0-88
 	MOVQ  q+0(FP), SI
 	MOVQ  w+8(FP), R13
-	MOVQ  slab+16(FP), DI
+	MOVQ  head+16(FP), DI
 	MOVQ  rows+24(FP), CX
 	MOVSD bound2+32(FP), X12
 	MOVQ  s0b+40(FP), R8
@@ -161,7 +161,7 @@ wloop:
 	MOVBLZX  AX, AX
 	ADDQ     AX, BX
 
-	ADDQ $256, DI
+	ADDQ $64, DI
 	INCQ DX
 	DECQ CX
 	JNZ  wloop

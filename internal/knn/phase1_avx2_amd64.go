@@ -10,9 +10,9 @@ import "repro/internal/vec"
 // FMA — its fused rounding would break bitwise parity with the scalar
 // and SSE2 tiers. Selected at init when the CPU supports AVX2.
 
-func phase1x32AVX2(q, slab *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int
+func phase1x32AVX2(q, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int
 
-func phase1x32wAVX2(q, w, slab *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int
+func phase1x32wAVX2(q, w, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int
 
 func phaseNext8AVX2(q8, slab8 *float64, surv *int32, count int, bound2 float64, s0b, s1b, s2b, s3b *float64, rows int) int
 

@@ -9,10 +9,10 @@
 
 #include "textflag.h"
 
-// func phase1x32AVX2(q, slab *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int
+// func phase1x32AVX2(q, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int
 TEXT ·phase1x32AVX2(SB), NOSPLIT, $0-80
 	MOVQ   q+0(FP), SI
-	MOVQ   slab+8(FP), DI
+	MOVQ   head+8(FP), DI
 	MOVQ   rows+16(FP), CX
 	VMOVSD bound2+24(FP), X12
 	MOVQ   s0b+32(FP), R8
@@ -58,7 +58,7 @@ loop:
 	MOVBLZX   AX, AX
 	ADDQ      AX, BX
 
-	ADDQ $256, DI // next row (32 dims x 8 bytes)
+	ADDQ $64, DI // next head row (8 dims x 8 bytes)
 	INCQ DX
 	DECQ CX
 	JNZ  loop
@@ -68,11 +68,11 @@ done:
 	VZEROUPPER
 	RET
 
-// func phase1x32wAVX2(q, w, slab *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int
+// func phase1x32wAVX2(q, w, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int
 TEXT ·phase1x32wAVX2(SB), NOSPLIT, $0-88
 	MOVQ   q+0(FP), SI
 	MOVQ   w+8(FP), R13
-	MOVQ   slab+16(FP), DI
+	MOVQ   head+16(FP), DI
 	MOVQ   rows+24(FP), CX
 	VMOVSD bound2+32(FP), X12
 	MOVQ   s0b+40(FP), R8
@@ -120,7 +120,7 @@ wloop:
 	MOVBLZX   AX, AX
 	ADDQ      AX, BX
 
-	ADDQ $256, DI
+	ADDQ $64, DI
 	INCQ DX
 	DECQ CX
 	JNZ  wloop

@@ -37,6 +37,7 @@ func TestPhaseAVX2Parity(t *testing.T) {
 		for i := range slab {
 			slab[i] = math.Trunc(rng.NormFloat64() * 8) // many exact ties
 		}
+		head := headSlab(slab, rows)
 		q := make([]float64, 32)
 		w := make([]float64, 32)
 		for i := range q {
@@ -56,11 +57,11 @@ func TestPhaseAVX2Parity(t *testing.T) {
 
 		ref, got := mk(rows), mk(rows)
 		if weighted {
-			ref.c = phase1x32wGo(q, w, slab, rows, bound2, ref.s0, ref.s1, ref.s2, ref.s3, ref.surv)
-			got.c = phase1x32wAVX2(&q[0], &w[0], &slab[0], rows, bound2, &got.s0[0], &got.s1[0], &got.s2[0], &got.s3[0], &got.surv[0])
+			ref.c = phase1x32wGo(q, w, head, rows, bound2, ref.s0, ref.s1, ref.s2, ref.s3, ref.surv)
+			got.c = phase1x32wAVX2(&q[0], &w[0], &head[0], rows, bound2, &got.s0[0], &got.s1[0], &got.s2[0], &got.s3[0], &got.surv[0])
 		} else {
-			ref.c = phase1x32Go(q, slab, rows, bound2, ref.s0, ref.s1, ref.s2, ref.s3, ref.surv)
-			got.c = phase1x32AVX2(&q[0], &slab[0], rows, bound2, &got.s0[0], &got.s1[0], &got.s2[0], &got.s3[0], &got.surv[0])
+			ref.c = phase1x32Go(q, head, rows, bound2, ref.s0, ref.s1, ref.s2, ref.s3, ref.surv)
+			got.c = phase1x32AVX2(&q[0], &head[0], rows, bound2, &got.s0[0], &got.s1[0], &got.s2[0], &got.s3[0], &got.surv[0])
 		}
 		check := func(stage string) {
 			t.Helper()

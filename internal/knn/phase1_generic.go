@@ -6,17 +6,17 @@ import "unsafe"
 
 // phase1x32 delegates to the portable Go implementation on architectures
 // without an assembly kernel.
-func phase1x32(q, slab *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int {
+func phase1x32(q, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int {
 	return phase1x32Go(
-		unsafe.Slice(q, 32), unsafe.Slice(slab, rows*32), rows, bound2,
+		unsafe.Slice(q, 32), unsafe.Slice(head, rows*8), rows, bound2,
 		unsafe.Slice(s0b, rows), unsafe.Slice(s1b, rows), unsafe.Slice(s2b, rows), unsafe.Slice(s3b, rows),
 		unsafe.Slice(surv, rows))
 }
 
 // phase1x32w delegates to the portable weighted Go implementation.
-func phase1x32w(q, w, slab *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int {
+func phase1x32w(q, w, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int {
 	return phase1x32wGo(
-		unsafe.Slice(q, 32), unsafe.Slice(w, 32), unsafe.Slice(slab, rows*32), rows, bound2,
+		unsafe.Slice(q, 32), unsafe.Slice(w, 32), unsafe.Slice(head, rows*8), rows, bound2,
 		unsafe.Slice(s0b, rows), unsafe.Slice(s1b, rows), unsafe.Slice(s2b, rows), unsafe.Slice(s3b, rows),
 		unsafe.Slice(surv, rows))
 }

@@ -6,10 +6,12 @@ import (
 	"testing"
 )
 
-// TestPhase1AsmMatchesGo pins the arch-specific phase-1 kernel to the
+// TestPhase1AsmMatchesGo pins the arch-specific phase kernels to the
 // portable Go reference bit for bit: same survivor count, same survivor
-// row ids, same stripe values. On amd64 this exercises the SSE2 routine;
-// elsewhere it is a self-consistency check.
+// row ids, same stripe values — phase 1 at stride 64 over the head slab,
+// the continuation phases gathering from the row-major slab. On amd64
+// this exercises the SSE2 routines; elsewhere it is a self-consistency
+// check.
 func TestPhase1AsmMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -18,6 +20,7 @@ func TestPhase1AsmMatchesGo(t *testing.T) {
 		for i := range slab {
 			slab[i] = rng.NormFloat64()
 		}
+		head := headSlab(slab, rows)
 		q := make([]float64, 32)
 		w := make([]float64, 32)
 		for i := range q {
@@ -55,11 +58,11 @@ func TestPhase1AsmMatchesGo(t *testing.T) {
 				make([]float64, DefaultBatchTile), make([]int32, DefaultBatchTile), 0,
 			}
 			if weighted {
-				ref.c = phase1x32wGo(q, w, slab, rows, bound2, ref.s0, ref.s1, ref.s2, ref.s3, ref.surv)
-				got.c = phase1x32w(&q[0], &w[0], &slab[0], rows, bound2, &got.s0[0], &got.s1[0], &got.s2[0], &got.s3[0], &got.surv[0])
+				ref.c = phase1x32wGo(q, w, head, rows, bound2, ref.s0, ref.s1, ref.s2, ref.s3, ref.surv)
+				got.c = phase1x32w(&q[0], &w[0], &head[0], rows, bound2, &got.s0[0], &got.s1[0], &got.s2[0], &got.s3[0], &got.surv[0])
 			} else {
-				ref.c = phase1x32Go(q, slab, rows, bound2, ref.s0, ref.s1, ref.s2, ref.s3, ref.surv)
-				got.c = phase1x32(&q[0], &slab[0], rows, bound2, &got.s0[0], &got.s1[0], &got.s2[0], &got.s3[0], &got.surv[0])
+				ref.c = phase1x32Go(q, head, rows, bound2, ref.s0, ref.s1, ref.s2, ref.s3, ref.surv)
+				got.c = phase1x32(&q[0], &head[0], rows, bound2, &got.s0[0], &got.s1[0], &got.s2[0], &got.s3[0], &got.surv[0])
 			}
 			if got.c != ref.c {
 				t.Fatalf("trial %d weighted=%v: survivor count %d, want %d", trial, weighted, got.c, ref.c)

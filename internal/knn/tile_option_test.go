@@ -8,33 +8,10 @@ import (
 	"repro/internal/distance"
 )
 
-func TestSetBatchTileValidation(t *testing.T) {
-	s, err := NewScan([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.BatchTile(); got != DefaultBatchTile {
-		t.Fatalf("default batch tile = %d, want %d", got, DefaultBatchTile)
-	}
-	for _, bad := range []int{0, -1, -512} {
-		if err := s.SetBatchTile(bad); err == nil {
-			t.Fatalf("SetBatchTile(%d) accepted, want error", bad)
-		}
-	}
-	if got := s.BatchTile(); got != DefaultBatchTile {
-		t.Fatalf("rejected SetBatchTile changed tile to %d", got)
-	}
-	if err := s.SetBatchTile(64); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.BatchTile(); got != 64 {
-		t.Fatalf("batch tile = %d, want 64", got)
-	}
-}
-
-// TestBatchTileParity asserts SearchBatch results are identical for every
-// tile size — including tiles larger than the collection, non-powers of
-// two, and 1 — at both the D=32 fast path and a generic dimensionality.
+// TestBatchTileParity asserts Search and SearchBatchMulti results are
+// identical for every tile size — including tiles larger than the
+// collection, non-powers of two, and 1 — at both the D=32 cascade and a
+// generic dimensionality. Nothing outside this test sets the tile.
 func TestBatchTileParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, dim := range []int{32, 7} {
@@ -80,15 +57,22 @@ func TestBatchTileParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.SetBatchTile(tile); err != nil {
-				t.Fatal(err)
-			}
+			s.batchTile = tile
 			got, err := s.SearchBatchMulti(qs, 10, ms)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("dim %d tile %d: batch results differ from default tile", dim, tile)
+			}
+			for qi, q := range qs {
+				lone, err := s.Search(q, 10, ms[qi])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(lone, want[qi]) {
+					t.Fatalf("dim %d tile %d query %d: lone Search differs from default-tile batch", dim, tile, qi)
+				}
 			}
 		}
 	}
