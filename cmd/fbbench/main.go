@@ -10,7 +10,7 @@
 //
 // Absolute values depend on the synthetic collection; the shapes — who
 // wins, by roughly what factor, where curves cross — are the reproduction
-// target (see EXPERIMENTS.md).
+// target (the drivers are in internal/experiments).
 package main
 
 import (

@@ -32,7 +32,7 @@
 // histogram extraction, a synthetic categorized image collection, k-NN
 // query processing (an exact kernelized scan and an approximate IVF tier
 // behind one Searcher interface), and the experiment harness reproducing
-// Figures 1 and 9–16 (see DESIGN.md and EXPERIMENTS.md).
+// Figures 1 and 9–16 (see DESIGN.md and internal/experiments).
 package feedbackbypass
 
 import (

@@ -3,7 +3,7 @@
 // interactive engine with FeedbackBypass attached, and provides one driver
 // per figure of the paper (Figures 1 and 9–16). cmd/fbbench prints the
 // resulting series; bench_test.go wraps the drivers as benchmarks;
-// EXPERIMENTS.md records paper-vs-measured shapes.
+// DESIGN.md records the measured shapes.
 package experiments
 
 import (

@@ -109,15 +109,6 @@ func headSlab(slab []float64, rows int) []float64 {
 	return head
 }
 
-// NewScanMatrix builds a scan searcher directly over a flat feature
-// matrix (aliased, not copied).
-func NewScanMatrix(mat *store.FlatMatrix) (*Scan, error) {
-	if mat == nil {
-		return nil, fmt.Errorf("knn: empty collection")
-	}
-	return NewScanBackend(mat)
-}
-
 // Len implements Searcher.
 func (s *Scan) Len() int { return s.mat.Len() }
 
@@ -239,8 +230,9 @@ func (t *TopK) siftDown(i int) {
 }
 
 // Bound returns the current k-th smallest distance, or +Inf semantics via
-// ok=false when fewer than k candidates have been offered. Index pruning
-// in tree searchers uses this radius.
+// ok=false when fewer than k candidates have been offered. The IVF
+// probe, shortlist and rerank loops (internal/ann/ivf.go) feed it back
+// as their early-abandon bound.
 func (t *TopK) Bound() (float64, bool) {
 	if len(t.h) < t.k {
 		return 0, false
@@ -274,18 +266,6 @@ func SortResults(rs []Result) {
 		return 0
 	})
 }
-
-// Items returns the retained candidates in internal heap order — an
-// unsorted copy used by the parallel-scan merge, which re-ranks across
-// shards anyway.
-func (t *TopK) Items() []Result {
-	out := make([]Result, len(t.h))
-	copy(out, t.h)
-	return out
-}
-
-// K returns the accumulator's capacity.
-func (t *TopK) K() int { return t.k }
 
 // worse reports whether a is strictly worse (farther, then higher index)
 // than b.

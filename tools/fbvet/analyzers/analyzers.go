@@ -1,23 +1,18 @@
 // Package analyzers is the registry of the fbvet suite: the five
-// repo-native invariant analyzers plus the upstream x/tools passes the
-// repo runs through the same vettool (copylocks — a by-value copy of a
-// struct holding one of our RWMutexes silently forks the lock — plus
-// atomic and lostcancel). nilness is deliberately absent: it requires
-// go/ssa, which is outside the vendored golang.org/x/tools subset; see
-// the dependency policy in DESIGN.md.
+// repo-native invariant analyzers. The general-purpose passes that
+// matter here (copylocks — a by-value copy of a struct holding one of
+// our RWMutexes silently forks the lock — plus atomic and lostcancel)
+// are not bundled: they are in the default set of plain `go vet ./...`,
+// which CI runs in the step before fbvet.
 package analyzers
 
 import (
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/atomic"
-	"golang.org/x/tools/go/analysis/passes/copylock"
-	"golang.org/x/tools/go/analysis/passes/lostcancel"
-
 	"repro/tools/fbvet/analyzers/errgate"
 	"repro/tools/fbvet/analyzers/fsseam"
 	"repro/tools/fbvet/analyzers/kernelpurity"
 	"repro/tools/fbvet/analyzers/lockdiscipline"
 	"repro/tools/fbvet/analyzers/sentinelwrap"
+	"repro/tools/fbvet/internal/analysis"
 )
 
 // All returns the full fbvet suite in a stable order.
@@ -28,8 +23,5 @@ func All() []*analysis.Analyzer {
 		sentinelwrap.Analyzer,
 		lockdiscipline.Analyzer,
 		errgate.Analyzer,
-		copylock.Analyzer,
-		atomic.Analyzer,
-		lostcancel.Analyzer,
 	}
 }

@@ -1,7 +1,7 @@
-// Package errgate is the go/analysis port of the standalone
-// tools/errgate walker: it fails the build when a call whose name
-// promises an I/O error (Close, Sync, Remove, ...) is used as a bare
-// statement, silently discarding that error. The persistence layer is
+// Package errgate is the typed port of the standalone tools/errgate
+// walker: it fails the build when a call whose name promises an I/O
+// error (Close, Sync, Remove, ...) is used as a bare statement,
+// silently discarding that error. The persistence layer is
 // exactly where a swallowed error turns into acknowledged-insert loss —
 // a Sync whose failure nobody sees is a durability lie.
 //
@@ -19,11 +19,8 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"repro/tools/fbvet/analyzers/internal/lint"
+	"repro/tools/fbvet/internal/analysis"
 )
 
 // risky holds method/function names that, on every I/O-bearing type in
@@ -50,16 +47,13 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "forbid bare-statement calls that discard an I/O error " +
 		"(Close/Sync/Remove/...); spell intentional discards `_ = ...` " +
 		"or waive with //fbvet:ok",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Run: run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	in := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
+func run(pass *analysis.Pass) {
 	waivers := lint.CollectWaivers(pass)
 
-	in.Preorder([]ast.Node{(*ast.ExprStmt)(nil)}, func(n ast.Node) {
-		stmt := n.(*ast.ExprStmt)
+	analysis.Walk(pass, func(stmt *ast.ExprStmt, _ []ast.Node) {
 		call, ok := stmt.X.(*ast.CallExpr)
 		if !ok {
 			return
@@ -77,7 +71,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		callee := lint.ExprString(sel)
 		pass.Reportf(stmt.Pos(), "result of %s() is discarded; use `_ = %s()` or add //fbvet:ok <reason>", callee, callee)
 	})
-	return nil, nil
 }
 
 // returnsError reports whether any result of the call is an error. When

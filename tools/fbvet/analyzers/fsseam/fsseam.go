@@ -16,12 +16,8 @@ package fsseam
 import (
 	"go/ast"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"repro/tools/fbvet/analyzers/internal/lint"
+	"repro/tools/fbvet/internal/analysis"
 )
 
 // Domains are the package subtrees whose filesystem access must flow
@@ -59,40 +55,32 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "forbid direct os filesystem calls in the persistence domains; " +
 		"all I/O must flow through the persist.FS seam so faultfs crash " +
 		"schedules stay exhaustive",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Run: run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *analysis.Pass) {
 	if !lint.Scoped(pass, Domains...) {
-		return nil, nil
+		return
 	}
-	in := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	waivers := lint.CollectWaivers(pass)
 
-	in.WithStack([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return true
-		}
-		call := n.(*ast.CallExpr)
-		fn := typeutil.StaticCallee(pass.TypesInfo, call)
+	analysis.Walk(pass, func(call *ast.CallExpr, stack []ast.Node) {
+		fn := analysis.StaticCallee(pass.TypesInfo, call)
 		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "os" || !forbidden[fn.Name()] {
-			return true
+			return
 		}
 		if lint.InTestFile(pass, call.Pos()) || waivers.Waived(call.Pos()) {
-			return true
+			return
 		}
 		// The osFS methods in internal/persist are the seam's bottom:
 		// the one place direct os calls are the point.
 		for _, anc := range stack {
 			if fd, ok := anc.(*ast.FuncDecl); ok && lint.ReceiverTypeName(fd) == "osFS" {
-				return true
+				return
 			}
 		}
 		pass.Reportf(call.Pos(),
 			"direct os.%s bypasses the persist.FS seam (route through persist.FS so faultfs crash schedules cover it, or waive with //fbvet:ok <reason>)",
 			fn.Name())
-		return true
 	})
-	return nil, nil
 }

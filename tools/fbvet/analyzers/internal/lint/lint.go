@@ -14,7 +14,7 @@ import (
 	"go/token"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
+	"repro/tools/fbvet/internal/analysis"
 )
 
 // Marker is the waiver comment marker.
@@ -26,11 +26,7 @@ const Marker = "fbvet:ok"
 // testdata get paths like "fixture/internal/persist" so the same gate
 // applies to them.
 func Scoped(pass *analysis.Pass, domains ...string) bool {
-	return PathScoped(pass.Pkg.Path(), domains...)
-}
-
-// PathScoped is Scoped over a raw import path.
-func PathScoped(pkgPath string, domains ...string) bool {
+	pkgPath := pass.Pkg.Path()
 	for _, d := range domains {
 		if pkgPath == d || strings.HasSuffix(pkgPath, "/"+d) ||
 			strings.Contains(pkgPath+"/", "/"+d+"/") {
@@ -47,29 +43,28 @@ func InTestFile(pass *analysis.Pass, pos token.Pos) bool {
 	return strings.HasSuffix(pass.Fset.Position(pos).Filename, "_test.go")
 }
 
-// Waivers records, per file line, which waiver markers appear there.
+// Waivers records which file lines carry a waiver marker.
 type Waivers struct {
 	fset  *token.FileSet
-	lines map[string]map[int]bool // filename -> line -> waived
+	lines map[fileLine]bool
+}
+
+type fileLine struct {
+	file string
+	line int
 }
 
 // CollectWaivers scans every comment in the package for Marker and
 // records the lines it annotates.
 func CollectWaivers(pass *analysis.Pass) *Waivers {
-	w := &Waivers{fset: pass.Fset, lines: make(map[string]map[int]bool)}
+	w := &Waivers{fset: pass.Fset, lines: make(map[fileLine]bool)}
 	for _, f := range pass.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.Contains(c.Text, Marker) {
-					continue
+				if strings.Contains(c.Text, Marker) {
+					p := pass.Fset.Position(c.Pos())
+					w.lines[fileLine{p.Filename, p.Line}] = true
 				}
-				p := pass.Fset.Position(c.Pos())
-				m := w.lines[p.Filename]
-				if m == nil {
-					m = make(map[int]bool)
-					w.lines[p.Filename] = m
-				}
-				m[p.Line] = true
 			}
 		}
 	}
@@ -81,11 +76,7 @@ func CollectWaivers(pass *analysis.Pass) *Waivers {
 // standalone comment, for lines too long to carry a trailer).
 func (w *Waivers) Waived(pos token.Pos) bool {
 	p := w.fset.Position(pos)
-	m := w.lines[p.Filename]
-	if m == nil {
-		return false
-	}
-	return m[p.Line] || m[p.Line-1]
+	return w.lines[fileLine{p.Filename, p.Line}] || w.lines[fileLine{p.Filename, p.Line - 1}]
 }
 
 // ReceiverTypeName returns the base type name of a FuncDecl's receiver

@@ -23,12 +23,8 @@ import (
 	"go/types"
 	"strconv"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"repro/tools/fbvet/analyzers/internal/lint"
+	"repro/tools/fbvet/internal/analysis"
 )
 
 // Domains are the bitwise-pinned kernel packages.
@@ -59,22 +55,21 @@ var Analyzer = &analysis.Analyzer{
 	Name: "kernelpurity",
 	Doc: "forbid math.FMA, math/rand, time.Now and map-ordered iteration " +
 		"in the bitwise-pinned kernel packages",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Run: run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *analysis.Pass) {
 	if !lint.Scoped(pass, Domains...) {
-		return nil, nil
+		return
 	}
-	in := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	waivers := lint.CollectWaivers(pass)
 
-	in.Preorder([]ast.Node{
-		(*ast.ImportSpec)(nil),
-		(*ast.CallExpr)(nil),
-		(*ast.RangeStmt)(nil),
-	}, func(n ast.Node) {
+	analysis.Walk(pass, func(n ast.Node, _ []ast.Node) {
+		switch n.(type) {
+		case *ast.ImportSpec, *ast.CallExpr, *ast.RangeStmt:
+		default:
+			return
+		}
 		if lint.InTestFile(pass, n.Pos()) || waivers.Waived(n.Pos()) {
 			return
 		}
@@ -88,7 +83,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				pass.Reportf(n.Pos(), "import %s is forbidden in kernel packages: %s (//fbvet:ok <reason> to waive)", path, reason)
 			}
 		case *ast.CallExpr:
-			fn := typeutil.StaticCallee(pass.TypesInfo, n)
+			fn := analysis.StaticCallee(pass.TypesInfo, n)
 			if fn == nil || fn.Pkg() == nil {
 				return
 			}
@@ -105,5 +100,4 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 		}
 	})
-	return nil, nil
 }

@@ -26,20 +26,15 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"repro/tools/fbvet/analyzers/internal/lint"
+	"repro/tools/fbvet/internal/analysis"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockdiscipline",
 	Doc: "enforce RLock-region purity (no file I/O or channel sends under a " +
 		"read lock) and Lock/Unlock pairing-and-kind matching within a function",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Run: run,
 }
 
 // ioNames are method names that promise blocking file I/O on every
@@ -59,15 +54,12 @@ type mutexOp struct {
 	key      string // rendered receiver expression, e.g. "db.mu"
 	name     string // Lock, Unlock, RLock, RUnlock, TryLock, TryRLock
 	deferred bool
-	pos      ast.Node
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	in := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
+func run(pass *analysis.Pass) {
 	waivers := lint.CollectWaivers(pass)
 
-	in.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
+	analysis.Walk(pass, func(fd *ast.FuncDecl, _ []ast.Node) {
 		if fd.Body == nil || lint.InTestFile(pass, fd.Pos()) {
 			return
 		}
@@ -75,14 +67,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	})
 
 	// Region purity is a per-statement-list property; walk every list.
-	in.Preorder([]ast.Node{
-		(*ast.BlockStmt)(nil),
-		(*ast.CaseClause)(nil),
-		(*ast.CommClause)(nil),
-	}, func(n ast.Node) {
-		if lint.InTestFile(pass, n.Pos()) {
-			return
-		}
+	analysis.Walk(pass, func(n ast.Node, _ []ast.Node) {
 		switch n := n.(type) {
 		case *ast.BlockStmt:
 			checkRLockRegion(pass, n.List, waivers)
@@ -92,7 +77,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			checkRLockRegion(pass, n.Body, waivers)
 		}
 	})
-	return nil, nil
 }
 
 // syncMutexOp resolves call to a sync.Mutex/sync.RWMutex method and
@@ -102,13 +86,13 @@ func syncMutexOp(info *types.Info, call *ast.CallExpr) (mutexOp, bool) {
 	if !ok {
 		return mutexOp{}, false
 	}
-	fn := typeutil.StaticCallee(info, call)
+	fn := analysis.StaticCallee(info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return mutexOp{}, false
 	}
 	switch fn.Name() {
 	case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock":
-		return mutexOp{key: lint.ExprString(sel.X), name: fn.Name(), pos: call}, true
+		return mutexOp{key: lint.ExprString(sel.X), name: fn.Name()}, true
 	}
 	return mutexOp{}, false
 }
@@ -121,14 +105,6 @@ func checkPairing(pass *analysis.Pass, fd *ast.FuncDecl, waivers *lint.Waivers) 
 		firstLock, firstRLock        ast.Node
 	}
 	tallies := map[string]*tally{}
-	get := func(key string) *tally {
-		t := tallies[key]
-		if t == nil {
-			t = &tally{}
-			tallies[key] = t
-		}
-		return t
-	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -138,7 +114,11 @@ func checkPairing(pass *analysis.Pass, fd *ast.FuncDecl, waivers *lint.Waivers) 
 		if !ok {
 			return true
 		}
-		t := get(op.key)
+		t := tallies[op.key]
+		if t == nil {
+			t = &tally{}
+			tallies[op.key] = t
+		}
 		switch op.name {
 		case "Lock":
 			t.lock++
@@ -186,6 +166,9 @@ func checkPairing(pass *analysis.Pass, fd *ast.FuncDecl, waivers *lint.Waivers) 
 // ExprStmt `k.RLock()` and closes at an ExprStmt `k.RUnlock()`; a
 // `defer k.RUnlock()` keeps the region open to the end of the list.
 func checkRLockRegion(pass *analysis.Pass, stmts []ast.Stmt, waivers *lint.Waivers) {
+	if len(stmts) == 0 || lint.InTestFile(pass, stmts[0].Pos()) {
+		return
+	}
 	held := map[string]bool{}
 	for _, s := range stmts {
 		if op, ok := stmtMutexOp(pass.TypesInfo, s); ok {
@@ -194,11 +177,9 @@ func checkRLockRegion(pass *analysis.Pass, stmts []ast.Stmt, waivers *lint.Waive
 				held[op.key] = true
 				continue
 			case "RUnlock":
-				if !op.deferred {
+				if !op.deferred { // a deferred RUnlock keeps the region open
 					delete(held, op.key)
-					continue
 				}
-				// defer RUnlock: region stays open; the defer itself is fine.
 				continue
 			}
 		}
@@ -241,7 +222,7 @@ func reportBlockingOps(pass *analysis.Pass, s ast.Stmt, waivers *lint.Waivers) {
 			if !ok {
 				return true
 			}
-			if fn := typeutil.StaticCallee(pass.TypesInfo, n); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "os" {
+			if fn := analysis.StaticCallee(pass.TypesInfo, n); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "os" {
 				if !waivers.Waived(n.Pos()) {
 					pass.Reportf(n.Pos(), "os.%s while holding an RLock blocks every reader on disk latency; move the I/O outside the read-locked region (//fbvet:ok <reason> to waive)", fn.Name())
 				}

@@ -18,12 +18,8 @@ import (
 	"go/constant"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"repro/tools/fbvet/analyzers/internal/lint"
+	"repro/tools/fbvet/internal/analysis"
 )
 
 // Domains are the packages whose errors must stay errors.Is-able.
@@ -40,15 +36,13 @@ var Analyzer = &analysis.Analyzer{
 	Name: "sentinelwrap",
 	Doc: "errors passed to fmt.Errorf in the sentinel-bearing packages " +
 		"must use %w (not %v/%s or err.Error()) so errors.Is keeps working",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Run: run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *analysis.Pass) {
 	if !lint.Scoped(pass, Domains...) {
-		return nil, nil
+		return
 	}
-	in := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	waivers := lint.CollectWaivers(pass)
 	errIface := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
@@ -57,9 +51,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		return t != nil && types.Implements(t, errIface)
 	}
 
-	in.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
-		call := n.(*ast.CallExpr)
-		fn := typeutil.StaticCallee(pass.TypesInfo, call)
+	analysis.Walk(pass, func(call *ast.CallExpr, _ []ast.Node) {
+		fn := analysis.StaticCallee(pass.TypesInfo, call)
 		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" || fn.Name() != "Errorf" {
 			return
 		}
@@ -98,7 +91,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 		}
 	})
-	return nil, nil
 }
 
 // parseVerbs returns, in argument order, the verb rune that consumes

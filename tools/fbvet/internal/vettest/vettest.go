@@ -1,12 +1,9 @@
-// Package vettest is the fixture harness for the fbvet analyzers — a
-// self-contained analogue of golang.org/x/tools/go/analysis/analysistest
-// honoring the same `// want "regexp"` convention. The real analysistest
-// depends on go/packages, which sits outside the vendored x/tools
-// subset (see the dependency policy in DESIGN.md), so this harness
-// drives the pass itself: it parses a fixture directory as one package,
-// type-checks it against the standard library via the source importer,
-// runs the analyzer's Requires closure, and diffs reported diagnostics
-// against the fixture's expectations line by line.
+// Package vettest is the fixture harness for the fbvet analyzers,
+// honoring the `// want "regexp"` convention of x/tools' analysistest:
+// it type-checks a fixture directory as one package against the
+// standard library via the source importer, runs the analyzer, and
+// diffs reported diagnostics against the fixture's expectations line by
+// line.
 //
 // Expectation syntax: a comment `// want "rx"` (one or more Go-quoted
 // or backquoted regexps) expects, on its own line, one diagnostic
@@ -15,21 +12,17 @@
 package vettest
 
 import (
-	"fmt"
-	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"repro/tools/fbvet/internal/analysis"
 )
 
 // Pkg names one fixture package: the directory holding its .go files
@@ -41,191 +34,69 @@ type Pkg struct {
 	Path string
 }
 
+type expectation struct {
+	file    string
+	line    int
+	rx      *regexp.Regexp
+	matched bool
+}
+
+var (
+	wantRe   = regexp.MustCompile(`// want (.*)$`)
+	quotedRe = regexp.MustCompile("\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`")
+)
+
 // Run loads the fixture package, applies the analyzer, and reports any
 // mismatch between diagnostics and `// want` expectations on t.
 func Run(t *testing.T, a *analysis.Analyzer, pkg Pkg) {
 	t.Helper()
 
+	filenames, err := filepath.Glob(filepath.Join(pkg.Dir, "*.go"))
+	if err != nil || len(filenames) == 0 {
+		t.Fatalf("no fixture files in %s (%v)", pkg.Dir, err)
+	}
+	var wants []*expectation
+	for _, name := range filenames {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, text := range strings.Split(string(src), "\n") {
+			m := wantRe.FindStringSubmatch(text)
+			if m == nil {
+				continue
+			}
+			for _, q := range quotedRe.FindAllString(m[1], -1) {
+				pattern, err := strconv.Unquote(q)
+				if err != nil {
+					t.Fatalf("%s:%d: bad want string %s: %v", name, i+1, q, err)
+				}
+				wants = append(wants, &expectation{file: name, line: i + 1, rx: regexp.MustCompile(pattern)})
+			}
+		}
+	}
+
 	fset := token.NewFileSet()
-	entries, err := os.ReadDir(pkg.Dir)
+	conf := &types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	diags, err := analysis.Check(conf, fset, pkg.Path, filenames, a)
 	if err != nil {
-		t.Fatalf("reading fixture dir: %v", err)
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(pkg.Dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parsing fixture: %v", err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		t.Fatalf("no fixture files in %s", pkg.Dir)
+		t.Fatalf("loading fixture: %v", err)
 	}
 
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	tpkg, err := conf.Check(pkg.Path, fset, files, info)
-	if err != nil {
-		t.Fatalf("type-checking fixture: %v", err)
-	}
-
-	var diags []analysis.Diagnostic
-	results := make(map[*analysis.Analyzer]interface{})
-	var run func(x *analysis.Analyzer) error
-	run = func(x *analysis.Analyzer) error {
-		if _, done := results[x]; done {
-			return nil
-		}
-		for _, dep := range x.Requires {
-			if err := run(dep); err != nil {
-				return err
-			}
-		}
-		pass := &analysis.Pass{
-			Analyzer:   x,
-			Fset:       fset,
-			Files:      files,
-			Pkg:        tpkg,
-			TypesInfo:  info,
-			TypesSizes: types.SizesFor("gc", "amd64"),
-			ResultOf:   results,
-			Module:     &analysis.Module{Path: "fixture"},
-			Report: func(d analysis.Diagnostic) {
-				if x == a {
-					diags = append(diags, d)
-				}
-			},
-			ReadFile:          os.ReadFile,
-			ImportObjectFact:  func(types.Object, analysis.Fact) bool { return false },
-			ImportPackageFact: func(*types.Package, analysis.Fact) bool { return false },
-			ExportObjectFact:  func(types.Object, analysis.Fact) {},
-			ExportPackageFact: func(analysis.Fact) {},
-			AllObjectFacts:    func() []analysis.ObjectFact { return nil },
-			AllPackageFacts:   func() []analysis.PackageFact { return nil },
-		}
-		res, err := x.Run(pass)
-		if err != nil {
-			return fmt.Errorf("%s: %w", x.Name, err)
-		}
-		results[x] = res
-		return nil
-	}
-	if err := run(a); err != nil {
-		t.Fatalf("running analyzer: %v", err)
-	}
-
-	checkExpectations(t, fset, files, diags)
-}
-
-type expectation struct {
-	rx      *regexp.Regexp
-	matched bool
-}
-
-var wantRe = regexp.MustCompile(`// want (.*)$`)
-
-// checkExpectations diffs diagnostics against `// want` comments.
-func checkExpectations(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
-	t.Helper()
-
-	wants := make(map[string][]*expectation) // "file:line" -> expectations
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := wantRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-				for _, q := range tokenizeQuoted(m[1]) {
-					rx, err := regexp.Compile(q)
-					if err != nil {
-						t.Fatalf("%s: bad want regexp %q: %v", key, q, err)
-					}
-					wants[key] = append(wants[key], &expectation{rx: rx})
-				}
-			}
-		}
-	}
-
+diags:
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
-		key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-		found := false
-		for _, w := range wants[key] {
-			if !w.matched && w.rx.MatchString(d.Message) {
+		for _, w := range wants {
+			if !w.matched && w.file == pos.Filename && w.line == pos.Line && w.rx.MatchString(d.Message) {
 				w.matched = true
-				found = true
-				break
+				continue diags
 			}
 		}
-		if !found {
-			t.Errorf("%s: unexpected diagnostic: %s", key, d.Message)
+		t.Errorf("%s:%d: unexpected diagnostic: %s", pos.Filename, pos.Line, d.Message)
+	}
+	for _, w := range wants {
+		if !w.matched {
+			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.rx)
 		}
 	}
-
-	var keys []string
-	for k := range wants {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		for _, w := range wants[k] {
-			if !w.matched {
-				t.Errorf("%s: expected diagnostic matching %q, got none", k, w.rx)
-			}
-		}
-	}
-}
-
-// tokenizeQuoted splits `"rx1" "rx2"` / backquoted segments out of a
-// want comment's payload.
-func tokenizeQuoted(s string) []string {
-	var out []string
-	s = strings.TrimSpace(s)
-	for s != "" {
-		switch s[0] {
-		case '"':
-			end := 1
-			for end < len(s) {
-				if s[end] == '\\' {
-					end += 2
-					continue
-				}
-				if s[end] == '"' {
-					break
-				}
-				end++
-			}
-			if end >= len(s) {
-				return out
-			}
-			if q, err := strconv.Unquote(s[:end+1]); err == nil {
-				out = append(out, q)
-			}
-			s = strings.TrimSpace(s[end+1:])
-		case '`':
-			end := strings.IndexByte(s[1:], '`')
-			if end < 0 {
-				return out
-			}
-			out = append(out, s[1:end+1])
-			s = strings.TrimSpace(s[end+2:])
-		default:
-			return out
-		}
-	}
-	return out
 }

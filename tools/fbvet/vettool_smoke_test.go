@@ -137,3 +137,49 @@ func Drop(f *os.File) {
 		t.Fatalf("go vet flagged waivered lines: %v\n%s", err, out)
 	}
 }
+
+// TestPlainVetOwnsUpstreamPasses pins the reason fbvet bundles no
+// general-purpose pass: copylocks and lostcancel are in the default set
+// of plain `go vet`, the CI step before fbvet, so a forked RWMutex or a
+// dropped cancel func still fails the build without this tool.
+func TestPlainVetOwnsUpstreamPasses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("invokes the go toolchain")
+	}
+	dir := scratchModule(t, map[string]string{
+		"internal/service/bad.go": `package service
+
+import (
+	"context"
+	"sync"
+)
+
+type Cache struct {
+	mu sync.RWMutex
+	n  int
+}
+
+func Fork(c *Cache) int {
+	d := *c
+	return d.n
+}
+
+func Leak(ctx context.Context) context.Context {
+	ctx, _ = context.WithCancel(ctx)
+	return ctx
+}
+`,
+	})
+	cmd := exec.Command("go", "vet", "./...")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("plain go vet passed over a copied lock and a lost cancel; output:\n%s", out)
+	}
+	if !strings.Contains(string(out), "assignment copies lock value") {
+		t.Errorf("missing copylocks diagnostic in output:\n%s", out)
+	}
+	if !strings.Contains(string(out), "cancel function returned by context.WithCancel should be called") {
+		t.Errorf("missing lostcancel diagnostic in output:\n%s", out)
+	}
+}
