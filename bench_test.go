@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -597,12 +598,27 @@ func BenchmarkKNNScanSingle(b *testing.B) {
 // metric — the shape of every post-feedback retrieval in the loop — at
 // paper scale and at the 97,910 rows of the bench/ `bigscan` workload
 // (fbserve -scale 10, k = 10), so the lone-query cost there is readable
-// without the HTTP harness.
+// without the HTTP harness. The collection is stored category by
+// category, which is what lets the scan skip whole tiles; "shuffled" is
+// the same rows and queries in a seeded random order, where no tile box
+// excludes anything.
 func BenchmarkKNNScanWeighted(b *testing.B) {
-	for _, c := range []struct{ scale, k int }{{1, 50}, {10, 10}} {
-		b.Run(fmt.Sprintf("scale=%d/k=%d", c.scale, c.k), func(b *testing.B) {
+	for _, c := range []struct {
+		scale, k int
+		shuffled bool
+	}{{1, 50, false}, {10, 10, false}, {10, 10, true}} {
+		name := fmt.Sprintf("scale=%d/k=%d", c.scale, c.k)
+		if c.shuffled {
+			name += "/shuffled"
+		}
+		b.Run(name, func(b *testing.B) {
 			data := benchCollection(b, c.scale*paperScaleN)
-			scan, err := knn.NewScan(data)
+			rows := data
+			if c.shuffled {
+				rows = slices.Clone(data)
+				rand.New(rand.NewSource(1)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+			}
+			scan, err := knn.NewScan(rows)
 			if err != nil {
 				b.Fatal(err)
 			}

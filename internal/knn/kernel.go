@@ -7,7 +7,9 @@
 // exceeds the current k-th best, and takes one square root per *reported
 // result*. At D = 32 lone and batched queries alike run the phased tile
 // cascade (scanTile32), whose first phase streams the dimension-blocked
-// head slab instead of the full rows. Batches additionally share each
+// head slab instead of the full rows, and which skips a whole tile whose
+// bounding box is provably beyond the k-th best — a bound the shards of a
+// lone Search share. Batches additionally share each
 // L2-sized row block across every query in the batch. The parity property
 // tests assert every path returns []Result identical to the generic path.
 package knn
@@ -17,6 +19,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/distance"
 )
@@ -55,10 +58,46 @@ type scanState struct {
 	k      int
 	items  []Result // ascending by (squared distance, index)
 	bound2 float64
+	// shared is the bound every shard of one sharded Search prunes
+	// against; nil on the unsharded and batch paths.
+	shared *sharedBound
 }
 
 func newScanState(k int) scanState {
 	return scanState{k: k, items: make([]Result, 0, k), bound2: math.Inf(1)}
+}
+
+// live returns the squared distance a row must not exceed to matter: the
+// local k-th best, or, in a sharded Search, the lowest k-th best any shard
+// has published (publishing the local one first if it is lower).
+func (st *scanState) live() float64 {
+	if st.shared == nil {
+		return st.bound2
+	}
+	return st.shared.lower(st.bound2)
+}
+
+// sharedBound holds, as float64 bits, the lowest k-th-best squared
+// distance any shard of one Search has reached. A shard that reached b
+// holds k rows within b, so a row of any shard beyond b is strictly worse
+// than k others and cannot be in the result: pruning against the shared
+// bound is exact, and rows exactly on it are kept for the index
+// tie-break.
+type sharedBound struct{ bits atomic.Uint64 }
+
+// lower publishes local if it is below the shared bound (a CAS-min) and
+// returns the resulting minimum. An unfilled shard's +Inf publishes
+// nothing.
+func (b *sharedBound) lower(local float64) float64 {
+	for {
+		old := b.bits.Load()
+		if cur := math.Float64frombits(old); cur <= local {
+			return cur
+		}
+		if b.bits.CompareAndSwap(old, math.Float64bits(local)) {
+			return local
+		}
+	}
 }
 
 // offer inserts a candidate with squared distance d2, keeping items
@@ -110,25 +149,37 @@ func (s *Scan) searchKernel(q []float64, k int, kern distance.Kernel) []Result {
 		return finishSquared(st.items, k)
 	}
 	// Contiguous shards keep each worker on one linear slab of the store.
+	// The workers' WaitGroup and shared bound are one allocation.
 	states := make([]scanState, workers)
-	var wg sync.WaitGroup
+	var g struct {
+		wg    sync.WaitGroup
+		bound sharedBound
+	}
+	g.bound.bits.Store(math.Float64bits(math.Inf(1)))
 	for w := 0; w < workers; w++ {
 		lo := w * n / workers
 		hi := (w + 1) * n / workers
-		wg.Add(1)
+		g.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer g.wg.Done()
 			states[w] = newScanState(k)
+			states[w].shared = &g.bound
 			bufs := s.getTileBufs()
 			s.scanRange(q, kern, lo, hi, &states[w], bufs)
 			putTileBufs(bufs)
 		}()
 	}
-	wg.Wait()
-	// Deterministic merge: the union of per-shard candidates is re-ranked
-	// under the same (distance, index) total order regardless of worker
-	// completion order; shard boundaries are pure functions of (n,
-	// workers), so repeated runs see identical candidate sets.
+	g.wg.Wait()
+	return mergeShards(states, k)
+}
+
+// mergeShards is the deterministic merge: the union of per-shard
+// candidates is re-ranked under the same (distance, index) total order
+// regardless of worker completion order. Results are identical run to
+// run, but per-shard candidate sets now depend on timing: how much of its
+// shard a worker prunes depends on when the others published their
+// bounds.
+func mergeShards(states []scanState, k int) []Result {
 	merged := newScanState(k)
 	for w := range states {
 		for _, r := range states[w].items {
@@ -144,16 +195,19 @@ func (s *Scan) searchKernel(q []float64, k int, kern distance.Kernel) []Result {
 // state holds squared distances, whose (value, index) order matches the
 // true-distance order because x ↦ √x is monotone. Dimensionality 32 (the
 // paper's histogram width, the only one with a head slab) runs the phased
-// cascade tile by tile through bufs; other dimensionalities go through
-// the canonical vec-backed kernel, so every path produces sums bitwise
+// cascade tile by tile through bufs, on tile-aligned boundaries so each
+// block lies inside one tile box; other dimensionalities go through the
+// canonical vec-backed kernel, so every path produces sums bitwise
 // identical to the naive Metric implementations. The two differ only in
 // how much of a doomed row is read, never in a surviving sum.
 func (s *Scan) scanRange(q []float64, kern distance.Kernel, lo, hi int, st *scanState, bufs *tileBufs) {
 	if s.head != nil {
 		w := kern.Weights()
 		tile := s.tile()
-		for blockLo := lo; blockLo < hi; blockLo += tile {
-			s.scanTile32(q, w, blockLo, min(blockLo+tile, hi), st, bufs)
+		for blockLo := lo; blockLo < hi; {
+			blockHi := min((blockLo/tile+1)*tile, hi)
+			s.scanTile32(q, w, blockLo, blockHi, st, bufs)
+			blockLo = blockHi
 		}
 		return
 	}
@@ -348,11 +402,20 @@ func (s *Scan) scanBatchTiled(qs [][]float64, k int, kerns []distance.Kernel, ou
 // Filtering against the tile-entry bound (always ≥ the live bound) can
 // only keep extra candidates, never drop one a sequential scan would
 // keep — the final live-bound check restores exactness.
+//
+// Before phase 1 the whole block is skipped when its tile box is
+// provably beyond the live bound: boxBound2 is ≤ every row's kernel sum
+// bitwise, so a strictly greater bound means no row in the tile can be
+// offered. Equality must not skip: a row on the bound may still win the
+// index tie-break against another shard's k-th candidate.
 func (s *Scan) scanTile32(q, w []float64, blockLo, blockHi int, st *scanState, b *tileBufs) {
+	bound2 := st.live()
+	if box := s.tileBox(blockLo, blockHi); box != nil && boxBound2(q, w, box) > bound2 {
+		return
+	}
 	rows := blockHi - blockLo
 	head := s.head[blockLo*8 : blockHi*8]
 	slab := s.mat.Slab(blockLo, blockHi)
-	bound2 := st.bound2
 	q = q[:32]
 	s0b, s1b, s2b, s3b := b.s0, b.s1, b.s2, b.s3
 	surv := b.surv
@@ -372,7 +435,55 @@ func (s *Scan) scanTile32(q, w []float64, blockLo, blockHi int, st *scanState, b
 	for j := 0; j < c; j++ {
 		if sum := (s0b[j] + s1b[j]) + (s2b[j] + s3b[j]); sum <= bound2 {
 			st.offer(blockLo+int(surv[j]), sum)
-			bound2 = st.bound2
+			bound2 = st.live()
 		}
 	}
+}
+
+// tileBox returns the bounding box of the DefaultBatchTile-row tile
+// holding rows [lo, hi) — a superset box for a partial block, which only
+// loosens the bound — or nil when the rows span two tiles (only the
+// tile-size parity test's block sizes do).
+func (s *Scan) tileBox(lo, hi int) []float64 {
+	t := lo / DefaultBatchTile
+	if (hi-1)/DefaultBatchTile != t {
+		return nil
+	}
+	return s.boxes[t*64 : t*64+64 : t*64+64]
+}
+
+// unitWeights makes the unweighted bound the weighted one: (1·g)·g is
+// g·g exactly.
+var unitWeights = [32]float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
+
+// boxBound2 returns a lower bound on the squared distance from q to every
+// row inside box (32 minima then 32 maxima; w == nil: unweighted). Per
+// dimension the gap g from q to [lo, hi] (0 inside) enters the stripe
+// accumulation exactly where a row's difference d does — dim i into
+// stripe i%4, as (w·g)·g, reduced (s0+s1)+(s2+s3) — so the bound holds
+// bitwise, not just in real arithmetic: |g| ≤ |d| survives rounding
+// because subtraction rounds monotonically, and products and sums of
+// non-negative operands (weights are validated non-negative) are
+// monotone too. The float64 conversions forbid FMA fusion, matching the
+// separate roundings of the phase kernels.
+func boxBound2(q, w, box []float64) float64 {
+	if w == nil {
+		w = unitWeights[:]
+	}
+	q, w = q[:32:32], w[:32:32]
+	lo, hi := box[:32:32], box[32:64:64]
+	var s0, s1, s2, s3 float64
+	for i := 0; i < 32; i += 4 {
+		s0 += gapTerm(q[i], lo[i], hi[i], w[i])
+		s1 += gapTerm(q[i+1], lo[i+1], hi[i+1], w[i+1])
+		s2 += gapTerm(q[i+2], lo[i+2], hi[i+2], w[i+2])
+		s3 += gapTerm(q[i+3], lo[i+3], hi[i+3], w[i+3])
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// gapTerm is (w·g)·g for the gap g between x and [lo, hi].
+func gapTerm(x, lo, hi, w float64) float64 {
+	g := max(lo-x, x-hi, 0)
+	return float64(float64(w*g) * g)
 }

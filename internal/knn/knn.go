@@ -60,6 +60,11 @@ type Scan struct {
 	// 256 B rows through cache for the majority it rejects. Nil at other
 	// dimensionalities.
 	head []float64
+	// boxes holds, beside the head slab, the per-dimension bounding box of
+	// every DefaultBatchTile-row tile: 32 minima then 32 maxima per tile
+	// (512 B), from which scanTile32 bounds a whole tile's distances
+	// before reading it. Nil at other dimensionalities.
+	boxes []float64
 	// batchTile is the row count per tile; 0 means DefaultBatchTile. Only
 	// the tile-size parity test sets it.
 	batchTile int
@@ -85,28 +90,43 @@ func (s *Scan) tile() int {
 // NewScanBackend builds a scan searcher directly over any feature
 // backend (aliased, not copied). The kernels stream the backend's slabs
 // without per-row copies, so an mmap-resident collection is scanned in
-// place. A D = 32 backend additionally gets its head slab copied here
-// (+25% of the feature bytes, on the heap for either backend), so the
-// backend's contents must not change afterwards.
+// place. A D = 32 backend additionally gets its head slab and tile boxes
+// built here (+25% and +0.4% of the feature bytes, on the heap for either
+// backend), so the backend's contents must not change afterwards.
 func NewScanBackend(b store.Backend) (*Scan, error) {
 	if b == nil || b.Len() == 0 {
 		return nil, fmt.Errorf("knn: empty collection")
 	}
 	s := &Scan{mat: b}
 	if b.Dim() == 32 {
-		s.head = headSlab(b.Slab(0, b.Len()), b.Len())
+		s.head, s.boxes = headSlab(b.Slab(0, b.Len()), b.Len())
 	}
 	return s, nil
 }
 
 // headSlab copies dims [0,8) of every row of a 32-wide row-major slab
-// into the contiguous stride-8 layout phase 1 reads.
-func headSlab(slab []float64, rows int) []float64 {
-	head := make([]float64, rows*8)
-	for r := 0; r < rows; r++ {
-		copy(head[r*8:r*8+8], slab[r*32:r*32+8])
+// into the contiguous stride-8 layout phase 1 reads and, in the same
+// pass, records every DefaultBatchTile-row tile's bounding box (layout:
+// Scan.boxes).
+func headSlab(slab []float64, rows int) (head, boxes []float64) {
+	head = make([]float64, rows*8)
+	tiles := (rows + DefaultBatchTile - 1) / DefaultBatchTile
+	boxes = make([]float64, tiles*64)
+	for t := 0; t < tiles; t++ {
+		lo, hi := boxes[t*64:t*64+32:t*64+32], boxes[t*64+32:t*64+64:t*64+64]
+		first := t * DefaultBatchTile
+		copy(lo, slab[first*32:first*32+32])
+		copy(hi, lo)
+		for r := first; r < min(first+DefaultBatchTile, rows); r++ {
+			row := slab[r*32 : r*32+32 : r*32+32]
+			copy(head[r*8:r*8+8], row[:8])
+			for j, x := range row {
+				lo[j] = min(lo[j], x)
+				hi[j] = max(hi[j], x)
+			}
+		}
 	}
-	return head
+	return head, boxes
 }
 
 // Len implements Searcher.

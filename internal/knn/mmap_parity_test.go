@@ -214,19 +214,7 @@ func TestMmapParityShardedScan(t *testing.T) {
 	}
 	bufs := mapped.getTileBufs()
 	for _, workers := range []int{2, 5} {
-		n := mapped.Len()
-		merged := newScanState(25)
-		for wkr := 0; wkr < workers; wkr++ {
-			lo, hi := wkr*n/workers, (wkr+1)*n/workers
-			st := newScanState(25)
-			mapped.scanRange(q, kern, lo, hi, &st, bufs)
-			for _, r := range st.items {
-				if r.Distance <= merged.bound2 {
-					merged.offer(r.Index, r.Distance)
-				}
-			}
-		}
-		if got := finishSquared(merged.items, 25); !resultsBitwiseEqual(got, want) {
+		if got := shardsInOrder(mapped, q, 25, kern, workers, false, bufs); !resultsBitwiseEqual(got, want) {
 			t.Fatalf("workers=%d: mmap shard merge != heap naive", workers)
 		}
 	}

@@ -130,7 +130,9 @@ func TestKernelParityWeighted(t *testing.T) {
 
 // TestSearchBatchParity: the cache-tiled batch scan (and its generic-dim
 // fallback) must equal per-query Search bitwise, for both supported
-// metric classes and collections larger than one tile.
+// metric classes and collections larger than one tile — and, on the
+// category-ordered collection whose tiles are mostly skipped, equal
+// SearchNaive.
 func TestSearchBatchParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	for _, dim := range []int{6, 32} {
@@ -170,6 +172,7 @@ func TestSearchBatchParity(t *testing.T) {
 			}
 		}
 	}
+	categoryBatchParity(t, rng, 0)
 }
 
 // TestSearchBatchGenericMetric: metrics without a kernel run the naive
@@ -237,20 +240,7 @@ func TestParallelScanParity(t *testing.T) {
 		// Emulate a W-way shard split with the same merge the parallel
 		// path performs, for several worker counts.
 		for _, workers := range []int{2, 3, 7} {
-			n := scan.Len()
-			merged := newScanState(k)
-			for wkr := 0; wkr < workers; wkr++ {
-				lo := wkr * n / workers
-				hi := (wkr + 1) * n / workers
-				st := newScanState(k)
-				scan.scanRange(q, kern, lo, hi, &st, bufs)
-				for _, r := range st.items {
-					if r.Distance <= merged.bound2 {
-						merged.offer(r.Index, r.Distance)
-					}
-				}
-			}
-			got := finishSquared(merged.items, k)
+			got := shardsInOrder(scan, q, k, kern, workers, false, bufs)
 			if !resultsBitwiseEqual(got, want) {
 				t.Fatalf("trial %d workers %d: sharded scan != naive", trial, workers)
 			}
@@ -258,65 +248,65 @@ func TestParallelScanParity(t *testing.T) {
 	}
 }
 
-// TestLoneCascadeParity pins the lone-query path — sharded, tiled, phase
-// 1 over the head slab — at D = 32: Search == SearchNaive == the same
-// query inside a SearchBatchMulti batch, with == on every Result, on
-// heap and mmap backends, under GOMAXPROCS 1 and 4. Rows are small
-// integers (every distance is heavily tied), and copies of the first
-// query sit on both sides of every tile boundary and of every shard
-// boundary a 2-, 3- or 4-way split produces, so the (distance, index)
-// tie-break is decided across exactly the seams the cascade introduces.
-func TestLoneCascadeParity(t *testing.T) {
+// seamCollection returns n rows of small integers (every distance is
+// heavily tied) and three queries, with copies of the first query on both
+// sides of every tile boundary and of every shard boundary a 2-, 3- or
+// 4-way split produces, so the (distance, index) tie-break is decided
+// across exactly the seams the cascade introduces.
+func seamCollection(rng *rand.Rand, n int) (data, qs [][]float64) {
 	const dim = 32
-	rng := rand.New(rand.NewSource(808))
-	// n = 9 is k−1 for k = 10: the candidate list never fills.
-	for _, n := range []int{1, 9, 511, 512, 513, 1023, 2048 + 7, 20000} {
-		data := make([][]float64, n)
-		for i := range data {
-			v := make([]float64, dim)
-			for j := range v {
-				v[j] = float64(rng.Intn(4))
-			}
-			data[i] = v
+	data = make([][]float64, n)
+	for i := range data {
+		v := make([]float64, dim)
+		for j := range v {
+			v[j] = float64(rng.Intn(4))
 		}
-		qs := [][]float64{data[rng.Intn(n)], data[rng.Intn(n)], make([]float64, dim)}
-		for j := range qs[2] {
-			qs[2][j] = float64(rng.Intn(4)) + 0.5 // not in the collection
+		data[i] = v
+	}
+	qs = [][]float64{data[rng.Intn(n)], data[rng.Intn(n)], make([]float64, dim)}
+	for j := range qs[2] {
+		qs[2][j] = float64(rng.Intn(4)) + 0.5 // not in the collection
+	}
+	seams := []int{}
+	for b := DefaultBatchTile; b < n; b += DefaultBatchTile {
+		seams = append(seams, b)
+	}
+	for workers := 2; workers <= 4; workers++ {
+		for w := 1; w < workers; w++ {
+			seams = append(seams, w*n/workers)
 		}
-		seams := []int{}
-		for b := DefaultBatchTile; b < n; b += DefaultBatchTile {
-			seams = append(seams, b)
-		}
-		for workers := 2; workers <= 4; workers++ {
-			for w := 1; w < workers; w++ {
-				seams = append(seams, w*n/workers)
-			}
-		}
-		for _, b := range seams {
-			for i := b - 1; i <= b; i++ {
-				if i >= 0 && i < n {
-					data[i] = qs[0]
-				}
+	}
+	for _, b := range seams {
+		for i := b - 1; i <= b; i++ {
+			if i >= 0 && i < n {
+				data[i] = qs[0]
 			}
 		}
-		w := make([]float64, dim)
-		wz := make([]float64, dim)
-		for j := range w {
-			w[j] = float64(1 + rng.Intn(3))
-			wz[j] = float64(rng.Intn(3)) // about a third are zero
-		}
-		wz[dim-1] = 1
-		// Zero weights on all of dims [0,8): phase 1 can reject nothing.
-		wh := append(make([]float64, 8), w[8:]...)
-		metrics := []distance.Metric{distance.Euclidean{}}
-		for _, ws := range [][]float64{w, wz, wh} {
-			wm, err := distance.NewWeightedEuclidean(ws)
-			if err != nil {
-				t.Fatal(err)
-			}
-			metrics = append(metrics, wm)
-		}
+	}
+	return data, qs
+}
 
+// TestLoneCascadeParity pins the lone-query path — sharded, tiled, phase
+// 1 over the head slab, tiles skipped by their boxes against a bound the
+// shards share — at D = 32: Search == SearchNaive == the same query
+// inside a SearchBatchMulti batch, with == on every Result, on heap and
+// mmap backends, under GOMAXPROCS 1, 2 and 4. The inputs are
+// seamCollection's tie-heavy rows and categoryCollection's runs, where
+// most tiles are skipped and the k-th neighbour is a cross-shard tie
+// exactly on a tile's box bound.
+func TestLoneCascadeParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(808))
+	// n = 9 is k−1 for k = 10: the candidate list never fills. n = 0
+	// stands for categoryCollection.
+	for _, n := range []int{1, 9, 511, 512, 513, 1023, 2048 + 7, 20000, 0} {
+		var data, qs [][]float64
+		if n == 0 {
+			data, qs = categoryQueries(rng)
+			n = len(data)
+		} else {
+			data, qs = seamCollection(rng, n)
+		}
+		metrics := cascadeMetrics(t, rng)
 		heap, mapped := mmapTwin(t, data)
 		for _, k := range []int{1, 10, n + 3} {
 			for mi, m := range metrics {
@@ -340,7 +330,7 @@ func TestLoneCascadeParity(t *testing.T) {
 					}
 					ms[qi] = m
 				}
-				for _, procs := range []int{1, 4} {
+				for _, procs := range []int{1, 2, 4} {
 					if bigK && procs == 1 {
 						continue
 					}

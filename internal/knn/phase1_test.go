@@ -20,7 +20,7 @@ func TestPhase1AsmMatchesGo(t *testing.T) {
 		for i := range slab {
 			slab[i] = rng.NormFloat64()
 		}
-		head := headSlab(slab, rows)
+		head, _ := headSlab(slab, rows)
 		q := make([]float64, 32)
 		w := make([]float64, 32)
 		for i := range q {

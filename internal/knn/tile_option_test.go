@@ -11,7 +11,10 @@ import (
 // TestBatchTileParity asserts Search and SearchBatchMulti results are
 // identical for every tile size — including tiles larger than the
 // collection, non-powers of two, and 1 — at both the D=32 cascade and a
-// generic dimensionality. Nothing outside this test sets the tile.
+// generic dimensionality — and equal to SearchNaive on the
+// category-ordered collection, where block boundaries that are not the
+// box tiles' exercise the superset-box and no-box cases of the skip.
+// Nothing outside these tests sets the tile.
 func TestBatchTileParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, dim := range []int{32, 7} {
@@ -75,5 +78,8 @@ func TestBatchTileParity(t *testing.T) {
 				}
 			}
 		}
+	}
+	for _, tile := range []int{1, 3, 64, 100, 511, 512, 513, 5000} {
+		categoryBatchParity(t, rng, tile)
 	}
 }
