@@ -14,11 +14,13 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"syscall"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/distance"
+	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/experiments"
 	"repro/internal/feedback"
@@ -639,6 +641,95 @@ func BenchmarkKNNScanWeighted(b *testing.B) {
 			b.ReportMetric(float64(len(data)), "rows")
 		})
 	}
+}
+
+// BenchmarkKNNScanOracle replays, one lone Search per op, the retrievals
+// of 200 seeded oracle feedback sessions over the bench/ `bigscan`
+// collection (IMSILike(1, 10): the 97,910 rows `fbserve -scale 10`
+// serves), k = 10: each session's open under uniform weights and its
+// feedback rounds under the metrics engine.RunLoop learns. Besides ns/op
+// it reports cpu-ns/op, user plus system time from getrusage, which
+// counts the helper goroutines a search may take as well as the caller.
+func BenchmarkKNNScanOracle(b *testing.B) {
+	oracleOnce.Do(func() { oracleScan, oracleLog, oracleErr = recordOracleSearches(1, 10, 200, 10) })
+	if oracleErr != nil {
+		b.Fatal(oracleErr)
+	}
+	var before, after syscall.Rusage
+	b.ResetTimer()
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &before); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		s := oracleLog[i%len(oracleLog)]
+		if _, err := oracleScan.Search(s.q, 10, s.m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &after); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(cpuTime(after)-cpuTime(before))/float64(b.N), "cpu-ns/op")
+	b.ReportMetric(float64(len(oracleLog)), "searches")
+}
+
+var (
+	oracleOnce sync.Once
+	oracleScan *knn.Scan
+	oracleLog  []oracleSearch
+	oracleErr  error
+)
+
+// oracleSearch is one recorded retrieval: a query point and its metric.
+type oracleSearch struct {
+	q []float64
+	m distance.Metric
+}
+
+// searchRecorder is the engine's searcher with every lone Search logged.
+type searchRecorder struct {
+	knn.BatchSearcher
+	log []oracleSearch
+}
+
+func (r *searchRecorder) Search(q []float64, k int, m distance.Metric) ([]knn.Result, error) {
+	r.log = append(r.log, oracleSearch{slices.Clone(q), m})
+	return r.BatchSearcher.Search(q, k, m)
+}
+
+// recordOracleSearches builds IMSILike(seed, scale) and runs the category
+// oracle's feedback loop from `sessions` seeded query items, returning
+// the exact scan and every search the loops made.
+func recordOracleSearches(seed int64, scale float64, sessions, k int) (*knn.Scan, []oracleSearch, error) {
+	ds, err := dataset.Build(imagegen.IMSILike(seed, scale), histogram.DefaultExtractor)
+	if err != nil {
+		return nil, nil, err
+	}
+	scan, err := knn.NewScanBackend(ds.Matrix())
+	if err != nil {
+		return nil, nil, err
+	}
+	rec := &searchRecorder{BatchSearcher: scan}
+	eng, err := engine.New(ds, engine.Options{Searcher: rec})
+	if err != nil {
+		return nil, nil, err
+	}
+	items, err := ds.SampleQueries(rand.New(rand.NewSource(seed)), sessions)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, i := range items {
+		item := ds.Items[i]
+		if _, err := eng.RunLoop(item.Category, item.Feature, eng.UniformWeights(), k); err != nil {
+			return nil, nil, err
+		}
+	}
+	return scan, rec.log, nil
+}
+
+// cpuTime is the user plus system time of a getrusage sample, in ns.
+func cpuTime(ru syscall.Rusage) int64 {
+	return ru.Utime.Nano() + ru.Stime.Nano()
 }
 
 // BenchmarkKNNSearchBatch measures batched retrieval throughput (queries

@@ -518,12 +518,9 @@ func (x *Index) rerankShortlist(q []float64, k int, kern distance.Kernel, short 
 		if abandoned {
 			continue
 		}
-		t.Offer(cand.Index, s)
-		if b, ok := t.Bound(); ok {
-			bound = b
-		}
+		bound = offerRoot(t, cand.Index, s, bound)
 	}
-	return finishSquared(t.Results(), k)
+	return t.Results()
 }
 
 // rerankRange exact-reranks every row id in posting positions [lo, hi) —
@@ -541,26 +538,34 @@ func (x *Index) rerankRange(q []float64, k int, kern distance.Kernel, lo, hi int
 		if abandoned {
 			continue
 		}
-		t.Offer(id, s)
-		if b, ok := t.Bound(); ok {
-			bound = b
-		}
+		bound = offerRoot(t, id, s, bound)
 	}
-	return finishSquared(t.Results(), k)
+	return t.Results()
 }
 
-// finishSquared converts squared-space results to true distances in the
-// canonical order (sqrt is monotone, so the (d², id) sort order is the
-// (d, id) order).
-func finishSquared(items []knn.Result, k int) []knn.Result {
-	for i := range items {
-		items[i].Distance = math.Sqrt(items[i].Distance)
+// offerRoot offers an exact candidate by its true distance √s2, so the
+// reranked top-k is kept in the flat scan's (distance, index) order even
+// when two squared sums share a root, and returns the squared abandon
+// bound that follows: the largest sum whose root still ties the k-th.
+func offerRoot(t *knn.TopK, id int, s2, bound float64) float64 {
+	t.Offer(id, math.Sqrt(s2))
+	if r, ok := t.Bound(); ok {
+		return rootBound2(r)
 	}
-	knn.SortResults(items)
-	if len(items) > k {
-		items = items[:k]
+	return bound
+}
+
+// rootBound2 returns the largest float64 whose square root rounds to at
+// most r (internal/knn's scan keeps its own copy of this rule).
+func rootBound2(r float64) float64 {
+	b := math.Float64bits(r * r)
+	for math.Sqrt(math.Float64frombits(b)) > r {
+		b--
 	}
-	return items
+	for math.Sqrt(math.Float64frombits(b+1)) <= r {
+		b++
+	}
+	return math.Float64frombits(b)
 }
 
 // SearchBatchMulti implements knn.BatchSearcher: positionally-aligned

@@ -153,6 +153,54 @@ func TestFullProbeBitwiseParity(t *testing.T) {
 	}
 }
 
+// TestRootTieRanksByIndex: two rows whose squared distances are adjacent
+// doubles with one square root — the higher index nearer in squared
+// space — come back from both exact rerank paths in SearchNaive's
+// (distance, index) order, the lower index first.
+func TestRootTieRanksByIndex(t *testing.T) {
+	const dim, n = 4, 40
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = []float64{0, 0, 2, float64(i % 3)}
+	}
+	lo, hi := 5, 30
+	rows[lo] = []float64{1, 0, 0, 0}
+	rows[hi] = []float64{0, 1, 0, 0}
+	wm, err := distance.NewWeightedEuclidean([]float64{
+		math.Float64frombits(0x3f304f6c7fa53ae0), math.Float64frombits(0x3f304f6c7fa53adf), 1, 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := backendFor(t, rows)
+	flat, err := knn.NewScanBackend(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := make([]float64, dim)
+	x, err := Build(b, Options{NList: 2, NProbe: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kern, _ := distance.KernelFor(wm)
+	short := []knn.Result{{Index: hi}, {Index: 0}, {Index: lo}}
+	for _, k := range []int{1, 2} {
+		want, err := flat.SearchNaive(q, k, wm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[0].Index != lo {
+			t.Fatalf("k=%d: naive %v, want row %d first", k, want, lo)
+		}
+		got, err := x.Search(q, k, wm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitwiseSame(t, "full probe", got, want)
+		bitwiseSame(t, "shortlist rerank", x.rerankShortlist(q, k, kern, short), want)
+	}
+}
+
 // TestRecallAtDefaultNProbe pins the accuracy gate: recall@10 ≥ 0.95 at
 // the default nprobe on synthetic clustered data, for both slab
 // quantizations (the exact rerank makes served distances exact, so any

@@ -123,7 +123,7 @@ type WeightedQuery struct {
 // evaluated under its own weighted metric against the hot block. Results
 // are positionally aligned with qs and identical to calling Retrieve per
 // query. A singleton batch goes through Retrieve (a lone kernel query is
-// served with more parallelism by the sharded Search).
+// served best-first by Search, which stops early).
 func (e *Engine) RetrieveBatch(qs []WeightedQuery, k int) ([][]knn.Result, error) {
 	if len(qs) == 1 {
 		res, err := e.Retrieve(qs[0].Q, qs[0].W, k)

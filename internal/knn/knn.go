@@ -50,8 +50,8 @@ type BatchSearcher interface {
 // store.Backend — the in-heap FlatMatrix or an mmap-resident FBMX
 // collection — whose contiguous slabs the kernels consume directly; for
 // Euclidean and weighted-Euclidean metrics the scan runs a squared-space
-// early-abandoning kernel sharded over GOMAXPROCS workers (see
-// DESIGN.md, "Retrieval core").
+// early-abandoning kernel, at D = 32 over the tiles in best-first order
+// (see DESIGN.md, "Retrieval core").
 type Scan struct {
 	mat store.Backend
 	// head is the dimension-blocked head slab of a D = 32 collection: a

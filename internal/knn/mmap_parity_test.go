@@ -167,8 +167,9 @@ func TestMmapParityTiledBatch(t *testing.T) {
 }
 
 // TestMmapParityShardedScan drives the real goroutine fan-out of Search
-// (sharded scan) and the query-split batch under raised GOMAXPROCS on
-// an mmap backend, anchored to the heap backend's naive path.
+// (a helper sharing the best-first queue) and the query-split batch
+// under raised GOMAXPROCS on an mmap backend, anchored to the heap
+// backend's naive path.
 func TestMmapParityShardedScan(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -201,8 +202,8 @@ func TestMmapParityShardedScan(t *testing.T) {
 			t.Fatalf("mmap sharded search query %d diverges under GOMAXPROCS=4", i)
 		}
 	}
-	// The shard-merge internals, run explicitly over the mmap backend's
-	// slabs (the same decomposition TestParallelScanParity uses).
+	// The helper path's pull loop and merge, run in fixed orders over the
+	// mmap backend (as TestParallelScanParity does on the heap).
 	kern, ok := distance.KernelFor(m)
 	if !ok {
 		t.Fatal("no kernel for Euclidean")
@@ -212,10 +213,9 @@ func TestMmapParityShardedScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bufs := mapped.getTileBufs()
 	for _, workers := range []int{2, 5} {
-		if got := shardsInOrder(mapped, q, 25, kern, workers, false, bufs); !resultsBitwiseEqual(got, want) {
-			t.Fatalf("workers=%d: mmap shard merge != heap naive", workers)
+		if got := pullInOrder(mapped, q, 25, kern, workers, true); !resultsBitwiseEqual(got, want) {
+			t.Fatalf("workers=%d: mmap shared scan != heap naive", workers)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package knn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -215,9 +216,10 @@ func TestSearchBatchValidation(t *testing.T) {
 	}
 }
 
-// TestParallelScanParity forces the sharded path (by lowering GOMAXPROCS
-// interplay aside, the shard merge runs whenever workers > 1; here we
-// call the internals directly to stay deterministic on 1-CPU hosts).
+// TestParallelScanParity drives the helper path's pull loop — states
+// sharing one best-first queue and bound, then the deterministic merge —
+// directly, in fixed orders, so it runs on 1-CPU hosts and on rows too
+// few to take a helper in Search.
 func TestParallelScanParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(505))
 	data := randomCollection(rng, 2600, 32)
@@ -229,7 +231,6 @@ func TestParallelScanParity(t *testing.T) {
 	if !ok {
 		t.Fatal("no kernel for Euclidean")
 	}
-	bufs := scan.getTileBufs()
 	for trial := 0; trial < 5; trial++ {
 		q := data[rng.Intn(len(data))]
 		k := 1 + rng.Intn(80)
@@ -237,12 +238,11 @@ func TestParallelScanParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Emulate a W-way shard split with the same merge the parallel
-		// path performs, for several worker counts.
 		for _, workers := range []int{2, 3, 7} {
-			got := shardsInOrder(scan, q, k, kern, workers, false, bufs)
-			if !resultsBitwiseEqual(got, want) {
-				t.Fatalf("trial %d workers %d: sharded scan != naive", trial, workers)
+			for _, roundRobin := range []bool{false, true} {
+				if got := pullInOrder(scan, q, k, kern, workers, roundRobin); !resultsBitwiseEqual(got, want) {
+					t.Fatalf("trial %d workers %d roundRobin %v: shared scan != naive", trial, workers, roundRobin)
+				}
 			}
 		}
 	}
@@ -250,9 +250,9 @@ func TestParallelScanParity(t *testing.T) {
 
 // seamCollection returns n rows of small integers (every distance is
 // heavily tied) and three queries, with copies of the first query on both
-// sides of every tile boundary and of every shard boundary a 2-, 3- or
-// 4-way split produces, so the (distance, index) tie-break is decided
-// across exactly the seams the cascade introduces.
+// sides of every tile boundary and of every boundary a 2-, 3- or 4-way
+// split produces, so the (distance, index) tie-break is decided across
+// tiles visited out of order.
 func seamCollection(rng *rand.Rand, n int) (data, qs [][]float64) {
 	const dim = 32
 	data = make([][]float64, n)
@@ -286,14 +286,14 @@ func seamCollection(rng *rand.Rand, n int) (data, qs [][]float64) {
 	return data, qs
 }
 
-// TestLoneCascadeParity pins the lone-query path — sharded, tiled, phase
-// 1 over the head slab, tiles skipped by their boxes against a bound the
-// shards share — at D = 32: Search == SearchNaive == the same query
-// inside a SearchBatchMulti batch, with == on every Result, on heap and
-// mmap backends, under GOMAXPROCS 1, 2 and 4. The inputs are
-// seamCollection's tie-heavy rows and categoryCollection's runs, where
-// most tiles are skipped and the k-th neighbour is a cross-shard tie
-// exactly on a tile's box bound.
+// TestLoneCascadeParity pins the lone-query path — tiles in best-first
+// order, phase 1 over the head slab, the scan stopped at the first tile
+// whose box is beyond the k-th best — at D = 32: Search == SearchNaive ==
+// the same query inside a SearchBatchMulti batch, with == on every
+// Result, on heap and mmap backends, under GOMAXPROCS 1, 2 and 4. The
+// inputs are seamCollection's tie-heavy rows and categoryCollection's
+// runs, where most tiles are never scanned and the k-th neighbour is a
+// tie exactly on a tile's box bound, found first in a later tile.
 func TestLoneCascadeParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(808))
 	// n = 9 is k−1 for k = 10: the candidate list never fills. n = 0
@@ -361,6 +361,97 @@ func TestLoneCascadeParity(t *testing.T) {
 	}
 }
 
+// rootTieLo and rootTieHi are squared sums one ulp apart with the same
+// float64 square root: the pair on which a lone Search over IMSILike(1, 10)
+// once returned a different 10th row than SearchNaive, having ranked by
+// the squared sum.
+const rootTieLo, rootTieHi = 0x3f304f6c7fa53adf, 0x3f304f6c7fa53ae0
+
+// rootTieCollection returns n dim-wide rows and a weighted metric under
+// which, from q = 0, row lo lies at squared distance rootTieHi and row hi
+// > lo at rootTieLo — one root, the higher index nearer in squared space.
+// Every other row of lo's tile (the first) and of hi's tile (the last)
+// shares its tie dimension, so the tile boxes are bounded at exactly the
+// two tie sums and best-first order reaches row hi first; the other rows
+// are all far away.
+func rootTieCollection(t *testing.T, n, dim int) (data [][]float64, q []float64, m distance.Metric, lo, hi int) {
+	t.Helper()
+	lo, hi = 3, n-2
+	data = make([][]float64, n)
+	for i := range data {
+		data[i] = make([]float64, dim)
+		data[i][2] = 2
+		switch {
+		case i < DefaultBatchTile:
+			data[i][0] = 1
+		case i >= (n-1)/DefaultBatchTile*DefaultBatchTile:
+			data[i][1] = 1
+		}
+	}
+	data[lo][2], data[hi][2] = 0, 0
+	w := make([]float64, dim)
+	for j := range w {
+		w[j] = 1
+	}
+	w[0], w[1] = math.Float64frombits(rootTieHi), math.Float64frombits(rootTieLo)
+	m, err := distance.NewWeightedEuclidean(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, make([]float64, dim), m, lo, hi
+}
+
+// TestRootTieRanksByIndex is the regression test for the √ boundary:
+// every kernel path must rank the two rows of rootTieCollection by
+// (distance, index), as SearchNaive does — the lower index first although
+// its squared sum is one ulp larger — lone and sharded, in batches and
+// through the helper path's pull loop, at D = 32 and at a D without a
+// head slab.
+func TestRootTieRanksByIndex(t *testing.T) {
+	if math.Sqrt(math.Float64frombits(rootTieLo)) != math.Sqrt(math.Float64frombits(rootTieHi)) {
+		t.Fatal("the tie pair no longer shares a square root")
+	}
+	for _, dim := range []int{32, 5} {
+		data, q, m, lo, hi := rootTieCollection(t, 3*DefaultBatchTile+5, dim)
+		scan, err := NewScan(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kern, _ := distance.KernelFor(m)
+		for _, k := range []int{1, 2} {
+			want, err := scan.SearchNaive(q, k, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want[0].Index != lo || want[k-1].Index != []int{lo, hi}[k-1] {
+				t.Fatalf("dim %d k=%d: naive %v, want rows %d then %d", dim, k, want, lo, hi)
+			}
+			for _, procs := range []int{1, 4} {
+				old := runtime.GOMAXPROCS(procs)
+				got, err := scan.Search(q, k, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch, err := scan.SearchBatch([][]float64{q, q}, k, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runtime.GOMAXPROCS(old)
+				if !resultsBitwiseEqual(got, want) || !resultsBitwiseEqual(batch[1], want) {
+					t.Fatalf("dim %d k=%d procs=%d: Search %v, batch %v, naive %v", dim, k, procs, got, batch[1], want)
+				}
+			}
+			if dim == 32 {
+				for _, roundRobin := range []bool{false, true} {
+					if got := pullInOrder(scan, q, k, kern, 2, roundRobin); !resultsBitwiseEqual(got, want) {
+						t.Fatalf("k=%d roundRobin=%v: pull loop %v, naive %v", k, roundRobin, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSearchNaiveMatchesBruteSort anchors the reference path itself
 // against a full sort, so the parity suite is not self-referential.
 func TestSearchNaiveMatchesBruteSort(t *testing.T) {
@@ -408,9 +499,10 @@ func ExampleScan_SearchBatch() {
 }
 
 // TestParallelPathsUnderRaisedGOMAXPROCS exercises the real goroutine
-// fan-out of Search (sharded scan) and SearchBatch (query split) even on
-// single-CPU hosts by raising GOMAXPROCS, and asserts parity with the
-// naive path.
+// fan-out of Search (a helper pulling from the best-first queue: the
+// random rows have no locality, so nearly every tile box contains the
+// query) and SearchBatch (query split) even on single-CPU hosts by
+// raising GOMAXPROCS, and asserts parity with the naive path.
 func TestParallelPathsUnderRaisedGOMAXPROCS(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"repro/internal/distance"
@@ -13,28 +13,32 @@ import (
 
 // The category-ordered collection: sixteen tiles, laid out the way the
 // served collection is — category by category — so a query's neighbours
-// fill a few tiles and most tile boxes are far from it. Shard boundaries
-// under a 2- or 4-way split fall on tile boundaries.
+// fill a few tiles and most tile boxes are far from it.
 const (
 	catTiles = 16
 	catK     = 10
 	// catCopies is the tile of 512 copies of the row v.
 	catCopies = 2
-	// catTieRow holds one more copy of v, in the run around q (tiles
-	// 8–11), i.e. in another shard than catCopies under either split.
-	catTieRow = 5000
+	// catTieRow holds one more copy of v, in tile 8: the tile whose box
+	// contains q, which best-first order scans first.
+	catTieRow = 8*DefaultBatchTile + 400
+	// catGap is v's offset from q in the last dimension. Under every
+	// weight of cascadeMetrics, (w·catGap)·catGap is the largest float64
+	// with its square root, so the live bound after the tie equals the
+	// copies tile's box bound exactly, and a `>=` stop would bite.
+	catGap = 1.625
 )
 
 // categoryCollection returns the category-ordered rows and the query q
 // they are built around. Tiles 0–1, 3–7 and 12–15 are runs around far
-// centres, tile catCopies is 512 copies of v = q + 2·e₃₁, and tiles 8–11
-// are a run around q holding catK−1 copies of q, one copy of v at
-// catTieRow, and otherwise rows at least 3 from q in dimension 31. Under
-// any metric with a positive last weight the catK-th neighbour of q is
-// then a tie at dist(q, v) between tile catCopies — whose box is the
-// point v, so its box bound equals that distance exactly — and
-// catTieRow, and the lower index, on the side a `>=` box test would skip,
-// must win.
+// centres, tile catCopies is 512 copies of v = q + catGap·e₃₁, and tiles
+// 8–11 are a run around q holding catK−1 copies of q and one copy of v at
+// catTieRow (both in tile 8), and otherwise rows at least 3 from q in
+// dimension 31. Under any metric with a positive last weight the catK-th
+// neighbour of q is then a tie at dist(q, v) between tile catCopies —
+// whose box is the point v, so its box bound equals that distance exactly
+// — and catTieRow, found first, and the lower index, in the tile a `>=`
+// stop would not scan, must win.
 func categoryCollection(rng *rand.Rand) (data [][]float64, q []float64) {
 	const dim, tile = 32, DefaultBatchTile
 	q = make([]float64, dim)
@@ -50,7 +54,7 @@ func categoryCollection(rng *rand.Rand) (data [][]float64, q []float64) {
 		return r
 	}
 	v := slices.Clone(q)
-	v[dim-1] += 2
+	v[dim-1] += catGap
 	data = make([][]float64, catTiles*tile)
 	for i := range data {
 		switch t := i / tile; {
@@ -151,59 +155,107 @@ func cascadeMetrics(t *testing.T, rng *rand.Rand) []distance.Metric {
 	return ms
 }
 
-// shardsInOrder runs a workers-way sharded Search sequentially — first
-// shard first, or last shard first — through the bound sharing and merge
-// the goroutines use: a deterministic stand-in for one interleaving of
-// the real fan-out.
-func shardsInOrder(s *Scan, q []float64, k int, kern distance.Kernel, workers int, lastFirst bool, bufs *tileBufs) []Result {
-	var shared sharedBound
-	shared.bits.Store(math.Float64bits(math.Inf(1)))
+// pullInOrder is searchShared with its goroutines replaced by a fixed
+// schedule: workers states share one best-first queue and bound and take
+// turns — one pull each, in index order, when roundRobin; otherwise each
+// pulls until it stops before the next begins.
+func pullInOrder(s *Scan, q []float64, k int, kern distance.Kernel, workers int, roundRobin bool) []Result {
+	w := kern.Weights()
+	bufs := s.getTileBufs()
+	defer putTileBufs(bufs)
+	order, _ := s.rankTiles(q, w, bufs)
+	var tq tileQueue
+	tq.reset(order)
 	states := make([]scanState, workers)
-	n := s.Len()
-	for i := range workers {
-		w := i
-		if lastFirst {
-			w = workers - 1 - i
+	for i := range states {
+		states[i] = tq.join(k)
+	}
+	stopped := make([]bool, workers)
+	for pulling := workers; pulling > 0; {
+		for i := range states {
+			for !stopped[i] {
+				if !s.pull(q, w, &tq, &states[i], bufs) {
+					stopped[i] = true
+					pulling--
+				}
+				if roundRobin {
+					break
+				}
+			}
 		}
-		states[w] = newScanState(k)
-		states[w].shared = &shared
-		s.scanRange(q, kern, w*n/workers, (w+1)*n/workers, &states[w], bufs)
 	}
 	return mergeShards(states, k)
 }
 
-// countPhase1 wraps the phase-1 kernels for the rest of the test and
-// returns the count of blocks that reached phase 1; every other block
-// scanTile32 was handed was skipped by its tile box.
-func countPhase1(t *testing.T) *atomic.Int64 {
-	var n atomic.Int64
+// phase1Log records which blocks reach phase 1: every other block
+// scanTile32 was handed was skipped by its box.
+type phase1Log struct {
+	mu    sync.Mutex
+	heads []*float64
+}
+
+// logPhase1 wraps the phase-1 kernels for the rest of the test.
+func logPhase1(t *testing.T) *phase1Log {
+	log := new(phase1Log)
 	p, pw := phase1x32Sel, phase1x32wSel
 	phase1x32Sel = func(q, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int {
-		n.Add(1)
+		log.add(head)
 		return p(q, head, rows, bound2, s0b, s1b, s2b, s3b, surv)
 	}
 	phase1x32wSel = func(q, w, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int {
-		n.Add(1)
+		log.add(head)
 		return pw(q, w, head, rows, bound2, s0b, s1b, s2b, s3b, surv)
 	}
 	t.Cleanup(func() { phase1x32Sel, phase1x32wSel = p, pw })
-	return &n
+	return log
 }
 
-// TestSharedBoundTie pins the exactness edge of both prunings without
-// depending on goroutine timing: the shards of a sharded Search run in a
-// fixed order, first-to-last and last-to-first, over the category-ordered
-// collection. Last-to-first, the shard holding catTieRow publishes the
-// catK-th distance before the shard holding tile catCopies starts, so
-// that tile enters with a live bound exactly equal to its box bound; a
-// `>=` skip would drop row 1024 and return catTieRow in its place. Every
-// order must return SearchNaive's list on heap and mmap, and more than
-// half of the tiles must be skipped.
+func (l *phase1Log) add(head *float64) {
+	l.mu.Lock()
+	l.heads = append(l.heads, head)
+	l.mu.Unlock()
+}
+
+// take returns the tiles of s scanned since the last take, by index.
+func (l *phase1Log) take(s *Scan) map[int]bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	tiles := map[int]bool{}
+	for _, h := range l.heads {
+		for t := 0; t*DefaultBatchTile < s.Len(); t++ {
+			if h == &s.head[t*DefaultBatchTile*8] {
+				tiles[t] = true
+			}
+		}
+	}
+	l.heads = l.heads[:0]
+	return tiles
+}
+
+// useBaselineKernels selects the baseline phase kernels (SSE2 on amd64)
+// for the rest of the test, as GODEBUG=cpu.avx2=off does for a process.
+func useBaselineKernels(t *testing.T) {
+	a, b, c, d := phase1x32Sel, phase1x32wSel, phaseNext8Sel, phaseNext8wSel
+	phase1x32Sel, phase1x32wSel, phaseNext8Sel, phaseNext8wSel = phase1x32, phase1x32w, phaseNext8, phaseNext8w
+	t.Cleanup(func() { phase1x32Sel, phase1x32wSel, phaseNext8Sel, phaseNext8wSel = a, b, c, d })
+}
+
+// TestSharedBoundTie pins the exactness edge of the stop without
+// depending on goroutine timing. One state pulls the best-first queue
+// alone (the calling goroutine's path), or two states pull it in fixed
+// orders through the helper path's queue, shared bound and merge: one
+// drains it before the other starts, or they alternate tile by tile.
+// Tile 8, whose box contains q, is scanned first and puts catTieRow at
+// the catK-th place, so the copies tile is reached with a live bound
+// exactly equal to its box bound; a `>=` stop would end the scan there
+// and return catTieRow in place of row 1024. Every order must return
+// SearchNaive's list on heap and mmap, and more than half of the tiles
+// must be skipped.
 func TestSharedBoundTie(t *testing.T) {
 	rng := rand.New(rand.NewSource(1212))
 	data, q := categoryCollection(rng)
 	heap, mapped := mmapTwin(t, data)
-	phase1 := countPhase1(t)
+	log := logPhase1(t)
 	for _, m := range cascadeMetrics(t, rng) {
 		kern, _ := distance.KernelFor(m)
 		want, err := heap.SearchNaive(q, catK, m)
@@ -215,26 +267,94 @@ func TestSharedBoundTie(t *testing.T) {
 		if got := want[catK-1]; got.Index != lo || got.Distance != math.Sqrt(tie) {
 			t.Fatalf("%s: k-th result %+v, want row %d at the tie distance", m.Name(), got, lo)
 		}
-		if b := boxBound2(q, kern.Weights(), heap.tileBox(lo, lo+DefaultBatchTile)); b != tie {
+		if b := heap.blockBound2(q, kern.Weights(), lo, lo+DefaultBatchTile); b != tie {
 			t.Fatalf("%s: box bound %v of the copies tile != tie distance² %v", m.Name(), b, tie)
 		}
+		if rootBound2(math.Sqrt(tie)) != tie {
+			t.Fatalf("%s: tie distance² %v is not the largest with its root; a `>=` stop would go unnoticed", m.Name(), tie)
+		}
 		for si, scan := range []*Scan{heap, mapped} {
-			bufs := scan.getTileBufs()
-			for _, workers := range []int{1, 2, 4} {
-				for _, lastFirst := range []bool{false, true} {
-					phase1.Store(0)
-					got := shardsInOrder(scan, q, catK, kern, workers, lastFirst, bufs)
-					name := [...]string{"heap", "mmap"}[si]
-					if !resultsBitwiseEqual(got, want) {
-						t.Fatalf("%s %s workers=%d lastFirst=%v: %v != naive %v", m.Name(), name, workers, lastFirst, got, want)
-					}
-					if skipped := catTiles - int(phase1.Load()); 2*skipped <= catTiles {
-						t.Errorf("%s %s workers=%d lastFirst=%v: %d of %d tiles skipped", m.Name(), name, workers, lastFirst, skipped, catTiles)
-					}
+			name := [...]string{"heap", "mmap"}[si]
+			for _, run := range []struct {
+				workers    int
+				roundRobin bool
+			}{{1, false}, {2, false}, {2, true}} {
+				log.take(scan)
+				got := pullInOrder(scan, q, catK, kern, run.workers, run.roundRobin)
+				if !resultsBitwiseEqual(got, want) {
+					t.Fatalf("%s %s %+v: %v != naive %v", m.Name(), name, run, got, want)
+				}
+				if skipped := catTiles - len(log.take(scan)); 2*skipped <= catTiles {
+					t.Errorf("%s %s %+v: %d of %d tiles skipped", m.Name(), name, run, skipped, catTiles)
 				}
 			}
-			putTileBufs(bufs)
 		}
+	}
+}
+
+// TestBestFirstTileOrder pins what best-first order must keep and what it
+// buys, on the category-ordered collection: a lone Search scans every
+// tile whose box bound is ≤ the final k-th squared distance (the tiles no
+// exact stop may skip), and fewer tiles than the in-order batch scan of
+// the same query, never more. Heap and mmap, GOMAXPROCS 1, 2 and 4, the
+// dispatched phase kernels (AVX2 where the CPU has it) and the baseline
+// tier.
+func TestBestFirstTileOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1414))
+	data, qs := categoryQueries(rng)
+	heap, mapped := mmapTwin(t, data)
+	metrics := cascadeMetrics(t, rng)
+	for _, tier := range []string{"dispatched", "baseline"} {
+		t.Run(tier, func(t *testing.T) {
+			if tier == "baseline" {
+				useBaselineKernels(t)
+			}
+			log := logPhase1(t)
+			for _, procs := range []int{1, 2, 4} {
+				old := runtime.GOMAXPROCS(procs)
+				for si, scan := range []*Scan{heap, mapped} {
+					name := [...]string{"heap", "mmap"}[si]
+					bestFirst, inOrder := 0, 0
+					for _, m := range metrics {
+						kern, _ := distance.KernelFor(m)
+						for qi, q := range qs {
+							want, err := heap.SearchNaive(q, catK, m)
+							if err != nil {
+								t.Fatal(err)
+							}
+							log.take(scan)
+							got, err := scan.Search(q, catK, m)
+							if err != nil {
+								t.Fatal(err)
+							}
+							scanned := log.take(scan)
+							if !resultsBitwiseEqual(got, want) {
+								t.Fatalf("%s procs=%d %s query %d: Search != SearchNaive", name, procs, m.Name(), qi)
+							}
+							kth := kern.Squared(q, data[want[catK-1].Index])
+							for tl := range catTiles {
+								lo := tl * DefaultBatchTile
+								if scan.blockBound2(q, kern.Weights(), lo, lo+DefaultBatchTile) <= kth && !scanned[tl] {
+									t.Errorf("%s procs=%d %s query %d: tile %d is within the k-th distance but was not scanned", name, procs, m.Name(), qi, tl)
+								}
+							}
+							out := make([][]Result, 1)
+							scan.scanBatchTiled([][]float64{q}, catK, []distance.Kernel{kern}, out, 0, 1)
+							ordered := len(log.take(scan))
+							if len(scanned) > ordered {
+								t.Errorf("%s procs=%d %s query %d: best-first scanned %d tiles, in order %d", name, procs, m.Name(), qi, len(scanned), ordered)
+							}
+							bestFirst += len(scanned)
+							inOrder += ordered
+						}
+					}
+					if bestFirst >= inOrder {
+						t.Errorf("%s procs=%d: best-first scanned %d tiles in all, in order %d", name, procs, bestFirst, inOrder)
+					}
+				}
+				runtime.GOMAXPROCS(old)
+			}
+		})
 	}
 }
 
