@@ -727,6 +727,32 @@ func recordOracleSearches(seed int64, scale float64, sessions, k int) (*knn.Scan
 	return scan, rec.log, nil
 }
 
+// BenchmarkDatasetBuild renders and extracts the IMSILike(1, scale)
+// collection — scale 10 is the 97,910 rows `fbserve -scale 10` builds
+// before it serves, nearly all of the bench/ `bigscan` set-up time. It
+// reports cpu-ns/op from getrusage beside ns/op: Build runs one worker
+// per GOMAXPROCS.
+func BenchmarkDatasetBuild(b *testing.B) {
+	for _, scale := range []float64{1, 10} {
+		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
+			cfg := imagegen.IMSILike(1, scale)
+			var before, after syscall.Rusage
+			if err := syscall.Getrusage(syscall.RUSAGE_SELF, &before); err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				if _, err := dataset.Build(cfg, histogram.DefaultExtractor); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := syscall.Getrusage(syscall.RUSAGE_SELF, &after); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(cpuTime(after)-cpuTime(before))/float64(b.N), "cpu-ns/op")
+		})
+	}
+}
+
 // cpuTime is the user plus system time of a getrusage sample, in ns.
 func cpuTime(ru syscall.Rusage) int64 {
 	return ru.Utime.Nano() + ru.Stime.Nano()

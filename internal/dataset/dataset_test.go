@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -115,8 +116,8 @@ func TestBuildFromGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Len() != cfg.TotalCount() {
-		t.Errorf("Len = %d, want %d", d.Len(), cfg.TotalCount())
+	if d.Len() != cfg.Count() {
+		t.Errorf("Len = %d, want %d", d.Len(), cfg.Count())
 	}
 	if d.Dim != 32 {
 		t.Errorf("Dim = %d", d.Dim)
@@ -151,6 +152,58 @@ func TestBuildFromGenerator(t *testing.T) {
 	}
 }
 
+// putItem feeds one item to a collection hash: the feature's float64
+// bits little-endian, then "category\x00theme\x00".
+func putItem(h hash.Hash64, cat, theme string, feat []float64) {
+	var b [8]byte
+	for _, v := range feat {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	h.Write([]byte(cat + "\x00" + theme + "\x00"))
+}
+
+// buildHash builds cfg under GOMAXPROCS procs and returns the FNV-64a of
+// its items in id order, failing if any item's ID is not its index.
+func buildHash(t *testing.T, cfg imagegen.Config, procs int) (uint64, *Dataset) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(procs)
+	d, err := Build(cfg, histogram.DefaultExtractor)
+	runtime.GOMAXPROCS(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	slab := d.Matrix().Slab(0, d.Len())
+	for i, it := range d.Items {
+		if it.ID != i {
+			t.Fatalf("GOMAXPROCS=%d: item %d has ID %d", procs, i, it.ID)
+		}
+		putItem(h, it.Category, it.Theme, slab[i*d.Dim:(i+1)*d.Dim])
+	}
+	return h.Sum64(), d
+}
+
+// TestBuildGolden pins the bits of the collection itself. Build and
+// Generate share their renderer, so TestBuildMatchesSerialGenerate cannot
+// see a change to both; these hashes can. They were recorded before the
+// renderer's arithmetic fast paths, reused buffers and seeding source
+// went in, and every one of those must leave them unchanged. Scale 10
+// (the bench/ bigscan collection) hashes to 0x7b5038af0cd8874d
+// (DESIGN.md).
+func TestBuildGolden(t *testing.T) {
+	for _, c := range []struct {
+		scale float64
+		want  uint64
+	}{{0.05, 0x1561694b2c234f91}, {0.3, 0xe8670ea4cdf29a12}, {1, 0x02dfffbbd23480f2}} {
+		for _, procs := range []int{1, 4} {
+			if got, _ := buildHash(t, imagegen.IMSILike(1, c.scale), procs); got != c.want {
+				t.Errorf("scale %g, GOMAXPROCS=%d: Build hashes to %#016x, want %#016x", c.scale, procs, got, c.want)
+			}
+		}
+	}
+}
+
 // TestBuildMatchesSerialGenerate pins the streaming, parallel Build to
 // the serial pipeline it replaced — render everything, then extract in
 // id order — by one FNV-64a over every feature bit and every item's
@@ -158,14 +211,6 @@ func TestBuildFromGenerator(t *testing.T) {
 func TestBuildMatchesSerialGenerate(t *testing.T) {
 	cfg := imagegen.IMSILike(1, 0.05)
 	h := fnv.New64a()
-	put := func(cat, theme string, feat []float64) {
-		var b [8]byte
-		for _, v := range feat {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			h.Write(b[:])
-		}
-		h.Write([]byte(cat + "\x00" + theme + "\x00"))
-	}
 	imgs, err := imagegen.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -175,29 +220,16 @@ func TestBuildMatchesSerialGenerate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		put(g.Category, g.Theme, feat)
+		putItem(h, g.Category, g.Theme, feat)
 	}
 	want := h.Sum64()
 
 	for _, procs := range []int{1, 4} {
-		old := runtime.GOMAXPROCS(procs)
-		d, err := Build(cfg, histogram.DefaultExtractor)
-		runtime.GOMAXPROCS(old)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, d := buildHash(t, cfg, procs)
 		if d.Len() != len(imgs) {
 			t.Fatalf("GOMAXPROCS=%d: %d items, want %d", procs, d.Len(), len(imgs))
 		}
-		h.Reset()
-		slab := d.Matrix().Slab(0, d.Len())
-		for i, it := range d.Items {
-			if it.ID != i {
-				t.Fatalf("GOMAXPROCS=%d: item %d has ID %d", procs, i, it.ID)
-			}
-			put(it.Category, it.Theme, slab[i*d.Dim:(i+1)*d.Dim])
-		}
-		if got := h.Sum64(); got != want {
+		if got != want {
 			t.Errorf("GOMAXPROCS=%d: Build hashes to %#x, serial Generate→Extract to %#x", procs, got, want)
 		}
 		for cat, idx := range d.ByCategory {

@@ -40,22 +40,25 @@ func (im *Image) Set(x, y int, p RGB) { im.Pix[y*im.W+x] = p }
 // HSV converts an RGB triple (components in [0,1]) to HSV with
 // h ∈ [0, 360), s ∈ [0, 1], v ∈ [0, 1], using the standard hexcone model.
 func HSV(r, g, b float64) (h, s, v float64) {
-	max := math.Max(r, math.Max(g, b))
-	min := math.Min(r, math.Min(g, b))
-	v = max
-	delta := max - min
-	if max > 0 {
-		s = delta / max
+	hi := max(r, g, b)
+	lo := min(r, g, b)
+	v = hi
+	delta := hi - lo
+	if hi > 0 {
+		s = delta / hi
 	}
 	if delta == 0 {
 		return 0, s, v
 	}
-	switch max {
+	switch hi {
 	case r:
-		h = 60 * math.Mod((g-b)/delta, 6)
+		// The hexcone's mod 6 is the identity here: g and b lie in
+		// [lo, hi], so |g−b| ≤ delta after rounding too, and the
+		// quotient is in [−1, 1].
+		h = 60 * ((g - b) / delta)
 	case g:
 		h = 60 * ((b-r)/delta + 2)
-	default: // max == b
+	default: // hi == b
 		h = 60 * ((r-g)/delta + 4)
 	}
 	if h < 0 {
@@ -69,12 +72,12 @@ func HSV(r, g, b float64) (h, s, v float64) {
 // features live in — and renders them to RGB rasters through this
 // function, so the extractor exercises the full RGB→HSV→bins path.
 func FromHSV(h, s, v float64) RGB {
-	h = math.Mod(h, 360)
+	h = mod(h, 360)
 	if h < 0 {
 		h += 360
 	}
 	c := v * s
-	x := c * (1 - math.Abs(math.Mod(h/60, 2)-1))
+	x := c * (1 - math.Abs(mod(h/60, 2)-1))
 	m := v - c
 	var r, g, b float64
 	switch {
@@ -92,6 +95,27 @@ func FromHSV(h, s, v float64) RGB {
 		r, g, b = c, 0, x
 	}
 	return RGB{R: r + m, G: g + m, B: b + m}
+}
+
+// mod returns math.Mod(x, y) bit for bit, for y > 0 with 2y finite. It
+// skips math.Mod's Frexp/Ldexp loop for x in [0, 3y), which covers every
+// hue the generator renders: there x, x − y and x − 2y are exact — the
+// first two subtractions by Sterbenz's lemma, since y ≤ x ≤ 2y and
+// 2y ≤ x ≤ 4y — and so is fmod, so the results agree. Rounding is
+// monotone, so a difference that is not below y means x ≥ 2y (or 3y).
+func mod(x, y float64) float64 {
+	if x >= 0 && x < y {
+		return x
+	}
+	if x >= y {
+		if r := x - y; r < y {
+			return r
+		}
+		if r := x - 2*y; r < y {
+			return r
+		}
+	}
+	return math.Mod(x, y)
 }
 
 // Extractor converts images into normalized HSV colour histograms.
@@ -136,28 +160,40 @@ func (e Extractor) BinOf(h, s float64) int {
 // sum to 1 ("the sum of the color bins is constant", Example 1 of the
 // paper).
 func (e Extractor) Extract(im *Image) ([]float64, error) {
+	hist := make([]float64, max(e.Bins(), 0))
+	if err := e.ExtractInto(hist, im); err != nil {
+		return nil, err
+	}
+	return hist, nil
+}
+
+// ExtractInto writes the normalized colour histogram of im into dst,
+// which must have length Bins(); it allocates nothing.
+func (e Extractor) ExtractInto(dst []float64, im *Image) error {
 	if e.HueBins <= 0 || e.SatBins <= 0 {
-		return nil, fmt.Errorf("histogram: invalid extractor %dx%d", e.HueBins, e.SatBins)
+		return fmt.Errorf("histogram: invalid extractor %dx%d", e.HueBins, e.SatBins)
 	}
 	if e.Smoothing < 0 {
-		return nil, fmt.Errorf("histogram: negative smoothing %v", e.Smoothing)
+		return fmt.Errorf("histogram: negative smoothing %v", e.Smoothing)
 	}
 	if im == nil || len(im.Pix) == 0 {
-		return nil, errors.New("histogram: empty image")
+		return errors.New("histogram: empty image")
 	}
-	hist := make([]float64, e.Bins())
-	for i := range hist {
-		hist[i] = e.Smoothing
+	if len(dst) != e.Bins() {
+		return fmt.Errorf("histogram: destination has %d bins, want %d", len(dst), e.Bins())
+	}
+	for i := range dst {
+		dst[i] = e.Smoothing
 	}
 	for _, p := range im.Pix {
 		h, s, _ := HSV(p.R, p.G, p.B)
-		hist[e.BinOf(h, s)]++
+		dst[e.BinOf(h, s)]++
 	}
 	inv := 1 / (float64(len(im.Pix)) + e.Smoothing*float64(e.Bins()))
-	for i := range hist {
-		hist[i] *= inv
+	for i := range dst {
+		dst[i] *= inv
 	}
-	return hist, nil
+	return nil
 }
 
 // DropLast removes the final bin of a normalized histogram, producing the

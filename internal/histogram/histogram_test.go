@@ -76,6 +76,53 @@ func TestHSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestModMatchesMathMod holds mod's shortcuts to math.Mod bit for bit at
+// the two moduli FromHSV uses, on both sides of every shortcut's edge.
+func TestModMatchesMathMod(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, y := range []float64{2, 360} {
+		ins := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e300, -1e300}
+		for _, edge := range []float64{y, 2 * y, 3 * y, -y} {
+			ins = append(ins, edge, math.Nextafter(edge, math.Inf(-1)), math.Nextafter(edge, math.Inf(1)))
+		}
+		for range 20000 {
+			ins = append(ins, (rng.Float64()*2-1)*1000)
+		}
+		for _, x := range ins {
+			if got, want := mod(x, y), math.Mod(x, y); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("mod(%v, %v) = %v (%#x), math.Mod gives %v (%#x)", x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestHSVRedSectorUnwrapped checks that dropping the red sector's mod 6
+// changes nothing: on random pixels, and on pixels whose green and blue
+// sit at the extremes, HSV equals the hexcone formula with math.Mod.
+func TestHSVRedSectorUnwrapped(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 100000; trial++ {
+		r, g, b := rng.Float64(), rng.Float64(), rng.Float64()
+		switch trial % 3 {
+		case 1:
+			g, b = r, 0 // g == max: ties go to the red sector
+		case 2:
+			r, g, b = 1, math.Nextafter(1, 0), rng.Float64()*1e-300
+		}
+		hi, lo := max(r, g, b), min(r, g, b)
+		if hi != r || hi == lo {
+			continue
+		}
+		want := 60 * math.Mod((g-b)/(hi-lo), 6)
+		if want < 0 {
+			want += 360
+		}
+		if h, _, _ := HSV(r, g, b); math.Float64bits(h) != math.Float64bits(want) {
+			t.Fatalf("HSV(%v, %v, %v) hue %v, math.Mod form %v", r, g, b, h, want)
+		}
+	}
+}
+
 func TestFromHSVNegativeAndLargeHue(t *testing.T) {
 	a := FromHSV(-90, 1, 1)
 	b := FromHSV(270, 1, 1)
@@ -215,6 +262,9 @@ func TestExtractErrors(t *testing.T) {
 	im, _ := NewImage(2, 2)
 	if _, err := bad.Extract(im); err == nil {
 		t.Error("invalid extractor should error")
+	}
+	if err := DefaultExtractor.ExtractInto(make([]float64, 31), im); err == nil {
+		t.Error("a destination shorter than Bins() should error")
 	}
 }
 

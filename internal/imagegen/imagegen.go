@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/histogram"
 )
@@ -113,41 +114,75 @@ func (c Config) Count() int {
 	return n
 }
 
-// Render renders image id of a validated configuration; ids run through
-// the categories in order, from 0 to Count()-1. The pixels depend on
-// (Seed, id) alone — every image draws from its own RNG — so images can
-// be rendered in any order, or concurrently, with identical results.
-func (c Config) Render(id int) (Generated, error) {
+// Renderer renders the images of one configuration into buffers it
+// reuses: one RNG, reseeded for every image, one raster and the blob
+// scratch. Once warm, rendering allocates nothing. A Renderer is not safe
+// for concurrent use; dataset.Build gives each worker its own.
+type Renderer struct {
+	cfg          Config
+	rng          *rand.Rand
+	img          histogram.Image
+	blobs        []Blob
+	weights, cum []float64
+}
+
+// NewRenderer validates cfg and returns a Renderer for it.
+func NewRenderer(cfg Config) (*Renderer, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return &Renderer{
+		cfg: cfg,
+		rng: rand.New(new(source)),
+		img: histogram.Image{W: cfg.ImageW, H: cfg.ImageH, Pix: make([]histogram.RGB, cfg.ImageW*cfg.ImageH)},
+	}, nil
+}
+
+// Render renders image id; ids run through the categories in order, from
+// 0 to Count()-1. The pixels depend on (Seed, id) alone — the RNG is
+// reseeded from them for every image — so images can be rendered in any
+// order, by any number of Renderers, with identical results. The returned
+// Image is the Renderer's raster, overwritten by the next Render.
+func (r *Renderer) Render(id int) (Generated, error) {
 	first := 0
-	for _, cat := range c.Categories {
+	for _, cat := range r.cfg.Categories {
 		if id >= first && id < first+cat.Count {
-			rng := rand.New(rand.NewSource(imageSeed(c.Seed, id)))
-			theme := cat.Themes[rng.Intn(len(cat.Themes))]
-			img, err := renderImage(rng, c.ImageW, c.ImageH, cat.Signature, theme.Blobs)
-			if err != nil {
-				return Generated{}, err
-			}
-			return Generated{ID: id, Category: cat.Name, Theme: theme.Name, Image: img}, nil
+			r.rng.Seed(imageSeed(r.cfg.Seed, id))
+			theme := cat.Themes[r.rng.Intn(len(cat.Themes))]
+			r.paint(cat.Signature, theme.Blobs)
+			return Generated{ID: id, Category: cat.Name, Theme: theme.Name, Image: &r.img}, nil
 		}
 		first += cat.Count
 	}
 	return Generated{}, fmt.Errorf("imagegen: image %d outside the collection's %d", id, first)
 }
 
+// Render renders image id of the configuration with a Renderer of its
+// own, so the returned raster belongs to the caller.
+func (c Config) Render(id int) (Generated, error) {
+	r, err := NewRenderer(c)
+	if err != nil {
+		return Generated{}, err
+	}
+	return r.Render(id)
+}
+
 // Generate renders the full collection deterministically from the seed.
 // Image i of the configuration always receives the same pixels, regardless
-// of how many categories precede it. All rasters are held at once;
-// dataset.Build streams Render instead.
+// of how many categories precede it. All rasters are held at once, each a
+// copy of the Renderer's; dataset.Build streams instead.
 func Generate(cfg Config) ([]Generated, error) {
-	if err := cfg.Validate(); err != nil {
+	r, err := NewRenderer(cfg)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]Generated, cfg.Count())
 	for id := range out {
-		g, err := cfg.Render(id)
+		g, err := r.Render(id)
 		if err != nil {
 			return nil, err
 		}
+		g.Image = &histogram.Image{W: g.Image.W, H: g.Image.H, Pix: slices.Clone(g.Image.Pix)}
 		out[id] = g
 	}
 	return out, nil
@@ -162,12 +197,12 @@ func imageSeed(seed int64, id int) int64 {
 	return int64(z)
 }
 
-// renderImage samples each pixel from the mixture of signature and theme
-// blobs, after applying a per-image jitter to blob centers and masses.
-func renderImage(rng *rand.Rand, w, h int, signature, themeBlobs []Blob) (*histogram.Image, error) {
-	blobs := make([]Blob, 0, len(signature)+len(themeBlobs))
-	blobs = append(blobs, signature...)
-	blobs = append(blobs, themeBlobs...)
+// paint samples each pixel of the raster from the mixture of signature
+// and theme blobs, after applying a per-image jitter to blob centers and
+// masses.
+func (r *Renderer) paint(signature, themeBlobs []Blob) {
+	rng := r.rng
+	r.blobs = append(append(r.blobs[:0], signature...), themeBlobs...)
 
 	// Per-image jitter: the palette drifts and the blob masses vary, so
 	// two images of the same theme are similar but clearly distinct —
@@ -176,31 +211,27 @@ func renderImage(rng *rand.Rand, w, h int, signature, themeBlobs []Blob) (*histo
 	// trivially clustering same-theme images.
 	hueJitter := rng.NormFloat64() * 12
 	satJitter := rng.NormFloat64() * 0.06
-	weights := make([]float64, len(blobs))
+	r.weights = r.weights[:0]
 	var totalW float64
-	for i, b := range blobs {
-		weights[i] = b.Weight * math.Exp(rng.NormFloat64()*0.7)
-		totalW += weights[i]
+	for _, b := range r.blobs {
+		w := b.Weight * math.Exp(rng.NormFloat64()*0.7)
+		r.weights = append(r.weights, w)
+		totalW += w
 	}
-	cum := make([]float64, len(blobs))
+	r.cum = r.cum[:0]
 	acc := 0.0
-	for i := range blobs {
-		acc += weights[i] / totalW
-		cum[i] = acc
+	for _, w := range r.weights {
+		acc += w / totalW
+		r.cum = append(r.cum, acc)
 	}
 
-	img, err := histogram.NewImage(w, h)
-	if err != nil {
-		return nil, err
-	}
-	for i := range img.Pix {
-		b := blobs[pickBlob(cum, rng.Float64())]
+	for i := range r.img.Pix {
+		b := r.blobs[pickBlob(r.cum, rng.Float64())]
 		hue := wrapHue(b.Hue + hueJitter + rng.NormFloat64()*b.HueStd)
 		sat := clamp01(b.Sat + satJitter + rng.NormFloat64()*b.SatStd)
 		val := 0.35 + 0.65*rng.Float64() // brightness is not a feature; keep it away from 0 so hue is well-defined
-		img.Pix[i] = histogram.FromHSV(hue, sat, val)
+		r.img.Pix[i] = histogram.FromHSV(hue, sat, val)
 	}
-	return img, nil
 }
 
 func pickBlob(cum []float64, u float64) int {
@@ -212,7 +243,19 @@ func pickBlob(cum []float64, u float64) int {
 	return len(cum) - 1
 }
 
+// wrapHue is math.Mod(h, 360) moved into [0, 360], bit for bit. Within a
+// turn of [0, 360) — every hue a blob draws in practice — math.Mod is
+// exact, so it is replaced by what it returns: h itself for |h| < 360,
+// and h − 360 for 360 ≤ h < 720, exact by Sterbenz's lemma.
 func wrapHue(h float64) float64 {
+	switch {
+	case h >= 0 && h < 360:
+		return h
+	case h > -360 && h < 0:
+		return h + 360
+	case h >= 360 && h < 720:
+		return h - 360
+	}
 	h = math.Mod(h, 360)
 	if h < 0 {
 		h += 360

@@ -2,6 +2,7 @@ package imagegen
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/histogram"
@@ -102,6 +103,75 @@ func TestGenerateDeterministic(t *testing.T) {
 		if a[i].Theme != b[i].Theme {
 			t.Fatalf("image %d theme differs", i)
 		}
+	}
+}
+
+// TestRendererReuse renders every image of a collection with one
+// Renderer, in reverse order, and each with a fresh Renderer of its own
+// (Config.Render): nothing a reused Renderer carries over from the
+// previous image may reach the next one.
+func TestRendererReuse(t *testing.T) {
+	cfg := IMSILike(2, 0.02)
+	r, err := NewRenderer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := cfg.Count() - 1; id >= 0; id-- {
+		got, err := r.Render(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cfg.Render(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ID != want.ID || got.Category != want.Category || got.Theme != want.Theme {
+			t.Fatalf("image %d: reused renderer labels %+v, fresh %+v", id, got, want)
+		}
+		for p := range want.Image.Pix {
+			if got.Image.Pix[p] != want.Image.Pix[p] {
+				t.Fatalf("image %d pixel %d: reused renderer %v, fresh %v", id, p, got.Image.Pix[p], want.Image.Pix[p])
+			}
+		}
+	}
+	if _, err := r.Render(cfg.Count()); err == nil {
+		t.Error("rendering past the last image should error")
+	}
+	if _, err := NewRenderer(Config{}); err == nil {
+		t.Error("NewRenderer should reject an invalid configuration")
+	}
+}
+
+// TestRenderAllocationBudget pins the streaming build's per-image cost:
+// on a warm Renderer, rendering an image and extracting its histogram
+// into a row allocate nothing.
+func TestRenderAllocationBudget(t *testing.T) {
+	cfg := IMSILike(1, 0.05)
+	r, err := NewRenderer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := histogram.DefaultExtractor
+	row := make([]float64, ex.Bins())
+	id := 0
+	render := func() {
+		g, err := r.Render(id % cfg.Count())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ex.ExtractInto(row, g.Image); err != nil {
+			t.Fatal(err)
+		}
+		id += 7
+	}
+	// Warm up: every image once grows the blob scratch to the largest palette.
+	for i := range cfg.Count() {
+		if _, err := r.Render(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, render); allocs != 0 {
+		t.Errorf("render + ExtractInto: %v allocations per image, want 0", allocs)
 	}
 }
 
@@ -244,7 +314,7 @@ func TestIMSILikeCardinalities(t *testing.T) {
 	if queryTotal != 2491 {
 		t.Errorf("query image total = %d, want 2491 (paper §5)", queryTotal)
 	}
-	total := cfg.TotalCount()
+	total := cfg.Count()
 	if total < 9000 || total > 11000 {
 		t.Errorf("collection size = %d, want ≈10,000", total)
 	}
@@ -264,8 +334,8 @@ func TestIMSILikeScaling(t *testing.T) {
 			t.Errorf("%s scaled below minimum: %d", cat.Name, cat.Count)
 		}
 	}
-	full := IMSILike(1, 1).TotalCount()
-	small := cfg.TotalCount()
+	full := IMSILike(1, 1).Count()
+	small := cfg.Count()
 	if small >= full/5 {
 		t.Errorf("scale 0.1 should shrink the collection: %d vs %d", small, full)
 	}
@@ -277,8 +347,8 @@ func TestIMSILikeGeneratesAtSmallScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(imgs) != cfg.TotalCount() {
-		t.Fatalf("generated %d, config says %d", len(imgs), cfg.TotalCount())
+	if len(imgs) != cfg.Count() {
+		t.Fatalf("generated %d, config says %d", len(imgs), cfg.Count())
 	}
 	// All histograms must be valid (normalized, finite).
 	ex := histogram.DefaultExtractor
@@ -313,6 +383,27 @@ func TestWrapHue(t *testing.T) {
 	for _, c := range []struct{ in, want float64 }{{-10, 350}, {370, 10}, {720, 0}, {0, 0}, {359, 359}} {
 		if got := wrapHue(c.in); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("wrapHue(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+	// The shortcuts must return math.Mod's bits, plus 360 when negative.
+	ref := func(h float64) float64 {
+		h = math.Mod(h, 360)
+		if h < 0 {
+			h += 360
+		}
+		return h
+	}
+	rng := rand.New(rand.NewSource(1))
+	ins := []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e300, -1e300, -1e-300, 1e-300}
+	for _, edge := range []float64{-1080, -720, -360, 0, 360, 720, 1080} {
+		ins = append(ins, edge, math.Nextafter(edge, math.Inf(-1)), math.Nextafter(edge, math.Inf(1)))
+	}
+	for range 20000 {
+		ins = append(ins, (rng.Float64()*2-1)*1000)
+	}
+	for _, h := range ins {
+		if got, want := wrapHue(h), ref(h); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("wrapHue(%v) = %v (%#x), math.Mod gives %v (%#x)", h, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
 }

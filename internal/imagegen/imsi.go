@@ -200,12 +200,3 @@ func (c Config) QueryCategoryNames() []string {
 	}
 	return out
 }
-
-// TotalCount returns the number of images the configuration generates.
-func (c Config) TotalCount() int {
-	total := 0
-	for _, cat := range c.Categories {
-		total += cat.Count
-	}
-	return total
-}
