@@ -1,11 +1,9 @@
-// Benchmarks regenerating every figure of the paper's evaluation (one
-// benchmark per figure; the printed series come from cmd/fbbench) plus the
-// ablation benchmarks called out in DESIGN.md: incremental vs. naive
+// The ablation benchmarks called out in DESIGN.md: incremental vs. naive
 // Simplex Tree lookup, the ε storage/accuracy trade-off, index structures
-// for the query-processing step, and Haar OQP compression.
-//
-// Figure benchmarks run at a reduced scale so `go test -bench=.` finishes
-// in minutes; cmd/fbbench runs the same drivers at paper scale.
+// for the query-processing step, and Haar OQP compression, plus component
+// micro-benchmarks and the end-to-end per-query protocol. The paper's
+// figures themselves are pinned by TestPaperFiguresGolden and regenerated
+// by cmd/fbbench.
 package feedbackbypass_test
 
 import (
@@ -33,156 +31,16 @@ import (
 	"repro/internal/simplextree"
 )
 
-// benchConfig is the shared small-scale configuration for figure
-// benchmarks.
+// benchConfig is the small-scale session configuration of
+// BenchmarkEndToEndQuery.
 func benchConfig() experiments.Config {
 	return experiments.Config{
-		Seed:           1,
-		Scale:          0.08,
-		NumQueries:     120,
-		K:              10,
-		Epsilon:        0.05,
-		MeasureSavings: true,
+		Seed:       1,
+		Scale:      0.08,
+		NumQueries: 120,
+		K:          10,
+		Epsilon:    0.05,
 	}
-}
-
-var (
-	benchSessionOnce sync.Once
-	benchSession     *experiments.Session
-	benchSessionErr  error
-)
-
-// sharedBenchSession trains one session reused by the per-figure
-// benchmarks whose drivers only aggregate session records.
-func sharedBenchSession(b *testing.B) *experiments.Session {
-	b.Helper()
-	benchSessionOnce.Do(func() {
-		s, err := experiments.NewSession(benchConfig())
-		if err != nil {
-			benchSessionErr = err
-			return
-		}
-		benchSessionErr = s.Run()
-		benchSession = s
-	})
-	if benchSessionErr != nil {
-		b.Fatal(benchSessionErr)
-	}
-	return benchSession
-}
-
-func BenchmarkFigure1(b *testing.B) {
-	s := sharedBenchSession(b)
-	itemIdx := s.Records[0].ItemIndex
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure1(s, itemIdx, 5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure9(b *testing.B) {
-	s := sharedBenchSession(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure9(s, "Fish", 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure10(b *testing.B) {
-	s := sharedBenchSession(b)
-	b.ResetTimer()
-	var lastGain float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure10(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n := res.GainFB.Len(); n > 0 {
-			lastGain = res.GainFB.Y[n-1]
-		}
-	}
-	b.ReportMetric(lastGain, "final-FB-gain-%")
-}
-
-func BenchmarkFigure11(b *testing.B) {
-	s := sharedBenchSession(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure11(s, []int{10, 20, 40}, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure12(b *testing.B) {
-	cfg := benchConfig()
-	cfg.NumQueries = 40
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure12(cfg, []int{5, 10}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure13(b *testing.B) {
-	cfg := benchConfig()
-	cfg.NumQueries = 40
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure13(cfg, []int{5, 10}, []int{10, 20}, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure14(b *testing.B) {
-	s := sharedBenchSession(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure14(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure15(b *testing.B) {
-	cfg := benchConfig()
-	cfg.NumQueries = 40
-	b.ResetTimer()
-	var lastSaved float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure15(cfg, []int{5, 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n := res.SavedCycles[len(res.SavedCycles)-1].Len(); n > 0 {
-			lastSaved = res.SavedCycles[len(res.SavedCycles)-1].Y[n-1]
-		}
-	}
-	b.ReportMetric(lastSaved, "final-saved-cycles")
-}
-
-func BenchmarkFigure16(b *testing.B) {
-	s := sharedBenchSession(b)
-	b.ResetTimer()
-	var depth, traversed float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure16(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n := res.Depth.Len(); n > 0 {
-			depth = res.Depth.Y[n-1]
-			traversed = res.Traversed.Y[n-1]
-		}
-	}
-	b.ReportMetric(depth, "tree-depth")
-	b.ReportMetric(traversed, "avg-traversed")
 }
 
 // --- Ablation: incremental barycentric descent vs. per-node solves. ---
@@ -903,9 +761,7 @@ func BenchmarkHistogramCodecRoundTrip(b *testing.B) {
 // BenchmarkEndToEndQuery measures the full per-query protocol: predict,
 // retrieve, feedback loop, insert — the unit of work of Figures 10–15.
 func BenchmarkEndToEndQuery(b *testing.B) {
-	cfg := benchConfig()
-	cfg.MeasureSavings = false
-	s, err := experiments.NewSession(cfg)
+	s, err := experiments.NewSession(benchConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

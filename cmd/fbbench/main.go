@@ -34,26 +34,21 @@ import (
 	"repro/internal/histogram"
 	"repro/internal/imagegen"
 	"repro/internal/knn"
-	"repro/internal/obsv"
 	"repro/internal/persist"
 	"repro/internal/simplextree"
 )
 
 func main() {
 	var (
-		figure   = flag.String("figure", "all", "figure to regenerate: all, 1, 9, 10, 11, 12, 13, 14, 15, 16, knn (retrieval-core micro-benchmark), tree (Simplex Tree concurrency/throughput series), serve (closed-loop multi-session serving benchmark), shard (sharded bypass plane sweep over S=1/2/4/8), store (heap vs mmap feature-store backends), chaos (fault-injection: crash-schedule sweep, degraded-mode and quota governance), ann (IVF approximate tier: recall/latency/bandwidth sweep over nlist, nprobe and quantization), soak (duration-bounded load with registry/runtime sampling and interactivity-budget report), or lifecycle (bypass aging: drifting soak with aging on vs off, plus a compaction crash-schedule sweep on both durable layouts)")
+		figure   = flag.String("figure", "all", "figure to regenerate: all, 1, 9, 10, 11, 12, 13, 14, 15, 16, knn (retrieval-core micro-benchmark), tree (Simplex Tree concurrency/throughput series), chaos (fault-injection: crash-schedule sweep, degraded-mode and quota governance), ann (IVF approximate tier: recall/latency/bandwidth sweep over nlist, nprobe and quantization), or lifecycle (bypass aging: drifting soak with aging on vs off, plus a compaction crash-schedule sweep on both durable layouts)")
 		scale    = flag.Float64("scale", 0.3, "collection scale (1 = the paper's ~10,000 images)")
 		queries  = flag.Int("queries", 700, "training queries to process")
 		k        = flag.Int("k", 15, "results per query (paper: 50)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		epsilon  = flag.Float64("epsilon", 0.05, "Simplex Tree insert threshold ε")
-		numEval  = flag.Int("eval", 80, "evaluation queries for the k-sweep figures")
-		save     = flag.String("save", "", "persist the trained Simplex Tree to this file (inspect with fbtree)")
+		numEval  = flag.Int("eval", 80, "evaluation queries for the k-sweep figures (11, 13) and the knn figure")
+		save     = flag.String("save", "", "persist the trained Simplex Tree to this file (inspect with fbtree); needs a figure that trains the shared session")
 		jsonPath = flag.String("json", "", "additionally write every printed series as machine-readable JSON to this file")
-
-		soakDur     = flag.Duration("soak-duration", 10*time.Second, "soak figure: run length")
-		soakClients = flag.Int("soak-clients", 8, "soak figure: closed-loop client count")
-		soakSample  = flag.Duration("soak-sample", time.Second, "soak figure: registry/runtime sampling interval")
 
 		lcInserts = flag.Int("lifecycle-inserts", 0, "lifecycle figure: drifting inserts per soak mode (0 = default)")
 		lcHorizon = flag.Int("lifecycle-horizon", 0, "lifecycle figure: aging horizon in logical inserts (0 = default)")
@@ -89,12 +84,8 @@ func main() {
 	}{
 		{"knn", func() { runKNNBench(*scale, *k, *numEval, *seed) }},
 		{"tree", func() { runTreeBench(*queries, *epsilon, *seed) }},
-		{"serve", func() { runServeBench(*scale, *k, *numEval, *seed, *epsilon) }},
-		{"shard", func() { runShardBench(*scale, *k, *numEval, *seed, *epsilon) }},
-		{"store", func() { runStoreBench(*scale, *k, *numEval, *seed, *epsilon) }},
 		{"chaos", func() { runChaosBench(*seed) }},
 		{"ann", func() { runANNBench(*k, *seed) }},
-		{"soak", func() { runSoakBench(*scale, *k, *seed, *epsilon, *soakClients, *soakDur, *soakSample) }},
 		{"lifecycle", func() { runLifecycleBench(*seed, *lcInserts, uint64(*lcHorizon), *lcCompact) }},
 	}
 	// The paper's figures; those marked shared read one trained session.
@@ -120,19 +111,23 @@ func main() {
 		needShared = needShared || f.shared && want(f.name)
 	}
 	for _, b := range standalone {
+		valid = append(valid, b.name)
+	}
+	if !slices.Contains(valid, *figure) {
+		fmt.Fprintf(os.Stderr, "fbbench: unknown -figure %q; valid: %s\n", *figure, strings.Join(valid, ", "))
+		os.Exit(2)
+	}
+	if *save != "" && !needShared {
+		fmt.Fprintln(os.Stderr, "fbbench: -save requires a figure that trains the shared session")
+		os.Exit(2)
+	}
+	for _, b := range standalone {
 		if *figure == b.name {
 			b.run()
 			writeReport(*jsonPath)
 			fmt.Printf("# total %.1fs\n", time.Since(start).Seconds())
 			return
 		}
-	}
-	if !slices.Contains(valid, *figure) {
-		for _, b := range standalone {
-			valid = append(valid, b.name)
-		}
-		fmt.Fprintf(os.Stderr, "fbbench: unknown -figure %q; valid: %s\n", *figure, strings.Join(valid, ", "))
-		os.Exit(2)
 	}
 
 	var shared *experiments.Session
@@ -158,9 +153,6 @@ func main() {
 		}
 	}
 	if *save != "" {
-		if shared == nil {
-			fail(fmt.Errorf("-save requires a figure that trains the shared session"))
-		}
 		if err := persist.SaveFile(*save, shared.Bypass.Tree()); err != nil {
 			fail(err)
 		}
@@ -176,12 +168,8 @@ type jsonReport struct {
 	Series    map[string][]jsonSeries      `json:"series,omitempty"`
 	KNN       map[string]knnBenchResult    `json:"knn,omitempty"`
 	Tree      map[string]treeBenchResult   `json:"tree,omitempty"`
-	Serve     *experiments.ServeResult     `json:"serve,omitempty"`
-	Shard     *experiments.ShardResult     `json:"shard,omitempty"`
-	Store     *experiments.StoreResult     `json:"store,omitempty"`
 	Chaos     *experiments.ChaosResult     `json:"chaos,omitempty"`
 	ANN       *experiments.ANNResult       `json:"ann,omitempty"`
-	Soak      *experiments.SoakResult      `json:"soak,omitempty"`
 	Lifecycle *experiments.LifecycleResult `json:"lifecycle,omitempty"`
 }
 
@@ -194,11 +182,6 @@ type reportMeta struct {
 	Figure    string               `json:"figure"`
 	Timestamp string               `json:"timestamp"`
 	Env       experiments.Envelope `json:"env"`
-	// Metrics snapshots the benchmark process's observability registry at
-	// report-write time: for instrumented figures (soak) it carries every
-	// series /metrics would have served; for the rest it records that no
-	// instruments fired — either way the artifact is self-describing.
-	Metrics *obsv.Snapshot `json:"metrics,omitempty"`
 }
 
 type jsonSeries struct {
@@ -228,13 +211,10 @@ type treeBenchResult struct {
 }
 
 // report is nil unless -json was given; section names the figure being
-// printed so recorded series land under it. benchReg is the process's
-// observability registry: instrumented figures register into it, and
-// its snapshot lands in every JSON artifact's provenance envelope.
+// printed so recorded series land under it.
 var (
-	report   *jsonReport
-	section  string
-	benchReg = obsv.NewRegistry()
+	report  *jsonReport
+	section string
 )
 
 func record(xLabel string, series ...*eval.Series) {
@@ -252,7 +232,6 @@ func writeReport(path string) {
 	if report == nil || path == "" {
 		return
 	}
-	report.Meta.Metrics = benchReg.Snapshot()
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		fail(err)
@@ -486,179 +465,6 @@ func runTreeBench(queries int, epsilon float64, seed int64) {
 	}
 	reportRow("wal-append", points, 1, time.Since(t0))
 	fmt.Println()
-}
-
-// runServeBench measures the serving layer end to end: closed-loop
-// oracle-driven sessions (Open → Feedback* → Close) against one shared
-// service at increasing client counts. The service — and its Simplex
-// Tree — is shared across levels, so the series doubles as a warm-up
-// trajectory: later levels see higher warm-start and cache-hit rates.
-// `sessions` rides the -eval flag (sessions per level).
-func runServeBench(scale float64, k, sessions int, seed int64, epsilon float64) {
-	cfg := experiments.DefaultServeConfig()
-	cfg.Seed = seed
-	cfg.Scale = scale
-	cfg.K = k
-	cfg.Epsilon = epsilon
-	if sessions > 0 {
-		cfg.SessionsPerLevel = sessions
-	}
-	header(fmt.Sprintf("Serving layer: closed-loop sessions (scale %.2f, k = %d, %d sessions/level)",
-		scale, k, cfg.SessionsPerLevel))
-	res, err := experiments.RunServe(cfg)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("# collection: %d images (%d bins)\n", res.Collection, res.Dim)
-	fmt.Printf("# each level: train phase (oracle feedback loops, inserts) then bypass phase (same stream, no feedback)\n")
-	fmt.Printf("%-8s %-8s %10s %12s %12s %12s %10s %10s %9s\n",
-		"clients", "phase", "sessions", "sess/s", "p50(us)", "p99(us)", "cache-hit", "warm", "inserted")
-	for _, lvl := range res.Levels {
-		for _, row := range []struct {
-			name string
-			ph   experiments.ServePhaseResult
-		}{{"train", lvl.Train}, {"bypass", lvl.Bypass}} {
-			fmt.Printf("%-8d %-8s %10d %12.1f %12.0f %12.0f %9.1f%% %9.1f%% %9d\n",
-				lvl.Clients, row.name, row.ph.Sessions, row.ph.SessionsPerSec, row.ph.P50Micros,
-				row.ph.P99Micros, 100*row.ph.CacheHitRate, 100*row.ph.WarmRate, row.ph.Inserted)
-		}
-	}
-	st := res.FinalStats
-	fmt.Printf("# final: %d sessions, %d feedback rounds, %d/%d cache hits, %d inserts, tree %d points depth %d\n\n",
-		st.Opened, st.Feedbacks, st.CacheHits, st.Predictions, st.Inserts, st.Tree.Points, st.Tree.Depth)
-	if report != nil {
-		report.Serve = &res
-	}
-}
-
-// runSoakBench runs the soak instrument: duration-bounded closed-loop
-// load over an instrumented service, with the interactivity-budget
-// report and the sampled registry/runtime time series.
-func runSoakBench(scale float64, k int, seed int64, epsilon float64, clients int, dur, sample time.Duration) {
-	cfg := experiments.DefaultSoakConfig()
-	cfg.Seed = seed
-	cfg.Scale = scale
-	cfg.K = k
-	cfg.Epsilon = epsilon
-	if clients > 0 {
-		cfg.Clients = clients
-	}
-	if dur > 0 {
-		cfg.Duration = dur
-	}
-	if sample > 0 {
-		cfg.SampleEvery = sample
-	}
-	cfg.Obs = benchReg
-	header(fmt.Sprintf("Soak: %d closed-loop clients for %s (scale %.2f, k = %d, sample %s)",
-		cfg.Clients, cfg.Duration, scale, k, cfg.SampleEvery))
-	res, err := experiments.RunSoak(cfg)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("# collection: %d images (%d bins)\n", res.Collection, res.Dim)
-	fmt.Printf("# %d sessions (%d service calls) in %.1fs — %.1f sessions/s\n",
-		res.Sessions, res.Ops, res.DurationSecs, res.SessionsPerSec)
-
-	fmt.Printf("\n# interactivity budgets (complete sessions within wall-clock budget)\n")
-	fmt.Printf("%-12s %10s %10s\n", "budget", "sessions", "fraction")
-	for _, b := range res.Budgets {
-		fmt.Printf("%-12s %10d %9.1f%%\n",
-			fmt.Sprintf("%.0fms", 1000*b.BudgetSecs), b.Sessions, 100*b.Fraction)
-	}
-
-	fmt.Printf("\n# per-operation latency (from the observability registry)\n")
-	fmt.Printf("%-10s %10s %12s %12s %12s\n", "op", "count", "p50(us)", "p95(us)", "p99(us)")
-	for _, ol := range res.OpLatencies {
-		fmt.Printf("%-10s %10d %12.0f %12.0f %12.0f\n",
-			ol.Op, ol.Count, 1e6*ol.P50Secs, 1e6*ol.P95Secs, 1e6*ol.P99Secs)
-	}
-
-	fmt.Printf("\n# samples (cumulative counters + process state)\n")
-	fmt.Printf("%-10s %10s %10s %12s %12s %11s %6s\n",
-		"elapsed", "sessions", "ops", "heap(MB)", "rss(MB)", "goroutines", "gc")
-	for _, s := range res.Samples {
-		fmt.Printf("%-10s %10d %10d %12.1f %12.1f %11d %6d\n",
-			fmt.Sprintf("%.1fs", s.ElapsedSecs), s.Sessions, s.Ops,
-			float64(s.HeapAllocBytes)/(1<<20), float64(s.RSSBytes)/(1<<20), s.Goroutines, s.GCCycles)
-	}
-	st := res.FinalStats
-	fmt.Printf("# final: %d sessions opened, %d feedback rounds, %d inserts, tree %d points depth %d\n\n",
-		st.Opened, st.Feedbacks, st.Inserts, st.Tree.Points, st.Tree.Depth)
-	if report != nil {
-		report.Soak = &res
-	}
-}
-
-// runShardBench measures the sharded bypass plane: for S = 1/2/4/8 (each
-// a fresh module), durable insert throughput under concurrent writers,
-// the serve benchmark's train/bypass phases through the serving layer,
-// and the fraction of the prediction cache surviving a single-shard
-// insert. S = 1 is the unsharded baseline (comparable to -figure serve);
-// `sessions` rides the -eval flag.
-func runShardBench(scale float64, k, sessions int, seed int64, epsilon float64) {
-	cfg := experiments.DefaultShardConfig()
-	cfg.Seed = seed
-	cfg.Scale = scale
-	cfg.K = k
-	cfg.Epsilon = epsilon
-	if sessions > 0 {
-		cfg.Sessions = sessions
-	}
-	header(fmt.Sprintf("Sharded bypass plane (scale %.2f, k = %d, %d sessions/phase, %d writers, %d clients)",
-		scale, k, cfg.Sessions, cfg.Writers, cfg.Clients))
-	res, err := experiments.RunShard(cfg)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("# collection: %d images (%d bins); insert bench: %d durable ε=0 inserts (WAL+tree) from %d goroutines\n",
-		res.Collection, res.Dim, cfg.InsertOps, cfg.Writers)
-	fmt.Printf("%-7s %12s %8s %12s %12s %12s %12s %10s %10s\n",
-		"shards", "inserts/s", "touched", "train s/s", "bypass s/s", "byp p50(us)", "byp p99(us)", "cache-hit", "retention")
-	for _, lvl := range res.Levels {
-		fmt.Printf("%-7d %12.0f %8d %12.1f %12.1f %12.0f %12.0f %9.1f%% %9.1f%%\n",
-			lvl.Shards, lvl.InsertsPerSec, lvl.ShardsTouched,
-			lvl.Train.SessionsPerSec, lvl.Bypass.SessionsPerSec,
-			lvl.Bypass.P50Micros, lvl.Bypass.P99Micros,
-			100*lvl.Bypass.CacheHitRate, 100*lvl.CacheRetention)
-	}
-	fmt.Println()
-	if report != nil {
-		report.Shard = &res
-	}
-}
-
-// runStoreBench measures the multi-backend feature store: the same
-// collection served heap-resident and mmap-resident (FBMX file) through
-// the scan kernels, the tiled batch path, and the serve protocol.
-// `sessions` rides the -eval flag.
-func runStoreBench(scale float64, k, sessions int, seed int64, epsilon float64) {
-	cfg := experiments.DefaultStoreConfig()
-	cfg.Seed = seed
-	cfg.Scale = scale
-	cfg.K = k
-	cfg.Epsilon = epsilon
-	if sessions > 0 {
-		cfg.Sessions = sessions
-	}
-	header(fmt.Sprintf("Multi-backend store: heap vs mmap (scale %.2f, k = %d, %d sessions/phase, %d clients)",
-		scale, k, cfg.Sessions, cfg.Clients))
-	res, err := experiments.RunStore(cfg)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("# collection: %d images (%d bins), FBMX file %d KiB\n", res.Collection, res.Dim, res.FileBytes/1024)
-	fmt.Printf("%-8s %12s %12s %12s %12s %12s %12s %12s\n",
-		"backend", "cold(us)", "warm(us)", "batch(us/q)", "train s/s", "bypass s/s", "byp p50(us)", "byp p99(us)")
-	for _, b := range res.Backends {
-		fmt.Printf("%-8s %12.0f %12.1f %12.1f %12.1f %12.1f %12.0f %12.0f\n",
-			b.Backend, b.ColdScanMicros, b.WarmScanMicros, b.BatchMicrosPerQuery,
-			b.Train.SessionsPerSec, b.Bypass.SessionsPerSec, b.Bypass.P50Micros, b.Bypass.P99Micros)
-	}
-	fmt.Printf("# mmap/heap warm tiled-batch ratio: %.3fx (acceptance bound 1.15x)\n\n", res.WarmRatio)
-	if report != nil {
-		report.Store = &res
-	}
 }
 
 // runANNBench sweeps the IVF approximate retrieval tier: per corpus

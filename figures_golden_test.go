@@ -2,12 +2,15 @@ package feedbackbypass_test
 
 import (
 	"bytes"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -25,10 +28,7 @@ var figureTimings = regexp.MustCompile(`(?m)\(\d+\.\d+s\)$|^# total .*$`)
 // change to a result list shows here. Run with GODEBUG=cpu.avx2=off to
 // hold the SSE2 kernels to the same file; -update rewrites it.
 func TestPaperFiguresGolden(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "fbbench")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/fbbench").CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/fbbench: %v\n%s", err, out)
-	}
+	bin := fbbenchBinary(t)
 	golden := filepath.Join("testdata", "figures_golden.txt")
 	for _, procs := range []string{"1", "4"} {
 		cmd := exec.Command(bin, "-figure", "all", "-scale", "0.05", "-queries", "40", "-k", "8")
@@ -52,6 +52,69 @@ func TestPaperFiguresGolden(t *testing.T) {
 			t.Errorf("GOMAXPROCS=%s: figures differ from %s (rerun with -update only if the change is intended)\n%s", procs, golden, firstDiff(want, got))
 		}
 	}
+}
+
+// TestFbbenchRejectsBadInvocations holds fbbench to exit status 2, before
+// any work, for an unknown -figure (including the removed serving
+// figures) and for -save with a figure that trains no shared session —
+// which must not create the file.
+func TestFbbenchRejectsBadInvocations(t *testing.T) {
+	bin := fbbenchBinary(t)
+	saved := filepath.Join(t.TempDir(), "t.fbsx")
+	for _, args := range [][]string{
+		{"-figure", "nope"},
+		{"-figure", "serve"},
+		{"-figure", "shard"},
+		{"-figure", "store"},
+		{"-figure", "soak"},
+		{"-figure", "knn", "-save", saved},
+		{"-figure", "12", "-save", saved},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("fbbench %v: err %v, want exit status 2\n%s", args, err, out)
+		}
+	}
+	if _, err := os.Stat(saved); !os.IsNotExist(err) {
+		t.Errorf("a rejected -save touched %s: %v", saved, err)
+	}
+}
+
+var (
+	fbbenchOnce sync.Once
+	fbbenchBin  string
+	fbbenchErr  error
+)
+
+// TestMain removes the shared fbbench build once every test has run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if fbbenchBin != "" {
+		os.RemoveAll(filepath.Dir(fbbenchBin))
+	}
+	os.Exit(code)
+}
+
+// fbbenchBinary builds cmd/fbbench once per test binary run and returns
+// its path; every test that execs fbbench shares the build.
+func fbbenchBinary(t *testing.T) string {
+	t.Helper()
+	fbbenchOnce.Do(func() {
+		dir, err := os.MkdirTemp("", "fbbench-test-")
+		if err != nil {
+			fbbenchErr = err
+			return
+		}
+		fbbenchBin = filepath.Join(dir, "fbbench")
+		if out, err := exec.Command("go", "build", "-o", fbbenchBin, "./cmd/fbbench").CombinedOutput(); err != nil {
+			fbbenchErr = fmt.Errorf("go build ./cmd/fbbench: %v\n%s", err, out)
+		}
+	})
+	if fbbenchErr != nil {
+		t.Fatal(fbbenchErr)
+	}
+	return fbbenchBin
 }
 
 // firstDiff names the first line where got departs from want.

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/faultfs"
@@ -238,6 +240,25 @@ func runLifecycleMode(cfg LifecycleConfig, horizon uint64) (LifecycleSeries, err
 	}
 	out.FinalPoints = byp.Stats().Points
 	return out, nil
+}
+
+// readRSS reports resident memory from /proc/self/statm (second field,
+// in pages). Returns 0 on platforms without procfs — the sample's heap
+// number still stands.
+func readRSS() uint64 {
+	data, err := os.ReadFile("/proc/self/statm")
+	if err != nil {
+		return 0
+	}
+	fields := strings.Fields(string(data))
+	if len(fields) < 2 {
+		return 0
+	}
+	pages, err := strconv.ParseUint(fields[1], 10, 64)
+	if err != nil {
+		return 0
+	}
+	return pages * uint64(os.Getpagesize())
 }
 
 // lcVertexKey is a vertex's full bitwise identity — point, value and
