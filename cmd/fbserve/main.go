@@ -33,12 +33,11 @@
 //
 // Session ids are scoped to their collection. An unknown collection
 // name is 404. Results carry each item's category and theme so a client
-// (or a human with curl) can play the relevance oracle (FBMX-backed
-// collections carry empty labels; their sessions are scored by the
-// client). On SIGINT/SIGTERM the server stops accepting connections,
-// drains every collection's in-flight sessions (inserting converged
-// outcomes), and — for durable collections — compacts the write-ahead
-// logs before exiting.
+// (or a human with curl) can play the relevance oracle; an FBMX file
+// stores them beside its rows. On SIGINT/SIGTERM the server stops
+// accepting connections, drains every collection's in-flight sessions
+// (inserting converged outcomes), and — for durable collections —
+// compacts the write-ahead logs before exiting.
 //
 // Usage:
 //
@@ -52,14 +51,18 @@
 //
 // With several collections and -dir, each collection's durable state
 // lives under <dir>/<name>/ (a single collection keeps the whole dir,
-// preserving existing layouts). Every collection's bypass is one
-// internal/shardedbypass module of -shards independent Simplex Trees
-// (default 1); the shard count is baked into each module directory's
-// manifest, so reopening with a different -shards is refused.
+// preserving existing layouts). A synth: collection served with -dir is
+// rendered once into collection.fbmx there; later starts map the file
+// instead of rendering, and render again only when it is missing,
+// corrupt or rendered from another spec. Every collection's bypass is
+// one internal/shardedbypass module of -shards independent Simplex
+// Trees (default 1); the shard count is baked into each module
+// directory's manifest, so reopening with a different -shards is
+// refused.
 //
-// -export-fbmx name=path builds the named collection, writes its
-// feature matrix to path as an FBMX file (atomically), and exits — the
-// way to turn a synthetic collection into an mmap-servable file.
+// -export-fbmx name=path builds the named collection, writes its rows
+// and labels to path as an FBMX file (atomically), and exits — the way
+// to turn a synthetic collection into an mmap-servable file.
 //
 // Approximate retrieval. -ann [name:]nlist=N,nprobe=N[,quant=f32|i8]
 // [,seed=N] puts an IVF index (internal/ann) in front of a collection's
@@ -152,13 +155,13 @@ func main() {
 	}
 
 	if *exportFBMX != "" {
-		export("-export-fbmx", *exportFBMX, specs, cfg, func(name, path string, ds *dataset.Dataset) (string, error) {
-			return fmt.Sprintf("collection %s (%d items, %d bins)", name, ds.Len(), ds.Dim), store.WriteFBMX(path, ds.Matrix())
+		export("-export-fbmx", *exportFBMX, specs, cfg, func(name, spec, path string, ds *dataset.Dataset) (string, error) {
+			return fmt.Sprintf("collection %s (%d items, %d bins)", name, ds.Len(), ds.Dim), store.WriteFBMX(path, ds.Matrix(), ds.Labels(spec))
 		})
 		return
 	}
 	if *exportFBIX != "" {
-		export("-export-fbix", *exportFBIX, specs, cfg, func(name, path string, ds *dataset.Dataset) (string, error) {
+		export("-export-fbix", *exportFBIX, specs, cfg, func(name, _, path string, ds *dataset.Dataset) (string, error) {
 			opts := ann.Options{Seed: cfg.Seed}
 			if as := cfg.ANN.ForName(name); as != nil {
 				opts = as.Options()
@@ -245,10 +248,11 @@ func main() {
 }
 
 // export runs one -export-* mode: value is name=path naming a configured
-// collection; write receives that collection's dataset and returns what
-// it wrote, for the log line. Only the named collection's dataset is
-// built — no other collection is paid for, no durable state is opened.
-func export(flagName, value string, specs httpapi.CollectionSpecs, cfg httpapi.Config, write func(name, path string, ds *dataset.Dataset) (string, error)) {
+// collection; write receives that collection's spec and dataset and
+// returns what it wrote, for the log line. Only the named collection's
+// dataset is built — no other collection is paid for, no durable state
+// is opened.
+func export(flagName, value string, specs httpapi.CollectionSpecs, cfg httpapi.Config, write func(name, spec, path string, ds *dataset.Dataset) (string, error)) {
 	name, path, ok := strings.Cut(value, "=")
 	var spec string
 	for _, s := range specs {
@@ -259,11 +263,11 @@ func export(flagName, value string, specs httpapi.CollectionSpecs, cfg httpapi.C
 	if !ok || path == "" || spec == "" {
 		log.Fatalf("fbserve: %s %q: want name=path with a configured collection", flagName, value)
 	}
-	ds, _, mm, err := httpapi.BuildDataset(spec, cfg)
+	ds, _, mm, err := httpapi.BuildDataset(spec, "", cfg)
 	if err != nil {
 		log.Fatalf("fbserve: collection %s: %v", name, err)
 	}
-	what, err := write(name, path, ds)
+	what, err := write(name, spec, path, ds)
 	if err != nil {
 		log.Fatalf("fbserve: exporting %s: %v", name, err)
 	}

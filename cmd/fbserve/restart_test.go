@@ -114,9 +114,11 @@ type shardStats struct {
 }
 
 // TestBinaryDurableRestart is the default durable deployment end to end
-// on the real binary: `-dir D` serves learning sessions, SIGTERM drains
-// and compacts every WAL into its snapshot, and a second process on the
-// same directory recovers the learned points with nothing left to
+// on the real binary: `-dir D` renders the collection into
+// D/collection.fbmx and serves learning sessions, SIGTERM drains and
+// compacts every WAL into its snapshot, and a second process on the
+// same directory maps the collection file instead of rendering, serves
+// the same labels and recovers the learned points with nothing left to
 // replay; reopening with another -shards is refused at start-up.
 func TestBinaryDurableRestart(t *testing.T) {
 	bin := buildBinary(t)
@@ -129,10 +131,12 @@ func TestBinaryDurableRestart(t *testing.T) {
 		Results []struct {
 			Index    int    `json:"index"`
 			Category string `json:"category"`
+			Theme    string `json:"theme"`
 		} `json:"results"`
 		Converged bool `json:"converged"`
 	}
 	var stats shardStats
+	labels := map[int][2]string{} // result index → (category, theme) as the first process served it
 	for item := 0; ; item++ {
 		if item == 32 {
 			t.Fatal("no session's outcome was stored")
@@ -144,6 +148,7 @@ func TestBinaryDurableRestart(t *testing.T) {
 			if r.Index == item {
 				category = r.Category
 			}
+			labels[r.Index] = [2]string{r.Category, r.Theme}
 		}
 		for !st.Converged {
 			scores := make([]float64, len(st.Results))
@@ -169,12 +174,39 @@ func TestBinaryDurableRestart(t *testing.T) {
 		t.Fatalf("shutdown left no snapshot: %v\n%s", err, p.log.String())
 	}
 
+	if first := p.log.String(); !strings.Contains(first, "rendering synth:scale=0.03,seed=5") {
+		t.Fatalf("first start did not render the collection:\n%s", first)
+	}
+
 	p2 := start(t, bin, args...)
+	var st state
+	p2.call(t, http.MethodPost, "/query", map[string]any{"item": 0}, &st)
+	same := 0
+	for _, r := range st.Results {
+		if want, ok := labels[r.Index]; ok {
+			if got := [2]string{r.Category, r.Theme}; got != want {
+				t.Fatalf("restart labels item %d %q, the first process %q", r.Index, got, want)
+			}
+			same++
+		}
+	}
+	if same == 0 {
+		t.Fatal("the restart's results share no item with the first process's")
+	}
 	p2.call(t, http.MethodGet, "/stats", nil, &stats)
 	if shards := stats.Collections["default"].Shards; len(shards) != 1 || shards[0].Points != learned || shards[0].Journaled != 0 {
 		t.Fatalf("/stats shards after restart: %+v, want one shard with %d points and an empty journal", shards, learned)
 	}
 	p2.terminate(t)
+	second := p2.log.String()
+	for _, want := range []string{"from mmap backend", filepath.Join(dir, "collection.fbmx") + " holds synth:scale=0.03,seed=5: mapped, not rendered"} {
+		if !strings.Contains(second, want) {
+			t.Fatalf("restart log lacks %q:\n%s", want, second)
+		}
+	}
+	if strings.Contains(second, "rendering") {
+		t.Fatalf("the restart rendered the collection:\n%s", second)
+	}
 
 	// A wrongly accepted open would serve forever; the deadline reaps it.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -136,30 +136,33 @@ func FromItems(items []Item, queryCats []string) (*Dataset, error) {
 
 // FromBackend builds a dataset directly over an existing feature
 // backend — the open path for FBMX collection files, whose rows are
-// served in place (mmap-resident) rather than copied into the heap.
-// items supplies per-row metadata positionally aligned with the backend
-// (Feature fields are ignored and replaced by backend views); a nil
-// items gives every row an unlabeled item (empty category), which is
-// sufficient for serving externally-scored sessions where relevance
-// comes from the client, not the category oracle.
-func FromBackend(b store.Backend, items []Item, queryCats []string) (*Dataset, error) {
+// served in place (mmap-resident) rather than copied into the heap —
+// with each row's category and theme, and the query categories, taken
+// from the labels stored beside the rows.
+func FromBackend(b store.Backend, l store.Labels) (*Dataset, error) {
 	if b == nil || b.Len() == 0 {
 		return nil, errors.New("dataset: empty backend")
 	}
-	if items != nil && len(items) != b.Len() {
-		return nil, fmt.Errorf("dataset: %d item labels for %d rows", len(items), b.Len())
+	n := b.Len()
+	if len(l.Category) != n || len(l.Theme) != n {
+		return nil, fmt.Errorf("dataset: %d categories and %d themes for %d rows", len(l.Category), len(l.Theme), n)
 	}
-	d := &Dataset{Dim: b.Dim(), ByCategory: make(map[string][]int), QueryCats: queryCats, mat: b}
-	for i := 0; i < b.Len(); i++ {
-		it := Item{ID: i}
-		if items != nil {
-			it = items[i]
-		}
-		it.Feature = b.Row(i)
-		d.ByCategory[it.Category] = append(d.ByCategory[it.Category], i)
-		d.Items = append(d.Items, it)
+	d := &Dataset{Items: make([]Item, n), Dim: b.Dim(), ByCategory: make(map[string][]int), QueryCats: l.QueryCats, mat: b}
+	for i := range d.Items {
+		d.Items[i] = Item{ID: i, Category: l.Category[i], Theme: l.Theme[i], Feature: b.Row(i)}
+		d.ByCategory[l.Category[i]] = append(d.ByCategory[l.Category[i]], i)
 	}
 	return d, nil
+}
+
+// Labels returns the collection's labels in the form an FBMX file stores
+// them beside the rows, with spec as their provenance.
+func (d *Dataset) Labels(spec string) store.Labels {
+	l := store.Labels{Spec: spec, QueryCats: d.QueryCats, Category: make([]string, d.Len()), Theme: make([]string, d.Len())}
+	for i, it := range d.Items {
+		l.Category[i], l.Theme[i] = it.Category, it.Theme
+	}
+	return l
 }
 
 // Len returns the collection size.

@@ -103,11 +103,13 @@ func (w WeightingRule) String() string {
 }
 
 // GoodSubset returns the result vectors with positive scores and their
-// scores.
+// scores. Every score must be finite and non-negative, and so must the
+// sum the score-weighted rules divide by (else the weights turn NaN).
 func GoodSubset(results [][]float64, scores []float64) (good [][]float64, goodScores []float64, err error) {
 	if len(results) != len(scores) {
 		return nil, nil, fmt.Errorf("feedback: %d results but %d scores", len(results), len(scores))
 	}
+	var total float64
 	for i, s := range scores {
 		if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
 			return nil, nil, fmt.Errorf("feedback: invalid score %v at %d", s, i)
@@ -115,7 +117,11 @@ func GoodSubset(results [][]float64, scores []float64) (good [][]float64, goodSc
 		if s > 0 {
 			good = append(good, results[i])
 			goodScores = append(goodScores, s)
+			total += s
 		}
+	}
+	if math.IsInf(total, 0) {
+		return nil, nil, fmt.Errorf("feedback: positive scores sum to %v", total)
 	}
 	return good, goodScores, nil
 }

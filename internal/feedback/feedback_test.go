@@ -30,6 +30,12 @@ func TestGoodSubset(t *testing.T) {
 	if _, _, err := GoodSubset(results, []float64{1, math.NaN(), 0}); err == nil {
 		t.Error("NaN score should error")
 	}
+	if _, _, err := GoodSubset(results, []float64{1e308, 1e308, 0}); err == nil {
+		t.Error("finite scores whose sum overflows should error")
+	}
+	if _, _, err := GoodSubset(results, []float64{math.MaxFloat64, 0, 0}); err != nil {
+		t.Errorf("the largest finite score alone: %v", err)
+	}
 }
 
 func TestOptimalQueryPointEq2(t *testing.T) {

@@ -113,7 +113,7 @@ func TestANNSidecarAutoload(t *testing.T) {
 	}
 	dir := t.TempDir()
 	fbmx := filepath.Join(dir, "col.fbmx")
-	if err := store.WriteFBMX(fbmx, ds.Matrix()); err != nil {
+	if err := store.WriteFBMX(fbmx, ds.Matrix(), ds.Labels("synth:scale=0.05,seed=11")); err != nil {
 		t.Fatal(err)
 	}
 	idx, err := ann.Build(ds.Matrix(), ann.Options{NList: 8, NProbe: 2, Seed: 9})

@@ -26,6 +26,7 @@ import (
 	"repro/internal/imagegen"
 	"repro/internal/knn"
 	"repro/internal/obsv"
+	"repro/internal/persist"
 	"repro/internal/service"
 	"repro/internal/shardedbypass"
 	"repro/internal/store"
@@ -142,7 +143,6 @@ type Collection struct {
 	Bypass  *shardedbypass.Sharded // the bypass behind Service: health and shutdown handle
 
 	backend string            // "heap" or "mmap"
-	source  string            // the spec it was built from
 	durable bool              // Bypass journals to a module directory
 	mm      *store.MmapMatrix // close handle (nil unless FBMX-backed)
 	ann     *ann.Index        // approximate retrieval tier (nil = exact scan)
@@ -241,9 +241,15 @@ func ResolveDefault(colls map[string]*Collection) string {
 	return ""
 }
 
+// CollectionFile is the FBMX file in its durable directory that a
+// synth: collection served with -dir is kept in.
+const CollectionFile = "collection.fbmx"
+
 // BuildDataset resolves a collection spec into a dataset over the
-// appropriate backend.
-func BuildDataset(spec string, cfg Config) (*dataset.Dataset, string, *store.MmapMatrix, error) {
+// appropriate backend. With dir, the collection's durable directory, a
+// synth: collection is kept there as CollectionFile and mapped like any
+// FBMX file; with dir "" (no -dir) it is rendered into the heap.
+func BuildDataset(spec, dir string, cfg Config) (*dataset.Dataset, string, *store.MmapMatrix, error) {
 	if params, ok := strings.CutPrefix(spec, "synth:"); ok {
 		scale, seed := cfg.Scale, cfg.Seed
 		if params != "" {
@@ -266,32 +272,68 @@ func BuildDataset(spec string, cfg Config) (*dataset.Dataset, string, *store.Mma
 				}
 			}
 		}
-		ds, err := dataset.Build(imagegen.IMSILike(seed, scale), histogram.DefaultExtractor)
-		if err != nil {
-			return nil, "", nil, err
+		gen := imagegen.IMSILike(seed, scale)
+		if dir == "" {
+			ds, err := dataset.Build(gen, histogram.DefaultExtractor)
+			return ds, "heap", nil, err
 		}
-		return ds, "heap", nil, nil
+		// The canonical spec is built from the resolved values, so
+		// "-scale 1" and "synth:scale=1,seed=1" name one collection file.
+		canon := fmt.Sprintf("synth:scale=%g,seed=%d", scale, seed)
+		ds, mm, err := keptCollection(nil, filepath.Join(dir, CollectionFile), canon, gen)
+		return ds, "mmap", mm, err
 	}
 	path := strings.TrimPrefix(spec, "fbmx:")
 	if !strings.HasPrefix(spec, "fbmx:") && !strings.HasSuffix(path, ".fbmx") {
 		return nil, "", nil, fmt.Errorf("spec %q: want synth:..., fbmx:path, or a .fbmx file path", spec)
 	}
+	ds, mm, err := openFBMX(path)
+	return ds, "mmap", mm, err
+}
+
+// keptCollection maps the collection file at path when it holds an
+// intact copy of the collection canon names. Otherwise it logs why,
+// renders, writes the file atomically through fsys and maps what it
+// wrote: the file is derived state, so it is replaced, never refused.
+func keptCollection(fsys persist.FS, path, canon string, gen imagegen.Config) (*dataset.Dataset, *store.MmapMatrix, error) {
+	ds, mm, err := openFBMX(path)
+	if err == nil && mm.Labels().Spec == canon {
+		log.Printf("collection file %s holds %s: mapped, not rendered", path, canon)
+		return ds, mm, nil
+	}
+	if err == nil {
+		err = fmt.Errorf("it holds %s", mm.Labels().Spec)
+		_ = mm.Close()
+	}
+	log.Printf("collection file %s not reused (%v): rendering %s", path, err, canon)
+	if ds, err = dataset.Build(gen, histogram.DefaultExtractor); err != nil {
+		return nil, nil, err
+	}
+	if err := store.WriteFBMXFS(fsys, path, ds.Matrix(), ds.Labels(canon)); err != nil {
+		return nil, nil, fmt.Errorf("keeping the collection in %s: %w", path, err)
+	}
+	return openFBMX(path)
+}
+
+// openFBMX maps an FBMX collection file and builds the dataset over it
+// with the labels stored beside its rows. A long-lived server pays the
+// one-time page walk of Verify to know the collection it announces is
+// intact (see DESIGN.md on FBMX checksums).
+func openFBMX(path string) (*dataset.Dataset, *store.MmapMatrix, error) {
 	mm, err := store.OpenMmap(path)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, nil, err
 	}
-	// A long-lived server pays the one-time page walk to know the
-	// collection it announces is intact (see DESIGN.md on FBMX checksums).
 	if err := mm.Verify(); err != nil {
 		_ = mm.Close()
-		return nil, "", nil, err
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	ds, err := dataset.FromBackend(mm, nil, nil)
+	ds, err := dataset.FromBackend(mm, mm.Labels())
 	if err != nil {
 		_ = mm.Close()
-		return nil, "", nil, err
+		return nil, nil, err
 	}
-	return ds, "mmap", mm, nil
+	return ds, mm, nil
 }
 
 // attachANN resolves a collection's approximate retrieval tier. An FBMX
@@ -334,7 +376,11 @@ func attachANN(name string, ds *dataset.Dataset, mm *store.MmapMatrix, as *ANNSp
 // BuildCollection resolves spec into a dataset (and its approximate
 // tier, if any) and assembles the collection's serving stack over it.
 func BuildCollection(name, spec string, cfg Config) (*Collection, error) {
-	ds, backend, mm, err := BuildDataset(spec, cfg)
+	dir, err := collectionDir(name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	ds, backend, mm, err := BuildDataset(spec, dir, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -362,7 +408,7 @@ func BuildCollection(name, spec string, cfg Config) (*Collection, error) {
 	if err != nil {
 		return fail(err)
 	}
-	c.backend, c.source, c.mm, c.ann, c.annSrc = backend, spec, mm, idx, annSrc
+	c.backend, c.mm, c.ann, c.annSrc = backend, mm, idx, annSrc
 	log.Printf("collection %s: %d items (%d bins) from %s backend (%s)", name, ds.Len(), ds.Dim, backend, spec)
 	if idx != nil {
 		log.Printf("collection %s: approximate tier %s (%s)", name, idx.Describe(), annSrc)
@@ -376,14 +422,45 @@ func collectionLabels(name string) []obsv.Label {
 	return []obsv.Label{obsv.L("collection", name)}
 }
 
+// collectionDir is collection name's durable directory ("" without
+// -dir), created if missing: cfg.Dir itself for a single collection,
+// cfg.Dir/<name> with several. It refuses a layout flip that would
+// silently shadow learned state written under the other layout.
+func collectionDir(name string, cfg Config) (string, error) {
+	if cfg.Dir == "" {
+		return "", nil
+	}
+	dir := cfg.Dir
+	if cfg.Multi {
+		// Nested layout. Refuse to shadow a single-collection module
+		// sitting at the directory root: its learned state would be
+		// silently unread under dir/<name>/.
+		if moduleStateAt(cfg.Dir) {
+			return "", fmt.Errorf("module state at %s uses the single-collection layout; move it to %s before serving multiple collections",
+				cfg.Dir, filepath.Join(cfg.Dir, "<name>"))
+		}
+		dir = filepath.Join(cfg.Dir, name)
+	} else if nested := filepath.Join(dir, name); moduleStateAt(nested) {
+		// Flat layout. Refuse to shadow a nested module left by a
+		// previous multi-collection run of this collection name.
+		return "", fmt.Errorf("module state at %s uses the multi-collection layout; move it to %s (or keep serving multiple collections)",
+			nested, dir)
+	}
+	return dir, os.MkdirAll(dir, 0o755)
+}
+
 // Assemble builds the production serving stack over a dataset: the
 // retrieval engine (searcher in place of the exact scan when non-nil),
 // one shardedbypass.Sharded module of cfg.Shards trees — journaled under
-// cfg.Dir when set — and the service in front of both. It is the only
-// place outside tests and bench/ that constructs a service.Service;
-// cmd/fbserve reaches it through BuildCollection, the in-process figures
-// call it directly. The caller keeps ownership of ds and searcher.
+// the collection's durable directory when cfg.Dir is set — and the
+// service in front of both. It is the only place outside tests and
+// bench/ that constructs a service.Service; cmd/fbserve reaches it
+// through BuildCollection. The caller keeps ownership of ds and searcher.
 func Assemble(name string, ds *dataset.Dataset, searcher knn.BatchSearcher, cfg Config) (*Collection, error) {
+	dir, err := collectionDir(name, cfg)
+	if err != nil {
+		return nil, err
+	}
 	eng, err := engine.New(ds, engine.Options{Searcher: searcher})
 	if err != nil {
 		return nil, err
@@ -396,28 +473,6 @@ func Assemble(name string, ds *dataset.Dataset, searcher knn.BatchSearcher, cfg 
 		Epsilon: cfg.Epsilon, DefaultWeights: codec.DefaultWeights(),
 		MaxVertices: cfg.MaxVertices, MaxBytes: cfg.MaxBytes,
 		AgeHorizon: cfg.AgeHorizon,
-	}
-
-	dir := cfg.Dir
-	if dir != "" && cfg.Multi {
-		// Nested layout. Refuse to shadow a single-collection module
-		// sitting at the directory root: its learned state would be
-		// silently unread under dir/<name>/.
-		if moduleStateAt(cfg.Dir) {
-			return nil, fmt.Errorf("module state at %s uses the single-collection layout; move it to %s before serving multiple collections",
-				cfg.Dir, filepath.Join(cfg.Dir, "<name>"))
-		}
-		dir = filepath.Join(cfg.Dir, name)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-	} else if dir != "" {
-		// Flat layout. Refuse to shadow a nested module left by a
-		// previous multi-collection run of this collection name.
-		if nested := filepath.Join(dir, name); moduleStateAt(nested) {
-			return nil, fmt.Errorf("module state at %s uses the multi-collection layout; move it to %s (or keep serving multiple collections)",
-				nested, dir)
-		}
 	}
 
 	c := &Collection{Name: name, Dataset: ds, durable: dir != ""}

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	httppprof "net/http/pprof"
 	"os"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -467,8 +468,8 @@ func (c *Collection) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Collection) handleSession(w http.ResponseWriter, r *http.Request) {
-	var id uint64
-	if _, err := fmt.Sscan(r.URL.Query().Get("id"), &id); err != nil {
+	id, err := strconv.ParseUint(r.URL.Query().Get("id"), 10, 64)
+	if err != nil {
 		writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad session id: %w", err))
 		return
 	}

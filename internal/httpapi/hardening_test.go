@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -231,5 +233,67 @@ func TestOversizedBodyRejected(t *testing.T) {
 	var st stateJSON
 	if code := postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 8}, &st); code != http.StatusOK || len(st.Results) != 8 {
 		t.Fatalf("query after the oversized bodies: status %d, %d results", code, len(st.Results))
+	}
+}
+
+// TestOverflowingScoresRejected: finite scores whose sum overflows
+// (1e308 each) are a client error, 400, that leaves the session as it
+// was; a valid round on the same session still succeeds.
+func TestOverflowingScoresRejected(t *testing.T) {
+	srv, ds, _ := newTestServer(t)
+	item := 0
+	var st stateJSON
+	if code := postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 8}, &st); code != http.StatusOK {
+		t.Fatalf("query: status %d", code)
+	}
+	huge := make([]float64, len(st.Results))
+	for i := range huge {
+		huge[i] = 1e308
+	}
+	var errResp errorResponse
+	if code := postJSON(t, srv.URL+"/feedback", feedbackRequest{Session: st.Session, Scores: huge}, &errResp); code != http.StatusBadRequest {
+		t.Fatalf("feedback with 1e308 scores: status %d (%+v), want 400", code, errResp)
+	}
+	var after stateJSON
+	if code := getJSON(t, fmt.Sprintf("%s/session?id=%d", srv.URL, st.Session), &after); code != http.StatusOK {
+		t.Fatalf("session: status %d", code)
+	}
+	if after.Iterations != 0 || after.BudgetLeft != st.BudgetLeft || after.Converged || !reflect.DeepEqual(after.Results, st.Results) {
+		t.Fatalf("rejected round changed the session: %+v, was %+v", after, st)
+	}
+	scores := make([]float64, len(st.Results))
+	for i, r := range st.Results {
+		if r.Category == ds.Items[item].Category {
+			scores[i] = 1
+		}
+	}
+	if code := postJSON(t, srv.URL+"/feedback", feedbackRequest{Session: st.Session, Scores: scores}, &st); code != http.StatusOK || st.Iterations != 1 {
+		t.Fatalf("valid round after the rejected one: status %d, %d iterations", code, st.Iterations)
+	}
+}
+
+// TestSessionIDParsing: /session takes a plain decimal uint64 id; a
+// trailing suffix, a sign, an empty id or an overflowing one is a 400,
+// never another session.
+func TestSessionIDParsing(t *testing.T) {
+	srv, _, _ := newTestServer(t)
+	item := 0
+	var st stateJSON
+	if code := postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 8}, &st); code != http.StatusOK {
+		t.Fatalf("query: status %d", code)
+	}
+	for _, tc := range []struct {
+		id   string
+		want int
+	}{
+		{fmt.Sprint(st.Session), http.StatusOK},
+		{fmt.Sprintf("%dabc", st.Session), http.StatusBadRequest},
+		{fmt.Sprintf("+%d", st.Session), http.StatusBadRequest},
+		{"", http.StatusBadRequest},
+		{"18446744073709551616", http.StatusBadRequest},
+	} {
+		if code := getJSON(t, srv.URL+"/session?id="+url.QueryEscape(tc.id), nil); code != tc.want {
+			t.Errorf("/session?id=%q: status %d, want %d", tc.id, code, tc.want)
+		}
 	}
 }

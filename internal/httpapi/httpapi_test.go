@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -54,7 +55,7 @@ func newTestCollectionWith(t *testing.T, name string, seed int64, opts shardedby
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Collection{Name: name, backend: "heap", source: "synth:test", Dataset: ds, Service: svc, Bypass: byp, durable: true}
+	return &Collection{Name: name, backend: "heap", Dataset: ds, Service: svc, Bypass: byp, durable: true}
 }
 
 // newTestCollection is the default composition: one shard, real
@@ -459,7 +460,7 @@ func newRecoveringCollection(t *testing.T, ds *dataset.Dataset, dir string, shar
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Collection{Name: "default", backend: "heap", source: "synth:test", Dataset: ds, Service: svc, Bypass: byp, durable: true}
+	return &Collection{Name: "default", backend: "heap", Dataset: ds, Service: svc, Bypass: byp, durable: true}
 }
 
 // TestReplayingReturns503 pins the startup-recovery contract on a real
@@ -597,13 +598,13 @@ func TestStatusForMapping(t *testing.T) {
 	}
 }
 
-// newMmapTestCollection writes ds's features to a temp FBMX file and
-// builds an mmap-backed collection over it, labels dropped — the
-// -collection name=path.fbmx composition.
+// newMmapTestCollection writes ds's features and labels to a temp FBMX
+// file and builds an mmap-backed collection over it — the -collection
+// name=path.fbmx composition.
 func newMmapTestCollection(t *testing.T, name string, ds *dataset.Dataset) *Collection {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name+".fbmx")
-	if err := store.WriteFBMX(path, ds.Matrix()); err != nil {
+	if err := store.WriteFBMX(path, ds.Matrix(), ds.Labels("synth:test")); err != nil {
 		t.Fatal(err)
 	}
 	mm, err := store.OpenMmap(path)
@@ -614,7 +615,7 @@ func newMmapTestCollection(t *testing.T, name string, ds *dataset.Dataset) *Coll
 	if err := mm.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	mds, err := dataset.FromBackend(mm, nil, nil)
+	mds, err := dataset.FromBackend(mm, mm.Labels())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,7 +636,7 @@ func newMmapTestCollection(t *testing.T, name string, ds *dataset.Dataset) *Coll
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Collection{Name: name, backend: "mmap", source: path, Dataset: mds, Service: svc, Bypass: byp, mm: mm}
+	return &Collection{Name: name, backend: "mmap", Dataset: mds, Service: svc, Bypass: byp, mm: mm}
 }
 
 // TestMultiCollectionServing drives one process serving two collections
@@ -835,32 +836,41 @@ func TestCollectionSpecParsing(t *testing.T) {
 		}
 	}
 	cfg := Config{Scale: 0.05, Seed: 3}
-	if _, _, _, err := BuildDataset("synth:scale=bogus", cfg); err == nil {
+	if _, _, _, err := BuildDataset("synth:scale=bogus", "", cfg); err == nil {
 		t.Error("bogus synth scale accepted")
 	}
-	if _, _, _, err := BuildDataset("synth:rows=5", cfg); err == nil {
+	if _, _, _, err := BuildDataset("synth:rows=5", "", cfg); err == nil {
 		t.Error("unknown synth key accepted")
 	}
-	if _, _, _, err := BuildDataset("plainpath", cfg); err == nil {
+	if _, _, _, err := BuildDataset("plainpath", "", cfg); err == nil {
 		t.Error("pathless spec accepted")
 	}
-	if _, _, _, err := BuildDataset(filepath.Join(t.TempDir(), "missing.fbmx"), cfg); !errors.Is(err, os.ErrNotExist) {
+	if _, _, _, err := BuildDataset(filepath.Join(t.TempDir(), "missing.fbmx"), "", cfg); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("missing fbmx file: %v", err)
 	}
-	ds, backend, mm, err := BuildDataset("synth:scale=0.02,seed=4", cfg)
+	ds, backend, mm, err := BuildDataset("synth:scale=0.02,seed=4", "", cfg)
 	if err != nil || backend != "heap" || mm != nil || ds.Len() == 0 {
 		t.Fatalf("synth build: %v %s %v", err, backend, mm)
 	}
 	path := filepath.Join(t.TempDir(), "c.fbmx")
-	if err := store.WriteFBMX(path, ds.Matrix()); err != nil {
+	if err := store.WriteFBMX(path, ds.Matrix(), ds.Labels("synth:scale=0.02,seed=4")); err != nil {
 		t.Fatal(err)
 	}
-	mds, backend, mm, err := BuildDataset(path, cfg)
+	mds, backend, mm, err := BuildDataset(path, "", cfg)
 	if err != nil || backend != "mmap" || mm == nil {
 		t.Fatalf("fbmx build: %v %s", err, backend)
 	}
 	defer mm.Close()
 	if mds.Len() != ds.Len() || mds.Dim != ds.Dim {
-		t.Errorf("fbmx dataset shape %dx%d, want %dx%d", mds.Len(), mds.Dim, ds.Len(), ds.Dim)
+		t.Fatalf("fbmx dataset shape %dx%d, want %dx%d", mds.Len(), mds.Dim, ds.Len(), ds.Dim)
+	}
+	// The file's labels come back as the items and query categories.
+	for i, it := range mds.Items {
+		if it.ID != i || it.Category != ds.Items[i].Category || it.Theme != ds.Items[i].Theme {
+			t.Fatalf("fbmx item %d is %+v, rendered %+v", i, it, ds.Items[i])
+		}
+	}
+	if !slices.Equal(mds.QueryCats, ds.QueryCats) || len(mds.ByCategory) != len(ds.ByCategory) {
+		t.Errorf("fbmx query categories %v (%d categories), rendered %v (%d)", mds.QueryCats, len(mds.ByCategory), ds.QueryCats, len(ds.ByCategory))
 	}
 }

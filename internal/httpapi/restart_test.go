@@ -62,9 +62,16 @@ func TestDurableSingleShardRestart(t *testing.T) {
 		t.Fatalf("shutdown left no snapshot: %v", err)
 	}
 
-	// Restart on the same directory with the shard's recovery held open.
+	// Restart on the same directory with the shard's recovery held open,
+	// over the collection file the first start kept (Shutdown unmapped
+	// the first start's copy).
+	ds, _, mm, err := BuildDataset(spec, cfg.Dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mm.Close() })
 	gate := newGateFS(core.JournalFile)
-	restarted := newRecoveringCollection(t, c.Dataset, cfg.Dir, cfg.Shards, gate)
+	restarted := newRecoveringCollection(t, ds, cfg.Dir, cfg.Shards, gate)
 	srv2 := httptest.NewServer(NewMux(map[string]*Collection{"default": restarted}, "default", nil, false))
 	defer srv2.Close()
 

@@ -20,7 +20,8 @@ func mmapTwin(t *testing.T, data [][]float64) (heap, mapped *Scan) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "twin.fbmx")
-	if err := store.WriteFBMX(path, mat); err != nil {
+	unlabeled := store.Labels{Category: make([]string, mat.Len()), Theme: make([]string, mat.Len())}
+	if err := store.WriteFBMX(path, mat, unlabeled); err != nil {
 		t.Fatal(err)
 	}
 	mm, err := store.OpenMmap(path)

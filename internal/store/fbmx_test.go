@@ -3,11 +3,15 @@ package store
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -34,13 +38,68 @@ func randomMatrix(t *testing.T, rng *rand.Rand, n, dim int) *FlatMatrix {
 	return m
 }
 
+// testLabels labels n rows with a few repeating categories and themes,
+// one of them empty, the way a collection repeats a small vocabulary.
+func testLabels(n int) Labels {
+	l := Labels{Spec: "synth:scale=0.1,seed=9", QueryCats: []string{"cat-1", "cat-0"}[:min(n, 2)], Category: make([]string, n), Theme: make([]string, n)}
+	for i := range l.Category {
+		l.Category[i] = fmt.Sprintf("cat-%d", i%3)
+		if i%4 != 0 {
+			l.Theme[i] = fmt.Sprintf("theme-%d", i%5)
+		}
+	}
+	return l
+}
+
 func writeTempFBMX(t *testing.T, m *FlatMatrix) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "coll.fbmx")
-	if err := WriteFBMX(path, m); err != nil {
+	if err := WriteFBMX(path, m, testLabels(m.Len())); err != nil {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// collectionHash is the FNV-64a the writer stores, recomputed
+// independently from rows and labels.
+func collectionHash(b Backend, l Labels) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for i := 0; i < b.Len(); i++ {
+		for _, x := range b.Row(i) {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+			h.Write(buf[:])
+		}
+		h.Write([]byte(l.Category[i] + "\x00" + l.Theme[i] + "\x00"))
+	}
+	return h.Sum64()
+}
+
+// checkLabels holds decoded labels to the ones written, and the stored
+// hash to one recomputed from the decoded rows and labels.
+func checkLabels(t *testing.T, how string, rows Backend, got, want Labels) {
+	t.Helper()
+	if got.Spec != want.Spec || !reflect.DeepEqual(got.QueryCats, want.QueryCats) ||
+		!reflect.DeepEqual(got.Category, want.Category) || !reflect.DeepEqual(got.Theme, want.Theme) {
+		t.Fatalf("%s: labels differ from those written", how)
+	}
+	if sum := collectionHash(rows, got); got.Hash != sum {
+		t.Fatalf("%s: stored hash %#x, recomputed %#x", how, got.Hash, sum)
+	}
+}
+
+// rewriteHeader decodes raw's (valid) header, lets edit change it, and
+// re-seals the header page in a copy of raw.
+func rewriteHeader(t *testing.T, raw []byte, edit func(h *fbmxHeader, labels []byte)) []byte {
+	t.Helper()
+	c := corrupt(raw, func([]byte) {})
+	h, err := parseFBMXHeader(c[:fbmxHeaderPage], int64(len(c)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(&h, c[h.labelsOff:])
+	h.put(c[:fbmxHeaderPage])
+	return c
 }
 
 // rowsBitwiseEqual compares two backends row by row on float64 bit
@@ -61,7 +120,8 @@ func rowsBitwiseEqual(a, b Backend) bool {
 }
 
 // TestFBMXRoundTrip: write → OpenMmap and write → DecodeFBMX must both
-// reproduce the matrix bitwise, including NaN payloads and -0.
+// reproduce the matrix bitwise, including NaN payloads and -0, and the
+// labels and provenance written beside it.
 func TestFBMXRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, shape := range []struct{ n, dim int }{{1, 1}, {3, 5}, {70, 32}, {600, 7}} {
@@ -81,24 +141,28 @@ func TestFBMXRoundTrip(t *testing.T) {
 		if !rowsBitwiseEqual(m, mm) {
 			t.Fatalf("%dx%d: mmap rows differ from source", shape.n, shape.dim)
 		}
+		want := testLabels(shape.n)
+		checkLabels(t, "OpenMmap", mm, mm.Labels(), want)
 
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := DecodeFBMX(raw)
+		dec, labels, err := DecodeFBMX(raw)
 		if err != nil {
 			t.Fatalf("DecodeFBMX: %v", err)
 		}
 		if !rowsBitwiseEqual(m, dec) {
 			t.Fatalf("%dx%d: decoded rows differ from source", shape.n, shape.dim)
 		}
+		checkLabels(t, "DecodeFBMX", dec, labels, want)
 		if err := mm.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if err := mm.Close(); err != nil {
 			t.Fatalf("second Close: %v", err)
 		}
+		checkLabels(t, "after Close", dec, mm.Labels(), want)
 	}
 }
 
@@ -155,25 +219,28 @@ func TestFBMXCorruptionDetected(t *testing.T) {
 		{"short-header", raw[:16]},
 		{"header-only", raw[:fbmxHeaderPage]},
 		{"bad-magic", corrupt(raw, func(b []byte) { b[0] = 'X' })},
-		{"bad-version", corrupt(raw, func(b []byte) {
-			binary.LittleEndian.PutUint32(b[4:8], 99)
-			binary.LittleEndian.PutUint32(b[28:32], crc32.ChecksumIEEE(b[:28]))
-		})},
+		{"bad-version", corrupt(raw, func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], 99) })},
 		{"header-crc", corrupt(raw, func(b []byte) { b[9] ^= 1 })},
-		{"zero-rows", corrupt(raw, func(b []byte) {
-			binary.LittleEndian.PutUint64(b[8:16], 0)
-			binary.LittleEndian.PutUint32(b[28:32], crc32.ChecksumIEEE(b[:28]))
-		})},
-		{"huge-shape", corrupt(raw, func(b []byte) {
-			binary.LittleEndian.PutUint64(b[8:16], 1<<40)
-			binary.LittleEndian.PutUint32(b[28:32], crc32.ChecksumIEEE(b[:28]))
+		{"spec-overrun", corrupt(raw, func(b []byte) { binary.LittleEndian.PutUint32(b[56:60], fbmxMaxSpec+1) })},
+		{"zero-rows", rewriteHeader(t, raw, func(h *fbmxHeader, _ []byte) { h.n = 0 })},
+		{"huge-shape", rewriteHeader(t, raw, func(h *fbmxHeader, _ []byte) { h.n = 1 << 40 })},
+		{"labels-offset", rewriteHeader(t, raw, func(h *fbmxHeader, _ []byte) { h.labelsOff -= 8 })},
+		{"labels-length-overflow", rewriteHeader(t, raw, func(h *fbmxHeader, _ []byte) { h.labelsLen = 1<<64 - 8 })},
+		{"labels-crc-flip", corrupt(raw, func(b []byte) { b[len(b)-1] ^= 1 })},
+		{"labels-truncated", rewriteHeader(t, raw, func(h *fbmxHeader, labels []byte) {
+			h.labelsLen -= 8
+			h.labelsCRC = crc32.ChecksumIEEE(labels[:h.labelsLen])
+		})[:len(raw)-8]},
+		{"label-id-outside-table", rewriteHeader(t, raw, func(h *fbmxHeader, labels []byte) {
+			binary.LittleEndian.PutUint32(labels[len(labels)-4:], 1<<20)
+			h.labelsCRC = crc32.ChecksumIEEE(labels)
 		})},
 		{"truncated-payload", raw[:len(raw)-8]},
 		{"trailing-bytes", append(append([]byte{}, raw...), 0)},
 		{"payload-flip", corrupt(raw, func(b []byte) { b[fbmxHeaderPage+3] ^= 1 })},
 	}
 	for _, tc := range cases {
-		if _, err := DecodeFBMX(tc.data); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecodeFBMX(tc.data); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: DecodeFBMX error %v, want ErrCorrupt", tc.name, err)
 		}
 		// The same bytes on disk must be rejected by the mmap open path
@@ -207,18 +274,14 @@ func TestFBMXShapeOverflowRejected(t *testing.T) {
 	// right size for a ~2^61-element collection.
 	const n, dim = 1073807362, 2147352580
 	data := make([]byte, fbmxHeaderPage+64)
-	copy(data[0:4], fbmxMagic[:])
-	binary.LittleEndian.PutUint32(data[4:8], FBMXVersion)
-	binary.LittleEndian.PutUint64(data[8:16], n)
-	binary.LittleEndian.PutUint64(data[16:24], dim)
-	binary.LittleEndian.PutUint32(data[24:28], crc32.ChecksumIEEE(data[fbmxHeaderPage:]))
-	binary.LittleEndian.PutUint32(data[28:32], crc32.ChecksumIEEE(data[:28]))
+	h := fbmxHeader{n: n, dim: dim, dataCRC: crc32.ChecksumIEEE(data[fbmxHeaderPage:]), labelsOff: uint64(len(data))}
+	h.put(data)
 
 	var un, ud uint64 = n, dim
 	if wrapped := un * ud * 8; wrapped != 64 {
 		t.Fatalf("test premise broken: 8*n*dim wraps to %d, want 64", wrapped)
 	}
-	if _, err := DecodeFBMX(data); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecodeFBMX(data); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("DecodeFBMX accepted an overflowed shape: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "overflow.fbmx")
@@ -234,6 +297,29 @@ func TestFBMXShapeOverflowRejected(t *testing.T) {
 	}
 }
 
+// TestFBMXVersion1Refused: a version-1 image (the 32-byte header with no
+// labels section) is refused as corrupt by both open paths, naming its
+// version.
+func TestFBMXVersion1Refused(t *testing.T) {
+	data := make([]byte, fbmxHeaderPage+8*6)
+	copy(data[0:4], fbmxMagic[:])
+	binary.LittleEndian.PutUint32(data[4:8], 1)
+	binary.LittleEndian.PutUint64(data[8:16], 3)
+	binary.LittleEndian.PutUint64(data[16:24], 2)
+	binary.LittleEndian.PutUint32(data[24:28], crc32.ChecksumIEEE(data[fbmxHeaderPage:]))
+	binary.LittleEndian.PutUint32(data[28:32], crc32.ChecksumIEEE(data[:28]))
+	if _, _, err := DecodeFBMX(data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported FBMX version 1") {
+		t.Fatalf("DecodeFBMX of a v1 image: %v, want ErrCorrupt naming version 1", err)
+	}
+	path := filepath.Join(t.TempDir(), "v1.fbmx")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenMmap(path); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported FBMX version 1") {
+		t.Fatalf("OpenMmap of a v1 image: %v, want ErrCorrupt naming version 1", err)
+	}
+}
+
 // TestFBMXAtomicWrite: a successful write leaves no temporary file, and
 // writing over an existing collection replaces it whole.
 func TestFBMXAtomicWrite(t *testing.T) {
@@ -241,11 +327,11 @@ func TestFBMXAtomicWrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "coll.fbmx")
 	first := randomMatrix(t, rng, 8, 4)
-	if err := WriteFBMX(path, first); err != nil {
+	if err := WriteFBMX(path, first, testLabels(first.Len())); err != nil {
 		t.Fatal(err)
 	}
 	second := randomMatrix(t, rng, 9, 4)
-	if err := WriteFBMX(path, second); err != nil {
+	if err := WriteFBMX(path, second, testLabels(second.Len())); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
@@ -259,8 +345,11 @@ func TestFBMXAtomicWrite(t *testing.T) {
 	if !rowsBitwiseEqual(second, mm) {
 		t.Error("rewrite did not replace the collection")
 	}
-	if err := WriteFBMX(filepath.Join(dir, "empty.fbmx"), nil); err == nil {
+	if err := WriteFBMX(filepath.Join(dir, "empty.fbmx"), nil, Labels{}); err == nil {
 		t.Error("writing a nil backend should fail")
+	}
+	if err := WriteFBMX(filepath.Join(dir, "unlabeled.fbmx"), second, testLabels(second.Len()-1)); err == nil {
+		t.Error("writing labels for a different row count should fail")
 	}
 }
 

@@ -26,6 +26,7 @@ type MmapMatrix struct {
 	// dataCRC is the header's payload checksum; Verify checks the live
 	// mapping against it.
 	dataCRC uint32
+	labels  Labels
 	mapped  []byte // the raw mapping; nil on the portable fallback
 	closed  atomic.Bool
 }
@@ -38,6 +39,9 @@ func (m *MmapMatrix) Dim() int { return m.dim }
 
 // Path returns the backing file's path.
 func (m *MmapMatrix) Path() string { return m.path }
+
+// Labels returns the labels stored beside the rows; they outlive Close.
+func (m *MmapMatrix) Labels() Labels { return m.labels }
 
 // Resident reports whether the collection is served from a live file
 // mapping (false on the portable read-into-heap fallback).

@@ -22,12 +22,12 @@ func OpenMmap(path string) (*MmapMatrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := DecodeFBMX(raw)
+	m, labels, err := DecodeFBMX(raw)
 	if err != nil {
 		return nil, err
 	}
 	dataCRC := binary.LittleEndian.Uint32(raw[24:28])
-	return &MmapMatrix{data: m.data, n: m.n, dim: m.dim, path: path, dataCRC: dataCRC}, nil
+	return &MmapMatrix{data: m.data, n: m.n, dim: m.dim, path: path, dataCRC: dataCRC, labels: labels}, nil
 }
 
 // munmap is never reached on this build (MmapMatrix.mapped stays nil);

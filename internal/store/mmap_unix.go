@@ -16,10 +16,11 @@ import (
 )
 
 // OpenMmap opens the FBMX collection at path as a read-only file
-// mapping. The header is validated eagerly (shape, header CRC, exact
-// file size); the payload checksum is deferred to Verify so the open
-// itself touches no payload pages. All format failures wrap ErrCorrupt;
-// a missing file satisfies errors.Is(err, os.ErrNotExist).
+// mapping. The header and the labels section are validated and decoded
+// eagerly (shape, checksums, exact file size); the payload checksum is
+// deferred to Verify so the open itself touches no payload pages. All
+// format failures wrap ErrCorrupt; a missing file satisfies
+// errors.Is(err, os.ErrNotExist).
 func OpenMmap(path string) (*MmapMatrix, error) {
 	//fbvet:ok mmap requires a real *os.File descriptor; read-only open outside the faultfs crash schedules
 	f, err := os.Open(path)
@@ -34,11 +35,11 @@ func OpenMmap(path string) (*MmapMatrix, error) {
 	if info.Size() < fbmxHeaderPage {
 		return nil, fmt.Errorf("%w: FBMX file %s is %d bytes, want at least the %d-byte header page", ErrCorrupt, path, info.Size(), fbmxHeaderPage)
 	}
-	var hdr [fbmxHeaderSize]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+	page := make([]byte, fbmxHeaderPage)
+	if _, err := f.ReadAt(page, 0); err != nil {
 		return nil, fmt.Errorf("store: reading FBMX header of %s: %w", path, err)
 	}
-	n, dim, dataCRC, err := parseFBMXHeader(hdr[:], info.Size())
+	h, err := parseFBMXHeader(page, info.Size())
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -46,11 +47,16 @@ func OpenMmap(path string) (*MmapMatrix, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: mmap %s: %w", path, err)
 	}
-	payload := mapped[fbmxHeaderPage:]
+	labels, err := h.labels(mapped[h.labelsOff:])
+	if err != nil {
+		_ = syscall.Munmap(mapped)
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	payload := mapped[fbmxHeaderPage:h.labelsOff]
 	// The payload begins on a page boundary of a page-aligned mapping,
 	// so the float64 view is 8-byte aligned by construction.
-	data := unsafe.Slice((*float64)(unsafe.Pointer(&payload[0])), n*dim)
-	return &MmapMatrix{data: data, n: n, dim: dim, path: path, dataCRC: dataCRC, mapped: mapped}, nil
+	data := unsafe.Slice((*float64)(unsafe.Pointer(&payload[0])), h.n*h.dim)
+	return &MmapMatrix{data: data, n: int(h.n), dim: int(h.dim), path: path, dataCRC: h.dataCRC, labels: labels, mapped: mapped}, nil
 }
 
 func munmap(b []byte) error { return syscall.Munmap(b) }
