@@ -391,10 +391,12 @@ func buildCollection(n int) ([][]float64, error) {
 // paper's workload shape — a stream of queries (§5 trains on 1000-query
 // streams) — through the cache-tiled, early-abandoning, squared-space
 // batch scan. One op = one 64-query batch; the headline number is the
-// reported ns/query. Compare against BenchmarkKNNScanNaive (the
-// seed-equivalent per-row Metric path, whose per-query cost batching
-// cannot improve) and BenchmarkKNNScanSingle (one lone kernel query,
-// memory-bound on the full slab stream).
+// reported ns/query, under the default Euclidean metric and under the
+// re-weighted metric of BenchmarkKNNScanWeighted. Compare against
+// BenchmarkKNNScanNaive (the seed-equivalent per-row Metric path, whose
+// per-query cost batching cannot improve), BenchmarkKNNScanSingle (one
+// lone kernel query) and BenchmarkKNNScanWeighted/scale=1/k=50 (one lone
+// re-weighted query).
 func BenchmarkKNNScan(b *testing.B) {
 	data := benchCollection(b, paperScaleN)
 	scan, err := knn.NewScan(data)
@@ -406,14 +408,33 @@ func BenchmarkKNNScan(b *testing.B) {
 	for i := range qs {
 		qs[i] = data[(i*131)%len(data)]
 	}
-	m := distance.Euclidean{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := scan.SearchBatch(qs, 50, m); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		m    distance.Metric
+	}{{"euclidean", distance.Euclidean{}}, {"weighted", benchWeighted(b, len(data[0]))}} {
+		b.Run("metric="+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := scan.SearchBatch(qs, 50, c.m); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/query")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/query")
+}
+
+// benchWeighted is the re-weighted metric of the weighted benchmarks: a
+// fixed, uneven weight per dimension, the shape feedback rounds produce.
+func benchWeighted(b *testing.B, dim int) distance.Metric {
+	w := make([]float64, dim)
+	for i := range w {
+		w[i] = 0.5 + float64(i%4)
+	}
+	wm, err := distance.NewWeightedEuclidean(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return wm
 }
 
 // BenchmarkKNNScanNaive measures the generic virtual-dispatch scan (one
@@ -482,14 +503,7 @@ func BenchmarkKNNScanWeighted(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			w := make([]float64, len(data[0]))
-			for i := range w {
-				w[i] = 0.5 + float64(i%4)
-			}
-			wm, err := distance.NewWeightedEuclidean(w)
-			if err != nil {
-				b.Fatal(err)
-			}
+			wm := benchWeighted(b, len(data[0]))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := scan.Search(data[(i*131)%len(data)], c.k, wm); err != nil {
@@ -614,29 +628,6 @@ func BenchmarkDatasetBuild(b *testing.B) {
 // cpuTime is the user plus system time of a getrusage sample, in ns.
 func cpuTime(ru syscall.Rusage) int64 {
 	return ru.Utime.Nano() + ru.Stime.Nano()
-}
-
-// BenchmarkKNNSearchBatch measures batched retrieval throughput (queries
-// fan out across GOMAXPROCS workers); the metric of interest is
-// ns/query = ns/op ÷ 64.
-func BenchmarkKNNSearchBatch(b *testing.B) {
-	data := benchCollection(b, paperScaleN)
-	scan, err := knn.NewScan(data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batch = 64
-	qs := make([][]float64, batch)
-	for i := range qs {
-		qs[i] = data[(i*131)%len(data)]
-	}
-	m := distance.Euclidean{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := scan.SearchBatch(qs, 50, m); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- Ablation: Haar compression of stored OQP vectors (§3.1 trade-off). ---

@@ -17,36 +17,25 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/dataset"
-	"repro/internal/distance"
 	"repro/internal/eval"
 	"repro/internal/experiments"
-	"repro/internal/geom"
-	"repro/internal/histogram"
-	"repro/internal/imagegen"
-	"repro/internal/knn"
 	"repro/internal/persist"
-	"repro/internal/simplextree"
 )
 
 func main() {
 	var (
-		figure   = flag.String("figure", "all", "figure to regenerate: all, 1, 9, 10, 11, 12, 13, 14, 15, 16, knn (retrieval-core micro-benchmark), tree (Simplex Tree concurrency/throughput series), chaos (fault-injection: crash-schedule sweep, degraded-mode and quota governance), ann (IVF approximate tier: recall/latency/bandwidth sweep over nlist, nprobe and quantization), or lifecycle (bypass aging: drifting soak with aging on vs off, plus a compaction crash-schedule sweep on both durable layouts)")
+		figure   = flag.String("figure", "all", "figure to regenerate: all, 1, 9, 10, 11, 12, 13, 14, 15, 16, ann (IVF approximate tier: recall/latency/bandwidth sweep over nlist, nprobe and quantization), or lifecycle (bypass aging: drifting soak with aging on vs off)")
 		scale    = flag.Float64("scale", 0.3, "collection scale (1 = the paper's ~10,000 images)")
 		queries  = flag.Int("queries", 700, "training queries to process")
 		k        = flag.Int("k", 15, "results per query (paper: 50)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		epsilon  = flag.Float64("epsilon", 0.05, "Simplex Tree insert threshold ε")
-		numEval  = flag.Int("eval", 80, "evaluation queries for the k-sweep figures (11, 13) and the knn figure")
+		numEval  = flag.Int("eval", 80, "evaluation queries for the k-sweep figures (11, 13)")
 		save     = flag.String("save", "", "persist the trained Simplex Tree to this file (inspect with fbtree); needs a figure that trains the shared session")
 		jsonPath = flag.String("json", "", "additionally write every printed series as machine-readable JSON to this file")
 
@@ -72,7 +61,6 @@ func main() {
 				Env: experiments.CollectEnvelope(),
 			},
 			Series: map[string][]jsonSeries{},
-			KNN:    map[string]knnBenchResult{},
 		}
 	}
 	start := time.Now()
@@ -82,9 +70,6 @@ func main() {
 		name string
 		run  func()
 	}{
-		{"knn", func() { runKNNBench(*scale, *k, *numEval, *seed) }},
-		{"tree", func() { runTreeBench(*queries, *epsilon, *seed) }},
-		{"chaos", func() { runChaosBench(*seed) }},
 		{"ann", func() { runANNBench(*k, *seed) }},
 		{"lifecycle", func() { runLifecycleBench(*seed, *lcInserts, uint64(*lcHorizon), *lcCompact) }},
 	}
@@ -166,9 +151,6 @@ func main() {
 type jsonReport struct {
 	Meta      reportMeta                   `json:"meta"`
 	Series    map[string][]jsonSeries      `json:"series,omitempty"`
-	KNN       map[string]knnBenchResult    `json:"knn,omitempty"`
-	Tree      map[string]treeBenchResult   `json:"tree,omitempty"`
-	Chaos     *experiments.ChaosResult     `json:"chaos,omitempty"`
 	ANN       *experiments.ANNResult       `json:"ann,omitempty"`
 	Lifecycle *experiments.LifecycleResult `json:"lifecycle,omitempty"`
 }
@@ -189,25 +171,6 @@ type jsonSeries struct {
 	XLabel string    `json:"x_label"`
 	X      []float64 `json:"x"`
 	Y      []float64 `json:"y"`
-}
-
-type knnBenchResult struct {
-	Collection int     `json:"collection"`
-	Dim        int     `json:"dim"`
-	K          int     `json:"k"`
-	Queries    int     `json:"queries"`
-	NsPerQuery float64 `json:"ns_per_query"`
-	QPS        float64 `json:"qps"`
-}
-
-type treeBenchResult struct {
-	Dim        int     `json:"dim"`
-	OQPDim     int     `json:"oqp_dim"`
-	Points     int     `json:"points"`
-	Goroutines int     `json:"goroutines"`
-	Ops        int     `json:"ops"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
 }
 
 // report is nil unless -json was given; section names the figure being
@@ -240,231 +203,6 @@ func writeReport(path string) {
 		fail(err)
 	}
 	fmt.Printf("# wrote JSON report to %s\n", path)
-}
-
-// runKNNBench measures the retrieval core in isolation: per-query latency
-// of the cache-tiled SearchBatch, of lone Search calls, and of the naive
-// per-row Metric path, under the default Euclidean metric and a
-// re-weighted metric — the two retrieval shapes of the feedback loop.
-func runKNNBench(scale float64, k, numQueries int, seed int64) {
-	header(fmt.Sprintf("KNN retrieval core (scale %.2f, k = %d, %d queries)", scale, k, numQueries))
-	ds, err := dataset.Build(imagegen.IMSILike(seed, scale), histogram.DefaultExtractor)
-	if err != nil {
-		fail(err)
-	}
-	scan, err := knn.NewScanBackend(ds.Matrix())
-	if err != nil {
-		fail(err)
-	}
-	qs := make([][]float64, numQueries)
-	for i := range qs {
-		qs[i] = ds.Items[(i*131)%ds.Len()].Feature
-	}
-	weights := make([]float64, ds.Dim)
-	for i := range weights {
-		weights[i] = 0.5 + float64(i%4)
-	}
-	wm, err := distance.NewWeightedEuclidean(weights)
-	if err != nil {
-		fail(err)
-	}
-	// lone runs the queries one Search call at a time — the shape of a
-	// serving session, which has no batch to share a cache block with.
-	lone := func(search func(q []float64, k int, m distance.Metric) ([]knn.Result, error), m distance.Metric) func() error {
-		return func() error {
-			for _, q := range qs {
-				if _, err := search(q, k, m); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	runs := []struct {
-		name   string
-		search func() error
-	}{
-		{"batch-euclidean", func() error { _, err := scan.SearchBatch(qs, k, distance.Euclidean{}); return err }},
-		{"batch-weighted", func() error { _, err := scan.SearchBatch(qs, k, wm); return err }},
-		{"lone-weighted", lone(scan.Search, wm)},
-		{"naive-euclidean", lone(scan.SearchNaive, distance.Euclidean{})},
-	}
-	fmt.Printf("%-18s %14s %12s\n", "mode", "ns/query", "queries/s")
-	for _, r := range runs {
-		t0 := time.Now()
-		if err := r.search(); err != nil {
-			fail(err)
-		}
-		elapsed := time.Since(t0)
-		nsq := float64(elapsed.Nanoseconds()) / float64(len(qs))
-		qps := 1e9 / nsq
-		fmt.Printf("%-18s %14.0f %12.0f\n", r.name, nsq, qps)
-		if report != nil {
-			report.KNN[r.name] = knnBenchResult{
-				Collection: ds.Len(), Dim: ds.Dim, K: k, Queries: len(qs),
-				NsPerQuery: nsq, QPS: qps,
-			}
-		}
-	}
-	fmt.Println()
-}
-
-// runTreeBench measures the Simplex Tree prediction plane at the paper's
-// operating point (D = 31, N = 62): serial vs. parallel Predict
-// throughput under concurrent sessions, the batch API, the insert path,
-// and WAL append cost. The read path is lock-shared and allocation-free,
-// so parallel throughput should scale with cores (on a single-core host
-// the series documents the absence of contention instead).
-func runTreeBench(queries int, epsilon float64, seed int64) {
-	const (
-		d      = 31
-		oqpDim = 62
-		points = 1000
-	)
-	if queries < 1024 {
-		queries = 1024
-	}
-	header(fmt.Sprintf("Simplex Tree prediction plane (D = %d, N = %d, %d stored points, %d queries)", d, oqpDim, points, queries))
-	rng := rand.New(rand.NewSource(seed))
-	interior := func() []float64 {
-		w := make([]float64, d+1)
-		var sum float64
-		for i := range w {
-			w[i] = 0.05 + rng.Float64()
-			sum += w[i]
-		}
-		q := make([]float64, d)
-		for i := 0; i < d; i++ {
-			q[i] = w[i+1] / sum
-		}
-		return q
-	}
-	newTree := func() *simplextree.Tree {
-		tree, err := simplextree.New(geom.StandardSimplex(d), make([]float64, oqpDim), simplextree.Options{Epsilon: epsilon})
-		if err != nil {
-			fail(err)
-		}
-		return tree
-	}
-	randomValue := func() []float64 {
-		v := make([]float64, oqpDim)
-		for i := range v {
-			v[i] = rng.NormFloat64()
-		}
-		return v
-	}
-
-	// Build the shared read-mostly tree and the query/insert workloads.
-	tree := newTree()
-	insertQs := make([][]float64, points)
-	insertVs := make([][]float64, points)
-	for i := 0; i < points; i++ {
-		insertQs[i] = interior()
-		insertVs[i] = randomValue()
-		if _, err := tree.Insert(insertQs[i], insertVs[i]); err != nil {
-			fail(err)
-		}
-	}
-	qs := make([][]float64, queries)
-	for i := range qs {
-		qs[i] = interior()
-	}
-
-	reportRow := func(name string, ops, goroutines int, elapsed time.Duration) {
-		nsPerOp := float64(elapsed.Nanoseconds()) / float64(ops)
-		fmt.Printf("%-22s %4d goroutine(s) %14.0f ns/op %12.0f ops/s\n",
-			name, goroutines, nsPerOp, 1e9/nsPerOp)
-		if report != nil {
-			if report.Tree == nil {
-				report.Tree = map[string]treeBenchResult{}
-			}
-			report.Tree[name] = treeBenchResult{
-				Dim: d, OQPDim: oqpDim, Points: points, Goroutines: goroutines,
-				Ops: ops, NsPerOp: nsPerOp, OpsPerSec: 1e9 / nsPerOp,
-			}
-		}
-	}
-
-	// Serial predictions through the allocation-free read path.
-	dst := make([]float64, oqpDim)
-	t0 := time.Now()
-	for _, q := range qs {
-		if _, err := tree.PredictInto(dst, q); err != nil {
-			fail(err)
-		}
-	}
-	reportRow("predict-serial", len(qs), 1, time.Since(t0))
-
-	// Concurrent sessions: G goroutines share the read lock.
-	for _, g := range []int{2, 4, 8} {
-		var wg sync.WaitGroup
-		t0 = time.Now()
-		chunk := (len(qs) + g - 1) / g
-		errs := make([]error, g)
-		for w := 0; w < g; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > len(qs) {
-				hi = len(qs)
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				out := make([]float64, oqpDim)
-				for _, q := range qs[lo:hi] {
-					if _, err := tree.PredictInto(out, q); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		elapsed := time.Since(t0)
-		for _, err := range errs {
-			if err != nil {
-				fail(err)
-			}
-		}
-		reportRow(fmt.Sprintf("predict-parallel-%d", g), len(qs), g, elapsed)
-	}
-
-	// The batch API: one lock acquisition for the whole stream.
-	t0 = time.Now()
-	if _, _, err := tree.PredictBatch(qs); err != nil {
-		fail(err)
-	}
-	reportRow("predict-batch", len(qs), runtime.GOMAXPROCS(0), time.Since(t0))
-
-	// Insert throughput (exclusive lock) into a fresh tree.
-	fresh := newTree()
-	t0 = time.Now()
-	if _, err := fresh.InsertBatch(insertQs, insertVs); err != nil {
-		fail(err)
-	}
-	reportRow("insert-batch", points, 1, time.Since(t0))
-
-	// WAL append cost: one record per accepted insert.
-	walDir, err := os.MkdirTemp("", "fbbench-wal")
-	if err != nil {
-		fail(err)
-	}
-	defer os.RemoveAll(walDir)
-	wal, err := persist.OpenWAL(filepath.Join(walDir, "bench.fbwl"), d, oqpDim)
-	if err != nil {
-		fail(err)
-	}
-	defer wal.Close()
-	t0 = time.Now()
-	for i := 0; i < points; i++ {
-		if err := wal.Append(insertQs[i], insertVs[i], uint64(i+1)); err != nil {
-			fail(err)
-		}
-	}
-	reportRow("wal-append", points, 1, time.Since(t0))
-	fmt.Println()
 }
 
 // runANNBench sweeps the IVF approximate retrieval tier: per corpus
@@ -501,48 +239,9 @@ func runANNBench(k int, seed int64) {
 	}
 }
 
-// runChaosBench runs the fault-injection figure: a crash-schedule sweep
-// over every mutating filesystem operation of a durable insert workload
-// (the durable module at 1 and at N shards, asserting zero acknowledged loss),
-// degraded-mode serving with the journal disk gone bad, and quota
-// governance — availability, error taxonomy and recovery times.
-func runChaosBench(seed int64) {
-	cfg := experiments.DefaultChaosConfig()
-	cfg.Seed = seed
-	header(fmt.Sprintf("Fault injection: crash schedules, degraded mode, quotas (D=%d P=%d, %d inserts/schedule, %d shards)",
-		cfg.D, cfg.P, cfg.Inserts, cfg.Shards))
-	res, err := experiments.RunChaos(cfg)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Println("# crash-schedule sweep: one fresh module + injected kill per mutating fs op, then recovery on a healthy disk")
-	fmt.Printf("%-14s %13s %10s %10s %12s %12s %12s\n",
-		"shards", "crash-points", "acked-lost", "rec-fail", "extra-replay", "rec-mean(us)", "rec-max(us)")
-	for _, sweep := range res.CrashSweeps {
-		fmt.Printf("%-14d %13d %10d %10d %12d %12.0f %12.0f\n",
-			sweep.Shards, sweep.CrashPoints, sweep.AckedLost, sweep.RecoveryFailures,
-			sweep.ExtraReplayed, sweep.RecoveryMeanMicros, sweep.RecoveryMaxMicros)
-	}
-	d := res.Degraded
-	fmt.Println("\n# degraded mode: journal disk goes bad after the acked inserts; module must flip read-only, not lie")
-	fmt.Printf("acked=%d  insert rejections: typed=%d untyped=%d  reads: %d/%d ok (availability %.3f, parity %v)\n",
-		d.AckedBefore, d.TypedRejections, d.UntypedErrors, d.ReadsOK, d.ReadsAttempted, d.ReadAvailability, d.ParityOK)
-	fmt.Printf("recovery on healthy disk: %.0fus, clean=%v\n", d.RecoveryMicros, d.RecoveredOK)
-	q := res.Quota
-	fmt.Println("\n# quota governance: vertex quota admits exactly the headroom; reads stay live at full occupancy")
-	fmt.Printf("max_vertices=%d  accepted=%d  rejections: typed=%d untyped=%d  reads: %d/%d ok (availability %.3f, parity %v)\n",
-		q.MaxVertices, q.Accepted, q.TypedRejections, q.UntypedErrors, q.ReadsOK, q.ReadsAttempted, q.ReadAvailability, q.ParityOK)
-	fmt.Println()
-	if report != nil {
-		report.Chaos = &res
-	}
-}
-
 // runLifecycleBench runs the bypass-lifecycle figure: the drifting soak
 // with aging+compaction against an aging-off control (bounded memory at
-// stable hit rate vs unbounded growth), then the compaction
-// crash-schedule sweep at 1 and at N shards (recovery must land on a
-// pre- or post-compaction census bitwise — never a hybrid).
+// stable hit rate vs unbounded growth).
 func runLifecycleBench(seed int64, inserts int, horizon uint64, compactEvery int) {
 	cfg := experiments.DefaultLifecycleConfig()
 	cfg.Seed = seed
@@ -565,20 +264,11 @@ func runLifecycleBench(seed int64, inserts int, horizon uint64, compactEvery int
 	for _, s := range []experiments.LifecycleSeries{res.Aging, res.Control} {
 		fmt.Printf("\n# mode %s (horizon %d): %d compactions reclaimed %d vertices; peak %d points, final %d\n",
 			s.Mode, s.AgeHorizon, s.Compactions, s.Reclaimed, s.PeakPoints, s.FinalPoints)
-		fmt.Printf("%-10s %10s %12s %12s %12s %9s\n", "inserts", "points", "bytes(KB)", "heap(MB)", "rss(MB)", "hit-rate")
+		fmt.Printf("%-10s %10s %12s %9s\n", "inserts", "points", "bytes(KB)", "hit-rate")
 		for _, p := range s.Samples {
-			fmt.Printf("%-10d %10d %12.1f %12.1f %12.1f %8.1f%%\n",
-				p.Inserts, p.Points, float64(p.SizeBytes)/1024,
-				float64(p.HeapAllocBytes)/(1<<20), float64(p.RSSBytes)/(1<<20), 100*p.HitRate)
+			fmt.Printf("%-10d %10d %12.1f %8.1f%%\n",
+				p.Inserts, p.Points, float64(p.SizeBytes)/1024, 100*p.HitRate)
 		}
-	}
-	fmt.Println("\n# compaction crash sweep: one fresh module + injected kill per mutating fs op, recovery checked against the healthy census sequence")
-	fmt.Printf("%-14s %13s %10s %10s %8s %10s %10s\n",
-		"shards", "crash-points", "rec-fail", "acked-lost", "hybrid", "post-comp", "in-flight")
-	for _, sweep := range res.CrashSweeps {
-		fmt.Printf("%-14d %13d %10d %10d %8d %10d %10d\n",
-			sweep.Shards, sweep.CrashPoints, sweep.RecoveryFailures, sweep.AckedLost,
-			sweep.HybridStates, sweep.PostCompaction, sweep.InFlightReplayed)
 	}
 	fmt.Println()
 	if report != nil {

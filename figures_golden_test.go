@@ -55,9 +55,9 @@ func TestPaperFiguresGolden(t *testing.T) {
 }
 
 // TestFbbenchRejectsBadInvocations holds fbbench to exit status 2, before
-// any work, for an unknown -figure (including the removed serving
-// figures) and for -save with a figure that trains no shared session —
-// which must not create the file.
+// any work, for an unknown -figure (including the removed serving,
+// retrieval, tree and chaos figures) and for -save with a figure that
+// trains no shared session — which must not create the file.
 func TestFbbenchRejectsBadInvocations(t *testing.T) {
 	bin := fbbenchBinary(t)
 	saved := filepath.Join(t.TempDir(), "t.fbsx")
@@ -67,7 +67,10 @@ func TestFbbenchRejectsBadInvocations(t *testing.T) {
 		{"-figure", "shard"},
 		{"-figure", "store"},
 		{"-figure", "soak"},
-		{"-figure", "knn", "-save", saved},
+		{"-figure", "knn"},
+		{"-figure", "tree"},
+		{"-figure", "chaos"},
+		{"-figure", "lifecycle", "-save", saved},
 		{"-figure", "12", "-save", saved},
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()

@@ -550,22 +550,9 @@ func (x *Index) rerankRange(q []float64, k int, kern distance.Kernel, lo, hi int
 func offerRoot(t *knn.TopK, id int, s2, bound float64) float64 {
 	t.Offer(id, math.Sqrt(s2))
 	if r, ok := t.Bound(); ok {
-		return rootBound2(r)
+		return knn.RootBound2(r)
 	}
 	return bound
-}
-
-// rootBound2 returns the largest float64 whose square root rounds to at
-// most r (internal/knn's scan keeps its own copy of this rule).
-func rootBound2(r float64) float64 {
-	b := math.Float64bits(r * r)
-	for math.Sqrt(math.Float64frombits(b)) > r {
-		b--
-	}
-	for math.Sqrt(math.Float64frombits(b+1)) <= r {
-		b++
-	}
-	return math.Float64frombits(b)
 }
 
 // SearchBatchMulti implements knn.BatchSearcher: positionally-aligned

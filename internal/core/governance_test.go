@@ -123,17 +123,18 @@ func TestQuotaRecoveryExempt(t *testing.T) {
 // TestDegradedReadOnlyServing: when the disk under the journal goes bad,
 // the module flips sticky read-only — typed rejections on every insert,
 // predictions bitwise-identical to a healthy twin holding the same
-// acknowledged state, concurrent readers unharmed.
+// acknowledged state, concurrent readers unharmed — and reopening on a
+// healthy disk recovers exactly the acknowledged inserts.
 func TestDegradedReadOnlyServing(t *testing.T) {
 	const d, p = 3, 2
 	rng := rand.New(rand.NewSource(55))
 	fs := faultfs.New(nil)
+	dir := t.TempDir()
 
-	db, err := OpenDurable(t.TempDir(), d, p, Config{Epsilon: 0}, DurableOptions{FS: fs})
+	db, err := OpenDurable(dir, d, p, Config{Epsilon: 0}, DurableOptions{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
 	twin, err := New(d, p, Config{Epsilon: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -200,6 +201,31 @@ func TestDegradedReadOnlyServing(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+
+	// Reopen on a healthy disk: every acknowledged insert is back, bitwise,
+	// and none of the rejected ones.
+	_ = db.Close() // the journal disk is still bad
+	recovered, err := OpenDurable(dir, d, p, Config{Epsilon: 0}, DurableOptions{})
+	if err != nil {
+		t.Fatalf("reopen on a healthy disk: %v", err)
+	}
+	defer recovered.Close()
+	if got, want := recovered.Stats().Points, twin.Stats().Points; got != want {
+		t.Fatalf("recovered tree holds %d points, the twin %d", got, want)
+	}
+	for i, q := range qs {
+		got, err := recovered.Predict(q)
+		if err != nil {
+			t.Fatalf("recovered predict %d: %v", i, err)
+		}
+		want, err := twin.Predict(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !vec.Equal(got.Delta, want.Delta) || !vec.Equal(got.Weights, want.Weights) {
+			t.Fatalf("prediction %d diverged from healthy twin after reopen", i)
+		}
+	}
 }
 
 // TestConcurrentInsertsRaceQuotaFlip: many goroutines race the quota

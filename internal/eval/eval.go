@@ -1,38 +1,12 @@
-// Package eval implements the retrieval-effectiveness and efficiency
-// metrics of §5: precision, recall, precision gain, precision-recall
-// curves, and the Saved-Cycles / Saved-Objects measures, together with the
-// running-average series the paper's figures plot.
+// Package eval implements the §5 measures the figure drivers share: the
+// precision gain over Default, Saved-Cycles, and the running-average and
+// trailing-window series the paper's figures plot.
 package eval
 
 import (
 	"errors"
 	"fmt"
 )
-
-// Precision is the number of retrieved relevant objects over the number of
-// retrieved objects k ([Sal88], §5).
-func Precision(relevantRetrieved, k int) (float64, error) {
-	if k <= 0 {
-		return 0, fmt.Errorf("eval: k must be positive, got %d", k)
-	}
-	if relevantRetrieved < 0 || relevantRetrieved > k {
-		return 0, fmt.Errorf("eval: relevant retrieved %d outside [0,%d]", relevantRetrieved, k)
-	}
-	return float64(relevantRetrieved) / float64(k), nil
-}
-
-// Recall is the number of retrieved relevant objects over the total number
-// of relevant objects in the collection (the size of the query's category,
-// §5).
-func Recall(relevantRetrieved, totalRelevant int) (float64, error) {
-	if totalRelevant <= 0 {
-		return 0, fmt.Errorf("eval: total relevant must be positive, got %d", totalRelevant)
-	}
-	if relevantRetrieved < 0 || relevantRetrieved > totalRelevant {
-		return 0, fmt.Errorf("eval: relevant retrieved %d outside [0,%d]", relevantRetrieved, totalRelevant)
-	}
-	return float64(relevantRetrieved) / float64(totalRelevant), nil
-}
 
 // PrecisionGain is the percentage improvement over the Default strategy
 // (Figure 10b):
@@ -50,10 +24,6 @@ func PrecisionGain(method, deflt float64) (float64, error) {
 func SavedCycles(itersFromDefault, itersFromPredicted int) int {
 	return itersFromDefault - itersFromPredicted
 }
-
-// SavedObjects converts saved cycles into the number of objects that did
-// not have to be retrieved: Saved-Objects = Saved-Cycles × k (Figure 15b).
-func SavedObjects(savedCycles, k int) int { return savedCycles * k }
 
 // Running accumulates a running (cumulative) average, the smoothing the
 // paper's learning-curve figures use.

@@ -5,35 +5,6 @@ import (
 	"testing"
 )
 
-func TestPrecision(t *testing.T) {
-	p, err := Precision(5, 50)
-	if err != nil || p != 0.1 {
-		t.Errorf("Precision = %v, %v", p, err)
-	}
-	if _, err := Precision(1, 0); err == nil {
-		t.Error("k=0 should error")
-	}
-	if _, err := Precision(-1, 10); err == nil {
-		t.Error("negative relevant should error")
-	}
-	if _, err := Precision(11, 10); err == nil {
-		t.Error("relevant > k should error")
-	}
-}
-
-func TestRecall(t *testing.T) {
-	r, err := Recall(5, 100)
-	if err != nil || r != 0.05 {
-		t.Errorf("Recall = %v, %v", r, err)
-	}
-	if _, err := Recall(1, 0); err == nil {
-		t.Error("zero total should error")
-	}
-	if _, err := Recall(5, 4); err == nil {
-		t.Error("relevant > total should error")
-	}
-}
-
 func TestPrecisionGain(t *testing.T) {
 	g, err := PrecisionGain(0.4, 0.2)
 	if err != nil || math.Abs(g-100) > 1e-12 {
@@ -51,9 +22,6 @@ func TestPrecisionGain(t *testing.T) {
 func TestSavedMetrics(t *testing.T) {
 	if SavedCycles(4, 1) != 3 {
 		t.Error("SavedCycles")
-	}
-	if SavedObjects(3, 50) != 150 {
-		t.Error("SavedObjects")
 	}
 	if SavedCycles(1, 2) != -1 {
 		t.Error("SavedCycles can be negative (prediction hurt)")

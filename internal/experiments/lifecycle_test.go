@@ -7,8 +7,7 @@ import "testing"
 // (compactions reclaim the drifted-past regions) while the hit rate
 // over the recent window stays perfect; with aging off, the same
 // drifting workload grows the tree without bound (ε=0: one vertex per
-// insert). The embedded crash sweeps must report zero acked-insert
-// loss, zero recovery failures and zero hybrid states at both shard counts.
+// insert).
 func TestRunLifecycleBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lifecycle soak skipped in -short mode")
@@ -45,20 +44,6 @@ func TestRunLifecycleBounded(t *testing.T) {
 			if s.HitRate < 1.0 {
 				t.Fatalf("%s mode hit rate dropped to %.3f at %d inserts: aging reclaimed live regions", series.Mode, s.HitRate, s.Inserts)
 			}
-		}
-	}
-
-	// Crash sweeps: compaction swap safety at both shard counts.
-	if len(res.CrashSweeps) != 2 || res.CrashSweeps[0].Shards != 1 || res.CrashSweeps[1].Shards != cfg.Shards {
-		t.Fatalf("crash sweeps cover %+v, want shard counts 1 and %d", res.CrashSweeps, cfg.Shards)
-	}
-	for _, sweep := range res.CrashSweeps {
-		if sweep.CrashPoints == 0 {
-			t.Fatalf("%d-shard sweep enumerated no crash points", sweep.Shards)
-		}
-		if sweep.RecoveryFailures != 0 || sweep.AckedLost != 0 || sweep.HybridStates != 0 {
-			t.Fatalf("%d-shard sweep: %d recovery failures, %d acked vertices lost, %d hybrid states (want all zero)",
-				sweep.Shards, sweep.RecoveryFailures, sweep.AckedLost, sweep.HybridStates)
 		}
 	}
 }

@@ -69,7 +69,7 @@ type scanState struct {
 	// squared sums one ulp apart can share a root, and ranking by the
 	// squared sum would then break the tie on the wrong key.
 	items []Result
-	// bound2 is rootBound2 of the k-th distance: the largest squared sum
+	// bound2 is RootBound2 of the k-th distance: the largest squared sum
 	// that can still tie or beat it. +Inf until k candidates are retained.
 	bound2 float64
 	// shared is the bound every goroutine of one lone Search prunes
@@ -114,12 +114,13 @@ func (b *sharedBound) lower(local float64) float64 {
 	}
 }
 
-// rootBound2 returns the largest float64 whose square root rounds to at
+// RootBound2 returns the largest float64 whose square root rounds to at
 // most r: the squared sums that can still tie or beat a k-th distance r.
 // Square roots merge neighbouring doubles (about two per root), so r·r
 // alone can lie an ulp below a sum the naive path ranks level with r.
-// +Inf and NaN map to themselves.
-func rootBound2(r float64) float64 {
+// +Inf and NaN map to themselves. Every exact path that ranks by the
+// root and filters in squared space (these scans, ann's rerank) uses it.
+func RootBound2(r float64) float64 {
 	b := math.Float64bits(r * r)
 	for math.Sqrt(math.Float64frombits(b)) > r {
 		b--
@@ -157,7 +158,7 @@ func (st *scanState) insert(cand Result) {
 	items[j] = cand
 	st.items = items
 	if len(items) == st.k {
-		st.bound2 = rootBound2(items[st.k-1].Distance)
+		st.bound2 = RootBound2(items[st.k-1].Distance)
 	}
 }
 

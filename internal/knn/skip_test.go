@@ -270,7 +270,7 @@ func TestSharedBoundTie(t *testing.T) {
 		if b := heap.blockBound2(q, kern.Weights(), lo, lo+DefaultBatchTile); b != tie {
 			t.Fatalf("%s: box bound %v of the copies tile != tie distance² %v", m.Name(), b, tie)
 		}
-		if rootBound2(math.Sqrt(tie)) != tie {
+		if RootBound2(math.Sqrt(tie)) != tie {
 			t.Fatalf("%s: tie distance² %v is not the largest with its root; a `>=` stop would go unnoticed", m.Name(), tie)
 		}
 		for si, scan := range []*Scan{heap, mapped} {

@@ -2,6 +2,7 @@ package shardedbypass
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -74,41 +75,56 @@ func shardedCrashWorkload(t *testing.T, dir string, shards int, fs *faultfs.FS) 
 }
 
 // TestCrashScheduleSharded enumerates every crash point along
-// manifest-write → shard-open → insert → WAL-append → compact for the
-// 3-shard layout. Shard recovery runs in parallel goroutines, so which
-// operation is "nth" varies run to run — the property is stronger for
-// it: from *any* reachable crash state, recovery on the real filesystem
-// must reproduce every vertex the crash-time in-memory trees held
-// (write-ahead: the journals never lag the trees), plus at most the one
-// insert in flight at the crash.
+// manifest-write → shard-open → insert → WAL-append → compact, at one
+// shard (the MANIFEST + shard-000/ layout fbserve -dir builds by
+// default) and at three. Shard recovery runs in parallel goroutines, so
+// which operation is "nth" varies run to run — the property is stronger
+// for it: from *any* reachable crash state, recovery on the real
+// filesystem must reproduce every vertex the crash-time in-memory trees
+// held (write-ahead: the journals never lag the trees), plus at most the
+// one insert in flight at the crash.
 func TestCrashScheduleSharded(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testCrashScheduleSharded(t, shards)
+		})
+	}
+}
+
+func testCrashScheduleSharded(t *testing.T, shards int) {
 	const d, p = 3, 2
 
 	counting := faultfs.New(nil)
-	sh := shardedCrashWorkload(t, t.TempDir(), 3, counting)
+	countDir := t.TempDir()
+	sh := shardedCrashWorkload(t, countDir, shards, counting)
 	if sh == nil {
 		t.Fatal("counting run failed to open")
 	}
+	for _, name := range []string{ManifestFile, "shard-000"} {
+		if _, err := os.Stat(filepath.Join(countDir, name)); err != nil {
+			t.Fatalf("the %d-shard layout lacks %s: %v", shards, name, err)
+		}
+	}
 	m := counting.Ops()
-	if m < 30 {
-		t.Fatalf("suspiciously short schedule: %d mutating ops", m)
+	if m < 10*shards {
+		t.Fatalf("suspiciously short schedule: %d mutating ops across %d shards", m, shards)
 	}
 	if sh.Journaled() >= 12 {
 		t.Fatalf("no shard compacted in the workload (journaled=%d); the schedule misses the compact path", sh.Journaled())
 	}
-	t.Logf("crash schedule: %d mutating filesystem operations across 3 shards", m)
+	t.Logf("crash schedule: %d mutating filesystem operations across %d shards", m, shards)
 
 	for n := 1; n <= m; n++ {
 		dir := t.TempDir()
 		fs := faultfs.New(nil)
 		fs.SetCrashAt(n)
-		sh := shardedCrashWorkload(t, dir, 3, fs)
+		sh := shardedCrashWorkload(t, dir, shards, fs)
 		var want map[string]bool
 		if sh != nil {
 			want = shardedVertexSet(sh)
 		}
 
-		recovered, err := Open(dir, d, p, core.Config{Epsilon: 0}, Options{Shards: 3})
+		recovered, err := Open(dir, d, p, core.Config{Epsilon: 0}, Options{Shards: shards})
 		if err != nil {
 			t.Fatalf("crash point %d/%d: recovery failed: %v", n, m, err)
 		}

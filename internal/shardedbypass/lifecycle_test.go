@@ -2,6 +2,7 @@ package shardedbypass
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -87,17 +88,17 @@ func shardedLifecycleOps() []shardedLifecycleOp {
 	return ops
 }
 
-// openShardedCompacting opens the 3-shard lifecycle harness: aging on
-// (horizon 2) and journal-depth auto-compaction disabled, so the only
-// snapshot swaps in a crash schedule are the workload's explicit
-// CompactAged calls.
-func openShardedCompacting(dir string, fs *faultfs.FS) (*Sharded, error) {
+// openShardedCompacting opens the lifecycle harness at the given shard
+// count: aging on (horizon 2) and journal-depth auto-compaction
+// disabled, so the only snapshot swaps in a crash schedule are the
+// workload's explicit CompactAged calls.
+func openShardedCompacting(dir string, shards int, fs *faultfs.FS) (*Sharded, error) {
 	durable := core.DurableOptions{CompactEvery: 1 << 30, Sync: true}
 	if fs != nil {
 		durable.FS = fs
 	}
 	return Open(dir, 3, 2, core.Config{Epsilon: 0, AgeHorizon: 2}, Options{
-		Shards:  3,
+		Shards:  shards,
 		Durable: durable,
 	})
 }
@@ -113,7 +114,7 @@ func applyShardedLifecycleOp(s *Sharded, op shardedLifecycleOp) error {
 
 // TestCrashScheduleShardedCompaction enumerates every crash point along
 // manifest-write → shard-open → insert → WAL-append → per-shard
-// compaction swap for the 3-shard layout. The healthy run records the
+// compaction swap at one shard and at three. The healthy run records the
 // union census sequence S[0..len(ops)]; a crashed run with k acked ops
 // must recover between the floor and ceiling of the in-flight op: an
 // insert only adds (S[k] ⊆ got ⊆ S[k+1]); a module-wide compaction only
@@ -123,10 +124,18 @@ func applyShardedLifecycleOp(s *Sharded, op shardedLifecycleOp) error {
 // Below the floor is acked-insert loss; above the ceiling is a hybrid
 // state no run ever held.
 func TestCrashScheduleShardedCompaction(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testCrashScheduleShardedCompaction(t, shards)
+		})
+	}
+}
+
+func testCrashScheduleShardedCompaction(t *testing.T, shards int) {
 	ops := shardedLifecycleOps()
 
 	// Healthy run: census after every op.
-	sh, err := openShardedCompacting(t.TempDir(), nil)
+	sh, err := openShardedCompacting(t.TempDir(), shards, nil)
 	if err != nil {
 		t.Fatalf("healthy open: %v", err)
 	}
@@ -150,7 +159,7 @@ func TestCrashScheduleShardedCompaction(t *testing.T) {
 
 	// Counting run: measure the schedule length including Close.
 	counting := faultfs.New(nil)
-	csh, err := openShardedCompacting(t.TempDir(), counting)
+	csh, err := openShardedCompacting(t.TempDir(), shards, counting)
 	if err != nil {
 		t.Fatalf("counting open: %v", err)
 	}
@@ -166,10 +175,10 @@ func TestCrashScheduleShardedCompaction(t *testing.T) {
 		t.Fatalf("counting close: %v", err)
 	}
 	m := counting.Ops()
-	if m < 30 {
-		t.Fatalf("suspiciously short schedule: %d mutating ops", m)
+	if m < 10*shards {
+		t.Fatalf("suspiciously short schedule: %d mutating ops across %d shards", m, shards)
 	}
-	t.Logf("sharded compaction crash schedule: %d mutating filesystem operations across 3 shards", m)
+	t.Logf("sharded compaction crash schedule: %d mutating filesystem operations across %d shards", m, shards)
 
 	for n := 1; n <= m; n++ {
 		dir := t.TempDir()
@@ -178,7 +187,7 @@ func TestCrashScheduleShardedCompaction(t *testing.T) {
 
 		acked := 0
 		opened := false
-		if sh, err := openShardedCompacting(dir, fs); err == nil {
+		if sh, err := openShardedCompacting(dir, shards, fs); err == nil {
 			opened = true
 			for _, op := range ops {
 				if applyShardedLifecycleOp(sh, op) != nil {
@@ -192,7 +201,7 @@ func TestCrashScheduleShardedCompaction(t *testing.T) {
 			t.Fatalf("crash point %d/%d never fired", n, m)
 		}
 
-		recovered, err := openShardedCompacting(dir, nil)
+		recovered, err := openShardedCompacting(dir, shards, nil)
 		if err != nil {
 			t.Fatalf("crash point %d/%d: recovery failed: %v", n, m, err)
 		}

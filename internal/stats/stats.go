@@ -1,8 +1,5 @@
-// Package stats provides the descriptive statistics used by the
-// re-weighting feedback strategies and by the experiment harness: plain and
-// Welford-style online moments, per-dimension statistics over sets of
-// feature vectors, and simple series utilities (quantiles, moving
-// averages).
+// Package stats provides the sample statistics the HTTP benchmark
+// harness (bench/) reports: the mean and linearly interpolated quantiles.
 package stats
 
 import (
@@ -25,127 +22,6 @@ func Mean(xs []float64) (float64, error) {
 		s += x
 	}
 	return s / float64(len(xs)), nil
-}
-
-// Variance returns the population variance of xs (dividing by n, matching
-// the re-weighting formulas of [ISF98] which use the sample spread of the
-// good matches themselves).
-func Variance(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)), nil
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
-// Online accumulates mean and variance incrementally using Welford's
-// algorithm. The zero value is ready to use.
-type Online struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates a new observation.
-func (o *Online) Add(x float64) {
-	o.n++
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// N returns the number of observations so far.
-func (o *Online) N() int { return o.n }
-
-// Mean returns the running mean (0 when empty).
-func (o *Online) Mean() float64 { return o.mean }
-
-// Variance returns the running population variance (0 when fewer than one
-// observation).
-func (o *Online) Variance() float64 {
-	if o.n == 0 {
-		return 0
-	}
-	return o.m2 / float64(o.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Merge combines another accumulator into o (parallel Welford merge).
-func (o *Online) Merge(other Online) {
-	if other.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = other
-		return
-	}
-	n1, n2 := float64(o.n), float64(other.n)
-	delta := other.mean - o.mean
-	total := n1 + n2
-	o.mean += delta * n2 / total
-	o.m2 += other.m2 + delta*delta*n1*n2/total
-	o.n += other.n
-}
-
-// Dimension summarizes one coordinate of a set of vectors.
-type Dimension struct {
-	Mean, Variance, StdDev float64
-	Min, Max               float64
-}
-
-// PerDimension computes per-coordinate statistics over the given vectors,
-// which must all share the same length. It is the workhorse behind the
-// re-weighting strategies: each coordinate's spread among the "good"
-// matches determines its weight.
-func PerDimension(vectors [][]float64) ([]Dimension, error) {
-	if len(vectors) == 0 {
-		return nil, ErrEmpty
-	}
-	d := len(vectors[0])
-	for i, v := range vectors {
-		if len(v) != d {
-			return nil, fmt.Errorf("stats: vector %d has dimension %d, want %d", i, len(v), d)
-		}
-	}
-	out := make([]Dimension, d)
-	acc := make([]Online, d)
-	for j := range out {
-		out[j].Min = math.Inf(1)
-		out[j].Max = math.Inf(-1)
-	}
-	for _, v := range vectors {
-		for j, x := range v {
-			acc[j].Add(x)
-			if x < out[j].Min {
-				out[j].Min = x
-			}
-			if x > out[j].Max {
-				out[j].Max = x
-			}
-		}
-	}
-	for j := range out {
-		out[j].Mean = acc[j].Mean()
-		out[j].Variance = acc[j].Variance()
-		out[j].StdDev = acc[j].StdDev()
-	}
-	return out, nil
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
@@ -171,58 +47,4 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
-
-// MovingAverage smooths xs with a centered window of the given odd width,
-// truncating the window at the boundaries. Width 1 returns a copy.
-func MovingAverage(xs []float64, width int) ([]float64, error) {
-	if width < 1 || width%2 == 0 {
-		return nil, fmt.Errorf("stats: window width must be odd and positive, got %d", width)
-	}
-	out := make([]float64, len(xs))
-	half := width / 2
-	for i := range xs {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half
-		if hi >= len(xs) {
-			hi = len(xs) - 1
-		}
-		var s float64
-		for j := lo; j <= hi; j++ {
-			s += xs[j]
-		}
-		out[i] = s / float64(hi-lo+1)
-	}
-	return out, nil
-}
-
-// Correlation returns the Pearson correlation coefficient between xs and
-// ys, or an error when the lengths differ, there are fewer than two
-// samples, or either series is constant.
-func Correlation(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: series lengths differ: %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	mx, _ := Mean(xs)
-	my, _ := Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: correlation undefined for constant series")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
 }

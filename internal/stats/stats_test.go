@@ -4,22 +4,13 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
-func TestMeanVarianceStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	m, err := Mean(xs)
 	if err != nil || m != 5 {
 		t.Errorf("Mean = %v, %v", m, err)
-	}
-	v, err := Variance(xs)
-	if err != nil || v != 4 {
-		t.Errorf("Variance = %v, %v", v, err)
-	}
-	s, err := StdDev(xs)
-	if err != nil || s != 2 {
-		t.Errorf("StdDev = %v, %v", s, err)
 	}
 }
 
@@ -27,114 +18,8 @@ func TestEmptyErrors(t *testing.T) {
 	if _, err := Mean(nil); err != ErrEmpty {
 		t.Errorf("Mean(nil) err = %v", err)
 	}
-	if _, err := Variance(nil); err != ErrEmpty {
-		t.Errorf("Variance(nil) err = %v", err)
-	}
-	if _, err := StdDev(nil); err != ErrEmpty {
-		t.Errorf("StdDev(nil) err = %v", err)
-	}
 	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
 		t.Errorf("Quantile(nil) err = %v", err)
-	}
-	if _, err := PerDimension(nil); err != ErrEmpty {
-		t.Errorf("PerDimension(nil) err = %v", err)
-	}
-}
-
-func TestOnlineMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 1000)
-	var o Online
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 7
-		o.Add(xs[i])
-	}
-	m, _ := Mean(xs)
-	v, _ := Variance(xs)
-	if math.Abs(o.Mean()-m) > 1e-10 {
-		t.Errorf("online mean %v vs batch %v", o.Mean(), m)
-	}
-	if math.Abs(o.Variance()-v) > 1e-10 {
-		t.Errorf("online var %v vs batch %v", o.Variance(), v)
-	}
-	if o.N() != 1000 {
-		t.Errorf("N = %d", o.N())
-	}
-}
-
-func TestOnlineEmpty(t *testing.T) {
-	var o Online
-	if o.Mean() != 0 || o.Variance() != 0 || o.StdDev() != 0 || o.N() != 0 {
-		t.Error("zero-value Online should report zeros")
-	}
-}
-
-func TestOnlineMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var a, b, all Online
-	for i := 0; i < 500; i++ {
-		x := rng.NormFloat64()
-		a.Add(x)
-		all.Add(x)
-	}
-	for i := 0; i < 300; i++ {
-		x := rng.NormFloat64()*2 + 1
-		b.Add(x)
-		all.Add(x)
-	}
-	a.Merge(b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-10 {
-		t.Errorf("merged mean %v vs %v", a.Mean(), all.Mean())
-	}
-	if math.Abs(a.Variance()-all.Variance()) > 1e-10 {
-		t.Errorf("merged var %v vs %v", a.Variance(), all.Variance())
-	}
-}
-
-func TestOnlineMergeEdgeCases(t *testing.T) {
-	var a Online
-	var empty Online
-	a.Add(5)
-	a.Merge(empty) // merging empty is a no-op
-	if a.N() != 1 || a.Mean() != 5 {
-		t.Error("merge with empty changed state")
-	}
-	var c Online
-	c.Merge(a) // merging into empty copies
-	if c.N() != 1 || c.Mean() != 5 {
-		t.Error("merge into empty failed")
-	}
-}
-
-func TestPerDimension(t *testing.T) {
-	vs := [][]float64{
-		{1, 10},
-		{3, 10},
-		{5, 10},
-	}
-	ds, err := PerDimension(vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds[0].Mean != 3 || ds[0].Min != 1 || ds[0].Max != 5 {
-		t.Errorf("dim 0 = %+v", ds[0])
-	}
-	wantVar := (4.0 + 0 + 4.0) / 3.0
-	if math.Abs(ds[0].Variance-wantVar) > 1e-12 {
-		t.Errorf("dim 0 variance = %v, want %v", ds[0].Variance, wantVar)
-	}
-	// Constant dimension: zero variance.
-	if ds[1].Variance != 0 || ds[1].StdDev != 0 {
-		t.Errorf("dim 1 should be constant: %+v", ds[1])
-	}
-}
-
-func TestPerDimensionRagged(t *testing.T) {
-	if _, err := PerDimension([][]float64{{1, 2}, {3}}); err == nil {
-		t.Error("expected ragged error")
 	}
 }
 
@@ -160,95 +45,6 @@ func TestQuantile(t *testing.T) {
 	one, err := Quantile([]float64{7}, 0.3)
 	if err != nil || one != 7 {
 		t.Errorf("single-element quantile = %v, %v", one, err)
-	}
-	m, err := Median(xs)
-	if err != nil || m != 2.5 {
-		t.Errorf("Median = %v, %v", m, err)
-	}
-}
-
-func TestMovingAverage(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	out, err := MovingAverage(xs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1.5, 2, 3, 4, 4.5}
-	for i := range want {
-		if math.Abs(out[i]-want[i]) > 1e-12 {
-			t.Errorf("MA[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-	if _, err := MovingAverage(xs, 2); err == nil {
-		t.Error("even width should error")
-	}
-	if _, err := MovingAverage(xs, 0); err == nil {
-		t.Error("zero width should error")
-	}
-	copyOut, err := MovingAverage(xs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xs {
-		if copyOut[i] != xs[i] {
-			t.Error("width-1 MA should copy")
-		}
-	}
-}
-
-func TestCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	r, err := Correlation(xs, ys)
-	if err != nil || math.Abs(r-1) > 1e-12 {
-		t.Errorf("perfect correlation = %v, %v", r, err)
-	}
-	neg := []float64{8, 6, 4, 2}
-	r, err = Correlation(xs, neg)
-	if err != nil || math.Abs(r+1) > 1e-12 {
-		t.Errorf("perfect anticorrelation = %v, %v", r, err)
-	}
-	if _, err := Correlation(xs, []float64{1}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := Correlation([]float64{1}, []float64{1}); err == nil {
-		t.Error("too few samples should error")
-	}
-	if _, err := Correlation(xs, []float64{5, 5, 5, 5}); err == nil {
-		t.Error("constant series should error")
-	}
-}
-
-// Property: variance is non-negative and insensitive to shifting.
-func TestVarianceShiftInvarianceQuick(t *testing.T) {
-	f := func(xs []float64, shift float64) bool {
-		if len(xs) == 0 {
-			return true
-		}
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e6 {
-				return true
-			}
-		}
-		if math.IsNaN(shift) || math.IsInf(shift, 0) || math.Abs(shift) > 1e6 {
-			return true
-		}
-		v1, err := Variance(xs)
-		if err != nil {
-			return false
-		}
-		shifted := make([]float64, len(xs))
-		for i := range xs {
-			shifted[i] = xs[i] + shift
-		}
-		v2, err := Variance(shifted)
-		if err != nil {
-			return false
-		}
-		return v1 >= 0 && math.Abs(v1-v2) <= 1e-4*(1+v1)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
