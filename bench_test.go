@@ -29,6 +29,7 @@ import (
 	"repro/internal/knn"
 	"repro/internal/persist"
 	"repro/internal/simplextree"
+	"repro/internal/store"
 )
 
 // benchConfig is the small-scale session configuration of
@@ -231,7 +232,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 // one fixed-size record (D=31, N=62) written to the journal.
 func BenchmarkWALAppend(b *testing.B) {
 	dir := b.TempDir()
-	wal, err := persist.OpenWAL(filepath.Join(dir, "bench.fbwl"), 31, 62)
+	wal, err := persist.OpenWALFS(nil, filepath.Join(dir, "bench.fbwl"), 31, 62)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -335,12 +336,12 @@ func BenchmarkInsertEpsilonSweep(b *testing.B) {
 				}
 				count++
 				if count == 400 {
-					stored = tree.NumPoints()
+					stored = tree.Stats().Points
 					count = 0
 				}
 			}
 			if stored == 0 && tree != nil {
-				stored = tree.NumPoints()
+				stored = tree.Stats().Points
 			}
 			b.ReportMetric(float64(stored), "stored-per-400")
 		})
@@ -378,12 +379,25 @@ var (
 	paperCollectionErr  error
 )
 
+// newScan builds an exact scan over a copy of rows.
+func newScan(rows [][]float64) (*knn.Scan, error) {
+	mat, err := store.FromRows(rows)
+	if err != nil {
+		return nil, err
+	}
+	return knn.NewScanBackend(mat)
+}
+
 func buildCollection(n int) ([][]float64, error) {
 	ds, err := dataset.Build(imagegen.IMSILike(5, float64(n)/9800.0), histogram.DefaultExtractor)
 	if err != nil {
 		return nil, err
 	}
-	return ds.Features(), nil
+	rows := make([][]float64, ds.Len())
+	for i := range rows {
+		rows[i] = ds.Matrix().Row(i)
+	}
+	return rows, nil
 }
 
 // BenchmarkKNNScan is the acceptance benchmark of the retrieval core:
@@ -399,7 +413,7 @@ func buildCollection(n int) ([][]float64, error) {
 // re-weighted query).
 func BenchmarkKNNScan(b *testing.B) {
 	data := benchCollection(b, paperScaleN)
-	scan, err := knn.NewScan(data)
+	scan, err := newScan(data)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -444,7 +458,7 @@ func benchWeighted(b *testing.B, dim int) distance.Metric {
 // search streams the whole slab and does full-dimension work per row.
 func BenchmarkKNNScanNaive(b *testing.B) {
 	data := benchCollection(b, paperScaleN)
-	scan, err := knn.NewScan(data)
+	scan, err := newScan(data)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -462,7 +476,7 @@ func BenchmarkKNNScanNaive(b *testing.B) {
 // floor when no batch is available to amortize the memory stream.
 func BenchmarkKNNScanSingle(b *testing.B) {
 	data := benchCollection(b, paperScaleN)
-	scan, err := knn.NewScan(data)
+	scan, err := newScan(data)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -499,7 +513,7 @@ func BenchmarkKNNScanWeighted(b *testing.B) {
 				rows = slices.Clone(data)
 				rand.New(rand.NewSource(1)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 			}
-			scan, err := knn.NewScan(rows)
+			scan, err := newScan(rows)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -673,7 +687,7 @@ func BenchmarkBarycentricSolveD31(b *testing.B) {
 }
 
 func BenchmarkFeedbackRefine(b *testing.B) {
-	eng, err := feedback.New(feedback.DefaultOptions())
+	eng, err := feedback.New(feedback.Options{Movement: feedback.MoveOptimal, Weighting: feedback.WeightOptimal})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -710,9 +724,10 @@ func BenchmarkHistogramExtract(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	hist := make([]float64, histogram.DefaultExtractor.Bins())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := histogram.DefaultExtractor.Extract(imgs[0].Image); err != nil {
+		if err := histogram.DefaultExtractor.ExtractInto(hist, imgs[0].Image); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -766,13 +781,9 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(eval.MeanOf(precisions(s.Records)), "avg-bypass-precision")
-}
-
-func precisions(recs []experiments.QueryRecord) []float64 {
-	out := make([]float64, len(recs))
-	for i, r := range recs {
-		out[i] = r.PrecisionBypass()
+	var precision eval.Running
+	for _, r := range s.Records {
+		precision.Add(r.PrecisionBypass())
 	}
-	return out
+	b.ReportMetric(precision.Mean(), "avg-bypass-precision")
 }

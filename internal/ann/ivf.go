@@ -63,17 +63,16 @@ func ParseQuant(s string) (Quant, error) {
 	return 0, fmt.Errorf("ann: unknown quantization %q (want f32 or i8)", s)
 }
 
-// Defaults for zero-valued Options fields.
 const (
-	// DefaultIters bounds Lloyd iterations; k-means on clustered data
+	// kmeansIters bounds Lloyd iterations; k-means on clustered data
 	// stabilizes in a handful of rounds.
-	DefaultIters = 10
-	// DefaultTrainRows caps the k-means sample: 32k rows keep training
+	kmeansIters = 10
+	// trainRows caps the k-means sample: 32k rows keep training
 	// O(seconds) at any collection size without hurting centroid quality
 	// at the partition counts this tier uses.
-	DefaultTrainRows = 32768
-	// DefaultRerankFactor sizes the exact-rerank shortlist at factor×k.
-	DefaultRerankFactor = 4
+	trainRows = 32768
+	// rerankFactor sizes the exact-rerank shortlist at rerankFactor×k.
+	rerankFactor = 4
 )
 
 // Options configures Build. The zero value of every field selects a
@@ -90,13 +89,6 @@ type Options struct {
 	// Seed pins k-means training; equal seeds yield bit-identical
 	// indexes.
 	Seed int64
-	// Iters bounds Lloyd iterations (DefaultIters when 0).
-	Iters int
-	// TrainRows caps the k-means sample (DefaultTrainRows when 0).
-	TrainRows int
-	// RerankFactor sizes the shortlist at RerankFactor×k
-	// (DefaultRerankFactor when 0).
-	RerankFactor int
 }
 
 // Index is an IVF index over a fixed collection. It implements
@@ -167,31 +159,13 @@ func Build(b store.Backend, opts Options) (*Index, error) {
 	if opts.NProbe < 0 {
 		return nil, fmt.Errorf("ann: nprobe must be positive, got %d", opts.NProbe)
 	}
-	if opts.Iters == 0 {
-		opts.Iters = DefaultIters
-	}
-	if opts.Iters < 0 {
-		return nil, fmt.Errorf("ann: iters must be positive, got %d", opts.Iters)
-	}
-	if opts.TrainRows == 0 {
-		opts.TrainRows = DefaultTrainRows
-	}
-	if opts.TrainRows < 1 {
-		return nil, fmt.Errorf("ann: train rows must be positive, got %d", opts.TrainRows)
-	}
-	if opts.RerankFactor == 0 {
-		opts.RerankFactor = DefaultRerankFactor
-	}
-	if opts.RerankFactor < 1 {
-		return nil, fmt.Errorf("ann: rerank factor must be positive, got %d", opts.RerankFactor)
-	}
 	if opts.Quant != QuantF32 && opts.Quant != QuantI8 {
 		return nil, fmt.Errorf("ann: unknown quantization %d", opts.Quant)
 	}
 
 	rng := &splitmix64{s: uint64(opts.Seed)}
-	sample := trainSample(n, opts.TrainRows, rng)
-	centroids := trainKMeans(b, sample, opts.NList, opts.Iters, rng)
+	sample := trainSample(n, trainRows, rng)
+	centroids := trainKMeans(b, sample, opts.NList, kmeansIters, rng)
 
 	x := &Index{
 		n: n, dim: dim,
@@ -199,7 +173,7 @@ func Build(b store.Backend, opts Options) (*Index, error) {
 		nprobe: opts.NProbe,
 		quant:  opts.Quant,
 		seed:   opts.Seed,
-		rerank: opts.RerankFactor,
+		rerank: rerankFactor,
 
 		centroids: centroids,
 		counts:    make([]int32, opts.NList),
@@ -332,18 +306,6 @@ func (x *Index) Len() int { return x.n }
 // Dim returns the collection dimensionality.
 func (x *Index) Dim() int { return x.dim }
 
-// NList returns the partition count.
-func (x *Index) NList() int { return x.nlist }
-
-// NProbe returns the active probe count.
-func (x *Index) NProbe() int { return x.nprobe }
-
-// Quantization returns the probe-slab storage format.
-func (x *Index) Quantization() Quant { return x.quant }
-
-// Seed returns the training seed.
-func (x *Index) Seed() int64 { return x.seed }
-
 // SetNProbe tunes the recall/latency trade-off (≥ nlist means every
 // partition is probed, reproducing the exact scan bit for bit). Not safe
 // to call concurrently with searches.
@@ -396,22 +358,6 @@ func (x *Index) Search(q []float64, k int, m distance.Metric) ([]knn.Result, err
 		return x.exact.Search(q, k, m)
 	}
 	return x.searchKern(q, k, kern, x.nprobe), nil
-}
-
-// SearchNProbe is Search with an explicit probe count — the sweep entry
-// point of the benchmark harness, bypassing the index default.
-func (x *Index) SearchNProbe(q []float64, k int, m distance.Metric, nprobe int) ([]knn.Result, error) {
-	if err := x.check(q, k); err != nil {
-		return nil, err
-	}
-	if nprobe < 1 {
-		return nil, fmt.Errorf("ann: nprobe must be positive, got %d", nprobe)
-	}
-	kern, ok := distance.KernelFor(m)
-	if !ok {
-		return x.exact.Search(q, k, m)
-	}
-	return x.searchKern(q, k, kern, nprobe), nil
 }
 
 func (x *Index) searchKern(q []float64, k int, kern distance.Kernel, nprobe int) []knn.Result {
@@ -518,7 +464,7 @@ func (x *Index) rerankShortlist(q []float64, k int, kern distance.Kernel, short 
 		if abandoned {
 			continue
 		}
-		bound = offerRoot(t, cand.Index, s, bound)
+		bound = t.OfferRoot(cand.Index, s)
 	}
 	return t.Results()
 }
@@ -538,21 +484,9 @@ func (x *Index) rerankRange(q []float64, k int, kern distance.Kernel, lo, hi int
 		if abandoned {
 			continue
 		}
-		bound = offerRoot(t, id, s, bound)
+		bound = t.OfferRoot(id, s)
 	}
 	return t.Results()
-}
-
-// offerRoot offers an exact candidate by its true distance √s2, so the
-// reranked top-k is kept in the flat scan's (distance, index) order even
-// when two squared sums share a root, and returns the squared abandon
-// bound that follows: the largest sum whose root still ties the k-th.
-func offerRoot(t *knn.TopK, id int, s2, bound float64) float64 {
-	t.Offer(id, math.Sqrt(s2))
-	if r, ok := t.Bound(); ok {
-		return knn.RootBound2(r)
-	}
-	return bound
 }
 
 // SearchBatchMulti implements knn.BatchSearcher: positionally-aligned
@@ -618,7 +552,7 @@ func (x *Index) SearchBatch(qs [][]float64, k int, m distance.Metric) ([][]knn.R
 // sqDistI8 accumulates the squared distance between q and an int8 row
 // under the affine dequantization v = offset[j] + scale[j]·code, with
 // the canonical 4-stripe order and early abandoning — the int8 twin of
-// vec.SqDist32Abandon.
+// the float32 abandoning sum in internal/vec.
 func sqDistI8(q []float64, codes []int8, scale, offset []float64, bound2 float64) (float64, bool) {
 	n := len(q)
 	var s0, s1, s2, s3 float64

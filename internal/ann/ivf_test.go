@@ -143,11 +143,17 @@ func TestFullProbeBitwiseParity(t *testing.T) {
 				}
 				bitwiseSame(t, x.Describe(), got, want)
 				// nprobe above nlist is the same path.
-				over, err := x.SearchNProbe(q, k, m, nlist+3)
+				if err := x.SetNProbe(nlist + 3); err != nil {
+					t.Fatal(err)
+				}
+				over, err := x.Search(q, k, m)
 				if err != nil {
 					t.Fatal(err)
 				}
 				bitwiseSame(t, "overprobe", over, want)
+				if err := x.SetNProbe(nlist); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
@@ -219,8 +225,8 @@ func TestRecallAtDefaultNProbe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if x.NProbe() != 8 {
-			t.Fatalf("default nprobe = %d, want nlist/8 = 8", x.NProbe())
+		if x.nprobe != 8 {
+			t.Fatalf("default nprobe = %d, want nlist/8 = 8", x.nprobe)
 		}
 		var hit, total int
 		for qi := 0; qi < 60; qi++ {
@@ -288,7 +294,7 @@ func TestBatchMatchesSearch(t *testing.T) {
 			}
 			ms[i] = wm
 		default:
-			ms[i] = distance.Manhattan{} // no kernel: exact-scan fallback
+			ms[i] = manhattan{} // no kernel: exact-scan fallback
 		}
 	}
 	got, err := x.SearchBatchMulti(qs, 10, ms)
@@ -309,6 +315,19 @@ func TestBatchMatchesSearch(t *testing.T) {
 	}
 }
 
+// manhattan is an L1 metric with no squared-space kernel.
+type manhattan struct{}
+
+func (manhattan) Distance(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		s += math.Abs(a[i] - b[i])
+	}
+	return s
+}
+
+func (manhattan) Name() string { return "manhattan" }
+
 // TestOptionsValidation covers Build and query parameter rejection.
 func TestOptionsValidation(t *testing.T) {
 	rng := newTestRNG(5)
@@ -326,9 +345,6 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := Build(b, Options{Quant: Quant(9)}); err == nil {
 		t.Fatal("unknown quant accepted")
 	}
-	if _, err := Build(b, Options{RerankFactor: -2}); err == nil {
-		t.Fatal("negative rerank factor accepted")
-	}
 	x, err := Build(b, Options{NList: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -341,9 +357,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := x.Search([]float64{1}, 3, distance.Euclidean{}); err == nil {
 		t.Fatal("wrong-dimension query accepted")
-	}
-	if _, err := x.SearchNProbe(rows[0], 3, distance.Euclidean{}, 0); err == nil {
-		t.Fatal("SearchNProbe(0) accepted")
 	}
 	if got := x.Describe(); got != "ivf(nlist=8,nprobe=1,quant=f32)" {
 		t.Fatalf("Describe() = %q", got)

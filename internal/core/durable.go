@@ -545,7 +545,3 @@ func (db *DurableBypass) Close() error {
 	}
 	return db.wal.Close()
 }
-
-// Observer re-exports the simplextree hook type for callers layering
-// their own journaling.
-type Observer = simplextree.Observer

@@ -17,7 +17,7 @@ import (
 // state the aging horizon acts on.
 func stampedVertexSet(tree *simplextree.Tree) map[string]bool {
 	set := make(map[string]bool)
-	tree.Walk(func(v *simplextree.Vertex) {
+	for _, v := range tree.Snapshot().Vertices {
 		buf := make([]byte, 0, 8*(len(v.Point)+len(v.Value)+1))
 		var b [8]byte
 		for _, x := range v.Point {
@@ -28,10 +28,10 @@ func stampedVertexSet(tree *simplextree.Tree) map[string]bool {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
 			buf = append(buf, b[:]...)
 		}
-		binary.LittleEndian.PutUint64(b[:], v.Stamp())
+		binary.LittleEndian.PutUint64(b[:], v.Stamp)
 		buf = append(buf, b[:]...)
 		set[string(buf)] = true
-	})
+	}
 	return set
 }
 

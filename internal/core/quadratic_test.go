@@ -1,13 +1,50 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/distance"
 	"repro/internal/geom"
 	"repro/internal/vec"
 )
+
+// psd returns an error unless the d×d quadratic form behind m — read
+// back from its distances by polarization, W_ij = (|e_i+e_j|² − |e_i|² −
+// |e_j|²)/2 — is positive semidefinite within tol, i.e. m is a valid
+// squared distance.
+func psd(m *distance.Quadratic, d int, tol float64) error {
+	origin := make([]float64, d)
+	sq := func(i, j int) float64 {
+		x := make([]float64, d)
+		x[i]++
+		x[j]++
+		r := m.Distance(origin, x)
+		return r * r
+	}
+	w := vec.NewMatrix(d, d)
+	for i := 0; i < d; i++ {
+		for j := 0; j < d; j++ {
+			if i == j {
+				w.Set(i, i, sq(i, i)/4)
+			} else {
+				w.Set(i, j, (sq(i, j)-sq(i, i)/4-sq(j, j)/4)/2)
+			}
+		}
+	}
+	e, err := vec.SymmetricEigen(w, 1e-9)
+	if err != nil {
+		return err
+	}
+	for _, v := range e.Values {
+		if v < -tol {
+			return fmt.Errorf("weight matrix has negative eigenvalue %v", v)
+		}
+	}
+	return nil
+}
 
 func TestQuadraticCodecValidation(t *testing.T) {
 	if _, err := NewQuadraticCodec(0); err == nil {
@@ -114,7 +151,7 @@ func TestQuadraticDecodeProjectsIndefiniteMatrices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Validate(1e-9); err != nil {
+	if err := psd(m, c.Dim, 1e-9); err != nil {
 		t.Errorf("decoded metric not PSD: %v", err)
 	}
 	// Distances along the former negative direction are now ~0 instead of
@@ -176,7 +213,7 @@ func TestQuadraticCodecWithBypass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Validate(1e-9); err != nil {
+		if err := psd(m, c.Dim, 1e-9); err != nil {
 			t.Fatalf("interpolated metric invalid: %v", err)
 		}
 	}

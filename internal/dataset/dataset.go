@@ -190,12 +190,6 @@ func (d *Dataset) IsGood(i int, queryCategory string) bool {
 	return d.Items[i].Category == queryCategory
 }
 
-// Features returns the feature matrix as a slice of rows (aliasing the
-// backend; callers must not mutate).
-func (d *Dataset) Features() [][]float64 {
-	return store.RowsOf(d.mat)
-}
-
 // Matrix returns the feature backend the collection is served from
 // (aliased; callers must not mutate).
 func (d *Dataset) Matrix() store.Backend { return d.mat }
@@ -219,24 +213,6 @@ func (d *Dataset) SampleQueries(rng *rand.Rand, n int) ([]int, error) {
 	perm := rng.Perm(len(pool))
 	for len(out) < n {
 		for _, p := range perm {
-			if len(out) == n {
-				break
-			}
-			out = append(out, pool[p])
-		}
-	}
-	return out, nil
-}
-
-// SampleQueriesFromCategory draws n item indices from one category.
-func (d *Dataset) SampleQueriesFromCategory(rng *rand.Rand, category string, n int) ([]int, error) {
-	pool := d.ByCategory[category]
-	if len(pool) == 0 {
-		return nil, fmt.Errorf("dataset: category %q has no items", category)
-	}
-	out := make([]int, 0, n)
-	for len(out) < n {
-		for _, p := range rng.Perm(len(pool)) {
 			if len(out) == n {
 				break
 			}

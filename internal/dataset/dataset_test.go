@@ -37,9 +37,8 @@ func TestFromItems(t *testing.T) {
 	if !d.IsGood(0, "A") || d.IsGood(2, "A") {
 		t.Error("IsGood oracle wrong")
 	}
-	feats := d.Features()
-	if len(feats) != 5 || feats[4][0] != 0.5 {
-		t.Error("Features view wrong")
+	if feats := d.Matrix(); feats.Len() != 5 || feats.Row(4)[0] != 0.5 {
+		t.Error("feature rows wrong")
 	}
 }
 
@@ -90,23 +89,6 @@ func TestSampleQueriesErrors(t *testing.T) {
 	d2, _ := FromItems(testItems(), []string{"Missing"})
 	if _, err := d2.SampleQueries(rng, 3); err == nil {
 		t.Error("empty query pool should error")
-	}
-}
-
-func TestSampleQueriesFromCategory(t *testing.T) {
-	d, _ := FromItems(testItems(), []string{"A"})
-	rng := rand.New(rand.NewSource(2))
-	qs, err := d.SampleQueriesFromCategory(rng, "B", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range qs {
-		if d.Items[q].Category != "B" {
-			t.Fatalf("query %d not from B", q)
-		}
-	}
-	if _, err := d.SampleQueriesFromCategory(rng, "Nope", 1); err == nil {
-		t.Error("missing category should error")
 	}
 }
 
@@ -216,7 +198,8 @@ func TestBuildMatchesSerialGenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range imgs {
-		feat, err := histogram.DefaultExtractor.Extract(g.Image)
+		feat := make([]float64, histogram.DefaultExtractor.Bins())
+		err := histogram.DefaultExtractor.ExtractInto(feat, g.Image)
 		if err != nil {
 			t.Fatal(err)
 		}

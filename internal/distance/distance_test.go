@@ -49,47 +49,6 @@ func TestEuclideanAxiomsAndValue(t *testing.T) {
 	}
 }
 
-func TestManhattanAxiomsAndValue(t *testing.T) {
-	metricAxioms(t, Manhattan{}, 8, 2)
-	if got := (Manhattan{}).Distance([]float64{0, 0}, []float64{3, 4}); got != 7 {
-		t.Errorf("Manhattan = %v", got)
-	}
-}
-
-func TestChebyshevAxiomsAndValue(t *testing.T) {
-	metricAxioms(t, Chebyshev{}, 8, 3)
-	if got := (Chebyshev{}).Distance([]float64{0, 0}, []float64{3, -4}); got != 4 {
-		t.Errorf("Chebyshev = %v", got)
-	}
-}
-
-func TestLpFamily(t *testing.T) {
-	l2, err := NewLp(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metricAxioms(t, l2, 6, 4)
-	a, b := []float64{0, 0}, []float64{3, 4}
-	if got := l2.Distance(a, b); math.Abs(got-5) > 1e-12 {
-		t.Errorf("L2 = %v", got)
-	}
-	l1, _ := NewLp(1)
-	if got := l1.Distance(a, b); math.Abs(got-7) > 1e-12 {
-		t.Errorf("L1 = %v", got)
-	}
-	l3, _ := NewLp(3)
-	metricAxioms(t, l3, 6, 5)
-	want := math.Pow(27+64, 1.0/3.0)
-	if got := l3.Distance(a, b); math.Abs(got-want) > 1e-12 {
-		t.Errorf("L3 = %v, want %v", got, want)
-	}
-	for _, p := range []float64{0.5, 0, -1, math.NaN(), math.Inf(1)} {
-		if _, err := NewLp(p); err == nil {
-			t.Errorf("NewLp(%v) should fail", p)
-		}
-	}
-}
-
 func TestWeightedEuclideanValidation(t *testing.T) {
 	if _, err := NewWeightedEuclidean(nil); err == nil {
 		t.Error("empty weights should fail")
@@ -125,13 +84,13 @@ func TestWeightedEuclideanCopiesWeights(t *testing.T) {
 	w := []float64{1, 2}
 	m, _ := NewWeightedEuclidean(w)
 	w[0] = 99
-	if m.Params()[0] != 1 {
+	if m.w[0] != 1 {
 		t.Error("weights should be copied at construction")
 	}
 }
 
 func TestUniformWeightedEqualsEuclidean(t *testing.T) {
-	m := UniformWeighted(4)
+	m, _ := NewWeightedEuclidean(vec.Ones(4))
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		a := []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
@@ -146,18 +105,16 @@ func TestUniformWeightedEqualsEuclidean(t *testing.T) {
 }
 
 func TestWeightedEuclideanBounds(t *testing.T) {
-	m, _ := NewWeightedEuclidean([]float64{0.25, 4})
-	if m.MinWeight() != 0.25 || m.MaxWeight() != 4 {
-		t.Errorf("bounds = %v, %v", m.MinWeight(), m.MaxWeight())
-	}
+	minW, maxW := 0.25, 4.0
+	m, _ := NewWeightedEuclidean([]float64{minW, maxW})
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 50; trial++ {
 		a := []float64{rng.NormFloat64(), rng.NormFloat64()}
 		b := []float64{rng.NormFloat64(), rng.NormFloat64()}
 		l2 := vec.Dist(a, b)
 		d := m.Distance(a, b)
-		lo := math.Sqrt(m.MinWeight()) * l2
-		hi := math.Sqrt(m.MaxWeight()) * l2
+		lo := math.Sqrt(minW) * l2
+		hi := math.Sqrt(maxW) * l2
 		if d < lo-1e-9 || d > hi+1e-9 {
 			t.Fatalf("weighted distance %v outside [%v, %v]", d, lo, hi)
 		}
@@ -177,9 +134,6 @@ func TestQuadraticValidation(t *testing.T) {
 func TestQuadraticIdentityEqualsEuclidean(t *testing.T) {
 	m, err := NewQuadratic(vec.Identity(3))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(1e-12); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
@@ -225,9 +179,6 @@ func TestQuadraticRotatedEllipsoid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Validate(1e-9); err != nil {
-		t.Fatal(err)
-	}
 	metricAxioms(t, m, 2, 12)
 	// R maps (c, -s) to e1, the axis with eigenvalue 4, so along that
 	// direction the unit step has distance 2; the orthogonal (c, s)
@@ -242,72 +193,14 @@ func TestQuadraticRotatedEllipsoid(t *testing.T) {
 	}
 }
 
-func TestQuadraticValidateRejectsIndefinite(t *testing.T) {
-	w := vec.MatrixFromRows([][]float64{{1, 0}, {0, -1}})
-	m, err := NewQuadratic(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(1e-12); err == nil {
-		t.Error("indefinite matrix should fail validation")
-	}
-}
-
 func TestQuadraticParamsFlattening(t *testing.T) {
 	w := vec.MatrixFromRows([][]float64{{1, 2}, {2, 3}})
 	m, err := NewQuadratic(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vec.Equal(m.Params(), []float64{1, 2, 2, 3}) {
-		t.Errorf("Params = %v", m.Params())
-	}
-	if m.Matrix().At(1, 0) != 2 {
-		t.Error("Matrix accessor")
-	}
-}
-
-func TestHierarchicalValidation(t *testing.T) {
-	we := UniformWeighted(2)
-	if _, err := NewHierarchical(nil, nil, nil); err == nil {
-		t.Error("no features should fail")
-	}
-	if _, err := NewHierarchical([]int{2}, []Parameterized{we, we}, []float64{1}); err == nil {
-		t.Error("mismatched metric count should fail")
-	}
-	if _, err := NewHierarchical([]int{0}, []Parameterized{we}, []float64{1}); err == nil {
-		t.Error("zero-length feature should fail")
-	}
-	if _, err := NewHierarchical([]int{2}, []Parameterized{we}, []float64{-1}); err == nil {
-		t.Error("negative feature weight should fail")
-	}
-}
-
-func TestHierarchicalTwoFeatures(t *testing.T) {
-	f1 := UniformWeighted(2)
-	f2, _ := NewWeightedEuclidean([]float64{4})
-	m, err := NewHierarchical([]int{2, 1}, []Parameterized{f1, f2}, []float64{1, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Dim() != 3 {
-		t.Fatalf("Dim = %d", m.Dim())
-	}
-	a := []float64{0, 0, 0}
-	b := []float64{3, 4, 2}
-	// feature 1: L2 = 5, weight 1; feature 2: sqrt(4·4) = 4, weight 0.5.
-	want := 5.0 + 0.5*4.0
-	if got := m.Distance(a, b); math.Abs(got-want) > 1e-12 {
-		t.Errorf("hierarchical = %v, want %v", got, want)
-	}
-	metricAxioms(t, m, 3, 13)
-	params := m.Params()
-	// 2 feature weights + 2 + 1 per-feature weights.
-	if len(params) != 5 {
-		t.Errorf("Params len = %d", len(params))
-	}
-	if !vec.Equal(m.FeatureWeights(), []float64{1, 0.5}) {
-		t.Errorf("FeatureWeights = %v", m.FeatureWeights())
+	if !vec.Equal(m.w.Data, []float64{1, 2, 2, 3}) {
+		t.Errorf("row-major W = %v", m.w.Data)
 	}
 }
 
@@ -317,15 +210,12 @@ func TestDimensionMismatchPanics(t *testing.T) {
 		fn   func()
 	}{
 		{"euclidean-via-vec", func() { Euclidean{}.Distance([]float64{1}, []float64{1, 2}) }},
-		{"manhattan", func() { Manhattan{}.Distance([]float64{1}, []float64{1, 2}) }},
-		{"chebyshev", func() { Chebyshev{}.Distance([]float64{1}, []float64{1, 2}) }},
-		{"weighted", func() { UniformWeighted(2).Distance([]float64{1}, []float64{1, 2}) }},
-		{"quadratic", func() {
-			m, _ := NewQuadratic(vec.Identity(2))
+		{"weighted", func() {
+			m, _ := NewWeightedEuclidean(vec.Ones(2))
 			m.Distance([]float64{1}, []float64{1, 2})
 		}},
-		{"hierarchical", func() {
-			m, _ := NewHierarchical([]int{2}, []Parameterized{UniformWeighted(2)}, []float64{1})
+		{"quadratic", func() {
+			m, _ := NewQuadratic(vec.Identity(2))
 			m.Distance([]float64{1}, []float64{1, 2})
 		}},
 	}

@@ -88,13 +88,6 @@ func New(ds *dataset.Dataset, opts Options) (*Engine, error) {
 // Dataset returns the underlying collection.
 func (e *Engine) Dataset() *dataset.Dataset { return e.ds }
 
-// MaxIterations returns the feedback-loop bound the engine was built with
-// (0 when constructed with NoFeedbackLoop).
-func (e *Engine) MaxIterations() int { return e.maxIters }
-
-// FeedbackName describes the configured relevance-feedback strategy.
-func (e *Engine) FeedbackName() string { return e.fb.Name() }
-
 // Retrieve runs the query-processing step: the k nearest items to q under
 // the weighted Euclidean distance with the given weights (uniform weights
 // = the default Euclidean distance of §5).

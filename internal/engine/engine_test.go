@@ -322,7 +322,7 @@ func TestZeroFeedbackOptionsSurvive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := def.FeedbackName(); got != "move=optimal,weight=optimal-1/sigma2" {
+	if got := def.fb.Name(); got != "move=optimal,weight=optimal-1/sigma2" {
 		t.Errorf("zero Options resolved to %q, want the paper defaults", got)
 	}
 
@@ -333,7 +333,7 @@ func TestZeroFeedbackOptionsSurvive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := none.FeedbackName(); got != "move=none,weight=none" {
+	if got := none.fb.Name(); got != "move=none,weight=none" {
 		t.Errorf("explicit none/none became %q", got)
 	}
 	// Behavioural check: a none/none loop can never move the parameters.
@@ -358,8 +358,8 @@ func TestNoFeedbackLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.MaxIterations() != 0 {
-		t.Fatalf("MaxIterations() = %d, want 0", e.MaxIterations())
+	if e.maxIters != 0 {
+		t.Fatalf("MaxIterations() = %d, want 0", e.maxIters)
 	}
 	item := ds.Items[0]
 	out, err := e.RunLoop(item.Category, item.Feature, e.UniformWeights(), 5)
@@ -377,8 +377,8 @@ func TestNoFeedbackLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.MaxIterations() != DefaultMaxIterations {
-		t.Errorf("zero MaxIterations resolved to %d, want DefaultMaxIterations", def.MaxIterations())
+	if def.maxIters != DefaultMaxIterations {
+		t.Errorf("zero MaxIterations resolved to %d, want DefaultMaxIterations", def.maxIters)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/histogram"
 	"repro/internal/imagegen"
 	"repro/internal/knn"
+	"repro/internal/store"
 )
 
 // TestInjectedSearcher pins the Options.Searcher seam: an injected IVF
@@ -67,7 +68,11 @@ func TestInjectedSearcher(t *testing.T) {
 		t.Fatal("batch retrieval through injected searcher differs")
 	}
 
-	small, err := knn.NewScan([][]float64{{1, 2}, {3, 4}})
+	tiny, err := store.FromRows([][]float64{{1, 2}, {3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := knn.NewScanBackend(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}

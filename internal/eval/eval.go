@@ -46,9 +46,6 @@ func (r *Running) Mean() float64 {
 	return r.sum / float64(r.n)
 }
 
-// N returns the number of observations.
-func (r *Running) N() int { return r.n }
-
 // Series is one plotted curve: parallel X and Y slices.
 type Series struct {
 	Label string
@@ -105,16 +102,4 @@ func WindowSeries(label string, obs []float64, window, every int) (*Series, erro
 		s.Append(float64(i+1), sum/float64(i-lo+1))
 	}
 	return s, nil
-}
-
-// MeanOf averages a slice (0 for empty input).
-func MeanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }

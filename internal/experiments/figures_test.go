@@ -54,7 +54,7 @@ func TestFigure10Shapes(t *testing.T) {
 }
 
 func TestFigure10RequiresRecords(t *testing.T) {
-	cfg := TestConfig()
+	cfg := testConfig()
 	s, err := NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestFigure12And13SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-session figure in -short mode")
 	}
-	cfg := TestConfig()
+	cfg := testConfig()
 	cfg.NumQueries = 20
 	res12, err := Figure12(cfg, []int{5, 10})
 	if err != nil {
@@ -170,7 +170,7 @@ func TestFigure15SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-session figure in -short mode")
 	}
-	cfg := TestConfig()
+	cfg := testConfig()
 	cfg.NumQueries = 20
 	res, err := Figure15(cfg, []int{5})
 	if err != nil {

@@ -21,15 +21,19 @@ type LifecycleConfig struct {
 
 	// Inserts is the drifting workload length per mode; AgeHorizon the
 	// reclamation horizon of the aging mode (logical inserts); the aging
-	// mode compacts every CompactEvery inserts. Every SampleEvery inserts
-	// the tree shape and recent-window hit rate are sampled; the hit rate
-	// probes the RecentWindow most recent inserts.
+	// mode compacts every CompactEvery inserts.
 	Inserts      int
 	AgeHorizon   uint64
 	CompactEvery int
-	SampleEvery  int
-	RecentWindow int
 }
+
+// Every lifecycleSampleEvery inserts the tree shape and recent-window hit
+// rate are sampled; the hit rate probes the lifecycleRecentWindow most
+// recent inserts.
+const (
+	lifecycleSampleEvery  = 50
+	lifecycleRecentWindow = 40
+)
 
 // DefaultLifecycleConfig is the committed-artifact operating point: the
 // soak long enough that the aging mode reaches its plateau while the
@@ -42,8 +46,6 @@ func DefaultLifecycleConfig() LifecycleConfig {
 		Inserts:      600,
 		AgeHorizon:   150,
 		CompactEvery: 75,
-		SampleEvery:  50,
-		RecentWindow: 40,
 	}
 }
 
@@ -142,7 +144,7 @@ func runLifecycleMode(cfg LifecycleConfig, horizon uint64) (LifecycleSeries, err
 		q   []float64
 		oqp core.OQP
 	}
-	window := make([]recent, 0, cfg.RecentWindow)
+	window := make([]recent, 0, lifecycleRecentWindow)
 	for i := 0; i < cfg.Inserts; i++ {
 		t := float64(i) / float64(cfg.Inserts-1)
 		q := driftPoint(rng, cfg.D, t)
@@ -150,7 +152,7 @@ func runLifecycleMode(cfg LifecycleConfig, horizon uint64) (LifecycleSeries, err
 		if _, err := byp.Insert(q, oqp); err != nil {
 			return out, fmt.Errorf("insert %d: %w", i, err)
 		}
-		if len(window) == cfg.RecentWindow {
+		if len(window) == lifecycleRecentWindow {
 			window = window[1:]
 		}
 		window = append(window, recent{q, oqp})
@@ -165,7 +167,7 @@ func runLifecycleMode(cfg LifecycleConfig, horizon uint64) (LifecycleSeries, err
 				out.Reclaimed += st.Reclaimed
 			}
 		}
-		if (i+1)%cfg.SampleEvery == 0 || i == cfg.Inserts-1 {
+		if (i+1)%lifecycleSampleEvery == 0 || i == cfg.Inserts-1 {
 			hits := 0
 			for _, r := range window {
 				got, err := byp.Predict(r.q)
@@ -192,8 +194,7 @@ func runLifecycleMode(cfg LifecycleConfig, horizon uint64) (LifecycleSeries, err
 // RunLifecycle runs the lifecycle figure: the aging soak, then the
 // aging-off control.
 func RunLifecycle(cfg LifecycleConfig) (LifecycleResult, error) {
-	if cfg.D <= 0 || cfg.P < 0 || cfg.Inserts <= 1 || cfg.AgeHorizon == 0 ||
-		cfg.SampleEvery <= 0 || cfg.RecentWindow <= 0 {
+	if cfg.D <= 0 || cfg.P < 0 || cfg.Inserts <= 1 || cfg.AgeHorizon == 0 {
 		return LifecycleResult{}, fmt.Errorf("experiments: invalid lifecycle config %+v", cfg)
 	}
 	res := LifecycleResult{

@@ -35,8 +35,6 @@ type Config struct {
 	K int
 	// Epsilon is the Simplex Tree insert threshold ε.
 	Epsilon float64
-	// MaxIterations bounds each feedback loop.
-	MaxIterations int
 	// MeasureSavings additionally replays each feedback loop from the
 	// predicted parameters, enabling the Figure 15 metrics (doubles the
 	// loop cost).
@@ -44,31 +42,6 @@ type Config struct {
 	// Feedback selects the relevance-feedback strategy (paper default
 	// when zero).
 	Feedback feedback.Options
-}
-
-// DefaultConfig reproduces the paper's operating point.
-func DefaultConfig() Config {
-	return Config{
-		Seed:           1,
-		Scale:          1,
-		NumQueries:     1000,
-		K:              50,
-		Epsilon:        0.05,
-		MeasureSavings: true,
-	}
-}
-
-// TestConfig is a fast, small-scale configuration exercising the identical
-// code paths.
-func TestConfig() Config {
-	return Config{
-		Seed:           7,
-		Scale:          0.04,
-		NumQueries:     40,
-		K:              10,
-		Epsilon:        0.05,
-		MeasureSavings: true,
-	}
 }
 
 func (c Config) validate() error {
@@ -165,7 +138,7 @@ func NewSessionOver(cfg Config, ds *dataset.Dataset) (*Session, error) {
 }
 
 func newSessionOver(cfg Config, ds *dataset.Dataset) (*Session, error) {
-	eng, err := engine.New(ds, engine.Options{Feedback: cfg.Feedback, MaxIterations: cfg.MaxIterations})
+	eng, err := engine.New(ds, engine.Options{Feedback: cfg.Feedback})
 	if err != nil {
 		return nil, err
 	}
@@ -313,16 +286,6 @@ type EvalCounts struct {
 	GoodDefault []int
 	GoodBypass  []int
 	GoodSeen    []int
-}
-
-// EvaluateAtK measures one query item against a trained tree. It powers
-// Figures 11 and 13; batch several items with EvaluateManyAtK.
-func (s *Session) EvaluateAtK(itemIdx int, rs []int) (goodDefault, goodBypass, goodSeen []int, err error) {
-	res, err := s.EvaluateManyAtK([]int{itemIdx}, rs)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return res[0].GoodDefault, res[0].GoodBypass, res[0].GoodSeen, nil
 }
 
 // EvaluateManyAtK evaluates a batch of query items against the trained

@@ -10,12 +10,26 @@ import (
 // the dataset and replaying feedback loops is the expensive part).
 var sharedSession *Session
 
+// testConfig is a fast, small-scale configuration exercising the code
+// paths of the paper's operating point (seed 1, scale 1, 1000 queries,
+// k = 50, ε = 0.05).
+func testConfig() Config {
+	return Config{
+		Seed:           7,
+		Scale:          0.04,
+		NumQueries:     40,
+		K:              10,
+		Epsilon:        0.05,
+		MeasureSavings: true,
+	}
+}
+
 func getSession(t *testing.T) *Session {
 	t.Helper()
 	if sharedSession != nil {
 		return sharedSession
 	}
-	cfg := TestConfig()
+	cfg := testConfig()
 	cfg.NumQueries = 80
 	s, err := NewSession(cfg)
 	if err != nil {
@@ -171,32 +185,5 @@ func TestProcessQueryValidation(t *testing.T) {
 	}
 	if _, err := s.ProcessQuery(s.DS.Len()); err == nil {
 		t.Error("out-of-range index should error")
-	}
-}
-
-func TestEvaluateAtK(t *testing.T) {
-	s := getSession(t)
-	qs, err := s.SampleEvalQueries(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := []int{5, 10, 20}
-	for _, qi := range qs {
-		gd, gb, gs, err := s.EvaluateAtK(qi, rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gd) != 3 || len(gb) != 3 || len(gs) != 3 {
-			t.Fatalf("lengths: %d %d %d", len(gd), len(gb), len(gs))
-		}
-		// Good counts are monotone in the number of retrieved objects.
-		for i := 1; i < 3; i++ {
-			if gd[i] < gd[i-1] || gb[i] < gb[i-1] || gs[i] < gs[i-1] {
-				t.Errorf("good counts not monotone: %v %v %v", gd, gb, gs)
-			}
-		}
-	}
-	if _, _, _, err := s.EvaluateAtK(qs[0], []int{0}); err == nil {
-		t.Error("r=0 should error")
 	}
 }

@@ -6,8 +6,6 @@
 //     score-weighted centroid of Ishikawa et al. [ISF98] (Eq. 2);
 //   - re-weighting for weighted Euclidean distances: the early MARS rule
 //     w_i = 1/σ_i [RHOM98] and the optimal rule w_i ∝ 1/σ_i² [ISF98];
-//   - the optimal quadratic (MindReader) weight matrix W ∝ C⁻¹ for the
-//     generalized ellipsoid distance [ISF98];
 //
 // plus an Engine that composes a movement rule and a weighting rule into
 // the "compute new OQPs given the scores" step of the interactive loop
@@ -19,7 +17,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/distance"
 	"repro/internal/vec"
 )
 
@@ -282,87 +279,21 @@ func NormalizeGeometricMean(w []float64) []float64 {
 	return vec.Scale(w, scale)
 }
 
-// OptimalQuadraticWeights computes the MindReader weight matrix
-// W ∝ C⁻¹ where C is the score-weighted covariance of the good matches,
-// ridge-regularized (C + ridge·I) so the inverse exists when the number of
-// good matches is below the dimensionality (the situation [RH00] analyzes).
-// The result is scaled to det(W)^(1/D) = 1.
-func OptimalQuadraticWeights(results [][]float64, scores []float64, ridge float64) (*distance.Quadratic, error) {
-	good, goodScores, err := GoodSubset(results, scores)
-	if err != nil {
-		return nil, err
-	}
-	if len(good) == 0 {
-		return nil, ErrNoGoodMatches
-	}
-	if ridge <= 0 {
-		return nil, fmt.Errorf("feedback: ridge must be positive, got %v", ridge)
-	}
-	dim := len(good[0])
-	mean := make([]float64, dim)
-	var total float64
-	for j, p := range good {
-		if len(p) != dim {
-			return nil, fmt.Errorf("feedback: vector %d has dimension %d, want %d", j, len(p), dim)
-		}
-		vec.Axpy(mean, goodScores[j], p)
-		total += goodScores[j]
-	}
-	vec.ScaleInPlace(mean, 1/total)
-	cov := vec.NewMatrix(dim, dim)
-	for j, p := range good {
-		for a := 0; a < dim; a++ {
-			da := goodScores[j] * (p[a] - mean[a])
-			if da == 0 {
-				continue
-			}
-			row := cov.Row(a)
-			for b := 0; b < dim; b++ {
-				row[b] += da * (p[b] - mean[b])
-			}
-		}
-	}
-	for i := range cov.Data {
-		cov.Data[i] /= total
-	}
-	for i := 0; i < dim; i++ {
-		cov.Set(i, i, cov.At(i, i)+ridge)
-	}
-	w, err := vec.Inverse(cov)
-	if err != nil {
-		return nil, fmt.Errorf("feedback: covariance inversion failed: %w", err)
-	}
-	// Symmetrize against rounding, then normalize det to 1.
-	for i := 0; i < dim; i++ {
-		for j := i + 1; j < dim; j++ {
-			m := (w.At(i, j) + w.At(j, i)) / 2
-			w.Set(i, j, m)
-			w.Set(j, i, m)
-		}
-	}
-	det := vec.Det(w)
-	if det > 0 {
-		scale := math.Pow(det, -1/float64(dim))
-		for i := range w.Data {
-			w.Data[i] *= scale
-		}
-	}
-	return distance.NewQuadratic(w)
-}
+// The Engine's fixed coefficients: Rocchio's common α=1, β=0.75, γ=0.25
+// (used only with MoveRocchio), and the floor that bounds 1/σ² weights.
+const (
+	rocchioAlpha, rocchioBeta, rocchioGamma = 1, 0.75, 0.25
+	varianceFloor                           = 1e-6
+)
 
 // Options configures an Engine. The zero value selects the paper's
 // defaults: MoveDefault and WeightDefault resolve to the optimal movement
-// and re-weighting rules at construction, so Options{} is equivalent to
-// DefaultOptions(), while a deliberate MoveNone/WeightNone (both non-zero
-// values) survives construction unchanged.
+// and re-weighting rules (optimal query-point movement plus optimal 1/σ²
+// re-weighting) at construction, while a deliberate MoveNone/WeightNone
+// (both non-zero values) survives construction unchanged.
 type Options struct {
 	Movement  MovementRule
 	Weighting WeightingRule
-	// Rocchio coefficients (used only with MoveRocchio). The common
-	// defaults α=1, β=0.75, γ=0.25 are applied when all three are zero.
-	Alpha, Beta, Gamma float64
-	// VarianceFloor bounds 1/σ² weights; defaults to 1e-6 when zero.
-	VarianceFloor float64
 	// NormalizeQuery clamps the moved query point at zero and rescales it
 	// to unit component sum after each movement step. Rocchio's update is
 	// not a convex combination, so iterating it grows the query's mass
@@ -376,12 +307,6 @@ type Options struct {
 // step of the interactive loop.
 type Engine struct {
 	opts Options
-}
-
-// DefaultOptions is the configuration the paper's experiments use: optimal
-// query-point movement plus optimal 1/σ² re-weighting.
-func DefaultOptions() Options {
-	return Options{Movement: MoveOptimal, Weighting: WeightOptimal}
 }
 
 // New validates the options and returns an engine. The zero-value rules
@@ -399,15 +324,6 @@ func New(opts Options) (*Engine, error) {
 	}
 	if opts.Weighting == WeightDefault {
 		opts.Weighting = WeightOptimal
-	}
-	if opts.Alpha == 0 && opts.Beta == 0 && opts.Gamma == 0 {
-		opts.Alpha, opts.Beta, opts.Gamma = 1, 0.75, 0.25
-	}
-	if opts.VarianceFloor == 0 {
-		opts.VarianceFloor = 1e-6
-	}
-	if opts.VarianceFloor < 0 {
-		return nil, fmt.Errorf("feedback: negative variance floor %v", opts.VarianceFloor)
 	}
 	return &Engine{opts: opts}, nil
 }
@@ -434,7 +350,7 @@ func (e *Engine) Refine(q []float64, results [][]float64, scores []float64) (new
 	case MoveOptimal:
 		newQ, err = OptimalQueryPoint(results, scores)
 	case MoveRocchio:
-		newQ, err = Rocchio(q, results, scores, e.opts.Alpha, e.opts.Beta, e.opts.Gamma)
+		newQ, err = Rocchio(q, results, scores, rocchioAlpha, rocchioBeta, rocchioGamma)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -445,7 +361,7 @@ func (e *Engine) Refine(q []float64, results [][]float64, scores []float64) (new
 			newQ = normalized
 		}
 	}
-	weights, err = Reweight(results, scores, e.opts.Weighting, e.opts.VarianceFloor)
+	weights, err = Reweight(results, scores, e.opts.Weighting, varianceFloor)
 	if err != nil {
 		return nil, nil, err
 	}

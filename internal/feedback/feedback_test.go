@@ -3,7 +3,6 @@ package feedback
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/vec"
@@ -211,64 +210,6 @@ func TestNormalizeGeometricMean(t *testing.T) {
 	}
 }
 
-func TestOptimalQuadraticWeights(t *testing.T) {
-	// Good matches spread along (1,1): the optimal quadratic metric must
-	// penalize the orthogonal direction (1,-1) more than the spread one.
-	rng := rand.New(rand.NewSource(1))
-	var results [][]float64
-	var scores []float64
-	for i := 0; i < 50; i++ {
-		tv := rng.NormFloat64()
-		results = append(results, []float64{tv + rng.NormFloat64()*0.05, tv - rng.NormFloat64()*0.05})
-		scores = append(scores, 1)
-	}
-	q, err := OptimalQuadraticWeights(results, scores, 1e-4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Validate(1e-9); err != nil {
-		t.Fatal(err)
-	}
-	along := q.Distance([]float64{0, 0}, []float64{1, 1})
-	across := q.Distance([]float64{0, 0}, []float64{1, -1})
-	if across <= along {
-		t.Errorf("across = %v should exceed along = %v", across, along)
-	}
-	// det normalized to 1.
-	det := vec.Det(q.Matrix())
-	if math.Abs(det-1) > 1e-6 {
-		t.Errorf("det = %v", det)
-	}
-}
-
-func TestOptimalQuadraticWeightsFewMatches(t *testing.T) {
-	// Fewer good matches than dimensions: ridge keeps it invertible (the
-	// [RH00] regime).
-	results := [][]float64{
-		{0.1, 0.2, 0.3, 0.4},
-		{0.2, 0.2, 0.3, 0.4},
-	}
-	q, err := OptimalQuadraticWeights(results, []float64{1, 1}, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Validate(1e-9); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOptimalQuadraticWeightsErrors(t *testing.T) {
-	if _, err := OptimalQuadraticWeights([][]float64{{1}}, []float64{0}, 1e-3); !errors.Is(err, ErrNoGoodMatches) {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := OptimalQuadraticWeights([][]float64{{1}}, []float64{1}, 0); err == nil {
-		t.Error("zero ridge should error")
-	}
-	if _, err := OptimalQuadraticWeights([][]float64{{1, 2}, {3}}, []float64{1, 1}, 1e-3); err == nil {
-		t.Error("ragged should error")
-	}
-}
-
 func TestEngineValidation(t *testing.T) {
 	if _, err := New(Options{Movement: MovementRule(9)}); err == nil {
 		t.Error("bad movement should error")
@@ -276,10 +217,7 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := New(Options{Weighting: WeightingRule(9)}); err == nil {
 		t.Error("bad weighting should error")
 	}
-	if _, err := New(Options{VarianceFloor: -1}); err == nil {
-		t.Error("negative floor should error")
-	}
-	e, err := New(DefaultOptions())
+	e, err := New(Options{Movement: MoveOptimal, Weighting: WeightOptimal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +227,7 @@ func TestEngineValidation(t *testing.T) {
 }
 
 func TestEngineRefine(t *testing.T) {
-	e, err := New(DefaultOptions())
+	e, err := New(Options{Movement: MoveOptimal, Weighting: WeightOptimal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +249,7 @@ func TestEngineRefine(t *testing.T) {
 }
 
 func TestEngineRefineNoGoodEchoesInput(t *testing.T) {
-	e, _ := New(DefaultOptions())
+	e, _ := New(Options{Movement: MoveOptimal, Weighting: WeightOptimal})
 	q := []float64{0.3, 0.7}
 	newQ, w, err := e.Refine(q, [][]float64{{1, 1}}, []float64{0})
 	if !errors.Is(err, ErrNoGoodMatches) {

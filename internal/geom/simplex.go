@@ -1,14 +1,12 @@
 // Package geom implements the simplex geometry underlying the Simplex Tree
-// of FeedbackBypass (§4 of the paper): barycentric coordinates, containment
-// tests, volumes, the D+1-way split used by the incremental triangulation,
-// and the O(D) incremental barycentric descent that makes tree lookups
-// cheap.
+// of FeedbackBypass (§4 of the paper): barycentric coordinates, the
+// containment test on them, and the O(D) incremental barycentric descent
+// that makes tree lookups cheap.
 package geom
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/vec"
 )
@@ -80,13 +78,10 @@ func (s *Simplex) Dim() int { return len(s.verts) - 1 }
 // Vertex returns the i-th vertex. The returned slice must not be mutated.
 func (s *Simplex) Vertex(i int) []float64 { return s.verts[i] }
 
-// Vertices returns the vertex list. It must not be mutated.
-func (s *Simplex) Vertices() [][]float64 { return s.verts }
-
 // Barycentric computes the barycentric coordinates λ of q with respect to
 // the simplex: the unique vector with Σλ_i = 1 and Σλ_i·v_i = q. It solves
 // a (D+1)×(D+1) linear system (O(D³)); the Simplex Tree calls this once at
-// the root and then descends with the O(D) ChildBarycentric update.
+// the root and then descends with the O(D) ChildBarycentricInto update.
 func (s *Simplex) Barycentric(q []float64) ([]float64, error) {
 	d := s.Dim()
 	if len(q) != d {
@@ -169,29 +164,6 @@ func (bs *BarycentricSolver) BarycentricInto(dst, rhs, q []float64) error {
 	return bs.lu.SolveInto(dst, rhs)
 }
 
-// FromBarycentric maps barycentric coordinates λ back to a point Σλ_i·v_i.
-func (s *Simplex) FromBarycentric(lam []float64) ([]float64, error) {
-	if len(lam) != len(s.verts) {
-		return nil, fmt.Errorf("geom: got %d coordinates, want %d", len(lam), len(s.verts))
-	}
-	out := make([]float64, s.Dim())
-	for i, l := range lam {
-		vec.Axpy(out, l, s.verts[i])
-	}
-	return out, nil
-}
-
-// Contains reports whether q lies inside the simplex (boundary included),
-// using tolerance tol on the barycentric coordinates. It returns false for
-// degenerate simplices.
-func (s *Simplex) Contains(q []float64, tol float64) bool {
-	lam, err := s.Barycentric(q)
-	if err != nil {
-		return false
-	}
-	return AllNonNegative(lam, tol)
-}
-
 // AllNonNegative reports whether every coordinate is ≥ -tol.
 func AllNonNegative(lam []float64, tol float64) bool {
 	for _, l := range lam {
@@ -202,71 +174,8 @@ func AllNonNegative(lam []float64, tol float64) bool {
 	return true
 }
 
-// Volume returns the D-dimensional volume of the simplex:
-// |det(v1−v0, …, vD−v0)| / D!.
-func (s *Simplex) Volume() float64 {
-	d := s.Dim()
-	if d == 0 {
-		return 0
-	}
-	m := vec.NewMatrix(d, d)
-	for j := 1; j <= d; j++ {
-		for i := 0; i < d; i++ {
-			m.Set(i, j-1, s.verts[j][i]-s.verts[0][i])
-		}
-	}
-	det := math.Abs(vec.Det(m))
-	fact := 1.0
-	for k := 2; k <= d; k++ {
-		fact *= float64(k)
-	}
-	return det / fact
-}
-
-// Split decomposes the simplex around the interior point p into up to D+1
-// children: child h keeps every vertex except vertex h, which is replaced
-// by p (§4.1 of the paper). Children whose barycentric weight μ_h is below
-// tol would be degenerate (p lies on the facet opposite vertex h) and are
-// skipped; the remaining children still cover the simplex. It returns the
-// children, the index of the replaced vertex for each child, and the
-// barycentric coordinates of p.
-//
-// An error is reported when p lies outside the simplex or coincides with a
-// vertex (every child would be degenerate or the decomposition would not
-// be a partition).
-func (s *Simplex) Split(p []float64, tol float64) (children []*Simplex, replaced []int, mu []float64, err error) {
-	mu, err = s.Barycentric(p)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if !AllNonNegative(mu, tol) {
-		return nil, nil, nil, fmt.Errorf("geom: split point lies outside the simplex (μ = %v)", mu)
-	}
-	// A split point equal to a vertex produces no valid children.
-	positive := 0
-	for _, m := range mu {
-		if m > tol {
-			positive++
-		}
-	}
-	if positive <= 1 {
-		return nil, nil, nil, fmt.Errorf("geom: split point coincides with a vertex (μ = %v)", mu)
-	}
-	for h := range s.verts {
-		if mu[h] <= tol {
-			continue // degenerate child: p lies on the facet opposite vertex h
-		}
-		childVerts := make([][]float64, len(s.verts))
-		copy(childVerts, s.verts)
-		childVerts[h] = p
-		children = append(children, &Simplex{verts: childVerts})
-		replaced = append(replaced, h)
-	}
-	return children, replaced, mu, nil
-}
-
-// ChildBarycentric converts the barycentric coordinates lam of a point q
-// with respect to a parent simplex into its coordinates with respect to
+// ChildBarycentricInto converts the barycentric coordinates lam of a point
+// q with respect to a parent simplex into its coordinates with respect to
 // child h of a split at a point with parent-coordinates mu. Vertex h of
 // the child is the split point; all other vertices are shared with the
 // parent. The update costs O(D):
@@ -274,22 +183,10 @@ func (s *Simplex) Split(p []float64, tol float64) (children []*Simplex, replaced
 //	ν_h = λ_h / μ_h        (weight on the split point)
 //	ν_j = λ_j − ν_h·μ_j    (j ≠ h)
 //
-// ok is false when μ_h ≤ tol (the child is degenerate).
-func ChildBarycentric(lam, mu []float64, h int, tol float64) (nu []float64, ok bool) {
-	if h < 0 || h >= len(mu) || len(lam) != len(mu) {
-		return nil, false
-	}
-	nu = make([]float64, len(lam))
-	if !ChildBarycentricInto(nu, lam, mu, h, tol) {
-		return nil, false
-	}
-	return nu, true
-}
-
-// ChildBarycentricInto is the allocation-free variant of ChildBarycentric:
-// it writes the child coordinates into nu, which must have length len(lam)
-// and must not alias lam or mu. ok is false when the child is degenerate
-// (μ_h ≤ tol) or the inputs are malformed, in which case nu is untouched.
+// It writes the child coordinates into nu, which must have length
+// len(lam) and must not alias lam or mu. ok is false when the child is
+// degenerate (μ_h ≤ tol) or the inputs are malformed, in which case nu is
+// untouched.
 func ChildBarycentricInto(nu, lam, mu []float64, h int, tol float64) bool {
 	if h < 0 || h >= len(mu) || len(lam) != len(mu) || len(nu) != len(lam) {
 		return false
@@ -306,34 +203,4 @@ func ChildBarycentricInto(nu, lam, mu []float64, h int, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// Centroid returns the barycenter of the simplex.
-func (s *Simplex) Centroid() []float64 {
-	d := s.Dim()
-	out := make([]float64, d)
-	for _, v := range s.verts {
-		vec.AddInPlace(out, v)
-	}
-	vec.ScaleInPlace(out, 1/float64(len(s.verts)))
-	return out
-}
-
-// RandomInteriorPoint returns a point sampled from the simplex using the
-// given barycentric weights, which must be positive and are normalized
-// internally. It is primarily a test helper for generating interior
-// points deterministically.
-func (s *Simplex) RandomInteriorPoint(weights []float64) ([]float64, error) {
-	if len(weights) != len(s.verts) {
-		return nil, fmt.Errorf("geom: got %d weights, want %d", len(weights), len(s.verts))
-	}
-	var sum float64
-	for _, w := range weights {
-		if w <= 0 {
-			return nil, errors.New("geom: interior point weights must be positive")
-		}
-		sum += w
-	}
-	lam := vec.Scale(weights, 1/sum)
-	return s.FromBarycentric(lam)
 }

@@ -2,12 +2,59 @@ package geom
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/vec"
 )
+
+// contains reports whether q lies in s, boundary included: the
+// barycentric test the Simplex Tree applies to its root.
+func contains(s *Simplex, q []float64) bool {
+	lam, err := s.Barycentric(q)
+	return err == nil && AllNonNegative(lam, DefaultTol)
+}
+
+// fromBarycentric maps barycentric coordinates λ back to the point
+// Σλ_i·v_i of s.
+func fromBarycentric(s *Simplex, lam []float64) ([]float64, error) {
+	if len(lam) != len(s.verts) {
+		return nil, fmt.Errorf("got %d coordinates, want %d", len(lam), len(s.verts))
+	}
+	out := make([]float64, s.Dim())
+	for i, l := range lam {
+		vec.Axpy(out, l, s.verts[i])
+	}
+	return out, nil
+}
+
+// interiorPoint returns the point of s with barycentric weights w,
+// normalized to sum to 1.
+func interiorPoint(s *Simplex, w []float64) ([]float64, error) {
+	return fromBarycentric(s, vec.Scale(w, 1/vec.Sum(w)))
+}
+
+// splitAt decomposes s around the interior point p the way the Simplex
+// Tree splits a leaf (§4.1): child h replaces vertex h by p, and
+// children with μ_h ≤ DefaultTol are skipped.
+func splitAt(s *Simplex, p []float64) (children []*Simplex, replaced []int, mu []float64, err error) {
+	if mu, err = s.Barycentric(p); err != nil {
+		return nil, nil, nil, err
+	}
+	for h := range mu {
+		if mu[h] <= DefaultTol {
+			continue
+		}
+		verts := make([][]float64, len(s.verts))
+		copy(verts, s.verts)
+		verts[h] = p
+		children = append(children, &Simplex{verts: verts})
+		replaced = append(replaced, h)
+	}
+	return children, replaced, mu, nil
+}
 
 func TestNewSimplexValidation(t *testing.T) {
 	if _, err := NewSimplex(nil); err == nil {
@@ -27,8 +74,8 @@ func TestNewSimplexValidation(t *testing.T) {
 
 func TestStandardSimplex(t *testing.T) {
 	s := StandardSimplex(3)
-	if s.Dim() != 3 || len(s.Vertices()) != 4 {
-		t.Fatalf("unexpected shape: dim=%d verts=%d", s.Dim(), len(s.Vertices()))
+	if s.Dim() != 3 {
+		t.Fatalf("unexpected dim %d", s.Dim())
 	}
 	if !vec.Equal(s.Vertex(0), []float64{0, 0, 0}) {
 		t.Errorf("v0 = %v", s.Vertex(0))
@@ -37,10 +84,10 @@ func TestStandardSimplex(t *testing.T) {
 		t.Errorf("v2 = %v", s.Vertex(2))
 	}
 	// Normalized-histogram prefix vectors are inside.
-	if !s.Contains([]float64{0.2, 0.3, 0.1}, DefaultTol) {
+	if !contains(s, []float64{0.2, 0.3, 0.1}) {
 		t.Error("histogram point should be inside standard simplex")
 	}
-	if s.Contains([]float64{0.5, 0.6, 0.2}, DefaultTol) {
+	if contains(s, []float64{0.5, 0.6, 0.2}) {
 		t.Error("point with sum > 1 should be outside")
 	}
 }
@@ -54,13 +101,13 @@ func TestCoveringSimplexCoversUnitCube(t *testing.T) {
 			for i := range q {
 				q[i] = rng.Float64()
 			}
-			if !s.Contains(q, DefaultTol) {
+			if !contains(s, q) {
 				t.Fatalf("d=%d: cube point %v outside covering simplex", d, q)
 			}
 		}
 		// The all-ones corner is the extreme case.
 		ones := vec.Ones(d)
-		if !s.Contains(ones, DefaultTol) {
+		if !contains(s, ones) {
 			t.Fatalf("d=%d: corner of cube outside covering simplex", d)
 		}
 	}
@@ -94,7 +141,7 @@ func TestBarycentricDegenerateSimplex(t *testing.T) {
 	if _, err := s.Barycentric([]float64{0.5, 0.5}); err == nil {
 		t.Error("expected degenerate error for collinear vertices")
 	}
-	if s.Contains([]float64{0.5, 0.5}, DefaultTol) {
+	if contains(s, []float64{0.5, 0.5}) {
 		t.Error("degenerate simplex should contain nothing")
 	}
 }
@@ -116,7 +163,7 @@ func TestBarycentricRoundTripRandom(t *testing.T) {
 			if math.Abs(vec.Sum(lam)-1) > 1e-9 {
 				t.Fatalf("d=%d: Σλ = %v", d, vec.Sum(lam))
 			}
-			back, err := s.FromBarycentric(lam)
+			back, err := fromBarycentric(s, lam)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,8 +176,8 @@ func TestBarycentricRoundTripRandom(t *testing.T) {
 
 func TestBarycentricAtVertices(t *testing.T) {
 	s := StandardSimplex(4)
-	for i, v := range s.Vertices() {
-		lam, err := s.Barycentric(v)
+	for i := 0; i <= s.Dim(); i++ {
+		lam, err := s.Barycentric(s.Vertex(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,121 +193,6 @@ func TestBarycentricAtVertices(t *testing.T) {
 	}
 }
 
-func TestFromBarycentricLengthCheck(t *testing.T) {
-	s := StandardSimplex(2)
-	if _, err := s.FromBarycentric([]float64{1}); err == nil {
-		t.Error("expected length error")
-	}
-}
-
-func TestVolume(t *testing.T) {
-	// Standard simplex in R^d has volume 1/d!.
-	for d := 1; d <= 6; d++ {
-		s := StandardSimplex(d)
-		fact := 1.0
-		for k := 2; k <= d; k++ {
-			fact *= float64(k)
-		}
-		if got := s.Volume(); math.Abs(got-1/fact) > 1e-12 {
-			t.Errorf("d=%d: Volume = %v, want %v", d, got, 1/fact)
-		}
-	}
-	// Degenerate simplex has zero volume.
-	s, _ := NewSimplex([][]float64{{0, 0}, {1, 1}, {2, 2}})
-	if got := s.Volume(); got != 0 {
-		t.Errorf("degenerate Volume = %v", got)
-	}
-}
-
-func TestSplitPartitionsVolume(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, d := range []int{2, 3, 4, 6} {
-		s := StandardSimplex(d)
-		w := make([]float64, d+1)
-		for i := range w {
-			w[i] = 0.1 + rng.Float64()
-		}
-		p, err := s.RandomInteriorPoint(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		children, replaced, mu, err := s.Split(p, DefaultTol)
-		if err != nil {
-			t.Fatalf("d=%d: %v", d, err)
-		}
-		if len(children) != d+1 {
-			t.Fatalf("d=%d: interior split should give %d children, got %d", d, d+1, len(children))
-		}
-		if len(replaced) != len(children) {
-			t.Fatalf("replaced list mismatch")
-		}
-		var total float64
-		for _, c := range children {
-			total += c.Volume()
-		}
-		if math.Abs(total-s.Volume()) > 1e-9 {
-			t.Errorf("d=%d: child volumes sum %v, parent %v", d, total, s.Volume())
-		}
-		if math.Abs(vec.Sum(mu)-1) > 1e-9 {
-			t.Errorf("d=%d: Σμ = %v", d, vec.Sum(mu))
-		}
-	}
-}
-
-func TestSplitChildVolumeProportionalToMu(t *testing.T) {
-	s := StandardSimplex(3)
-	p := []float64{0.2, 0.3, 0.1} // interior, μ = (0.4, 0.2, 0.3, 0.1)
-	children, replaced, mu, err := s.Split(p, DefaultTol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parentVol := s.Volume()
-	for i, c := range children {
-		want := mu[replaced[i]] * parentVol
-		if math.Abs(c.Volume()-want) > 1e-12 {
-			t.Errorf("child %d: volume %v, want μ_h·V = %v", i, c.Volume(), want)
-		}
-	}
-}
-
-func TestSplitRejectsExteriorAndVertexPoints(t *testing.T) {
-	s := StandardSimplex(2)
-	if _, _, _, err := s.Split([]float64{0.9, 0.9}, DefaultTol); err == nil {
-		t.Error("exterior point should not split")
-	}
-	if _, _, _, err := s.Split([]float64{0, 0}, DefaultTol); err == nil {
-		t.Error("vertex point should not split")
-	}
-	if _, _, _, err := s.Split([]float64{1, 0}, DefaultTol); err == nil {
-		t.Error("vertex point should not split")
-	}
-}
-
-func TestSplitFacetPointSkipsDegenerateChild(t *testing.T) {
-	s := StandardSimplex(2)
-	// Point on the edge between v1=(1,0) and v2=(0,1): μ0 = 0.
-	p := []float64{0.5, 0.5}
-	children, replaced, _, err := s.Split(p, DefaultTol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(children) != 2 {
-		t.Fatalf("facet split should give 2 children, got %d", len(children))
-	}
-	for _, h := range replaced {
-		if h == 0 {
-			t.Error("child replacing v0 should have been skipped (degenerate)")
-		}
-	}
-	var total float64
-	for _, c := range children {
-		total += c.Volume()
-	}
-	if math.Abs(total-s.Volume()) > 1e-12 {
-		t.Errorf("facet split children volumes %v != parent %v", total, s.Volume())
-	}
-}
-
 func TestChildBarycentricMatchesDirectSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, d := range []int{2, 3, 5, 10} {
@@ -269,11 +201,11 @@ func TestChildBarycentricMatchesDirectSolve(t *testing.T) {
 		for i := range w {
 			w[i] = 0.2 + rng.Float64()
 		}
-		p, err := s.RandomInteriorPoint(w)
+		p, err := interiorPoint(s, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		children, replaced, mu, err := s.Split(p, DefaultTol)
+		children, replaced, mu, err := splitAt(s, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,9 +220,10 @@ func TestChildBarycentricMatchesDirectSolve(t *testing.T) {
 			}
 			for ci, c := range children {
 				h := replaced[ci]
-				nu, ok := ChildBarycentric(lam, mu, h, DefaultTol)
+				nu := make([]float64, len(lam))
+				ok := ChildBarycentricInto(nu, lam, mu, h, DefaultTol)
 				if !ok {
-					t.Fatalf("d=%d: ChildBarycentric rejected non-degenerate child", d)
+					t.Fatalf("d=%d: ChildBarycentricInto rejected non-degenerate child", d)
 				}
 				direct, err := c.Barycentric(q)
 				if err != nil {
@@ -308,11 +241,11 @@ func TestChildBarycentricExactlyOneContainingChild(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	d := 4
 	s := StandardSimplex(d)
-	p, err := s.RandomInteriorPoint(vec.Ones(d + 1))
+	p, err := interiorPoint(s, vec.Ones(d+1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, replaced, mu, err := s.Split(p, DefaultTol)
+	_, replaced, mu, err := splitAt(s, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +255,7 @@ func TestChildBarycentricExactlyOneContainingChild(t *testing.T) {
 		for i := range w {
 			w[i] = 0.05 + rng.Float64()
 		}
-		q, err := s.RandomInteriorPoint(w)
+		q, err := interiorPoint(s, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +265,8 @@ func TestChildBarycentricExactlyOneContainingChild(t *testing.T) {
 		}
 		containing := 0
 		for _, h := range replaced {
-			nu, ok := ChildBarycentric(lam, mu, h, DefaultTol)
+			nu := make([]float64, len(lam))
+			ok := ChildBarycentricInto(nu, lam, mu, h, DefaultTol)
 			if ok && AllNonNegative(nu, DefaultTol) {
 				containing++
 			}
@@ -351,43 +285,18 @@ func TestChildBarycentricExactlyOneContainingChild(t *testing.T) {
 func TestChildBarycentricDegenerateAndBadInput(t *testing.T) {
 	lam := []float64{0.3, 0.3, 0.4}
 	mu := []float64{0, 0.5, 0.5}
-	if _, ok := ChildBarycentric(lam, mu, 0, DefaultTol); ok {
+	nu := []float64{7, 7, 7}
+	if ChildBarycentricInto(nu, lam, mu, 0, DefaultTol) {
 		t.Error("degenerate child should be rejected")
 	}
-	if _, ok := ChildBarycentric(lam, mu, 5, DefaultTol); ok {
+	if ChildBarycentricInto(nu, lam, mu, 5, DefaultTol) || ChildBarycentricInto(nu, lam, mu, -1, DefaultTol) {
 		t.Error("out-of-range h should be rejected")
 	}
-	if _, ok := ChildBarycentric([]float64{1}, mu, 1, DefaultTol); ok {
+	if ChildBarycentricInto(nu, []float64{1}, mu, 1, DefaultTol) || ChildBarycentricInto(nu[:2], lam, mu, 1, DefaultTol) {
 		t.Error("length mismatch should be rejected")
 	}
-}
-
-func TestCentroid(t *testing.T) {
-	s := StandardSimplex(2)
-	c := s.Centroid()
-	want := []float64{1.0 / 3.0, 1.0 / 3.0}
-	if !vec.EqualTol(c, want, 1e-12) {
-		t.Errorf("Centroid = %v, want %v", c, want)
-	}
-	if !s.Contains(c, DefaultTol) {
-		t.Error("centroid must be inside")
-	}
-}
-
-func TestRandomInteriorPointValidation(t *testing.T) {
-	s := StandardSimplex(2)
-	if _, err := s.RandomInteriorPoint([]float64{1, 1}); err == nil {
-		t.Error("wrong weight count should error")
-	}
-	if _, err := s.RandomInteriorPoint([]float64{1, -1, 1}); err == nil {
-		t.Error("non-positive weight should error")
-	}
-	p, err := s.RandomInteriorPoint([]float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Contains(p, DefaultTol) {
-		t.Error("interior point must be contained")
+	if !vec.Equal(nu, []float64{7, 7, 7}) {
+		t.Errorf("rejected call wrote %v", nu)
 	}
 }
 
@@ -395,12 +304,12 @@ func TestContainsBoundary(t *testing.T) {
 	s := StandardSimplex(2)
 	// Vertices and edge midpoints are boundary points: contained.
 	for _, q := range [][]float64{{0, 0}, {1, 0}, {0, 1}, {0.5, 0}, {0, 0.5}, {0.5, 0.5}} {
-		if !s.Contains(q, DefaultTol) {
+		if !contains(s, q) {
 			t.Errorf("boundary point %v should be contained", q)
 		}
 	}
 	for _, q := range [][]float64{{-0.01, 0}, {1.01, 0}, {0.6, 0.6}} {
-		if s.Contains(q, DefaultTol) {
+		if contains(s, q) {
 			t.Errorf("exterior point %v should not be contained", q)
 		}
 	}
@@ -421,7 +330,7 @@ func TestHighDimensionalBarycentric31(t *testing.T) {
 	if !AllNonNegative(lam, DefaultTol) {
 		t.Error("interior histogram point must have non-negative coordinates")
 	}
-	back, err := s.FromBarycentric(lam)
+	back, err := fromBarycentric(s, lam)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,48 +386,5 @@ func TestSolverMatchesBarycentric(t *testing.T) {
 	degenerate := &Simplex{verts: [][]float64{{0, 0}, {1, 1}, {2, 2}}}
 	if _, err := degenerate.Solver(); !errors.Is(err, ErrDegenerate) {
 		t.Errorf("degenerate solver error = %v, want ErrDegenerate", err)
-	}
-}
-
-// Property: ChildBarycentricInto matches the allocating variant and
-// rejects aliasing-safe bad inputs the same way.
-func TestChildBarycentricIntoMatchesAllocating(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	d := 6
-	s := StandardSimplex(d)
-	p, err := s.RandomInteriorPoint([]float64{1, 2, 1, 3, 1, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu, err := s.Barycentric(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 20; trial++ {
-		q := make([]float64, d)
-		for i := range q {
-			q[i] = rng.Float64() / float64(d)
-		}
-		lam, err := s.Barycentric(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for h := 0; h <= d; h++ {
-			want, okWant := ChildBarycentric(lam, mu, h, DefaultTol)
-			nu := make([]float64, len(lam))
-			ok := ChildBarycentricInto(nu, lam, mu, h, DefaultTol)
-			if ok != okWant {
-				t.Fatalf("h=%d: ok %v != %v", h, ok, okWant)
-			}
-			if ok && !vec.Equal(nu, want) {
-				t.Fatalf("h=%d: %v != %v", h, nu, want)
-			}
-		}
-	}
-	if ChildBarycentricInto(make([]float64, d), nil, mu, 0, DefaultTol) {
-		t.Error("mismatched lam accepted")
-	}
-	if ChildBarycentricInto(make([]float64, d+1), mu, mu, -1, DefaultTol) {
-		t.Error("negative index accepted")
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrLength is returned when an input length is not a positive power of
@@ -122,31 +121,6 @@ func Threshold(coeffs []float64, eps float64) int {
 	return kept
 }
 
-// TopK keeps the k largest-magnitude detail coefficients (plus the average
-// term) and zeroes the rest, in place. It returns the number kept.
-func TopK(coeffs []float64, k int) int {
-	if len(coeffs) <= 1 {
-		return len(coeffs)
-	}
-	type ic struct {
-		idx int
-		abs float64
-	}
-	details := make([]ic, 0, len(coeffs)-1)
-	for i := 1; i < len(coeffs); i++ {
-		details = append(details, ic{i, math.Abs(coeffs[i])})
-	}
-	sort.Slice(details, func(a, b int) bool { return details[a].abs > details[b].abs })
-	if k > len(details) {
-		k = len(details)
-	}
-	drop := details[k:]
-	for _, d := range drop {
-		coeffs[d.idx] = 0
-	}
-	return k + 1
-}
-
 // Sparse is a compact representation of a thresholded coefficient vector:
 // only nonzero coefficients are stored, with their positions.
 type Sparse struct {
@@ -204,13 +178,3 @@ func (s *Sparse) Decompress() ([]float64, error) {
 
 // StorageSize returns the number of stored coefficients.
 func (s *Sparse) StorageSize() int { return len(s.Values) }
-
-// Energy returns the squared L2 norm of a coefficient (or signal) vector;
-// by Parseval's identity it is invariant under Forward.
-func Energy(xs []float64) float64 {
-	var e float64
-	for _, x := range xs {
-		e += x * x
-	}
-	return e
-}

@@ -92,6 +92,15 @@ func TestRoundTripRandom(t *testing.T) {
 	}
 }
 
+// energy is the squared L2 norm of xs.
+func energy(xs []float64) float64 {
+	var e float64
+	for _, x := range xs {
+		e += x * x
+	}
+	return e
+}
+
 func TestForwardPreservesEnergy(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 20; trial++ {
@@ -104,7 +113,7 @@ func TestForwardPreservesEnergy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e1, e2 := Energy(xs), Energy(coeffs)
+		e1, e2 := energy(xs), energy(coeffs)
 		if math.Abs(e1-e2) > 1e-8*(1+e1) {
 			t.Fatalf("trial %d: energy not preserved: %v vs %v", trial, e1, e2)
 		}
@@ -167,29 +176,6 @@ func TestThresholdKeepsAverageEvenIfSmall(t *testing.T) {
 	kept := Threshold(coeffs, 0.1)
 	if kept != 2 || coeffs[0] != 0.0001 {
 		t.Errorf("average must be kept: coeffs=%v kept=%d", coeffs, kept)
-	}
-}
-
-func TestTopK(t *testing.T) {
-	coeffs := []float64{7, 1, -9, 3, 0.5}
-	kept := TopK(coeffs, 2)
-	if kept != 3 { // 2 details + average
-		t.Errorf("kept = %d", kept)
-	}
-	if coeffs[2] != -9 || coeffs[3] != 3 {
-		t.Errorf("largest details should survive: %v", coeffs)
-	}
-	if coeffs[1] != 0 || coeffs[4] != 0 {
-		t.Errorf("small details should be zeroed: %v", coeffs)
-	}
-	// k larger than available keeps everything.
-	c2 := []float64{1, 2, 3}
-	if kept := TopK(c2, 10); kept != 3 {
-		t.Errorf("over-large k kept = %d", kept)
-	}
-	single := []float64{4}
-	if kept := TopK(single, 0); kept != 1 {
-		t.Errorf("single kept = %d", kept)
 	}
 }
 
@@ -294,14 +280,5 @@ func TestDecompressCorruptHeaders(t *testing.T) {
 	s = &Sparse{N: 4, Orig: 4, Indices: []int32{-1}, Values: []float64{1}}
 	if _, err := s.Decompress(); err == nil {
 		t.Error("negative index should error")
-	}
-}
-
-func TestEnergy(t *testing.T) {
-	if got := Energy([]float64{3, 4}); got != 25 {
-		t.Errorf("Energy = %v", got)
-	}
-	if got := Energy(nil); got != 0 {
-		t.Errorf("Energy(nil) = %v", got)
 	}
 }

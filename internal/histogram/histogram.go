@@ -23,20 +23,6 @@ type Image struct {
 	Pix  []RGB // row-major, len == W*H
 }
 
-// NewImage allocates a zeroed (black) W×H image.
-func NewImage(w, h int) (*Image, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("histogram: invalid image size %dx%d", w, h)
-	}
-	return &Image{W: w, H: h, Pix: make([]RGB, w*h)}, nil
-}
-
-// At returns the pixel at (x, y).
-func (im *Image) At(x, y int) RGB { return im.Pix[y*im.W+x] }
-
-// Set assigns the pixel at (x, y).
-func (im *Image) Set(x, y int, p RGB) { im.Pix[y*im.W+x] = p }
-
 // HSV converts an RGB triple (components in [0,1]) to HSV with
 // h ∈ [0, 360), s ∈ [0, 1], v ∈ [0, 1], using the standard hexcone model.
 func HSV(r, g, b float64) (h, s, v float64) {
@@ -156,17 +142,6 @@ func (e Extractor) BinOf(h, s float64) int {
 	return hb*e.SatBins + sb
 }
 
-// Extract computes the normalized colour histogram of an image. The bins
-// sum to 1 ("the sum of the color bins is constant", Example 1 of the
-// paper).
-func (e Extractor) Extract(im *Image) ([]float64, error) {
-	hist := make([]float64, max(e.Bins(), 0))
-	if err := e.ExtractInto(hist, im); err != nil {
-		return nil, err
-	}
-	return hist, nil
-}
-
 // ExtractInto writes the normalized colour histogram of im into dst,
 // which must have length Bins(); it allocates nothing.
 func (e Extractor) ExtractInto(dst []float64, im *Image) error {
@@ -194,34 +169,4 @@ func (e Extractor) ExtractInto(dst []float64, im *Image) error {
 		dst[i] *= inv
 	}
 	return nil
-}
-
-// DropLast removes the final bin of a normalized histogram, producing the
-// query-domain representation of Example 1: because the bins sum to 1, the
-// last bin is redundant and the reduced vector lives in the standard
-// simplex of R^(n-1).
-func DropLast(hist []float64) []float64 {
-	if len(hist) == 0 {
-		return nil
-	}
-	out := make([]float64, len(hist)-1)
-	copy(out, hist[:len(hist)-1])
-	return out
-}
-
-// RestoreLast inverts DropLast for a normalized histogram: the final bin
-// is 1 − Σ(front bins), clamped at 0 against rounding.
-func RestoreLast(front []float64) []float64 {
-	out := make([]float64, len(front)+1)
-	copy(out, front)
-	var sum float64
-	for _, x := range front {
-		sum += x
-	}
-	last := 1 - sum
-	if last < 0 {
-		last = 0
-	}
-	out[len(front)] = last
-	return out
 }

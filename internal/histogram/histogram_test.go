@@ -136,21 +136,13 @@ func TestFromHSVNegativeAndLargeHue(t *testing.T) {
 	}
 }
 
-func TestNewImageValidation(t *testing.T) {
-	if _, err := NewImage(0, 5); err == nil {
-		t.Error("zero width should error")
-	}
-	if _, err := NewImage(5, -1); err == nil {
-		t.Error("negative height should error")
-	}
-	im, err := NewImage(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	im.Set(1, 2, RGB{R: 1})
-	if got := im.At(1, 2); got.R != 1 {
-		t.Errorf("At = %+v", got)
-	}
+// newImage returns a black w×h image.
+func newImage(w, h int) *Image { return &Image{W: w, H: h, Pix: make([]RGB, w*h)} }
+
+// extract returns e's histogram of im in a fresh slice.
+func extract(e Extractor, im *Image) ([]float64, error) {
+	hist := make([]float64, e.Bins())
+	return hist, e.ExtractInto(hist, im)
 }
 
 func TestBinOfLayout(t *testing.T) {
@@ -180,12 +172,12 @@ func TestBinOfLayout(t *testing.T) {
 }
 
 func TestExtractUniformRed(t *testing.T) {
-	im, _ := NewImage(4, 4)
+	im := newImage(4, 4)
 	for i := range im.Pix {
 		im.Pix[i] = RGB{R: 1}
 	}
 	raw := Extractor{HueBins: 8, SatBins: 4} // no smoothing
-	hist, err := raw.Extract(im)
+	hist, err := extract(raw, im)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +195,11 @@ func TestExtractUniformRed(t *testing.T) {
 }
 
 func TestExtractSmoothingKeepsBinsPositive(t *testing.T) {
-	im, _ := NewImage(4, 4)
+	im := newImage(4, 4)
 	for i := range im.Pix {
 		im.Pix[i] = RGB{R: 1}
 	}
-	hist, err := DefaultExtractor.Extract(im)
+	hist, err := extract(DefaultExtractor, im)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,18 +219,18 @@ func TestExtractSmoothingKeepsBinsPositive(t *testing.T) {
 		t.Errorf("dominant bin mass = %v", hist[wantBin])
 	}
 	bad := Extractor{HueBins: 8, SatBins: 4, Smoothing: -1}
-	if _, err := bad.Extract(im); err == nil {
+	if _, err := extract(bad, im); err == nil {
 		t.Error("negative smoothing should error")
 	}
 }
 
 func TestExtractNormalized(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	im, _ := NewImage(8, 8)
+	im := newImage(8, 8)
 	for i := range im.Pix {
 		im.Pix[i] = RGB{R: rng.Float64(), G: rng.Float64(), B: rng.Float64()}
 	}
-	hist, err := DefaultExtractor.Extract(im)
+	hist, err := extract(DefaultExtractor, im)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,46 +247,15 @@ func TestExtractNormalized(t *testing.T) {
 }
 
 func TestExtractErrors(t *testing.T) {
-	if _, err := DefaultExtractor.Extract(nil); err == nil {
+	if _, err := extract(DefaultExtractor, nil); err == nil {
 		t.Error("nil image should error")
 	}
 	bad := Extractor{HueBins: 0, SatBins: 4}
-	im, _ := NewImage(2, 2)
-	if _, err := bad.Extract(im); err == nil {
+	im := newImage(2, 2)
+	if _, err := extract(bad, im); err == nil {
 		t.Error("invalid extractor should error")
 	}
 	if err := DefaultExtractor.ExtractInto(make([]float64, 31), im); err == nil {
 		t.Error("a destination shorter than Bins() should error")
-	}
-}
-
-func TestDropRestoreLast(t *testing.T) {
-	hist := []float64{0.5, 0.3, 0.2}
-	front := DropLast(hist)
-	if len(front) != 2 || front[0] != 0.5 || front[1] != 0.3 {
-		t.Fatalf("DropLast = %v", front)
-	}
-	back := RestoreLast(front)
-	for i := range hist {
-		if math.Abs(back[i]-hist[i]) > 1e-12 {
-			t.Fatalf("RestoreLast = %v", back)
-		}
-	}
-	// Front sums above 1 clamp the last bin at zero.
-	over := RestoreLast([]float64{0.8, 0.4})
-	if over[2] != 0 {
-		t.Errorf("over-full restore = %v", over)
-	}
-	if DropLast(nil) != nil {
-		t.Error("DropLast(nil) should be nil")
-	}
-}
-
-func TestDropLastDoesNotAliasInput(t *testing.T) {
-	hist := []float64{0.5, 0.5}
-	front := DropLast(hist)
-	front[0] = 9
-	if hist[0] != 0.5 {
-		t.Error("DropLast must copy")
 	}
 }

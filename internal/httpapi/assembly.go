@@ -215,18 +215,6 @@ func (c *Collection) Shutdown() {
 	}
 }
 
-// moduleStateAt reports whether dir holds durable bypass state — a
-// module manifest or a root-layout snapshot/WAL pair — used to refuse
-// collection-layout changes that would silently shadow learned state.
-func moduleStateAt(dir string) bool {
-	for _, f := range []string{core.SnapshotFile, core.JournalFile, shardedbypass.ManifestFile} {
-		if _, err := os.Stat(filepath.Join(dir, f)); err == nil {
-			return true
-		}
-	}
-	return false
-}
-
 // ResolveDefault picks the collection the bare legacy routes serve: the
 // one named "default" when present, else the only collection, else none.
 func ResolveDefault(colls map[string]*Collection) string {
@@ -435,12 +423,12 @@ func collectionDir(name string, cfg Config) (string, error) {
 		// Nested layout. Refuse to shadow a single-collection module
 		// sitting at the directory root: its learned state would be
 		// silently unread under dir/<name>/.
-		if moduleStateAt(cfg.Dir) {
+		if shardedbypass.HoldsModule(persist.OSFS, cfg.Dir) {
 			return "", fmt.Errorf("module state at %s uses the single-collection layout; move it to %s before serving multiple collections",
 				cfg.Dir, filepath.Join(cfg.Dir, "<name>"))
 		}
 		dir = filepath.Join(cfg.Dir, name)
-	} else if nested := filepath.Join(dir, name); moduleStateAt(nested) {
+	} else if nested := filepath.Join(dir, name); shardedbypass.HoldsModule(persist.OSFS, nested) {
 		// Flat layout. Refuse to shadow a nested module left by a
 		// previous multi-collection run of this collection name.
 		return "", fmt.Errorf("module state at %s uses the multi-collection layout; move it to %s (or keep serving multiple collections)",

@@ -474,7 +474,11 @@ func TestReplayingReturns503(t *testing.T) {
 	}
 	gate := newGateFS("shard-001")
 	c := newRecoveringCollection(t, ds, t.TempDir(), 3, gate)
-	byp, codec := c.Bypass, c.Service.Codec()
+	byp := c.Bypass
+	codec, err := core.NewHistogramCodec(ds.Dim)
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(NewMux(map[string]*Collection{"default": c}, "default", nil, false))
 	defer srv.Close()
 

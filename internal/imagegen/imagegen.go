@@ -157,16 +157,6 @@ func (r *Renderer) Render(id int) (Generated, error) {
 	return Generated{}, fmt.Errorf("imagegen: image %d outside the collection's %d", id, first)
 }
 
-// Render renders image id of the configuration with a Renderer of its
-// own, so the returned raster belongs to the caller.
-func (c Config) Render(id int) (Generated, error) {
-	r, err := NewRenderer(c)
-	if err != nil {
-		return Generated{}, err
-	}
-	return r.Render(id)
-}
-
 // Generate renders the full collection deterministically from the seed.
 // Image i of the configuration always receives the same pixels, regardless
 // of how many categories precede it. All rasters are held at once, each a

@@ -121,7 +121,11 @@ func TestRendererReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cfg.Render(id)
+		fresh, err := NewRenderer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Render(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +244,8 @@ func TestSignatureBinsAreLowVariance(t *testing.T) {
 	}
 	var feats [][]float64
 	for _, g := range imgs {
-		h, err := ex.Extract(g.Image)
+		h := make([]float64, ex.Bins())
+		err := ex.ExtractInto(h, g.Image)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +358,8 @@ func TestIMSILikeGeneratesAtSmallScale(t *testing.T) {
 	// All histograms must be valid (normalized, finite).
 	ex := histogram.DefaultExtractor
 	for _, g := range imgs[:10] {
-		h, err := ex.Extract(g.Image)
+		h := make([]float64, ex.Bins())
+		err := ex.ExtractInto(h, g.Image)
 		if err != nil {
 			t.Fatal(err)
 		}

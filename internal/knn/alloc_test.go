@@ -35,7 +35,7 @@ func TestSearchAllocationBudget(t *testing.T) {
 			}
 			data[i] = v
 		}
-		scan, err := NewScan(data)
+		scan, err := newScan(data)
 		if err != nil {
 			t.Fatal(err)
 		}

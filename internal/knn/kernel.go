@@ -56,30 +56,19 @@ func scanWorkers(n int) int {
 }
 
 // scanState carries one query's accumulation across row blocks: the k
-// best candidates so far as a sorted insertion array, and the current
-// abandon bound in squared space. A sorted array beats a binary heap here:
-// scan loops pre-filter with bound2, so nearly every offer is a real
-// insert, and a backward shift plus a ≤ 800-byte memmove costs less than a
-// heap sift's cascade of mispredicted compares — while keeping the same
-// retained set under the (distance, index) total order.
+// best candidates so far, ranked by true distance through
+// TopK.OfferRoot (one square root per offered candidate: ranking by the
+// squared sum would break a tie between two sums one ulp apart that share
+// a root on the wrong key), with bound2 the current abandon bound in
+// squared space.
 type scanState struct {
-	k int
-	// items holds true distances, one square root per offered candidate,
-	// ascending by (distance, index): the naive path's order. Two distinct
-	// squared sums one ulp apart can share a root, and ranking by the
-	// squared sum would then break the tie on the wrong key.
-	items []Result
-	// bound2 is RootBound2 of the k-th distance: the largest squared sum
-	// that can still tie or beat it. +Inf until k candidates are retained.
-	bound2 float64
+	TopK
 	// shared is the bound every goroutine of one lone Search prunes
 	// against; nil when the search runs on one goroutine.
 	shared *sharedBound
 }
 
-func newScanState(k int) scanState {
-	return scanState{k: k, items: make([]Result, 0, k), bound2: math.Inf(1)}
-}
+func newScanState(k int) scanState { return scanState{TopK: newTopK(k)} }
 
 // live returns the squared distance a row must not exceed to matter: the
 // local bound, or, in a shared search, the lowest bound any goroutine has
@@ -131,37 +120,6 @@ func RootBound2(r float64) float64 {
 	return math.Float64frombits(b)
 }
 
-// offer ranks a candidate with squared distance d2 by its square root.
-// Callers pre-filter with bound2, but offer is also correct for
-// candidates beyond it.
-func (st *scanState) offer(idx int, d2 float64) {
-	st.insert(Result{Index: idx, Distance: math.Sqrt(d2)})
-}
-
-// insert keeps items sorted and at most k long, and refreshes bound2.
-// The insert position comes from a backward shift (insertion sort step),
-// not a binary search: the shift loop's branch is perfectly predicted
-// until the single exit, while a binary search eats one misprediction per
-// level.
-func (st *scanState) insert(cand Result) {
-	items := st.items
-	j := len(items)
-	if j < st.k {
-		items = append(items, cand)
-	} else if j--; !worse(items[j], cand) {
-		return
-	}
-	for j > 0 && worse(items[j-1], cand) {
-		items[j] = items[j-1]
-		j--
-	}
-	items[j] = cand
-	st.items = items
-	if len(items) == st.k {
-		st.bound2 = RootBound2(items[st.k-1].Distance)
-	}
-}
-
 // searchKernel answers one k-NN query through the squared-space kernel:
 // best-first over the tiles at D = 32, otherwise the row loop, sharded
 // across workers when the collection is large enough.
@@ -198,7 +156,7 @@ func (s *Scan) searchKernel(q []float64, k int, kern distance.Kernel) []Result {
 // worker pulls, and how much of them it prunes, depends on when the others
 // published their bounds.
 func mergeShards(states []scanState, k int) []Result {
-	merged := newScanState(k)
+	merged := newTopK(k)
 	for w := range states {
 		for _, r := range states[w].items {
 			merged.insert(r)
@@ -222,8 +180,7 @@ func (s *Scan) scanRange(q []float64, kern distance.Kernel, lo, hi int, st *scan
 		if abandoned {
 			continue
 		}
-		st.offer(i, sum)
-		bound2 = st.bound2
+		bound2 = st.OfferRoot(i, sum)
 	}
 }
 
@@ -556,7 +513,7 @@ func (s *Scan) scanTile32(q, w []float64, blockLo, blockHi int, box2 float64, st
 	}
 	for j := 0; j < c; j++ {
 		if sum := (s0b[j] + s1b[j]) + (s2b[j] + s3b[j]); sum <= bound2 {
-			st.offer(blockLo+int(surv[j]), sum)
+			st.OfferRoot(blockLo+int(surv[j]), sum)
 			bound2 = st.live()
 		}
 	}

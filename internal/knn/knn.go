@@ -7,7 +7,7 @@ package knn
 
 import (
 	"fmt"
-	"slices"
+	"math"
 
 	"repro/internal/distance"
 	"repro/internal/store"
@@ -70,16 +70,6 @@ type Scan struct {
 	batchTile int
 }
 
-// NewScan builds a scan searcher over the given vectors (copied into a
-// contiguous flat store).
-func NewScan(data [][]float64) (*Scan, error) {
-	mat, err := store.FromRows(data)
-	if err != nil {
-		return nil, fmt.Errorf("knn: %w", err)
-	}
-	return NewScanBackend(mat)
-}
-
 func (s *Scan) tile() int {
 	if s.batchTile <= 0 {
 		return DefaultBatchTile
@@ -135,9 +125,6 @@ func (s *Scan) Len() int { return s.mat.Len() }
 // Describe implements BatchSearcher: the exact tier has no parameters.
 func (s *Scan) Describe() string { return "scan" }
 
-// Matrix returns the underlying feature backend.
-func (s *Scan) Matrix() store.Backend { return s.mat }
-
 func (s *Scan) checkQuery(q []float64, k int) error {
 	if k <= 0 {
 		return fmt.Errorf("knn: k must be positive, got %d", k)
@@ -181,111 +168,86 @@ func (s *Scan) SearchNaive(q []float64, k int, m distance.Metric) ([]Result, err
 	return s.searchGeneric(q, k, m), nil
 }
 
-// TopK maintains the k smallest (distance, index) pairs seen so far using
-// a bounded max-heap. It is shared by all Searcher implementations. The
-// heap is hand-rolled rather than container/heap: Offer sits on the
-// per-candidate hot path of every scan and index search, and the
-// interface-based heap costs a virtual Less/Swap call per sift level.
+// TopK keeps the k smallest (distance, index) pairs seen so far as a
+// sorted insertion array, ascending by (distance, index) — the canonical
+// result order. It is the one accumulator of every searcher: the flat
+// scan's per-query state embeds it, and the IVF probe, shortlist and
+// rerank loops (internal/ann) use it directly. A sorted array beats a
+// binary heap here: the loops pre-filter with the current bound, so
+// nearly every offer is a real insert, and a backward shift plus a short
+// memmove costs less than a heap sift's cascade of mispredicted compares.
 type TopK struct {
-	k int
-	h []Result
+	k     int
+	items []Result
+	// bound2 is RootBound2 of the k-th distance once k candidates are
+	// held through OfferRoot, +Inf before: the largest squared sum that
+	// can still tie or beat it.
+	bound2 float64
 }
 
 // NewTopK returns an accumulator for the k nearest results.
 func NewTopK(k int) *TopK {
-	return &TopK{k: k, h: make([]Result, 0, k)}
+	t := newTopK(k)
+	return &t
 }
 
-// Offer considers a candidate.
+func newTopK(k int) TopK {
+	return TopK{k: k, items: make([]Result, 0, k), bound2: math.Inf(1)}
+}
+
+// Offer considers a candidate at distance dist.
 func (t *TopK) Offer(index int, dist float64) {
-	if len(t.h) < t.k {
-		t.h = append(t.h, Result{Index: index, Distance: dist})
-		t.siftUp(len(t.h) - 1)
-		return
-	}
-	if worse(Result{Index: index, Distance: dist}, t.h[0]) {
-		return
-	}
-	t.h[0] = Result{Index: index, Distance: dist}
-	t.siftDown(0)
+	t.insert(Result{Index: index, Distance: dist})
 }
 
-// siftUp restores the max-heap property from leaf i upward, moving the
-// displaced element once (hole insertion) instead of swapping per level.
-func (t *TopK) siftUp(i int) {
-	h := t.h
-	item := h[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !worse(item, h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
+// OfferRoot considers a candidate with squared distance d2, ranked by its
+// true distance √d2 so that two squared sums one ulp apart that share a
+// root tie-break by index, as the naive path does. It returns the squared
+// abandon bound that follows: RootBound2 of the k-th distance, +Inf until
+// k candidates are held. Callers pre-filter with that bound, but OfferRoot
+// is also correct for candidates beyond it.
+func (t *TopK) OfferRoot(index int, d2 float64) float64 {
+	if t.insert(Result{Index: index, Distance: math.Sqrt(d2)}) && len(t.items) == t.k {
+		t.bound2 = RootBound2(t.items[t.k-1].Distance)
 	}
-	h[i] = item
+	return t.bound2
 }
 
-// siftDown restores the max-heap property from node i downward.
-func (t *TopK) siftDown(i int) {
-	h := t.h
-	n := len(h)
-	item := h[i]
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		largest := left
-		if right := left + 1; right < n && worse(h[right], h[left]) {
-			largest = right
-		}
-		if !worse(h[largest], item) {
-			break
-		}
-		h[i] = h[largest]
-		i = largest
+// insert keeps items sorted and at most k long, and reports whether cand
+// was retained. The insert position comes from a backward shift
+// (insertion sort step), not a binary search: the shift loop's branch is
+// perfectly predicted until the single exit, while a binary search eats
+// one misprediction per level.
+func (t *TopK) insert(cand Result) bool {
+	items := t.items
+	j := len(items)
+	if j < t.k {
+		items = append(items, cand)
+	} else if j--; !worse(items[j], cand) {
+		return false
 	}
-	h[i] = item
+	for j > 0 && worse(items[j-1], cand) {
+		items[j] = items[j-1]
+		j--
+	}
+	items[j] = cand
+	t.items = items
+	return true
 }
 
-// Bound returns the current k-th smallest distance, or +Inf semantics via
-// ok=false when fewer than k candidates have been offered. The IVF
-// probe, shortlist and rerank loops (internal/ann/ivf.go) feed it back
-// as their early-abandon bound.
+// Bound returns the current k-th smallest distance, or ok=false when
+// fewer than k candidates have been offered. The IVF probe and shortlist
+// loops feed it back as their early-abandon bound.
 func (t *TopK) Bound() (float64, bool) {
-	if len(t.h) < t.k {
+	if len(t.items) < t.k {
 		return 0, false
 	}
-	return t.h[0].Distance, true
+	return t.items[t.k-1].Distance, true
 }
 
-// Results returns the accumulated results sorted by ascending distance,
-// ties broken by ascending index.
-func (t *TopK) Results() []Result {
-	out := make([]Result, len(t.h))
-	copy(out, t.h)
-	SortResults(out)
-	return out
-}
-
-// SortResults orders results by ascending (distance, index) — the
-// canonical result order every searcher returns.
-func SortResults(rs []Result) {
-	slices.SortFunc(rs, func(a, b Result) int {
-		switch {
-		case a.Distance < b.Distance:
-			return -1
-		case a.Distance > b.Distance:
-			return 1
-		case a.Index < b.Index:
-			return -1
-		case a.Index > b.Index:
-			return 1
-		}
-		return 0
-	})
-}
+// Results returns the accumulated results in ascending (distance, index)
+// order. The slice is the accumulator's own; offer nothing after.
+func (t *TopK) Results() []Result { return t.items }
 
 // worse reports whether a is strictly worse (farther, then higher index)
 // than b.

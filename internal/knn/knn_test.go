@@ -6,20 +6,33 @@ import (
 	"testing"
 
 	"repro/internal/distance"
+	"repro/internal/store"
 )
 
+// newScan builds a scan over a copy of data.
+func newScan(data [][]float64) (*Scan, error) {
+	mat, err := store.FromRows(data)
+	if err != nil {
+		return nil, err
+	}
+	return NewScanBackend(mat)
+}
+
 func TestNewScanValidation(t *testing.T) {
-	if _, err := NewScan(nil); err == nil {
+	if _, err := NewScanBackend(nil); err == nil {
+		t.Error("nil backend should error")
+	}
+	if _, err := newScan(nil); err == nil {
 		t.Error("empty collection should error")
 	}
-	if _, err := NewScan([][]float64{{1, 2}, {3}}); err == nil {
+	if _, err := newScan([][]float64{{1, 2}, {3}}); err == nil {
 		t.Error("ragged collection should error")
 	}
 }
 
 func TestScanBasics(t *testing.T) {
 	data := [][]float64{{0, 0}, {1, 0}, {2, 0}, {10, 0}}
-	s, err := NewScan(data)
+	s, err := newScan(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +52,7 @@ func TestScanBasics(t *testing.T) {
 }
 
 func TestScanKLargerThanCollection(t *testing.T) {
-	s, _ := NewScan([][]float64{{0}, {1}})
+	s, _ := newScan([][]float64{{0}, {1}})
 	rs, err := s.Search([]float64{0}, 10, distance.Euclidean{})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +63,7 @@ func TestScanKLargerThanCollection(t *testing.T) {
 }
 
 func TestScanErrors(t *testing.T) {
-	s, _ := NewScan([][]float64{{0, 0}})
+	s, _ := newScan([][]float64{{0, 0}})
 	if _, err := s.Search([]float64{0, 0}, 0, distance.Euclidean{}); err == nil {
 		t.Error("k=0 should error")
 	}
@@ -61,7 +74,7 @@ func TestScanErrors(t *testing.T) {
 
 func TestScanTieBreaksByIndex(t *testing.T) {
 	data := [][]float64{{1}, {1}, {1}, {0}}
-	s, _ := NewScan(data)
+	s, _ := newScan(data)
 	rs, err := s.Search([]float64{1}, 3, distance.Euclidean{})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +93,7 @@ func TestScanMatchesBruteForceSort(t *testing.T) {
 	for i := range data {
 		data[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 	}
-	s, _ := NewScan(data)
+	s, _ := newScan(data)
 	m := distance.Euclidean{}
 	for trial := 0; trial < 20; trial++ {
 		q := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
@@ -131,7 +144,7 @@ func TestTopKBound(t *testing.T) {
 	if b != 3 {
 		t.Errorf("bound after improvement = %v", b)
 	}
-	// A worse candidate leaves the heap unchanged.
+	// A worse candidate leaves the accumulator unchanged.
 	top.Offer(3, 100)
 	b, _ = top.Bound()
 	if b != 3 {

@@ -79,7 +79,7 @@ func TestMmapParityAllPaths(t *testing.T) {
 					t.Fatal(err)
 				}
 				k := 1 + rng.Intn(n+3)
-				for _, m := range []distance.Metric{distance.Euclidean{}, wm, distance.Manhattan{}} {
+				for _, m := range []distance.Metric{distance.Euclidean{}, wm, manhattan{}} {
 					wantNaive, err := heap.SearchNaive(q, k, m)
 					if err != nil {
 						t.Fatal(err)

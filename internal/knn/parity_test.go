@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/distance"
@@ -47,12 +48,26 @@ func randomCollection(rng *rand.Rand, n, dim int) [][]float64 {
 // (including the D=32 fast paths) must return []Result bitwise identical
 // to the naive per-row Metric path, across dimensions, collection sizes
 // and k, with ties present.
+// manhattan is an L1 metric with no specialized kernel, so searches
+// with it take the generic per-row path.
+type manhattan struct{}
+
+func (manhattan) Distance(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		s += math.Abs(a[i] - b[i])
+	}
+	return s
+}
+
+func (manhattan) Name() string { return "manhattan" }
+
 func TestKernelParityEuclidean(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for _, dim := range []int{1, 2, 3, 5, 8, 13, 32, 45} {
 		for _, n := range []int{1, 7, 60, 700} {
 			data := randomCollection(rng, n, dim)
-			scan, err := NewScan(data)
+			scan, err := newScan(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +104,7 @@ func TestKernelParityWeighted(t *testing.T) {
 	for _, dim := range []int{2, 8, 32, 33} {
 		for _, n := range []int{5, 120, 700} {
 			data := randomCollection(rng, n, dim)
-			scan, err := NewScan(data)
+			scan, err := newScan(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +154,7 @@ func TestSearchBatchParity(t *testing.T) {
 	for _, dim := range []int{6, 32} {
 		for _, n := range []int{40, DefaultBatchTile + 37, 3*DefaultBatchTile + 1} {
 			data := randomCollection(rng, n, dim)
-			scan, err := NewScan(data)
+			scan, err := newScan(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,17 +196,17 @@ func TestSearchBatchParity(t *testing.T) {
 func TestSearchBatchGenericMetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	data := randomCollection(rng, 90, 5)
-	scan, err := NewScan(data)
+	scan, err := newScan(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	qs := [][]float64{data[3], data[11], data[70]}
-	batch, err := scan.SearchBatch(qs, 7, distance.Manhattan{})
+	batch, err := scan.SearchBatch(qs, 7, manhattan{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, q := range qs {
-		want, err := scan.Search(q, 7, distance.Manhattan{})
+		want, err := scan.Search(q, 7, manhattan{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +218,7 @@ func TestSearchBatchGenericMetric(t *testing.T) {
 
 // TestSearchBatchValidation covers batch error paths.
 func TestSearchBatchValidation(t *testing.T) {
-	scan, _ := NewScan([][]float64{{0, 0}, {1, 1}})
+	scan, _ := newScan([][]float64{{0, 0}, {1, 1}})
 	if _, err := scan.SearchBatch([][]float64{{1, 2, 3}}, 1, distance.Euclidean{}); err == nil {
 		t.Error("dimension mismatch should error")
 	}
@@ -223,7 +238,7 @@ func TestSearchBatchValidation(t *testing.T) {
 func TestParallelScanParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(505))
 	data := randomCollection(rng, 2600, 32)
-	scan, err := NewScan(data)
+	scan, err := newScan(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +428,7 @@ func TestRootTieRanksByIndex(t *testing.T) {
 	}
 	for _, dim := range []int{32, 5} {
 		data, q, m, lo, hi := rootTieCollection(t, 3*DefaultBatchTile+5, dim)
-		scan, err := NewScan(data)
+		scan, err := newScan(data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,7 +472,7 @@ func TestRootTieRanksByIndex(t *testing.T) {
 func TestSearchNaiveMatchesBruteSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	data := randomCollection(rng, 300, 4)
-	scan, err := NewScan(data)
+	scan, err := newScan(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +482,12 @@ func TestSearchNaiveMatchesBruteSort(t *testing.T) {
 	for i, v := range data {
 		all[i] = Result{Index: i, Distance: m.Distance(q, v)}
 	}
-	SortResults(all)
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Distance != all[j].Distance {
+			return all[i].Distance < all[j].Distance
+		}
+		return all[i].Index < all[j].Index
+	})
 	for _, k := range []int{1, 5, 299, 300, 1000} {
 		want := all
 		if k < len(all) {
@@ -484,7 +504,7 @@ func TestSearchNaiveMatchesBruteSort(t *testing.T) {
 }
 
 func ExampleScan_SearchBatch() {
-	scan, _ := NewScan([][]float64{{0, 0}, {3, 4}, {6, 8}})
+	scan, _ := newScan([][]float64{{0, 0}, {3, 4}, {6, 8}})
 	res, _ := scan.SearchBatch([][]float64{{0, 0}, {6, 8}}, 2, distance.Euclidean{})
 	for i, rs := range res {
 		fmt.Printf("query %d:", i)
@@ -509,7 +529,7 @@ func TestParallelPathsUnderRaisedGOMAXPROCS(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(707))
 	data := randomCollection(rng, 3*minShardRows, 32)
-	scan, err := NewScan(data)
+	scan, err := newScan(data)
 	if err != nil {
 		t.Fatal(err)
 	}

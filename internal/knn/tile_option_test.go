@@ -47,7 +47,7 @@ func TestBatchTileParity(t *testing.T) {
 				ms[qi] = wm
 			}
 		}
-		ref, err := NewScan(rows)
+		ref, err := newScan(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestBatchTileParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tile := range []int{1, 3, 64, 100, 511, 512, 513, 5000} {
-			s, err := NewScan(rows)
+			s, err := newScan(rows)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -83,20 +83,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add CAS-adds delta. Safe on a nil receiver.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value. Zero on a nil receiver.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -109,8 +95,10 @@ func (g *Gauge) Value() float64 {
 // collection time (exposition / snapshot), not pushed.
 type gaugeFunc struct {
 	labels []Label
-	fn     func() float64
+	fn     atomic.Pointer[func() float64] // swapped by re-registration while collectors call it
 }
+
+func (g *gaugeFunc) value() float64 { return (*g.fn.Load())() }
 
 // Histogram is a fixed-bucket lock-free histogram. Bounds are upper
 // bucket edges in ascending order; an implicit +Inf bucket catches
@@ -150,21 +138,6 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 	if h != nil {
 		h.Observe(time.Since(t0).Seconds())
 	}
-}
-
-// ObserveDuration records d in seconds. Safe on a nil receiver.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	if h != nil {
-		h.Observe(d.Seconds())
-	}
-}
-
-// Count returns the number of observations. Zero on a nil receiver.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Snapshot returns a point-in-time copy of the histogram state.
@@ -325,12 +298,13 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	defer f.mu.Unlock()
 	if m, ok := f.byLabel[sig]; ok {
 		if gf, ok := m.(*gaugeFunc); ok {
-			gf.fn = fn
+			gf.fn.Store(&fn)
 			return
 		}
 		panic(fmt.Sprintf("obsv: metric %q already registered as a plain gauge", name))
 	}
-	gf := &gaugeFunc{labels: ls, fn: fn}
+	gf := &gaugeFunc{labels: ls}
+	gf.fn.Store(&fn)
 	f.byLabel[sig] = gf
 	f.order = append(f.order, gf)
 }

@@ -52,7 +52,7 @@ func (f *family) writeProm(w io.Writer) error {
 				return err
 			}
 		case *gaugeFunc:
-			if err := writeSample(w, f.name, v.labels, "", "", v.fn()); err != nil {
+			if err := writeSample(w, f.name, v.labels, "", "", v.value()); err != nil {
 				return err
 			}
 		case *Histogram:
@@ -145,60 +145,6 @@ type HistSnapshot struct {
 	Sum    float64   `json:"sum"`
 }
 
-// Quantile estimates the q-th quantile (0..1) by linear interpolation
-// within the containing bucket, Prometheus histogram_quantile style.
-// Returns NaN on an empty histogram; values in the +Inf bucket clamp to
-// the highest finite bound.
-func (s *HistSnapshot) Quantile(q float64) float64 {
-	if s == nil || s.Count == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(s.Count)
-	cum := 0.0
-	for i, c := range s.Counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank {
-			continue
-		}
-		if i >= len(s.Bounds) {
-			// +Inf bucket: clamp to the largest finite edge.
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		hi := s.Bounds[i]
-		if c == 0 {
-			return hi
-		}
-		return lo + (hi-lo)*(rank-prev)/float64(c)
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
-// Merge adds o's observations into s. The bounds must match.
-func (s *HistSnapshot) Merge(o *HistSnapshot) error {
-	if o == nil {
-		return nil
-	}
-	if len(s.Bounds) != len(o.Bounds) {
-		return fmt.Errorf("obsv: merge bounds mismatch: %d vs %d", len(s.Bounds), len(o.Bounds))
-	}
-	for i, b := range s.Bounds {
-		if b != o.Bounds[i] {
-			return fmt.Errorf("obsv: merge bounds mismatch at %d: %g vs %g", i, b, o.Bounds[i])
-		}
-	}
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	return nil
-}
-
 // MetricSnapshot is one instrument's state inside a Snapshot.
 type MetricSnapshot struct {
 	Labels []Label       `json:"labels,omitempty"`
@@ -243,7 +189,7 @@ func (r *Registry) Snapshot() *Snapshot {
 			case *Gauge:
 				ms = MetricSnapshot{Labels: v.labels, Value: v.Value()}
 			case *gaugeFunc:
-				ms = MetricSnapshot{Labels: v.labels, Value: v.fn()}
+				ms = MetricSnapshot{Labels: v.labels, Value: v.value()}
 			case *Histogram:
 				ms = MetricSnapshot{Labels: v.labels, Hist: v.Snapshot()}
 			}

@@ -29,7 +29,7 @@ import (
 func walImage(tb testing.TB, dim, oqpDim, records int) []byte {
 	tb.Helper()
 	path := tb.(interface{ TempDir() string }).TempDir() + "/seed.fbwl"
-	w, err := OpenWAL(path, dim, oqpDim)
+	w, err := OpenWALFS(nil, path, dim, oqpDim)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func FuzzManifest(f *testing.F) {
 	var valid bytes.Buffer
 	{
 		dir := f.TempDir()
-		if err := SaveManifest(dir+"/MANIFEST", Manifest{Shards: 4, Dim: 31, OQPDim: 62}); err != nil {
+		if err := SaveManifestFS(nil, dir+"/MANIFEST", Manifest{Shards: 4, Dim: 31, OQPDim: 62}); err != nil {
 			f.Fatal(err)
 		}
 		data, err := os.ReadFile(dir + "/MANIFEST")

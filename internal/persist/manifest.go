@@ -41,16 +41,10 @@ type Manifest struct {
 	OQPDim int // stored-vector dimensionality N
 }
 
-// SaveManifest writes the manifest to path atomically: a temporary file
-// is written, fsynced, renamed into place, and the directory entry made
-// durable — a crash leaves either no manifest or a complete one, never a
-// torn header.
-func SaveManifest(path string, m Manifest) error {
-	return SaveManifestFS(nil, path, m)
-}
-
-// SaveManifestFS is SaveManifest with every filesystem operation routed
-// through fs (nil means OSFS).
+// SaveManifestFS writes the manifest to path atomically through fs (nil
+// means OSFS): a temporary file is written, fsynced, renamed into place,
+// and the directory entry made durable — a crash leaves either no
+// manifest or a complete one, never a torn header.
 func SaveManifestFS(fsys FS, path string, m Manifest) error {
 	if m.Shards <= 0 || m.Dim <= 0 || m.OQPDim <= 0 {
 		return fmt.Errorf("persist: invalid manifest %+v", m)
@@ -90,14 +84,9 @@ func SaveManifestFS(fsys FS, path string, m Manifest) error {
 	return fsys.SyncDir(filepath.Dir(path))
 }
 
-// LoadManifest reads and validates the manifest at path. A missing file
-// is reported with an error satisfying errors.Is(err, os.ErrNotExist);
-// any malformed content wraps ErrCorrupt.
-func LoadManifest(path string) (Manifest, error) {
-	return LoadManifestFS(nil, path)
-}
-
-// LoadManifestFS is LoadManifest reading through fs (nil means OSFS).
+// LoadManifestFS reads and validates the manifest at path through fs
+// (nil means OSFS). A missing file is reported with an error satisfying
+// errors.Is(err, os.ErrNotExist); any malformed content wraps ErrCorrupt.
 func LoadManifestFS(fsys FS, path string) (Manifest, error) {
 	data, err := OrOS(fsys).ReadFile(path)
 	if err != nil {
@@ -107,7 +96,7 @@ func LoadManifestFS(fsys FS, path string) (Manifest, error) {
 }
 
 // DecodeManifest validates and decodes a manifest image from memory —
-// the byte-level parser LoadManifest wraps, exposed so untrusted input
+// the byte-level parser LoadManifestFS wraps, exposed so untrusted input
 // (and the fuzzer) can exercise it without touching the filesystem. Any
 // malformed content returns an error wrapping ErrCorrupt; it never
 // panics.
@@ -133,12 +122,4 @@ func DecodeManifest(data []byte) (Manifest, error) {
 		return Manifest{}, fmt.Errorf("%w: implausible manifest %+v", ErrCorrupt, m)
 	}
 	return m, nil
-}
-
-// SyncDir fsyncs a directory, making the creations and renames inside it
-// durable. Every layer that needs a directory entry to survive power
-// loss (snapshot renames, manifest writes, shard-directory creation)
-// shares the one implementation behind OSFS.
-func SyncDir(dir string) error {
-	return OSFS.SyncDir(dir)
 }

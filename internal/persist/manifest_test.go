@@ -10,10 +10,10 @@ import (
 func TestManifestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "MANIFEST")
 	want := Manifest{Shards: 8, Dim: 31, OQPDim: 62}
-	if err := SaveManifest(path, want); err != nil {
+	if err := SaveManifestFS(nil, path, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadManifest(path)
+	got, err := LoadManifestFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,16 +21,16 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Errorf("loaded %+v, want %+v", got, want)
 	}
 	// Overwriting is atomic and idempotent.
-	if err := SaveManifest(path, want); err != nil {
+	if err := SaveManifestFS(nil, path, want); err != nil {
 		t.Fatal(err)
 	}
-	if got, err = LoadManifest(path); err != nil || got != want {
+	if got, err = LoadManifestFS(nil, path); err != nil || got != want {
 		t.Errorf("after rewrite: %+v, %v", got, err)
 	}
 }
 
 func TestManifestMissing(t *testing.T) {
-	_, err := LoadManifest(filepath.Join(t.TempDir(), "MANIFEST"))
+	_, err := LoadManifestFS(nil, filepath.Join(t.TempDir(), "MANIFEST"))
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("missing manifest: got %v, want os.ErrNotExist", err)
 	}
@@ -39,7 +39,7 @@ func TestManifestMissing(t *testing.T) {
 func TestManifestCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "MANIFEST")
-	if err := SaveManifest(path, Manifest{Shards: 4, Dim: 3, OQPDim: 6}); err != nil {
+	if err := SaveManifestFS(nil, path, Manifest{Shards: 4, Dim: 3, OQPDim: 6}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -58,7 +58,7 @@ func TestManifestCorruption(t *testing.T) {
 		if err := os.WriteFile(p, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadManifest(p); !errors.Is(err, ErrCorrupt) {
+		if _, err := LoadManifestFS(nil, p); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -71,8 +71,8 @@ func TestManifestValidation(t *testing.T) {
 		{Shards: 4, Dim: 0, OQPDim: 6},
 		{Shards: 4, Dim: 3, OQPDim: -1},
 	} {
-		if err := SaveManifest(path, m); err == nil {
-			t.Errorf("SaveManifest accepted invalid %+v", m)
+		if err := SaveManifestFS(nil, path, m); err == nil {
+			t.Errorf("SaveManifestFS accepted invalid %+v", m)
 		}
 	}
 }

@@ -59,8 +59,8 @@ func roundTrip(t *testing.T, tr *simplextree.Tree) *simplextree.Tree {
 func TestRoundTripEmptyTree(t *testing.T) {
 	tr := buildTree(t, 3, 4, 0, 1)
 	back := roundTrip(t, tr)
-	if back.Dim() != 3 || back.OQPDim() != 4 || back.NumPoints() != 0 || back.NumLeaves() != 1 {
-		t.Errorf("shape: D=%d N=%d points=%d leaves=%d", back.Dim(), back.OQPDim(), back.NumPoints(), back.NumLeaves())
+	if back.Dim() != 3 || back.OQPDim() != 4 || back.Stats().Points != 0 || back.Stats().Leaves != 1 {
+		t.Errorf("shape: D=%d N=%d points=%d leaves=%d", back.Dim(), back.OQPDim(), back.Stats().Points, back.Stats().Leaves)
 	}
 	got, err := back.Predict([]float64{0.2, 0.2, 0.2})
 	if err != nil {
@@ -75,7 +75,7 @@ func TestRoundTripPreservesPredictions(t *testing.T) {
 	for _, d := range []int{2, 3, 7} {
 		tr := buildTree(t, d, 2*d, 50, int64(d))
 		back := roundTrip(t, tr)
-		if back.NumPoints() != tr.NumPoints() || back.NumLeaves() != tr.NumLeaves() || back.Epsilon() != tr.Epsilon() {
+		if back.Stats().Points != tr.Stats().Points || back.Stats().Leaves != tr.Stats().Leaves || back.Epsilon() != tr.Epsilon() {
 			t.Fatalf("d=%d: shape mismatch", d)
 		}
 		rng := rand.New(rand.NewSource(99))
@@ -135,8 +135,8 @@ func TestSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumPoints() != tr.NumPoints() {
-		t.Errorf("points %d vs %d", back.NumPoints(), tr.NumPoints())
+	if back.Stats().Points != tr.Stats().Points {
+		t.Errorf("points %d vs %d", back.Stats().Points, tr.Stats().Points)
 	}
 	if _, err := LoadFile(filepath.Join(dir, "missing.fbsx")); err == nil {
 		t.Error("missing file should error")

@@ -92,18 +92,14 @@ func walRecordSize(dim, oqpDim int) int {
 	return 8*(dim+oqpDim) + 8 + 4
 }
 
-// OpenWAL opens (or creates) the write-ahead log at path for trees of
-// query dimension dim and OQP dimension oqpDim. An existing log is
-// validated record by record: a truncated tail record — the signature of
-// a crash mid-append — is discarded by truncating the file, while a
-// size-complete record with a bad checksum returns ErrCorrupt. The
-// returned WAL is positioned for appending.
-func OpenWAL(path string, dim, oqpDim int) (*WAL, error) {
-	return OpenWALFS(nil, path, dim, oqpDim)
-}
-
-// OpenWALFS is OpenWAL with every filesystem operation routed through fs
-// (nil means OSFS) — the fault-injection seam for the journal.
+// OpenWALFS opens (or creates) the write-ahead log at path for trees of
+// query dimension dim and OQP dimension oqpDim, with every filesystem
+// operation routed through fs (nil means OSFS) — the fault-injection seam
+// for the journal. An existing log is validated record by record: a
+// truncated tail record — the signature of a crash mid-append — is
+// discarded by truncating the file, while a size-complete record with a
+// bad checksum returns ErrCorrupt. The returned WAL is positioned for
+// appending.
 func OpenWALFS(fsys FS, path string, dim, oqpDim int) (*WAL, error) {
 	if dim <= 0 || oqpDim <= 0 {
 		return nil, fmt.Errorf("persist: invalid WAL dimensions D=%d N=%d", dim, oqpDim)

@@ -45,7 +45,7 @@ func TestWALRoundTrip(t *testing.T) {
 	const dim, oqpDim = 3, 5
 	qs, vs := walRecordsForTest(rand.New(rand.NewSource(1)), 17, dim, oqpDim)
 
-	w, err := OpenWAL(path, dim, oqpDim)
+	w, err := OpenWALFS(nil, path, dim, oqpDim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestWALRoundTrip(t *testing.T) {
 
 	// Reopen: every record must be found, and replay must return them in
 	// order.
-	w2, err := OpenWAL(path, dim, oqpDim)
+	w2, err := OpenWALFS(nil, path, dim, oqpDim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +95,14 @@ func TestWALRoundTrip(t *testing.T) {
 }
 
 // TestWALTruncatedTailTolerated simulates a crash mid-append: the torn
-// final record must be dropped by both Replay and OpenWAL, and the log
+// final record must be dropped by both Replay and OpenWALFS, and the log
 // must stay appendable.
 func TestWALTruncatedTailTolerated(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.fbwl")
 	const dim, oqpDim = 4, 6
 	qs, vs := walRecordsForTest(rand.New(rand.NewSource(2)), 9, dim, oqpDim)
-	w, err := OpenWAL(path, dim, oqpDim)
+	w, err := OpenWALFS(nil, path, dim, oqpDim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestWALTruncatedTailTolerated(t *testing.T) {
 		t.Errorf("replayed %d, want %d (torn tail dropped)", n, len(qs)-1)
 	}
 
-	w2, err := OpenWAL(path, dim, oqpDim)
+	w2, err := OpenWALFS(nil, path, dim, oqpDim)
 	if err != nil {
 		t.Fatalf("open of torn log: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestWALCorruptChecksumErrors(t *testing.T) {
 	path := filepath.Join(dir, "x.fbwl")
 	const dim, oqpDim = 2, 3
 	qs, vs := walRecordsForTest(rand.New(rand.NewSource(3)), 5, dim, oqpDim)
-	w, err := OpenWAL(path, dim, oqpDim)
+	w, err := OpenWALFS(nil, path, dim, oqpDim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestWALCorruptChecksumErrors(t *testing.T) {
 	if _, err := ReplayWAL(bytes.NewReader(data), dim, oqpDim, func(q, v []float64, stamp uint64) error { return nil }); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("replay of corrupt log: err = %v, want ErrCorrupt", err)
 	}
-	if _, err := OpenWAL(path, dim, oqpDim); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenWALFS(nil, path, dim, oqpDim); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("open of corrupt log: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -189,7 +189,7 @@ func TestWALCorruptChecksumErrors(t *testing.T) {
 func TestWALHeaderValidation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.fbwl")
-	w, err := OpenWAL(path, 3, 4)
+	w, err := OpenWALFS(nil, path, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestWALHeaderValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Dimension mismatch must be rejected.
-	if _, err := OpenWAL(path, 4, 4); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenWALFS(nil, path, 4, 4); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("dim mismatch: err = %v, want ErrCorrupt", err)
 	}
 	// Bad magic must be rejected.
@@ -209,11 +209,11 @@ func TestWALHeaderValidation(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenWAL(path, 3, 4); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenWALFS(nil, path, 3, 4); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad magic: err = %v, want ErrCorrupt", err)
 	}
 	// Append dimension validation.
-	w2, err := OpenWAL(filepath.Join(dir, "y.fbwl"), 3, 4)
+	w2, err := OpenWALFS(nil, filepath.Join(dir, "y.fbwl"), 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestWALReset(t *testing.T) {
 	path := filepath.Join(dir, "x.fbwl")
 	const dim, oqpDim = 3, 3
 	qs, vs := walRecordsForTest(rand.New(rand.NewSource(4)), 6, dim, oqpDim)
-	w, err := OpenWAL(path, dim, oqpDim)
+	w, err := OpenWALFS(nil, path, dim, oqpDim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestWALReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The epoch survives a reopen.
-	w2, err := OpenWAL(path, dim, oqpDim)
+	w2, err := OpenWALFS(nil, path, dim, oqpDim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestWALV1Refused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = OpenWAL(path, dim, oqpDim)
+	_, err = OpenWALFS(nil, path, dim, oqpDim)
 	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported WAL version 1") {
 		t.Errorf("open of v1 log: err = %v, want ErrCorrupt: unsupported WAL version 1", err)
 	}
@@ -355,7 +355,7 @@ func TestWALTornHeaderRecovered(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.fbwl")
 	// A valid header, for tearing inside the epoch field.
-	full, err := OpenWAL(path, 3, 4)
+	full, err := OpenWALFS(nil, path, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestWALTornHeaderRecovered(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		w, err := OpenWAL(path, 3, 4)
+		w, err := OpenWALFS(nil, path, 3, 4)
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}

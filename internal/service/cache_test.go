@@ -234,7 +234,7 @@ func TestShardedServiceScopedInvalidation(t *testing.T) {
 
 	// Fill the cache: open+close (no feedback → no insert) across items
 	// covering at least two shards.
-	codec := svc.Codec()
+	codec := svc.codec
 	items := []int{}
 	shardsSeen := map[int]bool{}
 	for i := 0; i < ds.Len() && len(items) < 12; i++ {

@@ -369,12 +369,6 @@ func (s *Service) Degraded() error {
 	return s.module.Degraded()
 }
 
-// Codec returns the histogram codec the service maps queries with.
-func (s *Service) Codec() core.HistogramCodec { return s.codec }
-
-// Engine returns the shared retrieval engine.
-func (s *Service) Engine() *engine.Engine { return s.eng }
-
 // SessionState is a snapshot of one session, returned by every lifecycle
 // method. Results is a fresh copy the caller owns.
 type SessionState struct {

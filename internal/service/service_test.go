@@ -83,7 +83,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, nil, Options{}); err == nil {
 		t.Error("nil engine accepted")
 	}
-	if _, err := New(svc.Engine(), nil, Options{}); err == nil {
+	if _, err := New(svc.eng, nil, Options{}); err == nil {
 		t.Error("nil bypass accepted")
 	}
 	// A bypass with the wrong geometry must be rejected.
@@ -91,10 +91,10 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(svc.Engine(), wrong, Options{}); err == nil {
+	if _, err := New(svc.eng, wrong, Options{}); err == nil {
 		t.Error("mismatched bypass dimensions accepted")
 	}
-	if _, err := New(svc.Engine(), wrong, Options{MaxSessions: -1}); err == nil {
+	if _, err := New(svc.eng, wrong, Options{MaxSessions: -1}); err == nil {
 		t.Error("negative MaxSessions accepted")
 	}
 	_ = ds
@@ -266,7 +266,7 @@ func TestCachedPredictionParity(t *testing.T) {
 		runSession(t, svc, ds, i, 10)
 	}
 	for i := 0; i < 20; i++ {
-		qp, err := svc.Codec().QueryPoint(ds.Items[i*3].Feature)
+		qp, err := svc.codec.QueryPoint(ds.Items[i*3].Feature)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func TestCachedPredictionParity(t *testing.T) {
 
 func TestCacheInvalidationOnInsert(t *testing.T) {
 	svc, ds := newTestService(t, Options{})
-	qp, err := svc.Codec().QueryPoint(ds.Items[40].Feature)
+	qp, err := svc.codec.QueryPoint(ds.Items[40].Feature)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestCacheInvalidationOnInsert(t *testing.T) {
 func TestCacheEviction(t *testing.T) {
 	svc, ds := newTestService(t, Options{CacheSize: 2})
 	for i := 0; i < 5; i++ {
-		qp, err := svc.Codec().QueryPoint(ds.Items[i].Feature)
+		qp, err := svc.codec.QueryPoint(ds.Items[i].Feature)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +346,7 @@ func TestCacheEviction(t *testing.T) {
 	}
 	// Disabled cache: no entries, no hits, predictions still work.
 	off, _ := newTestService(t, Options{CacheSize: -1})
-	qp, _ := off.Codec().QueryPoint(ds.Items[0].Feature)
+	qp, _ := off.codec.QueryPoint(ds.Items[0].Feature)
 	if _, hit, err := off.predict(qp); err != nil || hit {
 		t.Errorf("disabled cache: hit=%v err=%v", hit, err)
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultfs"
 	"repro/internal/obsv"
-	"repro/internal/simplextree"
 )
 
 // stampedShardedVertexSet unions the bitwise Point ++ Value ++ Stamp
@@ -29,7 +28,7 @@ func stampedShardedVertexSet(s *Sharded) map[string]bool {
 		if p.err != nil || p.byp == nil {
 			continue
 		}
-		p.byp.Tree().Walk(func(v *simplextree.Vertex) {
+		for _, v := range p.byp.Tree().Snapshot().Vertices {
 			buf := make([]byte, 0, 8*(len(v.Point)+len(v.Value)+1))
 			var b [8]byte
 			for _, x := range v.Point {
@@ -40,10 +39,10 @@ func stampedShardedVertexSet(s *Sharded) map[string]bool {
 				binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
 				buf = append(buf, b[:]...)
 			}
-			binary.LittleEndian.PutUint64(b[:], v.Stamp())
+			binary.LittleEndian.PutUint64(b[:], v.Stamp)
 			buf = append(buf, b[:]...)
 			set[string(buf)] = true
-		})
+		}
 	}
 	return set
 }
@@ -329,7 +328,7 @@ func TestShardedQuotaCompactRetryMemoryBatch(t *testing.T) {
 	if info.Inserts != int64(len(qs)) {
 		t.Errorf("shard counted %d inserts, want %d", info.Inserts, len(qs))
 	}
-	if got := sh.shards[0].insertH.Count(); got != uint64(len(qs)) {
+	if got := sh.shards[0].insertH.Snapshot().Count; got != uint64(len(qs)) {
 		t.Errorf("fb_shard_insert_seconds observed %d inserts, want %d", got, len(qs))
 	}
 }

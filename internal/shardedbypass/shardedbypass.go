@@ -218,10 +218,11 @@ func shardDir(dir string, i int, rootLayout bool) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
 }
 
-// isRootLayout reports whether dir holds a module written at its root by
-// core.OpenDurable: a snapshot or journal with no manifest beside it.
-func isRootLayout(fsys persist.FS, dir string) bool {
-	for _, name := range []string{core.SnapshotFile, core.JournalFile} {
+// HoldsModule reports whether dir holds a bypass module: a manifest, or
+// the snapshot or journal of a module core.OpenDurable wrote at the
+// directory's root.
+func HoldsModule(fsys persist.FS, dir string) bool {
+	for _, name := range []string{ManifestFile, core.SnapshotFile, core.JournalFile} {
 		if _, err := fsys.Stat(filepath.Join(dir, name)); err == nil {
 			return true
 		}
@@ -331,7 +332,7 @@ func OpenAsync(dir string, d, p int, cfg core.Config, opts Options) (*Sharded, e
 			return nil, fmt.Errorf("shardedbypass: module at %s is for D=%d N=%d, want D=%d N=%d", dir, m.Dim, m.OQPDim, d, d+p)
 		}
 		s = m.Shards
-	case errors.Is(err, os.ErrNotExist) && isRootLayout(fsys, dir):
+	case errors.Is(err, os.ErrNotExist) && HoldsModule(fsys, dir):
 		// The module's learned state must not be silently shadowed by S
 		// fresh empty shards, and nothing is added to its directory: it
 		// keeps opening through core.OpenDurable as well.

@@ -256,7 +256,7 @@ func TestManifestPinsLayout(t *testing.T) {
 	if adopted.NumShards() != 4 {
 		t.Fatalf("adopted %d shards, want 4", adopted.NumShards())
 	}
-	m, err := persist.LoadManifest(filepath.Join(dir, ManifestFile))
+	m, err := persist.LoadManifestFS(nil, filepath.Join(dir, ManifestFile))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ var ErrQuotaExceeded = errors.New("simplextree: tree quota exceeded")
 // boundarySlack widens the containment band used while descending:
 // a child accepts a point when every barycentric coordinate is
 // ≥ -boundarySlack·tol. Descent multiplies the rounding of the root solve
-// by up to 1/μ_h per level (geom.ChildBarycentric), so coordinates of
+// by up to 1/μ_h per level (geom.ChildBarycentricInto), so coordinates of
 // points genuinely on a facet drift below -tol after a few levels; the
 // slack absorbs that drift. Both the incremental fast path and the
 // re-solving fallback use this one constant so they accept the same
@@ -76,17 +76,12 @@ type Vertex struct {
 	id int32 // creation-order index; keys the mark slices of Walk/Stats
 
 	// stamp is the logical time the vertex was last stored or reinforced
-	// (see Tree.Clock). It is atomic because predictions touch it under
+	// (see Snapshot.Clock). It is atomic because predictions touch it under
 	// the shared read lock when aging is enabled; all other mutation
 	// happens under the exclusive lock. Vertices are always shared by
 	// pointer, never copied, so the atomic is safe to embed.
 	stamp atomic.Uint64
 }
-
-// Stamp reports the logical time the vertex was last stored or
-// reinforced; 0 for a vertex no insert has stamped (the domain corners
-// of a fresh tree).
-func (v *Vertex) Stamp() uint64 { return v.stamp.Load() }
 
 type node struct {
 	verts    []*Vertex // D+1 vertices spanning this simplex
@@ -320,56 +315,12 @@ func (t *Tree) SetAgeHorizon(horizon uint64) {
 	t.mu.Unlock()
 }
 
-// Clock returns the tree's logical time: the number of accepted inserts
-// observed over its whole history (it survives snapshots and replay).
-func (t *Tree) Clock() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.clock
-}
-
-// NumPoints returns the number of query points stored (inserted splits
-// plus vertex-value updates of re-seen points).
-func (t *Tree) NumPoints() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.numPoints
-}
-
-// NumLeaves returns the number of leaf simplices.
-func (t *Tree) NumLeaves() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.numLeaves
-}
-
 // SetObserver installs the write-path hook invoked for every accepted
 // insert (nil removes it). See Observer for the exact contract.
 func (t *Tree) SetObserver(fn Observer) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.observer = fn
-}
-
-// Depth returns the maximum node depth (1 = root only) — the "Depth of
-// Simplex Tree" series of Figure 16.
-func (t *Tree) Depth() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return maxDepth(t.root)
-}
-
-func maxDepth(n *node) int {
-	if n == nil {
-		return 0
-	}
-	best := 0
-	for _, c := range n.children {
-		if d := maxDepth(c); d > best {
-			best = d
-		}
-	}
-	return 1 + best
 }
 
 // lookup descends to the leaf containing q, maintaining barycentric

@@ -67,8 +67,8 @@ func TestEmptyTreePredictsDefault(t *testing.T) {
 			t.Fatalf("empty tree predicted %v, want default %v", got, def)
 		}
 	}
-	if tr.NumPoints() != 0 || tr.NumLeaves() != 1 || tr.Depth() != 1 {
-		t.Errorf("empty tree shape: points=%d leaves=%d depth=%d", tr.NumPoints(), tr.NumLeaves(), tr.Depth())
+	if tr.Stats().Points != 0 || tr.Stats().Leaves != 1 || tr.Stats().Depth != 1 {
+		t.Errorf("empty tree shape: points=%d leaves=%d depth=%d", tr.Stats().Points, tr.Stats().Leaves, tr.Stats().Depth)
 	}
 }
 
@@ -100,14 +100,14 @@ func TestInsertThenPredictExact(t *testing.T) {
 	if !vec.EqualTol(got, val, 1e-9) {
 		t.Errorf("prediction at stored point = %v, want %v", got, val)
 	}
-	if tr.NumPoints() != 1 {
-		t.Errorf("NumPoints = %d", tr.NumPoints())
+	if tr.Stats().Points != 1 {
+		t.Errorf("NumPoints = %d", tr.Stats().Points)
 	}
-	if tr.NumLeaves() != 3 {
-		t.Errorf("NumLeaves = %d, want 3 (interior split in 2D)", tr.NumLeaves())
+	if tr.Stats().Leaves != 3 {
+		t.Errorf("NumLeaves = %d, want 3 (interior split in 2D)", tr.Stats().Leaves)
 	}
-	if tr.Depth() != 2 {
-		t.Errorf("Depth = %d", tr.Depth())
+	if tr.Stats().Depth != 2 {
+		t.Errorf("Depth = %d", tr.Stats().Depth)
 	}
 }
 
@@ -134,8 +134,8 @@ func TestEpsilonSuppressesRedundantInserts(t *testing.T) {
 	if changed {
 		t.Error("insert within epsilon should be suppressed")
 	}
-	if tr.NumPoints() != 0 {
-		t.Errorf("NumPoints = %d", tr.NumPoints())
+	if tr.Stats().Points != 0 {
+		t.Errorf("NumPoints = %d", tr.Stats().Points)
 	}
 	// Value beyond ε: stored.
 	changed, err = tr.Insert([]float64{0.2, 0.2}, []float64{0.9})
@@ -153,7 +153,7 @@ func TestInsertAtVertexUpdatesValue(t *testing.T) {
 	if _, err := tr.Insert(q, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
-	leavesBefore := tr.NumLeaves()
+	leavesBefore := tr.Stats().Leaves
 	// Re-inserting the same point with a new value must update, not split.
 	changed, err := tr.Insert(q, []float64{2})
 	if err != nil {
@@ -162,8 +162,8 @@ func TestInsertAtVertexUpdatesValue(t *testing.T) {
 	if !changed {
 		t.Error("vertex update should report change")
 	}
-	if tr.NumLeaves() != leavesBefore {
-		t.Errorf("vertex update changed leaf count: %d -> %d", leavesBefore, tr.NumLeaves())
+	if tr.Stats().Leaves != leavesBefore {
+		t.Errorf("vertex update changed leaf count: %d -> %d", leavesBefore, tr.Stats().Leaves)
 	}
 	got, err := tr.Predict(q)
 	if err != nil {
@@ -358,8 +358,8 @@ func TestBoundaryFacetInsert(t *testing.T) {
 	if !changed {
 		t.Fatal("facet insert should store")
 	}
-	if tr.NumLeaves() != 2 {
-		t.Errorf("facet split leaves = %d, want 2", tr.NumLeaves())
+	if tr.Stats().Leaves != 2 {
+		t.Errorf("facet split leaves = %d, want 2", tr.Stats().Leaves)
 	}
 	got, err := tr.Predict([]float64{0.5, 0})
 	if err != nil {
@@ -420,6 +420,20 @@ func TestHighDimensionalTreeD31(t *testing.T) {
 	}
 }
 
+// shape returns the leaf count and maximum depth (1 = a lone leaf) of
+// the subtree at n by plain recursion, independent of Stats' counters.
+func shape(n *node) (leaves, depth int) {
+	if n.leaf() {
+		return 1, 1
+	}
+	for _, c := range n.children {
+		l, d := shape(c)
+		leaves += l
+		depth = max(depth, d)
+	}
+	return leaves, depth + 1
+}
+
 func TestStatsAndWalk(t *testing.T) {
 	tr := newTestTree(t, 2, []float64{0}, 0)
 	rng := rand.New(rand.NewSource(7))
@@ -429,11 +443,8 @@ func TestStatsAndWalk(t *testing.T) {
 		}
 	}
 	st := tr.Stats()
-	if st.Leaves != tr.NumLeaves() {
-		t.Errorf("stats leaves %d vs %d", st.Leaves, tr.NumLeaves())
-	}
-	if st.Depth != tr.Depth() {
-		t.Errorf("stats depth %d vs %d", st.Depth, tr.Depth())
+	if leaves, depth := shape(tr.root); st.Leaves != leaves || st.Depth != depth {
+		t.Errorf("stats leaves/depth %d/%d, recursion says %d/%d", st.Leaves, st.Depth, leaves, depth)
 	}
 	if st.AvgLeafDepth > float64(st.Depth) || st.AvgLeafDepth < 1 {
 		t.Errorf("avg leaf depth %v out of range", st.AvgLeafDepth)
@@ -478,8 +489,8 @@ func TestTraversedStatsGrowWithDepth(t *testing.T) {
 	if st.Traversed < 3 {
 		t.Errorf("deep traversal = %d, want ≥ 3", st.Traversed)
 	}
-	if st.Traversed > tr.Depth() {
-		t.Errorf("traversed %d exceeds depth %d", st.Traversed, tr.Depth())
+	if st.Traversed > tr.Stats().Depth {
+		t.Errorf("traversed %d exceeds depth %d", st.Traversed, tr.Stats().Depth)
 	}
 	// The batch path reports the same per-query stats.
 	out, stats, err := tr.PredictBatch([][]float64{q})

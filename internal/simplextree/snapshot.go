@@ -16,9 +16,10 @@ type Snapshot struct {
 	OQPDim  int
 	Epsilon float64
 	Tol     float64
-	Points  int // stored-point counter (NumPoints)
-	// Clock is the logical time of the lifecycle plane (see Tree.Clock);
-	// 0 for a tree that has accepted no insert.
+	Points  int // stored-point counter (Stats().Points)
+	// Clock is the logical time of the lifecycle plane: the number of
+	// accepted inserts over the tree's whole history (it survives
+	// snapshots and replay); 0 for a tree that has accepted no insert.
 	Clock uint64
 
 	Vertices []SnapshotVertex

@@ -23,14 +23,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if snap.Dim != 3 || snap.OQPDim != 5 || snap.Epsilon != 0.01 {
 		t.Errorf("snapshot header: %+v", snap)
 	}
-	if snap.Points != tr.NumPoints() {
-		t.Errorf("snapshot points = %d, want %d", snap.Points, tr.NumPoints())
+	if snap.Points != tr.Stats().Points {
+		t.Errorf("snapshot points = %d, want %d", snap.Points, tr.Stats().Points)
 	}
 	back, err := FromSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumPoints() != tr.NumPoints() || back.NumLeaves() != tr.NumLeaves() || back.Depth() != tr.Depth() {
+	if back.Stats().Points != tr.Stats().Points || back.Stats().Leaves != tr.Stats().Leaves || back.Stats().Depth != tr.Stats().Depth {
 		t.Error("shape mismatch after snapshot round trip")
 	}
 	for trial := 0; trial < 30; trial++ {

@@ -48,21 +48,3 @@ func RowChecked(b Backend, i int) ([]float64, error) {
 	}
 	return b.Row(i), nil
 }
-
-// SlabChecked returns rows [lo, hi) of any backend, validating bounds.
-func SlabChecked(b Backend, lo, hi int) ([]float64, error) {
-	if lo < 0 || hi < lo || hi > b.Len() {
-		return nil, fmt.Errorf("%w: slab [%d, %d) of %d rows", ErrOutOfRange, lo, hi, b.Len())
-	}
-	return b.Slab(lo, hi), nil
-}
-
-// RowsOf materializes any backend as a slice of row views sharing the
-// backing storage — the bridge for APIs that still take [][]float64.
-func RowsOf(b Backend) [][]float64 {
-	out := make([][]float64, b.Len())
-	for i := range out {
-		out[i] = b.Row(i)
-	}
-	return out
-}

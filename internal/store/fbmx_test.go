@@ -374,14 +374,6 @@ func TestCheckedBoundsSentinels(t *testing.T) {
 		if row, err := RowChecked(b, 9); err != nil || len(row) != 3 {
 			t.Errorf("RowChecked(9): %v, %v", row, err)
 		}
-		for _, r := range [][2]int{{-1, 2}, {3, 2}, {0, 11}} {
-			if _, err := SlabChecked(b, r[0], r[1]); !errors.Is(err, ErrOutOfRange) {
-				t.Errorf("SlabChecked(%d,%d): %v, want ErrOutOfRange", r[0], r[1], err)
-			}
-		}
-		if slab, err := SlabChecked(b, 0, 10); err != nil || len(slab) != 30 {
-			t.Errorf("SlabChecked full: %v", err)
-		}
 	}
 
 	if err := m.SetRow(-1, []float64{1, 2, 3}); !errors.Is(err, ErrOutOfRange) {
@@ -399,8 +391,8 @@ func TestCheckedBoundsSentinels(t *testing.T) {
 }
 
 // TestMmapRowsAreReadOnlyViews documents the aliasing contract: rows of
-// a mapped collection reflect the file, and RowsOf bridges both
-// backends identically.
+// a mapped collection reflect the file, row for row identical to the
+// heap backend.
 func TestMmapRowsAreReadOnlyViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := randomMatrix(t, rng, 5, 4)
@@ -409,14 +401,13 @@ func TestMmapRowsAreReadOnlyViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mm.Close()
-	rows := RowsOf(mm)
-	if len(rows) != 5 || len(rows[2]) != 4 {
-		t.Fatalf("RowsOf shape %dx%d", len(rows), len(rows[2]))
+	if mm.Len() != 5 || len(mm.Row(2)) != 4 {
+		t.Fatalf("mapped shape %dx%d", mm.Len(), len(mm.Row(2)))
 	}
-	for i := range rows {
-		for j := range rows[i] {
-			if math.Float64bits(rows[i][j]) != math.Float64bits(m.Row(i)[j]) {
-				t.Fatalf("RowsOf[%d][%d] differs", i, j)
+	for i := 0; i < mm.Len(); i++ {
+		for j, v := range mm.Row(i) {
+			if math.Float64bits(v) != math.Float64bits(m.Row(i)[j]) {
+				t.Fatalf("row %d dim %d differs", i, j)
 			}
 		}
 	}

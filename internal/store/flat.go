@@ -48,18 +48,6 @@ func FromRows(rows [][]float64) (*FlatMatrix, error) {
 	return m, nil
 }
 
-// FromData wraps an existing row-major backing slice (aliased, not
-// copied). len(data) must equal n*dim.
-func FromData(data []float64, n, dim int) (*FlatMatrix, error) {
-	if n <= 0 || dim <= 0 {
-		return nil, fmt.Errorf("store: invalid matrix shape %dx%d", n, dim)
-	}
-	if len(data) != n*dim {
-		return nil, fmt.Errorf("store: backing slice has %d elements, want %d", len(data), n*dim)
-	}
-	return &FlatMatrix{data: data, n: n, dim: dim}, nil
-}
-
 // Len returns the number of rows.
 func (m *FlatMatrix) Len() int { return m.n }
 
@@ -91,23 +79,9 @@ func (m *FlatMatrix) SetRow(i int, v []float64) error {
 	return nil
 }
 
-// Data returns the row-major backing slice (aliased; treat as read-only
-// unless you own the matrix).
-func (m *FlatMatrix) Data() []float64 { return m.data }
-
-// Rows materializes the matrix as a slice of row views sharing the
-// backing storage — the bridge for APIs that still take [][]float64.
-func (m *FlatMatrix) Rows() [][]float64 {
-	out := make([][]float64, m.n)
-	for i := range out {
-		out[i] = m.Row(i)
-	}
-	return out
-}
-
 // Slab returns the half-open row range [lo, hi) as one contiguous slice —
 // the unit a scan shard walks. Panics on out-of-range bounds like a
-// slice expression; use SlabChecked for untrusted ranges.
+// slice expression.
 func (m *FlatMatrix) Slab(lo, hi int) []float64 {
 	return m.data[lo*m.dim : hi*m.dim]
 }

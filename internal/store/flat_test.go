@@ -22,9 +22,6 @@ func TestFromRowsAndAccessors(t *testing.T) {
 	if m.Row(0)[0] != 1 {
 		t.Error("FromRows aliased its input")
 	}
-	if len(m.Data()) != 6 {
-		t.Errorf("Data length = %d", len(m.Data()))
-	}
 	if got := m.Slab(1, 2); len(got) != 3 || got[0] != 4 {
 		t.Errorf("Slab(1,2) = %v", got)
 	}
@@ -42,34 +39,15 @@ func TestFromRowsValidation(t *testing.T) {
 	}
 }
 
-func TestFromData(t *testing.T) {
-	data := []float64{1, 2, 3, 4}
-	m, err := FromData(data, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// FromData aliases: a write through the matrix is visible in data.
-	m.SetRow(0, []float64{7, 8})
-	if data[0] != 7 || data[1] != 8 {
-		t.Errorf("data = %v", data)
-	}
-	if _, err := FromData(data, 3, 2); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := FromData(data, 0, 2); err == nil {
-		t.Error("zero rows should error")
-	}
-}
-
 func TestRowsViewsShareStorage(t *testing.T) {
 	m, err := NewFlatMatrix(3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := m.Rows()
-	rows[2][1] = 42
+	row := m.Row(2)
+	row[1] = 42
 	if m.Row(2)[1] != 42 {
-		t.Error("Rows() views should alias the backing storage")
+		t.Error("row views should alias the backing storage")
 	}
 }
 

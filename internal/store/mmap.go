@@ -43,10 +43,6 @@ func (m *MmapMatrix) Path() string { return m.path }
 // Labels returns the labels stored beside the rows; they outlive Close.
 func (m *MmapMatrix) Labels() Labels { return m.labels }
 
-// Resident reports whether the collection is served from a live file
-// mapping (false on the portable read-into-heap fallback).
-func (m *MmapMatrix) Resident() bool { return m.mapped != nil }
-
 // Row returns row i as a full-capacity-clipped view into the mapping.
 // The view is read-only: the mapping is PROT_READ, so a write through it
 // faults instead of corrupting the collection.

@@ -1,7 +1,7 @@
 // Portable FBMX open path for platforms without a little-endian mmap:
 // the file is read and decoded into the heap. Semantics match the
 // mapped path exactly (same validation, same sentinels, bitwise-equal
-// rows); only residency differs, which MmapMatrix.Resident reports.
+// rows); only residency differs.
 
 //go:build !((linux || darwin || freebsd || netbsd || openbsd || dragonfly) && (amd64 || arm64 || 386 || arm || riscv64 || loong64 || ppc64le || mips64le || mipsle))
 

@@ -117,22 +117,6 @@ func offDiagNorm(m *Matrix) float64 {
 	return math.Sqrt(s)
 }
 
-// IsPositiveDefinite reports whether the symmetric matrix a has strictly
-// positive eigenvalues, within tolerance tol. Weight matrices for quadratic
-// distance functions must satisfy this to define a metric.
-func IsPositiveDefinite(a *Matrix, tol float64) (bool, error) {
-	e, err := SymmetricEigen(a, 1e-9)
-	if err != nil {
-		return false, err
-	}
-	for _, v := range e.Values {
-		if v <= tol {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
 // PCA computes the principal components of the row-sample matrix x
 // (rows are observations, columns are features). It returns the eigen
 // decomposition of the sample covariance matrix and the column means.

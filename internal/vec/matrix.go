@@ -55,15 +55,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
@@ -258,31 +249,6 @@ func Det(a *Matrix) float64 {
 		return 0
 	}
 	return f.Det()
-}
-
-// Inverse returns a⁻¹, or ErrSingular when a is not invertible.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	out := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			out.Set(i, j, col[i])
-		}
-	}
-	return out, nil
 }
 
 func swapRows(m *Matrix, a, b int) {

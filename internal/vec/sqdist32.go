@@ -23,22 +23,6 @@ func SqDist32W(q []float64, row []float32, w []float64) float64 {
 	return sqDist32WFull(q, row, w)
 }
 
-// SqDist32Abandon accumulates SqDist32(q, row) but gives up once the
-// partial sum exceeds bound2, with the same contract as SqDistAbandon: a
-// surviving sum is complete and bitwise identical to SqDist32, and the
-// comparison is strict so ties on the bound are fully evaluated.
-func SqDist32Abandon(q []float64, row []float32, bound2 float64) (sum float64, abandoned bool) {
-	mustSameLen32(q, row)
-	return sqDist32Abandon(q, row, bound2)
-}
-
-// SqDist32WAbandon is the weighted counterpart of SqDist32Abandon.
-func SqDist32WAbandon(q []float64, row []float32, w []float64, bound2 float64) (sum float64, abandoned bool) {
-	mustSameLen32(q, row)
-	mustSameLen(q, w)
-	return sqDist32WAbandon(q, row, w, bound2)
-}
-
 func sqDist32Abandon(q []float64, row []float32, bound2 float64) (float64, bool) {
 	n := len(q)
 	var s0, s1, s2, s3 float64

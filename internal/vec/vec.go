@@ -90,15 +90,6 @@ func AddInPlace(dst, v []float64) []float64 {
 	return dst
 }
 
-// SubInPlace sets dst = dst - v and returns dst.
-func SubInPlace(dst, v []float64) []float64 {
-	mustSameLen(dst, v)
-	for i := range dst {
-		dst[i] -= v[i]
-	}
-	return dst
-}
-
 // ScaleInPlace sets dst = s * dst and returns dst.
 func ScaleInPlace(dst []float64, s float64) []float64 {
 	for i := range dst {
@@ -122,35 +113,6 @@ func Dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm returns the Euclidean (L2) norm of v.
-func Norm(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// Norm1 returns the L1 norm of v.
-func Norm1(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// NormInf returns the maximum absolute component of v.
-func NormInf(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		if a := math.Abs(x); a > s {
-			s = a
-		}
 	}
 	return s
 }
@@ -220,36 +182,6 @@ func Normalize(v []float64) ([]float64, error) {
 	return Scale(v, 1/s), nil
 }
 
-// Lerp returns the linear interpolation (1-t)*a + t*b.
-func Lerp(a, b []float64, t float64) []float64 {
-	mustSameLen(a, b)
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = (1-t)*a[i] + t*b[i]
-	}
-	return out
-}
-
-// Min returns the component-wise minimum of a and b.
-func Min(a, b []float64) []float64 {
-	mustSameLen(a, b)
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = math.Min(a[i], b[i])
-	}
-	return out
-}
-
-// Max returns the component-wise maximum of a and b.
-func Max(a, b []float64) []float64 {
-	mustSameLen(a, b)
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = math.Max(a[i], b[i])
-	}
-	return out
-}
-
 // Clamp returns v with every component clamped into [lo, hi].
 func Clamp(v []float64, lo, hi float64) []float64 {
 	out := make([]float64, len(v))
@@ -257,36 +189,6 @@ func Clamp(v []float64, lo, hi float64) []float64 {
 		out[i] = math.Min(math.Max(x, lo), hi)
 	}
 	return out
-}
-
-// ArgMax returns the index of the largest component of v, or -1 when v is
-// empty. Ties resolve to the smallest index.
-func ArgMax(v []float64) int {
-	if len(v) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] > v[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the smallest component of v, or -1 when v is
-// empty. Ties resolve to the smallest index.
-func ArgMin(v []float64) int {
-	if len(v) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] < v[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 func mustSameLen(a, b []float64) {
