@@ -102,11 +102,12 @@ func TestDocsQuoteValidFigures(t *testing.T) {
 }
 
 // TestDocsQuoteDeclaredFlags keeps the documented command lines runnable:
-// every -flag after `fbserve` or `fbbench` on a command line quoted in
-// README.md or DESIGN.md must be declared by a flag.<Kind>("name", …) or
-// flag.Func("name", …) call in that command's main.go.
+// every -flag after `fbserve`, `fbbench`, `fbdemo` or `fbtree` on a
+// command line quoted in README.md or DESIGN.md must be declared by a
+// flag.<Kind>("name", …) or flag.Func("name", …) call in that command's
+// main.go.
 func TestDocsQuoteDeclaredFlags(t *testing.T) {
-	cmds := []string{"fbbench", "fbserve"}
+	cmds := []string{"fbbench", "fbserve", "fbdemo", "fbtree"}
 	declared := map[string][]string{}
 	for _, cmd := range cmds {
 		declared[cmd] = declaredFlags(t, filepath.Join("cmd", cmd, "main.go"))
@@ -143,7 +144,7 @@ func TestDocsQuoteDeclaredFlags(t *testing.T) {
 		}
 	}
 	if quoted == 0 {
-		t.Error("no fbserve or fbbench flags found; is the pattern stale?")
+		t.Error("no command flags found; is the pattern stale?")
 	}
 }
 

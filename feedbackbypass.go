@@ -62,12 +62,13 @@ type Config = core.Config
 
 // Bypass is the FeedbackBypass module: Predict (the paper's Mopt method)
 // and Insert over a Simplex Tree. Predictions are pure reads and run in
-// parallel; PredictBatch/InsertBatch amortize one lock acquisition over a
-// whole batch.
+// parallel, and PredictBatch amortizes one read-lock acquisition over a
+// whole batch; writes (Insert, CompactAged) serialize on one mutex.
 type Bypass = core.Bypass
 
 // DurableBypass is a Bypass whose accepted inserts are journaled to a
-// write-ahead log before the tree mutates; recovery is snapshot + replay
+// write-ahead log before the tree mutates, and whose aged compactions
+// are snapshotted before they swap in; recovery is snapshot + replay
 // (see OpenDurable).
 type DurableBypass = core.DurableBypass
 

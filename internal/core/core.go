@@ -22,8 +22,10 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/geom"
+	"repro/internal/obsv"
 	"repro/internal/simplextree"
 	"repro/internal/vec"
 )
@@ -91,18 +93,38 @@ type Config struct {
 	AgeHorizon uint64
 }
 
+// ErrQuotaExceeded re-exports the Simplex Tree's resource-governance
+// sentinel so serving layers can classify rejections without importing
+// simplextree.
+var ErrQuotaExceeded = simplextree.ErrQuotaExceeded
+
 // Bypass is the FeedbackBypass module: a learned Mopt with Predict and
 // Insert, exactly the interface of Figure 5.
 //
 // The tree is held behind an atomic pointer so CompactAged can swap in a
 // rebuilt tree without stalling readers: predictions run against
-// whichever tree they loaded, writes serialize on insMu against the
-// swap so no accepted insert can land in a tree that is about to be
-// discarded.
+// whichever tree they loaded. Writes — Insert, CompactAged and, on a
+// durable module, Compact and Close — serialize on mu, the module's one
+// write mutex, so no accepted insert can land in a tree that is about to
+// be discarded.
 type Bypass struct {
-	tree  atomic.Pointer[simplextree.Tree]
-	insMu sync.Mutex // serializes Insert/InsertBatch against CompactAged's swap
-	d, p  int
+	tree atomic.Pointer[simplextree.Tree]
+	mu   sync.Mutex // the write mutex
+	d, p int
+	// dur is the durable layer (nil in memory): it journals accepted
+	// inserts, persists a rebuilt tree before the swap and can latch the
+	// module read-only.
+	dur *DurableBypass
+
+	// Aged-compaction counters, and their instruments once Observe has
+	// registered them.
+	compactions  atomic.Uint64
+	reclaimed    atomic.Uint64
+	compactionsC *obsv.Counter   // fb_bypass_compactions_total
+	reclaimedC   *obsv.Counter   // fb_bypass_reclaimed_vertices_total
+	compactH     *obsv.Histogram // fb_bypass_compaction_seconds
+	pointsBefG   *obsv.Gauge     // fb_bypass_compaction_points_before
+	pointsAftG   *obsv.Gauge     // fb_bypass_compaction_points_after
 }
 
 // New creates a module for a D-dimensional query domain and P distance
@@ -216,7 +238,15 @@ func (b *Bypass) PredictBatch(qs [][]float64) ([]OQP, error) {
 
 // Insert stores the OQPs the feedback loop converged to for query point q
 // — the Insert method of Figure 5. It reports whether the tree changed
-// (an insert within ε of the current prediction is skipped, §4.2).
+// (an insert within ε of the current prediction is skipped, §4.2). On a
+// durable module an accepted insert is journaled before the tree changes,
+// so once Insert returns true the outcome survives a crash.
+//
+// An insert that trips a quota while aging is on runs one aged
+// compaction and is retried once iff that reclaimed space (a retry
+// without reclamation would bounce identically). The compaction changed
+// the served tree even when the retry is ε-skipped, so it reports
+// changed=true either way: caches over this tree must refresh.
 func (b *Bypass) Insert(q []float64, oqp OQP) (bool, error) {
 	if len(oqp.Delta) != b.d {
 		return false, fmt.Errorf("core: Δ has dimension %d, want %d", len(oqp.Delta), b.d)
@@ -227,36 +257,43 @@ func (b *Bypass) Insert(q []float64, oqp OQP) (bool, error) {
 	if !vec.IsFinite(oqp.Delta) || !vec.IsFinite(oqp.Weights) {
 		return false, errors.New("core: OQP contains non-finite values")
 	}
-	b.insMu.Lock()
-	defer b.insMu.Unlock()
-	return b.Tree().Insert(q, oqp.Encode())
+	value := oqp.Encode()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err := b.degradedErr(); err != nil {
+		return false, err
+	}
+	changed, err := b.Tree().Insert(q, value)
+	if errors.Is(err, ErrQuotaExceeded) && b.Tree().AgeHorizon() > 0 {
+		// A failed compaction leaves the quota error standing; if it
+		// failed to persist, the module is degraded and says so below.
+		if st, cerr := b.compactAgedLocked(); cerr == nil && st.Reclaimed > 0 {
+			_, err = b.Tree().Insert(q, value)
+			changed = true
+		}
+	}
+	if err != nil {
+		// A failed journal append has just latched the module degraded:
+		// report the joined error so callers match ErrDegraded on the very
+		// first rejected insert.
+		if derr := b.degradedErr(); derr != nil {
+			return changed, derr
+		}
+		return changed, err
+	}
+	if b.dur != nil {
+		return changed, b.dur.maybeCompactLocked()
+	}
+	return changed, nil
 }
 
-// InsertBatch stores many converged feedback outcomes under one
-// exclusive-lock acquisition, applying them in order with the same ε
-// semantics as repeated Insert calls. It returns the number of pairs
-// that changed the tree; on a validation or insert error it stops at the
-// failing pair with earlier pairs applied.
-func (b *Bypass) InsertBatch(qs [][]float64, oqps []OQP) (stored int, err error) {
-	if len(qs) != len(oqps) {
-		return 0, fmt.Errorf("core: batch has %d points but %d OQPs", len(qs), len(oqps))
+// degradedErr is a durable module's latched persistence failure; a
+// memory module never degrades.
+func (b *Bypass) degradedErr() error {
+	if b.dur == nil {
+		return nil
 	}
-	values := make([][]float64, len(oqps))
-	for i, oqp := range oqps {
-		if len(oqp.Delta) != b.d {
-			return 0, fmt.Errorf("core: OQP %d: Δ has dimension %d, want %d", i, len(oqp.Delta), b.d)
-		}
-		if len(oqp.Weights) != b.p {
-			return 0, fmt.Errorf("core: OQP %d: W has dimension %d, want %d", i, len(oqp.Weights), b.p)
-		}
-		if !vec.IsFinite(oqp.Delta) || !vec.IsFinite(oqp.Weights) {
-			return 0, fmt.Errorf("core: OQP %d contains non-finite values", i)
-		}
-		values[i] = oqp.Encode()
-	}
-	b.insMu.Lock()
-	defer b.insMu.Unlock()
-	return b.Tree().InsertBatch(qs, values)
+	return b.dur.Degraded()
 }
 
 // Stats reports the shape of the underlying Simplex Tree.
@@ -270,27 +307,82 @@ type CompactionStats struct {
 	Reclaimed int `json:"reclaimed"`
 }
 
-// CompactAged rebuilds the in-memory tree keeping only the vertices
-// still alive under the configured age horizon and swaps it in, freeing
-// the memory of everything reclaimed. Predictions racing the swap finish
-// against whichever tree they loaded; inserts serialize against it. The
-// one-element slice matches the sharded module's per-shard shape so
-// serving layers handle both uniformly.
-//
-// A DurableBypass must NOT be compacted through this method (its own
-// CompactAged shadows it): a memory-only swap would diverge from the
-// snapshot + WAL on disk, and the next recovery would resurrect every
-// reclaimed vertex.
+// CompactAged rebuilds the tree keeping only the vertices still alive
+// under the configured age horizon and swaps it in, freeing the memory of
+// everything reclaimed. A durable module first writes the rebuilt tree as
+// the next epoch's snapshot and restarts the journal there (Compact's
+// discipline), so a crash at any point recovers either the full
+// pre-compaction census or the exact rebuilt one, never a hybrid; a
+// persistence failure latches it degraded. Predictions racing the swap
+// finish against whichever tree they loaded; writes serialize against
+// it. The one-element slice matches the sharded module's per-shard shape
+// so serving layers handle both uniformly.
 func (b *Bypass) CompactAged() ([]CompactionStats, error) {
-	b.insMu.Lock()
-	defer b.insMu.Unlock()
-	tree := b.Tree()
-	nt, st, err := tree.RebuildAged(tree.AgeHorizon())
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err := b.degradedErr(); err != nil {
+		return nil, err
+	}
+	st, err := b.compactAgedLocked()
 	if err != nil {
 		return nil, err
 	}
+	return []CompactionStats{st}, nil
+}
+
+// compactAgedLocked is one aged compaction under mu: rebuild, persist
+// (durable), swap, count.
+func (b *Bypass) compactAgedLocked() (CompactionStats, error) {
+	var t0 time.Time
+	if b.compactH != nil {
+		t0 = time.Now()
+	}
+	old := b.Tree()
+	nt, rst, err := old.RebuildAged(old.AgeHorizon())
+	if err != nil {
+		// Deterministic geometry, not a persistence failure: the module
+		// stays healthy on its current tree.
+		return CompactionStats{}, fmt.Errorf("core: aged rebuild: %w", err)
+	}
+	if b.dur != nil {
+		if err := b.dur.adoptLocked(old, nt); err != nil {
+			return CompactionStats{}, err
+		}
+	}
 	b.tree.Store(nt)
-	return []CompactionStats{{Before: st.Before, After: st.After, Reclaimed: st.Reclaimed}}, nil
+	b.compactions.Add(1)
+	b.reclaimed.Add(uint64(rst.Reclaimed))
+	if b.compactionsC != nil {
+		b.compactionsC.Inc()
+		b.reclaimedC.Add(uint64(rst.Reclaimed))
+		b.pointsBefG.Set(float64(rst.Before))
+		b.pointsAftG.Set(float64(rst.After))
+		b.compactH.ObserveSince(t0)
+	}
+	return CompactionStats{Before: rst.Before, After: rst.After, Reclaimed: rst.Reclaimed}, nil
+}
+
+// Compactions reports the number of aged compactions completed since the
+// module was created or opened.
+func (b *Bypass) Compactions() uint64 { return b.compactions.Load() }
+
+// Reclaimed reports the total vertices those compactions reclaimed.
+func (b *Bypass) Reclaimed() uint64 { return b.reclaimed.Load() }
+
+// Observe registers the module's aged-compaction series in reg, each
+// carrying labels; a nil reg registers nothing. OpenDurable calls it with
+// DurableOptions.Obs, and a sharded module's memory shards with its Obs.
+func (b *Bypass) Observe(reg *obsv.Registry, labels ...obsv.Label) {
+	if reg == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.compactionsC = reg.Counter("fb_bypass_compactions_total", "Aged tree compactions (rebuild, snapshot when durable, swap) completed.", labels...)
+	b.reclaimedC = reg.Counter("fb_bypass_reclaimed_vertices_total", "Vertices reclaimed by aged compactions (aged out or ε-absorbed).", labels...)
+	b.compactH = reg.Histogram("fb_bypass_compaction_seconds", "Aged compaction duration (rebuild, snapshot and journal reset when durable, swap).", obsv.LatencyBounds(), labels...)
+	b.pointsBefG = reg.Gauge("fb_bypass_compaction_points_before", "Distinct vertices entering the last aged compaction.", labels...)
+	b.pointsAftG = reg.Gauge("fb_bypass_compaction_points_after", "Distinct vertices surviving the last aged compaction.", labels...)
 }
 
 // HistogramCodec translates between the retrieval engine's world —

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obsv"
@@ -28,11 +27,6 @@ const (
 // The flip is sticky: the module stays read-only until it is closed and
 // reopened against a healthy disk.
 var ErrDegraded = errors.New("core: module degraded to read-only after persistence failure")
-
-// ErrQuotaExceeded re-exports the Simplex Tree's resource-governance
-// sentinel so serving layers can classify rejections without importing
-// simplextree.
-var ErrQuotaExceeded = simplextree.ErrQuotaExceeded
 
 // DurableOptions tunes the persistence behaviour of a DurableBypass.
 type DurableOptions struct {
@@ -66,10 +60,12 @@ type DurableOptions struct {
 // recovery time proportional to the inserts since the last snapshot, not
 // the lifetime of the module.
 //
-// Reads (Predict, PredictBatch, Stats, ...) are the embedded Bypass's and
-// run in parallel. Inserts must go through DurableBypass.Insert /
-// InsertBatch — they serialize against Compact so no acknowledged insert
-// can fall between a snapshot and a journal truncation.
+// Reads (Predict, PredictBatch, Stats, ...) and writes (Insert,
+// CompactAged) are the embedded Bypass's: this layer adds the journal
+// they write through, the degraded latch, CompactEvery and Compact/Close.
+// Every write serializes on the Bypass's one write mutex, so no
+// acknowledged insert can fall between a snapshot and a journal
+// truncation.
 //
 // Replay is deterministic and idempotent: the journal holds exactly the
 // accepted inserts in application order, each replayed insert re-derives
@@ -81,29 +77,16 @@ type DurableOptions struct {
 type DurableBypass struct {
 	*Bypass
 
-	mu        sync.Mutex // serializes inserts against compaction
-	fs        persist.FS
-	wal       *persist.WAL
-	snapPath  string
-	journaled int    // inserts journaled since the last compaction
-	epoch     uint64 // current compaction epoch (snapshot and WAL agree)
-	opts      DurableOptions
-	snapH     *obsv.Histogram // optional: compaction snapshot duration
+	fs       persist.FS
+	wal      *persist.WAL // its record count is the inserts journaled since the last compaction
+	snapPath string
+	epoch    uint64 // current compaction epoch (snapshot and WAL agree)
+	opts     DurableOptions
+	snapH    *obsv.Histogram // optional: compaction snapshot duration
 
-	// Lifecycle instruments (nil without DurableOptions.Obs).
-	compactionsC *obsv.Counter   // fb_bypass_compactions_total
-	reclaimedC   *obsv.Counter   // fb_bypass_reclaimed_vertices_total
-	compactH     *obsv.Histogram // fb_bypass_compaction_seconds
-	pointsBefG   *obsv.Gauge     // fb_bypass_compaction_points_before
-	pointsAftG   *obsv.Gauge     // fb_bypass_compaction_points_after
-
-	// Lifecycle counters for Stats/ShardInfo exposure.
-	compactions atomic.Uint64
-	reclaimed   atomic.Uint64
-
-	// degMu guards degraded separately from mu: the WAL observer that
-	// flips it runs under the tree's exclusive lock while mu is already
-	// held by Insert, so it cannot retake mu.
+	// degMu guards degraded separately from the write mutex: the WAL
+	// observer that flips it runs under the tree's exclusive lock while
+	// Insert already holds the write mutex, so it cannot retake it.
 	degMu    sync.Mutex
 	degraded error // errors.Join(ErrDegraded, cause); nil while healthy
 }
@@ -192,7 +175,7 @@ func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*Durabl
 		_ = wal.Close()
 		return nil, fmt.Errorf("%w: journal epoch %d is ahead of snapshot epoch %d", persist.ErrCorrupt, walEpoch, snapEpoch)
 	}
-	replayed, err := wal.Replay(func(q, value []float64, stamp uint64) error {
+	_, err = wal.Replay(func(q, value []float64, stamp uint64) error {
 		_, ierr := tree.InsertStamped(q, value, stamp)
 		return ierr
 	})
@@ -207,25 +190,21 @@ func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*Durabl
 	// configured value to whatever tree recovery produced.
 	tree.SetAgeHorizon(cfg.AgeHorizon)
 	db := &DurableBypass{
-		Bypass:    b,
-		fs:        fsys,
-		wal:       wal,
-		snapPath:  snapPath,
-		journaled: replayed,
-		epoch:     wal.Epoch(),
-		opts:      opts,
+		Bypass:   b,
+		fs:       fsys,
+		wal:      wal,
+		snapPath: snapPath,
+		epoch:    wal.Epoch(),
+		opts:     opts,
 	}
+	b.dur = db
+	b.Observe(opts.Obs, opts.ObsLabels...)
 	if opts.Obs != nil {
 		wal.SetMetrics(
 			opts.Obs.Histogram("fb_wal_append_seconds", "WAL append latency (encode + write + any per-append fsync).", obsv.LatencyBounds(), opts.ObsLabels...),
 			opts.Obs.Histogram("fb_wal_fsync_seconds", "WAL fsync latency.", obsv.LatencyBounds(), opts.ObsLabels...),
 		)
 		db.snapH = opts.Obs.Histogram("fb_snapshot_seconds", "Compaction snapshot duration (write + fsync + rename + journal reset).", obsv.LatencyBounds(), opts.ObsLabels...)
-		db.compactionsC = opts.Obs.Counter("fb_bypass_compactions_total", "Aged tree compactions (rebuild + snapshot + swap) completed.", opts.ObsLabels...)
-		db.reclaimedC = opts.Obs.Counter("fb_bypass_reclaimed_vertices_total", "Vertices reclaimed by aged compactions (aged out or ε-absorbed).", opts.ObsLabels...)
-		db.compactH = opts.Obs.Histogram("fb_bypass_compaction_seconds", "Aged compaction duration (rebuild + snapshot + journal reset + swap).", obsv.LatencyBounds(), opts.ObsLabels...)
-		db.pointsBefG = opts.Obs.Gauge("fb_bypass_compaction_points_before", "Distinct vertices entering the last aged compaction.", opts.ObsLabels...)
-		db.pointsAftG = opts.Obs.Gauge("fb_bypass_compaction_points_after", "Distinct vertices surviving the last aged compaction.", opts.ObsLabels...)
 	}
 	// Journal every accepted insert before the tree mutates (the
 	// observer runs under the tree's exclusive lock, after the insert is
@@ -240,8 +219,8 @@ func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*Durabl
 	return db, nil
 }
 
-// attachObserver wires the journaling hook to tree. CompactAged re-wires
-// it onto each rebuilt tree it swaps in.
+// attachObserver wires the journaling hook to tree. An aged compaction
+// re-wires it onto the rebuilt tree it swaps in (adoptLocked).
 func (db *DurableBypass) attachObserver(tree *simplextree.Tree) {
 	tree.SetObserver(func(q, value []float64, stamp uint64) error {
 		if err := db.wal.Append(q, value, stamp); err != nil {
@@ -270,91 +249,12 @@ func (db *DurableBypass) noteDegraded(cause error) {
 	db.degMu.Unlock()
 }
 
-// Insert stores a converged feedback outcome durably: an accepted insert
-// is journaled before the in-memory tree changes, so once Insert returns
-// true the outcome survives a crash.
-func (db *DurableBypass) Insert(q []float64, oqp OQP) (bool, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.Degraded(); err != nil {
-		return false, err
-	}
-	before := db.wal.Records()
-	changed, err := db.Bypass.Insert(q, oqp)
-	db.journaled += db.wal.Records() - before
-	if err != nil && db.retryAfterQuotaLocked(err) {
-		// Quota pressure with aging enabled: compact, then give the
-		// insert the one retry the reclaimed space earned. The module
-		// changed durably even if the retry is ε-skipped, so report
-		// changed=true either way (caches over this tree must refresh).
-		before = db.wal.Records()
-		_, err = db.Bypass.Insert(q, oqp)
-		db.journaled += db.wal.Records() - before
-		changed = true
-	}
-	if err != nil {
-		// If the failure was the journal append itself, the module just
-		// flipped degraded; report the joined error so callers can match
-		// ErrDegraded on the very first rejected insert.
-		if derr := db.Degraded(); derr != nil {
-			return changed, derr
-		}
-		return changed, err
-	}
-	return changed, db.maybeCompactLocked()
-}
-
-// retryAfterQuotaLocked implements compact-then-retry: when an insert
-// bounced off a quota and aging is enabled, run one aged compaction and
-// report whether it reclaimed anything (a retry without reclamation
-// would bounce identically). Compaction errors are swallowed here — the
-// caller returns the original quota error, and a persistence failure has
-// already flipped the module degraded for the retry to discover.
-func (db *DurableBypass) retryAfterQuotaLocked(err error) bool {
-	if !errors.Is(err, ErrQuotaExceeded) || db.Tree().AgeHorizon() == 0 {
-		return false
-	}
-	st, cerr := db.compactAgedLocked()
-	return cerr == nil && st.Reclaimed > 0
-}
-
-// InsertBatch durably stores many outcomes under one exclusive-lock
-// acquisition (see Bypass.InsertBatch for ordering and error semantics).
-func (db *DurableBypass) InsertBatch(qs [][]float64, oqps []OQP) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.Degraded(); err != nil {
-		return 0, err
-	}
-	before := db.wal.Records()
-	stored, err := db.Bypass.InsertBatch(qs, oqps)
-	db.journaled += db.wal.Records() - before
-	if err != nil && db.retryAfterQuotaLocked(err) {
-		// The batch stopped at the first pair over quota with earlier
-		// pairs applied; after a fruitful compaction, re-running the
-		// whole batch is safe (applied pairs re-skip by ε/duplicate
-		// idempotence) and picks up where the quota cut it off.
-		before = db.wal.Records()
-		more, rerr := db.Bypass.InsertBatch(qs, oqps)
-		db.journaled += db.wal.Records() - before
-		stored += more
-		err = rerr
-	}
-	if err != nil {
-		if derr := db.Degraded(); derr != nil {
-			return stored, derr
-		}
-		return stored, err
-	}
-	return stored, db.maybeCompactLocked()
-}
-
 // Journaled reports the number of inserts journaled since the last
 // compaction (including those replayed at open).
 func (db *DurableBypass) Journaled() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.journaled
+	return db.wal.Records()
 }
 
 // WALSize reports the journal's current on-disk size in bytes — the
@@ -380,7 +280,7 @@ func (db *DurableBypass) Compact() error {
 }
 
 func (db *DurableBypass) maybeCompactLocked() error {
-	if db.opts.CompactEvery <= 0 || db.journaled < db.opts.CompactEvery {
+	if db.opts.CompactEvery <= 0 || db.wal.Records() < db.opts.CompactEvery {
 		return nil
 	}
 	return db.compactLocked()
@@ -409,6 +309,22 @@ func (db *DurableBypass) compactOnceLocked() error {
 	if db.snapH != nil {
 		db.snapH.ObserveSince(t0)
 	}
+	return nil
+}
+
+// adoptLocked makes the rebuilt tree of an aged compaction the module's
+// durable state before the swap publishes it: until then predictions and
+// the snapshot both come from old, so a crash recovers either census. A
+// persistence failure latches the module degraded. The journaling hook
+// moves from old to nt, so late holders of the retired tree cannot
+// journal.
+func (db *DurableBypass) adoptLocked(old, nt *simplextree.Tree) error {
+	if err := db.persistSwapLocked(nt); err != nil {
+		db.noteDegraded(err)
+		return db.Degraded()
+	}
+	db.attachObserver(nt)
+	old.SetObserver(nil)
 	return nil
 }
 
@@ -454,77 +370,8 @@ func (db *DurableBypass) persistSwapLocked(tree *simplextree.Tree) error {
 		return err
 	}
 	db.epoch = newEpoch
-	db.journaled = 0
 	return nil
 }
-
-// CompactAged rebuilds the tree keeping only vertices alive under the
-// configured age horizon, persists the rebuilt tree as the new snapshot
-// (same atomic rename + journal reset discipline as Compact), and swaps
-// it in. Until the swap, predictions and the snapshot both come from the
-// old tree, so a crash at any point recovers either the full
-// pre-compaction census or the exact rebuilt one — never a hybrid.
-// Persistence failures flip the module to degraded read-only mode, like
-// any failed compaction. The one-element slice matches the sharded
-// module's per-shard shape.
-func (db *DurableBypass) CompactAged() ([]CompactionStats, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.Degraded(); err != nil {
-		return nil, err
-	}
-	st, err := db.compactAgedLocked()
-	if err != nil {
-		return nil, err
-	}
-	return []CompactionStats{st}, nil
-}
-
-func (db *DurableBypass) compactAgedLocked() (CompactionStats, error) {
-	var t0 time.Time
-	if db.compactH != nil {
-		t0 = time.Now()
-	}
-	tree := db.Tree()
-	nt, rst, err := tree.RebuildAged(tree.AgeHorizon())
-	if err != nil {
-		// A rebuild failure is deterministic geometry, not a persistence
-		// failure: the module stays healthy on its current tree.
-		return CompactionStats{}, fmt.Errorf("core: aged rebuild: %w", err)
-	}
-	if err := db.persistSwapLocked(nt); err != nil {
-		db.noteDegraded(err)
-		return CompactionStats{}, db.Degraded()
-	}
-	// The rebuilt tree is durable and the journal restarted at its epoch:
-	// publish it. The swap holds insMu so a misrouted direct
-	// Bypass.Insert cannot land in the tree being retired; the retired
-	// tree's observer is detached so late readers of it cannot journal.
-	db.attachObserver(nt)
-	db.insMu.Lock()
-	db.tree.Store(nt)
-	db.insMu.Unlock()
-	tree.SetObserver(nil)
-	st := CompactionStats{Before: rst.Before, After: rst.After, Reclaimed: rst.Reclaimed}
-	db.compactions.Add(1)
-	db.reclaimed.Add(uint64(rst.Reclaimed))
-	if db.compactionsC != nil {
-		db.compactionsC.Inc()
-		db.reclaimedC.Add(uint64(rst.Reclaimed))
-		db.pointsBefG.Set(float64(rst.Before))
-		db.pointsAftG.Set(float64(rst.After))
-		db.compactH.ObserveSince(t0)
-	}
-	return st, nil
-}
-
-// Compactions reports the number of aged compactions completed since
-// open; Reclaimed the total vertices they reclaimed.
-func (db *DurableBypass) Compactions() uint64 { return db.compactions.Load() }
-
-// Reclaimed reports the total vertices reclaimed by aged compactions
-// since open.
-func (db *DurableBypass) Reclaimed() uint64 { return db.reclaimed.Load() }
 
 // Epoch reports the module's current compaction epoch.
 func (db *DurableBypass) Epoch() uint64 {

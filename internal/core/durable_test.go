@@ -201,50 +201,3 @@ func TestDurableReplayIdempotent(t *testing.T) {
 		})
 	}
 }
-
-// TestDurableBatchInsert exercises the batch write path end to end.
-func TestDurableBatchInsert(t *testing.T) {
-	dir := t.TempDir()
-	const d, p = 3, 3
-	rng := rand.New(rand.NewSource(19))
-	db, err := OpenDurable(dir, d, p, Config{Epsilon: 0}, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := make([][]float64, 15)
-	oqps := make([]OQP, 15)
-	for i := range qs {
-		qs[i] = randomSimplexPoint(rng, d)
-		oqps[i] = randomOQP(rng, d, p)
-	}
-	stored, err := db.InsertBatch(qs, oqps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stored == 0 {
-		t.Fatal("batch stored nothing")
-	}
-	if db.Journaled() != stored {
-		t.Errorf("journaled %d, stored %d", db.Journaled(), stored)
-	}
-	want := make([]OQP, len(qs))
-	for i, q := range qs {
-		if want[i], err = db.Predict(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recovered, err := OpenDurable(dir, d, p, Config{Epsilon: 0}, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recovered.Close()
-	for i, q := range qs {
-		got, err := recovered.Predict(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !vec.Equal(got.Delta, want[i].Delta) || !vec.Equal(got.Weights, want[i].Weights) {
-			t.Fatalf("prediction %d diverged after batch recovery", i)
-		}
-	}
-}

@@ -361,6 +361,47 @@ func TestCompactAgedDurableRecovery(t *testing.T) {
 	}
 }
 
+// TestCompactAgedThroughBypassPersists: an aged compaction reached
+// through the embedded (*Bypass).CompactAged of a DurableBypass — the
+// method the sharded and serving layers call — is the durable one. A
+// reopen recovers the rebuilt stamped census; a memory-only swap would
+// leave the snapshot and journal behind and resurrect every reclaimed
+// vertex.
+func TestCompactAgedThroughBypassPersists(t *testing.T) {
+	const d, p = 3, 2
+	dir := t.TempDir()
+	db, err := openCompacting(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(59))
+	for i := 0; i < 10; i++ {
+		if _, err := db.Insert(randomSimplexPoint(rng, d), randomOQP(rng, d, p)); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	stats, err := db.Bypass.CompactAged()
+	if err != nil {
+		t.Fatalf("CompactAged: %v", err)
+	}
+	if len(stats) != 1 || stats[0].Reclaimed == 0 {
+		t.Fatalf("expected a reclaiming compaction, got %+v", stats)
+	}
+	want := stampedVertexSet(db.Tree())
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := openCompacting(dir, nil)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer r.Close()
+	if got := stampedVertexSet(r.Tree()); !setEqual(want, got) {
+		t.Fatalf("reopen recovered %d stamped vertices, the rebuilt tree held %d", len(got), len(want))
+	}
+}
+
 // hasVertexAt reports whether the tree holds a vertex bitwise equal to q.
 func hasVertexAt(tree *simplextree.Tree, q []float64) bool {
 	found := false

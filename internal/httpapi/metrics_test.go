@@ -1,12 +1,15 @@
 package httpapi
 
 import (
+	"context"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/obsv"
 	"repro/internal/shardedbypass"
@@ -163,13 +166,69 @@ func TestPprofGating(t *testing.T) {
 // TestMemoryCollectionExportsNoPersistenceSeries: the default fbserve
 // (no -dir) serves a memory-mode module, which has no journal and no
 // snapshot — so it must not export series that could only ever read 0.
+// It does compact under -age-horizon: after a quota-pressure retry and
+// one scheduled pass, the lifecycle series match the shard's counters.
 func TestMemoryCollectionExportsNoPersistenceSeries(t *testing.T) {
 	reg := obsv.NewRegistry()
 	cfg := Config{Scale: 0.03, Seed: 5, K: 8, Epsilon: 0.05,
-		MaxSessions: 16, IterBudget: 5, CacheSize: 16, Shards: 1, Obs: reg}
-	if _, err := BuildCollection("default", "synth:scale=0.03,seed=5", cfg); err != nil {
+		MaxSessions: 16, IterBudget: 5, CacheSize: 16, Shards: 1, Obs: reg,
+		MaxVertices: 32 + 4, AgeHorizon: 2} // the D+1 = 32 corners and 4 inserts
+	c, err := BuildCollection("default", "synth:scale=0.03,seed=5", cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(61))
+	d, p := c.Bypass.D(), c.Bypass.P()
+	for i := 0; c.Bypass.ShardInfos()[0].Compactions == 0; i++ {
+		if i == 16 {
+			t.Fatal("16 inserts never tripped the vertex quota")
+		}
+		// An interior point of the standard simplex, and an outcome far
+		// from the default prediction so ε never skips it.
+		q := make([]float64, d+1)
+		var sum float64
+		for j := range q {
+			q[j] = rng.ExpFloat64()
+			sum += q[j]
+		}
+		oqp := core.OQP{Delta: make([]float64, d), Weights: make([]float64, p)}
+		for j := range oqp.Delta {
+			q[j] /= sum
+			oqp.Delta[j] = rng.NormFloat64() * 0.05
+		}
+		for j := range oqp.Weights {
+			oqp.Weights[j] = 1 + rng.Float64()
+		}
+		if _, err := c.Bypass.Insert(q[:d], oqp); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	if _, err := c.Service.CompactAged(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	info := c.Bypass.ShardInfos()[0]
+	if info.Compactions != 2 || info.Reclaimed == 0 {
+		t.Fatalf("shard counters: %d compactions reclaimed %d; want a quota retry and a pass, reclaiming some", info.Compactions, info.Reclaimed)
+	}
+	snap := reg.Snapshot()
+	shard0 := []obsv.Label{obsv.L("collection", "default"), obsv.L("shard", "0")}
+	for name, want := range map[string]uint64{
+		"fb_bypass_compactions_total":        info.Compactions,
+		"fb_bypass_reclaimed_vertices_total": info.Reclaimed,
+	} {
+		if m := snap.Find(name, shard0...); m == nil || m.Value != float64(want) {
+			t.Errorf("%s = %+v, want %d", name, m, want)
+		}
+	}
+	if m := snap.Find("fb_bypass_compaction_seconds", shard0...); m == nil || m.Hist.Count != info.Compactions {
+		t.Errorf("fb_bypass_compaction_seconds = %+v, want %d observations", m, info.Compactions)
+	}
+	for _, name := range []string{"fb_bypass_compaction_points_before", "fb_bypass_compaction_points_after"} {
+		if snap.Find(name, shard0...) == nil {
+			t.Errorf("memory collection lacks %s", name)
+		}
+	}
+
 	var buf strings.Builder
 	if err := reg.WriteProm(&buf); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultfs"
-	"repro/internal/obsv"
+	"repro/internal/simplextree"
 )
 
 // stampedShardedVertexSet unions the bitwise Point ++ Value ++ Stamp
@@ -28,23 +28,49 @@ func stampedShardedVertexSet(s *Sharded) map[string]bool {
 		if p.err != nil || p.byp == nil {
 			continue
 		}
-		for _, v := range p.byp.Tree().Snapshot().Vertices {
-			buf := make([]byte, 0, 8*(len(v.Point)+len(v.Value)+1))
-			var b [8]byte
-			for _, x := range v.Point {
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
-				buf = append(buf, b[:]...)
-			}
-			for _, x := range v.Value {
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
-				buf = append(buf, b[:]...)
-			}
-			binary.LittleEndian.PutUint64(b[:], v.Stamp)
-			buf = append(buf, b[:]...)
-			set[string(buf)] = true
+		for k := range stampedTreeSet(p.byp.Tree()) {
+			set[k] = true
 		}
 	}
 	return set
+}
+
+// stampedTreeSet is one tree's bitwise Point ++ Value ++ Stamp keys.
+func stampedTreeSet(tree *simplextree.Tree) map[string]bool {
+	set := make(map[string]bool)
+	for _, v := range tree.Snapshot().Vertices {
+		buf := make([]byte, 0, 8*(len(v.Point)+len(v.Value)+1))
+		var b [8]byte
+		for _, x := range v.Point {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			buf = append(buf, b[:]...)
+		}
+		for _, x := range v.Value {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			buf = append(buf, b[:]...)
+		}
+		binary.LittleEndian.PutUint64(b[:], v.Stamp)
+		buf = append(buf, b[:]...)
+		set[string(buf)] = true
+	}
+	return set
+}
+
+// hasVertexAt reports whether tree holds a vertex bitwise equal to q.
+func hasVertexAt(tree *simplextree.Tree, q []float64) bool {
+	found := false
+	tree.Walk(func(v *simplextree.Vertex) {
+		if len(v.Point) != len(q) {
+			return
+		}
+		for i := range q {
+			if math.Float64bits(v.Point[i]) != math.Float64bits(q[i]) {
+				return
+			}
+		}
+		found = true
+	})
+	return found
 }
 
 func shardedSetSubset(sub, super map[string]bool) bool {
@@ -296,39 +322,105 @@ func TestShardedQuotaCompactRetryMemory(t *testing.T) {
 	}
 }
 
-// TestShardedQuotaCompactRetryMemoryBatch: InsertBatch on a single-shard
-// in-memory module takes the same per-insert path as Insert — at its
-// vertex quota with aging on, the batch compacts, retries and is
-// accepted whole instead of stopping at ErrQuotaExceeded, and every pair
-// is timed. Same geometry as TestShardedQuotaCompactRetryMemory.
-func TestShardedQuotaCompactRetryMemoryBatch(t *testing.T) {
+// quotaModule is the surface TestQuotaCompactRetryEveryShape drives,
+// adapted from each module type.
+type quotaModule interface {
+	Insert(q []float64, oqp core.OQP) (bool, error)
+	Tree() *simplextree.Tree // shard 0's
+	Counters() (compactions, reclaimed uint64)
+	Close() error
+}
+
+type coreModule struct{ *core.Bypass }
+
+func (m coreModule) Counters() (uint64, uint64) { return m.Compactions(), m.Reclaimed() }
+func (m coreModule) Close() error               { return nil }
+
+type durableModule struct{ *core.DurableBypass }
+
+func (m durableModule) Counters() (uint64, uint64) { return m.Compactions(), m.Reclaimed() }
+
+type shardedModule struct{ *Sharded }
+
+func (m shardedModule) Tree() *simplextree.Tree { return m.shards[0].byp.Tree() }
+func (m shardedModule) Counters() (uint64, uint64) {
+	info := m.ShardInfos()[0]
+	return info.Compactions, info.Reclaimed
+}
+
+// TestQuotaCompactRetryEveryShape pins the one compact-then-retry over
+// the four module shapes — core.New, core.OpenDurable, and New and Open
+// at S=1: the same inserts return the same (changed, err) sequence, one
+// aged compaction reclaims space for the insert that trips the quota,
+// and the shapes end on the same stamped census. Geometry: d=3 gives 4
+// corners, quota 8 admits 4 inserts; the 5th trips the quota at clock 4,
+// and the horizon-2 cutoff reclaims the stamp-1 vertex.
+func TestQuotaCompactRetryEveryShape(t *testing.T) {
 	const d, p = 3, 2
-	sh, err := New(d, p, core.Config{Epsilon: 0, MaxVertices: 8, AgeHorizon: 2},
-		Options{Shards: 1, Obs: obsv.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
+	durable := core.DurableOptions{CompactEvery: 1 << 30, Sync: true}
+	shapes := []struct {
+		name string
+		open func(dir string, cfg core.Config) (quotaModule, error)
+	}{
+		{"core.New", func(_ string, cfg core.Config) (quotaModule, error) {
+			b, err := core.New(d, p, cfg)
+			return coreModule{b}, err
+		}},
+		{"core.OpenDurable", func(dir string, cfg core.Config) (quotaModule, error) {
+			db, err := core.OpenDurable(dir, d, p, cfg, durable)
+			return durableModule{db}, err
+		}},
+		{"shardedbypass.New", func(_ string, cfg core.Config) (quotaModule, error) {
+			sh, err := New(d, p, cfg, Options{Shards: 1})
+			return shardedModule{sh}, err
+		}},
+		{"shardedbypass.Open", func(dir string, cfg core.Config) (quotaModule, error) {
+			sh, err := Open(dir, d, p, cfg, Options{Shards: 1, Durable: durable})
+			return shardedModule{sh}, err
+		}},
 	}
-	rng := rand.New(rand.NewSource(61))
-	qs := make([][]float64, 5)
-	oqps := make([]core.OQP, 5)
-	for i := range qs {
-		qs[i], oqps[i] = randomSimplexPoint(rng, d), randomOQP(rng, d, p)
+
+	// Every insert is acknowledged: the 5th after its compact-then-retry.
+	const want = "[{true <nil>} {true <nil>} {true <nil>} {true <nil>} {true <nil>}]"
+	type outcome struct {
+		changed bool
+		err     error
 	}
-	stored, err := sh.InsertBatch(qs, oqps)
-	if err != nil {
-		t.Fatalf("batch at the quota: %v", err)
-	}
-	if stored != len(qs) {
-		t.Fatalf("batch stored %d of %d pairs", stored, len(qs))
-	}
-	info := sh.ShardInfos()[0]
-	if info.Compactions != 1 || info.Reclaimed == 0 {
-		t.Fatalf("quota-pressure compaction: %d passes reclaimed %d, want 1 pass reclaiming something", info.Compactions, info.Reclaimed)
-	}
-	if info.Inserts != int64(len(qs)) {
-		t.Errorf("shard counted %d inserts, want %d", info.Inserts, len(qs))
-	}
-	if got := sh.shards[0].insertH.Snapshot().Count; got != uint64(len(qs)) {
-		t.Errorf("fb_shard_insert_seconds observed %d inserts, want %d", got, len(qs))
+	var wantCensus map[string]bool
+	for _, shape := range shapes {
+		m, err := shape.open(t.TempDir(), core.Config{Epsilon: 0, MaxVertices: 8, AgeHorizon: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", shape.name, err)
+		}
+		rng := rand.New(rand.NewSource(61))
+		pts := make([][]float64, 5)
+		var got []outcome
+		for i := range pts {
+			pts[i] = randomSimplexPoint(rng, d)
+			changed, err := m.Insert(pts[i], randomOQP(rng, d, p))
+			got = append(got, outcome{changed, err})
+		}
+		if fmt.Sprint(got) != want {
+			t.Errorf("%s: (changed, err) sequence %v, want %s", shape.name, got, want)
+		}
+		if compactions, reclaimed := m.Counters(); compactions != 1 || reclaimed == 0 {
+			t.Errorf("%s: %d compactions reclaimed %d vertices, want 1 compaction reclaiming some", shape.name, compactions, reclaimed)
+		}
+		tree := m.Tree()
+		if !hasVertexAt(tree, pts[4]) {
+			t.Errorf("%s: retried insert missing from the tree", shape.name)
+		}
+		if hasVertexAt(tree, pts[0]) {
+			t.Errorf("%s: oldest vertex survived the quota-pressure compaction", shape.name)
+		}
+		census := stampedTreeSet(tree)
+		if wantCensus == nil {
+			wantCensus = census
+		} else if !shardedSetEqual(census, wantCensus) {
+			t.Errorf("%s: stamped census differs from %s's", shape.name, shapes[0].name)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatalf("%s: close: %v", shape.name, err)
+		}
 	}
 }

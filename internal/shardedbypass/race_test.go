@@ -153,4 +153,132 @@ func TestConcurrentOpenPredict(t *testing.T) {
 	}
 }
 
+// lifecycleModule is the surface TestConcurrentLifecycle drives.
+type lifecycleModule struct {
+	insert    func(q []float64, oqp core.OQP) (bool, error)
+	predict   func(q []float64) (core.OQP, error)
+	compact   func() error // CompactAged, then Compact
+	read      func()       // the counter readers
+	reclaimed func() uint64
+	close     func() error
+}
+
+func shardedLifecycle(sh *Sharded) lifecycleModule {
+	return lifecycleModule{sh.Insert, sh.Predict, func() error {
+		if _, err := sh.CompactAged(); err != nil {
+			return err
+		}
+		return sh.Compact()
+	}, func() {
+		_, _ = sh.ShardInfos(), sh.Journaled()
+	}, func() (n uint64) {
+		for _, info := range sh.ShardInfos() {
+			n += info.Reclaimed
+		}
+		return n
+	}, sh.Close}
+}
+
+// TestConcurrentLifecycle races the whole write path of one module —
+// Insert with its quota compact-then-retry, CompactAged and Compact —
+// against Predict and the counter readers (Journaled, WALSize,
+// ShardInfos) on a core.DurableBypass and on memory and durable modules
+// at S=3, with a quota and aging on. Run under -race; correctness here is
+// "no race, no error but quota rejections, and aging reclaims".
+func TestConcurrentLifecycle(t *testing.T) {
+	const d, p, perG = 3, 2, 80
+	cfg := core.Config{Epsilon: 0, MaxVertices: 36, AgeHorizon: 3}
+	durable := core.DurableOptions{CompactEvery: 16}
+	shapes := []struct {
+		name string
+		open func(dir string) (lifecycleModule, error)
+	}{
+		{"core.OpenDurable", func(dir string) (lifecycleModule, error) {
+			db, err := core.OpenDurable(dir, d, p, cfg, durable)
+			if err != nil {
+				return lifecycleModule{}, err
+			}
+			return lifecycleModule{db.Insert, db.Predict, func() error {
+				if _, err := db.CompactAged(); err != nil {
+					return err
+				}
+				return db.Compact()
+			}, func() {
+				_, _, _ = db.Journaled(), db.WALSize(), db.Compactions()
+			}, db.Reclaimed, db.Close}, nil
+		}},
+		{"memory S=3", func(string) (lifecycleModule, error) {
+			sh, err := New(d, p, cfg, Options{Shards: 3})
+			if err != nil {
+				return lifecycleModule{}, err
+			}
+			return shardedLifecycle(sh), nil
+		}},
+		{"durable S=3", func(dir string) (lifecycleModule, error) {
+			sh, err := Open(dir, d, p, cfg, Options{Shards: 3, Durable: durable})
+			if err != nil {
+				return lifecycleModule{}, err
+			}
+			return shardedLifecycle(sh), nil
+		}},
+	}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			m, err := shape.open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			const writers = 2
+			errs := make([]error, writers+1)
+			var wg sync.WaitGroup
+			for g := 0; g < writers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(700 + g)))
+					for i := 0; i < perG; i++ {
+						q := randomSimplexPoint(rng, d)
+						if _, err := m.insert(q, randomOQP(rng, d, p)); err != nil && !errors.Is(err, core.ErrQuotaExceeded) {
+							errs[g] = err
+							return
+						}
+						if _, err := m.predict(q); err != nil {
+							errs[g] = err
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perG/8; i++ {
+					if err := m.compact(); err != nil {
+						errs[writers] = err
+						return
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perG; i++ {
+					m.read()
+				}
+			}()
+			wg.Wait()
+			for g, err := range errs {
+				if err != nil {
+					t.Fatalf("goroutine %d: %v", g, err)
+				}
+			}
+			if m.reclaimed() == 0 {
+				t.Error("no compaction reclaimed anything; the run misses the aging path")
+			}
+			if err := m.close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func isReplaying(err error) bool { return errors.Is(err, ErrReplaying) }

@@ -8,9 +8,14 @@
 // layer's generational cache) invalidates every cached prediction in the
 // process. Sharded splits the query domain by the pinned partition
 // function engine.ShardOf (FNV-1a query signature mod S): each shard is a
-// full Bypass — its own RWMutex, its own snapshot + WAL pair, its own
-// compaction schedule — so inserts to different shards never contend and
-// an insert invalidates only its own shard's cached predictions.
+// full core.Bypass — its own write mutex, its own snapshot + WAL pair,
+// its own compaction schedule — so inserts to different shards never
+// contend and an insert invalidates only its own shard's cached
+// predictions. The shard's Bypass owns the whole write path in memory and
+// durable mode alike (Insert with its quota compact-then-retry,
+// CompactAged, the compaction counters and their series); this package
+// routes, times and aggregates, and reaches the durable layer only for
+// Journaled, WALSize, Degraded, Compact and Close.
 //
 // Durable layout: a module directory holds a manifest (persist.Manifest,
 // written once before any shard state exists) and one subdirectory per
@@ -76,19 +81,19 @@ type Options struct {
 	// after its own CompactEvery journaled inserts.
 	Durable core.DurableOptions
 	// Obs, when non-nil, registers per-shard instruments (insert
-	// latency histograms, tree-size and WAL-size gauges) and is
-	// propagated into each shard's DurableOptions for the WAL and
-	// snapshot histograms. Every instrument carries ObsLabels plus a
-	// shard="N" label.
+	// latency histograms, tree-size and WAL-size gauges, the aged-
+	// compaction series) and is propagated into each shard's
+	// DurableOptions for the WAL and snapshot histograms. Every
+	// instrument carries ObsLabels plus a shard="N" label.
 	Obs *obsv.Registry
 	// ObsLabels are attached to every instrument this module registers
 	// (typically the collection name).
 	ObsLabels []obsv.Label
 }
 
-// shard is one partition: an independent Bypass plus its durability and
-// counters. byp/durable/err are written exactly once, before ready is
-// closed; readers must observe ready first.
+// shard is one partition: an independent Bypass plus its durable layer
+// and insert counters. byp/durable/err are written exactly once, before
+// ready is closed; readers must observe ready first.
 type shard struct {
 	id      int
 	ready   chan struct{}
@@ -97,44 +102,12 @@ type shard struct {
 	err     error               // recovery failure, set before ready closes
 	inserts atomic.Int64        // accepted (tree-changing) inserts since open
 	insertH *obsv.Histogram     // optional: per-shard insert latency
-
-	// Lifecycle counters for memory-mode shards (durable shards count
-	// inside core.DurableBypass, which also sees its own insert-path
-	// compactions).
-	compactions atomic.Uint64
-	reclaimed   atomic.Uint64
 }
 
-// compactAged runs one aged compaction on this shard through its durable
-// write path when present.
-func (p *shard) compactAged() (core.CompactionStats, error) {
-	var (
-		sts []core.CompactionStats
-		err error
-	)
-	if p.durable != nil {
-		sts, err = p.durable.CompactAged()
-	} else {
-		sts, err = p.byp.CompactAged()
-	}
-	if err != nil {
-		return core.CompactionStats{}, err
-	}
-	st := sts[0]
-	if p.durable == nil {
-		p.compactions.Add(1)
-		p.reclaimed.Add(uint64(st.Reclaimed))
-	}
-	return st, nil
-}
-
-// lifecycleCounters reports this shard's aged-compaction counters from
-// whichever layer tracks them.
-func (p *shard) lifecycleCounters() (compactions, reclaimed uint64) {
-	if p.durable != nil {
-		return p.durable.Compactions(), p.durable.Reclaimed()
-	}
-	return p.compactions.Load(), p.reclaimed.Load()
+// shardLabels is labels plus shard="id", the label set of every
+// instrument one shard registers.
+func shardLabels(labels []obsv.Label, id int) []obsv.Label {
+	return append(append([]obsv.Label(nil), labels...), obsv.L("shard", strconv.Itoa(id)))
 }
 
 // observe registers this shard's instruments in reg; the journal-size
@@ -145,7 +118,7 @@ func (p *shard) observe(reg *obsv.Registry, labels []obsv.Label, durable bool) {
 	if reg == nil {
 		return
 	}
-	ls := append(append([]obsv.Label(nil), labels...), obsv.L("shard", strconv.Itoa(p.id)))
+	ls := shardLabels(labels, p.id)
 	p.insertH = reg.Histogram("fb_shard_insert_seconds", "Per-shard bypass insert latency (tree insert + WAL append).", obsv.LatencyBounds(), ls...)
 	live := func() bool {
 		select {
@@ -277,6 +250,7 @@ func New(d, p int, cfg core.Config, opts Options) (*Sharded, error) {
 		}
 		ready := make(chan struct{})
 		close(ready)
+		b.Observe(opts.Obs, shardLabels(opts.ObsLabels, i)...)
 		sh.shards[i] = &shard{id: i, ready: ready, byp: b}
 		sh.shards[i].observe(opts.Obs, opts.ObsLabels, false)
 	}
@@ -362,7 +336,7 @@ func OpenAsync(dir string, d, p int, cfg core.Config, opts Options) (*Sharded, e
 			dopts := opts.Durable
 			if opts.Obs != nil {
 				dopts.Obs = opts.Obs
-				dopts.ObsLabels = append(append([]obsv.Label(nil), opts.ObsLabels...), obsv.L("shard", strconv.Itoa(p0.id)))
+				dopts.ObsLabels = shardLabels(opts.ObsLabels, p0.id)
 			}
 			db, err := core.OpenDurable(sd, d, p, shardCfg, dopts)
 			if err != nil {
@@ -478,33 +452,19 @@ func (s *Sharded) Predict(q []float64) (core.OQP, error) {
 	return p.byp.Predict(q)
 }
 
-// insert applies one insert to a live shard through its durable write
-// path when present.
-func (p *shard) insert(q []float64, oqp core.OQP) (bool, error) {
+// Insert stores a converged feedback outcome in q's shard, taking only
+// that shard's write mutex (and journaling to that shard's WAL in durable
+// mode). The shard's core.Bypass owns the quota compact-then-retry.
+func (s *Sharded) Insert(q []float64, oqp core.OQP) (bool, error) {
+	p, err := s.get(s.ShardOf(q))
+	if err != nil {
+		return false, err
+	}
 	var t0 time.Time
 	if p.insertH != nil {
 		t0 = time.Now()
 	}
-	var (
-		changed bool
-		err     error
-	)
-	if p.durable != nil {
-		// The durable layer owns compact-then-retry on quota pressure.
-		changed, err = p.durable.Insert(q, oqp)
-	} else {
-		changed, err = p.byp.Insert(q, oqp)
-		if err != nil && errors.Is(err, core.ErrQuotaExceeded) && p.byp.Tree().AgeHorizon() > 0 {
-			// Memory-mode compact-then-retry: one aged compaction, one
-			// retry iff it reclaimed space. The compaction changed the
-			// served tree even when the retry is ε-skipped, so report
-			// changed=true either way (per-shard caches must refresh).
-			if st, cerr := p.compactAged(); cerr == nil && st.Reclaimed > 0 {
-				_, err = p.byp.Insert(q, oqp)
-				changed = true
-			}
-		}
-	}
+	changed, err := p.byp.Insert(q, oqp)
 	if changed {
 		p.inserts.Add(1)
 	}
@@ -512,68 +472,6 @@ func (p *shard) insert(q []float64, oqp core.OQP) (bool, error) {
 		p.insertH.ObserveSince(t0)
 	}
 	return changed, err
-}
-
-// Insert stores a converged feedback outcome in q's shard, taking only
-// that shard's exclusive lock (and journaling to that shard's WAL in
-// durable mode).
-func (s *Sharded) Insert(q []float64, oqp core.OQP) (bool, error) {
-	p, err := s.get(s.ShardOf(q))
-	if err != nil {
-		return false, err
-	}
-	return p.insert(q, oqp)
-}
-
-// InsertBatch stores many outcomes, grouped by shard: within a shard,
-// pairs apply in their original relative order with single-Insert ε
-// semantics; across shards there is no ordering (shards are independent
-// learners). It returns the number of pairs that changed some shard; on
-// the first error it stops with earlier groups (and the failing shard's
-// earlier pairs) applied.
-func (s *Sharded) InsertBatch(qs [][]float64, oqps []core.OQP) (int, error) {
-	if len(qs) != len(oqps) {
-		return 0, fmt.Errorf("shardedbypass: batch has %d points but %d OQPs", len(qs), len(oqps))
-	}
-	if len(s.shards) == 1 {
-		p, err := s.get(0)
-		if err != nil {
-			return 0, err
-		}
-		if p.durable != nil {
-			// One lock acquisition and one compaction check for the whole
-			// batch, exactly as core.DurableBypass journals it.
-			stored, err := p.durable.InsertBatch(qs, oqps)
-			p.inserts.Add(int64(stored))
-			return stored, err
-		}
-	}
-	byShard := make(map[int][]int)
-	for i, q := range qs {
-		sh := s.ShardOf(q)
-		byShard[sh] = append(byShard[sh], i)
-	}
-	stored := 0
-	for sh := 0; sh < len(s.shards); sh++ {
-		idxs := byShard[sh]
-		if len(idxs) == 0 {
-			continue
-		}
-		p, err := s.get(sh)
-		if err != nil {
-			return stored, err
-		}
-		for _, i := range idxs {
-			changed, err := p.insert(qs[i], oqps[i])
-			if changed {
-				stored++
-			}
-			if err != nil {
-				return stored, err
-			}
-		}
-	}
-	return stored, nil
 }
 
 // Stats aggregates the shape of every live shard's tree: Points, Leaves,
@@ -641,7 +539,7 @@ func (s *Sharded) ShardInfos() []ShardInfo {
 		out[i].Points = st.Points
 		out[i].Depth = st.Depth
 		out[i].Inserts = p.inserts.Load()
-		out[i].Compactions, out[i].Reclaimed = p.lifecycleCounters()
+		out[i].Compactions, out[i].Reclaimed = p.byp.Compactions(), p.byp.Reclaimed()
 		if p.durable != nil {
 			out[i].Journaled = p.durable.Journaled()
 			out[i].WALBytes = p.durable.WALSize()
@@ -736,12 +634,12 @@ func (s *Sharded) CompactAged() ([]core.CompactionStats, error) {
 		wg.Add(1)
 		go func(i int, p *shard) {
 			defer wg.Done()
-			st, err := p.compactAged()
+			sts, err := p.byp.CompactAged()
 			if err != nil {
 				errs[i] = fmt.Errorf("shardedbypass: compacting shard %d: %w", i, err)
 				return
 			}
-			stats[i] = st
+			stats[i] = sts[0]
 		}(i, p)
 	}
 	wg.Wait()

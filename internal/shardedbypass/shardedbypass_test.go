@@ -180,55 +180,6 @@ func TestInsertRouting(t *testing.T) {
 	}
 }
 
-// TestInsertBatchMatchesSerial pins InsertBatch to repeated Insert calls
-// on a twin: same accepted count, same per-shard state.
-func TestInsertBatchMatchesSerial(t *testing.T) {
-	const d, p, shards = 3, 3, 4
-	rng := rand.New(rand.NewSource(31))
-	batch, err := New(d, p, core.Config{Epsilon: 0.01}, Options{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := New(d, p, core.Config{Epsilon: 0.01}, Options{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := make([][]float64, 40)
-	oqps := make([]core.OQP, 40)
-	for i := range qs {
-		qs[i] = randomSimplexPoint(rng, d)
-		oqps[i] = randomOQP(rng, d, p)
-	}
-	stored, err := batch.InsertBatch(qs, oqps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialStored := 0
-	for i := range qs {
-		changed, err := serial.Insert(qs[i], oqps[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if changed {
-			serialStored++
-		}
-	}
-	if stored != serialStored {
-		t.Errorf("batch stored %d, serial stored %d", stored, serialStored)
-	}
-	for _, q := range qs {
-		bo, err := batch.Predict(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		so, err := serial.Predict(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePrediction(t, "batch-vs-serial", bo, so)
-	}
-}
-
 // TestManifestPinsLayout: reopening with a different shard count or
 // geometry is refused; Shards = 0 adopts the manifest.
 func TestManifestPinsLayout(t *testing.T) {

@@ -290,52 +290,3 @@ func TestInsertObserver(t *testing.T) {
 		t.Errorf("aborted insert leaked into predictions: %v", pred)
 	}
 }
-
-// TestInsertBatchMatchesSerial pins InsertBatch to the serial reference:
-// the same pairs inserted one by one yield a bitwise-identical tree.
-func TestInsertBatchMatchesSerial(t *testing.T) {
-	d := 5
-	rng := rand.New(rand.NewSource(59))
-	qs := make([][]float64, 60)
-	vs := make([][]float64, 60)
-	for i := range qs {
-		qs[i] = randomInterior(rng, d)
-		vs[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
-	}
-	serial := newTestTree(t, d, []float64{0, 0}, 0.1)
-	wantStored := 0
-	for i := range qs {
-		changed, err := serial.Insert(qs[i], vs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if changed {
-			wantStored++
-		}
-	}
-	batched := newTestTree(t, d, []float64{0, 0}, 0.1)
-	stored, err := batched.InsertBatch(qs, vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stored != wantStored {
-		t.Errorf("InsertBatch stored %d, serial stored %d", stored, wantStored)
-	}
-	probes := make([][]float64, 128)
-	for i := range probes {
-		probes[i] = randomInterior(rng, d)
-	}
-	for _, q := range probes {
-		a, err := serial.Predict(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := batched.Predict(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !vec.Equal(a, b) {
-			t.Fatalf("batched tree diverges at %v: %v vs %v", q, a, b)
-		}
-	}
-}

@@ -20,7 +20,7 @@
 // and the accessors — is pure: it runs under the shared read lock, never
 // mutates the tree, and reports per-call traversal counts through
 // PredictStats instead of storing them. Any number of readers proceed in
-// parallel. The write plane — Insert, InsertBatch, SetObserver,
+// parallel. The write plane — Insert, InsertStamped, SetObserver,
 // CompressValues — takes the exclusive lock. Lookups are allocation-free
 // after warm-up: the root barycentric system is LU-factorized once at
 // construction (the root simplex never changes), descent uses the O(D)
@@ -584,29 +584,6 @@ func (t *Tree) InsertStamped(q, value []float64, stamp uint64) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.insertLocked(q, value, stamp)
-}
-
-// InsertBatch stores many (q, value) pairs under one exclusive-lock
-// acquisition, applying them in order with identical semantics to
-// repeated Insert calls (each accepted insert is announced to the
-// observer). It returns the number of pairs that changed the tree; on
-// error it stops at the failing pair, with earlier pairs applied.
-func (t *Tree) InsertBatch(qs, values [][]float64) (stored int, err error) {
-	if len(qs) != len(values) {
-		return 0, fmt.Errorf("simplextree: batch has %d points but %d values", len(qs), len(values))
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := range qs {
-		changed, err := t.insertLocked(qs[i], values[i], t.clock+1)
-		if changed {
-			stored++
-		}
-		if err != nil {
-			return stored, fmt.Errorf("simplextree: batch insert %d: %w", i, err)
-		}
-	}
-	return stored, nil
 }
 
 // insertLocked implements Insert under the already-held exclusive lock.
