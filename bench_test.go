@@ -533,9 +533,10 @@ func BenchmarkKNNScanWeighted(b *testing.B) {
 // of 200 seeded oracle feedback sessions over the bench/ `bigscan`
 // collection (IMSILike(1, 10): the 97,910 rows `fbserve -scale 10`
 // serves), k = 10: each session's open under uniform weights and its
-// feedback rounds under the metrics engine.RunLoop learns. Besides ns/op
-// it reports cpu-ns/op, user plus system time from getrusage, which
-// counts the helper goroutines a search may take as well as the caller.
+// feedback rounds under the metrics experiments.OracleLoop learns.
+// Besides ns/op it reports cpu-ns/op, user plus system time from
+// getrusage, which counts the helper goroutines a search may take as
+// well as the caller.
 func BenchmarkKNNScanOracle(b *testing.B) {
 	oracleOnce.Do(func() { oracleScan, oracleLog, oracleErr = recordOracleSearches(1, 10, 200, 10) })
 	if oracleErr != nil {
@@ -606,7 +607,7 @@ func recordOracleSearches(seed int64, scale float64, sessions, k int) (*knn.Scan
 	}
 	for _, i := range items {
 		item := ds.Items[i]
-		if _, err := eng.RunLoop(item.Category, item.Feature, eng.UniformWeights(), k); err != nil {
+		if _, err := experiments.OracleLoop(eng, item.Category, item.Feature, eng.UniformWeights(), k); err != nil {
 			return nil, nil, err
 		}
 	}

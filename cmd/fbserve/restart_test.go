@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -113,9 +116,29 @@ type shardStats struct {
 	} `json:"collections"`
 }
 
+// get fetches url, requires the given status and returns the body.
+func get(t *testing.T, url string, status int) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != status {
+		t.Fatalf("GET %s: status %d, want %d", url, resp.StatusCode, status)
+	}
+	return body
+}
+
 // TestBinaryDurableRestart is the default durable deployment end to end
 // on the real binary: `-dir D` renders the collection into
-// D/collection.fbmx and serves learning sessions, SIGTERM drains and
+// D/collection.fbmx and serves query → feedback → close sessions (each
+// feedback round counted on the wire, /stats and /metrics agreeing on
+// the sessions, pprof off without its flag), SIGTERM drains and
 // compacts every WAL into its snapshot, and a second process on the
 // same directory maps the collection file instead of rendering, serves
 // the same labels and recovers the learned points with nothing left to
@@ -126,6 +149,17 @@ func TestBinaryDurableRestart(t *testing.T) {
 	args := []string{"-scale", "0.03", "-seed", "5", "-k", "8", "-dir", dir}
 	p := start(t, bin, args...)
 
+	var health struct {
+		Status string `json:"status"`
+		Server struct {
+			UptimeSeconds *float64 `json:"uptime_seconds"`
+		} `json:"server"`
+	}
+	p.call(t, http.MethodGet, "/healthz", nil, &health)
+	if health.Status != "ok" || health.Server.UptimeSeconds == nil || *health.Server.UptimeSeconds < 0 {
+		t.Fatalf("/healthz: status %q, uptime %v", health.Status, health.Server.UptimeSeconds)
+	}
+
 	type state struct {
 		Session uint64 `json:"session"`
 		Results []struct {
@@ -133,11 +167,13 @@ func TestBinaryDurableRestart(t *testing.T) {
 			Category string `json:"category"`
 			Theme    string `json:"theme"`
 		} `json:"results"`
-		Converged bool `json:"converged"`
+		Iterations int  `json:"iterations"`
+		Converged  bool `json:"converged"`
 	}
 	var stats shardStats
 	labels := map[int][2]string{} // result index → (category, theme) as the first process served it
-	for item := 0; ; item++ {
+	item := 0
+	for ; ; item++ {
 		if item == 32 {
 			t.Fatal("no session's outcome was stored")
 		}
@@ -150,7 +186,7 @@ func TestBinaryDurableRestart(t *testing.T) {
 			}
 			labels[r.Index] = [2]string{r.Category, r.Theme}
 		}
-		for !st.Converged {
+		for rounds := 1; !st.Converged; rounds++ {
 			scores := make([]float64, len(st.Results))
 			for i, r := range st.Results {
 				if r.Category == category {
@@ -158,8 +194,17 @@ func TestBinaryDurableRestart(t *testing.T) {
 				}
 			}
 			p.call(t, http.MethodPost, "/feedback", map[string]any{"session": st.Session, "scores": scores}, &st)
+			if st.Iterations != rounds {
+				t.Fatalf("/feedback round %d of item %d: %d iterations", rounds, item, st.Iterations)
+			}
 		}
-		p.call(t, http.MethodPost, "/close", map[string]any{"session": st.Session}, &struct{}{})
+		var closed struct {
+			Session uint64 `json:"session"`
+		}
+		p.call(t, http.MethodPost, "/close", map[string]any{"session": st.Session}, &closed)
+		if closed.Session != st.Session {
+			t.Fatalf("/close answered session %d, want %d", closed.Session, st.Session)
+		}
 		p.call(t, http.MethodGet, "/stats", nil, &stats)
 		if shards := stats.Collections["default"].Shards; len(shards) != 1 {
 			t.Fatalf("/stats shards of a default -shards 1 collection: %+v", shards)
@@ -168,6 +213,41 @@ func TestBinaryDurableRestart(t *testing.T) {
 		}
 	}
 	learned := stats.Collections["default"].Shards[0].Points
+	sessions := item + 1
+
+	var served struct {
+		Server struct {
+			PID       int    `json:"pid"`
+			GoVersion string `json:"go_version"`
+		} `json:"server"`
+		Collections map[string]struct {
+			Opened int `json:"opened"`
+			Closed int `json:"closed"`
+		} `json:"collections"`
+	}
+	p.call(t, http.MethodGet, "/stats", nil, &served)
+	if c := served.Collections["default"]; c.Opened != sessions || c.Closed != sessions {
+		t.Fatalf("/stats default collection: %+v, want %d sessions opened and closed", c, sessions)
+	}
+	if served.Server.PID <= 0 || served.Server.GoVersion == "" {
+		t.Fatalf("/stats server block: %+v", served.Server)
+	}
+	metrics := string(get(t, p.base+"/metrics", http.StatusOK))
+	for _, want := range []string{
+		"# TYPE fb_service_request_seconds histogram",
+		fmt.Sprintf(`fb_service_requests_total{collection="default",op="open",outcome="ok"} %d`+"\n", sessions),
+		fmt.Sprintf(`fb_service_requests_total{collection="default",op="close",outcome="ok"} %d`+"\n", sessions),
+		"fb_process_goroutines",
+		"fb_process_start_time_seconds",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	if !regexp.MustCompile(`fb_wal_append_seconds_count\{collection="default",shard="0"\} [1-9]`).MatchString(metrics) {
+		t.Error("/metrics has no WAL append on shard 0")
+	}
+	get(t, p.base+"/debug/pprof/", http.StatusNotFound)
 
 	p.terminate(t)
 	if _, err := os.Stat(filepath.Join(dir, "shard-000", core.SnapshotFile)); err != nil {

@@ -82,18 +82,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fromDefault, err := session.Engine.RunLoop(item.Category, item.Feature, session.Engine.UniformWeights(), cfg.K)
+	fromDefault, err := experiments.OracleLoop(session.Engine, item.Category, item.Feature, session.Engine.UniformWeights(), cfg.K)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fromPredicted, err := session.Engine.RunLoop(item.Category, qPred, wPred, cfg.K)
+	fromPredicted, err := experiments.OracleLoop(session.Engine, item.Category, qPred, wPred, cfg.K)
 	if err != nil {
 		log.Fatal(err)
 	}
+	saved := fromDefault.Rounds() - fromPredicted.Rounds()
 	fmt.Printf("\nfeedback cycles to convergence: %d from default, %d from prediction (saved %d cycles ≈ %d objects)\n",
-		fromDefault.Iterations, fromPredicted.Iterations,
-		fromDefault.Iterations-fromPredicted.Iterations,
-		(fromDefault.Iterations-fromPredicted.Iterations)*cfg.K)
+		fromDefault.Rounds(), fromPredicted.Rounds(), saved, saved*cfg.K)
 }
 
 func printLine(l experiments.ResultLine) {

@@ -7,6 +7,7 @@ import (
 	feedbackbypass "repro"
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/histogram"
 	"repro/internal/imagegen"
 )
@@ -43,11 +44,12 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	trainN := len(pool) / 2
 	for _, idx := range pool[:trainN] {
 		item := ds.Items[idx]
-		out, err := eng.RunLoop(item.Category, item.Feature, eng.UniformWeights(), k)
+		loop, err := experiments.OracleLoop(eng, item.Category, item.Feature, eng.UniformWeights(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oqp, err := codec.EncodeOQP(item.Feature, out.QOpt, out.WOpt)
+		qOpt, wOpt := loop.Params()
+		oqp, err := codec.EncodeOQP(item.Feature, qOpt, wOpt)
 		if err != nil {
 			t.Fatal(err)
 		}

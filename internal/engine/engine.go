@@ -7,9 +7,11 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/distance"
@@ -18,24 +20,18 @@ import (
 	"repro/internal/vec"
 )
 
-// DefaultMaxIterations bounds the feedback loop. Most queries stabilize in
-// a handful of iterations, but convergence can be slow when precision
-// creeps up one result at a time (§1: "numerous iterations might occur");
-// the bound guards genuinely non-converging trajectories.
+// DefaultMaxIterations is the round budget the figures give every Loop,
+// and the service's default. Most queries stabilize in a handful of
+// rounds, but convergence can be slow when precision creeps up one result
+// at a time (§1: "numerous iterations might occur"); the bound guards
+// genuinely non-converging trajectories.
 const DefaultMaxIterations = 30
-
-// NoFeedbackLoop disables the feedback loop entirely when assigned to
-// Options.MaxIterations: RunLoop returns after the initial retrieval. The
-// zero value of MaxIterations selects DefaultMaxIterations, so "no
-// iterations" needs its own sentinel.
-const NoFeedbackLoop = -1
 
 // Engine is an interactive similarity retrieval system over a dataset.
 type Engine struct {
 	ds       *dataset.Dataset
 	searcher knn.BatchSearcher // the one retrieval seam: the exact scan, or an injected index (e.g. ann.Index)
 	fb       *feedback.Engine
-	maxIters int
 }
 
 // Options configures an engine.
@@ -46,9 +42,6 @@ type Options struct {
 	// rules, so a deliberate MoveNone/WeightNone configuration is passed
 	// through unchanged.
 	Feedback feedback.Options
-	// MaxIterations bounds the feedback loop; DefaultMaxIterations when 0,
-	// no loop at all when NoFeedbackLoop. Other negatives are errors.
-	MaxIterations int
 	// Searcher injects a pre-built retrieval tier — typically an IVF
 	// ann.Index over the dataset's backend — in place of the exact scan.
 	// The tier must cover exactly the dataset's rows.
@@ -62,19 +55,11 @@ func New(ds *dataset.Dataset, opts Options) (*Engine, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, errors.New("engine: empty dataset")
 	}
-	switch {
-	case opts.MaxIterations == 0:
-		opts.MaxIterations = DefaultMaxIterations
-	case opts.MaxIterations == NoFeedbackLoop:
-		opts.MaxIterations = 0
-	case opts.MaxIterations < 0:
-		return nil, fmt.Errorf("engine: max iterations must be positive, 0 (default) or NoFeedbackLoop, got %d", opts.MaxIterations)
-	}
 	fb, err := feedback.New(opts.Feedback)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{ds: ds, searcher: opts.Searcher, fb: fb, maxIters: opts.MaxIterations}
+	e := &Engine{ds: ds, searcher: opts.Searcher, fb: fb}
 	if e.searcher == nil {
 		if e.searcher, err = knn.NewScanBackend(ds.Matrix()); err != nil {
 			return nil, err
@@ -163,108 +148,111 @@ func (e *Engine) GoodCount(queryCategory string, results []knn.Result) int {
 	return n
 }
 
-// RefineFromScores computes the next query point and weight vector from
-// caller-provided relevance scores for the given result list — the
-// feedback step of Figure 5 driven by an external user (e.g. a service
-// session) instead of the category oracle RunLoop embeds. It passes
-// feedback.ErrNoGoodMatches through unchanged so callers can terminate
-// their loop the way RunLoop does.
-func (e *Engine) RefineFromScores(q []float64, results []knn.Result, scores []float64) (newQ, newW []float64, err error) {
-	if len(results) != len(scores) {
-		return nil, nil, fmt.Errorf("engine: %d results but %d scores", len(results), len(scores))
+// ErrInvalidScores wraps a round Step cannot consume: a score count that
+// does not match the result list, a negative, NaN or infinite score, or
+// scores whose sum overflows.
+var ErrInvalidScores = errors.New("engine: invalid relevance scores")
+
+// Loop is one interactive session of Figure 5. Start runs the first
+// retrieval; each Step consumes one round of judgements. The loop ends
+// when "no changes are observed anymore in the result list" (§5) — the
+// list is unchanged or repeats an earlier one — when a round marks no
+// result good, or when the budget is spent. A round is every judgement
+// the loop consumed, the terminal one included. A Loop is not safe for
+// concurrent use.
+type Loop struct {
+	e       *Engine
+	k       int
+	q0, w0  []float64 // the parameters the loop started from
+	q, w    []float64
+	results []knn.Result
+	seen    map[uint64]bool // every list's signature, for limit cycles
+	rounds  int
+	budget  int
+	done    bool
+}
+
+// Start retrieves the first result list for (q, w) and returns a loop of
+// at most budget rounds (0: already done). The loop keeps q and w; the
+// caller must not modify them.
+func (e *Engine) Start(q, w []float64, k, budget int) (*Loop, error) {
+	if k <= 0 || budget < 0 {
+		return nil, fmt.Errorf("engine: need k > 0 and budget >= 0, got k=%d budget=%d", k, budget)
 	}
-	vectors := make([][]float64, len(results))
-	for i, r := range results {
-		// The bounds-checked accessor turns a hostile index from a
-		// serving-path client into an errors.Is-able store.ErrOutOfRange
-		// instead of a slice-bounds panic inside an HTTP handler.
-		v, err := e.ds.Feature(r.Index)
+	results, err := e.Retrieve(q, w, k)
+	if err != nil {
+		return nil, err
+	}
+	return &Loop{
+		e: e, k: k,
+		q0: q, w0: w, q: q, w: w,
+		results: results,
+		seen:    map[uint64]bool{signature(results): true},
+		budget:  budget,
+		done:    budget == 0,
+	}, nil
+}
+
+// Step consumes one round of scores, one per current result (non-negative,
+// 0 = irrelevant): refine, re-retrieve, decide whether the loop is done.
+// On a finished loop it is a no-op. On any error the loop is unchanged,
+// so a retried Step reproduces the round: malformed scores wrap
+// ErrInvalidScores, and a ctx done before the retrieval returns its error.
+func (l *Loop) Step(ctx context.Context, scores []float64) error {
+	if l.done {
+		return nil
+	}
+	if len(scores) != len(l.results) {
+		return fmt.Errorf("%d scores for %d results: %w", len(scores), len(l.results), ErrInvalidScores)
+	}
+	vectors := make([][]float64, len(l.results))
+	for i, r := range l.results {
+		v, err := l.e.ds.Feature(r.Index) // bounds-checked: a faulty searcher's index is an error, not a panic
 		if err != nil {
-			return nil, nil, fmt.Errorf("engine: result index %d: %w", r.Index, err)
+			return fmt.Errorf("engine: result index %d: %w", r.Index, err)
 		}
 		vectors[i] = v
 	}
-	return e.fb.Refine(q, vectors, scores)
-}
-
-// LoopOutcome summarizes one run of the feedback loop.
-type LoopOutcome struct {
-	// QOpt and WOpt are the converged optimal query parameters.
-	QOpt, WOpt []float64
-	// Iterations counts the feedback cycles performed: each cycle is one
-	// round of user scores, parameter refinement, and re-retrieval. Zero
-	// means the very first refinement left the result list unchanged or no
-	// feedback was available.
-	Iterations int
-	// Retrievals counts database searches, Iterations+1.
-	Retrievals int
-	// FirstResults is the result list of the initial retrieval (what the
-	// user sees before any feedback).
-	FirstResults []knn.Result
-	// FinalResults is the stable result list of Result(Qopt, dopt).
-	FinalResults []knn.Result
-	// Converged is false when the iteration bound stopped the loop.
-	Converged bool
-}
-
-// RunLoop executes the interactive feedback loop of Figure 5 starting from
-// the given query point and weights, using the category oracle in place of
-// the user. It iterates until the result list no longer changes, no good
-// matches are found, or the iteration bound is reached.
-func (e *Engine) RunLoop(queryCategory string, q0, w0 []float64, k int) (LoopOutcome, error) {
-	if k <= 0 {
-		return LoopOutcome{}, fmt.Errorf("engine: k must be positive, got %d", k)
+	newQ, newW, err := l.e.fb.Refine(l.q, vectors, scores)
+	if errors.Is(err, feedback.ErrNoGoodMatches) {
+		// Nothing to learn from: the loop ends with the current parameters.
+		l.rounds++
+		l.done = true
+		return nil
 	}
-	q, w := vec.Clone(q0), vec.Clone(w0)
-	results, err := e.Retrieve(q, w, k)
 	if err != nil {
-		return LoopOutcome{}, err
+		return fmt.Errorf("%w: %w", err, ErrInvalidScores)
 	}
-	out := LoopOutcome{FirstResults: results}
-	// The refinement is a deterministic function of the result list, so a
-	// repeated list means the loop has entered a limit cycle and no further
-	// improvement is possible ("stable situation", §5). Track every list
-	// seen to terminate both on fixed points and on longer cycles.
-	seen := map[uint64]bool{signature(results): true}
-	for iter := 0; iter < e.maxIters; iter++ {
-		scores := e.Score(queryCategory, results)
-		vectors := make([][]float64, len(results))
-		for i, r := range results {
-			vectors[i] = e.ds.Items[r.Index].Feature
-		}
-		newQ, newW, err := e.fb.Refine(q, vectors, scores)
-		if errors.Is(err, feedback.ErrNoGoodMatches) {
-			// Nothing to learn from: the loop terminates with the current
-			// parameters (§5: improvement requires good matches).
-			out.Converged = true
-			break
-		}
-		if err != nil {
-			return LoopOutcome{}, err
-		}
-		newResults, err := e.Retrieve(newQ, newW, k)
-		if err != nil {
-			return LoopOutcome{}, err
-		}
-		q, w = newQ, newW
-		if knn.SameIndexSet(newResults, results) {
-			results = newResults
-			out.Converged = true
-			break
-		}
-		results = newResults
-		out.Iterations++
-		sig := signature(results)
-		if seen[sig] {
-			out.Converged = true
-			break
-		}
-		seen[sig] = true
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	out.QOpt, out.WOpt = q, w
-	out.FinalResults = results
-	out.Retrievals = out.Iterations + 1
-	return out, nil
+	results, err := l.e.Retrieve(newQ, newW, l.k)
+	if err != nil {
+		return err
+	}
+	sig := signature(results)
+	l.rounds++
+	l.done = knn.SameIndexSet(results, l.results) || l.seen[sig] || l.rounds >= l.budget
+	l.q, l.w, l.results, l.seen[sig] = newQ, newW, results, true
+	return nil
+}
+
+// Results, Params and K describe the current state; callers must not
+// modify the returned slices.
+func (l *Loop) Results() []knn.Result    { return l.results }
+func (l *Loop) Params() (q, w []float64) { return l.q, l.w }
+func (l *Loop) K() int                   { return l.k }
+
+// Rounds, BudgetLeft and Done count the judgements consumed and left.
+func (l *Loop) Rounds() int     { return l.rounds }
+func (l *Loop) BudgetLeft() int { return l.budget - l.rounds }
+func (l *Loop) Done() bool      { return l.done }
+
+// Moved is Figure 5's "if (vPred != v)", the one insert rule: whether the
+// current parameters differ bitwise from the ones the loop started from.
+func (l *Loop) Moved() bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return !slices.EqualFunc(l.q, l.q0, same) || !slices.EqualFunc(l.w, l.w0, same)
 }
 
 const (
@@ -281,12 +269,8 @@ func fnvMix(h, x uint64) uint64 {
 }
 
 // signature encodes a result list's index sequence for cycle detection:
-// FNV-1a over the little-endian index bytes. The previous implementation
-// built a string with one fmt.Fprintf per result per iteration, which
-// dominated the loop's bookkeeping cost; the hash is allocation-free. A
-// 64-bit collision between the handful of lists one loop can see is
-// vanishingly unlikely (and a collision merely ends refinement one
-// iteration early, it cannot corrupt results).
+// allocation-free FNV-1a over the little-endian index bytes. A 64-bit
+// collision merely ends the loop one round early.
 func signature(results []knn.Result) uint64 {
 	h := uint64(fnvOffset64)
 	for _, r := range results {
@@ -294,11 +278,6 @@ func signature(results []knn.Result) uint64 {
 	}
 	return h
 }
-
-// ResultSignature is the exported form of the loop's cycle-detection hash;
-// service sessions use it to detect stable result lists across feedback
-// rounds exactly the way RunLoop does.
-func ResultSignature(results []knn.Result) uint64 { return signature(results) }
 
 // QuerySignature hashes a query point (FNV-1a over the little-endian
 // IEEE-754 bits of each component) — the cache key of the serving layer's

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -45,9 +46,6 @@ func TestNewValidation(t *testing.T) {
 		t.Error("nil dataset should error")
 	}
 	ds := clusteredDataset(t, 10, 1)
-	if _, err := New(ds, Options{MaxIterations: -2}); err == nil {
-		t.Error("negative max iterations (other than NoFeedbackLoop) should error")
-	}
 	e, err := New(ds, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +94,23 @@ func TestRetrieveAndScore(t *testing.T) {
 	}
 }
 
+// oracleLoop runs a loop from (q, w) to its end with the category oracle
+// and returns it with the first result list.
+func oracleLoop(t *testing.T, e *Engine, category string, q, w []float64, k, budget int) ([]knn.Result, *Loop) {
+	t.Helper()
+	l, err := e.Start(q, w, k, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := l.Results()
+	for !l.Done() {
+		if err := l.Step(context.Background(), e.Score(category, l.Results())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return first, l
+}
+
 func TestRunLoopImprovesPrecision(t *testing.T) {
 	ds := clusteredDataset(t, 200, 3)
 	e, err := New(ds, Options{})
@@ -106,25 +121,19 @@ func TestRunLoopImprovesPrecision(t *testing.T) {
 	improvedSome := false
 	for qi := 0; qi < 10; qi++ {
 		item := ds.Items[qi]
-		out, err := e.RunLoop(item.Category, item.Feature, e.UniformWeights(), k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !out.Converged {
+		firstRes, l := oracleLoop(t, e, item.Category, item.Feature, e.UniformWeights(), k, DefaultMaxIterations)
+		if l.Rounds() >= DefaultMaxIterations {
 			t.Errorf("query %d did not converge", qi)
 		}
-		if out.Retrievals != out.Iterations+1 {
-			t.Errorf("retrievals %d vs iterations %d", out.Retrievals, out.Iterations)
-		}
-		first := e.GoodCount(item.Category, out.FirstResults)
-		final := e.GoodCount(item.Category, out.FinalResults)
+		first := e.GoodCount(item.Category, firstRes)
+		final := e.GoodCount(item.Category, l.Results())
 		if final < first {
 			t.Errorf("query %d: feedback degraded precision %d -> %d", qi, first, final)
 		}
 		if final > first {
 			improvedSome = true
 		}
-		if len(out.QOpt) != 2 || len(out.WOpt) != 2 {
+		if q, w := l.Params(); len(q) != 2 || len(w) != 2 {
 			t.Errorf("query %d: OQP dims", qi)
 		}
 	}
@@ -140,14 +149,11 @@ func TestRunLoopOptimalWeightsFavorSignalDimension(t *testing.T) {
 		t.Fatal(err)
 	}
 	item := ds.Items[0]
-	out, err := e.RunLoop(item.Category, item.Feature, e.UniformWeights(), 30)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, l := oracleLoop(t, e, item.Category, item.Feature, e.UniformWeights(), 30, DefaultMaxIterations)
 	// Dimension 0 separates the categories (low variance among good
 	// matches); dimension 1 is noise. The learned weights must reflect it.
-	if out.WOpt[0] <= out.WOpt[1] {
-		t.Errorf("weights = %v: signal dimension not favored", out.WOpt)
+	if _, w := l.Params(); w[0] <= w[1] {
+		t.Errorf("weights = %v: signal dimension not favored", w)
 	}
 }
 
@@ -159,20 +165,16 @@ func TestRunLoopStartingFromOptimalConvergesImmediately(t *testing.T) {
 	}
 	item := ds.Items[2]
 	k := 15
-	out1, err := e.RunLoop(item.Category, item.Feature, e.UniformWeights(), k)
-	if err != nil {
-		t.Fatal(err)
+	_, l1 := oracleLoop(t, e, item.Category, item.Feature, e.UniformWeights(), k, DefaultMaxIterations)
+	// Restart from the converged parameters: the first judgement finds the
+	// list stable, and that terminal judgement is the restart's one round.
+	q, w := l1.Params()
+	_, l2 := oracleLoop(t, e, item.Category, q, w, k, DefaultMaxIterations)
+	if l2.Rounds() != 1 {
+		t.Errorf("restart took %d rounds, want 1", l2.Rounds())
 	}
-	// Restart from the converged parameters: no further iterations needed.
-	out2, err := e.RunLoop(item.Category, out1.QOpt, out1.WOpt, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2.Iterations != 0 {
-		t.Errorf("restart took %d iterations, want 0", out2.Iterations)
-	}
-	if out2.Iterations > out1.Iterations {
-		t.Error("restart should not need more cycles than the original loop")
+	if l2.Rounds() > l1.Rounds() {
+		t.Error("restart should not need more rounds than the original loop")
 	}
 }
 
@@ -183,14 +185,12 @@ func TestRunLoopNoGoodMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Query for a category that exists nowhere near: oracle never fires.
-	out, err := e.RunLoop("Nonexistent", ds.Items[0].Feature, e.UniformWeights(), 10)
-	if err != nil {
-		t.Fatal(err)
+	// The judgement with no good match is consumed and ends the loop.
+	_, l := oracleLoop(t, e, "Nonexistent", ds.Items[0].Feature, e.UniformWeights(), 10, DefaultMaxIterations)
+	if l.Rounds() != 1 || !l.Done() || l.Moved() {
+		t.Errorf("loop without good matches: %d rounds, done %v, moved %v", l.Rounds(), l.Done(), l.Moved())
 	}
-	if out.Iterations != 0 || !out.Converged {
-		t.Errorf("loop without good matches: %+v", out)
-	}
-	if !vec.Equal(out.QOpt, ds.Items[0].Feature) {
+	if q, _ := l.Params(); !vec.Equal(q, ds.Items[0].Feature) {
 		t.Error("parameters should be unchanged")
 	}
 }
@@ -198,24 +198,28 @@ func TestRunLoopNoGoodMatches(t *testing.T) {
 func TestRunLoopKValidation(t *testing.T) {
 	ds := clusteredDataset(t, 20, 7)
 	e, _ := New(ds, Options{})
-	if _, err := e.RunLoop("A", ds.Items[0].Feature, e.UniformWeights(), 0); err == nil {
+	if _, err := e.Start(ds.Items[0].Feature, e.UniformWeights(), 0, DefaultMaxIterations); err == nil {
 		t.Error("k=0 should error")
+	}
+	if _, err := e.Start(ds.Items[0].Feature, e.UniformWeights(), 5, -1); err == nil {
+		t.Error("negative budget should error")
 	}
 }
 
 func TestRunLoopIterationBound(t *testing.T) {
 	ds := clusteredDataset(t, 100, 8)
-	e, err := New(ds, Options{MaxIterations: 1})
+	e, err := New(ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	item := ds.Items[0]
-	out, err := e.RunLoop(item.Category, item.Feature, e.UniformWeights(), 20)
-	if err != nil {
-		t.Fatal(err)
+	_, l := oracleLoop(t, e, item.Category, item.Feature, e.UniformWeights(), 20, 1)
+	if l.Rounds() != 1 || l.BudgetLeft() != 0 {
+		t.Errorf("budget 1: %d rounds, %d left", l.Rounds(), l.BudgetLeft())
 	}
-	if out.Iterations > 1 {
-		t.Errorf("iterations %d exceeded bound", out.Iterations)
+	// A Step on a finished loop is a no-op.
+	if err := l.Step(context.Background(), nil); err != nil || l.Rounds() != 1 {
+		t.Errorf("Step past the budget: err %v, %d rounds", err, l.Rounds())
 	}
 }
 
@@ -229,12 +233,9 @@ func TestRunLoopWithRocchioAndMARS(t *testing.T) {
 		t.Fatal(err)
 	}
 	item := ds.Items[1]
-	out, err := e.RunLoop(item.Category, item.Feature, e.UniformWeights(), 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := e.GoodCount(item.Category, out.FirstResults)
-	final := e.GoodCount(item.Category, out.FinalResults)
+	firstRes, l := oracleLoop(t, e, item.Category, item.Feature, e.UniformWeights(), 15, DefaultMaxIterations)
+	first := e.GoodCount(item.Category, firstRes)
+	final := e.GoodCount(item.Category, l.Results())
 	if final < first {
 		t.Errorf("Rocchio+MARS degraded precision %d -> %d", first, final)
 	}
@@ -295,7 +296,7 @@ func TestRetrieveBatchMatchesRetrieve(t *testing.T) {
 }
 
 // BenchmarkFeedbackSignature measures the allocation-free FNV-1a cycle
-// key that replaced the fmt.Fprintf string builder in RunLoop.
+// key that replaced the fmt.Fprintf string builder in the feedback loop.
 func BenchmarkFeedbackSignature(b *testing.B) {
 	results := make([]knn.Result, 50)
 	for i := range results {
@@ -336,85 +337,101 @@ func TestZeroFeedbackOptionsSurvive(t *testing.T) {
 	if got := none.fb.Name(); got != "move=none,weight=none" {
 		t.Errorf("explicit none/none became %q", got)
 	}
-	// Behavioural check: a none/none loop can never move the parameters.
+	// Behavioural check: a none/none loop can never move the parameters,
+	// so its first judgement finds the list stable.
 	item := ds.Items[0]
-	out, err := none.RunLoop(item.Category, item.Feature, none.UniformWeights(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vec.Equal(out.QOpt, item.Feature) || !vec.Equal(out.WOpt, none.UniformWeights()) {
+	_, l := oracleLoop(t, none, item.Category, item.Feature, none.UniformWeights(), 5, DefaultMaxIterations)
+	if q, w := l.Params(); l.Moved() || !vec.Equal(q, item.Feature) || !vec.Equal(w, none.UniformWeights()) {
 		t.Error("none/none feedback changed the query parameters")
 	}
-	if !out.Converged || out.Iterations != 0 {
-		t.Errorf("none/none loop: converged=%v iterations=%d, want immediate convergence", out.Converged, out.Iterations)
+	if !l.Done() || l.Rounds() != 1 {
+		t.Errorf("none/none loop: done=%v rounds=%d, want one stable round", l.Done(), l.Rounds())
 	}
 }
 
-// TestNoFeedbackLoop pins the MaxIterations sentinel: NoFeedbackLoop runs
-// zero feedback cycles (the zero value still selects the default bound).
+// TestNoFeedbackLoop pins the budget-0 case of Start: the loop is done
+// after the first retrieval, and Step consumes nothing.
 func TestNoFeedbackLoop(t *testing.T) {
-	ds := clusteredDataset(t, 40, 2)
-	e, err := New(ds, Options{MaxIterations: NoFeedbackLoop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.maxIters != 0 {
-		t.Fatalf("MaxIterations() = %d, want 0", e.maxIters)
-	}
-	item := ds.Items[0]
-	out, err := e.RunLoop(item.Category, item.Feature, e.UniformWeights(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Iterations != 0 || out.Retrievals != 1 {
-		t.Errorf("NoFeedbackLoop ran %d iterations, %d retrievals", out.Iterations, out.Retrievals)
-	}
-	if !knn.SameIndexSet(out.FirstResults, out.FinalResults) {
-		t.Error("NoFeedbackLoop changed the result list")
-	}
-
-	def, err := New(ds, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.maxIters != DefaultMaxIterations {
-		t.Errorf("zero MaxIterations resolved to %d, want DefaultMaxIterations", def.maxIters)
-	}
-}
-
-// TestRefineFromScores checks the externally driven feedback step agrees
-// with the engine's own oracle-driven refinement.
-func TestRefineFromScores(t *testing.T) {
 	ds := clusteredDataset(t, 40, 2)
 	e, err := New(ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	item := ds.Items[0]
-	results, err := e.Retrieve(item.Feature, e.UniformWeights(), 8)
+	l, err := e.Start(item.Feature, e.UniformWeights(), 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores := e.Score(item.Category, results)
-	newQ, newW, err := e.RefineFromScores(item.Feature, results, scores)
+	first := l.Results()
+	if !l.Done() || l.BudgetLeft() != 0 {
+		t.Fatalf("budget 0: done %v, %d left", l.Done(), l.BudgetLeft())
+	}
+	if err := l.Step(context.Background(), e.Score(item.Category, first)); err != nil {
+		t.Fatal(err)
+	}
+	if l.Rounds() != 0 || l.Moved() || !knn.SameIndexSet(first, l.Results()) {
+		t.Errorf("budget 0 ran %d rounds, moved %v", l.Rounds(), l.Moved())
+	}
+}
+
+// TestStepRejectsMalformedRounds checks that Step consumes nothing from a
+// round it cannot use: wrong score count, invalid scores, a result index
+// outside the collection, or a context that ends before the retrieval. A
+// retried valid round then matches a loop that never saw the bad ones.
+func TestStepRejectsMalformedRounds(t *testing.T) {
+	ds := clusteredDataset(t, 40, 2)
+	e, err := New(ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(newQ) != ds.Dim || len(newW) != ds.Dim {
-		t.Fatalf("refined dimensions %d/%d, want %d", len(newQ), len(newW), ds.Dim)
+	item := ds.Items[0]
+	start := func() *Loop {
+		l, err := e.Start(item.Feature, e.UniformWeights(), 8, DefaultMaxIterations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
 	}
-	// All-zero scores surface ErrNoGoodMatches, errors.Is-able.
-	zero := make([]float64, len(results))
-	if _, _, err := e.RefineFromScores(item.Feature, results, zero); !errors.Is(err, feedback.ErrNoGoodMatches) {
-		t.Errorf("zero scores: error %v is not ErrNoGoodMatches", err)
+	l := start()
+	scores := e.Score(item.Category, l.Results())
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	nan := append([]float64(nil), scores...)
+	nan[1] = math.NaN()
+	for name, step := range map[string]func() error{
+		"length":   func() error { return l.Step(context.Background(), scores[:1]) },
+		"nan":      func() error { return l.Step(context.Background(), nan) },
+		"negative": func() error { return l.Step(context.Background(), vec.Scale(scores, -1)) },
+		"canceled": func() error { return l.Step(canceled, scores) },
+	} {
+		err := step()
+		if err == nil {
+			t.Fatalf("%s: round accepted", name)
+		}
+		if invalid := errors.Is(err, ErrInvalidScores); invalid != (name != "canceled") {
+			t.Errorf("%s: errors.Is(%v, ErrInvalidScores) = %v", name, err, invalid)
+		}
+		if l.Rounds() != 0 || l.Moved() || l.Done() {
+			t.Fatalf("%s: rejected round changed the loop", name)
+		}
 	}
-	// Mismatched lengths and bad indices are rejected.
-	if _, _, err := e.RefineFromScores(item.Feature, results, scores[:1]); err == nil {
-		t.Error("score-length mismatch accepted")
+	if err := l.Step(context.Background(), scores); err != nil {
+		t.Fatal(err)
 	}
-	bad := []knn.Result{{Index: ds.Len() + 5}}
-	if _, _, err := e.RefineFromScores(item.Feature, bad, []float64{1}); err == nil {
-		t.Error("out-of-range result index accepted")
+	fresh := start()
+	if err := fresh.Step(context.Background(), scores); err != nil {
+		t.Fatal(err)
+	}
+	q, w := l.Params()
+	fq, fw := fresh.Params()
+	if !vec.Equal(q, fq) || !vec.Equal(w, fw) || !knn.SameIndexSet(l.Results(), fresh.Results()) || l.Rounds() != 1 {
+		t.Error("the round after rejected ones differs from a clean first round")
+	}
+
+	bad := start()
+	bad.results = []knn.Result{{Index: ds.Len() + 5}}
+	if err := bad.Step(context.Background(), []float64{1}); err == nil || bad.Rounds() != 0 {
+		t.Errorf("out-of-range result index: err %v, %d rounds", err, bad.Rounds())
 	}
 }
 
@@ -432,9 +449,6 @@ func TestQuerySignature(t *testing.T) {
 	}
 	if QuerySignature([]float64{0}) == QuerySignature([]float64{math.Copysign(0, -1)}) {
 		t.Error("+0 and -0 should hash differently (bitwise key)")
-	}
-	if ResultSignature([]knn.Result{{Index: 3}}) != signature([]knn.Result{{Index: 3}}) {
-		t.Error("ResultSignature diverges from the internal hash")
 	}
 }
 

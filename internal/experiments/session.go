@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -19,7 +20,6 @@ import (
 	"repro/internal/histogram"
 	"repro/internal/imagegen"
 	"repro/internal/knn"
-	"repro/internal/vec"
 )
 
 // Config drives a training/evaluation session.
@@ -72,8 +72,8 @@ type QueryRecord struct {
 	GoodBypass  int // relevant results with predicted parameters
 	GoodSeen    int // relevant results with the converged optimal parameters
 
-	ItersFromDefault   int // feedback cycles starting from default parameters
-	ItersFromPredicted int // feedback cycles starting from predicted (−1 if not measured)
+	ItersFromDefault   int // rounds (engine.Loop.Rounds) starting from default parameters
+	ItersFromPredicted int // rounds starting from predicted (−1 if not measured)
 
 	Traversed  int // simplices traversed by the prediction
 	TreeDepth  int
@@ -236,26 +236,27 @@ func (s *Session) ProcessQuery(itemIdx int) (QueryRecord, error) {
 	rec.GoodBypass = s.Engine.GoodCount(item.Category, firstRound[1])
 
 	// (3) Feedback loop from the default parameters.
-	out, err := s.Engine.RunLoop(item.Category, q, uniform, k)
+	loop, err := OracleLoop(s.Engine, item.Category, q, uniform, k)
 	if err != nil {
 		return rec, err
 	}
-	rec.ItersFromDefault = out.Iterations
-	rec.GoodSeen = s.Engine.GoodCount(item.Category, out.FinalResults)
+	rec.ItersFromDefault = loop.Rounds()
+	rec.GoodSeen = s.Engine.GoodCount(item.Category, loop.Results())
 
 	// (4) Replay from predicted parameters for the savings metrics.
 	if s.Config.MeasureSavings {
-		outPred, err := s.Engine.RunLoop(item.Category, qPred, wPred, k)
+		fromPred, err := OracleLoop(s.Engine, item.Category, qPred, wPred, k)
 		if err != nil {
 			return rec, err
 		}
-		rec.ItersFromPredicted = outPred.Iterations
+		rec.ItersFromPredicted = fromPred.Rounds()
 	}
 
-	// (5) Store the converged OQPs — skipped entirely when the loop had no
-	// feedback to work with (Figure 5: "if(vPred != v)").
-	if !vec.Equal(out.QOpt, q) || !vec.Equal(out.WOpt, uniform) {
-		stored, err := s.Codec.EncodeOQP(q, out.QOpt, out.WOpt)
+	// (5) Store the converged OQPs — skipped entirely when the loop left
+	// the parameters where it started (Figure 5: "if(vPred != v)").
+	if loop.Moved() {
+		qOpt, wOpt := loop.Params()
+		stored, err := s.Codec.EncodeOQP(q, qOpt, wOpt)
 		if err != nil {
 			return rec, err
 		}
@@ -270,6 +271,21 @@ func (s *Session) ProcessQuery(itemIdx int) (QueryRecord, error) {
 	rec.TreeLeaves = st.Leaves
 	s.Records = append(s.Records, rec)
 	return rec, nil
+}
+
+// OracleLoop runs one feedback loop from (q, w) to its end with the
+// category oracle of §5 judging every round in place of the user.
+func OracleLoop(eng *engine.Engine, category string, q, w []float64, k int) (*engine.Loop, error) {
+	loop, err := eng.Start(q, w, k, engine.DefaultMaxIterations)
+	if err != nil {
+		return nil, err
+	}
+	for !loop.Done() {
+		if err := loop.Step(context.Background(), eng.Score(category, loop.Results())); err != nil {
+			return nil, err
+		}
+	}
+	return loop, nil
 }
 
 // SampleEvalQueries draws n fresh evaluation queries (uniformly from the
@@ -327,17 +343,18 @@ func (s *Session) EvaluateManyAtK(itemIdxs []int, rs []int) ([]EvalCounts, error
 		if err != nil {
 			return nil, err
 		}
-		loop, err := s.Engine.RunLoop(item.Category, q, uniform, s.Config.K)
+		loop, err := OracleLoop(s.Engine, item.Category, q, uniform, s.Config.K)
 		if err != nil {
 			return nil, err
 		}
+		qOpt, wOpt := loop.Params()
 		// One batched call answers all three scenario retrievals: the scan
 		// streams each cache block of the collection once for the batch,
 		// evaluating every scenario's metric against the hot block.
 		batch, err := s.Engine.RetrieveBatch([]engine.WeightedQuery{
 			{Q: q, W: uniform},
 			{Q: qPred, W: wPred},
-			{Q: loop.QOpt, W: loop.WOpt},
+			{Q: qOpt, W: wOpt},
 		}, maxR)
 		if err != nil {
 			return nil, err

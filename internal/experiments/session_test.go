@@ -145,16 +145,16 @@ func TestSavedCycles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromPred, err := s.Engine.RunLoop(item.Category, qPred, wPred, s.Config.K)
+		fromPred, err := OracleLoop(s.Engine, item.Category, qPred, wPred, s.Config.K)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromDef, err := s.Engine.RunLoop(item.Category, item.Feature, s.Engine.UniformWeights(), s.Config.K)
+		fromDef, err := OracleLoop(s.Engine, item.Category, item.Feature, s.Engine.UniformWeights(), s.Config.K)
 		if err != nil {
 			t.Fatal(err)
 		}
 		replayed++
-		savedTotal += eval.SavedCycles(fromDef.Iterations, fromPred.Iterations)
+		savedTotal += eval.SavedCycles(fromDef.Rounds(), fromPred.Rounds())
 	}
 	t.Logf("replayed %d trained queries, total saved cycles = %d", replayed, savedTotal)
 	if savedTotal < 0 {

@@ -41,7 +41,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/feedback"
 	"repro/internal/knn"
 	"repro/internal/obsv"
 	"repro/internal/shardedbypass"
@@ -284,17 +283,11 @@ type session struct {
 	id uint64
 	mu sync.Mutex
 
-	q0        []float64 // initial query feature (full histogram)
-	q, w      []float64 // current query point and weights
-	k         int
-	results   []knn.Result
-	seen      map[uint64]bool // result-list signatures, for cycle detection
-	iters     int
-	budget    int
-	cacheHit  bool
-	warm      bool // predicted OQP differed from the untrained default
-	converged bool
-	closed    bool
+	q0       []float64    // initial query feature (full histogram)
+	loop     *engine.Loop // set once Open's first retrieval lands
+	cacheHit bool
+	warm     bool // predicted OQP differed from the untrained default
+	closed   bool
 }
 
 // New validates that the engine's collection and the Bypass agree on the
@@ -386,15 +379,16 @@ type SessionState struct {
 }
 
 func (sess *session) stateLocked() SessionState {
-	res := make([]knn.Result, len(sess.results))
-	copy(res, sess.results)
+	l := sess.loop
+	res := make([]knn.Result, len(l.Results()))
+	copy(res, l.Results())
 	return SessionState{
 		ID:         sess.id,
-		K:          sess.k,
+		K:          l.K(),
 		Results:    res,
-		Iterations: sess.iters,
-		BudgetLeft: sess.budget - sess.iters,
-		Converged:  sess.converged,
+		Iterations: l.Rounds(),
+		BudgetLeft: l.BudgetLeft(),
+		Converged:  l.Done(),
 		CacheHit:   sess.cacheHit,
 		Warm:       sess.warm,
 	}
@@ -509,11 +503,7 @@ func (s *Service) open(ctx context.Context, feature []float64, k int) (SessionSt
 	// expensive predict+retrieve runs outside it, with the half-built
 	// session holding its own lock so concurrent lookups block rather
 	// than observe a torn session.
-	sess := &session{
-		k:      k,
-		budget: s.opts.IterationBudget,
-		seen:   make(map[uint64]bool),
-	}
+	sess := &session{}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	s.mu.Lock()
@@ -552,14 +542,12 @@ func (s *Service) open(ctx context.Context, feature []float64, k int) (SessionSt
 	if err := ctx.Err(); err != nil {
 		return abort(err)
 	}
-	results, err := s.eng.Retrieve(qPred, wPred, k)
+	loop, err := s.eng.Start(qPred, wPred, k, s.opts.IterationBudget)
 	if err != nil {
 		return abort(err)
 	}
 	sess.q0 = vec.Clone(feature)
-	sess.q, sess.w = qPred, wPred
-	sess.results = results
-	sess.seen[engine.ResultSignature(results)] = true
+	sess.loop = loop
 	sess.cacheHit = cacheHit
 	sess.warm = !isDefaultOQP(oqp)
 	s.opened.Add(1)
@@ -608,11 +596,12 @@ func (s *Service) query(ctx context.Context, id uint64) (SessionState, error) {
 }
 
 // Feedback applies one round of relevance scores (one per current result,
-// non-negative, 0 = irrelevant) to the session: parameters are refined,
-// retrieval re-runs, and the new state is returned. A session that has
-// converged — stable result list, no good matches to learn from, or
-// exhausted iteration budget — is returned unchanged with Converged set;
-// the client should Close it.
+// non-negative, 0 = irrelevant) to the session: one engine.Loop Step
+// refines the parameters, re-retrieves and returns the new state. A
+// session that has converged — stable result list, no good matches to
+// learn from, or exhausted iteration budget — is returned unchanged with
+// Converged set; the client should Close it. Malformed scores wrap
+// ErrInvalidArgument and a rejected round leaves the session unchanged.
 func (s *Service) Feedback(ctx context.Context, id uint64, scores []float64) (SessionState, error) {
 	if s.met == nil {
 		return s.feedback(ctx, id, scores)
@@ -636,51 +625,14 @@ func (s *Service) feedback(ctx context.Context, id uint64, scores []float64) (Se
 	if sess.closed {
 		return SessionState{}, fmt.Errorf("service: session %d: %w", id, ErrSessionNotFound)
 	}
-	if sess.converged || sess.iters >= sess.budget {
-		sess.converged = true
-		return sess.stateLocked(), nil
-	}
-	if len(scores) != len(sess.results) {
-		return SessionState{}, fmt.Errorf("%d scores for %d results: %w", len(scores), len(sess.results), ErrInvalidArgument)
-	}
-	s.feedbacks.Add(1)
-	newQ, newW, err := s.eng.RefineFromScores(sess.q, sess.results, scores)
-	if errors.Is(err, feedback.ErrNoGoodMatches) {
-		// Nothing to learn from: the loop terminates with the current
-		// parameters, exactly like engine.RunLoop.
-		sess.converged = true
-		return sess.stateLocked(), nil
-	}
-	if err != nil {
-		// The session's own state is validated; a refine failure means the
-		// scores were malformed (NaN, negative, ...) — a client error.
-		return SessionState{}, fmt.Errorf("%w: %w", err, ErrInvalidArgument)
-	}
-	// As in Open: abort before the collection-sized scan if the client is
-	// gone or the deadline has passed. The session is unchanged (q, w and
-	// results only update after a successful retrieve), so a retried
-	// Feedback with the same scores reproduces this round exactly.
-	if err := ctx.Err(); err != nil {
+	rounds := sess.loop.Rounds()
+	if err := sess.loop.Step(ctx, scores); err != nil {
+		if errors.Is(err, engine.ErrInvalidScores) {
+			return SessionState{}, fmt.Errorf("%w: %w", err, ErrInvalidArgument)
+		}
 		return SessionState{}, err
 	}
-	newResults, err := s.eng.Retrieve(newQ, newW, sess.k)
-	if err != nil {
-		return SessionState{}, err
-	}
-	sess.q, sess.w = newQ, newW
-	sess.iters++
-	if knn.SameIndexSet(newResults, sess.results) {
-		sess.converged = true
-	}
-	sess.results = newResults
-	sig := engine.ResultSignature(newResults)
-	if sess.seen[sig] {
-		sess.converged = true
-	}
-	sess.seen[sig] = true
-	if sess.iters >= sess.budget {
-		sess.converged = true
-	}
+	s.feedbacks.Add(int64(sess.loop.Rounds() - rounds))
 	return sess.stateLocked(), nil
 }
 
@@ -689,13 +641,15 @@ type CloseResult struct {
 	ID         uint64
 	Iterations int
 	// Inserted reports whether the session's converged OQPs changed the
-	// shared Bypass (an outcome within ε of the current prediction is
-	// skipped, §4.2; a session that never gave feedback is not inserted).
+	// shared Bypass. Close calls Insert only when the session's parameters
+	// moved off the prediction it started from (engine.Loop.Moved), and
+	// the tree itself skips an outcome within ε of its current prediction
+	// (§4.2), so Inserted can be false for a session that moved.
 	Inserted bool
 }
 
-// Close ends the session and — when the session actually refined its
-// parameters — inserts the converged OQPs into the shared Bypass, making
+// Close ends the session and — when its parameters moved off the
+// prediction it started from — inserts the converged OQPs into the shared Bypass, making
 // the outcome available to every future session. The session is removed
 // even when the insert fails; an insert refused by the store's quota or
 // its degraded read-only mode returns the typed sentinel
@@ -730,19 +684,24 @@ func (s *Service) closeSession(ctx context.Context, id uint64) (CloseResult, err
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	if sess.closed {
+		// Open failed after publishing the slot and has already removed it.
+		return CloseResult{}, fmt.Errorf("service: session %d: %w", id, ErrSessionNotFound)
+	}
 	sess.closed = true
 	s.closed.Add(1)
-	out := CloseResult{ID: id, Iterations: sess.iters}
-	if sess.iters == 0 {
-		// No feedback was given: the final parameters are the prediction
-		// itself; re-inserting it teaches the tree nothing.
+	out := CloseResult{ID: id, Iterations: sess.loop.Rounds()}
+	if !sess.loop.Moved() {
+		// The final parameters are the prediction itself; re-inserting it
+		// teaches the tree nothing.
 		return out, nil
 	}
 	qp, err := s.codec.QueryPoint(sess.q0)
 	if err != nil {
 		return out, err
 	}
-	oqp, err := s.codec.EncodeOQP(sess.q0, sess.q, sess.w)
+	q, w := sess.loop.Params()
+	oqp, err := s.codec.EncodeOQP(sess.q0, q, w)
 	if err != nil {
 		return out, err
 	}
