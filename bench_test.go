@@ -494,9 +494,10 @@ func BenchmarkKNNScanSingle(b *testing.B) {
 // paper scale and at the 97,910 rows of the bench/ `bigscan` workload
 // (fbserve -scale 10, k = 10), so the lone-query cost there is readable
 // without the HTTP harness. The collection is stored category by
-// category, which is what lets the scan skip whole tiles; "shuffled" is
-// the same rows and queries in a seeded random order, where no tile box
-// excludes anything.
+// category; "shuffled" is the same rows and queries in a seeded random
+// order. The scan lays its tiles out in its own k-d order either way
+// (knn.TileOrder), so the two differ only in which rows share a tile's
+// ties and in how the backend's memory is visited.
 func BenchmarkKNNScanWeighted(b *testing.B) {
 	for _, c := range []struct {
 		scale, k int
@@ -525,6 +526,36 @@ func BenchmarkKNNScanWeighted(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(len(data)), "rows")
+		})
+	}
+}
+
+// BenchmarkKNNScanBuild prices knn.NewScanBackend over the IMSILike(1,
+// scale) collection — scale 10 is the 97,910 rows the bench/ `bigscan`
+// workload serves — with and without its scan order: "order" is
+// knn.TileOrder alone, the k-d partition whose leaves are the tiles;
+// "scan" is the whole build, that order and then the head slab and tile
+// boxes gathered through it. The build without the order is the
+// difference of the two.
+func BenchmarkKNNScanBuild(b *testing.B) {
+	for _, scale := range []float64{1, 10} {
+		ds, err := dataset.Build(imagegen.IMSILike(1, scale), histogram.DefaultExtractor)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("scale=%g/order", scale), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				knn.TileOrder(ds.Matrix())
+			}
+			b.ReportMetric(float64(ds.Len()), "rows")
+		})
+		b.Run(fmt.Sprintf("scale=%g/scan", scale), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := knn.NewScanBackend(ds.Matrix()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(ds.Len()), "rows")
 		})
 	}
 }

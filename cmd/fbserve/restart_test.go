@@ -296,3 +296,97 @@ func TestBinaryDurableRestart(t *testing.T) {
 		t.Fatalf("-shards 4 on a 1-shard directory: err = %v, want the manifest refusal\n%s", err, out)
 	}
 }
+
+// TestBinaryShardedRound is one query → feedback → close round against a
+// 4-shard durable module on the real binary: /healthz goes ready, the
+// directory gets its manifest and four shard directories, /stats exposes
+// four per-shard counter blocks with the closed session's insert in
+// exactly one of them, /metrics labels the per-shard gauges and insert
+// histograms by shard, and SIGTERM drains. Reopening the directory with
+// -shards 2 or with the default -shards 1 is then refused at start-up.
+func TestBinaryShardedRound(t *testing.T) {
+	bin := buildBinary(t)
+	dir := t.TempDir()
+	p := start(t, bin, "-scale", "0.05", "-k", "5", "-dir", dir, "-shards", "4")
+
+	var health struct {
+		Status string `json:"status"`
+	}
+	p.call(t, http.MethodGet, "/healthz", nil, &health)
+	if health.Status != "ok" {
+		t.Fatalf("/healthz status %q", health.Status)
+	}
+	for _, name := range []string{"MANIFEST", "shard-003"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var st struct {
+		Session    uint64 `json:"session"`
+		Iterations int    `json:"iterations"`
+	}
+	p.call(t, http.MethodPost, "/query", map[string]any{"item": 0, "k": 5}, &st)
+	p.call(t, http.MethodPost, "/feedback", map[string]any{"session": st.Session, "scores": []float64{1, 0, 1, 0, 0}}, &st)
+	if st.Iterations != 1 {
+		t.Fatalf("/feedback: %d iterations, want 1", st.Iterations)
+	}
+	var closed struct {
+		Session uint64 `json:"session"`
+	}
+	p.call(t, http.MethodPost, "/close", map[string]any{"session": st.Session}, &closed)
+	if closed.Session != st.Session {
+		t.Fatalf("/close answered session %d, want %d", closed.Session, st.Session)
+	}
+
+	var stats struct {
+		Collections map[string]struct {
+			Shards []struct {
+				Inserts int64 `json:"inserts"`
+			} `json:"shards"`
+		} `json:"collections"`
+	}
+	p.call(t, http.MethodGet, "/stats", nil, &stats)
+	shards := stats.Collections["default"].Shards
+	if len(shards) != 4 {
+		t.Fatalf("/stats has %d shard blocks, want 4", len(shards))
+	}
+	// At least one insert, and all of them in one shard.
+	var sum, most int64
+	for _, s := range shards {
+		sum += s.Inserts
+		most = max(most, s.Inserts)
+	}
+	if sum < 1 || sum != most {
+		t.Fatalf("/stats shard inserts %+v: want at least one, all in one shard", shards)
+	}
+	metrics := string(get(t, p.base+"/metrics", http.StatusOK))
+	for _, want := range []string{`fb_tree_points{collection="default",shard="0"}`, `fb_tree_points{collection="default",shard="3"}`} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	if !regexp.MustCompile(`fb_shard_insert_seconds_count\{collection="default",shard="[0-3]"\} [1-9]`).MatchString(metrics) {
+		t.Error("/metrics counts no shard insert")
+	}
+	p.terminate(t)
+
+	// A wrongly accepted open would serve forever; the deadline reaps it,
+	// and that counts as acceptance, not refusal.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-shards", "2"}, "has 4 shards, asked for 2"},
+		{nil, "has 4 shards, asked for 1"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		args := append([]string{"-addr", "127.0.0.1:0", "-scale", "0.05", "-dir", dir}, c.args...)
+		out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+		timedOut := ctx.Err() != nil
+		cancel()
+		if err == nil || timedOut || !strings.Contains(string(out), c.want) {
+			t.Fatalf("fbserve %v on a 4-shard directory: err = %v (timed out %v), want the manifest refusal %q\n%s", c.args, err, timedOut, c.want, out)
+		}
+	}
+}

@@ -14,14 +14,12 @@ import (
 )
 
 // TestSearchAllocationBudget is the retrieval layer's exact work counter:
-// what one lone Search at D = 32 allocates, with no clock involved. On
-// one goroutine that is the candidate list it returns, at GOMAXPROCS 1
-// and 4 alike; the cascade's tile buffers and the best-first order come
-// from tileBufPool and must not show, and the sort must not allocate.
-// The helper path is pinned on rows with no locality, where every tile
-// box contains the query: at GOMAXPROCS 4, 2·minShardRows such rows take
-// one helper, and the search allocates the state slice, the tile queue,
-// the helper's closure, two candidate lists and the merged list.
+// what one lone Search at D = 32 allocates, with no clock involved. That
+// is the candidate list it returns, at GOMAXPROCS 1 and 4 alike, on a
+// small collection and on 2·minShardRows uniform rows, where nearly every
+// tile box contains the query: a lone search runs on its caller whatever
+// the rows. The cascade's tile buffers and the best-first order come from
+// tileBufPool and must not show, and the sort must not allocate.
 // testing.AllocsPerRun pins GOMAXPROCS to 1, so the GOMAXPROCS 4 counts
 // are taken the same way (mallocs over runs, floored) without that pin.
 func TestSearchAllocationBudget(t *testing.T) {
@@ -41,7 +39,7 @@ func TestSearchAllocationBudget(t *testing.T) {
 		}
 		return scan
 	}
-	ordered, shuffled := uniform(4096), uniform(2*minShardRows)
+	small, large := uniform(4096), uniform(2*minShardRows)
 	centre := make([]float64, 32)
 	w := make([]float64, 32)
 	for j := range w {
@@ -54,34 +52,30 @@ func TestSearchAllocationBudget(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, m := range []distance.Metric{distance.Euclidean{}, wm} {
-		search := func(scan *Scan) func() {
-			return func() {
-				if _, err := scan.Search(centre, 10, m); err != nil {
+		for _, c := range []struct {
+			scan *Scan
+			what string
+		}{{small, "4096 rows"}, {large, "2·minShardRows rows"}} {
+			search := func() {
+				if _, err := c.scan.Search(centre, 10, m); err != nil {
 					t.Fatal(err)
 				}
 			}
-		}
-		if got := testing.AllocsPerRun(200, search(ordered)); got != 1 {
-			t.Errorf("%s: %v allocs per Search at GOMAXPROCS 1, budget 1", m.Name(), got)
-		}
-		for _, c := range []struct {
-			scan   *Scan
-			what   string
-			budget uint64
-		}{{ordered, "on one goroutine", 1}, {shuffled, "with a helper", 6}} {
+			if got := testing.AllocsPerRun(200, search); got != 1 {
+				t.Errorf("%s %s: %v allocs per Search at GOMAXPROCS 1, budget 1", m.Name(), c.what, got)
+			}
 			const runs = 200
-			s := search(c.scan)
 			for i := 0; i < 20; i++ {
-				s() // warm every P's pool and goroutine free list
+				search() // warm every P's pool
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < runs; i++ {
-				s()
+				search()
 			}
 			runtime.ReadMemStats(&after)
-			if got := (after.Mallocs - before.Mallocs) / runs; got != c.budget {
-				t.Errorf("%s: %d allocs per Search %s at GOMAXPROCS 4, budget %d", m.Name(), got, c.what, c.budget)
+			if got := (after.Mallocs - before.Mallocs) / runs; got != 1 {
+				t.Errorf("%s %s: %d allocs per Search at GOMAXPROCS 4, budget 1", m.Name(), c.what, got)
 			}
 		}
 	}

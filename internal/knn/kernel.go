@@ -9,13 +9,13 @@
 // lone and batched queries alike run the phased tile cascade (scanTile32),
 // whose first phase streams the dimension-blocked head slab instead of the
 // full rows, and which skips a whole tile whose bounding box is provably
-// beyond the k-th best. A lone Search ranks every tile by that box bound
-// and scans nearest first on the calling goroutine, stopping at the first
-// tile beyond the k-th best; helpers join it, pulling from the same queue
-// against one shared bound, only when the query lies inside the boxes of
-// enough rows that no bound can skip them. Batches additionally share each
-// L2-sized row block across every query in the batch. The parity property
-// tests assert every path returns []Result identical to the generic path.
+// beyond the k-th best. The tiles are the leaves of a k-d partition built
+// with the scan (TileOrder), so their boxes are tight in any stored order.
+// A lone Search ranks every tile by its box bound and scans nearest first
+// on the calling goroutine, stopping at the first tile beyond the k-th
+// best. Batches additionally share each L2-sized row block across every
+// query in the batch. The parity property tests assert every path returns
+// []Result identical to the generic path.
 package knn
 
 import (
@@ -25,16 +25,13 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/distance"
 )
 
 // minShardRows is the fewest rows worth a goroutine of their own: a D ≠ 32
-// scan shards only above this many rows per worker, and a lone D = 32
-// search takes a helper only when at least this many rows per worker lie
-// in tiles whose box contains the query (DESIGN.md, "Best-first order on
-// one goroutine", has the measurement).
+// scan shards only above this many rows per worker, and the scan's build
+// halves work across two goroutines (inHalves) only from twice this many.
 const minShardRows = 32768
 
 // DefaultBatchTile is the number of rows per tile of the phased cascade
@@ -53,54 +50,6 @@ func scanWorkers(n int) int {
 		w = 1
 	}
 	return w
-}
-
-// scanState carries one query's accumulation across row blocks: the k
-// best candidates so far, ranked by true distance through
-// TopK.OfferRoot (one square root per offered candidate: ranking by the
-// squared sum would break a tie between two sums one ulp apart that share
-// a root on the wrong key), with bound2 the current abandon bound in
-// squared space.
-type scanState struct {
-	TopK
-	// shared is the bound every goroutine of one lone Search prunes
-	// against; nil when the search runs on one goroutine.
-	shared *sharedBound
-}
-
-func newScanState(k int) scanState { return scanState{TopK: newTopK(k)} }
-
-// live returns the squared distance a row must not exceed to matter: the
-// local bound, or, in a shared search, the lowest bound any goroutine has
-// published (publishing the local one first if it is lower).
-func (st *scanState) live() float64 {
-	if st.shared == nil {
-		return st.bound2
-	}
-	return st.shared.lower(st.bound2)
-}
-
-// sharedBound holds, as float64 bits, the lowest k-th-best squared bound
-// any goroutine of one Search has reached. A goroutine that reached b
-// holds k rows whose roots are at most √b's, so a row of any tile beyond b
-// is strictly worse than k others and cannot be in the result: pruning
-// against the shared bound is exact, and rows exactly on it are kept for
-// the index tie-break.
-type sharedBound struct{ bits atomic.Uint64 }
-
-// lower publishes local if it is below the shared bound (a CAS-min) and
-// returns the resulting minimum. An unfilled state's +Inf publishes
-// nothing.
-func (b *sharedBound) lower(local float64) float64 {
-	for {
-		old := b.bits.Load()
-		if cur := math.Float64frombits(old); cur <= local {
-			return cur
-		}
-		if b.bits.CompareAndSwap(old, math.Float64bits(local)) {
-			return local
-		}
-	}
 }
 
 // RootBound2 returns the largest float64 whose square root rounds to at
@@ -130,18 +79,18 @@ func (s *Scan) searchKernel(q []float64, k int, kern distance.Kernel) []Result {
 	n := s.mat.Len()
 	workers := scanWorkers(n)
 	if workers == 1 {
-		st := newScanState(k)
+		st := newTopK(k)
 		s.scanRange(q, kern, 0, n, &st)
 		return st.items
 	}
 	// Contiguous shards keep each worker on one linear slab of the store.
-	states := make([]scanState, workers)
+	states := make([]TopK, workers)
 	var wg sync.WaitGroup
 	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			states[w] = newScanState(k)
+			states[w] = newTopK(k)
 			s.scanRange(q, kern, w*n/workers, (w+1)*n/workers, &states[w])
 		}()
 	}
@@ -151,11 +100,8 @@ func (s *Scan) searchKernel(q []float64, k int, kern distance.Kernel) []Result {
 
 // mergeShards is the deterministic merge: the union of per-worker
 // candidates is re-ranked under the same (distance, index) total order
-// regardless of worker completion order. Results are identical run to
-// run, but per-worker candidate sets depend on timing: which tiles a
-// worker pulls, and how much of them it prunes, depends on when the others
-// published their bounds.
-func mergeShards(states []scanState, k int) []Result {
+// regardless of worker completion order.
+func mergeShards(states []TopK, k int) []Result {
 	merged := newTopK(k)
 	for w := range states {
 		for _, r := range states[w].items {
@@ -169,7 +115,7 @@ func mergeShards(states []scanState, k int) []Result {
 // vec-backed kernel, at every dimensionality without a head slab, so every
 // surviving sum is bitwise identical to the naive Metric implementations;
 // the two differ only in how much of a doomed row is read.
-func (s *Scan) scanRange(q []float64, kern distance.Kernel, lo, hi int, st *scanState) {
+func (s *Scan) scanRange(q []float64, kern distance.Kernel, lo, hi int, st *TopK) {
 	dim := s.mat.Dim()
 	bound2 := st.bound2
 	slab := s.mat.Slab(lo, hi)
@@ -184,8 +130,8 @@ func (s *Scan) scanRange(q []float64, kern distance.Kernel, lo, hi int, st *scan
 	}
 }
 
-// tileRank is one block of a lone search's best-first order: rows
-// [lo, hi) and the lower bound box2 of their kernel sums.
+// tileRank is one block of a lone search's best-first order: scan
+// positions [lo, hi) and the lower bound box2 of their kernel sums.
 type tileRank struct {
 	box2   float64
 	lo, hi int
@@ -200,107 +146,34 @@ func byBox(a, b tileRank) int {
 	return a.lo - b.lo
 }
 
-// rankTiles bounds every block of the collection by its box and sorts the
-// blocks nearest first into b's pooled order buffer. zeroRows counts the
-// rows of blocks bounded at 0 — their boxes contain q (or they have no
-// box), so no bound can ever skip them.
-func (s *Scan) rankTiles(q, w []float64, b *tileBufs) (order []tileRank, zeroRows int) {
+// rankTiles bounds every block of the scan by its box and sorts the
+// blocks nearest first into b's pooled order buffer.
+func (s *Scan) rankTiles(q, w []float64, b *tileBufs) []tileRank {
 	n, tile := s.mat.Len(), s.tile()
-	order = b.order[:0]
+	order := b.order[:0]
 	for lo := 0; lo < n; lo += tile {
 		hi := min(lo+tile, n)
-		box2 := s.blockBound2(q, w, lo, hi)
-		if box2 == 0 {
-			zeroRows += hi - lo
-		}
-		order = append(order, tileRank{box2, lo, hi})
+		order = append(order, tileRank{s.blockBound2(q, w, lo, hi), lo, hi})
 	}
 	slices.SortFunc(order, byBox)
 	b.order = order
-	return order, zeroRows
+	return order
 }
 
-// searchTiles answers one D = 32 query best-first: tiles in ascending
-// box bound, scanned on the calling goroutine until the first whose bound
-// is strictly beyond the live k-th best. The queue ascends and the bound
-// only falls, so every later tile is beyond it too and no result changes.
-// Helpers join only when the tiles bounded at 0 hold at least minShardRows
-// rows per worker: on rows stored without locality, where best-first
-// order cannot stop early.
+// searchTiles answers one D = 32 query best-first on the calling
+// goroutine: tiles in ascending box bound, until the first whose bound is
+// strictly beyond the k-th best. The queue ascends and the bound only
+// falls, so every later tile is beyond it too and no result changes.
 func (s *Scan) searchTiles(q []float64, k int, w []float64) []Result {
 	bufs := s.getTileBufs()
 	defer putTileBufs(bufs)
-	order, zeroRows := s.rankTiles(q, w, bufs)
-	if workers := min(runtime.GOMAXPROCS(0), zeroRows/minShardRows); workers > 1 {
-		return s.searchShared(q, w, k, order, workers, bufs)
-	}
-	tq := tileQueue{order: order}
-	st := newScanState(k)
-	for s.pull(q, w, &tq, &st, bufs) {
+	st := newTopK(k)
+	for _, t := range s.rankTiles(q, w, bufs) {
+		if !s.scanTile32(q, w, t.lo, t.hi, t.box2, &st, bufs) {
+			break
+		}
 	}
 	return st.items
-}
-
-// tileQueue is the best-first order of one lone Search shared by the
-// calling goroutine and its helpers: each pulls the next tile and prunes
-// against one shared k-th-best bound.
-type tileQueue struct {
-	order []tileRank
-	next  atomic.Int64
-	bound sharedBound
-}
-
-// reset points a new queue at order, with no bound yet.
-func (tq *tileQueue) reset(order []tileRank) {
-	tq.order = order
-	tq.bound.bits.Store(math.Float64bits(math.Inf(1)))
-}
-
-// join returns the scan state of one more goroutine pulling from tq.
-func (tq *tileQueue) join(k int) scanState {
-	st := newScanState(k)
-	st.shared = &tq.bound
-	return st
-}
-
-// pull scans the queue's next tile into st. It returns false, scanning
-// nothing, when the queue is empty or that tile's box is strictly beyond
-// st's live bound — and then so is every tile after it.
-func (s *Scan) pull(q, w []float64, tq *tileQueue, st *scanState, b *tileBufs) bool {
-	i := int(tq.next.Add(1) - 1)
-	if i >= len(tq.order) {
-		return false
-	}
-	t := tq.order[i]
-	return s.scanTile32(q, w, t.lo, t.hi, t.box2, st, b)
-}
-
-// searchShared drains the queue from the calling goroutine and workers−1
-// helpers, then merges their candidates deterministically.
-func (s *Scan) searchShared(q, w []float64, k int, order []tileRank, workers int, bufs *tileBufs) []Result {
-	// The queue and the helpers' WaitGroup are one allocation.
-	var g struct {
-		queue tileQueue
-		wg    sync.WaitGroup
-	}
-	g.queue.reset(order)
-	states := make([]scanState, workers)
-	for i := 1; i < workers; i++ {
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			states[i] = g.queue.join(k)
-			b := s.getTileBufs()
-			for s.pull(q, w, &g.queue, &states[i], b) {
-			}
-			putTileBufs(b)
-		}()
-	}
-	states[0] = g.queue.join(k)
-	for s.pull(q, w, &g.queue, &states[0], bufs) {
-	}
-	g.wg.Wait()
-	return mergeShards(states, k)
 }
 
 // SearchBatch answers many queries under one metric. With a kernel
@@ -431,16 +304,17 @@ func putTileBufs(b *tileBufs) {
 }
 
 // scanBatchTiled processes queries qs[qlo:qhi] against the whole
-// collection, tiling rows into L2-sized blocks: the outer loop streams
-// one block, the inner loop advances every query's scan state across it.
-// Per query this offers candidates in exactly the row order 0..n-1 with
-// exactly the sums a standalone Search computes, so the result list is
-// identical to per-query Search.
+// collection, tiling the scan into L2-sized blocks: the outer loop
+// streams one block, the inner loop advances every query's scan state
+// across it. Per query this offers candidates with exactly the sums a
+// standalone Search computes, and the top k under the (distance, index)
+// total order does not depend on the order of offers, so the result list
+// is identical to per-query Search.
 func (s *Scan) scanBatchTiled(qs [][]float64, k int, kerns []distance.Kernel, out [][]Result, qlo, qhi int) {
 	n := s.mat.Len()
-	states := make([]scanState, qhi-qlo)
+	states := make([]TopK, qhi-qlo)
 	for i := range states {
-		states[i] = newScanState(k)
+		states[i] = newTopK(k)
 	}
 	tile := s.tile()
 	bufs := s.getTileBufs()
@@ -462,7 +336,7 @@ func (s *Scan) scanBatchTiled(qs [][]float64, k int, kerns []distance.Kernel, ou
 	}
 }
 
-// scanTile32 runs the four-pass cascade over rows [blockLo, blockHi) for
+// scanTile32 runs the four-pass cascade over scan positions [lo, hi) for
 // one query at D = 32 (w == nil: unweighted), through the phase kernels
 // (AVX2 or SSE2 on amd64, identical Go loops elsewhere — phase1.go).
 //
@@ -474,9 +348,9 @@ func (s *Scan) scanBatchTiled(qs [][]float64, k int, kerns []distance.Kernel, ou
 // mispredicts on nearly every row and costs more than the arithmetic it
 // skips; the cascade's filters are branchless cursor advances. Phase 1
 // rejects most rows (78–91% on the paper's histograms; DESIGN.md has the
-// table), so it reads the head slab — 64 contiguous bytes per row — and
-// only the survivors' later segments are gathered from the 256-byte
-// row-major rows.
+// table), so it reads the head slab — 64 contiguous bytes per row, in
+// scan order — and only the survivors' later segments are gathered from
+// the backend's 256-byte row-major rows, by collection row (Scan.ids).
 // Filtering against the tile-entry bound (always ≥ the live bound) can
 // only keep extra candidates, never drop one a sequential scan would
 // keep — the final live-bound check restores exactness.
@@ -486,41 +360,49 @@ func (s *Scan) scanBatchTiled(qs [][]float64, k int, kerns []distance.Kernel, ou
 // beyond the live bound: no row in the block can then be offered. Equality
 // must not skip: a row on the bound may still win the index tie-break
 // against a k-th candidate found earlier in a later tile, which a
-// best-first or shared search can have done.
-func (s *Scan) scanTile32(q, w []float64, blockLo, blockHi int, box2 float64, st *scanState, b *tileBufs) bool {
-	bound2 := st.live()
+// best-first search can have done.
+func (s *Scan) scanTile32(q, w []float64, lo, hi int, box2 float64, st *TopK, b *tileBufs) bool {
+	bound2 := st.bound2
 	if box2 > bound2 {
 		return false
 	}
-	rows := blockHi - blockLo
-	head := s.head[blockLo*8 : blockHi*8]
-	slab := s.mat.Slab(blockLo, blockHi)
+	rows, n := hi-lo, s.mat.Len()
+	head := s.head[lo*8 : hi*8]
+	slab := s.mat.Slab(0, n)
 	q = q[:32]
 	s0b, s1b, s2b, s3b := b.s0, b.s1, b.s2, b.s3
 	surv := b.surv
 	var c int
 	if w == nil {
 		c = phase1x32Sel(&q[0], &head[0], rows, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], &surv[0])
-		c = phaseNext8Sel(&q[8], &slab[8], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
-		c = phaseNext8Sel(&q[16], &slab[16], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
-		c = phaseNext8Sel(&q[24], &slab[24], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
 	} else {
 		w = w[:32]
 		c = phase1x32wSel(&q[0], &w[0], &head[0], rows, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], &surv[0])
-		c = phaseNext8wSel(&q[8], &w[8], &slab[8], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
-		c = phaseNext8wSel(&q[16], &w[16], &slab[16], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
-		c = phaseNext8wSel(&q[24], &w[24], &slab[24], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], rows)
+	}
+	// Phase 1 numbered its survivors by position in the tile; the later
+	// phases gather them, and the offers name them, by collection row.
+	ids := s.ids[lo:hi]
+	for j, p := range surv[:c] {
+		surv[j] = ids[p]
+	}
+	if w == nil {
+		c = phaseNext8Sel(&q[8], &slab[8], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], n)
+		c = phaseNext8Sel(&q[16], &slab[16], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], n)
+		c = phaseNext8Sel(&q[24], &slab[24], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], n)
+	} else {
+		c = phaseNext8wSel(&q[8], &w[8], &slab[8], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], n)
+		c = phaseNext8wSel(&q[16], &w[16], &slab[16], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], n)
+		c = phaseNext8wSel(&q[24], &w[24], &slab[24], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], n)
 	}
 	for j := 0; j < c; j++ {
 		if sum := (s0b[j] + s1b[j]) + (s2b[j] + s3b[j]); sum <= bound2 {
-			st.OfferRoot(blockLo+int(surv[j]), sum)
-			bound2 = st.live()
+			bound2 = st.OfferRoot(int(surv[j]), sum)
 		}
 	}
 	return true
 }
 
-// blockBound2 is boxBound2 of the tile box holding rows [lo, hi), or 0
+// blockBound2 is boxBound2 of the tile box holding scan positions [lo, hi), or 0
 // when the block spans two tiles and has no box.
 func (s *Scan) blockBound2(q, w []float64, lo, hi int) float64 {
 	if box := s.tileBox(lo, hi); box != nil {
@@ -530,9 +412,9 @@ func (s *Scan) blockBound2(q, w []float64, lo, hi int) float64 {
 }
 
 // tileBox returns the bounding box of the DefaultBatchTile-row tile
-// holding rows [lo, hi) — a superset box for a partial block, which only
-// loosens the bound — or nil when the rows span two tiles (only the
-// tile-size parity test's block sizes do).
+// holding scan positions [lo, hi) — a superset box for a partial block,
+// which only loosens the bound — or nil when the positions span two tiles
+// (only the tile-size parity test's block sizes do).
 func (s *Scan) tileBox(lo, hi int) []float64 {
 	t := lo / DefaultBatchTile
 	if (hi-1)/DefaultBatchTile != t {

@@ -54,16 +54,23 @@ type BatchSearcher interface {
 // (see DESIGN.md, "Retrieval core").
 type Scan struct {
 	mat store.Backend
+	// ids is the scan order of a D = 32 collection (TileOrder): scan
+	// position p holds collection row ids[p]. The head slab and the tile
+	// boxes are laid out in that order; the later phases of the cascade
+	// gather a survivor's remaining dimensions from the unchanged backend
+	// through it, and every candidate is offered under its collection row.
+	// Nil at other dimensionalities.
+	ids []int32
 	// head is the dimension-blocked head slab of a D = 32 collection: a
-	// contiguous n × 8 copy of dims [0,8) of every row, which phase 1 of
-	// the tile cascade streams at 64 B/row instead of pulling whole
-	// 256 B rows through cache for the majority it rejects. Nil at other
-	// dimensionalities.
+	// contiguous n × 8 copy of dims [0,8) of every row in scan order,
+	// which phase 1 of the tile cascade streams at 64 B/row instead of
+	// pulling whole 256 B rows through cache for the majority it rejects.
+	// Nil at other dimensionalities.
 	head []float64
 	// boxes holds, beside the head slab, the per-dimension bounding box of
-	// every DefaultBatchTile-row tile: 32 minima then 32 maxima per tile
-	// (512 B), from which scanTile32 bounds a whole tile's distances
-	// before reading it. Nil at other dimensionalities.
+	// every DefaultBatchTile-row tile of the scan order: 32 minima then 32
+	// maxima per tile (512 B), from which scanTile32 bounds a whole tile's
+	// distances before reading it. Nil at other dimensionalities.
 	boxes []float64
 	// batchTile is the row count per tile; 0 means DefaultBatchTile. Only
 	// the tile-size parity test sets it.
@@ -80,42 +87,50 @@ func (s *Scan) tile() int {
 // NewScanBackend builds a scan searcher directly over any feature
 // backend (aliased, not copied). The kernels stream the backend's slabs
 // without per-row copies, so an mmap-resident collection is scanned in
-// place. A D = 32 backend additionally gets its head slab and tile boxes
-// built here (+25% and +0.4% of the feature bytes, on the heap for either
-// backend), so the backend's contents must not change afterwards.
+// place. A D = 32 backend additionally gets its scan order (TileOrder),
+// and in that order its head slab and tile boxes, built here (+1.6%,
+// +25% and +0.4% of the feature bytes, on the heap for either backend),
+// so the backend's contents must not change afterwards.
 func NewScanBackend(b store.Backend) (*Scan, error) {
 	if b == nil || b.Len() == 0 {
 		return nil, fmt.Errorf("knn: empty collection")
 	}
 	s := &Scan{mat: b}
 	if b.Dim() == 32 {
-		s.head, s.boxes = headSlab(b.Slab(0, b.Len()), b.Len())
+		s.ids = TileOrder(b)
+		s.head, s.boxes = headSlab(b.Slab(0, b.Len()), s.ids)
 	}
 	return s, nil
 }
 
-// headSlab copies dims [0,8) of every row of a 32-wide row-major slab
-// into the contiguous stride-8 layout phase 1 reads and, in the same
-// pass, records every DefaultBatchTile-row tile's bounding box (layout:
-// Scan.boxes).
-func headSlab(slab []float64, rows int) (head, boxes []float64) {
+// headSlab copies dims [0,8) of the rows of a 32-wide row-major slab, in
+// the scan order ids, into the contiguous stride-8 layout phase 1 reads
+// and, in the same pass, records every DefaultBatchTile-row tile's
+// bounding box (layout: Scan.boxes).
+func headSlab(slab []float64, ids []int32) (head, boxes []float64) {
+	rows := len(ids)
 	head = make([]float64, rows*8)
 	tiles := (rows + DefaultBatchTile - 1) / DefaultBatchTile
 	boxes = make([]float64, tiles*64)
-	for t := 0; t < tiles; t++ {
-		lo, hi := boxes[t*64:t*64+32:t*64+32], boxes[t*64+32:t*64+64:t*64+64]
-		first := t * DefaultBatchTile
-		copy(lo, slab[first*32:first*32+32])
-		copy(hi, lo)
-		for r := first; r < min(first+DefaultBatchTile, rows); r++ {
-			row := slab[r*32 : r*32+32 : r*32+32]
-			copy(head[r*8:r*8+8], row[:8])
-			for j, x := range row {
-				lo[j] = min(lo[j], x)
-				hi[j] = max(hi[j], x)
+	fill := func(t0, t1 int) {
+		for t := t0; t < t1; t++ {
+			lo, hi := boxes[t*64:t*64+32:t*64+32], boxes[t*64+32:t*64+64:t*64+64]
+			first := t * DefaultBatchTile
+			r := int(ids[first])
+			copy(lo, slab[r*32:r*32+32])
+			copy(hi, lo)
+			for p := first; p < min(first+DefaultBatchTile, rows); p++ {
+				r := int(ids[p])
+				row := (*[32]float64)(slab[r*32 : r*32+32])
+				*(*[8]float64)(head[p*8:]) = [8]float64(row[:8])
+				for j, x := range row {
+					lo[j] = min(lo[j], x)
+					hi[j] = max(hi[j], x)
+				}
 			}
 		}
 	}
+	inHalves(rows, func() { fill(0, tiles/2) }, func() { fill(tiles/2, tiles) })
 	return head, boxes
 }
 

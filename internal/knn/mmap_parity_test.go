@@ -167,10 +167,10 @@ func TestMmapParityTiledBatch(t *testing.T) {
 	}
 }
 
-// TestMmapParityShardedScan drives the real goroutine fan-out of Search
-// (a helper sharing the best-first queue) and the query-split batch
-// under raised GOMAXPROCS on an mmap backend, anchored to the heap
-// backend's naive path.
+// TestMmapParityShardedScan drives the real goroutine fan-out of the
+// scan's build (inHalves) and the query-split batch under raised
+// GOMAXPROCS on an mmap backend, and a lone Search there, anchored to the
+// heap backend's naive path.
 func TestMmapParityShardedScan(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -201,22 +201,6 @@ func TestMmapParityShardedScan(t *testing.T) {
 		}
 		if !resultsBitwiseEqual(got, want) {
 			t.Fatalf("mmap sharded search query %d diverges under GOMAXPROCS=4", i)
-		}
-	}
-	// The helper path's pull loop and merge, run in fixed orders over the
-	// mmap backend (as TestParallelScanParity does on the heap).
-	kern, ok := distance.KernelFor(m)
-	if !ok {
-		t.Fatal("no kernel for Euclidean")
-	}
-	q := qs[0]
-	want, err := heap.SearchNaive(q, 25, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 5} {
-		if got := pullInOrder(mapped, q, 25, kern, workers, true); !resultsBitwiseEqual(got, want) {
-			t.Fatalf("workers=%d: mmap shared scan != heap naive", workers)
 		}
 	}
 }

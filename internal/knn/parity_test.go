@@ -231,38 +231,6 @@ func TestSearchBatchValidation(t *testing.T) {
 	}
 }
 
-// TestParallelScanParity drives the helper path's pull loop — states
-// sharing one best-first queue and bound, then the deterministic merge —
-// directly, in fixed orders, so it runs on 1-CPU hosts and on rows too
-// few to take a helper in Search.
-func TestParallelScanParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(505))
-	data := randomCollection(rng, 2600, 32)
-	scan, err := newScan(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kern, ok := distance.KernelFor(distance.Euclidean{})
-	if !ok {
-		t.Fatal("no kernel for Euclidean")
-	}
-	for trial := 0; trial < 5; trial++ {
-		q := data[rng.Intn(len(data))]
-		k := 1 + rng.Intn(80)
-		want, err := scan.SearchNaive(q, k, distance.Euclidean{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 7} {
-			for _, roundRobin := range []bool{false, true} {
-				if got := pullInOrder(scan, q, k, kern, workers, roundRobin); !resultsBitwiseEqual(got, want) {
-					t.Fatalf("trial %d workers %d roundRobin %v: shared scan != naive", trial, workers, roundRobin)
-				}
-			}
-		}
-	}
-}
-
 // seamCollection returns n rows of small integers (every distance is
 // heavily tied) and three queries, with copies of the first query on both
 // sides of every tile boundary and of every boundary a 2-, 3- or 4-way
@@ -432,7 +400,6 @@ func TestRootTieRanksByIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kern, _ := distance.KernelFor(m)
 		for _, k := range []int{1, 2} {
 			want, err := scan.SearchNaive(q, k, m)
 			if err != nil {
@@ -454,13 +421,6 @@ func TestRootTieRanksByIndex(t *testing.T) {
 				runtime.GOMAXPROCS(old)
 				if !resultsBitwiseEqual(got, want) || !resultsBitwiseEqual(batch[1], want) {
 					t.Fatalf("dim %d k=%d procs=%d: Search %v, batch %v, naive %v", dim, k, procs, got, batch[1], want)
-				}
-			}
-			if dim == 32 {
-				for _, roundRobin := range []bool{false, true} {
-					if got := pullInOrder(scan, q, k, kern, 2, roundRobin); !resultsBitwiseEqual(got, want) {
-						t.Fatalf("k=%d roundRobin=%v: pull loop %v, naive %v", k, roundRobin, got, want)
-					}
 				}
 			}
 		}
@@ -519,10 +479,9 @@ func ExampleScan_SearchBatch() {
 }
 
 // TestParallelPathsUnderRaisedGOMAXPROCS exercises the real goroutine
-// fan-out of Search (a helper pulling from the best-first queue: the
-// random rows have no locality, so nearly every tile box contains the
-// query) and SearchBatch (query split) even on single-CPU hosts by
-// raising GOMAXPROCS, and asserts parity with the naive path.
+// fan-out of the scan's build (inHalves) and of SearchBatch (query
+// split) even on single-CPU hosts by raising GOMAXPROCS, and asserts
+// parity of both Search and SearchBatch with the naive path.
 func TestParallelPathsUnderRaisedGOMAXPROCS(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)

@@ -13,7 +13,7 @@ func phase1x32w(q, w, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3
 
 // phaseNext8 continues compacted survivors by eight dimensions (SSE2,
 // phase1_amd64.s); bitwise identical to phaseNext8Go.
-func phaseNext8(q8, slab8 *float64, surv *int32, count int, bound2 float64, s0b, s1b, s2b, s3b *float64, rows int) int
+func phaseNext8(q8, slab8 *float64, surv *int32, count int, bound2 float64, s0b, s1b, s2b, s3b *float64, slabRows int) int
 
 // phaseNext8w is the weighted continuation kernel.
-func phaseNext8w(q8, w8, slab8 *float64, surv *int32, count int, bound2 float64, s0b, s1b, s2b, s3b *float64, rows int) int
+func phaseNext8w(q8, w8, slab8 *float64, surv *int32, count int, bound2 float64, s0b, s1b, s2b, s3b *float64, slabRows int) int

@@ -170,15 +170,15 @@ wdone:
 	MOVQ BX, ret+80(FP)
 	RET
 
-// func phaseNext8(q8, slab8 *float64, surv *int32, count int, bound2 float64, s0b, s1b, s2b, s3b *float64, rows int) int
+// func phaseNext8(q8, slab8 *float64, surv *int32, count int, bound2 float64, s0b, s1b, s2b, s3b *float64, slabRows int) int
 //
 // Continues the stripe accumulation of compacted survivors by eight more
 // dimensions: q8 points at the query's 8-dim segment, slab8 at the slab
 // base advanced by the same dimension offset, so row r's segment lives at
 // slab8 + r*256. Reads stripes at the iteration index, writes them back
 // at the survivor cursor (in place, cursor <= index), and returns the new
-// survivor count. rows (the tile's row count) is unused here — the
-// portable fallback needs it to bound its slices.
+// survivor count. slabRows (the backend's row count) is unused here — the
+// portable fallback needs it to bound its slab view.
 TEXT ·phaseNext8(SB), NOSPLIT, $0-88
 	MOVQ  q8+0(FP), SI
 	MOVQ  slab8+8(FP), DI
@@ -258,7 +258,7 @@ ndone:
 	MOVQ BX, ret+80(FP)
 	RET
 
-// func phaseNext8w(q8, w8, slab8 *float64, surv *int32, count int, bound2 float64, s0b, s1b, s2b, s3b *float64, rows int) int
+// func phaseNext8w(q8, w8, slab8 *float64, surv *int32, count int, bound2 float64, s0b, s1b, s2b, s3b *float64, slabRows int) int
 TEXT ·phaseNext8w(SB), NOSPLIT, $0-96
 	MOVQ  q8+0(FP), SI
 	MOVQ  w8+8(FP), R13

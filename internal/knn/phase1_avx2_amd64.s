@@ -130,11 +130,11 @@ wdone:
 	VZEROUPPER
 	RET
 
-// func phaseNext8AVX2(q8, slab8 *float64, surv *int32, count int, bound2 float64, s0b, s1b, s2b, s3b *float64, rows int) int
+// func phaseNext8AVX2(q8, slab8 *float64, surv *int32, count int, bound2 float64, s0b, s1b, s2b, s3b *float64, slabRows int) int
 //
 // Same contract as the SSE2 phaseNext8: continues compacted survivors by
 // eight dimensions, reading stripes at the iteration index and writing
-// them back at the survivor cursor. rows is unused (portable-fallback
+// them back at the survivor cursor. slabRows is unused (portable-fallback
 // bound only).
 TEXT ·phaseNext8AVX2(SB), NOSPLIT, $0-88
 	MOVQ   q8+0(FP), SI
@@ -203,7 +203,7 @@ ndone:
 	VZEROUPPER
 	RET
 
-// func phaseNext8wAVX2(q8, w8, slab8 *float64, surv *int32, count int, bound2 float64, s0b, s1b, s2b, s3b *float64, rows int) int
+// func phaseNext8wAVX2(q8, w8, slab8 *float64, surv *int32, count int, bound2 float64, s0b, s1b, s2b, s3b *float64, slabRows int) int
 TEXT ·phaseNext8wAVX2(SB), NOSPLIT, $0-96
 	MOVQ   q8+0(FP), SI
 	MOVQ   w8+8(FP), R13

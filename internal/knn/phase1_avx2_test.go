@@ -37,7 +37,7 @@ func TestPhaseAVX2Parity(t *testing.T) {
 		for i := range slab {
 			slab[i] = math.Trunc(rng.NormFloat64() * 8) // many exact ties
 		}
-		head, _ := headSlab(slab, rows)
+		head, _ := headSlab(slab, identityOrder(rows))
 		q := make([]float64, 32)
 		w := make([]float64, 32)
 		for i := range q {

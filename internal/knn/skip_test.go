@@ -155,38 +155,6 @@ func cascadeMetrics(t *testing.T, rng *rand.Rand) []distance.Metric {
 	return ms
 }
 
-// pullInOrder is searchShared with its goroutines replaced by a fixed
-// schedule: workers states share one best-first queue and bound and take
-// turns — one pull each, in index order, when roundRobin; otherwise each
-// pulls until it stops before the next begins.
-func pullInOrder(s *Scan, q []float64, k int, kern distance.Kernel, workers int, roundRobin bool) []Result {
-	w := kern.Weights()
-	bufs := s.getTileBufs()
-	defer putTileBufs(bufs)
-	order, _ := s.rankTiles(q, w, bufs)
-	var tq tileQueue
-	tq.reset(order)
-	states := make([]scanState, workers)
-	for i := range states {
-		states[i] = tq.join(k)
-	}
-	stopped := make([]bool, workers)
-	for pulling := workers; pulling > 0; {
-		for i := range states {
-			for !stopped[i] {
-				if !s.pull(q, w, &tq, &states[i], bufs) {
-					stopped[i] = true
-					pulling--
-				}
-				if roundRobin {
-					break
-				}
-			}
-		}
-	}
-	return mergeShards(states, k)
-}
-
 // phase1Log records which blocks reach phase 1: every other block
 // scanTile32 was handed was skipped by its box.
 type phase1Log struct {
@@ -240,15 +208,11 @@ func useBaselineKernels(t *testing.T) {
 	t.Cleanup(func() { phase1x32Sel, phase1x32wSel, phaseNext8Sel, phaseNext8wSel = a, b, c, d })
 }
 
-// TestSharedBoundTie pins the exactness edge of the stop without
-// depending on goroutine timing. One state pulls the best-first queue
-// alone (the calling goroutine's path), or two states pull it in fixed
-// orders through the helper path's queue, shared bound and merge: one
-// drains it before the other starts, or they alternate tile by tile.
-// Tile 8, whose box contains q, is scanned first and puts catTieRow at
-// the catK-th place, so the copies tile is reached with a live bound
-// exactly equal to its box bound; a `>=` stop would end the scan there
-// and return catTieRow in place of row 1024. Every order must return
+// TestSharedBoundTie pins the exactness edge of the best-first stop. The
+// tile whose box contains q is scanned first and puts catTieRow at the
+// catK-th place, so the tile of copies of v is reached with a live bound
+// exactly equal to its box bound; a `>=` stop would end the scan there and
+// return catTieRow in place of row 1024. A lone Search must return
 // SearchNaive's list on heap and mmap, and more than half of the tiles
 // must be skipped.
 func TestSharedBoundTie(t *testing.T) {
@@ -256,6 +220,10 @@ func TestSharedBoundTie(t *testing.T) {
 	data, q := categoryCollection(rng)
 	heap, mapped := mmapTwin(t, data)
 	log := logPhase1(t)
+	lo := catCopies * DefaultBatchTile
+	// The scan tile holding row lo: the k-d order keeps the 512 copies of
+	// v, all equal and adjacent by id, together.
+	copies := slices.Index(heap.ids, int32(lo)) / DefaultBatchTile * DefaultBatchTile
 	for _, m := range cascadeMetrics(t, rng) {
 		kern, _ := distance.KernelFor(m)
 		want, err := heap.SearchNaive(q, catK, m)
@@ -263,11 +231,10 @@ func TestSharedBoundTie(t *testing.T) {
 			t.Fatal(err)
 		}
 		tie := kern.Squared(q, data[catTieRow])
-		lo := catCopies * DefaultBatchTile
 		if got := want[catK-1]; got.Index != lo || got.Distance != math.Sqrt(tie) {
 			t.Fatalf("%s: k-th result %+v, want row %d at the tie distance", m.Name(), got, lo)
 		}
-		if b := heap.blockBound2(q, kern.Weights(), lo, lo+DefaultBatchTile); b != tie {
+		if b := heap.blockBound2(q, kern.Weights(), copies, copies+DefaultBatchTile); b != tie {
 			t.Fatalf("%s: box bound %v of the copies tile != tie distance² %v", m.Name(), b, tie)
 		}
 		if RootBound2(math.Sqrt(tie)) != tie {
@@ -275,18 +242,16 @@ func TestSharedBoundTie(t *testing.T) {
 		}
 		for si, scan := range []*Scan{heap, mapped} {
 			name := [...]string{"heap", "mmap"}[si]
-			for _, run := range []struct {
-				workers    int
-				roundRobin bool
-			}{{1, false}, {2, false}, {2, true}} {
-				log.take(scan)
-				got := pullInOrder(scan, q, catK, kern, run.workers, run.roundRobin)
-				if !resultsBitwiseEqual(got, want) {
-					t.Fatalf("%s %s %+v: %v != naive %v", m.Name(), name, run, got, want)
-				}
-				if skipped := catTiles - len(log.take(scan)); 2*skipped <= catTiles {
-					t.Errorf("%s %s %+v: %d of %d tiles skipped", m.Name(), name, run, skipped, catTiles)
-				}
+			log.take(scan)
+			got, err := scan.Search(q, catK, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resultsBitwiseEqual(got, want) {
+				t.Fatalf("%s %s: %v != naive %v", m.Name(), name, got, want)
+			}
+			if skipped := catTiles - len(log.take(scan)); 2*skipped <= catTiles {
+				t.Errorf("%s %s: %d of %d tiles skipped", m.Name(), name, skipped, catTiles)
 			}
 		}
 	}
@@ -384,7 +349,7 @@ func TestBoxBoundBelowKernel(t *testing.T) {
 				}
 			}
 		}
-		_, boxes := headSlab(slab, rows)
+		_, boxes := headSlab(slab, identityOrder(rows))
 		box := boxes[:64]
 		var m distance.Metric = distance.Euclidean{}
 		if trial%4 != 0 {
