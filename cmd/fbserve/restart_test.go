@@ -390,3 +390,111 @@ func TestBinaryShardedRound(t *testing.T) {
 		}
 	}
 }
+
+// TestBinaryTwoCollections serves two named collections from one
+// process: a synthetic one, which -dir keeps as birds/collection.fbmx,
+// and its -export-fbmx file, with an IVF tier in front of the export
+// only. Sessions run through the scoped /c/<name>/ routes, an unknown
+// collection is a 404, /stats keeps both collections' counters apart and
+// mmap-resident, and SIGTERM drains.
+func TestBinaryTwoCollections(t *testing.T) {
+	bin := buildBinary(t)
+	tmp := t.TempDir()
+	export := filepath.Join(tmp, "birds.fbmx")
+	birds := "birds=synth:scale=0.05,seed=5"
+	if out, err := exec.Command(bin, "-collection", birds, "-export-fbmx", "birds="+export).CombinedOutput(); err != nil {
+		t.Fatalf("-export-fbmx: %v\n%s", err, out)
+	}
+	if _, err := os.Stat(export); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(tmp, "multi")
+	p := start(t, bin, "-k", "5", "-collection", birds, "-collection", "photos="+export,
+		"-ann", "photos:nlist=16,nprobe=4", "-dir", dir)
+
+	var health struct {
+		Status      string `json:"status"`
+		Collections int    `json:"collections"`
+	}
+	p.call(t, http.MethodGet, "/healthz", nil, &health)
+	if health.Status != "ok" || health.Collections != 2 {
+		t.Fatalf("/healthz: %+v, want ok with 2 collections", health)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "birds", "collection.fbmx")); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "photos")); err != nil || !fi.IsDir() {
+		t.Fatalf("photos directory: %v", err)
+	}
+
+	type state struct {
+		Collection string `json:"collection"`
+		Session    uint64 `json:"session"`
+		Results    []struct {
+			Category string `json:"category"`
+		} `json:"results"`
+		Iterations int `json:"iterations"`
+	}
+	var closed struct {
+		Session uint64 `json:"session"`
+	}
+	var s1 state
+	p.call(t, http.MethodPost, "/c/birds/query", map[string]any{"item": 0, "k": 5}, &s1)
+	if s1.Collection != "birds" {
+		t.Fatalf("/c/birds/query answered collection %q", s1.Collection)
+	}
+	p.call(t, http.MethodPost, "/c/birds/feedback", map[string]any{"session": s1.Session, "scores": []float64{1, 0, 1, 0, 0}}, &s1)
+	if s1.Iterations != 1 {
+		t.Fatalf("/c/birds/feedback: %d iterations, want 1", s1.Iterations)
+	}
+	p.call(t, http.MethodPost, "/c/birds/close", map[string]any{"session": s1.Session}, &closed)
+	if closed.Session != s1.Session {
+		t.Fatalf("/c/birds/close answered session %d, want %d", closed.Session, s1.Session)
+	}
+
+	// A read-only session against the export, whose file carries labels.
+	var s2 state
+	p.call(t, http.MethodPost, "/c/photos/query", map[string]any{"item": 0, "k": 5}, &s2)
+	if s2.Collection != "photos" || len(s2.Results) == 0 || s2.Results[0].Category == "" {
+		t.Fatalf("/c/photos/query: %+v, want photos results with a category", s2)
+	}
+	p.call(t, http.MethodPost, "/c/photos/close", map[string]any{"session": s2.Session}, &closed)
+	if closed.Session != s2.Session {
+		t.Fatalf("/c/photos/close answered session %d, want %d", closed.Session, s2.Session)
+	}
+
+	resp, err := http.Post(p.base+"/c/nope/query", "application/json", strings.NewReader(`{"item": 0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/c/nope/query: status %d, want 404", resp.StatusCode)
+	}
+
+	var stats struct {
+		Collections map[string]struct {
+			Collection struct {
+				Backend string `json:"backend"`
+				Index   string `json:"index"`
+			} `json:"collection"`
+			Retrieval string `json:"retrieval"`
+			Feedbacks int    `json:"feedbacks"`
+			Opened    int    `json:"opened"`
+		} `json:"collections"`
+	}
+	p.call(t, http.MethodGet, "/stats", nil, &stats)
+	b, ph := stats.Collections["birds"], stats.Collections["photos"]
+	const ivf = "ivf(nlist=16,nprobe=4,quant=f32)"
+	switch {
+	case len(stats.Collections) != 2:
+		t.Fatalf("/stats has %d collections, want 2", len(stats.Collections))
+	case b.Collection.Backend != "mmap" || ph.Collection.Backend != "mmap":
+		t.Fatalf("/stats backends birds %q, photos %q, want mmap", b.Collection.Backend, ph.Collection.Backend)
+	case ph.Collection.Index != ivf || ph.Retrieval != ivf || b.Collection.Index != "":
+		t.Fatalf("/stats index photos %q (retrieval %q), birds %q: want the IVF tier on photos only", ph.Collection.Index, ph.Retrieval, b.Collection.Index)
+	case b.Feedbacks != 1 || ph.Feedbacks != 0 || b.Opened != 1 || ph.Opened != 1:
+		t.Fatalf("/stats birds %+v, photos %+v: want one session each, the feedback round on birds only", b, ph)
+	}
+	p.terminate(t)
+}

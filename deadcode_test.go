@@ -2,6 +2,7 @@ package feedbackbypass_test
 
 import (
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -13,6 +14,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -32,10 +34,11 @@ var deadCodeAllowlist = map[string]string{
 	"repro/internal/vec.EqualTol":                    "the tolerance comparison nine packages' tests assert with",
 }
 
-// deadCodeConfigs are the build configurations TestNoDeadCode checks;
-// an identifier referenced under either one is live, so both sides of
-// every build constraint in the tree (amd64/!amd64, unix/portable mmap)
-// are covered.
+// deadCodeConfigs are the build configurations TestNoDeadCode and
+// TestRepoRules check; an identifier referenced under either one is live
+// and a rule finding under either one fails, so both sides of every
+// build constraint in the tree (amd64/!amd64, unix/portable mmap) are
+// covered.
 var deadCodeConfigs = [][2]string{{"linux", "amd64"}, {"windows", "arm64"}}
 
 // TestNoDeadCode type-checks every non-test package of the module, and
@@ -50,9 +53,51 @@ var deadCodeConfigs = [][2]string{{"linux", "amd64"}, {"windows", "arm64"}}
 // when its type is aliased by the root package, the module's public API.
 // internal/faultfs is test support and is not checked.
 func TestNoDeadCode(t *testing.T) {
-	mod, err := os.ReadFile("go.mod")
+	declared := map[string]token.Position{}
+	referenced := map[string]bool{}
+	for _, l := range loadModule(t) {
+		l.mark(declared, referenced)
+	}
+
+	var dead []string
+	for key, pos := range declared {
+		if _, ok := deadCodeAllowlist[key]; !ok && !referenced[key] {
+			dead = append(dead, pos.String()+": "+key)
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s is declared but no non-test code references it", d)
+	}
+	for key := range deadCodeAllowlist {
+		if _, ok := declared[key]; !ok {
+			t.Errorf("stale allowlist entry %s: no longer declared", key)
+		} else if referenced[key] {
+			t.Errorf("stale allowlist entry %s: now referenced", key)
+		}
+	}
+}
+
+// moduleLoad type-checks the module's non-test packages, bench/
+// included, from source once per deadCodeConfigs entry, for both
+// TestNoDeadCode and TestRepoRules.
+var moduleLoad = sync.OnceValues(loadModuleConfigs)
+
+// loadModule returns one loader per build configuration, each holding
+// every package of the module type-checked under that configuration.
+func loadModule(t *testing.T) []*deadCodeLoader {
+	t.Helper()
+	loaders, err := moduleLoad()
 	if err != nil {
 		t.Fatal(err)
+	}
+	return loaders
+}
+
+func loadModuleConfigs() ([]*deadCodeLoader, error) {
+	mod, err := os.ReadFile("go.mod")
+	if err != nil {
+		return nil, err
 	}
 	modPath := ""
 	for _, line := range strings.Split(string(mod), "\n") {
@@ -74,42 +119,24 @@ func TestNoDeadCode(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 
 	fset := token.NewFileSet()
 	std := importer.ForCompiler(fset, "source", nil) // shared: the standard library is checked once
-	declared := map[string]token.Position{}
-	referenced := map[string]bool{}
+	var loaders []*deadCodeLoader
 	for _, cfg := range deadCodeConfigs {
 		ctxt := build.Default
 		ctxt.GOOS, ctxt.GOARCH, ctxt.CgoEnabled = cfg[0], cfg[1], false
 		l := &deadCodeLoader{ctxt: &ctxt, fset: fset, std: std, modPath: modPath, pkgs: map[string]*deadCodePkg{}}
 		for _, dir := range dirs {
 			if _, err := l.load(l.importPath(dir)); err != nil && !errors.As(err, new(*build.NoGoError)) {
-				t.Fatalf("%s/%s: %v", cfg[0], cfg[1], err)
+				return nil, fmt.Errorf("%s/%s: %w", cfg[0], cfg[1], err)
 			}
 		}
-		l.mark(declared, referenced)
+		loaders = append(loaders, l)
 	}
-
-	var dead []string
-	for key, pos := range declared {
-		if _, ok := deadCodeAllowlist[key]; !ok && !referenced[key] {
-			dead = append(dead, pos.String()+": "+key)
-		}
-	}
-	sort.Strings(dead)
-	for _, d := range dead {
-		t.Errorf("%s is declared but no non-test code references it", d)
-	}
-	for key := range deadCodeAllowlist {
-		if _, ok := declared[key]; !ok {
-			t.Errorf("stale allowlist entry %s: no longer declared", key)
-		} else if referenced[key] {
-			t.Errorf("stale allowlist entry %s: now referenced", key)
-		}
-	}
+	return loaders, nil
 }
 
 type deadCodePkg struct {
@@ -158,13 +185,9 @@ func (l *deadCodeLoader) load(path string) (*deadCodePkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &deadCodePkg{info: &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-	}}
+	p := &deadCodePkg{info: newTypesInfo()}
 	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, 0)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -176,6 +199,16 @@ func (l *deadCodeLoader) load(path string) (*deadCodePkg, error) {
 	}
 	l.pkgs[path] = p
 	return p, nil
+}
+
+// newTypesInfo records what TestNoDeadCode and TestRepoRules read.
+func newTypesInfo() *types.Info {
+	return &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 }
 
 // deadCodeKey names a package-level object or a method of a

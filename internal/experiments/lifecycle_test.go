@@ -2,10 +2,11 @@ package experiments
 
 import "testing"
 
-// TestRunLifecycleBounded is the CI-sized soak regression gate for the
-// lifecycle plane: with aging on, the tree's vertex count stays bounded
-// (compactions reclaim the drifted-past regions) while the hit rate
-// over the recent window stays perfect; with aging off, the same
+// TestRunLifecycleBounded is the soak regression gate for the lifecycle
+// plane, at DefaultLifecycleConfig, the operating point of `fbbench
+// -figure lifecycle`: with aging on, the tree's vertex count stays
+// bounded (compactions reclaim the drifted-past regions) while the hit
+// rate over the recent window stays perfect; with aging off, the same
 // drifting workload grows the tree without bound (ε=0: one vertex per
 // insert).
 func TestRunLifecycleBounded(t *testing.T) {
@@ -13,9 +14,6 @@ func TestRunLifecycleBounded(t *testing.T) {
 		t.Skip("lifecycle soak skipped in -short mode")
 	}
 	cfg := DefaultLifecycleConfig()
-	cfg.Inserts = 400
-	cfg.AgeHorizon = 100
-	cfg.CompactEvery = 50
 	res, err := RunLifecycle(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -101,7 +101,7 @@ func (c *predictionCache) Put(shard int, gen, sig uint64, q []float64, oqp core.
 	c.byKey[sig] = c.ll.PushFront(&cacheEntry{shard: shard, sig: sig, q: vec.Clone(q), oqp: cloneOQP(oqp)})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
-		c.ll.Remove(oldest) //fbvet:ok list.Remove returns the value, not an error
+		c.ll.Remove(oldest)
 		delete(c.byKey, oldest.Value.(*cacheEntry).sig)
 	}
 }
@@ -120,7 +120,7 @@ func (c *predictionCache) Invalidate(shard int) {
 		next = e.Next()
 		ent := e.Value.(*cacheEntry)
 		if ent.shard == shard {
-			c.ll.Remove(e) //fbvet:ok list.Remove returns the value, not an error
+			c.ll.Remove(e)
 			delete(c.byKey, ent.sig)
 		}
 	}
