@@ -400,43 +400,6 @@ func buildCollection(n int) ([][]float64, error) {
 	return rows, nil
 }
 
-// BenchmarkKNNScan is the acceptance benchmark of the retrieval core:
-// k = 50 at D = 32 over the paper-scale collection, processing the
-// paper's workload shape — a stream of queries (§5 trains on 1000-query
-// streams) — through the cache-tiled, early-abandoning, squared-space
-// batch scan. One op = one 64-query batch; the headline number is the
-// reported ns/query, under the default Euclidean metric and under the
-// re-weighted metric of BenchmarkKNNScanWeighted. Compare against
-// BenchmarkKNNScanNaive (the seed-equivalent per-row Metric path, whose
-// per-query cost batching cannot improve), BenchmarkKNNScanSingle (one
-// lone kernel query) and BenchmarkKNNScanWeighted/scale=1/k=50 (one lone
-// re-weighted query).
-func BenchmarkKNNScan(b *testing.B) {
-	data := benchCollection(b, paperScaleN)
-	scan, err := newScan(data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batch = 64
-	qs := make([][]float64, batch)
-	for i := range qs {
-		qs[i] = data[(i*131)%len(data)]
-	}
-	for _, c := range []struct {
-		name string
-		m    distance.Metric
-	}{{"euclidean", distance.Euclidean{}}, {"weighted", benchWeighted(b, len(data[0]))}} {
-		b.Run("metric="+c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := scan.SearchBatch(qs, 50, c.m); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/query")
-		})
-	}
-}
-
 // benchWeighted is the re-weighted metric of the weighted benchmarks: a
 // fixed, uneven weight per dimension, the shape feedback rounds produce.
 func benchWeighted(b *testing.B, dim int) distance.Metric {
@@ -453,9 +416,9 @@ func benchWeighted(b *testing.B, dim int) distance.Metric {
 
 // BenchmarkKNNScanNaive measures the generic virtual-dispatch scan (one
 // Metric.Distance call and one sqrt per database vector) on the same
-// query stream — the reference the kernel's speedup is quoted against.
-// Its per-query cost is identical with or without batching: each naive
-// search streams the whole slab and does full-dimension work per row.
+// query stream — the reference the kernel's speedup is quoted against:
+// each naive search streams the whole slab and does full-dimension work
+// per row.
 func BenchmarkKNNScanNaive(b *testing.B) {
 	data := benchCollection(b, paperScaleN)
 	scan, err := newScan(data)
@@ -472,8 +435,8 @@ func BenchmarkKNNScanNaive(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/query")
 }
 
-// BenchmarkKNNScanSingle measures one lone kernel query — the latency
-// floor when no batch is available to amortize the memory stream.
+// BenchmarkKNNScanSingle measures one kernel query at k = 50 under the
+// Euclidean metric: best-first over the tiles, stopping early.
 func BenchmarkKNNScanSingle(b *testing.B) {
 	data := benchCollection(b, paperScaleN)
 	scan, err := newScan(data)
@@ -606,13 +569,13 @@ type oracleSearch struct {
 
 // searchRecorder is the engine's searcher with every lone Search logged.
 type searchRecorder struct {
-	knn.BatchSearcher
+	knn.Searcher
 	log []oracleSearch
 }
 
 func (r *searchRecorder) Search(q []float64, k int, m distance.Metric) ([]knn.Result, error) {
 	r.log = append(r.log, oracleSearch{slices.Clone(q), m})
-	return r.BatchSearcher.Search(q, k, m)
+	return r.Searcher.Search(q, k, m)
 }
 
 // recordOracleSearches builds IMSILike(seed, scale) and runs the category
@@ -627,7 +590,7 @@ func recordOracleSearches(seed int64, scale float64, sessions, k int) (*knn.Scan
 	if err != nil {
 		return nil, nil, err
 	}
-	rec := &searchRecorder{BatchSearcher: scan}
+	rec := &searchRecorder{Searcher: scan}
 	eng, err := engine.New(ds, engine.Options{Searcher: rec})
 	if err != nil {
 		return nil, nil, err

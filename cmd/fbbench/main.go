@@ -207,8 +207,8 @@ func writeReport(path string) {
 
 // runANNBench sweeps the IVF approximate retrieval tier: per corpus
 // scale, an exact-scan baseline plus every (nlist, quant) index probed
-// across the nprobe grid — recall@k against the exact top-k, batched
-// and single-query latency, and the probe-stage bandwidth ratio.
+// across the nprobe grid — recall@k against the exact top-k,
+// single-query latency, and the probe-stage bandwidth ratio.
 // `-scale`/`-queries` do not apply: the sweep has its own 1x/10x corpus
 // grid (see experiments.DefaultANNConfig).
 func runANNBench(k int, seed int64) {
@@ -221,15 +221,15 @@ func runANNBench(k int, seed int64) {
 		fail(err)
 	}
 	for _, sc := range res.Scales {
-		fmt.Printf("# scale %s: %d rows x %d dims; exact batch %.1f us/q, p50 %.0f us, p99 %.0f us\n",
-			sc.Scale, sc.Rows, sc.Dim, sc.ExactBatchMicros, sc.ExactP50Micros, sc.ExactP99Micros)
-		fmt.Printf("%-7s %-5s %7s %9s %9s %9s %12s %9s %7s\n",
-			"nlist", "quant", "nprobe", "recall@k", "p50(us)", "p99(us)", "batch(us/q)", "speedup", "bw")
+		fmt.Printf("# scale %s: %d rows x %d dims; exact p50 %.0f us, p99 %.0f us\n",
+			sc.Scale, sc.Rows, sc.Dim, sc.ExactP50Micros, sc.ExactP99Micros)
+		fmt.Printf("%-7s %-5s %7s %9s %9s %9s %9s %7s\n",
+			"nlist", "quant", "nprobe", "recall@k", "p50(us)", "p99(us)", "speedup", "bw")
 		for _, ix := range sc.Indexes {
 			for _, pt := range ix.Points {
-				fmt.Printf("%-7d %-5s %7d %9.4f %9.1f %9.1f %12.2f %8.1fx %6.0f%%\n",
+				fmt.Printf("%-7d %-5s %7d %9.4f %9.1f %9.1f %8.1fx %6.0f%%\n",
 					pt.NList, pt.Quant, pt.NProbe, pt.RecallAtK, pt.P50Micros, pt.P99Micros,
-					pt.BatchMicrosPerQuery, pt.Speedup, 100*ix.BandwidthRatio)
+					pt.Speedup, 100*ix.BandwidthRatio)
 			}
 		}
 		fmt.Printf("# best speedup at recall@k >= 0.95: %.1fx\n\n", sc.BestSpeedupAtRecall)

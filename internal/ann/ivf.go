@@ -17,8 +17,6 @@ package ann
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/distance"
@@ -92,7 +90,7 @@ type Options struct {
 }
 
 // Index is an IVF index over a fixed collection. It implements
-// knn.Searcher and knn.BatchSearcher; metrics without a squared-space
+// knn.Searcher; metrics without a squared-space
 // kernel fall back to the embedded exact scan. Search is safe for
 // concurrent use; SetNProbe is not.
 type Index struct {
@@ -487,66 +485,6 @@ func (x *Index) rerankRange(q []float64, k int, kern distance.Kernel, lo, hi int
 		bound = t.OfferRoot(id, s)
 	}
 	return t.Results()
-}
-
-// SearchBatchMulti implements knn.BatchSearcher: positionally-aligned
-// per-query metrics, answered in parallel across GOMAXPROCS workers.
-// Each query is answered independently, so results are identical to
-// calling Search per query.
-func (x *Index) SearchBatchMulti(qs [][]float64, k int, ms []distance.Metric) ([][]knn.Result, error) {
-	if len(ms) != len(qs) {
-		return nil, fmt.Errorf("ann: %d queries but %d metrics", len(qs), len(ms))
-	}
-	for i, q := range qs {
-		if err := x.check(q, k); err != nil {
-			return nil, fmt.Errorf("ann: batch query %d: %w", i, err)
-		}
-	}
-	out := make([][]knn.Result, len(qs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	var firstErr error
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * len(qs) / workers
-		hi := (w + 1) * len(qs) / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				res, err := x.Search(qs[i], k, ms[i])
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				out[i] = res
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// SearchBatch is SearchBatchMulti with one shared metric.
-func (x *Index) SearchBatch(qs [][]float64, k int, m distance.Metric) ([][]knn.Result, error) {
-	ms := make([]distance.Metric, len(qs))
-	for i := range ms {
-		ms[i] = m
-	}
-	return x.SearchBatchMulti(qs, k, ms)
 }
 
 // sqDistI8 accumulates the squared distance between q and an int8 row

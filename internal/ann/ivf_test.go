@@ -262,9 +262,9 @@ func TestRecallAtDefaultNProbe(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSearch pins SearchBatchMulti to per-query Search —
-// including the fallback for metrics without a squared-space kernel.
-func TestBatchMatchesSearch(t *testing.T) {
+// TestNoKernelMetricFallsBack: a metric without a squared-space kernel
+// is answered by the embedded exact scan, at any nprobe.
+func TestNoKernelMetricFallsBack(t *testing.T) {
 	rng := newTestRNG(13)
 	rows := clusteredRows(900, 12, 9, rng)
 	b := backendFor(t, rows)
@@ -272,46 +272,23 @@ func TestBatchMatchesSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := make([][]float64, 17)
-	ms := make([]distance.Metric, len(qs))
-	for i := range qs {
-		q := make([]float64, 12)
-		for j := range q {
-			q[j] = 20 * rng.float64()
-		}
-		qs[i] = q
-		switch i % 3 {
-		case 0:
-			ms[i] = distance.Euclidean{}
-		case 1:
-			w := make([]float64, 12)
-			for j := range w {
-				w[j] = rng.float64()
-			}
-			wm, err := distance.NewWeightedEuclidean(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ms[i] = wm
-		default:
-			ms[i] = manhattan{} // no kernel: exact-scan fallback
-		}
-	}
-	got, err := x.SearchBatchMulti(qs, 10, ms)
+	flat, err := knn.NewScanBackend(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range qs {
-		want, err := x.Search(qs[i], 10, ms[i])
+	for i := 0; i < 5; i++ {
+		q := rows[rng.intn(len(rows))]
+		want, err := flat.SearchNaive(q, 10, manhattan{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("batch query %d differs from Search", i)
+		got, err := x.Search(q, 10, manhattan{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := x.SearchBatchMulti(qs, 10, ms[:3]); err == nil {
-		t.Fatal("mismatched metric count accepted")
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d: manhattan through the index differs from the scan", i)
+		}
 	}
 }
 

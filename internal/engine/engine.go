@@ -30,7 +30,7 @@ const DefaultMaxIterations = 30
 // Engine is an interactive similarity retrieval system over a dataset.
 type Engine struct {
 	ds       *dataset.Dataset
-	searcher knn.BatchSearcher // the one retrieval seam: the exact scan, or an injected index (e.g. ann.Index)
+	searcher knn.Searcher // the one retrieval seam: the exact scan, or an injected index (e.g. ann.Index)
 	fb       *feedback.Engine
 }
 
@@ -45,7 +45,7 @@ type Options struct {
 	// Searcher injects a pre-built retrieval tier — typically an IVF
 	// ann.Index over the dataset's backend — in place of the exact scan.
 	// The tier must cover exactly the dataset's rows.
-	Searcher knn.BatchSearcher
+	Searcher knn.Searcher
 }
 
 // New builds an engine over the dataset. Sequential scan is the default
@@ -88,40 +88,6 @@ func (e *Engine) Retrieve(q, w []float64, k int) ([]knn.Result, error) {
 // searcher's own description (e.g. "ivf(nlist=…,nprobe=…)") — for the
 // serving layer's stats surface.
 func (e *Engine) Retrieval() string { return e.searcher.Describe() }
-
-// WeightedQuery pairs a query point with the weight vector of its
-// re-weighted metric.
-type WeightedQuery struct {
-	Q, W []float64
-}
-
-// RetrieveBatch answers several weighted retrievals in one call through
-// the scan's cache-tiled SearchBatchMulti: every L2-sized block of the
-// collection is streamed once for the whole batch, with each query
-// evaluated under its own weighted metric against the hot block. Results
-// are positionally aligned with qs and identical to calling Retrieve per
-// query. A singleton batch goes through Retrieve (a lone kernel query is
-// served best-first by Search, which stops early).
-func (e *Engine) RetrieveBatch(qs []WeightedQuery, k int) ([][]knn.Result, error) {
-	if len(qs) == 1 {
-		res, err := e.Retrieve(qs[0].Q, qs[0].W, k)
-		if err != nil {
-			return nil, err
-		}
-		return [][]knn.Result{res}, nil
-	}
-	points := make([][]float64, len(qs))
-	metrics := make([]distance.Metric, len(qs))
-	for i, wq := range qs {
-		m, err := distance.NewWeightedEuclidean(wq.W)
-		if err != nil {
-			return nil, err
-		}
-		points[i] = wq.Q
-		metrics[i] = m
-	}
-	return e.searcher.SearchBatchMulti(points, k, metrics)
-}
 
 // Score applies the automatic relevance oracle of §5: an item scores
 // ScoreGood iff it belongs to the query's category.

@@ -259,42 +259,6 @@ func TestSignatureDistinguishesLists(t *testing.T) {
 	}
 }
 
-func TestRetrieveBatchMatchesRetrieve(t *testing.T) {
-	ds := clusteredDataset(t, 200, 11)
-	e, err := New(ds, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniform := e.UniformWeights()
-	shifted := make([]float64, ds.Dim)
-	for i := range shifted {
-		shifted[i] = 0.5 + float64(i%3)
-	}
-	qs := []WeightedQuery{
-		{Q: ds.Items[0].Feature, W: uniform},
-		{Q: ds.Items[1].Feature, W: uniform}, // same weights: grouped into one batch
-		{Q: ds.Items[2].Feature, W: shifted}, // new weights: new group
-	}
-	batch, err := e.RetrieveBatch(qs, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, wq := range qs {
-		want, err := e.Retrieve(wq.Q, wq.W, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batch[i]) != len(want) {
-			t.Fatalf("query %d: %d results, want %d", i, len(batch[i]), len(want))
-		}
-		for j := range want {
-			if batch[i][j] != want[j] {
-				t.Fatalf("query %d result %d: %+v != %+v", i, j, batch[i][j], want[j])
-			}
-		}
-	}
-}
-
 // BenchmarkFeedbackSignature measures the allocation-free FNV-1a cycle
 // key that replaced the fmt.Fprintf string builder in the feedback loop.
 func BenchmarkFeedbackSignature(b *testing.B) {

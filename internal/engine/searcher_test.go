@@ -13,7 +13,7 @@ import (
 )
 
 // TestInjectedSearcher pins the Options.Searcher seam: an injected IVF
-// tier at nprobe = nlist answers Retrieve and RetrieveBatch identically
+// tier at nprobe = nlist answers Retrieve identically
 // to the default exact scan, and Retrieval reports the active tier.
 func TestInjectedSearcher(t *testing.T) {
 	ds, err := dataset.Build(imagegen.IMSILike(3, 0.05), histogram.DefaultExtractor)
@@ -39,33 +39,19 @@ func TestInjectedSearcher(t *testing.T) {
 		t.Fatalf("injected Retrieval() = %q", got)
 	}
 	w := exact.UniformWeights()
-	qs := make([]WeightedQuery, 4)
-	for i := range qs {
-		qs[i] = WeightedQuery{Q: ds.Items[i*7].Feature, W: w}
-	}
-	for _, wq := range qs {
-		want, err := exact.Retrieve(wq.Q, wq.W, 10)
+	for i := 0; i < 4; i++ {
+		q := ds.Items[i*7].Feature
+		want, err := exact.Retrieve(q, w, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := approx.Retrieve(wq.Q, wq.W, 10)
+		got, err := approx.Retrieve(q, w, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatal("full-probe injected searcher differs from exact scan")
 		}
-	}
-	wantB, err := exact.RetrieveBatch(qs, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotB, err := approx.RetrieveBatch(qs, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotB, wantB) {
-		t.Fatal("batch retrieval through injected searcher differs")
 	}
 
 	tiny, err := store.FromRows([][]float64{{1, 2}, {3, 4}})

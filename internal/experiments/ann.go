@@ -74,10 +74,7 @@ type ANNPointResult struct {
 	// P50/P99Micros are single-query latencies through Index.Search.
 	P50Micros float64 `json:"p50_us"`
 	P99Micros float64 `json:"p99_us"`
-	// BatchMicrosPerQuery is the SearchBatch path — the acceptance
-	// metric (compare ExactBatchMicros at the same scale).
-	BatchMicrosPerQuery float64 `json:"batch_us_per_query"`
-	// Speedup is exact batch µs/q divided by this cell's batch µs/q.
+	// Speedup is the exact scan's p50 divided by this cell's p50.
 	Speedup float64 `json:"speedup_vs_exact"`
 }
 
@@ -101,15 +98,13 @@ type ANNScaleResult struct {
 	Scale string `json:"scale"`
 	Rows  int    `json:"rows"`
 	Dim   int    `json:"dim"`
-	// Exact-scan baseline over the same query stream (tiled batch
-	// kernel and single-query path).
-	ExactBatchMicros float64          `json:"exact_batch_us_per_query"`
-	ExactP50Micros   float64          `json:"exact_p50_us"`
-	ExactP99Micros   float64          `json:"exact_p99_us"`
-	Indexes          []ANNIndexResult `json:"indexes"`
-	// BestSpeedupAtRecall is the largest batched speedup among cells
-	// with recall@k ≥ 0.95 — the headline the acceptance bound (≥ 3x at
-	// 10x scale) applies to.
+	// Exact-scan baseline: single-query latencies over the same query
+	// stream.
+	ExactP50Micros float64          `json:"exact_p50_us"`
+	ExactP99Micros float64          `json:"exact_p99_us"`
+	Indexes        []ANNIndexResult `json:"indexes"`
+	// BestSpeedupAtRecall is the largest p50 speedup among cells with
+	// recall@k ≥ 0.95.
 	BestSpeedupAtRecall float64 `json:"best_speedup_recall95"`
 }
 
@@ -179,18 +174,27 @@ func annCollection(rows, dim, clusters, queries int, seed int64) ([][]float64, [
 	return data, qs
 }
 
-// latencyStats runs fn once per query, returning p50 and p99 in µs.
-func latencyStats(n int, fn func(i int) error) (p50, p99 float64, err error) {
-	lats := make([]float64, n)
-	for i := 0; i < n; i++ {
+// timeSearches answers every query through s, one Search at a time,
+// after a warm-up pass over the first 32 so first-touch cost does not
+// land in the timings. It returns the result lists and the p50 and p99
+// latencies in µs.
+func timeSearches(s knn.Searcher, qs [][]float64, k int, m distance.Metric) (res [][]knn.Result, p50, p99 float64, err error) {
+	for _, q := range qs[:min(len(qs), 32)] {
+		if _, err := s.Search(q, k, m); err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	res = make([][]knn.Result, len(qs))
+	lats := make([]float64, len(qs))
+	for i, q := range qs {
 		t0 := time.Now()
-		if err := fn(i); err != nil {
-			return 0, 0, err
+		if res[i], err = s.Search(q, k, m); err != nil {
+			return nil, 0, 0, err
 		}
 		lats[i] = float64(time.Since(t0).Nanoseconds()) / 1e3
 	}
 	sort.Float64s(lats)
-	return lats[n/2], lats[n*99/100], nil
+	return res, lats[len(lats)/2], lats[len(lats)*99/100], nil
 }
 
 // RunANN builds the clustered collection at each scale, measures the
@@ -223,30 +227,18 @@ func RunANN(cfg ANNConfig) (ANNResult, error) {
 		sres := ANNScaleResult{Scale: sc.Label, Rows: sc.Rows, Dim: cfg.Dim}
 
 		// Exact baseline: ground truth for recall, and the latency the
-		// speedup column is measured against. One warm-up batch pass
-		// first so first-touch cost does not land in the baseline.
-		if _, err := scan.SearchBatch(qs[:min(len(qs), 32)], cfg.K, metric); err != nil {
-			return ANNResult{}, err
-		}
-		t0 := time.Now()
-		truth, err := scan.SearchBatch(qs, cfg.K, metric)
+		// speedup column is measured against.
+		truth, p50, p99, err := timeSearches(scan, qs, cfg.K, metric)
 		if err != nil {
 			return ANNResult{}, err
 		}
-		sres.ExactBatchMicros = float64(time.Since(t0).Nanoseconds()) / 1e3 / float64(len(qs))
+		sres.ExactP50Micros, sres.ExactP99Micros = p50, p99
 		truthSets := make([]map[int]bool, len(truth))
 		for i, rs := range truth {
 			truthSets[i] = make(map[int]bool, len(rs))
 			for _, r := range rs {
 				truthSets[i][r.Index] = true
 			}
-		}
-		sres.ExactP50Micros, sres.ExactP99Micros, err = latencyStats(len(qs), func(i int) error {
-			_, err := scan.Search(qs[i], cfg.K, metric)
-			return err
-		})
-		if err != nil {
-			return ANNResult{}, err
 		}
 		exactBytes := float64(8 * sc.Rows * cfg.Dim)
 
@@ -276,20 +268,14 @@ func RunANN(cfg ANNConfig) (ANNResult, error) {
 					}
 					pt := ANNPointResult{NList: nlist, NProbe: nprobe, Quant: quant.String()}
 
-					// Warm, then measure the batch path.
-					if _, err := idx.SearchBatch(qs[:min(len(qs), 32)], cfg.K, metric); err != nil {
-						return ANNResult{}, err
-					}
-					t0 := time.Now()
-					got, err := idx.SearchBatch(qs, cfg.K, metric)
+					got, p50, p99, err := timeSearches(idx, qs, cfg.K, metric)
 					if err != nil {
 						return ANNResult{}, err
 					}
-					pt.BatchMicrosPerQuery = float64(time.Since(t0).Nanoseconds()) / 1e3 / float64(len(qs))
-					if pt.BatchMicrosPerQuery > 0 {
-						pt.Speedup = sres.ExactBatchMicros / pt.BatchMicrosPerQuery
+					pt.P50Micros, pt.P99Micros = p50, p99
+					if p50 > 0 {
+						pt.Speedup = sres.ExactP50Micros / p50
 					}
-
 					hits := 0
 					for i, rs := range got {
 						for _, r := range rs {
@@ -299,14 +285,6 @@ func RunANN(cfg ANNConfig) (ANNResult, error) {
 						}
 					}
 					pt.RecallAtK = float64(hits) / float64(len(qs)*cfg.K)
-
-					pt.P50Micros, pt.P99Micros, err = latencyStats(len(qs), func(i int) error {
-						_, err := idx.Search(qs[i], cfg.K, metric)
-						return err
-					})
-					if err != nil {
-						return ANNResult{}, err
-					}
 					if pt.RecallAtK >= 0.95 {
 						sres.BestSpeedupAtRecall = math.Max(sres.BestSpeedupAtRecall, pt.Speedup)
 					}

@@ -31,7 +31,7 @@ func TestRunANNSmall(t *testing.T) {
 		t.Fatalf("unexpected sweep shape: %+v", res.Scales)
 	}
 	sc := res.Scales[0]
-	if sc.ExactBatchMicros <= 0 || sc.ExactP99Micros < sc.ExactP50Micros {
+	if sc.ExactP50Micros <= 0 || sc.ExactP99Micros < sc.ExactP50Micros {
 		t.Fatalf("baseline not measured: %+v", sc)
 	}
 	for _, ix := range sc.Indexes {
@@ -52,7 +52,7 @@ func TestRunANNSmall(t *testing.T) {
 			if pt.NProbe == ix.NList && pt.RecallAtK != 1 {
 				t.Fatalf("full probe recall %v != 1: %+v", pt.RecallAtK, pt)
 			}
-			if pt.BatchMicrosPerQuery <= 0 || pt.Speedup <= 0 {
+			if pt.P50Micros <= 0 || pt.P99Micros < pt.P50Micros || pt.Speedup <= 0 {
 				t.Fatalf("latency not measured: %+v", pt)
 			}
 		}

@@ -223,17 +223,17 @@ func (s *Session) ProcessQuery(itemIdx int) (QueryRecord, error) {
 		return rec, err
 	}
 
-	// (2) First-round retrieval under default and predicted parameters,
-	// batched so the collection streams through cache once for both.
-	firstRound, err := s.Engine.RetrieveBatch([]engine.WeightedQuery{
-		{Q: q, W: uniform},
-		{Q: qPred, W: wPred},
-	}, k)
+	// (2) First-round retrieval under default and predicted parameters.
+	firstDefault, err := s.Engine.Retrieve(q, uniform, k)
 	if err != nil {
 		return rec, err
 	}
-	rec.GoodDefault = s.Engine.GoodCount(item.Category, firstRound[0])
-	rec.GoodBypass = s.Engine.GoodCount(item.Category, firstRound[1])
+	firstBypass, err := s.Engine.Retrieve(qPred, wPred, k)
+	if err != nil {
+		return rec, err
+	}
+	rec.GoodDefault = s.Engine.GoodCount(item.Category, firstDefault)
+	rec.GoodBypass = s.Engine.GoodCount(item.Category, firstBypass)
 
 	// (3) Feedback loop from the default parameters.
 	loop, err := OracleLoop(s.Engine, item.Category, q, uniform, k)
@@ -348,16 +348,14 @@ func (s *Session) EvaluateManyAtK(itemIdxs []int, rs []int) ([]EvalCounts, error
 			return nil, err
 		}
 		qOpt, wOpt := loop.Params()
-		// One batched call answers all three scenario retrievals: the scan
-		// streams each cache block of the collection once for the batch,
-		// evaluating every scenario's metric against the hot block.
-		batch, err := s.Engine.RetrieveBatch([]engine.WeightedQuery{
-			{Q: q, W: uniform},
-			{Q: qPred, W: wPred},
-			{Q: qOpt, W: wOpt},
-		}, maxR)
-		if err != nil {
-			return nil, err
+		// The three scenarios: default, predicted and converged parameters.
+		var scenario [3][]int
+		for j, p := range [3][2][]float64{{q, uniform}, {qPred, wPred}, {qOpt, wOpt}} {
+			res, err := s.Engine.Retrieve(p[0], p[1], maxR)
+			if err != nil {
+				return nil, err
+			}
+			scenario[j] = knn.Indices(res)
 		}
 		countTop := func(resIdx []int, r int) int {
 			n := 0
@@ -368,13 +366,10 @@ func (s *Session) EvaluateManyAtK(itemIdxs []int, rs []int) ([]EvalCounts, error
 			}
 			return n
 		}
-		defIdx := knn.Indices(batch[0])
-		bypIdx := knn.Indices(batch[1])
-		seenIdx := knn.Indices(batch[2])
 		for _, r := range rs {
-			out[i].GoodDefault = append(out[i].GoodDefault, countTop(defIdx, r))
-			out[i].GoodBypass = append(out[i].GoodBypass, countTop(bypIdx, r))
-			out[i].GoodSeen = append(out[i].GoodSeen, countTop(seenIdx, r))
+			out[i].GoodDefault = append(out[i].GoodDefault, countTop(scenario[0], r))
+			out[i].GoodBypass = append(out[i].GoodBypass, countTop(scenario[1], r))
+			out[i].GoodSeen = append(out[i].GoodSeen, countTop(scenario[2], r))
 		}
 	}
 	return out, nil

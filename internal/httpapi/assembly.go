@@ -387,7 +387,7 @@ func BuildCollection(name, spec string, cfg Config) (*Collection, error) {
 	if err != nil {
 		return fail(err)
 	}
-	var searcher knn.BatchSearcher // stays a nil interface when idx is nil
+	var searcher knn.Searcher // stays a nil interface when idx is nil
 	if idx != nil {
 		idx.Observe(cfg.Obs, collectionLabels(name)...)
 		searcher = idx
@@ -444,7 +444,7 @@ func collectionDir(name string, cfg Config) (string, error) {
 // service in front of both. It is the only place outside tests and
 // bench/ that constructs a service.Service; cmd/fbserve reaches it
 // through BuildCollection. The caller keeps ownership of ds and searcher.
-func Assemble(name string, ds *dataset.Dataset, searcher knn.BatchSearcher, cfg Config) (*Collection, error) {
+func Assemble(name string, ds *dataset.Dataset, searcher knn.Searcher, cfg Config) (*Collection, error) {
 	dir, err := collectionDir(name, cfg)
 	if err != nil {
 		return nil, err

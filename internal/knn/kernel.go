@@ -1,21 +1,20 @@
-// Kernelized scan paths: squared-space comparison, early abandonment, a
-// best-first tile order with an early stop, and a cache-tiled batch scan.
-// The naive path pays a virtual Metric.Distance call and a math.Sqrt per
-// database vector; the kernel path walks the contiguous feature slab,
-// filters candidates by their squared distance (monotone in the true
-// distance), drops a candidate as soon as its partial sum exceeds the
-// current k-th best, and takes one square root per *offered candidate*,
-// which it ranks by (√, index) exactly as the naive path does. At D = 32
-// lone and batched queries alike run the phased tile cascade (scanTile32),
-// whose first phase streams the dimension-blocked head slab instead of the
-// full rows, and which skips a whole tile whose bounding box is provably
-// beyond the k-th best. The tiles are the leaves of a k-d partition built
-// with the scan (TileOrder), so their boxes are tight in any stored order.
-// A lone Search ranks every tile by its box bound and scans nearest first
-// on the calling goroutine, stopping at the first tile beyond the k-th
-// best. Batches additionally share each L2-sized row block across every
-// query in the batch. The parity property tests assert every path returns
-// []Result identical to the generic path.
+// Kernelized scan paths: squared-space comparison, early abandonment, and
+// a best-first tile order with an early stop. The naive path pays a
+// virtual Metric.Distance call and a math.Sqrt per database vector; the
+// kernel path walks the contiguous feature slab, filters candidates by
+// their squared distance (monotone in the true distance), drops a
+// candidate as soon as its partial sum exceeds the current k-th best, and
+// takes one square root per *offered candidate*, which it ranks by
+// (√, index) exactly as the naive path does. At D = 32 a search runs the
+// phased tile cascade (scanTile32), whose first phase streams the
+// dimension-blocked head slab instead of the full rows, and which skips a
+// whole tile whose bounding box is provably beyond the k-th best. The
+// tiles are the leaves of a k-d partition built with the scan
+// (TileOrder), so their boxes are tight in any stored order. Search ranks
+// every tile by its box bound and scans nearest first on the calling
+// goroutine, stopping at the first tile beyond the k-th best. The parity
+// property tests assert every path returns []Result identical to the
+// generic path.
 package knn
 
 import (
@@ -34,11 +33,10 @@ import (
 // halves work across two goroutines (inHalves) only from twice this many.
 const minShardRows = 32768
 
-// DefaultBatchTile is the number of rows per tile of the phased cascade
-// and per cache block of the batch scan: 512 rows × 32 dims × 8 B =
-// 128 KiB, comfortably L2-resident while the batch's query vectors stay
-// in L1.
-const DefaultBatchTile = 512
+// tileRows is the number of rows per tile of the phased cascade and of
+// the k-d scan order: 512 rows × 32 dims × 8 B = 128 KiB of full rows,
+// L2-resident, and 32 KiB of head slab.
+const tileRows = 512
 
 // scanWorkers returns how many shards to scan n rows with.
 func scanWorkers(n int) int {
@@ -149,11 +147,10 @@ func byBox(a, b tileRank) int {
 // rankTiles bounds every block of the scan by its box and sorts the
 // blocks nearest first into b's pooled order buffer.
 func (s *Scan) rankTiles(q, w []float64, b *tileBufs) []tileRank {
-	n, tile := s.mat.Len(), s.tile()
+	n := s.mat.Len()
 	order := b.order[:0]
-	for lo := 0; lo < n; lo += tile {
-		hi := min(lo+tile, n)
-		order = append(order, tileRank{s.blockBound2(q, w, lo, hi), lo, hi})
+	for lo := 0; lo < n; lo += tileRows {
+		order = append(order, tileRank{s.blockBound2(q, w, lo), lo, min(lo+tileRows, n)})
 	}
 	slices.SortFunc(order, byBox)
 	b.order = order
@@ -166,7 +163,7 @@ func (s *Scan) rankTiles(q, w []float64, b *tileBufs) []tileRank {
 // falls, so every later tile is beyond it too and no result changes.
 func (s *Scan) searchTiles(q []float64, k int, w []float64) []Result {
 	bufs := s.getTileBufs()
-	defer putTileBufs(bufs)
+	defer tileBufPool.Put(bufs)
 	st := newTopK(k)
 	for _, t := range s.rankTiles(q, w, bufs) {
 		if !s.scanTile32(q, w, t.lo, t.hi, t.box2, &st, bufs) {
@@ -176,164 +173,56 @@ func (s *Scan) searchTiles(q []float64, k int, w []float64) []Result {
 	return st.items
 }
 
-// SearchBatch answers many queries under one metric. With a kernel
-// metric, queries are answered through the cache-tiled batch scan —
-// every L2-sized row block is streamed from memory once and served to
-// all queries — and the batch is split across GOMAXPROCS workers.
-// Results are positionally aligned with qs and identical to calling
-// Search per query: each query still visits rows in ascending order with
-// its own TopK and abandon bound. Metrics without a kernel are answered
-// sequentially, since the Metric interface does not promise goroutine
-// safety.
-func (s *Scan) SearchBatch(qs [][]float64, k int, m distance.Metric) ([][]Result, error) {
-	ms := make([]distance.Metric, len(qs))
-	for i := range ms {
-		ms[i] = m
-	}
-	return s.SearchBatchMulti(qs, k, ms)
-}
-
-// SearchBatchMulti is SearchBatch with one metric per query — the shape
-// of the feedback harness, where every retrieval carries its own learned
-// weight vector. All queries still share each streamed cache block, so
-// mixed-metric batches keep the memory amortization. If any metric lacks
-// a kernel, or the batch is a singleton (which Search serves best-first,
-// stopping early), queries fall back to Search one by one.
+// SearchBatchMulti answers qs[i] under ms[i] by calling Search per query.
+// It exists only for the HTTP benchmark's traced searcher
+// (bench/trace.go, through BatchSearcher); ROADMAP.md item 2(d) deletes
+// it along with that interface.
 func (s *Scan) SearchBatchMulti(qs [][]float64, k int, ms []distance.Metric) ([][]Result, error) {
 	if len(ms) != len(qs) {
 		return nil, fmt.Errorf("knn: %d queries but %d metrics", len(qs), len(ms))
 	}
+	out := make([][]Result, len(qs))
 	for i, q := range qs {
-		if err := s.checkQuery(q, k); err != nil {
+		res, err := s.Search(q, k, ms[i])
+		if err != nil {
 			return nil, fmt.Errorf("knn: batch query %d: %w", i, err)
 		}
+		out[i] = res
 	}
-	out := make([][]Result, len(qs))
-	kerns := make([]distance.Kernel, len(qs))
-	allKern := true
-	for i, m := range ms {
-		var ok bool
-		if kerns[i], ok = distance.KernelFor(m); !ok {
-			allKern = false
-			break
-		}
-	}
-	if !allKern || len(qs) == 1 {
-		for i, q := range qs {
-			res, err := s.Search(q, k, ms[i])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
-		}
-		return out, nil
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	if workers <= 1 {
-		s.scanBatchTiled(qs, k, kerns, out, 0, len(qs))
-		return out, nil
-	}
-	// Split the query batch across workers; each worker tiles its share
-	// of queries over the collection.
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * len(qs) / workers
-		hi := (w + 1) * len(qs) / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			s.scanBatchTiled(qs, k, kerns, out, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 	return out, nil
 }
 
-// tileBufs are the per-worker scratch buffers of the phased tile scan:
-// the four stripe accumulators of every row in the tile, the survivor row
-// lists between phases, and a lone search's best-first tile order.
+// tileBufs are the scratch buffers of one phased tile search: the four
+// stripe accumulators of every row in the tile, the survivor row lists
+// between phases, and the search's best-first tile order.
 type tileBufs struct {
 	s0, s1, s2, s3 []float64
 	surv           []int32
 	order          []tileRank
 }
 
-func newTileBufs(tile int) *tileBufs {
-	return &tileBufs{
-		s0:   make([]float64, tile),
-		s1:   make([]float64, tile),
-		s2:   make([]float64, tile),
-		s3:   make([]float64, tile),
-		surv: make([]int32, tile),
-	}
-}
-
 // tileBufPool recycles tileBufs across searches, so a lone query's scan
 // allocates nothing beyond its candidate list.
 var tileBufPool sync.Pool
 
-// getTileBufs returns scratch for one worker of the D = 32 cascade, or
-// nil at other dimensionalities, which need none. Every worker's buffers
-// can hold the whole tile order, so whichever a search draws from the pool
-// ranks its tiles without allocating.
+// getTileBufs returns scratch for one D = 32 search. Every pooled buffer
+// can hold the whole tile order, so a search ranks its tiles without
+// allocating.
 func (s *Scan) getTileBufs() *tileBufs {
-	if s.head == nil {
-		return nil
-	}
-	tile := s.tile()
 	b, _ := tileBufPool.Get().(*tileBufs)
-	if b == nil || len(b.surv) < tile {
-		b = newTileBufs(tile)
+	if b == nil {
+		b = &tileBufs{
+			s0:   make([]float64, tileRows),
+			s1:   make([]float64, tileRows),
+			s2:   make([]float64, tileRows),
+			s3:   make([]float64, tileRows),
+			surv: make([]int32, tileRows),
+		}
 	}
-	if tiles := (s.mat.Len() + tile - 1) / tile; cap(b.order) < tiles {
+	if tiles := (s.mat.Len() + tileRows - 1) / tileRows; cap(b.order) < tiles {
 		b.order = make([]tileRank, 0, tiles)
 	}
 	return b
-}
-
-func putTileBufs(b *tileBufs) {
-	if b != nil {
-		tileBufPool.Put(b)
-	}
-}
-
-// scanBatchTiled processes queries qs[qlo:qhi] against the whole
-// collection, tiling the scan into L2-sized blocks: the outer loop
-// streams one block, the inner loop advances every query's scan state
-// across it. Per query this offers candidates with exactly the sums a
-// standalone Search computes, and the top k under the (distance, index)
-// total order does not depend on the order of offers, so the result list
-// is identical to per-query Search.
-func (s *Scan) scanBatchTiled(qs [][]float64, k int, kerns []distance.Kernel, out [][]Result, qlo, qhi int) {
-	n := s.mat.Len()
-	states := make([]TopK, qhi-qlo)
-	for i := range states {
-		states[i] = newTopK(k)
-	}
-	tile := s.tile()
-	bufs := s.getTileBufs()
-	for blockLo := 0; blockLo < n; blockLo += tile {
-		blockHi := min(blockLo+tile, n)
-		for qi := qlo; qi < qhi; qi++ {
-			st := &states[qi-qlo]
-			if s.head == nil {
-				s.scanRange(qs[qi], kerns[qi], blockLo, blockHi, st)
-				continue
-			}
-			w := kerns[qi].Weights()
-			s.scanTile32(qs[qi], w, blockLo, blockHi, s.blockBound2(qs[qi], w, blockLo, blockHi), st, bufs)
-		}
-	}
-	putTileBufs(bufs)
-	for qi := qlo; qi < qhi; qi++ {
-		out[qi] = states[qi-qlo].items
-	}
 }
 
 // scanTile32 runs the four-pass cascade over scan positions [lo, hi) for
@@ -355,9 +244,9 @@ func (s *Scan) scanBatchTiled(qs [][]float64, k int, kerns []distance.Kernel, ou
 // only keep extra candidates, never drop one a sequential scan would
 // keep — the final live-bound check restores exactness.
 //
-// Before phase 1 the whole block is skipped, and false returned, when
+// Before phase 1 the whole tile is skipped, and false returned, when
 // box2 — blockBound2, ≤ every row's kernel sum bitwise — is strictly
-// beyond the live bound: no row in the block can then be offered. Equality
+// beyond the live bound: no row in the tile can then be offered. Equality
 // must not skip: a row on the bound may still win the index tie-break
 // against a k-th candidate found earlier in a later tile, which a
 // best-first search can have done.
@@ -402,25 +291,11 @@ func (s *Scan) scanTile32(q, w []float64, lo, hi int, box2 float64, st *TopK, b 
 	return true
 }
 
-// blockBound2 is boxBound2 of the tile box holding scan positions [lo, hi), or 0
-// when the block spans two tiles and has no box.
-func (s *Scan) blockBound2(q, w []float64, lo, hi int) float64 {
-	if box := s.tileBox(lo, hi); box != nil {
-		return boxBound2(q, w, box)
-	}
-	return 0
-}
-
-// tileBox returns the bounding box of the DefaultBatchTile-row tile
-// holding scan positions [lo, hi) — a superset box for a partial block,
-// which only loosens the bound — or nil when the positions span two tiles
-// (only the tile-size parity test's block sizes do).
-func (s *Scan) tileBox(lo, hi int) []float64 {
-	t := lo / DefaultBatchTile
-	if (hi-1)/DefaultBatchTile != t {
-		return nil
-	}
-	return s.boxes[t*64 : t*64+64 : t*64+64]
+// blockBound2 is boxBound2 of the box of the tile starting at scan
+// position lo.
+func (s *Scan) blockBound2(q, w []float64, lo int) float64 {
+	t := lo / tileRows
+	return boxBound2(q, w, s.boxes[t*64:t*64+64:t*64+64])
 }
 
 // unitWeights makes the unweighted bound the weighted one: (1·g)·g is

@@ -19,7 +19,9 @@ type Result struct {
 	Distance float64 // distance to the query
 }
 
-// Searcher answers k-nearest-neighbour queries over a fixed collection.
+// Searcher answers k-nearest-neighbour queries over a fixed collection —
+// the retrieval surface the engine consumes, implemented by the exact
+// Scan and by the approximate ann.Index.
 type Searcher interface {
 	// Search returns the k items closest to q under m, ordered by
 	// ascending distance (ties broken by ascending index, making results
@@ -28,20 +30,19 @@ type Searcher interface {
 	Search(q []float64, k int, m distance.Metric) ([]Result, error)
 	// Len returns the collection size.
 	Len() int
+	// Describe names the retrieval tier for stats surfaces.
+	Describe() string
 }
 
 // BatchSearcher is a Searcher that also answers positionally-aligned
-// query batches, each under its own metric, in one call — the retrieval
-// surface the engine consumes, implemented by the exact Scan and by the
-// approximate ann.Index. Results must be identical to calling Search per
-// query; batching changes throughput, never answers.
+// query batches, each under its own metric. It exists only for the HTTP
+// benchmark's traced searcher (bench/trace.go); ROADMAP item 2(d)
+// deletes it along with Scan.SearchBatchMulti.
 type BatchSearcher interface {
 	Searcher
 	// SearchBatchMulti answers qs[i] under ms[i]; results are positionally
-	// aligned with qs.
+	// aligned with qs and identical to calling Search per query.
 	SearchBatchMulti(qs [][]float64, k int, ms []distance.Metric) ([][]Result, error)
-	// Describe names the retrieval tier for stats surfaces.
-	Describe() string
 }
 
 // Scan is the exact scan searcher: it supports *any* metric, including
@@ -68,20 +69,10 @@ type Scan struct {
 	// Nil at other dimensionalities.
 	head []float64
 	// boxes holds, beside the head slab, the per-dimension bounding box of
-	// every DefaultBatchTile-row tile of the scan order: 32 minima then 32
-	// maxima per tile (512 B), from which scanTile32 bounds a whole tile's
+	// every tileRows-row tile of the scan order: 32 minima then 32 maxima
+	// per tile (512 B), from which scanTile32 bounds a whole tile's
 	// distances before reading it. Nil at other dimensionalities.
 	boxes []float64
-	// batchTile is the row count per tile; 0 means DefaultBatchTile. Only
-	// the tile-size parity test sets it.
-	batchTile int
-}
-
-func (s *Scan) tile() int {
-	if s.batchTile <= 0 {
-		return DefaultBatchTile
-	}
-	return s.batchTile
 }
 
 // NewScanBackend builds a scan searcher directly over any feature
@@ -105,21 +96,21 @@ func NewScanBackend(b store.Backend) (*Scan, error) {
 
 // headSlab copies dims [0,8) of the rows of a 32-wide row-major slab, in
 // the scan order ids, into the contiguous stride-8 layout phase 1 reads
-// and, in the same pass, records every DefaultBatchTile-row tile's
+// and, in the same pass, records every tileRows-row tile's
 // bounding box (layout: Scan.boxes).
 func headSlab(slab []float64, ids []int32) (head, boxes []float64) {
 	rows := len(ids)
 	head = make([]float64, rows*8)
-	tiles := (rows + DefaultBatchTile - 1) / DefaultBatchTile
+	tiles := (rows + tileRows - 1) / tileRows
 	boxes = make([]float64, tiles*64)
 	fill := func(t0, t1 int) {
 		for t := t0; t < t1; t++ {
 			lo, hi := boxes[t*64:t*64+32:t*64+32], boxes[t*64+32:t*64+64:t*64+64]
-			first := t * DefaultBatchTile
+			first := t * tileRows
 			r := int(ids[first])
 			copy(lo, slab[r*32:r*32+32])
 			copy(hi, lo)
-			for p := first; p < min(first+DefaultBatchTile, rows); p++ {
+			for p := first; p < min(first+tileRows, rows); p++ {
 				r := int(ids[p])
 				row := (*[32]float64)(slab[r*32 : r*32+32])
 				*(*[8]float64)(head[p*8:]) = [8]float64(row[:8])
@@ -137,7 +128,7 @@ func headSlab(slab []float64, ids []int32) (head, boxes []float64) {
 // Len implements Searcher.
 func (s *Scan) Len() int { return s.mat.Len() }
 
-// Describe implements BatchSearcher: the exact tier has no parameters.
+// Describe implements Searcher: the exact tier has no parameters.
 func (s *Scan) Describe() string { return "scan" }
 
 func (s *Scan) checkQuery(q []float64, k int) error {

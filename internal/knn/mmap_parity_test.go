@@ -111,66 +111,9 @@ func TestMmapParityAllPaths(t *testing.T) {
 	}
 }
 
-// TestMmapParityTiledBatch pins the cache-tiled batch path — including
-// the D=32 vertical cascade with its phase kernels on amd64 — and
-// the mixed-metric SearchBatchMulti against the heap backend bitwise.
-func TestMmapParityTiledBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(911))
-	for _, dim := range []int{6, 32} {
-		for _, n := range []int{40, DefaultBatchTile + 37, 2*DefaultBatchTile + 11} {
-			data := randomCollection(rng, n, dim)
-			heap, mapped := mmapTwin(t, data)
-			qs := make([][]float64, 9)
-			ms := make([]distance.Metric, len(qs))
-			for i := range qs {
-				qs[i] = data[rng.Intn(n)]
-				w := make([]float64, dim)
-				for j := range w {
-					w[j] = 0.25 + rng.Float64()
-				}
-				if i%3 == 0 {
-					ms[i] = distance.Euclidean{}
-					continue
-				}
-				wm, err := distance.NewWeightedEuclidean(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ms[i] = wm
-			}
-			k := 1 + rng.Intn(70)
-			wantB, err := heap.SearchBatch(qs, k, distance.Euclidean{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotB, err := mapped.SearchBatch(qs, k, distance.Euclidean{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantM, err := heap.SearchBatchMulti(qs, k, ms)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotM, err := mapped.SearchBatchMulti(qs, k, ms)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range qs {
-				if !resultsBitwiseEqual(gotB[i], wantB[i]) {
-					t.Fatalf("dim=%d n=%d query %d: mmap SearchBatch != heap", dim, n, i)
-				}
-				if !resultsBitwiseEqual(gotM[i], wantM[i]) {
-					t.Fatalf("dim=%d n=%d query %d: mmap SearchBatchMulti != heap", dim, n, i)
-				}
-			}
-		}
-	}
-}
-
 // TestMmapParityShardedScan drives the real goroutine fan-out of the
-// scan's build (inHalves) and the query-split batch under raised
-// GOMAXPROCS on an mmap backend, and a lone Search there, anchored to the
-// heap backend's naive path.
+// scan's build (inHalves) under raised GOMAXPROCS on an mmap backend, and
+// a lone Search there, anchored to the heap backend's naive path.
 func TestMmapParityShardedScan(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -183,24 +126,17 @@ func TestMmapParityShardedScan(t *testing.T) {
 		qs[i] = data[rng.Intn(len(data))]
 	}
 	m := distance.Euclidean{}
-	batch, err := mapped.SearchBatch(qs, 40, m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, q := range qs {
 		want, err := heap.SearchNaive(q, 40, m)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !resultsBitwiseEqual(batch[i], want) {
-			t.Fatalf("mmap batch query %d diverges under GOMAXPROCS=4", i)
 		}
 		got, err := mapped.Search(q, 40, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !resultsBitwiseEqual(got, want) {
-			t.Fatalf("mmap sharded search query %d diverges under GOMAXPROCS=4", i)
+			t.Fatalf("mmap search query %d diverges under GOMAXPROCS=4", i)
 		}
 	}
 }

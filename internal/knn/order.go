@@ -14,7 +14,7 @@ import (
 // tiles out in: position p of the scan holds collection row order[p]. It
 // is a k-d partition whose leaves are the tiles: the row ids are split
 // recursively on the dimension of highest variance, each cut at the
-// multiple of DefaultBatchTile nearest the median, so every leaf is
+// multiple of tileRows nearest the median, so every leaf is
 // exactly one tile and only the last tile can be partial. Rows that are
 // close in every dimension then share a tile, and its bounding box stays
 // tight whatever order the collection was stored in. Split keys compare
@@ -78,7 +78,7 @@ func (b kdBuf) split(cut int) (left, right kdBuf) {
 // kdSplit orders ids into tiles. The two subtrees are disjoint, so
 // splitting them on two goroutines changes nothing but the wall time.
 func kdSplit(slab []float64, ids []int32, buf kdBuf) {
-	if len(ids) <= DefaultBatchTile {
+	if len(ids) <= tileRows {
 		return
 	}
 	cut := kdCut(slab, ids, buf)
@@ -87,7 +87,7 @@ func kdSplit(slab []float64, ids []int32, buf kdBuf) {
 }
 
 // kdCut splits ascending ids, more than one tile of them, at the multiple
-// of DefaultBatchTile nearest their median in the dimension of highest
+// of tileRows nearest their median in the dimension of highest
 // variance, and returns the cut: afterwards ids[:cut] are the rows that
 // come first in that dimension (ties by id), and both sides still ascend.
 func kdCut(slab []float64, ids []int32, buf kdBuf) int {
@@ -97,8 +97,8 @@ func kdCut(slab []float64, ids []int32, buf kdBuf) int {
 	for i, id := range ids {
 		keys[i] = orderBits(slab[int(id)*32+d])
 	}
-	tiles := (n + DefaultBatchTile - 1) / DefaultBatchTile
-	cut := min(max((n/2+DefaultBatchTile/2)/DefaultBatchTile, 1), tiles-1) * DefaultBatchTile
+	tiles := (n + tileRows - 1) / tileRows
+	cut := min(max((n/2+tileRows/2)/tileRows, 1), tiles-1) * tileRows
 	// The last row left of the cut has key t: the rows with a smaller key
 	// go left, and of the rows at t the ones with the lowest ids.
 	t := nthKey(append(buf.sel[:0], keys...), cut-1)

@@ -59,7 +59,7 @@ func layoutCollections(rng *rand.Rand, n int) map[string][][]float64 {
 
 // TestTileOrderLayout pins the scan order's shape on every layout
 // collection: it is a bijection onto the rows; every top-level cut lies at
-// a multiple of DefaultBatchTile with every row before it first in the
+// a multiple of tileRows with every row before it first in the
 // split dimension under cmp.Compare, ties by id, and both sides still
 // ascending; each tile is one leaf, so its ids ascend; the split keys
 // order as cmp.Compare does on NaN, ±Inf and ±0; and the order is the
@@ -67,7 +67,7 @@ func layoutCollections(rng *rand.Rand, n int) map[string][][]float64 {
 // root's two subtrees are split on two goroutines.
 func TestTileOrderLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(2121))
-	for _, n := range []int{1, 511, 512, 513, 3*DefaultBatchTile + 7} {
+	for _, n := range []int{1, 511, 512, 513, 3*tileRows + 7} {
 		for name, data := range layoutCollections(rng, n) {
 			mat, err := store.FromRows(data)
 			if err != nil {
@@ -78,17 +78,17 @@ func TestTileOrderLayout(t *testing.T) {
 			if slices.Sort(got); !slices.Equal(got, identityOrder(n)) {
 				t.Fatalf("n=%d %s: the order is not a permutation of the rows", n, name)
 			}
-			for lo := 0; lo < n; lo += DefaultBatchTile {
-				if tile := ids[lo:min(lo+DefaultBatchTile, n)]; !slices.IsSorted(tile) {
+			for lo := 0; lo < n; lo += tileRows {
+				if tile := ids[lo:min(lo+tileRows, n)]; !slices.IsSorted(tile) {
 					t.Fatalf("n=%d %s: tile at %d is not one leaf: %v", n, name, lo, tile)
 				}
 			}
-			if n <= DefaultBatchTile {
+			if n <= tileRows {
 				continue
 			}
 			slab, cutIDs := mat.Slab(0, n), identityOrder(n)
 			cut := kdCut(slab, cutIDs, kdBuf{make([]uint64, n), make([]uint64, n), make([]int32, n)})
-			if cut%DefaultBatchTile != 0 || cut <= 0 || cut >= n || !slices.IsSorted(cutIDs[:cut]) || !slices.IsSorted(cutIDs[cut:]) {
+			if cut%tileRows != 0 || cut <= 0 || cut >= n || !slices.IsSorted(cutIDs[:cut]) || !slices.IsSorted(cutIDs[cut:]) {
 				t.Fatalf("n=%d %s: cut at %d, sides ascending %v %v", n, name, cut, slices.IsSorted(cutIDs[:cut]), slices.IsSorted(cutIDs[cut:]))
 			}
 			d := spreadDim(slab, identityOrder(n))
@@ -130,13 +130,14 @@ func TestTileOrderLayout(t *testing.T) {
 	}
 }
 
-// TestTileOrderParity holds every search path — lone Search, SearchBatch,
-// SearchBatchMulti, on the heap and on the mmap twin — to SearchNaive
-// with == on every layout collection, at sizes around a tile, under
-// GOMAXPROCS 1, 2 and 4.
+// TestTileOrderParity holds lone Search, on the heap and on the mmap
+// twin, to SearchNaive with == on every layout collection, at sizes
+// around a tile, under GOMAXPROCS 1, 2 and 4. SearchBatchMulti, a loop
+// over Search, must return the same lists and refuse a metric count that
+// differs from the query count.
 func TestTileOrderParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2222))
-	for _, n := range []int{1, 511, 512, 513, 3*DefaultBatchTile + 7} {
+	for _, n := range []int{1, 511, 512, 513, 3*tileRows + 7} {
 		for name, data := range layoutCollections(rng, n) {
 			heap, mapped := mmapTwin(t, data)
 			metrics := cascadeMetrics(t, rng)
@@ -149,14 +150,10 @@ func TestTileOrderParity(t *testing.T) {
 			ms := make([]distance.Metric, len(qs))
 			for _, k := range []int{1, 10, 64} {
 				want := make([][]Result, len(qs))
-				wantOne := make([][]Result, len(qs)) // every query under ms[0]
 				for qi, q := range qs {
 					ms[qi] = metrics[(qi+k)%len(metrics)]
 					var err error
 					if want[qi], err = heap.SearchNaive(q, k, ms[qi]); err != nil {
-						t.Fatal(err)
-					}
-					if wantOne[qi], err = heap.SearchNaive(q, k, ms[0]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -164,29 +161,30 @@ func TestTileOrderParity(t *testing.T) {
 					old := runtime.GOMAXPROCS(procs)
 					for si, scan := range []*Scan{heap, mapped} {
 						where := [...]string{"heap", "mmap"}[si]
-						multi, err := scan.SearchBatchMulti(qs, k, ms)
-						if err != nil {
-							t.Fatal(err)
-						}
-						one, err := scan.SearchBatch(qs, k, ms[0])
-						if err != nil {
-							t.Fatal(err)
-						}
 						for qi, q := range qs {
 							lone, err := scan.Search(q, k, ms[qi])
 							if err != nil {
 								t.Fatal(err)
 							}
-							if !resultsBitwiseEqual(lone, want[qi]) || !resultsBitwiseEqual(multi[qi], want[qi]) {
-								t.Fatalf("n=%d %s k=%d %s procs=%d query %d: Search or SearchBatchMulti != SearchNaive", n, name, k, where, procs, qi)
-							}
-							if !resultsBitwiseEqual(one[qi], wantOne[qi]) {
-								t.Fatalf("n=%d %s k=%d %s procs=%d query %d: SearchBatch != SearchNaive", n, name, k, where, procs, qi)
+							if !resultsBitwiseEqual(lone, want[qi]) {
+								t.Fatalf("n=%d %s k=%d %s procs=%d query %d: Search != SearchNaive", n, name, k, where, procs, qi)
 							}
 						}
 					}
 					runtime.GOMAXPROCS(old)
 				}
+				multi, err := mapped.SearchBatchMulti(qs, k, ms)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for qi := range qs {
+					if !resultsBitwiseEqual(multi[qi], want[qi]) {
+						t.Fatalf("n=%d %s k=%d query %d: SearchBatchMulti != SearchNaive", n, name, k, qi)
+					}
+				}
+			}
+			if _, err := heap.SearchBatchMulti(qs, 10, ms[:1]); err == nil {
+				t.Fatalf("n=%d %s: SearchBatchMulti accepted %d queries with 1 metric", n, name, len(qs))
 			}
 		}
 	}
@@ -212,7 +210,7 @@ func TestTileOrderTightensBoxes(t *testing.T) {
 	stored.head, stored.boxes = headSlab(mat.Slab(0, mat.Len()), stored.ids)
 	const searches, k = 300, 10
 	rng := rand.New(rand.NewSource(2323))
-	tiles := (mat.Len() + DefaultBatchTile - 1) / DefaultBatchTile
+	tiles := (mat.Len() + tileRows - 1) / tileRows
 	var kd, identity int
 	for range searches {
 		q := mat.Row(rng.Intn(mat.Len()))
@@ -234,8 +232,8 @@ func TestTileOrderTightensBoxes(t *testing.T) {
 				t.Fatal(err)
 			}
 			bound2 := RootBound2(res[k-1].Distance)
-			for lo := 0; lo < mat.Len(); lo += DefaultBatchTile {
-				if c.scan.blockBound2(q, kern.Weights(), lo, min(lo+DefaultBatchTile, mat.Len())) <= bound2 {
+			for lo := 0; lo < mat.Len(); lo += tileRows {
+				if c.scan.blockBound2(q, kern.Weights(), lo) <= bound2 {
 					*c.count++
 				}
 			}

@@ -144,93 +144,6 @@ func TestKernelParityWeighted(t *testing.T) {
 	}
 }
 
-// TestSearchBatchParity: the cache-tiled batch scan (and its generic-dim
-// fallback) must equal per-query Search bitwise, for both supported
-// metric classes and collections larger than one tile — and, on the
-// category-ordered collection whose tiles are mostly skipped, equal
-// SearchNaive.
-func TestSearchBatchParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(303))
-	for _, dim := range []int{6, 32} {
-		for _, n := range []int{40, DefaultBatchTile + 37, 3*DefaultBatchTile + 1} {
-			data := randomCollection(rng, n, dim)
-			scan, err := newScan(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := make([]float64, dim)
-			for j := range w {
-				w[j] = 0.25 + rng.Float64()
-			}
-			wm, err := distance.NewWeightedEuclidean(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range []distance.Metric{distance.Euclidean{}, wm} {
-				qs := make([][]float64, 9)
-				for i := range qs {
-					qs[i] = data[rng.Intn(n)]
-				}
-				k := 1 + rng.Intn(70)
-				batch, err := scan.SearchBatch(qs, k, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, q := range qs {
-					want, err := scan.Search(q, k, m)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !resultsBitwiseEqual(batch[i], want) {
-						t.Fatalf("dim=%d n=%d k=%d metric=%s query %d: batch != search", dim, n, k, m.Name(), i)
-					}
-				}
-			}
-		}
-	}
-	categoryBatchParity(t, rng, 0)
-}
-
-// TestSearchBatchGenericMetric: metrics without a kernel run the naive
-// path query by query.
-func TestSearchBatchGenericMetric(t *testing.T) {
-	rng := rand.New(rand.NewSource(404))
-	data := randomCollection(rng, 90, 5)
-	scan, err := newScan(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := [][]float64{data[3], data[11], data[70]}
-	batch, err := scan.SearchBatch(qs, 7, manhattan{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range qs {
-		want, err := scan.Search(q, 7, manhattan{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resultsBitwiseEqual(batch[i], want) {
-			t.Fatalf("query %d: generic batch != search", i)
-		}
-	}
-}
-
-// TestSearchBatchValidation covers batch error paths.
-func TestSearchBatchValidation(t *testing.T) {
-	scan, _ := newScan([][]float64{{0, 0}, {1, 1}})
-	if _, err := scan.SearchBatch([][]float64{{1, 2, 3}}, 1, distance.Euclidean{}); err == nil {
-		t.Error("dimension mismatch should error")
-	}
-	if _, err := scan.SearchBatch([][]float64{{1, 2}}, 0, distance.Euclidean{}); err == nil {
-		t.Error("k=0 should error")
-	}
-	out, err := scan.SearchBatch(nil, 3, distance.Euclidean{})
-	if err != nil || len(out) != 0 {
-		t.Errorf("empty batch: %v, %v", out, err)
-	}
-}
-
 // seamCollection returns n rows of small integers (every distance is
 // heavily tied) and three queries, with copies of the first query on both
 // sides of every tile boundary and of every boundary a 2-, 3- or 4-way
@@ -251,7 +164,7 @@ func seamCollection(rng *rand.Rand, n int) (data, qs [][]float64) {
 		qs[2][j] = float64(rng.Intn(4)) + 0.5 // not in the collection
 	}
 	seams := []int{}
-	for b := DefaultBatchTile; b < n; b += DefaultBatchTile {
+	for b := tileRows; b < n; b += tileRows {
 		seams = append(seams, b)
 	}
 	for workers := 2; workers <= 4; workers++ {
@@ -272,8 +185,7 @@ func seamCollection(rng *rand.Rand, n int) (data, qs [][]float64) {
 // TestLoneCascadeParity pins the lone-query path — tiles in best-first
 // order, phase 1 over the head slab, the scan stopped at the first tile
 // whose box is beyond the k-th best — at D = 32: Search == SearchNaive ==
-// the same query inside a SearchBatchMulti batch, with == on every
-// Result, on heap and mmap backends, under GOMAXPROCS 1, 2 and 4. The
+// with == on every Result, on heap and mmap backends, under GOMAXPROCS 1, 2 and 4. The
 // inputs are seamCollection's tie-heavy rows and categoryCollection's
 // runs, where most tiles are never scanned and the k-th neighbour is a
 // tie exactly on a tile's box bound, found first in a later tile.
@@ -305,13 +217,11 @@ func TestLoneCascadeParity(t *testing.T) {
 					qs = qs[:2]
 				}
 				want := make([][]Result, len(qs))
-				ms := make([]distance.Metric, len(qs))
 				for qi, q := range qs {
 					var err error
 					if want[qi], err = heap.SearchNaive(q, k, m); err != nil {
 						t.Fatal(err)
 					}
-					ms[qi] = m
 				}
 				for _, procs := range []int{1, 2, 4} {
 					if bigK && procs == 1 {
@@ -320,10 +230,6 @@ func TestLoneCascadeParity(t *testing.T) {
 					old := runtime.GOMAXPROCS(procs)
 					for si, scan := range []*Scan{heap, mapped} {
 						name := [...]string{"heap", "mmap"}[si]
-						batch, err := scan.SearchBatchMulti(qs, k, ms)
-						if err != nil {
-							t.Fatal(err)
-						}
 						for qi, q := range qs {
 							got, err := scan.Search(q, k, m)
 							if err != nil {
@@ -331,9 +237,6 @@ func TestLoneCascadeParity(t *testing.T) {
 							}
 							if !resultsBitwiseEqual(got, want[qi]) {
 								t.Fatalf("n=%d k=%d %s %s procs=%d query %d: Search != SearchNaive", n, k, m.Name(), name, procs, qi)
-							}
-							if !resultsBitwiseEqual(batch[qi], want[qi]) {
-								t.Fatalf("n=%d k=%d %s %s procs=%d query %d: SearchBatchMulti != SearchNaive", n, k, m.Name(), name, procs, qi)
 							}
 						}
 					}
@@ -365,9 +268,9 @@ func rootTieCollection(t *testing.T, n, dim int) (data [][]float64, q []float64,
 		data[i] = make([]float64, dim)
 		data[i][2] = 2
 		switch {
-		case i < DefaultBatchTile:
+		case i < tileRows:
 			data[i][0] = 1
-		case i >= (n-1)/DefaultBatchTile*DefaultBatchTile:
+		case i >= (n-1)/tileRows*tileRows:
 			data[i][1] = 1
 		}
 	}
@@ -387,15 +290,14 @@ func rootTieCollection(t *testing.T, n, dim int) (data [][]float64, q []float64,
 // TestRootTieRanksByIndex is the regression test for the √ boundary:
 // every kernel path must rank the two rows of rootTieCollection by
 // (distance, index), as SearchNaive does — the lower index first although
-// its squared sum is one ulp larger — lone and sharded, in batches and
-// through the helper path's pull loop, at D = 32 and at a D without a
-// head slab.
+// its squared sum is one ulp larger — under GOMAXPROCS 1 and 4, at
+// D = 32 and at a D without a head slab.
 func TestRootTieRanksByIndex(t *testing.T) {
 	if math.Sqrt(math.Float64frombits(rootTieLo)) != math.Sqrt(math.Float64frombits(rootTieHi)) {
 		t.Fatal("the tie pair no longer shares a square root")
 	}
 	for _, dim := range []int{32, 5} {
-		data, q, m, lo, hi := rootTieCollection(t, 3*DefaultBatchTile+5, dim)
+		data, q, m, lo, hi := rootTieCollection(t, 3*tileRows+5, dim)
 		scan, err := newScan(data)
 		if err != nil {
 			t.Fatal(err)
@@ -414,13 +316,9 @@ func TestRootTieRanksByIndex(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				batch, err := scan.SearchBatch([][]float64{q, q}, k, m)
-				if err != nil {
-					t.Fatal(err)
-				}
 				runtime.GOMAXPROCS(old)
-				if !resultsBitwiseEqual(got, want) || !resultsBitwiseEqual(batch[1], want) {
-					t.Fatalf("dim %d k=%d procs=%d: Search %v, batch %v, naive %v", dim, k, procs, got, batch[1], want)
+				if !resultsBitwiseEqual(got, want) {
+					t.Fatalf("dim %d k=%d procs=%d: Search %v, naive %v", dim, k, procs, got, want)
 				}
 			}
 		}
@@ -463,10 +361,10 @@ func TestSearchNaiveMatchesBruteSort(t *testing.T) {
 	}
 }
 
-func ExampleScan_SearchBatch() {
+func ExampleScan_Search() {
 	scan, _ := newScan([][]float64{{0, 0}, {3, 4}, {6, 8}})
-	res, _ := scan.SearchBatch([][]float64{{0, 0}, {6, 8}}, 2, distance.Euclidean{})
-	for i, rs := range res {
+	for i, q := range [][]float64{{0, 0}, {6, 8}} {
+		rs, _ := scan.Search(q, 2, distance.Euclidean{})
 		fmt.Printf("query %d:", i)
 		for _, r := range rs {
 			fmt.Printf(" (%d, %g)", r.Index, r.Distance)
@@ -479,9 +377,8 @@ func ExampleScan_SearchBatch() {
 }
 
 // TestParallelPathsUnderRaisedGOMAXPROCS exercises the real goroutine
-// fan-out of the scan's build (inHalves) and of SearchBatch (query
-// split) even on single-CPU hosts by raising GOMAXPROCS, and asserts
-// parity of both Search and SearchBatch with the naive path.
+// fan-out of the scan's build (inHalves) even on single-CPU hosts by
+// raising GOMAXPROCS, and asserts parity of Search with the naive path.
 func TestParallelPathsUnderRaisedGOMAXPROCS(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -497,24 +394,17 @@ func TestParallelPathsUnderRaisedGOMAXPROCS(t *testing.T) {
 	for i := range qs {
 		qs[i] = data[rng.Intn(len(data))]
 	}
-	batch, err := scan.SearchBatch(qs, 40, m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, q := range qs {
 		want, err := scan.SearchNaive(q, 40, m)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !resultsBitwiseEqual(batch[i], want) {
-			t.Fatalf("batch query %d diverges under GOMAXPROCS=4", i)
 		}
 		got, err := scan.Search(q, 40, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !resultsBitwiseEqual(got, want) {
-			t.Fatalf("sharded search query %d diverges under GOMAXPROCS=4", i)
+			t.Fatalf("search query %d diverges under GOMAXPROCS=4", i)
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 func TestPhase1AsmMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
-		rows := 1 + rng.Intn(DefaultBatchTile)
+		rows := 1 + rng.Intn(tileRows)
 		slab := make([]float64, rows*32)
 		for i := range slab {
 			slab[i] = rng.NormFloat64()
@@ -46,16 +46,16 @@ func TestPhase1AsmMatchesGo(t *testing.T) {
 				surv           []int32
 				c              int
 			}{
-				make([]float64, DefaultBatchTile), make([]float64, DefaultBatchTile), make([]float64, DefaultBatchTile),
-				make([]float64, DefaultBatchTile), make([]int32, DefaultBatchTile), 0,
+				make([]float64, tileRows), make([]float64, tileRows), make([]float64, tileRows),
+				make([]float64, tileRows), make([]int32, tileRows), 0,
 			}
 			got := struct {
 				s0, s1, s2, s3 []float64
 				surv           []int32
 				c              int
 			}{
-				make([]float64, DefaultBatchTile), make([]float64, DefaultBatchTile), make([]float64, DefaultBatchTile),
-				make([]float64, DefaultBatchTile), make([]int32, DefaultBatchTile), 0,
+				make([]float64, tileRows), make([]float64, tileRows), make([]float64, tileRows),
+				make([]float64, tileRows), make([]int32, tileRows), 0,
 			}
 			if weighted {
 				ref.c = phase1x32wGo(q, w, head, rows, bound2, ref.s0, ref.s1, ref.s2, ref.s3, ref.surv)

@@ -21,7 +21,7 @@ const (
 	catCopies = 2
 	// catTieRow holds one more copy of v, in tile 8: the tile whose box
 	// contains q, which best-first order scans first.
-	catTieRow = 8*DefaultBatchTile + 400
+	catTieRow = 8*tileRows + 400
 	// catGap is v's offset from q in the last dimension. Under every
 	// weight of cascadeMetrics, (w·catGap)·catGap is the largest float64
 	// with its square root, so the live bound after the tie equals the
@@ -40,7 +40,7 @@ const (
 // — and catTieRow, found first, and the lower index, in the tile a `>=`
 // stop would not scan, must win.
 func categoryCollection(rng *rand.Rand) (data [][]float64, q []float64) {
-	const dim, tile = 32, DefaultBatchTile
+	const dim, tile = 32, tileRows
 	q = make([]float64, dim)
 	for j := range q {
 		q[j] = float64(rng.Intn(8))
@@ -85,48 +85,37 @@ func categoryQueries(rng *rand.Rand) (data, qs [][]float64) {
 	for j := range off {
 		off[j] += 0.5
 	}
-	return data, [][]float64{q, data[100], data[catCopies*DefaultBatchTile], off}
+	return data, [][]float64{q, data[100], data[catCopies*tileRows], off}
 }
 
-// categoryBatchParity holds SearchBatchMulti — each query under another
-// of cascadeMetrics — and lone Search to SearchNaive on the heap and mmap
-// twins of the category-ordered collection, under GOMAXPROCS 1, 2 and 4,
-// at the given tile size (0: the default).
-func categoryBatchParity(t *testing.T, rng *rand.Rand, tile int) {
-	t.Helper()
+// TestCategoryParity holds lone Search — each query under another of
+// cascadeMetrics — to SearchNaive on the heap and mmap twins of the
+// category-ordered collection, under GOMAXPROCS 1, 2 and 4.
+func TestCategoryParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(303))
 	data, qs := categoryQueries(rng)
 	heap, mapped := mmapTwin(t, data)
 	metrics := cascadeMetrics(t, rng)
-	ms := make([]distance.Metric, len(qs))
 	for _, k := range []int{1, catK, 50} {
-		want := make([][]Result, len(qs))
 		for qi, q := range qs {
-			ms[qi] = metrics[qi%len(metrics)]
-			var err error
-			if want[qi], err = heap.SearchNaive(q, k, ms[qi]); err != nil {
+			m := metrics[qi%len(metrics)]
+			want, err := heap.SearchNaive(q, k, m)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for _, procs := range []int{1, 2, 4} {
-			old := runtime.GOMAXPROCS(procs)
-			for si, scan := range []*Scan{heap, mapped} {
-				name := [...]string{"heap", "mmap"}[si]
-				scan.batchTile = tile
-				batch, err := scan.SearchBatchMulti(qs, k, ms)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for qi, q := range qs {
-					lone, err := scan.Search(q, k, ms[qi])
+			for _, procs := range []int{1, 2, 4} {
+				old := runtime.GOMAXPROCS(procs)
+				for si, scan := range []*Scan{heap, mapped} {
+					got, err := scan.Search(q, k, m)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !resultsBitwiseEqual(batch[qi], want[qi]) || !resultsBitwiseEqual(lone, want[qi]) {
-						t.Fatalf("tile %d k=%d %s %s procs=%d query %d: batch or lone != SearchNaive", tile, k, ms[qi].Name(), name, procs, qi)
+					if !resultsBitwiseEqual(got, want) {
+						t.Fatalf("k=%d %s %s procs=%d query %d: Search != SearchNaive", k, m.Name(), [...]string{"heap", "mmap"}[si], procs, qi)
 					}
 				}
+				runtime.GOMAXPROCS(old)
 			}
-			runtime.GOMAXPROCS(old)
 		}
 	}
 }
@@ -190,8 +179,8 @@ func (l *phase1Log) take(s *Scan) map[int]bool {
 	defer l.mu.Unlock()
 	tiles := map[int]bool{}
 	for _, h := range l.heads {
-		for t := 0; t*DefaultBatchTile < s.Len(); t++ {
-			if h == &s.head[t*DefaultBatchTile*8] {
+		for t := 0; t*tileRows < s.Len(); t++ {
+			if h == &s.head[t*tileRows*8] {
 				tiles[t] = true
 			}
 		}
@@ -220,10 +209,10 @@ func TestSharedBoundTie(t *testing.T) {
 	data, q := categoryCollection(rng)
 	heap, mapped := mmapTwin(t, data)
 	log := logPhase1(t)
-	lo := catCopies * DefaultBatchTile
+	lo := catCopies * tileRows
 	// The scan tile holding row lo: the k-d order keeps the 512 copies of
 	// v, all equal and adjacent by id, together.
-	copies := slices.Index(heap.ids, int32(lo)) / DefaultBatchTile * DefaultBatchTile
+	copies := slices.Index(heap.ids, int32(lo)) / tileRows * tileRows
 	for _, m := range cascadeMetrics(t, rng) {
 		kern, _ := distance.KernelFor(m)
 		want, err := heap.SearchNaive(q, catK, m)
@@ -234,7 +223,7 @@ func TestSharedBoundTie(t *testing.T) {
 		if got := want[catK-1]; got.Index != lo || got.Distance != math.Sqrt(tie) {
 			t.Fatalf("%s: k-th result %+v, want row %d at the tie distance", m.Name(), got, lo)
 		}
-		if b := heap.blockBound2(q, kern.Weights(), copies, copies+DefaultBatchTile); b != tie {
+		if b := heap.blockBound2(q, kern.Weights(), copies); b != tie {
 			t.Fatalf("%s: box bound %v of the copies tile != tie distance² %v", m.Name(), b, tie)
 		}
 		if RootBound2(math.Sqrt(tie)) != tie {
@@ -257,11 +246,23 @@ func TestSharedBoundTie(t *testing.T) {
 	}
 }
 
+// scanInOrder offers every tile of s to one TopK in scan order, each
+// skipped only by its box against the live bound: the in-order scan
+// best-first order is measured against.
+func scanInOrder(s *Scan, q, w []float64, k int) {
+	bufs := s.getTileBufs()
+	defer tileBufPool.Put(bufs)
+	st := newTopK(k)
+	for lo := 0; lo < s.Len(); lo += tileRows {
+		s.scanTile32(q, w, lo, min(lo+tileRows, s.Len()), s.blockBound2(q, w, lo), &st, bufs)
+	}
+}
+
 // TestBestFirstTileOrder pins what best-first order must keep and what it
 // buys, on the category-ordered collection: a lone Search scans every
 // tile whose box bound is ≤ the final k-th squared distance (the tiles no
-// exact stop may skip), and fewer tiles than the in-order batch scan of
-// the same query, never more. Heap and mmap, GOMAXPROCS 1, 2 and 4, the
+// exact stop may skip), and fewer tiles than an in-order scan of the same
+// query, never more. Heap and mmap, GOMAXPROCS 1, 2 and 4, the
 // dispatched phase kernels (AVX2 where the CPU has it) and the baseline
 // tier.
 func TestBestFirstTileOrder(t *testing.T) {
@@ -298,13 +299,11 @@ func TestBestFirstTileOrder(t *testing.T) {
 							}
 							kth := kern.Squared(q, data[want[catK-1].Index])
 							for tl := range catTiles {
-								lo := tl * DefaultBatchTile
-								if scan.blockBound2(q, kern.Weights(), lo, lo+DefaultBatchTile) <= kth && !scanned[tl] {
+								if scan.blockBound2(q, kern.Weights(), tl*tileRows) <= kth && !scanned[tl] {
 									t.Errorf("%s procs=%d %s query %d: tile %d is within the k-th distance but was not scanned", name, procs, m.Name(), qi, tl)
 								}
 							}
-							out := make([][]Result, 1)
-							scan.scanBatchTiled([][]float64{q}, catK, []distance.Kernel{kern}, out, 0, 1)
+							scanInOrder(scan, q, kern.Weights(), catK)
 							ordered := len(log.take(scan))
 							if len(scanned) > ordered {
 								t.Errorf("%s procs=%d %s query %d: best-first scanned %d tiles, in order %d", name, procs, m.Name(), qi, len(scanned), ordered)
@@ -332,7 +331,7 @@ func TestBestFirstTileOrder(t *testing.T) {
 func TestBoxBoundBelowKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1313))
 	for trial := 0; trial < 600; trial++ {
-		rows := 1 + rng.Intn(DefaultBatchTile)
+		rows := 1 + rng.Intn(tileRows)
 		slab := make([]float64, rows*32)
 		kind := trial % 3
 		for i := range slab {

@@ -1,0 +1,113 @@
+#!/usr/bin/env bash
+# Runs the steps of one CI job after set-up (checkout and the Go
+# toolchain), in order, stopping at the first failure. The same script
+# runs in .github/workflows/ci.yml and on a developer machine:
+#
+#   scripts/ci.sh test    # build, vet, tests, race, fuzz and bench smokes, figures
+#   scripts/ci.sh chaos   # the crash-schedule and governance suite under -race
+#
+# The staticcheck job is not here: it installs staticcheck over the
+# network, so it stays a job of its own in ci.yml.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+step() { printf '\n== %s\n' "$*"; }
+
+run_test() {
+	step "Build"
+	go build ./...
+
+	step "Vet"
+	# The default analyzers: copylocks, atomic and lostcancel among them,
+	# and stdversion, which flags standard-library symbols newer than
+	# go.mod's go directive. The repo's own rules run in the Test step.
+	go vet ./...
+
+	step "Test"
+	# Includes the root TestRepoRules (the five invariant rules and their
+	# //fbvet:ok waivers, DESIGN.md "Static analysis plane") and the
+	# fbserve binary tests in cmd/fbserve.
+	go test ./...
+
+	step "Benchmark harness (own module) compiles and runs against this tree"
+	# bench/ is its own Go module, so the root build and test steps never
+	# compile it against internal/: an internal API change that breaks
+	# the harness must fail here, not in a measurement run.
+	go vet -C bench ./...
+	go test -C bench -run TestQuickSmoke ./...
+
+	step "Test (race, core packages)"
+	go test -race ./internal/simplextree/ ./internal/core/ ./internal/knn/ ./internal/engine/ \
+		./internal/experiments/ ./internal/httpapi/ ./internal/service/ ./internal/shardedbypass/ \
+		./internal/store/ ./internal/persist/ ./internal/dataset/ ./internal/imagegen/ \
+		./internal/histogram/ ./internal/ann/ ./internal/vec/ ./internal/obsv/ ./cmd/fbserve/
+
+	step "Kernel parity with AVX2 dispatch disabled"
+	# The SIMD tiers are pinned bitwise against the portable kernels; rerun
+	# the parity, dispatch and recall suites with the AVX2 path forced off
+	# so the fallback stays proven on AVX2 hosts too, and hold the paper
+	# figures to the same golden file.
+	GODEBUG=cpu.avx2=off go test -race ./internal/vec/ ./internal/knn/ ./internal/ann/
+	GODEBUG=cpu.avx2=off go test -run '^TestPaperFiguresGolden$' .
+
+	step "Fuzz smoke (binary parsers + the JSON request surface)"
+	# 30s per fuzzer over the committed seed corpora: the WAL replay path
+	# (versioned, stamped records), the FBSX snapshot (lifecycle header +
+	# per-vertex stamps), the sharded-module manifest, and the FBMX
+	# collection header. The contract: parse or ErrCorrupt, never a panic.
+	# FuzzHTTPRequest holds the production handler to the same shape: any
+	# body on /query, /feedback, /close gets valid JSON with a 2xx/4xx
+	# status, never a panic or a 5xx.
+	go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 30s ./internal/persist/
+	go test -run '^$' -fuzz '^FuzzFBSX$' -fuzztime 30s ./internal/persist/
+	go test -run '^$' -fuzz '^FuzzManifest$' -fuzztime 30s ./internal/persist/
+	go test -run '^$' -fuzz '^FuzzFBMX$' -fuzztime 30s ./internal/store/
+	go test -run '^$' -fuzz '^FuzzFBIX$' -fuzztime 30s ./internal/ann/
+	go test -run '^$' -fuzz '^FuzzHTTPRequest$' -fuzztime 30s ./internal/httpapi/
+
+	step "Benchmark smoke pass"
+	# One iteration of the retrieval-core, prediction-plane and feedback
+	# benchmarks: catches benchmarks that no longer compile or crash,
+	# without paying for a full measurement run.
+	go test -run '^$' -bench 'KNN|Feedback|Predict|WALAppend' -benchtime 1x .
+	go test -run '^$' -bench 'Feedback' -benchtime 1x ./internal/engine/
+
+	step "Benchmark regression smoke (prediction plane)"
+	# Short measured runs of the serial/parallel/batch predict series so a
+	# lock-split or allocation regression shows up as a step in the
+	# uploaded numbers.
+	go test -run '^$' -bench 'BenchmarkPredict$|BenchmarkPredictParallel$|BenchmarkPredictBatch$' -benchtime 2000x . | tee bench_predict.txt
+
+	step "ANN JSON snapshot"
+	go run ./cmd/fbbench -figure ann -k 10 -json bench_ann.json | tee bench_ann.txt
+
+	step "Lifecycle figure (bounded memory)"
+	# The bypass-aging soak, uploaded by ci.yml. Its properties (aging
+	# holds fewer points than the aging-off control at a perfect
+	# recent-window hit rate) are asserted at this operating point by
+	# TestRunLifecycleBounded in the Test step.
+	go run ./cmd/fbbench -figure lifecycle -json bench_lifecycle.json | tee bench_lifecycle.txt
+
+	step "staticcheck: skipped, it needs the network to install (ci.yml's staticcheck job runs it)"
+}
+
+run_chaos() {
+	step "Crash-schedule + governance suite (race)"
+	# The fault-injection tests: every enumerated crash point along
+	# insert → WAL append → compact → manifest at 1 and N shards and on a
+	# root-layout module (including the aged-compaction snapshot swaps),
+	# quota and degraded-mode behaviour, aging parity/idempotence, and the
+	# hardened serving edge — all under the race detector.
+	go test -race -run 'Crash|Fault|Degraded|Quota|Context|Hardened|StatusFor|Lifecycle|Aging|Timestamped|Compact' \
+		./internal/faultfs/ ./internal/persist/ ./internal/core/ ./internal/shardedbypass/ \
+		./internal/service/ ./internal/experiments/ ./internal/httpapi/ ./cmd/fbserve/
+}
+
+case "${1:-}" in
+test) run_test ;;
+chaos) run_chaos ;;
+*)
+	echo "usage: $0 test|chaos" >&2
+	exit 2
+	;;
+esac
