@@ -215,19 +215,6 @@ func BenchmarkPredictParallel8(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(queries)), "ns/query")
 }
 
-// BenchmarkPredictBatch measures the batch Mopt API: one op = one
-// 1024-query PredictBatch under a single lock acquisition.
-func BenchmarkPredictBatch(b *testing.B) {
-	tree, queries := predictBenchTree(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := tree.PredictBatch(queries); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(queries)), "ns/query")
-}
-
 // BenchmarkWALAppend measures the durability tax per accepted insert:
 // one fixed-size record (D=31, N=62) written to the journal.
 func BenchmarkWALAppend(b *testing.B) {
@@ -529,8 +516,8 @@ func BenchmarkKNNScanBuild(b *testing.B) {
 // serves), k = 10: each session's open under uniform weights and its
 // feedback rounds under the metrics experiments.OracleLoop learns.
 // Besides ns/op it reports cpu-ns/op, user plus system time from
-// getrusage, which counts the helper goroutines a search may take as
-// well as the caller.
+// getrusage: what the server pays, which would also count any goroutine
+// a search took beyond its caller (none does).
 func BenchmarkKNNScanOracle(b *testing.B) {
 	oracleOnce.Do(func() { oracleScan, oracleLog, oracleErr = recordOracleSearches(1, 10, 200, 10) })
 	if oracleErr != nil {

@@ -61,9 +61,9 @@ type OQP = core.OQP
 type Config = core.Config
 
 // Bypass is the FeedbackBypass module: Predict (the paper's Mopt method)
-// and Insert over a Simplex Tree. Predictions are pure reads and run in
-// parallel, and PredictBatch amortizes one read-lock acquisition over a
-// whole batch; writes (Insert, CompactAged) serialize on one mutex.
+// and Insert over a Simplex Tree, one query per call. Predictions are
+// pure reads, each on its caller's goroutine, and any number run in
+// parallel; writes (Insert, CompactAged) serialize on one mutex.
 type Bypass = core.Bypass
 
 // DurableBypass is a Bypass whose accepted inserts are journaled to a

@@ -215,27 +215,6 @@ func (b *Bypass) PredictWithStats(q []float64) (OQP, simplextree.PredictStats, e
 	return oqp, st, err
 }
 
-// PredictBatch predicts OQPs for every query point under one read-lock
-// acquisition, sharded across GOMAXPROCS goroutines; results are bitwise
-// identical to serial Predict calls. On error (lowest-indexed failing
-// query) the successful entries are still returned, with zero OQPs at
-// the failed indices.
-func (b *Bypass) PredictBatch(qs [][]float64) ([]OQP, error) {
-	raws, _, err := b.Tree().PredictBatch(qs)
-	out := make([]OQP, len(raws))
-	for i, raw := range raws {
-		if raw == nil {
-			continue
-		}
-		oqp, derr := DecodeOQP(raw, b.d, b.p)
-		if derr != nil {
-			return out, derr
-		}
-		out[i] = oqp
-	}
-	return out, err
-}
-
 // Insert stores the OQPs the feedback loop converged to for query point q
 // — the Insert method of Figure 5. It reports whether the tree changed
 // (an insert within ε of the current prediction is skipped, §4.2). On a

@@ -60,7 +60,7 @@ type DurableOptions struct {
 // recovery time proportional to the inserts since the last snapshot, not
 // the lifetime of the module.
 //
-// Reads (Predict, PredictBatch, Stats, ...) and writes (Insert,
+// Reads (Predict, PredictWithStats, Stats, ...) and writes (Insert,
 // CompactAged) are the embedded Bypass's: this layer adds the journal
 // they write through, the degraded latch, CompactEvery and Compact/Close.
 // Every write serializes on the Bypass's one write mutex, so no

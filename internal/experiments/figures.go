@@ -111,8 +111,8 @@ func Figure11(s *Session, ks []int, numEval int) (*Figure11Result, error) {
 	nK := len(sorted)
 	sumPrec := map[string][]float64{"d": make([]float64, nK), "b": make([]float64, nK), "s": make([]float64, nK)}
 	sumRec := map[string][]float64{"d": make([]float64, nK), "b": make([]float64, nK), "s": make([]float64, nK)}
-	// One batched evaluation: all Mopt predictions for the eval stream
-	// are answered by a single read-locked PredictBatch.
+	// One evaluation pass over the eval stream: a Predict, an oracle loop
+	// and three retrievals per query.
 	counts, err := s.EvaluateManyAtK(evalQs, sorted)
 	if err != nil {
 		return nil, err

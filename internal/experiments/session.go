@@ -304,11 +304,10 @@ type EvalCounts struct {
 	GoodSeen    []int
 }
 
-// EvaluateManyAtK evaluates a batch of query items against the trained
-// tree. The evaluation loop is read-only with respect to the Simplex
-// Tree, so all Mopt predictions for the batch are answered by one
-// Bypass.PredictBatch call — a single read-lock acquisition sharded
-// across goroutines — before the per-item retrievals run.
+// EvaluateManyAtK evaluates a list of query items against the trained
+// tree. Every item index is validated before any item is evaluated; each
+// item then gets one Bypass.Predict, as a served query does, followed by
+// its oracle loop and the three scenario retrievals.
 func (s *Session) EvaluateManyAtK(itemIdxs []int, rs []int) ([]EvalCounts, error) {
 	maxR := 0
 	for _, r := range rs {
@@ -330,16 +329,16 @@ func (s *Session) EvaluateManyAtK(itemIdxs []int, rs []int) ([]EvalCounts, error
 		}
 		qps[i] = qp
 	}
-	oqps, err := s.Bypass.PredictBatch(qps)
-	if err != nil {
-		return nil, err
-	}
 	uniform := s.Engine.UniformWeights()
 	out := make([]EvalCounts, len(itemIdxs))
 	for i, itemIdx := range itemIdxs {
 		item := s.DS.Items[itemIdx]
 		q := item.Feature
-		qPred, wPred, err := s.Codec.DecodeOQP(q, oqps[i])
+		oqp, err := s.Bypass.Predict(qps[i])
+		if err != nil {
+			return nil, err
+		}
+		qPred, wPred, err := s.Codec.DecodeOQP(q, oqp)
 		if err != nil {
 			return nil, err
 		}

@@ -14,20 +14,22 @@ import (
 )
 
 // TestSearchAllocationBudget is the retrieval layer's exact work counter:
-// what one lone Search at D = 32 allocates, with no clock involved. That
-// is the candidate list it returns, at GOMAXPROCS 1 and 4 alike, on a
-// small collection and on 2·minShardRows uniform rows, where nearly every
-// tile box contains the query: a lone search runs on its caller whatever
-// the rows. The cascade's tile buffers and the best-first order come from
-// tileBufPool and must not show, and the sort must not allocate.
+// what one lone Search allocates, with no clock involved. That is the
+// candidate list it returns, at GOMAXPROCS 1 and 4 alike, on a small
+// D = 32 collection, on 2·minShardRows uniform D = 32 rows, where nearly
+// every tile box contains the query, and on 2·minShardRows uniform
+// D = 33 rows, which the row loop scans: a lone search runs on its
+// caller whatever the rows and the dimensionality. The cascade's tile
+// buffers and the best-first order come from tileBufPool and must not
+// show, and the sort must not allocate.
 // testing.AllocsPerRun pins GOMAXPROCS to 1, so the GOMAXPROCS 4 counts
 // are taken the same way (mallocs over runs, floored) without that pin.
 func TestSearchAllocationBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	uniform := func(n int) *Scan {
+	uniform := func(n, dim int) *Scan {
 		data := make([][]float64, n)
 		for i := range data {
-			v := make([]float64, 32)
+			v := make([]float64, dim)
 			for j := range v {
 				v[j] = rng.Float64()
 			}
@@ -39,25 +41,30 @@ func TestSearchAllocationBudget(t *testing.T) {
 		}
 		return scan
 	}
-	small, large := uniform(4096), uniform(2*minShardRows)
-	centre := make([]float64, 32)
-	w := make([]float64, 32)
+	centre := make([]float64, 33)
+	w := make([]float64, 33)
 	for j := range w {
 		centre[j] = 0.5
 		w[j] = 0.5 + rng.Float64()
 	}
-	wm, err := distance.NewWeightedEuclidean(w)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		scan *Scan
+		what string
+	}{
+		{uniform(4096, 32), "4096 rows"},
+		{uniform(2*minShardRows, 32), "2·minShardRows rows"},
+		{uniform(2*minShardRows, 33), "2·minShardRows D = 33 rows"},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for _, m := range []distance.Metric{distance.Euclidean{}, wm} {
-		for _, c := range []struct {
-			scan *Scan
-			what string
-		}{{small, "4096 rows"}, {large, "2·minShardRows rows"}} {
+	for _, c := range cases {
+		dim := c.scan.mat.Dim()
+		wm, err := distance.NewWeightedEuclidean(w[:dim])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []distance.Metric{distance.Euclidean{}, wm} {
 			search := func() {
-				if _, err := c.scan.Search(centre, 10, m); err != nil {
+				if _, err := c.scan.Search(centre[:dim], 10, m); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -21,34 +21,16 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 
 	"repro/internal/distance"
 )
 
-// minShardRows is the fewest rows worth a goroutine of their own: a D ≠ 32
-// scan shards only above this many rows per worker, and the scan's build
-// halves work across two goroutines (inHalves) only from twice this many.
-const minShardRows = 32768
-
 // tileRows is the number of rows per tile of the phased cascade and of
 // the k-d scan order: 512 rows × 32 dims × 8 B = 128 KiB of full rows,
 // L2-resident, and 32 KiB of head slab.
 const tileRows = 512
-
-// scanWorkers returns how many shards to scan n rows with.
-func scanWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if max := n / minShardRows; w > max {
-		w = max
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
 
 // RootBound2 returns the largest float64 whose square root rounds to at
 // most r: the squared sums that can still tie or beat a k-th distance r.
@@ -67,65 +49,32 @@ func RootBound2(r float64) float64 {
 	return math.Float64frombits(b)
 }
 
-// searchKernel answers one k-NN query through the squared-space kernel:
-// best-first over the tiles at D = 32, otherwise the row loop, sharded
-// across workers when the collection is large enough.
+// searchKernel answers one k-NN query through the squared-space kernel
+// on the calling goroutine: best-first over the tiles at D = 32,
+// otherwise one row loop over the whole collection (scanRows).
 func (s *Scan) searchKernel(q []float64, k int, kern distance.Kernel) []Result {
 	if s.head != nil {
 		return s.searchTiles(q, k, kern.Weights())
 	}
-	n := s.mat.Len()
-	workers := scanWorkers(n)
-	if workers == 1 {
-		st := newTopK(k)
-		s.scanRange(q, kern, 0, n, &st)
-		return st.items
-	}
-	// Contiguous shards keep each worker on one linear slab of the store.
-	states := make([]TopK, workers)
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			states[w] = newTopK(k)
-			s.scanRange(q, kern, w*n/workers, (w+1)*n/workers, &states[w])
-		}()
-	}
-	wg.Wait()
-	return mergeShards(states, k)
+	return s.scanRows(q, k, kern)
 }
 
-// mergeShards is the deterministic merge: the union of per-worker
-// candidates is re-ranked under the same (distance, index) total order
-// regardless of worker completion order.
-func mergeShards(states []TopK, k int) []Result {
-	merged := newTopK(k)
-	for w := range states {
-		for _, r := range states[w].items {
-			merged.insert(r)
-		}
-	}
-	return merged.items
-}
-
-// scanRange accumulates rows [lo, hi) into st through the canonical
-// vec-backed kernel, at every dimensionality without a head slab, so every
-// surviving sum is bitwise identical to the naive Metric implementations;
-// the two differ only in how much of a doomed row is read.
-func (s *Scan) scanRange(q []float64, kern distance.Kernel, lo, hi int, st *TopK) {
-	dim := s.mat.Dim()
+// scanRows ranks every row through the canonical vec-backed kernel, at
+// every dimensionality without a head slab, so every surviving sum is
+// bitwise identical to the naive Metric implementations; the two differ
+// only in how much of a doomed row is read.
+func (s *Scan) scanRows(q []float64, k int, kern distance.Kernel) []Result {
+	st := newTopK(k)
 	bound2 := st.bound2
-	slab := s.mat.Slab(lo, hi)
-	for i := lo; i < hi; i++ {
-		off := (i - lo) * dim
-		row := slab[off : off+dim : off+dim]
-		sum, abandoned := kern.SquaredAbandon(q, row, bound2)
-		if abandoned {
-			continue
+	dim, n := s.mat.Dim(), s.mat.Len()
+	slab := s.mat.Slab(0, n)
+	for i := 0; i < n; i++ {
+		row := slab[i*dim : i*dim+dim : i*dim+dim]
+		if sum, abandoned := kern.SquaredAbandon(q, row, bound2); !abandoned {
+			bound2 = st.OfferRoot(i, sum)
 		}
-		bound2 = st.OfferRoot(i, sum)
 	}
+	return st.items
 }
 
 // tileRank is one block of a lone search's best-first order: scan

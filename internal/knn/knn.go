@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/distance"
 	"repro/internal/store"
+	"repro/internal/vec"
 )
 
 // Result is one retrieved object.
@@ -82,16 +83,38 @@ type Scan struct {
 // and in that order its head slab and tile boxes, built here (+1.6%,
 // +25% and +0.4% of the feature bytes, on the heap for either backend),
 // so the backend's contents must not change afterwards.
+//
+// Non-finite values never enter a scan: a collection holding a NaN or
+// ±Inf is refused, as is such a query (checkQuery). At D = 32 the check
+// rides on headSlab's pass over every value: Go's min and max propagate
+// NaN and keep ±Inf, so the tile boxes are finite exactly when the rows
+// are.
 func NewScanBackend(b store.Backend) (*Scan, error) {
 	if b == nil || b.Len() == 0 {
 		return nil, fmt.Errorf("knn: empty collection")
 	}
 	s := &Scan{mat: b}
+	checked := b.Slab(0, b.Len())
 	if b.Dim() == 32 {
 		s.ids = TileOrder(b)
-		s.head, s.boxes = headSlab(b.Slab(0, b.Len()), s.ids)
+		s.head, s.boxes = headSlab(checked, s.ids)
+		checked = s.boxes
+	}
+	if !vec.IsFinite(checked) {
+		return nil, fmt.Errorf("knn: collection row %d is not finite", nonFiniteRow(b))
 	}
 	return s, nil
+}
+
+// nonFiniteRow returns the first row of b that holds a NaN or ±Inf, or
+// -1 when every row is finite.
+func nonFiniteRow(b store.Backend) int {
+	for i := range b.Len() {
+		if !vec.IsFinite(b.Row(i)) {
+			return i
+		}
+	}
+	return -1
 }
 
 // headSlab copies dims [0,8) of the rows of a 32-wide row-major slab, in
@@ -137,6 +160,9 @@ func (s *Scan) checkQuery(q []float64, k int) error {
 	}
 	if len(q) != s.mat.Dim() {
 		return fmt.Errorf("knn: query has dimension %d, want %d", len(q), s.mat.Dim())
+	}
+	if !vec.IsFinite(q) {
+		return fmt.Errorf("knn: query is not finite")
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -27,6 +28,9 @@ func TestNewScanValidation(t *testing.T) {
 	}
 	if _, err := newScan([][]float64{{1, 2}, {3}}); err == nil {
 		t.Error("ragged collection should error")
+	}
+	if _, err := newScan([][]float64{{1, 2}, {3, math.Inf(-1)}}); err == nil {
+		t.Error("non-finite collection should error")
 	}
 }
 
@@ -69,6 +73,9 @@ func TestScanErrors(t *testing.T) {
 	}
 	if _, err := s.Search([]float64{0}, 1, distance.Euclidean{}); err == nil {
 		t.Error("dimension mismatch should error")
+	}
+	if _, err := s.Search([]float64{0, math.NaN()}, 1, distance.Euclidean{}); err == nil {
+		t.Error("non-finite query should error")
 	}
 }
 

@@ -15,6 +15,22 @@ import (
 // same query stream against heap- and file-resident storage.
 func mmapTwin(t *testing.T, data [][]float64) (heap, mapped *Scan) {
 	t.Helper()
+	heapB, mappedB := twinBackends(t, data)
+	heap, err := NewScanBackend(heapB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err = NewScanBackend(mappedB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return heap, mapped
+}
+
+// twinBackends returns data as a heap backend and as its verified mmap
+// twin, before any scan is built over them.
+func twinBackends(t *testing.T, data [][]float64) (heap, mapped store.Backend) {
+	t.Helper()
 	mat, err := store.FromRows(data)
 	if err != nil {
 		t.Fatal(err)
@@ -32,15 +48,7 @@ func mmapTwin(t *testing.T, data [][]float64) (heap, mapped *Scan) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mm.Close() })
-	heap, err = NewScanBackend(mat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapped, err = NewScanBackend(mm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return heap, mapped
+	return mat, mm
 }
 
 // TestMmapParityAllPaths mirrors the PR 1 parity suite across backends:

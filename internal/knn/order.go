@@ -33,6 +33,11 @@ func TileOrder(b store.Backend) []int32 {
 	return ids
 }
 
+// minShardRows is the fewest rows worth a goroutine of their own: the
+// scan's build halves its work across two goroutines (inHalves) only from
+// twice this many.
+const minShardRows = 32768
+
 // inHalves runs left and right, which must touch disjoint memory, on two
 // goroutines when each of rows' halves is worth one (minShardRows), and
 // one after the other otherwise.

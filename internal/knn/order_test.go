@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -18,10 +19,9 @@ import (
 // layoutCollections returns the row sets the scan order must handle, n
 // rows each: stored by cluster, the same rows in a seeded random order,
 // all rows equal, and rows of a few small integers (nearly every split
-// key a tie). hostile, when n allows, also has NaN and ±Inf rows, all
-// at indices ≥ 64 so that every k the tests use is filled by finite rows
-// first (the naive path ranks a NaN distance only while its list is not
-// yet full).
+// key a tie). hostile, when n allows, is shuffled with a NaN or ±Inf in
+// every seventh row from index 64 on: TileOrder must still order it, and
+// NewScanBackend must refuse it.
 func layoutCollections(rng *rand.Rand, n int) map[string][][]float64 {
 	clustered := make([][]float64, n)
 	for i := range clustered {
@@ -134,11 +134,23 @@ func TestTileOrderLayout(t *testing.T) {
 // twin, to SearchNaive with == on every layout collection, at sizes
 // around a tile, under GOMAXPROCS 1, 2 and 4. SearchBatchMulti, a loop
 // over Search, must return the same lists and refuse a metric count that
-// differs from the query count.
+// differs from the query count. Non-finite values never enter a scan:
+// NewScanBackend refuses the hostile collection on either backend,
+// naming its first non-finite row, and Search and SearchNaive both
+// refuse a query holding a NaN or ±Inf.
 func TestTileOrderParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2222))
 	for _, n := range []int{1, 511, 512, 513, 3*tileRows + 7} {
 		for name, data := range layoutCollections(rng, n) {
+			if name == "hostile" {
+				heapB, mappedB := twinBackends(t, data)
+				for _, b := range []store.Backend{heapB, mappedB} {
+					if _, err := NewScanBackend(b); err == nil || !strings.Contains(err.Error(), "row 64 ") {
+						t.Fatalf("n=%d hostile: NewScanBackend error %v, want a refusal of row 64", n, err)
+					}
+				}
+				continue
+			}
 			heap, mapped := mmapTwin(t, data)
 			metrics := cascadeMetrics(t, rng)
 			// Queries are finite: a row of the first 64, row 0, and a
@@ -185,6 +197,18 @@ func TestTileOrderParity(t *testing.T) {
 			}
 			if _, err := heap.SearchBatchMulti(qs, 10, ms[:1]); err == nil {
 				t.Fatalf("n=%d %s: SearchBatchMulti accepted %d queries with 1 metric", n, name, len(qs))
+			}
+			for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				bad := slices.Clone(qs[0])
+				bad[rng.Intn(32)] = x
+				for _, scan := range []*Scan{heap, mapped} {
+					if _, err := scan.Search(bad, 10, ms[0]); err == nil {
+						t.Fatalf("n=%d %s: Search accepted a query holding %v", n, name, x)
+					}
+					if _, err := scan.SearchNaive(bad, 10, ms[0]); err == nil {
+						t.Fatalf("n=%d %s: SearchNaive accepted a query holding %v", n, name, x)
+					}
+				}
 			}
 		}
 	}

@@ -62,8 +62,8 @@ func TestPredictIntoAllocationFree(t *testing.T) {
 
 // TestConcurrentPredictBitwiseParity freezes a trained tree, computes the
 // serial reference predictions, and asserts that concurrent readers —
-// plain Predict, PredictInto and PredictBatch goroutines racing each
-// other — reproduce every reference bitwise.
+// plain Predict and PredictInto goroutines racing each other — reproduce
+// every reference bitwise.
 func TestConcurrentPredictBitwiseParity(t *testing.T) {
 	tr, qs := buildTrainedTree(t, 8, 150, 256, 43)
 	want := make([][]float64, len(qs))
@@ -75,7 +75,7 @@ func TestConcurrentPredictBitwiseParity(t *testing.T) {
 		want[i] = ref
 	}
 	const readers = 4
-	errCh := make(chan error, 3*readers)
+	errCh := make(chan error, 2*readers)
 	var wg sync.WaitGroup
 	check := func(i int, got []float64, path string) error {
 		if !vec.Equal(got, want[i]) {
@@ -84,7 +84,7 @@ func TestConcurrentPredictBitwiseParity(t *testing.T) {
 		return nil
 	}
 	for g := 0; g < readers; g++ {
-		wg.Add(3)
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			for i, q := range qs {
@@ -107,20 +107,6 @@ func TestConcurrentPredictBitwiseParity(t *testing.T) {
 					err = check(i, dst, "PredictInto")
 				}
 				if err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			out, _, err := tr.PredictBatch(qs)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			for i := range qs {
-				if err := check(i, out[i], "PredictBatch"); err != nil {
 					errCh <- err
 					return
 				}
@@ -183,14 +169,14 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 						}
 					}
 				case 1:
-					out, _, err := tr.PredictBatch(qs)
-					if err != nil {
-						errCh <- err
-						return
-					}
-					for _, o := range out {
+					for _, q := range qs {
+						o, err := tr.Predict(q)
+						if err != nil {
+							errCh <- err
+							return
+						}
 						if len(o) != tr.OQPDim() || !vec.IsFinite(o) {
-							errCh <- fmt.Errorf("malformed batch prediction %v", o)
+							errCh <- fmt.Errorf("malformed prediction %v", o)
 							return
 						}
 					}
@@ -227,17 +213,6 @@ func TestLookupFailuresAreOutOfDomain(t *testing.T) {
 	dst := make([]float64, tr.OQPDim())
 	if _, err := tr.PredictInto(dst, outside); !errors.Is(err, ErrOutOfDomain) {
 		t.Errorf("PredictInto error %v is not ErrOutOfDomain", err)
-	}
-	inside := []float64{0.1, 0.1, 0.1, 0.1}
-	out, _, err := tr.PredictBatch([][]float64{inside, outside})
-	if !errors.Is(err, ErrOutOfDomain) {
-		t.Errorf("PredictBatch error %v is not ErrOutOfDomain", err)
-	}
-	if out[0] == nil {
-		t.Error("PredictBatch dropped the valid query of a mixed batch")
-	}
-	if out[1] != nil {
-		t.Error("PredictBatch produced a result for an out-of-domain query")
 	}
 	if _, err := tr.Insert(outside, make([]float64, tr.OQPDim())); !errors.Is(err, ErrOutOfDomain) {
 		t.Errorf("Insert error %v is not ErrOutOfDomain", err)

@@ -16,11 +16,11 @@
 // # Concurrency model
 //
 // The tree is split into a read plane and a write plane. The read plane —
-// Predict, PredictInto, PredictBatch, PredictNaive, Walk, Stats, Snapshot
-// and the accessors — is pure: it runs under the shared read lock, never
-// mutates the tree, and reports per-call traversal counts through
-// PredictStats instead of storing them. Any number of readers proceed in
-// parallel. The write plane — Insert, InsertStamped, SetObserver,
+// Predict, PredictInto, PredictNaive, Walk, Stats, Snapshot and the
+// accessors — is pure: it runs under the shared read lock, never mutates
+// the tree, and reports per-call traversal counts through PredictStats
+// instead of storing them. Every prediction runs on its caller's
+// goroutine, and any number of readers proceed in parallel. The write plane — Insert, InsertStamped, SetObserver,
 // CompressValues — takes the exclusive lock. Lookups are allocation-free
 // after warm-up: the root barycentric system is LU-factorized once at
 // construction (the root simplex never changes), descent uses the O(D)
@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -497,68 +496,6 @@ func (t *Tree) touchLeaf(leaf *node) {
 	for _, v := range leaf.verts {
 		v.stamp.Store(now)
 	}
-}
-
-// PredictBatch predicts OQP vectors for every query under one read-lock
-// acquisition, sharding the batch across GOMAXPROCS goroutines (each with
-// its own scratch). Results are bitwise identical to serial Predict calls
-// — descent is deterministic and readers share no mutable state. On
-// failure it returns the error of the lowest-indexed failing query of the
-// lowest-indexed failing shard; out[i] is nil for failed queries and the
-// remaining queries are still predicted.
-func (t *Tree) PredictBatch(qs [][]float64) (out [][]float64, stats []PredictStats, err error) {
-	out = make([][]float64, len(qs))
-	stats = make([]PredictStats, len(qs))
-	if len(qs) == 0 {
-		return out, stats, nil
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	chunk := (len(qs) + workers - 1) / workers
-	errs := make([]error, workers)
-
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(qs) {
-			hi = len(qs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			sc := t.scratch.Get().(*scratch)
-			defer t.scratch.Put(sc)
-			for i := lo; i < hi; i++ {
-				leaf, lam, traversed, lerr := t.lookup(qs[i], sc)
-				stats[i] = PredictStats{Traversed: traversed}
-				if lerr != nil {
-					if errs[w] == nil {
-						errs[w] = fmt.Errorf("simplextree: batch query %d: %w", i, lerr)
-					}
-					continue
-				}
-				dst := make([]float64, t.oqpDim)
-				interpolateInto(dst, leaf, lam)
-				t.touchLeaf(leaf)
-				out[i] = dst
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return out, stats, e
-		}
-	}
-	return out, stats, nil
 }
 
 // Insert stores the OQP vector observed for q — the Insert method of

@@ -492,16 +492,22 @@ func TestTraversedStatsGrowWithDepth(t *testing.T) {
 	if st.Traversed > tr.Stats().Depth {
 		t.Errorf("traversed %d exceeds depth %d", st.Traversed, tr.Stats().Depth)
 	}
-	// The batch path reports the same per-query stats.
-	out, stats, err := tr.PredictBatch([][]float64{q})
+	// Stats are per call, not stored: a repeated PredictInto reports the
+	// same traversal, and Predict the same value.
+	again := make([]float64, 1)
+	st2, err := tr.PredictInto(again, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats[0] != st {
-		t.Errorf("batch stats = %+v, want %+v", stats[0], st)
+	if st2 != st {
+		t.Errorf("repeated PredictInto stats = %+v, want %+v", st2, st)
 	}
-	if out[0][0] != dst[0] {
-		t.Errorf("batch prediction %v differs from PredictInto %v", out[0], dst)
+	out, err := tr.Predict(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0] != dst[0] || again[0] != dst[0] {
+		t.Errorf("Predict %v and repeated PredictInto %v differ from PredictInto %v", out, again, dst)
 	}
 }
 

@@ -26,7 +26,7 @@ type Backend interface {
 	// Row returns row i as a full-capacity-clipped view.
 	Row(i int) []float64
 	// Slab returns the half-open row range [lo, hi) as one contiguous
-	// slice — the unit a scan shard or cache tile walks.
+	// slice — the unit a scan walks.
 	Slab(lo, hi int) []float64
 }
 

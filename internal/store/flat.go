@@ -80,8 +80,8 @@ func (m *FlatMatrix) SetRow(i int, v []float64) error {
 }
 
 // Slab returns the half-open row range [lo, hi) as one contiguous slice —
-// the unit a scan shard walks. Panics on out-of-range bounds like a
-// slice expression.
+// the unit a scan walks. Panics on out-of-range bounds like a slice
+// expression.
 func (m *FlatMatrix) Slab(lo, hi int) []float64 {
 	return m.data[lo*m.dim : hi*m.dim]
 }

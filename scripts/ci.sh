@@ -73,10 +73,10 @@ run_test() {
 	go test -run '^$' -bench 'Feedback' -benchtime 1x ./internal/engine/
 
 	step "Benchmark regression smoke (prediction plane)"
-	# Short measured runs of the serial/parallel/batch predict series so a
+	# Short measured runs of the serial and parallel predict series so a
 	# lock-split or allocation regression shows up as a step in the
 	# uploaded numbers.
-	go test -run '^$' -bench 'BenchmarkPredict$|BenchmarkPredictParallel$|BenchmarkPredictBatch$' -benchtime 2000x . | tee bench_predict.txt
+	go test -run '^$' -bench 'BenchmarkPredict$|BenchmarkPredictParallel$' -benchtime 2000x . | tee bench_predict.txt
 
 	step "ANN JSON snapshot"
 	go run ./cmd/fbbench -figure ann -k 10 -json bench_ann.json | tee bench_ann.txt
