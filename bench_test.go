@@ -218,8 +218,11 @@ func BenchmarkPredictParallel8(b *testing.B) {
 // BenchmarkWALAppend measures the durability tax per accepted insert:
 // one fixed-size record (D=31, N=62) written to the journal.
 func BenchmarkWALAppend(b *testing.B) {
-	dir := b.TempDir()
-	wal, err := persist.OpenWALFS(nil, filepath.Join(dir, "bench.fbwl"), 31, 62)
+	tree, err := simplextree.New(geom.StandardSimplex(31), make([]float64, 62), simplextree.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	wal, err := persist.CreateWAL(nil, filepath.Join(b.TempDir(), "bench.fbwl"), tree)
 	if err != nil {
 		b.Fatal(err)
 	}

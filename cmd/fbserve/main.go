@@ -107,7 +107,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed for the synthetic collection")
 		k           = flag.Int("k", 10, "default results per query")
 		epsilon     = flag.Float64("epsilon", 0.05, "Simplex Tree insert threshold ε")
-		dir         = flag.String("dir", "", "durable module directory (WAL + snapshots); empty = in-memory")
+		dir         = flag.String("dir", "", "durable module directory (one log per shard); empty = in-memory")
 		syncWAL     = flag.Bool("sync", false, "fsync the WAL on every accepted insert (durable mode)")
 		compactEach = flag.Int("compact-every", 512, "compact the WAL after this many journaled inserts (durable mode)")
 		maxSessions = flag.Int("max-sessions", 1024, "in-flight session bound per collection (further opens get 429)")

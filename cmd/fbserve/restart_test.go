@@ -250,8 +250,8 @@ func TestBinaryDurableRestart(t *testing.T) {
 	get(t, p.base+"/debug/pprof/", http.StatusNotFound)
 
 	p.terminate(t)
-	if _, err := os.Stat(filepath.Join(dir, "shard-000", core.SnapshotFile)); err != nil {
-		t.Fatalf("shutdown left no snapshot: %v\n%s", err, p.log.String())
+	if entries, err := os.ReadDir(filepath.Join(dir, "shard-000")); err != nil || len(entries) != 1 || entries[0].Name() != core.JournalFile {
+		t.Fatalf("shutdown left shard-000 holding %v (%v), want %s alone\n%s", entries, err, core.JournalFile, p.log.String())
 	}
 
 	if first := p.log.String(); !strings.Contains(first, "rendering synth:scale=0.03,seed=5") {

@@ -1,10 +1,12 @@
-// Command fbtree inspects a persisted Simplex Tree: header, shape
-// statistics, and optionally a prediction at a query point.
+// Command fbtree inspects a persisted Simplex Tree — a file written by
+// Save or fbbench -save, or a durable module's tree.fbwl (census plus
+// journal) — printing its header, shape statistics, and optionally a
+// prediction at a query point.
 //
 // Usage:
 //
-//	fbtree -file tree.fbsx
-//	fbtree -file tree.fbsx -predict 0.1,0.2,0.05,...
+//	fbtree -file fbstate/shard-000/tree.fbwl
+//	fbtree -file tree.fbwl -predict 0.1,0.2,0.05,...
 package main
 
 import (
@@ -19,7 +21,7 @@ import (
 
 func main() {
 	var (
-		file    = flag.String("file", "", "persisted Simplex Tree file (required)")
+		file    = flag.String("file", "", "persisted Simplex Tree: a saved tree or a module's tree.fbwl (required)")
 		predict = flag.String("predict", "", "comma-separated query point to predict at (optional)")
 	)
 	flag.Parse()

@@ -25,6 +25,7 @@ import (
 var deadCodeAllowlist = map[string]string{
 	"repro/internal/knn.Scan.SearchNaive":            "the per-row oracle the knn and ann parity suites and BenchmarkKNNScanNaive hold the kernels to",
 	"repro/internal/simplextree.Tree.PredictNaive":   "the full-solve oracle of TestPredictMatchesNaiveDescent and BenchmarkLookupNaive",
+	"repro/internal/simplextree.Tree.Snapshot":       "the structural oracle the recovery and compaction tests hold a rebuilt tree to",
 	"repro/internal/obsv.Registry.Snapshot":          "the structured read every metric test asserts through",
 	"repro/internal/obsv.Snapshot.Find":              "the lookup every metric test asserts through",
 	"repro/internal/simplextree.Tree.CompressValues": "the paper's §3.1 storage/accuracy trade-off, measured by BenchmarkOQPCompression",

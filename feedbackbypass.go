@@ -67,9 +67,9 @@ type Config = core.Config
 type Bypass = core.Bypass
 
 // DurableBypass is a Bypass whose accepted inserts are journaled to a
-// write-ahead log before the tree mutates, and whose aged compactions
-// are snapshotted before they swap in; recovery is snapshot + replay
-// (see OpenDurable).
+// log before the tree mutates, and whose compactions commit a fresh log
+// whose census is the tree; recovery rebuilds the census and replays the
+// journal (see OpenDurable).
 type DurableBypass = core.DurableBypass
 
 // DurableOptions tunes DurableBypass compaction and fsync behaviour.
@@ -134,8 +134,8 @@ func New(d, p int, cfg Config) (*Bypass, error) { return core.New(d, p, cfg) }
 
 // ShardedBypass partitions the learned mapping across S independent
 // Simplex Trees (each with its own lock and, in durable mode, its own
-// WAL and snapshot), so insert throughput scales with partitions and an
-// insert invalidates only its shard. S = 1 behaves bitwise-identically
+// log), so insert throughput scales with partitions and an insert
+// invalidates only its shard. S = 1 behaves bitwise-identically
 // to a single tree. See internal/shardedbypass for the layout and
 // recovery contract.
 type ShardedBypass = shardedbypass.Sharded
@@ -162,9 +162,10 @@ func OpenSharded(dir string, d, p int, cfg Config, opts ShardedOptions) (*Sharde
 }
 
 // OpenDurable opens (or initializes) a crash-safe module rooted at dir:
-// accepted inserts are journaled to a write-ahead log, recovery replays
-// the journal on top of the latest snapshot, and compaction keeps the
-// journal short. See core.DurableBypass for the consistency contract.
+// accepted inserts are journaled to a log after a census of the tree,
+// recovery rebuilds the census and replays the journal, and compaction
+// keeps the journal short. See core.DurableBypass for the consistency
+// contract.
 func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*DurableBypass, error) {
 	return core.OpenDurable(dir, d, p, cfg, opts)
 }
@@ -193,7 +194,8 @@ func NewForHistograms(bins int, cfg Config) (*Bypass, HistogramCodec, error) {
 }
 
 // Save writes the module's Simplex Tree to w in the versioned, checksummed
-// binary format of package persist.
+// log format of package persist: a census of the tree and an empty
+// journal, the same format a durable module's directory holds.
 func Save(w io.Writer, b *Bypass) error {
 	if b == nil {
 		return fmt.Errorf("feedbackbypass: nil module")
@@ -201,7 +203,8 @@ func Save(w io.Writer, b *Bypass) error {
 	return persist.Save(w, b.Tree())
 }
 
-// SaveFile writes the module's Simplex Tree to the named file.
+// SaveFile commits the module's Simplex Tree to the named file: a failed
+// save leaves a file already there as it was.
 func SaveFile(path string, b *Bypass) error {
 	if b == nil {
 		return fmt.Errorf("feedbackbypass: nil module")
@@ -219,7 +222,8 @@ func Load(r io.Reader, p int) (*Bypass, error) {
 	return core.FromTree(tree, p)
 }
 
-// LoadFile reads a Simplex Tree from the named file.
+// LoadFile reads a Simplex Tree from the named file — a saved tree or a
+// durable module's log.
 func LoadFile(path string, p int) (*Bypass, error) {
 	tree, err := persist.LoadFile(path)
 	if err != nil {

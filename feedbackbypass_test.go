@@ -170,7 +170,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "m.fbsx")
+	path := filepath.Join(dir, "m.fbwl")
 	b, codec, err := feedbackbypass.NewForHistograms(4, feedbackbypass.Config{})
 	if err != nil {
 		t.Fatal(err)

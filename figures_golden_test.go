@@ -60,7 +60,7 @@ func TestPaperFiguresGolden(t *testing.T) {
 // trains no shared session — which must not create the file.
 func TestFbbenchRejectsBadInvocations(t *testing.T) {
 	bin := fbbenchBinary(t)
-	saved := filepath.Join(t.TempDir(), "t.fbsx")
+	saved := filepath.Join(t.TempDir(), "t.fbwl")
 	for _, args := range [][]string{
 		{"-figure", "nope"},
 		{"-figure", "serve"},

@@ -288,14 +288,14 @@ type CompactionStats struct {
 
 // CompactAged rebuilds the tree keeping only the vertices still alive
 // under the configured age horizon and swaps it in, freeing the memory of
-// everything reclaimed. A durable module first writes the rebuilt tree as
-// the next epoch's snapshot and restarts the journal there (Compact's
-// discipline), so a crash at any point recovers either the full
-// pre-compaction census or the exact rebuilt one, never a hybrid; a
-// persistence failure latches it degraded. Predictions racing the swap
-// finish against whichever tree they loaded; writes serialize against
-// it. The one-element slice matches the sharded module's per-shard shape
-// so serving layers handle both uniformly.
+// everything reclaimed. A durable module first commits a fresh log whose
+// census is the rebuilt tree (Compact's discipline), so a crash at any
+// point recovers either the full pre-compaction tree or the exact
+// rebuilt one, never a hybrid; a persistence failure latches it
+// degraded. Predictions racing the swap finish against whichever tree
+// they loaded; writes serialize against it. The one-element slice
+// matches the sharded module's per-shard shape so serving layers handle
+// both uniformly.
 func (b *Bypass) CompactAged() ([]CompactionStats, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -357,9 +357,9 @@ func (b *Bypass) Observe(reg *obsv.Registry, labels ...obsv.Label) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.compactionsC = reg.Counter("fb_bypass_compactions_total", "Aged tree compactions (rebuild, snapshot when durable, swap) completed.", labels...)
+	b.compactionsC = reg.Counter("fb_bypass_compactions_total", "Aged tree compactions (rebuild, log commit when durable, swap) completed.", labels...)
 	b.reclaimedC = reg.Counter("fb_bypass_reclaimed_vertices_total", "Vertices reclaimed by aged compactions (aged out or ε-absorbed).", labels...)
-	b.compactH = reg.Histogram("fb_bypass_compaction_seconds", "Aged compaction duration (rebuild, snapshot and journal reset when durable, swap).", obsv.LatencyBounds(), labels...)
+	b.compactH = reg.Histogram("fb_bypass_compaction_seconds", "Aged compaction duration (rebuild, log commit when durable, swap).", obsv.LatencyBounds(), labels...)
 	b.pointsBefG = reg.Gauge("fb_bypass_compaction_points_before", "Distinct vertices entering the last aged compaction.", labels...)
 	b.pointsAftG = reg.Gauge("fb_bypass_compaction_points_after", "Distinct vertices surviving the last aged compaction.", labels...)
 }

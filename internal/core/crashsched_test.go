@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -65,7 +66,9 @@ func crashWorkload(t *testing.T, dir string, fs *faultfs.FS) *DurableBypass {
 // never lag the tree, so nothing acknowledged may be missing. Recovery
 // may exceed it by at most the one insert in flight at the crash — a
 // record fully written whose fsync (or rollback-truncate) died is
-// un-acknowledged but complete on disk, and replays.
+// un-acknowledged but complete on disk, and replays. Recovery also
+// removes the temporary file of a commit the crash cut short, so the
+// directory holds the log alone.
 func TestCrashScheduleSingleTree(t *testing.T) {
 	const d, p = 3, 2
 
@@ -104,6 +107,7 @@ func TestCrashScheduleSingleTree(t *testing.T) {
 		if err := recovered.Close(); err != nil {
 			t.Fatalf("crash point %d/%d: closing recovered module: %v", n, m, err)
 		}
+		onlyLog(t, fmt.Sprintf("crash point %d/%d", n, m), dir)
 		for k := range want {
 			if !got[k] {
 				t.Fatalf("crash point %d/%d: acknowledged vertex lost in recovery (%d recovered, %d expected)", n, m, len(got), len(want))

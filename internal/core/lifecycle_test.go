@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -76,7 +77,7 @@ func lifecycleOps() []lifecycleOp {
 
 // openCompacting opens the lifecycle harness module: aging on
 // (horizon 4) and journal-depth auto-compaction disabled, so the only
-// snapshot swaps in a crash schedule are the workload's explicit
+// log commits in a crash schedule are the workload's explicit
 // CompactAged calls.
 func openCompacting(dir string, fs *faultfs.FS) (*DurableBypass, error) {
 	opts := DurableOptions{CompactEvery: 1 << 30, Sync: true}
@@ -96,7 +97,7 @@ func applyLifecycleOp(db *DurableBypass, op lifecycleOp) error {
 }
 
 // TestCrashScheduleCompaction enumerates every crash point along
-// insert → WAL-append → aged-compaction snapshot swap. A healthy run
+// insert → WAL-append → aged-compaction log commit. A healthy run
 // records the census sequence S[0..len(ops)] (stamped, bitwise); then
 // for each n a fresh module runs the same ops with a kill at the nth
 // mutating filesystem operation. With k ops acknowledged before the
@@ -181,6 +182,7 @@ func TestCrashScheduleCompaction(t *testing.T) {
 		if err := recovered.Close(); err != nil {
 			t.Fatalf("crash point %d/%d: closing recovered module: %v", n, m, err)
 		}
+		onlyLog(t, fmt.Sprintf("crash point %d/%d", n, m), dir)
 
 		var lo, hi map[string]bool
 		switch {
@@ -311,10 +313,10 @@ func TestTimestampedReplayIdempotent(t *testing.T) {
 }
 
 // TestCompactAgedDurableRecovery pins the swap protocol end to end:
-// an aged compaction that reclaims vertices bumps the epoch, and a
-// clean reopen reproduces the post-compaction stamped census bitwise —
-// reclaimed vertices stay dead (the old WAL generation is discarded,
-// not replayed over the new snapshot).
+// an aged compaction that reclaims vertices commits a fresh log with an
+// empty journal, and a clean reopen reproduces the post-compaction
+// stamped census bitwise — reclaimed vertices stay dead (the old journal
+// went with the file the rename replaced).
 func TestCompactAgedDurableRecovery(t *testing.T) {
 	const d, p = 3, 2
 	dir := t.TempDir()
@@ -328,7 +330,6 @@ func TestCompactAgedDurableRecovery(t *testing.T) {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
-	epoch0 := db.Epoch()
 	stats, err := db.CompactAged()
 	if err != nil {
 		t.Fatalf("CompactAged: %v", err)
@@ -336,8 +337,8 @@ func TestCompactAgedDurableRecovery(t *testing.T) {
 	if len(stats) != 1 || stats[0].Reclaimed == 0 {
 		t.Fatalf("expected a reclaiming compaction, got %+v", stats)
 	}
-	if got := db.Epoch(); got != epoch0+1 {
-		t.Fatalf("compaction epoch: got %d, want %d", got, epoch0+1)
+	if got := db.Journaled(); got != 0 {
+		t.Fatalf("journal after the compaction: %d records, want 0", got)
 	}
 	want := stampedVertexSet(db.Tree())
 	if err := db.Close(); err != nil {
@@ -349,8 +350,8 @@ func TestCompactAgedDurableRecovery(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer r.Close()
-	if got := r.Epoch(); got != epoch0+1 {
-		t.Fatalf("recovered epoch: got %d, want %d", got, epoch0+1)
+	if got := r.Journaled(); got != 0 {
+		t.Fatalf("recovered journal: %d records, want 0", got)
 	}
 	got := stampedVertexSet(r.Tree())
 	if !setEqual(want, got) {
@@ -365,8 +366,7 @@ func TestCompactAgedDurableRecovery(t *testing.T) {
 // through the embedded (*Bypass).CompactAged of a DurableBypass — the
 // method the sharded and serving layers call — is the durable one. A
 // reopen recovers the rebuilt stamped census; a memory-only swap would
-// leave the snapshot and journal behind and resurrect every reclaimed
-// vertex.
+// leave the log behind and resurrect every reclaimed vertex.
 func TestCompactAgedThroughBypassPersists(t *testing.T) {
 	const d, p = 3, 2
 	dir := t.TempDir()

@@ -191,8 +191,8 @@ func (c *Collection) CompactAged() {
 }
 
 // Shutdown makes the collection's learned state durable — every shard's
-// WAL compacted into its snapshot, then closed — and releases the
-// retrieval backend. Sessions must have been drained first.
+// log compacted to a census with an empty journal, then closed — and
+// releases the retrieval backend. Sessions must have been drained first.
 func (c *Collection) Shutdown() {
 	if c.durable {
 		if err := c.Bypass.Compact(); err != nil {

@@ -58,8 +58,8 @@ func TestDurableSingleShardRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Shutdown()
-	if _, err := os.Stat(filepath.Join(cfg.Dir, "shard-000", core.SnapshotFile)); err != nil {
-		t.Fatalf("shutdown left no snapshot: %v", err)
+	if entries, err := os.ReadDir(filepath.Join(cfg.Dir, "shard-000")); err != nil || len(entries) != 1 || entries[0].Name() != core.JournalFile {
+		t.Fatalf("shutdown left shard-000 holding %v (%v), want %s alone", entries, err, core.JournalFile)
 	}
 
 	// Restart on the same directory with the shard's recovery held open,

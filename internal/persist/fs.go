@@ -1,7 +1,7 @@
 package persist
 
 // The filesystem seam. Every durability-bearing writer in the tree — the
-// write-ahead log, the snapshot writer, the sharded-module manifest and
+// tree log (its appends and its commits), the sharded-module manifest and
 // the FBMX collection writer — performs its I/O through the FS interface
 // instead of calling the os package directly. Production code passes OSFS
 // (or nil, which means OSFS); the fault-injection plane

@@ -2,9 +2,8 @@ package persist
 
 // Manifest for sharded module directories. A sharded bypass splits its
 // durable state across per-shard subdirectories (shard-000/, shard-001/,
-// ...), each holding an independent snapshot + WAL pair; the manifest at
-// the directory root pins the layout those pieces must be reassembled
-// under. It is written once, before any shard directory is created, and
+// ...), each holding an independent tree log; the manifest at the
+// directory root pins the layout those pieces must be reassembled under. It is written once, before any shard directory is created, and
 // rewritten never: a crash at any later point — mid-insert, mid-compaction
 // of shard k, mid-creation of the shard directories themselves — recovers
 // by reading the manifest and opening every named shard (missing shard

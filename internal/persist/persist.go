@@ -1,32 +1,43 @@
-// Package persist stores Simplex Trees on disk in a versioned,
-// checksummed binary format. Persistence is the point of FeedbackBypass:
-// the parameters learned from feedback loops must survive across query
-// sessions instead of being forgotten (§1, problem 2).
+// Package persist stores Simplex Trees on disk as logs. Persistence is
+// the point of FeedbackBypass: the parameters learned from feedback loops
+// must survive across query sessions instead of being forgotten (§1,
+// problem 2).
+//
+// A tree is fully determined by its vertices in creation order, so one
+// format holds both a saved tree and a live module's journal: a header,
+// a census of the tree's vertices, then the journal of inserts accepted
+// since the census was written. Recovery rebuilds the tree from the
+// census (simplextree.FromCensus) and replays the journal through
+// InsertStamped. Compaction writes a fresh file whose census is the
+// current tree and renames it over the old one.
 //
 // Format (little-endian):
 //
-//	magic   [4]byte  "FBSX"
-//	version uint32   2
-//	dim     uint32   query-domain dimensionality D
-//	oqpDim  uint32   stored-vector dimensionality N
-//	epsilon float64
-//	tol     float64
-//	points  uint32   stored-point counter
-//	epoch   uint64   compaction epoch
-//	clock   uint64   logical insert clock
-//	nVerts  uint32   vertex table size
-//	  vertex: D float64 point, N float64 value, stamp uint64  (× nVerts)
-//	node (recursive, pre-order):
-//	  verts    [D+1]int32
-//	  nChild   uint32            0 for leaves
-//	  if inner: split int32, mu [D+1]float64,
-//	            then per child: replaced int32, node
-//	crc32   uint32   IEEE checksum of everything before it
+//	header:
+//	  magic   [4]byte  "FBWL"
+//	  version uint32   3
+//	  dim     uint32   query-domain dimensionality D
+//	  oqpDim  uint32   stored-vector dimensionality N
+//	  epsilon float64
+//	  tol     float64
+//	  clock   uint64   logical insert clock at the census
+//	  points  uint64   stored-point counter at the census
+//	  census  uint32   census length C (≥ D+1)
+//	  crc32   uint32   IEEE checksum of the header bytes before it
+//	record (fixed size; C census records, then the journal):
+//	  q       [D]float64
+//	  value   [N]float64
+//	  stamp   uint64   logical timestamp
+//	  crc32   uint32   IEEE checksum of the record bytes before it
 //
-// The compaction epoch pairs the snapshot with the WAL that extends it;
-// the clock and per-vertex stamps carry the logical ages that aging
-// decisions are made from. Any other version — including the
-// pre-lifecycle version 1 — is refused with ErrCorrupt.
+// The census lists every vertex in creation order, the D+1 domain
+// corners first. Census records are re-inserted without the ε test and
+// the quota (they are vertices, not feedback outcomes); journal records
+// replay like the inserts they record. A file is only ever published
+// whole, by a rename, so a short header or census is ErrCorrupt, while a
+// torn final journal record — a crash mid-append — is dropped. Any other
+// version, including the version 2 that paired a journal with an FBSX
+// snapshot, is refused with ErrCorrupt.
 package persist
 
 import (
@@ -34,334 +45,254 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 
 	"repro/internal/simplextree"
+	"repro/internal/vec"
 )
 
-var magic = [4]byte{'F', 'B', 'S', 'X'}
+var walMagic = [4]byte{'F', 'B', 'W', 'L'}
 
-// Version is the format version: the only one written and the only one
-// read.
-const Version = 2
+// WALVersion is the format version: the only one written and the only
+// one read.
+const WALVersion = 3
 
-// maxSaneCount bounds table sizes read from untrusted files so a corrupt
-// length prefix cannot trigger an enormous allocation.
-const maxSaneCount = 1 << 28
+const walHeaderSize = 4 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 4 + 4
+
+// maxSaneCount bounds counts read from untrusted files so a corrupt
+// field cannot trigger an enormous allocation; maxDim bounds D and N,
+// which size every record buffer.
+const (
+	maxSaneCount = 1 << 28
+	maxDim       = 1 << 16
+)
 
 // ErrCorrupt is wrapped by all errors caused by malformed input files.
 var ErrCorrupt = errors.New("persist: corrupt file")
 
-// Save writes the tree to w with compaction epoch 0. Use SaveEpoch when
-// the snapshot must pair with an epoch-stamped WAL.
-func Save(w io.Writer, tree *simplextree.Tree) error {
-	return SaveEpoch(w, tree, 0)
+// walRecordSize is q, value, stamp and checksum.
+func walRecordSize(dim, oqpDim int) int {
+	return 8*(dim+oqpDim) + 8 + 4
 }
 
-// SaveEpoch writes the tree to w, stamping the snapshot with the given
-// compaction epoch (recovery matches it against the WAL header's epoch
-// to detect a stale pre-compaction journal).
-func SaveEpoch(w io.Writer, tree *simplextree.Tree, epoch uint64) error {
-	if tree == nil {
-		return errors.New("persist: nil tree")
+// appendRecord appends one checksummed record to buf.
+func appendRecord(buf []byte, q, value []float64, stamp uint64) []byte {
+	start := len(buf)
+	for _, x := range q {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
 	}
-	snap := tree.Snapshot()
-	bw := bufio.NewWriter(w)
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(bw, crc)
-
-	if _, err := mw.Write(magic[:]); err != nil {
-		return err
+	for _, x := range value {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
 	}
-	if err := writeAll(mw,
-		uint32(Version), uint32(snap.Dim), uint32(snap.OQPDim),
-		snap.Epsilon, snap.Tol, uint32(snap.Points),
-		epoch, snap.Clock, uint32(len(snap.Vertices)),
-	); err != nil {
-		return err
-	}
-	for _, v := range snap.Vertices {
-		if err := writeFloats(mw, v.Point); err != nil {
-			return err
-		}
-		if err := writeFloats(mw, v.Value); err != nil {
-			return err
-		}
-		if err := writeAll(mw, v.Stamp); err != nil {
-			return err
-		}
-	}
-	if err := writeNode(mw, snap.Root); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, crc.Sum32()); err != nil {
-		return err
-	}
-	return bw.Flush()
+	buf = binary.LittleEndian.AppendUint64(buf, stamp)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
-// SaveFile writes the tree to the named file, creating or truncating
-// it. The write flows through the OSFS seam so it stays visible to the
-// same accounting as every other persistence op.
-func SaveFile(path string, tree *simplextree.Tree) error {
-	f, err := CreateFile(nil, path)
-	if err != nil {
-		return err
+// decodeRecord verifies one complete record and decodes it into q and
+// value, returning its stamp.
+func decodeRecord(rec []byte, q, value []float64) (uint64, error) {
+	payload := rec[:len(rec)-4]
+	if want, got := binary.LittleEndian.Uint32(rec[len(rec)-4:]), crc32.ChecksumIEEE(payload); want != got {
+		return 0, fmt.Errorf("%w: record checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, want, got)
 	}
-	if err := Save(f, tree); err != nil {
-		_ = f.Close()
-		return err
+	for i := range q {
+		q[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[8*i:]))
 	}
-	return f.Close()
+	base := 8 * len(q)
+	for i := range value {
+		value[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[base+8*i:]))
+	}
+	if !vec.IsFinite(q) || !vec.IsFinite(value) {
+		return 0, fmt.Errorf("%w: record holds non-finite values", ErrCorrupt)
+	}
+	return binary.LittleEndian.Uint64(payload[len(payload)-8:]), nil
 }
 
-// Load reads a tree from r, verifying the checksum and every structural
-// invariant.
-func Load(r io.Reader) (*simplextree.Tree, error) {
-	tree, _, err := LoadWithEpoch(r)
-	return tree, err
+// encodeCensus renders a file holding c and an empty journal.
+func encodeCensus(c *simplextree.Census) []byte {
+	buf := make([]byte, 0, walHeaderSize+len(c.Vertices)*walRecordSize(c.Dim, c.OQPDim))
+	buf = append(buf, walMagic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, WALVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Dim))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.OQPDim))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Epsilon))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Tol))
+	buf = binary.LittleEndian.AppendUint64(buf, c.Clock)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Points))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Vertices)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	for _, v := range c.Vertices {
+		buf = appendRecord(buf, v.Point, v.Value, v.Stamp)
+	}
+	return buf
 }
 
-// LoadWithEpoch is Load returning also the compaction epoch stamped in
-// the snapshot.
-func LoadWithEpoch(r io.Reader) (*simplextree.Tree, uint64, error) {
-	crc := crc32.NewIEEE()
-	br := &checksumReader{r: bufio.NewReader(r), h: crc}
-
-	var gotMagic [4]byte
-	if _, err := io.ReadFull(br, gotMagic[:]); err != nil {
-		return nil, 0, fmt.Errorf("%w: reading magic: %w", ErrCorrupt, err)
-	}
-	if gotMagic != magic {
-		return nil, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, gotMagic[:])
-	}
-	var version, dim, oqpDim, points, nVerts uint32
-	var epsilon, tol float64
-	var epoch, clock uint64
-	if err := readAll(br, &version, &dim, &oqpDim, &epsilon, &tol, &points); err != nil {
+// readHeader consumes and validates the header, returning the census it
+// announces (without vertices) and its length.
+func readHeader(r io.Reader) (*simplextree.Census, int, error) {
+	var h [walHeaderSize]byte
+	if _, err := io.ReadFull(r, h[:]); err != nil {
 		return nil, 0, fmt.Errorf("%w: reading header: %w", ErrCorrupt, err)
 	}
-	if version != Version {
-		return nil, 0, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, version)
+	if [4]byte(h[0:4]) != walMagic {
+		return nil, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, h[0:4])
 	}
-	if err := readAll(br, &epoch, &clock, &nVerts); err != nil {
-		return nil, 0, fmt.Errorf("%w: reading lifecycle header: %w", ErrCorrupt, err)
+	if version := binary.LittleEndian.Uint32(h[4:8]); version != WALVersion {
+		return nil, 0, fmt.Errorf("%w: unsupported WAL version %d", ErrCorrupt, version)
 	}
-	if dim == 0 || dim > maxSaneCount || oqpDim == 0 || oqpDim > maxSaneCount || nVerts > maxSaneCount {
-		return nil, 0, fmt.Errorf("%w: implausible header (D=%d N=%d verts=%d)", ErrCorrupt, dim, oqpDim, nVerts)
+	if want, got := binary.LittleEndian.Uint32(h[52:56]), crc32.ChecksumIEEE(h[:52]); want != got {
+		return nil, 0, fmt.Errorf("%w: header checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, want, got)
 	}
-	snap := &simplextree.Snapshot{
-		Dim:     int(dim),
-		OQPDim:  int(oqpDim),
-		Epsilon: epsilon,
-		Tol:     tol,
-		Points:  int(points),
-		Clock:   clock,
+	c := &simplextree.Census{
+		Dim:     int(binary.LittleEndian.Uint32(h[8:12])),
+		OQPDim:  int(binary.LittleEndian.Uint32(h[12:16])),
+		Epsilon: math.Float64frombits(binary.LittleEndian.Uint64(h[16:24])),
+		Tol:     math.Float64frombits(binary.LittleEndian.Uint64(h[24:32])),
+		Clock:   binary.LittleEndian.Uint64(h[32:40]),
 	}
-	for i := uint32(0); i < nVerts; i++ {
-		point, err := readFloats(br, int(dim))
+	points := binary.LittleEndian.Uint64(h[40:48])
+	n := int(binary.LittleEndian.Uint32(h[48:52]))
+	if c.Dim <= 0 || c.Dim > maxDim || c.OQPDim <= 0 || c.OQPDim > maxDim || points > maxSaneCount || n > maxSaneCount {
+		return nil, 0, fmt.Errorf("%w: implausible header (D=%d N=%d points=%d census=%d)", ErrCorrupt, c.Dim, c.OQPDim, points, n)
+	}
+	c.Points = int(points)
+	return c, n, nil
+}
+
+// readLog reads a whole log from r: it rebuilds the census tree and
+// replays every journal record into it. It returns the tree, the offset
+// just past the last complete record and the number of journal records.
+// A torn final journal record is dropped; anything else malformed —
+// including a journal record the tree refuses — is ErrCorrupt.
+func readLog(r io.Reader) (*simplextree.Tree, int64, int, error) {
+	br := bufio.NewReader(r)
+	c, n, err := readHeader(br)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	rec := make([]byte, walRecordSize(c.Dim, c.OQPDim))
+	q := make([]float64, c.Dim)
+	value := make([]float64, c.OQPDim)
+	for i := 0; i < n; i++ {
+		if _, err := io.ReadFull(br, rec); err != nil {
+			return nil, 0, 0, fmt.Errorf("%w: census record %d of %d: %w", ErrCorrupt, i, n, err)
+		}
+		stamp, err := decodeRecord(rec, q, value)
 		if err != nil {
-			return nil, 0, fmt.Errorf("%w: vertex %d point: %w", ErrCorrupt, i, err)
+			return nil, 0, 0, fmt.Errorf("census record %d: %w", i, err)
 		}
-		value, err := readFloats(br, int(oqpDim))
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: vertex %d value: %w", ErrCorrupt, i, err)
-		}
-		var stamp uint64
-		if err := readAll(br, &stamp); err != nil {
-			return nil, 0, fmt.Errorf("%w: vertex %d stamp: %w", ErrCorrupt, i, err)
-		}
-		snap.Vertices = append(snap.Vertices, simplextree.SnapshotVertex{Point: point, Value: value, Stamp: stamp})
+		c.Vertices = append(c.Vertices, simplextree.CensusVertex{Point: vec.Clone(q), Value: vec.Clone(value), Stamp: stamp})
 	}
-	root, err := readNode(br, int(dim), 0)
+	tree, err := simplextree.FromCensus(c)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	end := int64(walHeaderSize + n*len(rec))
+	for journaled := 0; ; journaled++ {
+		if _, err := io.ReadFull(br, rec); err == io.EOF || err == io.ErrUnexpectedEOF {
+			return tree, end, journaled, nil // clean end, or a torn tail
+		} else if err != nil {
+			return nil, 0, 0, err
+		}
+		stamp, err := decodeRecord(rec, q, value)
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("journal record %d: %w", journaled, err)
+		}
+		if _, err := tree.InsertStamped(q, value, stamp); err != nil {
+			return nil, 0, 0, fmt.Errorf("%w: journal record %d: %w", ErrCorrupt, journaled, err)
+		}
+		end += int64(len(rec))
+	}
+}
+
+// commit publishes a file holding c at path — the one way this package
+// writes a file. The bytes go to path+".tmp", which is fsynced, renamed
+// over path, and made durable by an fsync of the directory. A failure
+// before the rename removes the temporary file, leaves path as it was
+// and returns a nil File. Otherwise the returned file is the committed
+// one, open for appending after the census, with its size — also when
+// the directory fsync fails, which the error then reports.
+func commit(fsys FS, path string, c *simplextree.Census) (File, int64, error) {
+	fsys = OrOS(fsys)
+	img := encodeCensus(c)
+	tmp := path + ".tmp"
+	f, err := CreateFile(fsys, tmp)
 	if err != nil {
 		return nil, 0, err
 	}
-	snap.Root = root
-	wantSum := crc.Sum32()
-	var gotSum uint32
-	// The trailing checksum is read outside the checksummed stream.
-	if err := binary.Read(br.r, binary.LittleEndian, &gotSum); err != nil {
-		return nil, 0, fmt.Errorf("%w: reading checksum: %w", ErrCorrupt, err)
+	if _, err = f.Write(img); err == nil {
+		if err = f.Sync(); err == nil {
+			err = fsys.Rename(tmp, path)
+		}
 	}
-	if gotSum != wantSum {
-		return nil, 0, fmt.Errorf("%w: checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, gotSum, wantSum)
-	}
-	tree, err := simplextree.FromSnapshot(snap)
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		_ = f.Close()
+		_ = fsys.Remove(tmp)
+		return nil, 0, err
 	}
-	return tree, epoch, nil
+	return f, int64(len(img)), fsys.SyncDir(filepath.Dir(path))
 }
 
-// LoadFile reads a tree from the named file.
+// Save writes the tree to w as a log with an empty journal.
+func Save(w io.Writer, tree *simplextree.Tree) error {
+	if tree == nil {
+		return errors.New("persist: nil tree")
+	}
+	_, err := w.Write(encodeCensus(tree.Census()))
+	return err
+}
+
+// SaveFile commits the tree to the named file (see SaveFileFS).
+func SaveFile(path string, tree *simplextree.Tree) error {
+	return SaveFileFS(nil, path, tree)
+}
+
+// SaveFileFS commits the tree to the named file through fsys (nil means
+// OSFS): a failure at any step before the final rename leaves a file
+// already at path as it was.
+func SaveFileFS(fsys FS, path string, tree *simplextree.Tree) error {
+	if tree == nil {
+		return errors.New("persist: nil tree")
+	}
+	f, _, err := commit(fsys, path, tree.Census())
+	if f == nil {
+		return err
+	}
+	return errors.Join(err, f.Close())
+}
+
+// Load reads a tree from a log: the census, then every journal record.
+func Load(r io.Reader) (*simplextree.Tree, error) {
+	tree, _, _, err := readLog(r)
+	return tree, err
+}
+
+// LoadFile reads a tree from the named log file — a saved tree or a
+// module's live journal.
 func LoadFile(path string) (*simplextree.Tree, error) {
 	return LoadFileFS(nil, path)
 }
 
-// LoadFileFS is LoadFile reading through fs (nil means OSFS).
+// LoadFileFS is LoadFile reading through fsys (nil means OSFS).
 func LoadFileFS(fsys FS, path string) (*simplextree.Tree, error) {
-	tree, _, err := LoadFileEpochFS(fsys, path)
-	return tree, err
-}
-
-// LoadFileEpochFS is LoadFileFS returning also the snapshot's compaction
-// epoch.
-func LoadFileEpochFS(fsys FS, path string) (*simplextree.Tree, uint64, error) {
 	f, err := OpenRead(fsys, path)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	defer f.Close()
-	return LoadWithEpoch(f)
+	return Load(f)
 }
 
-const maxTreeDepth = 1 << 20 // recursion guard against cyclic/corrupt files
-
-func writeNode(w io.Writer, n *simplextree.SnapshotNode) error {
-	if err := writeInts(w, n.Verts); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(n.Children))); err != nil {
-		return err
-	}
-	if len(n.Children) == 0 {
+// removeStaleTemp removes the temporary file a crash mid-commit left
+// beside path; the file it would have replaced is intact.
+func removeStaleTemp(fsys FS, path string) error {
+	tmp := path + ".tmp"
+	if _, err := fsys.Stat(tmp); errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
-	if err := binary.Write(w, binary.LittleEndian, n.Split); err != nil {
-		return err
-	}
-	if err := writeFloats(w, n.Mu); err != nil {
-		return err
-	}
-	for i, c := range n.Children {
-		if err := binary.Write(w, binary.LittleEndian, n.Replaced[i]); err != nil {
-			return err
-		}
-		if err := writeNode(w, c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readNode(r io.Reader, dim, depth int) (*simplextree.SnapshotNode, error) {
-	if depth > maxTreeDepth {
-		return nil, fmt.Errorf("%w: tree deeper than %d", ErrCorrupt, maxTreeDepth)
-	}
-	n := &simplextree.SnapshotNode{Split: -1}
-	verts, err := readInts(r, dim+1)
-	if err != nil {
-		return nil, fmt.Errorf("%w: node vertices: %w", ErrCorrupt, err)
-	}
-	n.Verts = verts
-	var nChildren uint32
-	if err := binary.Read(r, binary.LittleEndian, &nChildren); err != nil {
-		return nil, fmt.Errorf("%w: child count: %w", ErrCorrupt, err)
-	}
-	if nChildren == 0 {
-		return n, nil
-	}
-	if nChildren > uint32(dim)+1 {
-		return nil, fmt.Errorf("%w: node claims %d children in dimension %d", ErrCorrupt, nChildren, dim)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &n.Split); err != nil {
-		return nil, fmt.Errorf("%w: split index: %w", ErrCorrupt, err)
-	}
-	mu, err := readFloats(r, dim+1)
-	if err != nil {
-		return nil, fmt.Errorf("%w: split coordinates: %w", ErrCorrupt, err)
-	}
-	n.Mu = mu
-	for i := uint32(0); i < nChildren; i++ {
-		var replaced int32
-		if err := binary.Read(r, binary.LittleEndian, &replaced); err != nil {
-			return nil, fmt.Errorf("%w: replaced index: %w", ErrCorrupt, err)
-		}
-		child, err := readNode(r, dim, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		n.Replaced = append(n.Replaced, replaced)
-		n.Children = append(n.Children, child)
-	}
-	return n, nil
-}
-
-func writeAll(w io.Writer, vals ...interface{}) error {
-	for _, v := range vals {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readAll(r io.Reader, vals ...interface{}) error {
-	for _, v := range vals {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeFloats(w io.Writer, xs []float64) error {
-	buf := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-func readFloats(r io.Reader, n int) ([]float64, error) {
-	buf := make([]byte, 8*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return out, nil
-}
-
-func writeInts(w io.Writer, xs []int32) error {
-	buf := make([]byte, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(x))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-func readInts(r io.Reader, n int) ([]int32, error) {
-	buf := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return out, nil
-}
-
-// checksumReader feeds everything read through the hash, so the checksum
-// covers exactly the bytes consumed.
-type checksumReader struct {
-	r io.Reader
-	h hash.Hash32
-}
-
-func (c *checksumReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if n > 0 {
-		c.h.Write(p[:n])
-	}
-	return n, err
+	return fsys.Remove(tmp)
 }

@@ -2,9 +2,13 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,33 +17,48 @@ import (
 	"repro/internal/vec"
 )
 
-func buildTree(t *testing.T, d, n, inserts int, seed int64) *simplextree.Tree {
-	t.Helper()
-	def := vec.Zeros(n)
-	tr, err := simplextree.New(geom.StandardSimplex(d), def, simplextree.Options{Epsilon: 0.001})
-	if err != nil {
-		t.Fatal(err)
+// simplexPoint draws a point strictly inside the standard D-simplex.
+func simplexPoint(rng *rand.Rand, d int) []float64 {
+	w := make([]float64, d+1)
+	var sum float64
+	for j := range w {
+		w[j] = 0.05 + rng.Float64()
+		sum += w[j]
 	}
-	rng := rand.New(rand.NewSource(seed))
+	q := make([]float64, d)
+	for j := 0; j < d; j++ {
+		q[j] = w[j+1] / sum
+	}
+	return q
+}
+
+func newTree(tb testing.TB, d, n int) *simplextree.Tree {
+	tb.Helper()
+	tr, err := simplextree.New(geom.StandardSimplex(d), vec.Zeros(n), simplextree.Options{Epsilon: 0.001})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
+// growTree feeds tr inserts random in-domain inserts.
+func growTree(tb testing.TB, tr *simplextree.Tree, inserts int, rng *rand.Rand) {
+	tb.Helper()
 	for i := 0; i < inserts; i++ {
-		w := make([]float64, d+1)
-		var sum float64
-		for j := range w {
-			w[j] = 0.05 + rng.Float64()
-			sum += w[j]
-		}
-		q := make([]float64, d)
-		for j := 0; j < d; j++ {
-			q[j] = w[j+1] / sum
-		}
-		v := make([]float64, n)
+		v := make([]float64, tr.OQPDim())
 		for j := range v {
 			v[j] = rng.NormFloat64()
 		}
-		if _, err := tr.Insert(q, v); err != nil {
-			t.Fatal(err)
+		if _, err := tr.Insert(simplexPoint(rng, tr.Dim()), v); err != nil {
+			tb.Fatal(err)
 		}
 	}
+}
+
+func buildTree(tb testing.TB, d, n, inserts int, seed int64) *simplextree.Tree {
+	tb.Helper()
+	tr := newTree(tb, d, n)
+	growTree(tb, tr, inserts, rand.New(rand.NewSource(seed)))
 	return tr
 }
 
@@ -54,6 +73,13 @@ func roundTrip(t *testing.T, tr *simplextree.Tree) *simplextree.Tree {
 		t.Fatal(err)
 	}
 	return back
+}
+
+func sameTree(t *testing.T, what string, got, want *simplextree.Tree) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+		t.Fatalf("%s: tree is not Snapshot-equal (stats %+v, want %+v)", what, got.Stats(), want.Stats())
+	}
 }
 
 func TestRoundTripEmptyTree(t *testing.T) {
@@ -75,30 +101,19 @@ func TestRoundTripPreservesPredictions(t *testing.T) {
 	for _, d := range []int{2, 3, 7} {
 		tr := buildTree(t, d, 2*d, 50, int64(d))
 		back := roundTrip(t, tr)
-		if back.Stats().Points != tr.Stats().Points || back.Stats().Leaves != tr.Stats().Leaves || back.Epsilon() != tr.Epsilon() {
-			t.Fatalf("d=%d: shape mismatch", d)
+		sameTree(t, "round trip", back, tr)
+		if back.Epsilon() != tr.Epsilon() {
+			t.Fatalf("d=%d: ε %v, want %v", d, back.Epsilon(), tr.Epsilon())
 		}
 		rng := rand.New(rand.NewSource(99))
 		for trial := 0; trial < 40; trial++ {
-			w := make([]float64, d+1)
-			var sum float64
-			for j := range w {
-				w[j] = 0.05 + rng.Float64()
-				sum += w[j]
-			}
-			q := make([]float64, d)
-			for j := 0; j < d; j++ {
-				q[j] = w[j+1] / sum
-			}
+			q := simplexPoint(rng, d)
 			want, err1 := tr.Predict(q)
 			got, err2 := back.Predict(q)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("d=%d trial %d: error mismatch %v vs %v", d, trial, err1, err2)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("d=%d trial %d: %v, %v", d, trial, err1, err2)
 			}
-			if err1 != nil {
-				continue
-			}
-			if !vec.EqualTol(got, want, 1e-12) {
+			if !vec.Equal(got, want) {
 				t.Fatalf("d=%d trial %d: prediction %v vs %v", d, trial, got, want)
 			}
 		}
@@ -126,7 +141,7 @@ func TestRoundTripAllowsFurtherInserts(t *testing.T) {
 
 func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "tree.fbsx")
+	path := filepath.Join(dir, "tree.fbwl")
 	tr := buildTree(t, 3, 3, 20, 3)
 	if err := SaveFile(path, tr); err != nil {
 		t.Fatal(err)
@@ -135,10 +150,8 @@ func TestSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Stats().Points != tr.Stats().Points {
-		t.Errorf("points %d vs %d", back.Stats().Points, tr.Stats().Points)
-	}
-	if _, err := LoadFile(filepath.Join(dir, "missing.fbsx")); err == nil {
+	sameTree(t, "SaveFile/LoadFile", back, tr)
+	if _, err := LoadFile(filepath.Join(dir, "missing.fbwl")); err == nil {
 		t.Error("missing file should error")
 	}
 }
@@ -156,6 +169,9 @@ func TestLoadRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsTruncation: a saved file is header and census only, and
+// a file is published whole, so any cut is corruption (only a torn
+// journal tail is tolerated, TestWALTruncatedTailTolerated).
 func TestLoadRejectsTruncation(t *testing.T) {
 	tr := buildTree(t, 2, 2, 10, 5)
 	var buf bytes.Buffer
@@ -163,9 +179,9 @@ func TestLoadRejectsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	for _, cut := range []int{1, 4, 10, len(full) / 2, len(full) - 1} {
-		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
-			t.Errorf("truncation at %d should error", cut)
+	for _, cut := range []int{0, 1, 4, 10, walHeaderSize, len(full) / 2, len(full) - 1} {
+		if _, err := Load(bytes.NewReader(full[:cut])); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("truncation at %d: err = %v, want ErrCorrupt", cut, err)
 		}
 	}
 }
@@ -189,17 +205,30 @@ func TestLoadRejectsBitFlips(t *testing.T) {
 			rejected++
 		}
 	}
-	// Every structural flip must be caught by the checksum or validation;
-	// the only survivable flips would be inside the checksum itself
-	// colliding, which CRC32 makes vanishingly unlikely at this size.
+	// Header and every census record carry a checksum; a flip survives
+	// only if CRC-32 collides, which is vanishingly unlikely.
 	if rejected != trials {
 		t.Errorf("only %d/%d corruptions rejected", rejected, trials)
 	}
 }
 
-// TestLoadRejectsWrongVersion: only the current version loads. A
-// well-formed legacy version-1 image is refused exactly like a version
-// from the future.
+// walV2Image builds a log of the retired version 2 by hand: a 24-byte
+// header (magic, version, D, N, compaction epoch) and stamped records,
+// with no census — the journal that extended an FBSX snapshot.
+func walV2Image(qs, vs [][]float64) []byte {
+	buf := append([]byte(nil), walMagic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, 2)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(qs[0])))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vs[0])))
+	buf = binary.LittleEndian.AppendUint64(buf, 3)
+	for i := range qs {
+		buf = appendRecord(buf, qs[i], vs[i], uint64(i+1))
+	}
+	return buf
+}
+
+// TestLoadRejectsWrongVersion: only version 3 loads. A well-formed
+// version-2 log is refused exactly like a version from the future.
 func TestLoadRejectsWrongVersion(t *testing.T) {
 	tr := buildTree(t, 2, 2, 5, 9)
 	var buf bytes.Buffer
@@ -208,28 +237,29 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 	}
 	future := append([]byte(nil), buf.Bytes()...)
 	future[4] = 99 // version byte (little-endian uint32 after 4-byte magic)
-	for name, img := range map[string][]byte{"v99": future, "v1": fbsxV1Image(t, buf.Bytes())} {
+	binary.LittleEndian.PutUint32(future[52:], crc32.ChecksumIEEE(future[:52]))
+	qs, vs := walRecordsForTest(rand.New(rand.NewSource(9)), 4, 2, 2)
+	for name, img := range map[string][]byte{"v99": future, "v2": walV2Image(qs, vs)} {
 		_, err := Load(bytes.NewReader(img))
-		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version") {
-			t.Errorf("%s: err = %v, want ErrCorrupt: unsupported version", name, err)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported WAL version") {
+			t.Errorf("%s: err = %v, want ErrCorrupt: unsupported WAL version", name, err)
 		}
 	}
 }
 
-func TestSnapshotValidationCatchesTampering(t *testing.T) {
-	tr := buildTree(t, 2, 2, 10, 10)
-	snap := tr.Snapshot()
-	// Break the child/parent vertex-sharing invariant.
-	if len(snap.Root.Children) > 0 {
-		snap.Root.Children[0].Verts[0] = snap.Root.Children[0].Verts[1]
-		if _, err := simplextree.FromSnapshot(snap); err == nil {
-			t.Error("tampered snapshot should fail validation")
-		}
+// TestLoadRejectsNonFinite: a record holding NaN or ±Inf is corrupt even
+// under a valid checksum — no such value enters a tree.
+func TestLoadRejectsNonFinite(t *testing.T) {
+	tr := buildTree(t, 2, 2, 3, 12)
+	var buf bytes.Buffer
+	if err := Save(&buf, tr); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestFromSnapshotNil(t *testing.T) {
-	if _, err := simplextree.FromSnapshot(nil); err == nil {
-		t.Error("nil snapshot should error")
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		img := append([]byte(nil), buf.Bytes()...)
+		img = appendRecord(img, []float64{0.2, 0.2}, []float64{bad, 0}, 9)
+		if _, err := Load(bytes.NewReader(img)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("journal value %v: err = %v, want ErrCorrupt", bad, err)
+		}
 	}
 }

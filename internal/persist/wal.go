@@ -1,69 +1,20 @@
 package persist
 
-// Write-ahead log for Simplex Tree inserts. The snapshot format of Save/
-// Load captures a whole tree; the WAL complements it with incremental
-// durability: every accepted insert appends one fixed-size record, and
-// recovery is snapshot + replay. Compaction rewrites the snapshot and
-// truncates the log (core.DurableBypass wires the two together).
-//
-// Format (little-endian):
-//
-//	header:
-//	  magic   [4]byte  "FBWL"
-//	  version uint32   2
-//	  dim     uint32   query-domain dimensionality D
-//	  oqpDim  uint32   stored-vector dimensionality N
-//	  epoch   uint64   compaction epoch of the module
-//	record (fixed size, repeated):
-//	  q       [D]float64
-//	  value   [N]float64
-//	  stamp   uint64   logical insert timestamp
-//	  crc32   uint32   IEEE checksum of the record bytes before it
-//
-// The header's epoch pairs the log with the snapshot it extends (a log
-// whose epoch trails the snapshot's is a stale pre-compaction journal and
-// is discarded on recovery), and each record carries the logical
-// timestamp its vertex was stamped with, so replay reconstructs ages
-// bitwise. Any other version — including the pre-lifecycle version 1,
-// which nothing has written since stamps were introduced — is refused
-// with ErrCorrupt.
-//
-// Records carry the same CRC-32/IEEE checksum the snapshot format uses,
-// but per record, so a torn final write (a crash mid-append) is
-// detectable and cheap to drop: replay and open both tolerate a
-// truncated tail record, while a size-complete record with a checksum
-// mismatch is reported as ErrCorrupt.
+// The live log of one Simplex Tree. A WAL is a log file (see the package
+// comment) open for appending: every accepted insert appends one
+// fixed-size journal record, and Reset — the compaction step — commits a
+// fresh file whose census is the current tree. Recovery is OpenWAL:
+// census, then journal replay. core.DurableBypass wires the tree to it.
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"time"
 
 	"repro/internal/obsv"
+	"repro/internal/simplextree"
 )
-
-var walMagic = [4]byte{'F', 'B', 'W', 'L'}
-
-// WALVersion is the log format version: the only one written and the
-// only one read.
-const WALVersion = 2
-
-const (
-	walHeaderPrefix = 4 + 4 + 4 + 4 // magic, version, dim, oqpDim
-	walHeaderSize   = walHeaderPrefix + 8
-)
-
-// errTornWALHeader marks a file too short to hold its own header — the
-// signature of a crash during header creation or mid-Reset. It wraps
-// ErrCorrupt for readers; the open path rewrites the header instead
-// (a file that short holds no records, so nothing is lost).
-var errTornWALHeader = fmt.Errorf("%w: torn WAL header", ErrCorrupt)
 
 // WAL is an append-only insert journal for one Simplex Tree. Appends are
 // single unbuffered writes, so every record acknowledged by Append has
@@ -76,9 +27,8 @@ type WAL struct {
 	path    string
 	dim     int
 	oqpDim  int
-	epoch   uint64 // header epoch
 	buf     []byte // reused record encoding buffer
-	records int    // valid records on disk
+	records int    // journal records on disk (the census excluded)
 	off     int64  // offset just past the last valid record
 	sync    bool   // fsync after every append
 	broken  error  // set when a failed append could not be rolled back
@@ -87,90 +37,73 @@ type WAL struct {
 	fsyncH  *obsv.Histogram // optional: fsync latency (per-append and explicit)
 }
 
-// walRecordSize is q, value, stamp and checksum.
-func walRecordSize(dim, oqpDim int) int {
-	return 8*(dim+oqpDim) + 8 + 4
+// OpenWAL opens the log at path through fsys (nil means OSFS) and
+// recovers its tree: the census rebuilt, then every journal record
+// replayed. A temporary file left beside it by a crash mid-commit is
+// removed, and a torn final record — a crash mid-append — is truncated
+// away so the next append starts on a record boundary. A missing log is
+// reported with an error satisfying errors.Is(err, os.ErrNotExist).
+func OpenWAL(fsys FS, path string) (*WAL, *simplextree.Tree, error) {
+	fsys = OrOS(fsys)
+	if err := removeStaleTemp(fsys, path); err != nil {
+		return nil, nil, err
+	}
+	f, err := fsys.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	w, tree, err := resume(fsys, f, path)
+	if err != nil {
+		_ = f.Close()
+		return nil, nil, err
+	}
+	return w, tree, nil
 }
 
-// OpenWALFS opens (or creates) the write-ahead log at path for trees of
-// query dimension dim and OQP dimension oqpDim, with every filesystem
-// operation routed through fs (nil means OSFS) — the fault-injection seam
-// for the journal. An existing log is validated record by record: a
-// truncated tail record — the signature of a crash mid-append — is
-// discarded by truncating the file, while a size-complete record with a
-// bad checksum returns ErrCorrupt. The returned WAL is positioned for
-// appending.
-func OpenWALFS(fsys FS, path string, dim, oqpDim int) (*WAL, error) {
-	if dim <= 0 || oqpDim <= 0 {
-		return nil, fmt.Errorf("persist: invalid WAL dimensions D=%d N=%d", dim, oqpDim)
-	}
-	fsys = OrOS(fsys)
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	w := &WAL{
-		fs:     fsys,
-		f:      f,
-		path:   path,
-		dim:    dim,
-		oqpDim: oqpDim,
-		buf:    make([]byte, walRecordSize(dim, oqpDim)),
-	}
+func resume(fsys FS, f File, path string) (*WAL, *simplextree.Tree, error) {
 	info, err := f.Stat()
 	if err != nil {
-		_ = f.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	rewriteFresh := func() (*WAL, error) {
-		if err := f.Truncate(0); err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-		if err := w.writeHeader(); err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-		w.off = walHeaderSize
-		return w, nil
-	}
-	if info.Size() < walHeaderPrefix {
-		// Empty file, or a header torn by a crash during creation (or
-		// during Reset, between the truncate and the header rewrite). A
-		// file this short cannot hold records, so nothing is lost:
-		// rewrite the header instead of reporting corruption.
-		return rewriteFresh()
-	}
-	validEnd, records, epoch, err := scanWAL(f, dim, oqpDim)
-	if errors.Is(err, errTornWALHeader) {
-		// A header torn after its fixed prefix: still too short for
-		// records, same recovery.
-		return rewriteFresh()
-	}
+	tree, end, records, err := readLog(f)
 	if err != nil {
-		_ = f.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	if validEnd < info.Size() {
-		// Torn tail record: drop it so the next append starts on a
-		// record boundary.
-		if err := f.Truncate(validEnd); err != nil {
-			_ = f.Close()
-			return nil, err
+	if end < info.Size() {
+		if err := f.Truncate(end); err != nil {
+			return nil, nil, err
 		}
 	}
-	if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
-		_ = f.Close()
+	if _, err := f.Seek(end, io.SeekStart); err != nil {
+		return nil, nil, err
+	}
+	w := newWAL(fsys, path, tree)
+	w.f, w.off, w.records = f, end, records
+	return w, tree, nil
+}
+
+// CreateWAL commits a log holding tree's census at path through fsys
+// (nil means OSFS), replacing any file there, and opens it for
+// appending.
+func CreateWAL(fsys FS, path string, tree *simplextree.Tree) (*WAL, error) {
+	w := newWAL(OrOS(fsys), path, tree)
+	if err := w.Reset(tree); err != nil {
+		if w.f != nil {
+			_ = w.f.Close()
+		}
 		return nil, err
 	}
-	w.epoch = epoch
-	w.records = records
-	w.off = validEnd
 	return w, nil
+}
+
+func newWAL(fsys FS, path string, tree *simplextree.Tree) *WAL {
+	return &WAL{
+		fs:     fsys,
+		path:   path,
+		dim:    tree.Dim(),
+		oqpDim: tree.OQPDim(),
+		buf:    make([]byte, 0, walRecordSize(tree.Dim(), tree.OQPDim())),
+	}
 }
 
 // SetSyncOnAppend makes every Append fsync before acknowledging, giving
@@ -185,88 +118,6 @@ func (w *WAL) SetSyncOnAppend(sync bool) { w.sync = sync }
 func (w *WAL) SetMetrics(appendH, fsyncH *obsv.Histogram) {
 	w.appendH = appendH
 	w.fsyncH = fsyncH
-}
-
-// Epoch reports the compaction epoch stamped in the log header.
-func (w *WAL) Epoch() uint64 { return w.epoch }
-
-// writeHeader writes the log header at the current (zero) offset.
-func (w *WAL) writeHeader() error {
-	var hdr [walHeaderSize]byte
-	copy(hdr[0:4], walMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], WALVersion)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(w.dim))
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(w.oqpDim))
-	binary.LittleEndian.PutUint64(hdr[16:24], w.epoch)
-	_, err := w.f.Write(hdr[:])
-	return err
-}
-
-// scanWAL validates the header and every record of r, returning the file
-// offset just past the last valid record, the record count, and the
-// header's epoch. A truncated tail is tolerated (the returned offset
-// excludes it); a complete record with a checksum mismatch is ErrCorrupt.
-func scanWAL(f File, dim, oqpDim int) (validEnd int64, records int, epoch uint64, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, 0, err
-	}
-	br := bufio.NewReader(f)
-	epoch, err = readWALHeader(br, dim, oqpDim)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	buf := make([]byte, walRecordSize(dim, oqpDim))
-	offset := int64(walHeaderSize)
-	for {
-		_, err := io.ReadFull(br, buf)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			// Clean end on a record boundary, or a torn tail: tolerate, drop.
-			return offset, records, epoch, nil
-		}
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if err := checkWALRecord(buf); err != nil {
-			return 0, 0, 0, err
-		}
-		offset += int64(len(buf))
-		records++
-	}
-}
-
-// readWALHeader consumes and validates the header from r, returning the
-// epoch.
-func readWALHeader(r io.Reader, dim, oqpDim int) (epoch uint64, err error) {
-	var hdr [walHeaderPrefix]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, fmt.Errorf("%w: reading WAL header: %w", ErrCorrupt, err)
-	}
-	if [4]byte(hdr[0:4]) != walMagic {
-		return 0, fmt.Errorf("%w: bad WAL magic %q", ErrCorrupt, hdr[0:4])
-	}
-	if version := binary.LittleEndian.Uint32(hdr[4:8]); version != WALVersion {
-		return 0, fmt.Errorf("%w: unsupported WAL version %d", ErrCorrupt, version)
-	}
-	gotDim := binary.LittleEndian.Uint32(hdr[8:12])
-	gotOQP := binary.LittleEndian.Uint32(hdr[12:16])
-	if gotDim != uint32(dim) || gotOQP != uint32(oqpDim) {
-		return 0, fmt.Errorf("%w: WAL is for D=%d N=%d, want D=%d N=%d", ErrCorrupt, gotDim, gotOQP, dim, oqpDim)
-	}
-	var ep [8]byte
-	if _, err := io.ReadFull(r, ep[:]); err != nil {
-		return 0, fmt.Errorf("reading WAL epoch: %w", errTornWALHeader)
-	}
-	return binary.LittleEndian.Uint64(ep[:]), nil
-}
-
-// checkWALRecord verifies the trailing checksum of one complete record.
-func checkWALRecord(rec []byte) error {
-	payload := rec[:len(rec)-4]
-	want := binary.LittleEndian.Uint32(rec[len(rec)-4:])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return fmt.Errorf("%w: WAL record checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, want, got)
-	}
-	return nil
 }
 
 // Append journals one accepted insert with its logical timestamp. The
@@ -292,18 +143,7 @@ func (w *WAL) Append(q, value []float64, stamp uint64) error {
 	if w.appendH != nil {
 		t0 = time.Now()
 	}
-	off := 0
-	for _, x := range q {
-		binary.LittleEndian.PutUint64(w.buf[off:], math.Float64bits(x))
-		off += 8
-	}
-	for _, x := range value {
-		binary.LittleEndian.PutUint64(w.buf[off:], math.Float64bits(x))
-		off += 8
-	}
-	binary.LittleEndian.PutUint64(w.buf[off:], stamp)
-	off += 8
-	binary.LittleEndian.PutUint32(w.buf[off:], crc32.ChecksumIEEE(w.buf[:off]))
+	w.buf = appendRecord(w.buf[:0], q, value, stamp)
 	if _, err := w.f.Write(w.buf); err != nil {
 		return w.rollback(err)
 	}
@@ -349,95 +189,38 @@ func (w *WAL) rollback(cause error) error {
 	return cause
 }
 
-// Records reports the number of valid records in the log (found at open
-// plus appended since).
+// Records reports the number of journal records in the log (found at
+// open plus appended since); the census is not counted.
 func (w *WAL) Records() int { return w.records }
 
-// Size reports the log's on-disk size in bytes (header plus every valid
-// record) — the recovery debt a compaction would clear.
+// Size reports the log's on-disk size in bytes: header, census and
+// every valid journal record.
 func (w *WAL) Size() int64 { return w.off }
 
 // Sync flushes the log to stable storage.
 func (w *WAL) Sync() error { return w.syncTimed() }
 
-// Reset truncates the log back to an empty header carrying the given
-// compaction epoch — the log-compaction step after the tree state has
-// been captured in a snapshot stamped with the same epoch. A
-// successful Reset also clears the broken state left by an
-// unrecoverable append failure, since the rewritten log is aligned
-// again.
-func (w *WAL) Reset(epoch uint64) error {
-	if err := w.f.Truncate(0); err != nil {
+// Reset is the compaction step: it commits a fresh log whose census is
+// tree over the current one and continues appending there, so the
+// journal starts empty. A crash before the commit's rename leaves the
+// old log whole. Once the rename is done the WAL appends to the new
+// file, even if the directory fsync after it failed (Reset then returns
+// that error), and the broken state of an unrecoverable append failure
+// is cleared; a failure before the rename leaves the WAL as it was.
+func (w *WAL) Reset(tree *simplextree.Tree) error {
+	if tree.Dim() != w.dim || tree.OQPDim() != w.oqpDim {
+		return fmt.Errorf("persist: resetting a D=%d N=%d log with a D=%d N=%d tree", w.dim, w.oqpDim, tree.Dim(), tree.OQPDim())
+	}
+	f, size, err := commit(w.fs, w.path, tree.Census())
+	if f == nil {
 		return err
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return err
+	if w.f != nil {
+		_ = w.f.Close() // the file it held was unlinked by the rename
 	}
-	prevEpoch := w.epoch
-	w.epoch = epoch
-	if err := w.writeHeader(); err != nil {
-		w.epoch = prevEpoch
-		return err
-	}
-	w.records = 0
-	w.off = walHeaderSize
-	w.broken = nil
-	return w.f.Sync()
+	w.f, w.off, w.records, w.broken = f, size, 0, nil
+	return err
 }
 
 // Close closes the underlying file.
 func (w *WAL) Close() error { return w.f.Close() }
-
-// Replay reads the log from the beginning through a separate read handle
-// and invokes fn for every valid record in order, returning the number
-// replayed. A truncated tail record is silently dropped; a checksum
-// mismatch on a complete record is ErrCorrupt. The q and value slices
-// are reused across calls; fn must not retain them.
-func (w *WAL) Replay(fn func(q, value []float64, stamp uint64) error) (int, error) {
-	f, err := OpenRead(w.fs, w.path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	return ReplayWAL(f, w.dim, w.oqpDim, fn)
-}
-
-// ReplayWAL replays every valid record of the log read from r (see
-// WAL.Replay for the tolerance semantics).
-func ReplayWAL(r io.Reader, dim, oqpDim int, fn func(q, value []float64, stamp uint64) error) (int, error) {
-	if dim <= 0 || oqpDim <= 0 {
-		return 0, fmt.Errorf("persist: invalid WAL dimensions D=%d N=%d", dim, oqpDim)
-	}
-	br := bufio.NewReader(r)
-	if _, err := readWALHeader(br, dim, oqpDim); err != nil {
-		return 0, err
-	}
-	buf := make([]byte, walRecordSize(dim, oqpDim))
-	q := make([]float64, dim)
-	value := make([]float64, oqpDim)
-	replayed := 0
-	for {
-		_, err := io.ReadFull(br, buf)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return replayed, nil // clean end, or tolerated torn tail
-		}
-		if err != nil {
-			return replayed, err
-		}
-		if err := checkWALRecord(buf); err != nil {
-			return replayed, err
-		}
-		for i := range q {
-			q[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-		base := 8 * dim
-		for i := range value {
-			value[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[base+8*i:]))
-		}
-		stamp := binary.LittleEndian.Uint64(buf[base+8*oqpDim:])
-		if err := fn(q, value, stamp); err != nil {
-			return replayed, err
-		}
-		replayed++
-	}
-}

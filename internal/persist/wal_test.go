@@ -11,45 +11,46 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/simplextree"
 )
 
 func walRecordsForTest(rng *rand.Rand, n, dim, oqpDim int) (qs, vs [][]float64) {
 	for i := 0; i < n; i++ {
-		q := make([]float64, dim)
-		for j := range q {
-			q[j] = rng.Float64()
-		}
 		v := make([]float64, oqpDim)
 		for j := range v {
 			v[j] = rng.NormFloat64()
 		}
-		qs = append(qs, q)
+		qs = append(qs, simplexPoint(rng, dim))
 		vs = append(vs, v)
 	}
 	return qs, vs
 }
 
-func appendAll(t *testing.T, w *WAL, qs, vs [][]float64) {
+// journaled creates the log at path for tree and journals every
+// accepted insert of qs/vs to it, the way a durable module does.
+func journaled(t *testing.T, path string, tree *simplextree.Tree, qs, vs [][]float64) *WAL {
 	t.Helper()
-	for i := range qs {
-		// Stamp records 1..n so round-trips can verify stamp persistence.
-		if err := w.Append(qs[i], vs[i], uint64(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestWALRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "x.fbwl")
-	const dim, oqpDim = 3, 5
-	qs, vs := walRecordsForTest(rand.New(rand.NewSource(1)), 17, dim, oqpDim)
-
-	w, err := OpenWALFS(nil, path, dim, oqpDim)
+	w, err := CreateWAL(nil, path, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, w, qs, vs)
+	tree.SetObserver(w.Append)
+	defer tree.SetObserver(nil)
+	for i := range qs {
+		if _, err := tree.Insert(qs[i], vs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w
+}
+
+func TestWALRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.fbwl")
+	const dim, oqpDim = 3, 5
+	tree := buildTree(t, dim, oqpDim, 6, 1)
+	qs, vs := walRecordsForTest(rand.New(rand.NewSource(21)), 17, dim, oqpDim)
+	w := journaled(t, path, tree, qs, vs)
 	if w.Records() != len(qs) {
 		t.Errorf("records = %d, want %d", w.Records(), len(qs))
 	}
@@ -57,9 +58,9 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen: every record must be found, and replay must return them in
-	// order.
-	w2, err := OpenWALFS(nil, path, dim, oqpDim)
+	// Reopen: the census and every journal record come back, in order,
+	// stamps included.
+	w2, back, err := OpenWAL(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,70 +68,59 @@ func TestWALRoundTrip(t *testing.T) {
 	if w2.Records() != len(qs) {
 		t.Errorf("reopened records = %d, want %d", w2.Records(), len(qs))
 	}
-	i := 0
-	n, err := w2.Replay(func(q, v []float64, stamp uint64) error {
-		if !equalFloats(q, qs[i]) || !equalFloats(v, vs[i]) {
-			t.Errorf("record %d mismatch", i)
-		}
-		if stamp != uint64(i+1) {
-			t.Errorf("record %d stamp = %d, want %d", i, stamp, i+1)
-		}
-		i++
-		return nil
-	})
-	if err != nil {
+	sameTree(t, "reopened", back, tree)
+	if loaded, err := LoadFile(path); err != nil {
 		t.Fatal(err)
-	}
-	if n != len(qs) {
-		t.Errorf("replayed %d, want %d", n, len(qs))
+	} else {
+		sameTree(t, "LoadFile of a live log", loaded, tree)
 	}
 
 	// Appending after reopen continues the log.
-	if err := w2.Append(qs[0], vs[0], 99); err != nil {
+	back.SetObserver(w2.Append)
+	if _, err := back.Insert(simplexPoint(rand.New(rand.NewSource(5)), dim), vs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if w2.Records() != len(qs)+1 {
 		t.Errorf("records after append = %d, want %d", w2.Records(), len(qs)+1)
 	}
-}
-
-// TestWALTruncatedTailTolerated simulates a crash mid-append: the torn
-// final record must be dropped by both Replay and OpenWALFS, and the log
-// must stay appendable.
-func TestWALTruncatedTailTolerated(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "x.fbwl")
-	const dim, oqpDim = 4, 6
-	qs, vs := walRecordsForTest(rand.New(rand.NewSource(2)), 9, dim, oqpDim)
-	w, err := OpenWALFS(nil, path, dim, oqpDim)
+	again, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, w, qs, vs)
+	sameTree(t, "after an append on the reopened log", again, back)
+}
+
+// TestWALTruncatedTailTolerated simulates a crash mid-append: the torn
+// final record must be dropped by both Load and OpenWAL, and the log
+// must stay appendable.
+func TestWALTruncatedTailTolerated(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.fbwl")
+	const dim, oqpDim = 4, 6
+	qs, vs := walRecordsForTest(rand.New(rand.NewSource(2)), 9, dim, oqpDim)
+	tree := newTree(t, dim, oqpDim)
+	w := journaled(t, path, tree, qs, vs)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	before := newTree(t, dim, oqpDim)
+	journaled(t, filepath.Join(t.TempDir(), "ref.fbwl"), before, qs[:len(qs)-1], vs[:len(vs)-1]).Close()
 
 	// Tear the last record in half.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recSize := walRecordSize(dim, oqpDim)
-	torn := data[:len(data)-recSize/2]
+	torn := data[:len(data)-walRecordSize(dim, oqpDim)/2]
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	n, err := ReplayWAL(bytes.NewReader(torn), dim, oqpDim, func(q, v []float64, stamp uint64) error { return nil })
+	loaded, err := Load(bytes.NewReader(torn))
 	if err != nil {
-		t.Fatalf("replay of torn log: %v", err)
+		t.Fatalf("load of torn log: %v", err)
 	}
-	if n != len(qs)-1 {
-		t.Errorf("replayed %d, want %d (torn tail dropped)", n, len(qs)-1)
-	}
+	sameTree(t, "torn tail dropped", loaded, before)
 
-	w2, err := OpenWALFS(nil, path, dim, oqpDim)
+	w2, back, err := OpenWAL(nil, path)
 	if err != nil {
 		t.Fatalf("open of torn log: %v", err)
 	}
@@ -140,141 +130,147 @@ func TestWALTruncatedTailTolerated(t *testing.T) {
 	}
 	// The torn bytes must have been truncated away so the next append
 	// lands on a record boundary.
-	if err := w2.Append(qs[0], vs[0], 50); err != nil {
+	back.SetObserver(w2.Append)
+	if _, err := back.Insert(qs[len(qs)-1], vs[len(vs)-1]); err != nil {
 		t.Fatal(err)
 	}
-	n = 0
-	if _, err := w2.Replay(func(q, v []float64, stamp uint64) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != len(qs) {
-		t.Errorf("after truncate+append replayed %d, want %d", n, len(qs))
-	}
-}
-
-// TestWALCorruptChecksumErrors flips a payload byte of a complete record:
-// replay and open must both fail with ErrCorrupt.
-func TestWALCorruptChecksumErrors(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "x.fbwl")
-	const dim, oqpDim = 2, 3
-	qs, vs := walRecordsForTest(rand.New(rand.NewSource(3)), 5, dim, oqpDim)
-	w, err := OpenWALFS(nil, path, dim, oqpDim)
+	again, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, w, qs, vs)
+	sameTree(t, "after truncate+append", again, tree)
+}
+
+// TestWALCorruptChecksumErrors flips a payload byte of a complete census
+// or journal record: load and open must both fail with ErrCorrupt.
+func TestWALCorruptChecksumErrors(t *testing.T) {
+	dir := t.TempDir()
+	const dim, oqpDim = 2, 3
+	qs, vs := walRecordsForTest(rand.New(rand.NewSource(3)), 5, dim, oqpDim)
+	src := filepath.Join(dir, "src.fbwl")
+	w := journaled(t, src, buildTree(t, dim, oqpDim, 4, 3), qs, vs)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt a byte inside the third record's payload.
-	recSize := walRecordSize(dim, oqpDim)
-	data[walHeaderSize+2*recSize+5] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := ReplayWAL(bytes.NewReader(data), dim, oqpDim, func(q, v []float64, stamp uint64) error { return nil }); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("replay of corrupt log: err = %v, want ErrCorrupt", err)
-	}
-	if _, err := OpenWALFS(nil, path, dim, oqpDim); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("open of corrupt log: err = %v, want ErrCorrupt", err)
+	rec := walRecordSize(dim, oqpDim)
+	census := (len(data) - walHeaderSize - len(qs)*rec) / rec
+	for name, off := range map[string]int{
+		"census record":  walHeaderSize + 1*rec + 5,
+		"journal record": walHeaderSize + (census+2)*rec + 5,
+	} {
+		bad := append([]byte(nil), data...)
+		bad[off] ^= 0xff
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".fbwl")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: load err = %v, want ErrCorrupt", name, err)
+		}
+		if _, _, err := OpenWAL(nil, path); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: open err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 
 func TestWALHeaderValidation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.fbwl")
-	w, err := OpenWALFS(nil, path, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Dimension mismatch must be rejected.
-	if _, err := OpenWALFS(nil, path, 4, 4); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("dim mismatch: err = %v, want ErrCorrupt", err)
-	}
-	// Bad magic must be rejected.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[0] = 'X'
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenWALFS(nil, path, 3, 4); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("bad magic: err = %v, want ErrCorrupt", err)
-	}
-	// Append dimension validation.
-	w2, err := OpenWALFS(nil, filepath.Join(dir, "y.fbwl"), 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	if err := w2.Append([]float64{1, 2}, []float64{1, 2, 3, 4}, 1); err == nil {
-		t.Error("short point accepted")
-	}
-	if err := w2.Append([]float64{1, 2, 3}, []float64{1}, 1); err == nil {
-		t.Error("short value accepted")
-	}
-}
-
-func TestWALReset(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "x.fbwl")
-	const dim, oqpDim = 3, 3
-	qs, vs := walRecordsForTest(rand.New(rand.NewSource(4)), 6, dim, oqpDim)
-	w, err := OpenWALFS(nil, path, dim, oqpDim)
+	w, err := CreateWAL(nil, path, newTree(t, 3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	appendAll(t, w, qs, vs)
-	if err := w.Reset(7); err != nil {
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resum := func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[52:], crc32.ChecksumIEEE(b[:52]))
+		return b
+	}
+	for name, mutate := range map[string]func([]byte) []byte{
+		"bad magic":       func(b []byte) []byte { b[0] = 'X'; return b },
+		"header checksum": func(b []byte) []byte { b[20] ^= 1; return b },
+		"zero dim":        func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 0); return resum(b) },
+		"implausible N":   func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 1<<30); return resum(b) },
+		"fewer than corners": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[48:], 2)
+			return resum(b)[:walHeaderSize+2*walRecordSize(3, 4)]
+		},
+		"census past the file": func(b []byte) []byte { binary.LittleEndian.PutUint32(b[48:], 9); return resum(b) },
+		"negative tol":         func(b []byte) []byte { binary.LittleEndian.PutUint64(b[24:], math.Float64bits(-1)); return resum(b) },
+	} {
+		bad := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".fbwl")
+		if err := os.WriteFile(bad, mutate(append([]byte(nil), good...)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := OpenWAL(nil, bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	// Append and Reset validate dimensions.
+	if err := w.Append([]float64{0.1, 0.2}, []float64{1, 2, 3, 4}, 1); err == nil {
+		t.Error("short point accepted")
+	}
+	if err := w.Append([]float64{0.1, 0.2, 0.3}, []float64{1}, 1); err == nil {
+		t.Error("short value accepted")
+	}
+	if err := w.Reset(newTree(t, 3, 5)); err == nil {
+		t.Error("reset with a tree of another shape accepted")
+	}
+}
+
+// TestWALReset: a reset commits a fresh log holding the tree's census
+// and an empty journal, leaves no temporary file, and the log keeps
+// working across appends and reopens.
+func TestWALReset(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x.fbwl")
+	const dim, oqpDim = 3, 3
+	tree := newTree(t, dim, oqpDim)
+	qs, vs := walRecordsForTest(rand.New(rand.NewSource(4)), 6, dim, oqpDim)
+	w := journaled(t, path, tree, qs, vs)
+	defer w.Close()
+	if err := w.Reset(tree); err != nil {
 		t.Fatal(err)
 	}
 	if w.Records() != 0 {
 		t.Errorf("records after reset = %d, want 0", w.Records())
 	}
-	if w.Epoch() != 7 {
-		t.Errorf("epoch after reset = %d, want 7", w.Epoch())
+	census := int64(walHeaderSize + tree.Stats().DistinctVertices*walRecordSize(dim, oqpDim))
+	if info, err := os.Stat(path); err != nil || info.Size() != census || w.Size() != census {
+		t.Errorf("after reset: file %v (%v), Size %d, want the %d-byte census alone", info.Size(), err, w.Size(), census)
 	}
-	n := 0
-	if _, err := w.Replay(func(q, v []float64, stamp uint64) error { n++; return nil }); err != nil {
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("directory holds %d files after reset, want the log alone", len(entries))
+	}
+	back, err := LoadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 {
-		t.Errorf("replayed %d after reset, want 0", n)
-	}
-	// The log keeps working after a reset.
-	if err := w.Append(qs[0], vs[0], 9); err != nil {
+	sameTree(t, "census after reset", back, tree)
+	// The log keeps working after a reset, and a reopen finds the journal.
+	tree.SetObserver(w.Append)
+	if _, err := tree.Insert(simplexPoint(rand.New(rand.NewSource(6)), dim), vs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if w.Records() != 1 {
 		t.Errorf("records = %d, want 1", w.Records())
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The epoch survives a reopen.
-	w2, err := OpenWALFS(nil, path, dim, oqpDim)
+	w2, again, err := OpenWAL(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if w2.Epoch() != 7 {
-		t.Errorf("reopened epoch = %d, want 7", w2.Epoch())
-	}
 	if w2.Records() != 1 {
 		t.Errorf("reopened records = %d, want 1", w2.Records())
 	}
+	sameTree(t, "reopened after reset", again, tree)
 }
 
 // writeV1WAL builds a legacy version-1 log image by hand: 16-byte header
@@ -303,102 +299,85 @@ func writeV1WAL(t testing.TB, path string, qs, vs [][]float64) {
 	}
 }
 
-// TestWALV1Refused: a well-formed version-1 log is refused by open and
-// by replay with ErrCorrupt naming the version, and the file is left as
-// it was — a refused log is never "repaired" into an empty one.
+// TestWALV1Refused: well-formed logs of versions 1 and 2 are refused by
+// open and by load with ErrCorrupt naming the version, and the file is
+// left as it was — a refused log is never "repaired" into an empty one.
 func TestWALV1Refused(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.fbwl")
+	dir := t.TempDir()
 	const dim, oqpDim = 3, 4
 	qs, vs := walRecordsForTest(rand.New(rand.NewSource(8)), 5, dim, oqpDim)
-	writeV1WAL(t, path, qs, vs)
-	before, err := os.ReadFile(path)
-	if err != nil {
+	v1 := filepath.Join(dir, "v1.fbwl")
+	writeV1WAL(t, v1, qs, vs)
+	v2 := filepath.Join(dir, "v2.fbwl")
+	if err := os.WriteFile(v2, walV2Image(qs, vs), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	_, err = OpenWALFS(nil, path, dim, oqpDim)
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported WAL version 1") {
-		t.Errorf("open of v1 log: err = %v, want ErrCorrupt: unsupported WAL version 1", err)
-	}
-	_, err = ReplayWAL(bytes.NewReader(before), dim, oqpDim, func(q, v []float64, stamp uint64) error {
-		t.Error("v1 record replayed")
-		return nil
-	})
-	if !errors.Is(err, ErrCorrupt) {
-		t.Errorf("replay of v1 log: err = %v, want ErrCorrupt", err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Error("refused v1 log was modified on disk")
-	}
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	for version, path := range map[int]string{1: v1, 2: v2} {
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "unsupported WAL version " + string(rune('0'+version))
+		if _, _, err := OpenWAL(nil, path); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("open of v%d log: err = %v, want ErrCorrupt: %s", version, err, want)
+		}
+		if _, err := Load(bytes.NewReader(before)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("load of v%d log: err = %v, want ErrCorrupt", version, err)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Errorf("refused v%d log was modified on disk", version)
 		}
 	}
-	return true
 }
 
-// TestWALTornHeaderRecovered covers a crash during header creation (or
-// mid-Reset): a file shorter than the header holds no records, so
-// reopening must rewrite the header instead of reporting corruption.
+// TestWALTornHeaderRecovered covers a crash while a log's header was
+// being written. A log is published only by a rename, so a torn header
+// can sit only in the temporary file: opening removes it and recovers
+// the log it was about to replace, or reports no log when a fresh
+// module's first commit died.
 func TestWALTornHeaderRecovered(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.fbwl")
-	// A valid header, for tearing inside the epoch field.
-	full, err := OpenWALFS(nil, path, 3, 4)
+	tree := buildTree(t, 3, 4, 5, 11)
+	w, err := CreateWAL(nil, path, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := full.Close(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	validHdr, err := os.ReadFile(path)
+	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, size := range []int{1, 7, walHeaderPrefix - 1, walHeaderPrefix, walHeaderSize - 1} {
-		if size < walHeaderPrefix {
-			// Below the fixed prefix any content recovers; use zeros.
-			if err := os.WriteFile(path, make([]byte, size), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			// At or past the fixed prefix the magic/version must be intact
-			// (zeros there are corruption, not a torn header): tear a valid
-			// header before its epoch field completes.
-			if err := os.WriteFile(path, validHdr[:size], 0o644); err != nil {
-				t.Fatal(err)
-			}
+	for _, size := range []int{0, 1, 7, walHeaderSize - 1, walHeaderSize + 3} {
+		if err := os.WriteFile(path+".tmp", img[:size], 0o644); err != nil {
+			t.Fatal(err)
 		}
-		w, err := OpenWALFS(nil, path, 3, 4)
+		w, back, err := OpenWAL(nil, path)
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}
-		if w.Records() != 0 {
-			t.Errorf("size %d: records = %d, want 0", size, w.Records())
-		}
-		if err := w.Append(make([]float64, 3), make([]float64, 4), 1); err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		if _, err := w.Replay(func(q, v []float64, stamp uint64) error { n++; return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if n != 1 {
-			t.Errorf("size %d: replayed %d, want 1", size, n)
-		}
+		sameTree(t, "beside a torn temporary file", back, tree)
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("size %d: the torn temporary file survived the open: %v", size, err)
+		}
+	}
+	fresh := filepath.Join(dir, "fresh.fbwl")
+	if err := os.WriteFile(fresh+".tmp", img[:9], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenWAL(nil, fresh); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a torn first commit: err = %v, want os.ErrNotExist", err)
+	}
+	if _, err := os.Stat(fresh + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the torn first commit survived the open: %v", err)
 	}
 }

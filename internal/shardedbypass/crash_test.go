@@ -2,7 +2,9 @@ package shardedbypass
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -105,9 +107,9 @@ func TestMultiShardKillRecovery(t *testing.T) {
 }
 
 // TestTornShardCompaction covers a crash inside shard k's compaction,
-// between the snapshot rename and the journal truncation: shard k then
-// holds a snapshot that already contains its journal's records, and
-// recovery must replay them idempotently while every other shard is
+// before its commit's rename: shard k then holds its intact log beside a
+// temporary file with the new census, torn or whole. Recovery must read
+// the log, drop the temporary file, and leave every other shard
 // untouched.
 func TestTornShardCompaction(t *testing.T) {
 	const d, p, shards = 3, 3, 4
@@ -135,8 +137,9 @@ func TestTornShardCompaction(t *testing.T) {
 	}
 	wantStats := sh.Stats()
 
-	// Pick a shard that actually holds points and simulate its torn
-	// compaction: write the snapshot, leave the journal as-is.
+	// Pick a shard that actually holds points and leave the temporary
+	// file of its cut-short compaction: the census it was committing,
+	// torn in half.
 	infos := sh.ShardInfos()
 	torn := -1
 	for i, info := range infos {
@@ -149,7 +152,15 @@ func TestTornShardCompaction(t *testing.T) {
 		t.Fatal("no shard received an insert")
 	}
 	victim := sh.shards[torn].durable
-	if err := persist.SaveFile(filepath.Join(shardDir(dir, torn, false), "tree.fbsx"), victim.Tree()); err != nil {
+	tmp := filepath.Join(shardDir(dir, torn, false), core.JournalFile+".tmp")
+	if err := persist.SaveFile(tmp, victim.Tree()); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tmp, img[:len(img)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Crash (no Close) and recover.
@@ -160,7 +171,7 @@ func TestTornShardCompaction(t *testing.T) {
 	}
 	defer recovered.Close()
 	if got := recovered.Stats(); got != wantStats {
-		t.Errorf("double-replay changed the module: %+v, want %+v", got, wantStats)
+		t.Errorf("recovery beside a torn commit changed the module: %+v, want %+v", got, wantStats)
 	}
 	for i, q := range qs {
 		got, err := recovered.Predict(q)
@@ -168,5 +179,40 @@ func TestTornShardCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		samePrediction(t, "torn-compaction", got, want[i])
+	}
+	onlyLogs(t, "after recovery", dir, shards, false)
+}
+
+// TestRetiredSnapshotDirRefused: a module directory holding a snapshot
+// of the retired two-file format, at the root or in a shard, is refused
+// with an error naming the file instead of opening as an empty module.
+func TestRetiredSnapshotDirRefused(t *testing.T) {
+	const d, p = 3, 3
+	root := t.TempDir()
+	sharded := t.TempDir()
+	sh, err := Open(sharded, d, p, core.Config{}, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, old := range []string{
+		filepath.Join(root, core.SnapshotFile),
+		filepath.Join(shardDir(sharded, 1, false), core.SnapshotFile),
+	} {
+		if err := os.WriteFile(old, []byte("FBSX"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		module := filepath.Dir(old)
+		if module != root {
+			module = sharded
+		}
+		if !HoldsModule(persist.OSFS, module) {
+			t.Errorf("%s: HoldsModule = false", module)
+		}
+		if _, err := Open(module, d, p, core.Config{}, Options{}); err == nil || !strings.Contains(err.Error(), old) {
+			t.Errorf("err = %v, want a refusal naming %s", err, old)
+		}
 	}
 }

@@ -47,6 +47,39 @@ func vertexKey(v *simplextree.Vertex) string {
 	return string(buf)
 }
 
+// onlyLogs fails unless every shard directory of the module at dir holds
+// the shard's log alone and the module root holds nothing else of the
+// layout: the manifest and the shard directories, or, in a root-layout
+// module, the log alone. Recovery removes the temporary file of a
+// commit a crash cut short.
+func onlyLogs(t *testing.T, what, dir string, shards int, rootLayout bool) {
+	t.Helper()
+	want := func(d string, names ...string) {
+		t.Helper()
+		entries, err := os.ReadDir(d)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		var got []string
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		if fmt.Sprint(got) != fmt.Sprint(names) {
+			t.Fatalf("%s: %s holds %v, want %v", what, d, got, names)
+		}
+	}
+	if rootLayout {
+		want(dir, core.JournalFile)
+		return
+	}
+	names := []string{ManifestFile}
+	for i := 0; i < shards; i++ {
+		names = append(names, filepath.Base(shardDir(dir, i, false)))
+		want(shardDir(dir, i, false), core.JournalFile)
+	}
+	want(dir, names...)
+}
+
 // shardedCrashWorkload opens the module at dir through fs with the given
 // shard count and drives a fixed insert schedule. Returns nil when Open
 // itself died at the crash point; insert errors after the crash are
@@ -82,7 +115,8 @@ func shardedCrashWorkload(t *testing.T, dir string, shards int, fs *faultfs.FS) 
 // for it: from *any* reachable crash state, recovery on the real
 // filesystem must reproduce every vertex the crash-time in-memory trees
 // held (write-ahead: the journals never lag the trees), plus at most the
-// one insert in flight at the crash.
+// one insert in flight at the crash, and leave every shard directory
+// holding its log alone.
 func TestCrashScheduleSharded(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -132,6 +166,7 @@ func testCrashScheduleSharded(t *testing.T, shards int) {
 		if err := recovered.Close(); err != nil {
 			t.Fatalf("crash point %d/%d: closing recovered module: %v", n, m, err)
 		}
+		onlyLogs(t, fmt.Sprintf("crash point %d/%d", n, m), dir, shards, false)
 		for k := range want {
 			if !got[k] {
 				t.Fatalf("crash point %d/%d: acknowledged vertex lost in recovery (%d recovered, %d expected)", n, m, len(got), len(want))
@@ -170,9 +205,10 @@ func seedRootModule(t *testing.T, dir string) map[string]bool {
 // TestCrashScheduleRootLayout enumerates every crash point along
 // open → insert → WAL-append → compact for a root-layout module served
 // through this package: whatever the crash state — including every step
-// of the snapshot swap mid-compaction — recovery keeps every vertex that
-// was acknowledged (the seeded ones included), resurrects at most the one
-// insert in flight, and the directory stays a root-layout one.
+// of a compaction's log commit — recovery keeps every vertex that was
+// acknowledged (the seeded ones included), resurrects at most the one
+// insert in flight, and the directory stays a root-layout one holding
+// the log alone.
 func TestCrashScheduleRootLayout(t *testing.T) {
 	const d, p = 3, 2
 
@@ -206,6 +242,7 @@ func TestCrashScheduleRootLayout(t *testing.T) {
 		if err := recovered.Close(); err != nil {
 			t.Fatalf("crash point %d/%d: closing recovered module: %v", n, m, err)
 		}
+		onlyLogs(t, fmt.Sprintf("crash point %d/%d", n, m), dir, 1, true)
 		for k := range want {
 			if !got[k] {
 				t.Fatalf("crash point %d/%d: acknowledged vertex lost in recovery (%d recovered, %d expected)", n, m, len(got), len(want))

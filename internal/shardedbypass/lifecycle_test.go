@@ -139,7 +139,7 @@ func applyShardedLifecycleOp(s *Sharded, op shardedLifecycleOp) error {
 
 // TestCrashScheduleShardedCompaction enumerates every crash point along
 // manifest-write → shard-open → insert → WAL-append → per-shard
-// compaction swap at one shard and at three. The healthy run records the
+// compaction commit at one shard and at three. The healthy run records the
 // union census sequence S[0..len(ops)]; a crashed run with k acked ops
 // must recover between the floor and ceiling of the in-flight op: an
 // insert only adds (S[k] ⊆ got ⊆ S[k+1]); a module-wide compaction only
@@ -234,6 +234,7 @@ func testCrashScheduleShardedCompaction(t *testing.T, shards int) {
 		if err := recovered.Close(); err != nil {
 			t.Fatalf("crash point %d/%d: closing recovered module: %v", n, m, err)
 		}
+		onlyLogs(t, fmt.Sprintf("crash point %d/%d", n, m), dir, shards, false)
 
 		var lo, hi map[string]bool
 		switch {

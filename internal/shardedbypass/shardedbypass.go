@@ -8,8 +8,8 @@
 // layer's generational cache) invalidates every cached prediction in the
 // process. Sharded splits the query domain by the pinned partition
 // function engine.ShardOf (FNV-1a query signature mod S): each shard is a
-// full core.Bypass — its own write mutex, its own snapshot + WAL pair,
-// its own compaction schedule — so inserts to different shards never
+// full core.Bypass — its own write mutex, its own log, its own
+// compaction schedule — so inserts to different shards never
 // contend and an insert invalidates only its own shard's cached
 // predictions. The shard's Bypass owns the whole write path in memory and
 // durable mode alike (Insert with its quota compact-then-retry,
@@ -20,17 +20,18 @@
 // Durable layout: a module directory holds a manifest (persist.Manifest,
 // written once before any shard state exists) and one subdirectory per
 // shard (shard-000/, shard-001/, ...), each an ordinary core.DurableBypass
-// directory. One mapping rule (shardDir) covers the directories that
-// predate the manifest: a root-level snapshot/journal pair with no
-// manifest — what core.OpenDurable writes — is a one-shard module whose
-// shard 0 lives at the module root, opened in place without adding a
-// manifest. Recovery opens every shard in parallel and is deterministic
+// directory holding one file, the shard's log. One mapping rule
+// (shardDir) covers the directories that predate the manifest: a
+// root-level log with no manifest — what core.OpenDurable writes — is a
+// one-shard module whose shard 0 lives at the module root, opened in
+// place without adding a manifest. Recovery opens every shard in parallel and is deterministic
 // per shard because each shard's WAL holds exactly that shard's accepted
 // inserts in application order; cross-shard ordering is not recorded and
 // not needed — the partition function makes shards independent learners.
-// A crash mid-compaction of shard k is shard k's problem alone and is
-// healed by core.DurableBypass's atomic-rename recovery inside that
-// shard's directory. The manifest pins S, D and N: opening with a
+// A crash mid-compaction of shard k is shard k's problem alone: the
+// rename that commits a compaction is atomic, and recovery inside that
+// shard's directory reads the log and drops the cut-short temporary
+// file. The manifest pins S, D and N: opening with a
 // different geometry is refused, so resharding is an explicit migration
 // (drain every shard's WAL through compaction, then re-insert every
 // stored point under the new partition function), never an accident.
@@ -65,7 +66,7 @@ const ManifestFile = "MANIFEST"
 const MaxShards = 1024
 
 // ErrReplaying is wrapped by every operation routed to a shard whose
-// recovery (snapshot load + WAL replay) has not finished yet. It is a
+// recovery (census rebuild + journal replay) has not finished yet. It is a
 // retryable condition, not a failure: serving layers should map it to
 // 503, and WaitReady blocks until it can no longer occur.
 var ErrReplaying = errors.New("shardedbypass: shard is replaying")
@@ -83,7 +84,7 @@ type Options struct {
 	// Obs, when non-nil, registers per-shard instruments (insert
 	// latency histograms, tree-size and WAL-size gauges, the aged-
 	// compaction series) and is propagated into each shard's
-	// DurableOptions for the WAL and snapshot histograms. Every
+	// DurableOptions for the WAL and compaction histograms. Every
 	// instrument carries ObsLabels plus a shard="N" label.
 	Obs *obsv.Registry
 	// ObsLabels are attached to every instrument this module registers
@@ -192,8 +193,10 @@ func shardDir(dir string, i int, rootLayout bool) string {
 }
 
 // HoldsModule reports whether dir holds a bypass module: a manifest, or
-// the snapshot or journal of a module core.OpenDurable wrote at the
-// directory's root.
+// the log of a module core.OpenDurable wrote at the directory's root. A
+// root-level snapshot of the retired two-file format counts too, so
+// opening the directory reaches core.OpenDurable's refusal instead of
+// starting an empty module over the old state.
 func HoldsModule(fsys persist.FS, dir string) bool {
 	for _, name := range []string{ManifestFile, core.SnapshotFile, core.JournalFile} {
 		if _, err := fsys.Stat(filepath.Join(dir, name)); err == nil {
@@ -273,8 +276,8 @@ func Open(dir string, d, p int, cfg core.Config, opts Options) (*Sharded, error)
 }
 
 // OpenAsync opens a durable sharded module and returns as soon as the
-// manifest is settled, with every shard recovering (snapshot load + WAL
-// replay) in its own goroutine. Operations routed to a shard still
+// manifest is settled, with every shard recovering (census rebuild +
+// journal replay) in its own goroutine. Operations routed to a shard still
 // replaying fail with an error wrapping ErrReplaying; WaitReady blocks
 // until every shard is live (or reports the first recovery failure).
 //
@@ -586,8 +589,9 @@ func (s *Sharded) Journaled() int {
 	return total
 }
 
-// Compact snapshots every shard's tree and truncates its journal — the
-// all-shard compaction of a graceful shutdown. Shards compact in
+// Compact commits a fresh log for every shard, its census the shard's
+// tree and its journal empty — the all-shard compaction of a graceful
+// shutdown. Shards compact in
 // parallel; the first error is returned after every shard finished (a
 // failed compaction of shard k must not abort shard j's).
 func (s *Sharded) Compact() error {

@@ -396,7 +396,7 @@ func TestRootLayoutIsOneShard(t *testing.T) {
 		t.Error("the insert did not grow the root-level journal")
 	}
 	for rel := range after {
-		if rel != core.JournalFile && rel != core.SnapshotFile {
+		if rel != core.JournalFile {
 			t.Errorf("unexpected file %s in a root-layout module directory", rel)
 		}
 	}

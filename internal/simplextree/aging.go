@@ -22,8 +22,8 @@ type RebuildStats struct {
 // simplex), and every other vertex survives iff its stamp is within
 // horizon logical ticks of the tree clock. Survivors are re-inserted in
 // creation order with their stamps preserved, so the rebuilt tree's
-// predictions over surviving regions match the source and its WAL/
-// snapshot round-trips carry the same ages. A survivor whose value the
+// predictions over surviving regions match the source and its census
+// round-trips carry the same ages. A survivor whose value the
 // shrunken triangulation already predicts within ε is absorbed — extra
 // reclamation the threshold earns back.
 //

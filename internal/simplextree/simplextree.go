@@ -16,8 +16,8 @@
 // # Concurrency model
 //
 // The tree is split into a read plane and a write plane. The read plane —
-// Predict, PredictInto, PredictNaive, Walk, Stats, Snapshot and the
-// accessors — is pure: it runs under the shared read lock, never mutates
+// Predict, PredictInto, PredictNaive, Walk, Stats, Census, Snapshot and
+// the accessors — is pure: it runs under the shared read lock, never mutates
 // the tree, and reports per-call traversal counts through PredictStats
 // instead of storing them. Every prediction runs on its caller's
 // goroutine, and any number of readers proceed in parallel. The write plane — Insert, InsertStamped, SetObserver,
@@ -237,7 +237,7 @@ func New(domain *geom.Simplex, defaultOQP []float64, opts Options) (*Tree, error
 
 // initDerived builds the state derived from the root simplex: the
 // once-per-tree LU factorization of the root barycentric system and the
-// scratch pool. Called by New and FromSnapshot.
+// scratch pool. Called by New, FromCensus and RebuildAged.
 func (t *Tree) initDerived() error {
 	rootSimplex, err := t.simplexOf(t.root)
 	if err != nil {
@@ -306,7 +306,7 @@ func (t *Tree) AgeHorizon() uint64 {
 
 // SetAgeHorizon installs (or disables, with 0) the aging horizon after
 // construction. Recovery paths use it the way they use SetQuota: a tree
-// rebuilt from a snapshot carries data (stamps, clock) but not policy,
+// rebuilt from a census carries data (stamps, clock) but not policy,
 // which the owning configuration re-applies once the tree is live.
 func (t *Tree) SetAgeHorizon(horizon uint64) {
 	t.mu.Lock()
@@ -546,8 +546,8 @@ func (t *Tree) insertLocked(q, value []float64, stamp uint64) (bool, error) {
 	}
 	// A point (numerically) equal to a vertex cannot split the simplex;
 	// update the vertex value instead. Re-asserting the exact stored
-	// value is a no-op (not observed, not counted): WAL replay of a
-	// record already covered by a snapshot lands here when ε = 0, where
+	// value is a no-op (not observed, not counted): replay of a journal
+	// record the census already covers lands here when ε = 0, where
 	// interpolation rounding defeats the ε skip above, and must leave
 	// the tree untouched for recovery to be idempotent.
 	for j, l := range lam {
@@ -574,6 +574,17 @@ func (t *Tree) insertLocked(q, value []float64, stamp uint64) (bool, error) {
 	if t.maxBytes > 0 && (int64(t.numVerts)+1)*t.perVertexBytes() > t.maxBytes {
 		return false, fmt.Errorf("%w: ~%d bytes stored of %d-byte limit", ErrQuotaExceeded, t.sizeBytesLocked(), t.maxBytes)
 	}
+	if err := t.splitLocked(leaf, lam, q, value, stamp); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// splitLocked stores q as a new vertex that splits leaf into up to D+1
+// children around it; lam is q's barycentric coordinates in leaf. The
+// observer hears of the split before the tree changes, and an observer
+// error leaves the tree unchanged.
+func (t *Tree) splitLocked(leaf *node, lam, q, value []float64, stamp uint64) error {
 	newVert := &Vertex{Point: vec.Clone(q), Value: vec.Clone(value), id: t.numVerts}
 	var children []*node
 	var replaced []int
@@ -591,10 +602,10 @@ func (t *Tree) insertLocked(q, value []float64, stamp uint64) (bool, error) {
 		// q is effectively a vertex (all mass on one coordinate); the
 		// loop above should have caught it, but guard against tolerance
 		// corner cases.
-		return false, fmt.Errorf("simplextree: split of %v produced %d children", q, len(children))
+		return fmt.Errorf("simplextree: split of %v produced %d children", q, len(children))
 	}
 	if err := t.notifyObserver(q, value, stamp); err != nil {
-		return false, err
+		return err
 	}
 	// The split's mu must outlive the scratch buffers lam aliases.
 	leaf.split = newVert
@@ -605,13 +616,13 @@ func (t *Tree) insertLocked(q, value []float64, stamp uint64) (bool, error) {
 	t.numVerts++
 	t.numPoints++
 	t.numLeaves += len(children) - 1
-	return true, nil
+	return nil
 }
 
 // stampVertex records an accepted insert's logical time on its vertex
 // and advances the clock to cover it. Replaying an old record (stamp ≤
 // clock) never rewinds the clock, and a vertex's stamp never moves
-// backwards, so replay after a partial snapshot stays idempotent.
+// backwards, so replaying a record twice stays idempotent.
 func (t *Tree) stampVertex(v *Vertex, stamp uint64) {
 	if stamp > v.stamp.Load() {
 		v.stamp.Store(stamp)

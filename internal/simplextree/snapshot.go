@@ -3,15 +3,18 @@ package simplextree
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/vec"
 )
 
-// Snapshot is a structural dump of a Simplex Tree suitable for
-// serialization: vertices are deduplicated into a table and nodes
-// reference them by index. Package persist encodes snapshots in a
-// versioned binary format.
-type Snapshot struct {
+// Census is a tree written as the sequence it grows from: its thresholds
+// and counters, and every vertex in creation order, the D+1 domain
+// corners first. A split depends only on the points stored before it
+// (§4.2), so re-inserting the vertices in this order rebuilds the same
+// triangulation; package persist writes a census at the head of every
+// log file.
+type Census struct {
 	Dim     int
 	OQPDim  int
 	Epsilon float64
@@ -19,15 +22,14 @@ type Snapshot struct {
 	Points  int // stored-point counter (Stats().Points)
 	// Clock is the logical time of the lifecycle plane: the number of
 	// accepted inserts over the tree's whole history (it survives
-	// snapshots and replay); 0 for a tree that has accepted no insert.
+	// compaction and replay); 0 for a tree that has accepted no insert.
 	Clock uint64
 
-	Vertices []SnapshotVertex
-	Root     *SnapshotNode
+	Vertices []CensusVertex // creation order; index = vertex id
 }
 
-// SnapshotVertex is a vertex row of the snapshot table.
-type SnapshotVertex struct {
+// CensusVertex is one vertex of a census.
+type CensusVertex struct {
 	Point []float64
 	Value []float64
 	// Stamp is the vertex's last-reinforcement logical time (0 for a
@@ -35,50 +37,60 @@ type SnapshotVertex struct {
 	Stamp uint64
 }
 
+// Snapshot is a structural dump of a Simplex Tree: its census, plus every
+// node referencing the census vertices by index. Two trees with equal
+// snapshots have the same triangulation, values, stamps and counters;
+// the tests use it as the oracle of exact recovery.
+type Snapshot struct {
+	Census
+	Root *SnapshotNode
+}
+
 // SnapshotNode mirrors one tree node with vertex-table references.
 type SnapshotNode struct {
-	Verts    []int32 // D+1 indices into Snapshot.Vertices
+	Verts    []int32 // D+1 indices into Census.Vertices
 	Split    int32   // index of the split vertex; -1 for leaves
 	Mu       []float64
 	Replaced []int32
 	Children []*SnapshotNode
 }
 
+// Census captures the tree's vertices and counters (copies, so the result
+// stays valid while the tree keeps changing).
+func (t *Tree) Census() *Census {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.censusLocked()
+}
+
+func (t *Tree) censusLocked() *Census {
+	c := &Census{
+		Dim:      t.dim,
+		OQPDim:   t.oqpDim,
+		Epsilon:  t.epsilon,
+		Tol:      t.tol,
+		Points:   t.numPoints,
+		Clock:    t.clock,
+		Vertices: make([]CensusVertex, t.numVerts),
+	}
+	t.walkLocked(func(v *Vertex) {
+		c.Vertices[v.id] = CensusVertex{Point: vec.Clone(v.Point), Value: vec.Clone(v.Value), Stamp: v.stamp.Load()}
+	})
+	return c
+}
+
 // Snapshot captures the tree's full structure.
 func (t *Tree) Snapshot() *Snapshot {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	s := &Snapshot{
-		Dim:     t.dim,
-		OQPDim:  t.oqpDim,
-		Epsilon: t.epsilon,
-		Tol:     t.tol,
-		Points:  t.numPoints,
-		Clock:   t.clock,
-	}
-	index := make(map[*Vertex]int32)
-	var vertexID func(v *Vertex) int32
-	vertexID = func(v *Vertex) int32 {
-		if id, ok := index[v]; ok {
-			return id
-		}
-		id := int32(len(s.Vertices))
-		index[v] = id
-		s.Vertices = append(s.Vertices, SnapshotVertex{
-			Point: vec.Clone(v.Point),
-			Value: vec.Clone(v.Value),
-			Stamp: v.stamp.Load(),
-		})
-		return id
-	}
 	var dump func(n *node) *SnapshotNode
 	dump = func(n *node) *SnapshotNode {
 		sn := &SnapshotNode{Split: -1}
 		for _, v := range n.verts {
-			sn.Verts = append(sn.Verts, vertexID(v))
+			sn.Verts = append(sn.Verts, v.id)
 		}
 		if !n.leaf() {
-			sn.Split = vertexID(n.split)
+			sn.Split = n.split.id
 			sn.Mu = vec.Clone(n.mu)
 			for i, c := range n.children {
 				sn.Replaced = append(sn.Replaced, int32(n.replaced[i]))
@@ -87,133 +99,79 @@ func (t *Tree) Snapshot() *Snapshot {
 		}
 		return sn
 	}
-	s.Root = dump(t.root)
-	return s
+	return &Snapshot{Census: *t.censusLocked(), Root: dump(t.root)}
 }
 
-// FromSnapshot reconstructs a tree, validating structural integrity: index
-// bounds, dimension consistency, child/replaced parity, and that children
-// reference their parent's vertices correctly.
-func FromSnapshot(s *Snapshot) (*Tree, error) {
-	if s == nil || s.Root == nil {
-		return nil, errors.New("simplextree: nil snapshot")
+// FromCensus rebuilds the tree a census describes: the D+1 corners span
+// the root simplex, and every later vertex splits the leaf it falls in.
+// Those splits skip the ε test and the quota — they are the tree's
+// vertices, not feedback outcomes — so the triangulation comes back
+// exactly. The rebuilt tree has no quota, aging horizon or observer;
+// its owner applies them.
+func FromCensus(c *Census) (*Tree, error) {
+	if c == nil {
+		return nil, errors.New("simplextree: nil census")
 	}
-	if s.Dim <= 0 || s.OQPDim <= 0 {
-		return nil, fmt.Errorf("simplextree: invalid snapshot dims D=%d N=%d", s.Dim, s.OQPDim)
+	if c.Dim <= 0 || c.OQPDim <= 0 {
+		return nil, fmt.Errorf("simplextree: invalid census dims D=%d N=%d", c.Dim, c.OQPDim)
 	}
-	if s.Epsilon < 0 || s.Tol <= 0 {
-		return nil, fmt.Errorf("simplextree: invalid snapshot thresholds ε=%v tol=%v", s.Epsilon, s.Tol)
+	if !(c.Epsilon >= 0) || math.IsInf(c.Epsilon, 1) || !(c.Tol > 0) || math.IsInf(c.Tol, 1) {
+		return nil, fmt.Errorf("simplextree: invalid census thresholds ε=%v tol=%v", c.Epsilon, c.Tol)
 	}
-	if s.Points < 0 {
-		return nil, fmt.Errorf("simplextree: negative point count %d", s.Points)
+	if c.Points < 0 {
+		return nil, fmt.Errorf("simplextree: negative point count %d", c.Points)
 	}
-	verts := make([]*Vertex, len(s.Vertices))
-	for i, sv := range s.Vertices {
-		if len(sv.Point) != s.Dim {
-			return nil, fmt.Errorf("simplextree: vertex %d point has dimension %d, want %d", i, len(sv.Point), s.Dim)
-		}
-		if len(sv.Value) != s.OQPDim {
-			return nil, fmt.Errorf("simplextree: vertex %d value has dimension %d, want %d", i, len(sv.Value), s.OQPDim)
-		}
-		if !vec.IsFinite(sv.Point) || !vec.IsFinite(sv.Value) {
-			return nil, fmt.Errorf("simplextree: vertex %d contains non-finite values", i)
-		}
-		v := &Vertex{Point: vec.Clone(sv.Point), Value: vec.Clone(sv.Value), id: int32(i)}
-		v.stamp.Store(sv.Stamp)
-		verts[i] = v
+	if len(c.Vertices) < c.Dim+1 {
+		return nil, fmt.Errorf("simplextree: census holds %d vertices, fewer than the %d domain corners", len(c.Vertices), c.Dim+1)
 	}
-	lookupVert := func(id int32) (*Vertex, error) {
-		if id < 0 || int(id) >= len(verts) {
-			return nil, fmt.Errorf("simplextree: vertex index %d out of range [0,%d)", id, len(verts))
+	for i, v := range c.Vertices {
+		if len(v.Point) != c.Dim || len(v.Value) != c.OQPDim {
+			return nil, fmt.Errorf("simplextree: census vertex %d has dimensions %d/%d, want %d/%d", i, len(v.Point), len(v.Value), c.Dim, c.OQPDim)
 		}
-		return verts[id], nil
+		if !vec.IsFinite(v.Point) || !vec.IsFinite(v.Value) {
+			return nil, fmt.Errorf("simplextree: census vertex %d contains non-finite values", i)
+		}
 	}
-	leaves := 0
-	var build func(sn *SnapshotNode) (*node, error)
-	build = func(sn *SnapshotNode) (*node, error) {
-		if len(sn.Verts) != s.Dim+1 {
-			return nil, fmt.Errorf("simplextree: node has %d vertices, want %d", len(sn.Verts), s.Dim+1)
-		}
-		n := &node{}
-		for _, id := range sn.Verts {
-			v, err := lookupVert(id)
-			if err != nil {
-				return nil, err
-			}
-			n.verts = append(n.verts, v)
-		}
-		if len(sn.Children) == 0 {
-			if sn.Split != -1 || len(sn.Mu) != 0 || len(sn.Replaced) != 0 {
-				return nil, errors.New("simplextree: leaf node carries split metadata")
-			}
-			leaves++
-			return n, nil
-		}
-		if len(sn.Children) != len(sn.Replaced) {
-			return nil, fmt.Errorf("simplextree: %d children but %d replaced entries", len(sn.Children), len(sn.Replaced))
-		}
-		if len(sn.Children) < 2 {
-			return nil, fmt.Errorf("simplextree: inner node with %d children", len(sn.Children))
-		}
-		if len(sn.Mu) != s.Dim+1 {
-			return nil, fmt.Errorf("simplextree: split coordinates have length %d, want %d", len(sn.Mu), s.Dim+1)
-		}
-		split, err := lookupVert(sn.Split)
-		if err != nil {
-			return nil, err
-		}
-		n.split = split
-		n.mu = vec.Clone(sn.Mu)
-		for i, sc := range sn.Children {
-			h := int(sn.Replaced[i])
-			if h < 0 || h > s.Dim {
-				return nil, fmt.Errorf("simplextree: replaced index %d out of range", h)
-			}
-			child, err := build(sc)
-			if err != nil {
-				return nil, err
-			}
-			// Structural consistency: the child must equal the parent with
-			// vertex h swapped for the split vertex.
-			if child.verts[h] != split {
-				return nil, fmt.Errorf("simplextree: child %d does not reference the split vertex at position %d", i, h)
-			}
-			for j := range child.verts {
-				if j != h && child.verts[j] != n.verts[j] {
-					return nil, fmt.Errorf("simplextree: child %d vertex %d does not match parent", i, j)
-				}
-			}
-			n.children = append(n.children, child)
-			n.replaced = append(n.replaced, h)
-		}
-		return n, nil
-	}
-	root, err := build(s.Root)
-	if err != nil {
-		return nil, err
-	}
-	clock := s.Clock
-	for _, v := range verts {
-		// A hand-assembled snapshot may carry a clock behind its stamps;
-		// the clock must cover every stamp for aging arithmetic to stay
-		// monotone.
-		if st := v.stamp.Load(); st > clock {
-			clock = st
-		}
+	corners := make([]*Vertex, c.Dim+1)
+	clock := c.Clock
+	for i, v := range c.Vertices[:c.Dim+1] {
+		corners[i] = &Vertex{Point: vec.Clone(v.Point), Value: vec.Clone(v.Value), id: int32(i)}
+		corners[i].stamp.Store(v.Stamp)
+		clock = max(clock, v.Stamp) // the clock covers every stamp; splits below advance it too
 	}
 	t := &Tree{
-		dim:       s.Dim,
-		oqpDim:    s.OQPDim,
-		epsilon:   s.Epsilon,
-		tol:       s.Tol,
-		root:      root,
-		numPoints: s.Points,
-		numLeaves: leaves,
-		numVerts:  int32(len(verts)),
+		dim:       c.Dim,
+		oqpDim:    c.OQPDim,
+		epsilon:   c.Epsilon,
+		tol:       c.Tol,
+		root:      &node{verts: corners},
+		numLeaves: 1,
+		numVerts:  int32(len(corners)),
 		clock:     clock,
 	}
 	if err := t.initDerived(); err != nil {
-		return nil, fmt.Errorf("simplextree: snapshot root simplex is degenerate: %w", err)
+		return nil, fmt.Errorf("simplextree: census corners are degenerate: %w", err)
 	}
+	sc := t.scratch.Get().(*scratch)
+	defer t.scratch.Put(sc)
+	for i := c.Dim + 1; i < len(c.Vertices); i++ {
+		v := c.Vertices[i]
+		leaf, lam, _, err := t.lookup(v.Point, sc)
+		if err == nil {
+			for _, l := range lam {
+				if l >= 1-t.tol {
+					err = errors.New("it coincides with an earlier vertex")
+				}
+			}
+		}
+		if err == nil {
+			// t is private to this call, so no lock is needed.
+			err = t.splitLocked(leaf, lam, v.Point, v.Value, v.Stamp)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("simplextree: census vertex %d: %w", i, err)
+		}
+	}
+	t.numPoints = c.Points
 	return t, nil
 }

@@ -1,93 +1,132 @@
 package simplextree
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/vec"
 )
 
+// TestSnapshotRoundTrip: a tree rebuilt from its census is Snapshot-equal
+// to the original — triangulation, split coordinates, values, stamps,
+// clock and point counter — with vertex updates and an aged rebuild in
+// its history, and it predicts the same bits. The "absorbable" tree holds
+// a vertex that a replay running the ε test would drop: B was stored
+// while its neighbour A held 10, and A's later update to 20 makes the
+// interpolation at B equal B's own value.
 func TestSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	tr := newTestTree(t, 3, vec.Zeros(5), 0.01)
-	for i := 0; i < 25; i++ {
+	var pts [][]float64
+	for i := 0; i < 40; i++ {
+		q := randomInterior(rng, 3)
+		if i%7 == 6 {
+			q = pts[rng.Intn(len(pts))] // a value update of a stored vertex
+		}
 		v := make([]float64, 5)
 		for j := range v {
 			v[j] = rng.NormFloat64()
 		}
-		if _, err := tr.Insert(randomInterior(rng, 3), v); err != nil {
+		if _, err := tr.Insert(q, v); err != nil {
 			t.Fatal(err)
 		}
+		pts = append(pts, q)
 	}
-	snap := tr.Snapshot()
-	if snap.Dim != 3 || snap.OQPDim != 5 || snap.Epsilon != 0.01 {
-		t.Errorf("snapshot header: %+v", snap)
-	}
-	if snap.Points != tr.Stats().Points {
-		t.Errorf("snapshot points = %d, want %d", snap.Points, tr.Stats().Points)
-	}
-	back, err := FromSnapshot(snap)
+	aged, _, err := tr.RebuildAged(20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Stats().Points != tr.Stats().Points || back.Stats().Leaves != tr.Stats().Leaves || back.Stats().Depth != tr.Stats().Depth {
-		t.Error("shape mismatch after snapshot round trip")
+	absorbable := newTestTree(t, 2, []float64{0}, 0.5)
+	pA, pB := []float64{0.25, 0.25}, []float64{0.3, 0.2}
+	unit := newTestTree(t, 2, []float64{0}, 0)
+	if _, err := unit.Insert(pA, []float64{1}); err != nil {
+		t.Fatal(err)
 	}
-	for trial := 0; trial < 30; trial++ {
-		q := randomInterior(rng, 3)
-		want, err1 := tr.Predict(q)
-		got, err2 := back.Predict(q)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("error mismatch: %v vs %v", err1, err2)
+	lamA, err := unit.Predict(pB) // A's barycentric weight at B
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range []struct {
+		q []float64
+		v float64
+	}{{pA, 10}, {pB, 20 * lamA[0]}, {pA, 20}} {
+		if changed, err := absorbable.Insert(in.q, []float64{in.v}); err != nil || !changed {
+			t.Fatalf("absorbable insert %d: changed=%v err=%v", i, changed, err)
 		}
-		if err1 == nil && !vec.EqualTol(got, want, 1e-12) {
-			t.Fatalf("prediction mismatch: %v vs %v", got, want)
+	}
+	for name, src := range map[string]*Tree{"grown": tr, "aged": aged, "absorbable": absorbable} {
+		snap := src.Snapshot()
+		if snap.Dim != src.Dim() || snap.OQPDim != src.OQPDim() || snap.Epsilon != src.Epsilon() || snap.Points != src.Stats().Points || snap.Clock == 0 {
+			t.Errorf("%s: snapshot header: %+v", name, snap.Census)
+		}
+		back, err := FromCensus(src.Census())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(back.Snapshot(), snap) {
+			t.Fatalf("%s: the tree rebuilt from its census is not Snapshot-equal to it", name)
+		}
+		if back.Stats() != src.Stats() {
+			t.Errorf("%s: stats %+v, want %+v", name, back.Stats(), src.Stats())
+		}
+		for trial := 0; trial < 30; trial++ {
+			q := randomInterior(rng, src.Dim())
+			want, err1 := src.Predict(q)
+			got, err2 := back.Predict(q)
+			if err1 != nil || err2 != nil {
+				t.Fatal(err1, err2)
+			}
+			if !vec.Equal(got, want) {
+				t.Fatalf("%s: prediction %v, want %v", name, got, want)
+			}
 		}
 	}
 }
 
-func TestFromSnapshotValidation(t *testing.T) {
+// TestFromCensusValidation: a census that cannot describe a tree is
+// refused with an error, never a panic or a half-built tree.
+func TestFromCensusValidation(t *testing.T) {
 	tr := newTestTree(t, 2, []float64{1}, 0)
-	if _, err := tr.Insert([]float64{0.3, 0.3}, []float64{2}); err != nil {
-		t.Fatal(err)
+	for _, q := range [][]float64{{0.3, 0.3}, {0.1, 0.2}} {
+		if _, err := tr.Insert(q, []float64{2}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	base := tr.Snapshot()
-
 	cases := []struct {
 		name   string
-		mutate func(*Snapshot)
+		mutate func(*Census)
 	}{
-		{"zero dim", func(s *Snapshot) { s.Dim = 0 }},
-		{"zero oqp dim", func(s *Snapshot) { s.OQPDim = 0 }},
-		{"negative epsilon", func(s *Snapshot) { s.Epsilon = -1 }},
-		{"zero tol", func(s *Snapshot) { s.Tol = 0 }},
-		{"negative points", func(s *Snapshot) { s.Points = -1 }},
-		{"nil root", func(s *Snapshot) { s.Root = nil }},
-		{"bad vertex point dim", func(s *Snapshot) { s.Vertices[0].Point = []float64{1} }},
-		{"bad vertex value dim", func(s *Snapshot) { s.Vertices[0].Value = []float64{1, 2} }},
-		{"vertex index out of range", func(s *Snapshot) { s.Root.Verts[0] = 99 }},
-		{"wrong vertex count", func(s *Snapshot) { s.Root.Verts = s.Root.Verts[:1] }},
-		{"leaf with split", func(s *Snapshot) { s.Root.Children[0].Split = 0 }},
-		{"child/replaced mismatch", func(s *Snapshot) { s.Root.Replaced = s.Root.Replaced[:1] }},
-		{"single child", func(s *Snapshot) {
-			s.Root.Children = s.Root.Children[:1]
-			s.Root.Replaced = s.Root.Replaced[:1]
-		}},
-		{"bad mu length", func(s *Snapshot) { s.Root.Mu = s.Root.Mu[:1] }},
-		{"replaced out of range", func(s *Snapshot) { s.Root.Replaced[0] = 7 }},
+		{"zero dim", func(c *Census) { c.Dim = 0 }},
+		{"zero oqp dim", func(c *Census) { c.OQPDim = 0 }},
+		{"negative epsilon", func(c *Census) { c.Epsilon = -1 }},
+		{"NaN epsilon", func(c *Census) { c.Epsilon = math.NaN() }},
+		{"zero tol", func(c *Census) { c.Tol = 0 }},
+		{"infinite tol", func(c *Census) { c.Tol = math.Inf(1) }},
+		{"negative points", func(c *Census) { c.Points = -1 }},
+		{"wrong vertex count", func(c *Census) { c.Vertices = c.Vertices[:2] }},
+		{"bad vertex point dim", func(c *Census) { c.Vertices[0].Point = []float64{1} }},
+		{"bad vertex value dim", func(c *Census) { c.Vertices[4].Value = []float64{1, 2} }},
+		{"non-finite value", func(c *Census) { c.Vertices[3].Value[0] = math.Inf(-1) }},
+		{"degenerate corners", func(c *Census) { c.Vertices[2].Point = vec.Clone(c.Vertices[1].Point) }},
+		{"vertex outside the domain", func(c *Census) { c.Vertices[3].Point = []float64{2, 2} }},
+		{"duplicate vertex", func(c *Census) { c.Vertices[4].Point = vec.Clone(c.Vertices[3].Point) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			// Each case gets a fresh deep-enough copy by re-snapshotting.
-			snap := tr.Snapshot()
-			c.mutate(snap)
-			if _, err := FromSnapshot(snap); err == nil {
-				t.Error("expected validation error")
+			census := tr.Census()
+			c.mutate(census)
+			if back, err := FromCensus(census); err == nil {
+				t.Errorf("accepted, rebuilt %+v", back.Stats())
 			}
 		})
 	}
-	// The base snapshot still reconstructs (mutations copied, not shared).
-	if _, err := FromSnapshot(base); err != nil {
+	if _, err := FromCensus(nil); err == nil {
+		t.Error("nil census accepted")
+	}
+	// The unmutated census still rebuilds (each case mutated a copy).
+	if _, err := FromCensus(tr.Census()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -51,15 +51,14 @@ run_test() {
 	GODEBUG=cpu.avx2=off go test -run '^TestPaperFiguresGolden$' .
 
 	step "Fuzz smoke (binary parsers + the JSON request surface)"
-	# 30s per fuzzer over the committed seed corpora: the WAL replay path
-	# (versioned, stamped records), the FBSX snapshot (lifecycle header +
-	# per-vertex stamps), the sharded-module manifest, and the FBMX
-	# collection header. The contract: parse or ErrCorrupt, never a panic.
+	# 30s per fuzzer over the committed seed corpora: the tree log (header,
+	# census of stamped vertices, journal of stamped records), the
+	# sharded-module manifest, the FBMX collection header and the FBIX
+	# index. The contract: parse or ErrCorrupt, never a panic.
 	# FuzzHTTPRequest holds the production handler to the same shape: any
 	# body on /query, /feedback, /close gets valid JSON with a 2xx/4xx
 	# status, never a panic or a 5xx.
 	go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 30s ./internal/persist/
-	go test -run '^$' -fuzz '^FuzzFBSX$' -fuzztime 30s ./internal/persist/
 	go test -run '^$' -fuzz '^FuzzManifest$' -fuzztime 30s ./internal/persist/
 	go test -run '^$' -fuzz '^FuzzFBMX$' -fuzztime 30s ./internal/store/
 	go test -run '^$' -fuzz '^FuzzFBIX$' -fuzztime 30s ./internal/ann/
