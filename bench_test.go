@@ -7,6 +7,7 @@
 package feedbackbypass_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -46,6 +47,22 @@ func benchConfig() experiments.Config {
 
 // --- Ablation: incremental barycentric descent vs. per-node solves. ---
 
+// benchInterior draws a strictly interior point of the D-dimensional
+// standard simplex.
+func benchInterior(rng *rand.Rand, d int) []float64 {
+	w := make([]float64, d+1)
+	var sum float64
+	for i := range w {
+		w[i] = 0.05 + rng.Float64()
+		sum += w[i]
+	}
+	q := make([]float64, d)
+	for i := 0; i < d; i++ {
+		q[i] = w[i+1] / sum
+	}
+	return q
+}
+
 func buildBenchTree(b *testing.B, d, points int) (*simplextree.Tree, [][]float64) {
 	b.Helper()
 	def := make([]float64, 2*d)
@@ -54,31 +71,18 @@ func buildBenchTree(b *testing.B, d, points int) (*simplextree.Tree, [][]float64
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
-	interior := func() []float64 {
-		w := make([]float64, d+1)
-		var sum float64
-		for i := range w {
-			w[i] = 0.05 + rng.Float64()
-			sum += w[i]
-		}
-		q := make([]float64, d)
-		for i := 0; i < d; i++ {
-			q[i] = w[i+1] / sum
-		}
-		return q
-	}
 	for i := 0; i < points; i++ {
 		v := make([]float64, 2*d)
 		for j := range v {
 			v[j] = rng.NormFloat64()
 		}
-		if _, err := tree.Insert(interior(), v); err != nil {
+		if _, err := tree.Insert(benchInterior(rng, d), v); err != nil {
 			b.Fatal(err)
 		}
 	}
 	queries := make([][]float64, 256)
 	for i := range queries {
-		queries[i] = interior()
+		queries[i] = benchInterior(rng, d)
 	}
 	return tree, queries
 }
@@ -108,32 +112,19 @@ func predictBenchTree(b *testing.B) (*simplextree.Tree, [][]float64) {
 			return
 		}
 		rng := rand.New(rand.NewSource(37))
-		interior := func() []float64 {
-			w := make([]float64, d+1)
-			var sum float64
-			for i := range w {
-				w[i] = 0.05 + rng.Float64()
-				sum += w[i]
-			}
-			q := make([]float64, d)
-			for i := 0; i < d; i++ {
-				q[i] = w[i+1] / sum
-			}
-			return q
-		}
 		for i := 0; i < 1000; i++ {
 			v := make([]float64, 2*d)
 			for j := range v {
 				v[j] = rng.NormFloat64()
 			}
-			if _, err := tree.Insert(interior(), v); err != nil {
+			if _, err := tree.Insert(benchInterior(rng, d), v); err != nil {
 				predictTreeErr = err
 				return
 			}
 		}
 		qs := make([][]float64, 1024)
 		for i := range qs {
-			qs[i] = interior()
+			qs[i] = benchInterior(rng, d)
 		}
 		predictTree, predictQueries = tree, qs
 	})
@@ -241,6 +232,43 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkCensusReplay prices the rebuild of a durable restart: a
+// seeded D=31, N=62 tree of 1,500 stored points, written with
+// persist.Save and read back with persist.Load, which re-splits the tree
+// vertex by vertex in creation order.
+func BenchmarkCensusReplay(b *testing.B) {
+	const d, points = 31, 1500
+	tree, err := simplextree.New(geom.StandardSimplex(d), make([]float64, 2*d), simplextree.Options{Epsilon: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(71))
+	for stored := 0; stored < points; {
+		v := make([]float64, 2*d)
+		for j := range v {
+			v[j] = rng.NormFloat64()
+		}
+		changed, err := tree.Insert(benchInterior(rng, d), v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if changed {
+			stored++
+		}
+	}
+	var log bytes.Buffer
+	if err := persist.Save(&log, tree); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := persist.Load(bytes.NewReader(log.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(points), "points")
+}
+
 func BenchmarkLookupNaive(b *testing.B) {
 	tree, queries := buildBenchTree(b, 31, 200)
 	b.ResetTimer()
@@ -255,19 +283,6 @@ func BenchmarkSimplexTreeInsertD31(b *testing.B) {
 	d := 31
 	rng := rand.New(rand.NewSource(11))
 	def := make([]float64, 2*d)
-	interior := func() []float64 {
-		w := make([]float64, d+1)
-		var sum float64
-		for i := range w {
-			w[i] = 0.05 + rng.Float64()
-			sum += w[i]
-		}
-		q := make([]float64, d)
-		for i := 0; i < d; i++ {
-			q[i] = w[i+1] / sum
-		}
-		return q
-	}
 	b.ResetTimer()
 	var tree *simplextree.Tree
 	for i := 0; i < b.N; i++ {
@@ -281,7 +296,7 @@ func BenchmarkSimplexTreeInsertD31(b *testing.B) {
 		}
 		v := make([]float64, 2*d)
 		v[0] = float64(i)
-		if _, err := tree.Insert(interior(), v); err != nil {
+		if _, err := tree.Insert(benchInterior(rng, d), v); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -187,6 +187,10 @@ func AllNonNegative(lam []float64, tol float64) bool {
 // len(lam) and must not alias lam or mu. ok is false when the child is
 // degenerate (μ_h ≤ tol) or the inputs are malformed, in which case nu is
 // untouched.
+//
+// The product is rounded on its own (the float64 conversion forbids
+// fusing it into an FMA), so a caller that computes one ν_j with the same
+// expression gets the same bits on every architecture.
 func ChildBarycentricInto(nu, lam, mu []float64, h int, tol float64) bool {
 	if h < 0 || h >= len(mu) || len(lam) != len(mu) || len(nu) != len(lam) {
 		return false
@@ -199,7 +203,7 @@ func ChildBarycentricInto(nu, lam, mu []float64, h int, tol float64) bool {
 		if j == h {
 			nu[j] = w
 		} else {
-			nu[j] = lam[j] - w*mu[j]
+			nu[j] = lam[j] - float64(w*mu[j])
 		}
 	}
 	return true

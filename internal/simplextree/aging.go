@@ -40,45 +40,31 @@ func (t *Tree) RebuildAged(horizon uint64) (*Tree, RebuildStats, error) {
 		cutoff = t.clock - horizon
 	}
 
-	corners := make([]*Vertex, len(t.root.verts))
-	isCorner := make([]bool, t.numVerts)
-	for i, v := range t.root.verts {
-		c := &Vertex{Point: vec.Clone(v.Point), Value: vec.Clone(v.Value), id: int32(i)}
-		c.stamp.Store(v.stamp.Load())
-		corners[i] = c
-		isCorner[v.id] = true
+	n := t.dim + 1
+	corners := make([]*Vertex, n)
+	for i, v := range t.verts[:n] {
+		corners[i] = &Vertex{Point: vec.Clone(v.Point), Value: vec.Clone(v.Value)}
+		corners[i].stamp.Store(v.stamp.Load())
 	}
 	nt := &Tree{
 		dim:        t.dim,
 		oqpDim:     t.oqpDim,
 		epsilon:    t.epsilon,
 		tol:        t.tol,
-		root:       &node{verts: corners},
-		numLeaves:  1,
-		numVerts:   int32(len(corners)),
 		clock:      t.clock,
 		maxVerts:   t.maxVerts,
 		maxBytes:   t.maxBytes,
 		ageHorizon: t.ageHorizon,
 	}
-	if err := nt.initDerived(); err != nil {
+	if err := nt.plant(corners, len(t.verts)); err != nil {
 		return nil, RebuildStats{}, fmt.Errorf("simplextree: rebuild root simplex is degenerate: %w", err)
 	}
 
 	// Re-insert survivors in creation order: the rebuilt triangulation is
 	// then deterministic, and earlier vertices recreate the descent
 	// structure later ones were inserted into.
-	byID := make([]*Vertex, t.numVerts)
-	t.walkLocked(func(v *Vertex) { byID[v.id] = v })
-	stats := RebuildStats{}
-	for _, v := range byID {
-		if v == nil {
-			continue
-		}
-		stats.Before++
-		if isCorner[v.id] {
-			continue
-		}
+	stats := RebuildStats{Before: len(t.verts)}
+	for _, v := range t.verts[n:] {
 		if stamp := v.stamp.Load(); !(cutoff > 0 && stamp < cutoff) {
 			// nt is private to this call — no lock needed for its
 			// insertLocked (the receiver is unreachable by other
@@ -88,7 +74,7 @@ func (t *Tree) RebuildAged(horizon uint64) (*Tree, RebuildStats, error) {
 			}
 		}
 	}
-	stats.After = int(nt.numVerts)
+	stats.After = len(nt.verts)
 	stats.Reclaimed = stats.Before - stats.After
 	return nt, stats, nil
 }

@@ -26,25 +26,17 @@ func (t *Tree) CompressValues(eps float64) (dropped int, err error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.walkLocked(func(v *Vertex) {
+	for _, v := range t.verts {
+		sparse, err := haar.Compress(v.Value, eps)
 		if err != nil {
-			return
-		}
-		sparse, cerr := haar.Compress(v.Value, eps)
-		if cerr != nil {
-			err = cerr
-			return
+			return 0, err
 		}
 		dropped += haar.NextPowerOfTwo(len(v.Value)) - sparse.StorageSize()
-		back, derr := sparse.Decompress()
-		if derr != nil {
-			err = derr
-			return
+		back, err := sparse.Decompress()
+		if err != nil {
+			return 0, err
 		}
 		copy(v.Value, back)
-	})
-	if err != nil {
-		return 0, err
 	}
 	return dropped, nil
 }

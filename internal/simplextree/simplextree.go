@@ -20,13 +20,25 @@
 // the accessors — is pure: it runs under the shared read lock, never mutates
 // the tree, and reports per-call traversal counts through PredictStats
 // instead of storing them. Every prediction runs on its caller's
-// goroutine, and any number of readers proceed in parallel. The write plane — Insert, InsertStamped, SetObserver,
-// CompressValues — takes the exclusive lock. Lookups are allocation-free
-// after warm-up: the root barycentric system is LU-factorized once at
-// construction (the root simplex never changes), descent uses the O(D)
-// incremental child update (geom.ChildBarycentricInto), and per-call
-// buffers come from a scratch pool; see DESIGN.md ("Concurrent prediction
-// plane").
+// goroutine, and any number of readers proceed in parallel. The write
+// plane — Insert, InsertStamped, SetObserver, CompressValues — takes the
+// exclusive lock. Lookups are allocation-free after warm-up: the root
+// barycentric system is LU-factorized once at construction (the root
+// simplex never changes), and per-call buffers come from a scratch pool;
+// see DESIGN.md ("Concurrent prediction plane").
+//
+// # Descent and storage
+//
+// A lookup costs O(D) per level: one ratio test over a node's children
+// finds the child the point must lie in and rejects the others from one
+// coordinate each, and only the survivors get the O(D) incremental child
+// update (geom.ChildBarycentricInto). The choice is bitwise the one a full
+// scan of the children makes (DESIGN.md, "Incremental barycentric
+// descent"). The triangulation lives in flat arrays of int32 indices — the
+// nodes, with each split's children side by side, their vertex ids, and
+// the split coordinates — beside one table of vertex pointers indexed by
+// creation order, so a split appends instead of allocating nodes and the
+// garbage collector scans only the vertex table.
 package simplextree
 
 import (
@@ -72,25 +84,24 @@ type Vertex struct {
 	Point []float64
 	Value []float64
 
-	id int32 // creation-order index; keys the mark slices of Walk/Stats
-
 	// stamp is the logical time the vertex was last stored or reinforced
-	// (see Snapshot.Clock). It is atomic because predictions touch it under
+	// (see Census.Clock). It is atomic because predictions touch it under
 	// the shared read lock when aging is enabled; all other mutation
 	// happens under the exclusive lock. Vertices are always shared by
 	// pointer, never copied, so the atomic is safe to embed.
 	stamp atomic.Uint64
 }
 
+// node is one simplex of the triangulation. Nodes refer to their
+// children, vertices and split coordinates by index into the tree's flat
+// arrays, so the node storage holds no Go pointer for the GC to scan.
+// Node i's D+1 vertex ids are Tree.ids[i·(D+1) : (i+1)·(D+1)].
 type node struct {
-	verts    []*Vertex // D+1 vertices spanning this simplex
-	split    *Vertex   // the point this node was split at (inner nodes)
-	mu       []float64 // barycentric coordinates of split.Point w.r.t. verts
-	children []*node   // one per non-degenerate child
-	replaced []int     // children[i] replaces vertex replaced[i] with split
+	child    int32 // index in Tree.nodes of the first child; a split's children are contiguous
+	nchild   int32 // number of children; 0 for a leaf
+	mu       int32 // offset in Tree.mus of the split point's D+1 coordinates (inner nodes)
+	replaced int32 // the parent's vertex slot this child's split point took (-1 at the root)
 }
-
-func (n *node) leaf() bool { return len(n.children) == 0 }
 
 // Observer is the write-path hook: it is invoked, while the exclusive
 // lock is held, for every insert the tree has decided to store — after
@@ -131,11 +142,19 @@ type Tree struct {
 	epsilon float64 // insert threshold ε of §4.2
 	tol     float64 // geometric tolerance
 
-	root       *node
+	// The triangulation in flat arrays: nodes[0] is the root simplex,
+	// ids holds each node's D+1 vertex ids, mus each split's barycentric
+	// coordinates, and verts is the vertex table, indexed by id in
+	// creation order (the D+1 domain corners first). Only the vertex
+	// table holds pointers.
+	nodes []node
+	ids   []int32
+	mus   []float64
+	verts []*Vertex
+
 	rootSolver *geom.BarycentricSolver // LU of the fixed root system
 	numPoints  int                     // stored (split or updated) query points
 	numLeaves  int
-	numVerts   int32 // distinct vertices ever created (next Vertex.id)
 
 	// clock is the monotonic logical time of the lifecycle plane: it
 	// advances on every accepted insert, and the accepting vertex is
@@ -206,27 +225,20 @@ func New(domain *geom.Simplex, defaultOQP []float64, opts Options) (*Tree, error
 		return nil, fmt.Errorf("simplextree: negative quota (MaxVertices=%d, MaxBytes=%d)", opts.MaxVertices, opts.MaxBytes)
 	}
 	d := domain.Dim()
-	verts := make([]*Vertex, d+1)
-	for i := range verts {
-		verts[i] = &Vertex{
-			Point: vec.Clone(domain.Vertex(i)),
-			Value: vec.Clone(defaultOQP),
-			id:    int32(i),
-		}
+	corners := make([]*Vertex, d+1)
+	for i := range corners {
+		corners[i] = &Vertex{Point: vec.Clone(domain.Vertex(i)), Value: vec.Clone(defaultOQP)}
 	}
 	t := &Tree{
 		dim:        d,
 		oqpDim:     len(defaultOQP),
 		epsilon:    opts.Epsilon,
 		tol:        opts.Tol,
-		root:       &node{verts: verts},
-		numLeaves:  1,
-		numVerts:   int32(d + 1),
 		maxVerts:   opts.MaxVertices,
 		maxBytes:   opts.MaxBytes,
 		ageHorizon: opts.AgeHorizon,
 	}
-	if err := t.initDerived(); err != nil {
+	if err := t.plant(corners, 0); err != nil {
 		// Degeneracy check: the barycentric system must be solvable. (A
 		// volume threshold would wrongly reject high-dimensional domains,
 		// whose volume 1/D! underflows any fixed tolerance.)
@@ -235,11 +247,23 @@ func New(domain *geom.Simplex, defaultOQP []float64, opts Options) (*Tree, error
 	return t, nil
 }
 
-// initDerived builds the state derived from the root simplex: the
-// once-per-tree LU factorization of the root barycentric system and the
-// scratch pool. Called by New, FromCensus and RebuildAged.
-func (t *Tree) initDerived() error {
-	rootSimplex, err := t.simplexOf(t.root)
+// plant makes the D+1 corners the root simplex, with array capacity for
+// nverts vertices (each split adds one vertex and at most D+1 children),
+// and builds the state derived from the root: the once-per-tree LU
+// factorization of its barycentric system and the scratch pool. Called by
+// New, FromCensus and RebuildAged.
+func (t *Tree) plant(corners []*Vertex, nverts int) error {
+	n := t.dim + 1
+	splits := max(nverts-n, 0)
+	t.nodes = append(make([]node, 0, 1+splits*n), node{replaced: -1})
+	t.ids = make([]int32, n, (1+splits*n)*n)
+	for i := range t.ids {
+		t.ids[i] = int32(i)
+	}
+	t.mus = make([]float64, 0, splits*n)
+	t.verts = append(make([]*Vertex, 0, n+splits), corners...)
+	t.numLeaves = 1
+	rootSimplex, err := t.simplexOf(0)
 	if err != nil {
 		return err
 	}
@@ -248,7 +272,6 @@ func (t *Tree) initDerived() error {
 		return err
 	}
 	t.rootSolver = solver
-	n := t.dim + 1
 	t.scratch.New = func() interface{} {
 		return &scratch{
 			rhs:  make([]float64, n),
@@ -258,6 +281,12 @@ func (t *Tree) initDerived() error {
 		}
 	}
 	return nil
+}
+
+// vertIDs returns node n's D+1 vertex ids (a view into t.ids).
+func (t *Tree) vertIDs(n int32) []int32 {
+	d1 := int32(t.dim + 1)
+	return t.ids[n*d1 : (n+1)*d1]
 }
 
 // Dim returns the query-domain dimensionality D.
@@ -292,7 +321,7 @@ func (t *Tree) SizeBytes() int64 {
 	return t.sizeBytesLocked()
 }
 
-func (t *Tree) sizeBytesLocked() int64 { return int64(t.numVerts) * t.perVertexBytes() }
+func (t *Tree) sizeBytesLocked() int64 { return int64(len(t.verts)) * t.perVertexBytes() }
 
 // Epsilon returns the insert threshold.
 func (t *Tree) Epsilon() float64 { return t.epsilon }
@@ -327,28 +356,28 @@ func (t *Tree) SetObserver(fn Observer) {
 // the coordinates of q with respect to it (aliasing one of the scratch
 // buffers), and the number of simplices traversed. The caller must hold
 // the lock (either mode) and own sc.
-func (t *Tree) lookup(q []float64, sc *scratch) (*node, []float64, int, error) {
-	if len(q) != t.dim {
-		return nil, nil, 0, fmt.Errorf("simplextree: query has dimension %d, want %d", len(q), t.dim)
+func (t *Tree) lookup(q []float64, sc *scratch) (int32, []float64, int, error) {
+	if err := t.checkQuery(q); err != nil {
+		return 0, nil, 0, err
 	}
 	if err := t.rootSolver.BarycentricInto(sc.lam, sc.rhs, q); err != nil {
-		return nil, nil, 0, err
+		return 0, nil, 0, err
 	}
 	if !geom.AllNonNegative(sc.lam, t.tol) {
-		return nil, nil, 0, ErrOutOfDomain
+		return 0, nil, 0, ErrOutOfDomain
 	}
-	n := t.root
+	n := int32(0)
 	lam := sc.lam
 	spareA, spareB := sc.bufA, sc.bufB
 	traversed := 1
-	for !n.leaf() {
+	for t.nodes[n].nchild > 0 {
 		next, nextLam := t.descendOnce(n, lam, spareA, spareB)
-		if next == nil {
+		if next < 0 {
 			// Numerically ambiguous boundary point: no child accepted it.
 			// Resolve by a fresh solve against each child (robust path).
 			next, nextLam = t.descendSolve(n, q)
-			if next == nil {
-				return nil, nil, traversed, fmt.Errorf("simplextree: no child contains point %v (numerical boundary): %w", q, ErrOutOfDomain)
+			if next < 0 {
+				return 0, nil, traversed, fmt.Errorf("simplextree: no child contains point %v (numerical boundary): %w", q, ErrOutOfDomain)
 			}
 		}
 		// Rotate buffers: nextLam took one of the spares (or is freshly
@@ -366,19 +395,60 @@ func (t *Tree) lookup(q []float64, sc *scratch) (*node, []float64, int, error) {
 	return n, lam, traversed, nil
 }
 
-// descendOnce picks the child containing the point with coordinates lam
-// using the O(D)-per-child incremental update, writing candidate
-// coordinates into the two spare buffers (no allocation). Among children
-// accepting the point (boundary points may be accepted by several), the
-// one whose minimum coordinate is largest is chosen, which is stable
-// under rounding.
-func (t *Tree) descendOnce(n *node, lam, spareA, spareB []float64) (*node, []float64) {
-	var best *node
+// checkQuery refuses a query point of the wrong dimension or with a
+// non-finite coordinate. NaN would pass every containment test (its
+// comparisons are false) and come back as a NaN prediction, or as an
+// insert "absorbed" by ε; ±Inf lies outside every simplex.
+func (t *Tree) checkQuery(q []float64) error {
+	if len(q) != t.dim {
+		return fmt.Errorf("simplextree: query has dimension %d, want %d", len(q), t.dim)
+	}
+	if !vec.IsFinite(q) {
+		return fmt.Errorf("simplextree: query point has a non-finite coordinate: %w", ErrOutOfDomain)
+	}
+	return nil
+}
+
+// descendOnce picks the child of n containing the point with coordinates
+// lam, writing candidate coordinates into the two spare buffers (no
+// allocation); it returns -1 when no child accepts the point. Among
+// children accepting the point (boundary points may be accepted by
+// several), the one whose minimum coordinate is largest is chosen, which
+// is stable under rounding.
+//
+// The point lies in the child whose slot h* minimizes λ_h/μ_h. In the
+// child that replaced slot h ≠ h*, the coordinate at h* is
+// λ_h* − w·μ_h* with w = λ_h/μ_h ≥ λ_h*/μ_h*, so it is negative unless
+// the two ratios tie.
+// Computing that one coordinate first, with ChildBarycentricInto's exact
+// expression, rejects a child in O(1): if it is below the acceptance
+// floor, so is the child's minimum. Only the survivors pay the O(D)
+// update, and the choice and its coordinates are bitwise those of
+// evaluating every child.
+func (t *Tree) descendOnce(n int32, lam, spareA, spareB []float64) (int32, []float64) {
+	nd := t.nodes[n]
+	mu := t.mus[nd.mu : int(nd.mu)+len(lam)]
+	kids := t.nodes[nd.child : nd.child+nd.nchild]
+	hs := kids[0].replaced
+	ws := lam[hs] / mu[hs]
+	for _, c := range kids[1:] {
+		if w := lam[c.replaced] / mu[c.replaced]; w < ws {
+			hs, ws = c.replaced, w
+		}
+	}
+	floor := -boundarySlack * t.tol
+	best := int32(-1)
 	var bestLam []float64
 	cand := spareA
 	bestMin := math.Inf(-1)
-	for i, c := range n.children {
-		if !geom.ChildBarycentricInto(cand, lam, n.mu, n.replaced[i], t.tol) {
+	for i, c := range kids {
+		if h := c.replaced; h != hs {
+			w := lam[h] / mu[h]
+			if lam[hs]-float64(w*mu[hs]) < floor {
+				continue
+			}
+		}
+		if !geom.ChildBarycentricInto(cand, lam, mu, int(c.replaced), t.tol) {
 			continue
 		}
 		min := math.Inf(1)
@@ -387,8 +457,8 @@ func (t *Tree) descendOnce(n *node, lam, spareA, spareB []float64) (*node, []flo
 				min = x
 			}
 		}
-		if min >= -boundarySlack*t.tol && min > bestMin {
-			best, bestLam, bestMin = c, cand, min
+		if min >= floor && min > bestMin {
+			best, bestLam, bestMin = nd.child+int32(i), cand, min
 			if &cand[0] == &spareA[0] {
 				cand = spareB
 			} else {
@@ -400,13 +470,14 @@ func (t *Tree) descendOnce(n *node, lam, spareA, spareB []float64) (*node, []flo
 }
 
 // descendSolve is the slow fallback: solve the barycentric system directly
-// for each child. It allocates, but runs only for numerically ambiguous
-// boundary points.
-func (t *Tree) descendSolve(n *node, q []float64) (*node, []float64) {
-	var best *node
+// for each child of n. It allocates, but runs only for numerically
+// ambiguous boundary points. It returns -1 when no child accepts q.
+func (t *Tree) descendSolve(n int32, q []float64) (int32, []float64) {
+	best := int32(-1)
 	var bestLam []float64
 	bestMin := math.Inf(-1)
-	for _, c := range n.children {
+	nd := t.nodes[n]
+	for c := nd.child; c < nd.child+nd.nchild; c++ {
 		s, err := t.simplexOf(c)
 		if err != nil {
 			continue
@@ -428,23 +499,24 @@ func (t *Tree) descendSolve(n *node, q []float64) (*node, []float64) {
 	return best, bestLam
 }
 
-func (t *Tree) simplexOf(n *node) (*geom.Simplex, error) {
-	pts := make([][]float64, len(n.verts))
-	for i, v := range n.verts {
-		pts[i] = v.Point
+func (t *Tree) simplexOf(n int32) (*geom.Simplex, error) {
+	ids := t.vertIDs(n)
+	pts := make([][]float64, len(ids))
+	for i, id := range ids {
+		pts[i] = t.verts[id].Point
 	}
 	return geom.NewSimplex(pts)
 }
 
 // interpolateInto evaluates the piecewise-linear wavelet at barycentric
-// coordinates lam over the leaf's vertices into dst:
+// coordinates lam over leaf's vertices into dst:
 // v̂ = Σ_j λ_j · Value(s_j).
-func interpolateInto(dst []float64, n *node, lam []float64) {
+func (t *Tree) interpolateInto(dst []float64, leaf int32, lam []float64) {
 	for i := range dst {
 		dst[i] = 0
 	}
-	for j, v := range n.verts {
-		vec.Axpy(dst, lam[j], v.Value)
+	for j, id := range t.vertIDs(leaf) {
+		vec.Axpy(dst, lam[j], t.verts[id].Value)
 	}
 }
 
@@ -474,7 +546,7 @@ func (t *Tree) PredictInto(dst, q []float64) (PredictStats, error) {
 	leaf, lam, traversed, err := t.lookup(q, sc)
 	st := PredictStats{Traversed: traversed}
 	if err == nil {
-		interpolateInto(dst, leaf, lam)
+		t.interpolateInto(dst, leaf, lam)
 		t.touchLeaf(leaf)
 	}
 	t.mu.RUnlock()
@@ -488,13 +560,13 @@ func (t *Tree) PredictInto(dst, q []float64) (PredictStats, error) {
 // shared read lock (the clock is frozen while any reader holds it, so
 // stamps only ever move forward). With aging disabled this is a no-op —
 // the read path stays bitwise identical to the pre-lifecycle tree.
-func (t *Tree) touchLeaf(leaf *node) {
+func (t *Tree) touchLeaf(leaf int32) {
 	if t.ageHorizon == 0 {
 		return
 	}
 	now := t.clock
-	for _, v := range leaf.verts {
-		v.stamp.Store(now)
+	for _, id := range t.vertIDs(leaf) {
+		t.verts[id].stamp.Store(now)
 	}
 }
 
@@ -540,7 +612,7 @@ func (t *Tree) insertLocked(q, value []float64, stamp uint64) (bool, error) {
 		return false, err
 	}
 	pred := make([]float64, t.oqpDim)
-	interpolateInto(pred, leaf, lam)
+	t.interpolateInto(pred, leaf, lam)
 	if maxAbsDiff(pred, value) <= t.epsilon {
 		return false, nil
 	}
@@ -552,14 +624,15 @@ func (t *Tree) insertLocked(q, value []float64, stamp uint64) (bool, error) {
 	// the tree untouched for recovery to be idempotent.
 	for j, l := range lam {
 		if l >= 1-t.tol {
-			if vec.Equal(leaf.verts[j].Value, value) {
+			v := t.verts[t.vertIDs(leaf)[j]]
+			if vec.Equal(v.Value, value) {
 				return false, nil
 			}
 			if err := t.notifyObserver(q, value, stamp); err != nil {
 				return false, err
 			}
-			leaf.verts[j].Value = vec.Clone(value)
-			t.stampVertex(leaf.verts[j], stamp)
+			v.Value = vec.Clone(value)
+			t.stampVertex(v, stamp)
 			t.numPoints++
 			return true, nil
 		}
@@ -568,10 +641,10 @@ func (t *Tree) insertLocked(q, value []float64, stamp uint64) (bool, error) {
 	// is subject to the resource bounds. The check precedes the observer
 	// (nothing rejected here ever reaches a journal) and the rejection
 	// leaves the tree untouched — reads keep serving the existing state.
-	if t.maxVerts > 0 && int(t.numVerts)+1 > t.maxVerts {
-		return false, fmt.Errorf("%w: %d vertices stored, limit %d", ErrQuotaExceeded, t.numVerts, t.maxVerts)
+	if nv := len(t.verts); t.maxVerts > 0 && nv+1 > t.maxVerts {
+		return false, fmt.Errorf("%w: %d vertices stored, limit %d", ErrQuotaExceeded, nv, t.maxVerts)
 	}
-	if t.maxBytes > 0 && (int64(t.numVerts)+1)*t.perVertexBytes() > t.maxBytes {
+	if t.maxBytes > 0 && int64(len(t.verts)+1)*t.perVertexBytes() > t.maxBytes {
 		return false, fmt.Errorf("%w: ~%d bytes stored of %d-byte limit", ErrQuotaExceeded, t.sizeBytesLocked(), t.maxBytes)
 	}
 	if err := t.splitLocked(leaf, lam, q, value, stamp); err != nil {
@@ -582,40 +655,45 @@ func (t *Tree) insertLocked(q, value []float64, stamp uint64) (bool, error) {
 
 // splitLocked stores q as a new vertex that splits leaf into up to D+1
 // children around it; lam is q's barycentric coordinates in leaf. The
-// observer hears of the split before the tree changes, and an observer
-// error leaves the tree unchanged.
-func (t *Tree) splitLocked(leaf *node, lam, q, value []float64, stamp uint64) error {
-	newVert := &Vertex{Point: vec.Clone(q), Value: vec.Clone(value), id: t.numVerts}
-	var children []*node
-	var replaced []int
-	for h, l := range lam {
+// children are appended to the node array side by side, child h taking
+// the leaf's vertices with slot h replaced by q. The observer hears of
+// the split before the tree changes, and an observer error leaves the
+// tree unchanged.
+func (t *Tree) splitLocked(leaf int32, lam, q, value []float64, stamp uint64) error {
+	kids := 0
+	for _, l := range lam {
 		if l <= t.tol {
-			continue // degenerate child: q lies on the facet opposite vertex h
+			continue // q lies on the facet opposite this vertex: no child there
 		}
-		childVerts := make([]*Vertex, len(leaf.verts))
-		copy(childVerts, leaf.verts)
-		childVerts[h] = newVert
-		children = append(children, &node{verts: childVerts})
-		replaced = append(replaced, h)
+		kids++
 	}
-	if len(children) < 2 {
+	if kids < 2 {
 		// q is effectively a vertex (all mass on one coordinate); the
-		// loop above should have caught it, but guard against tolerance
-		// corner cases.
-		return fmt.Errorf("simplextree: split of %v produced %d children", q, len(children))
+		// caller's vertex check should have caught it, but guard against
+		// tolerance corner cases.
+		return fmt.Errorf("simplextree: split of %v produced %d children", q, kids)
 	}
 	if err := t.notifyObserver(q, value, stamp); err != nil {
 		return err
 	}
-	// The split's mu must outlive the scratch buffers lam aliases.
-	leaf.split = newVert
-	leaf.mu = vec.Clone(lam)
-	leaf.children = children
-	leaf.replaced = replaced
+	id := int32(len(t.verts))
+	newVert := &Vertex{Point: vec.Clone(q), Value: vec.Clone(value)}
+	t.verts = append(t.verts, newVert)
+	first := int32(len(t.nodes))
+	for h, l := range lam {
+		if l <= t.tol {
+			continue
+		}
+		t.nodes = append(t.nodes, node{replaced: int32(h)})
+		t.ids = append(t.ids, t.vertIDs(leaf)...)
+		t.ids[len(t.ids)-len(lam)+h] = id
+	}
+	// lam aliases a scratch buffer; mus keeps the split's copy.
+	t.nodes[leaf] = node{child: first, nchild: int32(kids), mu: int32(len(t.mus)), replaced: t.nodes[leaf].replaced}
+	t.mus = append(t.mus, lam...)
 	t.stampVertex(newVert, stamp)
-	t.numVerts++
 	t.numPoints++
-	t.numLeaves += len(children) - 1
+	t.numLeaves += kids - 1
 	return nil
 }
 
@@ -643,34 +721,15 @@ func (t *Tree) notifyObserver(q, value []float64, stamp uint64) error {
 }
 
 // Walk visits every stored vertex exactly once (root corners included),
-// in an unspecified order. It is the traversal used by persistence and by
+// in creation order. It is the traversal used by persistence and by
 // statistics. Walk is a read operation: concurrent walks are safe, and fn
 // must not mutate the vertices.
 func (t *Tree) Walk(fn func(v *Vertex)) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.walkLocked(fn)
-}
-
-// walkLocked visits each distinct vertex once under an already-held lock.
-// Visited vertices are marked in a slice keyed by the creation-order
-// vertex id — one allocation per walk instead of a hash insert per node
-// visit.
-func (t *Tree) walkLocked(fn func(v *Vertex)) {
-	seen := make([]bool, t.numVerts)
-	var rec func(n *node)
-	rec = func(n *node) {
-		for _, v := range n.verts {
-			if !seen[v.id] {
-				seen[v.id] = true
-				fn(v)
-			}
-		}
-		for _, c := range n.children {
-			rec(c)
-		}
+	for _, v := range t.verts {
+		fn(v)
 	}
-	rec(t.root)
 }
 
 // Stats summarizes the tree shape.
@@ -688,34 +747,30 @@ type Stats struct {
 func (t *Tree) Stats() Stats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	s := Stats{Dim: t.dim, OQPDim: t.oqpDim, Points: t.numPoints, Leaves: t.numLeaves}
+	s := Stats{
+		Dim:              t.dim,
+		OQPDim:           t.oqpDim,
+		Points:           t.numPoints,
+		Leaves:           t.numLeaves,
+		Nodes:            len(t.nodes),
+		DistinctVertices: len(t.verts),
+	}
 	var sumLeafDepth, leaves int
-	seen := make([]bool, t.numVerts)
-	var rec func(n *node, depth int)
-	rec = func(n *node, depth int) {
-		s.Nodes++
-		if depth > s.Depth {
-			s.Depth = depth
-		}
-		for _, v := range n.verts {
-			if !seen[v.id] {
-				seen[v.id] = true
-				s.DistinctVertices++
-			}
-		}
-		if n.leaf() {
+	var rec func(n int32, depth int)
+	rec = func(n int32, depth int) {
+		nd := t.nodes[n]
+		if nd.nchild == 0 {
 			leaves++
 			sumLeafDepth += depth
+			s.Depth = max(s.Depth, depth)
 			return
 		}
-		for _, c := range n.children {
+		for c := nd.child; c < nd.child+nd.nchild; c++ {
 			rec(c, depth+1)
 		}
 	}
-	rec(t.root, 1)
-	if leaves > 0 {
-		s.AvgLeafDepth = float64(sumLeafDepth) / float64(leaves)
-	}
+	rec(0, 1)
+	s.AvgLeafDepth = float64(sumLeafDepth) / float64(leaves)
 	return s
 }
 
@@ -735,12 +790,12 @@ func maxAbsDiff(a, b []float64) float64 {
 // for cross-checking the fast path in tests. Like Predict it is pure and
 // runs under the read lock.
 func (t *Tree) PredictNaive(q []float64) ([]float64, error) {
-	if len(q) != t.dim {
-		return nil, fmt.Errorf("simplextree: query has dimension %d, want %d", len(q), t.dim)
+	if err := t.checkQuery(q); err != nil {
+		return nil, err
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.root
+	n := int32(0)
 	s, err := t.simplexOf(n)
 	if err != nil {
 		return nil, err
@@ -752,14 +807,14 @@ func (t *Tree) PredictNaive(q []float64) ([]float64, error) {
 	if !geom.AllNonNegative(lam, t.tol) {
 		return nil, ErrOutOfDomain
 	}
-	for !n.leaf() {
+	for t.nodes[n].nchild > 0 {
 		next, nextLam := t.descendSolve(n, q)
-		if next == nil {
+		if next < 0 {
 			return nil, fmt.Errorf("simplextree: no child contains point %v: %w", q, ErrOutOfDomain)
 		}
 		n, lam = next, nextLam
 	}
 	out := make([]float64, t.oqpDim)
-	interpolateInto(out, n, lam)
+	t.interpolateInto(out, n, lam)
 	return out, nil
 }

@@ -422,12 +422,13 @@ func TestHighDimensionalTreeD31(t *testing.T) {
 
 // shape returns the leaf count and maximum depth (1 = a lone leaf) of
 // the subtree at n by plain recursion, independent of Stats' counters.
-func shape(n *node) (leaves, depth int) {
-	if n.leaf() {
+func shape(tr *Tree, n int32) (leaves, depth int) {
+	nd := tr.nodes[n]
+	if nd.nchild == 0 {
 		return 1, 1
 	}
-	for _, c := range n.children {
-		l, d := shape(c)
+	for c := nd.child; c < nd.child+nd.nchild; c++ {
+		l, d := shape(tr, c)
 		leaves += l
 		depth = max(depth, d)
 	}
@@ -443,7 +444,7 @@ func TestStatsAndWalk(t *testing.T) {
 		}
 	}
 	st := tr.Stats()
-	if leaves, depth := shape(tr.root); st.Leaves != leaves || st.Depth != depth {
+	if leaves, depth := shape(tr, 0); st.Leaves != leaves || st.Depth != depth {
 		t.Errorf("stats leaves/depth %d/%d, recursion says %d/%d", st.Leaves, st.Depth, leaves, depth)
 	}
 	if st.AvgLeafDepth > float64(st.Depth) || st.AvgLeafDepth < 1 {

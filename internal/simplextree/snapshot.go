@@ -71,11 +71,11 @@ func (t *Tree) censusLocked() *Census {
 		Tol:      t.tol,
 		Points:   t.numPoints,
 		Clock:    t.clock,
-		Vertices: make([]CensusVertex, t.numVerts),
+		Vertices: make([]CensusVertex, len(t.verts)),
 	}
-	t.walkLocked(func(v *Vertex) {
-		c.Vertices[v.id] = CensusVertex{Point: vec.Clone(v.Point), Value: vec.Clone(v.Value), Stamp: v.stamp.Load()}
-	})
+	for i, v := range t.verts {
+		c.Vertices[i] = CensusVertex{Point: vec.Clone(v.Point), Value: vec.Clone(v.Value), Stamp: v.stamp.Load()}
+	}
 	return c
 }
 
@@ -83,23 +83,22 @@ func (t *Tree) censusLocked() *Census {
 func (t *Tree) Snapshot() *Snapshot {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var dump func(n *node) *SnapshotNode
-	dump = func(n *node) *SnapshotNode {
-		sn := &SnapshotNode{Split: -1}
-		for _, v := range n.verts {
-			sn.Verts = append(sn.Verts, v.id)
-		}
-		if !n.leaf() {
-			sn.Split = n.split.id
-			sn.Mu = vec.Clone(n.mu)
-			for i, c := range n.children {
-				sn.Replaced = append(sn.Replaced, int32(n.replaced[i]))
+	var dump func(n int32) *SnapshotNode
+	dump = func(n int32) *SnapshotNode {
+		nd := t.nodes[n]
+		sn := &SnapshotNode{Verts: append([]int32(nil), t.vertIDs(n)...), Split: -1}
+		if nd.nchild > 0 {
+			first := t.nodes[nd.child]
+			sn.Split = t.vertIDs(nd.child)[first.replaced]
+			sn.Mu = vec.Clone(t.mus[nd.mu : int(nd.mu)+t.dim+1])
+			for c := nd.child; c < nd.child+nd.nchild; c++ {
+				sn.Replaced = append(sn.Replaced, t.nodes[c].replaced)
 				sn.Children = append(sn.Children, dump(c))
 			}
 		}
 		return sn
 	}
-	return &Snapshot{Census: *t.censusLocked(), Root: dump(t.root)}
+	return &Snapshot{Census: *t.censusLocked(), Root: dump(0)}
 }
 
 // FromCensus rebuilds the tree a census describes: the D+1 corners span
@@ -135,21 +134,18 @@ func FromCensus(c *Census) (*Tree, error) {
 	corners := make([]*Vertex, c.Dim+1)
 	clock := c.Clock
 	for i, v := range c.Vertices[:c.Dim+1] {
-		corners[i] = &Vertex{Point: vec.Clone(v.Point), Value: vec.Clone(v.Value), id: int32(i)}
+		corners[i] = &Vertex{Point: vec.Clone(v.Point), Value: vec.Clone(v.Value)}
 		corners[i].stamp.Store(v.Stamp)
 		clock = max(clock, v.Stamp) // the clock covers every stamp; splits below advance it too
 	}
 	t := &Tree{
-		dim:       c.Dim,
-		oqpDim:    c.OQPDim,
-		epsilon:   c.Epsilon,
-		tol:       c.Tol,
-		root:      &node{verts: corners},
-		numLeaves: 1,
-		numVerts:  int32(len(corners)),
-		clock:     clock,
+		dim:     c.Dim,
+		oqpDim:  c.OQPDim,
+		epsilon: c.Epsilon,
+		tol:     c.Tol,
+		clock:   clock,
 	}
-	if err := t.initDerived(); err != nil {
+	if err := t.plant(corners, len(c.Vertices)); err != nil {
 		return nil, fmt.Errorf("simplextree: census corners are degenerate: %w", err)
 	}
 	sc := t.scratch.Get().(*scratch)

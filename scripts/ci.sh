@@ -65,10 +65,10 @@ run_test() {
 	go test -run '^$' -fuzz '^FuzzHTTPRequest$' -fuzztime 30s ./internal/httpapi/
 
 	step "Benchmark smoke pass"
-	# One iteration of the retrieval-core, prediction-plane and feedback
-	# benchmarks: catches benchmarks that no longer compile or crash,
-	# without paying for a full measurement run.
-	go test -run '^$' -bench 'KNN|Feedback|Predict|WALAppend' -benchtime 1x .
+	# One iteration of the retrieval-core, prediction-plane, census-replay
+	# and feedback benchmarks: catches benchmarks that no longer compile or
+	# crash, without paying for a full measurement run.
+	go test -run '^$' -bench 'KNN|Feedback|Predict|WALAppend|CensusReplay' -benchtime 1x .
 	go test -run '^$' -bench 'Feedback' -benchtime 1x ./internal/engine/
 
 	step "Benchmark regression smoke (prediction plane)"
