@@ -720,7 +720,7 @@ func BenchmarkHistogramExtract(b *testing.B) {
 			Name: "X", Count: 1,
 			Themes: []imagegen.Theme{{Name: "t", Blobs: []imagegen.Blob{{Hue: 100, HueStd: 10, Sat: 0.5, SatStd: 0.1, Weight: 1}}}},
 		}},
-	})
+	}, histogram.DefaultExtractor)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -41,13 +41,14 @@ type Dataset struct {
 }
 
 // Build generates the collection from cfg and extracts features with the
-// given extractor. Images are rendered and extracted one at a time across
-// GOMAXPROCS workers, each filling a contiguous row range in place with
-// its own imagegen.Renderer, so workers share nothing and a worker's
-// loop allocates nothing: an image's pixels depend only on
-// (cfg.Seed, id), so the dataset is bit-identical to a serial
-// imagegen.Generate → Extract pass for any worker count, without ever
-// holding the rasters (1.35 GB at scale 10).
+// given extractor. GOMAXPROCS workers each fill a contiguous row range in
+// place with their own imagegen.Renderer, whose Histogram bins every
+// sampled pixel straight into the row without rendering a raster, so
+// workers share nothing and a worker's loop allocates nothing. An image's
+// pixels depend only on (cfg.Seed, id), and Histogram's bins are the
+// raster's, so the dataset is bit-identical to a serial
+// imagegen.Generate → ExtractInto pass for any worker count, without
+// ever holding the rasters (1.35 GB at scale 10).
 func Build(cfg imagegen.Config, ex histogram.Extractor) (*Dataset, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -80,14 +81,10 @@ func Build(cfg imagegen.Config, ex histogram.Extractor) (*Dataset, error) {
 				return
 			}
 			for i := w * n / workers; i < (w+1)*n/workers; i++ {
-				g, err := r.Render(i)
-				if err != nil {
-					errs[w] = err
-					return
-				}
 				row := mat.Row(i)
-				if err := ex.ExtractInto(row, g.Image); err != nil {
-					errs[w] = fmt.Errorf("dataset: extracting image %d: %w", g.ID, err)
+				g, err := r.Histogram(row, i, ex)
+				if err != nil {
+					errs[w] = fmt.Errorf("dataset: image %d: %w", i, err)
 					return
 				}
 				d.Items[i] = Item{ID: g.ID, Category: g.Category, Theme: g.Theme, Feature: row}

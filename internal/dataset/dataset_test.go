@@ -167,17 +167,17 @@ func buildHash(t *testing.T, cfg imagegen.Config, procs int) (uint64, *Dataset) 
 }
 
 // TestBuildGolden pins the bits of the collection itself. Build and
-// Generate share their renderer, so TestBuildMatchesSerialGenerate cannot
-// see a change to both; these hashes can. They were recorded before the
-// renderer's arithmetic fast paths, reused buffers and seeding source
-// went in, and every one of those must leave them unchanged. Scale 10
-// (the bench/ bigscan collection) hashes to 0x7b5038af0cd8874d
-// (DESIGN.md).
+// Generate share their sampling loop, so TestBuildMatchesSerialGenerate
+// cannot see a change to both; these hashes can. They were recorded
+// before the renderer's arithmetic fast paths, reused buffers, seeding
+// source and certified binning went in, and every one of those must leave
+// them unchanged. Scale 10 (the bench/ bigscan collection) hashes to
+// 0x7b5038af0cd8874d (DESIGN.md).
 func TestBuildGolden(t *testing.T) {
 	for _, c := range []struct {
 		scale float64
 		want  uint64
-	}{{0.05, 0x1561694b2c234f91}, {0.3, 0xe8670ea4cdf29a12}, {1, 0x02dfffbbd23480f2}} {
+	}{{0.05, 0x1561694b2c234f91}, {0.3, 0xe8670ea4cdf29a12}, {1, 0x02dfffbbd23480f2}, {2, 0x47bba3d068f66c81}} {
 		for _, procs := range []int{1, 4} {
 			if got, _ := buildHash(t, imagegen.IMSILike(1, c.scale), procs); got != c.want {
 				t.Errorf("scale %g, GOMAXPROCS=%d: Build hashes to %#016x, want %#016x", c.scale, procs, got, c.want)
@@ -193,17 +193,12 @@ func TestBuildGolden(t *testing.T) {
 func TestBuildMatchesSerialGenerate(t *testing.T) {
 	cfg := imagegen.IMSILike(1, 0.05)
 	h := fnv.New64a()
-	imgs, err := imagegen.Generate(cfg)
+	imgs, err := imagegen.Generate(cfg, histogram.DefaultExtractor)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range imgs {
-		feat := make([]float64, histogram.DefaultExtractor.Bins())
-		err := histogram.DefaultExtractor.ExtractInto(feat, g.Image)
-		if err != nil {
-			t.Fatal(err)
-		}
-		putItem(h, g.Category, g.Theme, feat)
+		putItem(h, g.Category, g.Theme, g.Feature)
 	}
 	want := h.Sum64()
 

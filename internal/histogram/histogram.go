@@ -55,8 +55,8 @@ func HSV(r, g, b float64) (h, s, v float64) {
 
 // FromHSV converts HSV (h in degrees, s and v in [0,1]) back to RGB. The
 // synthetic image generator samples colours in HSV — the space the paper's
-// features live in — and renders them to RGB rasters through this
-// function, so the extractor exercises the full RGB→HSV→bins path.
+// features live in — and renders its rasters through this function;
+// SampleBin bins such a pixel as ExtractInto would, mostly without it.
 func FromHSV(h, s, v float64) RGB {
 	h = mod(h, 360)
 	if h < 0 {
@@ -142,16 +142,88 @@ func (e Extractor) BinOf(h, s float64) int {
 	return hb*e.SatBins + sb
 }
 
-// ExtractInto writes the normalized colour histogram of im into dst,
-// which must have length Bins(); it allocates nothing.
-func (e Extractor) ExtractInto(dst []float64, im *Image) error {
+// The bound below lets SampleBin skip the round trip. Write u = 2⁻⁵³.
+// For 0 ≤ h < 360 and v ∈ [minVal, 1], FromHSV's arithmetic is exact up
+// to the rounding of c = v·s, t = h/60 (at most 6u, which the triangle
+// wave carries into x with at most 2u more), x, m = v − c and the sums.
+// Each of these values is at most v and a normal number, so each error
+// is relative: R, G and B land within η = 13u·v of the exact colour. The
+// hexcone hue moves at most 60°/Δ per unit change of each channel, where
+// Δ ≥ v·s − 2η is the chroma, and HSV's own rounding adds under 1,200u
+// degrees. So for s ≥ minSat the round trip returns a hue within
+// 180°·13u/minSat + 1,200u ≈ 2.6·10⁻¹⁰° of h, and a saturation within
+// 41u of s. BinOf scales the hue by HueBins/360 and the saturation by
+// SatBins, each with at most 2u of relative rounding; for at most
+// maxCertBins bins per channel both scaled values move less than 3·10⁻¹⁰
+// bins, inside certMargin. A pixel whose scaled hue and saturation are
+// at least certMargin from every bin edge, 0 and HueBins or SatBins
+// included, therefore keeps its bin through the round trip. For s = 0
+// and a finite h, c = x = 0 exactly, so R = G = B = v, and HSV returns
+// hue 0 and saturation 0.
+const (
+	minSat      = 1e-3
+	minVal      = 0x1p-500 // far above the subnormals, where rounding stops being relative
+	maxCertBins = 360
+	certMargin  = 1e-9
+)
+
+// SampleBin returns the bin ExtractInto counts for the pixel
+// FromHSV(h, s, v), that is BinOf of HSV(FromHSV(h, s, v)). It bins
+// (h, s) directly where the bound above certifies that the round trip
+// keeps that bin, and makes the round trip otherwise (NaN included).
+func (e Extractor) SampleBin(h, s, v float64) int {
+	if bin, ok := e.certifiedBin(h, s, v); ok {
+		return bin
+	}
+	return e.roundTripBin(h, s, v)
+}
+
+// roundTripBin is BinOf of HSV(FromHSV(h, s, v)).
+func (e Extractor) roundTripBin(h, s, v float64) int {
+	p := FromHSV(h, s, v)
+	h, s, _ = HSV(p.R, p.G, p.B)
+	return e.BinOf(h, s)
+}
+
+// certifiedBin returns the bin of the pixel FromHSV(h, s, v) and true
+// when the bound above certifies it, and false otherwise.
+func (e Extractor) certifiedBin(h, s, v float64) (int, bool) {
+	if !(v >= minVal && v <= 1 && e.HueBins <= maxCertBins && e.SatBins <= maxCertBins) {
+		return 0, false
+	}
+	hb := h / 360 * float64(e.HueBins)
+	sb := s * float64(e.SatBins)
+	if s >= minSat && inBin(hb, e.HueBins) && inBin(sb, e.SatBins) {
+		return int(hb)*e.SatBins + int(sb), true
+	}
+	if s == 0 && h >= 0 && h < 360 {
+		return e.BinOf(0, 0), true
+	}
+	return 0, false
+}
+
+// inBin reports whether x lies in [0, n) at least certMargin from every
+// integer. For x ≥ 1 the fraction is exact (Sterbenz's lemma).
+func inBin(x float64, n int) bool {
+	if !(x >= 0 && x < float64(n)) {
+		return false
+	}
+	f := x - float64(int(x))
+	return f >= certMargin && f <= 1-certMargin
+}
+
+// Reset checks that dst can hold the histogram of an image of pixels
+// pixels and sets every bin to the Smoothing pseudocount. The caller
+// then adds 1 to dst[bin] for each pixel and calls Normalize;
+// ExtractInto is that loop over a raster.
+func (e Extractor) Reset(dst []float64, pixels int) error {
 	if e.HueBins <= 0 || e.SatBins <= 0 {
 		return fmt.Errorf("histogram: invalid extractor %dx%d", e.HueBins, e.SatBins)
 	}
 	if e.Smoothing < 0 {
 		return fmt.Errorf("histogram: negative smoothing %v", e.Smoothing)
 	}
-	if im == nil || len(im.Pix) == 0 {
+	if pixels <= 0 {
 		return errors.New("histogram: empty image")
 	}
 	if len(dst) != e.Bins() {
@@ -160,13 +232,31 @@ func (e Extractor) ExtractInto(dst []float64, im *Image) error {
 	for i := range dst {
 		dst[i] = e.Smoothing
 	}
+	return nil
+}
+
+// Normalize divides the counts of an image of pixels pixels, begun by
+// Reset, by their total so the bins sum to 1.
+func (e Extractor) Normalize(dst []float64, pixels int) {
+	inv := 1 / (float64(pixels) + e.Smoothing*float64(e.Bins()))
+	for i := range dst {
+		dst[i] *= inv
+	}
+}
+
+// ExtractInto writes the normalized colour histogram of im into dst,
+// which must have length Bins(); it allocates nothing.
+func (e Extractor) ExtractInto(dst []float64, im *Image) error {
+	if im == nil {
+		return errors.New("histogram: empty image")
+	}
+	if err := e.Reset(dst, len(im.Pix)); err != nil {
+		return err
+	}
 	for _, p := range im.Pix {
 		h, s, _ := HSV(p.R, p.G, p.B)
 		dst[e.BinOf(h, s)]++
 	}
-	inv := 1 / (float64(len(im.Pix)) + e.Smoothing*float64(e.Bins()))
-	for i := range dst {
-		dst[i] *= inv
-	}
+	e.Normalize(dst, len(im.Pix))
 	return nil
 }

@@ -259,3 +259,87 @@ func TestExtractErrors(t *testing.T) {
 		t.Error("a destination shorter than Bins() should error")
 	}
 }
+
+// TestCertifiedBinIsRoundTrip holds SampleBin's certificate to the round
+// trip it skips: wherever certifiedBin claims a bin, BinOf of
+// HSV(FromHSV(h, s, v)) must be that bin. The points are seeded random
+// pixels, random pixels close to a hue edge at low saturation, and, for
+// three bin layouts, the bin edges of either channel ± 1…8 ulps and hues
+// just outside certMargin of each edge, the hue wrap, saturations at 0,
+// the smallest subnormal, far below minSat, minSat ± 1 ulp and 1,
+// brightnesses at the edges of the certified range, and NaN in each
+// channel.
+func TestCertifiedBinIsRoundTrip(t *testing.T) {
+	// near returns x and the 8 floats on either side of it.
+	near := func(x float64) []float64 {
+		out := []float64{x}
+		for _, dir := range []float64{math.Inf(-1), math.Inf(1)} {
+			y := x
+			for range 8 {
+				y = math.Nextafter(y, dir)
+				out = append(out, y)
+			}
+		}
+		return out
+	}
+	for _, e := range []Extractor{DefaultExtractor, {HueBins: 7, SatBins: 3}, {HueBins: maxCertBins, SatBins: maxCertBins}} {
+		// At most 9 edges per channel keep the grid small at 360 bins.
+		// Hues just outside the margin, with saturations far below
+		// minSat, are where the round trip strays furthest past it.
+		degPerBin := 360 / float64(e.HueBins)
+		var hues, sats []float64
+		for k := 0; k <= e.HueBins; k += max(1, e.HueBins/8) {
+			hues = append(hues, near(float64(k)*degPerBin)...)
+			for _, c := range []float64{-64, -8, -2, -1.01, 1.01, 2, 8, 64} {
+				hues = append(hues, (float64(k)+c*certMargin)*degPerBin)
+			}
+		}
+		for k := 0; k <= e.SatBins; k += max(1, e.SatBins/8) {
+			sats = append(sats, near(float64(k)/float64(e.SatBins))...)
+		}
+		hues = append(hues, 10, 100, 200, 350, math.Nextafter(360, 0), math.NaN())
+		sats = append(sats, 0.1, 0.6, 0x1p-1074, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4,
+			math.Nextafter(minSat, 0), minSat, math.Nextafter(minSat, 1), math.NaN())
+		vals := []float64{0, 0x1p-1074, math.Nextafter(minVal, 0), minVal, 0.35, 0.7, 1, math.Nextafter(1, 2), math.NaN()}
+
+		certified, points := 0, 0
+		check := func(h, s, v float64) {
+			points++
+			want := e.roundTripBin(h, s, v)
+			if got := e.SampleBin(h, s, v); got != want {
+				t.Fatalf("%dx%d bins: SampleBin(%v, %v, %v) = %d, round trip %d", e.HueBins, e.SatBins, h, s, v, got, want)
+			}
+			if _, ok := e.certifiedBin(h, s, v); ok {
+				certified++
+			}
+		}
+		for _, h := range hues {
+			for _, s := range sats {
+				for _, v := range vals {
+					check(h, s, v)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(e.HueBins)))
+		random := 0
+		for range 20_000 {
+			s := rng.Float64()
+			if rng.Intn(4) == 0 {
+				s *= 0.01
+			}
+			before := certified
+			check(rng.Float64()*360, s, 0.35+0.65*rng.Float64())
+			random += certified - before
+			// A pixel within 100 margins of a hue edge, at a saturation
+			// between 10⁻¹⁰ and 1.
+			edge := float64(rng.Intn(e.HueBins + 1))
+			check((edge+(2*rng.Float64()-1)*100*certMargin)*degPerBin, math.Pow(10, -10*rng.Float64()), 0.35+0.65*rng.Float64())
+		}
+		// The certificate must cover nearly every ordinary pixel, or the
+		// test above checks little and SampleBin saves little.
+		if random < 19_000 {
+			t.Errorf("%dx%d bins: %d of 20,000 random pixels certified", e.HueBins, e.SatBins, random)
+		}
+		t.Logf("%dx%d bins: %d of %d points certified", e.HueBins, e.SatBins, certified, points)
+	}
+}

@@ -68,6 +68,7 @@ type Generated struct {
 	Category string
 	Theme    string
 	Image    *histogram.Image
+	Feature  []float64 // Image's histogram; only Generate fills it in
 }
 
 // Validate checks the configuration for structural errors.
@@ -93,6 +94,11 @@ func (c Config) Validate() error {
 				return fmt.Errorf("imagegen: category %q theme %q has no blobs", cat.Name, th.Name)
 			}
 			for _, b := range append(append([]Blob{}, cat.Signature...), th.Blobs...) {
+				for _, x := range [...]float64{b.Hue, b.HueStd, b.Sat, b.SatStd, b.Weight} {
+					if math.IsNaN(x) || math.IsInf(x, 0) {
+						return fmt.Errorf("imagegen: category %q theme %q has a non-finite blob field %v", cat.Name, th.Name, x)
+					}
+				}
 				if b.Weight <= 0 {
 					return fmt.Errorf("imagegen: category %q theme %q has non-positive blob weight", cat.Name, th.Name)
 				}
@@ -144,24 +150,57 @@ func NewRenderer(cfg Config) (*Renderer, error) {
 // order, by any number of Renderers, with identical results. The returned
 // Image is the Renderer's raster, overwritten by the next Render.
 func (r *Renderer) Render(id int) (Generated, error) {
+	g, err := r.draw(id)
+	if err != nil {
+		return Generated{}, err
+	}
+	r.paint(nil, histogram.Extractor{})
+	g.Image = &r.img
+	return g, nil
+}
+
+// Histogram writes image id's colour histogram under ex into dst, which
+// must have length ex.Bins(), without rendering the raster. It samples
+// every pixel as Render does and bins it with ex.SampleBin, so dst holds
+// the bits ex.ExtractInto writes for Render(id).Image. The returned
+// Generated has no Image.
+func (r *Renderer) Histogram(dst []float64, id int, ex histogram.Extractor) (Generated, error) {
+	if err := ex.Reset(dst, len(r.img.Pix)); err != nil {
+		return Generated{}, err
+	}
+	g, err := r.draw(id)
+	if err != nil {
+		return Generated{}, err
+	}
+	r.paint(dst, ex)
+	ex.Normalize(dst, len(r.img.Pix))
+	return g, nil
+}
+
+// draw reseeds the RNG for image id, draws its theme and collects its
+// signature and theme blobs for paint.
+func (r *Renderer) draw(id int) (Generated, error) {
 	first := 0
 	for _, cat := range r.cfg.Categories {
 		if id >= first && id < first+cat.Count {
 			r.rng.Seed(imageSeed(r.cfg.Seed, id))
 			theme := cat.Themes[r.rng.Intn(len(cat.Themes))]
-			r.paint(cat.Signature, theme.Blobs)
-			return Generated{ID: id, Category: cat.Name, Theme: theme.Name, Image: &r.img}, nil
+			r.blobs = append(append(r.blobs[:0], cat.Signature...), theme.Blobs...)
+			return Generated{ID: id, Category: cat.Name, Theme: theme.Name}, nil
 		}
 		first += cat.Count
 	}
 	return Generated{}, fmt.Errorf("imagegen: image %d outside the collection's %d", id, first)
 }
 
-// Generate renders the full collection deterministically from the seed.
-// Image i of the configuration always receives the same pixels, regardless
-// of how many categories precede it. All rasters are held at once, each a
-// copy of the Renderer's; dataset.Build streams instead.
-func Generate(cfg Config) ([]Generated, error) {
+// Generate renders the full collection deterministically from the seed
+// and extracts each raster's histogram under ex with ExtractInto. Image i
+// of the configuration always receives the same pixels, regardless of how
+// many categories precede it. All rasters are held at once, each a copy
+// of the Renderer's. It is the naive twin of dataset.Build, which bins
+// the same samples without rasters (Histogram);
+// TestBuildMatchesSerialGenerate holds the two to the same bits.
+func Generate(cfg Config, ex histogram.Extractor) ([]Generated, error) {
 	r, err := NewRenderer(cfg)
 	if err != nil {
 		return nil, err
@@ -173,6 +212,10 @@ func Generate(cfg Config) ([]Generated, error) {
 			return nil, err
 		}
 		g.Image = &histogram.Image{W: g.Image.W, H: g.Image.H, Pix: slices.Clone(g.Image.Pix)}
+		g.Feature = make([]float64, ex.Bins())
+		if err := ex.ExtractInto(g.Feature, g.Image); err != nil {
+			return nil, err
+		}
 		out[id] = g
 	}
 	return out, nil
@@ -187,12 +230,12 @@ func imageSeed(seed int64, id int) int64 {
 	return int64(z)
 }
 
-// paint samples each pixel of the raster from the mixture of signature
-// and theme blobs, after applying a per-image jitter to blob centers and
-// masses.
-func (r *Renderer) paint(signature, themeBlobs []Blob) {
+// paint samples each pixel from the mixture of the blobs draw collected,
+// after applying a per-image jitter to blob centers and masses. With a
+// nil hist it writes the pixel to the raster; otherwise it adds the
+// pixel to hist's bin under ex.
+func (r *Renderer) paint(hist []float64, ex histogram.Extractor) {
 	rng := r.rng
-	r.blobs = append(append(r.blobs[:0], signature...), themeBlobs...)
 
 	// Per-image jitter: the palette drifts and the blob masses vary, so
 	// two images of the same theme are similar but clearly distinct —
@@ -220,7 +263,11 @@ func (r *Renderer) paint(signature, themeBlobs []Blob) {
 		hue := wrapHue(b.Hue + hueJitter + rng.NormFloat64()*b.HueStd)
 		sat := clamp01(b.Sat + satJitter + rng.NormFloat64()*b.SatStd)
 		val := 0.35 + 0.65*rng.Float64() // brightness is not a feature; keep it away from 0 so hue is well-defined
-		r.img.Pix[i] = histogram.FromHSV(hue, sat, val)
+		if hist == nil {
+			r.img.Pix[i] = histogram.FromHSV(hue, sat, val)
+		} else {
+			hist[ex.SampleBin(hue, sat, val)]++
+		}
 	}
 }
 

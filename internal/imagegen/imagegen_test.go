@@ -62,7 +62,7 @@ func TestValidate(t *testing.T) {
 
 func TestGenerateCountsAndLabels(t *testing.T) {
 	cfg := smallConfig()
-	imgs, err := Generate(cfg)
+	imgs, err := Generate(cfg, histogram.DefaultExtractor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestGenerateCountsAndLabels(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := smallConfig()
-	a, err := Generate(cfg)
+	a, err := Generate(cfg, histogram.DefaultExtractor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(cfg)
+	b, err := Generate(cfg, histogram.DefaultExtractor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +146,10 @@ func TestRendererReuse(t *testing.T) {
 	}
 }
 
-// TestRenderAllocationBudget pins the streaming build's per-image cost:
-// on a warm Renderer, rendering an image and extracting its histogram
-// into a row allocate nothing.
+// TestRenderAllocationBudget pins the per-image cost of both paths: on a
+// warm Renderer, rendering an image and extracting its histogram into a
+// row allocate nothing, and neither does Histogram, the streaming build's
+// path.
 func TestRenderAllocationBudget(t *testing.T) {
 	cfg := IMSILike(1, 0.05)
 	r, err := NewRenderer(cfg)
@@ -177,13 +178,50 @@ func TestRenderAllocationBudget(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, render); allocs != 0 {
 		t.Errorf("render + ExtractInto: %v allocations per image, want 0", allocs)
 	}
+	bin := func() {
+		if _, err := r.Histogram(row, id%cfg.Count(), ex); err != nil {
+			t.Fatal(err)
+		}
+		id += 7
+	}
+	if allocs := testing.AllocsPerRun(200, bin); allocs != 0 {
+		t.Errorf("Histogram: %v allocations per image, want 0", allocs)
+	}
+}
+
+// TestValidateRefusesNonFinite: a NaN or infinite blob field would render
+// a silently wrong collection, so Validate refuses each one, in a
+// signature blob and in a theme blob.
+func TestValidateRefusesNonFinite(t *testing.T) {
+	fields := map[string]func(*Blob) *float64{
+		"Hue":    func(b *Blob) *float64 { return &b.Hue },
+		"HueStd": func(b *Blob) *float64 { return &b.HueStd },
+		"Sat":    func(b *Blob) *float64 { return &b.Sat },
+		"SatStd": func(b *Blob) *float64 { return &b.SatStd },
+		"Weight": func(b *Blob) *float64 { return &b.Weight },
+	}
+	for name, field := range fields {
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, where := range []string{"signature", "theme"} {
+				cfg := smallConfig()
+				b := &cfg.Categories[0].Themes[1].Blobs[0]
+				if where == "signature" {
+					b = &cfg.Categories[0].Signature[0]
+				}
+				*field(b) = x
+				if err := cfg.Validate(); err == nil {
+					t.Errorf("%s %s = %v: Validate accepted it", where, name, x)
+				}
+			}
+		}
+	}
 }
 
 func TestGenerateDifferentSeedsDiffer(t *testing.T) {
 	cfg := smallConfig()
-	a, _ := Generate(cfg)
+	a, _ := Generate(cfg, histogram.DefaultExtractor)
 	cfg.Seed = 2
-	b, _ := Generate(cfg)
+	b, _ := Generate(cfg, histogram.DefaultExtractor)
 	same := true
 	for i := range a {
 		for p := range a[i].Image.Pix {
@@ -200,7 +238,7 @@ func TestGenerateDifferentSeedsDiffer(t *testing.T) {
 func TestGenerateInvalidConfig(t *testing.T) {
 	cfg := smallConfig()
 	cfg.ImageW = -1
-	if _, err := Generate(cfg); err == nil {
+	if _, err := Generate(cfg, histogram.DefaultExtractor); err == nil {
 		t.Error("expected error for invalid config")
 	}
 }
@@ -220,11 +258,11 @@ func TestSignatureBinsAreLowVariance(t *testing.T) {
 			},
 		}},
 	}
-	imgs, err := Generate(cfg)
+	ex := histogram.DefaultExtractor
+	imgs, err := Generate(cfg, ex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := histogram.DefaultExtractor
 	// hueMass sums histogram mass over every (hue, sat) bin whose hue range
 	// intersects [lo, hi] degrees — jitter spreads blobs across adjacent
 	// bins, so region masses are the stable observable.
@@ -242,17 +280,9 @@ func TestSignatureBinsAreLowVariance(t *testing.T) {
 		}
 		return m
 	}
-	var feats [][]float64
-	for _, g := range imgs {
-		h := make([]float64, ex.Bins())
-		err := ex.ExtractInto(h, g.Image)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feats = append(feats, h)
-	}
 	var sig, themeA, themeB []float64
-	for _, h := range feats {
+	for _, g := range imgs {
+		h := g.Feature
 		sig = append(sig, hueMass(h, 60, 140))        // signature hue 100 ± drift
 		themeA = append(themeA, hueMass(h, 180, 260)) // theme a hue 220
 		themeB = append(themeB, hueMass(h, 270, 350)) // theme b hue 310
@@ -348,7 +378,7 @@ func TestIMSILikeScaling(t *testing.T) {
 
 func TestIMSILikeGeneratesAtSmallScale(t *testing.T) {
 	cfg := IMSILike(3, 0.02)
-	imgs, err := Generate(cfg)
+	imgs, err := Generate(cfg, histogram.DefaultExtractor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,15 +386,9 @@ func TestIMSILikeGeneratesAtSmallScale(t *testing.T) {
 		t.Fatalf("generated %d, config says %d", len(imgs), cfg.Count())
 	}
 	// All histograms must be valid (normalized, finite).
-	ex := histogram.DefaultExtractor
 	for _, g := range imgs[:10] {
-		h := make([]float64, ex.Bins())
-		err := ex.ExtractInto(h, g.Image)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var sum float64
-		for _, v := range h {
+		for _, v := range g.Feature {
 			sum += v
 		}
 		if math.Abs(sum-1) > 1e-9 {

@@ -65,10 +65,13 @@ run_test() {
 	go test -run '^$' -fuzz '^FuzzHTTPRequest$' -fuzztime 30s ./internal/httpapi/
 
 	step "Benchmark smoke pass"
-	# One iteration of the retrieval-core, prediction-plane, census-replay
-	# and feedback benchmarks: catches benchmarks that no longer compile or
-	# crash, without paying for a full measurement run.
+	# One iteration of the retrieval-core, prediction-plane, census-replay,
+	# feedback and scale-1 collection-build benchmarks: catches benchmarks
+	# that no longer compile or crash, without paying for a full
+	# measurement run. The build has its own line: -bench splits its
+	# pattern at '/', so a sub-benchmark filter would apply to them all.
 	go test -run '^$' -bench 'KNN|Feedback|Predict|WALAppend|CensusReplay' -benchtime 1x .
+	go test -run '^$' -bench 'BenchmarkDatasetBuild/scale=1$' -benchtime 1x .
 	go test -run '^$' -bench 'Feedback' -benchtime 1x ./internal/engine/
 
 	step "Benchmark regression smoke (prediction plane)"
