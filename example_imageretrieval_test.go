@@ -34,12 +34,17 @@ func Example_imageRetrieval() {
 
 	// Find an illustrative never-trained Mammal query — like the paper's
 	// Figure 1, this picks a query where the prediction visibly helps
-	// (averages over all queries are what Figures 10–14 report).
+	// (averages over all queries are what Figures 10–14 report): the most
+	// good results gained in the top 5, then the most feedback cycles
+	// saved, among the queries whose prediction costs no extra cycle. At
+	// this scale the queries that save a cycle gain nothing in the top 5,
+	// so the one picked converges in as many cycles as from the default.
 	trained := map[int]bool{}
 	for _, r := range session.Records {
 		trained[r.ItemIndex] = true
 	}
 	var res *experiments.Figure1Result
+	var fromDefault, fromPredicted int
 	for _, idx := range session.DS.ByCategory["Mammal"] {
 		if trained[idx] {
 			continue
@@ -48,14 +53,21 @@ func Example_imageRetrieval() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if res == nil || cand.GoodBypass-cand.GoodDefault > res.GoodBypass-res.GoodDefault {
-			res = cand
+		def, pred := feedbackCycles(session, idx, cfg.K)
+		if def < pred {
+			continue
+		}
+		gain, best := cand.GoodBypass-cand.GoodDefault, 0
+		if res != nil {
+			best = res.GoodBypass - res.GoodDefault
+		}
+		if res == nil || gain > best || gain == best && def-pred > fromDefault-fromPredicted {
+			res, fromDefault, fromPredicted = cand, def, pred
 		}
 	}
 	if res == nil {
 		log.Fatal("no untrained Mammal image available; increase Scale")
 	}
-	queryIdx := res.QueryIndex
 	fmt.Printf("query: item %d (%s), never seen by the module\n\n", res.QueryIndex, res.QueryCategory)
 	fmt.Println("top-5 with default parameters:")
 	for _, l := range res.DefaultTop {
@@ -66,10 +78,41 @@ func Example_imageRetrieval() {
 		printLine(l)
 	}
 	fmt.Printf("\nrelevant results: %d/5 default vs %d/5 FeedbackBypass\n", res.GoodDefault, res.GoodBypass)
+	saved := fromDefault - fromPredicted
+	fmt.Printf("\nfeedback cycles to convergence: %d from default, %d from prediction (saved %d cycles ≈ %d objects)\n",
+		fromDefault, fromPredicted, saved, saved*cfg.K)
 
-	// The engine-level view: how many feedback cycles does the prediction
-	// save for this query?
-	item := session.DS.Items[queryIdx]
+	// Output:
+	// building collection and training on 250 queries ...
+	// collection: 1468 images in 17 categories
+	// simplex tree: 249 points, depth 12
+	//
+	// query: item 108 (Mammal), never seen by the module
+	//
+	// top-5 with default parameters:
+	//   * item 108   Mammal     theme=savanna    distance=0.0000
+	//     item 874   Desert     theme=dune       distance=0.0932
+	//   * item 151   Mammal     theme=savanna    distance=0.0942
+	//   * item 109   Mammal     theme=savanna    distance=0.0963
+	//     item 900   Desert     theme=dune       distance=0.1125
+	//
+	// top-5 with FeedbackBypass predicted parameters:
+	//   * item 108   Mammal     theme=savanna    distance=0.0027
+	//   * item 151   Mammal     theme=savanna    distance=0.0214
+	//     item 874   Desert     theme=dune       distance=0.0220
+	//   * item 109   Mammal     theme=savanna    distance=0.0224
+	//   * item 71    Mammal     theme=savanna    distance=0.0248
+	//
+	// relevant results: 3/5 default vs 4/5 FeedbackBypass
+	//
+	// feedback cycles to convergence: 2 from default, 2 from prediction (saved 0 cycles ≈ 0 objects)
+}
+
+// feedbackCycles is the engine-level view of one query: the feedback
+// cycles the oracle loop takes to converge from the default parameters
+// and from the ones FeedbackBypass predicts.
+func feedbackCycles(session *experiments.Session, idx, k int) (fromDefault, fromPredicted int) {
+	item := session.DS.Items[idx]
 	qp, err := session.Codec.QueryPoint(item.Feature)
 	if err != nil {
 		log.Fatal(err)
@@ -82,42 +125,15 @@ func Example_imageRetrieval() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fromDefault, err := experiments.OracleLoop(session.Engine, item.Category, item.Feature, session.Engine.UniformWeights(), cfg.K)
+	def, err := experiments.OracleLoop(session.Engine, item.Category, item.Feature, session.Engine.UniformWeights(), k)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fromPredicted, err := experiments.OracleLoop(session.Engine, item.Category, qPred, wPred, cfg.K)
+	pred, err := experiments.OracleLoop(session.Engine, item.Category, qPred, wPred, k)
 	if err != nil {
 		log.Fatal(err)
 	}
-	saved := fromDefault.Rounds() - fromPredicted.Rounds()
-	fmt.Printf("\nfeedback cycles to convergence: %d from default, %d from prediction (saved %d cycles ≈ %d objects)\n",
-		fromDefault.Rounds(), fromPredicted.Rounds(), saved, saved*cfg.K)
-
-	// Output:
-	// building collection and training on 250 queries ...
-	// collection: 1468 images in 17 categories
-	// simplex tree: 249 points, depth 12
-	//
-	// query: item 89 (Mammal), never seen by the module
-	//
-	// top-5 with default parameters:
-	//   * item 89    Mammal     theme=forest     distance=0.0000
-	//   * item 85    Mammal     theme=forest     distance=0.1310
-	//     item 598   Urban      theme=brick      distance=0.2097
-	//     item 356   Monument   theme=sunset     distance=0.2296
-	//     item 629   Urban      theme=brick      distance=0.2336
-	//
-	// top-5 with FeedbackBypass predicted parameters:
-	//   * item 89    Mammal     theme=forest     distance=0.0071
-	//   * item 85    Mammal     theme=forest     distance=0.0678
-	//   * item 191   Mammal     theme=forest     distance=0.1105
-	//     item 598   Urban      theme=brick      distance=0.1231
-	//   * item 168   Mammal     theme=dusk       distance=0.1238
-	//
-	// relevant results: 2/5 default vs 4/5 FeedbackBypass
-	//
-	// feedback cycles to convergence: 5 from default, 6 from prediction (saved -1 cycles ≈ -12 objects)
+	return def.Rounds(), pred.Rounds()
 }
 
 // printLine prints one result of a Figure 1 list, starred when it is a

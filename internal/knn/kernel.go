@@ -1,36 +1,37 @@
 // Kernelized scan paths: squared-space comparison, early abandonment, and
-// a best-first tile order with an early stop. The naive path pays a
-// virtual Metric.Distance call and a math.Sqrt per database vector; the
-// kernel path walks the contiguous feature slab, filters candidates by
-// their squared distance (monotone in the true distance), drops a
-// candidate as soon as its partial sum exceeds the current k-th best, and
-// takes one square root per *offered candidate*, which it ranks by
-// (√, index) exactly as the naive path does. At D = 32 a search runs the
-// phased tile cascade (scanTile32), whose first phase streams the
-// dimension-blocked head slab instead of the full rows, and which skips a
-// whole tile whose bounding box is provably beyond the k-th best. The
-// tiles are the leaves of a k-d partition built with the scan
-// (TileOrder), so their boxes are tight in any stored order. Search ranks
-// every tile by its box bound and scans nearest first on the calling
-// goroutine, stopping at the first tile beyond the k-th best. The parity
-// property tests assert every path returns []Result identical to the
-// generic path.
+// a best-first descent of a tile tree with an early stop. The naive path
+// pays a virtual Metric.Distance call and a math.Sqrt per database
+// vector; the kernel path walks the contiguous feature slab, filters
+// candidates by their squared distance (monotone in the true distance),
+// drops a candidate as soon as its partial sum exceeds the current k-th
+// best, and takes one square root per *offered candidate*, which it ranks
+// by (√, index) exactly as the naive path does. At D = 32 a search runs
+// the phased tile cascade (scanTile32), whose first phase streams the
+// dimension-blocked head slab instead of the full rows. The tiles are the
+// leaves of a k-d partition built with the scan (TileOrder), and every
+// node of that tree keeps the bounding box of its rows, so a tile's box
+// stays tight in any stored order. Search descends the tree best-first on
+// the calling goroutine, bounding only the children of the nodes it pops,
+// and stops at the first node whose box is provably beyond the k-th best.
+// The parity property tests assert every path returns []Result identical
+// to the generic path.
 package knn
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/distance"
 )
 
-// tileRows is the number of rows per tile of the phased cascade and of
-// the k-d scan order: 512 rows × 32 dims × 8 B = 128 KiB of full rows,
-// L2-resident, and 32 KiB of head slab.
-const tileRows = 512
+// tileRows is the number of rows per tile of the phased cascade, a leaf
+// of the k-d scan order: 64 rows × 32 dims × 8 B = 16 KiB of full rows
+// and 4 KiB of head slab. A search bounds only the nodes beside its path
+// through the tree, not every tile, so small tiles cost little to rank
+// and let the stop cut close to the k-th neighbour (DESIGN.md, "Tile
+// size").
+const tileRows = 64
 
 // RootBound2 returns the largest float64 whose square root rounds to at
 // most r: the squared sums that can still tie or beat a k-th distance r.
@@ -54,7 +55,7 @@ func RootBound2(r float64) float64 {
 // otherwise one row loop over the whole collection (scanRows).
 func (s *Scan) searchKernel(q []float64, k int, kern distance.Kernel) []Result {
 	if s.head != nil {
-		return s.searchTiles(q, k, kern.Weights())
+		return s.searchTiles(q, k, kern.Weights(), nil)
 	}
 	return s.scanRows(q, k, kern)
 }
@@ -77,49 +78,112 @@ func (s *Scan) scanRows(q []float64, k int, kern distance.Kernel) []Result {
 	return st.items
 }
 
-// tileRank is one block of a lone search's best-first order: scan
-// positions [lo, hi) and the lower bound box2 of their kernel sums.
-type tileRank struct {
-	box2   float64
-	lo, hi int
-}
-
-// byBox orders tiles nearest first, ties by position. A top-level
-// function, so passing it to the sort allocates nothing.
-func byBox(a, b tileRank) int {
-	if c := cmp.Compare(a.box2, b.box2); c != 0 {
-		return c
-	}
-	return a.lo - b.lo
-}
-
-// rankTiles bounds every block of the scan by its box and sorts the
-// blocks nearest first into b's pooled order buffer.
-func (s *Scan) rankTiles(q, w []float64, b *tileBufs) []tileRank {
-	n := s.mat.Len()
-	order := b.order[:0]
-	for lo := 0; lo < n; lo += tileRows {
-		order = append(order, tileRank{s.blockBound2(q, w, lo), lo, min(lo+tileRows, n)})
-	}
-	slices.SortFunc(order, byBox)
-	b.order = order
-	return order
-}
+// searchWork counts one search's work, with no clock: the nodes whose
+// box it bounded, the tiles it scanned and the rows that entered phase 1.
+type searchWork struct{ bounded, tiles, rows int }
 
 // searchTiles answers one D = 32 query best-first on the calling
-// goroutine: tiles in ascending box bound, until the first whose bound is
-// strictly beyond the k-th best. The queue ascends and the bound only
-// falls, so every later tile is beyond it too and no result changes.
-func (s *Scan) searchTiles(q []float64, k int, w []float64) []Result {
+// goroutine, descending the k-d tree over the tiles (Scan.kids): it pops
+// the node of least box bound, pushes each child whose bound is within
+// the live k-th bound, scans a popped tile, and stops at the first popped
+// bound strictly beyond the live one. A node's box holds its children's,
+// so its bound is ≤ theirs bitwise (boxBound2): the popped bounds ascend
+// while the live bound only falls, so every node left is beyond it too
+// and no result changes. work, when not nil, counts the search's work.
+func (s *Scan) searchTiles(q []float64, k int, w []float64, work *searchWork) []Result {
 	bufs := s.getTileBufs()
 	defer tileBufPool.Put(bufs)
 	st := newTopK(k)
-	for _, t := range s.rankTiles(q, w, bufs) {
-		if !s.scanTile32(q, w, t.lo, t.hi, t.box2, &st, bufs) {
+	n, tiles := s.mat.Len(), s.tiles()
+	h := nodeHeap(bufs.heap[:0])
+	root := int32(2*tiles - 2)
+	h.push(nodeRank{boxBound2(q, w, s.box(root)), root})
+	if work != nil {
+		work.bounded++
+	}
+	for len(h) > 0 {
+		top := h.pop()
+		if top.box2 > st.bound2 {
 			break
 		}
+		if t := int(top.node); t < tiles {
+			lo, hi := t*tileRows, min(t*tileRows+tileRows, n)
+			s.scanTile32(q, w, lo, hi, &st, bufs)
+			if work != nil {
+				work.tiles++
+				work.rows += hi - lo
+			}
+			continue
+		}
+		i := 2 * (int(top.node) - tiles)
+		for _, c := range s.kids[i : i+2 : i+2] {
+			if b := boxBound2(q, w, s.box(c)); b <= st.bound2 {
+				h.push(nodeRank{b, c})
+			}
+		}
+		if work != nil {
+			work.bounded += 2
+		}
 	}
+	bufs.heap = h
 	return st.items
+}
+
+// nodeRank is one entry of a search's frontier: a node of the k-d tree
+// and the lower bound box2 of its rows' kernel sums.
+type nodeRank struct {
+	box2 float64
+	node int32
+}
+
+// less orders the frontier nearest first, ties by node id.
+func (a nodeRank) less(b nodeRank) bool {
+	return a.box2 < b.box2 || a.box2 == b.box2 && a.node < b.node
+}
+
+// nodeHeap is a binary min-heap of the frontier. A search pushes each
+// node at most once, so a heap with room for every node never grows.
+type nodeHeap []nodeRank
+
+func (h *nodeHeap) push(x nodeRank) {
+	a := append(*h, x)
+	i := len(a) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.less(a[p]) {
+			break
+		}
+		a[i] = a[p]
+		i = p
+	}
+	a[i] = x
+	*h = a
+}
+
+func (h *nodeHeap) pop() nodeRank {
+	a := *h
+	top, x := a[0], a[len(a)-1]
+	a = a[:len(a)-1]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(a) {
+			break
+		}
+		if c+1 < len(a) && a[c+1].less(a[c]) {
+			c++
+		}
+		if !a[c].less(x) {
+			break
+		}
+		a[i] = a[c]
+		i = c
+	}
+	if len(a) > 0 {
+		a[i] = x
+	}
+	*h = a
+	return top
 }
 
 // SearchBatchMulti answers qs[i] under ms[i] by calling Search per query.
@@ -143,20 +207,20 @@ func (s *Scan) SearchBatchMulti(qs [][]float64, k int, ms []distance.Metric) ([]
 
 // tileBufs are the scratch buffers of one phased tile search: the four
 // stripe accumulators of every row in the tile, the survivor row lists
-// between phases, and the search's best-first tile order.
+// between phases, and the search's best-first frontier.
 type tileBufs struct {
 	s0, s1, s2, s3 []float64
 	surv           []int32
-	order          []tileRank
+	heap           []nodeRank
 }
 
 // tileBufPool recycles tileBufs across searches, so a lone query's scan
 // allocates nothing beyond its candidate list.
 var tileBufPool sync.Pool
 
-// getTileBufs returns scratch for one D = 32 search. Every pooled buffer
-// can hold the whole tile order, so a search ranks its tiles without
-// allocating.
+// getTileBufs returns scratch for one D = 32 search. Every pooled
+// frontier has room for every node of s's tree, so a search descends it
+// without allocating.
 func (s *Scan) getTileBufs() *tileBufs {
 	b, _ := tileBufPool.Get().(*tileBufs)
 	if b == nil {
@@ -168,8 +232,8 @@ func (s *Scan) getTileBufs() *tileBufs {
 			surv: make([]int32, tileRows),
 		}
 	}
-	if tiles := (s.mat.Len() + tileRows - 1) / tileRows; cap(b.order) < tiles {
-		b.order = make([]tileRank, 0, tiles)
+	if nodes := len(s.boxes) / 64; cap(b.heap) < nodes {
+		b.heap = make([]nodeRank, 0, nodes)
 	}
 	return b
 }
@@ -193,17 +257,13 @@ func (s *Scan) getTileBufs() *tileBufs {
 // only keep extra candidates, never drop one a sequential scan would
 // keep — the final live-bound check restores exactness.
 //
-// Before phase 1 the whole tile is skipped, and false returned, when
-// box2 — blockBound2, ≤ every row's kernel sum bitwise — is strictly
-// beyond the live bound: no row in the tile can then be offered. Equality
-// must not skip: a row on the bound may still win the index tie-break
-// against a k-th candidate found earlier in a later tile, which a
-// best-first search can have done.
-func (s *Scan) scanTile32(q, w []float64, lo, hi int, box2 float64, st *TopK, b *tileBufs) bool {
+// The caller skips a tile whose box bound is strictly beyond the live
+// bound (searchTiles): no row in it can then be offered. Equality must
+// not skip: a row on the bound may still win the index tie-break against
+// a k-th candidate found earlier in a later tile, which a best-first
+// search can have done.
+func (s *Scan) scanTile32(q, w []float64, lo, hi int, st *TopK, b *tileBufs) {
 	bound2 := st.bound2
-	if box2 > bound2 {
-		return false
-	}
 	rows, n := hi-lo, s.mat.Len()
 	head := s.head[lo*8 : hi*8]
 	slab := s.mat.Slab(0, n)
@@ -237,14 +297,16 @@ func (s *Scan) scanTile32(q, w []float64, lo, hi int, box2 float64, st *TopK, b 
 			bound2 = st.OfferRoot(int(surv[j]), sum)
 		}
 	}
-	return true
 }
 
-// blockBound2 is boxBound2 of the box of the tile starting at scan
-// position lo.
-func (s *Scan) blockBound2(q, w []float64, lo int) float64 {
-	t := lo / tileRows
-	return boxBound2(q, w, s.boxes[t*64:t*64+64:t*64+64])
+// tiles returns the number of tiles, the leaves of s's k-d tree.
+func (s *Scan) tiles() int { return (s.mat.Len() + tileRows - 1) / tileRows }
+
+// box returns the bounding box of node i of s's k-d tree (layout:
+// Scan.boxes).
+func (s *Scan) box(i int32) []float64 {
+	j := int(i) * 64
+	return s.boxes[j : j+64 : j+64]
 }
 
 // unitWeights makes the unweighted bound the weighted one: (1·g)·g is
@@ -259,8 +321,10 @@ var unitWeights = [32]float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
 // bitwise, not just in real arithmetic: |g| ≤ |d| survives rounding
 // because subtraction rounds monotonically, and products and sums of
 // non-negative operands (weights are validated non-negative) are
-// monotone too. The float64 conversions forbid FMA fusion, matching the
-// separate roundings of the phase kernels.
+// monotone too. The same argument orders the tree's bounds: a node's box
+// holds each child's, so per dimension its gap is ≤ the child's, and its
+// bound ≤ the child's bitwise. The float64 conversions forbid FMA fusion,
+// matching the separate roundings of the phase kernels.
 func boxBound2(q, w, box []float64) float64 {
 	if w == nil {
 		w = unitWeights[:]
@@ -277,8 +341,19 @@ func boxBound2(q, w, box []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// gapTerm is (w·g)·g for the gap g between x and [lo, hi].
+// gapTerm is (w·g)·g for the gap g between x and [lo, hi]: max(lo−x,
+// x−hi, 0), computed as the sum of the two differences' positive parts.
+// With lo ≤ hi at most one of them is positive, so the sum is that
+// difference exactly, or +0; it spares the builtin max's NaN and
+// signed-zero fix-ups, which finite boxes and queries never need.
 func gapTerm(x, lo, hi, w float64) float64 {
-	g := max(lo-x, x-hi, 0)
+	g := positivePart(lo-x) + positivePart(x-hi)
 	return float64(float64(w*g) * g)
+}
+
+// positivePart returns a when its sign bit is clear and +0 otherwise,
+// without a branch.
+func positivePart(a float64) float64 {
+	b := math.Float64bits(a)
+	return math.Float64frombits(b &^ uint64(int64(b)>>63))
 }

@@ -52,8 +52,9 @@ type BatchSearcher interface {
 // store.Backend — the in-heap FlatMatrix or an mmap-resident FBMX
 // collection — whose contiguous slabs the kernels consume directly; for
 // Euclidean and weighted-Euclidean metrics the scan runs a squared-space
-// early-abandoning kernel, at D = 32 over the tiles in best-first order
-// (see DESIGN.md, "Retrieval core").
+// early-abandoning kernel, at D = 32 over the tiles, reached by a
+// best-first descent of the k-d tree whose leaves they are (see
+// DESIGN.md, "Retrieval core").
 type Scan struct {
 	mat store.Backend
 	// ids is the scan order of a D = 32 collection (TileOrder): scan
@@ -70,35 +71,61 @@ type Scan struct {
 	// Nil at other dimensionalities.
 	head []float64
 	// boxes holds, beside the head slab, the per-dimension bounding box of
-	// every tileRows-row tile of the scan order: 32 minima then 32 maxima
-	// per tile (512 B), from which scanTile32 bounds a whole tile's
-	// distances before reading it. Nil at other dimensionalities.
+	// every node of the k-d tree over the scan order: 32 minima then 32
+	// maxima per node (512 B). Nodes [0, tiles) are the tileRows-row
+	// tiles in scan order; the internal nodes follow in post order, each
+	// box the union of its two children's, so the root comes last. A
+	// search bounds a whole subtree's distances from its box before
+	// reading a row of it. Nil at other dimensionalities.
 	boxes []float64
+	// kids holds the two children of every internal node: node tiles+i
+	// has children kids[2i] and kids[2i+1], each a node id as in boxes.
+	kids []int32
 }
 
 // NewScanBackend builds a scan searcher directly over any feature
 // backend (aliased, not copied). The kernels stream the backend's slabs
 // without per-row copies, so an mmap-resident collection is scanned in
 // place. A D = 32 backend additionally gets its scan order (TileOrder),
-// and in that order its head slab and tile boxes, built here (+1.6%,
-// +25% and +0.4% of the feature bytes, on the heap for either backend),
-// so the backend's contents must not change afterwards.
+// and in that order its head slab and the boxes of its tile tree, built
+// here (+1.6%, +25% and +6.3% of the feature bytes, on the heap for
+// either backend), so the backend's contents must not change afterwards.
 //
 // Non-finite values never enter a scan: a collection holding a NaN or
 // ±Inf is refused, as is such a query (checkQuery). At D = 32 the check
 // rides on headSlab's pass over every value: Go's min and max propagate
-// NaN and keep ±Inf, so the tile boxes are finite exactly when the rows
+// NaN and keep ±Inf, so the root's box is finite exactly when the rows
 // are.
 func NewScanBackend(b store.Backend) (*Scan, error) {
 	if b == nil || b.Len() == 0 {
 		return nil, fmt.Errorf("knn: empty collection")
 	}
-	s := &Scan{mat: b}
-	checked := b.Slab(0, b.Len())
+	var ids []int32
 	if b.Dim() == 32 {
-		s.ids = TileOrder(b)
-		s.head, s.boxes = headSlab(checked, s.ids)
-		checked = s.boxes
+		ids = TileOrder(b)
+	}
+	return buildScan(b, ids)
+}
+
+// buildScan builds the scan of a non-empty b whose tiles are laid out in
+// the scan order ids (nil: no tiles): the head slab, the tile boxes, and
+// over them the tree of TileOrder's partition with every internal node's
+// box, bottom-up.
+func buildScan(b store.Backend, ids []int32) (*Scan, error) {
+	s := &Scan{mat: b, ids: ids}
+	checked := b.Slab(0, b.Len())
+	if ids != nil {
+		s.head, s.boxes = headSlab(checked, ids)
+		tiles := s.tiles()
+		s.kids = tileTree(len(ids))
+		for i := range tiles - 1 {
+			box := s.box(int32(tiles + i))
+			l, r := s.box(s.kids[2*i]), s.box(s.kids[2*i+1])
+			for j := range 32 {
+				box[j], box[32+j] = min(l[j], r[j]), max(l[32+j], r[32+j])
+			}
+		}
+		checked = s.box(int32(2*tiles - 2))
 	}
 	if !vec.IsFinite(checked) {
 		return nil, fmt.Errorf("knn: collection row %d is not finite", nonFiniteRow(b))
@@ -119,13 +146,14 @@ func nonFiniteRow(b store.Backend) int {
 
 // headSlab copies dims [0,8) of the rows of a 32-wide row-major slab, in
 // the scan order ids, into the contiguous stride-8 layout phase 1 reads
-// and, in the same pass, records every tileRows-row tile's
-// bounding box (layout: Scan.boxes).
+// and, in the same pass, records every tileRows-row tile's bounding box.
+// boxes has room for every node of the tile tree (layout: Scan.boxes);
+// the internal nodes are left for buildScan.
 func headSlab(slab []float64, ids []int32) (head, boxes []float64) {
 	rows := len(ids)
 	head = make([]float64, rows*8)
 	tiles := (rows + tileRows - 1) / tileRows
-	boxes = make([]float64, tiles*64)
+	boxes = make([]float64, (2*tiles-1)*64)
 	fill := func(t0, t1 int) {
 		for t := t0; t < t1; t++ {
 			lo, hi := boxes[t*64:t*64+32:t*64+32], boxes[t*64+32:t*64+64:t*64+64]

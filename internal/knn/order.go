@@ -17,7 +17,10 @@ import (
 // multiple of tileRows nearest the median, so every leaf is
 // exactly one tile and only the last tile can be partial. Rows that are
 // close in every dimension then share a tile, and its bounding box stays
-// tight whatever order the collection was stored in. Split keys compare
+// tight whatever order the collection was stored in. The cuts depend on
+// the row count alone, so the scan rebuilds the partition's tree from it
+// (tileTree) and gives every node the box of its rows, which a search
+// descends best-first. Split keys compare
 // as cmp.Compare orders them and ties by row id, so NaN and ±Inf rows
 // keep a total order and the result is the same at every GOMAXPROCS.
 // Every split is stable, so the ids of a tile ascend and a tile reads the
@@ -102,8 +105,7 @@ func kdCut(slab []float64, ids []int32, buf kdBuf) int {
 	for i, id := range ids {
 		keys[i] = orderBits(slab[int(id)*32+d])
 	}
-	tiles := (n + tileRows - 1) / tileRows
-	cut := min(max((n/2+tileRows/2)/tileRows, 1), tiles-1) * tileRows
+	cut := kdCutRows(n)
 	// The last row left of the cut has key t: the rows with a smaller key
 	// go left, and of the rows at t the ones with the lowest ids.
 	t := nthKey(append(buf.sel[:0], keys...), cut-1)
@@ -127,6 +129,37 @@ func kdCut(slab []float64, ids []int32, buf kdBuf) int {
 	}
 	copy(ids[l:], right)
 	return cut
+}
+
+// kdCutRows returns where kdCut splits n rows, more than one tile of
+// them: the multiple of tileRows nearest n/2, leaving a tile either side.
+// It depends on n alone, so the partition's shape is fixed by the row
+// count (tileTree).
+func kdCutRows(n int) int {
+	tiles := (n + tileRows - 1) / tileRows
+	return min(max((n/2+tileRows/2)/tileRows, 1), tiles-1) * tileRows
+}
+
+// tileTree returns the children of the internal nodes of TileOrder's
+// partition of n > 0 rows, in the node numbering of Scan.boxes: tile t
+// is node t, and the internal nodes follow in post order, so internal
+// node tiles+i has children kids[2i] and kids[2i+1] and the root is node
+// 2·tiles−2.
+func tileTree(n int) (kids []int32) {
+	tiles := (n + tileRows - 1) / tileRows
+	kids = make([]int32, 0, 2*(tiles-1))
+	var node func(lo, n int) int32
+	node = func(lo, n int) int32 {
+		if n <= tileRows {
+			return int32(lo / tileRows)
+		}
+		cut := kdCutRows(n)
+		l, r := node(lo, cut), node(lo+cut, n-cut)
+		kids = append(kids, l, r)
+		return int32(tiles + len(kids)/2 - 1)
+	}
+	node(0, n)
+	return kids
 }
 
 // orderBits maps x to a uint64 whose unsigned order is cmp.Compare's on

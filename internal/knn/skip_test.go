@@ -17,11 +17,11 @@ import (
 const (
 	catTiles = 16
 	catK     = 10
-	// catCopies is the tile of 512 copies of the row v.
+	// catCopies is the tile of tileRows copies of the row v.
 	catCopies = 2
 	// catTieRow holds one more copy of v, in tile 8: the tile whose box
 	// contains q, which best-first order scans first.
-	catTieRow = 8*tileRows + 400
+	catTieRow = 8*tileRows + 40
 	// catGap is v's offset from q in the last dimension. Under every
 	// weight of cascadeMetrics, (w·catGap)·catGap is the largest float64
 	// with its square root, so the live bound after the tie equals the
@@ -31,7 +31,7 @@ const (
 
 // categoryCollection returns the category-ordered rows and the query q
 // they are built around. Tiles 0–1, 3–7 and 12–15 are runs around far
-// centres, tile catCopies is 512 copies of v = q + catGap·e₃₁, and tiles
+// centres, tile catCopies is tileRows copies of v = q + catGap·e₃₁, and tiles
 // 8–11 are a run around q holding catK−1 copies of q and one copy of v at
 // catTieRow (both in tile 8), and otherwise rows at least 3 from q in
 // dimension 31. Under any metric with a positive last weight the catK-th
@@ -71,14 +71,14 @@ func categoryCollection(rng *rand.Rand) (data [][]float64, q []float64) {
 		}
 	}
 	for c := 0; c < catK-1; c++ {
-		data[8*tile+100+7*c] = q
+		data[8*tile+5+3*c] = q
 	}
 	data[catTieRow] = v
 	return data, q
 }
 
 // categoryQueries is categoryCollection with four queries: q, a row of a
-// far run, v itself (512 exact ties), and a point in no tile's box.
+// far run, v itself (tileRows exact ties), and a point in no tile's box.
 func categoryQueries(rng *rand.Rand) (data, qs [][]float64) {
 	data, q := categoryCollection(rng)
 	off := slices.Clone(q)
@@ -144,8 +144,8 @@ func cascadeMetrics(t *testing.T, rng *rand.Rand) []distance.Metric {
 	return ms
 }
 
-// phase1Log records which blocks reach phase 1: every other block
-// scanTile32 was handed was skipped by its box.
+// phase1Log records which tiles reach phase 1: every other tile was
+// skipped by its box or an ancestor's.
 type phase1Log struct {
 	mu    sync.Mutex
 	heads []*float64
@@ -201,7 +201,7 @@ func useBaselineKernels(t *testing.T) {
 // tile whose box contains q is scanned first and puts catTieRow at the
 // catK-th place, so the tile of copies of v is reached with a live bound
 // exactly equal to its box bound; a `>=` stop would end the scan there and
-// return catTieRow in place of row 1024. A lone Search must return
+// return catTieRow in place of row catCopies·tileRows. A lone Search must return
 // SearchNaive's list on heap and mmap, and more than half of the tiles
 // must be skipped.
 func TestSharedBoundTie(t *testing.T) {
@@ -210,9 +210,9 @@ func TestSharedBoundTie(t *testing.T) {
 	heap, mapped := mmapTwin(t, data)
 	log := logPhase1(t)
 	lo := catCopies * tileRows
-	// The scan tile holding row lo: the k-d order keeps the 512 copies of
-	// v, all equal and adjacent by id, together.
-	copies := slices.Index(heap.ids, int32(lo)) / tileRows * tileRows
+	// The scan tile holding row lo: the k-d order keeps the tileRows
+	// copies of v, all equal and adjacent by id, together.
+	copies := int32(slices.Index(heap.ids, int32(lo)) / tileRows)
 	for _, m := range cascadeMetrics(t, rng) {
 		kern, _ := distance.KernelFor(m)
 		want, err := heap.SearchNaive(q, catK, m)
@@ -223,7 +223,7 @@ func TestSharedBoundTie(t *testing.T) {
 		if got := want[catK-1]; got.Index != lo || got.Distance != math.Sqrt(tie) {
 			t.Fatalf("%s: k-th result %+v, want row %d at the tie distance", m.Name(), got, lo)
 		}
-		if b := heap.blockBound2(q, kern.Weights(), copies); b != tie {
+		if b := boxBound2(q, kern.Weights(), heap.box(copies)); b != tie {
 			t.Fatalf("%s: box bound %v of the copies tile != tie distance² %v", m.Name(), b, tie)
 		}
 		if RootBound2(math.Sqrt(tie)) != tie {
@@ -253,8 +253,10 @@ func scanInOrder(s *Scan, q, w []float64, k int) {
 	bufs := s.getTileBufs()
 	defer tileBufPool.Put(bufs)
 	st := newTopK(k)
-	for lo := 0; lo < s.Len(); lo += tileRows {
-		s.scanTile32(q, w, lo, min(lo+tileRows, s.Len()), s.blockBound2(q, w, lo), &st, bufs)
+	for t := range s.tiles() {
+		if boxBound2(q, w, s.box(int32(t))) <= st.bound2 {
+			s.scanTile32(q, w, t*tileRows, min(t*tileRows+tileRows, s.Len()), &st, bufs)
+		}
 	}
 }
 
@@ -299,7 +301,7 @@ func TestBestFirstTileOrder(t *testing.T) {
 							}
 							kth := kern.Squared(q, data[want[catK-1].Index])
 							for tl := range catTiles {
-								if scan.blockBound2(q, kern.Weights(), tl*tileRows) <= kth && !scanned[tl] {
+								if boxBound2(q, kern.Weights(), scan.box(int32(tl))) <= kth && !scanned[tl] {
 									t.Errorf("%s procs=%d %s query %d: tile %d is within the k-th distance but was not scanned", name, procs, m.Name(), qi, tl)
 								}
 							}
@@ -389,6 +391,87 @@ func TestBoxBoundBelowKernel(t *testing.T) {
 			}
 			if kind == 2 && lb != d {
 				t.Fatalf("trial %d %s: constant tile bound %v != its rows' sum %v", trial, m.Name(), lb, d)
+			}
+		}
+	}
+}
+
+// TestNodeBoundBelowChildren asserts the property the best-first stop
+// rests on: every internal node of the tile tree holds its children's
+// boxes, and its boxBound2 is ≤ each child's — compared as float64, no
+// tolerance. Rows are random normal, tie-heavy small integers, or all one
+// row; weights are nil, random, a third zero, or all zero; the query is a
+// row, the root box's centre, or a point mostly outside every box.
+func TestNodeBoundBelowChildren(t *testing.T) {
+	rng := rand.New(rand.NewSource(1515))
+	for trial := 0; trial < 60; trial++ {
+		n := tileRows + 1 + rng.Intn(20*tileRows)
+		row0 := make([]float64, 32)
+		for j := range row0 {
+			row0[j] = rng.NormFloat64() * 3
+		}
+		data := make([][]float64, n)
+		for i := range data {
+			r := make([]float64, 32)
+			for j := range r {
+				switch trial % 3 {
+				case 0:
+					r[j] = rng.NormFloat64() * 3
+				case 1:
+					r[j] = math.Trunc(rng.NormFloat64() * 4)
+				default:
+					r[j] = row0[j]
+				}
+			}
+			data[i] = r
+		}
+		scan, err := newScan(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiles := scan.tiles()
+		root := scan.box(int32(2*tiles - 2))
+		for qi := 0; qi < 6; qi++ {
+			q := make([]float64, 32)
+			switch qi % 3 {
+			case 0:
+				copy(q, data[rng.Intn(n)])
+			case 1:
+				for j := range q {
+					q[j] = (root[j] + root[32+j]) / 2
+				}
+			default:
+				for j := range q {
+					q[j] = rng.NormFloat64() * 20
+				}
+			}
+			var w []float64
+			if kind := (trial + qi) % 4; kind != 0 {
+				w = make([]float64, 32)
+				for j := range w {
+					switch {
+					case kind == 1:
+						w[j] = rng.Float64() * 2
+					case kind == 2 && rng.Intn(3) != 0:
+						w[j] = rng.Float64() * 2
+					}
+				}
+			}
+			for i := range tiles - 1 {
+				node := int32(tiles + i)
+				box, lb := scan.box(node), boxBound2(q, w, scan.box(node))
+				for _, c := range scan.kids[2*i : 2*i+2] {
+					cb := scan.box(c)
+					for j := range 32 {
+						if !(box[j] <= cb[j] && cb[32+j] <= box[32+j]) {
+							t.Fatalf("trial %d: node %d's box does not hold child %d's in dim %d", trial, node, c, j)
+						}
+					}
+					if b := boxBound2(q, w, cb); !(lb <= b) {
+						t.Fatalf("trial %d query %d: node %d bound %v (%x) > child %d bound %v (%x)",
+							trial, qi, node, lb, math.Float64bits(lb), c, b, math.Float64bits(b))
+					}
+				}
 			}
 		}
 	}

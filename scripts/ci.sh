@@ -74,11 +74,13 @@ run_test() {
 	go test -run '^$' -bench 'BenchmarkDatasetBuild/scale=1$' -benchtime 1x .
 	go test -run '^$' -bench 'Feedback' -benchtime 1x ./internal/engine/
 
-	step "Benchmark regression smoke (prediction plane)"
-	# Short measured runs of the serial and parallel predict series so a
-	# lock-split or allocation regression shows up as a step in the
-	# uploaded numbers.
+	step "Benchmark regression smoke (prediction plane, retrieval core)"
+	# Short measured runs of the serial and parallel predict series, and
+	# of the lone scan over the oracle searches at bigscan scale (wall and
+	# CPU per search), so a lock-split, allocation or pruning regression
+	# shows up as a step in the uploaded numbers.
 	go test -run '^$' -bench 'BenchmarkPredict$|BenchmarkPredictParallel$' -benchtime 2000x . | tee bench_predict.txt
+	go test -run '^$' -bench 'BenchmarkKNNScanOracle$' -benchtime 2000x . | tee bench_knn.txt
 
 	step "ANN JSON snapshot"
 	go run ./cmd/fbbench -figure ann -k 10 -json bench_ann.json | tee bench_ann.txt
