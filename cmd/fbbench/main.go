@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		figure   = flag.String("figure", "all", "figure to regenerate: all, 1, 9, 10, 11, 12, 13, 14, 15, 16, ann (IVF approximate tier: recall/latency/bandwidth sweep over nlist, nprobe and quantization), or lifecycle (bypass aging: drifting soak with aging on vs off)")
+		figure   = flag.String("figure", "all", "figure to regenerate: all, 1, 9, 10, 11, 12, 13, 14, 15, 16, or lifecycle (bypass aging: drifting soak with aging on vs off)")
 		scale    = flag.Float64("scale", 0.3, "collection scale (1 = the paper's ~10,000 images)")
 		queries  = flag.Int("queries", 700, "training queries to process")
 		k        = flag.Int("k", 15, "results per query (paper: 50)")
@@ -70,7 +70,6 @@ func main() {
 		name string
 		run  func()
 	}{
-		{"ann", func() { runANNBench(*k, *seed) }},
 		{"lifecycle", func() { runLifecycleBench(*seed, *lcInserts, uint64(*lcHorizon), *lcCompact) }},
 	}
 	// The paper's figures; those marked shared read one trained session.
@@ -151,7 +150,6 @@ func main() {
 type jsonReport struct {
 	Meta      reportMeta                   `json:"meta"`
 	Series    map[string][]jsonSeries      `json:"series,omitempty"`
-	ANN       *experiments.ANNResult       `json:"ann,omitempty"`
 	Lifecycle *experiments.LifecycleResult `json:"lifecycle,omitempty"`
 }
 
@@ -203,40 +201,6 @@ func writeReport(path string) {
 		fail(err)
 	}
 	fmt.Printf("# wrote JSON report to %s\n", path)
-}
-
-// runANNBench sweeps the IVF approximate retrieval tier: per corpus
-// scale, an exact-scan baseline plus every (nlist, quant) index probed
-// across the nprobe grid — recall@k against the exact top-k,
-// single-query latency, and the probe-stage bandwidth ratio.
-// `-scale`/`-queries` do not apply: the sweep has its own 1x/10x corpus
-// grid (see experiments.DefaultANNConfig).
-func runANNBench(k int, seed int64) {
-	cfg := experiments.DefaultANNConfig()
-	cfg.Seed = seed
-	cfg.K = k
-	header(fmt.Sprintf("IVF approximate tier: recall/latency/bandwidth sweep (k = %d, %d queries/scale)", cfg.K, cfg.Queries))
-	res, err := experiments.RunANN(cfg)
-	if err != nil {
-		fail(err)
-	}
-	for _, sc := range res.Scales {
-		fmt.Printf("# scale %s: %d rows x %d dims; exact p50 %.0f us, p99 %.0f us\n",
-			sc.Scale, sc.Rows, sc.Dim, sc.ExactP50Micros, sc.ExactP99Micros)
-		fmt.Printf("%-7s %-5s %7s %9s %9s %9s %9s %7s\n",
-			"nlist", "quant", "nprobe", "recall@k", "p50(us)", "p99(us)", "speedup", "bw")
-		for _, ix := range sc.Indexes {
-			for _, pt := range ix.Points {
-				fmt.Printf("%-7d %-5s %7d %9.4f %9.1f %9.1f %8.1fx %6.0f%%\n",
-					pt.NList, pt.Quant, pt.NProbe, pt.RecallAtK, pt.P50Micros, pt.P99Micros,
-					pt.Speedup, 100*ix.BandwidthRatio)
-			}
-		}
-		fmt.Printf("# best speedup at recall@k >= 0.95: %.1fx\n\n", sc.BestSpeedupAtRecall)
-	}
-	if report != nil {
-		report.ANN = &res
-	}
 }
 
 // runLifecycleBench runs the bypass-lifecycle figure: the drifting soak

@@ -64,19 +64,9 @@
 // and labels to path as an FBMX file (atomically), and exits — the way
 // to turn a synthetic collection into an mmap-servable file.
 //
-// Approximate retrieval. -ann [name:]nlist=N,nprobe=N[,quant=f32|i8]
-// [,seed=N] puts an IVF index (internal/ann) in front of a collection's
-// exact scan: queries probe the nprobe nearest partitions through a
-// quantized slab and exact-rerank the shortlist, trading a bounded
-// recall loss for a large bandwidth reduction (nprobe=nlist reproduces
-// the exact scan bit for bit). A bare spec applies to every collection;
-// name-prefixed specs win for their collection. An FBMX-backed
-// collection automatically loads an FBIX sidecar sitting next to its
-// file (photos.fbmx → photos.fbix); the sidecar's trained structure
-// wins, with the flag's nprobe applied as the tuning override.
-// -export-fbix name=path trains the named collection's index (per -ann,
-// or defaults) and writes the sidecar, then exits. /stats reports the
-// active tier per collection (collection.index, retrieval).
+// Every collection is searched by the exact scan. A <name>.fbix IVF index
+// file left next to an FBMX file by the deleted approximate tier is
+// ignored.
 package main
 
 import (
@@ -92,8 +82,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/ann"
-	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/httpapi"
 	"repro/internal/obsv"
@@ -115,7 +103,6 @@ func main() {
 		cacheSize   = flag.Int("cache", 1024, "LRU prediction cache entries per collection (negative disables)")
 		shards      = flag.Int("shards", 1, "partition each bypass across this many independent Simplex Trees")
 		exportFBMX  = flag.String("export-fbmx", "", "name=path: write the named collection's feature matrix as an FBMX file and exit")
-		exportFBIX  = flag.String("export-fbix", "", "name=path: build the named collection's IVF index (per -ann, or defaults) and write it as an FBIX sidecar, then exit")
 		maxVertices = flag.Int("max-vertices", 0, "per-collection Simplex Tree vertex quota; at the bound inserts get 507, reads stay live (0 = unlimited)")
 		maxBytes    = flag.Int64("max-bytes", 0, "per-collection tree heap-footprint quota in bytes; same 507 semantics (0 = unlimited)")
 		ageHorizon  = flag.Uint64("age-horizon", 0, "reclaim vertices not reinforced within this many accepted inserts; compaction drops them (0 = aging off)")
@@ -133,8 +120,6 @@ func main() {
 	)
 	var specs httpapi.CollectionSpecs
 	flag.Func("collection", "serve a named collection: name=synth:scale=F,seed=N or name=path.fbmx (repeatable)", specs.Add)
-	var annFlags httpapi.ANNSpecs
-	flag.Func("ann", "approximate retrieval tier: [name:]nlist=N,nprobe=N[,quant=f32|i8][,seed=N]; bare applies to all collections (repeatable)", annFlags.Add)
 	flag.Parse()
 
 	if *shards < 1 {
@@ -151,27 +136,11 @@ func main() {
 		MaxSessions: *maxSessions, IterBudget: *iterBudget, CacheSize: *cacheSize,
 		Shards: *shards, MaxVertices: *maxVertices, MaxBytes: *maxBytes,
 		AgeHorizon: *ageHorizon,
-		Multi:      len(specs) > 1, ANN: annFlags, Obs: reg,
+		Multi:      len(specs) > 1, Obs: reg,
 	}
 
 	if *exportFBMX != "" {
-		export("-export-fbmx", *exportFBMX, specs, cfg, func(name, spec, path string, ds *dataset.Dataset) (string, error) {
-			return fmt.Sprintf("collection %s (%d items, %d bins)", name, ds.Len(), ds.Dim), store.WriteFBMX(path, ds.Matrix(), ds.Labels(spec))
-		})
-		return
-	}
-	if *exportFBIX != "" {
-		export("-export-fbix", *exportFBIX, specs, cfg, func(name, _, path string, ds *dataset.Dataset) (string, error) {
-			opts := ann.Options{Seed: cfg.Seed}
-			if as := cfg.ANN.ForName(name); as != nil {
-				opts = as.Options()
-			}
-			idx, err := ann.Build(ds.Matrix(), opts)
-			if err != nil {
-				return "", fmt.Errorf("building index: %w", err)
-			}
-			return fmt.Sprintf("%s index of collection %s (%d items)", idx.Describe(), name, ds.Len()), ann.WriteFBIX(path, idx)
-		})
+		exportCollection(*exportFBMX, specs, cfg)
 		return
 	}
 
@@ -247,12 +216,11 @@ func main() {
 	}
 }
 
-// export runs one -export-* mode: value is name=path naming a configured
-// collection; write receives that collection's spec and dataset and
-// returns what it wrote, for the log line. Only the named collection's
-// dataset is built — no other collection is paid for, no durable state
-// is opened.
-func export(flagName, value string, specs httpapi.CollectionSpecs, cfg httpapi.Config, write func(name, spec, path string, ds *dataset.Dataset) (string, error)) {
+// exportCollection runs -export-fbmx: value is name=path naming a
+// configured collection, whose rows and labels are written to path as an
+// FBMX file. Only the named collection's dataset is built — no other
+// collection is paid for, no durable state is opened.
+func exportCollection(value string, specs httpapi.CollectionSpecs, cfg httpapi.Config) {
 	name, path, ok := strings.Cut(value, "=")
 	var spec string
 	for _, s := range specs {
@@ -261,18 +229,17 @@ func export(flagName, value string, specs httpapi.CollectionSpecs, cfg httpapi.C
 		}
 	}
 	if !ok || path == "" || spec == "" {
-		log.Fatalf("fbserve: %s %q: want name=path with a configured collection", flagName, value)
+		log.Fatalf("fbserve: -export-fbmx %q: want name=path with a configured collection", value)
 	}
 	ds, _, mm, err := httpapi.BuildDataset(spec, "", cfg)
 	if err != nil {
 		log.Fatalf("fbserve: collection %s: %v", name, err)
 	}
-	what, err := write(name, spec, path, ds)
-	if err != nil {
+	if err := store.WriteFBMX(path, ds.Matrix(), ds.Labels(spec)); err != nil {
 		log.Fatalf("fbserve: exporting %s: %v", name, err)
 	}
 	if mm != nil {
 		_ = mm.Close()
 	}
-	log.Printf("exported %s to %s", what, path)
+	log.Printf("exported collection %s (%d items, %d bins) to %s", name, ds.Len(), ds.Dim, path)
 }

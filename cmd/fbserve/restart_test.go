@@ -393,8 +393,7 @@ func TestBinaryShardedRound(t *testing.T) {
 
 // TestBinaryTwoCollections serves two named collections from one
 // process: a synthetic one, which -dir keeps as birds/collection.fbmx,
-// and its -export-fbmx file, with an IVF tier in front of the export
-// only. Sessions run through the scoped /c/<name>/ routes, an unknown
+// and its -export-fbmx file. Sessions run through the scoped /c/<name>/ routes, an unknown
 // collection is a 404, /stats keeps both collections' counters apart and
 // mmap-resident, and SIGTERM drains.
 func TestBinaryTwoCollections(t *testing.T) {
@@ -409,8 +408,7 @@ func TestBinaryTwoCollections(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(tmp, "multi")
-	p := start(t, bin, "-k", "5", "-collection", birds, "-collection", "photos="+export,
-		"-ann", "photos:nlist=16,nprobe=4", "-dir", dir)
+	p := start(t, bin, "-k", "5", "-collection", birds, "-collection", "photos="+export, "-dir", dir)
 
 	var health struct {
 		Status      string `json:"status"`
@@ -476,23 +474,18 @@ func TestBinaryTwoCollections(t *testing.T) {
 		Collections map[string]struct {
 			Collection struct {
 				Backend string `json:"backend"`
-				Index   string `json:"index"`
 			} `json:"collection"`
-			Retrieval string `json:"retrieval"`
-			Feedbacks int    `json:"feedbacks"`
-			Opened    int    `json:"opened"`
+			Feedbacks int `json:"feedbacks"`
+			Opened    int `json:"opened"`
 		} `json:"collections"`
 	}
 	p.call(t, http.MethodGet, "/stats", nil, &stats)
 	b, ph := stats.Collections["birds"], stats.Collections["photos"]
-	const ivf = "ivf(nlist=16,nprobe=4,quant=f32)"
 	switch {
 	case len(stats.Collections) != 2:
 		t.Fatalf("/stats has %d collections, want 2", len(stats.Collections))
 	case b.Collection.Backend != "mmap" || ph.Collection.Backend != "mmap":
 		t.Fatalf("/stats backends birds %q, photos %q, want mmap", b.Collection.Backend, ph.Collection.Backend)
-	case ph.Collection.Index != ivf || ph.Retrieval != ivf || b.Collection.Index != "":
-		t.Fatalf("/stats index photos %q (retrieval %q), birds %q: want the IVF tier on photos only", ph.Collection.Index, ph.Retrieval, b.Collection.Index)
 	case b.Feedbacks != 1 || ph.Feedbacks != 0 || b.Opened != 1 || ph.Opened != 1:
 		t.Fatalf("/stats birds %+v, photos %+v: want one session each, the feedback round on birds only", b, ph)
 	}

@@ -23,15 +23,16 @@ import (
 // reason. Keys are "pkgpath.Name" or "pkgpath.Type.Method". An entry
 // that is referenced again, or no longer declared, fails the test.
 var deadCodeAllowlist = map[string]string{
-	"repro/internal/knn.Scan.SearchNaive":            "the per-row oracle the knn and ann parity suites and BenchmarkKNNScanNaive hold the kernels to",
+	"repro/internal/knn.Scan.SearchNaive":            "the per-row oracle the knn parity suites and BenchmarkKNNScanNaive hold the kernels to",
 	"repro/internal/simplextree.Tree.PredictNaive":   "the full-solve oracle of TestPredictMatchesNaiveDescent and BenchmarkLookupNaive",
 	"repro/internal/simplextree.Tree.Snapshot":       "the structural oracle the recovery and compaction tests hold a rebuilt tree to",
 	"repro/internal/obsv.Registry.Snapshot":          "the structured read every metric test asserts through",
 	"repro/internal/obsv.Snapshot.Find":              "the lookup every metric test asserts through",
-	"repro/internal/simplextree.Tree.CompressValues": "the paper's §3.1 storage/accuracy trade-off, measured by BenchmarkOQPCompression",
+	"repro/internal/simplextree.Tree.CompressValues": "the paper's §3.1 storage/accuracy trade-off; only compress_test.go calls it, and no serving path does (ROADMAP 26)",
 	"repro/internal/imagegen.Generate":               "the serial renderer TestBuildMatchesSerialGenerate holds the parallel dataset.Build to",
 	"repro/internal/vec.Det":                         "the determinant oracle of TestInterpolationEqualsDeterminantFormulation",
 	"repro/internal/vec.MatrixFromRows":              "the matrix-literal constructor of the vec, distance and core tests",
+	"repro/internal/store.FromRows":                  "the row-literal constructor of the store, knn and engine tests and the root benchmarks",
 	"repro/internal/vec.EqualTol":                    "the tolerance comparison nine packages' tests assert with",
 }
 

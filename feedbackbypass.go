@@ -30,8 +30,8 @@
 // The packages under internal implement every substrate of the paper's
 // evaluation: distance functions, relevance-feedback engines, HSV
 // histogram extraction, a synthetic categorized image collection, k-NN
-// query processing (an exact kernelized scan and an approximate IVF tier
-// behind one Searcher interface), and the experiment harness reproducing
+// query processing (an exact kernelized scan behind one Searcher
+// interface), and the experiment harness reproducing
 // Figures 1 and 9–16 (see DESIGN.md and internal/experiments).
 package feedbackbypass
 

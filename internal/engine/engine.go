@@ -30,7 +30,7 @@ const DefaultMaxIterations = 30
 // Engine is an interactive similarity retrieval system over a dataset.
 type Engine struct {
 	ds       *dataset.Dataset
-	searcher knn.Searcher // the one retrieval seam: the exact scan, or an injected index (e.g. ann.Index)
+	searcher knn.Searcher // the one retrieval seam: the exact scan, or an injected wrapper of it
 	fb       *feedback.Engine
 }
 
@@ -42,9 +42,10 @@ type Options struct {
 	// rules, so a deliberate MoveNone/WeightNone configuration is passed
 	// through unchanged.
 	Feedback feedback.Options
-	// Searcher injects a pre-built retrieval tier — typically an IVF
-	// ann.Index over the dataset's backend — in place of the exact scan.
-	// The tier must cover exactly the dataset's rows.
+	// Searcher injects a pre-built searcher in place of the default exact
+	// scan — the HTTP benchmark's tracer (bench/trace.go) wraps a
+	// knn.Scan this way to time every search. It must cover exactly the
+	// dataset's rows.
 	Searcher knn.Searcher
 }
 
@@ -83,11 +84,6 @@ func (e *Engine) Retrieve(q, w []float64, k int) ([]knn.Result, error) {
 	}
 	return e.searcher.Search(q, k, m)
 }
-
-// Retrieval names the active retrieval tier — "scan", or the injected
-// searcher's own description (e.g. "ivf(nlist=…,nprobe=…)") — for the
-// serving layer's stats surface.
-func (e *Engine) Retrieval() string { return e.searcher.Describe() }
 
 // Score applies the automatic relevance oracle of §5: an item scores
 // ScoreGood iff it belongs to the query's category.

@@ -10,7 +10,6 @@ package httpapi
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -18,13 +17,11 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/histogram"
 	"repro/internal/imagegen"
-	"repro/internal/knn"
 	"repro/internal/obsv"
 	"repro/internal/persist"
 	"repro/internal/service"
@@ -48,88 +45,8 @@ type Config struct {
 	MaxVertices  int
 	MaxBytes     int64
 	AgeHorizon   uint64
-	Multi        bool     // more than one collection: durable state nests under Dir/<name>/
-	ANN          ANNSpecs // -ann flags: approximate retrieval tiers per collection
+	Multi        bool // more than one collection: durable state nests under Dir/<name>/
 	Obs          *obsv.Registry
-}
-
-// ANNSpec is one parsed -ann flag: the IVF build/probe parameters for a
-// collection's approximate retrieval tier.
-type ANNSpec struct {
-	nlist, nprobe int
-	quant         ann.Quant
-	seed          int64
-}
-
-// Options are the ann.Build parameters the spec selects.
-func (s ANNSpec) Options() ann.Options {
-	return ann.Options{NList: s.nlist, NProbe: s.nprobe, Quant: s.quant, Seed: s.seed}
-}
-
-// ANNSpecs accumulates repeated -ann flags: a bare spec applies to every
-// collection, a name-prefixed spec to that collection only (and
-// overrides a bare one).
-type ANNSpecs struct {
-	def    *ANNSpec
-	byName map[string]ANNSpec
-}
-
-// Add parses one -ann flag value.
-func (a *ANNSpecs) Add(value string) error {
-	name := ""
-	spec := value
-	// "photos:nlist=256,..." — a collection prefix is everything before
-	// the first ':' as long as no '=' precedes it.
-	if i := strings.IndexAny(value, ":="); i >= 0 && value[i] == ':' {
-		name, spec = value[:i], value[i+1:]
-	}
-	var s ANNSpec
-	for _, kv := range strings.Split(spec, ",") {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return fmt.Errorf("ann spec: want key=value, got %q", kv)
-		}
-		var err error
-		switch key {
-		case "nlist":
-			s.nlist, err = strconv.Atoi(val)
-		case "nprobe":
-			s.nprobe, err = strconv.Atoi(val)
-		case "quant":
-			s.quant, err = ann.ParseQuant(val)
-		case "seed":
-			s.seed, err = strconv.ParseInt(val, 10, 64)
-		default:
-			err = fmt.Errorf("unknown ann parameter %q", key)
-		}
-		if err != nil {
-			return fmt.Errorf("ann spec %q: %w", kv, err)
-		}
-	}
-	if name == "" {
-		if a.def != nil {
-			return errors.New("ann spec: duplicate collection-wide -ann flag")
-		}
-		a.def = &s
-		return nil
-	}
-	if a.byName == nil {
-		a.byName = make(map[string]ANNSpec)
-	}
-	if _, dup := a.byName[name]; dup {
-		return fmt.Errorf("ann spec: duplicate -ann flag for collection %q", name)
-	}
-	a.byName[name] = s
-	return nil
-}
-
-// ForName resolves the spec applying to a collection: its own, else the
-// collection-wide one, else nil.
-func (a *ANNSpecs) ForName(name string) *ANNSpec {
-	if s, ok := a.byName[name]; ok {
-		return &s
-	}
-	return a.def
 }
 
 // Collection is one named collection's full serving stack: dataset over
@@ -145,8 +62,6 @@ type Collection struct {
 	backend string            // "heap" or "mmap"
 	durable bool              // Bypass journals to a module directory
 	mm      *store.MmapMatrix // close handle (nil unless FBMX-backed)
-	ann     *ann.Index        // approximate retrieval tier (nil = exact scan)
-	annSrc  string            // "built" or the loaded sidecar path
 }
 
 // CollectionSpecs accumulates repeated -collection flags in order.
@@ -202,11 +117,6 @@ func (c *Collection) Shutdown() {
 			log.Printf("fbserve: %s: close: %v", c.Name, err)
 		}
 		log.Printf("%s: compacted %d shard WALs; %d points durable", c.Name, c.Bypass.NumShards(), c.Bypass.Stats().Points)
-	}
-	if c.ann != nil {
-		if err := c.ann.Close(); err != nil {
-			log.Printf("fbserve: %s: releasing index: %v", c.Name, err)
-		}
 	}
 	if c.mm != nil {
 		if err := c.mm.Close(); err != nil {
@@ -324,45 +234,8 @@ func openFBMX(path string) (*dataset.Dataset, *store.MmapMatrix, error) {
 	return ds, mm, nil
 }
 
-// attachANN resolves a collection's approximate retrieval tier. An FBMX
-// collection with an FBIX sidecar next to it (<path minus .fbmx>.fbix)
-// loads the sidecar — its trained structure wins over the flag, whose
-// nprobe (when set) still applies as the probe-tuning override. With no
-// sidecar, a -ann flag triggers an in-process build. No sidecar and no
-// flag means the exact scan.
-func attachANN(name string, ds *dataset.Dataset, mm *store.MmapMatrix, as *ANNSpec) (*ann.Index, string, error) {
-	if mm != nil {
-		sidecar := strings.TrimSuffix(mm.Path(), ".fbmx") + ".fbix"
-		if _, err := os.Stat(sidecar); err == nil {
-			idx, err := ann.OpenFBIX(sidecar)
-			if err != nil {
-				return nil, "", fmt.Errorf("loading index sidecar %s: %w", sidecar, err)
-			}
-			if err := idx.Bind(ds.Matrix()); err != nil {
-				_ = idx.Close()
-				return nil, "", fmt.Errorf("index sidecar %s: %w", sidecar, err)
-			}
-			if as != nil && as.nprobe > 0 {
-				if err := idx.SetNProbe(as.nprobe); err != nil {
-					_ = idx.Close()
-					return nil, "", err
-				}
-			}
-			return idx, sidecar, nil
-		}
-	}
-	if as == nil {
-		return nil, "", nil
-	}
-	idx, err := ann.Build(ds.Matrix(), as.Options())
-	if err != nil {
-		return nil, "", fmt.Errorf("building index for %s: %w", name, err)
-	}
-	return idx, "built", nil
-}
-
-// BuildCollection resolves spec into a dataset (and its approximate
-// tier, if any) and assembles the collection's serving stack over it.
+// BuildCollection resolves spec into a dataset and assembles the
+// collection's serving stack over it.
 func BuildCollection(name, spec string, cfg Config) (*Collection, error) {
 	dir, err := collectionDir(name, cfg)
 	if err != nil {
@@ -372,35 +245,15 @@ func BuildCollection(name, spec string, cfg Config) (*Collection, error) {
 	if err != nil {
 		return nil, err
 	}
-	var idx *ann.Index
-	fail := func(err error) (*Collection, error) {
-		if idx != nil {
-			_ = idx.Close()
-		}
+	c, err := Assemble(name, ds, cfg)
+	if err != nil {
 		if mm != nil {
 			_ = mm.Close()
 		}
 		return nil, err
 	}
-	var annSrc string
-	idx, annSrc, err = attachANN(name, ds, mm, cfg.ANN.ForName(name))
-	if err != nil {
-		return fail(err)
-	}
-	var searcher knn.Searcher // stays a nil interface when idx is nil
-	if idx != nil {
-		idx.Observe(cfg.Obs, collectionLabels(name)...)
-		searcher = idx
-	}
-	c, err := Assemble(name, ds, searcher, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	c.backend, c.mm, c.ann, c.annSrc = backend, mm, idx, annSrc
+	c.backend, c.mm = backend, mm
 	log.Printf("collection %s: %d items (%d bins) from %s backend (%s)", name, ds.Len(), ds.Dim, backend, spec)
-	if idx != nil {
-		log.Printf("collection %s: approximate tier %s (%s)", name, idx.Describe(), annSrc)
-	}
 	return c, nil
 }
 
@@ -438,18 +291,17 @@ func collectionDir(name string, cfg Config) (string, error) {
 }
 
 // Assemble builds the production serving stack over a dataset: the
-// retrieval engine (searcher in place of the exact scan when non-nil),
-// one shardedbypass.Sharded module of cfg.Shards trees — journaled under
+// retrieval engine (the exact scan), one shardedbypass.Sharded module of cfg.Shards trees — journaled under
 // the collection's durable directory when cfg.Dir is set — and the
 // service in front of both. It is the only place outside tests and
 // bench/ that constructs a service.Service; cmd/fbserve reaches it
-// through BuildCollection. The caller keeps ownership of ds and searcher.
-func Assemble(name string, ds *dataset.Dataset, searcher knn.Searcher, cfg Config) (*Collection, error) {
+// through BuildCollection. The caller keeps ownership of ds.
+func Assemble(name string, ds *dataset.Dataset, cfg Config) (*Collection, error) {
 	dir, err := collectionDir(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := engine.New(ds, engine.Options{Searcher: searcher})
+	eng, err := engine.New(ds, engine.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ func FuzzHTTPRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	reg := obsv.NewRegistry()
-	c, err := Assemble("default", ds, nil, Config{K: 8, Epsilon: 0.05, MaxSessions: 64, Obs: reg})
+	c, err := Assemble("default", ds, Config{K: 8, Epsilon: 0.05, MaxSessions: 64, Obs: reg})
 	if err != nil {
 		f.Fatal(err)
 	}

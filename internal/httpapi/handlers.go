@@ -127,11 +127,6 @@ type collectionInfo struct {
 	Backend string `json:"backend"`
 	Items   int    `json:"items"`
 	Dim     int    `json:"dim"`
-	// Index describes the approximate retrieval tier when one is active
-	// (e.g. "ivf(nlist=64,nprobe=8,quant=f32)"); IndexSource is "built"
-	// or the FBIX sidecar path it was loaded from.
-	Index       string `json:"index,omitempty"`
-	IndexSource string `json:"index_source,omitempty"`
 }
 
 // collectionStats is one collection's /stats block: the serving-layer
@@ -151,13 +146,8 @@ type statsResponse struct {
 
 // statsFor assembles one collection's stats block.
 func statsFor(c *Collection) collectionStats {
-	info := collectionInfo{Name: c.Name, Backend: c.backend, Items: c.Dataset.Len(), Dim: c.Dataset.Dim}
-	if c.ann != nil {
-		info.Index = c.ann.Describe()
-		info.IndexSource = c.annSrc
-	}
 	return collectionStats{
-		Collection: info,
+		Collection: collectionInfo{Name: c.Name, Backend: c.backend, Items: c.Dataset.Len(), Dim: c.Dataset.Dim},
 		Stats:      c.Service.Stats(),
 	}
 }

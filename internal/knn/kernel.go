@@ -38,7 +38,7 @@ const tileRows = 64
 // Square roots merge neighbouring doubles (about two per root), so r·r
 // alone can lie an ulp below a sum the naive path ranks level with r.
 // +Inf and NaN map to themselves. Every exact path that ranks by the
-// root and filters in squared space (these scans, ann's rerank) uses it.
+// root and filters in squared space (these scans) uses it.
 func RootBound2(r float64) float64 {
 	b := math.Float64bits(r * r)
 	for math.Sqrt(math.Float64frombits(b)) > r {

@@ -1,8 +1,8 @@
 // Package knn implements the "query processing" step of §2: given a query
 // point and a distance function, return the k closest database objects.
-// It provides a Searcher interface with a sequential-scan implementation;
-// package ann provides the approximate IVF tier behind the same interface
-// (the paper cites X-trees and M-trees for this role).
+// It provides a Searcher interface with one implementation, the exact
+// Scan: the feedback loop re-weights the metric every round, and a scan
+// serves any metric (the paper cites X-trees and M-trees for this role).
 package knn
 
 import (
@@ -22,7 +22,7 @@ type Result struct {
 
 // Searcher answers k-nearest-neighbour queries over a fixed collection —
 // the retrieval surface the engine consumes, implemented by the exact
-// Scan and by the approximate ann.Index.
+// Scan (and wrapped, in the HTTP benchmark, by a tracing searcher).
 type Searcher interface {
 	// Search returns the k items closest to q under m, ordered by
 	// ascending distance (ties broken by ascending index, making results
@@ -31,8 +31,6 @@ type Searcher interface {
 	Search(q []float64, k int, m distance.Metric) ([]Result, error)
 	// Len returns the collection size.
 	Len() int
-	// Describe names the retrieval tier for stats surfaces.
-	Describe() string
 }
 
 // BatchSearcher is a Searcher that also answers positionally-aligned
@@ -179,9 +177,6 @@ func headSlab(slab []float64, ids []int32) (head, boxes []float64) {
 // Len implements Searcher.
 func (s *Scan) Len() int { return s.mat.Len() }
 
-// Describe implements Searcher: the exact tier has no parameters.
-func (s *Scan) Describe() string { return "scan" }
-
 func (s *Scan) checkQuery(q []float64, k int) error {
 	if k <= 0 {
 		return fmt.Errorf("knn: k must be positive, got %d", k)
@@ -230,12 +225,11 @@ func (s *Scan) SearchNaive(q []float64, k int, m distance.Metric) ([]Result, err
 
 // TopK keeps the k smallest (distance, index) pairs seen so far as a
 // sorted insertion array, ascending by (distance, index) — the canonical
-// result order. It is the one accumulator of every searcher: the flat
-// scan's per-query state embeds it, and the IVF probe, shortlist and
-// rerank loops (internal/ann) use it directly. A sorted array beats a
-// binary heap here: the loops pre-filter with the current bound, so
-// nearly every offer is a real insert, and a backward shift plus a short
-// memmove costs less than a heap sift's cascade of mispredicted compares.
+// result order. It is the one accumulator of every path of the scan. A
+// sorted array beats a binary heap here: the kernel paths pre-filter with
+// the current bound, so nearly every offer is a real insert, and a
+// backward shift plus a short memmove costs less than a heap sift's
+// cascade of mispredicted compares.
 type TopK struct {
 	k     int
 	items []Result
@@ -293,16 +287,6 @@ func (t *TopK) insert(cand Result) bool {
 	items[j] = cand
 	t.items = items
 	return true
-}
-
-// Bound returns the current k-th smallest distance, or ok=false when
-// fewer than k candidates have been offered. The IVF probe and shortlist
-// loops feed it back as their early-abandon bound.
-func (t *TopK) Bound() (float64, bool) {
-	if len(t.items) < t.k {
-		return 0, false
-	}
-	return t.items[t.k-1].Distance, true
 }
 
 // Results returns the accumulated results in ascending (distance, index)

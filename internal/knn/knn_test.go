@@ -132,31 +132,17 @@ func TestScanMatchesBruteForceSort(t *testing.T) {
 	}
 }
 
-func TestTopKBound(t *testing.T) {
+// TestTopKOffer checks that the accumulator keeps the k nearest offers,
+// replaces its worst on a closer one, and ignores a farther one.
+func TestTopKOffer(t *testing.T) {
 	top := NewTopK(2)
-	if _, ok := top.Bound(); ok {
-		t.Error("bound should be unavailable before k offers")
-	}
 	top.Offer(0, 5)
-	if _, ok := top.Bound(); ok {
-		t.Error("bound should be unavailable with 1 of 2")
-	}
 	top.Offer(1, 3)
-	b, ok := top.Bound()
-	if !ok || b != 5 {
-		t.Errorf("bound = %v, %v", b, ok)
+	if rs := top.Results(); len(rs) != 2 || rs[0].Index != 1 || rs[1].Index != 0 {
+		t.Errorf("results after two offers = %+v", rs)
 	}
 	top.Offer(2, 1)
-	b, _ = top.Bound()
-	if b != 3 {
-		t.Errorf("bound after improvement = %v", b)
-	}
-	// A worse candidate leaves the accumulator unchanged.
 	top.Offer(3, 100)
-	b, _ = top.Bound()
-	if b != 3 {
-		t.Errorf("bound after worse candidate = %v", b)
-	}
 	rs := top.Results()
 	if len(rs) != 2 || rs[0].Index != 2 || rs[1].Index != 1 {
 		t.Errorf("results = %+v", rs)

@@ -168,16 +168,6 @@ func LatencyBounds() []float64 {
 	return append(b, 10)
 }
 
-// CountBounds returns bucket edges for small-integer size distributions
-// (nprobe, shortlist sizes): powers of two from 1 to 65536.
-func CountBounds() []float64 {
-	var b []float64
-	for v := 1.0; v <= 65536; v *= 2 {
-		b = append(b, v)
-	}
-	return b
-}
-
 // family groups all instruments sharing one metric name. HELP/TYPE are
 // emitted once per family; label sets distinguish members.
 type family struct {

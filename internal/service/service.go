@@ -832,11 +832,6 @@ type Stats struct {
 	Inserts        int64 `json:"inserts"`
 	InsertsStored  int64 `json:"inserts_stored"`
 
-	// Retrieval names the engine's active retrieval tier — "scan", or an
-	// approximate index like "ivf(nlist=64,nprobe=8,quant=f32)" — so
-	// operators can see which tier is answering queries.
-	Retrieval string `json:"retrieval,omitempty"`
-
 	// Degraded carries the store's sticky persistence failure (empty while
 	// healthy): the module — or at least one shard — serves reads but
 	// rejects inserts. QuotaRejects / DegradedRejects count session
@@ -879,7 +874,6 @@ func (s *Service) Stats() Stats {
 		DegradedRejects: s.degradedRejects.Load(),
 		Compactions:     s.compactions.Load(),
 		Reclaimed:       s.reclaimedByService.Load(),
-		Retrieval:       s.eng.Retrieval(),
 		Tree:            s.byp.Stats(),
 	}
 	if derr := s.Degraded(); derr != nil {

@@ -37,9 +37,6 @@ func (m *MmapMatrix) Len() int { return m.n }
 // Dim returns the row dimensionality.
 func (m *MmapMatrix) Dim() int { return m.dim }
 
-// Path returns the backing file's path.
-func (m *MmapMatrix) Path() string { return m.path }
-
 // Labels returns the labels stored beside the rows; they outlive Close.
 func (m *MmapMatrix) Labels() Labels { return m.labels }
 

@@ -14,15 +14,9 @@ func sqDistAVX2(a, b []float64) float64
 
 func sqDistWAVX2(a, b, w []float64) float64
 
-func sqDist32AVX2(q []float64, row []float32) float64
-
-func sqDist32WAVX2(q []float64, row []float32, w []float64) float64
-
 func init() {
 	if hasAVX2 {
 		sqDistFull = sqDistAVX2
 		sqDistWFull = sqDistWAVX2
-		sqDist32Full = sqDist32AVX2
-		sqDist32WFull = sqDist32WAVX2
 	}
 }

@@ -116,115 +116,3 @@ wdone:
 	VMOVSD X0, ret+72(FP)
 	VZEROUPPER
 	RET
-
-// func sqDist32AVX2(q []float64, row []float32) float64
-//
-// float32 rows widen losslessly through VCVTPS2PD, then the arithmetic
-// is identical to sqDistAVX2.
-TEXT ·sqDist32AVX2(SB), NOSPLIT, $0-56
-	MOVQ q_base+0(FP), SI
-	MOVQ q_len+8(FP), CX
-	MOVQ row_base+24(FP), DI
-
-	VXORPD Y0, Y0, Y0
-	MOVQ   CX, DX
-	SHRQ   $2, DX
-	JZ     f32reduce
-
-f32loop4:
-	VCVTPS2PD (DI), Y1   // widen 4 float32 row elements
-	VMOVUPD   (SI), Y2
-	VSUBPD    Y1, Y2, Y2 // d = q - row
-	VMULPD    Y2, Y2, Y2
-	VADDPD    Y2, Y0, Y0
-	ADDQ      $32, SI
-	ADDQ      $16, DI
-	DECQ      DX
-	JNZ       f32loop4
-
-f32reduce:
-	VEXTRACTF128 $1, Y0, X1
-	VUNPCKHPD    X0, X0, X2
-	VADDSD       X2, X0, X0
-	VUNPCKHPD    X1, X1, X3
-	VADDSD       X3, X1, X1
-	VADDSD       X1, X0, X0
-
-	ANDQ   $3, CX
-	JZ     f32done
-	VXORPD X4, X4, X4
-
-f32tail:
-	VCVTSS2SD (DI), X5, X5
-	VMOVSD    (SI), X6
-	VSUBSD    X5, X6, X6
-	VMULSD    X6, X6, X6
-	VADDSD    X6, X4, X4
-	ADDQ      $8, SI
-	ADDQ      $4, DI
-	DECQ      CX
-	JNZ       f32tail
-	VADDSD X4, X0, X0
-
-f32done:
-	VMOVSD X0, ret+48(FP)
-	VZEROUPPER
-	RET
-
-// func sqDist32WAVX2(q []float64, row []float32, w []float64) float64
-TEXT ·sqDist32WAVX2(SB), NOSPLIT, $0-80
-	MOVQ q_base+0(FP), SI
-	MOVQ q_len+8(FP), CX
-	MOVQ row_base+24(FP), DI
-	MOVQ w_base+48(FP), R8
-
-	VXORPD Y0, Y0, Y0
-	MOVQ   CX, DX
-	SHRQ   $2, DX
-	JZ     f32wreduce
-
-f32wloop4:
-	VCVTPS2PD (DI), Y1
-	VMOVUPD   (SI), Y2
-	VSUBPD    Y1, Y2, Y2 // d
-	VMOVUPD   (R8), Y3
-	VMULPD    Y2, Y3, Y3 // w*d
-	VMULPD    Y2, Y3, Y3 // (w*d)*d
-	VADDPD    Y3, Y0, Y0
-	ADDQ      $32, SI
-	ADDQ      $16, DI
-	ADDQ      $32, R8
-	DECQ      DX
-	JNZ       f32wloop4
-
-f32wreduce:
-	VEXTRACTF128 $1, Y0, X1
-	VUNPCKHPD    X0, X0, X2
-	VADDSD       X2, X0, X0
-	VUNPCKHPD    X1, X1, X3
-	VADDSD       X3, X1, X1
-	VADDSD       X1, X0, X0
-
-	ANDQ   $3, CX
-	JZ     f32wdone
-	VXORPD X4, X4, X4
-
-f32wtail:
-	VCVTSS2SD (DI), X5, X5
-	VMOVSD    (SI), X6
-	VSUBSD    X5, X6, X6 // d
-	VMOVSD    (R8), X7
-	VMULSD    X6, X7, X7 // w*d
-	VMULSD    X6, X7, X7 // (w*d)*d
-	VADDSD    X7, X4, X4
-	ADDQ      $8, SI
-	ADDQ      $4, DI
-	ADDQ      $8, R8
-	DECQ      CX
-	JNZ       f32wtail
-	VADDSD X4, X0, X0
-
-f32wdone:
-	VMOVSD X0, ret+72(FP)
-	VZEROUPPER
-	RET

@@ -2,7 +2,7 @@ package vec
 
 import "math"
 
-// Full-sum kernel dispatch. SqDist, SqDistW, SqDist32 and SqDist32W call
+// Full-sum kernel dispatch. SqDist and SqDistW call
 // through these variables; the defaults are the portable Go loops, and
 // the amd64 build replaces them at init with AVX2 routines when the CPU
 // supports them (sqdist_avx2_amd64.go). Every implementation performs
@@ -13,10 +13,8 @@ import "math"
 // abandoning variants' block-boundary bound checks are branchy enough
 // that the wider vectors buy nothing over SSE2/portable there.
 var (
-	sqDistFull    = sqDistFullGo
-	sqDistWFull   = sqDistWFullGo
-	sqDist32Full  = sqDist32FullGo
-	sqDist32WFull = sqDist32WFullGo
+	sqDistFull  = sqDistFullGo
+	sqDistWFull = sqDistWFullGo
 )
 
 func sqDistFullGo(a, b []float64) float64 {
@@ -26,15 +24,5 @@ func sqDistFullGo(a, b []float64) float64 {
 
 func sqDistWFullGo(a, b, w []float64) float64 {
 	s, _ := sqDistWAbandon(a, b, w, math.Inf(1))
-	return s
-}
-
-func sqDist32FullGo(q []float64, row []float32) float64 {
-	s, _ := sqDist32Abandon(q, row, math.Inf(1))
-	return s
-}
-
-func sqDist32WFullGo(q []float64, row []float32, w []float64) float64 {
-	s, _ := sqDist32WAbandon(q, row, w, math.Inf(1))
 	return s
 }

@@ -220,7 +220,7 @@ func exprString(e ast.Expr) string {
 // fsSeamDomains reach the filesystem only through persist.FS:
 // internal/faultfs substitutes that seam to enumerate crash schedules,
 // and a direct os call is a crash point they can neither see nor fail.
-var fsSeamDomains = []string{"internal/persist", "internal/store", "internal/ann", "internal/core", "internal/shardedbypass"}
+var fsSeamDomains = []string{"internal/persist", "internal/store", "internal/core", "internal/shardedbypass"}
 
 var fsSeamForbidden = map[string]bool{
 	"Create": true, "CreateTemp": true, "Open": true, "OpenFile": true,
@@ -260,7 +260,7 @@ func fsSeam(p *rulePass) {
 // kernelDomains are pinned bitwise against portable references and by
 // golden hashes, so nothing that varies between runs, platforms or Go
 // releases may feed them.
-var kernelDomains = []string{"internal/vec", "internal/knn", "internal/ann", "internal/geom"}
+var kernelDomains = []string{"internal/vec", "internal/knn", "internal/geom"}
 
 var kernelForbiddenCalls = map[string]map[string]string{
 	"math": {"FMA": "fuses the multiply-add rounding and breaks the bitwise-parity pins (the no-FMA dispatch discipline is deliberate)"},
@@ -305,7 +305,7 @@ func kernelPurity(p *rulePass) {
 
 // sentinelDomains dispatch on errors.Is/As (HTTP status, degraded
 // latch, fault-plane tests), so their errors must stay wrapped.
-var sentinelDomains = []string{"internal/service", "internal/persist", "internal/store", "internal/ann", "internal/core", "internal/httpapi"}
+var sentinelDomains = []string{"internal/service", "internal/persist", "internal/store", "internal/core", "internal/httpapi"}
 
 // sentinelWrap requires %w for an error passed to fmt.Errorf in
 // sentinelDomains, and forbids passing err.Error() at all. Only constant
@@ -720,8 +720,9 @@ func waivedClock() time.Time {
 	return time.Now() //fbvet:ok fixture: wall clock feeds a log line, not a kernel result
 }
 
-// timedSection is internal/ann's instrumentation shape: a nil-guarded,
-// waived clock read that feeds only a latency histogram.
+// timedSection is the shape a kernel package may instrument a search
+// with: a nil-guarded, waived clock read that feeds only a latency
+// histogram.
 func timedSection(observe func(time.Time)) float64 {
 	var t0 time.Time
 	if observe != nil {

@@ -40,28 +40,26 @@ run_test() {
 	go test -race ./internal/simplextree/ ./internal/core/ ./internal/knn/ ./internal/engine/ \
 		./internal/experiments/ ./internal/httpapi/ ./internal/service/ ./internal/shardedbypass/ \
 		./internal/store/ ./internal/persist/ ./internal/dataset/ ./internal/imagegen/ \
-		./internal/histogram/ ./internal/ann/ ./internal/vec/ ./internal/obsv/ ./cmd/fbserve/
+		./internal/histogram/ ./internal/vec/ ./internal/obsv/ ./cmd/fbserve/
 
 	step "Kernel parity with AVX2 dispatch disabled"
 	# The SIMD tiers are pinned bitwise against the portable kernels; rerun
-	# the parity, dispatch and recall suites with the AVX2 path forced off
+	# the parity and dispatch suites with the AVX2 path forced off
 	# so the fallback stays proven on AVX2 hosts too, and hold the paper
 	# figures to the same golden file.
-	GODEBUG=cpu.avx2=off go test -race ./internal/vec/ ./internal/knn/ ./internal/ann/
+	GODEBUG=cpu.avx2=off go test -race ./internal/vec/ ./internal/knn/
 	GODEBUG=cpu.avx2=off go test -run '^TestPaperFiguresGolden$' .
 
 	step "Fuzz smoke (binary parsers + the JSON request surface)"
 	# 30s per fuzzer over the committed seed corpora: the tree log (header,
 	# census of stamped vertices, journal of stamped records), the
-	# sharded-module manifest, the FBMX collection header and the FBIX
-	# index. The contract: parse or ErrCorrupt, never a panic.
+	# sharded-module manifest and the FBMX collection header. The contract: parse or ErrCorrupt, never a panic.
 	# FuzzHTTPRequest holds the production handler to the same shape: any
 	# body on /query, /feedback, /close gets valid JSON with a 2xx/4xx
 	# status, never a panic or a 5xx.
 	go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 30s ./internal/persist/
 	go test -run '^$' -fuzz '^FuzzManifest$' -fuzztime 30s ./internal/persist/
 	go test -run '^$' -fuzz '^FuzzFBMX$' -fuzztime 30s ./internal/store/
-	go test -run '^$' -fuzz '^FuzzFBIX$' -fuzztime 30s ./internal/ann/
 	go test -run '^$' -fuzz '^FuzzHTTPRequest$' -fuzztime 30s ./internal/httpapi/
 
 	step "Benchmark smoke pass"
@@ -81,9 +79,6 @@ run_test() {
 	# shows up as a step in the uploaded numbers.
 	go test -run '^$' -bench 'BenchmarkPredict$|BenchmarkPredictParallel$' -benchtime 2000x . | tee bench_predict.txt
 	go test -run '^$' -bench 'BenchmarkKNNScanOracle$' -benchtime 2000x . | tee bench_knn.txt
-
-	step "ANN JSON snapshot"
-	go run ./cmd/fbbench -figure ann -k 10 -json bench_ann.json | tee bench_ann.txt
 
 	step "Lifecycle figure (bounded memory)"
 	# The bypass-aging soak, uploaded by ci.yml. Its properties (aging
