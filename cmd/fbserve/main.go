@@ -43,7 +43,6 @@
 //
 //	fbserve -addr :8080 -scale 0.3 -k 10                  # in-memory
 //	fbserve -addr :8080 -dir /var/lib/fbserve -sync       # durable
-//	fbserve -addr :8080 -dir /var/lib/fbserve -shards 8   # sharded
 //	fbserve -addr :8080 \
 //	    -collection birds=synth:scale=0.2,seed=7 \
 //	    -collection photos=/data/photos.fbmx \
@@ -55,18 +54,13 @@
 // rendered once into collection.fbmx there; later starts map the file
 // instead of rendering, and render again only when it is missing,
 // corrupt or rendered from another spec. Every collection's bypass is
-// one internal/shardedbypass module of -shards independent Simplex
-// Trees (default 1); the shard count is baked into each module
-// directory's manifest, so reopening with a different -shards is
-// refused.
+// one Simplex Tree (internal/core); with -dir its log is recovered
+// before the server listens, so /healthz answers only once every
+// collection is open, and a directory it cannot open stops start-up.
 //
 // -export-fbmx name=path builds the named collection, writes its rows
 // and labels to path as an FBMX file (atomically), and exits — the way
 // to turn a synthetic collection into an mmap-servable file.
-//
-// Every collection is searched by the exact scan. A <name>.fbix IVF index
-// file left next to an FBMX file by the deleted approximate tier is
-// ignored.
 package main
 
 import (
@@ -95,13 +89,12 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed for the synthetic collection")
 		k           = flag.Int("k", 10, "default results per query")
 		epsilon     = flag.Float64("epsilon", 0.05, "Simplex Tree insert threshold ε")
-		dir         = flag.String("dir", "", "durable module directory (one log per shard); empty = in-memory")
+		dir         = flag.String("dir", "", "durable module directory (one tree log per collection); empty = in-memory")
 		syncWAL     = flag.Bool("sync", false, "fsync the WAL on every accepted insert (durable mode)")
 		compactEach = flag.Int("compact-every", 512, "compact the WAL after this many journaled inserts (durable mode)")
 		maxSessions = flag.Int("max-sessions", 1024, "in-flight session bound per collection (further opens get 429)")
 		iterBudget  = flag.Int("iter-budget", engine.DefaultMaxIterations, "feedback rounds allowed per session")
 		cacheSize   = flag.Int("cache", 1024, "LRU prediction cache entries per collection (negative disables)")
-		shards      = flag.Int("shards", 1, "partition each bypass across this many independent Simplex Trees")
 		exportFBMX  = flag.String("export-fbmx", "", "name=path: write the named collection's feature matrix as an FBMX file and exit")
 		maxVertices = flag.Int("max-vertices", 0, "per-collection Simplex Tree vertex quota; at the bound inserts get 507, reads stay live (0 = unlimited)")
 		maxBytes    = flag.Int64("max-bytes", 0, "per-collection tree heap-footprint quota in bytes; same 507 semantics (0 = unlimited)")
@@ -122,9 +115,6 @@ func main() {
 	flag.Func("collection", "serve a named collection: name=synth:scale=F,seed=N or name=path.fbmx (repeatable)", specs.Add)
 	flag.Parse()
 
-	if *shards < 1 {
-		log.Fatalf("fbserve: -shards must be >= 1, got %d", *shards)
-	}
 	if len(specs) == 0 {
 		specs = httpapi.CollectionSpecs{{Name: "default", Spec: fmt.Sprintf("synth:scale=%g,seed=%d", *scale, *seed)}}
 	}
@@ -134,9 +124,8 @@ func main() {
 		Scale: *scale, Seed: *seed, K: *k, Epsilon: *epsilon,
 		Dir: *dir, SyncWAL: *syncWAL, CompactEvery: *compactEach,
 		MaxSessions: *maxSessions, IterBudget: *iterBudget, CacheSize: *cacheSize,
-		Shards: *shards, MaxVertices: *maxVertices, MaxBytes: *maxBytes,
-		AgeHorizon: *ageHorizon,
-		Multi:      len(specs) > 1, Obs: reg,
+		MaxVertices: *maxVertices, MaxBytes: *maxBytes, AgeHorizon: *ageHorizon,
+		Multi: len(specs) > 1, Obs: reg,
 	}
 
 	if *exportFBMX != "" {
@@ -173,9 +162,9 @@ func main() {
 	}()
 
 	// Scheduled lifecycle compaction: every -compact-interval each
-	// collection rebuilds its tree(s), dropping vertices not reinforced
-	// within -age-horizon; the service layer invalidates exactly the
-	// shards whose pass reclaimed something. Quota-pressure compaction
+	// collection rebuilds its tree, dropping vertices not reinforced
+	// within -age-horizon; the service layer invalidates the prediction
+	// cache when a pass reclaimed something. Quota-pressure compaction
 	// inside the store fires regardless — the ticker bounds memory
 	// proactively instead of waiting for 507s.
 	var tick <-chan time.Time // nil without -compact-interval: never fires

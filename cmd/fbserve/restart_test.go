@@ -12,6 +12,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -43,7 +44,7 @@ type process struct {
 }
 
 // start execs the binary on a free loopback port and waits until
-// /healthz answers 200 (503 while a shard replays is waited out).
+// /healthz answers 200: the server listens once every collection is open.
 func start(t *testing.T, bin string, args ...string) *process {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -107,12 +108,12 @@ func (p *process) call(t *testing.T, method, path string, body, out any) {
 	}
 }
 
-type shardStats struct {
+type treeStats struct {
 	Collections map[string]struct {
-		Shards []struct {
-			Points    int `json:"points"`
-			Journaled int `json:"journaled"`
-		} `json:"shards"`
+		Tree struct {
+			Points int
+		} `json:"tree"`
+		Journaled int `json:"journaled"`
 	} `json:"collections"`
 }
 
@@ -139,10 +140,11 @@ func get(t *testing.T, url string, status int) []byte {
 // D/collection.fbmx and serves query → feedback → close sessions (each
 // feedback round counted on the wire, /stats and /metrics agreeing on
 // the sessions, pprof off without its flag), SIGTERM drains and
-// compacts every WAL into its snapshot, and a second process on the
-// same directory maps the collection file instead of rendering, serves
-// the same labels and recovers the learned points with nothing left to
-// replay; reopening with another -shards is refused at start-up.
+// compacts the WAL into its census, and a second process on the same
+// directory maps the collection file instead of rendering, serves the
+// same labels and recovers the learned points with nothing left to
+// replay; a directory holding a sharded module's MANIFEST stops
+// start-up with an error naming it.
 func TestBinaryDurableRestart(t *testing.T) {
 	bin := buildBinary(t)
 	dir := t.TempDir()
@@ -170,7 +172,7 @@ func TestBinaryDurableRestart(t *testing.T) {
 		Iterations int  `json:"iterations"`
 		Converged  bool `json:"converged"`
 	}
-	var stats shardStats
+	var stats treeStats
 	labels := map[int][2]string{} // result index → (category, theme) as the first process served it
 	item := 0
 	for ; ; item++ {
@@ -206,13 +208,11 @@ func TestBinaryDurableRestart(t *testing.T) {
 			t.Fatalf("/close answered session %d, want %d", closed.Session, st.Session)
 		}
 		p.call(t, http.MethodGet, "/stats", nil, &stats)
-		if shards := stats.Collections["default"].Shards; len(shards) != 1 {
-			t.Fatalf("/stats shards of a default -shards 1 collection: %+v", shards)
-		} else if shards[0].Points > 0 {
+		if stats.Collections["default"].Tree.Points > 0 {
 			break
 		}
 	}
-	learned := stats.Collections["default"].Shards[0].Points
+	learned := stats.Collections["default"].Tree.Points
 	sessions := item + 1
 
 	var served struct {
@@ -244,14 +244,25 @@ func TestBinaryDurableRestart(t *testing.T) {
 			t.Errorf("/metrics lacks %q", want)
 		}
 	}
-	if !regexp.MustCompile(`fb_wal_append_seconds_count\{collection="default",shard="0"\} [1-9]`).MatchString(metrics) {
-		t.Error("/metrics has no WAL append on shard 0")
+	if !regexp.MustCompile(`fb_wal_append_seconds_count\{collection="default"\} [1-9]`).MatchString(metrics) {
+		t.Error("/metrics has no WAL append")
+	}
+	if want := fmt.Sprintf(`fb_tree_points{collection="default"} %d`+"\n", learned); !strings.Contains(metrics, want) {
+		t.Errorf("/metrics lacks %q", want)
 	}
 	get(t, p.base+"/debug/pprof/", http.StatusNotFound)
 
 	p.terminate(t)
-	if entries, err := os.ReadDir(filepath.Join(dir, "shard-000")); err != nil || len(entries) != 1 || entries[0].Name() != core.JournalFile {
-		t.Fatalf("shutdown left shard-000 holding %v (%v), want %s alone\n%s", entries, err, core.JournalFile, p.log.String())
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"collection.fbmx", core.JournalFile}; !slices.Equal(names, want) {
+		t.Fatalf("shutdown left %v, want %v\n%s", names, want, p.log.String())
 	}
 
 	if first := p.log.String(); !strings.Contains(first, "rendering synth:scale=0.03,seed=5") {
@@ -274,8 +285,8 @@ func TestBinaryDurableRestart(t *testing.T) {
 		t.Fatal("the restart's results share no item with the first process's")
 	}
 	p2.call(t, http.MethodGet, "/stats", nil, &stats)
-	if shards := stats.Collections["default"].Shards; len(shards) != 1 || shards[0].Points != learned || shards[0].Journaled != 0 {
-		t.Fatalf("/stats shards after restart: %+v, want one shard with %d points and an empty journal", shards, learned)
+	if c := stats.Collections["default"]; c.Tree.Points != learned || c.Journaled != 0 {
+		t.Fatalf("/stats after restart: %+v, want %d points and an empty journal", c, learned)
 	}
 	p2.terminate(t)
 	second := p2.log.String()
@@ -289,105 +300,15 @@ func TestBinaryDurableRestart(t *testing.T) {
 	}
 
 	// A wrongly accepted open would serve forever; the deadline reaps it.
+	manifest := filepath.Join(dir, "MANIFEST")
+	if err := os.WriteFile(manifest, []byte("FBMN"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	out, err := exec.CommandContext(ctx, bin, append(args, "-addr", "127.0.0.1:0", "-shards", "4")...).CombinedOutput()
-	if err == nil || !strings.Contains(string(out), "has 1 shards, asked for 4") {
-		t.Fatalf("-shards 4 on a 1-shard directory: err = %v, want the manifest refusal\n%s", err, out)
-	}
-}
-
-// TestBinaryShardedRound is one query → feedback → close round against a
-// 4-shard durable module on the real binary: /healthz goes ready, the
-// directory gets its manifest and four shard directories, /stats exposes
-// four per-shard counter blocks with the closed session's insert in
-// exactly one of them, /metrics labels the per-shard gauges and insert
-// histograms by shard, and SIGTERM drains. Reopening the directory with
-// -shards 2 or with the default -shards 1 is then refused at start-up.
-func TestBinaryShardedRound(t *testing.T) {
-	bin := buildBinary(t)
-	dir := t.TempDir()
-	p := start(t, bin, "-scale", "0.05", "-k", "5", "-dir", dir, "-shards", "4")
-
-	var health struct {
-		Status string `json:"status"`
-	}
-	p.call(t, http.MethodGet, "/healthz", nil, &health)
-	if health.Status != "ok" {
-		t.Fatalf("/healthz status %q", health.Status)
-	}
-	for _, name := range []string{"MANIFEST", "shard-003"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var st struct {
-		Session    uint64 `json:"session"`
-		Iterations int    `json:"iterations"`
-	}
-	p.call(t, http.MethodPost, "/query", map[string]any{"item": 0, "k": 5}, &st)
-	p.call(t, http.MethodPost, "/feedback", map[string]any{"session": st.Session, "scores": []float64{1, 0, 1, 0, 0}}, &st)
-	if st.Iterations != 1 {
-		t.Fatalf("/feedback: %d iterations, want 1", st.Iterations)
-	}
-	var closed struct {
-		Session uint64 `json:"session"`
-	}
-	p.call(t, http.MethodPost, "/close", map[string]any{"session": st.Session}, &closed)
-	if closed.Session != st.Session {
-		t.Fatalf("/close answered session %d, want %d", closed.Session, st.Session)
-	}
-
-	var stats struct {
-		Collections map[string]struct {
-			Shards []struct {
-				Inserts int64 `json:"inserts"`
-			} `json:"shards"`
-		} `json:"collections"`
-	}
-	p.call(t, http.MethodGet, "/stats", nil, &stats)
-	shards := stats.Collections["default"].Shards
-	if len(shards) != 4 {
-		t.Fatalf("/stats has %d shard blocks, want 4", len(shards))
-	}
-	// At least one insert, and all of them in one shard.
-	var sum, most int64
-	for _, s := range shards {
-		sum += s.Inserts
-		most = max(most, s.Inserts)
-	}
-	if sum < 1 || sum != most {
-		t.Fatalf("/stats shard inserts %+v: want at least one, all in one shard", shards)
-	}
-	metrics := string(get(t, p.base+"/metrics", http.StatusOK))
-	for _, want := range []string{`fb_tree_points{collection="default",shard="0"}`, `fb_tree_points{collection="default",shard="3"}`} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics lacks %q", want)
-		}
-	}
-	if !regexp.MustCompile(`fb_shard_insert_seconds_count\{collection="default",shard="[0-3]"\} [1-9]`).MatchString(metrics) {
-		t.Error("/metrics counts no shard insert")
-	}
-	p.terminate(t)
-
-	// A wrongly accepted open would serve forever; the deadline reaps it,
-	// and that counts as acceptance, not refusal.
-	for _, c := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-shards", "2"}, "has 4 shards, asked for 2"},
-		{nil, "has 4 shards, asked for 1"},
-	} {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		args := append([]string{"-addr", "127.0.0.1:0", "-scale", "0.05", "-dir", dir}, c.args...)
-		out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
-		timedOut := ctx.Err() != nil
-		cancel()
-		if err == nil || timedOut || !strings.Contains(string(out), c.want) {
-			t.Fatalf("fbserve %v on a 4-shard directory: err = %v (timed out %v), want the manifest refusal %q\n%s", c.args, err, timedOut, c.want, out)
-		}
+	out, err := exec.CommandContext(ctx, bin, append(args, "-addr", "127.0.0.1:0")...).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), manifest) {
+		t.Fatalf("a directory holding %s: err = %v, want a refusal naming it\n%s", manifest, err, out)
 	}
 }
 

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	fbtree -file fbstate/shard-000/tree.fbwl
+//	fbtree -file fbstate/tree.fbwl
 //	fbtree -file tree.fbwl -predict 0.1,0.2,0.05,...
 package main
 

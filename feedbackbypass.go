@@ -43,7 +43,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/persist"
 	"repro/internal/reduce"
-	"repro/internal/shardedbypass"
 	"repro/internal/simplextree"
 )
 
@@ -131,35 +130,6 @@ var (
 // New creates a FeedbackBypass module for a D-dimensional query domain
 // with P distance-function parameters.
 func New(d, p int, cfg Config) (*Bypass, error) { return core.New(d, p, cfg) }
-
-// ShardedBypass partitions the learned mapping across S independent
-// Simplex Trees (each with its own lock and, in durable mode, its own
-// log), so insert throughput scales with partitions and an insert
-// invalidates only its shard. S = 1 behaves bitwise-identically
-// to a single tree. See internal/shardedbypass for the layout and
-// recovery contract.
-type ShardedBypass = shardedbypass.Sharded
-
-// ShardedOptions tunes a ShardedBypass (shard count, per-shard WAL
-// behaviour).
-type ShardedOptions = shardedbypass.Options
-
-// ErrShardReplaying is returned (wrapped, errors.Is-able) by sharded
-// operations routed to a shard whose startup recovery has not finished;
-// it is retryable.
-var ErrShardReplaying = shardedbypass.ErrReplaying
-
-// NewSharded creates an in-memory S-way partitioned module.
-func NewSharded(d, p int, cfg Config, opts ShardedOptions) (*ShardedBypass, error) {
-	return shardedbypass.New(d, p, cfg, opts)
-}
-
-// OpenSharded opens (or initializes) a durable sharded module rooted at
-// dir, recovering every shard in parallel. The shard count is pinned by
-// the directory's manifest: reopening with a different count fails.
-func OpenSharded(dir string, d, p int, cfg Config, opts ShardedOptions) (*ShardedBypass, error) {
-	return shardedbypass.Open(dir, d, p, cfg, opts)
-}
 
 // OpenDurable opens (or initializes) a crash-safe module rooted at dir:
 // accepted inserts are journaled to a log after a census of the tree,

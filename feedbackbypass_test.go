@@ -216,49 +216,3 @@ func TestCoveringSimplexDomain(t *testing.T) {
 		t.Error("mismatched domain should error")
 	}
 }
-
-// TestShardedFacade exercises the root-level sharded API: open, insert,
-// kill (no Close), recover, predict parity.
-func TestShardedFacade(t *testing.T) {
-	const d, p = 3, 3
-	dir := t.TempDir()
-	sh, err := feedbackbypass.OpenSharded(dir, d, p, feedbackbypass.Config{Epsilon: 0}, feedbackbypass.ShardedOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := []float64{0.2, 0.3, 0.4}
-	oqp := feedbackbypass.OQP{Delta: []float64{0.01, -0.01, 0}, Weights: []float64{0.5, -0.5, 0.25}}
-	changed, err := sh.Insert(q, oqp)
-	if err != nil || !changed {
-		t.Fatalf("insert: changed=%v err=%v", changed, err)
-	}
-	want, err := sh.Predict(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Crash (no Close) and recover.
-	recovered, err := feedbackbypass.OpenSharded(dir, d, p, feedbackbypass.Config{Epsilon: 0}, feedbackbypass.ShardedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recovered.Close()
-	if recovered.NumShards() != 4 {
-		t.Fatalf("recovered %d shards, want 4", recovered.NumShards())
-	}
-	got, err := recovered.Predict(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got.Delta {
-		if got.Delta[i] != want.Delta[i] || got.Weights[i] != want.Weights[i] {
-			t.Fatalf("recovered prediction diverged: %+v vs %+v", got, want)
-		}
-	}
-	mem, err := feedbackbypass.NewSharded(d, p, feedbackbypass.Config{}, feedbackbypass.ShardedOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mem.NumShards() != 2 {
-		t.Fatal("in-memory sharded shard count")
-	}
-}

@@ -112,9 +112,14 @@ type Bypass struct {
 	mu   sync.Mutex // the write mutex
 	d, p int
 	// dur is the durable layer (nil in memory): it journals accepted
-	// inserts, persists a rebuilt tree before the swap and can latch the
-	// module read-only.
+	// inserts and persists a rebuilt tree before the swap.
 	dur *DurableBypass
+
+	// degMu guards degraded separately from the write mutex: the WAL
+	// observer that latches it runs under the tree's exclusive lock while
+	// Insert already holds the write mutex, so it cannot retake it.
+	degMu    sync.Mutex
+	degraded error // errors.Join(ErrDegraded, cause); nil while healthy
 
 	// Aged-compaction counters, and their instruments once Observe has
 	// registered them.
@@ -239,7 +244,7 @@ func (b *Bypass) Insert(q []float64, oqp OQP) (bool, error) {
 	value := oqp.Encode()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if err := b.degradedErr(); err != nil {
+	if err := b.Degraded(); err != nil {
 		return false, err
 	}
 	changed, err := b.Tree().Insert(q, value)
@@ -255,7 +260,7 @@ func (b *Bypass) Insert(q []float64, oqp OQP) (bool, error) {
 		// A failed journal append has just latched the module degraded:
 		// report the joined error so callers match ErrDegraded on the very
 		// first rejected insert.
-		if derr := b.degradedErr(); derr != nil {
+		if derr := b.Degraded(); derr != nil {
 			return changed, derr
 		}
 		return changed, err
@@ -266,13 +271,22 @@ func (b *Bypass) Insert(q []float64, oqp OQP) (bool, error) {
 	return changed, nil
 }
 
-// degradedErr is a durable module's latched persistence failure; a
-// memory module never degrades.
-func (b *Bypass) degradedErr() error {
-	if b.dur == nil {
-		return nil
+// Degraded reports the sticky persistence failure that flipped a
+// durable module to read-only, or nil while it is healthy; a memory
+// module never degrades. The returned error satisfies errors.Is(err,
+// ErrDegraded) and errors.Is against the root cause.
+func (b *Bypass) Degraded() error {
+	b.degMu.Lock()
+	defer b.degMu.Unlock()
+	return b.degraded
+}
+
+func (b *Bypass) noteDegraded(cause error) {
+	b.degMu.Lock()
+	if b.degraded == nil {
+		b.degraded = errors.Join(ErrDegraded, cause)
 	}
-	return b.dur.Degraded()
+	b.degMu.Unlock()
 }
 
 // Stats reports the shape of the underlying Simplex Tree.
@@ -293,20 +307,14 @@ type CompactionStats struct {
 // point recovers either the full pre-compaction tree or the exact
 // rebuilt one, never a hybrid; a persistence failure latches it
 // degraded. Predictions racing the swap finish against whichever tree
-// they loaded; writes serialize against it. The one-element slice
-// matches the sharded module's per-shard shape so serving layers handle
-// both uniformly.
-func (b *Bypass) CompactAged() ([]CompactionStats, error) {
+// they loaded; writes serialize against it.
+func (b *Bypass) CompactAged() (CompactionStats, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if err := b.degradedErr(); err != nil {
-		return nil, err
+	if err := b.Degraded(); err != nil {
+		return CompactionStats{}, err
 	}
-	st, err := b.compactAgedLocked()
-	if err != nil {
-		return nil, err
-	}
-	return []CompactionStats{st}, nil
+	return b.compactAgedLocked()
 }
 
 // compactAgedLocked is one aged compaction under mu: rebuild, persist
@@ -348,15 +356,17 @@ func (b *Bypass) Compactions() uint64 { return b.compactions.Load() }
 // Reclaimed reports the total vertices those compactions reclaimed.
 func (b *Bypass) Reclaimed() uint64 { return b.reclaimed.Load() }
 
-// Observe registers the module's aged-compaction series in reg, each
-// carrying labels; a nil reg registers nothing. OpenDurable calls it with
-// DurableOptions.Obs, and a sharded module's memory shards with its Obs.
+// Observe registers the module's series in reg, each carrying labels:
+// the tree's size and depth, and the aged-compaction series. A nil reg
+// registers nothing. OpenDurable calls it with DurableOptions.Obs.
 func (b *Bypass) Observe(reg *obsv.Registry, labels ...obsv.Label) {
 	if reg == nil {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	reg.GaugeFunc("fb_tree_points", "Simplex Tree stored points.", func() float64 { return float64(b.Stats().Points) }, labels...)
+	reg.GaugeFunc("fb_tree_depth", "Simplex Tree depth.", func() float64 { return float64(b.Stats().Depth) }, labels...)
 	b.compactionsC = reg.Counter("fb_bypass_compactions_total", "Aged tree compactions (rebuild, log commit when durable, swap) completed.", labels...)
 	b.reclaimedC = reg.Counter("fb_bypass_reclaimed_vertices_total", "Vertices reclaimed by aged compactions (aged out or ε-absorbed).", labels...)
 	b.compactH = reg.Histogram("fb_bypass_compaction_seconds", "Aged compaction duration (rebuild, log commit when durable, swap).", obsv.LatencyBounds(), labels...)

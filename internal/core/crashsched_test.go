@@ -16,7 +16,7 @@ import (
 // the crash-schedule harness.
 func vertexSet(tree *simplextree.Tree) map[string]bool {
 	set := make(map[string]bool)
-	tree.Walk(func(v *simplextree.Vertex) {
+	for _, v := range tree.Census().Vertices {
 		buf := make([]byte, 0, 8*(len(v.Point)+len(v.Value)))
 		var b [8]byte
 		for _, x := range v.Point {
@@ -28,7 +28,7 @@ func vertexSet(tree *simplextree.Tree) map[string]bool {
 			buf = append(buf, b[:]...)
 		}
 		set[string(buf)] = true
-	})
+	}
 	return set
 }
 

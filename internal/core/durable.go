@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/obsv"
@@ -16,10 +15,13 @@ import (
 // Durable file names inside the module directory. JournalFile is the
 // module's one tree file: a census of the tree, then the journal of the
 // inserts accepted since. SnapshotFile names the snapshot of the retired
-// two-file format; a directory holding one is refused, not migrated.
+// two-file format and manifestFile the manifest of the retired
+// hash-sharded layout; a directory holding either is refused, not
+// migrated.
 const (
 	SnapshotFile = "tree.fbsx"
 	JournalFile  = "tree.fbwl"
+	manifestFile = "MANIFEST"
 )
 
 // ErrDegraded marks a module that has flipped to read-only serving after
@@ -53,7 +55,7 @@ type DurableOptions struct {
 	// hot paths then take no clock readings.
 	Obs *obsv.Registry
 	// ObsLabels are attached to every instrument this module registers
-	// (typically collection and shard).
+	// (typically the collection name).
 	ObsLabels []obsv.Label
 }
 
@@ -78,12 +80,19 @@ type DurableBypass struct {
 	wal   *persist.WAL // its record count is the inserts journaled since the last compaction
 	opts  DurableOptions
 	snapH *obsv.Histogram // optional: compaction duration
+}
 
-	// degMu guards degraded separately from the write mutex: the WAL
-	// observer that flips it runs under the tree's exclusive lock while
-	// Insert already holds the write mutex, so it cannot retake it.
-	degMu    sync.Mutex
-	degraded error // errors.Join(ErrDegraded, cause); nil while healthy
+// HoldsModule reports whether dir holds a module's state: its log, or a
+// file of a retired layout (a two-file snapshot, a sharded manifest),
+// which OpenDurable refuses by name instead of starting an empty module
+// beside it.
+func HoldsModule(fsys persist.FS, dir string) bool {
+	for _, name := range []string{JournalFile, SnapshotFile, manifestFile} {
+		if _, err := persist.OrOS(fsys).Stat(filepath.Join(dir, name)); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // OpenDurable opens (or initializes) a durable FeedbackBypass module
@@ -103,6 +112,12 @@ func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*Durabl
 	old := filepath.Join(dir, SnapshotFile)
 	if _, err := fsys.Stat(old); err == nil {
 		return nil, fmt.Errorf("core: %s is a snapshot of the retired two-file format, which this version does not read", old)
+	}
+	manifest := filepath.Join(dir, manifestFile)
+	if _, err := fsys.Stat(manifest); err == nil {
+		return nil, fmt.Errorf("core: %s is the manifest of a hash-sharded module, a layout this version does not read; "+
+			"to keep shard 0's learned state, move %s to %s, then delete %s",
+			manifest, filepath.Join(dir, "shard-000", JournalFile), filepath.Join(dir, JournalFile), manifest)
 	}
 	path := filepath.Join(dir, JournalFile)
 	wal, tree, err := persist.OpenWAL(fsys, path)
@@ -135,6 +150,7 @@ func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*Durabl
 	b.dur = db
 	b.Observe(opts.Obs, opts.ObsLabels...)
 	if opts.Obs != nil {
+		opts.Obs.GaugeFunc("fb_wal_bytes", "Tree log on-disk size, census and journal (recovery debt).", func() float64 { return float64(db.WALSize()) }, opts.ObsLabels...)
 		wal.SetMetrics(
 			opts.Obs.Histogram("fb_wal_append_seconds", "WAL append latency (encode + write + any per-append fsync).", obsv.LatencyBounds(), opts.ObsLabels...),
 			opts.Obs.Histogram("fb_wal_fsync_seconds", "WAL fsync latency.", obsv.LatencyBounds(), opts.ObsLabels...),
@@ -166,24 +182,6 @@ func (db *DurableBypass) attachObserver(tree *simplextree.Tree) {
 	})
 }
 
-// Degraded reports the sticky persistence failure that flipped the
-// module to read-only, or nil while it is healthy. The returned error
-// satisfies errors.Is(err, ErrDegraded) and errors.Is against the root
-// cause.
-func (db *DurableBypass) Degraded() error {
-	db.degMu.Lock()
-	defer db.degMu.Unlock()
-	return db.degraded
-}
-
-func (db *DurableBypass) noteDegraded(cause error) {
-	db.degMu.Lock()
-	if db.degraded == nil {
-		db.degraded = errors.Join(ErrDegraded, cause)
-	}
-	db.degMu.Unlock()
-}
-
 // Journaled reports the number of inserts journaled since the last
 // compaction (including those replayed at open).
 func (db *DurableBypass) Journaled() int {
@@ -192,9 +190,8 @@ func (db *DurableBypass) Journaled() int {
 	return db.wal.Records()
 }
 
-// WALSize reports the log's on-disk size in bytes, census and journal.
-// Serving layers export it per shard so operators can see write pressure
-// per partition.
+// WALSize reports the log's on-disk size in bytes, census and journal:
+// the recovery debt a restart pays.
 func (db *DurableBypass) WALSize() int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -255,7 +255,7 @@ func TestRecoveryIsSnapshotEqual(t *testing.T) {
 	}
 	reopen("Compact")
 	insert(10)
-	if st, err := db.CompactAged(); err != nil || st[0].Reclaimed == 0 {
+	if st, err := db.CompactAged(); err != nil || st.Reclaimed == 0 {
 		t.Fatalf("CompactAged: %+v, %v", st, err)
 	}
 	reopen("a reclaiming CompactAged")

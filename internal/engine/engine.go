@@ -255,21 +255,6 @@ func QuerySignature(q []float64) uint64 {
 	return h
 }
 
-// ShardOf is the partition function of the sharded bypass plane: it maps
-// a query point to one of `shards` partitions by reducing QuerySignature
-// modulo the shard count. Every layer that routes by query point — the
-// sharded bypass's insert path, the serving layer's per-shard cache
-// generations, recovery replay — must agree on this function, and any
-// durable module directory bakes its shard count into its manifest, so
-// the mapping is pinned by test (TestShardOfPinned): changing it is a
-// resharding migration of every existing module, not a refactor.
-func ShardOf(q []float64, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	return int(QuerySignature(q) % uint64(shards))
-}
-
 // UniformWeights returns the all-ones weight vector of the collection's
 // dimensionality — the default distance function.
 func (e *Engine) UniformWeights() []float64 { return vec.Ones(e.ds.Dim) }

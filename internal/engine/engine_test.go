@@ -415,48 +415,3 @@ func TestQuerySignature(t *testing.T) {
 		t.Error("+0 and -0 should hash differently (bitwise key)")
 	}
 }
-
-// TestShardOfPinned pins the sharded bypass plane's partition function to
-// golden values. Durable sharded module directories bake their shard
-// count into a manifest and route every WAL record by this function, so
-// a change here silently orphans persisted state — if this test fails,
-// you are doing a resharding migration, not a refactor.
-func TestShardOfPinned(t *testing.T) {
-	points := [][]float64{
-		{0.25, 0.25, 0.25},
-		{0.1, 0.2, 0.3, 0.4},
-		{0.5},
-		{0.031, 0.002, 0.967, 0, 0, 0.0001},
-		{1, 0, 0},
-	}
-	sigs := []uint64{
-		5361427632939035000,
-		6192810792582908260,
-		12315068107728651944,
-		5852497454591052768,
-		13656591783786892216,
-	}
-	// Rows follow points; columns follow shardCounts.
-	shardCounts := []int{2, 3, 4, 5, 7, 8}
-	want := [][]int{
-		{0, 2, 0, 0, 0, 0},
-		{0, 1, 0, 0, 4, 4},
-		{0, 2, 0, 4, 0, 0},
-		{0, 0, 0, 3, 6, 0},
-		{0, 1, 0, 1, 3, 0},
-	}
-	for i, q := range points {
-		if got := QuerySignature(q); got != sigs[i] {
-			t.Errorf("QuerySignature(%v) = %d, want %d", q, got, sigs[i])
-		}
-		for j, s := range shardCounts {
-			if got := ShardOf(q, s); got != want[i][j] {
-				t.Errorf("ShardOf(%v, %d) = %d, want %d", q, s, got, want[i][j])
-			}
-		}
-		// Degenerate shard counts collapse to one partition.
-		if ShardOf(q, 1) != 0 || ShardOf(q, 0) != 0 || ShardOf(q, -3) != 0 {
-			t.Errorf("ShardOf(%v, <=1) must be 0", q)
-		}
-	}
-}

@@ -12,7 +12,7 @@ import (
 // whose query stream drifts across the simplex — so vertices learned
 // early stop being reinforced — run twice, aging on with periodic
 // compaction vs an aging-off control. Crash safety of the compaction
-// swap is pinned by the core and shardedbypass crash-schedule tests.
+// swap is pinned by the core crash-schedule tests.
 type LifecycleConfig struct {
 	// Seed makes the workload deterministic.
 	Seed int64
@@ -158,14 +158,12 @@ func runLifecycleMode(cfg LifecycleConfig, horizon uint64) (LifecycleSeries, err
 		window = append(window, recent{q, oqp})
 
 		if horizon > 0 && cfg.CompactEvery > 0 && (i+1)%cfg.CompactEvery == 0 {
-			stats, err := byp.CompactAged()
+			st, err := byp.CompactAged()
 			if err != nil {
 				return out, fmt.Errorf("compaction at insert %d: %w", i, err)
 			}
 			out.Compactions++
-			for _, st := range stats {
-				out.Reclaimed += st.Reclaimed
-			}
+			out.Reclaimed += st.Reclaimed
 		}
 		if (i+1)%lifecycleSampleEvery == 0 || i == cfg.Inserts-1 {
 			hits := 0

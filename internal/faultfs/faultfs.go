@@ -14,7 +14,7 @@
 //     every later operation fails with ErrCrashed. Combined with a
 //     counting run (no crash armed, Ops() reports the total M), a
 //     harness enumerates every crash point n = 1..M along
-//     insert → WAL-append → compact → manifest and asserts recovery.
+//     insert → WAL-append → compact and asserts recovery.
 //
 // The crash model is process-kill durability: everything the process
 // wrote before the crash point is on disk (the repo's writers use
@@ -91,7 +91,7 @@ type Rule struct {
 }
 
 // FS wraps a real persist.FS with scripted faults. Safe for concurrent
-// use (the sharded layout recovers and compacts shards in parallel).
+// use (a module's writers and its readers may run in parallel).
 type FS struct {
 	real persist.FS
 
@@ -252,13 +252,6 @@ func (f *FS) Stat(name string) (os.FileInfo, error) {
 		return nil, err
 	}
 	return f.real.Stat(name)
-}
-
-func (f *FS) ReadFile(name string) ([]byte, error) {
-	if err := f.readGate(); err != nil {
-		return nil, err
-	}
-	return f.real.ReadFile(name)
 }
 
 func (f *FS) SyncDir(dir string) error {

@@ -1,7 +1,7 @@
 // Package httpapi is the FeedbackBypass serving assembly and its HTTP
 // edge: the one place a collection spec becomes a dataset, a dataset
-// becomes the production stack — retrieval engine, one
-// shardedbypass.Sharded module, one service.Service — and that stack is
+// becomes the production stack — retrieval engine, one core bypass
+// module, one service.Service — and that stack is
 // exposed as the JSON routes cmd/fbserve listens on. cmd/fbserve is
 // flags and process lifecycle around this package; the in-process
 // figures of internal/experiments measure the same Assemble the server
@@ -25,7 +25,6 @@ import (
 	"repro/internal/obsv"
 	"repro/internal/persist"
 	"repro/internal/service"
-	"repro/internal/shardedbypass"
 	"repro/internal/store"
 )
 
@@ -41,7 +40,6 @@ type Config struct {
 	MaxSessions  int
 	IterBudget   int
 	CacheSize    int
-	Shards       int
 	MaxVertices  int
 	MaxBytes     int64
 	AgeHorizon   uint64
@@ -57,11 +55,11 @@ type Collection struct {
 	Name    string
 	Dataset *dataset.Dataset
 	Service *service.Service
-	Bypass  *shardedbypass.Sharded // the bypass behind Service: health and shutdown handle
+	Bypass  *core.Bypass // the bypass behind Service: its counters and health
 
-	backend string            // "heap" or "mmap"
-	durable bool              // Bypass journals to a module directory
-	mm      *store.MmapMatrix // close handle (nil unless FBMX-backed)
+	backend string              // "heap" or "mmap"
+	durable *core.DurableBypass // Bypass's durable layer; nil in memory
+	mm      *store.MmapMatrix   // close handle (nil unless FBMX-backed)
 }
 
 // CollectionSpecs accumulates repeated -collection flags in order.
@@ -87,36 +85,30 @@ func (cs *CollectionSpecs) Add(value string) error {
 	return nil
 }
 
-// CompactAged runs one aging compaction pass over the collection's
-// tree(s) and logs what it reclaimed.
+// CompactAged runs one aging compaction pass over the collection's tree
+// and logs what it reclaimed.
 func (c *Collection) CompactAged() {
-	stats, err := c.Service.CompactAged(context.Background())
+	st, err := c.Service.CompactAged(context.Background())
 	if err != nil {
 		log.Printf("fbserve: %s: compaction: %v", c.Name, err)
 	}
-	var before, after, reclaimed int
-	for _, st := range stats {
-		before += st.Before
-		after += st.After
-		reclaimed += st.Reclaimed
-	}
-	if reclaimed > 0 {
-		log.Printf("%s: aging compaction reclaimed %d vertices (%d -> %d)", c.Name, reclaimed, before, after)
+	if st.Reclaimed > 0 {
+		log.Printf("%s: aging compaction reclaimed %d vertices (%d -> %d)", c.Name, st.Reclaimed, st.Before, st.After)
 	}
 }
 
-// Shutdown makes the collection's learned state durable — every shard's
-// log compacted to a census with an empty journal, then closed — and
+// Shutdown makes the collection's learned state durable — its log
+// compacted to a census with an empty journal, then closed — and
 // releases the retrieval backend. Sessions must have been drained first.
 func (c *Collection) Shutdown() {
-	if c.durable {
-		if err := c.Bypass.Compact(); err != nil {
+	if c.durable != nil {
+		if err := c.durable.Compact(); err != nil {
 			log.Printf("fbserve: %s: compact: %v", c.Name, err)
 		}
-		if err := c.Bypass.Close(); err != nil {
+		if err := c.durable.Close(); err != nil {
 			log.Printf("fbserve: %s: close: %v", c.Name, err)
 		}
-		log.Printf("%s: compacted %d shard WALs; %d points durable", c.Name, c.Bypass.NumShards(), c.Bypass.Stats().Points)
+		log.Printf("%s: compacted the WAL; %d points durable", c.Name, c.Bypass.Stats().Points)
 	}
 	if c.mm != nil {
 		if err := c.mm.Close(); err != nil {
@@ -276,12 +268,12 @@ func collectionDir(name string, cfg Config) (string, error) {
 		// Nested layout. Refuse to shadow a single-collection module
 		// sitting at the directory root: its learned state would be
 		// silently unread under dir/<name>/.
-		if shardedbypass.HoldsModule(persist.OSFS, cfg.Dir) {
+		if core.HoldsModule(persist.OSFS, cfg.Dir) {
 			return "", fmt.Errorf("module state at %s uses the single-collection layout; move it to %s before serving multiple collections",
 				cfg.Dir, filepath.Join(cfg.Dir, "<name>"))
 		}
 		dir = filepath.Join(cfg.Dir, name)
-	} else if nested := filepath.Join(dir, name); shardedbypass.HoldsModule(persist.OSFS, nested) {
+	} else if nested := filepath.Join(dir, name); core.HoldsModule(persist.OSFS, nested) {
 		// Flat layout. Refuse to shadow a nested module left by a
 		// previous multi-collection run of this collection name.
 		return "", fmt.Errorf("module state at %s uses the multi-collection layout; move it to %s (or keep serving multiple collections)",
@@ -291,11 +283,12 @@ func collectionDir(name string, cfg Config) (string, error) {
 }
 
 // Assemble builds the production serving stack over a dataset: the
-// retrieval engine (the exact scan), one shardedbypass.Sharded module of cfg.Shards trees — journaled under
-// the collection's durable directory when cfg.Dir is set — and the
-// service in front of both. It is the only place outside tests and
-// bench/ that constructs a service.Service; cmd/fbserve reaches it
-// through BuildCollection. The caller keeps ownership of ds.
+// retrieval engine (the exact scan), one core bypass module — journaled
+// under the collection's durable directory when cfg.Dir is set, and
+// recovered from it before Assemble returns — and the service in front
+// of both. It is the only place outside tests and bench/ that
+// constructs a service.Service; cmd/fbserve reaches it through
+// BuildCollection. The caller keeps ownership of ds.
 func Assemble(name string, ds *dataset.Dataset, cfg Config) (*Collection, error) {
 	dir, err := collectionDir(name, cfg)
 	if err != nil {
@@ -315,34 +308,23 @@ func Assemble(name string, ds *dataset.Dataset, cfg Config) (*Collection, error)
 		AgeHorizon: cfg.AgeHorizon,
 	}
 
-	c := &Collection{Name: name, Dataset: ds, durable: dir != ""}
+	c := &Collection{Name: name, Dataset: ds}
 	obsLabels := collectionLabels(name)
-	bypOpts := shardedbypass.Options{Shards: cfg.Shards, Obs: cfg.Obs, ObsLabels: obsLabels}
-	if c.durable {
-		// Shards recover their WALs in parallel while the server comes up;
-		// requests hitting a replaying shard get 503.
-		bypOpts.Durable = core.DurableOptions{CompactEvery: cfg.CompactEvery, Sync: cfg.SyncWAL}
-		c.Bypass, err = shardedbypass.OpenAsync(dir, codec.D(), codec.P(), treeCfg, bypOpts)
+	if dir != "" {
+		c.durable, err = core.OpenDurable(dir, codec.D(), codec.P(), treeCfg, core.DurableOptions{
+			CompactEvery: cfg.CompactEvery, Sync: cfg.SyncWAL, Obs: cfg.Obs, ObsLabels: obsLabels,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("opening durable module: %w", err)
 		}
-		go func() {
-			if err := c.Bypass.WaitReady(); err != nil {
-				// Terminal for this collection only: its healthz reports
-				// "failed" (500) and shard-routed requests keep erroring,
-				// while every other collection serves on. Killing the
-				// process here would take healthy collections down with it.
-				log.Printf("fbserve: %s: shard recovery failed (collection unavailable): %v", name, err)
-				return
-			}
-			log.Printf("%s: durable module at %s: %d shards live, %d points recovered, %d journaled inserts",
-				name, dir, c.Bypass.NumShards(), c.Bypass.Stats().Points, c.Bypass.Journaled())
-		}()
+		c.Bypass = c.durable.Bypass
+		log.Printf("%s: durable module at %s: %d points recovered, %d journaled inserts",
+			name, dir, c.Bypass.Stats().Points, c.durable.Journaled())
 	} else {
-		c.Bypass, err = shardedbypass.New(codec.D(), codec.P(), treeCfg, bypOpts)
-		if err != nil {
+		if c.Bypass, err = core.New(codec.D(), codec.P(), treeCfg); err != nil {
 			return nil, err
 		}
+		c.Bypass.Observe(cfg.Obs, obsLabels...)
 	}
 
 	c.Service, err = service.New(eng, c.Bypass, service.Options{
@@ -354,7 +336,9 @@ func Assemble(name string, ds *dataset.Dataset, cfg Config) (*Collection, error)
 		ObsLabels:       obsLabels,
 	})
 	if err != nil {
-		_ = c.Bypass.Close()
+		if c.durable != nil {
+			_ = c.durable.Close()
+		}
 		return nil, err
 	}
 	return c, nil

@@ -21,7 +21,6 @@ import (
 	"repro/internal/knn"
 	"repro/internal/obsv"
 	"repro/internal/service"
-	"repro/internal/shardedbypass"
 	"repro/internal/store"
 )
 
@@ -135,6 +134,14 @@ type collectionInfo struct {
 type collectionStats struct {
 	Collection collectionInfo `json:"collection"`
 	service.Stats
+	// The module's own counters: inserts journaled since the last
+	// compaction and the log's size (durable only), and the aged
+	// compactions run — by the service or under quota pressure — with
+	// the vertices they reclaimed.
+	Journaled   int    `json:"journaled,omitempty"`
+	WALBytes    int64  `json:"wal_bytes,omitempty"`
+	Compactions uint64 `json:"compactions,omitempty"`
+	Reclaimed   uint64 `json:"reclaimed,omitempty"`
 }
 
 // statsResponse is the global /stats shape: one block per collection
@@ -146,10 +153,16 @@ type statsResponse struct {
 
 // statsFor assembles one collection's stats block.
 func statsFor(c *Collection) collectionStats {
-	return collectionStats{
-		Collection: collectionInfo{Name: c.Name, Backend: c.backend, Items: c.Dataset.Len(), Dim: c.Dataset.Dim},
-		Stats:      c.Service.Stats(),
+	st := collectionStats{
+		Collection:  collectionInfo{Name: c.Name, Backend: c.backend, Items: c.Dataset.Len(), Dim: c.Dataset.Dim},
+		Stats:       c.Service.Stats(),
+		Compactions: c.Bypass.Compactions(),
+		Reclaimed:   c.Bypass.Reclaimed(),
 	}
+	if c.durable != nil {
+		st.Journaled, st.WALBytes = c.durable.Journaled(), c.durable.WALSize()
+	}
+	return st
 }
 
 // NewMux wires every collection into one http.Handler; split from main
@@ -183,38 +196,17 @@ func NewMux(colls map[string]*Collection, defaultName string, reg *obsv.Registry
 		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	}
 
-	// Global liveness: a failed shard recovery anywhere is terminal
-	// (500); any replaying shard holds traffic (503); otherwise ok with
-	// the total in-flight session count.
+	// Global liveness: ok with the total in-flight session count, or
+	// degraded naming every read-only collection.
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		sessions := 0
-		replaying := map[string][]int{}
 		degraded := map[string]string{}
 		for name, c := range colls {
-			st, code := collectionHealth(c)
-			switch code {
-			case http.StatusInternalServerError:
-				writeJSON(w, code, map[string]any{
-					"status": "failed", "collection": name, "error": st["error"],
-					"server": currentServerInfo(),
-				})
-				return
-			case http.StatusServiceUnavailable:
-				replaying[name] = st["replaying"].([]int)
-			default:
-				if st["status"] == "degraded" {
-					degraded[name] = st["error"].(string)
-				}
-				sessions += st["sessions"].(int)
+			st := collectionHealth(c)
+			if st["status"] == "degraded" {
+				degraded[name] = st["error"].(string)
 			}
-		}
-		if len(replaying) > 0 {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"status":    "replaying",
-				"replaying": replaying,
-				"server":    currentServerInfo(),
-			})
-			return
+			sessions += st["sessions"].(int)
 		}
 		if len(degraded) > 0 {
 			// Degraded collections still serve predictions, so the process
@@ -323,47 +315,24 @@ func Hardened(h http.Handler, requestTimeout time.Duration, reg *obsv.Registry) 
 	})
 }
 
-// collectionHealth reports one collection's liveness as (body, status).
-func collectionHealth(c *Collection) (map[string]any, int) {
-	if !c.Bypass.Ready() {
-		// A failed shard recovery is terminal — 500, not the retryable
-		// 503 of a replay in progress, so probes distinguish "warming
-		// up" from "broken".
-		if err := c.Bypass.Err(); err != nil {
-			return map[string]any{"status": "failed", "error": err.Error()}, http.StatusInternalServerError
-		}
-		replaying := []int{}
-		for _, info := range c.Bypass.ShardInfos() {
-			if info.Replaying {
-				replaying = append(replaying, info.Shard)
-			}
-		}
-		return map[string]any{
-			"status":    "replaying",
-			"shards":    c.Bypass.NumShards(),
-			"replaying": replaying,
-		}, http.StatusServiceUnavailable
-	}
+// collectionHealth reports one collection's liveness. A collection is
+// served only once its module is open, so it is up; a degraded one
+// serves predictions but not inserts, and says why.
+func collectionHealth(c *Collection) map[string]any {
+	sessions := c.Service.Stats().ActiveSessions
 	if derr := c.Service.Degraded(); derr != nil {
-		// Read-only serving after a persistence failure: predictions are
-		// live, so the collection is up (200) — but probes and operators
-		// see the degradation and its root cause.
-		return map[string]any{
-			"status":   "degraded",
-			"error":    derr.Error(),
-			"sessions": c.Service.Stats().ActiveSessions,
-		}, http.StatusOK
+		return map[string]any{"status": "degraded", "error": derr.Error(), "sessions": sessions}
 	}
-	return map[string]any{"status": "ok", "sessions": c.Service.Stats().ActiveSessions}, http.StatusOK
+	return map[string]any{"status": "ok", "sessions": sessions}
 }
 
 // serveCollection dispatches one collection-scoped operation.
 func serveCollection(c *Collection, op string, w http.ResponseWriter, r *http.Request) {
 	switch op {
 	case "healthz":
-		body, code := collectionHealth(c)
+		body := collectionHealth(c)
 		body["collection"] = c.Name
-		writeJSON(w, code, body)
+		writeJSON(w, http.StatusOK, body)
 	case "stats":
 		writeJSON(w, http.StatusOK, statsFor(c))
 	case "query":
@@ -524,9 +493,6 @@ func statusFor(err error) int {
 		// index, classified by the store's sentinel instead of reaching
 		// the handler as a slice panic.
 		return http.StatusBadRequest
-	case errors.Is(err, shardedbypass.ErrReplaying):
-		// Startup recovery of one shard: retryable, not a server fault.
-		return http.StatusServiceUnavailable
 	case errors.Is(err, core.ErrQuotaExceeded):
 		// The learned mapping hit its vertex/byte quota: the session's
 		// outcome could not be stored. 507 tells the client the store —
@@ -549,14 +515,12 @@ func statusFor(err error) int {
 }
 
 // retryAfterFor picks the Retry-After hint (in seconds) for retryable
-// rejections, "" for everything else. Overload and replay clear in
+// rejections, "" for everything else. Overload and deadlines clear in
 // seconds; a degraded store needs an operator (30s probes); a full quota
 // needs a raise or a compaction policy change (60s).
 func retryAfterFor(err error) string {
 	switch {
 	case errors.Is(err, service.ErrOverloaded):
-		return "1"
-	case errors.Is(err, shardedbypass.ErrReplaying):
 		return "1"
 	case errors.Is(err, context.DeadlineExceeded):
 		return "1"

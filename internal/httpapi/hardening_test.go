@@ -16,7 +16,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/faultfs"
 	"repro/internal/obsv"
-	"repro/internal/shardedbypass"
 )
 
 // newFaultyTestServer wires the production handler over one durable
@@ -25,7 +24,7 @@ import (
 func newFaultyTestServer(t *testing.T) (*httptest.Server, *dataset.Dataset, *faultfs.FS) {
 	t.Helper()
 	fs := faultfs.New(nil)
-	c := newTestCollectionWith(t, "default", 5, shardedbypass.Options{Durable: core.DurableOptions{FS: fs}})
+	c := newTestCollectionWith(t, "default", 5, core.DurableOptions{FS: fs})
 	srv := httptest.NewServer(Hardened(NewMux(map[string]*Collection{"default": c}, "default", nil, false), 0, nil))
 	t.Cleanup(srv.Close)
 	return srv, c.Dataset, fs

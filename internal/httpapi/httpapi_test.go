@@ -11,27 +11,23 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/histogram"
 	"repro/internal/imagegen"
-	"repro/internal/persist"
 	"repro/internal/service"
-	"repro/internal/shardedbypass"
 	"repro/internal/store"
 )
 
 // newTestCollectionWith wires one named collection's serving stack over a
 // small synthetic dataset and a durable bypass module rooted in a temp
-// dir — the same composition BuildCollection does. opts picks the shard
-// count (zero is 1), the filesystem seam and the metrics registry.
-func newTestCollectionWith(t *testing.T, name string, seed int64, opts shardedbypass.Options) *Collection {
+// dir — the same composition BuildCollection does. opts picks the
+// filesystem seam and the metrics registry.
+func newTestCollectionWith(t *testing.T, name string, seed int64, opts core.DurableOptions) *Collection {
 	t.Helper()
 	ds, err := dataset.Build(imagegen.IMSILike(seed, 0.03), histogram.DefaultExtractor)
 	if err != nil {
@@ -45,34 +41,34 @@ func newTestCollectionWith(t *testing.T, name string, seed int64, opts shardedby
 	if err != nil {
 		t.Fatal(err)
 	}
-	byp, err := shardedbypass.Open(t.TempDir(), codec.D(), codec.P(),
+	db, err := core.OpenDurable(t.TempDir(), codec.D(), codec.P(),
 		core.Config{Epsilon: 0.05, DefaultWeights: codec.DefaultWeights()}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { byp.Close() })
-	svc, err := service.New(eng, byp, service.Options{DefaultK: 8, Obs: opts.Obs, ObsLabels: opts.ObsLabels})
+	t.Cleanup(func() { db.Close() })
+	svc, err := service.New(eng, db, service.Options{DefaultK: 8, Obs: opts.Obs, ObsLabels: opts.ObsLabels})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Collection{Name: name, backend: "heap", Dataset: ds, Service: svc, Bypass: byp, durable: true}
+	return &Collection{Name: name, backend: "heap", Dataset: ds, Service: svc, Bypass: db.Bypass, durable: db}
 }
 
-// newTestCollection is the default composition: one shard, real
-// filesystem, no metrics.
+// newTestCollection is the default composition: real filesystem, no
+// metrics.
 func newTestCollection(t *testing.T, name string, seed int64) *Collection {
 	t.Helper()
-	return newTestCollectionWith(t, name, seed, shardedbypass.Options{})
+	return newTestCollectionWith(t, name, seed, core.DurableOptions{})
 }
 
 // newTestServer wires the production handler over a single default
 // collection — the legacy single-collection composition.
-func newTestServer(t *testing.T) (*httptest.Server, *dataset.Dataset, *shardedbypass.Sharded) {
+func newTestServer(t *testing.T) (*httptest.Server, *dataset.Dataset, *core.DurableBypass) {
 	t.Helper()
 	c := newTestCollection(t, "default", 5)
 	srv := httptest.NewServer(NewMux(map[string]*Collection{"default": c}, "default", nil, false))
 	t.Cleanup(srv.Close)
-	return srv, c.Dataset, c.Bypass
+	return srv, c.Dataset, c.durable
 }
 
 func postJSON(t *testing.T, url string, body any, out any) int {
@@ -335,220 +331,6 @@ func TestConcurrentHTTPSessions(t *testing.T) {
 	}
 }
 
-// newShardedTestServer is newTestServer over a durable S-shard bypass.
-func newShardedTestServer(t *testing.T, shards int) (*httptest.Server, *dataset.Dataset, *shardedbypass.Sharded) {
-	t.Helper()
-	c := newTestCollectionWith(t, "default", 5, shardedbypass.Options{Shards: shards})
-	srv := httptest.NewServer(NewMux(map[string]*Collection{"default": c}, "default", nil, false))
-	t.Cleanup(srv.Close)
-	return srv, c.Dataset, c.Bypass
-}
-
-// TestShardedEndToEnd drives a full session against a 4-shard durable
-// bypass and checks /stats exposes the per-shard counter array.
-func TestShardedEndToEnd(t *testing.T) {
-	srv, ds, sharded := newShardedTestServer(t, 4)
-
-	var health struct {
-		Status string `json:"status"`
-	}
-	if code := getJSON(t, srv.URL+"/healthz", &health); code != http.StatusOK || health.Status != "ok" {
-		t.Fatalf("healthz on a ready sharded server: %d %+v", code, health)
-	}
-
-	item := 0
-	category := ds.Items[item].Category
-	var st stateJSON
-	if code := postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 8}, &st); code != http.StatusOK {
-		t.Fatalf("query: status %d", code)
-	}
-	rounds := 0
-	for !st.Converged {
-		scores := make([]float64, len(st.Results))
-		for i, r := range st.Results {
-			if r.Category == category {
-				scores[i] = 1
-			}
-		}
-		if code := postJSON(t, srv.URL+"/feedback", feedbackRequest{Session: st.Session, Scores: scores}, &st); code != http.StatusOK {
-			t.Fatalf("feedback: status %d", code)
-		}
-		if rounds++; rounds > 100 {
-			t.Fatal("session never converged")
-		}
-	}
-	var closed closeResponse
-	if code := postJSON(t, srv.URL+"/close", closeRequest{Session: st.Session}, &closed); code != http.StatusOK {
-		t.Fatalf("close: status %d", code)
-	}
-
-	var statsResp statsResponse
-	if code := getJSON(t, srv.URL+"/stats", &statsResp); code != http.StatusOK {
-		t.Fatalf("stats: status %d", code)
-	}
-	stats := statsResp.Collections["default"]
-	if len(stats.Shards) != 4 {
-		t.Fatalf("/stats reports %d shards, want 4", len(stats.Shards))
-	}
-	if closed.Inserted {
-		var inserts, gens int64
-		for _, sh := range stats.Shards {
-			inserts += sh.Inserts
-			gens += int64(sh.CacheGen)
-			if sh.Inserts > 0 && sh.WALBytes == 0 {
-				t.Errorf("shard %d has inserts but no WAL bytes", sh.Shard)
-			}
-		}
-		if inserts == 0 {
-			t.Error("insert not visible in any shard counter")
-		}
-		if gens == 0 {
-			t.Error("no shard cache generation moved after an insert")
-		}
-	}
-	if sharded.Stats().Points == 0 && closed.Inserted {
-		t.Error("sharded bypass empty after an inserted session")
-	}
-}
-
-// gateFS holds every open of a path containing hold until release is
-// called — a shard whose recovery takes a while.
-type gateFS struct {
-	persist.FS
-	hold string
-	gate chan struct{}
-	once *sync.Once
-}
-
-func newGateFS(hold string) gateFS {
-	return gateFS{FS: persist.OSFS, hold: hold, gate: make(chan struct{}), once: new(sync.Once)}
-}
-
-func (g gateFS) release() { g.once.Do(func() { close(g.gate) }) }
-
-func (g gateFS) OpenFile(name string, flag int, perm os.FileMode) (persist.File, error) {
-	if strings.Contains(name, g.hold) {
-		<-g.gate
-	}
-	return g.FS.OpenFile(name, flag, perm)
-}
-
-// newRecoveringCollection opens the module at dir with OpenAsync over
-// gate — the shards gate holds stay "replaying" until gate.release() —
-// and wires a default collection over ds around it.
-func newRecoveringCollection(t *testing.T, ds *dataset.Dataset, dir string, shards int, gate gateFS) *Collection {
-	t.Helper()
-	eng, err := engine.New(ds, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec, err := core.NewHistogramCodec(ds.Dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byp, err := shardedbypass.OpenAsync(dir, codec.D(), codec.P(),
-		core.Config{Epsilon: 0.05, DefaultWeights: codec.DefaultWeights()},
-		shardedbypass.Options{Shards: shards, Durable: core.DurableOptions{FS: gate}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		gate.release() // Close waits for every shard's recovery to settle
-		byp.Close()
-	})
-	svc, err := service.New(eng, byp, service.Options{DefaultK: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Collection{Name: "default", backend: "heap", Dataset: ds, Service: svc, Bypass: byp, durable: true}
-}
-
-// TestReplayingReturns503 pins the startup-recovery contract on a real
-// module: while shard 1 of 3 is still recovering, /healthz reports 503
-// with the replaying shard ids and a query routed to that shard gets
-// 503, not 500; once recovery finishes both turn 200.
-func TestReplayingReturns503(t *testing.T) {
-	ds, err := dataset.Build(imagegen.IMSILike(5, 0.03), histogram.DefaultExtractor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := newGateFS("shard-001")
-	c := newRecoveringCollection(t, ds, t.TempDir(), 3, gate)
-	byp := c.Bypass
-	codec, err := core.NewHistogramCodec(ds.Dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewMux(map[string]*Collection{"default": c}, "default", nil, false))
-	defer srv.Close()
-
-	// Shards 0 and 2 recover on their own; only the held shard 1 stays.
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		infos := byp.ShardInfos()
-		if !infos[0].Replaying && !infos[2].Replaying {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("unheld shards never finished recovering: %+v", infos)
-		}
-	}
-
-	var health struct {
-		Status    string           `json:"status"`
-		Replaying map[string][]int `json:"replaying"`
-	}
-	if code := getJSON(t, srv.URL+"/healthz", &health); code != http.StatusServiceUnavailable {
-		t.Fatalf("healthz during replay: status %d, want 503", code)
-	}
-	if health.Status != "replaying" || len(health.Replaying["default"]) != 1 || health.Replaying["default"][0] != 1 {
-		t.Fatalf("healthz body: %+v", health)
-	}
-	// The collection-scoped healthz reports the same replay as a plain
-	// shard list.
-	var scoped struct {
-		Status    string `json:"status"`
-		Replaying []int  `json:"replaying"`
-	}
-	if code := getJSON(t, srv.URL+"/c/default/healthz", &scoped); code != http.StatusServiceUnavailable {
-		t.Fatalf("scoped healthz during replay: status %d, want 503", code)
-	}
-	if scoped.Status != "replaying" || len(scoped.Replaying) != 1 || scoped.Replaying[0] != 1 {
-		t.Fatalf("scoped healthz body: %+v", scoped)
-	}
-
-	// An item the partition function routes to the replaying shard.
-	item := -1
-	for i := range ds.Items {
-		qp, err := codec.QueryPoint(ds.Items[i].Feature)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if byp.ShardOf(qp) == 1 {
-			item = i
-			break
-		}
-	}
-	if item < 0 {
-		t.Fatal("no item routes to shard 1")
-	}
-	var errResp errorResponse
-	if code := postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 5}, &errResp); code != http.StatusServiceUnavailable {
-		t.Fatalf("query against a replaying shard: status %d, want 503", code)
-	}
-
-	gate.release()
-	if err := byp.WaitReady(); err != nil {
-		t.Fatal(err)
-	}
-	if code := getJSON(t, srv.URL+"/healthz", &health); code != http.StatusOK || health.Status != "ok" {
-		t.Fatalf("healthz after recovery: %d %+v", code, health)
-	}
-	var st stateJSON
-	if code := postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 5}, &st); code != http.StatusOK {
-		t.Fatalf("query after recovery: status %d", code)
-	}
-}
-
 // TestStatusForMapping is the table-driven sentinel→status pin: every
 // errors.Is-able failure class the serving path can produce must map to
 // its HTTP status, wrapped or bare — including the multi-collection 404,
@@ -573,8 +355,6 @@ func TestStatusForMapping(t *testing.T) {
 		{"invalid-argument", service.ErrInvalidArgument, http.StatusBadRequest, ""},
 		{"store-bounds", store.ErrOutOfRange, http.StatusBadRequest, ""},
 		{"store-bounds-wrapped", fmt.Errorf("dataset: %w: row 9 of 3", store.ErrOutOfRange), http.StatusBadRequest, ""},
-		{"shard-replaying", shardedbypass.ErrReplaying, http.StatusServiceUnavailable, "1"},
-		{"shard-replaying-wrapped", fmt.Errorf("shard 2: %w", shardedbypass.ErrReplaying), http.StatusServiceUnavailable, "1"},
 		{"quota", core.ErrQuotaExceeded, http.StatusInsufficientStorage, "60"},
 		{"quota-wrapped", fmt.Errorf("%w: 64 vertices stored, limit 64", core.ErrQuotaExceeded), http.StatusInsufficientStorage, "60"},
 		{"degraded", core.ErrDegraded, http.StatusServiceUnavailable, "30"},
@@ -631,8 +411,7 @@ func newMmapTestCollection(t *testing.T, name string, ds *dataset.Dataset) *Coll
 	if err != nil {
 		t.Fatal(err)
 	}
-	byp, err := shardedbypass.New(codec.D(), codec.P(),
-		core.Config{Epsilon: 0.05, DefaultWeights: codec.DefaultWeights()}, shardedbypass.Options{})
+	byp, err := core.New(codec.D(), codec.P(), core.Config{Epsilon: 0.05, DefaultWeights: codec.DefaultWeights()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -776,7 +555,7 @@ func TestMultiCollectionServing(t *testing.T) {
 func TestLayoutFlipRefused(t *testing.T) {
 	base := Config{
 		Scale: 0.02, Seed: 3, K: 5, Epsilon: 0.05,
-		CompactEvery: 512, MaxSessions: 16, IterBudget: 5, CacheSize: 16, Shards: 1,
+		CompactEvery: 512, MaxSessions: 16, IterBudget: 5, CacheSize: 16,
 	}
 	spec := "synth:scale=0.02,seed=3"
 
@@ -788,10 +567,10 @@ func TestLayoutFlipRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.durable {
+	if c.durable == nil {
 		t.Fatal("single-collection build with -dir is not durable")
 	}
-	c.Bypass.Close()
+	c.Shutdown()
 	flatMulti := flat
 	flatMulti.Multi = true
 	if _, err := BuildCollection("birds", spec, flatMulti); err == nil {
@@ -808,7 +587,7 @@ func TestLayoutFlipRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2.Bypass.Close()
+	c2.Shutdown()
 	nestedSingle := nested
 	nestedSingle.Multi = false
 	if _, err := BuildCollection("birds", spec, nestedSingle); err == nil {
@@ -823,7 +602,7 @@ func TestLayoutFlipRefused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fresh multi-layout build refused: %v", err)
 	}
-	c3.Bypass.Close()
+	c3.Shutdown()
 }
 
 // TestCollectionSpecParsing pins the -collection flag grammar.

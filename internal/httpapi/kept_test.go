@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/faultfs"
 	"repro/internal/imagegen"
@@ -169,7 +170,7 @@ func TestKeptCollectionCrashSchedule(t *testing.T) {
 // file with fresh module state.
 func TestKeptCollectionWireParity(t *testing.T) {
 	spec := "synth:scale=0.05,seed=3"
-	base := Config{K: 8, Epsilon: 0.05, CompactEvery: 512, MaxSessions: 16, IterBudget: 5, CacheSize: 16, Shards: 1}
+	base := Config{K: 8, Epsilon: 0.05, CompactEvery: 512, MaxSessions: 16, IterBudget: 5, CacheSize: 16}
 	dir := t.TempDir()
 	durable := base
 	durable.Dir = dir
@@ -178,10 +179,7 @@ func TestKeptCollectionWireParity(t *testing.T) {
 	first := scriptBodies(t, spec, durable)
 	written := fileOf(t, dir)
 	// Keep the collection file, drop the learned state the script left.
-	if err := os.RemoveAll(filepath.Join(dir, "shard-000")); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "MANIFEST")); err != nil {
+	if err := os.Remove(filepath.Join(dir, core.JournalFile)); err != nil {
 		t.Fatal(err)
 	}
 	restart := scriptBodies(t, spec, durable)
@@ -204,9 +202,6 @@ func scriptBodies(t *testing.T, spec string, cfg Config) [][]byte {
 	t.Helper()
 	c, err := BuildCollection("default", spec, cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Bypass.WaitReady(); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(NewMux(map[string]*Collection{"default": c}, "default", nil, false))

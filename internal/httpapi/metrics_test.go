@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/obsv"
-	"repro/internal/shardedbypass"
 )
 
 // newInstrumentedTestServer wires the production handler over one
@@ -23,7 +22,7 @@ func newInstrumentedTestServer(t *testing.T, pprofOn bool) (*httptest.Server, *d
 	reg := obsv.NewRegistry()
 	RegisterProcessMetrics(reg)
 	labels := []obsv.Label{obsv.L("collection", "default")}
-	c := newTestCollectionWith(t, "default", 7, shardedbypass.Options{Obs: reg, ObsLabels: labels})
+	c := newTestCollectionWith(t, "default", 7, core.DurableOptions{Obs: reg, ObsLabels: labels})
 	srv := httptest.NewServer(Hardened(NewMux(map[string]*Collection{"default": c}, "default", reg, pprofOn), 0, reg))
 	t.Cleanup(srv.Close)
 	return srv, c.Dataset, reg
@@ -78,8 +77,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		`fb_service_request_seconds_bucket{collection="default",op="open",le="+Inf"} 1`,
 		`fb_service_requests_total{collection="default",op="close",outcome="ok"} 1`,
 		`fb_service_cache_requests_total{collection="default",result="miss"}`,
-		`fb_wal_append_seconds_count{collection="default",shard="0"}`,
-		`fb_wal_bytes{collection="default",shard="0"}`,
+		`fb_wal_append_seconds_count{collection="default"}`,
+		`fb_wal_bytes{collection="default"}`,
+		`fb_tree_points{collection="default"}`,
+		`fb_tree_depth{collection="default"}`,
 		`fb_service_sessions_active{collection="default"} 0`,
 		`fb_process_goroutines`,
 		`fb_process_start_time_seconds`,
@@ -167,11 +168,11 @@ func TestPprofGating(t *testing.T) {
 // (no -dir) serves a memory-mode module, which has no journal and no
 // snapshot — so it must not export series that could only ever read 0.
 // It does compact under -age-horizon: after a quota-pressure retry and
-// one scheduled pass, the lifecycle series match the shard's counters.
+// one scheduled pass, the lifecycle series match the module's counters.
 func TestMemoryCollectionExportsNoPersistenceSeries(t *testing.T) {
 	reg := obsv.NewRegistry()
 	cfg := Config{Scale: 0.03, Seed: 5, K: 8, Epsilon: 0.05,
-		MaxSessions: 16, IterBudget: 5, CacheSize: 16, Shards: 1, Obs: reg,
+		MaxSessions: 16, IterBudget: 5, CacheSize: 16, Obs: reg,
 		MaxVertices: 32 + 4, AgeHorizon: 2} // the D+1 = 32 corners and 4 inserts
 	c, err := BuildCollection("default", "synth:scale=0.03,seed=5", cfg)
 	if err != nil {
@@ -179,7 +180,7 @@ func TestMemoryCollectionExportsNoPersistenceSeries(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(61))
 	d, p := c.Bypass.D(), c.Bypass.P()
-	for i := 0; c.Bypass.ShardInfos()[0].Compactions == 0; i++ {
+	for i := 0; c.Bypass.Compactions() == 0; i++ {
 		if i == 16 {
 			t.Fatal("16 inserts never tripped the vertex quota")
 		}
@@ -206,25 +207,25 @@ func TestMemoryCollectionExportsNoPersistenceSeries(t *testing.T) {
 	if _, err := c.Service.CompactAged(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	info := c.Bypass.ShardInfos()[0]
-	if info.Compactions != 2 || info.Reclaimed == 0 {
-		t.Fatalf("shard counters: %d compactions reclaimed %d; want a quota retry and a pass, reclaiming some", info.Compactions, info.Reclaimed)
+	compactions, reclaimed := c.Bypass.Compactions(), c.Bypass.Reclaimed()
+	if compactions != 2 || reclaimed == 0 {
+		t.Fatalf("module counters: %d compactions reclaimed %d; want a quota retry and a pass, reclaiming some", compactions, reclaimed)
 	}
 	snap := reg.Snapshot()
-	shard0 := []obsv.Label{obsv.L("collection", "default"), obsv.L("shard", "0")}
+	label := obsv.L("collection", "default")
 	for name, want := range map[string]uint64{
-		"fb_bypass_compactions_total":        info.Compactions,
-		"fb_bypass_reclaimed_vertices_total": info.Reclaimed,
+		"fb_bypass_compactions_total":        compactions,
+		"fb_bypass_reclaimed_vertices_total": reclaimed,
 	} {
-		if m := snap.Find(name, shard0...); m == nil || m.Value != float64(want) {
+		if m := snap.Find(name, label); m == nil || m.Value != float64(want) {
 			t.Errorf("%s = %+v, want %d", name, m, want)
 		}
 	}
-	if m := snap.Find("fb_bypass_compaction_seconds", shard0...); m == nil || m.Hist.Count != info.Compactions {
-		t.Errorf("fb_bypass_compaction_seconds = %+v, want %d observations", m, info.Compactions)
+	if m := snap.Find("fb_bypass_compaction_seconds", label); m == nil || m.Hist.Count != compactions {
+		t.Errorf("fb_bypass_compaction_seconds = %+v, want %d observations", m, compactions)
 	}
 	for _, name := range []string{"fb_bypass_compaction_points_before", "fb_bypass_compaction_points_after"} {
-		if snap.Find(name, shard0...) == nil {
+		if snap.Find(name, label) == nil {
 			t.Errorf("memory collection lacks %s", name)
 		}
 	}
@@ -239,10 +240,10 @@ func TestMemoryCollectionExportsNoPersistenceSeries(t *testing.T) {
 			t.Errorf("memory collection exports a %s* series", family)
 		}
 	}
-	// The per-shard series that do apply are there, labelled shard="0".
+	// The tree series do apply, under the collection label alone.
 	for _, want := range []string{
-		`fb_tree_points{collection="default",shard="0"}`,
-		`fb_shard_insert_seconds_count{collection="default",shard="0"}`,
+		`fb_tree_points{collection="default"}`,
+		`fb_tree_depth{collection="default"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("memory collection lacks %s", want)

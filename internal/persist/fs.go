@@ -1,8 +1,8 @@
 package persist
 
 // The filesystem seam. Every durability-bearing writer in the tree — the
-// tree log (its appends and its commits), the sharded-module manifest and
-// the FBMX collection writer — performs its I/O through the FS interface
+// tree log (its appends and its commits) and the FBMX collection writer —
+// performs its I/O through the FS interface
 // instead of calling the os package directly. Production code passes OSFS
 // (or nil, which means OSFS); the fault-injection plane
 // (internal/faultfs) substitutes a scripted implementation so tests can
@@ -47,8 +47,6 @@ type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	// Stat is os.Stat.
 	Stat(name string) (os.FileInfo, error)
-	// ReadFile is os.ReadFile.
-	ReadFile(name string) ([]byte, error)
 	// SyncDir fsyncs a directory, making creations and renames inside it
 	// durable.
 	SyncDir(dir string) error
@@ -71,7 +69,6 @@ func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(old
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 func (osFS) Stat(name string) (os.FileInfo, error)        { return os.Stat(name) }
-func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
 
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)

@@ -118,37 +118,3 @@ func FuzzWALReplay(f *testing.F) {
 		}
 	})
 }
-
-// FuzzManifest drives DecodeManifest over arbitrary bytes.
-func FuzzManifest(f *testing.F) {
-	var valid bytes.Buffer
-	{
-		dir := f.TempDir()
-		if err := SaveManifestFS(nil, dir+"/MANIFEST", Manifest{Shards: 4, Dim: 31, OQPDim: 62}); err != nil {
-			f.Fatal(err)
-		}
-		data, err := os.ReadFile(dir + "/MANIFEST")
-		if err != nil {
-			f.Fatal(err)
-		}
-		valid.Write(data)
-	}
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:12])                       // truncated
-	f.Add(append(valid.Bytes(), 0))                 // trailing byte
-	f.Add([]byte("FBMNxxxxxxxxxxxxxxxxxxxx"))       // right size, bad fields
-	f.Add(bytes.Repeat([]byte{0xff}, manifestSize)) // right size, junk
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeManifest(data)
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("DecodeManifest returned a non-ErrCorrupt error: %v", err)
-			}
-			return
-		}
-		if m.Shards <= 0 || m.Dim <= 0 || m.OQPDim <= 0 ||
-			m.Shards > maxSaneCount || m.Dim > maxSaneCount || m.OQPDim > maxSaneCount {
-			t.Fatalf("DecodeManifest accepted implausible manifest %+v", m)
-		}
-	})
-}

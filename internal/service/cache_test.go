@@ -6,11 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/histogram"
-	"repro/internal/imagegen"
-	"repro/internal/shardedbypass"
 )
 
 func oqpFor(x float64, n int) core.OQP {
@@ -21,64 +17,30 @@ func oqpFor(x float64, n int) core.OQP {
 	return oqp
 }
 
-// TestCachePerShardInvalidation is the regression test for the
-// all-or-nothing invalidation the sharded plane removed: entries cached
-// for untouched shards must survive an Invalidate of another shard, and
-// only the invalidated shard's generation may move.
-func TestCachePerShardInvalidation(t *testing.T) {
-	const shards = 4
-	c := newPredictionCache(16, shards)
-	qs := make([][]float64, shards)
-	sigs := make([]uint64, shards)
-	for sh := 0; sh < shards; sh++ {
-		qs[sh] = []float64{float64(sh) * 0.1, 0.2, 0.3}
-		sigs[sh] = engine.QuerySignature(qs[sh])
-		c.Put(sh, c.Generation(sh), sigs[sh], qs[sh], oqpFor(float64(sh), 3))
+// TestCacheInvalidation: Invalidate drops every entry and moves the
+// generation, so a Put computed against the old tree is discarded while
+// one at the current generation lands.
+func TestCacheInvalidation(t *testing.T) {
+	c := newPredictionCache(16)
+	for i := 0; i < 4; i++ {
+		q, sig := cachePoint(i)
+		c.Put(c.Generation(), sig, q, oqpFor(float64(i), 3))
 	}
-	if c.Len() != shards {
-		t.Fatalf("cache holds %d entries, want %d", c.Len(), shards)
+	if c.Len() != 4 {
+		t.Fatalf("cache holds %d entries, want 4", c.Len())
 	}
-
-	c.Invalidate(1)
-
-	if c.Len() != shards-1 {
-		t.Fatalf("after Invalidate(1): %d entries, want %d", c.Len(), shards-1)
+	stale := c.Generation()
+	c.Invalidate()
+	if c.Len() != 0 || c.Generation() != stale+1 {
+		t.Fatalf("after Invalidate: %d entries at generation %d, want 0 at %d", c.Len(), c.Generation(), stale+1)
 	}
-	for sh := 0; sh < shards; sh++ {
-		oqp, ok := c.Get(sigs[sh], qs[sh])
-		if sh == 1 {
-			if ok {
-				t.Error("invalidated shard 1 still serves its entry")
-			}
-			continue
-		}
-		if !ok {
-			t.Errorf("shard %d entry dropped by an insert into shard 1", sh)
-			continue
-		}
-		if oqp.Delta[0] != float64(sh) {
-			t.Errorf("shard %d entry corrupted: %v", sh, oqp.Delta)
-		}
-	}
-	gens := c.Generations()
-	for sh, g := range gens {
-		want := uint64(0)
-		if sh == 1 {
-			want = 1
-		}
-		if g != want {
-			t.Errorf("shard %d generation %d, want %d", sh, g, want)
-		}
-	}
-
-	// A Put computed against the pre-invalidation generation is discarded;
-	// one at the current generation lands.
-	c.Put(1, 0, sigs[1], qs[1], oqpFor(1, 3))
-	if _, ok := c.Get(sigs[1], qs[1]); ok {
+	q, sig := cachePoint(1)
+	c.Put(stale, sig, q, oqpFor(1, 3))
+	if _, ok := c.Get(sig, q); ok {
 		t.Error("stale-generation Put landed in the cache")
 	}
-	c.Put(1, c.Generation(1), sigs[1], qs[1], oqpFor(1, 3))
-	if _, ok := c.Get(sigs[1], qs[1]); !ok {
+	c.Put(c.Generation(), sig, q, oqpFor(1, 3))
+	if _, ok := c.Get(sig, q); !ok {
 		t.Error("current-generation Put did not land")
 	}
 }
@@ -95,10 +57,10 @@ func cachePoint(i int) ([]float64, uint64) {
 // many distinct keys are inserted.
 func TestCacheCapacityBound(t *testing.T) {
 	const cap = 8
-	c := newPredictionCache(cap, 1)
+	c := newPredictionCache(cap)
 	for i := 0; i < 5*cap; i++ {
 		q, sig := cachePoint(i)
-		c.Put(0, c.Generation(0), sig, q, oqpFor(float64(i), 3))
+		c.Put(c.Generation(), sig, q, oqpFor(float64(i), 3))
 		if c.Len() > cap {
 			t.Fatalf("after %d puts: %d entries exceed capacity %d", i+1, c.Len(), cap)
 		}
@@ -121,14 +83,14 @@ func TestCacheCapacityBound(t *testing.T) {
 // least-recently-used entries — not the oldest-inserted ones.
 func TestCacheLRUEvictionOrder(t *testing.T) {
 	const cap = 4
-	c := newPredictionCache(cap, 1)
+	c := newPredictionCache(cap)
 	qs := make([][]float64, 6)
 	sigs := make([]uint64, 6)
 	for i := 0; i < 6; i++ {
 		qs[i], sigs[i] = cachePoint(i)
 	}
 	for i := 0; i < cap; i++ { // cache: [3 2 1 0] (front = MRU)
-		c.Put(0, c.Generation(0), sigs[i], qs[i], oqpFor(float64(i), 3))
+		c.Put(c.Generation(), sigs[i], qs[i], oqpFor(float64(i), 3))
 	}
 	// Touch 0 then 1: recency becomes [1 0 3 2].
 	if _, ok := c.Get(sigs[0], qs[0]); !ok {
@@ -139,11 +101,11 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 	}
 	// Two more inserts evict exactly 2 then 3 (the LRU tail), sparing
 	// the older-but-recently-touched 0 and 1.
-	c.Put(0, c.Generation(0), sigs[4], qs[4], oqpFor(4, 3))
+	c.Put(c.Generation(), sigs[4], qs[4], oqpFor(4, 3))
 	if _, ok := c.Get(sigs[2], qs[2]); ok {
 		t.Error("LRU entry 2 survived the first overflow")
 	}
-	c.Put(0, c.Generation(0), sigs[5], qs[5], oqpFor(5, 3))
+	c.Put(c.Generation(), sigs[5], qs[5], oqpFor(5, 3))
 	if _, ok := c.Get(sigs[3], qs[3]); ok {
 		t.Error("LRU entry 3 survived the second overflow")
 	}
@@ -159,10 +121,10 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 // between distinct points replaces the older entry while Get on the
 // displaced point misses.
 func TestCachePutRefreshAndCollision(t *testing.T) {
-	c := newPredictionCache(4, 1)
+	c := newPredictionCache(4)
 	q0, sig0 := cachePoint(0)
-	c.Put(0, c.Generation(0), sig0, q0, oqpFor(1, 3))
-	c.Put(0, c.Generation(0), sig0, q0, oqpFor(2, 3))
+	c.Put(c.Generation(), sig0, q0, oqpFor(1, 3))
+	c.Put(c.Generation(), sig0, q0, oqpFor(2, 3))
 	if c.Len() != 1 {
 		t.Fatalf("refresh grew the cache to %d entries", c.Len())
 	}
@@ -172,7 +134,7 @@ func TestCachePutRefreshAndCollision(t *testing.T) {
 	// Same signature, different point (a forced collision): the entry is
 	// replaced, and the old point no longer hits.
 	q1, _ := cachePoint(1)
-	c.Put(0, c.Generation(0), sig0, q1, oqpFor(3, 3))
+	c.Put(c.Generation(), sig0, q1, oqpFor(3, 3))
 	if c.Len() != 1 {
 		t.Fatalf("collision replace grew the cache to %d entries", c.Len())
 	}
@@ -190,152 +152,33 @@ func TestCachePutRefreshAndCollision(t *testing.T) {
 	}
 }
 
-// newShardedTestService is newTestService over a partitioned in-memory
-// bypass.
-func newShardedTestService(t *testing.T, shards int, opts Options) (*Service, *dataset.Dataset) {
-	t.Helper()
-	ds, err := dataset.Build(imagegen.IMSILike(7, 0.03), histogram.DefaultExtractor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := engine.New(ds, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec, err := core.NewHistogramCodec(ds.Dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byp, err := shardedbypass.New(codec.D(), codec.P(), core.Config{
-		Epsilon:        0.05,
-		DefaultWeights: codec.DefaultWeights(),
-	}, shardedbypass.Options{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := New(eng, byp, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return svc, ds
-}
+// plainBypass hides every method of a core.Bypass beyond the five of
+// the Bypass interface.
+type plainBypass struct{ Bypass }
 
-// TestShardedServiceScopedInvalidation drives the whole serving stack
-// over a 4-shard bypass: predictions for many items fill the cache, one
-// session's insert lands in one shard, and every cached entry belonging
-// to the other shards must still be served as a cache hit afterwards.
-func TestShardedServiceScopedInvalidation(t *testing.T) {
-	const shards = 4
-	svc, ds := newShardedTestService(t, shards, Options{DefaultK: 5})
-	if svc.module == nil || svc.shards != shards {
-		t.Fatalf("service did not detect the sharded module")
-	}
-	parts := svc.byp.(*shardedbypass.Sharded)
-
-	// Fill the cache: open+close (no feedback → no insert) across items
-	// covering at least two shards.
-	codec := svc.codec
-	items := []int{}
-	shardsSeen := map[int]bool{}
-	for i := 0; i < ds.Len() && len(items) < 12; i++ {
-		qp, err := codec.QueryPoint(ds.Items[i].Feature)
-		if err != nil {
-			t.Fatal(err)
-		}
-		items = append(items, i)
-		shardsSeen[parts.ShardOf(qp)] = true
-	}
-	if len(shardsSeen) < 2 {
-		t.Skip("collection sample maps to one shard; partition degeneracy")
-	}
-	for _, i := range items {
-		st, err := svc.Open(context.Background(), ds.Items[i].Feature, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := svc.Close(context.Background(), st.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := svc.Stats().CacheEntries; got == 0 {
-		t.Fatal("cache not filled")
-	}
-
-	// Run one full feedback session until an insert changes some shard.
-	insertedShard := -1
-	for _, i := range items {
-		res := runSession(t, svc, ds, i, 5)
-		if res.Inserted {
-			qp, err := codec.QueryPoint(ds.Items[i].Feature)
-			if err != nil {
-				t.Fatal(err)
-			}
-			insertedShard = parts.ShardOf(qp)
-			break
-		}
-	}
-	if insertedShard < 0 {
-		t.Fatal("no session produced an insert")
-	}
-
-	// Every item cached for a different shard must still hit.
-	st := svc.Stats()
-	gens := st.Shards
-	if len(gens) != shards {
-		t.Fatalf("stats report %d shards, want %d", len(gens), shards)
-	}
-	for sh, g := range gens {
-		if sh == insertedShard {
-			if g.CacheGen == 0 {
-				t.Errorf("inserted shard %d generation did not move", sh)
-			}
-			continue
-		}
-		if g.CacheGen != 0 {
-			t.Errorf("untouched shard %d generation moved to %d", sh, g.CacheGen)
-		}
-	}
-	for _, i := range items {
-		qp, err := codec.QueryPoint(ds.Items[i].Feature)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parts.ShardOf(qp) == insertedShard {
-			continue
-		}
-		before := svc.Stats().CacheHits
-		stOpen, err := svc.Open(context.Background(), ds.Items[i].Feature, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !stOpen.CacheHit {
-			t.Errorf("item %d (shard %d): cache entry lost to an insert into shard %d",
-				i, parts.ShardOf(qp), insertedShard)
-		}
-		if svc.Stats().CacheHits != before+1 && stOpen.CacheHit {
-			t.Errorf("cache-hit counter inconsistent")
-		}
-		if _, err := svc.Close(context.Background(), stOpen.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestUnshardedSingleShardCache pins the compatibility mode at the
-// service layer: an unsharded Bypass behaves as one shard whose
-// invalidation drops everything (the pre-sharding semantics).
-func TestUnshardedSingleShardCache(t *testing.T) {
+// TestInsertInvalidatesCache: a session whose outcome changes the tree
+// empties the whole prediction cache. The service finds the lifecycle
+// surface on a core.Bypass, and a plain five-method Bypass is served as
+// a healthy module that cannot compact.
+func TestInsertInvalidatesCache(t *testing.T) {
 	svc, ds := newTestService(t, Options{DefaultK: 5})
-	if svc.module != nil || svc.shards != 1 {
-		t.Fatal("plain core.Bypass detected as a sharded module")
+	if svc.module == nil {
+		t.Fatal("core.Bypass not detected as a Lifecycle")
 	}
-	// One healthy, non-compactable shard.
-	if err := svc.Degraded(); err != nil {
+	if _, err := svc.CompactAged(context.Background()); err != nil {
+		t.Errorf("CompactAged over a core.Bypass: %v", err)
+	}
+	plain, err := New(svc.eng, plainBypass{svc.byp}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Degraded(); err != nil {
 		t.Errorf("plain Bypass reports degraded: %v", err)
 	}
-	if _, err := svc.CompactAged(context.Background()); !errors.Is(err, ErrNotCompactable) {
+	if _, err := plain.CompactAged(context.Background()); !errors.Is(err, ErrNotCompactable) {
 		t.Errorf("CompactAged over a plain Bypass: %v, want ErrNotCompactable", err)
 	}
+
 	for i := 0; i < 6; i++ {
 		st, err := svc.Open(context.Background(), ds.Items[i].Feature, 5)
 		if err != nil {
@@ -348,14 +191,10 @@ func TestUnshardedSingleShardCache(t *testing.T) {
 	if svc.Stats().CacheEntries == 0 {
 		t.Fatal("cache not filled")
 	}
-	// Find a session that inserts; afterwards the whole cache is empty.
 	for i := 0; i < ds.Len(); i++ {
 		if runSession(t, svc, ds, i, 5).Inserted {
 			if got := svc.Stats().CacheEntries; got != 0 {
-				t.Fatalf("unsharded insert left %d cache entries, want 0", got)
-			}
-			if len(svc.Stats().Shards) != 0 {
-				t.Error("unsharded stats report per-shard counters")
+				t.Fatalf("an insert left %d cache entries, want 0", got)
 			}
 			return
 		}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/histogram"
 	"repro/internal/imagegen"
-	"repro/internal/shardedbypass"
 )
 
 // TestContextCancellation: every lifecycle method returns the context's
@@ -71,10 +70,10 @@ func newDurableService(t *testing.T, fs *faultfs.FS) (*Service, *dataset.Dataset
 	if err != nil {
 		t.Fatal(err)
 	}
-	byp, err := shardedbypass.Open(t.TempDir(), codec.D(), codec.P(), core.Config{
+	byp, err := core.OpenDurable(t.TempDir(), codec.D(), codec.P(), core.Config{
 		Epsilon:        0.05,
 		DefaultWeights: codec.DefaultWeights(),
-	}, shardedbypass.Options{Durable: core.DurableOptions{FS: fs}})
+	}, core.DurableOptions{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obsv"
-	"repro/internal/shardedbypass"
 )
 
 func TestClassifyOutcome(t *testing.T) {
@@ -23,7 +22,6 @@ func TestClassifyOutcome(t *testing.T) {
 		{context.DeadlineExceeded, outDeadline},
 		{core.ErrQuotaExceeded, outQuota},
 		{core.ErrDegraded, outDegraded},
-		{shardedbypass.ErrReplaying, outReplaying},
 		{errors.New("boom"), outError},
 		// Wrapped sentinels classify the same as bare ones.
 		{errors.Join(core.ErrDegraded, errors.New("disk gone")), outDegraded},

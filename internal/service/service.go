@@ -43,7 +43,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/knn"
 	"repro/internal/obsv"
-	"repro/internal/shardedbypass"
 	"repro/internal/simplextree"
 	"repro/internal/vec"
 )
@@ -62,8 +61,7 @@ var ErrOverloaded = errors.New("service: too many in-flight sessions")
 var ErrInvalidArgument = errors.New("service: invalid argument")
 
 // Bypass is the learned-mapping dependency of the service: the in-memory
-// core.Bypass, the WAL-backed core.DurableBypass and the partitioned
-// shardedbypass.Sharded all satisfy it.
+// core.Bypass and the WAL-backed core.DurableBypass both satisfy it.
 type Bypass interface {
 	D() int
 	P() int
@@ -72,33 +70,24 @@ type Bypass interface {
 	Stats() simplextree.Stats
 }
 
-// ShardedBypass is the one optional surface of a Bypass, implemented by
-// shardedbypass.Sharded — the module the serving stack constructs, at
-// every shard count including 1. A Bypass that provides it gets:
+// Lifecycle is the one optional surface of a Bypass, implemented by
+// core.Bypass and core.DurableBypass. A Bypass that provides it gets:
 //
-//   - per-shard cache generations: an insert into shard k invalidates
-//     only shard k's cached predictions, and Stats reports per-shard
-//     counters. Routing is the pinned partition function engine.ShardOf —
-//     QuerySignature mod NumShards — so the service derives an entry's
-//     shard from the cache key it already computed;
 //   - health: Degraded reports the sticky persistence failure that
-//     flipped a shard to read-only serving (nil while healthy), surfaced
-//     in Stats so transports can expose it without probing with writes;
-//   - lifecycle: CompactAged rebuilds every shard's tree keeping only
-//     vertices reinforced within the aging horizon and reports one
-//     CompactionStats per shard, indexed by shard id. The service exposes
-//     it as Service.CompactAged so compaction runs through the layer that
-//     owns the prediction cache — a pass that reclaims vertices changes
-//     prediction outputs and must invalidate the affected shards' entries.
+//     flipped the module to read-only serving (nil while healthy),
+//     surfaced in Stats so transports can expose it without probing with
+//     writes;
+//   - lifecycle: CompactAged rebuilds the tree keeping only vertices
+//     reinforced within the aging horizon. The service exposes it as
+//     Service.CompactAged so compaction runs through the layer that owns
+//     the prediction cache — a pass that reclaims vertices changes
+//     prediction outputs and must invalidate the cached ones.
 //
-// A plain five-method Bypass (core.Bypass, core.DurableBypass, a test
-// fake) behaves as one healthy, non-compactable shard.
-type ShardedBypass interface {
-	Bypass
-	NumShards() int
-	ShardInfos() []shardedbypass.ShardInfo
+// A plain five-method Bypass (a test fake) behaves as a healthy,
+// non-compactable module.
+type Lifecycle interface {
 	Degraded() error
-	CompactAged() ([]core.CompactionStats, error)
+	CompactAged() (core.CompactionStats, error)
 }
 
 // Options tunes the serving layer.
@@ -147,8 +136,7 @@ func (o *Options) fill() {
 type Service struct {
 	eng    *engine.Engine
 	byp    Bypass
-	module ShardedBypass // byp's sharded-module surface; nil for a plain Bypass
-	shards int           // module.NumShards(); 1 for a plain Bypass
+	module Lifecycle // byp's lifecycle surface; nil for a plain Bypass
 	codec  core.HistogramCodec
 	opts   Options
 	cache  *predictionCache // nil when disabled
@@ -174,12 +162,6 @@ type Service struct {
 	// itself completed normally — only the learning was lost.
 	quotaRejects    atomic.Int64
 	degradedRejects atomic.Int64
-	// Lifecycle counters: compactions driven through Service.CompactAged
-	// and the vertices those passes reclaimed. Compactions triggered
-	// below the service (quota-pressure compact-then-retry inside the
-	// store) are visible in the per-shard ShardInfo counters instead.
-	compactions        atomic.Int64
-	reclaimedByService atomic.Int64
 
 	met *svcMetrics // nil when Options.Obs is nil
 }
@@ -207,14 +189,13 @@ const (
 	outDeadline
 	outQuota
 	outDegraded
-	outReplaying
 	outError
 	numOutcomes
 )
 
 var outcomeNames = [numOutcomes]string{
 	"ok", "invalid_argument", "overloaded", "not_found", "canceled",
-	"deadline_exceeded", "quota_exceeded", "degraded", "replaying", "error",
+	"deadline_exceeded", "quota_exceeded", "degraded", "error",
 }
 
 // classifyOutcome maps a request error to its outcome bucket using the
@@ -237,8 +218,6 @@ func classifyOutcome(err error) int {
 		return outQuota
 	case errors.Is(err, core.ErrDegraded):
 		return outDegraded
-	case errors.Is(err, shardedbypass.ErrReplaying):
-		return outReplaying
 	default:
 		return outError
 	}
@@ -324,14 +303,10 @@ func New(eng *engine.Engine, byp Bypass, opts Options) (*Service, error) {
 		opts:     opts,
 		sessions: make(map[uint64]*session),
 		nextID:   1,
-		shards:   1,
 	}
-	if module, ok := byp.(ShardedBypass); ok {
-		s.module = module
-		s.shards = module.NumShards()
-	}
+	s.module, _ = byp.(Lifecycle)
 	if opts.CacheSize > 0 {
-		s.cache = newPredictionCache(opts.CacheSize, s.shards)
+		s.cache = newPredictionCache(opts.CacheSize)
 	}
 	if opts.Obs != nil {
 		s.met = newSvcMetrics(opts.Obs, opts.ObsLabels)
@@ -352,7 +327,7 @@ func New(eng *engine.Engine, byp Bypass, opts Options) (*Service, error) {
 }
 
 // Degraded reports the sticky persistence failure that flipped the
-// underlying module (or one of its shards) to read-only serving, or nil —
+// underlying module to read-only serving, or nil —
 // when the module is healthy, or when the Bypass is a plain one (which
 // the service treats as always healthy).
 func (s *Service) Degraded() error {
@@ -394,11 +369,9 @@ func (sess *session) stateLocked() SessionState {
 	}
 }
 
-// predict answers the Mopt lookup through the LRU cache. The per-shard
-// generation fence makes a cached entry impossible to go stale: a Put
-// races an invalidation of its own shard only in the discarded
-// direction, and inserts into other shards cannot touch this entry's
-// tree at all.
+// predict answers the Mopt lookup through the LRU cache. The generation
+// fence makes a cached entry impossible to go stale: a Put races an
+// invalidation only in the discarded direction.
 func (s *Service) predict(qp []float64) (core.OQP, bool, error) {
 	s.predictions.Add(1)
 	var t0 time.Time
@@ -422,11 +395,7 @@ func (s *Service) predict(qp []float64) (core.OQP, bool, error) {
 		}
 		return oqp, true, nil
 	}
-	// The shard is the signature reduced mod S (the pinned partition
-	// function), so the cache key already in hand names it — no second
-	// pass over the query point.
-	shard := int(sig % uint64(s.shards))
-	gen := s.cache.Generation(shard)
+	gen := s.cache.Generation()
 	oqp, err := s.byp.Predict(qp)
 	if s.met != nil {
 		s.met.done(opPredict, t0, err)
@@ -435,7 +404,7 @@ func (s *Service) predict(qp []float64) (core.OQP, bool, error) {
 	if err != nil {
 		return core.OQP{}, false, err
 	}
-	s.cache.Put(shard, gen, sig, qp, oqp)
+	s.cache.Put(gen, sig, qp, oqp)
 	return oqp, false, nil
 }
 
@@ -721,11 +690,9 @@ func (s *Service) closeSession(ctx context.Context, id uint64) (CloseResult, err
 		s.stored.Add(1)
 	}
 	if changed && s.cache != nil {
-		// One shard's tree changed: cached predictions computed by that
-		// shard may now differ from fresh ones. Generation-bump-and-drop
-		// scoped to the shard keeps the parity guarantee without touching
-		// entries the insert cannot have affected.
-		s.cache.Invalidate(engine.ShardOf(qp, s.shards))
+		// The tree changed: cached predictions may now differ from fresh
+		// ones. Generation-bump-and-drop keeps the parity guarantee.
+		s.cache.Invalidate()
 	}
 	return out, nil
 }
@@ -766,56 +733,31 @@ func (s *Service) Drain(ctx context.Context) (closedSessions, inserted int, err 
 }
 
 // ErrNotCompactable is returned by CompactAged when the underlying
-// Bypass is not a ShardedBypass.
+// Bypass does not implement Lifecycle.
 var ErrNotCompactable = errors.New("service: bypass does not support compaction")
 
-// CompactAged runs one aging pass over the shared Bypass: every shard
-// rebuilds its tree keeping only vertices reinforced within the aging
-// horizon (corner vertices always survive; a zero horizon reclaims
-// nothing). It returns one CompactionStats per shard, indexed by shard
-// id.
+// CompactAged runs one aging pass over the shared Bypass: the tree is
+// rebuilt keeping only vertices reinforced within the aging horizon
+// (corner vertices always survive; a zero horizon reclaims nothing).
 //
-// The service owns the prediction-cache coherence: a shard whose pass
-// reclaimed vertices serves different predictions afterwards, so its
-// cache generation is bumped — and only its generation, so a pass that
-// reclaims from shard 3 alone cannot evict shard 5's still-valid
-// entries. Shards with Reclaimed == 0 rebuilt into a geometrically
+// The service owns the prediction-cache coherence: a pass that reclaimed
+// vertices serves different predictions afterwards, so the cache is
+// invalidated. A pass with Reclaimed == 0 rebuilt a geometrically
 // identical tree (re-inserting the same census is deterministic) and
-// keep their cached predictions.
-//
-// A partial failure (one shard degraded or mid-replay) still compacts
-// and invalidates the shards that succeeded; the joined error reports
-// the rest. ctx is consulted only on entry — once a pass starts, the
-// atomic snapshot+WAL swap must complete.
-func (s *Service) CompactAged(ctx context.Context) ([]core.CompactionStats, error) {
+// keeps the cached predictions. ctx is consulted only on entry — once a
+// pass starts, the atomic log swap must complete.
+func (s *Service) CompactAged(ctx context.Context) (core.CompactionStats, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return core.CompactionStats{}, err
 	}
 	if s.module == nil {
-		return nil, ErrNotCompactable
+		return core.CompactionStats{}, ErrNotCompactable
 	}
-	stats, err := s.module.CompactAged()
-	for shard, st := range stats {
-		if st.Reclaimed > 0 {
-			s.reclaimedByService.Add(int64(st.Reclaimed))
-			if s.cache != nil {
-				s.cache.Invalidate(shard)
-			}
-		}
+	st, err := s.module.CompactAged()
+	if st.Reclaimed > 0 && s.cache != nil {
+		s.cache.Invalidate()
 	}
-	if len(stats) > 0 {
-		s.compactions.Add(1)
-	}
-	return stats, err
-}
-
-// ShardStat is one bypass shard's counters as the serving layer sees
-// them: the shard's own state (tree shape, accepted inserts, journal
-// depth, WAL bytes) plus the prediction cache's invalidation generation
-// for that shard.
-type ShardStat struct {
-	shardedbypass.ShardInfo
-	CacheGen uint64 `json:"cache_gen"`
+	return st, err
 }
 
 // Stats is a point-in-time snapshot of the serving layer.
@@ -833,28 +775,16 @@ type Stats struct {
 	InsertsStored  int64 `json:"inserts_stored"`
 
 	// Degraded carries the store's sticky persistence failure (empty while
-	// healthy): the module — or at least one shard — serves reads but
-	// rejects inserts. QuotaRejects / DegradedRejects count session
+	// healthy): the module serves reads but rejects inserts. QuotaRejects / DegradedRejects count session
 	// outcomes the store refused to learn from, by cause.
 	Degraded        string `json:"degraded,omitempty"`
 	QuotaRejects    int64  `json:"quota_rejects,omitempty"`
 	DegradedRejects int64  `json:"degraded_rejects,omitempty"`
 
-	// Lifecycle: Compactions counts aging passes driven through
-	// Service.CompactAged; Reclaimed sums the vertices those passes
-	// removed. (Store-internal quota-pressure compactions appear in the
-	// per-shard counters of Shards, not here.)
-	Compactions int64 `json:"compactions,omitempty"`
-	Reclaimed   int64 `json:"reclaimed,omitempty"`
-
-	// Tree aggregates every shard (the whole learned mapping); Shards
-	// breaks it down per partition when the Bypass is a ShardedBypass.
-	Tree   simplextree.Stats `json:"tree"`
-	Shards []ShardStat       `json:"shards,omitempty"`
+	Tree simplextree.Stats `json:"tree"`
 }
 
-// Stats snapshots the service counters and the shared tree's shape,
-// including per-shard counters when the Bypass is a ShardedBypass.
+// Stats snapshots the service counters and the shared tree's shape.
 func (s *Service) Stats() Stats {
 	s.mu.RLock()
 	active := len(s.sessions)
@@ -872,8 +802,6 @@ func (s *Service) Stats() Stats {
 		InsertsStored:   s.stored.Load(),
 		QuotaRejects:    s.quotaRejects.Load(),
 		DegradedRejects: s.degradedRejects.Load(),
-		Compactions:     s.compactions.Load(),
-		Reclaimed:       s.reclaimedByService.Load(),
 		Tree:            s.byp.Stats(),
 	}
 	if derr := s.Degraded(); derr != nil {
@@ -881,20 +809,6 @@ func (s *Service) Stats() Stats {
 	}
 	if s.cache != nil {
 		st.CacheEntries = s.cache.Len()
-	}
-	if s.module != nil {
-		infos := s.module.ShardInfos()
-		var gens []uint64
-		if s.cache != nil {
-			gens = s.cache.Generations()
-		}
-		st.Shards = make([]ShardStat, len(infos))
-		for i, info := range infos {
-			st.Shards[i] = ShardStat{ShardInfo: info}
-			if i < len(gens) {
-				st.Shards[i].CacheGen = gens[i]
-			}
-		}
 	}
 	return st
 }

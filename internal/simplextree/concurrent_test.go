@@ -182,7 +182,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 					}
 				default:
 					tr.Stats()
-					tr.Walk(func(v *Vertex) {})
+					tr.Census()
 				}
 			}
 		}(g)

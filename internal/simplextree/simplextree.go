@@ -16,7 +16,7 @@
 // # Concurrency model
 //
 // The tree is split into a read plane and a write plane. The read plane —
-// Predict, PredictInto, PredictNaive, Walk, Stats, Census, Snapshot and
+// Predict, PredictInto, PredictNaive, Stats, Census, Snapshot and
 // the accessors — is pure: it runs under the shared read lock, never mutates
 // the tree, and reports per-call traversal counts through PredictStats
 // instead of storing them. Every prediction runs on its caller's
@@ -718,18 +718,6 @@ func (t *Tree) notifyObserver(q, value []float64, stamp uint64) error {
 		return fmt.Errorf("simplextree: insert observer: %w", err)
 	}
 	return nil
-}
-
-// Walk visits every stored vertex exactly once (root corners included),
-// in creation order. It is the traversal used by persistence and by
-// statistics. Walk is a read operation: concurrent walks are safe, and fn
-// must not mutate the vertices.
-func (t *Tree) Walk(fn func(v *Vertex)) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, v := range t.verts {
-		fn(v)
-	}
 }
 
 // Stats summarizes the tree shape.

@@ -454,10 +454,8 @@ func TestStatsAndWalk(t *testing.T) {
 	if st.DistinctVertices != 3+st.Points {
 		t.Errorf("distinct vertices = %d, want %d", st.DistinctVertices, 3+st.Points)
 	}
-	count := 0
-	tr.Walk(func(v *Vertex) { count++ })
-	if count != st.DistinctVertices {
-		t.Errorf("walk visited %d, want %d", count, st.DistinctVertices)
+	if count := len(tr.Census().Vertices); count != st.DistinctVertices {
+		t.Errorf("census holds %d vertices, want %d", count, st.DistinctVertices)
 	}
 }
 

@@ -20,8 +20,8 @@ package store
 //	  and n themes in row order
 //
 // Files are written atomically (tmp + fsync + rename + directory fsync,
-// like persist.Manifest), so a crash leaves either no file or a complete
-// one. All parse failures wrap ErrCorrupt.
+// like the tree log's commits), so a crash leaves either no file or a
+// complete one. All parse failures wrap ErrCorrupt.
 
 import (
 	"encoding/binary"

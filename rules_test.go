@@ -220,7 +220,7 @@ func exprString(e ast.Expr) string {
 // fsSeamDomains reach the filesystem only through persist.FS:
 // internal/faultfs substitutes that seam to enumerate crash schedules,
 // and a direct os call is a crash point they can neither see nor fail.
-var fsSeamDomains = []string{"internal/persist", "internal/store", "internal/core", "internal/shardedbypass"}
+var fsSeamDomains = []string{"internal/persist", "internal/store", "internal/core"}
 
 var fsSeamForbidden = map[string]bool{
 	"Create": true, "CreateTemp": true, "Open": true, "OpenFile": true,

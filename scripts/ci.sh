@@ -38,7 +38,7 @@ run_test() {
 
 	step "Test (race, core packages)"
 	go test -race ./internal/simplextree/ ./internal/core/ ./internal/knn/ ./internal/engine/ \
-		./internal/experiments/ ./internal/httpapi/ ./internal/service/ ./internal/shardedbypass/ \
+		./internal/experiments/ ./internal/httpapi/ ./internal/service/ \
 		./internal/store/ ./internal/persist/ ./internal/dataset/ ./internal/imagegen/ \
 		./internal/histogram/ ./internal/vec/ ./internal/obsv/ ./cmd/fbserve/
 
@@ -52,15 +52,17 @@ run_test() {
 
 	step "Fuzz smoke (binary parsers + the JSON request surface)"
 	# 30s per fuzzer over the committed seed corpora: the tree log (header,
-	# census of stamped vertices, journal of stamped records), the
-	# sharded-module manifest and the FBMX collection header. The contract: parse or ErrCorrupt, never a panic.
+	# census of stamped vertices, journal of stamped records) and the FBMX
+	# collection header. The contract: parse or ErrCorrupt, never a panic.
 	# FuzzHTTPRequest holds the production handler to the same shape: any
 	# body on /query, /feedback, /close gets valid JSON with a 2xx/4xx
-	# status, never a panic or a 5xx.
-	go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 30s ./internal/persist/
-	go test -run '^$' -fuzz '^FuzzManifest$' -fuzztime 30s ./internal/persist/
-	go test -run '^$' -fuzz '^FuzzFBMX$' -fuzztime 30s ./internal/store/
-	go test -run '^$' -fuzz '^FuzzHTTPRequest$' -fuzztime 30s ./internal/httpapi/
+	# status, never a panic or a 5xx. A worker minimizes every input that
+	# finds new coverage before the coordinator counts another exec; at
+	# the default 60s budget one FBMX input (4 KB at least: the header
+	# page) stalls the whole run, so minimization gets 2s.
+	go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 30s -fuzzminimizetime 2s ./internal/persist/
+	go test -run '^$' -fuzz '^FuzzFBMX$' -fuzztime 30s -fuzzminimizetime 2s ./internal/store/
+	go test -run '^$' -fuzz '^FuzzHTTPRequest$' -fuzztime 30s -fuzzminimizetime 2s ./internal/httpapi/
 
 	step "Benchmark smoke pass"
 	# One iteration of the retrieval-core, prediction-plane, census-replay,
@@ -93,12 +95,12 @@ run_test() {
 run_chaos() {
 	step "Crash-schedule + governance suite (race)"
 	# The fault-injection tests: every enumerated crash point along
-	# insert → WAL append → compact → manifest at 1 and N shards and on a
-	# root-layout module (including the aged-compaction snapshot swaps),
-	# quota and degraded-mode behaviour, aging parity/idempotence, and the
-	# hardened serving edge — all under the race detector.
+	# insert → WAL append → compact (including the aged-compaction log
+	# commits), quota and degraded-mode behaviour, aging
+	# parity/idempotence, and the hardened serving edge — all under the
+	# race detector.
 	go test -race -run 'Crash|Fault|Degraded|Quota|Context|Hardened|StatusFor|Lifecycle|Aging|Timestamped|Compact' \
-		./internal/faultfs/ ./internal/persist/ ./internal/core/ ./internal/shardedbypass/ \
+		./internal/faultfs/ ./internal/persist/ ./internal/core/ \
 		./internal/service/ ./internal/experiments/ ./internal/httpapi/ ./cmd/fbserve/
 }
 
