@@ -95,6 +95,25 @@ func HoldsModule(fsys persist.FS, dir string) bool {
 	return false
 }
 
+// RefuseRetired returns an error naming the file if dir holds a file of
+// a retired layout: a two-file snapshot or a sharded manifest. OpenDurable
+// calls it before it reads anything, and a caller with costly work to do
+// before the module opens calls it before that work.
+func RefuseRetired(fsys persist.FS, dir string) error {
+	fsys = persist.OrOS(fsys)
+	old := filepath.Join(dir, SnapshotFile)
+	if _, err := fsys.Stat(old); err == nil {
+		return fmt.Errorf("core: %s is a snapshot of the retired two-file format, which this version does not read", old)
+	}
+	manifest := filepath.Join(dir, manifestFile)
+	if _, err := fsys.Stat(manifest); err == nil {
+		return fmt.Errorf("core: %s is the manifest of a hash-sharded module, a layout this version does not read; "+
+			"to keep shard 0's learned state, move %s to %s, then delete %s",
+			manifest, filepath.Join(dir, "shard-000", JournalFile), filepath.Join(dir, JournalFile), manifest)
+	}
+	return nil
+}
+
 // OpenDurable opens (or initializes) a durable FeedbackBypass module
 // rooted at dir, creating the directory if needed. A module with a log
 // recovers from it alone — census, then journal replay — and cfg
@@ -109,15 +128,8 @@ func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*Durabl
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	old := filepath.Join(dir, SnapshotFile)
-	if _, err := fsys.Stat(old); err == nil {
-		return nil, fmt.Errorf("core: %s is a snapshot of the retired two-file format, which this version does not read", old)
-	}
-	manifest := filepath.Join(dir, manifestFile)
-	if _, err := fsys.Stat(manifest); err == nil {
-		return nil, fmt.Errorf("core: %s is the manifest of a hash-sharded module, a layout this version does not read; "+
-			"to keep shard 0's learned state, move %s to %s, then delete %s",
-			manifest, filepath.Join(dir, "shard-000", JournalFile), filepath.Join(dir, JournalFile), manifest)
+	if err := RefuseRetired(fsys, dir); err != nil {
+		return nil, err
 	}
 	path := filepath.Join(dir, JournalFile)
 	wal, tree, err := persist.OpenWAL(fsys, path)

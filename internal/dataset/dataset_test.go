@@ -170,17 +170,25 @@ func buildHash(t *testing.T, cfg imagegen.Config, procs int) (uint64, *Dataset) 
 // Generate share their sampling loop, so TestBuildMatchesSerialGenerate
 // cannot see a change to both; these hashes can. They were recorded
 // before the renderer's arithmetic fast paths, reused buffers, seeding
-// source and certified binning went in, and every one of those must leave
-// them unchanged. Scale 10 (the bench/ bigscan collection) hashes to
-// 0x7b5038af0cd8874d (DESIGN.md).
+// source, certified binning and source-owned draws went in, and every one
+// of those must leave them unchanged. Scale 10 is the bench/ bigscan
+// collection; it is built once, at the default GOMAXPROCS, and skipped
+// under -short.
 func TestBuildGolden(t *testing.T) {
 	for _, c := range []struct {
 		scale float64
 		want  uint64
-	}{{0.05, 0x1561694b2c234f91}, {0.3, 0xe8670ea4cdf29a12}, {1, 0x02dfffbbd23480f2}, {2, 0x47bba3d068f66c81}} {
-		for _, procs := range []int{1, 4} {
-			if got, _ := buildHash(t, imagegen.IMSILike(1, c.scale), procs); got != c.want {
-				t.Errorf("scale %g, GOMAXPROCS=%d: Build hashes to %#016x, want %#016x", c.scale, procs, got, c.want)
+	}{{0.05, 0x1561694b2c234f91}, {0.3, 0xe8670ea4cdf29a12}, {1, 0x02dfffbbd23480f2}, {2, 0x47bba3d068f66c81}, {10, 0x7b5038af0cd8874d}} {
+		procs := []int{1, 4}
+		if c.scale == 10 {
+			if testing.Short() {
+				continue
+			}
+			procs = []int{runtime.GOMAXPROCS(0)}
+		}
+		for _, p := range procs {
+			if got, _ := buildHash(t, imagegen.IMSILike(1, c.scale), p); got != c.want {
+				t.Errorf("scale %g, GOMAXPROCS=%d: Build hashes to %#016x, want %#016x", c.scale, p, got, c.want)
 			}
 		}
 	}

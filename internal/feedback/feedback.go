@@ -106,6 +106,8 @@ func GoodSubset(results [][]float64, scores []float64) (good [][]float64, goodSc
 	if len(results) != len(scores) {
 		return nil, nil, fmt.Errorf("feedback: %d results but %d scores", len(results), len(scores))
 	}
+	good = make([][]float64, 0, len(scores))
+	goodScores = make([]float64, 0, len(scores))
 	var total float64
 	for i, s := range scores {
 		if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {

@@ -37,6 +37,24 @@ func TestGoodSubset(t *testing.T) {
 	}
 }
 
+// TestGoodSubsetAllocs holds GoodSubset to its two result slices on a
+// 10-result page: each is sized once, not grown by append.
+func TestGoodSubsetAllocs(t *testing.T) {
+	results := make([][]float64, 10)
+	scores := make([]float64, 10)
+	for i := range results {
+		results[i] = []float64{float64(i)}
+		scores[i] = float64(i % 3)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := GoodSubset(results, scores); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Errorf("GoodSubset on a 10-result page: %v allocations, want at most 2", allocs)
+	}
+}
+
 func TestOptimalQueryPointEq2(t *testing.T) {
 	results := [][]float64{{0, 0}, {2, 2}, {4, 0}}
 	// Scores 1, 1, 0: centroid of first two.

@@ -227,11 +227,19 @@ func openFBMX(path string) (*dataset.Dataset, *store.MmapMatrix, error) {
 }
 
 // BuildCollection resolves spec into a dataset and assembles the
-// collection's serving stack over it.
+// collection's serving stack over it. A durable directory of a retired
+// layout is refused before the dataset is built, so the refusal renders
+// nothing and writes no CollectionFile.
 func BuildCollection(name, spec string, cfg Config) (*Collection, error) {
 	dir, err := collectionDir(name, cfg)
 	if err != nil {
 		return nil, err
+	}
+	if dir != "" {
+		// Refuse a retired layout before rendering the collection for it.
+		if err := core.RefuseRetired(persist.OSFS, dir); err != nil {
+			return nil, err
+		}
 	}
 	ds, backend, mm, err := BuildDataset(spec, dir, cfg)
 	if err != nil {

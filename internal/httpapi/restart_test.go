@@ -17,8 +17,8 @@ import (
 // D` builds one module, serves a learning session, shuts down gracefully
 // (the log compacted, then closed), and a restart on the same directory
 // recovers before it serves — its /healthz is "ok" (200) at once, with
-// the learned state intact. A directory the module cannot open fails the
-// collection's build instead of serving.
+// the learned state intact. A directory of a retired layout fails the
+// collection's build before it renders anything.
 func TestDurableRestart(t *testing.T) {
 	cfg := Config{
 		Scale: 0.03, Seed: 5, K: 8, Epsilon: 0.05, Dir: t.TempDir(),
@@ -86,14 +86,20 @@ func TestDurableRestart(t *testing.T) {
 		t.Fatalf("/stats after restart: %d points and %d journaled inserts, want %d and 0", st.Tree.Points, st.Journaled, learned)
 	}
 
-	// A directory of the retired sharded layout stops the build.
-	other := cfg
-	other.Dir = t.TempDir()
-	manifest := filepath.Join(other.Dir, "MANIFEST")
-	if err := os.WriteFile(manifest, []byte("FBMN"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildCollection("default", spec, other); err == nil || !strings.Contains(err.Error(), manifest) {
-		t.Fatalf("build over a sharded layout: err = %v, want a refusal naming %s", err, manifest)
+	// A directory of a retired layout — the sharded one's manifest, the
+	// two-file format's snapshot — stops the build before it renders.
+	for _, retired := range []string{"MANIFEST", core.SnapshotFile} {
+		other := cfg
+		other.Dir = t.TempDir()
+		path := filepath.Join(other.Dir, retired)
+		if err := os.WriteFile(path, []byte("FBMN"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := BuildCollection("default", spec, other); err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("build over %s: err = %v, want a refusal naming it", retired, err)
+		}
+		if _, err := os.Stat(filepath.Join(other.Dir, CollectionFile)); !os.IsNotExist(err) {
+			t.Fatalf("build refused over %s left %s (stat err = %v)", retired, CollectionFile, err)
+		}
 	}
 }

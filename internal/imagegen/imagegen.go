@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 
 	"repro/internal/histogram"
@@ -121,12 +120,12 @@ func (c Config) Count() int {
 }
 
 // Renderer renders the images of one configuration into buffers it
-// reuses: one RNG, reseeded for every image, one raster and the blob
+// reuses: one RNG source, reseeded for every image, one raster and the blob
 // scratch. Once warm, rendering allocates nothing. A Renderer is not safe
 // for concurrent use; dataset.Build gives each worker its own.
 type Renderer struct {
 	cfg          Config
-	rng          *rand.Rand
+	rng          *source
 	img          histogram.Image
 	blobs        []Blob
 	weights, cum []float64
@@ -139,7 +138,7 @@ func NewRenderer(cfg Config) (*Renderer, error) {
 	}
 	return &Renderer{
 		cfg: cfg,
-		rng: rand.New(new(source)),
+		rng: new(source),
 		img: histogram.Image{W: cfg.ImageW, H: cfg.ImageH, Pix: make([]histogram.RGB, cfg.ImageW*cfg.ImageH)},
 	}, nil
 }

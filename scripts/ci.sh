@@ -74,13 +74,15 @@ run_test() {
 	go test -run '^$' -bench 'BenchmarkDatasetBuild/scale=1$' -benchtime 1x .
 	go test -run '^$' -bench 'Feedback' -benchtime 1x ./internal/engine/
 
-	step "Benchmark regression smoke (prediction plane, retrieval core)"
-	# Short measured runs of the serial and parallel predict series, and
-	# of the lone scan over the oracle searches at bigscan scale (wall and
-	# CPU per search), so a lock-split, allocation or pruning regression
-	# shows up as a step in the uploaded numbers.
+	step "Benchmark regression smoke (prediction plane, retrieval core, collection build)"
+	# Short measured runs of the serial and parallel predict series, of
+	# the lone scan over the oracle searches at bigscan scale (wall and
+	# CPU per search), and of the bigscan collection's render (wall and
+	# CPU per build), so a lock-split, allocation, pruning or sampling
+	# regression shows up as a step in the uploaded numbers.
 	go test -run '^$' -bench 'BenchmarkPredict$|BenchmarkPredictParallel$' -benchtime 2000x . | tee bench_predict.txt
 	go test -run '^$' -bench 'BenchmarkKNNScanOracle$' -benchtime 2000x . | tee bench_knn.txt
+	go test -run '^$' -bench 'BenchmarkDatasetBuild/scale=10$' -benchtime 3x . | tee bench_build.txt
 
 	step "Lifecycle figure (bounded memory)"
 	# The bypass-aging soak, uploaded by ci.yml. Its properties (aging
