@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -234,8 +235,8 @@ func BenchmarkWALAppend(b *testing.B) {
 
 // BenchmarkCensusReplay prices the rebuild of a durable restart: a
 // seeded D=31, N=62 tree of 1,500 stored points, written with
-// persist.Save and read back with persist.Load, which re-splits the tree
-// vertex by vertex in creation order.
+// persist.SaveFile and read back from memory with persist.Load, which
+// re-splits the tree vertex by vertex in creation order.
 func BenchmarkCensusReplay(b *testing.B) {
 	const d, points = 31, 1500
 	tree, err := simplextree.New(geom.StandardSimplex(d), make([]float64, 2*d), simplextree.Options{Epsilon: 0.05})
@@ -256,13 +257,17 @@ func BenchmarkCensusReplay(b *testing.B) {
 			stored++
 		}
 	}
-	var log bytes.Buffer
-	if err := persist.Save(&log, tree); err != nil {
+	path := filepath.Join(b.TempDir(), "tree.fbwl")
+	if err := persist.SaveFile(path, tree); err != nil {
+		b.Fatal(err)
+	}
+	log, err := os.ReadFile(path)
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := persist.Load(bytes.NewReader(log.Bytes())); err != nil {
+		if _, err := persist.Load(bytes.NewReader(log)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,22 +18,23 @@ import (
 	"testing"
 )
 
-// deadCodeAllowlist names the package-level identifiers in internal/
-// that no non-test code references but that stay anyway, each with the
-// reason. Keys are "pkgpath.Name" or "pkgpath.Type.Method". An entry
-// that is referenced again, or no longer declared, fails the test.
+// deadCodeAllowlist names the package-level identifiers in internal/ and
+// the root package that no non-test code references but that stay
+// anyway, each with the reason. Keys are "pkgpath.Name" or
+// "pkgpath.Type.Method". An entry that is referenced again, or no longer
+// declared, fails the test.
 var deadCodeAllowlist = map[string]string{
 	"repro/internal/knn.Scan.SearchNaive":            "the per-row oracle the knn parity suites and BenchmarkKNNScanNaive hold the kernels to",
 	"repro/internal/simplextree.Tree.PredictNaive":   "the full-solve oracle of TestPredictMatchesNaiveDescent and BenchmarkLookupNaive",
 	"repro/internal/simplextree.Tree.Snapshot":       "the structural oracle the recovery and compaction tests hold a rebuilt tree to",
 	"repro/internal/obsv.Registry.Snapshot":          "the structured read every metric test asserts through",
 	"repro/internal/obsv.Snapshot.Find":              "the lookup every metric test asserts through",
-	"repro/internal/simplextree.Tree.CompressValues": "the paper's §3.1 storage/accuracy trade-off; only compress_test.go calls it, and no serving path does (ROADMAP 26)",
+	"repro/internal/simplextree.Tree.CompressValues": "the paper's §3.1 storage/accuracy trade-off; only compress_test.go calls it, and no serving path does (ROADMAP 28)",
 	"repro/internal/imagegen.Generate":               "the serial renderer TestBuildMatchesSerialGenerate holds the parallel dataset.Build to",
 	"repro/internal/vec.Det":                         "the determinant oracle of TestInterpolationEqualsDeterminantFormulation",
-	"repro/internal/vec.MatrixFromRows":              "the matrix-literal constructor of the vec, distance and core tests",
+	"repro/internal/vec.MatrixFromRows":              "the matrix-literal constructor of vec's own Solve and Det tests",
 	"repro/internal/store.FromRows":                  "the row-literal constructor of the store, knn and engine tests and the root benchmarks",
-	"repro/internal/vec.EqualTol":                    "the tolerance comparison nine packages' tests assert with",
+	"repro/internal/vec.EqualTol":                    "the tolerance comparison six packages' tests assert with",
 }
 
 // deadCodeConfigs are the build configurations TestNoDeadCode and
@@ -45,7 +46,10 @@ var deadCodeConfigs = [][2]string{{"linux", "amd64"}, {"windows", "arm64"}}
 
 // TestNoDeadCode type-checks every non-test package of the module, and
 // bench/ as a caller, and fails on any package-level identifier (or
-// method) declared in internal/ that no non-test code references.
+// method) declared in internal/ or in the root package that no non-test
+// code references. The root package is the public API, so its Example
+// functions count as callers of it too: a root export stays if non-test
+// code, a cmd/ program or an Example uses it.
 //
 // A use inside the identifier's own declaration (recursion, a method's
 // receiver naming its type) does not count. Use inside the declaring
@@ -136,6 +140,9 @@ func loadModuleConfigs() ([]*deadCodeLoader, error) {
 				return nil, fmt.Errorf("%s/%s: %w", cfg[0], cfg[1], err)
 			}
 		}
+		if err := l.loadExamples(); err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", cfg[0], cfg[1], err)
+		}
 		loaders = append(loaders, l)
 	}
 	return loaders, nil
@@ -147,14 +154,23 @@ type deadCodePkg struct {
 	pkg   *types.Package
 }
 
+// deadCodeExamples holds the root's external test files that declare an
+// Example function, type-checked against the loaded root package, and
+// the extents of those functions.
+type deadCodeExamples struct {
+	info  *types.Info
+	funcs []*ast.FuncDecl
+}
+
 // deadCodeLoader type-checks the module's packages from source under
 // one build configuration, importing the standard library through std.
 type deadCodeLoader struct {
-	ctxt    *build.Context
-	fset    *token.FileSet
-	std     types.Importer
-	modPath string
-	pkgs    map[string]*deadCodePkg
+	ctxt     *build.Context
+	fset     *token.FileSet
+	std      types.Importer
+	modPath  string
+	pkgs     map[string]*deadCodePkg
+	examples deadCodeExamples
 }
 
 func (l *deadCodeLoader) importPath(dir string) string {
@@ -203,6 +219,38 @@ func (l *deadCodeLoader) load(path string) (*deadCodePkg, error) {
 	return p, nil
 }
 
+// loadExamples parses the root's external test files that declare an
+// Example function and type-checks them against the loaded packages. A
+// helper such a file takes from another test file stays unresolved:
+// type errors are ignored, since only the Example bodies' uses of the
+// module are read and go test compiles the files anyway.
+func (l *deadCodeLoader) loadExamples() error {
+	bp, err := l.ctxt.ImportDir(".", 0)
+	if err != nil {
+		return err
+	}
+	var files []*ast.File
+	for _, name := range bp.XTestGoFiles {
+		f, err := parser.ParseFile(l.fset, name, nil, 0)
+		if err != nil {
+			return err
+		}
+		n := len(l.examples.funcs)
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example") {
+				l.examples.funcs = append(l.examples.funcs, fd)
+			}
+		}
+		if len(l.examples.funcs) > n {
+			files = append(files, f)
+		}
+	}
+	l.examples.info = newTypesInfo()
+	conf := types.Config{Importer: l, Sizes: types.SizesFor("gc", l.ctxt.GOARCH), Error: func(error) {}}
+	conf.Check(l.modPath+"_test", l.fset, files, l.examples.info) // errors ignored, see above
+	return nil
+}
+
 // newTypesInfo records what TestNoDeadCode and TestRepoRules read.
 func newTypesInfo() *types.Info {
 	return &types.Info{
@@ -247,7 +295,7 @@ func deadCodeKey(obj types.Object) string {
 // references to referenced.
 func (l *deadCodeLoader) mark(declared map[string]token.Position, referenced map[string]bool) {
 	checked := func(path string) bool {
-		return strings.HasPrefix(path, l.modPath+"/internal/") && !strings.HasPrefix(path, l.modPath+"/internal/faultfs")
+		return path == l.modPath || strings.HasPrefix(path, l.modPath+"/internal/") && !strings.HasPrefix(path, l.modPath+"/internal/faultfs")
 	}
 	// own holds each key's declaration extent, where uses don't count;
 	// receivers holds the receiver type identifiers of methods.
@@ -390,6 +438,21 @@ func (l *deadCodeLoader) mark(declared map[string]token.Position, referenced map
 			if n, ok := t.(*types.Named); ok {
 				for i := 0; i < n.NumMethods(); i++ {
 					referenced[deadCodeKey(n.Method(i))] = true
+				}
+			}
+		}
+	}
+
+	// Examples count as callers of root exports only: an internal
+	// identifier that only an Example uses is still dead.
+	for id, obj := range l.examples.info.Uses {
+		if obj.Pkg() == nil || obj.Pkg().Path() != l.modPath {
+			continue
+		}
+		for _, fd := range l.examples.funcs {
+			if fd.Pos() <= id.Pos() && id.Pos() < fd.End() {
+				if key := deadCodeKey(obj); key != "" {
+					referenced[key] = true
 				}
 			}
 		}

@@ -24,8 +24,9 @@
 //	learned, _ := codec.EncodeOQP(queryHistogram, qBest, wBest)
 //	bypass.Insert(qp, learned)
 //
-// Trees persist across sessions with Save/Load — remembering feedback
-// outcomes between sessions is the point of the technique.
+// Trees persist across sessions — remembering feedback outcomes between
+// sessions is the point of the technique: SaveFile and LoadFile write and
+// read a tree file, and OpenDurable journals every accepted insert.
 //
 // The packages under internal implement every substrate of the paper's
 // evaluation: distance functions, relevance-feedback engines, HSV
@@ -37,13 +38,9 @@ package feedbackbypass
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/persist"
-	"repro/internal/reduce"
-	"repro/internal/simplextree"
 )
 
 // ErrOutOfDomain is returned (wrapped, errors.Is-able) by Predict and
@@ -56,7 +53,7 @@ var ErrOutOfDomain = core.ErrOutOfDomain
 type OQP = core.OQP
 
 // Config tunes a Bypass module (insert threshold ε, geometric tolerance,
-// custom query domain, default weight parameters).
+// default weight parameters, resource quotas, aging).
 type Config = core.Config
 
 // Bypass is the FeedbackBypass module: Predict (the paper's Mopt method)
@@ -74,61 +71,17 @@ type DurableBypass = core.DurableBypass
 // DurableOptions tunes DurableBypass compaction and fsync behaviour.
 type DurableOptions = core.DurableOptions
 
-// PredictStats reports per-prediction lookup measurements (simplices
-// traversed — the Figure 16 series).
-type PredictStats = simplextree.PredictStats
-
 // HistogramCodec maps between full normalized histograms (with one weight
 // per bin) and the module's reduced query domain: the last bin is dropped
 // and the last weight pinned to 1, exactly Example 1 of the paper. Weights
 // travel in a log-ratio parameterization (see the core package docs).
 type HistogramCodec = core.HistogramCodec
 
-// TreeStats summarizes the Simplex Tree's shape (points, leaves, depth,
-// average leaf depth).
-type TreeStats = simplextree.Stats
-
-// QuadraticCodec serves the quadratic (Mahalanobis) distance class of §2:
-// OQPs carry a symmetric weight matrix flattened to D·(D+1)/2 parameters;
-// interpolated matrices are projected back onto the PSD cone at decode
-// time.
-type QuadraticCodec = core.QuadraticCodec
-
-// ReducedBypass is a module whose query domain has been PCA-reduced (the
-// paper's §3 future-work direction); see Reducer.
-type ReducedBypass = core.ReducedBypass
-
-// Reducer fits PCA on sample query points and maps queries into [0,1]^k.
-type Reducer = reduce.Reducer
-
-// NewQuadraticCodec returns a codec for the quadratic distance class over
-// features in [0,1]^dim (pair it with Config.Domain = CoveringSimplex(dim)
-// and Config.DefaultWeights = codec.DefaultWeights()).
-func NewQuadraticCodec(dim int) (QuadraticCodec, error) { return core.NewQuadraticCodec(dim) }
-
-// FitReducer fits a k-dimensional PCA reducer on sample query points.
-func FitReducer(samples [][]float64, k int) (*Reducer, error) { return reduce.Fit(samples, k) }
-
-// NewReduced builds a module over a PCA-reduced query domain: queries are
-// projected to the reducer's k dimensions while OQPs keep their full
-// dimensionality (D-dimensional offsets, P weight parameters).
-func NewReduced(r *Reducer, d, p int, cfg Config) (*ReducedBypass, error) {
-	return core.NewReduced(r, d, p, cfg)
-}
-
-// Domain constructors for Config.Domain.
-var (
-	// StandardSimplex returns the simplex spanned by 0, e1, …, ed — the
-	// query domain of normalized-histogram features with the last bin
-	// dropped (§4.1).
-	StandardSimplex = geom.StandardSimplex
-	// CoveringSimplex returns the corner simplex 0, d·e1, …, d·ed, which
-	// covers the unit hypercube [0,1]^d (§4.1).
-	CoveringSimplex = geom.CoveringSimplex
-)
-
-// New creates a FeedbackBypass module for a D-dimensional query domain
-// with P distance-function parameters.
+// New creates a FeedbackBypass module for P distance-function parameters
+// over the D-dimensional standard simplex spanned by 0, e1, …, eD — the
+// query domain of normalized-histogram features with the last bin dropped
+// (§4.1). Use it with a codec of one's own; NewForHistograms wires the
+// paper's.
 func New(d, p int, cfg Config) (*Bypass, error) { return core.New(d, p, cfg) }
 
 // OpenDurable opens (or initializes) a crash-safe module rooted at dir:
@@ -139,10 +92,6 @@ func New(d, p int, cfg Config) (*Bypass, error) { return core.New(d, p, cfg) }
 func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*DurableBypass, error) {
 	return core.OpenDurable(dir, d, p, cfg, opts)
 }
-
-// NewHistogramCodec returns the codec for normalized histograms with the
-// given number of bins.
-func NewHistogramCodec(bins int) (HistogramCodec, error) { return core.NewHistogramCodec(bins) }
 
 // NewForHistograms wires a Bypass and its codec for normalized-histogram
 // features in one call: D = P = bins−1, standard-simplex domain, log-ratio
@@ -163,16 +112,6 @@ func NewForHistograms(bins int, cfg Config) (*Bypass, HistogramCodec, error) {
 	return b, codec, nil
 }
 
-// Save writes the module's Simplex Tree to w in the versioned, checksummed
-// log format of package persist: a census of the tree and an empty
-// journal, the same format a durable module's directory holds.
-func Save(w io.Writer, b *Bypass) error {
-	if b == nil {
-		return fmt.Errorf("feedbackbypass: nil module")
-	}
-	return persist.Save(w, b.Tree())
-}
-
 // SaveFile commits the module's Simplex Tree to the named file: a failed
 // save leaves a file already there as it was.
 func SaveFile(path string, b *Bypass) error {
@@ -180,16 +119,6 @@ func SaveFile(path string, b *Bypass) error {
 		return fmt.Errorf("feedbackbypass: nil module")
 	}
 	return persist.SaveFile(path, b.Tree())
-}
-
-// Load reads a Simplex Tree from r and wraps it as a Bypass with p
-// distance-function parameters (the stored vectors must have length D+p).
-func Load(r io.Reader, p int) (*Bypass, error) {
-	tree, err := persist.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return core.FromTree(tree, p)
 }
 
 // LoadFile reads a Simplex Tree from the named file — a saved tree or a

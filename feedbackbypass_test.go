@@ -1,7 +1,6 @@
 package feedbackbypass_test
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -137,11 +136,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 		queries = append(queries, q)
 	}
-	var buf bytes.Buffer
-	if err := feedbackbypass.Save(&buf, b); err != nil {
+	path := filepath.Join(t.TempDir(), "tree.fbwl")
+	if err := feedbackbypass.SaveFile(path, b); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := feedbackbypass.Load(&buf, codec.P())
+	loaded, err := feedbackbypass.LoadFile(path, codec.P())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +161,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				t.Fatal("weights mismatch after load")
 			}
 		}
-	}
-	if err := feedbackbypass.Save(&buf, nil); err == nil {
-		t.Error("nil module should error")
 	}
 }
 
@@ -194,25 +190,5 @@ func TestSaveLoadFile(t *testing.T) {
 	// Wrong parameter split on load is rejected.
 	if _, err := feedbackbypass.LoadFile(path, 99); err == nil {
 		t.Error("wrong P should error")
-	}
-}
-
-func TestCoveringSimplexDomain(t *testing.T) {
-	// Non-histogram features in [0,1]^D use the covering simplex domain.
-	d := 4
-	b, err := feedbackbypass.New(d, d, feedbackbypass.Config{Domain: feedbackbypass.CoveringSimplex(d)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corner of the cube is inside the covering simplex.
-	oqp, err := b.Predict([]float64{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(oqp.Delta) != d {
-		t.Errorf("Delta dim = %d", len(oqp.Delta))
-	}
-	if _, err := feedbackbypass.New(d, d, feedbackbypass.Config{Domain: feedbackbypass.StandardSimplex(d + 1)}); err == nil {
-		t.Error("mismatched domain should error")
 	}
 }

@@ -1,7 +1,7 @@
 package feedbackbypass_test
 
 import (
-	"bytes"
+	"path/filepath"
 	"testing"
 
 	feedbackbypass "repro"
@@ -101,11 +101,11 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	}
 
 	// Persist and reload: predictions must be bit-identical.
-	var buf bytes.Buffer
-	if err := feedbackbypass.Save(&buf, bypass); err != nil {
+	path := filepath.Join(t.TempDir(), "tree.fbwl")
+	if err := feedbackbypass.SaveFile(path, bypass); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := feedbackbypass.Load(&buf, codec.P())
+	reloaded, err := feedbackbypass.LoadFile(path, codec.P())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,10 +66,6 @@ type Config struct {
 	Epsilon float64
 	// Tol is the geometric tolerance; geom.DefaultTol when zero.
 	Tol float64
-	// Domain overrides the query domain simplex. When nil, the standard
-	// simplex of dimension D is used — correct for normalized-histogram
-	// features (§4.1). Use geom.CoveringSimplex for [0,1]^D domains.
-	Domain *geom.Simplex
 	// DefaultWeights seeds the domain corners' weight parameters; all-ones
 	// when nil. Codecs that store weights in a transformed domain (e.g.
 	// the log-ratio parameterization of HistogramCodec, whose neutral
@@ -132,20 +128,14 @@ type Bypass struct {
 	pointsAftG   *obsv.Gauge     // fb_bypass_compaction_points_after
 }
 
-// New creates a module for a D-dimensional query domain and P distance
-// parameters. The default OQPs — zero offset, unit weights — seed the
+// New creates a module for a D-dimensional query domain, the standard
+// simplex spanned by 0, e1, …, eD (§4.1), and P distance parameters. The
+// default OQPs — zero offset, unit weights — seed the
 // domain corners, so an untrained module predicts the default parameters
 // everywhere.
 func New(d, p int, cfg Config) (*Bypass, error) {
 	if d <= 0 || p < 0 {
 		return nil, fmt.Errorf("core: invalid dimensions D=%d, P=%d", d, p)
-	}
-	domain := cfg.Domain
-	if domain == nil {
-		domain = geom.StandardSimplex(d)
-	}
-	if domain.Dim() != d {
-		return nil, fmt.Errorf("core: domain has dimension %d, want %d", domain.Dim(), d)
 	}
 	defW := cfg.DefaultWeights
 	if defW == nil {
@@ -155,7 +145,7 @@ func New(d, p int, cfg Config) (*Bypass, error) {
 		return nil, fmt.Errorf("core: default weights have dimension %d, want %d", len(defW), p)
 	}
 	def := OQP{Delta: vec.Zeros(d), Weights: vec.Clone(defW)}
-	tree, err := simplextree.New(domain, def.Encode(), simplextree.Options{
+	tree, err := simplextree.New(geom.StandardSimplex(d), def.Encode(), simplextree.Options{
 		Epsilon:     cfg.Epsilon,
 		Tol:         cfg.Tol,
 		MaxVertices: cfg.MaxVertices,

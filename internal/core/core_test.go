@@ -35,9 +35,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(2, -1, Config{}); err == nil {
 		t.Error("P<0 should error")
 	}
-	if _, err := New(3, 3, Config{Domain: geom.StandardSimplex(2)}); err == nil {
-		t.Error("domain dimension mismatch should error")
-	}
 	b, err := New(2, 2, Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
-// Package distance implements the parameterized distance-function classes
-// of §2 of the paper that the reproduction runs: the Euclidean distance,
-// the weighted Euclidean distance of Eq. (1) and quadratic (Mahalanobis)
-// distances.
+// Package distance implements the distance functions of §2 of the paper
+// that the reproduction runs: the Euclidean distance and the weighted
+// Euclidean distance of Eq. (1).
 //
 // Every distance implements Metric; weighted variants additionally expose
 // their parameter vector so the FeedbackBypass module can store and predict
@@ -84,46 +83,3 @@ func (m *WeightedEuclidean) Name() string { return "weighted-euclidean" }
 
 // Dim returns the dimensionality of the metric.
 func (m *WeightedEuclidean) Dim() int { return len(m.w) }
-
-// Quadratic is the generalized (Mahalanobis-style) quadratic distance of
-// §2: d²(p, q; W) = (p−q)ᵀ W (p−q) with W symmetric positive semidefinite.
-type Quadratic struct {
-	w *vec.Matrix
-}
-
-// NewQuadratic validates that w is square and symmetric and returns the
-// metric. Positive semidefiniteness is the caller's responsibility for
-// performance reasons.
-func NewQuadratic(w *vec.Matrix) (*Quadratic, error) {
-	if w.Rows != w.Cols {
-		return nil, fmt.Errorf("distance: quadratic weight matrix must be square, got %dx%d", w.Rows, w.Cols)
-	}
-	for i := 0; i < w.Rows; i++ {
-		for j := i + 1; j < w.Cols; j++ {
-			if math.Abs(w.At(i, j)-w.At(j, i)) > 1e-9 {
-				return nil, fmt.Errorf("distance: weight matrix asymmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-	return &Quadratic{w: w.Clone()}, nil
-}
-
-// Distance implements Metric.
-func (m *Quadratic) Distance(a, b []float64) float64 {
-	n := m.w.Rows
-	if len(a) != n || len(b) != n {
-		panic(fmt.Sprintf("distance: dimension mismatch: %d, %d vs %dx%d matrix", len(a), len(b), n, n))
-	}
-	diff := vec.Sub(a, b)
-	wd := m.w.MulVec(diff)
-	d2 := vec.Dot(diff, wd)
-	if d2 < 0 {
-		// Guard tiny negative values from floating-point noise on PSD
-		// matrices.
-		d2 = 0
-	}
-	return math.Sqrt(d2)
-}
-
-// Name implements Metric.
-func (m *Quadratic) Name() string { return "quadratic" }

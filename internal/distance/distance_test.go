@@ -121,89 +121,6 @@ func TestWeightedEuclideanBounds(t *testing.T) {
 	}
 }
 
-func TestQuadraticValidation(t *testing.T) {
-	if _, err := NewQuadratic(vec.NewMatrix(2, 3)); err == nil {
-		t.Error("non-square should fail")
-	}
-	asym := vec.MatrixFromRows([][]float64{{1, 2}, {0, 1}})
-	if _, err := NewQuadratic(asym); err == nil {
-		t.Error("asymmetric should fail")
-	}
-}
-
-func TestQuadraticIdentityEqualsEuclidean(t *testing.T) {
-	m, err := NewQuadratic(vec.Identity(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 20; trial++ {
-		a := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		b := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		if math.Abs(m.Distance(a, b)-vec.Dist(a, b)) > 1e-12 {
-			t.Fatal("identity quadratic should equal Euclidean")
-		}
-	}
-	metricAxioms(t, m, 3, 10)
-}
-
-func TestQuadraticDiagonalEqualsWeighted(t *testing.T) {
-	w := []float64{2, 0.5, 3}
-	diag := vec.NewMatrix(3, 3)
-	for i, x := range w {
-		diag.Set(i, i, x)
-	}
-	q, err := NewQuadratic(diag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	we, _ := NewWeightedEuclidean(w)
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		a := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		b := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		if math.Abs(q.Distance(a, b)-we.Distance(a, b)) > 1e-12 {
-			t.Fatal("diagonal quadratic should equal weighted Euclidean")
-		}
-	}
-}
-
-func TestQuadraticRotatedEllipsoid(t *testing.T) {
-	// W = RᵀΛR for a 45° rotation: correlated quadratic distance (the
-	// "rotated weighted Euclidean" the paper mentions for Mahalanobis).
-	c, s := math.Cos(math.Pi/4), math.Sin(math.Pi/4)
-	r := vec.MatrixFromRows([][]float64{{c, -s}, {s, c}})
-	lambda := vec.MatrixFromRows([][]float64{{4, 0}, {0, 1}})
-	w := r.Transpose().Mul(lambda).Mul(r)
-	m, err := NewQuadratic(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metricAxioms(t, m, 2, 12)
-	// R maps (c, -s) to e1, the axis with eigenvalue 4, so along that
-	// direction the unit step has distance 2; the orthogonal (c, s)
-	// direction maps to e2 with eigenvalue 1.
-	major := m.Distance([]float64{0, 0}, []float64{c, -s})
-	if math.Abs(major-2) > 1e-9 {
-		t.Errorf("major-axis distance = %v, want 2", major)
-	}
-	minor := m.Distance([]float64{0, 0}, []float64{c, s})
-	if math.Abs(minor-1) > 1e-9 {
-		t.Errorf("minor-axis distance = %v, want 1", minor)
-	}
-}
-
-func TestQuadraticParamsFlattening(t *testing.T) {
-	w := vec.MatrixFromRows([][]float64{{1, 2}, {2, 3}})
-	m, err := NewQuadratic(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vec.Equal(m.w.Data, []float64{1, 2, 2, 3}) {
-		t.Errorf("row-major W = %v", m.w.Data)
-	}
-}
-
 func TestDimensionMismatchPanics(t *testing.T) {
 	cases := []struct {
 		name string
@@ -212,10 +129,6 @@ func TestDimensionMismatchPanics(t *testing.T) {
 		{"euclidean-via-vec", func() { Euclidean{}.Distance([]float64{1}, []float64{1, 2}) }},
 		{"weighted", func() {
 			m, _ := NewWeightedEuclidean(vec.Ones(2))
-			m.Distance([]float64{1}, []float64{1, 2})
-		}},
-		{"quadratic", func() {
-			m, _ := NewQuadratic(vec.Identity(2))
 			m.Distance([]float64{1}, []float64{1, 2})
 		}},
 	}

@@ -58,20 +58,6 @@ func StandardSimplex(d int) *Simplex {
 	return &Simplex{verts: verts}
 }
 
-// CoveringSimplex returns the scaled corner simplex with vertices
-// 0, d·e1, …, d·ed, which covers the unit hypercube [0,1]^d (§4.1 of the
-// paper: any x with Σx_i ≤ d and x_i ≥ 0 is inside).
-func CoveringSimplex(d int) *Simplex {
-	verts := make([][]float64, d+1)
-	verts[0] = make([]float64, d)
-	for i := 1; i <= d; i++ {
-		v := make([]float64, d)
-		v[i-1] = float64(d)
-		verts[i] = v
-	}
-	return &Simplex{verts: verts}
-}
-
 // Dim returns the dimensionality D of the simplex.
 func (s *Simplex) Dim() int { return len(s.verts) - 1 }
 

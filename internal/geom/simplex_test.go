@@ -92,27 +92,6 @@ func TestStandardSimplex(t *testing.T) {
 	}
 }
 
-func TestCoveringSimplexCoversUnitCube(t *testing.T) {
-	for d := 1; d <= 5; d++ {
-		s := CoveringSimplex(d)
-		rng := rand.New(rand.NewSource(int64(d)))
-		for trial := 0; trial < 50; trial++ {
-			q := make([]float64, d)
-			for i := range q {
-				q[i] = rng.Float64()
-			}
-			if !contains(s, q) {
-				t.Fatalf("d=%d: cube point %v outside covering simplex", d, q)
-			}
-		}
-		// The all-ones corner is the extreme case.
-		ones := vec.Ones(d)
-		if !contains(s, ones) {
-			t.Fatalf("d=%d: corner of cube outside covering simplex", d)
-		}
-	}
-}
-
 func TestBarycentricKnown2D(t *testing.T) {
 	s := StandardSimplex(2) // vertices (0,0), (1,0), (0,1)
 	lam, err := s.Barycentric([]float64{0.25, 0.5})

@@ -237,15 +237,6 @@ func commit(fsys FS, path string, c *simplextree.Census) (File, int64, error) {
 	return f, int64(len(img)), fsys.SyncDir(filepath.Dir(path))
 }
 
-// Save writes the tree to w as a log with an empty journal.
-func Save(w io.Writer, tree *simplextree.Tree) error {
-	if tree == nil {
-		return errors.New("persist: nil tree")
-	}
-	_, err := w.Write(encodeCensus(tree.Census()))
-	return err
-}
-
 // SaveFile commits the tree to the named file (see SaveFileFS).
 func SaveFile(path string, tree *simplextree.Tree) error {
 	return SaveFileFS(nil, path, tree)

@@ -3,7 +3,6 @@ package vec
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Matrix is a dense row-major matrix of float64 values.
@@ -37,15 +36,6 @@ func MatrixFromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -60,65 +50,6 @@ func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
-}
-
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// MulVec returns m·v.
-func (m *Matrix) MulVec(v []float64) []float64 {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("vec: matrix-vector mismatch: %dx%d · %d", m.Rows, m.Cols, len(v)))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, x := range row {
-			s += x * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// Mul returns m·other.
-func (m *Matrix) Mul(other *Matrix) *Matrix {
-	if m.Cols != other.Rows {
-		panic(fmt.Sprintf("vec: matrix-matrix mismatch: %dx%d · %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
-	}
-	out := NewMatrix(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			otherRow := other.Row(k)
-			outRow := out.Row(i)
-			for j := range otherRow {
-				outRow[j] += a * otherRow[j]
-			}
-		}
-	}
-	return out
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		fmt.Fprintf(&b, "%v\n", m.Row(i))
-	}
-	return b.String()
 }
 
 // LU holds an LU decomposition with partial pivoting: P·A = L·U where L is

@@ -1,7 +1,6 @@
 // Package vec provides the dense vector and matrix algebra used throughout
-// the FeedbackBypass reproduction: element-wise vector operations, Gaussian
-// elimination with partial pivoting, LU decomposition, determinants, matrix
-// inversion and a Jacobi eigensolver for symmetric matrices.
+// the FeedbackBypass reproduction: element-wise vector operations, LU
+// decomposition with partial pivoting, linear solves and determinants.
 //
 // Everything operates on float64 slices so callers can share storage with
 // feature vectors, barycentric coordinates and optimal-query-parameter
@@ -43,35 +42,6 @@ func Ones(n int) []float64 {
 	return v
 }
 
-// Constant returns a vector of length n with every component set to c.
-func Constant(n int, c float64) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = c
-	}
-	return v
-}
-
-// Add returns a + b.
-func Add(a, b []float64) []float64 {
-	mustSameLen(a, b)
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Sub returns a - b.
-func Sub(a, b []float64) []float64 {
-	mustSameLen(a, b)
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
 // Scale returns s * v.
 func Scale(v []float64, s float64) []float64 {
 	out := make([]float64, len(v))
@@ -105,16 +75,6 @@ func Axpy(dst []float64, s float64, v []float64) []float64 {
 		dst[i] += s * v[i]
 	}
 	return dst
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	mustSameLen(a, b)
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }
 
 // Sum returns the sum of the components of v.

@@ -5,6 +5,7 @@
 #
 #   scripts/ci.sh test    # build, vet, tests, race, fuzz and bench smokes, figures
 #   scripts/ci.sh chaos   # the crash-schedule and governance suite under -race
+#   scripts/ci.sh loc     # tracked line counts: non-test Go, test Go, assembly
 #
 # The staticcheck job is not here: it installs staticcheck over the
 # network, so it stays a job of its own in ci.yml.
@@ -106,11 +107,24 @@ run_chaos() {
 		./internal/service/ ./internal/experiments/ ./internal/httpapi/ ./cmd/fbserve/
 }
 
+# run_loc prints the tracked line counts the ROADMAP reports: every file
+# git tracks, outside bench/ (its own module) and testdata/.
+run_loc() {
+	count() {
+		git ls-files -- "$@" | grep -v -e '^bench/' -e '\(^\|/\)testdata/' |
+			while IFS= read -r f; do cat -- "$f"; done | wc -l
+	}
+	printf 'non-test Go  %6d\n' "$(count '*.go' ':!:*_test.go')"
+	printf 'test Go      %6d\n' "$(count '*_test.go')"
+	printf 'assembly     %6d\n' "$(count '*.s')"
+}
+
 case "${1:-}" in
 test) run_test ;;
 chaos) run_chaos ;;
+loc) run_loc ;;
 *)
-	echo "usage: $0 test|chaos" >&2
+	echo "usage: $0 test|chaos|loc" >&2
 	exit 2
 	;;
 esac
