@@ -424,6 +424,20 @@ func benchWeighted(b *testing.B, dim int) distance.Metric {
 	return wm
 }
 
+// benchEuclidean is the paper's default distance, the Euclidean one, as
+// the engine serves it: the weighted Euclidean metric with unit weights.
+func benchEuclidean(b *testing.B, dim int) distance.Metric {
+	w := make([]float64, dim)
+	for i := range w {
+		w[i] = 1
+	}
+	m, err := distance.NewWeightedEuclidean(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
 // BenchmarkKNNScanNaive measures the generic virtual-dispatch scan (one
 // Metric.Distance call and one sqrt per database vector) on the same
 // query stream — the reference the kernel's speedup is quoted against:
@@ -435,7 +449,7 @@ func BenchmarkKNNScanNaive(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := distance.Euclidean{}
+	m := benchEuclidean(b, len(data[0]))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := scan.SearchNaive(data[(i*131)%len(data)], 50, m); err != nil {
@@ -446,14 +460,15 @@ func BenchmarkKNNScanNaive(b *testing.B) {
 }
 
 // BenchmarkKNNScanSingle measures one kernel query at k = 50 under the
-// Euclidean metric: best-first over the tiles, stopping early.
+// Euclidean metric (unit weights, as every session's open retrieves):
+// best-first over the tiles, stopping early.
 func BenchmarkKNNScanSingle(b *testing.B) {
 	data := benchCollection(b, paperScaleN)
 	scan, err := newScan(data)
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := distance.Euclidean{}
+	m := benchEuclidean(b, len(data[0]))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := scan.Search(data[(i*131)%len(data)], 50, m); err != nil {

@@ -16,11 +16,11 @@ import (
 	"testing"
 )
 
-// TestDocsNameDeclaredTests keeps README.md and DESIGN.md from citing
-// tests that no longer exist: every Test*, Benchmark* or Fuzz* name they
-// quote must be a top-level func in some _test.go file of the tree
-// (bench/, its own module, included). Renaming or deleting a quoted test
-// fails here until the docs follow.
+// TestDocsNameDeclaredTests keeps README.md, DESIGN.md and the verify
+// skill from citing tests that no longer exist: every Test*, Benchmark*
+// or Fuzz* name they quote must be a top-level func in some _test.go file
+// of the tree (bench/, its own module, included). Renaming or deleting a
+// quoted test fails here until the docs follow.
 func TestDocsNameDeclaredTests(t *testing.T) {
 	declared := map[string]bool{}
 	fset := token.NewFileSet()
@@ -53,7 +53,7 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 	}
 	name := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
 	quoted := 0
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +68,7 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 		}
 	}
 	if quoted == 0 {
-		t.Error("no test names found in README.md or DESIGN.md; is the pattern stale?")
+		t.Error("no test names found in the docs; is the pattern stale?")
 	}
 }
 

@@ -118,7 +118,7 @@ type Bypass struct {
 	degraded error // errors.Join(ErrDegraded, cause); nil while healthy
 
 	// Aged-compaction counters, and their instruments once Observe has
-	// registered them.
+	// registered them (nil before, which observes nothing).
 	compactions  atomic.Uint64
 	reclaimed    atomic.Uint64
 	compactionsC *obsv.Counter   // fb_bypass_compactions_total
@@ -310,10 +310,7 @@ func (b *Bypass) CompactAged() (CompactionStats, error) {
 // compactAgedLocked is one aged compaction under mu: rebuild, persist
 // (durable), swap, count.
 func (b *Bypass) compactAgedLocked() (CompactionStats, error) {
-	var t0 time.Time
-	if b.compactH != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	old := b.Tree()
 	nt, rst, err := old.RebuildAged(old.AgeHorizon())
 	if err != nil {
@@ -329,13 +326,11 @@ func (b *Bypass) compactAgedLocked() (CompactionStats, error) {
 	b.tree.Store(nt)
 	b.compactions.Add(1)
 	b.reclaimed.Add(uint64(rst.Reclaimed))
-	if b.compactionsC != nil {
-		b.compactionsC.Inc()
-		b.reclaimedC.Add(uint64(rst.Reclaimed))
-		b.pointsBefG.Set(float64(rst.Before))
-		b.pointsAftG.Set(float64(rst.After))
-		b.compactH.ObserveSince(t0)
-	}
+	b.compactionsC.Inc()
+	b.reclaimedC.Add(uint64(rst.Reclaimed))
+	b.pointsBefG.Set(float64(rst.Before))
+	b.pointsAftG.Set(float64(rst.After))
+	b.compactH.ObserveSince(t0)
 	return CompactionStats{Before: rst.Before, After: rst.After, Reclaimed: rst.Reclaimed}, nil
 }
 

@@ -51,8 +51,8 @@ type DurableOptions struct {
 	FS persist.FS
 	// Obs, when non-nil, registers persistence instruments (WAL append
 	// and fsync latency, compaction duration) in the given registry, each
-	// carrying ObsLabels. Nil disables instrumentation entirely — the
-	// hot paths then take no clock readings.
+	// carrying ObsLabels. Nil disables instrumentation: every instrument
+	// is then nil, and observing a nil instrument does nothing.
 	Obs *obsv.Registry
 	// ObsLabels are attached to every instrument this module registers
 	// (typically the collection name).
@@ -79,7 +79,7 @@ type DurableBypass struct {
 
 	wal   *persist.WAL // its record count is the inserts journaled since the last compaction
 	opts  DurableOptions
-	snapH *obsv.Histogram // optional: compaction duration
+	snapH *obsv.Histogram // compaction duration; nil without DurableOptions.Obs
 }
 
 // HoldsModule reports whether dir holds a module's state: its log, or a
@@ -161,14 +161,12 @@ func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*Durabl
 	db := &DurableBypass{Bypass: b, wal: wal, opts: opts}
 	b.dur = db
 	b.Observe(opts.Obs, opts.ObsLabels...)
-	if opts.Obs != nil {
-		opts.Obs.GaugeFunc("fb_wal_bytes", "Tree log on-disk size, census and journal (recovery debt).", func() float64 { return float64(db.WALSize()) }, opts.ObsLabels...)
-		wal.SetMetrics(
-			opts.Obs.Histogram("fb_wal_append_seconds", "WAL append latency (encode + write + any per-append fsync).", obsv.LatencyBounds(), opts.ObsLabels...),
-			opts.Obs.Histogram("fb_wal_fsync_seconds", "WAL fsync latency.", obsv.LatencyBounds(), opts.ObsLabels...),
-		)
-		db.snapH = opts.Obs.Histogram("fb_snapshot_seconds", "Compaction duration (census write + fsync + rename + directory fsync).", obsv.LatencyBounds(), opts.ObsLabels...)
-	}
+	opts.Obs.GaugeFunc("fb_wal_bytes", "Tree log on-disk size, census and journal (recovery debt).", func() float64 { return float64(db.WALSize()) }, opts.ObsLabels...)
+	wal.SetMetrics(
+		opts.Obs.Histogram("fb_wal_append_seconds", "WAL append latency (encode + write + any per-append fsync).", obsv.LatencyBounds(), opts.ObsLabels...),
+		opts.Obs.Histogram("fb_wal_fsync_seconds", "WAL fsync latency.", obsv.LatencyBounds(), opts.ObsLabels...),
+	)
+	db.snapH = opts.Obs.Histogram("fb_snapshot_seconds", "Compaction duration (census write + fsync + rename + directory fsync).", obsv.LatencyBounds(), opts.ObsLabels...)
 	// Journal every accepted insert before the tree mutates (the
 	// observer runs under the tree's exclusive lock, after the insert is
 	// certain to succeed). Append is all-or-nothing — a failed write or
@@ -231,17 +229,12 @@ func (db *DurableBypass) maybeCompactLocked() error {
 // compactLocked runs one compaction; a failure is a persistence failure
 // and flips the module to read-only degraded mode.
 func (db *DurableBypass) compactLocked() error {
-	var t0 time.Time
-	if db.snapH != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	if err := db.wal.Reset(db.Tree()); err != nil {
 		db.noteDegraded(err)
 		return db.Degraded()
 	}
-	if db.snapH != nil {
-		db.snapH.ObserveSince(t0)
-	}
+	db.snapH.ObserveSince(t0)
 	return nil
 }
 

@@ -1,10 +1,12 @@
-// Package distance implements the distance functions of §2 of the paper
-// that the reproduction runs: the Euclidean distance and the weighted
-// Euclidean distance of Eq. (1).
+// Package distance implements the distance function of §2 of the paper
+// that the reproduction runs: the weighted Euclidean distance of Eq. (1).
+// The paper's default, the Euclidean distance, is its unit-weight case:
+// each term (1·d)·d is d·d exactly, so unit weights give the Euclidean
+// distance bit for bit.
 //
-// Every distance implements Metric; weighted variants additionally expose
-// their parameter vector so the FeedbackBypass module can store and predict
-// it as part of the optimal query parameters (OQPs).
+// Retrieval takes any Metric; package knn runs its squared-space kernels
+// for a *WeightedEuclidean and the generic per-row path for anything
+// else.
 package distance
 
 import (
@@ -26,16 +28,6 @@ type Metric interface {
 	// Name identifies the metric for logging and experiment output.
 	Name() string
 }
-
-// Euclidean is the unweighted L2 distance — the paper's default distance
-// function.
-type Euclidean struct{}
-
-// Distance implements Metric.
-func (Euclidean) Distance(a, b []float64) float64 { return vec.Dist(a, b) }
-
-// Name implements Metric.
-func (Euclidean) Name() string { return "euclidean" }
 
 // WeightedEuclidean is Eq. (1) of the paper:
 //
@@ -70,7 +62,9 @@ func NewWeightedEuclidean(w []float64) (*WeightedEuclidean, error) {
 
 // Distance implements Metric. It is math.Sqrt(vec.SqDistW(a, b, w)), the
 // same canonical accumulation the retrieval kernels use, so naive and
-// kernelized paths agree bitwise.
+// kernelized paths agree bitwise: the scan kernels compare squared sums
+// (monotone in the distance), abandon a row once its partial sum passes
+// the k-th best, and take one square root per offered candidate.
 func (m *WeightedEuclidean) Distance(a, b []float64) float64 {
 	if len(a) != len(m.w) || len(b) != len(m.w) {
 		panic(fmt.Sprintf("distance: dimension mismatch: %d, %d vs %d weights", len(a), len(b), len(m.w)))
@@ -81,5 +75,6 @@ func (m *WeightedEuclidean) Distance(a, b []float64) float64 {
 // Name implements Metric.
 func (m *WeightedEuclidean) Name() string { return "weighted-euclidean" }
 
-// Dim returns the dimensionality of the metric.
-func (m *WeightedEuclidean) Dim() int { return len(m.w) }
+// Weights returns the per-dimension weights (read-only): what package
+// knn's kernels scan with.
+func (m *WeightedEuclidean) Weights() []float64 { return m.w }

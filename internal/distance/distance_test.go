@@ -39,13 +39,31 @@ func metricAxioms(t *testing.T, m Metric, dim int, seed int64) {
 	}
 }
 
-func TestEuclideanAxiomsAndValue(t *testing.T) {
-	metricAxioms(t, Euclidean{}, 8, 1)
-	if got := (Euclidean{}).Distance([]float64{0, 0}, []float64{3, 4}); got != 5 {
-		t.Errorf("Euclidean = %v", got)
+// euclid is the unweighted Euclidean distance in package vec's canonical
+// accumulation order: four stripe accumulators over blocks of four, a
+// sequential tail, and ((s0+s1)+(s2+s3))+tail.
+func euclid(a, b []float64) float64 {
+	var s [4]float64
+	var tail float64
+	for i := range a {
+		d := a[i] - b[i]
+		if i < len(a)&^3 {
+			s[i%4] += d * d
+		} else {
+			tail += d * d
+		}
 	}
-	if (Euclidean{}).Name() != "euclidean" {
-		t.Error("name")
+	return math.Sqrt((s[0] + s[1]) + (s[2] + s[3]) + tail)
+}
+
+// TestEuclideanAxiomsAndValue: the paper's default distance, the
+// unit-weight WeightedEuclidean, is a metric with the Euclidean values.
+func TestEuclideanAxiomsAndValue(t *testing.T) {
+	m, _ := NewWeightedEuclidean(vec.Ones(8))
+	metricAxioms(t, m, 8, 1)
+	m2, _ := NewWeightedEuclidean(vec.Ones(2))
+	if got := m2.Distance([]float64{0, 0}, []float64{3, 4}); got != 5 {
+		t.Errorf("Euclidean = %v", got)
 	}
 }
 
@@ -89,18 +107,22 @@ func TestWeightedEuclideanCopiesWeights(t *testing.T) {
 	}
 }
 
+// TestUniformWeightedEqualsEuclidean: unit weights give the unweighted
+// Euclidean distance bit for bit — each term (1·d)·d is d·d exactly — so
+// the weighted kernel is the only one the retrieval core needs.
 func TestUniformWeightedEqualsEuclidean(t *testing.T) {
-	m, _ := NewWeightedEuclidean(vec.Ones(4))
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		a := []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
-		b := []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
-		if math.Abs(m.Distance(a, b)-vec.Dist(a, b)) > 1e-12 {
-			t.Fatal("uniform weighted should equal Euclidean")
+	for _, dim := range []int{1, 4, 7, 32, 33} {
+		m, _ := NewWeightedEuclidean(vec.Ones(dim))
+		for trial := 0; trial < 20; trial++ {
+			a, b := make([]float64, dim), make([]float64, dim)
+			for i := range a {
+				a[i], b[i] = rng.Float64(), rng.NormFloat64()*1e3
+			}
+			if got, want := m.Distance(a, b), euclid(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("dim %d: unit-weight distance %x, Euclidean %x", dim, math.Float64bits(got), math.Float64bits(want))
+			}
 		}
-	}
-	if m.Dim() != 4 {
-		t.Errorf("Dim = %d", m.Dim())
 	}
 }
 
@@ -111,7 +133,7 @@ func TestWeightedEuclideanBounds(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		a := []float64{rng.NormFloat64(), rng.NormFloat64()}
 		b := []float64{rng.NormFloat64(), rng.NormFloat64()}
-		l2 := vec.Dist(a, b)
+		l2 := euclid(a, b)
 		d := m.Distance(a, b)
 		lo := math.Sqrt(minW) * l2
 		hi := math.Sqrt(maxW) * l2
@@ -126,7 +148,7 @@ func TestDimensionMismatchPanics(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"euclidean-via-vec", func() { Euclidean{}.Distance([]float64{1}, []float64{1, 2}) }},
+		{"euclidean-via-vec", func() { vec.SqDistW([]float64{1}, []float64{1, 2}, vec.Ones(1)) }},
 		{"weighted", func() {
 			m, _ := NewWeightedEuclidean(vec.Ones(2))
 			m.Distance([]float64{1}, []float64{1, 2})

@@ -62,7 +62,7 @@ func TestSearchAllocationBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range []distance.Metric{distance.Euclidean{}, wm} {
+		for _, m := range []distance.Metric{euclidean(dim), wm} {
 			search := func() {
 				if _, err := c.scan.Search(centre[:dim], 10, m); err != nil {
 					t.Fatal(err)

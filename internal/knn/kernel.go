@@ -1,5 +1,7 @@
-// Kernelized scan paths: squared-space comparison, early abandonment, and
-// a best-first descent of a tile tree with an early stop. The naive path
+// Kernelized scan paths for the weighted Euclidean metric (unit weights
+// are the plain Euclidean distance, bit for bit): squared-space
+// comparison, early abandonment, and a best-first descent of a tile tree
+// with an early stop. The naive path
 // pays a virtual Metric.Distance call and a math.Sqrt per database
 // vector; the kernel path walks the contiguous feature slab, filters
 // candidates by their squared distance (monotone in the true distance),
@@ -23,6 +25,7 @@ import (
 	"sync"
 
 	"repro/internal/distance"
+	"repro/internal/vec"
 )
 
 // tileRows is the number of rows per tile of the phased cascade, a leaf
@@ -50,28 +53,29 @@ func RootBound2(r float64) float64 {
 	return math.Float64frombits(b)
 }
 
-// searchKernel answers one k-NN query through the squared-space kernel
-// on the calling goroutine: best-first over the tiles at D = 32,
-// otherwise one row loop over the whole collection (scanRows).
-func (s *Scan) searchKernel(q []float64, k int, kern distance.Kernel) []Result {
+// searchKernel answers one k-NN query under the weights w through the
+// squared-space kernel on the calling goroutine: best-first over the
+// tiles at D = 32, otherwise one row loop over the whole collection
+// (scanRows).
+func (s *Scan) searchKernel(q []float64, k int, w []float64) []Result {
 	if s.head != nil {
-		return s.searchTiles(q, k, kern.Weights(), nil)
+		return s.searchTiles(q, k, w, nil)
 	}
-	return s.scanRows(q, k, kern)
+	return s.scanRows(q, k, w)
 }
 
-// scanRows ranks every row through the canonical vec-backed kernel, at
-// every dimensionality without a head slab, so every surviving sum is
-// bitwise identical to the naive Metric implementations; the two differ
-// only in how much of a doomed row is read.
-func (s *Scan) scanRows(q []float64, k int, kern distance.Kernel) []Result {
+// scanRows ranks every row through vec.SqDistWAbandon, at every
+// dimensionality without a head slab, so every surviving sum is bitwise
+// identical to WeightedEuclidean.Distance's; the two differ only in how
+// much of a doomed row is read.
+func (s *Scan) scanRows(q []float64, k int, w []float64) []Result {
 	st := newTopK(k)
 	bound2 := st.bound2
 	dim, n := s.mat.Dim(), s.mat.Len()
 	slab := s.mat.Slab(0, n)
 	for i := 0; i < n; i++ {
 		row := slab[i*dim : i*dim+dim : i*dim+dim]
-		if sum, abandoned := kern.SquaredAbandon(q, row, bound2); !abandoned {
+		if sum, abandoned := vec.SqDistWAbandon(q, row, w, bound2); !abandoned {
 			bound2 = st.OfferRoot(i, sum)
 		}
 	}
@@ -239,7 +243,7 @@ func (s *Scan) getTileBufs() *tileBufs {
 }
 
 // scanTile32 runs the four-pass cascade over scan positions [lo, hi) for
-// one query at D = 32 (w == nil: unweighted), through the phase kernels
+// one query under the weights w at D = 32, through the phase kernels
 // (AVX2 or SSE2 on amd64, identical Go loops elsewhere — phase1.go).
 //
 // The cascade is branch-free and vertical instead of an abandoning row
@@ -267,31 +271,19 @@ func (s *Scan) scanTile32(q, w []float64, lo, hi int, st *TopK, b *tileBufs) {
 	rows, n := hi-lo, s.mat.Len()
 	head := s.head[lo*8 : hi*8]
 	slab := s.mat.Slab(0, n)
-	q = q[:32]
+	q, w = q[:32], w[:32]
 	s0b, s1b, s2b, s3b := b.s0, b.s1, b.s2, b.s3
 	surv := b.surv
-	var c int
-	if w == nil {
-		c = phase1x32Sel(&q[0], &head[0], rows, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], &surv[0])
-	} else {
-		w = w[:32]
-		c = phase1x32wSel(&q[0], &w[0], &head[0], rows, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], &surv[0])
-	}
+	c := phase1x32wSel(&q[0], &w[0], &head[0], rows, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], &surv[0])
 	// Phase 1 numbered its survivors by position in the tile; the later
 	// phases gather them, and the offers name them, by collection row.
 	ids := s.ids[lo:hi]
 	for j, p := range surv[:c] {
 		surv[j] = ids[p]
 	}
-	if w == nil {
-		c = phaseNext8Sel(&q[8], &slab[8], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], n)
-		c = phaseNext8Sel(&q[16], &slab[16], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], n)
-		c = phaseNext8Sel(&q[24], &slab[24], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], n)
-	} else {
-		c = phaseNext8wSel(&q[8], &w[8], &slab[8], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], n)
-		c = phaseNext8wSel(&q[16], &w[16], &slab[16], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], n)
-		c = phaseNext8wSel(&q[24], &w[24], &slab[24], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], n)
-	}
+	c = phaseNext8wSel(&q[8], &w[8], &slab[8], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], n)
+	c = phaseNext8wSel(&q[16], &w[16], &slab[16], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], n)
+	c = phaseNext8wSel(&q[24], &w[24], &slab[24], &surv[0], c, bound2, &s0b[0], &s1b[0], &s2b[0], &s3b[0], n)
 	for j := 0; j < c; j++ {
 		if sum := (s0b[j] + s1b[j]) + (s2b[j] + s3b[j]); sum <= bound2 {
 			bound2 = st.OfferRoot(int(surv[j]), sum)
@@ -309,12 +301,8 @@ func (s *Scan) box(i int32) []float64 {
 	return s.boxes[j : j+64 : j+64]
 }
 
-// unitWeights makes the unweighted bound the weighted one: (1·g)·g is
-// g·g exactly.
-var unitWeights = [32]float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
-
 // boxBound2 returns a lower bound on the squared distance from q to every
-// row inside box (32 minima then 32 maxima; w == nil: unweighted). Per
+// row inside box (32 minima then 32 maxima) under the weights w. Per
 // dimension the gap g from q to [lo, hi] (0 inside) enters the stripe
 // accumulation exactly where a row's difference d does — dim i into
 // stripe i%4, as (w·g)·g, reduced (s0+s1)+(s2+s3) — so the bound holds
@@ -326,9 +314,6 @@ var unitWeights = [32]float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
 // bound ≤ the child's bitwise. The float64 conversions forbid FMA fusion,
 // matching the separate roundings of the phase kernels.
 func boxBound2(q, w, box []float64) float64 {
-	if w == nil {
-		w = unitWeights[:]
-	}
 	q, w = q[:32:32], w[:32:32]
 	lo, hi := box[:32:32], box[32:64:64]
 	var s0, s1, s2, s3 float64

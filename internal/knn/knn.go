@@ -49,10 +49,10 @@ type BatchSearcher interface {
 // fixed-metric indexes cannot serve directly. Features live behind a
 // store.Backend — the in-heap FlatMatrix or an mmap-resident FBMX
 // collection — whose contiguous slabs the kernels consume directly; for
-// Euclidean and weighted-Euclidean metrics the scan runs a squared-space
-// early-abandoning kernel, at D = 32 over the tiles, reached by a
-// best-first descent of the k-d tree whose leaves they are (see
-// DESIGN.md, "Retrieval core").
+// a weighted-Euclidean metric (unit weights for the plain Euclidean
+// distance) the scan runs a squared-space early-abandoning kernel, at
+// D = 32 over the tiles, reached by a best-first descent of the k-d tree
+// whose leaves they are (see DESIGN.md, "Retrieval core").
 type Scan struct {
 	mat store.Backend
 	// ids is the scan order of a D = 32 collection (TileOrder): scan
@@ -195,8 +195,8 @@ func (s *Scan) Search(q []float64, k int, m distance.Metric) ([]Result, error) {
 	if err := s.checkQuery(q, k); err != nil {
 		return nil, err
 	}
-	if kern, ok := distance.KernelFor(m); ok {
-		return s.searchKernel(q, k, kern), nil
+	if wm, ok := m.(*distance.WeightedEuclidean); ok {
+		return s.searchKernel(q, k, wm.Weights()), nil
 	}
 	return s.searchGeneric(q, k, m), nil
 }

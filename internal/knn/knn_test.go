@@ -8,7 +8,19 @@ import (
 
 	"repro/internal/distance"
 	"repro/internal/store"
+	"repro/internal/vec"
 )
+
+// euclidean is the paper's default distance at dim: the weighted
+// Euclidean metric with unit weights, whose sums are the unweighted ones
+// bit for bit.
+func euclidean(dim int) *distance.WeightedEuclidean {
+	m, err := distance.NewWeightedEuclidean(vec.Ones(dim))
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
 
 // newScan builds a scan over a copy of data.
 func newScan(data [][]float64) (*Scan, error) {
@@ -43,7 +55,7 @@ func TestScanBasics(t *testing.T) {
 	if s.Len() != 4 {
 		t.Errorf("Len = %d", s.Len())
 	}
-	rs, err := s.Search([]float64{0.1, 0}, 2, distance.Euclidean{})
+	rs, err := s.Search([]float64{0.1, 0}, 2, euclidean(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +69,7 @@ func TestScanBasics(t *testing.T) {
 
 func TestScanKLargerThanCollection(t *testing.T) {
 	s, _ := newScan([][]float64{{0}, {1}})
-	rs, err := s.Search([]float64{0}, 10, distance.Euclidean{})
+	rs, err := s.Search([]float64{0}, 10, euclidean(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +80,13 @@ func TestScanKLargerThanCollection(t *testing.T) {
 
 func TestScanErrors(t *testing.T) {
 	s, _ := newScan([][]float64{{0, 0}})
-	if _, err := s.Search([]float64{0, 0}, 0, distance.Euclidean{}); err == nil {
+	if _, err := s.Search([]float64{0, 0}, 0, euclidean(2)); err == nil {
 		t.Error("k=0 should error")
 	}
-	if _, err := s.Search([]float64{0}, 1, distance.Euclidean{}); err == nil {
+	if _, err := s.Search([]float64{0}, 1, euclidean(2)); err == nil {
 		t.Error("dimension mismatch should error")
 	}
-	if _, err := s.Search([]float64{0, math.NaN()}, 1, distance.Euclidean{}); err == nil {
+	if _, err := s.Search([]float64{0, math.NaN()}, 1, euclidean(2)); err == nil {
 		t.Error("non-finite query should error")
 	}
 }
@@ -82,7 +94,7 @@ func TestScanErrors(t *testing.T) {
 func TestScanTieBreaksByIndex(t *testing.T) {
 	data := [][]float64{{1}, {1}, {1}, {0}}
 	s, _ := newScan(data)
-	rs, err := s.Search([]float64{1}, 3, distance.Euclidean{})
+	rs, err := s.Search([]float64{1}, 3, euclidean(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +113,7 @@ func TestScanMatchesBruteForceSort(t *testing.T) {
 		data[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 	}
 	s, _ := newScan(data)
-	m := distance.Euclidean{}
+	m := euclidean(3)
 	for trial := 0; trial < 20; trial++ {
 		q := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 		k := 1 + rng.Intn(20)

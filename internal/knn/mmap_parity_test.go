@@ -87,7 +87,7 @@ func TestMmapParityAllPaths(t *testing.T) {
 					t.Fatal(err)
 				}
 				k := 1 + rng.Intn(n+3)
-				for _, m := range []distance.Metric{distance.Euclidean{}, wm, manhattan{}} {
+				for _, m := range []distance.Metric{euclidean(dim), wm, manhattan{}} {
 					wantNaive, err := heap.SearchNaive(q, k, m)
 					if err != nil {
 						t.Fatal(err)
@@ -133,7 +133,7 @@ func TestMmapParityShardedScan(t *testing.T) {
 	for i := range qs {
 		qs[i] = data[rng.Intn(len(data))]
 	}
-	m := distance.Euclidean{}
+	m := euclidean(32)
 	for i, q := range qs {
 		want, err := heap.SearchNaive(q, 40, m)
 		if err != nil {

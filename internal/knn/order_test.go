@@ -292,7 +292,6 @@ func TestTileOrderTightensBoxes(t *testing.T) {
 	for range searches {
 		q := mat.Row(rng.Intn(mat.Len()))
 		m := randomWeights(t, rng)
-		kern, _ := distance.KernelFor(m)
 		for _, c := range []struct {
 			scan  *Scan
 			count *int
@@ -303,7 +302,7 @@ func TestTileOrderTightensBoxes(t *testing.T) {
 			}
 			bound2 := RootBound2(res[k-1].Distance)
 			for tl := range c.scan.tiles() {
-				if boxBound2(q, kern.Weights(), c.scan.box(int32(tl))) <= bound2 {
+				if boxBound2(q, m.Weights(), c.scan.box(int32(tl))) <= bound2 {
 					*c.count += min(tileRows, mat.Len()-tl*tileRows)
 				}
 			}
@@ -318,7 +317,7 @@ func TestTileOrderTightensBoxes(t *testing.T) {
 
 // randomWeights returns a weighted Euclidean metric with every weight in
 // [0.5, 1.5): the shape of a feedback round's re-weighting.
-func randomWeights(t *testing.T, rng *rand.Rand) distance.Metric {
+func randomWeights(t *testing.T, rng *rand.Rand) *distance.WeightedEuclidean {
 	t.Helper()
 	w := make([]float64, 32)
 	for j := range w {
@@ -363,8 +362,7 @@ func TestTreeSearchWork(t *testing.T) {
 		for range searches {
 			q := mat.Row(rng.Intn(mat.Len()))
 			m := randomWeights(t, rng)
-			kern, _ := distance.KernelFor(m)
-			got := scan.searchTiles(q, k, kern.Weights(), &work)
+			got := scan.searchTiles(q, k, m.Weights(), &work)
 			want, err := scan.Search(q, k, m)
 			if err != nil {
 				t.Fatal(err)

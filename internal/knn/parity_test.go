@@ -44,10 +44,6 @@ func randomCollection(rng *rand.Rand, n, dim int) [][]float64 {
 	return data
 }
 
-// TestKernelParityEuclidean: the squared-space early-abandoning kernel
-// (including the D=32 fast paths) must return []Result bitwise identical
-// to the naive per-row Metric path, across dimensions, collection sizes
-// and k, with ties present.
 // manhattan is an L1 metric with no specialized kernel, so searches
 // with it take the generic per-row path.
 type manhattan struct{}
@@ -62,6 +58,11 @@ func (manhattan) Distance(a, b []float64) float64 {
 
 func (manhattan) Name() string { return "manhattan" }
 
+// TestKernelParityEuclidean: under the paper's default distance (unit
+// weights) the squared-space early-abandoning kernel (including the D=32
+// fast paths) must return []Result bitwise identical to the naive per-row
+// Metric path, across dimensions, collection sizes and k, with ties
+// present.
 func TestKernelParityEuclidean(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for _, dim := range []int{1, 2, 3, 5, 8, 13, 32, 45} {
@@ -71,7 +72,7 @@ func TestKernelParityEuclidean(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := distance.Euclidean{}
+			m := euclidean(dim)
 			for trial := 0; trial < 6; trial++ {
 				q := make([]float64, dim)
 				for j := range q {
@@ -334,7 +335,7 @@ func TestSearchNaiveMatchesBruteSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := distance.Euclidean{}
+	m := euclidean(4)
 	q := data[17]
 	all := make([]Result, len(data))
 	for i, v := range data {
@@ -363,8 +364,10 @@ func TestSearchNaiveMatchesBruteSort(t *testing.T) {
 
 func ExampleScan_Search() {
 	scan, _ := newScan([][]float64{{0, 0}, {3, 4}, {6, 8}})
+	// The paper's default distance, Euclidean, is the unit-weight case.
+	m, _ := distance.NewWeightedEuclidean([]float64{1, 1})
 	for i, q := range [][]float64{{0, 0}, {6, 8}} {
-		rs, _ := scan.Search(q, 2, distance.Euclidean{})
+		rs, _ := scan.Search(q, 2, m)
 		fmt.Printf("query %d:", i)
 		for _, r := range rs {
 			fmt.Printf(" (%d, %g)", r.Index, r.Distance)
@@ -389,7 +392,7 @@ func TestParallelPathsUnderRaisedGOMAXPROCS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := distance.Euclidean{}
+	m := euclidean(32)
 	qs := make([][]float64, 8)
 	for i := range qs {
 		qs[i] = data[rng.Intn(len(data))]

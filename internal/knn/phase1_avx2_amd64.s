@@ -9,35 +9,41 @@
 
 #include "textflag.h"
 
-// func phase1x32AVX2(q, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int
-TEXT ·phase1x32AVX2(SB), NOSPLIT, $0-80
+// func phase1x32wAVX2(q, w, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int
+TEXT ·phase1x32wAVX2(SB), NOSPLIT, $0-88
 	MOVQ   q+0(FP), SI
-	MOVQ   head+8(FP), DI
-	MOVQ   rows+16(FP), CX
-	VMOVSD bound2+24(FP), X12
-	MOVQ   s0b+32(FP), R8
-	MOVQ   s1b+40(FP), R9
-	MOVQ   s2b+48(FP), R10
-	MOVQ   s3b+56(FP), R11
-	MOVQ   surv+64(FP), R12
+	MOVQ   w+8(FP), R13
+	MOVQ   head+16(FP), DI
+	MOVQ   rows+24(FP), CX
+	VMOVSD bound2+32(FP), X12
+	MOVQ   s0b+40(FP), R8
+	MOVQ   s1b+48(FP), R9
+	MOVQ   s2b+56(FP), R10
+	MOVQ   s3b+64(FP), R11
+	MOVQ   surv+72(FP), R12
 
-	// q[0..3], q[4..7] stay in registers for the whole tile.
+	// q[0..7] and w[0..7] stay in registers for the whole tile.
 	VMOVUPD 0(SI), Y8
 	VMOVUPD 32(SI), Y9
+	VMOVUPD 0(R13), Y10  // w[0..3]
+	VMOVUPD 32(R13), Y11 // w[4..7]
 
 	XORQ  BX, BX // c1 (survivor cursor)
 	XORQ  DX, DX // r  (row index)
 	TESTQ CX, CX
-	JZ    done
+	JZ    wdone
 
-loop:
-	VMOVUPD 0(DI), Y0   // row[0..3]
-	VSUBPD  Y0, Y8, Y4  // d0..d3
-	VMULPD  Y4, Y4, Y4  // s0..s3 = d*d
-	VMOVUPD 32(DI), Y1  // row[4..7]
-	VSUBPD  Y1, Y9, Y5  // d4..d7
-	VMULPD  Y5, Y5, Y5
-	VADDPD  Y5, Y4, Y4  // sL += d(L+4)^2
+wloop:
+	// sL = (w*d)*d, matching the scalar association.
+	VMOVUPD 0(DI), Y0
+	VSUBPD  Y0, Y8, Y4   // d0..d3
+	VMULPD  Y4, Y10, Y6  // w*d
+	VMULPD  Y4, Y6, Y4   // (w*d)*d
+	VMOVUPD 32(DI), Y1
+	VSUBPD  Y1, Y9, Y5   // d4..d7
+	VMULPD  Y5, Y11, Y7
+	VMULPD  Y5, Y7, Y5
+	VADDPD  Y5, Y4, Y4   // sL += (w*d(L+4))*d(L+4)
 
 	// Store stripes and row id at the survivor cursor.
 	VEXTRACTF128 $1, Y4, X5 // [s2,s3]; X4 = [s0,s1]
@@ -61,68 +67,6 @@ loop:
 	ADDQ $64, DI // next head row (8 dims x 8 bytes)
 	INCQ DX
 	DECQ CX
-	JNZ  loop
-
-done:
-	MOVQ BX, ret+72(FP)
-	VZEROUPPER
-	RET
-
-// func phase1x32wAVX2(q, w, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int
-TEXT ·phase1x32wAVX2(SB), NOSPLIT, $0-88
-	MOVQ   q+0(FP), SI
-	MOVQ   w+8(FP), R13
-	MOVQ   head+16(FP), DI
-	MOVQ   rows+24(FP), CX
-	VMOVSD bound2+32(FP), X12
-	MOVQ   s0b+40(FP), R8
-	MOVQ   s1b+48(FP), R9
-	MOVQ   s2b+56(FP), R10
-	MOVQ   s3b+64(FP), R11
-	MOVQ   surv+72(FP), R12
-
-	VMOVUPD 0(SI), Y8
-	VMOVUPD 32(SI), Y9
-	VMOVUPD 0(R13), Y10  // w[0..3]
-	VMOVUPD 32(R13), Y11 // w[4..7]
-
-	XORQ  BX, BX
-	XORQ  DX, DX
-	TESTQ CX, CX
-	JZ    wdone
-
-wloop:
-	// sL = (w*d)*d, matching the scalar association.
-	VMOVUPD 0(DI), Y0
-	VSUBPD  Y0, Y8, Y4   // d0..d3
-	VMULPD  Y4, Y10, Y6  // w*d
-	VMULPD  Y4, Y6, Y4   // (w*d)*d
-	VMOVUPD 32(DI), Y1
-	VSUBPD  Y1, Y9, Y5   // d4..d7
-	VMULPD  Y5, Y11, Y7
-	VMULPD  Y5, Y7, Y5
-	VADDPD  Y5, Y4, Y4
-
-	VEXTRACTF128 $1, Y4, X5
-	VMOVLPD      X4, (R8)(BX*8)
-	VMOVHPD      X4, (R9)(BX*8)
-	VMOVLPD      X5, (R10)(BX*8)
-	VMOVHPD      X5, (R11)(BX*8)
-	MOVL         DX, (R12)(BX*4)
-
-	VUNPCKHPD X4, X4, X6
-	VADDSD    X6, X4, X6
-	VUNPCKHPD X5, X5, X7
-	VADDSD    X7, X5, X7
-	VADDSD    X7, X6, X6
-	VUCOMISD  X6, X12
-	SETCC     AX
-	MOVBLZX   AX, AX
-	ADDQ      AX, BX
-
-	ADDQ $64, DI
-	INCQ DX
-	DECQ CX
 	JNZ  wloop
 
 wdone:
@@ -130,80 +74,12 @@ wdone:
 	VZEROUPPER
 	RET
 
-// func phaseNext8AVX2(q8, slab8 *float64, surv *int32, count int, bound2 float64, s0b, s1b, s2b, s3b *float64, slabRows int) int
+// func phaseNext8wAVX2(q8, w8, slab8 *float64, surv *int32, count int, bound2 float64, s0b, s1b, s2b, s3b *float64, slabRows int) int
 //
-// Same contract as the SSE2 phaseNext8: continues compacted survivors by
-// eight dimensions, reading stripes at the iteration index and writing
+// Same contract as the SSE2 phaseNext8w: continues compacted survivors
+// by eight dimensions, reading stripes at the iteration index and writing
 // them back at the survivor cursor. slabRows is unused (portable-fallback
 // bound only).
-TEXT ·phaseNext8AVX2(SB), NOSPLIT, $0-88
-	MOVQ   q8+0(FP), SI
-	MOVQ   slab8+8(FP), DI
-	MOVQ   surv+16(FP), R12
-	MOVQ   count+24(FP), CX
-	VMOVSD bound2+32(FP), X12
-	MOVQ   s0b+40(FP), R8
-	MOVQ   s1b+48(FP), R9
-	MOVQ   s2b+56(FP), R10
-	MOVQ   s3b+64(FP), R11
-
-	VMOVUPD 0(SI), Y8
-	VMOVUPD 32(SI), Y9
-
-	XORQ  BX, BX // cursor c
-	XORQ  DX, DX // index j
-	TESTQ CX, CX
-	JZ    ndone
-
-nloop:
-	MOVLQSX (R12)(DX*4), R14 // r = surv[j]
-	MOVQ    R14, R15
-	SHLQ    $8, R15
-	ADDQ    DI, R15          // row segment
-
-	// Y4 = [s0,s1,s2,s3] gathered from the stripe buffers.
-	VMOVSD      (R8)(DX*8), X4
-	VMOVHPD     (R9)(DX*8), X4, X4
-	VMOVSD      (R10)(DX*8), X5
-	VMOVHPD     (R11)(DX*8), X5, X5
-	VINSERTF128 $1, X5, Y4, Y4
-
-	VMOVUPD 0(R15), Y0
-	VSUBPD  Y0, Y8, Y6
-	VMULPD  Y6, Y6, Y6
-	VADDPD  Y6, Y4, Y4  // sL += dL^2
-	VMOVUPD 32(R15), Y1
-	VSUBPD  Y1, Y9, Y7
-	VMULPD  Y7, Y7, Y7
-	VADDPD  Y7, Y4, Y4  // sL += d(L+4)^2
-
-	VEXTRACTF128 $1, Y4, X5
-	VMOVLPD      X4, (R8)(BX*8)
-	VMOVHPD      X4, (R9)(BX*8)
-	VMOVLPD      X5, (R10)(BX*8)
-	VMOVHPD      X5, (R11)(BX*8)
-	MOVL         R14, (R12)(BX*4)
-
-	VUNPCKHPD X4, X4, X6
-	VADDSD    X6, X4, X6
-	VUNPCKHPD X5, X5, X7
-	VADDSD    X7, X5, X7
-	VADDSD    X7, X6, X6
-	VUCOMISD  X6, X12
-	SETCC     AX
-	MOVBLZX   AX, AX
-	ADDQ      AX, BX
-
-	INCQ DX
-	DECQ CX
-	JNZ  nloop
-
-ndone:
-	MOVQ BX, ret+80(FP)
-	VZEROUPPER
-	RET
-
-// func phaseNext8wAVX2(q8, w8, slab8 *float64, surv *int32, count int, bound2 float64, s0b, s1b, s2b, s3b *float64, slabRows int) int
 TEXT ·phaseNext8wAVX2(SB), NOSPLIT, $0-96
 	MOVQ   q8+0(FP), SI
 	MOVQ   w8+8(FP), R13
@@ -227,11 +103,12 @@ TEXT ·phaseNext8wAVX2(SB), NOSPLIT, $0-96
 	JZ    nwdone
 
 nwloop:
-	MOVLQSX (R12)(DX*4), R14
+	MOVLQSX (R12)(DX*4), R14 // r = surv[j]
 	MOVQ    R14, R15
 	SHLQ    $8, R15
-	ADDQ    DI, R15
+	ADDQ    DI, R15          // row segment
 
+	// Y4 = [s0,s1,s2,s3] gathered from the stripe buffers.
 	VMOVSD      (R8)(DX*8), X4
 	VMOVHPD     (R9)(DX*8), X4, X4
 	VMOVSD      (R10)(DX*8), X5

@@ -11,7 +11,8 @@ import (
 )
 
 // TestPhaseAVX2Parity pins the AVX2 phase kernels bitwise to the portable
-// Go references across random tiles, bounds, weights and tie-heavy data.
+// Go references across random tiles, bounds, weights (unit weights, the
+// Euclidean distance, on every other trial) and tie-heavy data.
 // Skipped (and the SSE2 parity test in phase1_test.go still runs) when
 // the host lacks AVX2 or GODEBUG=cpu.avx2=off pinned the fallback.
 func TestPhaseAVX2Parity(t *testing.T) {
@@ -53,16 +54,13 @@ func TestPhaseAVX2Parity(t *testing.T) {
 		default:
 			bound2 = 0
 		}
-		weighted := trial%2 == 1
+		if trial%2 == 0 {
+			w = vec.Ones(32)
+		}
 
 		ref, got := mk(rows), mk(rows)
-		if weighted {
-			ref.c = phase1x32wGo(q, w, head, rows, bound2, ref.s0, ref.s1, ref.s2, ref.s3, ref.surv)
-			got.c = phase1x32wAVX2(&q[0], &w[0], &head[0], rows, bound2, &got.s0[0], &got.s1[0], &got.s2[0], &got.s3[0], &got.surv[0])
-		} else {
-			ref.c = phase1x32Go(q, head, rows, bound2, ref.s0, ref.s1, ref.s2, ref.s3, ref.surv)
-			got.c = phase1x32AVX2(&q[0], &head[0], rows, bound2, &got.s0[0], &got.s1[0], &got.s2[0], &got.s3[0], &got.surv[0])
-		}
+		ref.c = phase1x32wGo(q, w, head, rows, bound2, ref.s0, ref.s1, ref.s2, ref.s3, ref.surv)
+		got.c = phase1x32wAVX2(&q[0], &w[0], &head[0], rows, bound2, &got.s0[0], &got.s1[0], &got.s2[0], &got.s3[0], &got.surv[0])
 		check := func(stage string) {
 			t.Helper()
 			if ref.c != got.c {
@@ -82,13 +80,8 @@ func TestPhaseAVX2Parity(t *testing.T) {
 		}
 		check("phase1")
 		for seg := 1; seg < 4; seg++ {
-			if weighted {
-				ref.c = phaseNext8wGo(q[seg*8:seg*8+8], w[seg*8:seg*8+8], slab[seg*8:], ref.surv, ref.c, bound2, ref.s0, ref.s1, ref.s2, ref.s3)
-				got.c = phaseNext8wAVX2(&q[seg*8], &w[seg*8], &slab[seg*8], &got.surv[0], got.c, bound2, &got.s0[0], &got.s1[0], &got.s2[0], &got.s3[0], rows)
-			} else {
-				ref.c = phaseNext8Go(q[seg*8:seg*8+8], slab[seg*8:], ref.surv, ref.c, bound2, ref.s0, ref.s1, ref.s2, ref.s3)
-				got.c = phaseNext8AVX2(&q[seg*8], &slab[seg*8], &got.surv[0], got.c, bound2, &got.s0[0], &got.s1[0], &got.s2[0], &got.s3[0], rows)
-			}
+			ref.c = phaseNext8wGo(q[seg*8:seg*8+8], w[seg*8:seg*8+8], slab[seg*8:], ref.surv, ref.c, bound2, ref.s0, ref.s1, ref.s2, ref.s3)
+			got.c = phaseNext8wAVX2(&q[seg*8], &w[seg*8], &slab[seg*8], &got.surv[0], got.c, bound2, &got.s0[0], &got.s1[0], &got.s2[0], &got.s3[0], rows)
 			check("next8")
 		}
 	}

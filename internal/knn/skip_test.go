@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/distance"
+	"repro/internal/vec"
 )
 
 // The category-ordered collection: sixteen tiles, laid out the way the
@@ -120,10 +121,10 @@ func TestCategoryParity(t *testing.T) {
 	}
 }
 
-// cascadeMetrics are Euclidean and three weighted metrics with a
-// positive last weight: plain, about a third of the weights zero, and
-// dims [0,8) all zero (phase 1 rejects nothing; only boxes prune).
-func cascadeMetrics(t *testing.T, rng *rand.Rand) []distance.Metric {
+// cascadeMetrics are Euclidean (unit weights) and three weighted metrics
+// with a positive last weight: plain, about a third of the weights zero,
+// and dims [0,8) all zero (phase 1 rejects nothing; only boxes prune).
+func cascadeMetrics(t *testing.T, rng *rand.Rand) []*distance.WeightedEuclidean {
 	t.Helper()
 	w := make([]float64, 32)
 	wz := make([]float64, 32)
@@ -133,7 +134,7 @@ func cascadeMetrics(t *testing.T, rng *rand.Rand) []distance.Metric {
 	}
 	wz[31] = 1
 	wh := append(make([]float64, 8), w[8:]...)
-	ms := []distance.Metric{distance.Euclidean{}}
+	ms := []*distance.WeightedEuclidean{euclidean(32)}
 	for _, ws := range [][]float64{w, wz, wh} {
 		wm, err := distance.NewWeightedEuclidean(ws)
 		if err != nil {
@@ -151,19 +152,15 @@ type phase1Log struct {
 	heads []*float64
 }
 
-// logPhase1 wraps the phase-1 kernels for the rest of the test.
+// logPhase1 wraps the phase-1 kernel for the rest of the test.
 func logPhase1(t *testing.T) *phase1Log {
 	log := new(phase1Log)
-	p, pw := phase1x32Sel, phase1x32wSel
-	phase1x32Sel = func(q, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int {
-		log.add(head)
-		return p(q, head, rows, bound2, s0b, s1b, s2b, s3b, surv)
-	}
+	p := phase1x32wSel
 	phase1x32wSel = func(q, w, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int {
 		log.add(head)
-		return pw(q, w, head, rows, bound2, s0b, s1b, s2b, s3b, surv)
+		return p(q, w, head, rows, bound2, s0b, s1b, s2b, s3b, surv)
 	}
-	t.Cleanup(func() { phase1x32Sel, phase1x32wSel = p, pw })
+	t.Cleanup(func() { phase1x32wSel = p })
 	return log
 }
 
@@ -192,9 +189,9 @@ func (l *phase1Log) take(s *Scan) map[int]bool {
 // useBaselineKernels selects the baseline phase kernels (SSE2 on amd64)
 // for the rest of the test, as GODEBUG=cpu.avx2=off does for a process.
 func useBaselineKernels(t *testing.T) {
-	a, b, c, d := phase1x32Sel, phase1x32wSel, phaseNext8Sel, phaseNext8wSel
-	phase1x32Sel, phase1x32wSel, phaseNext8Sel, phaseNext8wSel = phase1x32, phase1x32w, phaseNext8, phaseNext8w
-	t.Cleanup(func() { phase1x32Sel, phase1x32wSel, phaseNext8Sel, phaseNext8wSel = a, b, c, d })
+	a, b := phase1x32wSel, phaseNext8wSel
+	phase1x32wSel, phaseNext8wSel = phase1x32w, phaseNext8w
+	t.Cleanup(func() { phase1x32wSel, phaseNext8wSel = a, b })
 }
 
 // TestSharedBoundTie pins the exactness edge of the best-first stop. The
@@ -214,16 +211,16 @@ func TestSharedBoundTie(t *testing.T) {
 	// copies of v, all equal and adjacent by id, together.
 	copies := int32(slices.Index(heap.ids, int32(lo)) / tileRows)
 	for _, m := range cascadeMetrics(t, rng) {
-		kern, _ := distance.KernelFor(m)
+		w := m.Weights()
 		want, err := heap.SearchNaive(q, catK, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tie := kern.Squared(q, data[catTieRow])
+		tie := vec.SqDistW(q, data[catTieRow], w)
 		if got := want[catK-1]; got.Index != lo || got.Distance != math.Sqrt(tie) {
 			t.Fatalf("%s: k-th result %+v, want row %d at the tie distance", m.Name(), got, lo)
 		}
-		if b := boxBound2(q, kern.Weights(), heap.box(copies)); b != tie {
+		if b := boxBound2(q, w, heap.box(copies)); b != tie {
 			t.Fatalf("%s: box bound %v of the copies tile != tie distance² %v", m.Name(), b, tie)
 		}
 		if RootBound2(math.Sqrt(tie)) != tie {
@@ -284,7 +281,7 @@ func TestBestFirstTileOrder(t *testing.T) {
 					name := [...]string{"heap", "mmap"}[si]
 					bestFirst, inOrder := 0, 0
 					for _, m := range metrics {
-						kern, _ := distance.KernelFor(m)
+						w := m.Weights()
 						for qi, q := range qs {
 							want, err := heap.SearchNaive(q, catK, m)
 							if err != nil {
@@ -299,13 +296,13 @@ func TestBestFirstTileOrder(t *testing.T) {
 							if !resultsBitwiseEqual(got, want) {
 								t.Fatalf("%s procs=%d %s query %d: Search != SearchNaive", name, procs, m.Name(), qi)
 							}
-							kth := kern.Squared(q, data[want[catK-1].Index])
+							kth := vec.SqDistW(q, data[want[catK-1].Index], w)
 							for tl := range catTiles {
-								if boxBound2(q, kern.Weights(), scan.box(int32(tl))) <= kth && !scanned[tl] {
+								if boxBound2(q, w, scan.box(int32(tl))) <= kth && !scanned[tl] {
 									t.Errorf("%s procs=%d %s query %d: tile %d is within the k-th distance but was not scanned", name, procs, m.Name(), qi, tl)
 								}
 							}
-							scanInOrder(scan, q, kern.Weights(), catK)
+							scanInOrder(scan, q, w, catK)
 							ordered := len(log.take(scan))
 							if len(scanned) > ordered {
 								t.Errorf("%s procs=%d %s query %d: best-first scanned %d tiles, in order %d", name, procs, m.Name(), qi, len(scanned), ordered)
@@ -325,10 +322,10 @@ func TestBestFirstTileOrder(t *testing.T) {
 }
 
 // TestBoxBoundBelowKernel asserts the property the tile skip rests on:
-// boxBound2 of a tile's box is ≤ Kernel.Squared(q, row) — compared as
+// boxBound2 of a tile's box is ≤ vec.SqDistW(q, row, w) — compared as
 // float64, no tolerance — for every row of the tile, and equal to it when
 // every row is the same. Tiles are random normal, tie-heavy small
-// integers, or constant; weights are nil, random, or a third zero; the
+// integers, or constant; weights are unit, random, or a third zero; the
 // query is a row of the tile, the tile's centre, or far outside it.
 func TestBoxBoundBelowKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1313))
@@ -352,7 +349,7 @@ func TestBoxBoundBelowKernel(t *testing.T) {
 		}
 		_, boxes := headSlab(slab, identityOrder(rows))
 		box := boxes[:64]
-		var m distance.Metric = distance.Euclidean{}
+		m := euclidean(32)
 		if trial%4 != 0 {
 			w := make([]float64, 32)
 			for j := range w {
@@ -368,7 +365,7 @@ func TestBoxBoundBelowKernel(t *testing.T) {
 			}
 			m = wm
 		}
-		kern, _ := distance.KernelFor(m)
+		w := m.Weights()
 		q := make([]float64, 32)
 		switch trial % 5 {
 		case 0, 1:
@@ -382,9 +379,9 @@ func TestBoxBoundBelowKernel(t *testing.T) {
 				q[j] = rng.NormFloat64() * 20 // mostly outside, some dims inside
 			}
 		}
-		lb := boxBound2(q, kern.Weights(), box)
+		lb := boxBound2(q, w, box)
 		for r := 0; r < rows; r++ {
-			d := kern.Squared(q, slab[r*32:r*32+32])
+			d := vec.SqDistW(q, slab[r*32:r*32+32], w)
 			if !(lb <= d) {
 				t.Fatalf("trial %d %s row %d: box bound %v (%x) > kernel sum %v (%x)",
 					trial, m.Name(), r, lb, math.Float64bits(lb), d, math.Float64bits(d))
@@ -400,7 +397,7 @@ func TestBoxBoundBelowKernel(t *testing.T) {
 // rests on: every internal node of the tile tree holds its children's
 // boxes, and its boxBound2 is ≤ each child's — compared as float64, no
 // tolerance. Rows are random normal, tie-heavy small integers, or all one
-// row; weights are nil, random, a third zero, or all zero; the query is a
+// row; weights are unit, random, a third zero, or all zero; the query is a
 // row, the root box's centre, or a point mostly outside every box.
 func TestNodeBoundBelowChildren(t *testing.T) {
 	rng := rand.New(rand.NewSource(1515))
@@ -445,7 +442,7 @@ func TestNodeBoundBelowChildren(t *testing.T) {
 					q[j] = rng.NormFloat64() * 20
 				}
 			}
-			var w []float64
+			w := vec.Ones(32)
 			if kind := (trial + qi) % 4; kind != 0 {
 				w = make([]float64, 32)
 				for j := range w {

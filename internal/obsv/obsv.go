@@ -132,8 +132,7 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // ObserveSince records the seconds elapsed since t0. Safe on a nil
-// receiver, but callers on hot paths should nil-check first to skip the
-// time.Now() that produced t0.
+// receiver.
 func (h *Histogram) ObserveSince(t0 time.Time) {
 	if h != nil {
 		h.Observe(time.Since(t0).Seconds())

@@ -112,9 +112,9 @@ func (w *WAL) SetSyncOnAppend(sync bool) { w.sync = sync }
 
 // SetMetrics attaches optional latency histograms: appendH observes the
 // full Append (encode + write + any per-append fsync), fsyncH observes
-// every fsync (per-append and explicit Sync). Either may be nil; with
-// both nil the hot path takes no clock readings at all. Not safe to
-// call concurrently with Append — wire metrics up before serving.
+// every fsync (per-append and explicit Sync). Either may be nil, which
+// observes nothing. Not safe to call concurrently with Append — wire
+// metrics up before serving.
 func (w *WAL) SetMetrics(appendH, fsyncH *obsv.Histogram) {
 	w.appendH = appendH
 	w.fsyncH = fsyncH
@@ -139,10 +139,7 @@ func (w *WAL) Append(q, value []float64, stamp uint64) error {
 	if len(value) != w.oqpDim {
 		return fmt.Errorf("persist: WAL append value has dimension %d, want %d", len(value), w.oqpDim)
 	}
-	var t0 time.Time
-	if w.appendH != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	w.buf = appendRecord(w.buf[:0], q, value, stamp)
 	if _, err := w.f.Write(w.buf); err != nil {
 		return w.rollback(err)
@@ -154,18 +151,13 @@ func (w *WAL) Append(q, value []float64, stamp uint64) error {
 	}
 	w.off += int64(len(w.buf))
 	w.records++
-	if w.appendH != nil {
-		w.appendH.ObserveSince(t0)
-	}
+	w.appendH.ObserveSince(t0)
 	return nil
 }
 
-// syncTimed fsyncs the log, observing the latency when a metrics
-// histogram is attached.
+// syncTimed fsyncs the log, observing the latency into fsyncH (a no-op
+// when no histogram is attached).
 func (w *WAL) syncTimed() error {
-	if w.fsyncH == nil {
-		return w.f.Sync()
-	}
 	t0 := time.Now()
 	err := w.f.Sync()
 	w.fsyncH.ObserveSince(t0)

@@ -45,7 +45,7 @@ func runServeBench(b *testing.B, opts Options) {
 }
 
 // BenchmarkServe is the uninstrumented serve path (Options.Obs nil: no
-// registry, no clock reads).
+// registry, every instrument nil).
 func BenchmarkServe(b *testing.B) {
 	runServeBench(b, Options{})
 }

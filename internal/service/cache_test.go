@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -152,31 +151,13 @@ func TestCachePutRefreshAndCollision(t *testing.T) {
 	}
 }
 
-// plainBypass hides every method of a core.Bypass beyond the five of
-// the Bypass interface.
-type plainBypass struct{ Bypass }
-
 // TestInsertInvalidatesCache: a session whose outcome changes the tree
-// empties the whole prediction cache. The service finds the lifecycle
-// surface on a core.Bypass, and a plain five-method Bypass is served as
-// a healthy module that cannot compact.
+// empties the whole prediction cache. A core.Bypass compacts through the
+// service.
 func TestInsertInvalidatesCache(t *testing.T) {
 	svc, ds := newTestService(t, Options{DefaultK: 5})
-	if svc.module == nil {
-		t.Fatal("core.Bypass not detected as a Lifecycle")
-	}
 	if _, err := svc.CompactAged(context.Background()); err != nil {
 		t.Errorf("CompactAged over a core.Bypass: %v", err)
-	}
-	plain, err := New(svc.eng, plainBypass{svc.byp}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.Degraded(); err != nil {
-		t.Errorf("plain Bypass reports degraded: %v", err)
-	}
-	if _, err := plain.CompactAged(context.Background()); !errors.Is(err, ErrNotCompactable) {
-		t.Errorf("CompactAged over a plain Bypass: %v, want ErrNotCompactable", err)
 	}
 
 	for i := 0; i < 6; i++ {

@@ -83,13 +83,24 @@ func TestServiceInstrumentation(t *testing.T) {
 	}
 }
 
-// TestUninstrumentedServiceHasNoMetrics pins the contract the overhead
-// benchmark relies on: with Options.Obs nil the service keeps met == nil
-// and takes the zero-clock fast path.
+// TestUninstrumentedServiceHasNoMetrics: with Options.Obs nil every
+// instrument of the service is nil, so each observation is a no-op, and
+// sessions serve as usual.
 func TestUninstrumentedServiceHasNoMetrics(t *testing.T) {
 	svc, ds := newTestService(t, Options{})
-	if svc.met != nil {
-		t.Fatalf("service without Obs must not carry metrics")
+	m := svc.met
+	if m.cacheHit != nil || m.cacheMiss != nil {
+		t.Fatal("service without Obs carries cache counters")
+	}
+	for op := range numOps {
+		if m.lat[op] != nil {
+			t.Fatalf("service without Obs carries a %s latency histogram", opNames[op])
+		}
+		for out := range numOutcomes {
+			if m.req[op][out] != nil {
+				t.Fatalf("service without Obs carries a %s/%s counter", opNames[op], outcomeNames[out])
+			}
+		}
 	}
 	runSession(t, svc, ds, 0, 5)
 }

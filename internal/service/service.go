@@ -62,30 +62,23 @@ var ErrInvalidArgument = errors.New("service: invalid argument")
 
 // Bypass is the learned-mapping dependency of the service: the in-memory
 // core.Bypass and the WAL-backed core.DurableBypass both satisfy it.
+// Beside prediction and insertion it carries the module's health and
+// lifecycle:
+//
+//   - Degraded reports the sticky persistence failure that flipped the
+//     module to read-only serving (nil while healthy), surfaced in Stats
+//     so transports can expose it without probing with writes;
+//   - CompactAged rebuilds the tree keeping only vertices reinforced
+//     within the aging horizon. The service exposes it as
+//     Service.CompactAged so compaction runs through the layer that owns
+//     the prediction cache — a pass that reclaims vertices changes
+//     prediction outputs and must invalidate the cached ones.
 type Bypass interface {
 	D() int
 	P() int
 	Predict(q []float64) (core.OQP, error)
 	Insert(q []float64, oqp core.OQP) (bool, error)
 	Stats() simplextree.Stats
-}
-
-// Lifecycle is the one optional surface of a Bypass, implemented by
-// core.Bypass and core.DurableBypass. A Bypass that provides it gets:
-//
-//   - health: Degraded reports the sticky persistence failure that
-//     flipped the module to read-only serving (nil while healthy),
-//     surfaced in Stats so transports can expose it without probing with
-//     writes;
-//   - lifecycle: CompactAged rebuilds the tree keeping only vertices
-//     reinforced within the aging horizon. The service exposes it as
-//     Service.CompactAged so compaction runs through the layer that owns
-//     the prediction cache — a pass that reclaims vertices changes
-//     prediction outputs and must invalidate the cached ones.
-//
-// A plain five-method Bypass (a test fake) behaves as a healthy,
-// non-compactable module.
-type Lifecycle interface {
 	Degraded() error
 	CompactAged() (core.CompactionStats, error)
 }
@@ -108,8 +101,8 @@ type Options struct {
 	// Obs, when non-nil, registers the serving-layer instruments
 	// (request latency histograms, per-outcome request counters, cache
 	// hit/miss counters, live-session and cache-size gauges) in the
-	// given registry. Nil disables instrumentation: the request path
-	// then takes no clock readings at all.
+	// given registry. Nil disables instrumentation: every instrument is
+	// then nil, and observing a nil instrument does nothing.
 	Obs *obsv.Registry
 	// ObsLabels are attached to every instrument the service registers
 	// (typically the collection name).
@@ -134,12 +127,11 @@ func (o *Options) fill() {
 // Service is a thread-safe multi-session FeedbackBypass server over one
 // shared engine and one shared Bypass.
 type Service struct {
-	eng    *engine.Engine
-	byp    Bypass
-	module Lifecycle // byp's lifecycle surface; nil for a plain Bypass
-	codec  core.HistogramCodec
-	opts   Options
-	cache  *predictionCache // nil when disabled
+	eng   *engine.Engine
+	byp   Bypass
+	codec core.HistogramCodec
+	opts  Options
+	cache *predictionCache // nil when disabled
 
 	mu       sync.RWMutex
 	sessions map[uint64]*session
@@ -163,7 +155,7 @@ type Service struct {
 	quotaRejects    atomic.Int64
 	degradedRejects atomic.Int64
 
-	met *svcMetrics // nil when Options.Obs is nil
+	met *svcMetrics // every instrument nil when Options.Obs is nil
 }
 
 // Request-path operations and outcomes, indexing the pre-created
@@ -225,7 +217,8 @@ func classifyOutcome(err error) int {
 
 // svcMetrics holds every pre-created serving-layer instrument. Creating
 // them once at New time keeps the request path allocation-free: an
-// observation is two atomic adds plus (for histograms) a CAS loop.
+// observation is two atomic adds plus (for histograms) a CAS loop. Over
+// a nil registry every instrument is nil and every observation a no-op.
 type svcMetrics struct {
 	lat       [numOps]*obsv.Histogram
 	req       [numOps][numOutcomes]*obsv.Counter
@@ -303,39 +296,29 @@ func New(eng *engine.Engine, byp Bypass, opts Options) (*Service, error) {
 		opts:     opts,
 		sessions: make(map[uint64]*session),
 		nextID:   1,
+		met:      newSvcMetrics(opts.Obs, opts.ObsLabels),
 	}
-	s.module, _ = byp.(Lifecycle)
 	if opts.CacheSize > 0 {
 		s.cache = newPredictionCache(opts.CacheSize)
 	}
-	if opts.Obs != nil {
-		s.met = newSvcMetrics(opts.Obs, opts.ObsLabels)
-		opts.Obs.GaugeFunc("fb_service_sessions_active", "Sessions currently open.", func() float64 {
-			s.mu.RLock()
-			n := len(s.sessions)
-			s.mu.RUnlock()
-			return float64(n)
-		}, opts.ObsLabels...)
-		opts.Obs.GaugeFunc("fb_service_cache_entries", "Prediction-cache entries resident.", func() float64 {
-			if s.cache == nil {
-				return 0
-			}
-			return float64(s.cache.Len())
-		}, opts.ObsLabels...)
-	}
+	opts.Obs.GaugeFunc("fb_service_sessions_active", "Sessions currently open.", func() float64 {
+		s.mu.RLock()
+		n := len(s.sessions)
+		s.mu.RUnlock()
+		return float64(n)
+	}, opts.ObsLabels...)
+	opts.Obs.GaugeFunc("fb_service_cache_entries", "Prediction-cache entries resident.", func() float64 {
+		if s.cache == nil {
+			return 0
+		}
+		return float64(s.cache.Len())
+	}, opts.ObsLabels...)
 	return s, nil
 }
 
 // Degraded reports the sticky persistence failure that flipped the
-// underlying module to read-only serving, or nil —
-// when the module is healthy, or when the Bypass is a plain one (which
-// the service treats as always healthy).
-func (s *Service) Degraded() error {
-	if s.module == nil {
-		return nil
-	}
-	return s.module.Degraded()
-}
+// underlying module to read-only serving, or nil while it is healthy.
+func (s *Service) Degraded() error { return s.byp.Degraded() }
 
 // SessionState is a snapshot of one session, returned by every lifecycle
 // method. Results is a fresh copy the caller owns.
@@ -374,33 +357,24 @@ func (sess *session) stateLocked() SessionState {
 // invalidation only in the discarded direction.
 func (s *Service) predict(qp []float64) (core.OQP, bool, error) {
 	s.predictions.Add(1)
-	var t0 time.Time
-	if s.met != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	if s.cache == nil {
 		oqp, err := s.byp.Predict(qp)
-		if s.met != nil {
-			s.met.done(opPredict, t0, err)
-			s.met.cacheMiss.Inc()
-		}
+		s.met.done(opPredict, t0, err)
+		s.met.cacheMiss.Inc()
 		return oqp, false, err
 	}
 	sig := engine.QuerySignature(qp)
 	if oqp, ok := s.cache.Get(sig, qp); ok {
 		s.cacheHits.Add(1)
-		if s.met != nil {
-			s.met.done(opPredict, t0, nil)
-			s.met.cacheHit.Inc()
-		}
+		s.met.done(opPredict, t0, nil)
+		s.met.cacheHit.Inc()
 		return oqp, true, nil
 	}
 	gen := s.cache.Generation()
 	oqp, err := s.byp.Predict(qp)
-	if s.met != nil {
-		s.met.done(opPredict, t0, err)
-		s.met.cacheMiss.Inc()
-	}
+	s.met.done(opPredict, t0, err)
+	s.met.cacheMiss.Inc()
 	if err != nil {
 		return core.OQP{}, false, err
 	}
@@ -436,17 +410,9 @@ func isDefaultOQP(oqp core.OQP) bool {
 // the returned error is the context's (context.Canceled /
 // context.DeadlineExceeded), so transports can map client disconnects
 // and deadline overruns distinctly.
-func (s *Service) Open(ctx context.Context, feature []float64, k int) (SessionState, error) {
-	if s.met == nil {
-		return s.open(ctx, feature, k)
-	}
+func (s *Service) Open(ctx context.Context, feature []float64, k int) (_ SessionState, err error) {
 	t0 := time.Now()
-	st, err := s.open(ctx, feature, k)
-	s.met.done(opOpen, t0, err)
-	return st, err
-}
-
-func (s *Service) open(ctx context.Context, feature []float64, k int) (SessionState, error) {
+	defer func() { s.met.done(opOpen, t0, err) }()
 	if err := ctx.Err(); err != nil {
 		return SessionState{}, err
 	}
@@ -538,17 +504,9 @@ func (s *Service) lookup(id uint64) (*session, error) {
 }
 
 // Query returns the session's current state without advancing it.
-func (s *Service) Query(ctx context.Context, id uint64) (SessionState, error) {
-	if s.met == nil {
-		return s.query(ctx, id)
-	}
+func (s *Service) Query(ctx context.Context, id uint64) (_ SessionState, err error) {
 	t0 := time.Now()
-	st, err := s.query(ctx, id)
-	s.met.done(opQuery, t0, err)
-	return st, err
-}
-
-func (s *Service) query(ctx context.Context, id uint64) (SessionState, error) {
+	defer func() { s.met.done(opQuery, t0, err) }()
 	if err := ctx.Err(); err != nil {
 		return SessionState{}, err
 	}
@@ -571,17 +529,9 @@ func (s *Service) query(ctx context.Context, id uint64) (SessionState, error) {
 // learn from, or exhausted iteration budget — is returned unchanged with
 // Converged set; the client should Close it. Malformed scores wrap
 // ErrInvalidArgument and a rejected round leaves the session unchanged.
-func (s *Service) Feedback(ctx context.Context, id uint64, scores []float64) (SessionState, error) {
-	if s.met == nil {
-		return s.feedback(ctx, id, scores)
-	}
+func (s *Service) Feedback(ctx context.Context, id uint64, scores []float64) (_ SessionState, err error) {
 	t0 := time.Now()
-	st, err := s.feedback(ctx, id, scores)
-	s.met.done(opFeedback, t0, err)
-	return st, err
-}
-
-func (s *Service) feedback(ctx context.Context, id uint64, scores []float64) (SessionState, error) {
+	defer func() { s.met.done(opFeedback, t0, err) }()
 	if err := ctx.Err(); err != nil {
 		return SessionState{}, err
 	}
@@ -628,17 +578,9 @@ type CloseResult struct {
 // ctx is consulted only before the session is unpublished: once Close
 // commits to removing the session it finishes the insert even if the
 // client disconnects, so a learned outcome is never dropped halfway.
-func (s *Service) Close(ctx context.Context, id uint64) (CloseResult, error) {
-	if s.met == nil {
-		return s.closeSession(ctx, id)
-	}
+func (s *Service) Close(ctx context.Context, id uint64) (_ CloseResult, err error) {
 	t0 := time.Now()
-	res, err := s.closeSession(ctx, id)
-	s.met.done(opClose, t0, err)
-	return res, err
-}
-
-func (s *Service) closeSession(ctx context.Context, id uint64) (CloseResult, error) {
+	defer func() { s.met.done(opClose, t0, err) }()
 	if err := ctx.Err(); err != nil {
 		return CloseResult{}, err
 	}
@@ -732,10 +674,6 @@ func (s *Service) Drain(ctx context.Context) (closedSessions, inserted int, err 
 	return closedSessions, inserted, firstErr
 }
 
-// ErrNotCompactable is returned by CompactAged when the underlying
-// Bypass does not implement Lifecycle.
-var ErrNotCompactable = errors.New("service: bypass does not support compaction")
-
 // CompactAged runs one aging pass over the shared Bypass: the tree is
 // rebuilt keeping only vertices reinforced within the aging horizon
 // (corner vertices always survive; a zero horizon reclaims nothing).
@@ -750,10 +688,7 @@ func (s *Service) CompactAged(ctx context.Context) (core.CompactionStats, error)
 	if err := ctx.Err(); err != nil {
 		return core.CompactionStats{}, err
 	}
-	if s.module == nil {
-		return core.CompactionStats{}, ErrNotCompactable
-	}
-	st, err := s.module.CompactAged()
+	st, err := s.byp.CompactAged()
 	if st.Reclaimed > 0 && s.cache != nil {
 		s.cache.Invalidate()
 	}

@@ -1,8 +1,9 @@
 // Canonical squared-distance primitives. These are the one true
-// implementation of Σ (aᵢ−bᵢ)² and Σ wᵢ(aᵢ−bᵢ)² in the codebase: the
-// naive Metric.Distance implementations, the scan kernels, and the index
-// leaf loops all route through them, so every layer produces bitwise-
-// identical sums (the knn parity tests depend on this).
+// implementation of Σ wᵢ(aᵢ−bᵢ)² in the codebase — the Euclidean Σ
+// (aᵢ−bᵢ)² is its unit-weight case, since (1·d)·d is d·d exactly: the
+// naive Metric.Distance implementation and the scan kernels route
+// through them, so every layer produces bitwise-identical sums (the knn
+// parity tests depend on this).
 //
 // The accumulation order is fixed: four independent accumulators striped
 // over blocks of four elements (breaking the FP-add latency chain that
@@ -15,65 +16,25 @@
 // compiler drops per-element bounds checks.
 package vec
 
-// SqDist returns the squared Euclidean distance Σ (aᵢ−bᵢ)². Full sums
-// dispatch through sqDistFull (AVX2 when available); every
+// SqDistW returns the weighted squared distance Σ wᵢ(aᵢ−bᵢ)². It
+// dispatches through sqDistWFull (AVX2 when available); every
 // implementation is bitwise identical.
-func SqDist(a, b []float64) float64 {
-	mustSameLen(a, b)
-	return sqDistFull(a, b)
-}
-
-// SqDistW returns the weighted squared distance Σ wᵢ(aᵢ−bᵢ)².
 func SqDistW(a, b, w []float64) float64 {
 	mustSameLen(a, b)
 	mustSameLen(a, w)
 	return sqDistWFull(a, b, w)
 }
 
-// SqDistAbandon accumulates SqDist(a, b) but gives up once the partial
-// sum exceeds bound2, returning the partial sum and abandoned=true. When
-// abandoned is false the sum is complete and bitwise identical to
-// SqDist(a, b). The comparison is strict (> bound2): candidates landing
-// exactly on the bound are fully evaluated, leaving ties to the caller's
-// index-ordered tie-break.
-func SqDistAbandon(a, b []float64, bound2 float64) (sum float64, abandoned bool) {
-	mustSameLen(a, b)
-	return sqDistAbandon(a, b, bound2)
-}
-
-// SqDistWAbandon is the weighted counterpart of SqDistAbandon.
+// SqDistWAbandon accumulates SqDistW(a, b, w) but gives up once the
+// partial sum exceeds bound2, returning the partial sum and
+// abandoned=true. When abandoned is false the sum is complete and
+// bitwise identical to SqDistW(a, b, w). The comparison is strict
+// (> bound2): candidates landing exactly on the bound are fully
+// evaluated, leaving ties to the caller's index-ordered tie-break.
 func SqDistWAbandon(a, b, w []float64, bound2 float64) (sum float64, abandoned bool) {
 	mustSameLen(a, b)
 	mustSameLen(a, w)
 	return sqDistWAbandon(a, b, w, bound2)
-}
-
-func sqDistAbandon(a, b []float64, bound2 float64) (float64, bool) {
-	n := len(a)
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		aa := a[i : i+4 : i+4]
-		bb := b[i : i+4 : i+4]
-		d0 := aa[0] - bb[0]
-		s0 += d0 * d0
-		d1 := aa[1] - bb[1]
-		s1 += d1 * d1
-		d2 := aa[2] - bb[2]
-		s2 += d2 * d2
-		d3 := aa[3] - bb[3]
-		s3 += d3 * d3
-		if (s0+s1)+(s2+s3) > bound2 {
-			return (s0 + s1) + (s2 + s3), true
-		}
-	}
-	var st float64
-	for ; i < n; i++ {
-		d := a[i] - b[i]
-		st += d * d
-	}
-	s := (s0 + s1) + (s2 + s3) + st
-	return s, s > bound2
 }
 
 func sqDistWAbandon(a, b, w []float64, bound2 float64) (float64, bool) {

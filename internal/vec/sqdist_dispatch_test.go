@@ -6,10 +6,12 @@ import (
 	"testing"
 )
 
-// TestDispatchParity pins the dispatched full-sum kernels (AVX2 when the
-// host supports it, otherwise the same Go functions) bitwise to the
-// portable references, across lengths that exercise every tail shape and
-// across adversarial values (zeros, ties, subnormal-scale, huge-scale).
+// TestDispatchParity pins the dispatched full-sum kernel (AVX2 when the
+// host supports it, otherwise the same Go function) bitwise to the
+// portable reference, across lengths that exercise every tail shape,
+// across adversarial values (zeros, ties, subnormal-scale, huge-scale),
+// and under random weights (some zero), unit weights (the Euclidean
+// distance) and all-zero weights.
 func TestDispatchParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	scales := []float64{1, 1e-160, 1e150, 0}
@@ -29,11 +31,10 @@ func TestDispatchParity(t *testing.T) {
 					b[i] = a[i] // exact ties
 				}
 			}
-			if got, want := SqDist(a, b), sqDistFullGo(a, b); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("n=%d scale=%g: SqDist=%x want %x", n, scale, math.Float64bits(got), math.Float64bits(want))
-			}
-			if got, want := SqDistW(a, b, w), sqDistWFullGo(a, b, w); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("n=%d scale=%g: SqDistW=%x want %x", n, scale, math.Float64bits(got), math.Float64bits(want))
+			for wi, w := range [][]float64{w, Ones(n), make([]float64, n)} {
+				if got, want := SqDistW(a, b, w), sqDistWFullGo(a, b, w); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d scale=%g weights %d: SqDistW=%x want %x", n, scale, wi, math.Float64bits(got), math.Float64bits(want))
+				}
 			}
 		}
 	}

@@ -86,13 +86,6 @@ func Sum(v []float64) float64 {
 	return s
 }
 
-// Dist returns the Euclidean distance between a and b. It is defined as
-// math.Sqrt(SqDist(a, b)), so true distances everywhere agree bitwise
-// with the squared-space retrieval kernels.
-func Dist(a, b []float64) float64 {
-	return math.Sqrt(SqDist(a, b))
-}
-
 // Equal reports whether a and b have the same length and identical
 // components.
 func Equal(a, b []float64) bool {

@@ -55,8 +55,8 @@ func TestInPlaceOps(t *testing.T) {
 
 func TestDistSum(t *testing.T) {
 	a := []float64{3, 4}
-	if got := Dist([]float64{0, 0}, a); got != 5 {
-		t.Errorf("Dist = %v", got)
+	if got := math.Sqrt(SqDistW([]float64{0, 0}, a, Ones(2))); got != 5 {
+		t.Errorf("√SqDistW = %v", got)
 	}
 	if got := Sum(a); got != 7 {
 		t.Errorf("Sum = %v", got)
@@ -131,7 +131,8 @@ func TestDistTriangleInequalityQuick(t *testing.T) {
 				return true
 			}
 		}
-		return Dist(a, c) <= Dist(a, b)+Dist(b, c)+1e-6
+		dist := func(x, y []float64) float64 { return math.Sqrt(SqDistW(x, y, Ones(n))) }
+		return dist(a, c) <= dist(a, b)+dist(b, c)+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -23,6 +23,10 @@ run_test() {
 	# and stdversion, which flags standard-library symbols newer than
 	# go.mod's go directive. The repo's own rules run in the Test step.
 	go vet ./...
+	# The portable kernel tier (internal/knn/phase1_generic.go) is the
+	# only one that builds off amd64; vet it where it runs. Cross-vetting
+	# needs no network.
+	GOOS=linux GOARCH=arm64 go vet ./...
 
 	step "Test"
 	# Includes the root TestRepoRules (the five invariant rules and their
