@@ -26,7 +26,7 @@ var figureTimings = regexp.MustCompile(`(?m)\(\d+\.\d+s\)$|^# total .*$`)
 // testdata/figures_golden.txt byte for byte under GOMAXPROCS 1 and 4.
 // Retrieval, feedback and the Simplex Tree all feed these series, so any
 // change to a result list shows here. Run with GODEBUG=cpu.avx2=off to
-// hold the SSE2 kernels to the same file; -update rewrites it.
+// hold the portable Go kernels to the same file; -update rewrites it.
 func TestPaperFiguresGolden(t *testing.T) {
 	bin := fbbenchBinary(t)
 	golden := filepath.Join("testdata", "figures_golden.txt")

@@ -27,6 +27,7 @@ func FuzzHTTPRequest(f *testing.F) {
 		`{"session":18446744073709551615}`, `{"session":-1}`, `{"session":1,"scores":[1e308,-1e308]}`,
 		`{"feature":[1e999]}`, `{"item":1e999}`, `{"feature":[0.5,0.5]}`, `{"feature":[]}`,
 		`{"item":`, `{"feature":[0.1,`, ``, `null`, `[]`, `"query"`, `{"item":0}{"item":1}`,
+		`{"session":1}{"session":2}`, `{"session":1} x`, "{\"session\":1}\n\t ",
 		strings.Repeat(`[`, 10000), strings.Repeat(`{"feature":`, 2000),
 	} {
 		for route := uint8(0); route < 3; route++ {

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	httppprof "net/http/pprof"
@@ -379,14 +380,20 @@ func (c *Collection) stateResponse(st service.SessionState) stateJSON {
 const maxBodyBytes = 1 << 20
 
 // decodePost reads a POST request's JSON body into v. On a wrong method,
-// an oversized body (413) or malformed JSON (400) it writes the error
-// reply itself and returns false.
+// an oversized body (413), malformed JSON or anything but whitespace
+// after the one JSON value (400) it writes the error reply itself and
+// returns false.
 func decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, r, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return false
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
+	if err == nil {
+		err = endOfBody(dec)
+	}
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -396,6 +403,20 @@ func decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
+}
+
+// endOfBody returns nil when only whitespace follows the value dec has
+// decoded. A second value is an error, so {"session":1}{"session":2}
+// cannot close session 1 and answer 200.
+func endOfBody(dec *json.Decoder) error {
+	switch err := dec.Decode(&struct{}{}); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("more than one JSON value")
+	default:
+		return err
+	}
 }
 
 func (c *Collection) handleQuery(w http.ResponseWriter, r *http.Request) {

@@ -296,3 +296,59 @@ func TestSessionIDParsing(t *testing.T) {
 		}
 	}
 }
+
+// TestTrailingBodyRejected: a POST body is one JSON value. Anything but
+// whitespace after it — a second value or stray bytes — is a 400 that
+// changes nothing, so {"session":1}{"session":2} does not close session
+// 1; the same value followed by whitespace is served as before.
+func TestTrailingBodyRejected(t *testing.T) {
+	srv, _, _ := newTestServer(t)
+	post := func(route, body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var errResp errorResponse
+		if resp.StatusCode == http.StatusBadRequest {
+			if err := json.NewDecoder(resp.Body).Decode(&errResp); err != nil || errResp.Error == "" {
+				t.Errorf("%s %q: 400 body %+v (%v), want an error", route, body, errResp, err)
+			}
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	var a, b stateJSON
+	for i, st := range []*stateJSON{&a, &b} {
+		item := i
+		if code := postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 8}, st); code != http.StatusOK {
+			t.Fatalf("query %d: status %d", i, code)
+		}
+	}
+	for _, tc := range []struct{ route, body string }{
+		{"/close", fmt.Sprintf(`{"session":%d}{"session":%d}`, a.Session, b.Session)},
+		{"/close", fmt.Sprintf(`{"session":%d} x`, a.Session)},
+		{"/close", fmt.Sprintf(`{"session":%d}{`, a.Session)},
+		{"/feedback", fmt.Sprintf(`{"session":%d,"scores":[1,0,0,0,0,0,0,0]}[]`, a.Session)},
+		{"/query", `{"item":0}{"item":1}`},
+	} {
+		if code := post(tc.route, tc.body); code != http.StatusBadRequest {
+			t.Errorf("%s %q: status %d, want 400", tc.route, tc.body, code)
+		}
+	}
+	for _, st := range []stateJSON{a, b} {
+		var after stateJSON
+		if code := getJSON(t, fmt.Sprintf("%s/session?id=%d", srv.URL, st.Session), &after); code != http.StatusOK {
+			t.Fatalf("session %d after the rejected bodies: status %d", st.Session, code)
+		}
+		if after.Iterations != 0 {
+			t.Fatalf("session %d ran %d rounds on rejected bodies", st.Session, after.Iterations)
+		}
+	}
+	if code := post("/close", fmt.Sprintf("{\"session\":%d}\n\t \r\n", a.Session)); code != http.StatusOK {
+		t.Fatalf("close with trailing whitespace: status %d, want 200", code)
+	}
+	if code := getJSON(t, fmt.Sprintf("%s/session?id=%d", srv.URL, a.Session), nil); code == http.StatusOK {
+		t.Fatalf("session %d still open after its close", a.Session)
+	}
+}

@@ -244,7 +244,8 @@ func (s *Scan) getTileBufs() *tileBufs {
 
 // scanTile32 runs the four-pass cascade over scan positions [lo, hi) for
 // one query under the weights w at D = 32, through the phase kernels
-// (AVX2 or SSE2 on amd64, identical Go loops elsewhere — phase1.go).
+// (AVX2 where the CPU has it, the identical Go loops of phase1.go
+// elsewhere).
 //
 // The cascade is branch-free and vertical instead of an abandoning row
 // loop: dims [0,8) are accumulated for every row with survivors

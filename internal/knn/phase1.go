@@ -1,7 +1,7 @@
-// Portable reference implementations of the phase-1 tile kernels. On
-// amd64 the SSE2 routines in phase1_amd64.s run instead; these stay the
-// executable specification (the asm parity test asserts bitwise-equal
-// outputs) and the fallback for other architectures.
+// Portable reference implementations of the phase tile kernels. They are
+// the executable specification (the AVX2 parity test asserts
+// bitwise-equal outputs) and the fallback wherever AVX2 is not selected:
+// other architectures, amd64 CPUs without it, and GODEBUG=cpu.avx2=off.
 package knn
 
 // phase1x32wGo accumulates dims [0,8) of every row into the stripe

@@ -6,9 +6,9 @@ import "repro/internal/vec"
 
 // AVX2 phase kernels (phase1_avx2_amd64.s): one 4-lane ymm register
 // carries all four stripe accumulators, so each row's eight dimensions
-// take two packed sub/mul/mul/add sequences instead of four SSE2 ones. No
-// FMA — its fused rounding would break bitwise parity with the scalar
-// and SSE2 tiers. Selected at init when the CPU supports AVX2.
+// take two packed sub/mul/mul/add sequences. No FMA — its fused rounding
+// would break bitwise parity with the portable Go tier. Selected at init
+// when the CPU supports AVX2; otherwise the Go tier runs.
 
 func phase1x32wAVX2(q, w, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int
 

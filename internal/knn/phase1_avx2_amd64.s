@@ -4,8 +4,8 @@
 // IEEE ops of one 4-dim block — no FMA, whose single rounding would
 // diverge from the two-rounding scalar sequence — and the reduction adds
 // (s0+s1)+(s2+s3) in the canonical association. Survivor compaction,
-// cursor arithmetic and the strict bound comparison mirror the SSE2
-// kernels in phase1_amd64.s line for line.
+// cursor arithmetic and the strict bound comparison mirror the portable
+// Go kernels in phase1.go step for step.
 
 #include "textflag.h"
 
@@ -76,7 +76,7 @@ wdone:
 
 // func phaseNext8wAVX2(q8, w8, slab8 *float64, surv *int32, count int, bound2 float64, s0b, s1b, s2b, s3b *float64, slabRows int) int
 //
-// Same contract as the SSE2 phaseNext8w: continues compacted survivors
+// Same contract as phaseNext8wGo: continues compacted survivors
 // by eight dimensions, reading stripes at the iteration index and writing
 // them back at the survivor cursor. slabRows is unused (portable-fallback
 // bound only).

@@ -5,6 +5,7 @@ package knn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/vec"
@@ -13,11 +14,12 @@ import (
 // TestPhaseAVX2Parity pins the AVX2 phase kernels bitwise to the portable
 // Go references across random tiles, bounds, weights (unit weights, the
 // Euclidean distance, on every other trial) and tie-heavy data.
-// Skipped (and the SSE2 parity test in phase1_test.go still runs) when
-// the host lacks AVX2 or GODEBUG=cpu.avx2=off pinned the fallback.
+// Skipped (TestPhaseWrappersMatchGo still pins the Go tier that runs
+// instead) when the host lacks AVX2 or GODEBUG=cpu.avx2=off pinned the
+// fallback.
 func TestPhaseAVX2Parity(t *testing.T) {
 	if !vec.HasAVX2() {
-		t.Skip("AVX2 unavailable or disabled; dispatch uses SSE2 kernels")
+		t.Skip("AVX2 unavailable or disabled; dispatch uses the Go kernels")
 	}
 	rng := rand.New(rand.NewSource(23))
 	type bufs struct {
@@ -84,5 +86,21 @@ func TestPhaseAVX2Parity(t *testing.T) {
 			got.c = phaseNext8wAVX2(&q[seg*8], &w[seg*8], &slab[seg*8], &got.surv[0], got.c, bound2, &got.s0[0], &got.s1[0], &got.s2[0], &got.s3[0], rows)
 			check("next8")
 		}
+	}
+}
+
+// TestPhaseDispatch pins what init selected: the AVX2 kernels exactly
+// when vec.HasAVX2(), and the Go wrappers of phase1_generic.go otherwise
+// (no AVX2 on the CPU, or GODEBUG=cpu.avx2=off).
+func TestPhaseDispatch(t *testing.T) {
+	want1, wantN := reflect.ValueOf(phase1x32w).Pointer(), reflect.ValueOf(phaseNext8w).Pointer()
+	if vec.HasAVX2() {
+		want1, wantN = reflect.ValueOf(phase1x32wAVX2).Pointer(), reflect.ValueOf(phaseNext8wAVX2).Pointer()
+	}
+	if got := reflect.ValueOf(phase1x32wSel).Pointer(); got != want1 {
+		t.Errorf("HasAVX2=%v: phase1x32wSel is %#x, want %#x", vec.HasAVX2(), got, want1)
+	}
+	if got := reflect.ValueOf(phaseNext8wSel).Pointer(); got != wantN {
+		t.Errorf("HasAVX2=%v: phaseNext8wSel is %#x, want %#x", vec.HasAVX2(), got, wantN)
 	}
 }

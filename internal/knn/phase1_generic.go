@@ -1,11 +1,11 @@
-//go:build !amd64
-
 package knn
 
 import "unsafe"
 
-// phase1x32w delegates to the portable Go implementation on
-// architectures without an assembly kernel.
+// phase1x32w is the baseline phase-1 kernel on every architecture: a
+// pointer-signature wrapper over phase1x32wGo, so it shares one signature
+// with the AVX2 kernel that replaces it at init on amd64
+// (phase1_avx2_amd64.go).
 func phase1x32w(q, w, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3b *float64, surv *int32) int {
 	return phase1x32wGo(
 		unsafe.Slice(q, 32), unsafe.Slice(w, 32), unsafe.Slice(head, rows*8), rows, bound2,

@@ -8,14 +8,18 @@ import (
 	"repro/internal/vec"
 )
 
-// TestPhase1AsmMatchesGo pins the arch-specific phase kernels to the
-// portable Go reference bit for bit: same survivor count, same survivor
-// row ids, same stripe values — phase 1 at stride 64 over the head slab,
-// the continuation phases gathering from the row-major slab — under
-// random weights (some zero), unit weights (the Euclidean distance) and
-// all-zero weights. On amd64 this exercises the SSE2 routines; elsewhere
-// it is a self-consistency check.
-func TestPhase1AsmMatchesGo(t *testing.T) {
+// TestPhaseWrappersMatchGo pins the baseline phase kernels — the
+// pointer-signature wrappers of phase1_generic.go, on every arch — to the
+// portable Go loops bit for bit: same survivor count, same survivor row
+// ids, same stripe values — phase 1 at stride 64 over the head slab, the
+// continuation phases gathering from the row-major slab — under random
+// weights (some zero), unit weights (the Euclidean distance) and
+// all-zero weights. The slab is exactly rows*32 long, and under the
+// infinite bound the last row survives every continuation, so its
+// segments at offsets 8, 16 and 24 are read and the continuation's
+// unsafe.Slice view at offset 24 ends at the allocation's last element
+// (checkptr checks the views under -race).
+func TestPhaseWrappersMatchGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		rows := 1 + rng.Intn(tileRows)
@@ -84,6 +88,9 @@ func TestPhase1AsmMatchesGo(t *testing.T) {
 				got.c = phaseNext8w(&q[seg*8], &w[seg*8], &slab[seg*8], &got.surv[0], got.c, bound2, &got.s0[0], &got.s1[0], &got.s2[0], &got.s3[0], rows)
 				if got.c != ref.c {
 					t.Fatalf("trial %d weights %d seg %d: survivor count %d, want %d", trial, wi, seg, got.c, ref.c)
+				}
+				if math.IsInf(bound2, 1) && got.surv[got.c-1] != int32(rows-1) {
+					t.Fatalf("trial %d weights %d seg %d: last survivor %d, want the last row %d", trial, wi, seg, got.surv[got.c-1], rows-1)
 				}
 				for j := 0; j < ref.c; j++ {
 					if got.surv[j] != ref.surv[j] ||

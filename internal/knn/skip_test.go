@@ -186,8 +186,9 @@ func (l *phase1Log) take(s *Scan) map[int]bool {
 	return tiles
 }
 
-// useBaselineKernels selects the baseline phase kernels (SSE2 on amd64)
-// for the rest of the test, as GODEBUG=cpu.avx2=off does for a process.
+// useBaselineKernels selects the baseline phase kernels (the Go wrappers
+// of phase1_generic.go) for the rest of the test, as GODEBUG=cpu.avx2=off
+// does for a process.
 func useBaselineKernels(t *testing.T) {
 	a, b := phase1x32wSel, phaseNext8wSel
 	phase1x32wSel, phaseNext8wSel = phase1x32w, phaseNext8w

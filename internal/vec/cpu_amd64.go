@@ -19,7 +19,7 @@ var hasAVX2 = detectAVX2()
 // AVX2, the OS saves YMM state, and GODEBUG=cpu.avx2=off was not set at
 // startup. The stdlib honors the same GODEBUG key for its own vector
 // code, so one environment setting pins the whole process to the
-// SSE2/portable paths — how CI exercises the fallback on AVX2 hosts.
+// portable Go kernels — how CI exercises the fallback on AVX2 hosts.
 func HasAVX2() bool { return hasAVX2 }
 
 func detectAVX2() bool {

@@ -16,13 +16,15 @@
 // compiler drops per-element bounds checks.
 package vec
 
-// SqDistW returns the weighted squared distance Σ wᵢ(aᵢ−bᵢ)². It
-// dispatches through sqDistWFull (AVX2 when available); every
-// implementation is bitwise identical.
+import "math"
+
+// SqDistW returns the weighted squared distance Σ wᵢ(aᵢ−bᵢ)²: the
+// abandoning loop under an infinite bound, which never abandons.
 func SqDistW(a, b, w []float64) float64 {
 	mustSameLen(a, b)
 	mustSameLen(a, w)
-	return sqDistWFull(a, b, w)
+	s, _ := sqDistWAbandon(a, b, w, math.Inf(1))
+	return s
 }
 
 // SqDistWAbandon accumulates SqDistW(a, b, w) but gives up once the

@@ -23,9 +23,12 @@ run_test() {
 	# and stdversion, which flags standard-library symbols newer than
 	# go.mod's go directive. The repo's own rules run in the Test step.
 	go vet ./...
-	# The portable kernel tier (internal/knn/phase1_generic.go) is the
-	# only one that builds off amd64; vet it where it runs. Cross-vetting
-	# needs no network.
+	# The portable kernel tier (internal/knn/phase1_generic.go) builds on
+	# every arch, but internal/vec/cpu_generic.go builds only off amd64;
+	# vet it where it runs. (internal/store/mmap_portable.go builds under
+	# neither linux config; TestRepoRules type-checks it under
+	# windows/arm64.)
+	# Cross-vetting needs no network.
 	GOOS=linux GOARCH=arm64 go vet ./...
 
 	step "Test"
@@ -48,10 +51,11 @@ run_test() {
 		./internal/histogram/ ./internal/vec/ ./internal/obsv/ ./cmd/fbserve/
 
 	step "Kernel parity with AVX2 dispatch disabled"
-	# The SIMD tiers are pinned bitwise against the portable kernels; rerun
-	# the parity and dispatch suites with the AVX2 path forced off
-	# so the fallback stays proven on AVX2 hosts too, and hold the paper
-	# figures to the same golden file.
+	# The AVX2 kernels are pinned bitwise against the portable Go kernels;
+	# rerun the parity and dispatch suites with the AVX2 path forced off,
+	# so the Go tier is what the scan runs (the fallback on every CPU
+	# without AVX2) and checkptr checks its unsafe.Slice wrappers, and
+	# hold the paper figures to the same golden file.
 	GODEBUG=cpu.avx2=off go test -race ./internal/vec/ ./internal/knn/
 	GODEBUG=cpu.avx2=off go test -run '^TestPaperFiguresGolden$' .
 
