@@ -707,12 +707,7 @@ func BenchmarkBarycentricSolveD31(b *testing.B) {
 }
 
 func BenchmarkFeedbackRefine(b *testing.B) {
-	eng, err := feedback.New(feedback.Options{Movement: feedback.MoveOptimal, Weighting: feedback.WeightOptimal})
-	if err != nil {
-		b.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(19))
-	q := make([]float64, 32)
 	results := make([][]float64, 50)
 	scores := make([]float64, 50)
 	for i := range results {
@@ -727,7 +722,7 @@ func BenchmarkFeedbackRefine(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.Refine(q, results, scores); err != nil {
+		if _, _, err := feedback.Refine(results, scores); err != nil {
 			b.Fatal(err)
 		}
 	}

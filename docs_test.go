@@ -17,10 +17,12 @@ import (
 )
 
 // TestDocsNameDeclaredTests keeps README.md, DESIGN.md and the verify
-// skill from citing tests that no longer exist: every Test*, Benchmark*
-// or Fuzz* name they quote must be a top-level func in some _test.go file
-// of the tree (bench/, its own module, included). Renaming or deleting a
-// quoted test fails here until the docs follow.
+// skill from citing tests that no longer exist: every Test*, Benchmark*,
+// Fuzz* or Example* name they quote (Example_x or ExampleX; the bare word
+// "Example", as in "Example 1" of the paper, is no name) must be a
+// top-level func in some _test.go file of the tree (bench/, its own
+// module, included). Renaming or deleting a quoted test fails here until
+// the docs follow.
 func TestDocsNameDeclaredTests(t *testing.T) {
 	declared := map[string]bool{}
 	fset := token.NewFileSet()
@@ -51,7 +53,7 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	name := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	name := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z0-9_]\w*`)
 	quoted := 0
 	for _, doc := range []string{"README.md", "DESIGN.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
 		text, err := os.ReadFile(doc)

@@ -29,11 +29,12 @@
 // read a tree file, and OpenDurable journals every accepted insert.
 //
 // The packages under internal implement every substrate of the paper's
-// evaluation: distance functions, relevance-feedback engines, HSV
-// histogram extraction, a synthetic categorized image collection, k-NN
-// query processing (an exact kernelized scan behind one Searcher
-// interface), and the experiment harness reproducing
-// Figures 1 and 9–16 (see DESIGN.md and internal/experiments).
+// evaluation: the weighted Euclidean distance, the relevance-feedback
+// step (the optimal query-point movement and 1/σ² re-weighting of
+// [ISF98]), HSV histogram extraction, a synthetic categorized image
+// collection, k-NN query processing (an exact kernelized scan behind one
+// Searcher interface), and the experiment harness reproducing Figures 1
+// and 9–16 (see DESIGN.md and internal/experiments).
 package feedbackbypass
 
 import (

@@ -31,17 +31,10 @@ const DefaultMaxIterations = 30
 type Engine struct {
 	ds       *dataset.Dataset
 	searcher knn.Searcher // the one retrieval seam: the exact scan, or an injected wrapper of it
-	fb       *feedback.Engine
 }
 
 // Options configures an engine.
 type Options struct {
-	// Feedback selects the relevance-feedback strategy. The zero value
-	// resolves to the paper's default (optimal movement + optimal
-	// re-weighting) inside feedback.New via the MoveDefault/WeightDefault
-	// rules, so a deliberate MoveNone/WeightNone configuration is passed
-	// through unchanged.
-	Feedback feedback.Options
 	// Searcher injects a pre-built searcher in place of the default exact
 	// scan — the HTTP benchmark's tracer (bench/trace.go) wraps a
 	// knn.Scan this way to time every search. It must cover exactly the
@@ -56,12 +49,9 @@ func New(ds *dataset.Dataset, opts Options) (*Engine, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, errors.New("engine: empty dataset")
 	}
-	fb, err := feedback.New(opts.Feedback)
-	if err != nil {
-		return nil, err
-	}
-	e := &Engine{ds: ds, searcher: opts.Searcher, fb: fb}
+	e := &Engine{ds: ds, searcher: opts.Searcher}
 	if e.searcher == nil {
+		var err error
 		if e.searcher, err = knn.NewScanBackend(ds.Matrix()); err != nil {
 			return nil, err
 		}
@@ -111,8 +101,9 @@ func (e *Engine) GoodCount(queryCategory string, results []knn.Result) int {
 }
 
 // ErrInvalidScores wraps a round Step cannot consume: a score count that
-// does not match the result list, a negative, NaN or infinite score, or
-// scores whose sum overflows.
+// does not match the result list, a negative, NaN or infinite score,
+// scores whose sum overflows, or a positive sum so small (subnormal) that
+// the refined parameters would not be finite.
 var ErrInvalidScores = errors.New("engine: invalid relevance scores")
 
 // Loop is one interactive session of Figure 5. Start runs the first
@@ -175,7 +166,7 @@ func (l *Loop) Step(ctx context.Context, scores []float64) error {
 		}
 		vectors[i] = v
 	}
-	newQ, newW, err := l.e.fb.Refine(l.q, vectors, scores)
+	newQ, newW, err := feedback.Refine(vectors, scores)
 	if errors.Is(err, feedback.ErrNoGoodMatches) {
 		// Nothing to learn from: the loop ends with the current parameters.
 		l.rounds++

@@ -223,24 +223,6 @@ func TestRunLoopIterationBound(t *testing.T) {
 	}
 }
 
-func TestRunLoopWithRocchioAndMARS(t *testing.T) {
-	ds := clusteredDataset(t, 150, 9)
-	e, err := New(ds, Options{Feedback: feedback.Options{
-		Movement:  feedback.MoveRocchio,
-		Weighting: feedback.WeightMARS,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	item := ds.Items[1]
-	firstRes, l := oracleLoop(t, e, item.Category, item.Feature, e.UniformWeights(), 15, DefaultMaxIterations)
-	first := e.GoodCount(item.Category, firstRes)
-	final := e.GoodCount(item.Category, l.Results())
-	if final < first {
-		t.Errorf("Rocchio+MARS degraded precision %d -> %d", first, final)
-	}
-}
-
 func TestSignatureDistinguishesLists(t *testing.T) {
 	a := []knn.Result{{Index: 1}, {Index: 2}, {Index: 3}}
 	b := []knn.Result{{Index: 1}, {Index: 2}, {Index: 4}}
@@ -275,44 +257,6 @@ func BenchmarkFeedbackSignature(b *testing.B) {
 	_ = sink
 }
 
-// TestZeroFeedbackOptionsSurvive pins the regression where engine.New
-// compared opts.Feedback against feedback.Options{} and silently replaced
-// a deliberate all-none configuration with the paper defaults. With the
-// MoveDefault/WeightDefault zero values, Options{} still means "paper
-// defaults" but an explicit MoveNone/WeightNone survives construction.
-func TestZeroFeedbackOptionsSurvive(t *testing.T) {
-	ds := clusteredDataset(t, 40, 2)
-
-	def, err := New(ds, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := def.fb.Name(); got != "move=optimal,weight=optimal-1/sigma2" {
-		t.Errorf("zero Options resolved to %q, want the paper defaults", got)
-	}
-
-	none, err := New(ds, Options{Feedback: feedback.Options{
-		Movement:  feedback.MoveNone,
-		Weighting: feedback.WeightNone,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := none.fb.Name(); got != "move=none,weight=none" {
-		t.Errorf("explicit none/none became %q", got)
-	}
-	// Behavioural check: a none/none loop can never move the parameters,
-	// so its first judgement finds the list stable.
-	item := ds.Items[0]
-	_, l := oracleLoop(t, none, item.Category, item.Feature, none.UniformWeights(), 5, DefaultMaxIterations)
-	if q, w := l.Params(); l.Moved() || !vec.Equal(q, item.Feature) || !vec.Equal(w, none.UniformWeights()) {
-		t.Error("none/none feedback changed the query parameters")
-	}
-	if !l.Done() || l.Rounds() != 1 {
-		t.Errorf("none/none loop: done=%v rounds=%d, want one stable round", l.Done(), l.Rounds())
-	}
-}
-
 // TestNoFeedbackLoop pins the budget-0 case of Start: the loop is done
 // after the first retrieval, and Step consumes nothing.
 func TestNoFeedbackLoop(t *testing.T) {
@@ -339,7 +283,8 @@ func TestNoFeedbackLoop(t *testing.T) {
 }
 
 // TestStepRejectsMalformedRounds checks that Step consumes nothing from a
-// round it cannot use: wrong score count, invalid scores, a result index
+// round it cannot use: wrong score count, invalid scores (a subnormal
+// positive sum among them), a result index
 // outside the collection, or a context that ends before the retrieval. A
 // retried valid round then matches a loop that never saw the bad ones.
 func TestStepRejectsMalformedRounds(t *testing.T) {
@@ -362,11 +307,17 @@ func TestStepRejectsMalformedRounds(t *testing.T) {
 	cancel()
 	nan := append([]float64(nil), scores...)
 	nan[1] = math.NaN()
+	negative := make([]float64, len(scores))
+	subnormal := make([]float64, len(scores)) // Σ so small that 1/Σ overflows
+	for i, s := range scores {
+		negative[i], subnormal[i] = -s, s*5e-324
+	}
 	for name, step := range map[string]func() error{
-		"length":   func() error { return l.Step(context.Background(), scores[:1]) },
-		"nan":      func() error { return l.Step(context.Background(), nan) },
-		"negative": func() error { return l.Step(context.Background(), vec.Scale(scores, -1)) },
-		"canceled": func() error { return l.Step(canceled, scores) },
+		"length":    func() error { return l.Step(context.Background(), scores[:1]) },
+		"nan":       func() error { return l.Step(context.Background(), nan) },
+		"negative":  func() error { return l.Step(context.Background(), negative) },
+		"subnormal": func() error { return l.Step(context.Background(), subnormal) },
+		"canceled":  func() error { return l.Step(canceled, scores) },
 	} {
 		err := step()
 		if err == nil {

@@ -16,7 +16,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/eval"
-	"repro/internal/feedback"
 	"repro/internal/histogram"
 	"repro/internal/imagegen"
 	"repro/internal/knn"
@@ -39,9 +38,6 @@ type Config struct {
 	// predicted parameters, enabling the Figure 15 metrics (doubles the
 	// loop cost).
 	MeasureSavings bool
-	// Feedback selects the relevance-feedback strategy (paper default
-	// when zero).
-	Feedback feedback.Options
 }
 
 func (c Config) validate() error {
@@ -138,7 +134,7 @@ func NewSessionOver(cfg Config, ds *dataset.Dataset) (*Session, error) {
 }
 
 func newSessionOver(cfg Config, ds *dataset.Dataset) (*Session, error) {
-	eng, err := engine.New(ds, engine.Options{Feedback: cfg.Feedback})
+	eng, err := engine.New(ds, engine.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package feedback
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/vec"
@@ -55,10 +56,175 @@ func TestGoodSubsetAllocs(t *testing.T) {
 	}
 }
 
+// TestRefineAllocs holds Refine to four allocations on a 10-result page:
+// GoodSubset's two slices, q' and w, each sized once.
+func TestRefineAllocs(t *testing.T) {
+	results := make([][]float64, 10)
+	scores := make([]float64, 10)
+	for i := range results {
+		results[i] = []float64{float64(i), float64(i * i), 1}
+		scores[i] = float64(i % 3)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := Refine(results, scores); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 4 {
+		t.Errorf("Refine on a 10-result page: %v allocations, want at most 4", allocs)
+	}
+}
+
+// referenceRefine is the composition Refine folds into one pass: the
+// centroid of Eq. 2; the variance around a mean recomputed from the good
+// subset with the same operations; the floor and inversion; the
+// geometric-mean normalization into a fresh slice. It has no finiteness
+// check.
+func referenceRefine(results [][]float64, scores []float64) (q, w []float64, err error) {
+	good, goodScores, err := GoodSubset(results, scores)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(good) == 0 {
+		return nil, nil, ErrNoGoodMatches
+	}
+	dim := len(good[0])
+	centroid := func() ([]float64, float64, error) {
+		out := make([]float64, dim)
+		var total float64
+		for j, p := range good {
+			if len(p) != dim {
+				return nil, 0, errors.New("ragged results")
+			}
+			for i := range out {
+				out[i] += goodScores[j] * p[i]
+			}
+			total += goodScores[j]
+		}
+		inv := 1 / total
+		for i := range out {
+			out[i] *= inv
+		}
+		return out, total, nil
+	}
+	if q, _, err = centroid(); err != nil {
+		return nil, nil, err
+	}
+	mean, total, _ := centroid()
+	variance := make([]float64, dim)
+	for j, p := range good {
+		for i := range p {
+			d := p[i] - mean[i]
+			variance[i] += goodScores[j] * d * d
+		}
+	}
+	inv := 1 / total
+	raw := make([]float64, dim)
+	var logSum float64
+	for i, v := range variance {
+		v *= inv
+		if v < varianceFloor {
+			v = varianceFloor
+		}
+		raw[i] = 1 / v
+		logSum += math.Log(raw[i])
+	}
+	scale := math.Exp(-logSum / float64(dim))
+	w = make([]float64, dim)
+	for i, x := range raw {
+		w[i] = x * scale
+	}
+	return q, w, nil
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRefineMatchesReference holds Refine bitwise to referenceRefine over
+// random pages: dims 1–40, 1–60 results, features that sometimes agree
+// exactly (the floor), binary, graded, all-zero and subnormal scores,
+// and the odd ragged page. Where the reference's q' or w is not finite,
+// Refine must return an error instead.
+func TestRefineMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	for trial := 0; trial < 5000; trial++ {
+		dim, n := 1+rng.Intn(40), 1+rng.Intn(60)
+		quantized := rng.Intn(3) == 0
+		results := make([][]float64, n)
+		for j := range results {
+			results[j] = make([]float64, dim)
+			for i := range results[j] {
+				x := rng.Float64()
+				if quantized {
+					x = math.Floor(x*4) / 4
+				}
+				results[j][i] = x
+			}
+		}
+		if rng.Intn(50) == 0 {
+			results[rng.Intn(n)] = make([]float64, dim+1)
+		}
+		mode := rng.Intn(4)
+		scores := make([]float64, n)
+		for j := range scores {
+			switch mode {
+			case 0: // binary
+				scores[j] = float64(rng.Intn(2))
+			case 1: // graded
+				if rng.Intn(3) > 0 {
+					scores[j] = rng.Float64() * 3
+				}
+			case 2: // subnormal and tiny positives
+				scores[j] = []float64{0, 5e-324, 1e-310, 1e-300}[rng.Intn(4)]
+			} // case 3: all zero
+		}
+		wantQ, wantW, wantErr := referenceRefine(results, scores)
+		q, w, err := Refine(results, scores)
+		switch {
+		case wantErr != nil:
+			if err == nil || errors.Is(err, ErrNoGoodMatches) != errors.Is(wantErr, ErrNoGoodMatches) {
+				t.Fatalf("trial %d: err %v, reference err %v", trial, err, wantErr)
+			}
+		case !vec.IsFinite(wantQ) || !vec.IsFinite(wantW):
+			if err == nil || errors.Is(err, ErrNoGoodMatches) {
+				t.Fatalf("trial %d: scores %v: non-finite parameters need an error, got %v", trial, scores, err)
+			}
+		case err != nil:
+			t.Fatalf("trial %d: %v", trial, err)
+		case !sameBits(q, wantQ) || !sameBits(w, wantW):
+			t.Fatalf("trial %d: Refine (%v, %v), reference (%v, %v)", trial, q, w, wantQ, wantW)
+		}
+	}
+}
+
+func TestRefine(t *testing.T) {
+	results := [][]float64{{1, 0.5}, {1.2, 0.5}, {9, 9}}
+	q, w, err := Refine(results, []float64{1, 1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vec.EqualTol(q, []float64{1.1, 0.5}, 1e-12) {
+		t.Errorf("q' = %v", q)
+	}
+	// Dim 1 is constant among good matches → floored variance → weight
+	// above dim 0's.
+	if w[1] <= w[0] {
+		t.Errorf("weights = %v", w)
+	}
+}
+
 func TestOptimalQueryPointEq2(t *testing.T) {
 	results := [][]float64{{0, 0}, {2, 2}, {4, 0}}
 	// Scores 1, 1, 0: centroid of first two.
-	q, err := OptimalQueryPoint(results, []float64{1, 1, 0})
+	q, _, err := Refine(results, []float64{1, 1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +232,7 @@ func TestOptimalQueryPointEq2(t *testing.T) {
 		t.Errorf("q' = %v", q)
 	}
 	// Graded scores weight the average.
-	q, err = OptimalQueryPoint(results, []float64{3, 1, 0})
+	q, _, err = Refine(results, []float64{3, 1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,70 +242,42 @@ func TestOptimalQueryPointEq2(t *testing.T) {
 }
 
 func TestOptimalQueryPointNoGood(t *testing.T) {
-	_, err := OptimalQueryPoint([][]float64{{1}}, []float64{0})
+	q, w, err := Refine([][]float64{{1, 1}}, []float64{0})
 	if !errors.Is(err, ErrNoGoodMatches) {
 		t.Errorf("err = %v", err)
+	}
+	if q != nil || w != nil {
+		t.Errorf("no good matches returned parameters (%v, %v)", q, w)
 	}
 }
 
 func TestOptimalQueryPointRaggedResults(t *testing.T) {
-	if _, err := OptimalQueryPoint([][]float64{{1, 2}, {3}}, []float64{1, 1}); err == nil {
+	if _, _, err := Refine([][]float64{{1, 2}, {3}}, []float64{1, 1}); err == nil {
 		t.Error("ragged results should error")
 	}
 }
 
-func TestRocchio(t *testing.T) {
-	q := []float64{0, 0}
-	results := [][]float64{{2, 0}, {0, 2}, {10, 10}}
-	scores := []float64{1, 1, 0}
-	// α=1, β=1, γ=1: q + goodCentroid − badCentroid = (1,1) − (10,10).
-	got, err := Rocchio(q, results, scores, 1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vec.EqualTol(got, []float64{-9, -9}, 1e-12) {
-		t.Errorf("Rocchio = %v", got)
-	}
-	// Without bad results the γ term vanishes.
-	got, err = Rocchio(q, results[:2], scores[:2], 1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vec.EqualTol(got, []float64{1, 1}, 1e-12) {
-		t.Errorf("Rocchio no-bad = %v", got)
-	}
-	if _, err := Rocchio(q, results, []float64{0, 0, 0}, 1, 1, 1); !errors.Is(err, ErrNoGoodMatches) {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := Rocchio(q, results, []float64{1}, 1, 1, 1); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := Rocchio(q, [][]float64{{1}}, []float64{1}, 1, 1, 1); err == nil {
-		t.Error("dimension mismatch should error")
-	}
-}
-
+// TestWeightedDimensionVariance checks the σ_i² behind the weights: the
+// score-weighted variance of the good matches around q', so w_0/w_1 is
+// σ_1²/σ_0² once the floor lifts a zero variance.
 func TestWeightedDimensionVariance(t *testing.T) {
 	good := [][]float64{{0, 5}, {2, 5}}
-	v, err := WeightedDimensionVariance(good, []float64{1, 1})
+	// dim 0: mean 1, var ((1)²+(1)²)/2 = 1; dim 1: constant → the floor.
+	_, w, err := Refine(good, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// dim 0: mean 1, var ((1)²+(1)²)/2 = 1; dim 1: constant → 0.
-	if math.Abs(v[0]-1) > 1e-12 || v[1] != 0 {
-		t.Errorf("variance = %v", v)
+	if got := w[0] / w[1]; math.Abs(got-varianceFloor) > 1e-12*varianceFloor {
+		t.Errorf("weights %v: ratio %v, want %v", w, got, varianceFloor)
 	}
 	// Weighted: score 3 on first point pulls the mean.
-	v, err = WeightedDimensionVariance(good, []float64{3, 1})
+	// mean0 = (3·0 + 1·2)/4 = 0.5; var0 = (3·0.25 + 1·2.25)/4 = 0.75.
+	_, w, err = Refine(good, []float64{3, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// mean0 = (3·0 + 1·2)/4 = 0.5; var0 = (3·0.25 + 1·2.25)/4 = 0.75.
-	if math.Abs(v[0]-0.75) > 1e-12 {
-		t.Errorf("weighted variance = %v", v)
-	}
-	if _, err := WeightedDimensionVariance(nil, nil); !errors.Is(err, ErrNoGoodMatches) {
-		t.Errorf("empty err = %v", err)
+	if got, want := w[0]/w[1], varianceFloor/0.75; math.Abs(got-want) > 1e-12*want {
+		t.Errorf("weighted weights %v: ratio %v, want %v", w, got, want)
 	}
 }
 
@@ -152,8 +290,7 @@ func TestReweightOptimalFavorsLowVariance(t *testing.T) {
 		{0.49, 0.5},
 		{0.50, 0.2},
 	}
-	scores := []float64{1, 1, 1, 1}
-	w, err := Reweight(results, scores, WeightOptimal, 1e-6)
+	_, w, err := Refine(results, []float64{1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,34 +303,16 @@ func TestReweightOptimalFavorsLowVariance(t *testing.T) {
 		t.Errorf("geometric mean = %v", gm)
 	}
 	// Optimal weights are proportional to 1/σ²: the ratio must equal the
-	// inverse variance ratio.
-	variance, _ := WeightedDimensionVariance(results, scores)
-	wantRatio := variance[1] / variance[0]
+	// inverse variance ratio, σ_0² = 0.0002/4 and σ_1² = 0.3875/4.
+	wantRatio := 0.3875 / 0.0002
 	if math.Abs(w[0]/w[1]-wantRatio) > 1e-6*wantRatio {
 		t.Errorf("weight ratio %v, want %v", w[0]/w[1], wantRatio)
 	}
 }
 
-func TestReweightMARSIsInverseSigma(t *testing.T) {
-	results := [][]float64{
-		{0.5, 0.1},
-		{0.7, 0.9},
-	}
-	scores := []float64{1, 1}
-	w, err := Reweight(results, scores, WeightMARS, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	variance, _ := WeightedDimensionVariance(results, scores)
-	wantRatio := math.Sqrt(variance[1] / variance[0])
-	if math.Abs(w[0]/w[1]-wantRatio) > 1e-6*wantRatio {
-		t.Errorf("MARS ratio %v, want %v", w[0]/w[1], wantRatio)
-	}
-}
-
 func TestReweightSingleGoodMatchIsUniform(t *testing.T) {
 	// One good match: zero variance everywhere, floored → uniform weights.
-	w, err := Reweight([][]float64{{0.3, 0.7}}, []float64{1}, WeightOptimal, 1e-6)
+	_, w, err := Refine([][]float64{{0.3, 0.7}}, []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,121 +322,31 @@ func TestReweightSingleGoodMatchIsUniform(t *testing.T) {
 }
 
 func TestReweightErrors(t *testing.T) {
-	if _, err := Reweight([][]float64{{1}}, []float64{0}, WeightOptimal, 1e-6); !errors.Is(err, ErrNoGoodMatches) {
+	if _, _, err := Refine([][]float64{{1}}, []float64{0}); !errors.Is(err, ErrNoGoodMatches) {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := Reweight([][]float64{{1}}, []float64{1}, WeightOptimal, 0); err == nil {
-		t.Error("zero floor should error")
+	if _, _, err := Refine([][]float64{{1}, {2}}, []float64{1}); err == nil || errors.Is(err, ErrNoGoodMatches) {
+		t.Errorf("length mismatch: err = %v", err)
 	}
-	if _, err := Reweight([][]float64{{1}}, []float64{1}, WeightingRule(99), 1e-6); err == nil {
-		t.Error("unknown rule should error")
+	// A positive total so small that 1/Σ overflows: the weights would be
+	// NaN, so the scores are refused instead.
+	for _, s := range []float64{5e-324, 1e-310} {
+		if q, w, err := Refine([][]float64{{0.2, 0.8}, {0.6, 0.4}}, []float64{s, 0}); err == nil || errors.Is(err, ErrNoGoodMatches) {
+			t.Errorf("score %v: Refine = (%v, %v, %v), want an error", s, q, w, err)
+		}
 	}
-	w, err := Reweight([][]float64{{1, 2}}, []float64{1}, WeightNone, 1e-6)
-	if err != nil || !vec.Equal(w, []float64{1, 1}) {
-		t.Errorf("WeightNone = %v, %v", w, err)
+	if _, _, err := Refine([][]float64{{0.2, 0.8}, {0.6, 0.4}}, []float64{1e-300, 0}); err != nil {
+		t.Errorf("score 1e-300: %v", err)
 	}
 }
 
 func TestNormalizeGeometricMean(t *testing.T) {
-	w := NormalizeGeometricMean([]float64{4, 1})
+	w := []float64{4, 1}
+	normalizeGeometricMean(w)
 	if math.Abs(w[0]*w[1]-1) > 1e-12 {
 		t.Errorf("product = %v", w[0]*w[1])
 	}
 	if math.Abs(w[0]/w[1]-4) > 1e-12 {
 		t.Error("normalization must preserve ratios")
-	}
-}
-
-func TestEngineValidation(t *testing.T) {
-	if _, err := New(Options{Movement: MovementRule(9)}); err == nil {
-		t.Error("bad movement should error")
-	}
-	if _, err := New(Options{Weighting: WeightingRule(9)}); err == nil {
-		t.Error("bad weighting should error")
-	}
-	e, err := New(Options{Movement: MoveOptimal, Weighting: WeightOptimal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Name() == "" {
-		t.Error("Name should be non-empty")
-	}
-}
-
-func TestEngineRefine(t *testing.T) {
-	e, err := New(Options{Movement: MoveOptimal, Weighting: WeightOptimal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := []float64{0, 0}
-	results := [][]float64{{1, 0.5}, {1.2, 0.5}, {9, 9}}
-	scores := []float64{1, 1, 0}
-	newQ, w, err := e.Refine(q, results, scores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vec.EqualTol(newQ, []float64{1.1, 0.5}, 1e-12) {
-		t.Errorf("newQ = %v", newQ)
-	}
-	// Dim 1 is constant among good matches → floored variance → weight
-	// above dim 0's.
-	if w[1] <= w[0] {
-		t.Errorf("weights = %v", w)
-	}
-}
-
-func TestEngineRefineNoGoodEchoesInput(t *testing.T) {
-	e, _ := New(Options{Movement: MoveOptimal, Weighting: WeightOptimal})
-	q := []float64{0.3, 0.7}
-	newQ, w, err := e.Refine(q, [][]float64{{1, 1}}, []float64{0})
-	if !errors.Is(err, ErrNoGoodMatches) {
-		t.Fatalf("err = %v", err)
-	}
-	if !vec.Equal(newQ, q) {
-		t.Errorf("query echoed = %v", newQ)
-	}
-	if !vec.Equal(w, []float64{1, 1}) {
-		t.Errorf("weights echoed = %v", w)
-	}
-}
-
-func TestEngineRefineRocchioAndNone(t *testing.T) {
-	e, err := New(Options{Movement: MoveRocchio, Weighting: WeightNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := []float64{1, 1}
-	results := [][]float64{{3, 3}}
-	newQ, w, err := e.Refine(q, results, []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Defaults α=1, β=0.75: q + 0.75·(3,3) = (3.25, 3.25).
-	if !vec.EqualTol(newQ, []float64{3.25, 3.25}, 1e-12) {
-		t.Errorf("rocchio newQ = %v", newQ)
-	}
-	if !vec.Equal(w, []float64{1, 1}) {
-		t.Errorf("weights = %v", w)
-	}
-
-	e2, _ := New(Options{Movement: MoveNone, Weighting: WeightOptimal})
-	newQ, _, err = e2.Refine(q, results, []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vec.Equal(newQ, q) {
-		t.Errorf("MoveNone changed the query: %v", newQ)
-	}
-}
-
-func TestRuleStrings(t *testing.T) {
-	if MoveOptimal.String() != "optimal" || MoveRocchio.String() != "rocchio" || MoveNone.String() != "none" {
-		t.Error("movement strings")
-	}
-	if WeightOptimal.String() == "" || WeightMARS.String() == "" || WeightNone.String() == "" {
-		t.Error("weighting strings")
-	}
-	if MovementRule(42).String() == "" || WeightingRule(42).String() == "" {
-		t.Error("unknown rule strings")
 	}
 }

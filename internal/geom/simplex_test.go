@@ -30,10 +30,19 @@ func fromBarycentric(s *Simplex, lam []float64) ([]float64, error) {
 	return out, nil
 }
 
+// sum returns Σ_i v_i.
+func sum(v []float64) float64 {
+	var s float64
+	for _, x := range v {
+		s += x
+	}
+	return s
+}
+
 // interiorPoint returns the point of s with barycentric weights w,
 // normalized to sum to 1.
 func interiorPoint(s *Simplex, w []float64) ([]float64, error) {
-	return fromBarycentric(s, vec.Scale(w, 1/vec.Sum(w)))
+	return fromBarycentric(s, vec.ScaleInPlace(vec.Clone(w), 1/sum(w)))
 }
 
 // splitAt decomposes s around the interior point p the way the Simplex
@@ -139,8 +148,8 @@ func TestBarycentricRoundTripRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("d=%d: %v", d, err)
 			}
-			if math.Abs(vec.Sum(lam)-1) > 1e-9 {
-				t.Fatalf("d=%d: Σλ = %v", d, vec.Sum(lam))
+			if math.Abs(sum(lam)-1) > 1e-9 {
+				t.Fatalf("d=%d: Σλ = %v", d, sum(lam))
 			}
 			back, err := fromBarycentric(s, lam)
 			if err != nil {

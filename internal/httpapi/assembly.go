@@ -3,9 +3,11 @@
 // becomes the production stack — retrieval engine, one core bypass
 // module, one service.Service — and that stack is
 // exposed as the JSON routes cmd/fbserve listens on. cmd/fbserve is
-// flags and process lifecycle around this package; the in-process
-// figures of internal/experiments measure the same Assemble the server
-// runs, not a copy of it.
+// flags and process lifecycle around this package. The figures of
+// internal/experiments do not call Assemble: they build their own engine
+// and module (engine.New, core.New) and drive the same engine.Loop a
+// served session drives, which TestServedSessionIsTheFiguresLoop
+// (internal/service) holds to the same rounds and insert decision.
 package httpapi
 
 import (

@@ -29,6 +29,7 @@ func FuzzHTTPRequest(f *testing.F) {
 		`{"item":`, `{"feature":[0.1,`, ``, `null`, `[]`, `"query"`, `{"item":0}{"item":1}`,
 		`{"session":1}{"session":2}`, `{"session":1} x`, "{\"session\":1}\n\t ",
 		strings.Repeat(`[`, 10000), strings.Repeat(`{"feature":`, 2000),
+		`{"session":3,"scores":[5e-324,0,0,0,0]}`,
 	} {
 		for route := uint8(0); route < 3; route++ {
 			f.Add(route, []byte(body))

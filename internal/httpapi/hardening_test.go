@@ -236,8 +236,9 @@ func TestOversizedBodyRejected(t *testing.T) {
 }
 
 // TestOverflowingScoresRejected: finite scores whose sum overflows
-// (1e308 each) are a client error, 400, that leaves the session as it
-// was; a valid round on the same session still succeeds.
+// (1e308 each), or a lone positive score so small (subnormal) that 1/Σ
+// overflows, are a client error, 400, that leaves the session as it was;
+// a valid round on the same session still succeeds.
 func TestOverflowingScoresRejected(t *testing.T) {
 	srv, ds, _ := newTestServer(t)
 	item := 0
@@ -245,20 +246,22 @@ func TestOverflowingScoresRejected(t *testing.T) {
 	if code := postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 8}, &st); code != http.StatusOK {
 		t.Fatalf("query: status %d", code)
 	}
-	huge := make([]float64, len(st.Results))
-	for i := range huge {
-		huge[i] = 1e308
-	}
-	var errResp errorResponse
-	if code := postJSON(t, srv.URL+"/feedback", feedbackRequest{Session: st.Session, Scores: huge}, &errResp); code != http.StatusBadRequest {
-		t.Fatalf("feedback with 1e308 scores: status %d (%+v), want 400", code, errResp)
-	}
-	var after stateJSON
-	if code := getJSON(t, fmt.Sprintf("%s/session?id=%d", srv.URL, st.Session), &after); code != http.StatusOK {
-		t.Fatalf("session: status %d", code)
-	}
-	if after.Iterations != 0 || after.BudgetLeft != st.BudgetLeft || after.Converged || !reflect.DeepEqual(after.Results, st.Results) {
-		t.Fatalf("rejected round changed the session: %+v, was %+v", after, st)
+	for _, hostile := range [][]float64{{1e308}, {5e-324, 0}, {1e-310, 0}} {
+		bad := make([]float64, len(st.Results))
+		for i := range bad {
+			bad[i] = hostile[min(i, len(hostile)-1)]
+		}
+		var errResp errorResponse
+		if code := postJSON(t, srv.URL+"/feedback", feedbackRequest{Session: st.Session, Scores: bad}, &errResp); code != http.StatusBadRequest {
+			t.Fatalf("feedback with scores %v: status %d (%+v), want 400", bad, code, errResp)
+		}
+		var after stateJSON
+		if code := getJSON(t, fmt.Sprintf("%s/session?id=%d", srv.URL, st.Session), &after); code != http.StatusOK {
+			t.Fatalf("session: status %d", code)
+		}
+		if after.Iterations != 0 || after.BudgetLeft != st.BudgetLeft || after.Converged || !reflect.DeepEqual(after.Results, st.Results) {
+			t.Fatalf("rejected round %v changed the session: %+v, was %+v", bad, after, st)
+		}
 	}
 	scores := make([]float64, len(st.Results))
 	for i, r := range st.Results {

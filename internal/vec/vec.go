@@ -42,24 +42,6 @@ func Ones(n int) []float64 {
 	return v
 }
 
-// Scale returns s * v.
-func Scale(v []float64, s float64) []float64 {
-	out := make([]float64, len(v))
-	for i := range v {
-		out[i] = v[i] * s
-	}
-	return out
-}
-
-// AddInPlace sets dst = dst + v and returns dst.
-func AddInPlace(dst, v []float64) []float64 {
-	mustSameLen(dst, v)
-	for i := range dst {
-		dst[i] += v[i]
-	}
-	return dst
-}
-
 // ScaleInPlace sets dst = s * dst and returns dst.
 func ScaleInPlace(dst []float64, s float64) []float64 {
 	for i := range dst {
@@ -75,15 +57,6 @@ func Axpy(dst []float64, s float64, v []float64) []float64 {
 		dst[i] += s * v[i]
 	}
 	return dst
-}
-
-// Sum returns the sum of the components of v.
-func Sum(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
 }
 
 // Equal reports whether a and b have the same length and identical
@@ -122,26 +95,6 @@ func IsFinite(v []float64) bool {
 		}
 	}
 	return true
-}
-
-// Normalize returns v scaled so its components sum to 1. It returns an
-// error when the component sum is zero or not finite, since such a vector
-// cannot represent a normalized histogram.
-func Normalize(v []float64) ([]float64, error) {
-	s := Sum(v)
-	if s == 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-		return nil, fmt.Errorf("vec: cannot normalize vector with component sum %v", s)
-	}
-	return Scale(v, 1/s), nil
-}
-
-// Clamp returns v with every component clamped into [lo, hi].
-func Clamp(v []float64, lo, hi float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = math.Min(math.Max(x, lo), hi)
-	}
-	return out
 }
 
 func mustSameLen(a, b []float64) {

@@ -30,19 +30,8 @@ func TestBasicConstructors(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	a := []float64{1, 2, 3}
-	if got := Scale(a, 2); !Equal(got, []float64{2, 4, 6}) {
-		t.Errorf("Scale = %v", got)
-	}
-}
-
 func TestInPlaceOps(t *testing.T) {
-	a := []float64{1, 2}
-	AddInPlace(a, []float64{1, 1})
-	if !Equal(a, []float64{2, 3}) {
-		t.Errorf("AddInPlace = %v", a)
-	}
+	a := []float64{2, 3}
 	ScaleInPlace(a, 3)
 	if !Equal(a, []float64{6, 9}) {
 		t.Errorf("ScaleInPlace = %v", a)
@@ -58,9 +47,6 @@ func TestDistSum(t *testing.T) {
 	if got := math.Sqrt(SqDistW([]float64{0, 0}, a, Ones(2))); got != 5 {
 		t.Errorf("√SqDistW = %v", got)
 	}
-	if got := Sum(a); got != 7 {
-		t.Errorf("Sum = %v", got)
-	}
 }
 
 func TestDimensionMismatchPanics(t *testing.T) {
@@ -69,7 +55,7 @@ func TestDimensionMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on dimension mismatch")
 		}
 	}()
-	AddInPlace([]float64{1}, []float64{1, 2})
+	Axpy([]float64{1}, 1, []float64{1, 2})
 }
 
 func TestEqualTol(t *testing.T) {
@@ -93,28 +79,6 @@ func TestIsFinite(t *testing.T) {
 	}
 	if IsFinite([]float64{math.Inf(1)}) {
 		t.Error("Inf not detected")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	got, err := Normalize([]float64{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualTol(got, []float64{0.25, 0.75}, 1e-15) {
-		t.Errorf("Normalize = %v", got)
-	}
-	if _, err := Normalize([]float64{0, 0}); err == nil {
-		t.Error("expected error normalizing zero vector")
-	}
-	if _, err := Normalize([]float64{math.NaN()}); err == nil {
-		t.Error("expected error normalizing NaN vector")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if got := Clamp([]float64{-1, 0.5, 2}, 0, 1); !Equal(got, []float64{0, 0.5, 1}) {
-		t.Errorf("Clamp = %v", got)
 	}
 }
 

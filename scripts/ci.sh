@@ -24,12 +24,14 @@ run_test() {
 	# go.mod's go directive. The repo's own rules run in the Test step.
 	go vet ./...
 	# The portable kernel tier (internal/knn/phase1_generic.go) builds on
-	# every arch, but internal/vec/cpu_generic.go builds only off amd64;
-	# vet it where it runs. (internal/store/mmap_portable.go builds under
-	# neither linux config; TestRepoRules type-checks it under
-	# windows/arm64.)
+	# every arch, but internal/vec/cpu_generic.go builds only off amd64,
+	# and internal/store/mmap_portable.go only off the little-endian mmap
+	# platforms; vet each where it builds: linux/arm64, and big-endian
+	# linux/s390x. (windows/arm64 cannot stand in for s390x: the root test
+	# package calls syscall.Getrusage, which windows lacks.)
 	# Cross-vetting needs no network.
 	GOOS=linux GOARCH=arm64 go vet ./...
+	GOOS=linux GOARCH=s390x go vet ./...
 
 	step "Test"
 	# Includes the root TestRepoRules (the five invariant rules and their
