@@ -251,6 +251,25 @@ func TestOptimalQueryPointNoGood(t *testing.T) {
 	}
 }
 
+// TestEngineRefineNoGoodEchoesInput checks the contract that lets a caller
+// echo its current query and weights when nothing is scored good: Refine
+// reports ErrNoGoodMatches and leaves the result vectors (which may alias
+// the dataset's features) and the scores as they were.
+func TestEngineRefineNoGoodEchoesInput(t *testing.T) {
+	results := [][]float64{{0.3, 0.7}, {1, 1}}
+	scores := []float64{0, 0}
+	_, _, err := Refine(results, scores)
+	if !errors.Is(err, ErrNoGoodMatches) {
+		t.Fatalf("err = %v", err)
+	}
+	if !vec.Equal(results[0], []float64{0.3, 0.7}) || !vec.Equal(results[1], []float64{1, 1}) {
+		t.Errorf("results changed = %v", results)
+	}
+	if !vec.Equal(scores, []float64{0, 0}) {
+		t.Errorf("scores changed = %v", scores)
+	}
+}
+
 func TestOptimalQueryPointRaggedResults(t *testing.T) {
 	if _, _, err := Refine([][]float64{{1, 2}, {3}}, []float64{1, 1}); err == nil {
 		t.Error("ragged results should error")
