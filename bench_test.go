@@ -7,11 +7,10 @@
 package feedbackbypass_test
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"syscall"
@@ -234,44 +233,95 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // BenchmarkCensusReplay prices the rebuild of a durable restart: a
-// seeded D=31, N=62 tree of 1,500 stored points, written with
-// persist.SaveFile and read back from memory with persist.Load, which
-// re-splits the tree vertex by vertex in creation order.
+// seeded D=31, N=62 tree of 1,500 stored points, logged as a census of
+// the first 1,350 and a journal of the last 150 (the WAL a module writes
+// between compactions), and read back with persist.LoadFile, which
+// re-splits the census vertex by vertex in creation order and replays
+// the journal.
 func BenchmarkCensusReplay(b *testing.B) {
-	const d, points = 31, 1500
+	path := censusReplayLog(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := persist.LoadFile(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(censusReplayPoints), "points")
+}
+
+const censusReplayPoints = 1500
+
+// censusReplayLog writes BenchmarkCensusReplay's log and returns its path.
+func censusReplayLog(tb testing.TB) string {
+	tb.Helper()
+	const d, journaled = 31, censusReplayPoints / 10
 	tree, err := simplextree.New(geom.StandardSimplex(d), make([]float64, 2*d), simplextree.Options{Epsilon: 0.05})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	path := filepath.Join(tb.TempDir(), "tree.fbwl")
+	var wal *persist.WAL
 	rng := rand.New(rand.NewSource(71))
-	for stored := 0; stored < points; {
+	for stored := 0; stored < censusReplayPoints; {
+		if stored == censusReplayPoints-journaled && wal == nil {
+			if wal, err = persist.CreateWAL(nil, path, tree); err != nil {
+				tb.Fatal(err)
+			}
+			tree.SetObserver(wal.Append)
+		}
 		v := make([]float64, 2*d)
 		for j := range v {
 			v[j] = rng.NormFloat64()
 		}
 		changed, err := tree.Insert(benchInterior(rng, d), v)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if changed {
 			stored++
 		}
 	}
-	path := filepath.Join(b.TempDir(), "tree.fbwl")
-	if err := persist.SaveFile(path, tree); err != nil {
-		b.Fatal(err)
+	if err := wal.Close(); err != nil {
+		tb.Fatal(err)
 	}
-	log, err := os.ReadFile(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := persist.Load(bytes.NewReader(log)); err != nil {
-			b.Fatal(err)
+	return path
+}
+
+// TestCensusReplayByteBudget: one persist.LoadFile of
+// BenchmarkCensusReplay's log allocates at most 5 MB, and at most 10%
+// more than a load of the same tree logged as a census alone. The tree stores no per-node vertex
+// ids (a lookup derives them): per-node id lists would add 6 MB. Loading
+// sizes the census and the tree's arrays once, journal tail included: a
+// replay that regrew them would add about 1 MB, a third.
+func TestCensusReplayByteBudget(t *testing.T) {
+	loadBytes := func(path string) (*simplextree.Tree, uint64) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tree, err := persist.LoadFile(path)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return tree, after.TotalAlloc - before.TotalAlloc
 	}
-	b.ReportMetric(float64(points), "points")
+	tree, got := loadBytes(censusReplayLog(t))
+	if pts := tree.Stats().Points; pts != censusReplayPoints {
+		t.Fatalf("the log holds %d points, want %d", pts, censusReplayPoints)
+	}
+	census := filepath.Join(t.TempDir(), "census.fbwl")
+	if err := persist.SaveFile(census, tree); err != nil {
+		t.Fatal(err)
+	}
+	_, ref := loadBytes(census)
+	t.Logf("one LoadFile allocated %.2f MB; %.2f MB from a census alone", float64(got)/(1<<20), float64(ref)/(1<<20))
+	const budget = 5 << 20
+	if got > budget {
+		t.Errorf("one LoadFile allocated %d bytes, budget %d", got, budget)
+	}
+	if got > ref+ref/10 {
+		t.Errorf("one LoadFile allocated %d bytes, over 10%% above the %d of a census alone: the journal replay regrew the tree", got, ref)
+	}
 }
 
 func BenchmarkLookupNaive(b *testing.B) {

@@ -213,58 +213,98 @@ func TestDurableReplayIdempotent(t *testing.T) {
 // TestRecoveryIsSnapshotEqual: the tree a module recovers is
 // Snapshot-equal to the one it held — structure, values, stamps, clock
 // and point counter — after a kill with a journal pending, after
-// Compact, and after a reclaiming CompactAged.
+// Compact, and after a reclaiming CompactAged; and at D = 31, the
+// durable workload's dimension, after a kill with a census of over 300
+// points and a journal pending.
 func TestRecoveryIsSnapshotEqual(t *testing.T) {
-	const d, p = 3, 2
-	dir := t.TempDir()
-	cfg := Config{Epsilon: 0.01, AgeHorizon: 6}
-	db, err := OpenDurable(dir, d, p, cfg, DurableOptions{})
+	r := newRecoveryRig(t, 3, 2, Config{Epsilon: 0.01, AgeHorizon: 6}, 19)
+	r.insert(15)
+	r.reopen("a kill with 15 journaled inserts")
+	if err := r.db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	r.reopen("Compact")
+	r.insert(10)
+	if st, err := r.db.CompactAged(); err != nil || st.Reclaimed == 0 {
+		t.Fatalf("CompactAged: %+v, %v", st, err)
+	}
+	r.reopen("a reclaiming CompactAged")
+	r.insert(4)
+	r.reopen("a kill after CompactAged")
+	r.close("at the end")
+
+	r = newRecoveryRig(t, 31, 31, Config{Epsilon: 0.01}, 23)
+	r.insert(320)
+	if err := r.db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	r.insert(40)
+	if pts, journaled := r.db.Stats().Points, r.db.Journaled(); pts < 300 || journaled == 0 {
+		t.Fatalf("D=31: %d points with %d journaled, want ≥ 300 and a pending journal", pts, journaled)
+	}
+	r.reopen("D=31: a kill with a census and a pending journal")
+	r.close("D=31: at the end")
+}
+
+// recoveryRig is one durable module under TestRecoveryIsSnapshotEqual:
+// random inserts, every fifth re-storing an earlier point (a vertex
+// update), and reopens compared by Snapshot.
+type recoveryRig struct {
+	t    *testing.T
+	dir  string
+	d, p int
+	cfg  Config
+	db   *DurableBypass
+	rng  *rand.Rand
+	pts  [][]float64
+}
+
+func newRecoveryRig(t *testing.T, d, p int, cfg Config, seed int64) *recoveryRig {
+	t.Helper()
+	r := &recoveryRig{t: t, dir: t.TempDir(), d: d, p: p, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	db, err := OpenDurable(r.dir, d, p, cfg, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(19))
-	var pts [][]float64
-	insert := func(n int) {
-		for i := 0; i < n; i++ {
-			q := randomSimplexPoint(rng, d)
-			if i%5 == 4 {
-				q = pts[rng.Intn(len(pts))] // a vertex update
-			}
-			if _, err := db.Insert(q, randomOQP(rng, d, p)); err != nil {
-				t.Fatal(err)
-			}
-			pts = append(pts, q)
+	r.db = db
+	return r
+}
+
+func (r *recoveryRig) insert(n int) {
+	r.t.Helper()
+	for i := 0; i < n; i++ {
+		q := randomSimplexPoint(r.rng, r.d)
+		if i%5 == 4 {
+			q = r.pts[r.rng.Intn(len(r.pts))] // a vertex update
 		}
-	}
-	reopen := func(what string) {
-		t.Helper()
-		want := db.Tree().Snapshot()
-		r, err := OpenDurable(dir, d, p, cfg, DurableOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
+		if _, err := r.db.Insert(q, randomOQP(r.rng, r.d, r.p)); err != nil {
+			r.t.Fatal(err)
 		}
-		defer r.Close()
-		if !reflect.DeepEqual(r.Tree().Snapshot(), want) {
-			t.Fatalf("%s: recovered %+v, not Snapshot-equal to %+v", what, r.Stats(), db.Stats())
-		}
+		r.pts = append(r.pts, q)
 	}
-	insert(15)
-	reopen("a kill with 15 journaled inserts")
-	if err := db.Compact(); err != nil {
-		t.Fatal(err)
+}
+
+// reopen recovers a second module from the directory, as after a kill,
+// and holds its tree to the live one.
+func (r *recoveryRig) reopen(what string) {
+	r.t.Helper()
+	want := r.db.Tree().Snapshot()
+	back, err := OpenDurable(r.dir, r.d, r.p, r.cfg, DurableOptions{})
+	if err != nil {
+		r.t.Fatalf("%s: %v", what, err)
 	}
-	reopen("Compact")
-	insert(10)
-	if st, err := db.CompactAged(); err != nil || st.Reclaimed == 0 {
-		t.Fatalf("CompactAged: %+v, %v", st, err)
+	defer back.Close()
+	if !reflect.DeepEqual(back.Tree().Snapshot(), want) {
+		r.t.Fatalf("%s: recovered %+v, not Snapshot-equal to %+v", what, back.Stats(), r.db.Stats())
 	}
-	reopen("a reclaiming CompactAged")
-	insert(4)
-	reopen("a kill after CompactAged")
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
+}
+
+func (r *recoveryRig) close(what string) {
+	r.t.Helper()
+	if err := r.db.Close(); err != nil {
+		r.t.Fatal(err)
 	}
-	onlyLog(t, "at the end", dir)
+	onlyLog(r.t, what, r.dir)
 }
 
 // TestRetiredSnapshotRefused: a directory holding a snapshot of the

@@ -10,7 +10,6 @@ package persist
 // seeds, which always run as regular tests.
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -93,19 +92,19 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})                          // empty log → short header
 	f.Add([]byte("FBWLgarbage............")) // bad header fields
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tree, err := Load(bytes.NewReader(data))
+		tree, err := load(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Load returned a non-ErrCorrupt error: %v", err)
+				t.Fatalf("load returned a non-ErrCorrupt error: %v", err)
 			}
 			return
 		}
 		snap := tree.Snapshot()
-		again, err := Load(bytes.NewReader(data))
+		again, err := load(data)
 		if err != nil || !reflect.DeepEqual(again.Snapshot(), snap) {
 			t.Fatalf("load not deterministic: %v", err)
 		}
-		back, err := Load(bytes.NewReader(encodeCensus(tree.Census())))
+		back, err := load(encodeCensus(tree.Census()))
 		if err != nil {
 			t.Fatalf("re-loading a re-encoded log failed: %v", err)
 		}

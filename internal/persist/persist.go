@@ -163,18 +163,23 @@ func readHeader(r io.Reader) (*simplextree.Census, int, error) {
 	return c, n, nil
 }
 
-// readLog reads a whole log from r: it rebuilds the census tree and
-// replays every journal record into it. It returns the tree, the offset
-// just past the last complete record and the number of journal records.
-// A torn final journal record is dropped; anything else malformed —
-// including a journal record the tree refuses — is ErrCorrupt.
-func readLog(r io.Reader) (*simplextree.Tree, int64, int, error) {
+// readLog reads a whole log of size bytes from r: it rebuilds the census
+// tree and replays every journal record into it. It returns the tree,
+// the offset just past the last complete record and the number of
+// journal records. size only sizes buffers: the census and the tree's
+// arrays get room for the complete records it implies, so the journal
+// replay grows no array. A torn final journal record is dropped;
+// anything else malformed — including a journal record the tree
+// refuses — is ErrCorrupt.
+func readLog(r io.Reader, size int64) (*simplextree.Tree, int64, int, error) {
 	br := bufio.NewReader(r)
 	c, n, err := readHeader(br)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	rec := make([]byte, walRecordSize(c.Dim, c.OQPDim))
+	records := max(0, int((size-walHeaderSize)/int64(len(rec))))
+	c.Vertices = make([]simplextree.CensusVertex, 0, min(n, records))
 	q := make([]float64, c.Dim)
 	value := make([]float64, c.OQPDim)
 	for i := 0; i < n; i++ {
@@ -187,7 +192,7 @@ func readLog(r io.Reader) (*simplextree.Tree, int64, int, error) {
 		}
 		c.Vertices = append(c.Vertices, simplextree.CensusVertex{Point: vec.Clone(q), Value: vec.Clone(value), Stamp: stamp})
 	}
-	tree, err := simplextree.FromCensus(c)
+	tree, err := simplextree.FromCensus(c, max(0, records-n))
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
@@ -256,14 +261,8 @@ func SaveFileFS(fsys FS, path string, tree *simplextree.Tree) error {
 	return errors.Join(err, f.Close())
 }
 
-// Load reads a tree from a log: the census, then every journal record.
-func Load(r io.Reader) (*simplextree.Tree, error) {
-	tree, _, _, err := readLog(r)
-	return tree, err
-}
-
 // LoadFile reads a tree from the named log file — a saved tree or a
-// module's live journal.
+// module's live journal: the census, then every journal record.
 func LoadFile(path string) (*simplextree.Tree, error) {
 	return LoadFileFS(nil, path)
 }
@@ -275,7 +274,12 @@ func LoadFileFS(fsys FS, path string) (*simplextree.Tree, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(f)
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	tree, _, _, err := readLog(f, info.Size())
+	return tree, err
 }
 
 // removeStaleTemp removes the temporary file a crash mid-commit left

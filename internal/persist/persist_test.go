@@ -17,6 +17,13 @@ import (
 	"repro/internal/vec"
 )
 
+// load reads a tree from a log image held in memory, the way LoadFile
+// reads one from a file.
+func load(img []byte) (*simplextree.Tree, error) {
+	tree, _, _, err := readLog(bytes.NewReader(img), int64(len(img)))
+	return tree, err
+}
+
 // simplexPoint draws a point strictly inside the standard D-simplex.
 func simplexPoint(rng *rand.Rand, d int) []float64 {
 	w := make([]float64, d+1)
@@ -64,7 +71,7 @@ func buildTree(tb testing.TB, d, n, inserts int, seed int64) *simplextree.Tree {
 
 func roundTrip(t *testing.T, tr *simplextree.Tree) *simplextree.Tree {
 	t.Helper()
-	back, err := Load(bytes.NewReader(encodeCensus(tr.Census())))
+	back, err := load(encodeCensus(tr.Census()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +160,7 @@ func TestSaveLoadFile(t *testing.T) {
 }
 
 func TestLoadRejectsBadMagic(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("NOPEnope"))); !errors.Is(err, ErrCorrupt) {
+	if _, err := load([]byte("NOPEnope")); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -165,7 +172,7 @@ func TestLoadRejectsTruncation(t *testing.T) {
 	tr := buildTree(t, 2, 2, 10, 5)
 	full := encodeCensus(tr.Census())
 	for _, cut := range []int{0, 1, 4, 10, walHeaderSize, len(full) / 2, len(full) - 1} {
-		if _, err := Load(bytes.NewReader(full[:cut])); !errors.Is(err, ErrCorrupt) {
+		if _, err := load(full[:cut]); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("truncation at %d: err = %v, want ErrCorrupt", cut, err)
 		}
 	}
@@ -182,7 +189,7 @@ func TestLoadRejectsBitFlips(t *testing.T) {
 		copy(corrupted, full)
 		pos := rng.Intn(len(corrupted))
 		corrupted[pos] ^= 1 << uint(rng.Intn(8))
-		if _, err := Load(bytes.NewReader(corrupted)); err != nil {
+		if _, err := load(corrupted); err != nil {
 			rejected++
 		}
 	}
@@ -217,7 +224,7 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 	binary.LittleEndian.PutUint32(future[52:], crc32.ChecksumIEEE(future[:52]))
 	qs, vs := walRecordsForTest(rand.New(rand.NewSource(9)), 4, 2, 2)
 	for name, img := range map[string][]byte{"v99": future, "v2": walV2Image(qs, vs)} {
-		_, err := Load(bytes.NewReader(img))
+		_, err := load(img)
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported WAL version") {
 			t.Errorf("%s: err = %v, want ErrCorrupt: unsupported WAL version", name, err)
 		}
@@ -232,7 +239,7 @@ func TestLoadRejectsNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
 		img := append([]byte(nil), saved...)
 		img = appendRecord(img, []float64{0.2, 0.2}, []float64{bad, 0}, 9)
-		if _, err := Load(bytes.NewReader(img)); !errors.Is(err, ErrCorrupt) {
+		if _, err := load(img); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("journal value %v: err = %v, want ErrCorrupt", bad, err)
 		}
 	}

@@ -38,11 +38,12 @@ type WAL struct {
 }
 
 // OpenWAL opens the log at path through fsys (nil means OSFS) and
-// recovers its tree: the census rebuilt, then every journal record
-// replayed. A temporary file left beside it by a crash mid-commit is
-// removed, and a torn final record — a crash mid-append — is truncated
-// away so the next append starts on a record boundary. A missing log is
-// reported with an error satisfying errors.Is(err, os.ErrNotExist).
+// recovers its tree: the census rebuilt, with room for the journal
+// records the file size implies, then every journal record replayed. A
+// temporary file left beside it by a crash mid-commit is removed, and a
+// torn final record — a crash mid-append — is truncated away so the
+// next append starts on a record boundary. A missing log is reported
+// with an error satisfying errors.Is(err, os.ErrNotExist).
 func OpenWAL(fsys FS, path string) (*WAL, *simplextree.Tree, error) {
 	fsys = OrOS(fsys)
 	if err := removeStaleTemp(fsys, path); err != nil {
@@ -65,7 +66,7 @@ func resume(fsys FS, f File, path string) (*WAL, *simplextree.Tree, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	tree, end, records, err := readLog(f)
+	tree, end, records, err := readLog(f, info.Size())
 	if err != nil {
 		return nil, nil, err
 	}

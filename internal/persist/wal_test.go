@@ -91,7 +91,7 @@ func TestWALRoundTrip(t *testing.T) {
 }
 
 // TestWALTruncatedTailTolerated simulates a crash mid-append: the torn
-// final record must be dropped by both Load and OpenWAL, and the log
+// final record must be dropped by both a plain load and OpenWAL, and the log
 // must stay appendable.
 func TestWALTruncatedTailTolerated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.fbwl")
@@ -114,7 +114,7 @@ func TestWALTruncatedTailTolerated(t *testing.T) {
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(bytes.NewReader(torn))
+	loaded, err := load(torn)
 	if err != nil {
 		t.Fatalf("load of torn log: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestWALCorruptChecksumErrors(t *testing.T) {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+		if _, err := load(bad); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: load err = %v, want ErrCorrupt", name, err)
 		}
 		if _, _, err := OpenWAL(nil, path); !errors.Is(err, ErrCorrupt) {
@@ -321,7 +321,7 @@ func TestWALV1Refused(t *testing.T) {
 		if _, _, err := OpenWAL(nil, path); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
 			t.Errorf("open of v%d log: err = %v, want ErrCorrupt: %s", version, err, want)
 		}
-		if _, err := Load(bytes.NewReader(before)); !errors.Is(err, ErrCorrupt) {
+		if _, err := load(before); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("load of v%d log: err = %v, want ErrCorrupt", version, err)
 		}
 		after, err := os.ReadFile(path)

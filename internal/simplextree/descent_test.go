@@ -17,7 +17,7 @@ import (
 // also reports how many children accepted the point.
 func fullScanDescend(tr *Tree, n int32, lam []float64) (best int32, bestLam []float64, accepted int) {
 	nd := tr.nodes[n]
-	mu := tr.mus[nd.mu : int(nd.mu)+len(lam)]
+	mu := tr.muOf(nd)
 	best = -1
 	bestMin := math.Inf(-1)
 	for c := nd.child; c < nd.child+nd.nchild; c++ {
@@ -54,7 +54,7 @@ func checkDescent(t *testing.T, tr *Tree, q []float64) (ties int) {
 	if !geom.AllNonNegative(lam, tr.tol) {
 		t.Fatalf("test point %v is outside the domain", q)
 	}
-	n := int32(0)
+	n, ids := int32(0), tr.rootIDs()
 	for level := 0; tr.nodes[n].nchild > 0; level++ {
 		want, wantLam, accepted := fullScanDescend(tr, n, lam)
 		got, gotLam := tr.descendOnce(n, lam, make([]float64, n1), make([]float64, n1))
@@ -63,9 +63,12 @@ func checkDescent(t *testing.T, tr *Tree, q []float64) (ties int) {
 		}
 		if want < 0 {
 			// The fallback's business (and no better under either rule).
-			if n, lam = tr.descendSolve(n, q); n < 0 {
+			next, nextLam := tr.descendSolve(n, ids, q)
+			if next < 0 {
 				return ties
 			}
+			ids[tr.nodes[next].replaced] = tr.nodes[n].split
+			n, lam = next, nextLam
 			continue
 		}
 		for j := range wantLam {
@@ -76,6 +79,7 @@ func checkDescent(t *testing.T, tr *Tree, q []float64) (ties int) {
 		if accepted > 1 {
 			ties++
 		}
+		ids[tr.nodes[want].replaced] = tr.nodes[n].split
 		n, lam = want, wantLam
 	}
 	return ties
@@ -117,59 +121,15 @@ func TestPrunedDescentIsFullScan(t *testing.T) {
 	for _, d := range []int{2, 3, 8, 31} {
 		t.Run(fmt.Sprintf("D=%d", d), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + d)))
-			tr := newTestTree(t, d, make([]float64, 2), 0)
-			for i := 0; i < 80; i++ {
-				q := randomInterior(rng, d)
-				if i%5 == 4 {
-					q = boundaryPoint(rng, d)
-				}
-				if _, err := tr.Insert(q, []float64{rng.NormFloat64(), rng.NormFloat64()}); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			// Points on the faces children share: the split point s of a
-			// random inner node combined with a proper subset of that
-			// node's vertices (one vertex: an edge through s).
-			var shared [][]float64
-			for len(shared) < 300 {
-				n := int32(rng.Intn(len(tr.nodes)))
-				nd := tr.nodes[n]
-				if nd.nchild == 0 {
-					continue
-				}
-				split := tr.verts[tr.vertIDs(nd.child)[tr.nodes[nd.child].replaced]]
-				p := append([]float64(nil), split.Point...)
-				ids := tr.vertIDs(n)
-				a := 0.1 + rng.Float64()
-				for i := range p {
-					p[i] *= a
-				}
-				sum := a
-				for k := 1 + rng.Intn(d); k > 0; k-- { // at most D of the D+1 vertices
-					b := rng.Float64()
-					for i, x := range tr.verts[ids[rng.Intn(d+1)]].Point {
-						p[i] += b * x
-					}
-					sum += b
-				}
-				for i := range p {
-					p[i] /= sum
-				}
-				shared = append(shared, p)
-			}
-			var splits [][]float64
-			for _, v := range tr.verts {
-				splits = append(splits, v.Point)
-			}
+			tr, rec := buildRecorded(t, rng, d)
 			sets := []struct {
 				name     string
 				pts      [][]float64
 				wantTies bool
 			}{
 				{"interior", nil, false},
-				{"shared faces", shared, true},
-				{"split points", splits, true},
+				{"shared faces", sharedFacePoints(rng, tr, rec, 300), true},
+				{"split points", splitPoints(tr), true},
 				{"domain boundary", nil, d > 2},
 			}
 			for i := 0; i < 300; i++ {
@@ -236,7 +196,7 @@ func TestSplitAllocationBudget(t *testing.T) {
 	if err := tr.plant(tr.verts, d+1+runs+1); err != nil {
 		t.Fatal(err)
 	}
-	caps := func() [4]int { return [...]int{cap(tr.nodes), cap(tr.ids), cap(tr.mus), cap(tr.verts)} }
+	caps := func() [3]int { return [...]int{cap(tr.nodes), cap(tr.mus), cap(tr.verts)} }
 	reserved := caps()
 	rng := rand.New(rand.NewSource(67))
 	pts := make([][]float64, runs+1)

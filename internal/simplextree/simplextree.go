@@ -34,11 +34,14 @@
 // coordinate each, and only the survivors get the O(D) incremental child
 // update (geom.ChildBarycentricInto). The choice is bitwise the one a full
 // scan of the children makes (DESIGN.md, "Incremental barycentric
-// descent"). The triangulation lives in flat arrays of int32 indices — the
-// nodes, with each split's children side by side, their vertex ids, and
-// the split coordinates — beside one table of vertex pointers indexed by
-// creation order, so a split appends instead of allocating nodes and the
-// garbage collector scans only the vertex table.
+// descent"). The triangulation lives in two flat arrays — the nodes, with
+// each split's children side by side, and the split coordinates — beside
+// one table of vertex pointers indexed by creation order, so a split
+// appends instead of allocating nodes and the garbage collector scans only
+// the vertex table. No node lists its vertices: a child keeps D of its
+// parent's D+1 and takes the split point in the slot it replaced, so a
+// lookup derives the leaf's vertex ids on the way down from the corners
+// 0…D, one assignment per level.
 package simplextree
 
 import (
@@ -93,13 +96,14 @@ type Vertex struct {
 }
 
 // node is one simplex of the triangulation. Nodes refer to their
-// children, vertices and split coordinates by index into the tree's flat
-// arrays, so the node storage holds no Go pointer for the GC to scan.
-// Node i's D+1 vertex ids are Tree.ids[i·(D+1) : (i+1)·(D+1)].
+// children and split point by index into the tree's flat arrays, so the
+// node storage holds no Go pointer for the GC to scan. A node stores no
+// vertex ids: the root's are the corners 0…D, and a child's are its
+// parent's with slot replaced set to the parent's split.
 type node struct {
 	child    int32 // index in Tree.nodes of the first child; a split's children are contiguous
 	nchild   int32 // number of children; 0 for a leaf
-	mu       int32 // offset in Tree.mus of the split point's D+1 coordinates (inner nodes)
+	split    int32 // vertex id of the split point (inner nodes); its coordinates are Tree.mus[(split−D−1)·(D+1):]
 	replaced int32 // the parent's vertex slot this child's split point took (-1 at the root)
 }
 
@@ -128,6 +132,7 @@ type scratch struct {
 	lam  []float64 // barycentric coordinates at the current node
 	bufA []float64 // candidate/best child coordinates (descent juggles
 	bufB []float64 // three equal-size buffers without copying)
+	ids  []int32   // vertex ids of the current node, derived on the way down
 }
 
 // Tree is a Simplex Tree mapping points of a D-dimensional query domain to
@@ -143,12 +148,12 @@ type Tree struct {
 	tol     float64 // geometric tolerance
 
 	// The triangulation in flat arrays: nodes[0] is the root simplex,
-	// ids holds each node's D+1 vertex ids, mus each split's barycentric
-	// coordinates, and verts is the vertex table, indexed by id in
-	// creation order (the D+1 domain corners first). Only the vertex
-	// table holds pointers.
+	// mus holds each split's barycentric coordinates, and verts is the
+	// vertex table, indexed by id in creation order (the D+1 domain
+	// corners first). A split appends one vertex and its D+1 coordinates
+	// in lockstep, so split vertex id D+1+k owns mus[k·(D+1):(k+1)·(D+1)].
+	// Only the vertex table holds pointers.
 	nodes []node
-	ids   []int32
 	mus   []float64
 	verts []*Vertex
 
@@ -191,8 +196,9 @@ type Options struct {
 	// insert that would create a vertex past the bound is rejected with
 	// ErrQuotaExceeded; vertex-value updates stay accepted.
 	MaxVertices int
-	// MaxBytes bounds the tree's approximate heap footprint (see
-	// SizeBytes). Zero means unbounded; enforcement matches MaxVertices.
+	// MaxBytes bounds SizeBytes, a per-vertex price model of the tree's
+	// size rather than its measured heap. Zero means unbounded;
+	// enforcement matches MaxVertices.
 	MaxBytes int64
 	// AgeHorizon, when positive, enables OQP aging: vertices whose stamp
 	// trails the logical clock by more than the horizon become
@@ -256,14 +262,10 @@ func (t *Tree) plant(corners []*Vertex, nverts int) error {
 	n := t.dim + 1
 	splits := max(nverts-n, 0)
 	t.nodes = append(make([]node, 0, 1+splits*n), node{replaced: -1})
-	t.ids = make([]int32, n, (1+splits*n)*n)
-	for i := range t.ids {
-		t.ids[i] = int32(i)
-	}
 	t.mus = make([]float64, 0, splits*n)
 	t.verts = append(make([]*Vertex, 0, n+splits), corners...)
 	t.numLeaves = 1
-	rootSimplex, err := t.simplexOf(0)
+	rootSimplex, err := t.simplexOf(t.rootIDs())
 	if err != nil {
 		return err
 	}
@@ -278,15 +280,27 @@ func (t *Tree) plant(corners []*Vertex, nverts int) error {
 			lam:  make([]float64, n),
 			bufA: make([]float64, n),
 			bufB: make([]float64, n),
+			ids:  make([]int32, n),
 		}
 	}
 	return nil
 }
 
-// vertIDs returns node n's D+1 vertex ids (a view into t.ids).
-func (t *Tree) vertIDs(n int32) []int32 {
+// rootIDs returns the root simplex's vertex ids: the corners 0…D.
+func (t *Tree) rootIDs() []int32 {
+	ids := make([]int32, t.dim+1)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
+// muOf returns inner node nd's split coordinates: the barycentric
+// coordinates of its split point with respect to nd.
+func (t *Tree) muOf(nd node) []float64 {
 	d1 := int32(t.dim + 1)
-	return t.ids[n*d1 : (n+1)*d1]
+	off := (nd.split - d1) * d1
+	return t.mus[off : off+d1]
 }
 
 // Dim returns the query-domain dimensionality D.
@@ -307,14 +321,15 @@ func (t *Tree) SetQuota(maxVertices int, maxBytes int64) {
 	t.mu.Unlock()
 }
 
-// perVertexBytes approximates the heap cost of one stored vertex: its
-// point and value float64 slices plus struct, pointer and node-sharing
-// overhead. A constant per-vertex model keeps the byte quota monotone
-// and cheap to enforce.
+// perVertexBytes is the byte quota's price of one stored vertex: its
+// point and value payload, 8·(D+N) bytes, plus a flat 128 bytes for
+// everything else a split stores. It is a model, not a measurement (the
+// measured heap per point is in DESIGN.md, "Flat storage"); a constant
+// per-vertex price keeps the quota monotone and cheap to enforce.
 func (t *Tree) perVertexBytes() int64 { return int64(8*(t.dim+t.oqpDim)) + 128 }
 
-// SizeBytes reports the tree's approximate heap footprint — the
-// quantity Options.MaxBytes bounds.
+// SizeBytes reports the quantity Options.MaxBytes bounds: the vertex
+// count times perVertexBytes, 8·(D+N) + 128 bytes per vertex.
 func (t *Tree) SizeBytes() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -354,8 +369,9 @@ func (t *Tree) SetObserver(fn Observer) {
 // lookup descends to the leaf containing q, maintaining barycentric
 // coordinates incrementally in the scratch buffers. It returns the leaf,
 // the coordinates of q with respect to it (aliasing one of the scratch
-// buffers), and the number of simplices traversed. The caller must hold
-// the lock (either mode) and own sc.
+// buffers), and the number of simplices traversed; sc.ids then holds the
+// leaf's vertex ids, in the order of the coordinates. The caller must
+// hold the lock (either mode) and own sc.
 func (t *Tree) lookup(q []float64, sc *scratch) (int32, []float64, int, error) {
 	if err := t.checkQuery(q); err != nil {
 		return 0, nil, 0, err
@@ -367,7 +383,10 @@ func (t *Tree) lookup(q []float64, sc *scratch) (int32, []float64, int, error) {
 		return 0, nil, 0, ErrOutOfDomain
 	}
 	n := int32(0)
-	lam := sc.lam
+	lam, ids := sc.lam, sc.ids
+	for i := range ids {
+		ids[i] = int32(i)
+	}
 	spareA, spareB := sc.bufA, sc.bufB
 	traversed := 1
 	for t.nodes[n].nchild > 0 {
@@ -375,7 +394,7 @@ func (t *Tree) lookup(q []float64, sc *scratch) (int32, []float64, int, error) {
 		if next < 0 {
 			// Numerically ambiguous boundary point: no child accepted it.
 			// Resolve by a fresh solve against each child (robust path).
-			next, nextLam = t.descendSolve(n, q)
+			next, nextLam = t.descendSolve(n, ids, q)
 			if next < 0 {
 				return 0, nil, traversed, fmt.Errorf("simplextree: no child contains point %v (numerical boundary): %w", q, ErrOutOfDomain)
 			}
@@ -389,6 +408,7 @@ func (t *Tree) lookup(q []float64, sc *scratch) (int32, []float64, int, error) {
 		} else if &nextLam[0] == &spareB[0] {
 			spareB = lam
 		}
+		ids[t.nodes[next].replaced] = t.nodes[n].split
 		n, lam = next, nextLam
 		traversed++
 	}
@@ -427,7 +447,7 @@ func (t *Tree) checkQuery(q []float64) error {
 // evaluating every child.
 func (t *Tree) descendOnce(n int32, lam, spareA, spareB []float64) (int32, []float64) {
 	nd := t.nodes[n]
-	mu := t.mus[nd.mu : int(nd.mu)+len(lam)]
+	mu := t.muOf(nd)
 	kids := t.nodes[nd.child : nd.child+nd.nchild]
 	hs := kids[0].replaced
 	ws := lam[hs] / mu[hs]
@@ -470,15 +490,20 @@ func (t *Tree) descendOnce(n int32, lam, spareA, spareB []float64) (int32, []flo
 }
 
 // descendSolve is the slow fallback: solve the barycentric system directly
-// for each child of n. It allocates, but runs only for numerically
-// ambiguous boundary points. It returns -1 when no child accepts q.
-func (t *Tree) descendSolve(n int32, q []float64) (int32, []float64) {
+// for each child of n, whose vertex ids are ids. It allocates, but runs
+// only for numerically ambiguous boundary points. It returns -1 when no
+// child accepts q.
+func (t *Tree) descendSolve(n int32, ids []int32, q []float64) (int32, []float64) {
 	best := int32(-1)
 	var bestLam []float64
 	bestMin := math.Inf(-1)
 	nd := t.nodes[n]
+	kid := append([]int32(nil), ids...)
 	for c := nd.child; c < nd.child+nd.nchild; c++ {
-		s, err := t.simplexOf(c)
+		h := t.nodes[c].replaced
+		kid[h] = nd.split
+		s, err := t.simplexOf(kid)
+		kid[h] = ids[h]
 		if err != nil {
 			continue
 		}
@@ -499,8 +524,8 @@ func (t *Tree) descendSolve(n int32, q []float64) (int32, []float64) {
 	return best, bestLam
 }
 
-func (t *Tree) simplexOf(n int32) (*geom.Simplex, error) {
-	ids := t.vertIDs(n)
+// simplexOf builds the simplex whose vertices are ids.
+func (t *Tree) simplexOf(ids []int32) (*geom.Simplex, error) {
 	pts := make([][]float64, len(ids))
 	for i, id := range ids {
 		pts[i] = t.verts[id].Point
@@ -509,13 +534,13 @@ func (t *Tree) simplexOf(n int32) (*geom.Simplex, error) {
 }
 
 // interpolateInto evaluates the piecewise-linear wavelet at barycentric
-// coordinates lam over leaf's vertices into dst:
+// coordinates lam over the simplex with vertex ids into dst:
 // v̂ = Σ_j λ_j · Value(s_j).
-func (t *Tree) interpolateInto(dst []float64, leaf int32, lam []float64) {
+func (t *Tree) interpolateInto(dst []float64, ids []int32, lam []float64) {
 	for i := range dst {
 		dst[i] = 0
 	}
-	for j, id := range t.vertIDs(leaf) {
+	for j, id := range ids {
 		vec.Axpy(dst, lam[j], t.verts[id].Value)
 	}
 }
@@ -543,29 +568,29 @@ func (t *Tree) PredictInto(dst, q []float64) (PredictStats, error) {
 	}
 	sc := t.scratch.Get().(*scratch)
 	t.mu.RLock()
-	leaf, lam, traversed, err := t.lookup(q, sc)
+	_, lam, traversed, err := t.lookup(q, sc)
 	st := PredictStats{Traversed: traversed}
 	if err == nil {
-		t.interpolateInto(dst, leaf, lam)
-		t.touchLeaf(leaf)
+		t.interpolateInto(dst, sc.ids, lam)
+		t.touchLeaf(sc.ids)
 	}
 	t.mu.RUnlock()
 	t.scratch.Put(sc)
 	return st, err
 }
 
-// touchLeaf reinforces the stamps of a served simplex's vertices: a
+// touchLeaf reinforces the stamps of the served simplex's vertices (ids): a
 // prediction read from them means they still describe live traffic, so
 // aging must not reclaim them. Atomic stores keep this legal under the
 // shared read lock (the clock is frozen while any reader holds it, so
 // stamps only ever move forward). With aging disabled this is a no-op —
 // the read path stays bitwise identical to the pre-lifecycle tree.
-func (t *Tree) touchLeaf(leaf int32) {
+func (t *Tree) touchLeaf(ids []int32) {
 	if t.ageHorizon == 0 {
 		return
 	}
 	now := t.clock
-	for _, id := range t.vertIDs(leaf) {
+	for _, id := range ids {
 		t.verts[id].stamp.Store(now)
 	}
 }
@@ -612,7 +637,7 @@ func (t *Tree) insertLocked(q, value []float64, stamp uint64) (bool, error) {
 		return false, err
 	}
 	pred := make([]float64, t.oqpDim)
-	t.interpolateInto(pred, leaf, lam)
+	t.interpolateInto(pred, sc.ids, lam)
 	if maxAbsDiff(pred, value) <= t.epsilon {
 		return false, nil
 	}
@@ -624,7 +649,7 @@ func (t *Tree) insertLocked(q, value []float64, stamp uint64) (bool, error) {
 	// the tree untouched for recovery to be idempotent.
 	for j, l := range lam {
 		if l >= 1-t.tol {
-			v := t.verts[t.vertIDs(leaf)[j]]
+			v := t.verts[sc.ids[j]]
 			if vec.Equal(v.Value, value) {
 				return false, nil
 			}
@@ -656,9 +681,10 @@ func (t *Tree) insertLocked(q, value []float64, stamp uint64) (bool, error) {
 // splitLocked stores q as a new vertex that splits leaf into up to D+1
 // children around it; lam is q's barycentric coordinates in leaf. The
 // children are appended to the node array side by side, child h taking
-// the leaf's vertices with slot h replaced by q. The observer hears of
-// the split before the tree changes, and an observer error leaves the
-// tree unchanged.
+// the leaf's vertices with slot h replaced by q; the vertex and lam are
+// appended to their arrays in lockstep (see Tree.mus). The observer
+// hears of the split before the tree changes, and an observer error
+// leaves the tree unchanged.
 func (t *Tree) splitLocked(leaf int32, lam, q, value []float64, stamp uint64) error {
 	kids := 0
 	for _, l := range lam {
@@ -685,11 +711,9 @@ func (t *Tree) splitLocked(leaf int32, lam, q, value []float64, stamp uint64) er
 			continue
 		}
 		t.nodes = append(t.nodes, node{replaced: int32(h)})
-		t.ids = append(t.ids, t.vertIDs(leaf)...)
-		t.ids[len(t.ids)-len(lam)+h] = id
 	}
 	// lam aliases a scratch buffer; mus keeps the split's copy.
-	t.nodes[leaf] = node{child: first, nchild: int32(kids), mu: int32(len(t.mus)), replaced: t.nodes[leaf].replaced}
+	t.nodes[leaf] = node{child: first, nchild: int32(kids), split: id, replaced: t.nodes[leaf].replaced}
 	t.mus = append(t.mus, lam...)
 	t.stampVertex(newVert, stamp)
 	t.numPoints++
@@ -784,7 +808,8 @@ func (t *Tree) PredictNaive(q []float64) ([]float64, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n := int32(0)
-	s, err := t.simplexOf(n)
+	ids := t.rootIDs()
+	s, err := t.simplexOf(ids)
 	if err != nil {
 		return nil, err
 	}
@@ -796,13 +821,14 @@ func (t *Tree) PredictNaive(q []float64) ([]float64, error) {
 		return nil, ErrOutOfDomain
 	}
 	for t.nodes[n].nchild > 0 {
-		next, nextLam := t.descendSolve(n, q)
+		next, nextLam := t.descendSolve(n, ids, q)
 		if next < 0 {
 			return nil, fmt.Errorf("simplextree: no child contains point %v: %w", q, ErrOutOfDomain)
 		}
+		ids[t.nodes[next].replaced] = t.nodes[n].split
 		n, lam = next, nextLam
 	}
 	out := make([]float64, t.oqpDim)
-	t.interpolateInto(out, n, lam)
+	t.interpolateInto(out, ids, lam)
 	return out, nil
 }

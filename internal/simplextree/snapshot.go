@@ -83,22 +83,25 @@ func (t *Tree) censusLocked() *Census {
 func (t *Tree) Snapshot() *Snapshot {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var dump func(n int32) *SnapshotNode
-	dump = func(n int32) *SnapshotNode {
+	// dump takes node n's vertex ids and derives each child's from them.
+	var dump func(n int32, ids []int32) *SnapshotNode
+	dump = func(n int32, ids []int32) *SnapshotNode {
 		nd := t.nodes[n]
-		sn := &SnapshotNode{Verts: append([]int32(nil), t.vertIDs(n)...), Split: -1}
+		sn := &SnapshotNode{Verts: ids, Split: -1}
 		if nd.nchild > 0 {
-			first := t.nodes[nd.child]
-			sn.Split = t.vertIDs(nd.child)[first.replaced]
-			sn.Mu = vec.Clone(t.mus[nd.mu : int(nd.mu)+t.dim+1])
+			sn.Split = nd.split
+			sn.Mu = vec.Clone(t.muOf(nd))
 			for c := nd.child; c < nd.child+nd.nchild; c++ {
-				sn.Replaced = append(sn.Replaced, t.nodes[c].replaced)
-				sn.Children = append(sn.Children, dump(c))
+				h := t.nodes[c].replaced
+				kid := append([]int32(nil), ids...)
+				kid[h] = nd.split
+				sn.Replaced = append(sn.Replaced, h)
+				sn.Children = append(sn.Children, dump(c, kid))
 			}
 		}
 		return sn
 	}
-	return &Snapshot{Census: *t.censusLocked(), Root: dump(0)}
+	return &Snapshot{Census: *t.censusLocked(), Root: dump(0, t.rootIDs())}
 }
 
 // FromCensus rebuilds the tree a census describes: the D+1 corners span
@@ -106,8 +109,10 @@ func (t *Tree) Snapshot() *Snapshot {
 // Those splits skip the ε test and the quota — they are the tree's
 // vertices, not feedback outcomes — so the triangulation comes back
 // exactly. The rebuilt tree has no quota, aging horizon or observer;
-// its owner applies them.
-func FromCensus(c *Census) (*Tree, error) {
+// its owner applies them. The tree's arrays are sized once, for the
+// census and for the journal inserts the caller replays next (a log's
+// journal tail), so neither the rebuild nor that replay regrows them.
+func FromCensus(c *Census, journal int) (*Tree, error) {
 	if c == nil {
 		return nil, errors.New("simplextree: nil census")
 	}
@@ -117,8 +122,8 @@ func FromCensus(c *Census) (*Tree, error) {
 	if !(c.Epsilon >= 0) || math.IsInf(c.Epsilon, 1) || !(c.Tol > 0) || math.IsInf(c.Tol, 1) {
 		return nil, fmt.Errorf("simplextree: invalid census thresholds ε=%v tol=%v", c.Epsilon, c.Tol)
 	}
-	if c.Points < 0 {
-		return nil, fmt.Errorf("simplextree: negative point count %d", c.Points)
+	if c.Points < 0 || journal < 0 {
+		return nil, fmt.Errorf("simplextree: negative point count %d or journal %d", c.Points, journal)
 	}
 	if len(c.Vertices) < c.Dim+1 {
 		return nil, fmt.Errorf("simplextree: census holds %d vertices, fewer than the %d domain corners", len(c.Vertices), c.Dim+1)
@@ -145,7 +150,7 @@ func FromCensus(c *Census) (*Tree, error) {
 		tol:     c.Tol,
 		clock:   clock,
 	}
-	if err := t.plant(corners, len(c.Vertices)); err != nil {
+	if err := t.plant(corners, len(c.Vertices)+journal); err != nil {
 		return nil, fmt.Errorf("simplextree: census corners are degenerate: %w", err)
 	}
 	sc := t.scratch.Get().(*scratch)

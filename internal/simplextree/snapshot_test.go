@@ -61,7 +61,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if snap.Dim != src.Dim() || snap.OQPDim != src.OQPDim() || snap.Epsilon != src.Epsilon() || snap.Points != src.Stats().Points || snap.Clock == 0 {
 			t.Errorf("%s: snapshot header: %+v", name, snap.Census)
 		}
-		back, err := FromCensus(src.Census())
+		back, err := FromCensus(src.Census(), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -117,16 +117,19 @@ func TestFromCensusValidation(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			census := tr.Census()
 			c.mutate(census)
-			if back, err := FromCensus(census); err == nil {
+			if back, err := FromCensus(census, 0); err == nil {
 				t.Errorf("accepted, rebuilt %+v", back.Stats())
 			}
 		})
 	}
-	if _, err := FromCensus(nil); err == nil {
+	if _, err := FromCensus(nil, 0); err == nil {
 		t.Error("nil census accepted")
 	}
+	if _, err := FromCensus(tr.Census(), -1); err == nil {
+		t.Error("negative journal reservation accepted")
+	}
 	// The unmutated census still rebuilds (each case mutated a copy).
-	if _, err := FromCensus(tr.Census()); err != nil {
+	if _, err := FromCensus(tr.Census(), 0); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -85,15 +85,18 @@ run_test() {
 	go test -run '^$' -bench 'BenchmarkDatasetBuild/scale=1$' -benchtime 1x .
 	go test -run '^$' -bench 'Feedback' -benchtime 1x ./internal/engine/
 
-	step "Benchmark regression smoke (prediction plane, retrieval core, collection build)"
+	step "Benchmark regression smoke (prediction plane, retrieval core, collection build, restart)"
 	# Short measured runs of the serial and parallel predict series, of
 	# the lone scan over the oracle searches at bigscan scale (wall and
-	# CPU per search), and of the bigscan collection's render (wall and
-	# CPU per build), so a lock-split, allocation, pruning or sampling
-	# regression shows up as a step in the uploaded numbers.
+	# CPU per search), of the bigscan collection's render (wall and CPU
+	# per build), and of a durable restart's log replay (wall, bytes and
+	# allocations per Load), so a lock-split, allocation, pruning,
+	# sampling or storage regression shows up as a step in the uploaded
+	# numbers.
 	go test -run '^$' -bench 'BenchmarkPredict$|BenchmarkPredictParallel$' -benchtime 2000x . | tee bench_predict.txt
 	go test -run '^$' -bench 'BenchmarkKNNScanOracle$' -benchtime 2000x . | tee bench_knn.txt
 	go test -run '^$' -bench 'BenchmarkDatasetBuild/scale=10$' -benchtime 3x . | tee bench_build.txt
+	go test -run '^$' -bench 'BenchmarkCensusReplay$' -benchmem -benchtime 50x . | tee bench_replay.txt
 
 	step "Lifecycle figure (bounded memory)"
 	# The bypass-aging soak, uploaded by ci.yml. Its properties (aging
