@@ -66,7 +66,7 @@ func benchInterior(rng *rand.Rand, d int) []float64 {
 func buildBenchTree(b *testing.B, d, points int) (*simplextree.Tree, [][]float64) {
 	b.Helper()
 	def := make([]float64, 2*d)
-	tree, err := simplextree.New(geom.StandardSimplex(d), def, simplextree.Options{})
+	tree, err := simplextree.New(d, def, simplextree.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func predictBenchTree(b *testing.B) (*simplextree.Tree, [][]float64) {
 	predictTreeOnce.Do(func() {
 		d := 31
 		def := make([]float64, 2*d)
-		tree, err := simplextree.New(geom.StandardSimplex(d), def, simplextree.Options{})
+		tree, err := simplextree.New(d, def, simplextree.Options{})
 		if err != nil {
 			predictTreeErr = err
 			return
@@ -209,7 +209,7 @@ func BenchmarkPredictParallel8(b *testing.B) {
 // BenchmarkWALAppend measures the durability tax per accepted insert:
 // one fixed-size record (D=31, N=62) written to the journal.
 func BenchmarkWALAppend(b *testing.B) {
-	tree, err := simplextree.New(geom.StandardSimplex(31), make([]float64, 62), simplextree.Options{})
+	tree, err := simplextree.New(31, make([]float64, 62), simplextree.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // re-splits the census vertex by vertex in creation order and replays
 // the journal.
 func BenchmarkCensusReplay(b *testing.B) {
-	path := censusReplayLog(b)
+	path := censusReplayLog(b, censusReplayPoints)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := persist.LoadFile(path); err != nil {
@@ -251,19 +251,21 @@ func BenchmarkCensusReplay(b *testing.B) {
 
 const censusReplayPoints = 1500
 
-// censusReplayLog writes BenchmarkCensusReplay's log and returns its path.
-func censusReplayLog(tb testing.TB) string {
+// censusReplayLog writes a log shaped like BenchmarkCensusReplay's, of
+// the given number of stored points, and returns its path.
+func censusReplayLog(tb testing.TB, points int) string {
 	tb.Helper()
-	const d, journaled = 31, censusReplayPoints / 10
-	tree, err := simplextree.New(geom.StandardSimplex(d), make([]float64, 2*d), simplextree.Options{Epsilon: 0.05})
+	const d = 31
+	journaled := points / 10
+	tree, err := simplextree.New(d, make([]float64, 2*d), simplextree.Options{Epsilon: 0.05})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	path := filepath.Join(tb.TempDir(), "tree.fbwl")
 	var wal *persist.WAL
 	rng := rand.New(rand.NewSource(71))
-	for stored := 0; stored < censusReplayPoints; {
-		if stored == censusReplayPoints-journaled && wal == nil {
+	for stored := 0; stored < points; {
+		if stored == points-journaled && wal == nil {
 			if wal, err = persist.CreateWAL(nil, path, tree); err != nil {
 				tb.Fatal(err)
 			}
@@ -305,7 +307,7 @@ func TestCensusReplayByteBudget(t *testing.T) {
 		}
 		return tree, after.TotalAlloc - before.TotalAlloc
 	}
-	tree, got := loadBytes(censusReplayLog(t))
+	tree, got := loadBytes(censusReplayLog(t, censusReplayPoints))
 	if pts := tree.Stats().Points; pts != censusReplayPoints {
 		t.Fatalf("the log holds %d points, want %d", pts, censusReplayPoints)
 	}
@@ -321,6 +323,30 @@ func TestCensusReplayByteBudget(t *testing.T) {
 	}
 	if got > ref+ref/10 {
 		t.Errorf("one LoadFile allocated %d bytes, over 10%% above the %d of a census alone: the journal replay regrew the tree", got, ref)
+	}
+}
+
+// TestCensusReplayAllocsFlat: the number of allocations one
+// persist.LoadFile makes does not grow with the log. The census decodes
+// straight into the vertex arrays the tree adopts, and the journal
+// replay takes its buffers from the tree's scratch pool, so a log of 300
+// points and one of 1,500 cost the same count. The count is
+// process-wide, so goroutines other tests left behind can add a few; one
+// allocation per census vertex or per journal record would add 1,200 or
+// 120.
+func TestCensusReplayAllocsFlat(t *testing.T) {
+	allocs := func(points int) float64 {
+		path := censusReplayLog(t, points)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := persist.LoadFile(path); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(300), allocs(censusReplayPoints)
+	t.Logf("one LoadFile makes %v allocations at 300 points, %v at %d", small, large, censusReplayPoints)
+	if large > small+10 {
+		t.Errorf("one LoadFile makes %v allocations at %d points and %v at 300: the count grows with the log", large, censusReplayPoints, small)
 	}
 }
 
@@ -344,7 +370,7 @@ func BenchmarkSimplexTreeInsertD31(b *testing.B) {
 		if i%500 == 0 {
 			// Re-create periodically so depth stays representative.
 			var err error
-			tree, err = simplextree.New(geom.StandardSimplex(d), def, simplextree.Options{})
+			tree, err = simplextree.New(d, def, simplextree.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -372,7 +398,7 @@ func BenchmarkInsertEpsilonSweep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if count == 0 {
 					var err error
-					tree, err = simplextree.New(geom.StandardSimplex(d), def, simplextree.Options{Epsilon: eps})
+					tree, err = simplextree.New(d, def, simplextree.Options{Epsilon: eps})
 					if err != nil {
 						b.Fatal(err)
 					}

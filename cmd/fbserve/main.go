@@ -96,8 +96,7 @@ func main() {
 		iterBudget  = flag.Int("iter-budget", engine.DefaultMaxIterations, "feedback rounds allowed per session")
 		cacheSize   = flag.Int("cache", 1024, "LRU prediction cache entries per collection (negative disables)")
 		exportFBMX  = flag.String("export-fbmx", "", "name=path: write the named collection's feature matrix as an FBMX file and exit")
-		maxVertices = flag.Int("max-vertices", 0, "per-collection Simplex Tree vertex quota; at the bound inserts get 507, reads stay live (0 = unlimited)")
-		maxBytes    = flag.Int64("max-bytes", 0, "per-collection tree heap-footprint quota in bytes; same 507 semantics (0 = unlimited)")
+		maxVertices = flag.Int("max-vertices", 0, "per-collection Simplex Tree vertex quota, 8·(D+N) bytes of point and value per vertex; at the bound inserts get 507, reads stay live (0 = unlimited)")
 		ageHorizon  = flag.Uint64("age-horizon", 0, "reclaim vertices not reinforced within this many accepted inserts; compaction drops them (0 = aging off)")
 		compactInt  = flag.Duration("compact-interval", 0, "run an aging compaction pass over every collection at this interval (0 = only on quota pressure)")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in: profiling endpoints expose internals)")
@@ -124,7 +123,7 @@ func main() {
 		Scale: *scale, Seed: *seed, K: *k, Epsilon: *epsilon,
 		Dir: *dir, SyncWAL: *syncWAL, CompactEvery: *compactEach,
 		MaxSessions: *maxSessions, IterBudget: *iterBudget, CacheSize: *cacheSize,
-		MaxVertices: *maxVertices, MaxBytes: *maxBytes, AgeHorizon: *ageHorizon,
+		MaxVertices: *maxVertices, AgeHorizon: *ageHorizon,
 		Multi: len(specs) > 1, Obs: reg,
 	}
 

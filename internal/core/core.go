@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/geom"
 	"repro/internal/obsv"
 	"repro/internal/simplextree"
 	"repro/internal/vec"
@@ -76,11 +75,10 @@ type Config struct {
 	// bound is rejected with an error wrapping
 	// simplextree.ErrQuotaExceeded while predictions stay live. Durable
 	// recovery is exempt: a module already past a lowered bound reopens
-	// read-mostly instead of failing.
+	// read-mostly instead of failing. Every vertex holds the same
+	// 8·(D+N) bytes of point and value, so this bounds the tree's bytes
+	// too.
 	MaxVertices int
-	// MaxBytes bounds the tree's approximate heap footprint
-	// (simplextree.Tree.SizeBytes); zero is unbounded.
-	MaxBytes int64
 	// AgeHorizon enables the lifecycle plane: a vertex not inserted or
 	// reinforced (touched by a prediction over its leaf) within this many
 	// logical ticks of the tree clock becomes reclaimable by CompactAged.
@@ -145,11 +143,10 @@ func New(d, p int, cfg Config) (*Bypass, error) {
 		return nil, fmt.Errorf("core: default weights have dimension %d, want %d", len(defW), p)
 	}
 	def := OQP{Delta: vec.Zeros(d), Weights: vec.Clone(defW)}
-	tree, err := simplextree.New(geom.StandardSimplex(d), def.Encode(), simplextree.Options{
+	tree, err := simplextree.New(d, def.Encode(), simplextree.Options{
 		Epsilon:     cfg.Epsilon,
 		Tol:         cfg.Tol,
 		MaxVertices: cfg.MaxVertices,
-		MaxBytes:    cfg.MaxBytes,
 		AgeHorizon:  cfg.AgeHorizon,
 	})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/geom"
 	"repro/internal/simplextree"
 	"repro/internal/vec"
 )
@@ -116,7 +115,7 @@ func TestDefaultWeightsConfig(t *testing.T) {
 }
 
 func TestFromTree(t *testing.T) {
-	tree, err := simplextree.New(geom.StandardSimplex(2), vec.Zeros(5), simplextree.Options{})
+	tree, err := simplextree.New(2, vec.Zeros(5), simplextree.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

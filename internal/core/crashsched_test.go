@@ -16,14 +16,16 @@ import (
 // the crash-schedule harness.
 func vertexSet(tree *simplextree.Tree) map[string]bool {
 	set := make(map[string]bool)
-	for _, v := range tree.Census().Vertices {
-		buf := make([]byte, 0, 8*(len(v.Point)+len(v.Value)))
+	c := tree.Census()
+	for i := range c.Stamps {
+		point, value, _ := c.At(i)
+		buf := make([]byte, 0, 8*(len(point)+len(value)))
 		var b [8]byte
-		for _, x := range v.Point {
+		for _, x := range point {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
 			buf = append(buf, b[:]...)
 		}
-		for _, x := range v.Value {
+		for _, x := range value {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
 			buf = append(buf, b[:]...)
 		}

@@ -152,11 +152,11 @@ func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*Durabl
 		_ = wal.Close()
 		return nil, err
 	}
-	// Recovery done; from here on cfg's quotas bind new inserts (replay
+	// Recovery done; from here on cfg's quota binds new inserts (replay
 	// never refuses an insert the module already acknowledged). A tree
 	// already past a lowered bound serves reads and rejects growth. The
 	// aging horizon is serving policy, not persisted state, too.
-	tree.SetQuota(cfg.MaxVertices, cfg.MaxBytes)
+	tree.SetQuota(cfg.MaxVertices)
 	tree.SetAgeHorizon(cfg.AgeHorizon)
 	db := &DurableBypass{Bypass: b, wal: wal, opts: opts}
 	b.dur = db

@@ -18,18 +18,20 @@ import (
 // state the aging horizon acts on.
 func stampedVertexSet(tree *simplextree.Tree) map[string]bool {
 	set := make(map[string]bool)
-	for _, v := range tree.Snapshot().Vertices {
-		buf := make([]byte, 0, 8*(len(v.Point)+len(v.Value)+1))
+	c := tree.Snapshot().Census
+	for i := range c.Stamps {
+		point, value, stamp := c.At(i)
+		buf := make([]byte, 0, 8*(len(point)+len(value)+1))
 		var b [8]byte
-		for _, x := range v.Point {
+		for _, x := range point {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
 			buf = append(buf, b[:]...)
 		}
-		for _, x := range v.Value {
+		for _, x := range value {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
 			buf = append(buf, b[:]...)
 		}
-		binary.LittleEndian.PutUint64(b[:], v.Stamp)
+		binary.LittleEndian.PutUint64(b[:], stamp)
 		buf = append(buf, b[:]...)
 		set[string(buf)] = true
 	}
@@ -402,13 +404,15 @@ func TestCompactAgedThroughBypassPersists(t *testing.T) {
 
 // hasVertexAt reports whether the tree holds a vertex bitwise equal to q.
 func hasVertexAt(tree *simplextree.Tree, q []float64) bool {
-	for _, v := range tree.Census().Vertices {
-		if len(v.Point) != len(q) {
+	c := tree.Census()
+	for id := range c.Stamps {
+		point, _, _ := c.At(id)
+		if len(point) != len(q) {
 			continue
 		}
 		same := true
 		for i := range q {
-			if math.Float64bits(v.Point[i]) != math.Float64bits(q[i]) {
+			if math.Float64bits(point[i]) != math.Float64bits(q[i]) {
 				same = false
 			}
 		}

@@ -50,7 +50,10 @@ func DefaultLifecycleConfig() LifecycleConfig {
 }
 
 // LifecyclePoint is one sample of a soak series: the tree's shape and
-// footprint next to the recent-window hit rate.
+// footprint next to the recent-window hit rate. SizeBytes prices every
+// distinct vertex, corners included, at its 8·(D+N) bytes of point and
+// value plus a flat 128 for the node and split coordinates it brings: a
+// model, not the measured heap (DESIGN.md, "Bytes per stored point").
 type LifecyclePoint struct {
 	Inserts   int     `json:"inserts"`
 	Points    int     `json:"points"`
@@ -173,10 +176,11 @@ func runLifecycleMode(cfg LifecycleConfig, horizon uint64) (LifecycleSeries, err
 					hits++
 				}
 			}
+			st := byp.Stats()
 			p := LifecyclePoint{
 				Inserts:   i + 1,
-				Points:    byp.Stats().Points,
-				SizeBytes: byp.Tree().SizeBytes(),
+				Points:    st.Points,
+				SizeBytes: int64(st.DistinctVertices) * int64(8*(st.Dim+st.OQPDim)+128),
 				HitRate:   float64(hits) / float64(len(window)),
 			}
 			out.Samples = append(out.Samples, p)

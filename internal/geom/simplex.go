@@ -66,8 +66,9 @@ func (s *Simplex) Vertex(i int) []float64 { return s.verts[i] }
 
 // Barycentric computes the barycentric coordinates λ of q with respect to
 // the simplex: the unique vector with Σλ_i = 1 and Σλ_i·v_i = q. It solves
-// a (D+1)×(D+1) linear system (O(D³)); the Simplex Tree calls this once at
-// the root and then descends with the O(D) ChildBarycentricInto update.
+// a (D+1)×(D+1) linear system (O(D³)); the Simplex Tree descends with the
+// O(D) ChildBarycentricInto update instead and calls this only on its
+// fallback and reference paths.
 func (s *Simplex) Barycentric(q []float64) ([]float64, error) {
 	d := s.Dim()
 	if len(q) != d {
@@ -93,61 +94,6 @@ func (s *Simplex) Barycentric(q []float64) ([]float64, error) {
 		return nil, fmt.Errorf("%w: %v", ErrDegenerate, err)
 	}
 	return lam, nil
-}
-
-// BarycentricSolver solves the barycentric system of one fixed simplex
-// repeatedly without re-factorizing or allocating: the (D+1)×(D+1)
-// coefficient matrix depends only on the vertices, so its LU factorization
-// is computed once and every query costs two triangular solves (O(D²)).
-// The Simplex Tree builds one solver for its root simplex at construction.
-//
-// A solver is immutable after construction and safe for concurrent use;
-// callers supply the per-call output and scratch buffers.
-type BarycentricSolver struct {
-	lu *vec.LU
-	n  int // D+1
-}
-
-// Solver factorizes the simplex's barycentric system. It returns
-// ErrDegenerate (wrapped) for simplices whose system is singular.
-func (s *Simplex) Solver() (*BarycentricSolver, error) {
-	d := s.Dim()
-	n := d + 1
-	a := vec.NewMatrix(n, n)
-	// First row encodes Σλ_i = 1, the rest Σλ_j·v_j[i] = q[i].
-	for j := 0; j < n; j++ {
-		a.Set(0, j, 1)
-	}
-	for i := 0; i < d; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i+1, j, s.verts[j][i])
-		}
-	}
-	lu, err := vec.Factorize(a)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDegenerate, err)
-	}
-	return &BarycentricSolver{lu: lu, n: n}, nil
-}
-
-// Dim returns the simplex dimensionality D the solver was built for.
-func (bs *BarycentricSolver) Dim() int { return bs.n - 1 }
-
-// BarycentricInto computes the barycentric coordinates of q into dst using
-// rhs as scratch for the right-hand side. dst and rhs must have length D+1
-// and must not alias each other; q must have length D. No allocation is
-// performed.
-func (bs *BarycentricSolver) BarycentricInto(dst, rhs, q []float64) error {
-	d := bs.n - 1
-	if len(q) != d {
-		return fmt.Errorf("geom: point has dimension %d, want %d", len(q), d)
-	}
-	if len(dst) != bs.n || len(rhs) != bs.n {
-		return fmt.Errorf("geom: dst/rhs have length %d/%d, want %d", len(dst), len(rhs), bs.n)
-	}
-	rhs[0] = 1
-	copy(rhs[1:], q)
-	return bs.lu.SolveInto(dst, rhs)
 }
 
 // AllNonNegative reports whether every coordinate is ≥ -tol.

@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -324,55 +323,5 @@ func TestHighDimensionalBarycentric31(t *testing.T) {
 	}
 	if !vec.EqualTol(back, q, 1e-9) {
 		t.Error("31-dimensional round trip failed")
-	}
-}
-
-// Property: the precomputed-LU solver reproduces the per-call solve
-// bitwise — both run the same factorize-then-two-triangular-solves
-// pipeline on the same matrix, so even rounding must agree.
-func TestSolverMatchesBarycentric(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, d := range []int{1, 2, 5, 15, 31} {
-		s := StandardSimplex(d)
-		solver, err := s.Solver()
-		if err != nil {
-			t.Fatalf("d=%d: %v", d, err)
-		}
-		if solver.Dim() != d {
-			t.Fatalf("d=%d: solver dim %d", d, solver.Dim())
-		}
-		dst := make([]float64, d+1)
-		rhs := make([]float64, d+1)
-		for trial := 0; trial < 10; trial++ {
-			q := make([]float64, d)
-			for i := range q {
-				q[i] = rng.Float64() * 2 / float64(d)
-			}
-			want, err := s.Barycentric(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := solver.BarycentricInto(dst, rhs, q); err != nil {
-				t.Fatal(err)
-			}
-			if !vec.Equal(dst, want) {
-				t.Fatalf("d=%d: solver %v != direct %v", d, dst, want)
-			}
-		}
-		// Malformed buffers are rejected, not sliced out of bounds.
-		if err := solver.BarycentricInto(dst[:d], rhs, make([]float64, d)); err == nil {
-			t.Error("short dst accepted")
-		}
-		if err := solver.BarycentricInto(dst, rhs, make([]float64, d+2)); err == nil {
-			t.Error("long query accepted")
-		}
-	}
-	// A degenerate simplex has no solver.
-	if _, err := NewSimplex([][]float64{{0, 0}, {1, 1}, {2, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	degenerate := &Simplex{verts: [][]float64{{0, 0}, {1, 1}, {2, 2}}}
-	if _, err := degenerate.Solver(); !errors.Is(err, ErrDegenerate) {
-		t.Errorf("degenerate solver error = %v, want ErrDegenerate", err)
 	}
 }

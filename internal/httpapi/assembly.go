@@ -43,7 +43,6 @@ type Config struct {
 	IterBudget   int
 	CacheSize    int
 	MaxVertices  int
-	MaxBytes     int64
 	AgeHorizon   uint64
 	Multi        bool // more than one collection: durable state nests under Dir/<name>/
 	Obs          *obsv.Registry
@@ -314,8 +313,8 @@ func Assemble(name string, ds *dataset.Dataset, cfg Config) (*Collection, error)
 	}
 	treeCfg := core.Config{
 		Epsilon: cfg.Epsilon, DefaultWeights: codec.DefaultWeights(),
-		MaxVertices: cfg.MaxVertices, MaxBytes: cfg.MaxBytes,
-		AgeHorizon: cfg.AgeHorizon,
+		MaxVertices: cfg.MaxVertices,
+		AgeHorizon:  cfg.AgeHorizon,
 	}
 
 	c := &Collection{Name: name, Dataset: ds}

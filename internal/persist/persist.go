@@ -31,7 +31,8 @@
 //	  crc32   uint32   IEEE checksum of the record bytes before it
 //
 // The census lists every vertex in creation order, the D+1 domain
-// corners first. Census records are re-inserted without the ε test and
+// corners first; they must be the standard simplex's 0, e₁ … e_D, bit for
+// bit. Census records are re-inserted without the ε test and
 // the quota (they are vertices, not feedback outcomes); journal records
 // replay like the inserts they record. A file is only ever published
 // whole, by a rename, so a short header or census is ErrCorrupt, while a
@@ -114,7 +115,7 @@ func decodeRecord(rec []byte, q, value []float64) (uint64, error) {
 
 // encodeCensus renders a file holding c and an empty journal.
 func encodeCensus(c *simplextree.Census) []byte {
-	buf := make([]byte, 0, walHeaderSize+len(c.Vertices)*walRecordSize(c.Dim, c.OQPDim))
+	buf := make([]byte, 0, walHeaderSize+len(c.Stamps)*walRecordSize(c.Dim, c.OQPDim))
 	buf = append(buf, walMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, WALVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Dim))
@@ -123,10 +124,11 @@ func encodeCensus(c *simplextree.Census) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Tol))
 	buf = binary.LittleEndian.AppendUint64(buf, c.Clock)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Points))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Vertices)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Stamps)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	for _, v := range c.Vertices {
-		buf = appendRecord(buf, v.Point, v.Value, v.Stamp)
+	for i := range c.Stamps {
+		q, value, stamp := c.At(i)
+		buf = appendRecord(buf, q, value, stamp)
 	}
 	return buf
 }
@@ -166,37 +168,42 @@ func readHeader(r io.Reader) (*simplextree.Census, int, error) {
 // readLog reads a whole log of size bytes from r: it rebuilds the census
 // tree and replays every journal record into it. It returns the tree,
 // the offset just past the last complete record and the number of
-// journal records. size only sizes buffers: the census and the tree's
-// arrays get room for the complete records it implies, so the journal
-// replay grows no array. A torn final journal record is dropped;
-// anything else malformed — including a journal record the tree
-// refuses — is ErrCorrupt.
+// journal records. size only sizes buffers: the census records decode
+// straight into vertex arrays with room for every complete record it
+// implies, which the tree adopts, so no census vertex is copied again
+// and the journal replay grows no array. A torn final journal record is
+// dropped; anything else malformed — including a journal record the
+// tree refuses — is ErrCorrupt.
 func readLog(r io.Reader, size int64) (*simplextree.Tree, int64, int, error) {
 	br := bufio.NewReader(r)
 	c, n, err := readHeader(br)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	rec := make([]byte, walRecordSize(c.Dim, c.OQPDim))
+	d, nd := c.Dim, c.OQPDim
+	rec := make([]byte, walRecordSize(d, nd))
 	records := max(0, int((size-walHeaderSize)/int64(len(rec))))
-	c.Vertices = make([]simplextree.CensusVertex, 0, min(n, records))
-	q := make([]float64, c.Dim)
-	value := make([]float64, c.OQPDim)
+	if n > records {
+		return nil, 0, 0, fmt.Errorf("%w: census of %d records in a file of %d bytes, which holds %d", ErrCorrupt, n, size, records)
+	}
+	c.Coords = make([]float64, n*d, records*d)
+	c.Values = make([]float64, n*nd, records*nd)
+	c.Stamps = make([]uint64, n, records)
 	for i := 0; i < n; i++ {
 		if _, err := io.ReadFull(br, rec); err != nil {
 			return nil, 0, 0, fmt.Errorf("%w: census record %d of %d: %w", ErrCorrupt, i, n, err)
 		}
-		stamp, err := decodeRecord(rec, q, value)
-		if err != nil {
+		if c.Stamps[i], err = decodeRecord(rec, c.Coords[i*d:(i+1)*d], c.Values[i*nd:(i+1)*nd]); err != nil {
 			return nil, 0, 0, fmt.Errorf("census record %d: %w", i, err)
 		}
-		c.Vertices = append(c.Vertices, simplextree.CensusVertex{Point: vec.Clone(q), Value: vec.Clone(value), Stamp: stamp})
 	}
-	tree, err := simplextree.FromCensus(c, max(0, records-n))
+	tree, err := simplextree.FromCensus(c, records-n)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	end := int64(walHeaderSize + n*len(rec))
+	q := make([]float64, d)
+	value := make([]float64, nd)
 	for journaled := 0; ; journaled++ {
 		if _, err := io.ReadFull(br, rec); err == io.EOF || err == io.ErrUnexpectedEOF {
 			return tree, end, journaled, nil // clean end, or a torn tail

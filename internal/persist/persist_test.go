@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/geom"
 	"repro/internal/simplextree"
 	"repro/internal/vec"
 )
@@ -41,7 +40,7 @@ func simplexPoint(rng *rand.Rand, d int) []float64 {
 
 func newTree(tb testing.TB, d, n int) *simplextree.Tree {
 	tb.Helper()
-	tr, err := simplextree.New(geom.StandardSimplex(d), vec.Zeros(n), simplextree.Options{Epsilon: 0.001})
+	tr, err := simplextree.New(d, vec.Zeros(n), simplextree.Options{Epsilon: 0.001})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -241,6 +240,24 @@ func TestLoadRejectsNonFinite(t *testing.T) {
 		img = appendRecord(img, []float64{0.2, 0.2}, []float64{bad, 0}, 9)
 		if _, err := load(img); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("journal value %v: err = %v, want ErrCorrupt", bad, err)
+		}
+	}
+}
+
+// TestLoadRejectsNonStandardCorners: a census's corners must be the
+// standard simplex's bit for bit, so a log whose checksums hold but
+// whose corner is moved, or whose origin is (−0, 0), is corrupt.
+func TestLoadRejectsNonStandardCorners(t *testing.T) {
+	tr := buildTree(t, 2, 2, 5, 13)
+	for name, mutate := range map[string]func(c *simplextree.Census){
+		"corner off the standard simplex": func(c *simplextree.Census) { c.Coords[2] = 2 },
+		"negative zero corner coordinate": func(c *simplextree.Census) { c.Coords[0] = math.Copysign(0, -1) },
+	} {
+		c := tr.Census()
+		mutate(c)
+		_, err := load(encodeCensus(c))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "corner") {
+			t.Errorf("%s: err = %v, want ErrCorrupt naming the corner", name, err)
 		}
 	}
 }

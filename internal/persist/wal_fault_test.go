@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/faultfs"
-	"repro/internal/geom"
 	"repro/internal/persist"
 	"repro/internal/simplextree"
 	"repro/internal/vec"
@@ -25,7 +24,7 @@ const faultDim, faultOQP = 2, 3
 
 func faultTree(t *testing.T) *simplextree.Tree {
 	t.Helper()
-	tree, err := simplextree.New(geom.StandardSimplex(faultDim), vec.Zeros(faultOQP), simplextree.Options{})
+	tree, err := simplextree.New(faultDim, vec.Zeros(faultOQP), simplextree.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

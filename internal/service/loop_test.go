@@ -231,10 +231,8 @@ func TestHostileScores(t *testing.T) {
 		t.Errorf("Stats.Feedbacks = %d, sessions consumed %d rounds", got, rounds)
 	}
 	snap := byp.Tree().Snapshot()
-	for _, v := range snap.Vertices {
-		if !vec.IsFinite(v.Value) {
-			t.Fatalf("stored OQP %v is not finite", v.Value)
-		}
+	if !vec.IsFinite(snap.Values) {
+		t.Fatalf("stored OQPs %v are not all finite", snap.Values)
 	}
 	if snap.Points == 0 {
 		t.Error("no hostile session stored an outcome")

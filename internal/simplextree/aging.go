@@ -2,8 +2,7 @@ package simplextree
 
 import (
 	"fmt"
-
-	"repro/internal/vec"
+	"sync/atomic"
 )
 
 // RebuildStats reports what one aged rebuild did.
@@ -41,11 +40,6 @@ func (t *Tree) RebuildAged(horizon uint64) (*Tree, RebuildStats, error) {
 	}
 
 	n := t.dim + 1
-	corners := make([]*Vertex, n)
-	for i, v := range t.verts[:n] {
-		corners[i] = &Vertex{Point: vec.Clone(v.Point), Value: vec.Clone(v.Value)}
-		corners[i].stamp.Store(v.stamp.Load())
-	}
 	nt := &Tree{
 		dim:        t.dim,
 		oqpDim:     t.oqpDim,
@@ -53,28 +47,30 @@ func (t *Tree) RebuildAged(horizon uint64) (*Tree, RebuildStats, error) {
 		tol:        t.tol,
 		clock:      t.clock,
 		maxVerts:   t.maxVerts,
-		maxBytes:   t.maxBytes,
 		ageHorizon: t.ageHorizon,
 	}
-	if err := nt.plant(corners, len(t.verts)); err != nil {
-		return nil, RebuildStats{}, fmt.Errorf("simplextree: rebuild root simplex is degenerate: %w", err)
+	nt.plant(len(t.stamps))
+	nt.points = append(nt.points, t.points[:n*t.dim]...)
+	nt.values = append(nt.values, t.values[:n*t.oqpDim]...)
+	for id := range n {
+		nt.stamps = append(nt.stamps, atomic.LoadUint64(&t.stamps[id]))
 	}
 
 	// Re-insert survivors in creation order: the rebuilt triangulation is
 	// then deterministic, and earlier vertices recreate the descent
 	// structure later ones were inserted into.
-	stats := RebuildStats{Before: len(t.verts)}
-	for _, v := range t.verts[n:] {
-		if stamp := v.stamp.Load(); !(cutoff > 0 && stamp < cutoff) {
+	stats := RebuildStats{Before: len(t.stamps)}
+	for id := int32(n); id < int32(len(t.stamps)); id++ {
+		if stamp := atomic.LoadUint64(&t.stamps[id]); !(cutoff > 0 && stamp < cutoff) {
 			// nt is private to this call — no lock needed for its
 			// insertLocked (the receiver is unreachable by other
 			// goroutines until the caller publishes it).
-			if _, err := nt.insertLocked(v.Point, v.Value, stamp); err != nil {
+			if _, err := nt.insertLocked(t.point(id), t.value(id), stamp); err != nil {
 				return nil, RebuildStats{}, fmt.Errorf("simplextree: rebuild re-insert: %w", err)
 			}
 		}
 	}
-	stats.After = len(nt.verts)
+	stats.After = len(nt.stamps)
 	stats.Reclaimed = stats.Before - stats.After
 	return nt, stats, nil
 }

@@ -26,17 +26,18 @@ func (t *Tree) CompressValues(eps float64) (dropped int, err error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, v := range t.verts {
-		sparse, err := haar.Compress(v.Value, eps)
+	for id := range int32(len(t.stamps)) {
+		v := t.value(id)
+		sparse, err := haar.Compress(v, eps)
 		if err != nil {
 			return 0, err
 		}
-		dropped += haar.NextPowerOfTwo(len(v.Value)) - sparse.StorageSize()
+		dropped += haar.NextPowerOfTwo(len(v)) - sparse.StorageSize()
 		back, err := sparse.Decompress()
 		if err != nil {
 			return 0, err
 		}
-		copy(v.Value, back)
+		copy(v, back)
 	}
 	return dropped, nil
 }

@@ -44,7 +44,7 @@ func (r *idRecorder) insert(t *testing.T, q, value []float64) {
 	if parent < 0 {
 		t.Fatalf("no node owns the children appended at %d", first)
 	}
-	id := int32(len(r.tr.verts) - 1)
+	id := int32(len(r.tr.stamps) - 1)
 	for c := first; c < int32(len(r.tr.nodes)); c++ {
 		kid := append([]int32(nil), r.ids[parent]...)
 		kid[r.tr.nodes[c].replaced] = id
@@ -86,7 +86,7 @@ func sharedFacePoints(rng *rand.Rand, tr *Tree, rec *idRecorder, count int) [][]
 		if tr.nodes[n].nchild == 0 {
 			continue
 		}
-		p := append([]float64(nil), tr.verts[rec.split(n)].Point...)
+		p := append([]float64(nil), tr.point(rec.split(n))...)
 		ids := rec.ids[n]
 		a := 0.1 + rng.Float64()
 		for i := range p {
@@ -95,7 +95,7 @@ func sharedFacePoints(rng *rand.Rand, tr *Tree, rec *idRecorder, count int) [][]
 		sum := a
 		for k := 1 + rng.Intn(d); k > 0; k-- { // at most D of the D+1 vertices
 			b := rng.Float64()
-			for i, x := range tr.verts[ids[rng.Intn(d+1)]].Point {
+			for i, x := range tr.point(ids[rng.Intn(d+1)]) {
 				p[i] += b * x
 			}
 			sum += b
@@ -111,8 +111,8 @@ func sharedFacePoints(rng *rand.Rand, tr *Tree, rec *idRecorder, count int) [][]
 // splitPoints returns every stored vertex's point, the corners included.
 func splitPoints(tr *Tree) [][]float64 {
 	var pts [][]float64
-	for _, v := range tr.verts {
-		pts = append(pts, v.Point)
+	for id := range int32(len(tr.stamps)) {
+		pts = append(pts, tr.point(id))
 	}
 	return pts
 }
@@ -210,7 +210,7 @@ func checkSolvePath(t *testing.T, tr *Tree, rec *idRecorder, q []float64) (level
 		}
 		pts := make([][]float64, len(lam))
 		for j, id := range rec.ids[next] {
-			pts[j] = tr.verts[id].Point
+			pts[j] = tr.point(id)
 		}
 		s, err := geom.NewSimplex(pts)
 		if err != nil {
@@ -229,7 +229,7 @@ func checkSolvePath(t *testing.T, tr *Tree, rec *idRecorder, q []float64) (level
 	}
 	want := make([]float64, tr.oqpDim)
 	for j, id := range rec.ids[n] {
-		vec.Axpy(want, lam[j], tr.verts[id].Value)
+		vec.Axpy(want, lam[j], tr.value(id))
 	}
 	got, err := tr.PredictNaive(q)
 	if err != nil {
@@ -298,7 +298,9 @@ func TestJournalReplayGrowsNoArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := func() [3]int { return [...]int{cap(back.nodes), cap(back.mus), cap(back.verts)} }
+	caps := func() [5]int {
+		return [...]int{cap(back.nodes), cap(back.mus), cap(back.points), cap(back.values), cap(back.stamps)}
+	}
 	reserved := caps()
 	for _, r := range journal {
 		if _, err := back.InsertStamped(r.q, r.value, r.stamp); err != nil {

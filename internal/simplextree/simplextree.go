@@ -1,9 +1,11 @@
 // Package simplextree implements the Simplex Tree of §4 — the wavelet-
 // based data structure at the core of FeedbackBypass. It organizes the
-// query domain Q ⊆ R^D as an incremental triangulation: every node is a
-// simplex of D+1 vertices; inserting a query point splits its enclosing
-// leaf into up to D+1 children around the point; every stored vertex
-// carries its N-dimensional vector of optimal query parameters (OQPs).
+// query domain as an incremental triangulation: every node is a simplex
+// of D+1 vertices; inserting a query point splits its enclosing leaf into
+// up to D+1 children around the point; every stored vertex carries its
+// N-dimensional vector of optimal query parameters (OQPs). The domain is
+// the paper's (§4.1): normalized histograms with the last bin dropped,
+// the standard simplex spanned by 0, e₁ … e_D.
 //
 // Prediction evaluates the unbalanced Haar wavelet the triangulation
 // defines: a linear interpolation of the vertex OQPs of the enclosing
@@ -22,10 +24,10 @@
 // instead of storing them. Every prediction runs on its caller's
 // goroutine, and any number of readers proceed in parallel. The write
 // plane — Insert, InsertStamped, SetObserver, CompressValues — takes the
-// exclusive lock. Lookups are allocation-free after warm-up: the root
-// barycentric system is LU-factorized once at construction (the root
-// simplex never changes), and per-call buffers come from a scratch pool;
-// see DESIGN.md ("Concurrent prediction plane").
+// exclusive lock. Lookups are allocation-free after warm-up: a point's
+// coordinates in the root, the standard simplex, have a closed form
+// (rootCoordsInto), and per-call buffers come from a scratch pool; see
+// DESIGN.md ("Concurrent prediction plane").
 //
 // # Descent and storage
 //
@@ -36,9 +38,10 @@
 // scan of the children makes (DESIGN.md, "Incremental barycentric
 // descent"). The triangulation lives in two flat arrays — the nodes, with
 // each split's children side by side, and the split coordinates — beside
-// one table of vertex pointers indexed by creation order, so a split
-// appends instead of allocating nodes and the garbage collector scans only
-// the vertex table. No node lists its vertices: a child keeps D of its
+// the vertex table, three flat arrays of points, values and stamps indexed
+// by creation order. A split appends to them instead of allocating, and
+// the tree holds no Go pointer per node or vertex for the garbage
+// collector to scan. No node lists its vertices: a child keeps D of its
 // parent's D+1 and takes the split point in the slot it replaced, so a
 // lookup derives the leaf's vertex ids on the way down from the corners
 // 0…D, one assignment per level.
@@ -48,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -61,39 +65,24 @@ import (
 // with errors.Is.
 var ErrOutOfDomain = errors.New("simplextree: query point outside the root simplex")
 
-// ErrQuotaExceeded is wrapped by inserts that would grow the tree past a
-// configured vertex or byte quota (Options.MaxVertices / MaxBytes). It
-// is a resource-governance rejection, not a failure: the tree is
-// unchanged, predictions keep working, and vertex-value updates (which
-// store no new vertex) are still accepted.
+// ErrQuotaExceeded is wrapped by inserts that would grow the tree past
+// its vertex quota (Options.MaxVertices). It is a resource-governance
+// rejection, not a failure: the tree is unchanged, predictions keep
+// working, and vertex-value updates (which store no new vertex) are still
+// accepted.
 var ErrQuotaExceeded = errors.New("simplextree: tree quota exceeded")
 
 // boundarySlack widens the containment band used while descending:
 // a child accepts a point when every barycentric coordinate is
-// ≥ -boundarySlack·tol. Descent multiplies the rounding of the root solve
-// by up to 1/μ_h per level (geom.ChildBarycentricInto), so coordinates of
-// points genuinely on a facet drift below -tol after a few levels; the
-// slack absorbs that drift. Both the incremental fast path and the
-// re-solving fallback use this one constant so they accept the same
-// points (the fallback used to be 10x looser than the fast path, which
-// made the two paths disagree exactly on the boundary queries the
-// fallback exists for).
+// ≥ -boundarySlack·tol. Descent multiplies the rounding of the root
+// coordinates by up to 1/μ_h per level (geom.ChildBarycentricInto), so
+// coordinates of points genuinely on a facet drift below -tol after a
+// few levels; the slack absorbs that drift. Both the incremental fast
+// path and the re-solving fallback use this one constant so they accept
+// the same points (the fallback used to be 10x looser than the fast
+// path, which made the two paths disagree exactly on the boundary
+// queries the fallback exists for).
 const boundarySlack = 10
-
-// Vertex is a stored query point with its OQP vector. Vertices are shared
-// by every simplex they delimit, so updating a vertex's value is visible
-// tree-wide.
-type Vertex struct {
-	Point []float64
-	Value []float64
-
-	// stamp is the logical time the vertex was last stored or reinforced
-	// (see Census.Clock). It is atomic because predictions touch it under
-	// the shared read lock when aging is enabled; all other mutation
-	// happens under the exclusive lock. Vertices are always shared by
-	// pointer, never copied, so the atomic is safe to embed.
-	stamp atomic.Uint64
-}
 
 // node is one simplex of the triangulation. Nodes refer to their
 // children and split point by index into the tree's flat arrays, so the
@@ -128,17 +117,17 @@ type PredictStats struct {
 // scratch holds the per-call buffers of one lookup, recycled through the
 // tree's pool so warmed-up predictions allocate nothing.
 type scratch struct {
-	rhs  []float64 // right-hand side of the root barycentric solve
 	lam  []float64 // barycentric coordinates at the current node
 	bufA []float64 // candidate/best child coordinates (descent juggles
 	bufB []float64 // three equal-size buffers without copying)
 	ids  []int32   // vertex ids of the current node, derived on the way down
+	pred []float64 // an insert's ε-test prediction (length N)
 }
 
-// Tree is a Simplex Tree mapping points of a D-dimensional query domain to
-// N-dimensional OQP vectors. It is safe for concurrent use: predictions
-// run in parallel under a read lock, inserts serialize under the write
-// lock (see the package comment).
+// Tree is a Simplex Tree mapping points of the D-dimensional standard
+// simplex to N-dimensional OQP vectors. It is safe for concurrent use:
+// predictions run in parallel under a read lock, inserts serialize under
+// the write lock (see the package comment).
 type Tree struct {
 	mu sync.RWMutex
 
@@ -147,19 +136,27 @@ type Tree struct {
 	epsilon float64 // insert threshold ε of §4.2
 	tol     float64 // geometric tolerance
 
-	// The triangulation in flat arrays: nodes[0] is the root simplex,
-	// mus holds each split's barycentric coordinates, and verts is the
-	// vertex table, indexed by id in creation order (the D+1 domain
-	// corners first). A split appends one vertex and its D+1 coordinates
-	// in lockstep, so split vertex id D+1+k owns mus[k·(D+1):(k+1)·(D+1)].
-	// Only the vertex table holds pointers.
-	nodes []node
-	mus   []float64
-	verts []*Vertex
+	// The triangulation in flat arrays: nodes[0] is the root simplex, and
+	// mus holds each split's barycentric coordinates. The vertex table is
+	// indexed by id in creation order, the D+1 domain corners first:
+	// vertex id is the point points[id·D:(id+1)·D] with the value
+	// values[id·N:(id+1)·N], last stored or reinforced at the logical
+	// time stamps[id] (see Census.Clock). Stamps are read and written
+	// through sync/atomic, because predictions touch them under the
+	// shared read lock when aging is enabled; everything else mutates
+	// under the exclusive lock. They are a plain []uint64, not
+	// []atomic.Uint64, so that FromCensus can adopt a census's stamps
+	// without a copy. A split appends one vertex and its D+1
+	// coordinates in lockstep, so split vertex id D+1+k owns
+	// mus[k·(D+1):(k+1)·(D+1)].
+	nodes  []node
+	mus    []float64
+	points []float64
+	values []float64
+	stamps []uint64
 
-	rootSolver *geom.BarycentricSolver // LU of the fixed root system
-	numPoints  int                     // stored (split or updated) query points
-	numLeaves  int
+	numPoints int // stored (split or updated) query points
+	numLeaves int
 
 	// clock is the monotonic logical time of the lifecycle plane: it
 	// advances on every accepted insert, and the accepting vertex is
@@ -167,8 +164,7 @@ type Tree struct {
 	// read under either lock mode (readers copy it into vertex stamps).
 	clock uint64
 
-	maxVerts int   // vertex quota; 0 = unbounded
-	maxBytes int64 // approximate byte quota; 0 = unbounded
+	maxVerts int // vertex quota; 0 = unbounded
 
 	// ageHorizon > 0 enables aging: predictions reinforce the enclosing
 	// leaf's vertex stamps, and RebuildAged reclaims vertices whose stamp
@@ -194,12 +190,10 @@ type Options struct {
 	// MaxVertices bounds the number of distinct vertices the tree may
 	// hold, counting the D+1 domain corners. Zero means unbounded. An
 	// insert that would create a vertex past the bound is rejected with
-	// ErrQuotaExceeded; vertex-value updates stay accepted.
+	// ErrQuotaExceeded; vertex-value updates stay accepted. Every vertex
+	// costs the same 8·(D+N) bytes of point and value, so the bound is a
+	// byte bound too.
 	MaxVertices int
-	// MaxBytes bounds SizeBytes, a per-vertex price model of the tree's
-	// size rather than its measured heap. Zero means unbounded;
-	// enforcement matches MaxVertices.
-	MaxBytes int64
 	// AgeHorizon, when positive, enables OQP aging: vertices whose stamp
 	// trails the logical clock by more than the horizon become
 	// reclaimable by RebuildAged, and predictions reinforce the stamps of
@@ -207,13 +201,13 @@ type Options struct {
 	AgeHorizon uint64
 }
 
-// New builds a Simplex Tree over the given root domain simplex. Every
-// corner of the domain is seeded with defaultOQP, so an empty tree
+// New builds a Simplex Tree over the D-dimensional standard simplex.
+// Every corner of the domain is seeded with defaultOQP, so an empty tree
 // predicts exactly the default parameters everywhere (the paper's limit
 // case in which nothing is ever stored).
-func New(domain *geom.Simplex, defaultOQP []float64, opts Options) (*Tree, error) {
-	if domain == nil {
-		return nil, errors.New("simplextree: nil domain")
+func New(d int, defaultOQP []float64, opts Options) (*Tree, error) {
+	if d <= 0 {
+		return nil, fmt.Errorf("simplextree: invalid dimension D=%d", d)
 	}
 	if len(defaultOQP) == 0 {
 		return nil, errors.New("simplextree: empty default OQP vector")
@@ -227,13 +221,8 @@ func New(domain *geom.Simplex, defaultOQP []float64, opts Options) (*Tree, error
 	if opts.Tol < 0 {
 		return nil, fmt.Errorf("simplextree: negative tolerance %v", opts.Tol)
 	}
-	if opts.MaxVertices < 0 || opts.MaxBytes < 0 {
-		return nil, fmt.Errorf("simplextree: negative quota (MaxVertices=%d, MaxBytes=%d)", opts.MaxVertices, opts.MaxBytes)
-	}
-	d := domain.Dim()
-	corners := make([]*Vertex, d+1)
-	for i := range corners {
-		corners[i] = &Vertex{Point: vec.Clone(domain.Vertex(i)), Value: vec.Clone(defaultOQP)}
+	if opts.MaxVertices < 0 {
+		return nil, fmt.Errorf("simplextree: negative quota MaxVertices=%d", opts.MaxVertices)
 	}
 	t := &Tree{
 		dim:        d,
@@ -241,50 +230,45 @@ func New(domain *geom.Simplex, defaultOQP []float64, opts Options) (*Tree, error
 		epsilon:    opts.Epsilon,
 		tol:        opts.Tol,
 		maxVerts:   opts.MaxVertices,
-		maxBytes:   opts.MaxBytes,
 		ageHorizon: opts.AgeHorizon,
 	}
-	if err := t.plant(corners, 0); err != nil {
-		// Degeneracy check: the barycentric system must be solvable. (A
-		// volume threshold would wrongly reject high-dimensional domains,
-		// whose volume 1/D! underflows any fixed tolerance.)
-		return nil, fmt.Errorf("simplextree: domain is degenerate: %w", err)
+	t.plant(d + 1)
+	domain := geom.StandardSimplex(d)
+	for i := 0; i <= d; i++ {
+		t.points = append(t.points, domain.Vertex(i)...)
+		t.values = append(t.values, defaultOQP...)
+		t.stamps = append(t.stamps, 0)
 	}
 	return t, nil
 }
 
-// plant makes the D+1 corners the root simplex, with array capacity for
+// plant makes the corners 0…D the root simplex, with array capacity for
 // nverts vertices (each split adds one vertex and at most D+1 children),
-// and builds the state derived from the root: the once-per-tree LU
-// factorization of its barycentric system and the scratch pool. Called by
-// New, FromCensus and RebuildAged.
-func (t *Tree) plant(corners []*Vertex, nverts int) error {
+// and makes the scratch pool. The vertex arrays keep what they hold: the
+// corners, already in place or appended next, and any later vertices
+// FromCensus splits in. Called by New, FromCensus and RebuildAged.
+func (t *Tree) plant(nverts int) {
 	n := t.dim + 1
 	splits := max(nverts-n, 0)
 	t.nodes = append(make([]node, 0, 1+splits*n), node{replaced: -1})
 	t.mus = make([]float64, 0, splits*n)
-	t.verts = append(make([]*Vertex, 0, n+splits), corners...)
+	t.points = reserve(t.points, nverts*t.dim)
+	t.values = reserve(t.values, nverts*t.oqpDim)
+	t.stamps = reserve(t.stamps, nverts)
 	t.numLeaves = 1
-	rootSimplex, err := t.simplexOf(t.rootIDs())
-	if err != nil {
-		return err
-	}
-	solver, err := rootSimplex.Solver()
-	if err != nil {
-		return err
-	}
-	t.rootSolver = solver
 	t.scratch.New = func() interface{} {
 		return &scratch{
-			rhs:  make([]float64, n),
 			lam:  make([]float64, n),
 			bufA: make([]float64, n),
 			bufB: make([]float64, n),
 			ids:  make([]int32, n),
+			pred: make([]float64, t.oqpDim),
 		}
 	}
-	return nil
 }
+
+// reserve returns s with capacity for n elements in all.
+func reserve[E any](s []E, n int) []E { return slices.Grow(s, max(n-len(s), 0)) }
 
 // rootIDs returns the root simplex's vertex ids: the corners 0…D.
 func (t *Tree) rootIDs() []int32 {
@@ -293,6 +277,18 @@ func (t *Tree) rootIDs() []int32 {
 		ids[i] = int32(i)
 	}
 	return ids
+}
+
+// point returns vertex id's coordinates and value returns its OQP
+// vector, both views into the vertex table.
+func (t *Tree) point(id int32) []float64 {
+	off := int(id) * t.dim
+	return t.points[off : off+t.dim]
+}
+
+func (t *Tree) value(id int32) []float64 {
+	off := int(id) * t.oqpDim
+	return t.values[off : off+t.oqpDim]
 }
 
 // muOf returns inner node nd's split coordinates: the barycentric
@@ -309,34 +305,16 @@ func (t *Tree) Dim() int { return t.dim }
 // OQPDim returns the stored vector dimensionality N.
 func (t *Tree) OQPDim() int { return t.oqpDim }
 
-// SetQuota installs (or clears, with zeros) the vertex and byte bounds
-// after construction. Recovery paths use it to apply quotas only once
-// the persisted state is replayed: a tree already past a newly lowered
-// bound keeps serving reads and rejects further growth, rather than
-// failing to open.
-func (t *Tree) SetQuota(maxVertices int, maxBytes int64) {
+// SetQuota installs (or clears, with zero) the vertex bound after
+// construction. Recovery paths use it to apply the quota only once the
+// persisted state is replayed: a tree already past a newly lowered bound
+// keeps serving reads and rejects further growth, rather than failing to
+// open.
+func (t *Tree) SetQuota(maxVertices int) {
 	t.mu.Lock()
 	t.maxVerts = maxVertices
-	t.maxBytes = maxBytes
 	t.mu.Unlock()
 }
-
-// perVertexBytes is the byte quota's price of one stored vertex: its
-// point and value payload, 8·(D+N) bytes, plus a flat 128 bytes for
-// everything else a split stores. It is a model, not a measurement (the
-// measured heap per point is in DESIGN.md, "Flat storage"); a constant
-// per-vertex price keeps the quota monotone and cheap to enforce.
-func (t *Tree) perVertexBytes() int64 { return int64(8*(t.dim+t.oqpDim)) + 128 }
-
-// SizeBytes reports the quantity Options.MaxBytes bounds: the vertex
-// count times perVertexBytes, 8·(D+N) + 128 bytes per vertex.
-func (t *Tree) SizeBytes() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.sizeBytesLocked()
-}
-
-func (t *Tree) sizeBytesLocked() int64 { return int64(len(t.verts)) * t.perVertexBytes() }
 
 // Epsilon returns the insert threshold.
 func (t *Tree) Epsilon() float64 { return t.epsilon }
@@ -376,9 +354,7 @@ func (t *Tree) lookup(q []float64, sc *scratch) (int32, []float64, int, error) {
 	if err := t.checkQuery(q); err != nil {
 		return 0, nil, 0, err
 	}
-	if err := t.rootSolver.BarycentricInto(sc.lam, sc.rhs, q); err != nil {
-		return 0, nil, 0, err
-	}
+	rootCoordsInto(sc.lam, q)
 	if !geom.AllNonNegative(sc.lam, t.tol) {
 		return 0, nil, 0, ErrOutOfDomain
 	}
@@ -413,6 +389,31 @@ func (t *Tree) lookup(q []float64, sc *scratch) (int32, []float64, int, error) {
 		traversed++
 	}
 	return n, lam, traversed, nil
+}
+
+// rootCoordsInto writes q's barycentric coordinates in the root simplex
+// into lam (length D+1). The root is the standard simplex 0, e₁ … e_D, so
+// they have a closed form: λᵢ = qᵢ for i ≥ 1, and
+// λ₀ = ((1 − q₁) − q₂) − … − q_D. The bits are those of
+// geom.Simplex.Barycentric, whose LU back substitution computes each λᵢ
+// (i ≥ 1) as qᵢ − Σ_{j>i} 0·λⱼ: that turns a −0 into +0 once some later
+// λⱼ has its sign bit set (−0 − (−0) = +0), and the closed form keeps
+// that one rule (TestRootCoordsMatchBarycentric).
+func rootCoordsInto(lam, q []float64) {
+	signed := false // some λⱼ with j > i has its sign bit set
+	for i := len(q); i >= 1; i-- {
+		x := q[i-1]
+		if x == 0 && signed {
+			x = 0
+		}
+		signed = signed || math.Signbit(x)
+		lam[i] = x
+	}
+	s := 1.0
+	for _, x := range lam[1:] {
+		s -= x
+	}
+	lam[0] = s
 }
 
 // checkQuery refuses a query point of the wrong dimension or with a
@@ -528,7 +529,7 @@ func (t *Tree) descendSolve(n int32, ids []int32, q []float64) (int32, []float64
 func (t *Tree) simplexOf(ids []int32) (*geom.Simplex, error) {
 	pts := make([][]float64, len(ids))
 	for i, id := range ids {
-		pts[i] = t.verts[id].Point
+		pts[i] = t.point(id)
 	}
 	return geom.NewSimplex(pts)
 }
@@ -541,7 +542,7 @@ func (t *Tree) interpolateInto(dst []float64, ids []int32, lam []float64) {
 		dst[i] = 0
 	}
 	for j, id := range ids {
-		vec.Axpy(dst, lam[j], t.verts[id].Value)
+		vec.Axpy(dst, lam[j], t.value(id))
 	}
 }
 
@@ -591,7 +592,7 @@ func (t *Tree) touchLeaf(ids []int32) {
 	}
 	now := t.clock
 	for _, id := range ids {
-		t.verts[id].stamp.Store(now)
+		atomic.StoreUint64(&t.stamps[id], now)
 	}
 }
 
@@ -636,9 +637,8 @@ func (t *Tree) insertLocked(q, value []float64, stamp uint64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	pred := make([]float64, t.oqpDim)
-	t.interpolateInto(pred, sc.ids, lam)
-	if maxAbsDiff(pred, value) <= t.epsilon {
+	t.interpolateInto(sc.pred, sc.ids, lam)
+	if maxAbsDiff(sc.pred, value) <= t.epsilon {
 		return false, nil
 	}
 	// A point (numerically) equal to a vertex cannot split the simplex;
@@ -649,28 +649,25 @@ func (t *Tree) insertLocked(q, value []float64, stamp uint64) (bool, error) {
 	// the tree untouched for recovery to be idempotent.
 	for j, l := range lam {
 		if l >= 1-t.tol {
-			v := t.verts[sc.ids[j]]
-			if vec.Equal(v.Value, value) {
+			id := sc.ids[j]
+			if vec.Equal(t.value(id), value) {
 				return false, nil
 			}
 			if err := t.notifyObserver(q, value, stamp); err != nil {
 				return false, err
 			}
-			v.Value = vec.Clone(value)
-			t.stampVertex(v, stamp)
+			copy(t.value(id), value)
+			t.stampVertex(id, stamp)
 			t.numPoints++
 			return true, nil
 		}
 	}
 	// Quota gate: only the split path below creates a vertex, so it alone
-	// is subject to the resource bounds. The check precedes the observer
-	// (nothing rejected here ever reaches a journal) and the rejection
-	// leaves the tree untouched — reads keep serving the existing state.
-	if nv := len(t.verts); t.maxVerts > 0 && nv+1 > t.maxVerts {
+	// is subject to the bound. The check precedes the observer (nothing
+	// rejected here ever reaches a journal) and the rejection leaves the
+	// tree untouched — reads keep serving the existing state.
+	if nv := len(t.stamps); t.maxVerts > 0 && nv+1 > t.maxVerts {
 		return false, fmt.Errorf("%w: %d vertices stored, limit %d", ErrQuotaExceeded, nv, t.maxVerts)
-	}
-	if t.maxBytes > 0 && int64(len(t.verts)+1)*t.perVertexBytes() > t.maxBytes {
-		return false, fmt.Errorf("%w: ~%d bytes stored of %d-byte limit", ErrQuotaExceeded, t.sizeBytesLocked(), t.maxBytes)
 	}
 	if err := t.splitLocked(leaf, lam, q, value, stamp); err != nil {
 		return false, err
@@ -678,56 +675,71 @@ func (t *Tree) insertLocked(q, value []float64, stamp uint64) (bool, error) {
 	return true, nil
 }
 
-// splitLocked stores q as a new vertex that splits leaf into up to D+1
-// children around it; lam is q's barycentric coordinates in leaf. The
-// children are appended to the node array side by side, child h taking
-// the leaf's vertices with slot h replaced by q; the vertex and lam are
-// appended to their arrays in lockstep (see Tree.mus). The observer
+// splitLocked stores q as a new vertex and splits leaf around it (see
+// splitLeaf); lam is q's barycentric coordinates in leaf. The observer
 // hears of the split before the tree changes, and an observer error
 // leaves the tree unchanged.
 func (t *Tree) splitLocked(leaf int32, lam, q, value []float64, stamp uint64) error {
-	kids := 0
-	for _, l := range lam {
-		if l <= t.tol {
-			continue // q lies on the facet opposite this vertex: no child there
-		}
-		kids++
-	}
-	if kids < 2 {
-		// q is effectively a vertex (all mass on one coordinate); the
-		// caller's vertex check should have caught it, but guard against
-		// tolerance corner cases.
-		return fmt.Errorf("simplextree: split of %v produced %d children", q, kids)
+	if err := t.checkSplit(lam, q); err != nil {
+		return err
 	}
 	if err := t.notifyObserver(q, value, stamp); err != nil {
 		return err
 	}
-	id := int32(len(t.verts))
-	newVert := &Vertex{Point: vec.Clone(q), Value: vec.Clone(value)}
-	t.verts = append(t.verts, newVert)
-	first := int32(len(t.nodes))
-	for h, l := range lam {
-		if l <= t.tol {
-			continue
-		}
-		t.nodes = append(t.nodes, node{replaced: int32(h)})
-	}
-	// lam aliases a scratch buffer; mus keeps the split's copy.
-	t.nodes[leaf] = node{child: first, nchild: int32(kids), split: id, replaced: t.nodes[leaf].replaced}
-	t.mus = append(t.mus, lam...)
-	t.stampVertex(newVert, stamp)
+	id := int32(len(t.stamps))
+	t.points = append(t.points, q...)
+	t.values = append(t.values, value...)
+	t.stamps = append(t.stamps, 0)
+	t.stampVertex(id, stamp)
+	t.splitLeaf(leaf, lam, id)
 	t.numPoints++
-	t.numLeaves += kids - 1
 	return nil
 }
 
-// stampVertex records an accepted insert's logical time on its vertex
-// and advances the clock to cover it. Replaying an old record (stamp ≤
+// checkSplit refuses a split at coordinates lam (of point q) that would
+// make fewer than two children: one child per coordinate above tol, since
+// a coordinate at or below it puts the point on the facet opposite that
+// vertex. Such a point is effectively a vertex; the callers' vertex
+// check should have caught it, but this guards tolerance corner cases.
+func (t *Tree) checkSplit(lam, q []float64) error {
+	kids := 0
+	for _, l := range lam {
+		if l > t.tol {
+			kids++
+		}
+	}
+	if kids < 2 {
+		return fmt.Errorf("simplextree: split of %v produced %d children", q, kids)
+	}
+	return nil
+}
+
+// splitLeaf makes vertex id, already in the vertex table, the split point
+// of leaf, where its barycentric coordinates are lam. The children are
+// appended to the node array side by side, child h taking the leaf's
+// vertices with slot h replaced by the split point; lam is appended to
+// mus (see Tree.mus).
+func (t *Tree) splitLeaf(leaf int32, lam []float64, id int32) {
+	first := int32(len(t.nodes))
+	for h, l := range lam {
+		if l > t.tol {
+			t.nodes = append(t.nodes, node{replaced: int32(h)})
+		}
+	}
+	kids := int32(len(t.nodes)) - first
+	t.nodes[leaf] = node{child: first, nchild: kids, split: id, replaced: t.nodes[leaf].replaced}
+	// lam aliases a scratch buffer; mus keeps the split's copy.
+	t.mus = append(t.mus, lam...)
+	t.numLeaves += int(kids) - 1
+}
+
+// stampVertex records an accepted insert's logical time on vertex id and
+// advances the clock to cover it. Replaying an old record (stamp ≤
 // clock) never rewinds the clock, and a vertex's stamp never moves
 // backwards, so replaying a record twice stays idempotent.
-func (t *Tree) stampVertex(v *Vertex, stamp uint64) {
-	if stamp > v.stamp.Load() {
-		v.stamp.Store(stamp)
+func (t *Tree) stampVertex(id int32, stamp uint64) {
+	if stamp > atomic.LoadUint64(&t.stamps[id]) {
+		atomic.StoreUint64(&t.stamps[id], stamp)
 	}
 	if stamp > t.clock {
 		t.clock = stamp
@@ -765,7 +777,7 @@ func (t *Tree) Stats() Stats {
 		Points:           t.numPoints,
 		Leaves:           t.numLeaves,
 		Nodes:            len(t.nodes),
-		DistinctVertices: len(t.verts),
+		DistinctVertices: len(t.stamps),
 	}
 	var sumLeafDepth, leaves int
 	var rec func(n int32, depth int)

@@ -12,7 +12,7 @@ import (
 
 func newTestTree(t *testing.T, d int, oqp []float64, eps float64) *Tree {
 	t.Helper()
-	tr, err := New(geom.StandardSimplex(d), oqp, Options{Epsilon: eps})
+	tr, err := New(d, oqp, Options{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,21 +35,22 @@ func randomInterior(rng *rand.Rand, d int) []float64 {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, []float64{1}, Options{}); err == nil {
-		t.Error("nil domain should error")
+	for _, d := range []int{0, -1} {
+		if _, err := New(d, []float64{1}, Options{}); err == nil {
+			t.Errorf("dimension %d should error", d)
+		}
 	}
-	if _, err := New(geom.StandardSimplex(2), nil, Options{}); err == nil {
+	if _, err := New(2, nil, Options{}); err == nil {
 		t.Error("empty OQP should error")
 	}
-	if _, err := New(geom.StandardSimplex(2), []float64{1}, Options{Epsilon: -1}); err == nil {
+	if _, err := New(2, []float64{1}, Options{Epsilon: -1}); err == nil {
 		t.Error("negative epsilon should error")
 	}
-	if _, err := New(geom.StandardSimplex(2), []float64{1}, Options{Tol: -1}); err == nil {
+	if _, err := New(2, []float64{1}, Options{Tol: -1}); err == nil {
 		t.Error("negative tol should error")
 	}
-	degenerate, _ := geom.NewSimplex([][]float64{{0, 0}, {1, 1}, {2, 2}})
-	if _, err := New(degenerate, []float64{1}, Options{}); err == nil {
-		t.Error("degenerate domain should error")
+	if _, err := New(2, []float64{1}, Options{MaxVertices: -1}); err == nil {
+		t.Error("negative quota should error")
 	}
 }
 
@@ -454,7 +455,7 @@ func TestStatsAndWalk(t *testing.T) {
 	if st.DistinctVertices != 3+st.Points {
 		t.Errorf("distinct vertices = %d, want %d", st.DistinctVertices, 3+st.Points)
 	}
-	if count := len(tr.Census().Vertices); count != st.DistinctVertices {
+	if count := len(tr.Census().Stamps); count != st.DistinctVertices {
 		t.Errorf("census holds %d vertices, want %d", count, st.DistinctVertices)
 	}
 }

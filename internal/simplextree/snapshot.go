@@ -4,16 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 
+	"repro/internal/geom"
 	"repro/internal/vec"
 )
 
 // Census is a tree written as the sequence it grows from: its thresholds
-// and counters, and every vertex in creation order, the D+1 domain
-// corners first. A split depends only on the points stored before it
-// (§4.2), so re-inserting the vertices in this order rebuilds the same
-// triangulation; package persist writes a census at the head of every
-// log file.
+// and counters, and every vertex in creation order, the D+1 corners of
+// the standard simplex first. A split depends only on the points stored
+// before it (§4.2), so re-inserting the vertices in this order rebuilds
+// the same triangulation; package persist writes a census at the head of
+// every log file.
 type Census struct {
 	Dim     int
 	OQPDim  int
@@ -25,16 +28,19 @@ type Census struct {
 	// compaction and replay); 0 for a tree that has accepted no insert.
 	Clock uint64
 
-	Vertices []CensusVertex // creation order; index = vertex id
+	// The vertices, in the tree's own flat layout (see At): vertex i is
+	// the point Coords[i·D:(i+1)·D] with the value Values[i·N:(i+1)·N],
+	// and Stamps[i] is its last-reinforcement logical time (0 for a
+	// vertex no insert has stamped: the domain corners of a fresh tree).
+	Coords []float64
+	Values []float64
+	Stamps []uint64
 }
 
-// CensusVertex is one vertex of a census.
-type CensusVertex struct {
-	Point []float64
-	Value []float64
-	// Stamp is the vertex's last-reinforcement logical time (0 for a
-	// vertex no insert has stamped: the domain corners of a fresh tree).
-	Stamp uint64
+// At returns vertex i's point, value and stamp; the slices are views
+// into the census's arrays.
+func (c *Census) At(i int) (point, value []float64, stamp uint64) {
+	return c.Coords[i*c.Dim : (i+1)*c.Dim], c.Values[i*c.OQPDim : (i+1)*c.OQPDim], c.Stamps[i]
 }
 
 // Snapshot is a structural dump of a Simplex Tree: its census, plus every
@@ -48,7 +54,7 @@ type Snapshot struct {
 
 // SnapshotNode mirrors one tree node with vertex-table references.
 type SnapshotNode struct {
-	Verts    []int32 // D+1 indices into Census.Vertices
+	Verts    []int32 // D+1 vertex ids (Census.At)
 	Split    int32   // index of the split vertex; -1 for leaves
 	Mu       []float64
 	Replaced []int32
@@ -65,16 +71,18 @@ func (t *Tree) Census() *Census {
 
 func (t *Tree) censusLocked() *Census {
 	c := &Census{
-		Dim:      t.dim,
-		OQPDim:   t.oqpDim,
-		Epsilon:  t.epsilon,
-		Tol:      t.tol,
-		Points:   t.numPoints,
-		Clock:    t.clock,
-		Vertices: make([]CensusVertex, len(t.verts)),
+		Dim:     t.dim,
+		OQPDim:  t.oqpDim,
+		Epsilon: t.epsilon,
+		Tol:     t.tol,
+		Points:  t.numPoints,
+		Clock:   t.clock,
+		Coords:  slices.Clone(t.points),
+		Values:  slices.Clone(t.values),
+		Stamps:  make([]uint64, len(t.stamps)),
 	}
-	for i, v := range t.verts {
-		c.Vertices[i] = CensusVertex{Point: vec.Clone(v.Point), Value: vec.Clone(v.Value), Stamp: v.stamp.Load()}
+	for i := range t.stamps {
+		c.Stamps[i] = atomic.LoadUint64(&t.stamps[i])
 	}
 	return c
 }
@@ -104,14 +112,18 @@ func (t *Tree) Snapshot() *Snapshot {
 	return &Snapshot{Census: *t.censusLocked(), Root: dump(0, t.rootIDs())}
 }
 
-// FromCensus rebuilds the tree a census describes: the D+1 corners span
-// the root simplex, and every later vertex splits the leaf it falls in.
-// Those splits skip the ε test and the quota — they are the tree's
-// vertices, not feedback outcomes — so the triangulation comes back
-// exactly. The rebuilt tree has no quota, aging horizon or observer;
-// its owner applies them. The tree's arrays are sized once, for the
+// FromCensus rebuilds the tree a census describes: the D+1 corners,
+// which must be the standard simplex's bit for bit, span the root, and
+// every later vertex splits the leaf it falls in. Those splits skip the ε
+// test and the quota — they are the tree's vertices, not feedback
+// outcomes — so the triangulation comes back exactly. The rebuilt tree
+// has no quota, aging horizon or observer; its owner applies them.
+//
+// The tree adopts the census's arrays as its vertex table, so the caller
+// must not use c afterwards. The tree's arrays are sized once, for the
 // census and for the journal inserts the caller replays next (a log's
-// journal tail), so neither the rebuild nor that replay regrows them.
+// journal tail), so neither the rebuild nor that replay regrows them; a
+// census whose arrays already have that room is not copied at all.
 func FromCensus(c *Census, journal int) (*Tree, error) {
 	if c == nil {
 		return nil, errors.New("simplextree: nil census")
@@ -125,23 +137,28 @@ func FromCensus(c *Census, journal int) (*Tree, error) {
 	if c.Points < 0 || journal < 0 {
 		return nil, fmt.Errorf("simplextree: negative point count %d or journal %d", c.Points, journal)
 	}
-	if len(c.Vertices) < c.Dim+1 {
-		return nil, fmt.Errorf("simplextree: census holds %d vertices, fewer than the %d domain corners", len(c.Vertices), c.Dim+1)
+	nv, n := len(c.Stamps), c.Dim+1
+	if nv < n {
+		return nil, fmt.Errorf("simplextree: census holds %d vertices, fewer than the %d domain corners", nv, n)
 	}
-	for i, v := range c.Vertices {
-		if len(v.Point) != c.Dim || len(v.Value) != c.OQPDim {
-			return nil, fmt.Errorf("simplextree: census vertex %d has dimensions %d/%d, want %d/%d", i, len(v.Point), len(v.Value), c.Dim, c.OQPDim)
-		}
-		if !vec.IsFinite(v.Point) || !vec.IsFinite(v.Value) {
-			return nil, fmt.Errorf("simplextree: census vertex %d contains non-finite values", i)
+	if len(c.Coords) != nv*c.Dim || len(c.Values) != nv*c.OQPDim {
+		return nil, fmt.Errorf("simplextree: census holds %d coordinates and %d values for %d vertices, want %d and %d", len(c.Coords), len(c.Values), nv, nv*c.Dim, nv*c.OQPDim)
+	}
+	if !vec.IsFinite(c.Coords) || !vec.IsFinite(c.Values) {
+		return nil, errors.New("simplextree: census contains non-finite values")
+	}
+	domain := geom.StandardSimplex(c.Dim)
+	for i := 0; i < n; i++ {
+		p, _, _ := c.At(i)
+		for k, x := range domain.Vertex(i) {
+			if math.Float64bits(p[k]) != math.Float64bits(x) {
+				return nil, fmt.Errorf("simplextree: census corner %d is %v, not the standard simplex's %v", i, p, domain.Vertex(i))
+			}
 		}
 	}
-	corners := make([]*Vertex, c.Dim+1)
-	clock := c.Clock
-	for i, v := range c.Vertices[:c.Dim+1] {
-		corners[i] = &Vertex{Point: vec.Clone(v.Point), Value: vec.Clone(v.Value)}
-		corners[i].stamp.Store(v.Stamp)
-		clock = max(clock, v.Stamp) // the clock covers every stamp; splits below advance it too
+	clock := c.Clock // it covers every stamp
+	for _, s := range c.Stamps {
+		clock = max(clock, s)
 	}
 	t := &Tree{
 		dim:     c.Dim,
@@ -149,15 +166,17 @@ func FromCensus(c *Census, journal int) (*Tree, error) {
 		epsilon: c.Epsilon,
 		tol:     c.Tol,
 		clock:   clock,
+		points:  c.Coords,
+		values:  c.Values,
+		stamps:  c.Stamps,
 	}
-	if err := t.plant(corners, len(c.Vertices)+journal); err != nil {
-		return nil, fmt.Errorf("simplextree: census corners are degenerate: %w", err)
-	}
+	t.plant(nv + journal)
 	sc := t.scratch.Get().(*scratch)
 	defer t.scratch.Put(sc)
-	for i := c.Dim + 1; i < len(c.Vertices); i++ {
-		v := c.Vertices[i]
-		leaf, lam, _, err := t.lookup(v.Point, sc)
+	// t is private to this call, so no lock is needed.
+	for id := int32(n); id < int32(nv); id++ {
+		q := t.point(id)
+		leaf, lam, _, err := t.lookup(q, sc)
 		if err == nil {
 			for _, l := range lam {
 				if l >= 1-t.tol {
@@ -166,12 +185,12 @@ func FromCensus(c *Census, journal int) (*Tree, error) {
 			}
 		}
 		if err == nil {
-			// t is private to this call, so no lock is needed.
-			err = t.splitLocked(leaf, lam, v.Point, v.Value, v.Stamp)
+			err = t.checkSplit(lam, q)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("simplextree: census vertex %d: %w", i, err)
+			return nil, fmt.Errorf("simplextree: census vertex %d: %w", id, err)
 		}
+		t.splitLeaf(leaf, lam, id)
 	}
 	t.numPoints = c.Points
 	return t, nil

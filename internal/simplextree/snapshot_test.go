@@ -86,7 +86,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestFromCensusValidation: a census that cannot describe a tree is
-// refused with an error, never a panic or a half-built tree.
+// refused with an error, never a panic or a half-built tree. The census
+// is of a D = 2, N = 1 tree of five vertices: vertex i's point is
+// Coords[2i:2i+2] and its value Values[i]. Its corners must be the
+// standard simplex's bit for bit, so an origin of (−0, 0) is refused
+// although it compares equal to (0, 0).
 func TestFromCensusValidation(t *testing.T) {
 	tr := newTestTree(t, 2, []float64{1}, 0)
 	for _, q := range [][]float64{{0.3, 0.3}, {0.1, 0.2}} {
@@ -105,13 +109,15 @@ func TestFromCensusValidation(t *testing.T) {
 		{"zero tol", func(c *Census) { c.Tol = 0 }},
 		{"infinite tol", func(c *Census) { c.Tol = math.Inf(1) }},
 		{"negative points", func(c *Census) { c.Points = -1 }},
-		{"wrong vertex count", func(c *Census) { c.Vertices = c.Vertices[:2] }},
-		{"bad vertex point dim", func(c *Census) { c.Vertices[0].Point = []float64{1} }},
-		{"bad vertex value dim", func(c *Census) { c.Vertices[4].Value = []float64{1, 2} }},
-		{"non-finite value", func(c *Census) { c.Vertices[3].Value[0] = math.Inf(-1) }},
-		{"degenerate corners", func(c *Census) { c.Vertices[2].Point = vec.Clone(c.Vertices[1].Point) }},
-		{"vertex outside the domain", func(c *Census) { c.Vertices[3].Point = []float64{2, 2} }},
-		{"duplicate vertex", func(c *Census) { c.Vertices[4].Point = vec.Clone(c.Vertices[3].Point) }},
+		{"wrong vertex count", func(c *Census) { c.Coords, c.Values, c.Stamps = c.Coords[:4], c.Values[:2], c.Stamps[:2] }},
+		{"bad vertex point dim", func(c *Census) { c.Coords = c.Coords[:len(c.Coords)-1] }},
+		{"bad vertex value dim", func(c *Census) { c.Values = append(c.Values, 2) }},
+		{"non-finite value", func(c *Census) { c.Values[3] = math.Inf(-1) }},
+		{"degenerate corners", func(c *Census) { copy(c.Coords[4:6], c.Coords[2:4]) }},
+		{"corner off the standard simplex", func(c *Census) { c.Coords[5] = 2 }},
+		{"negative zero corner coordinate", func(c *Census) { c.Coords[0] = math.Copysign(0, -1) }},
+		{"vertex outside the domain", func(c *Census) { copy(c.Coords[6:8], []float64{2, 2}) }},
+		{"duplicate vertex", func(c *Census) { copy(c.Coords[8:10], c.Coords[6:8]) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -121,22 +121,11 @@ func (f *LU) Det() float64 {
 
 // Solve solves A·x = b for x. b is not modified.
 func (f *LU) Solve(b []float64) ([]float64, error) {
-	x := make([]float64, f.lu.Rows)
-	if err := f.SolveInto(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveInto solves A·x = b, writing the solution into dst without
-// allocating. dst and b must have length n and must not alias each other
-// (the permuted right-hand side is staged in dst while b is still being
-// read).
-func (f *LU) SolveInto(dst, b []float64) error {
 	n := f.lu.Rows
-	if len(b) != n || len(dst) != n {
-		return fmt.Errorf("%w: rhs/dst have %d/%d rows, want %d", ErrDimensionMismatch, len(b), len(dst), n)
+	if len(b) != n {
+		return nil, fmt.Errorf("%w: rhs has %d rows, want %d", ErrDimensionMismatch, len(b), n)
 	}
+	dst := make([]float64, n)
 	// Apply the permutation.
 	for i, p := range f.pivot {
 		dst[i] = b[p]
@@ -159,7 +148,7 @@ func (f *LU) SolveInto(dst, b []float64) error {
 		}
 		dst[i] = s / row[i]
 	}
-	return nil
+	return dst, nil
 }
 
 // Solve solves the square linear system a·x = b using LU with partial
