@@ -1,66 +1,56 @@
 // Command fbserve is the FeedbackBypass network service: a long-lived
-// HTTP/JSON server placing the learned Mopt beside interactive
-// retrieval engines (Figure 4 of the paper) and serving many concurrent
-// user sessions — over one or several named collections — through
-// internal/service.
+// HTTP/JSON server placing the learned Mopt beside an interactive
+// retrieval engine (Figure 4 of the paper) and serving many concurrent
+// user sessions over one collection through internal/service. Two
+// collections are two processes.
 //
-// Collections. One process serves any number of named collections, each
-// with its own retrieval engine, bypass (and durable directory), and
-// prediction cache. -collection name=spec is repeatable; a spec is
-// either
+// The collection. -collection spec names it; a spec is either
 //
 //	synth:scale=0.3,seed=7   a generated in-heap collection, or
 //	/data/photos.fbmx        an FBMX collection file (also fbmx:path),
 //	                         opened read-only via mmap so the feature
 //	                         slab lives in the page cache, not the heap
 //
-// With no -collection flags the server runs one collection named
-// "default" built from -scale/-seed, exactly the pre-multi-collection
-// behaviour.
+// Without -collection the server renders the synth: collection of
+// -scale and -seed.
 //
-// Endpoints (per collection under /c/<name>/..., with the bare legacy
-// paths routed to the default collection):
+// Endpoints:
 //
-//	GET  /healthz             liveness across all collections
-//	GET  /stats               per-collection counters, cache occupancy, tree shape
-//	GET  /c/N/healthz         one collection's liveness
-//	GET  /c/N/stats           one collection's counters
-//	POST /c/N/query           open a session: {"item": 3, "k": 5} or
+//	GET  /healthz             liveness
+//	GET  /stats               counters, cache occupancy, tree shape
+//	GET  /metrics             Prometheus text exposition
+//	POST /query               open a session: {"item": 3, "k": 5} or
 //	                          {"feature": [...], "k": 5} → first results + session id
-//	GET  /c/N/session?id=S    current session state without advancing it
-//	POST /c/N/feedback        {"session": S, "scores": [1,0,...]} → refined results
-//	POST /c/N/close           {"session": S} → converged OQPs inserted into the bypass
+//	GET  /session?id=S        current session state without advancing it
+//	POST /feedback            {"session": S, "scores": [1,0,...]} → refined results
+//	POST /close               {"session": S} → converged OQPs inserted into the bypass
 //
-// Session ids are scoped to their collection. An unknown collection
-// name is 404. Results carry each item's category and theme so a client
-// (or a human with curl) can play the relevance oracle; an FBMX file
-// stores them beside its rows. On SIGINT/SIGTERM the server stops
-// accepting connections, drains every collection's in-flight sessions
-// (inserting converged outcomes), and — for durable collections —
-// compacts the write-ahead logs before exiting.
+// Replies name the collection "default". Results carry each item's
+// category and theme so a client (or a human with curl) can play the
+// relevance oracle; an FBMX file stores them beside its rows. On
+// SIGINT/SIGTERM the server stops accepting connections, drains the
+// in-flight sessions (inserting converged outcomes), and — with -dir —
+// compacts the write-ahead log before exiting.
 //
 // Usage:
 //
 //	fbserve -addr :8080 -scale 0.3 -k 10                  # in-memory
 //	fbserve -addr :8080 -dir /var/lib/fbserve -sync       # durable
-//	fbserve -addr :8080 \
-//	    -collection birds=synth:scale=0.2,seed=7 \
-//	    -collection photos=/data/photos.fbmx \
-//	    -dir /var/lib/fbserve                             # multi-collection
+//	fbserve -collection /data/photos.fbmx -dir /var/lib/photos
 //
-// With several collections and -dir, each collection's durable state
-// lives under <dir>/<name>/ (a single collection keeps the whole dir,
-// preserving existing layouts). A synth: collection served with -dir is
-// rendered once into collection.fbmx there; later starts map the file
-// instead of rendering, and render again only when it is missing,
-// corrupt or rendered from another spec. Every collection's bypass is
-// one Simplex Tree (internal/core); with -dir its log is recovered
-// before the server listens, so /healthz answers only once every
-// collection is open, and a directory it cannot open stops start-up.
+// With -dir the collection's durable state lives in that directory. A
+// synth: collection served with -dir is rendered once into
+// collection.fbmx there; later starts map the file instead of rendering,
+// and render again only when it is missing, corrupt or rendered from
+// another spec. The bypass is one Simplex Tree (internal/core); with
+// -dir its log is recovered before the server listens, so /healthz
+// answers only once the module is open, and a directory it cannot open
+// stops start-up — among them one whose subdirectory holds a module, the
+// <dir>/<name>/ layout of the retired multi-collection server.
 //
-// -export-fbmx name=path builds the named collection, writes its rows
-// and labels to path as an FBMX file (atomically), and exits — the way
-// to turn a synthetic collection into an mmap-servable file.
+// -export-fbmx path builds the collection, writes its rows and labels to
+// path as an FBMX file (atomically), and exits — the way to turn a
+// synthetic collection into an mmap-servable file.
 package main
 
 import (
@@ -72,7 +62,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -89,16 +78,17 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed for the synthetic collection")
 		k           = flag.Int("k", 10, "default results per query")
 		epsilon     = flag.Float64("epsilon", 0.05, "Simplex Tree insert threshold ε")
-		dir         = flag.String("dir", "", "durable module directory (one tree log per collection); empty = in-memory")
+		dir         = flag.String("dir", "", "durable module directory (the tree log, and the kept synth: collection); empty = in-memory")
 		syncWAL     = flag.Bool("sync", false, "fsync the WAL on every accepted insert (durable mode)")
 		compactEach = flag.Int("compact-every", 512, "compact the WAL after this many journaled inserts (durable mode)")
-		maxSessions = flag.Int("max-sessions", 1024, "in-flight session bound per collection (further opens get 429)")
+		maxSessions = flag.Int("max-sessions", 1024, "in-flight session bound (further opens get 429)")
 		iterBudget  = flag.Int("iter-budget", engine.DefaultMaxIterations, "feedback rounds allowed per session")
-		cacheSize   = flag.Int("cache", 1024, "LRU prediction cache entries per collection (negative disables)")
-		exportFBMX  = flag.String("export-fbmx", "", "name=path: write the named collection's feature matrix as an FBMX file and exit")
-		maxVertices = flag.Int("max-vertices", 0, "per-collection Simplex Tree vertex quota, 8·(D+N) bytes of point and value per vertex; at the bound inserts get 507, reads stay live (0 = unlimited)")
+		cacheSize   = flag.Int("cache", 1024, "LRU prediction cache entries (negative disables)")
+		spec        = flag.String("collection", "", "the collection to serve: synth:scale=F,seed=N, fbmx:path or path.fbmx (default: synth: at -scale and -seed)")
+		exportFBMX  = flag.String("export-fbmx", "", "write the collection's feature matrix and labels to this path as an FBMX file and exit")
+		maxVertices = flag.Int("max-vertices", 0, "Simplex Tree vertex quota, 8·(D+N) bytes of point and value per vertex; at the bound inserts get 507, reads stay live (0 = unlimited)")
 		ageHorizon  = flag.Uint64("age-horizon", 0, "reclaim vertices not reinforced within this many accepted inserts; compaction drops them (0 = aging off)")
-		compactInt  = flag.Duration("compact-interval", 0, "run an aging compaction pass over every collection at this interval (0 = only on quota pressure)")
+		compactInt  = flag.Duration("compact-interval", 0, "run an aging compaction pass at this interval (0 = only on quota pressure)")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in: profiling endpoints expose internals)")
 
 		// Every http.Server timeout defaults non-zero: a server with
@@ -110,12 +100,10 @@ func main() {
 		idleTimeout       = flag.Duration("idle-timeout", 2*time.Minute, "http.Server.IdleTimeout for keep-alive connections (0 disables)")
 		requestTimeout    = flag.Duration("request-timeout", 30*time.Second, "per-request handler deadline; expired requests get 503 + Retry-After (0 disables)")
 	)
-	var specs httpapi.CollectionSpecs
-	flag.Func("collection", "serve a named collection: name=synth:scale=F,seed=N or name=path.fbmx (repeatable)", specs.Add)
 	flag.Parse()
 
-	if len(specs) == 0 {
-		specs = httpapi.CollectionSpecs{{Name: "default", Spec: fmt.Sprintf("synth:scale=%g,seed=%d", *scale, *seed)}}
+	if *spec == "" {
+		*spec = fmt.Sprintf("synth:scale=%g,seed=%d", *scale, *seed)
 	}
 	reg := obsv.NewRegistry()
 	httpapi.RegisterProcessMetrics(reg)
@@ -123,45 +111,36 @@ func main() {
 		Scale: *scale, Seed: *seed, K: *k, Epsilon: *epsilon,
 		Dir: *dir, SyncWAL: *syncWAL, CompactEvery: *compactEach,
 		MaxSessions: *maxSessions, IterBudget: *iterBudget, CacheSize: *cacheSize,
-		MaxVertices: *maxVertices, AgeHorizon: *ageHorizon,
-		Multi: len(specs) > 1, Obs: reg,
+		MaxVertices: *maxVertices, AgeHorizon: *ageHorizon, Obs: reg,
 	}
 
 	if *exportFBMX != "" {
-		exportCollection(*exportFBMX, specs, cfg)
+		exportCollection(*spec, *exportFBMX, cfg)
 		return
 	}
 
-	colls := make(map[string]*httpapi.Collection, len(specs))
-	order := make([]*httpapi.Collection, 0, len(specs))
-	total := 0
-	for _, s := range specs {
-		c, err := httpapi.BuildCollection(s.Name, s.Spec, cfg)
-		if err != nil {
-			log.Fatalf("fbserve: collection %s: %v", s.Name, err)
-		}
-		colls[s.Name] = c
-		order = append(order, c)
-		total += c.Dataset.Len()
+	c, err := httpapi.BuildCollection(*spec, cfg)
+	if err != nil {
+		log.Fatalf("fbserve: collection: %v", err)
 	}
 
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           httpapi.Hardened(httpapi.NewMux(colls, httpapi.ResolveDefault(colls), reg, *pprofOn), *requestTimeout, reg),
+		Handler:           httpapi.Hardened(httpapi.NewMux(c, reg, *pprofOn), *requestTimeout, reg),
 		ReadHeaderTimeout: *readHeaderTimeout,
 		ReadTimeout:       *readTimeout,
 		WriteTimeout:      *writeTimeout,
 		IdleTimeout:       *idleTimeout,
 	}
 	go func() {
-		log.Printf("serving %d collections (%d items total) on %s", len(colls), total, *addr)
+		log.Printf("serving %d items on %s", c.Dataset.Len(), *addr)
 		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Fatalf("fbserve: %v", err)
 		}
 	}()
 
-	// Scheduled lifecycle compaction: every -compact-interval each
-	// collection rebuilds its tree, dropping vertices not reinforced
+	// Scheduled lifecycle compaction: every -compact-interval the module
+	// rebuilds its tree, dropping vertices not reinforced
 	// within -age-horizon; the service layer invalidates the prediction
 	// cache when a pass reclaimed something. Quota-pressure compaction
 	// inside the store fires regardless — the ticker bounds memory
@@ -179,55 +158,42 @@ func main() {
 		case <-ctx.Done():
 			running = false
 		case <-tick:
-			for _, c := range order {
-				c.CompactAged()
-			}
+			c.CompactAged()
 		}
 	}
 
-	// Graceful shutdown: stop accepting, drain every collection's
-	// sessions (inserting their converged outcomes), then make each
-	// collection's learned state durable and release its backend.
+	// Graceful shutdown: stop accepting, drain the sessions (inserting
+	// their converged outcomes), then make the learned state durable and
+	// release the backend.
 	log.Print("shutting down ...")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("fbserve: shutdown: %v", err)
 	}
-	for _, c := range order {
-		closed, inserted, err := c.Service.Drain(shutdownCtx)
-		if err != nil {
-			log.Printf("fbserve: %s: drain: %v", c.Name, err)
-		}
-		log.Printf("%s: drained %d sessions (%d outcomes inserted)", c.Name, closed, inserted)
-		c.Shutdown()
+	closed, inserted, err := c.Service.Drain(shutdownCtx)
+	if err != nil {
+		log.Printf("fbserve: drain: %v", err)
 	}
+	log.Printf("drained %d sessions (%d outcomes inserted)", closed, inserted)
+	c.Shutdown()
 }
 
-// exportCollection runs -export-fbmx: value is name=path naming a
-// configured collection, whose rows and labels are written to path as an
-// FBMX file. Only the named collection's dataset is built — no other
-// collection is paid for, no durable state is opened.
-func exportCollection(value string, specs httpapi.CollectionSpecs, cfg httpapi.Config) {
-	name, path, ok := strings.Cut(value, "=")
-	var spec string
-	for _, s := range specs {
-		if s.Name == name {
-			spec = s.Spec
-		}
-	}
-	if !ok || path == "" || spec == "" {
-		log.Fatalf("fbserve: -export-fbmx %q: want name=path with a configured collection", value)
-	}
-	ds, _, mm, err := httpapi.BuildDataset(spec, "", cfg)
+// exportCollection runs -export-fbmx: it builds the collection spec
+// names and writes its rows and labels to path as an FBMX file labelled
+// with the canonical spec, so the file placed in a -dir as
+// collection.fbmx is mapped, not rendered again. No durable state is
+// opened.
+func exportCollection(spec, path string, cfg httpapi.Config) {
+	ds, canon, mm, err := httpapi.BuildDataset(spec, "", cfg)
 	if err != nil {
-		log.Fatalf("fbserve: collection %s: %v", name, err)
+		log.Fatalf("fbserve: collection: %v", err)
 	}
-	if err := store.WriteFBMX(path, ds.Matrix(), ds.Labels(spec)); err != nil {
-		log.Fatalf("fbserve: exporting %s: %v", name, err)
+	if err := store.WriteFBMX(path, ds.Matrix(), ds.Labels(canon)); err != nil {
+		log.Fatalf("fbserve: exporting the collection: %v", err)
 	}
 	if mm != nil {
 		_ = mm.Close()
 	}
-	log.Printf("exported collection %s (%d items, %d bins) to %s", name, ds.Len(), ds.Dim, path)
+	log.Printf("exported %s (%d items, %d bins) to %s", canon, ds.Len(), ds.Dim, path)
 }

@@ -44,7 +44,7 @@ type process struct {
 }
 
 // start execs the binary on a free loopback port and waits until
-// /healthz answers 200: the server listens once every collection is open.
+// /healthz answers 200: the server listens once the module is open.
 func start(t *testing.T, bin string, args ...string) *process {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -312,39 +312,23 @@ func TestBinaryDurableRestart(t *testing.T) {
 	}
 }
 
-// TestBinaryTwoCollections serves two named collections from one
-// process: a synthetic one, which -dir keeps as birds/collection.fbmx,
-// and its -export-fbmx file. Sessions run through the scoped /c/<name>/ routes, an unknown
-// collection is a 404, /stats keeps both collections' counters apart and
-// mmap-resident, and SIGTERM drains.
-func TestBinaryTwoCollections(t *testing.T) {
+// TestBinaryServesExportedFBMX: -export-fbmx path writes a synth:
+// collection as an FBMX file labelled with its canonical spec. Served
+// with -collection path.fbmx -dir, the file backs a learning session;
+// SIGTERM compacts, and a restart on the same directory reports the mmap
+// backend and the learned points. The same file placed in a fresh -dir as
+// collection.fbmx is mapped by a start naming the collection in another
+// spelling, not rendered again.
+func TestBinaryServesExportedFBMX(t *testing.T) {
 	bin := buildBinary(t)
 	tmp := t.TempDir()
 	export := filepath.Join(tmp, "birds.fbmx")
-	birds := "birds=synth:scale=0.05,seed=5"
-	if out, err := exec.Command(bin, "-collection", birds, "-export-fbmx", "birds="+export).CombinedOutput(); err != nil {
+	if out, err := exec.Command(bin, "-collection", "synth:scale=0.05", "-seed", "5", "-export-fbmx", export).CombinedOutput(); err != nil {
 		t.Fatalf("-export-fbmx: %v\n%s", err, out)
 	}
-	if _, err := os.Stat(export); err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(tmp, "multi")
-	p := start(t, bin, "-k", "5", "-collection", birds, "-collection", "photos="+export, "-dir", dir)
-
-	var health struct {
-		Status      string `json:"status"`
-		Collections int    `json:"collections"`
-	}
-	p.call(t, http.MethodGet, "/healthz", nil, &health)
-	if health.Status != "ok" || health.Collections != 2 {
-		t.Fatalf("/healthz: %+v, want ok with 2 collections", health)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "birds", "collection.fbmx")); err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := os.Stat(filepath.Join(dir, "photos")); err != nil || !fi.IsDir() {
-		t.Fatalf("photos directory: %v", err)
-	}
+	dir := filepath.Join(tmp, "state")
+	args := []string{"-k", "5", "-collection", export, "-dir", dir}
+	p := start(t, bin, args...)
 
 	type state struct {
 		Collection string `json:"collection"`
@@ -352,63 +336,71 @@ func TestBinaryTwoCollections(t *testing.T) {
 		Results    []struct {
 			Category string `json:"category"`
 		} `json:"results"`
-		Iterations int `json:"iterations"`
+		Converged bool `json:"converged"`
 	}
-	var closed struct {
-		Session uint64 `json:"session"`
-	}
-	var s1 state
-	p.call(t, http.MethodPost, "/c/birds/query", map[string]any{"item": 0, "k": 5}, &s1)
-	if s1.Collection != "birds" {
-		t.Fatalf("/c/birds/query answered collection %q", s1.Collection)
-	}
-	p.call(t, http.MethodPost, "/c/birds/feedback", map[string]any{"session": s1.Session, "scores": []float64{1, 0, 1, 0, 0}}, &s1)
-	if s1.Iterations != 1 {
-		t.Fatalf("/c/birds/feedback: %d iterations, want 1", s1.Iterations)
-	}
-	p.call(t, http.MethodPost, "/c/birds/close", map[string]any{"session": s1.Session}, &closed)
-	if closed.Session != s1.Session {
-		t.Fatalf("/c/birds/close answered session %d, want %d", closed.Session, s1.Session)
-	}
-
-	// A read-only session against the export, whose file carries labels.
-	var s2 state
-	p.call(t, http.MethodPost, "/c/photos/query", map[string]any{"item": 0, "k": 5}, &s2)
-	if s2.Collection != "photos" || len(s2.Results) == 0 || s2.Results[0].Category == "" {
-		t.Fatalf("/c/photos/query: %+v, want photos results with a category", s2)
-	}
-	p.call(t, http.MethodPost, "/c/photos/close", map[string]any{"session": s2.Session}, &closed)
-	if closed.Session != s2.Session {
-		t.Fatalf("/c/photos/close answered session %d, want %d", closed.Session, s2.Session)
-	}
-
-	resp, err := http.Post(p.base+"/c/nope/query", "application/json", strings.NewReader(`{"item": 0}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/c/nope/query: status %d, want 404", resp.StatusCode)
-	}
-
 	var stats struct {
 		Collections map[string]struct {
 			Collection struct {
 				Backend string `json:"backend"`
 			} `json:"collection"`
-			Feedbacks int `json:"feedbacks"`
-			Opened    int `json:"opened"`
+			Tree struct {
+				Points int
+			} `json:"tree"`
+			Journaled int `json:"journaled"`
 		} `json:"collections"`
 	}
-	p.call(t, http.MethodGet, "/stats", nil, &stats)
-	b, ph := stats.Collections["birds"], stats.Collections["photos"]
-	switch {
-	case len(stats.Collections) != 2:
-		t.Fatalf("/stats has %d collections, want 2", len(stats.Collections))
-	case b.Collection.Backend != "mmap" || ph.Collection.Backend != "mmap":
-		t.Fatalf("/stats backends birds %q, photos %q, want mmap", b.Collection.Backend, ph.Collection.Backend)
-	case b.Feedbacks != 1 || ph.Feedbacks != 0 || b.Opened != 1 || ph.Opened != 1:
-		t.Fatalf("/stats birds %+v, photos %+v: want one session each, the feedback round on birds only", b, ph)
+	for item := 0; stats.Collections["default"].Tree.Points == 0; item++ {
+		if item == 32 {
+			t.Fatal("no session's outcome was stored")
+		}
+		var st state
+		p.call(t, http.MethodPost, "/query", map[string]any{"item": item}, &st)
+		if st.Collection != "default" || len(st.Results) == 0 || st.Results[0].Category == "" {
+			t.Fatalf("/query: %+v, want default results with the file's categories", st)
+		}
+		category := st.Results[0].Category
+		for !st.Converged {
+			scores := make([]float64, len(st.Results))
+			for i, r := range st.Results {
+				if r.Category == category {
+					scores[i] = 1
+				}
+			}
+			p.call(t, http.MethodPost, "/feedback", map[string]any{"session": st.Session, "scores": scores}, &st)
+		}
+		var closed struct {
+			Session uint64 `json:"session"`
+		}
+		p.call(t, http.MethodPost, "/close", map[string]any{"session": st.Session}, &closed)
+		p.call(t, http.MethodGet, "/stats", nil, &stats)
 	}
+	learned := stats.Collections["default"].Tree.Points
 	p.terminate(t)
+	if _, err := os.Stat(filepath.Join(dir, "collection.fbmx")); !os.IsNotExist(err) {
+		t.Fatalf("an FBMX collection was kept in -dir (stat err = %v)", err)
+	}
+
+	p2 := start(t, bin, args...)
+	p2.call(t, http.MethodGet, "/stats", nil, &stats)
+	if c := stats.Collections["default"]; c.Collection.Backend != "mmap" || c.Tree.Points != learned || c.Journaled != 0 {
+		t.Fatalf("/stats after restart: %+v, want the mmap backend, %d points and an empty journal", c, learned)
+	}
+	p2.terminate(t)
+
+	kept := filepath.Join(tmp, "kept")
+	if err := os.Mkdir(kept, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(export)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(kept, "collection.fbmx"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p3 := start(t, bin, "-scale", "0.05", "-seed", "5", "-dir", kept)
+	p3.terminate(t)
+	if log := p3.log.String(); !strings.Contains(log, "holds synth:scale=0.05,seed=5: mapped, not rendered") || strings.Contains(log, "rendering") {
+		t.Fatalf("the exported file placed in -dir was not mapped:\n%s", log)
+	}
 }

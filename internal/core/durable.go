@@ -82,17 +82,18 @@ type DurableBypass struct {
 	snapH *obsv.Histogram // compaction duration; nil without DurableOptions.Obs
 }
 
-// HoldsModule reports whether dir holds a module's state: its log, or a
-// file of a retired layout (a two-file snapshot, a sharded manifest),
-// which OpenDurable refuses by name instead of starting an empty module
-// beside it.
-func HoldsModule(fsys persist.FS, dir string) bool {
+// ModuleFile returns the path of the first file of a module's state in
+// dir — its log, or a file of a retired layout (a two-file snapshot, a
+// sharded manifest), which OpenDurable refuses by name instead of
+// starting an empty module beside it — or "" when dir holds none.
+func ModuleFile(fsys persist.FS, dir string) string {
 	for _, name := range []string{JournalFile, SnapshotFile, manifestFile} {
-		if _, err := persist.OrOS(fsys).Stat(filepath.Join(dir, name)); err == nil {
-			return true
+		path := filepath.Join(dir, name)
+		if _, err := persist.OrOS(fsys).Stat(path); err == nil {
+			return path
 		}
 	}
-	return false
+	return ""
 }
 
 // RefuseRetired returns an error naming the file if dir holds a file of

@@ -241,8 +241,8 @@ func TestShardedLayoutRefused(t *testing.T) {
 	if err := os.WriteFile(manifest, []byte("FBMN"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !HoldsModule(nil, dir) {
-		t.Error("HoldsModule = false for a sharded layout")
+	if got := ModuleFile(nil, dir); got != manifest {
+		t.Errorf("ModuleFile = %q for a sharded layout, want %s", got, manifest)
 	}
 	before := dirImage(t, dir)
 	_, err = OpenDurable(dir, d, p, Config{}, DurableOptions{})

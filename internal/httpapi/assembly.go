@@ -12,6 +12,7 @@ package httpapi
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -30,7 +31,7 @@ import (
 	"repro/internal/store"
 )
 
-// Config carries the flag values every collection build needs.
+// Config carries the flag values the collection build needs.
 type Config struct {
 	Scale        float64
 	Seed         int64
@@ -44,16 +45,22 @@ type Config struct {
 	CacheSize    int
 	MaxVertices  int
 	AgeHorizon   uint64
-	Multi        bool // more than one collection: durable state nests under Dir/<name>/
 	Obs          *obsv.Registry
 }
 
-// Collection is one named collection's full serving stack: dataset over
-// its backend, retrieval engine, bypass module, and its own service —
-// sessions, prediction cache and admission control are all per
-// collection.
+// collectionName names the one collection a process serves on the wire:
+// the "collection" field of every reply, the key of the /stats and
+// /healthz maps, and the collection label of every metric series.
+const collectionName = "default"
+
+// collectionLabels is the label set every instrument of the collection
+// carries.
+var collectionLabels = []obsv.Label{obsv.L("collection", collectionName)}
+
+// Collection is the collection's full serving stack: dataset over its
+// backend, retrieval engine, bypass module, and the service — sessions,
+// prediction cache and admission control.
 type Collection struct {
-	Name    string
 	Dataset *dataset.Dataset
 	Service *service.Service
 	Bypass  *core.Bypass // the bypass behind Service: its counters and health
@@ -63,38 +70,15 @@ type Collection struct {
 	mm      *store.MmapMatrix   // close handle (nil unless FBMX-backed)
 }
 
-// CollectionSpecs accumulates repeated -collection flags in order.
-type CollectionSpecs []struct{ Name, Spec string }
-
-// Add parses one -collection flag value.
-func (cs *CollectionSpecs) Add(value string) error {
-	name, spec, ok := strings.Cut(value, "=")
-	if !ok || name == "" || spec == "" {
-		return fmt.Errorf("want name=spec, got %q", value)
-	}
-	for _, r := range name {
-		if !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '-' || r == '_') {
-			return fmt.Errorf("collection name %q: only [a-zA-Z0-9_-] allowed", name)
-		}
-	}
-	for _, c := range *cs {
-		if c.Name == name {
-			return fmt.Errorf("duplicate collection %q", name)
-		}
-	}
-	*cs = append(*cs, struct{ Name, Spec string }{name, spec})
-	return nil
-}
-
 // CompactAged runs one aging compaction pass over the collection's tree
 // and logs what it reclaimed.
 func (c *Collection) CompactAged() {
 	st, err := c.Service.CompactAged(context.Background())
 	if err != nil {
-		log.Printf("fbserve: %s: compaction: %v", c.Name, err)
+		log.Printf("fbserve: compaction: %v", err)
 	}
 	if st.Reclaimed > 0 {
-		log.Printf("%s: aging compaction reclaimed %d vertices (%d -> %d)", c.Name, st.Reclaimed, st.Before, st.After)
+		log.Printf("aging compaction reclaimed %d vertices (%d -> %d)", st.Reclaimed, st.Before, st.After)
 	}
 }
 
@@ -104,43 +88,34 @@ func (c *Collection) CompactAged() {
 func (c *Collection) Shutdown() {
 	if c.durable != nil {
 		if err := c.durable.Compact(); err != nil {
-			log.Printf("fbserve: %s: compact: %v", c.Name, err)
+			log.Printf("fbserve: compact: %v", err)
 		}
 		if err := c.durable.Close(); err != nil {
-			log.Printf("fbserve: %s: close: %v", c.Name, err)
+			log.Printf("fbserve: close: %v", err)
 		}
-		log.Printf("%s: compacted the WAL; %d points durable", c.Name, c.Bypass.Stats().Points)
+		log.Printf("compacted the WAL; %d points durable", c.Bypass.Stats().Points)
 	}
 	if c.mm != nil {
 		if err := c.mm.Close(); err != nil {
-			log.Printf("fbserve: %s: unmapping collection: %v", c.Name, err)
+			log.Printf("fbserve: unmapping collection: %v", err)
 		}
 	}
-}
-
-// ResolveDefault picks the collection the bare legacy routes serve: the
-// one named "default" when present, else the only collection, else none.
-func ResolveDefault(colls map[string]*Collection) string {
-	if _, ok := colls["default"]; ok {
-		return "default"
-	}
-	if len(colls) == 1 {
-		for name := range colls {
-			return name
-		}
-	}
-	return ""
 }
 
 // CollectionFile is the FBMX file in its durable directory that a
 // synth: collection served with -dir is kept in.
 const CollectionFile = "collection.fbmx"
 
-// BuildDataset resolves a collection spec into a dataset over the
-// appropriate backend. With dir, the collection's durable directory, a
+// BuildDataset resolves a collection spec into a dataset, and returns
+// the canonical spec beside it: the one a kept or exported collection
+// file is labelled with. A synth: spec is canonical once its scale and
+// seed are resolved, so "synth:" under -scale 1 and
+// "synth:scale=1,seed=1" name one collection; an FBMX file's is the
+// spec it records. With dir, the collection's durable directory, a
 // synth: collection is kept there as CollectionFile and mapped like any
-// FBMX file; with dir "" (no -dir) it is rendered into the heap.
-func BuildDataset(spec, dir string, cfg Config) (*dataset.Dataset, string, *store.MmapMatrix, error) {
+// FBMX file; with dir "" (no -dir) it is rendered into the heap, and mm
+// is nil.
+func BuildDataset(spec, dir string, cfg Config) (ds *dataset.Dataset, canon string, mm *store.MmapMatrix, err error) {
 	if params, ok := strings.CutPrefix(spec, "synth:"); ok {
 		scale, seed := cfg.Scale, cfg.Seed
 		if params != "" {
@@ -149,7 +124,6 @@ func BuildDataset(spec, dir string, cfg Config) (*dataset.Dataset, string, *stor
 				if !ok {
 					return nil, "", nil, fmt.Errorf("synth spec: want key=value, got %q", kv)
 				}
-				var err error
 				switch key {
 				case "scale":
 					scale, err = strconv.ParseFloat(val, 64)
@@ -164,22 +138,22 @@ func BuildDataset(spec, dir string, cfg Config) (*dataset.Dataset, string, *stor
 			}
 		}
 		gen := imagegen.IMSILike(seed, scale)
+		canon = fmt.Sprintf("synth:scale=%g,seed=%d", scale, seed)
 		if dir == "" {
-			ds, err := dataset.Build(gen, histogram.DefaultExtractor)
-			return ds, "heap", nil, err
+			ds, err = dataset.Build(gen, histogram.DefaultExtractor)
+			return ds, canon, nil, err
 		}
-		// The canonical spec is built from the resolved values, so
-		// "-scale 1" and "synth:scale=1,seed=1" name one collection file.
-		canon := fmt.Sprintf("synth:scale=%g,seed=%d", scale, seed)
-		ds, mm, err := keptCollection(nil, filepath.Join(dir, CollectionFile), canon, gen)
-		return ds, "mmap", mm, err
+		ds, mm, err = keptCollection(nil, filepath.Join(dir, CollectionFile), canon, gen)
+		return ds, canon, mm, err
 	}
 	path := strings.TrimPrefix(spec, "fbmx:")
 	if !strings.HasPrefix(spec, "fbmx:") && !strings.HasSuffix(path, ".fbmx") {
 		return nil, "", nil, fmt.Errorf("spec %q: want synth:..., fbmx:path, or a .fbmx file path", spec)
 	}
-	ds, mm, err := openFBMX(path)
-	return ds, "mmap", mm, err
+	if ds, mm, err = openFBMX(path); err != nil {
+		return nil, "", nil, err
+	}
+	return ds, mm.Labels().Spec, mm, nil
 }
 
 // keptCollection maps the collection file at path when it holds an
@@ -228,81 +202,74 @@ func openFBMX(path string) (*dataset.Dataset, *store.MmapMatrix, error) {
 }
 
 // BuildCollection resolves spec into a dataset and assembles the
-// collection's serving stack over it. A durable directory of a retired
-// layout is refused before the dataset is built, so the refusal renders
-// nothing and writes no CollectionFile.
-func BuildCollection(name, spec string, cfg Config) (*Collection, error) {
-	dir, err := collectionDir(name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if dir != "" {
-		// Refuse a retired layout before rendering the collection for it.
-		if err := core.RefuseRetired(persist.OSFS, dir); err != nil {
+// collection's serving stack over it. A durable directory that holds a
+// retired layout, or a module nested one directory down, is refused
+// before the dataset is built, so the refusal renders nothing and
+// writes no CollectionFile.
+func BuildCollection(spec string, cfg Config) (*Collection, error) {
+	if cfg.Dir != "" {
+		if err := core.RefuseRetired(persist.OSFS, cfg.Dir); err != nil {
+			return nil, err
+		}
+		if err := refuseNested(cfg.Dir); err != nil {
+			return nil, err
+		}
+		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, err
 		}
 	}
-	ds, backend, mm, err := BuildDataset(spec, dir, cfg)
+	ds, _, mm, err := BuildDataset(spec, cfg.Dir, cfg)
 	if err != nil {
 		return nil, err
 	}
-	c, err := Assemble(name, ds, cfg)
+	c, err := Assemble(ds, cfg)
 	if err != nil {
 		if mm != nil {
 			_ = mm.Close()
 		}
 		return nil, err
 	}
-	c.backend, c.mm = backend, mm
-	log.Printf("collection %s: %d items (%d bins) from %s backend (%s)", name, ds.Len(), ds.Dim, backend, spec)
+	c.backend, c.mm = "heap", mm
+	if mm != nil {
+		c.backend = "mmap"
+	}
+	log.Printf("collection %s: %d items (%d bins) from %s backend (%s)", collectionName, ds.Len(), ds.Dim, c.backend, spec)
 	return c, nil
 }
 
-// collectionLabels is the label set every instrument of a collection
-// carries, so a multi-collection process stays separable at the scrape.
-func collectionLabels(name string) []obsv.Label {
-	return []obsv.Label{obsv.L("collection", name)}
-}
-
-// collectionDir is collection name's durable directory ("" without
-// -dir), created if missing: cfg.Dir itself for a single collection,
-// cfg.Dir/<name> with several. It refuses a layout flip that would
-// silently shadow learned state written under the other layout.
-func collectionDir(name string, cfg Config) (string, error) {
-	if cfg.Dir == "" {
-		return "", nil
+// refuseNested returns an error naming the module file in a
+// subdirectory of dir, the layout an earlier multi-collection fbserve
+// left (<dir>/<name>/tree.fbwl). Serving dir itself would start a fresh
+// module beside that learned state and never read it.
+func refuseNested(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
 	}
-	dir := cfg.Dir
-	if cfg.Multi {
-		// Nested layout. Refuse to shadow a single-collection module
-		// sitting at the directory root: its learned state would be
-		// silently unread under dir/<name>/.
-		if core.HoldsModule(persist.OSFS, cfg.Dir) {
-			return "", fmt.Errorf("module state at %s uses the single-collection layout; move it to %s before serving multiple collections",
-				cfg.Dir, filepath.Join(cfg.Dir, "<name>"))
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
 		}
-		dir = filepath.Join(cfg.Dir, name)
-	} else if nested := filepath.Join(dir, name); core.HoldsModule(persist.OSFS, nested) {
-		// Flat layout. Refuse to shadow a nested module left by a
-		// previous multi-collection run of this collection name.
-		return "", fmt.Errorf("module state at %s uses the multi-collection layout; move it to %s (or keep serving multiple collections)",
-			nested, dir)
+		sub := filepath.Join(dir, e.Name())
+		if file := core.ModuleFile(persist.OSFS, sub); file != "" {
+			return fmt.Errorf("%s is module state nested under -dir %s, the retired multi-collection layout; "+
+				"to keep it, serve -dir %s, or move the files of %s into %s", file, dir, sub, sub, dir)
+		}
 	}
-	return dir, os.MkdirAll(dir, 0o755)
+	return nil
 }
 
 // Assemble builds the production serving stack over a dataset: the
 // retrieval engine (the exact scan), one core bypass module — journaled
-// under the collection's durable directory when cfg.Dir is set, and
-// recovered from it before Assemble returns — and the service in front
-// of both. It is the only place outside tests and bench/ that
-// constructs a service.Service; cmd/fbserve reaches it through
-// BuildCollection. The caller keeps ownership of ds.
-func Assemble(name string, ds *dataset.Dataset, cfg Config) (*Collection, error) {
-	dir, err := collectionDir(name, cfg)
-	if err != nil {
-		return nil, err
-	}
+// under cfg.Dir when it is set, and recovered from it before Assemble
+// returns — and the service in front of both. It is the only place
+// outside tests and bench/ that constructs a service.Service;
+// cmd/fbserve reaches it through BuildCollection. The caller keeps
+// ownership of ds.
+func Assemble(ds *dataset.Dataset, cfg Config) (*Collection, error) {
 	eng, err := engine.New(ds, engine.Options{})
 	if err != nil {
 		return nil, err
@@ -317,23 +284,22 @@ func Assemble(name string, ds *dataset.Dataset, cfg Config) (*Collection, error)
 		AgeHorizon:  cfg.AgeHorizon,
 	}
 
-	c := &Collection{Name: name, Dataset: ds}
-	obsLabels := collectionLabels(name)
-	if dir != "" {
-		c.durable, err = core.OpenDurable(dir, codec.D(), codec.P(), treeCfg, core.DurableOptions{
-			CompactEvery: cfg.CompactEvery, Sync: cfg.SyncWAL, Obs: cfg.Obs, ObsLabels: obsLabels,
+	c := &Collection{Dataset: ds}
+	if cfg.Dir != "" {
+		c.durable, err = core.OpenDurable(cfg.Dir, codec.D(), codec.P(), treeCfg, core.DurableOptions{
+			CompactEvery: cfg.CompactEvery, Sync: cfg.SyncWAL, Obs: cfg.Obs, ObsLabels: collectionLabels,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("opening durable module: %w", err)
 		}
 		c.Bypass = c.durable.Bypass
-		log.Printf("%s: durable module at %s: %d points recovered, %d journaled inserts",
-			name, dir, c.Bypass.Stats().Points, c.durable.Journaled())
+		log.Printf("durable module at %s: %d points recovered, %d journaled inserts",
+			cfg.Dir, c.Bypass.Stats().Points, c.durable.Journaled())
 	} else {
 		if c.Bypass, err = core.New(codec.D(), codec.P(), treeCfg); err != nil {
 			return nil, err
 		}
-		c.Bypass.Observe(cfg.Obs, obsLabels...)
+		c.Bypass.Observe(cfg.Obs, collectionLabels...)
 	}
 
 	c.Service, err = service.New(eng, c.Bypass, service.Options{
@@ -342,7 +308,7 @@ func Assemble(name string, ds *dataset.Dataset, cfg Config) (*Collection, error)
 		CacheSize:       cfg.CacheSize,
 		DefaultK:        cfg.K,
 		Obs:             cfg.Obs,
-		ObsLabels:       obsLabels,
+		ObsLabels:       collectionLabels,
 	})
 	if err != nil {
 		if c.durable != nil {

@@ -41,11 +41,11 @@ func FuzzHTTPRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	reg := obsv.NewRegistry()
-	c, err := Assemble("default", ds, Config{K: 8, Epsilon: 0.05, MaxSessions: 64, Obs: reg})
+	c, err := Assemble(ds, Config{K: 8, Epsilon: 0.05, MaxSessions: 64, Obs: reg})
 	if err != nil {
 		f.Fatal(err)
 	}
-	h := Hardened(NewMux(map[string]*Collection{"default": c}, "default", reg, false), 0, reg)
+	h := Hardened(NewMux(c, reg, false), 0, reg)
 	panics := reg.Counter("fb_http_panics_total", "") // the counter Hardened registered
 	routes := []string{"/query", "/feedback", "/close"}
 

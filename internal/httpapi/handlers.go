@@ -14,7 +14,6 @@ import (
 	httppprof "net/http/pprof"
 	"os"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -62,10 +61,6 @@ func requestIDFrom(r *http.Request) string {
 	id, _ := r.Context().Value(ridKey{}).(string)
 	return id
 }
-
-// errUnknownCollection is the sentinel behind the 404 for routes naming
-// a collection this process does not serve.
-var errUnknownCollection = errors.New("fbserve: unknown collection")
 
 // resultJSON is one retrieved item, annotated with the oracle's category
 // and theme so clients can score relevance.
@@ -129,9 +124,8 @@ type collectionInfo struct {
 	Dim     int    `json:"dim"`
 }
 
-// collectionStats is one collection's /stats block: the serving-layer
-// counters plus the collection's identity, so isolation between
-// collections is observable (each has its own sessions, cache and tree).
+// collectionStats is the collection's /stats block: the serving-layer
+// counters plus the collection's identity.
 type collectionStats struct {
 	Collection collectionInfo `json:"collection"`
 	service.Stats
@@ -145,8 +139,8 @@ type collectionStats struct {
 	Reclaimed   uint64 `json:"reclaimed,omitempty"`
 }
 
-// statsResponse is the global /stats shape: one block per collection
-// plus the process-identity block.
+// statsResponse is the /stats shape: the process-identity block and a
+// map holding the one collection's block under its name.
 type statsResponse struct {
 	Server      serverInfo                 `json:"server"`
 	Collections map[string]collectionStats `json:"collections"`
@@ -155,7 +149,7 @@ type statsResponse struct {
 // statsFor assembles one collection's stats block.
 func statsFor(c *Collection) collectionStats {
 	st := collectionStats{
-		Collection:  collectionInfo{Name: c.Name, Backend: c.backend, Items: c.Dataset.Len(), Dim: c.Dataset.Dim},
+		Collection:  collectionInfo{Name: collectionName, Backend: c.backend, Items: c.Dataset.Len(), Dim: c.Dataset.Dim},
 		Stats:       c.Service.Stats(),
 		Compactions: c.Bypass.Compactions(),
 		Reclaimed:   c.Bypass.Reclaimed(),
@@ -166,12 +160,10 @@ func statsFor(c *Collection) collectionStats {
 	return st
 }
 
-// NewMux wires every collection into one http.Handler; split from main
-// so the end-to-end tests drive the exact production routes via
-// httptest. Per-collection routes live under /c/<name>/; the bare
-// legacy routes serve defaultName (usually "default") when it is
-// non-empty.
-func NewMux(colls map[string]*Collection, defaultName string, reg *obsv.Registry, pprofOn bool) *http.ServeMux {
+// NewMux wires the collection's routes into one http.Handler; split
+// from main so the end-to-end tests drive the exact production routes
+// via httptest.
+func NewMux(c *Collection, reg *obsv.Registry, pprofOn bool) *http.ServeMux {
 	mux := http.NewServeMux()
 
 	// Prometheus text exposition of the whole registry. The output is
@@ -197,81 +189,40 @@ func NewMux(colls map[string]*Collection, defaultName string, reg *obsv.Registry
 		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	}
 
-	// Global liveness: ok with the total in-flight session count, or
-	// degraded naming every read-only collection.
+	// Liveness: the module is open once the server listens, so the
+	// process is up. A degraded module still serves predictions (200),
+	// but the status says so and why inserts fail.
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		sessions := 0
-		degraded := map[string]string{}
-		for name, c := range colls {
-			st := collectionHealth(c)
-			if st["status"] == "degraded" {
-				degraded[name] = st["error"].(string)
-			}
-			sessions += st["sessions"].(int)
-		}
-		if len(degraded) > 0 {
-			// Degraded collections still serve predictions, so the process
-			// is alive (200) — but the status names every read-only
-			// collection and why.
-			writeJSON(w, http.StatusOK, map[string]any{
-				"status":      "degraded",
-				"degraded":    degraded,
-				"collections": len(colls),
-				"sessions":    sessions,
-				"server":      currentServerInfo(),
-			})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
+		body := map[string]any{
 			"status":      "ok",
-			"collections": len(colls),
-			"sessions":    sessions,
+			"collections": 1,
+			"sessions":    c.Service.Stats().ActiveSessions,
 			"server":      currentServerInfo(),
-		})
+		}
+		if derr := c.Service.Degraded(); derr != nil {
+			body["status"] = "degraded"
+			body["degraded"] = map[string]string{collectionName: derr.Error()}
+		}
+		writeJSON(w, http.StatusOK, body)
 	})
 
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		out := statsResponse{
+		writeJSON(w, http.StatusOK, statsResponse{
 			Server:      currentServerInfo(),
-			Collections: make(map[string]collectionStats, len(colls)),
-		}
-		for name, c := range colls {
-			out.Collections[name] = statsFor(c)
-		}
-		writeJSON(w, http.StatusOK, out)
-	})
-
-	// Per-collection routes: /c/<name>/<op>.
-	mux.HandleFunc("/c/", func(w http.ResponseWriter, r *http.Request) {
-		rest := strings.TrimPrefix(r.URL.Path, "/c/")
-		name, op, _ := strings.Cut(rest, "/")
-		c := colls[name]
-		if c == nil {
-			writeError(w, r, http.StatusNotFound, fmt.Errorf("%w %q", errUnknownCollection, name))
-			return
-		}
-		serveCollection(c, op, w, r)
-	})
-
-	// Legacy routes → the default collection.
-	for _, op := range []string{"query", "session", "feedback", "close"} {
-		op := op
-		mux.HandleFunc("/"+op, func(w http.ResponseWriter, r *http.Request) {
-			c := colls[defaultName]
-			if c == nil {
-				writeError(w, r, http.StatusNotFound,
-					fmt.Errorf("%w: no default collection; use /c/<name>/%s", errUnknownCollection, op))
-				return
-			}
-			serveCollection(c, op, w, r)
+			Collections: map[string]collectionStats{collectionName: statsFor(c)},
 		})
-	}
+	})
+
+	mux.HandleFunc("/query", c.handleQuery)
+	mux.HandleFunc("/session", c.handleSession)
+	mux.HandleFunc("/feedback", c.handleFeedback)
+	mux.HandleFunc("/close", c.handleClose)
 	return mux
 }
 
 // Hardened wraps the route mux with the serving edge's blanket
 // protections: a panic recovery barrier (one handler bug must not kill
-// every collection's sessions with the process) and an optional
+// every session with the process) and an optional
 // per-request deadline, delivered to handlers through the request
 // context so the service layer can abort before its expensive stages.
 // Every request gets a generated ID — set as the X-Request-Id response
@@ -316,39 +267,6 @@ func Hardened(h http.Handler, requestTimeout time.Duration, reg *obsv.Registry) 
 	})
 }
 
-// collectionHealth reports one collection's liveness. A collection is
-// served only once its module is open, so it is up; a degraded one
-// serves predictions but not inserts, and says why.
-func collectionHealth(c *Collection) map[string]any {
-	sessions := c.Service.Stats().ActiveSessions
-	if derr := c.Service.Degraded(); derr != nil {
-		return map[string]any{"status": "degraded", "error": derr.Error(), "sessions": sessions}
-	}
-	return map[string]any{"status": "ok", "sessions": sessions}
-}
-
-// serveCollection dispatches one collection-scoped operation.
-func serveCollection(c *Collection, op string, w http.ResponseWriter, r *http.Request) {
-	switch op {
-	case "healthz":
-		body := collectionHealth(c)
-		body["collection"] = c.Name
-		writeJSON(w, http.StatusOK, body)
-	case "stats":
-		writeJSON(w, http.StatusOK, statsFor(c))
-	case "query":
-		c.handleQuery(w, r)
-	case "session":
-		c.handleSession(w, r)
-	case "feedback":
-		c.handleFeedback(w, r)
-	case "close":
-		c.handleClose(w, r)
-	default:
-		writeError(w, r, http.StatusNotFound, fmt.Errorf("unknown operation %q for collection %s", op, c.Name))
-	}
-}
-
 // annotate decorates raw results with the oracle's labels.
 func (c *Collection) annotate(results []knn.Result) []resultJSON {
 	out := make([]resultJSON, len(results))
@@ -361,7 +279,7 @@ func (c *Collection) annotate(results []knn.Result) []resultJSON {
 
 func (c *Collection) stateResponse(st service.SessionState) stateJSON {
 	return stateJSON{
-		Collection: c.Name,
+		Collection: collectionName,
 		Session:    st.ID,
 		K:          st.K,
 		Results:    c.annotate(st.Results),
@@ -485,7 +403,7 @@ func (c *Collection) handleClose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, closeResponse{
-		Collection: c.Name,
+		Collection: collectionName,
 		Session:    res.ID,
 		Iterations: res.Iterations,
 		Inserted:   res.Inserted,
@@ -501,8 +419,6 @@ const statusClientClosedRequest = 499
 // statusFor maps the service's errors.Is-able sentinels onto HTTP codes.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, errUnknownCollection):
-		return http.StatusNotFound
 	case errors.Is(err, service.ErrSessionNotFound):
 		return http.StatusNotFound
 	case errors.Is(err, service.ErrOverloaded):

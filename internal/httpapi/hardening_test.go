@@ -24,8 +24,8 @@ import (
 func newFaultyTestServer(t *testing.T) (*httptest.Server, *dataset.Dataset, *faultfs.FS) {
 	t.Helper()
 	fs := faultfs.New(nil)
-	c := newTestCollectionWith(t, "default", 5, core.DurableOptions{FS: fs})
-	srv := httptest.NewServer(Hardened(NewMux(map[string]*Collection{"default": c}, "default", nil, false), 0, nil))
+	c := newTestCollectionWith(t, 5, core.DurableOptions{FS: fs})
+	srv := httptest.NewServer(Hardened(NewMux(c, nil, false), 0, nil))
 	t.Cleanup(srv.Close)
 	return srv, c.Dataset, fs
 }
@@ -113,16 +113,6 @@ func TestDegradedServingHTTP(t *testing.T) {
 	if health.Status != "degraded" || health.Degraded["default"] == "" {
 		t.Fatalf("degraded healthz body: %+v", health)
 	}
-	var scoped struct {
-		Status string `json:"status"`
-		Error  string `json:"error"`
-	}
-	if code := getJSON(t, srv.URL+"/c/default/healthz", &scoped); code != http.StatusOK {
-		t.Fatalf("scoped degraded healthz: status %d", code)
-	}
-	if scoped.Status != "degraded" || scoped.Error == "" {
-		t.Fatalf("scoped degraded healthz body: %+v", scoped)
-	}
 
 	// /stats: degraded cause and rejection counter.
 	var stats statsResponse
@@ -209,8 +199,8 @@ func TestHardenedMiddleware(t *testing.T) {
 // with 413 and the usual error body on every POST route instead of being
 // buffered, and the collection keeps serving afterwards.
 func TestOversizedBodyRejected(t *testing.T) {
-	c := newTestCollection(t, "default", 5)
-	srv := httptest.NewServer(Hardened(NewMux(map[string]*Collection{"default": c}, "default", nil, false), 0, nil))
+	c := newTestCollection(t, 5)
+	srv := httptest.NewServer(Hardened(NewMux(c, nil, false), 0, nil))
 	defer srv.Close()
 	big := `{"feature":[` + strings.Repeat("0.5,", maxBodyBytes/4+1) + `0.5]}`
 	for _, route := range []string{"/query", "/feedback", "/close"} {

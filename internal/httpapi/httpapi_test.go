@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -23,11 +24,11 @@ import (
 	"repro/internal/store"
 )
 
-// newTestCollectionWith wires one named collection's serving stack over a
-// small synthetic dataset and a durable bypass module rooted in a temp
-// dir — the same composition BuildCollection does. opts picks the
-// filesystem seam and the metrics registry.
-func newTestCollectionWith(t *testing.T, name string, seed int64, opts core.DurableOptions) *Collection {
+// newTestCollectionWith wires a collection's serving stack over a small
+// synthetic dataset and a durable bypass module rooted in a temp dir —
+// the same composition BuildCollection does. opts picks the filesystem
+// seam and the metrics registry.
+func newTestCollectionWith(t *testing.T, seed int64, opts core.DurableOptions) *Collection {
 	t.Helper()
 	ds, err := dataset.Build(imagegen.IMSILike(seed, 0.03), histogram.DefaultExtractor)
 	if err != nil {
@@ -51,22 +52,21 @@ func newTestCollectionWith(t *testing.T, name string, seed int64, opts core.Dura
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Collection{Name: name, backend: "heap", Dataset: ds, Service: svc, Bypass: db.Bypass, durable: db}
+	return &Collection{backend: "heap", Dataset: ds, Service: svc, Bypass: db.Bypass, durable: db}
 }
 
 // newTestCollection is the default composition: real filesystem, no
 // metrics.
-func newTestCollection(t *testing.T, name string, seed int64) *Collection {
+func newTestCollection(t *testing.T, seed int64) *Collection {
 	t.Helper()
-	return newTestCollectionWith(t, name, seed, core.DurableOptions{})
+	return newTestCollectionWith(t, seed, core.DurableOptions{})
 }
 
-// newTestServer wires the production handler over a single default
-// collection — the legacy single-collection composition.
+// newTestServer wires the production handler over one collection.
 func newTestServer(t *testing.T) (*httptest.Server, *dataset.Dataset, *core.DurableBypass) {
 	t.Helper()
-	c := newTestCollection(t, "default", 5)
-	srv := httptest.NewServer(NewMux(map[string]*Collection{"default": c}, "default", nil, false))
+	c := newTestCollection(t, 5)
+	srv := httptest.NewServer(NewMux(c, nil, false))
 	t.Cleanup(srv.Close)
 	return srv, c.Dataset, c.durable
 }
@@ -333,8 +333,7 @@ func TestConcurrentHTTPSessions(t *testing.T) {
 
 // TestStatusForMapping is the table-driven sentinel→status pin: every
 // errors.Is-able failure class the serving path can produce must map to
-// its HTTP status, wrapped or bare — including the multi-collection 404,
-// the store bounds sentinel, the governance sentinels (quota → 507,
+// its HTTP status, wrapped or bare — including the store bounds sentinel, the governance sentinels (quota → 507,
 // degraded → 503), and the per-request context failures — plus the
 // Retry-After hint each retryable rejection must carry on the wire.
 func TestStatusForMapping(t *testing.T) {
@@ -344,8 +343,6 @@ func TestStatusForMapping(t *testing.T) {
 		want       int
 		retryAfter string // expected Retry-After header; "" = none
 	}{
-		{"unknown-collection", errUnknownCollection, http.StatusNotFound, ""},
-		{"unknown-collection-wrapped", fmt.Errorf("%w %q", errUnknownCollection, "nope"), http.StatusNotFound, ""},
 		{"session-not-found", service.ErrSessionNotFound, http.StatusNotFound, ""},
 		{"session-not-found-wrapped", fmt.Errorf("service: session 7: %w", service.ErrSessionNotFound), http.StatusNotFound, ""},
 		{"overloaded", service.ErrOverloaded, http.StatusTooManyRequests, "1"},
@@ -384,10 +381,10 @@ func TestStatusForMapping(t *testing.T) {
 
 // newMmapTestCollection writes ds's features and labels to a temp FBMX
 // file and builds an mmap-backed collection over it — the -collection
-// name=path.fbmx composition.
-func newMmapTestCollection(t *testing.T, name string, ds *dataset.Dataset) *Collection {
+// path.fbmx composition.
+func newMmapTestCollection(t *testing.T, ds *dataset.Dataset) *Collection {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), name+".fbmx")
+	path := filepath.Join(t.TempDir(), "c.fbmx")
 	if err := store.WriteFBMX(path, ds.Matrix(), ds.Labels("synth:test")); err != nil {
 		t.Fatal(err)
 	}
@@ -419,205 +416,116 @@ func newMmapTestCollection(t *testing.T, name string, ds *dataset.Dataset) *Coll
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Collection{Name: name, backend: "mmap", Dataset: mds, Service: svc, Bypass: byp, mm: mm}
+	return &Collection{backend: "mmap", Dataset: mds, Service: svc, Bypass: byp, mm: mm}
 }
 
-// TestMultiCollectionServing drives one process serving two collections
-// — one heap-synthetic, one mmap-resident FBMX export of a different
-// seed — and asserts route scoping, per-collection stats isolation
-// (sessions, caches, trees), and the unknown-collection 404.
-func TestMultiCollectionServing(t *testing.T) {
-	birds := newTestCollection(t, "birds", 5)
-	photos := newMmapTestCollection(t, "photos", birds.Dataset)
-	colls := map[string]*Collection{"birds": birds, "photos": photos}
-	srv := httptest.NewServer(NewMux(colls, "", nil, false))
-	t.Cleanup(srv.Close)
-
-	// Unknown collection → 404 with a JSON error.
+// TestMmapCollectionServing serves a heap-synthetic collection and its
+// FBMX export, mapped, each from its own mux: a full session answers with
+// the same items, labels and bitwise-identical distances from both
+// backends, and /stats names each backend.
+func TestMmapCollectionServing(t *testing.T) {
+	heap := newTestCollection(t, 5)
+	mapped := newMmapTestCollection(t, heap.Dataset)
 	item := 0
-	var errResp errorResponse
-	if code := postJSON(t, srv.URL+"/c/nope/query", queryRequest{Item: &item, K: 5}, &errResp); code != http.StatusNotFound {
-		t.Fatalf("unknown collection: status %d (%+v)", code, errResp)
-	}
-	if errResp.Error == "" {
-		t.Error("unknown collection error body empty")
-	}
-	// With two collections and none named "default", bare legacy routes
-	// are 404 too.
-	if code := postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 5}, &errResp); code != http.StatusNotFound {
-		t.Fatalf("bare /query without a default collection: status %d", code)
-	}
-
-	// A full session against each collection through its scoped routes.
-	sessions := map[string]uint64{}
-	for name := range colls {
+	category := heap.Dataset.Items[item].Category
+	var states [2][]stateJSON
+	for i, c := range []*Collection{heap, mapped} {
+		srv := httptest.NewServer(NewMux(c, nil, false))
+		defer srv.Close()
 		var st stateJSON
-		if code := postJSON(t, srv.URL+"/c/"+name+"/query", queryRequest{Item: &item, K: 5}, &st); code != http.StatusOK {
-			t.Fatalf("%s query: status %d", name, code)
+		if code := postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 5}, &st); code != http.StatusOK {
+			t.Fatalf("%s query: status %d", c.backend, code)
 		}
-		if st.Collection != name || len(st.Results) != 5 {
-			t.Fatalf("%s query response: %+v", name, st)
-		}
-		sessions[name] = st.Session
-	}
-	// The mmap collection answers with bitwise-identical distances to
-	// its heap twin: same features, same kernels, different residency.
-	var heapSt, mmapSt stateJSON
-	if code := postJSON(t, srv.URL+"/c/birds/query", queryRequest{Item: &item, K: 5}, &heapSt); code != http.StatusOK {
-		t.Fatal("birds re-query failed")
-	}
-	if code := postJSON(t, srv.URL+"/c/photos/query", queryRequest{Item: &item, K: 5}, &mmapSt); code != http.StatusOK {
-		t.Fatal("photos re-query failed")
-	}
-	for i := range heapSt.Results {
-		if heapSt.Results[i].Index != mmapSt.Results[i].Index || heapSt.Results[i].Distance != mmapSt.Results[i].Distance {
-			t.Fatalf("result %d diverges across backends: %+v vs %+v", i, heapSt.Results[i], mmapSt.Results[i])
-		}
-	}
-
-	// Session ids are scoped per collection: photos' session is unknown
-	// to birds.
-	if code := postJSON(t, srv.URL+"/c/birds/close", closeRequest{Session: sessions["photos"]}, &errResp); code != http.StatusNotFound &&
-		sessions["photos"] != sessions["birds"] {
-		t.Errorf("cross-collection session id accepted: status %d", code)
-	}
-
-	// Give feedback in birds only; stats must show the activity (and the
-	// insert, if any) in birds alone. photos keeps its own counters.
-	category := birds.Dataset.Items[item].Category
-	var st stateJSON
-	if code := postJSON(t, srv.URL+"/c/birds/query", queryRequest{Item: &item, K: 5}, &st); code != http.StatusOK {
-		t.Fatal("birds query failed")
-	}
-	for rounds := 0; !st.Converged && rounds < 100; rounds++ {
-		scores := make([]float64, len(st.Results))
-		for i, r := range st.Results {
-			if r.Category == category {
-				scores[i] = 1
+		states[i] = append(states[i], st)
+		for rounds := 0; !st.Converged && rounds < 100; rounds++ {
+			scores := make([]float64, len(st.Results))
+			for j, r := range st.Results {
+				if r.Category == category {
+					scores[j] = 1
+				}
 			}
+			if code := postJSON(t, srv.URL+"/feedback", feedbackRequest{Session: st.Session, Scores: scores}, &st); code != http.StatusOK {
+				t.Fatalf("%s feedback: status %d", c.backend, code)
+			}
+			states[i] = append(states[i], st)
 		}
-		if code := postJSON(t, srv.URL+"/c/birds/feedback", feedbackRequest{Session: st.Session, Scores: scores}, &st); code != http.StatusOK {
-			t.Fatalf("birds feedback: status %d", code)
+		if code := postJSON(t, srv.URL+"/close", closeRequest{Session: st.Session}, nil); code != http.StatusOK {
+			t.Fatalf("%s close: status %d", c.backend, code)
+		}
+		var stats statsResponse
+		if code := getJSON(t, srv.URL+"/stats", &stats); code != http.StatusOK {
+			t.Fatalf("%s stats: status %d", c.backend, code)
+		}
+		if got := stats.Collections["default"].Collection.Backend; got != c.backend {
+			t.Errorf("/stats names the %s backend %q", c.backend, got)
 		}
 	}
-	var closed closeResponse
-	if code := postJSON(t, srv.URL+"/c/birds/close", closeRequest{Session: st.Session}, &closed); code != http.StatusOK {
-		t.Fatalf("birds close: status %d", code)
+	if len(states[0]) != len(states[1]) {
+		t.Fatalf("heap session ran %d steps, mapped %d", len(states[0]), len(states[1]))
 	}
-	if closed.Collection != "birds" {
-		t.Errorf("close response names collection %q", closed.Collection)
-	}
-
-	var stats statsResponse
-	if code := getJSON(t, srv.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats: status %d", code)
-	}
-	if len(stats.Collections) != 2 {
-		t.Fatalf("stats cover %d collections, want 2", len(stats.Collections))
-	}
-	b, p := stats.Collections["birds"], stats.Collections["photos"]
-	if b.Collection.Backend != "heap" || p.Collection.Backend != "mmap" {
-		t.Errorf("backends: birds=%s photos=%s", b.Collection.Backend, p.Collection.Backend)
-	}
-	if b.Feedbacks == 0 {
-		t.Error("birds feedback rounds not counted")
-	}
-	if p.Feedbacks != 0 {
-		t.Errorf("photos counted %d feedbacks from birds' session", p.Feedbacks)
-	}
-	if b.Tree.Points > 0 && p.Tree.Points != 0 {
-		t.Error("birds' insert leaked into photos' tree")
-	}
-	if p.Opened != 2 {
-		t.Errorf("photos opened %d sessions, want 2", p.Opened)
-	}
-
-	// Per-collection stats and healthz routes answer scoped.
-	var one collectionStats
-	if code := getJSON(t, srv.URL+"/c/photos/stats", &one); code != http.StatusOK {
-		t.Fatalf("/c/photos/stats: status %d", code)
-	}
-	if one.Collection.Name != "photos" || one.Opened != p.Opened {
-		t.Errorf("scoped stats: %+v", one.Collection)
-	}
-	var health struct {
-		Status     string `json:"status"`
-		Collection string `json:"collection"`
-	}
-	if code := getJSON(t, srv.URL+"/c/photos/healthz", &health); code != http.StatusOK || health.Collection != "photos" {
-		t.Errorf("scoped healthz: %d %+v", code, health)
+	for s := range states[0] {
+		h, m := states[0][s].Results, states[1][s].Results
+		if !slices.Equal(h, m) {
+			t.Fatalf("step %d diverges across backends:\nheap: %+v\nmmap: %+v", s, h, m)
+		}
 	}
 }
 
-// TestLayoutFlipRefused pins the durable-layout migration guard: module
-// state written under one collection-count layout must not be silently
-// shadowed when the process is restarted with the other layout.
-func TestLayoutFlipRefused(t *testing.T) {
-	base := Config{
-		Scale: 0.02, Seed: 3, K: 5, Epsilon: 0.05,
+// TestNestedLayoutRefused: a -dir whose subdirectory holds a module —
+// the <dir>/<name>/ layout a multi-collection server of an earlier
+// version left — is refused with an error naming the module's log before
+// anything is rendered. Serving the subdirectory itself, the move the
+// error names, opens it; a subdirectory without module state is no
+// nested layout.
+func TestNestedLayoutRefused(t *testing.T) {
+	cfg := Config{
+		Scale: 0.02, Seed: 3, K: 5, Epsilon: 0.05, Dir: t.TempDir(),
 		CompactEvery: 512, MaxSessions: 16, IterBudget: 5, CacheSize: 16,
 	}
 	spec := "synth:scale=0.02,seed=3"
-
-	// Flat layout first (single collection), then reopen as multi: the
-	// root module state must be refused, not shadowed by dir/birds/.
-	flat := base
-	flat.Dir = t.TempDir()
-	c, err := BuildCollection("birds", spec, flat)
+	nested := cfg
+	nested.Dir = filepath.Join(cfg.Dir, "birds")
+	c, err := BuildCollection(spec, nested)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.durable == nil {
-		t.Fatal("single-collection build with -dir is not durable")
 	}
 	c.Shutdown()
-	flatMulti := flat
-	flatMulti.Multi = true
-	if _, err := BuildCollection("birds", spec, flatMulti); err == nil {
-		t.Fatal("multi-collection reopen over flat module state was accepted")
-	}
 
-	// Nested layout first (multi), then reopen as single: the nested
-	// module must be refused rather than ignored in favour of a fresh
-	// module at the root.
-	nested := base
-	nested.Dir = t.TempDir()
-	nested.Multi = true
-	c2, err := BuildCollection("birds", spec, nested)
+	log := filepath.Join(nested.Dir, core.JournalFile)
+	_, err = BuildCollection(spec, cfg)
+	if err == nil || !strings.Contains(err.Error(), log) || !strings.Contains(err.Error(), "-dir "+nested.Dir) {
+		t.Fatalf("build over a nested module: err = %v, want a refusal naming %s and the -dir that keeps it", err, log)
+	}
+	entries, err := os.ReadDir(cfg.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2.Shutdown()
-	nestedSingle := nested
-	nestedSingle.Multi = false
-	if _, err := BuildCollection("birds", spec, nestedSingle); err == nil {
-		t.Fatal("single-collection reopen over nested module state was accepted")
+	if len(entries) != 1 || entries[0].Name() != "birds" {
+		t.Fatalf("the refused build left %v beside birds/", entries)
 	}
 
-	// A fresh directory in either layout still opens fine.
-	fresh := base
-	fresh.Dir = t.TempDir()
-	fresh.Multi = true
-	c3, err := BuildCollection("birds", spec, fresh)
+	c, err = BuildCollection(spec, nested)
 	if err != nil {
-		t.Fatalf("fresh multi-layout build refused: %v", err)
+		t.Fatalf("serving the nested directory itself: %v", err)
 	}
-	c3.Shutdown()
+	c.Shutdown()
+
+	plain := cfg
+	plain.Dir = t.TempDir()
+	if err := os.Mkdir(filepath.Join(plain.Dir, "notes"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c, err = BuildCollection(spec, plain)
+	if err != nil {
+		t.Fatalf("a subdirectory without module state was refused: %v", err)
+	}
+	c.Shutdown()
 }
 
-// TestCollectionSpecParsing pins the -collection flag grammar.
+// TestCollectionSpecParsing pins the -collection spec grammar, and the
+// canonical spec BuildDataset resolves: the one a kept or exported
+// collection file is labelled with.
 func TestCollectionSpecParsing(t *testing.T) {
-	var cs CollectionSpecs
-	for _, ok := range []string{"a=synth:", "b-2=synth:scale=0.1,seed=9", "c_x=/data/f.fbmx", "d=fbmx:/data/f"} {
-		if err := cs.Add(ok); err != nil {
-			t.Errorf("add(%q): %v", ok, err)
-		}
-	}
-	for _, bad := range []string{"", "noequals", "=spec", "name=", "a=synth:", "sp ace=synth:", "a/b=synth:"} {
-		if err := cs.Add(bad); err == nil {
-			t.Errorf("add(%q) accepted", bad)
-		}
-	}
 	cfg := Config{Scale: 0.05, Seed: 3}
 	if _, _, _, err := BuildDataset("synth:scale=bogus", "", cfg); err == nil {
 		t.Error("bogus synth scale accepted")
@@ -631,17 +539,20 @@ func TestCollectionSpecParsing(t *testing.T) {
 	if _, _, _, err := BuildDataset(filepath.Join(t.TempDir(), "missing.fbmx"), "", cfg); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("missing fbmx file: %v", err)
 	}
-	ds, backend, mm, err := BuildDataset("synth:scale=0.02,seed=4", "", cfg)
-	if err != nil || backend != "heap" || mm != nil || ds.Len() == 0 {
-		t.Fatalf("synth build: %v %s %v", err, backend, mm)
+	if _, canon, _, err := BuildDataset("synth:scale=0.02", "", cfg); err != nil || canon != "synth:scale=0.02,seed=3" {
+		t.Errorf("synth:scale=0.02 under -seed 3 resolves to %q (%v)", canon, err)
+	}
+	ds, canon, mm, err := BuildDataset("synth:seed=4,scale=0.02", "", cfg)
+	if err != nil || mm != nil || ds.Len() == 0 || canon != "synth:scale=0.02,seed=4" {
+		t.Fatalf("synth build: %v, mapped %v, canonical spec %q", err, mm != nil, canon)
 	}
 	path := filepath.Join(t.TempDir(), "c.fbmx")
 	if err := store.WriteFBMX(path, ds.Matrix(), ds.Labels("synth:scale=0.02,seed=4")); err != nil {
 		t.Fatal(err)
 	}
-	mds, backend, mm, err := BuildDataset(path, "", cfg)
-	if err != nil || backend != "mmap" || mm == nil {
-		t.Fatalf("fbmx build: %v %s", err, backend)
+	mds, canon, mm, err := BuildDataset(path, "", cfg)
+	if err != nil || mm == nil || canon != "synth:scale=0.02,seed=4" {
+		t.Fatalf("fbmx build: %v, mapped %v, canonical spec %q", err, mm != nil, canon)
 	}
 	defer mm.Close()
 	if mds.Len() != ds.Len() || mds.Dim != ds.Dim {

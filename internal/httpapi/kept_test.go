@@ -54,9 +54,9 @@ func keptHash(t *testing.T, ds *dataset.Dataset, mm *store.MmapMatrix, want uint
 // openKept builds the dataset a single-collection -dir start serves.
 func openKept(t *testing.T, spec string, cfg Config) (*dataset.Dataset, *store.MmapMatrix, error) {
 	t.Helper()
-	ds, backend, mm, err := BuildDataset(spec, cfg.Dir, cfg)
-	if err == nil && backend != "mmap" {
-		t.Fatalf("kept collection served from %s backend", backend)
+	ds, _, mm, err := BuildDataset(spec, cfg.Dir, cfg)
+	if err == nil && mm == nil {
+		t.Fatal("kept collection served from the heap")
 	}
 	if _, serr := os.Stat(filepath.Join(cfg.Dir, CollectionFile)); err == nil && serr != nil {
 		t.Fatalf("kept collection mapped, but not kept in its directory: %v", serr)
@@ -200,11 +200,11 @@ func TestKeptCollectionWireParity(t *testing.T) {
 // over HTTP and returns every response body in order.
 func scriptBodies(t *testing.T, spec string, cfg Config) [][]byte {
 	t.Helper()
-	c, err := BuildCollection("default", spec, cfg)
+	c, err := BuildCollection(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewMux(map[string]*Collection{"default": c}, "default", nil, false))
+	srv := httptest.NewServer(NewMux(c, nil, false))
 	defer func() {
 		srv.Close()
 		if _, _, err := c.Service.Drain(context.Background()); err != nil {

@@ -21,9 +21,8 @@ func newInstrumentedTestServer(t *testing.T, pprofOn bool) (*httptest.Server, *d
 	t.Helper()
 	reg := obsv.NewRegistry()
 	RegisterProcessMetrics(reg)
-	labels := []obsv.Label{obsv.L("collection", "default")}
-	c := newTestCollectionWith(t, "default", 7, core.DurableOptions{Obs: reg, ObsLabels: labels})
-	srv := httptest.NewServer(Hardened(NewMux(map[string]*Collection{"default": c}, "default", reg, pprofOn), 0, reg))
+	c := newTestCollectionWith(t, 7, core.DurableOptions{Obs: reg, ObsLabels: collectionLabels})
+	srv := httptest.NewServer(Hardened(NewMux(c, reg, pprofOn), 0, reg))
 	t.Cleanup(srv.Close)
 	return srv, c.Dataset, reg
 }
@@ -174,7 +173,7 @@ func TestMemoryCollectionExportsNoPersistenceSeries(t *testing.T) {
 	cfg := Config{Scale: 0.03, Seed: 5, K: 8, Epsilon: 0.05,
 		MaxSessions: 16, IterBudget: 5, CacheSize: 16, Obs: reg,
 		MaxVertices: 32 + 4, AgeHorizon: 2} // the D+1 = 32 corners and 4 inserts
-	c, err := BuildCollection("default", "synth:scale=0.03,seed=5", cfg)
+	c, err := BuildCollection("synth:scale=0.03,seed=5", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,11 +25,11 @@ func TestDurableRestart(t *testing.T) {
 		CompactEvery: 512, MaxSessions: 16, IterBudget: 5, CacheSize: 16,
 	}
 	spec := "synth:scale=0.03,seed=5"
-	c, err := BuildCollection("default", spec, cfg)
+	c, err := BuildCollection(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewMux(map[string]*Collection{"default": c}, "default", nil, false))
+	srv := httptest.NewServer(NewMux(c, nil, false))
 
 	for item := 0; c.Bypass.Stats().Points == 0; item++ {
 		if item == 32 {
@@ -66,12 +66,12 @@ func TestDurableRestart(t *testing.T) {
 		t.Fatalf("shutdown left %v, want %v", names, want)
 	}
 
-	restarted, err := BuildCollection("default", spec, cfg)
+	restarted, err := BuildCollection(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer restarted.Shutdown()
-	srv2 := httptest.NewServer(NewMux(map[string]*Collection{"default": restarted}, "default", nil, false))
+	srv2 := httptest.NewServer(NewMux(restarted, nil, false))
 	defer srv2.Close()
 	var health struct {
 		Status string `json:"status"`
@@ -95,7 +95,7 @@ func TestDurableRestart(t *testing.T) {
 		if err := os.WriteFile(path, []byte("FBMN"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := BuildCollection("default", spec, other); err == nil || !strings.Contains(err.Error(), path) {
+		if _, err := BuildCollection(spec, other); err == nil || !strings.Contains(err.Error(), path) {
 			t.Fatalf("build over %s: err = %v, want a refusal naming it", retired, err)
 		}
 		if _, err := os.Stat(filepath.Join(other.Dir, CollectionFile)); !os.IsNotExist(err) {

@@ -87,12 +87,12 @@ func playWireScript(t *testing.T, out *bytes.Buffer, dir string) {
 		Scale: 0.02, Seed: 5, K: 8, Epsilon: 0.05, Dir: dir,
 		CompactEvery: 512, MaxSessions: 2, IterBudget: 5, CacheSize: 16, Obs: reg,
 	}
-	c, err := BuildCollection("default", "synth:", cfg)
+	c, err := BuildCollection("synth:", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	h := Hardened(NewMux(map[string]*Collection{"default": c}, "default", reg, false), 0, reg)
+	h := Hardened(NewMux(c, reg, false), 0, reg)
 
 	do := func(method, target, body string) []byte {
 		t.Helper()

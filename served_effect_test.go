@@ -280,7 +280,7 @@ func TestBypassEffectEveryServedShape(t *testing.T) {
 		for _, st := range streams {
 			cfg := shape.cfg(t)
 			cfg.K, cfg.Epsilon = effectK, effectEpsilon
-			c, err := httpapi.Assemble("default", st.ds, cfg)
+			c, err := httpapi.Assemble(st.ds, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
