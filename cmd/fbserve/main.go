@@ -29,8 +29,14 @@
 // category and theme so a client (or a human with curl) can play the
 // relevance oracle; an FBMX file stores them beside its rows. On
 // SIGINT/SIGTERM the server stops accepting connections, drains the
-// in-flight sessions (inserting converged outcomes), and — with -dir —
-// compacts the write-ahead log before exiting.
+// in-flight sessions (inserting converged outcomes), and compacts the
+// module — with -dir, its log to a census with an empty journal — before
+// exiting.
+//
+// Every -compact-every accepted inserts, with or without -dir, the
+// module compacts: it drops the vertices not reinforced within
+// -age-horizon accepted inserts, then with -dir commits a fresh log
+// whose census is the tree. An insert over -max-vertices compacts too.
 //
 // Usage:
 //
@@ -80,15 +86,14 @@ func main() {
 		epsilon     = flag.Float64("epsilon", 0.05, "Simplex Tree insert threshold ε")
 		dir         = flag.String("dir", "", "durable module directory (the tree log, and the kept synth: collection); empty = in-memory")
 		syncWAL     = flag.Bool("sync", false, "fsync the WAL on every accepted insert (durable mode)")
-		compactEach = flag.Int("compact-every", 512, "compact the WAL after this many journaled inserts (durable mode)")
+		compactEach = flag.Int("compact-every", 512, "compact the module after this many accepted inserts: drop vertices past -age-horizon, and with -dir commit a fresh log (0 = only on quota pressure and at shutdown)")
 		maxSessions = flag.Int("max-sessions", 1024, "in-flight session bound (further opens get 429)")
 		iterBudget  = flag.Int("iter-budget", engine.DefaultMaxIterations, "feedback rounds allowed per session")
 		cacheSize   = flag.Int("cache", 1024, "LRU prediction cache entries (negative disables)")
 		spec        = flag.String("collection", "", "the collection to serve: synth:scale=F,seed=N, fbmx:path or path.fbmx (default: synth: at -scale and -seed)")
 		exportFBMX  = flag.String("export-fbmx", "", "write the collection's feature matrix and labels to this path as an FBMX file and exit")
 		maxVertices = flag.Int("max-vertices", 0, "Simplex Tree vertex quota, 8·(D+N) bytes of point and value per vertex; at the bound inserts get 507, reads stay live (0 = unlimited)")
-		ageHorizon  = flag.Uint64("age-horizon", 0, "reclaim vertices not reinforced within this many accepted inserts; compaction drops them (0 = aging off)")
-		compactInt  = flag.Duration("compact-interval", 0, "run an aging compaction pass at this interval (0 = only on quota pressure)")
+		ageHorizon  = flag.Uint64("age-horizon", 0, "reclaim vertices not reinforced within this many accepted inserts; the -compact-every compaction drops them (0 = aging off)")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in: profiling endpoints expose internals)")
 
 		// Every http.Server timeout defaults non-zero: a server with
@@ -139,28 +144,9 @@ func main() {
 		}
 	}()
 
-	// Scheduled lifecycle compaction: every -compact-interval the module
-	// rebuilds its tree, dropping vertices not reinforced
-	// within -age-horizon; the service layer invalidates the prediction
-	// cache when a pass reclaimed something. Quota-pressure compaction
-	// inside the store fires regardless — the ticker bounds memory
-	// proactively instead of waiting for 507s.
-	var tick <-chan time.Time // nil without -compact-interval: never fires
-	if *compactInt > 0 {
-		ticker := time.NewTicker(*compactInt)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	for running := true; running; {
-		select {
-		case <-ctx.Done():
-			running = false
-		case <-tick:
-			c.CompactAged()
-		}
-	}
+	<-ctx.Done()
 
 	// Graceful shutdown: stop accepting, drain the sessions (inserting
 	// their converged outcomes), then make the learned state durable and

@@ -6,45 +6,48 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"path/filepath"
 
 	feedbackbypass "repro"
 )
 
 // The reason FeedbackBypass exists is that feedback outcomes are
 // "forgotten across multiple query sessions" (§1 of the paper). This
-// example trains a module in one session, saves it, loads it in a fresh
-// session, checks that the predictions survived, and keeps learning on
-// top. It then repeats the exercise with the durable module: inserts
-// journaled to the module's log, a simulated crash (no Close), and
-// recovery by rebuilding the log's census and replaying its journal.
-// Both a saved file and the module's log are one format: a census of the
-// tree's vertices followed by a journal of inserts.
+// example trains a module in one session, closes it, reopens it in a
+// fresh session, checks that the predictions survived, and keeps
+// learning on top. It then repeats the exercise without the Close: a
+// simulated crash, and recovery by rebuilding the log's census and
+// replaying its journal. The module's one file is its log: a census of
+// the tree's vertices followed by a journal of the inserts accepted
+// since, which a compaction every CompactEvery accepted inserts folds
+// into a fresh census.
 func Example_persistence() {
 	dir, err := os.MkdirTemp("", "fbwl")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "session.fbwl")
 
 	const bins = 8
 	rng := rand.New(rand.NewSource(7))
-
-	// ---- Session 1: learn from 25 simulated feedback loops. ----
-	bypass, codec, err := feedbackbypass.NewForHistograms(bins, feedbackbypass.Config{Epsilon: 0.01})
-	if err != nil {
-		log.Fatal(err)
+	codec := feedbackbypass.HistogramCodec{Bins: bins}
+	cfg := feedbackbypass.Config{Epsilon: 0.01, DefaultWeights: codec.DefaultWeights()}
+	opts := feedbackbypass.DurableOptions{CompactEvery: 10}
+	open := func() *feedbackbypass.Bypass {
+		b, err := feedbackbypass.OpenDurable(dir, codec.D(), codec.P(), cfg, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return b
 	}
-	var trained []float64
-	for i := 0; i < 25; i++ {
+	// learn stores one simulated loop outcome for a random query and
+	// returns its query point: the weight of the query's dominant bin
+	// quadrupled, the query point nudged toward the next bin.
+	learn := func(b *feedbackbypass.Bypass) []float64 {
 		q := randomHistogram(rng, bins)
 		qp, err := codec.QueryPoint(q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Simulated loop outcome: the weight of the query's dominant bin
-		// quadrupled, the query point nudged toward it.
 		dom := 0
 		for j := range q {
 			if q[j] > q[dom] {
@@ -62,114 +65,70 @@ func Example_persistence() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := bypass.Insert(qp, oqp); err != nil {
+		if _, err := b.Insert(qp, oqp); err != nil {
 			log.Fatal(err)
 		}
-		if i == 0 {
-			trained = qp
-		}
-	}
-	fmt.Printf("session 1: trained on 25 loops, tree has %d points\n", bypass.Stats().Points)
-	if err := feedbackbypass.SaveFile(path, bypass); err != nil {
-		log.Fatal(err)
+		return qp
 	}
 
-	// ---- Session 2: a fresh process loads the tree. ----
-	restored, err := feedbackbypass.LoadFile(path, codec.P())
-	if err != nil {
-		log.Fatal(err)
+	// ---- Session 1: learn from 25 simulated feedback loops. ----
+	bypass := open()
+	trained := learn(bypass)
+	for i := 1; i < 25; i++ {
+		learn(bypass)
 	}
 	before, err := bypass.Predict(trained)
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("session 1: trained on 25 loops, tree has %d points, %d inserts journaled since the last compaction\n",
+		bypass.Stats().Points, bypass.Journaled())
+	if err := bypass.Close(); err != nil {
+		log.Fatal(err)
+	}
+
+	// ---- Session 2: a fresh process reopens the module. ----
+	restored := open()
 	after, err := restored.Predict(trained)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Predictions for the trained queries are identical: no feedback loop
 	// is needed for them ever again.
-	fmt.Printf("session 2: loaded %d points, prediction drift %g\n",
+	fmt.Printf("session 2: reopened %d points, prediction drift %g\n",
 		restored.Stats().Points, drift(before.Delta, after.Delta)+drift(before.Weights, after.Weights))
 	// And the restored module keeps learning.
-	newQ := randomHistogram(rng, bins)
-	newQP, err := codec.QueryPoint(newQ)
+	for i := 0; i < 12; i++ {
+		trained = learn(restored)
+	}
+	lastPred, err := restored.Predict(trained)
 	if err != nil {
 		log.Fatal(err)
 	}
-	w := filled(bins, 1)
-	w[2] = 9
-	oqp, err := codec.EncodeOQP(newQ, newQ, w)
-	if err != nil {
-		log.Fatal(err)
-	}
-	changed, err := restored.Insert(newQP, oqp)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("session 2: stored one more loop outcome (%v), %d points\n", changed, restored.Stats().Points)
+	fmt.Printf("session 2: learned 12 more loops, %d points, %d inserts journaled\n",
+		restored.Stats().Points, restored.Journaled())
+	// Crash: the process dies here — no Close. The acknowledged inserts
+	// are in the journal.
 
-	// ---- Session 3: the durable module survives a crash. ----
-	// OpenDurable journals every accepted insert before the tree mutates;
-	// CompactEvery commits a fresh log whose census is the whole tree, so
-	// the journal, and with it recovery, stays short.
-	stateDir := filepath.Join(dir, "durable")
-	cfg := feedbackbypass.Config{Epsilon: 0.01, DefaultWeights: codec.DefaultWeights()}
-	opts := feedbackbypass.DurableOptions{CompactEvery: 10}
-	durable, err := feedbackbypass.OpenDurable(stateDir, codec.D(), codec.P(), cfg, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var lastQP []float64
-	for i := 0; i < 15; i++ {
-		q := randomHistogram(rng, bins)
-		qp, err := codec.QueryPoint(q)
-		if err != nil {
-			log.Fatal(err)
-		}
-		w := filled(bins, 1)
-		w[i%bins] = 3
-		oqp, err := codec.EncodeOQP(q, q, w)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := durable.Insert(qp, oqp); err != nil {
-			log.Fatal(err)
-		}
-		lastQP = qp
-	}
-	lastPred, err := durable.Predict(lastQP)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("session 3: %d points, %d inserts journaled since the last compaction\n",
-		durable.Stats().Points, durable.Journaled())
-	// Crash: the process dies here — no Close, no compaction. The
-	// acknowledged inserts are in the journal.
-
-	// ---- Session 4: recovery = census rebuild + journal replay. ----
-	recovered, err := feedbackbypass.OpenDurable(stateDir, codec.D(), codec.P(), cfg, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// ---- Session 3: recovery = census rebuild + journal replay. ----
+	recovered := open()
 	defer recovered.Close()
-	recPred, err := recovered.Predict(lastQP)
+	recPred, err := recovered.Predict(trained)
 	if err != nil {
 		log.Fatal(err)
 	}
-	files, err := os.ReadDir(stateDir)
+	files, err := os.ReadDir(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("session 4: recovered %d points from %d file (%s), prediction drift %g\n",
+	fmt.Printf("session 3: recovered %d points from %d file (%s), prediction drift %g\n",
 		recovered.Stats().Points, len(files), files[0].Name(),
 		drift(lastPred.Delta, recPred.Delta)+drift(lastPred.Weights, recPred.Weights))
 	// Output:
-	// session 1: trained on 25 loops, tree has 25 points
-	// session 2: loaded 25 points, prediction drift 0
-	// session 2: stored one more loop outcome (true), 26 points
-	// session 3: 15 points, 5 inserts journaled since the last compaction
-	// session 4: recovered 15 points from 1 file (tree.fbwl), prediction drift 0
+	// session 1: trained on 25 loops, tree has 25 points, 5 inserts journaled since the last compaction
+	// session 2: reopened 25 points, prediction drift 0
+	// session 2: learned 12 more loops, 37 points, 7 inserts journaled
+	// session 3: recovered 37 points from 1 file (tree.fbwl), prediction drift 0
 }
 
 func filled(n int, x float64) []float64 {

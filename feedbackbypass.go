@@ -25,8 +25,9 @@
 //	bypass.Insert(qp, learned)
 //
 // Trees persist across sessions — remembering feedback outcomes between
-// sessions is the point of the technique: SaveFile and LoadFile write and
-// read a tree file, and OpenDurable journals every accepted insert.
+// sessions is the point of the technique: a module opened with
+// OpenDurable journals every accepted insert to a log in its directory,
+// Close keeps it, and the next OpenDurable of that directory recovers it.
 //
 // The packages under internal implement every substrate of the paper's
 // evaluation: the weighted Euclidean distance, the relevance-feedback
@@ -37,12 +38,7 @@
 // and 9–16 (see DESIGN.md and internal/experiments).
 package feedbackbypass
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-	"repro/internal/persist"
-)
+import "repro/internal/core"
 
 // ErrOutOfDomain is returned (wrapped, errors.Is-able) by Predict and
 // Insert for query points outside the module's domain simplex.
@@ -60,16 +56,13 @@ type Config = core.Config
 // Bypass is the FeedbackBypass module: Predict (the paper's Mopt method)
 // and Insert over a Simplex Tree, one query per call. Predictions are
 // pure reads, each on its caller's goroutine, and any number run in
-// parallel; writes (Insert, CompactAged) serialize on one mutex.
+// parallel; writes (Insert, Compact, Close) serialize on one mutex. A
+// module opened with a directory journals its accepted inserts to a log
+// there (see OpenDurable).
 type Bypass = core.Bypass
 
-// DurableBypass is a Bypass whose accepted inserts are journaled to a
-// log before the tree mutates, and whose compactions commit a fresh log
-// whose census is the tree; recovery rebuilds the census and replays the
-// journal (see OpenDurable).
-type DurableBypass = core.DurableBypass
-
-// DurableOptions tunes DurableBypass compaction and fsync behaviour.
+// DurableOptions tunes a module's compaction trigger and, with a
+// directory, its log's fsync behaviour.
 type DurableOptions = core.DurableOptions
 
 // HistogramCodec maps between full normalized histograms (with one weight
@@ -88,9 +81,10 @@ func New(d, p int, cfg Config) (*Bypass, error) { return core.New(d, p, cfg) }
 // OpenDurable opens (or initializes) a crash-safe module rooted at dir:
 // accepted inserts are journaled to a log after a census of the tree,
 // recovery rebuilds the census and replays the journal, and compaction
-// keeps the journal short. See core.DurableBypass for the consistency
-// contract.
-func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*DurableBypass, error) {
+// keeps the journal short. Close keeps the module for the next
+// OpenDurable of dir. With dir "" it is New with a compaction trigger.
+// See core.OpenDurable for the consistency contract.
+func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*Bypass, error) {
 	return core.OpenDurable(dir, d, p, cfg, opts)
 }
 
@@ -111,23 +105,4 @@ func NewForHistograms(bins int, cfg Config) (*Bypass, HistogramCodec, error) {
 		return nil, HistogramCodec{}, err
 	}
 	return b, codec, nil
-}
-
-// SaveFile commits the module's Simplex Tree to the named file: a failed
-// save leaves a file already there as it was.
-func SaveFile(path string, b *Bypass) error {
-	if b == nil {
-		return fmt.Errorf("feedbackbypass: nil module")
-	}
-	return persist.SaveFile(path, b.Tree())
-}
-
-// LoadFile reads a Simplex Tree from the named file — a saved tree or a
-// durable module's log.
-func LoadFile(path string, p int) (*Bypass, error) {
-	tree, err := persist.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return core.FromTree(tree, p)
 }

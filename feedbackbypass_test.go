@@ -107,9 +107,14 @@ func TestPublicAPIFlow(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip: a module closed and reopened through
+// OpenDurable predicts what it predicted before the Close.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	bins := 6
-	b, codec, err := feedbackbypass.NewForHistograms(bins, feedbackbypass.Config{})
+	codec := feedbackbypass.HistogramCodec{Bins: bins}
+	dir := t.TempDir()
+	cfg := feedbackbypass.Config{DefaultWeights: codec.DefaultWeights()}
+	b, err := feedbackbypass.OpenDurable(dir, codec.D(), codec.P(), cfg, feedbackbypass.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,59 +141,69 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 		queries = append(queries, q)
 	}
-	path := filepath.Join(t.TempDir(), "tree.fbwl")
-	if err := feedbackbypass.SaveFile(path, b); err != nil {
+	want := make([]feedbackbypass.OQP, len(queries))
+	for i, q := range queries {
+		qp, _ := codec.QueryPoint(q)
+		if want[i], err = b.Predict(qp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := feedbackbypass.LoadFile(path, codec.P())
+	loaded, err := feedbackbypass.OpenDurable(dir, codec.D(), codec.P(), cfg, feedbackbypass.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range queries {
+	defer loaded.Close()
+	for i, q := range queries {
 		qp, _ := codec.QueryPoint(q)
-		want, err1 := b.Predict(qp)
-		got, err2 := loaded.Predict(qp)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
+		got, err := loaded.Predict(qp)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range want.Delta {
-			if math.Abs(got.Delta[i]-want.Delta[i]) > 1e-12 {
-				t.Fatal("delta mismatch after load")
+		for j := range want[i].Delta {
+			if math.Abs(got.Delta[j]-want[i].Delta[j]) > 1e-12 {
+				t.Fatal("delta mismatch after reopen")
 			}
 		}
-		for i := range want.Weights {
-			if math.Abs(got.Weights[i]-want.Weights[i]) > 1e-12 {
-				t.Fatal("weights mismatch after load")
+		for j := range want[i].Weights {
+			if math.Abs(got.Weights[j]-want[i].Weights[j]) > 1e-12 {
+				t.Fatal("weights mismatch after reopen")
 			}
 		}
 	}
 }
 
+// TestSaveLoadFile: a module's directory reopens only under the
+// dimensions it was written with, and a directory that cannot be made is
+// an error.
 func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "m.fbwl")
-	b, codec, err := feedbackbypass.NewForHistograms(4, feedbackbypass.Config{})
+	codec := feedbackbypass.HistogramCodec{Bins: 4}
+	b, err := feedbackbypass.OpenDurable(dir, codec.D(), codec.P(), feedbackbypass.Config{}, feedbackbypass.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := feedbackbypass.SaveFile(path, b); err != nil {
+	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := feedbackbypass.LoadFile(path, codec.P())
+	loaded, err := feedbackbypass.OpenDurable(dir, codec.D(), codec.P(), feedbackbypass.Config{}, feedbackbypass.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.D() != 3 || loaded.P() != 3 {
 		t.Errorf("loaded dims %d, %d", loaded.D(), loaded.P())
 	}
-	if err := feedbackbypass.SaveFile(path, nil); err == nil {
-		t.Error("nil module should error")
+	if err := loaded.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := feedbackbypass.LoadFile(filepath.Join(dir, "missing"), 3); err == nil {
-		t.Error("missing file should error")
+	file := filepath.Join(dir, "tree.fbwl")
+	if _, err := feedbackbypass.OpenDurable(filepath.Join(file, "sub"), 3, 3, feedbackbypass.Config{}, feedbackbypass.DurableOptions{}); err == nil {
+		t.Error("a directory under a file should error")
 	}
-	// Wrong parameter split on load is rejected.
-	if _, err := feedbackbypass.LoadFile(path, 99); err == nil {
+	// Wrong parameter split on reopen is rejected.
+	if _, err := feedbackbypass.OpenDurable(dir, 3, 99, feedbackbypass.Config{}, feedbackbypass.DurableOptions{}); err == nil {
 		t.Error("wrong P should error")
 	}
 }

@@ -1,7 +1,6 @@
 package feedbackbypass_test
 
 import (
-	"path/filepath"
 	"testing"
 
 	feedbackbypass "repro"
@@ -15,8 +14,8 @@ import (
 // TestIntegrationFullPipeline drives the complete paper workflow through
 // the public API: build the image collection, attach a Bypass to the
 // interactive engine, train it on feedback-loop outcomes, verify that
-// predictions improve first-round retrieval, persist the module, and
-// confirm the reloaded module behaves identically.
+// predictions improve first-round retrieval, close the module, and
+// confirm the reopened module behaves identically.
 func TestIntegrationFullPipeline(t *testing.T) {
 	ds, err := dataset.Build(imagegen.IMSILike(31, 0.05), histogram.DefaultExtractor)
 	if err != nil {
@@ -26,7 +25,10 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bypass, codec, err := feedbackbypass.NewForHistograms(ds.Dim, feedbackbypass.Config{Epsilon: 0.05})
+	codec := feedbackbypass.HistogramCodec{Bins: ds.Dim}
+	dir := t.TempDir()
+	cfg := feedbackbypass.Config{Epsilon: 0.05, DefaultWeights: codec.DefaultWeights()}
+	bypass, err := feedbackbypass.OpenDurable(dir, codec.D(), codec.P(), cfg, feedbackbypass.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,21 +102,29 @@ func TestIntegrationFullPipeline(t *testing.T) {
 		t.Errorf("predictions lose to defaults on held-out queries: %d < %d", goodBypass, goodDefault)
 	}
 
-	// Persist and reload: predictions must be bit-identical.
-	path := filepath.Join(t.TempDir(), "tree.fbwl")
-	if err := feedbackbypass.SaveFile(path, bypass); err != nil {
+	// Close and reopen: predictions must be bit-identical.
+	held := pool[trainN : trainN+10]
+	want := make([]feedbackbypass.OQP, len(held))
+	for i, idx := range held {
+		qp, _ := codec.QueryPoint(ds.Items[idx].Feature)
+		if want[i], err = bypass.Predict(qp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bypass.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := feedbackbypass.LoadFile(path, codec.P())
+	reloaded, err := feedbackbypass.OpenDurable(dir, codec.D(), codec.P(), cfg, feedbackbypass.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, idx := range pool[trainN : trainN+10] {
+	defer reloaded.Close()
+	for i, idx := range held {
 		qp, _ := codec.QueryPoint(ds.Items[idx].Feature)
-		a, err1 := bypass.Predict(qp)
-		b, err2 := reloaded.Predict(qp)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
+		a := want[i]
+		b, err := reloaded.Predict(qp)
+		if err != nil {
+			t.Fatal(err)
 		}
 		for j := range a.Delta {
 			if a.Delta[j] != b.Delta[j] {

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/obsv"
+	"repro/internal/persist"
 	"repro/internal/simplextree"
 	"repro/internal/vec"
 )
@@ -81,7 +82,8 @@ type Config struct {
 	MaxVertices int
 	// AgeHorizon enables the lifecycle plane: a vertex not inserted or
 	// reinforced (touched by a prediction over its leaf) within this many
-	// logical ticks of the tree clock becomes reclaimable by CompactAged.
+	// logical ticks of the tree clock (accepted inserts) becomes
+	// reclaimable by the next compaction.
 	// Zero disables aging entirely — the read path then takes no stamp
 	// writes and the module behaves bitwise like one without a lifecycle.
 	AgeHorizon uint64
@@ -93,21 +95,25 @@ type Config struct {
 var ErrQuotaExceeded = simplextree.ErrQuotaExceeded
 
 // Bypass is the FeedbackBypass module: a learned Mopt with Predict and
-// Insert, exactly the interface of Figure 5.
+// Insert, exactly the interface of Figure 5. A module opened with a
+// directory (OpenDurable) also keeps its mapping across sessions in a
+// log beside the tree; one without a directory (New) keeps none, and
+// its log methods report 0 or nil.
 //
-// The tree is held behind an atomic pointer so CompactAged can swap in a
-// rebuilt tree without stalling readers: predictions run against
-// whichever tree they loaded. Writes — Insert, CompactAged and, on a
-// durable module, Compact and Close — serialize on mu, the module's one
-// write mutex, so no accepted insert can land in a tree that is about to
-// be discarded.
+// The tree is held behind an atomic pointer so a compaction can swap in
+// a rebuilt tree without stalling readers: predictions run against
+// whichever tree they loaded. Writes — Insert, Compact and Close —
+// serialize on mu, the module's one write mutex, so no accepted insert
+// can land in a tree that is about to be discarded, nor fall between a
+// census and the journal that follows it.
 type Bypass struct {
 	tree atomic.Pointer[simplextree.Tree]
 	mu   sync.Mutex // the write mutex
 	d, p int
-	// dur is the durable layer (nil in memory): it journals accepted
-	// inserts and persists a rebuilt tree before the swap.
-	dur *DurableBypass
+
+	wal          *persist.WAL // the tree log; nil without a directory
+	compactEvery int          // DurableOptions.CompactEvery
+	pending      int          // inserts accepted since the last compaction; guarded by mu
 
 	// degMu guards degraded separately from the write mutex: the WAL
 	// observer that latches it runs under the tree's exclusive lock while
@@ -115,8 +121,9 @@ type Bypass struct {
 	degMu    sync.Mutex
 	degraded error // errors.Join(ErrDegraded, cause); nil while healthy
 
-	// Aged-compaction counters, and their instruments once Observe has
-	// registered them (nil before, which observes nothing).
+	// Counters of the compactions that rebuilt the tree, and the module's
+	// instruments once opened with DurableOptions.Obs (nil otherwise,
+	// which observes nothing).
 	compactions  atomic.Uint64
 	reclaimed    atomic.Uint64
 	compactionsC *obsv.Counter   // fb_bypass_compactions_total
@@ -124,14 +131,20 @@ type Bypass struct {
 	compactH     *obsv.Histogram // fb_bypass_compaction_seconds
 	pointsBefG   *obsv.Gauge     // fb_bypass_compaction_points_before
 	pointsAftG   *obsv.Gauge     // fb_bypass_compaction_points_after
+	snapH        *obsv.Histogram // fb_snapshot_seconds; nil without a log
 }
 
-// New creates a module for a D-dimensional query domain, the standard
-// simplex spanned by 0, e1, …, eD (§4.1), and P distance parameters. The
-// default OQPs — zero offset, unit weights — seed the
-// domain corners, so an untrained module predicts the default parameters
-// everywhere.
+// New creates a module without a log for a D-dimensional query domain,
+// the standard simplex spanned by 0, e1, …, eD (§4.1), and P distance
+// parameters: OpenDurable("", d, p, cfg, DurableOptions{}). The default
+// OQPs — zero offset, unit weights — seed the domain corners, so an
+// untrained module predicts the default parameters everywhere.
 func New(d, p int, cfg Config) (*Bypass, error) {
+	return OpenDurable("", d, p, cfg, DurableOptions{})
+}
+
+// newTree grows the untrained tree of a fresh module.
+func newTree(d, p int, cfg Config) (*simplextree.Tree, error) {
 	if d <= 0 || p < 0 {
 		return nil, fmt.Errorf("core: invalid dimensions D=%d, P=%d", d, p)
 	}
@@ -143,33 +156,12 @@ func New(d, p int, cfg Config) (*Bypass, error) {
 		return nil, fmt.Errorf("core: default weights have dimension %d, want %d", len(defW), p)
 	}
 	def := OQP{Delta: vec.Zeros(d), Weights: vec.Clone(defW)}
-	tree, err := simplextree.New(d, def.Encode(), simplextree.Options{
+	return simplextree.New(d, def.Encode(), simplextree.Options{
 		Epsilon:     cfg.Epsilon,
 		Tol:         cfg.Tol,
 		MaxVertices: cfg.MaxVertices,
 		AgeHorizon:  cfg.AgeHorizon,
 	})
-	if err != nil {
-		return nil, err
-	}
-	b := &Bypass{d: d, p: p}
-	b.tree.Store(tree)
-	return b, nil
-}
-
-// FromTree wraps an existing Simplex Tree (e.g. one loaded from disk) as a
-// Bypass with the given parameter split.
-func FromTree(tree *simplextree.Tree, p int) (*Bypass, error) {
-	if tree == nil {
-		return nil, errors.New("core: nil tree")
-	}
-	d := tree.Dim()
-	if tree.OQPDim() != d+p {
-		return nil, fmt.Errorf("core: tree stores %d-vectors, want D+P = %d+%d", tree.OQPDim(), d, p)
-	}
-	b := &Bypass{d: d, p: p}
-	b.tree.Store(tree)
-	return b, nil
 }
 
 // D returns the query-domain dimensionality.
@@ -179,8 +171,8 @@ func (b *Bypass) D() int { return b.d }
 func (b *Bypass) P() int { return b.p }
 
 // Tree exposes the underlying Simplex Tree (for persistence and stats).
-// After a CompactAged the returned tree is the rebuilt one; callers must
-// not cache the pointer across compactions.
+// After a compaction that rebuilt it the returned tree is the new one;
+// callers must not cache the pointer across compactions.
 func (b *Bypass) Tree() *simplextree.Tree { return b.tree.Load() }
 
 // Predict returns the OQPs for query point q — the Mopt method of
@@ -209,15 +201,17 @@ func (b *Bypass) PredictWithStats(q []float64) (OQP, simplextree.PredictStats, e
 
 // Insert stores the OQPs the feedback loop converged to for query point q
 // — the Insert method of Figure 5. It reports whether the tree changed
-// (an insert within ε of the current prediction is skipped, §4.2). On a
-// durable module an accepted insert is journaled before the tree changes,
-// so once Insert returns true the outcome survives a crash.
+// (an insert within ε of the current prediction is skipped, §4.2). With
+// a log an accepted insert is journaled before the tree changes, so once
+// Insert returns true the outcome survives a crash.
 //
-// An insert that trips a quota while aging is on runs one aged
-// compaction and is retried once iff that reclaimed space (a retry
-// without reclamation would bounce identically). The compaction changed
-// the served tree even when the retry is ε-skipped, so it reports
-// changed=true either way: caches over this tree must refresh.
+// Every DurableOptions.CompactEvery accepted inserts the module compacts
+// (see Compact) before Insert returns. An insert that trips a quota
+// while aging is on compacts too, and is retried once iff that reclaimed
+// space (a retry without reclamation would bounce identically). That
+// compaction changed the served tree even when the retry is ε-skipped,
+// so it reports changed=true either way: caches over this tree must
+// refresh.
 func (b *Bypass) Insert(q []float64, oqp OQP) (bool, error) {
 	if len(oqp.Delta) != b.d {
 		return false, fmt.Errorf("core: Δ has dimension %d, want %d", len(oqp.Delta), b.d)
@@ -234,12 +228,13 @@ func (b *Bypass) Insert(q []float64, oqp OQP) (bool, error) {
 	if err := b.Degraded(); err != nil {
 		return false, err
 	}
-	changed, err := b.Tree().Insert(q, value)
+	stored, err := b.Tree().Insert(q, value)
+	changed := stored
 	if errors.Is(err, ErrQuotaExceeded) && b.Tree().AgeHorizon() > 0 {
 		// A failed compaction leaves the quota error standing; if it
 		// failed to persist, the module is degraded and says so below.
-		if st, cerr := b.compactAgedLocked(); cerr == nil && st.Reclaimed > 0 {
-			_, err = b.Tree().Insert(q, value)
+		if reclaimed, cerr := b.compactLocked(); cerr == nil && reclaimed > 0 {
+			stored, err = b.Tree().Insert(q, value)
 			changed = true
 		}
 	}
@@ -252,15 +247,19 @@ func (b *Bypass) Insert(q []float64, oqp OQP) (bool, error) {
 		}
 		return changed, err
 	}
-	if b.dur != nil {
-		return changed, b.dur.maybeCompactLocked()
+	if !stored {
+		return changed, nil
 	}
-	return changed, nil
+	b.pending++
+	if b.compactEvery > 0 && b.pending >= b.compactEvery {
+		_, err = b.compactLocked()
+	}
+	return changed, err
 }
 
-// Degraded reports the sticky persistence failure that flipped a
-// durable module to read-only, or nil while it is healthy; a memory
-// module never degrades. The returned error satisfies errors.Is(err,
+// Degraded reports the sticky persistence failure that flipped a module
+// with a log to read-only, or nil while it is healthy; a module without
+// a log never degrades. The returned error satisfies errors.Is(err,
 // ErrDegraded) and errors.Is against the root cause.
 func (b *Bypass) Degraded() error {
 	b.degMu.Lock()
@@ -279,46 +278,58 @@ func (b *Bypass) noteDegraded(cause error) {
 // Stats reports the shape of the underlying Simplex Tree.
 func (b *Bypass) Stats() simplextree.Stats { return b.Tree().Stats() }
 
-// CompactionStats reports one tree's aged compaction: the vertex census
-// before and after, and the number reclaimed (aged out or ε-absorbed).
-type CompactionStats struct {
-	Before    int `json:"before"`
-	After     int `json:"after"`
-	Reclaimed int `json:"reclaimed"`
-}
-
-// CompactAged rebuilds the tree keeping only the vertices still alive
-// under the configured age horizon and swaps it in, freeing the memory of
-// everything reclaimed. A durable module first commits a fresh log whose
-// census is the rebuilt tree (Compact's discipline), so a crash at any
-// point recovers either the full pre-compaction tree or the exact
-// rebuilt one, never a hybrid; a persistence failure latches it
-// degraded. Predictions racing the swap finish against whichever tree
-// they loaded; writes serialize against it.
-func (b *Bypass) CompactAged() (CompactionStats, error) {
+// Compact runs the module's one compaction now, as Insert does every
+// DurableOptions.CompactEvery accepted inserts: with aging on, the tree
+// is rebuilt keeping only the vertices still alive under the horizon;
+// with a log, a fresh log whose census is the (rebuilt) tree is
+// committed, so the journal starts empty; then the rebuilt tree is
+// swapped in. A step that does not apply is skipped, so on a module
+// with neither Compact does nothing. A crash at any point recovers
+// either the pre-compaction tree or the exact rebuilt one, never a
+// hybrid; a persistence failure latches the module degraded.
+func (b *Bypass) Compact() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if err := b.Degraded(); err != nil {
-		return CompactionStats{}, err
+		return err
 	}
-	return b.compactAgedLocked()
+	_, err := b.compactLocked()
+	return err
 }
 
-// compactAgedLocked is one aged compaction under mu: rebuild, persist
-// (durable), swap, count.
-func (b *Bypass) compactAgedLocked() (CompactionStats, error) {
+// compactLocked is one compaction under mu: aged rebuild, log commit,
+// swap, each when it applies. It returns the vertices the rebuild
+// reclaimed.
+func (b *Bypass) compactLocked() (int, error) {
 	t0 := time.Now()
 	old := b.Tree()
-	nt, rst, err := old.RebuildAged(old.AgeHorizon())
-	if err != nil {
-		// Deterministic geometry, not a persistence failure: the module
-		// stays healthy on its current tree.
-		return CompactionStats{}, fmt.Errorf("core: aged rebuild: %w", err)
-	}
-	if b.dur != nil {
-		if err := b.dur.adoptLocked(old, nt); err != nil {
-			return CompactionStats{}, err
+	nt, rst := old, simplextree.RebuildStats{}
+	if horizon := old.AgeHorizon(); horizon > 0 {
+		var err error
+		if nt, rst, err = old.RebuildAged(horizon); err != nil {
+			// Deterministic geometry, not a persistence failure: the
+			// module stays healthy on its current tree.
+			return 0, fmt.Errorf("core: aged rebuild: %w", err)
 		}
+	}
+	if b.wal != nil {
+		// Until the swap, predictions and the log both come from old, so
+		// a crash recovers either census.
+		t1 := time.Now()
+		if err := b.wal.Reset(nt); err != nil {
+			b.noteDegraded(err)
+			return 0, b.Degraded()
+		}
+		b.snapH.ObserveSince(t1)
+	}
+	b.pending = 0
+	if nt == old {
+		return 0, nil
+	}
+	if b.wal != nil {
+		// Late holders of the retired tree cannot journal.
+		b.attachObserver(nt)
+		old.SetObserver(nil)
 	}
 	b.tree.Store(nt)
 	b.compactions.Add(1)
@@ -328,33 +339,15 @@ func (b *Bypass) compactAgedLocked() (CompactionStats, error) {
 	b.pointsBefG.Set(float64(rst.Before))
 	b.pointsAftG.Set(float64(rst.After))
 	b.compactH.ObserveSince(t0)
-	return CompactionStats{Before: rst.Before, After: rst.After, Reclaimed: rst.Reclaimed}, nil
+	return rst.Reclaimed, nil
 }
 
-// Compactions reports the number of aged compactions completed since the
-// module was created or opened.
+// Compactions reports the number of compactions that rebuilt the tree
+// (aging on) since the module was created or opened.
 func (b *Bypass) Compactions() uint64 { return b.compactions.Load() }
 
 // Reclaimed reports the total vertices those compactions reclaimed.
 func (b *Bypass) Reclaimed() uint64 { return b.reclaimed.Load() }
-
-// Observe registers the module's series in reg, each carrying labels:
-// the tree's size and depth, and the aged-compaction series. A nil reg
-// registers nothing. OpenDurable calls it with DurableOptions.Obs.
-func (b *Bypass) Observe(reg *obsv.Registry, labels ...obsv.Label) {
-	if reg == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	reg.GaugeFunc("fb_tree_points", "Simplex Tree stored points.", func() float64 { return float64(b.Stats().Points) }, labels...)
-	reg.GaugeFunc("fb_tree_depth", "Simplex Tree depth.", func() float64 { return float64(b.Stats().Depth) }, labels...)
-	b.compactionsC = reg.Counter("fb_bypass_compactions_total", "Aged tree compactions (rebuild, log commit when durable, swap) completed.", labels...)
-	b.reclaimedC = reg.Counter("fb_bypass_reclaimed_vertices_total", "Vertices reclaimed by aged compactions (aged out or ε-absorbed).", labels...)
-	b.compactH = reg.Histogram("fb_bypass_compaction_seconds", "Aged compaction duration (rebuild, log commit when durable, swap).", obsv.LatencyBounds(), labels...)
-	b.pointsBefG = reg.Gauge("fb_bypass_compaction_points_before", "Distinct vertices entering the last aged compaction.", labels...)
-	b.pointsAftG = reg.Gauge("fb_bypass_compaction_points_after", "Distinct vertices surviving the last aged compaction.", labels...)
-}
 
 // HistogramCodec translates between the retrieval engine's world —
 // full normalized histograms of Bins dimensions with Bins distance weights

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/simplextree"
 	"repro/internal/vec"
 )
 
@@ -114,26 +113,31 @@ func TestDefaultWeightsConfig(t *testing.T) {
 	}
 }
 
-func TestFromTree(t *testing.T) {
-	tree, err := simplextree.New(2, vec.Zeros(5), simplextree.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FromTree(tree, 3)
+// TestOpenDurableChecksDims: a module reopens only under the D and P
+// its log was written with.
+func TestOpenDurableChecksDims(t *testing.T) {
+	dir := t.TempDir()
+	b, err := OpenDurable(dir, 2, 3, Config{}, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.D() != 2 || b.P() != 3 {
 		t.Errorf("D=%d P=%d", b.D(), b.P())
 	}
-	if _, err := FromTree(tree, 4); err == nil {
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDurable(dir, 2, 4, Config{}, DurableOptions{}); err == nil {
 		t.Error("inconsistent P should error")
 	}
-	if _, err := FromTree(nil, 1); err == nil {
-		t.Error("nil tree should error")
+	if _, err := OpenDurable(dir, 3, 2, Config{}, DurableOptions{}); err == nil {
+		t.Error("inconsistent D should error")
 	}
-	if b.Tree() != tree {
-		t.Error("Tree accessor")
+	if _, err := OpenDurable("", 0, 1, Config{}, DurableOptions{}); err == nil {
+		t.Error("D = 0 should error")
+	}
+	if _, err := OpenDurable("", 2, 3, Config{}, DurableOptions{CompactEvery: -1}); err == nil {
+		t.Error("negative CompactEvery should error")
 	}
 }
 

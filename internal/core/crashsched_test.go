@@ -35,10 +35,10 @@ func vertexSet(tree *simplextree.Tree) map[string]bool {
 }
 
 // crashWorkload drives a fixed deterministic insert schedule against a
-// DurableBypass opened through fs. It returns the module (nil when the
+// module with a log opened through fs. It returns the module (nil when the
 // open itself died at the crash point); insert errors are expected once
 // the crash fires and are swallowed.
-func crashWorkload(t *testing.T, dir string, fs *faultfs.FS) *DurableBypass {
+func crashWorkload(t *testing.T, dir string, fs *faultfs.FS) *Bypass {
 	t.Helper()
 	const d, p = 3, 2
 	db, err := OpenDurable(dir, d, p, Config{Epsilon: 0}, DurableOptions{

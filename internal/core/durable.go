@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/obsv"
 	"repro/internal/persist"
@@ -33,12 +32,12 @@ const (
 // reopened against a healthy disk.
 var ErrDegraded = errors.New("core: module degraded to read-only after persistence failure")
 
-// DurableOptions tunes the persistence behaviour of a DurableBypass.
+// DurableOptions tunes a module's compaction trigger and its log.
 type DurableOptions struct {
-	// CompactEvery triggers an automatic compaction (a fresh log whose
-	// census is the current tree) once this many inserts have been
-	// journaled since the last one. Zero disables automatic compaction;
-	// call Compact.
+	// CompactEvery runs a compaction (see Bypass.Compact) once this many
+	// inserts have been accepted since the last one, with or without a
+	// log; it is the trigger that ages vertices out. Zero disables
+	// automatic compaction; call Compact.
 	CompactEvery int
 	// Sync forces an fsync after every journal append. Without it an
 	// acknowledged insert survives a process kill (the append is an
@@ -49,38 +48,20 @@ type DurableOptions struct {
 	// filesystem; the fault-injection plane (internal/faultfs)
 	// substitutes scripted failures here.
 	FS persist.FS
-	// Obs, when non-nil, registers persistence instruments (WAL append
-	// and fsync latency, compaction duration) in the given registry, each
-	// carrying ObsLabels. Nil disables instrumentation: every instrument
-	// is then nil, and observing a nil instrument does nothing.
+	// Obs, when non-nil, registers the module's instruments in the given
+	// registry, each carrying ObsLabels: the tree and aged-compaction
+	// series, and with a log its append, fsync, size and commit series.
+	// Nil disables instrumentation: every instrument is then nil, and
+	// observing a nil instrument does nothing.
 	Obs *obsv.Registry
 	// ObsLabels are attached to every instrument this module registers
 	// (typically the collection name).
 	ObsLabels []obsv.Label
 }
 
-// DurableBypass is a Bypass whose learned mapping survives crashes. Its
-// directory holds one file, JournalFile: a census of the tree followed
-// by the journal of accepted inserts, each journaled before the tree
-// mutates. Opening the module rebuilds the census and replays the
-// journal. Compaction commits a fresh log whose census is the current
-// tree (temporary file, fsync, rename, directory fsync), which keeps
-// recovery proportional to the tree's size, not the module's lifetime;
-// a crash before the rename leaves the old log whole.
-//
-// Reads (Predict, PredictWithStats, Stats, ...) and writes (Insert,
-// CompactAged) are the embedded Bypass's: this layer adds the journal
-// they write through, the degraded latch, CompactEvery and Compact/Close.
-// Every write serializes on the Bypass's one write mutex, so no
-// acknowledged insert can fall between a census and the journal that
-// follows it.
-type DurableBypass struct {
-	*Bypass
-
-	wal   *persist.WAL // its record count is the inserts journaled since the last compaction
-	opts  DurableOptions
-	snapH *obsv.Histogram // compaction duration; nil without DurableOptions.Obs
-}
+// DurableBypass names Bypass for the HTTP benchmark module (bench/),
+// which is built against this package; ROADMAP item 2(d) deletes it.
+type DurableBypass = Bypass
 
 // ModuleFile returns the path of the first file of a module's state in
 // dir — its log, or a file of a retired layout (a two-file snapshot, a
@@ -115,15 +96,30 @@ func RefuseRetired(fsys persist.FS, dir string) error {
 	return nil
 }
 
-// OpenDurable opens (or initializes) a durable FeedbackBypass module
-// rooted at dir, creating the directory if needed. A module with a log
+// OpenDurable opens (or initializes) a FeedbackBypass module rooted at
+// dir, creating the directory if needed. Its directory holds one file,
+// JournalFile: a census of the tree followed by the journal of accepted
+// inserts, each journaled before the tree mutates. A module with a log
 // recovers from it alone — census, then journal replay — and cfg
 // supplies only the serving policy (quotas, aging horizon); a module
 // without one starts fresh from cfg and commits its first log before
-// returning.
-func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*DurableBypass, error) {
+// returning. A compaction commits a fresh log whose census is the
+// current tree (temporary file, fsync, rename, directory fsync), which
+// keeps recovery proportional to the tree's size, not the module's
+// lifetime; a crash before the rename leaves the old log whole.
+//
+// With dir "" the module keeps no log: it starts fresh from cfg, and
+// only opts.CompactEvery and opts.Obs apply.
+func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*Bypass, error) {
 	if opts.CompactEvery < 0 {
 		return nil, fmt.Errorf("core: negative CompactEvery %d", opts.CompactEvery)
+	}
+	if dir == "" {
+		tree, err := newTree(d, p, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return open(tree, nil, p, opts), nil
 	}
 	fsys := persist.OrOS(opts.FS)
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
@@ -135,23 +131,17 @@ func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*Durabl
 	path := filepath.Join(dir, JournalFile)
 	wal, tree, err := persist.OpenWAL(fsys, path)
 	if errors.Is(err, os.ErrNotExist) {
-		var fresh *Bypass
-		if fresh, err = New(d, p, cfg); err != nil {
+		if tree, err = newTree(d, p, cfg); err != nil {
 			return nil, err
 		}
-		tree = fresh.Tree()
 		wal, err = persist.CreateWAL(fsys, path, tree)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: opening %s: %w", path, err)
 	}
-	b, err := FromTree(tree, p)
-	if err == nil && b.D() != d {
-		err = fmt.Errorf("core: %s is for D=%d, want %d", path, b.D(), d)
-	}
-	if err != nil {
+	if tree.Dim() != d || tree.OQPDim() != d+p {
 		_ = wal.Close()
-		return nil, err
+		return nil, fmt.Errorf("core: %s stores %d-vectors over D=%d, want D+P = %d+%d", path, tree.OQPDim(), tree.Dim(), d, p)
 	}
 	// Recovery done; from here on cfg's quota binds new inserts (replay
 	// never refuses an insert the module already acknowledged). A tree
@@ -159,34 +149,54 @@ func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*Durabl
 	// aging horizon is serving policy, not persisted state, too.
 	tree.SetQuota(cfg.MaxVertices)
 	tree.SetAgeHorizon(cfg.AgeHorizon)
-	db := &DurableBypass{Bypass: b, wal: wal, opts: opts}
-	b.dur = db
-	b.Observe(opts.Obs, opts.ObsLabels...)
-	opts.Obs.GaugeFunc("fb_wal_bytes", "Tree log on-disk size, census and journal (recovery debt).", func() float64 { return float64(db.WALSize()) }, opts.ObsLabels...)
-	wal.SetMetrics(
-		opts.Obs.Histogram("fb_wal_append_seconds", "WAL append latency (encode + write + any per-append fsync).", obsv.LatencyBounds(), opts.ObsLabels...),
-		opts.Obs.Histogram("fb_wal_fsync_seconds", "WAL fsync latency.", obsv.LatencyBounds(), opts.ObsLabels...),
-	)
-	db.snapH = opts.Obs.Histogram("fb_snapshot_seconds", "Compaction duration (census write + fsync + rename + directory fsync).", obsv.LatencyBounds(), opts.ObsLabels...)
-	// Journal every accepted insert before the tree mutates (the
-	// observer runs under the tree's exclusive lock, after the insert is
-	// certain to succeed). Append is all-or-nothing — a failed write or
-	// fsync rolls the log back to the last record boundary — so an
-	// aborted insert leaves journal and tree consistent with each other.
-	// A failed append is a persistence failure and flips the module to
-	// read-only degraded mode; client-side errors (dimension mismatch,
-	// out-of-domain queries, quota) never reach this hook.
-	wal.SetSyncOnAppend(opts.Sync)
-	db.attachObserver(tree)
-	return db, nil
+	return open(tree, wal, p, opts), nil
 }
 
-// attachObserver wires the journaling hook to tree. An aged compaction
-// re-wires it onto the rebuilt tree it swaps in (adoptLocked).
-func (db *DurableBypass) attachObserver(tree *simplextree.Tree) {
+// open wraps tree, and its log when wal is non-nil, as a module with P
+// distance parameters, and registers its series in opts.Obs (a nil
+// registry registers nothing): the tree's size and depth, the
+// aged-compaction series, and with a log its size, append, fsync and
+// commit series.
+func open(tree *simplextree.Tree, wal *persist.WAL, p int, opts DurableOptions) *Bypass {
+	b := &Bypass{d: tree.Dim(), p: p, wal: wal, compactEvery: opts.CompactEvery}
+	b.tree.Store(tree)
+	reg, labels := opts.Obs, opts.ObsLabels
+	reg.GaugeFunc("fb_tree_points", "Simplex Tree stored points.", func() float64 { return float64(b.Stats().Points) }, labels...)
+	reg.GaugeFunc("fb_tree_depth", "Simplex Tree depth.", func() float64 { return float64(b.Stats().Depth) }, labels...)
+	b.compactionsC = reg.Counter("fb_bypass_compactions_total", "Aged tree compactions (rebuild, log commit when durable, swap) completed.", labels...)
+	b.reclaimedC = reg.Counter("fb_bypass_reclaimed_vertices_total", "Vertices reclaimed by aged compactions (aged out or ε-absorbed).", labels...)
+	b.compactH = reg.Histogram("fb_bypass_compaction_seconds", "Aged compaction duration (rebuild, log commit when durable, swap).", obsv.LatencyBounds(), labels...)
+	b.pointsBefG = reg.Gauge("fb_bypass_compaction_points_before", "Distinct vertices entering the last aged compaction.", labels...)
+	b.pointsAftG = reg.Gauge("fb_bypass_compaction_points_after", "Distinct vertices surviving the last aged compaction.", labels...)
+	if wal == nil {
+		return b
+	}
+	// The inserts replayed at open count toward the next compaction.
+	b.pending = wal.Records()
+	reg.GaugeFunc("fb_wal_bytes", "Tree log on-disk size, census and journal (recovery debt).", func() float64 { return float64(b.WALSize()) }, labels...)
+	wal.SetMetrics(
+		reg.Histogram("fb_wal_append_seconds", "WAL append latency (encode + write + any per-append fsync).", obsv.LatencyBounds(), labels...),
+		reg.Histogram("fb_wal_fsync_seconds", "WAL fsync latency.", obsv.LatencyBounds(), labels...),
+	)
+	b.snapH = reg.Histogram("fb_snapshot_seconds", "Compaction duration (census write + fsync + rename + directory fsync).", obsv.LatencyBounds(), labels...)
+	wal.SetSyncOnAppend(opts.Sync)
+	b.attachObserver(tree)
+	return b
+}
+
+// attachObserver journals every accepted insert into tree before the
+// tree mutates (the observer runs under the tree's exclusive lock, after
+// the insert is certain to succeed). Append is all-or-nothing — a failed
+// write or fsync rolls the log back to the last record boundary — so an
+// aborted insert leaves journal and tree consistent with each other. A
+// failed append is a persistence failure and flips the module to
+// read-only degraded mode; client-side errors (dimension mismatch,
+// out-of-domain queries, quota) never reach this hook. A compaction
+// that rebuilds the tree re-wires it onto the tree it swaps in.
+func (b *Bypass) attachObserver(tree *simplextree.Tree) {
 	tree.SetObserver(func(q, value []float64, stamp uint64) error {
-		if err := db.wal.Append(q, value, stamp); err != nil {
-			db.noteDegraded(err)
+		if err := b.wal.Append(q, value, stamp); err != nil {
+			b.noteDegraded(err)
 			return err
 		}
 		return nil
@@ -194,76 +204,40 @@ func (db *DurableBypass) attachObserver(tree *simplextree.Tree) {
 }
 
 // Journaled reports the number of inserts journaled since the last
-// compaction (including those replayed at open).
-func (db *DurableBypass) Journaled() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.wal.Records()
+// compaction (including those replayed at open); 0 without a log.
+func (b *Bypass) Journaled() int {
+	if b.wal == nil {
+		return 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.wal.Records()
 }
 
 // WALSize reports the log's on-disk size in bytes, census and journal:
-// the recovery debt a restart pays.
-func (db *DurableBypass) WALSize() int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.wal.Size()
-}
-
-// Compact commits a fresh log whose census is the current tree: the
-// journal starts empty, and recovery replays the census alone.
-func (db *DurableBypass) Compact() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.Degraded(); err != nil {
-		return err
+// the recovery debt a restart pays; 0 without a log.
+func (b *Bypass) WALSize() int64 {
+	if b.wal == nil {
+		return 0
 	}
-	return db.compactLocked()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.wal.Size()
 }
 
-func (db *DurableBypass) maybeCompactLocked() error {
-	if db.opts.CompactEvery <= 0 || db.wal.Records() < db.opts.CompactEvery {
+// Close flushes and closes the log; it does nothing without one. A
+// module with a log must not be used afterwards; reopen it with
+// OpenDurable.
+func (b *Bypass) Close() error {
+	if b.wal == nil {
 		return nil
 	}
-	return db.compactLocked()
-}
-
-// compactLocked runs one compaction; a failure is a persistence failure
-// and flips the module to read-only degraded mode.
-func (db *DurableBypass) compactLocked() error {
-	t0 := time.Now()
-	if err := db.wal.Reset(db.Tree()); err != nil {
-		db.noteDegraded(err)
-		return db.Degraded()
-	}
-	db.snapH.ObserveSince(t0)
-	return nil
-}
-
-// adoptLocked makes the rebuilt tree of an aged compaction the module's
-// durable state before the swap publishes it: until then predictions and
-// the log both come from old, so a crash recovers either census. A
-// persistence failure latches the module degraded. The journaling hook
-// moves from old to nt, so late holders of the retired tree cannot
-// journal.
-func (db *DurableBypass) adoptLocked(old, nt *simplextree.Tree) error {
-	if err := db.wal.Reset(nt); err != nil {
-		db.noteDegraded(err)
-		return db.Degraded()
-	}
-	db.attachObserver(nt)
-	old.SetObserver(nil)
-	return nil
-}
-
-// Close flushes and closes the journal. The module must not be used
-// afterwards; reopen with OpenDurable.
-func (db *DurableBypass) Close() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.Tree().SetObserver(nil)
-	if err := db.wal.Sync(); err != nil {
-		_ = db.wal.Close()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.Tree().SetObserver(nil)
+	if err := b.wal.Sync(); err != nil {
+		_ = b.wal.Close()
 		return err
 	}
-	return db.wal.Close()
+	return b.wal.Close()
 }

@@ -54,7 +54,7 @@ func randomOQP(rng *rand.Rand, d, p int) OQP {
 }
 
 // TestDurableKillRecovery is the acceptance test of the durability
-// contract: a DurableBypass abandoned mid-run without Close (the
+// contract: a module with a log abandoned mid-run without Close (the
 // process-kill simulation) must recover every acknowledged insert via
 // census + journal replay, with bitwise-identical predictions.
 func TestDurableKillRecovery(t *testing.T) {
@@ -213,7 +213,7 @@ func TestDurableReplayIdempotent(t *testing.T) {
 // TestRecoveryIsSnapshotEqual: the tree a module recovers is
 // Snapshot-equal to the one it held — structure, values, stamps, clock
 // and point counter — after a kill with a journal pending, after
-// Compact, and after a reclaiming CompactAged; and at D = 31, the
+// Compact, and after a Compact that reclaimed aged vertices; and at D = 31, the
 // durable workload's dimension, after a kill with a census of over 300
 // points and a journal pending.
 func TestRecoveryIsSnapshotEqual(t *testing.T) {
@@ -225,12 +225,13 @@ func TestRecoveryIsSnapshotEqual(t *testing.T) {
 	}
 	r.reopen("Compact")
 	r.insert(10)
-	if st, err := r.db.CompactAged(); err != nil || st.Reclaimed == 0 {
-		t.Fatalf("CompactAged: %+v, %v", st, err)
+	reclaimed := r.db.Reclaimed()
+	if err := r.db.Compact(); err != nil || r.db.Reclaimed() == reclaimed {
+		t.Fatalf("Compact: %v, reclaimed %d vertices before it and %d after", err, reclaimed, r.db.Reclaimed())
 	}
-	r.reopen("a reclaiming CompactAged")
+	r.reopen("a reclaiming Compact")
 	r.insert(4)
-	r.reopen("a kill after CompactAged")
+	r.reopen("a kill after a reclaiming Compact")
 	r.close("at the end")
 
 	r = newRecoveryRig(t, 31, 31, Config{Epsilon: 0.01}, 23)
@@ -254,7 +255,7 @@ type recoveryRig struct {
 	dir  string
 	d, p int
 	cfg  Config
-	db   *DurableBypass
+	db   *Bypass
 	rng  *rand.Rand
 	pts  [][]float64
 }

@@ -78,42 +78,30 @@ func lifecycleOps() []lifecycleOp {
 }
 
 // openCompacting opens the lifecycle harness module: aging on
-// (horizon 4) and journal-depth auto-compaction disabled, so the only
-// log commits in a crash schedule are the workload's explicit
-// CompactAged calls.
-func openCompacting(dir string, fs *faultfs.FS) (*DurableBypass, error) {
-	opts := DurableOptions{CompactEvery: 1 << 30, Sync: true}
+// (horizon 4) and the CompactEvery trigger at compactEvery — 1<<30 keeps
+// it out of the way, so the only log commits in a crash schedule are
+// the workload's explicit Compact calls.
+func openCompacting(dir string, fs *faultfs.FS, compactEvery int) (*Bypass, error) {
+	opts := DurableOptions{CompactEvery: compactEvery, Sync: true}
 	if fs != nil {
 		opts.FS = fs
 	}
 	return OpenDurable(dir, 3, 2, Config{Epsilon: 0, AgeHorizon: 4}, opts)
 }
 
-func applyLifecycleOp(db *DurableBypass, op lifecycleOp) error {
+func applyLifecycleOp(db *Bypass, op lifecycleOp) error {
 	if op.compact {
-		_, err := db.CompactAged()
-		return err
+		return db.Compact()
 	}
 	_, err := db.Insert(op.q, op.oqp)
 	return err
 }
 
-// TestCrashScheduleCompaction enumerates every crash point along
-// insert → WAL-append → aged-compaction log commit. A healthy run
-// records the census sequence S[0..len(ops)] (stamped, bitwise); then
-// for each n a fresh module runs the same ops with a kill at the nth
-// mutating filesystem operation. With k ops acknowledged before the
-// first failure, recovery must land between S[k] and the state the
-// in-flight op was moving toward: an insert only adds (S[k] ⊆ got ⊆
-// S[k+1]), a compaction only removes (S[k+1] ⊆ got ⊆ S[k] — survivors
-// re-insert bitwise, corners carry over). Anything below the floor is
-// an acknowledged loss; anything above the ceiling is a hybrid state
-// neither run ever held.
-func TestCrashScheduleCompaction(t *testing.T) {
-	ops := lifecycleOps()
-
-	// Healthy run: census after every op.
-	db, err := openCompacting(t.TempDir(), nil)
+// healthyCensuses runs ops on a healthy module and returns the stamped
+// census before the first op and after each.
+func healthyCensuses(t *testing.T, ops []lifecycleOp) []map[string]bool {
+	t.Helper()
+	db, err := openCompacting(t.TempDir(), nil, 1<<30)
 	if err != nil {
 		t.Fatalf("healthy open: %v", err)
 	}
@@ -130,10 +118,27 @@ func TestCrashScheduleCompaction(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatalf("healthy close: %v", err)
 	}
+	return seq
+}
+
+// TestCrashScheduleCompaction enumerates every crash point along
+// insert → WAL-append → Compact (aged rebuild, log commit, swap). A healthy run
+// records the census sequence S[0..len(ops)] (stamped, bitwise); then
+// for each n a fresh module runs the same ops with a kill at the nth
+// mutating filesystem operation. With k ops acknowledged before the
+// first failure, recovery must land between S[k] and the state the
+// in-flight op was moving toward: an insert only adds (S[k] ⊆ got ⊆
+// S[k+1]), a compaction only removes (S[k+1] ⊆ got ⊆ S[k] — survivors
+// re-insert bitwise, corners carry over). Anything below the floor is
+// an acknowledged loss; anything above the ceiling is a hybrid state
+// neither run ever held.
+func TestCrashScheduleCompaction(t *testing.T) {
+	ops := lifecycleOps()
+	seq := healthyCensuses(t, ops)
 
 	// Counting run: measure the schedule length including Close.
 	counting := faultfs.New(nil)
-	cdb, err := openCompacting(t.TempDir(), counting)
+	cdb, err := openCompacting(t.TempDir(), counting, 1<<30)
 	if err != nil {
 		t.Fatalf("counting open: %v", err)
 	}
@@ -162,7 +167,7 @@ func TestCrashScheduleCompaction(t *testing.T) {
 
 		acked := 0
 		opened := false
-		if db, err := openCompacting(dir, fs); err == nil {
+		if db, err := openCompacting(dir, fs, 1<<30); err == nil {
 			opened = true
 			for _, op := range ops {
 				if applyLifecycleOp(db, op) != nil {
@@ -176,7 +181,7 @@ func TestCrashScheduleCompaction(t *testing.T) {
 			t.Fatalf("crash point %d/%d never fired", n, m)
 		}
 
-		recovered, err := openCompacting(dir, nil)
+		recovered, err := openCompacting(dir, nil, 1<<30)
 		if err != nil {
 			t.Fatalf("crash point %d/%d: recovery failed: %v", n, m, err)
 		}
@@ -216,10 +221,128 @@ func TestCrashScheduleCompaction(t *testing.T) {
 	t.Logf("crash sweep: %d points, %d landed post-compaction, %d replayed the in-flight insert", m, postCompaction, inFlight)
 }
 
+// TestCrashScheduleCompactEvery enumerates every crash point of the
+// inserts that cross CompactEvery on a module with a log and aging on:
+// the insert's journal append, then inside Insert the aged rebuild, the
+// commit of the rebuilt census (temporary file, fsync, rename, directory
+// fsync) and the swap. The module compacts every 4 accepted inserts, the
+// schedule lifecycleOps makes explicit, so the healthy explicit run's
+// census sequence names every state the trigger run may hold. With k
+// inserts acknowledged before the crash, recovery must equal exactly one
+// state the in-flight insert passes through: the census before it, the
+// census with its vertex journaled and, for an insert that crosses the
+// trigger, the rebuilt census. Anything else is an acknowledged loss or
+// a hybrid.
+func TestCrashScheduleCompactEvery(t *testing.T) {
+	ops := lifecycleOps()
+	seq := healthyCensuses(t, ops)
+	// legal[k] lists the states recovery may land in with k inserts
+	// acknowledged: after[k] is the state once insert k is acknowledged.
+	var legal [][]map[string]bool
+	var inserts []lifecycleOp
+	for i, op := range ops {
+		if op.compact {
+			continue
+		}
+		states := []map[string]bool{seq[i], seq[i+1]}
+		if i+1 < len(ops) && ops[i+1].compact {
+			states = append(states, seq[i+2])
+		}
+		legal = append(legal, states)
+		inserts = append(inserts, op)
+	}
+	last := legal[len(legal)-1]
+	final := last[len(last)-1]
+
+	run := func(dir string, fs *faultfs.FS) (acked int, opened bool) {
+		db, err := openCompacting(dir, fs, 4)
+		if err != nil {
+			return 0, false
+		}
+		for _, op := range inserts {
+			if applyLifecycleOp(db, op) != nil {
+				break // the FS is dead after the crash; later ops all fail
+			}
+			acked++
+		}
+		_ = db.Close()
+		return acked, true
+	}
+
+	counting := faultfs.New(nil)
+	cdir := t.TempDir()
+	if acked, _ := run(cdir, counting); acked != len(inserts) {
+		t.Fatalf("counting run acknowledged %d of %d inserts", acked, len(inserts))
+	}
+	cdb, err := openCompacting(cdir, nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !setEqual(stampedVertexSet(cdb.Tree()), final) {
+		t.Fatal("the CompactEvery trigger diverged from the explicit Compact schedule")
+	}
+	if err := cdb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m := counting.Ops()
+	t.Logf("CompactEvery crash schedule: %d mutating filesystem operations", m)
+
+	var journaledOnly, rebuilt int
+	for n := 1; n <= m; n++ {
+		dir := t.TempDir()
+		fs := faultfs.New(nil)
+		fs.SetCrashAt(n)
+		acked, opened := run(dir, fs)
+		if !fs.Crashed() {
+			t.Fatalf("crash point %d/%d never fired", n, m)
+		}
+		recovered, err := openCompacting(dir, nil, 4)
+		if err != nil {
+			t.Fatalf("crash point %d/%d: recovery failed: %v", n, m, err)
+		}
+		got := stampedVertexSet(recovered.Tree())
+		if err := recovered.Close(); err != nil {
+			t.Fatalf("crash point %d/%d: closing recovered module: %v", n, m, err)
+		}
+		onlyLog(t, fmt.Sprintf("crash point %d/%d", n, m), dir)
+
+		states := []map[string]bool{seq[0]}
+		switch {
+		case !opened:
+		case acked == len(inserts):
+			states = []map[string]bool{final}
+		default:
+			states = legal[acked]
+		}
+		match := -1
+		for i, st := range states {
+			if setEqual(got, st) {
+				match = i
+			}
+		}
+		if match < 0 {
+			t.Fatalf("crash point %d/%d: recovered %d vertices, none of the %d states insert %d passes through (acked %d)",
+				n, m, len(got), len(states), acked, acked)
+		}
+		if opened && acked < len(inserts) && len(states) == 3 {
+			switch match {
+			case 1:
+				journaledOnly++
+			case 2:
+				rebuilt++
+			}
+		}
+	}
+	if journaledOnly == 0 || rebuilt == 0 {
+		t.Fatalf("no crash landed inside a triggered compaction: %d recovered the journaled insert alone, %d the rebuilt census", journaledOnly, rebuilt)
+	}
+	t.Logf("crash sweep: %d points; inside triggered compactions %d recovered the journaled insert, %d the rebuilt census", m, journaledOnly, rebuilt)
+}
+
 // TestAgingDisabledParity pins the satellite property that a disabled
 // horizon is a bitwise no-op: horizon 0 and horizon 2^64−1 modules fed
 // the same inserts produce bitwise-identical predictions, and
-// CompactAged on either reclaims nothing and leaves the stamped census
+// Compact on either reclaims nothing and leaves the stamped census
 // bitwise unchanged.
 func TestAgingDisabledParity(t *testing.T) {
 	const d, p = 3, 2
@@ -258,15 +381,14 @@ func TestAgingDisabledParity(t *testing.T) {
 
 	for name, b := range map[string]*Bypass{"horizon-0": zero, "horizon-max": inf} {
 		before := stampedVertexSet(b.Tree())
-		st, err := b.CompactAged()
-		if err != nil {
-			t.Fatalf("%s: CompactAged: %v", name, err)
+		if err := b.Compact(); err != nil {
+			t.Fatalf("%s: Compact: %v", name, err)
 		}
-		if st.Reclaimed != 0 {
-			t.Fatalf("%s: disabled horizon reclaimed %d vertices", name, st.Reclaimed)
+		if b.Reclaimed() != 0 {
+			t.Fatalf("%s: disabled horizon reclaimed %d vertices", name, b.Reclaimed())
 		}
 		if !setEqual(before, stampedVertexSet(b.Tree())) {
-			t.Fatalf("%s: CompactAged changed the stamped census with aging disabled", name)
+			t.Fatalf("%s: Compact changed the stamped census with aging disabled", name)
 		}
 	}
 	if !setEqual(vertexSet(zero.Tree()), vertexSet(inf.Tree())) {
@@ -281,7 +403,7 @@ func TestAgingDisabledParity(t *testing.T) {
 func TestTimestampedReplayIdempotent(t *testing.T) {
 	const d, p = 3, 2
 	dir := t.TempDir()
-	db, err := openCompacting(dir, nil)
+	db, err := openCompacting(dir, nil, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +419,7 @@ func TestTimestampedReplayIdempotent(t *testing.T) {
 	}
 
 	for round := 1; round <= 3; round++ {
-		r, err := openCompacting(dir, nil)
+		r, err := openCompacting(dir, nil, 1<<30)
 		if err != nil {
 			t.Fatalf("reopen %d: %v", round, err)
 		}
@@ -312,93 +434,62 @@ func TestTimestampedReplayIdempotent(t *testing.T) {
 	}
 }
 
-// TestCompactAgedDurableRecovery pins the swap protocol end to end:
-// an aged compaction that reclaims vertices commits a fresh log with an
-// empty journal, and a clean reopen reproduces the post-compaction
-// stamped census bitwise — reclaimed vertices stay dead (the old journal
-// went with the file the rename replaced).
+// TestCompactAgedDurableRecovery pins the swap protocol end to end, for
+// an explicit Compact and for the CompactEvery trigger: an aged
+// compaction that reclaims vertices commits a fresh log with an empty
+// journal, and a clean reopen reproduces the post-compaction stamped
+// census bitwise — reclaimed vertices stay dead (the old journal went
+// with the file the rename replaced).
 func TestCompactAgedDurableRecovery(t *testing.T) {
 	const d, p = 3, 2
-	dir := t.TempDir()
-	db, err := openCompacting(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(59))
-	for i := 0; i < 10; i++ {
-		if _, err := db.Insert(randomSimplexPoint(rng, d), randomOQP(rng, d, p)); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-	}
-	stats, err := db.CompactAged()
-	if err != nil {
-		t.Fatalf("CompactAged: %v", err)
-	}
-	if stats.Reclaimed == 0 {
-		t.Fatalf("expected a reclaiming compaction, got %+v", stats)
-	}
-	if got := db.Journaled(); got != 0 {
-		t.Fatalf("journal after the compaction: %d records, want 0", got)
-	}
-	want := stampedVertexSet(db.Tree())
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name         string
+		compactEvery int
+	}{{"Compact", 1 << 30}, {"CompactEvery", 10}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := openCompacting(dir, nil, tc.compactEvery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(59))
+			for i := 0; i < 10; i++ {
+				if _, err := db.Insert(randomSimplexPoint(rng, d), randomOQP(rng, d, p)); err != nil {
+					t.Fatalf("insert %d: %v", i, err)
+				}
+			}
+			if tc.compactEvery > 10 {
+				if err := db.Compact(); err != nil {
+					t.Fatalf("Compact: %v", err)
+				}
+			}
+			if db.Compactions() != 1 || db.Reclaimed() == 0 {
+				t.Fatalf("%d compactions reclaimed %d vertices, want one reclaiming compaction", db.Compactions(), db.Reclaimed())
+			}
+			if got := db.Journaled(); got != 0 {
+				t.Fatalf("journal after the compaction: %d records, want 0", got)
+			}
+			want := stampedVertexSet(db.Tree())
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	r, err := openCompacting(dir, nil)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer r.Close()
-	if got := r.Journaled(); got != 0 {
-		t.Fatalf("recovered journal: %d records, want 0", got)
-	}
-	got := stampedVertexSet(r.Tree())
-	if !setEqual(want, got) {
-		if len(got) > len(want) {
-			t.Fatalf("reclaimed vertices resurrected on reopen: %d recovered, %d expected", len(got), len(want))
-		}
-		t.Fatalf("post-compaction census not recovered bitwise: %d recovered, %d expected", len(got), len(want))
-	}
-}
-
-// TestCompactAgedThroughBypassPersists: an aged compaction reached
-// through the embedded (*Bypass).CompactAged of a DurableBypass — the
-// method the sharded and serving layers call — is the durable one. A
-// reopen recovers the rebuilt stamped census; a memory-only swap would
-// leave the log behind and resurrect every reclaimed vertex.
-func TestCompactAgedThroughBypassPersists(t *testing.T) {
-	const d, p = 3, 2
-	dir := t.TempDir()
-	db, err := openCompacting(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(59))
-	for i := 0; i < 10; i++ {
-		if _, err := db.Insert(randomSimplexPoint(rng, d), randomOQP(rng, d, p)); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-	}
-	stats, err := db.Bypass.CompactAged()
-	if err != nil {
-		t.Fatalf("CompactAged: %v", err)
-	}
-	if stats.Reclaimed == 0 {
-		t.Fatalf("expected a reclaiming compaction, got %+v", stats)
-	}
-	want := stampedVertexSet(db.Tree())
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := openCompacting(dir, nil)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer r.Close()
-	if got := stampedVertexSet(r.Tree()); !setEqual(want, got) {
-		t.Fatalf("reopen recovered %d stamped vertices, the rebuilt tree held %d", len(got), len(want))
+			r, err := openCompacting(dir, nil, tc.compactEvery)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer r.Close()
+			if got := r.Journaled(); got != 0 {
+				t.Fatalf("recovered journal: %d records, want 0", got)
+			}
+			got := stampedVertexSet(r.Tree())
+			if !setEqual(want, got) {
+				if len(got) > len(want) {
+					t.Fatalf("reclaimed vertices resurrected on reopen: %d recovered, %d expected", len(got), len(want))
+				}
+				t.Fatalf("post-compaction census not recovered bitwise: %d recovered, %d expected", len(got), len(want))
+			}
+		})
 	}
 }
 

@@ -13,25 +13,10 @@ import (
 	"testing"
 
 	"repro/internal/persist"
-	"repro/internal/simplextree"
 )
 
-// quotaModule is the surface TestQuotaCompactRetryEveryShape drives: a
-// memory module closes to nothing.
-type quotaModule interface {
-	Insert(q []float64, oqp OQP) (bool, error)
-	Tree() *simplextree.Tree
-	Compactions() uint64
-	Reclaimed() uint64
-	Close() error
-}
-
-type memoryModule struct{ *Bypass }
-
-func (memoryModule) Close() error { return nil }
-
-// TestQuotaCompactRetryEveryShape pins the one compact-then-retry over
-// both module shapes, New and OpenDurable: the same inserts return the
+// TestQuotaCompactRetryEveryShape pins the one compact-then-retry over a
+// module without a log (New) and one with (OpenDurable): the same inserts return the
 // same (changed, err) sequence, one aged compaction reclaims space for
 // the insert that trips the quota, and the shapes end on the same
 // stamped census. Geometry: d=3 gives 4 corners, quota 8 admits 4
@@ -41,13 +26,12 @@ func TestQuotaCompactRetryEveryShape(t *testing.T) {
 	const d, p = 3, 2
 	shapes := []struct {
 		name string
-		open func(dir string, cfg Config) (quotaModule, error)
+		open func(dir string, cfg Config) (*Bypass, error)
 	}{
-		{"New", func(_ string, cfg Config) (quotaModule, error) {
-			b, err := New(d, p, cfg)
-			return memoryModule{b}, err
+		{"New", func(_ string, cfg Config) (*Bypass, error) {
+			return New(d, p, cfg)
 		}},
-		{"OpenDurable", func(dir string, cfg Config) (quotaModule, error) {
+		{"OpenDurable", func(dir string, cfg Config) (*Bypass, error) {
 			return OpenDurable(dir, d, p, cfg, DurableOptions{CompactEvery: 1 << 30, Sync: true})
 		}},
 	}
@@ -271,33 +255,29 @@ func TestShardedLayoutRefused(t *testing.T) {
 }
 
 // TestConcurrentLifecycle races the whole write path of one module —
-// Insert with its quota compact-then-retry, CompactAged and, on a
-// durable module, Compact — against Predict and the counter readers, on
-// a memory and a durable module with a quota and aging on. Run under
-// -race; correctness here is "no race, no error but quota rejections,
-// and aging reclaims".
+// Insert with its quota compact-then-retry and its CompactEvery trigger,
+// and Compact — against Predict and the counter readers, on a memory
+// module without and with the trigger and on a durable module, each with
+// a quota and aging on. Run under -race; correctness here is "no race,
+// no error but quota rejections, and aging reclaims".
 func TestConcurrentLifecycle(t *testing.T) {
 	const d, p, perG = 3, 2, 80
 	cfg := Config{Epsilon: 0, MaxVertices: 36, AgeHorizon: 3}
 	shapes := []struct {
 		name string
-		open func(dir string) (*Bypass, *DurableBypass, error)
+		open func(dir string) (*Bypass, error)
 	}{
-		{"New", func(string) (*Bypass, *DurableBypass, error) {
-			b, err := New(d, p, cfg)
-			return b, nil, err
+		{"New", func(string) (*Bypass, error) { return New(d, p, cfg) }},
+		{"CompactEvery", func(string) (*Bypass, error) {
+			return OpenDurable("", d, p, cfg, DurableOptions{CompactEvery: 16})
 		}},
-		{"OpenDurable", func(dir string) (*Bypass, *DurableBypass, error) {
-			db, err := OpenDurable(dir, d, p, cfg, DurableOptions{CompactEvery: 16})
-			if err != nil {
-				return nil, nil, err
-			}
-			return db.Bypass, db, nil
+		{"OpenDurable", func(dir string) (*Bypass, error) {
+			return OpenDurable(dir, d, p, cfg, DurableOptions{CompactEvery: 16})
 		}},
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
-			b, db, err := shape.open(t.TempDir())
+			b, err := shape.open(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,15 +306,9 @@ func TestConcurrentLifecycle(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < perG/8; i++ {
-					if _, err := b.CompactAged(); err != nil {
+					if err := b.Compact(); err != nil {
 						errs[writers] = err
 						return
-					}
-					if db != nil {
-						if err := db.Compact(); err != nil {
-							errs[writers] = err
-							return
-						}
 					}
 				}
 			}()
@@ -342,9 +316,7 @@ func TestConcurrentLifecycle(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < perG; i++ {
 					_, _, _, _ = b.Stats(), b.Compactions(), b.Reclaimed(), b.Degraded()
-					if db != nil {
-						_, _ = db.Journaled(), db.WALSize()
-					}
+					_, _ = b.Journaled(), b.WALSize()
 				}
 			}()
 			wg.Wait()
@@ -356,10 +328,8 @@ func TestConcurrentLifecycle(t *testing.T) {
 			if b.Reclaimed() == 0 {
 				t.Error("no compaction reclaimed anything; the run misses the aging path")
 			}
-			if db != nil {
-				if err := db.Close(); err != nil {
-					t.Fatal(err)
-				}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

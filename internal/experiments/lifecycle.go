@@ -20,8 +20,9 @@ type LifecycleConfig struct {
 	D, P int
 
 	// Inserts is the drifting workload length per mode; AgeHorizon the
-	// reclamation horizon of the aging mode (logical inserts); the aging
-	// mode compacts every CompactEvery inserts.
+	// reclamation horizon of the aging mode (logical inserts); both modes'
+	// modules compact every CompactEvery accepted inserts, which
+	// reclaims only under aging.
 	Inserts      int
 	AgeHorizon   uint64
 	CompactEvery int
@@ -130,15 +131,17 @@ func oqpClose(got, want core.OQP) bool {
 }
 
 // runLifecycleMode drives one soak mode: horizon 0 is the control (no
-// aging, no compaction), a positive horizon compacts every
-// cfg.CompactEvery inserts.
+// aging, so its compactions rebuild nothing), a positive horizon ages
+// vertices out in the compaction the module runs every cfg.CompactEvery
+// accepted inserts.
 func runLifecycleMode(cfg LifecycleConfig, horizon uint64) (LifecycleSeries, error) {
 	mode := "aging"
 	if horizon == 0 {
 		mode = "control"
 	}
 	out := LifecycleSeries{Mode: mode, AgeHorizon: horizon}
-	byp, err := core.New(cfg.D, cfg.P, core.Config{Epsilon: 0, AgeHorizon: horizon})
+	byp, err := core.OpenDurable("", cfg.D, cfg.P, core.Config{Epsilon: 0, AgeHorizon: horizon},
+		core.DurableOptions{CompactEvery: cfg.CompactEvery})
 	if err != nil {
 		return out, err
 	}
@@ -160,14 +163,6 @@ func runLifecycleMode(cfg LifecycleConfig, horizon uint64) (LifecycleSeries, err
 		}
 		window = append(window, recent{q, oqp})
 
-		if horizon > 0 && cfg.CompactEvery > 0 && (i+1)%cfg.CompactEvery == 0 {
-			st, err := byp.CompactAged()
-			if err != nil {
-				return out, fmt.Errorf("compaction at insert %d: %w", i, err)
-			}
-			out.Compactions++
-			out.Reclaimed += st.Reclaimed
-		}
 		if (i+1)%lifecycleSampleEvery == 0 || i == cfg.Inserts-1 {
 			hits := 0
 			for _, r := range window {
@@ -190,6 +185,7 @@ func runLifecycleMode(cfg LifecycleConfig, horizon uint64) (LifecycleSeries, err
 		}
 	}
 	out.FinalPoints = byp.Stats().Points
+	out.Compactions, out.Reclaimed = int(byp.Compactions()), int(byp.Reclaimed())
 	return out, nil
 }
 

@@ -5,13 +5,13 @@
 // exposed as the JSON routes cmd/fbserve listens on. cmd/fbserve is
 // flags and process lifecycle around this package. The figures of
 // internal/experiments do not call Assemble: they build their own engine
-// and module (engine.New, core.New) and drive the same engine.Loop a
-// served session drives, which TestServedSessionIsTheFiguresLoop
-// (internal/service) holds to the same rounds and insert decision.
+// and module (engine.New, core.New or core.OpenDurable) and drive the
+// same engine.Loop a served session drives, which
+// TestServedSessionIsTheFiguresLoop (internal/service) holds to the same
+// rounds and insert decision.
 package httpapi
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -63,38 +63,25 @@ var collectionLabels = []obsv.Label{obsv.L("collection", collectionName)}
 type Collection struct {
 	Dataset *dataset.Dataset
 	Service *service.Service
-	Bypass  *core.Bypass // the bypass behind Service: its counters and health
+	Bypass  *core.Bypass // the bypass behind Service: its counters, log and health
 
-	backend string              // "heap" or "mmap"
-	durable *core.DurableBypass // Bypass's durable layer; nil in memory
-	mm      *store.MmapMatrix   // close handle (nil unless FBMX-backed)
+	backend string            // "heap" or "mmap"
+	mm      *store.MmapMatrix // close handle (nil unless FBMX-backed)
 }
 
-// CompactAged runs one aging compaction pass over the collection's tree
-// and logs what it reclaimed.
-func (c *Collection) CompactAged() {
-	st, err := c.Service.CompactAged(context.Background())
-	if err != nil {
-		log.Printf("fbserve: compaction: %v", err)
-	}
-	if st.Reclaimed > 0 {
-		log.Printf("aging compaction reclaimed %d vertices (%d -> %d)", st.Reclaimed, st.Before, st.After)
-	}
-}
-
-// Shutdown makes the collection's learned state durable — its log
-// compacted to a census with an empty journal, then closed — and
-// releases the retrieval backend. Sessions must have been drained first.
+// Shutdown makes the collection's learned state durable — one last
+// compaction, which with -dir leaves a census with an empty journal,
+// then the log closed — and releases the retrieval backend. Sessions
+// must have been drained first.
 func (c *Collection) Shutdown() {
-	if c.durable != nil {
-		if err := c.durable.Compact(); err != nil {
-			log.Printf("fbserve: compact: %v", err)
-		}
-		if err := c.durable.Close(); err != nil {
-			log.Printf("fbserve: close: %v", err)
-		}
-		log.Printf("compacted the WAL; %d points durable", c.Bypass.Stats().Points)
+	if err := c.Bypass.Compact(); err != nil {
+		log.Printf("fbserve: compact: %v", err)
 	}
+	walBytes := c.Bypass.WALSize()
+	if err := c.Bypass.Close(); err != nil {
+		log.Printf("fbserve: close: %v", err)
+	}
+	log.Printf("compacted and closed the module: %d points, %d log bytes", c.Bypass.Stats().Points, walBytes)
 	if c.mm != nil {
 		if err := c.mm.Close(); err != nil {
 			log.Printf("fbserve: unmapping collection: %v", err)
@@ -265,7 +252,8 @@ func refuseNested(dir string) error {
 // Assemble builds the production serving stack over a dataset: the
 // retrieval engine (the exact scan), one core bypass module — journaled
 // under cfg.Dir when it is set, and recovered from it before Assemble
-// returns — and the service in front of both. It is the only place
+// returns; compacting every cfg.CompactEvery accepted inserts either
+// way — and the service in front of both. It is the only place
 // outside tests and bench/ that constructs a service.Service;
 // cmd/fbserve reaches it through BuildCollection. The caller keeps
 // ownership of ds.
@@ -285,22 +273,13 @@ func Assemble(ds *dataset.Dataset, cfg Config) (*Collection, error) {
 	}
 
 	c := &Collection{Dataset: ds}
-	if cfg.Dir != "" {
-		c.durable, err = core.OpenDurable(cfg.Dir, codec.D(), codec.P(), treeCfg, core.DurableOptions{
-			CompactEvery: cfg.CompactEvery, Sync: cfg.SyncWAL, Obs: cfg.Obs, ObsLabels: collectionLabels,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("opening durable module: %w", err)
-		}
-		c.Bypass = c.durable.Bypass
-		log.Printf("durable module at %s: %d points recovered, %d journaled inserts",
-			cfg.Dir, c.Bypass.Stats().Points, c.durable.Journaled())
-	} else {
-		if c.Bypass, err = core.New(codec.D(), codec.P(), treeCfg); err != nil {
-			return nil, err
-		}
-		c.Bypass.Observe(cfg.Obs, collectionLabels...)
+	c.Bypass, err = core.OpenDurable(cfg.Dir, codec.D(), codec.P(), treeCfg, core.DurableOptions{
+		CompactEvery: cfg.CompactEvery, Sync: cfg.SyncWAL, Obs: cfg.Obs, ObsLabels: collectionLabels,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("opening the bypass module: %w", err)
 	}
+	log.Printf("bypass module: %d points, %d journaled inserts recovered", c.Bypass.Stats().Points, c.Bypass.Journaled())
 
 	c.Service, err = service.New(eng, c.Bypass, service.Options{
 		MaxSessions:     cfg.MaxSessions,
@@ -311,9 +290,7 @@ func Assemble(ds *dataset.Dataset, cfg Config) (*Collection, error) {
 		ObsLabels:       collectionLabels,
 	})
 	if err != nil {
-		if c.durable != nil {
-			_ = c.durable.Close()
-		}
+		_ = c.Bypass.Close()
 		return nil, err
 	}
 	return c, nil

@@ -130,9 +130,9 @@ type collectionStats struct {
 	Collection collectionInfo `json:"collection"`
 	service.Stats
 	// The module's own counters: inserts journaled since the last
-	// compaction and the log's size (durable only), and the aged
-	// compactions run — by the service or under quota pressure — with
-	// the vertices they reclaimed.
+	// compaction and the log's size (with -dir only), and the aged
+	// compactions run — every -compact-every accepted inserts or under
+	// quota pressure — with the vertices they reclaimed.
 	Journaled   int    `json:"journaled,omitempty"`
 	WALBytes    int64  `json:"wal_bytes,omitempty"`
 	Compactions uint64 `json:"compactions,omitempty"`
@@ -148,16 +148,14 @@ type statsResponse struct {
 
 // statsFor assembles one collection's stats block.
 func statsFor(c *Collection) collectionStats {
-	st := collectionStats{
+	return collectionStats{
 		Collection:  collectionInfo{Name: collectionName, Backend: c.backend, Items: c.Dataset.Len(), Dim: c.Dataset.Dim},
 		Stats:       c.Service.Stats(),
+		Journaled:   c.Bypass.Journaled(),
+		WALBytes:    c.Bypass.WALSize(),
 		Compactions: c.Bypass.Compactions(),
 		Reclaimed:   c.Bypass.Reclaimed(),
 	}
-	if c.durable != nil {
-		st.Journaled, st.WALBytes = c.durable.Journaled(), c.durable.WALSize()
-	}
-	return st
 }
 
 // NewMux wires the collection's routes into one http.Handler; split

@@ -52,7 +52,7 @@ func newTestCollectionWith(t *testing.T, seed int64, opts core.DurableOptions) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Collection{backend: "heap", Dataset: ds, Service: svc, Bypass: db.Bypass, durable: db}
+	return &Collection{backend: "heap", Dataset: ds, Service: svc, Bypass: db}
 }
 
 // newTestCollection is the default composition: real filesystem, no
@@ -63,12 +63,12 @@ func newTestCollection(t *testing.T, seed int64) *Collection {
 }
 
 // newTestServer wires the production handler over one collection.
-func newTestServer(t *testing.T) (*httptest.Server, *dataset.Dataset, *core.DurableBypass) {
+func newTestServer(t *testing.T) (*httptest.Server, *dataset.Dataset, *core.Bypass) {
 	t.Helper()
 	c := newTestCollection(t, 5)
 	srv := httptest.NewServer(NewMux(c, nil, false))
 	t.Cleanup(srv.Close)
-	return srv, c.Dataset, c.durable
+	return srv, c.Dataset, c.Bypass
 }
 
 func postJSON(t *testing.T, url string, body any, out any) int {

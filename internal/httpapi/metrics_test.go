@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"context"
 	"io"
 	"math/rand"
 	"net/http"
@@ -166,22 +165,26 @@ func TestPprofGating(t *testing.T) {
 // TestMemoryCollectionExportsNoPersistenceSeries: the default fbserve
 // (no -dir) serves a memory-mode module, which has no journal and no
 // snapshot — so it must not export series that could only ever read 0.
-// It does compact under -age-horizon: after a quota-pressure retry and
-// one scheduled pass, the lifecycle series match the module's counters.
+// It does compact under -age-horizon: after a pass triggered by
+// -compact-every and a quota-pressure retry, the lifecycle series match
+// the module's counters.
 func TestMemoryCollectionExportsNoPersistenceSeries(t *testing.T) {
 	reg := obsv.NewRegistry()
 	cfg := Config{Scale: 0.03, Seed: 5, K: 8, Epsilon: 0.05,
 		MaxSessions: 16, IterBudget: 5, CacheSize: 16, Obs: reg,
-		MaxVertices: 32 + 4, AgeHorizon: 2} // the D+1 = 32 corners and 4 inserts
+		MaxVertices: 32 + 4, AgeHorizon: 2, CompactEvery: 4} // the D+1 = 32 corners and 4 inserts
 	c, err := BuildCollection("synth:scale=0.03,seed=5", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(61))
 	d, p := c.Bypass.D(), c.Bypass.P()
-	for i := 0; c.Bypass.Compactions() == 0; i++ {
-		if i == 16 {
-			t.Fatal("16 inserts never tripped the vertex quota")
+	// The 4th insert fills the quota and triggers a pass, which reclaims
+	// the oldest inserts but not the ones the horizon still covers; an
+	// insert before the 8th trips the quota and compacts again.
+	for i := 0; c.Bypass.Compactions() < 2; i++ {
+		if i == 7 {
+			t.Fatalf("7 inserts ran %d compactions, want a triggered pass and a quota retry", c.Bypass.Compactions())
 		}
 		// An interior point of the standard simplex, and an outcome far
 		// from the default prediction so ε never skips it.
@@ -203,12 +206,9 @@ func TestMemoryCollectionExportsNoPersistenceSeries(t *testing.T) {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
-	if _, err := c.Service.CompactAged(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	compactions, reclaimed := c.Bypass.Compactions(), c.Bypass.Reclaimed()
 	if compactions != 2 || reclaimed == 0 {
-		t.Fatalf("module counters: %d compactions reclaimed %d; want a quota retry and a pass, reclaiming some", compactions, reclaimed)
+		t.Fatalf("module counters: %d compactions reclaimed %d; want a pass and a quota retry, reclaiming some", compactions, reclaimed)
 	}
 	snap := reg.Snapshot()
 	label := obsv.L("collection", "default")

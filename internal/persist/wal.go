@@ -4,7 +4,7 @@ package persist
 // comment) open for appending: every accepted insert appends one
 // fixed-size journal record, and Reset — the compaction step — commits a
 // fresh file whose census is the current tree. Recovery is OpenWAL:
-// census, then journal replay. core.DurableBypass wires the tree to it.
+// census, then journal replay. core.OpenDurable wires the tree to it.
 
 import (
 	"fmt"

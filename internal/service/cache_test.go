@@ -152,15 +152,15 @@ func TestCachePutRefreshAndCollision(t *testing.T) {
 }
 
 // TestInsertInvalidatesCache: a session whose outcome changes the tree
-// empties the whole prediction cache. A core.Bypass compacts through the
-// service.
+// empties the whole prediction cache, and so does the compaction such an
+// insert triggers: over a module that ages vertices out every second
+// accepted insert, a prediction cached before a reclaiming compaction is
+// not served after it.
 func TestInsertInvalidatesCache(t *testing.T) {
-	svc, ds := newTestService(t, Options{DefaultK: 5})
-	if _, err := svc.CompactAged(context.Background()); err != nil {
-		t.Errorf("CompactAged over a core.Bypass: %v", err)
-	}
-
-	for i := 0; i < 6; i++ {
+	svc, ds := newAgingTestService(t, Options{DefaultK: 5}, 1, 2)
+	byp := svc.byp.(*core.Bypass)
+	openClose := func(i int) SessionState {
+		t.Helper()
 		st, err := svc.Open(context.Background(), ds.Items[i].Feature, 5)
 		if err != nil {
 			t.Fatal(err)
@@ -168,17 +168,38 @@ func TestInsertInvalidatesCache(t *testing.T) {
 		if _, err := svc.Close(context.Background(), st.ID); err != nil {
 			t.Fatal(err)
 		}
+		return st
+	}
+	for i := 0; i < 6; i++ {
+		openClose(i)
 	}
 	if svc.Stats().CacheEntries == 0 {
 		t.Fatal("cache not filled")
 	}
-	for i := 0; i < ds.Len(); i++ {
-		if runSession(t, svc, ds, i, 5).Inserted {
-			if got := svc.Stats().CacheEntries; got != 0 {
-				t.Fatalf("an insert left %d cache entries, want 0", got)
-			}
-			return
-		}
+	if !openClose(0).CacheHit {
+		t.Fatal("a cached prediction was not served")
 	}
-	t.Fatal("no session produced an insert")
+	inserted := false
+	for i := 1; i < ds.Len(); i++ {
+		openClose(0) // item 0's prediction is cached going into the session
+		reclaimed := byp.Reclaimed()
+		if !runSession(t, svc, ds, i, 5).Inserted {
+			continue
+		}
+		inserted = true
+		if got := svc.Stats().CacheEntries; got != 0 {
+			t.Fatalf("an insert left %d cache entries, want 0", got)
+		}
+		if byp.Reclaimed() == reclaimed {
+			continue
+		}
+		if openClose(0).CacheHit {
+			t.Fatal("a prediction cached before a reclaiming compaction was served after it")
+		}
+		return
+	}
+	if !inserted {
+		t.Fatal("no session produced an insert")
+	}
+	t.Fatalf("no insert triggered a reclaiming compaction (%d compactions)", byp.Compactions())
 }

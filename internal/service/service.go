@@ -60,19 +60,14 @@ var ErrOverloaded = errors.New("service: too many in-flight sessions")
 // can classify them with errors.Is instead of string-matching.
 var ErrInvalidArgument = errors.New("service: invalid argument")
 
-// Bypass is the learned-mapping dependency of the service: the in-memory
-// core.Bypass and the WAL-backed core.DurableBypass both satisfy it.
-// Beside prediction and insertion it carries the module's health and
-// lifecycle:
-//
-//   - Degraded reports the sticky persistence failure that flipped the
-//     module to read-only serving (nil while healthy), surfaced in Stats
-//     so transports can expose it without probing with writes;
-//   - CompactAged rebuilds the tree keeping only vertices reinforced
-//     within the aging horizon. The service exposes it as
-//     Service.CompactAged so compaction runs through the layer that owns
-//     the prediction cache — a pass that reclaims vertices changes
-//     prediction outputs and must invalidate the cached ones.
+// Bypass is the learned-mapping dependency of the service, which
+// core.Bypass satisfies with or without a log. Beside prediction and
+// insertion it carries the module's health: Degraded reports the sticky
+// persistence failure that flipped the module to read-only serving (nil
+// while healthy), surfaced in Stats so transports can expose it without
+// probing with writes. The module's compactions run inside Insert, so
+// an insert that reports the tree changed covers them: the service
+// invalidates its prediction cache on it.
 type Bypass interface {
 	D() int
 	P() int
@@ -80,7 +75,6 @@ type Bypass interface {
 	Insert(q []float64, oqp core.OQP) (bool, error)
 	Stats() simplextree.Stats
 	Degraded() error
-	CompactAged() (core.CompactionStats, error)
 }
 
 // Options tunes the serving layer.
@@ -445,7 +439,7 @@ func (s *Service) Open(ctx context.Context, feature []float64, k int) (_ Session
 	if len(s.sessions) >= s.opts.MaxSessions {
 		s.mu.Unlock()
 		s.rejected.Add(1)
-		return SessionState{}, fmt.Errorf("service: %d sessions in flight: %w", s.opts.MaxSessions, ErrOverloaded)
+		return SessionState{}, fmt.Errorf("%d sessions in flight: %w", s.opts.MaxSessions, ErrOverloaded)
 	}
 	sess.id = s.nextID
 	s.nextID++
@@ -498,7 +492,7 @@ func (s *Service) lookup(id uint64) (*session, error) {
 	sess := s.sessions[id]
 	s.mu.RUnlock()
 	if sess == nil {
-		return nil, fmt.Errorf("service: session %d: %w", id, ErrSessionNotFound)
+		return nil, fmt.Errorf("session %d: %w", id, ErrSessionNotFound)
 	}
 	return sess, nil
 }
@@ -517,7 +511,7 @@ func (s *Service) Query(ctx context.Context, id uint64) (_ SessionState, err err
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.closed {
-		return SessionState{}, fmt.Errorf("service: session %d: %w", id, ErrSessionNotFound)
+		return SessionState{}, fmt.Errorf("session %d: %w", id, ErrSessionNotFound)
 	}
 	return sess.stateLocked(), nil
 }
@@ -542,7 +536,7 @@ func (s *Service) Feedback(ctx context.Context, id uint64, scores []float64) (_ 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.closed {
-		return SessionState{}, fmt.Errorf("service: session %d: %w", id, ErrSessionNotFound)
+		return SessionState{}, fmt.Errorf("session %d: %w", id, ErrSessionNotFound)
 	}
 	rounds := sess.loop.Rounds()
 	if err := sess.loop.Step(ctx, scores); err != nil {
@@ -591,13 +585,13 @@ func (s *Service) Close(ctx context.Context, id uint64) (_ CloseResult, err erro
 	}
 	s.mu.Unlock()
 	if !ok {
-		return CloseResult{}, fmt.Errorf("service: session %d: %w", id, ErrSessionNotFound)
+		return CloseResult{}, fmt.Errorf("session %d: %w", id, ErrSessionNotFound)
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.closed {
 		// Open failed after publishing the slot and has already removed it.
-		return CloseResult{}, fmt.Errorf("service: session %d: %w", id, ErrSessionNotFound)
+		return CloseResult{}, fmt.Errorf("session %d: %w", id, ErrSessionNotFound)
 	}
 	sess.closed = true
 	s.closed.Add(1)
@@ -618,6 +612,13 @@ func (s *Service) Close(ctx context.Context, id uint64) (_ CloseResult, err erro
 	}
 	s.inserts.Add(1)
 	changed, err := s.byp.Insert(qp, oqp)
+	if changed && s.cache != nil {
+		// The tree changed — by the insert, or by a compaction it ran,
+		// even one followed by an error: cached predictions may now
+		// differ from fresh ones. Generation-bump-and-drop keeps the
+		// parity guarantee.
+		s.cache.Invalidate()
+	}
 	if err != nil {
 		switch {
 		case errors.Is(err, core.ErrQuotaExceeded):
@@ -630,11 +631,6 @@ func (s *Service) Close(ctx context.Context, id uint64) (_ CloseResult, err erro
 	out.Inserted = changed
 	if changed {
 		s.stored.Add(1)
-	}
-	if changed && s.cache != nil {
-		// The tree changed: cached predictions may now differ from fresh
-		// ones. Generation-bump-and-drop keeps the parity guarantee.
-		s.cache.Invalidate()
 	}
 	return out, nil
 }
@@ -672,27 +668,6 @@ func (s *Service) Drain(ctx context.Context) (closedSessions, inserted int, err 
 		}
 	}
 	return closedSessions, inserted, firstErr
-}
-
-// CompactAged runs one aging pass over the shared Bypass: the tree is
-// rebuilt keeping only vertices reinforced within the aging horizon
-// (corner vertices always survive; a zero horizon reclaims nothing).
-//
-// The service owns the prediction-cache coherence: a pass that reclaimed
-// vertices serves different predictions afterwards, so the cache is
-// invalidated. A pass with Reclaimed == 0 rebuilt a geometrically
-// identical tree (re-inserting the same census is deterministic) and
-// keeps the cached predictions. ctx is consulted only on entry — once a
-// pass starts, the atomic log swap must complete.
-func (s *Service) CompactAged(ctx context.Context) (core.CompactionStats, error) {
-	if err := ctx.Err(); err != nil {
-		return core.CompactionStats{}, err
-	}
-	st, err := s.byp.CompactAged()
-	if st.Reclaimed > 0 && s.cache != nil {
-		s.cache.Invalidate()
-	}
-	return st, err
 }
 
 // Stats is a point-in-time snapshot of the serving layer.

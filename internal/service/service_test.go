@@ -18,6 +18,14 @@ import (
 // fresh in-memory Bypass — the identical wiring cmd/fbserve performs.
 func newTestService(t testing.TB, opts Options) (*Service, *dataset.Dataset) {
 	t.Helper()
+	return newAgingTestService(t, opts, 0, 0)
+}
+
+// newAgingTestService is newTestService over a module that ages
+// vertices out past horizon and compacts every compactEvery accepted
+// inserts.
+func newAgingTestService(t testing.TB, opts Options, horizon uint64, compactEvery int) (*Service, *dataset.Dataset) {
+	t.Helper()
 	ds, err := dataset.Build(imagegen.IMSILike(7, 0.03), histogram.DefaultExtractor)
 	if err != nil {
 		t.Fatal(err)
@@ -30,10 +38,11 @@ func newTestService(t testing.TB, opts Options) (*Service, *dataset.Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byp, err := core.New(codec.D(), codec.P(), core.Config{
+	byp, err := core.OpenDurable("", codec.D(), codec.P(), core.Config{
 		Epsilon:        0.05,
 		DefaultWeights: codec.DefaultWeights(),
-	})
+		AgeHorizon:     horizon,
+	}, core.DurableOptions{CompactEvery: compactEvery})
 	if err != nil {
 		t.Fatal(err)
 	}

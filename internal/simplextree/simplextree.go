@@ -758,13 +758,14 @@ func (t *Tree) notifyObserver(q, value []float64, stamp uint64) error {
 
 // Stats summarizes the tree shape.
 type Stats struct {
-	Dim, OQPDim      int
-	Points           int // stored query points
-	Leaves           int
-	Depth            int
-	Nodes            int
-	AvgLeafDepth     float64
-	DistinctVertices int
+	Dim              int     `json:"dim"`
+	OQPDim           int     `json:"oqp_dim"`
+	Points           int     `json:"points"` // stored query points
+	Leaves           int     `json:"leaves"`
+	Depth            int     `json:"depth"`
+	Nodes            int     `json:"nodes"`
+	AvgLeafDepth     float64 `json:"avg_leaf_depth"`
+	DistinctVertices int     `json:"distinct_vertices"`
 }
 
 // Stats computes shape statistics in one traversal.

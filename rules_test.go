@@ -553,7 +553,7 @@ func reportBlockingOps(p *rulePass, s ast.Stmt) {
 }
 
 // errGateNames, on every I/O-bearing type in the module (os.File,
-// persist.File, persist.FS, *core.DurableBypass, json.Encoder,
+// persist.File, persist.FS, *core.Bypass, json.Encoder,
 // http.Server, ...), return an error worth looking at.
 var errGateNames = map[string]bool{
 	"Close": true, "Sync": true, "SyncDir": true, "Flush": true,

@@ -99,10 +99,13 @@ run_test() {
 	go test -run '^$' -bench 'BenchmarkCensusReplay$' -benchmem -benchtime 50x . | tee bench_replay.txt
 
 	step "Lifecycle figure (bounded memory)"
-	# The bypass-aging soak, uploaded by ci.yml. Its properties (aging
-	# holds fewer points than the aging-off control at a perfect
-	# recent-window hit rate) are asserted at this operating point by
-	# TestRunLifecycleBounded in the Test step.
+	# The bypass-aging soak, uploaded by ci.yml. Its modules age vertices
+	# out in the compaction every CompactEvery accepted inserts triggers.
+	# Its properties (aging holds fewer points than the aging-off control
+	# at a perfect recent-window hit rate) are asserted at this operating
+	# point by TestRunLifecycleBounded in the Test step, and its numbers
+	# are held to benchmarks/bench_lifecycle.json by
+	# TestLifecycleFigureGolden.
 	go run ./cmd/fbbench -figure lifecycle -json bench_lifecycle.json | tee bench_lifecycle.txt
 
 	step "staticcheck: skipped, it needs the network to install (ci.yml's staticcheck job runs it)"
@@ -111,10 +114,11 @@ run_test() {
 run_chaos() {
 	step "Crash-schedule + governance suite (race)"
 	# The fault-injection tests: every enumerated crash point along
-	# insert → WAL append → compact (including the aged-compaction log
-	# commits), quota and degraded-mode behaviour, aging
-	# parity/idempotence, and the hardened serving edge — all under the
-	# race detector.
+	# insert → WAL append → compact (aged compactions ride the log commit
+	# that CompactEvery triggers: TestCrashScheduleCompactEvery), quota
+	# and degraded-mode behaviour, aging parity/idempotence, the lifecycle
+	# figure's golden (TestLifecycleFigureGolden), and the hardened
+	# serving edge — all under the race detector.
 	go test -race -run 'Crash|Fault|Degraded|Quota|Context|Hardened|StatusFor|Lifecycle|Aging|Timestamped|Compact' \
 		./internal/faultfs/ ./internal/persist/ ./internal/core/ \
 		./internal/service/ ./internal/experiments/ ./internal/httpapi/ ./cmd/fbserve/

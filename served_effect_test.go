@@ -104,16 +104,13 @@ func newEffectStream(t *testing.T, seed int64) *effectStream {
 	return st
 }
 
-// curve trains l on the stream, calling between(i) before training
-// query i, and scores the held-out queries at every checkpoint.
-func (st *effectStream) curve(t *testing.T, l learner, between func(i int)) effect {
+// curve trains l on the stream and scores the held-out queries at every
+// checkpoint.
+func (st *effectStream) curve(t *testing.T, l learner) effect {
 	t.Helper()
 	var e effect
 	next := 0
 	for i, idx := range st.train {
-		if between != nil {
-			between(i)
-		}
 		l.learn(t, idx)
 		if next < len(effectCheckpoints) && i+1 == effectCheckpoints[next] {
 			next++
@@ -228,7 +225,7 @@ func TestBypassEffectEveryServedShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := st.curve(t, ref, nil)
+		e := st.curve(t, ref)
 		t.Logf("reference seed %d: gain %+.3f, rounds saved %+.3f, %d stored points",
 			st.seed, e.gain, e.saved, ref.s.Bypass.Stats().Points)
 		refMean += e.gain / effectSeeds
@@ -256,7 +253,6 @@ func TestBypassEffectEveryServedShape(t *testing.T) {
 	shapes := []struct {
 		name    string
 		cfg     func(t *testing.T) httpapi.Config
-		between func(c *httpapi.Collection, i int)
 		check   func(t *testing.T, c *httpapi.Collection)
 	}{
 		{name: "memory", cfg: func(*testing.T) httpapi.Config { return httpapi.Config{} }},
@@ -264,11 +260,7 @@ func TestBypassEffectEveryServedShape(t *testing.T) {
 			return httpapi.Config{Dir: t.TempDir(), CompactEvery: 512}
 		}},
 		{name: "aging", cfg: func(*testing.T) httpapi.Config {
-			return httpapi.Config{AgeHorizon: effectTrain}
-		}, between: func(c *httpapi.Collection, i int) {
-			if i > 0 && i%(effectTrain/4) == 0 {
-				c.CompactAged()
-			}
+			return httpapi.Config{AgeHorizon: effectTrain, CompactEvery: effectTrain / 4}
 		}, check: requireCompactions},
 		{name: "quota", cfg: func(t *testing.T) httpapi.Config {
 			return httpapi.Config{Dir: t.TempDir(), CompactEvery: 512,
@@ -284,11 +276,7 @@ func TestBypassEffectEveryServedShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var between func(int)
-			if shape.between != nil {
-				between = func(i int) { shape.between(c, i) }
-			}
-			e := st.curve(t, &servedLearner{c: c, eng: st.eng}, between)
+			e := st.curve(t, &servedLearner{c: c, eng: st.eng})
 			if shape.check != nil {
 				shape.check(t, c)
 			}
