@@ -14,23 +14,29 @@ import (
 	"repro/internal/obsv"
 )
 
+// fuzzBodies seed the corpora of FuzzHTTPRequest and FuzzWireCodec:
+// bodies of the three hot routes, well formed and not.
+var fuzzBodies = []string{
+	`{"item":0,"k":8}`, `{"item":3}`, `{"feature":` + feature32 + `,"k":5}`,
+	`{"session":1,"scores":[1,0,1,0,0,1,0,0]}`, `{"session":1}`, `{"session":2,"scores":[]}`,
+	`{"item":-1}`, `{"item":99999999}`, `{"item":0,"k":-4}`, `{"item":0,"k":1000000000}`,
+	`{"session":18446744073709551615}`, `{"session":-1}`, `{"session":1,"scores":[1e308,-1e308]}`,
+	`{"feature":[1e999]}`, `{"item":1e999}`, `{"feature":[0.5,0.5]}`, `{"feature":[]}`,
+	`{"item":`, `{"feature":[0.1,`, ``, `null`, `[]`, `"query"`, `{"item":0}{"item":1}`,
+	`{"session":1}{"session":2}`, `{"session":1} x`, "{\"session\":1}\n\t ",
+	strings.Repeat(`[`, 10000), strings.Repeat(`{"feature":`, 2000),
+	`{"session":3,"scores":[5e-324,0,0,0,0]}`,
+}
+
+// feature32 is a uniform 32-bin histogram as a JSON array.
+var feature32 = `[` + strings.TrimSuffix(strings.Repeat("0.03125,", 32), ",") + `]`
+
 // FuzzHTTPRequest gives the JSON surface the contract the binary parsers
 // already have: whatever bytes arrive as the body of /query, /feedback or
 // /close, the reply is valid JSON with a 2xx or 4xx status — never a
 // panic behind the recovery barrier, never a 5xx.
 func FuzzHTTPRequest(f *testing.F) {
-	feature := `[` + strings.TrimSuffix(strings.Repeat("0.03125,", 32), ",") + `]`
-	for _, body := range []string{
-		`{"item":0,"k":8}`, `{"item":3}`, `{"feature":` + feature + `,"k":5}`,
-		`{"session":1,"scores":[1,0,1,0,0,1,0,0]}`, `{"session":1}`, `{"session":2,"scores":[]}`,
-		`{"item":-1}`, `{"item":99999999}`, `{"item":0,"k":-4}`, `{"item":0,"k":1000000000}`,
-		`{"session":18446744073709551615}`, `{"session":-1}`, `{"session":1,"scores":[1e308,-1e308]}`,
-		`{"feature":[1e999]}`, `{"item":1e999}`, `{"feature":[0.5,0.5]}`, `{"feature":[]}`,
-		`{"item":`, `{"feature":[0.1,`, ``, `null`, `[]`, `"query"`, `{"item":0}{"item":1}`,
-		`{"session":1}{"session":2}`, `{"session":1} x`, "{\"session\":1}\n\t ",
-		strings.Repeat(`[`, 10000), strings.Repeat(`{"feature":`, 2000),
-		`{"session":3,"scores":[5e-324,0,0,0,0]}`,
-	} {
+	for _, body := range fuzzBodies {
 		for route := uint8(0); route < 3; route++ {
 			f.Add(route, []byte(body))
 		}

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/knn"
 	"repro/internal/obsv"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -45,7 +44,8 @@ func newRIDPrefix() string {
 
 // newRequestID returns a process-unique request ID like "3fa9c12b-42".
 func newRequestID() string {
-	return fmt.Sprintf("%s-%d", ridPrefix, ridCounter.Add(1))
+	var b [32]byte
+	return string(strconv.AppendUint(append(append(b[:0], ridPrefix...), '-'), ridCounter.Add(1), 10))
 }
 
 // ridKey carries the request ID through the request context so every
@@ -60,28 +60,6 @@ func requestIDFrom(r *http.Request) string {
 	}
 	id, _ := r.Context().Value(ridKey{}).(string)
 	return id
-}
-
-// resultJSON is one retrieved item, annotated with the oracle's category
-// and theme so clients can score relevance.
-type resultJSON struct {
-	Index    int     `json:"index"`
-	Distance float64 `json:"distance"`
-	Category string  `json:"category"`
-	Theme    string  `json:"theme"`
-}
-
-// stateJSON is the wire form of a session snapshot.
-type stateJSON struct {
-	Collection string       `json:"collection"`
-	Session    uint64       `json:"session"`
-	K          int          `json:"k"`
-	Results    []resultJSON `json:"results"`
-	Iterations int          `json:"iterations"`
-	BudgetLeft int          `json:"budget_left"`
-	Converged  bool         `json:"converged"`
-	CacheHit   bool         `json:"cache_hit"`
-	Warm       bool         `json:"warm"`
 }
 
 type queryRequest struct {
@@ -99,13 +77,6 @@ type feedbackRequest struct {
 
 type closeRequest struct {
 	Session uint64 `json:"session"`
-}
-
-type closeResponse struct {
-	Collection string `json:"collection"`
-	Session    uint64 `json:"session"`
-	Iterations int    `json:"iterations"`
-	Inserted   bool   `json:"inserted"`
 }
 
 type errorResponse struct {
@@ -201,11 +172,11 @@ func NewMux(c *Collection, reg *obsv.Registry, pprofOn bool) *http.ServeMux {
 			body["status"] = "degraded"
 			body["degraded"] = map[string]string{collectionName: derr.Error()}
 		}
-		writeJSON(w, http.StatusOK, body)
+		writeJSON(w, r, http.StatusOK, body)
 	})
 
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, statsResponse{
+		writeJSON(w, r, http.StatusOK, statsResponse{
 			Server:      currentServerInfo(),
 			Collections: map[string]collectionStats{collectionName: statsFor(c)},
 		})
@@ -265,30 +236,6 @@ func Hardened(h http.Handler, requestTimeout time.Duration, reg *obsv.Registry) 
 	})
 }
 
-// annotate decorates raw results with the oracle's labels.
-func (c *Collection) annotate(results []knn.Result) []resultJSON {
-	out := make([]resultJSON, len(results))
-	for i, r := range results {
-		item := c.Dataset.Items[r.Index]
-		out[i] = resultJSON{Index: r.Index, Distance: r.Distance, Category: item.Category, Theme: item.Theme}
-	}
-	return out
-}
-
-func (c *Collection) stateResponse(st service.SessionState) stateJSON {
-	return stateJSON{
-		Collection: collectionName,
-		Session:    st.ID,
-		K:          st.K,
-		Results:    c.annotate(st.Results),
-		Iterations: st.Iterations,
-		BudgetLeft: st.BudgetLeft,
-		Converged:  st.Converged,
-		CacheHit:   st.CacheHit,
-		Warm:       st.Warm,
-	}
-}
-
 // maxBodyBytes bounds a request body. The largest legitimate one — a
 // D-bin feature vector or k scores — is about 1 KB; without a bound one
 // client could make the server buffer an arbitrarily long array for the
@@ -298,13 +245,31 @@ const maxBodyBytes = 1 << 20
 // decodePost reads a POST request's JSON body into v. On a wrong method,
 // an oversized body (413), malformed JSON or anything but whitespace
 // after the one JSON value (400) it writes the error reply itself and
-// returns false.
-func decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
+// returns false. A body of known length up to scanMaxBytes is read
+// whole and scanned (wire.go); when the scanner declines it, or the
+// length is unknown or larger, encoding/json decodes the same byte
+// stream.
+func decodePost(w http.ResponseWriter, r *http.Request, v wireRequest) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, r, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var body io.Reader = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if 0 <= r.ContentLength && r.ContentLength <= scanMaxBytes {
+		buf := getBuf()
+		defer putBuf(buf)
+		read := bytes.NewBuffer(*buf)
+		_, err := read.ReadFrom(body)
+		*buf = read.Bytes()
+		if err == nil && v.scan(*buf) {
+			return true
+		}
+		// The limited reader repeats its first error, so the bytes read
+		// and then the body's rest are the stream a decoder reading from
+		// the start would see.
+		body = io.MultiReader(bytes.NewReader(*buf), body)
+	}
+	dec := json.NewDecoder(body)
 	err := dec.Decode(v)
 	if err == nil {
 		err = endOfBody(dec)
@@ -360,10 +325,14 @@ func (c *Collection) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, c.stateResponse(st))
+	c.writeState(w, r, st)
 }
 
 func (c *Collection) handleSession(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		writeError(w, r, http.StatusMethodNotAllowed, errors.New("GET required"))
+		return
+	}
 	id, err := strconv.ParseUint(r.URL.Query().Get("id"), 10, 64)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad session id: %w", err))
@@ -374,7 +343,7 @@ func (c *Collection) handleSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, c.stateResponse(st))
+	c.writeState(w, r, st)
 }
 
 func (c *Collection) handleFeedback(w http.ResponseWriter, r *http.Request) {
@@ -387,7 +356,7 @@ func (c *Collection) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, c.stateResponse(st))
+	c.writeState(w, r, st)
 }
 
 func (c *Collection) handleClose(w http.ResponseWriter, r *http.Request) {
@@ -400,12 +369,23 @@ func (c *Collection) handleClose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, closeResponse{
-		Collection: collectionName,
-		Session:    res.ID,
-		Iterations: res.Iterations,
-		Inserted:   res.Inserted,
-	})
+	buf := getBuf()
+	defer putBuf(buf)
+	*buf = appendClose(*buf, res)
+	writeBody(w, http.StatusOK, *buf)
+}
+
+// writeState sends st as the session-state reply.
+func (c *Collection) writeState(w http.ResponseWriter, r *http.Request, st service.SessionState) {
+	buf := getBuf()
+	defer putBuf(buf)
+	b, err := appendState(*buf, st, c.Dataset.Items)
+	*buf = b
+	if err != nil {
+		encodeFailed(w, r, err)
+		return
+	}
+	writeBody(w, http.StatusOK, b)
 }
 
 // statusClientClosedRequest is the de-facto (nginx) status for a request
@@ -468,12 +448,26 @@ func retryAfterFor(err error) string {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("fbserve: encoding response: %v", err)
+// writeJSON sends v, as json.Encoder writes it, with status. The reply
+// is encoded into a buffer before the status line goes out, so a value
+// that does not encode is a 500 with a JSON error body, never a 200 with
+// an empty one.
+func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
+	buf := getBuf()
+	defer putBuf(buf)
+	out := bytes.NewBuffer(*buf)
+	if err := json.NewEncoder(out).Encode(v); err != nil {
+		encodeFailed(w, r, err)
+		return
 	}
+	*buf = out.Bytes()
+	writeBody(w, status, *buf)
+}
+
+// encodeFailed answers a reply that did not encode: a server fault.
+func encodeFailed(w http.ResponseWriter, r *http.Request, err error) {
+	log.Printf("fbserve: encoding response: %v", err)
+	writeError(w, r, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
 }
 
 // writeError renders an error body carrying the request ID the hardened
@@ -483,5 +477,5 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 	if ra := retryAfterFor(err); ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
-	writeJSON(w, status, errorResponse{Error: err.Error(), RequestID: requestIDFrom(r)})
+	writeJSON(w, r, status, errorResponse{Error: err.Error(), RequestID: requestIDFrom(r)})
 }

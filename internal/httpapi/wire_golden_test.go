@@ -177,6 +177,10 @@ func playWireScript(t *testing.T, out *bytes.Buffer, dir string) {
 	do("GET", "/healthz", "")
 	do("GET", "/metrics", "")
 
+	// /session answers GET only. After /metrics, so its 405 adds no
+	// series above.
+	do("POST", "/session?id=1", "")
+
 	// The collection-scoped routes, last: what they open stays out of
 	// every count above.
 	do("GET", "/c/default/healthz", "")

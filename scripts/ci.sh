@@ -67,13 +67,17 @@ run_test() {
 	# collection header. The contract: parse or ErrCorrupt, never a panic.
 	# FuzzHTTPRequest holds the production handler to the same shape: any
 	# body on /query, /feedback, /close gets valid JSON with a 2xx/4xx
-	# status, never a panic or a 5xx. A worker minimizes every input that
+	# status, never a panic or a 5xx. FuzzWireCodec holds the hot routes'
+	# codec to encoding/json: reply bytes equal json.Encoder's, and every
+	# body decodes to the struct, or the refusal, encoding/json alone
+	# gives. A worker minimizes every input that
 	# finds new coverage before the coordinator counts another exec; at
 	# the default 60s budget one FBMX input (4 KB at least: the header
 	# page) stalls the whole run, so minimization gets 2s.
 	go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 30s -fuzzminimizetime 2s ./internal/persist/
 	go test -run '^$' -fuzz '^FuzzFBMX$' -fuzztime 30s -fuzzminimizetime 2s ./internal/store/
 	go test -run '^$' -fuzz '^FuzzHTTPRequest$' -fuzztime 30s -fuzzminimizetime 2s ./internal/httpapi/
+	go test -run '^$' -fuzz '^FuzzWireCodec$' -fuzztime 30s -fuzzminimizetime 2s ./internal/httpapi/
 
 	step "Benchmark smoke pass"
 	# One iteration of the retrieval-core, prediction-plane, census-replay,

@@ -245,23 +245,23 @@ func TestBypassEffectEveryServedShape(t *testing.T) {
 		t.Fatalf("the reference spreads too widely across seeds (bar at %.0f%% of its gain) to tell a shape that halves the effect", 100*share)
 	}
 
-	// Aging keeps the whole training stream within its horizon, so a
-	// compaction reclaims only ε-absorbed vertices; the quota trips
-	// before the stream ends, and its compact-then-retry reclaims what
-	// the horizon has left behind.
+	// Aging's horizon is a quarter of the training stream, so its
+	// compactions reclaim vertices the stream has left behind; the quota
+	// trips before the stream ends, and its compact-then-retry reclaims
+	// what the horizon has left behind.
 	corners := streams[0].ds.Dim
 	shapes := []struct {
-		name    string
-		cfg     func(t *testing.T) httpapi.Config
-		check   func(t *testing.T, c *httpapi.Collection)
+		name  string
+		cfg   func(t *testing.T) httpapi.Config
+		check func(t *testing.T, c *httpapi.Collection)
 	}{
 		{name: "memory", cfg: func(*testing.T) httpapi.Config { return httpapi.Config{} }},
 		{name: "dir", cfg: func(t *testing.T) httpapi.Config {
 			return httpapi.Config{Dir: t.TempDir(), CompactEvery: 512}
 		}},
 		{name: "aging", cfg: func(*testing.T) httpapi.Config {
-			return httpapi.Config{AgeHorizon: effectTrain, CompactEvery: effectTrain / 4}
-		}, check: requireCompactions},
+			return httpapi.Config{AgeHorizon: effectTrain / 4, CompactEvery: effectTrain / 4}
+		}, check: requireReclaimed},
 		{name: "quota", cfg: func(t *testing.T) httpapi.Config {
 			return httpapi.Config{Dir: t.TempDir(), CompactEvery: 512,
 				MaxVertices: corners + 3*effectTrain/4, AgeHorizon: 5 * effectTrain / 8}
@@ -291,6 +291,17 @@ func TestBypassEffectEveryServedShape(t *testing.T) {
 				shape.name, mean, bar, 100*share, refMean)
 		}
 	}
+}
+
+// requireReclaimed fails a shape meant to age whose compactions never
+// reclaimed a vertex.
+func requireReclaimed(t *testing.T, c *httpapi.Collection) {
+	t.Helper()
+	requireCompactions(t, c)
+	if c.Bypass.Reclaimed() == 0 {
+		t.Error("the shape's compactions never reclaimed a vertex")
+	}
+	t.Logf("%d compactions reclaimed %d vertices", c.Bypass.Compactions(), c.Bypass.Reclaimed())
 }
 
 // requireCompactions fails a shape meant to compact whose module never
