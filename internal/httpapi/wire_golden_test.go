@@ -180,9 +180,4 @@ func playWireScript(t *testing.T, out *bytes.Buffer, dir string) {
 	// /session answers GET only. After /metrics, so its 405 adds no
 	// series above.
 	do("POST", "/session?id=1", "")
-
-	// The collection-scoped routes, last: what they open stays out of
-	// every count above.
-	do("GET", "/c/default/healthz", "")
-	do("POST", "/c/default/query", `{"item":0,"k":5}`)
 }

@@ -15,6 +15,9 @@
 // stays tight in any stored order. Search descends the tree best-first on
 // the calling goroutine, bounding only the children of the nodes it pops,
 // and stops at the first node whose box is provably beyond the k-th best.
+// Three kernels carry the D = 32 search — the two phases of the cascade
+// and the node bound (boxBound2) — each a portable Go loop with a packed
+// AVX2 twin chosen at init (phase_dispatch.go), bitwise the same.
 // The parity property tests assert every path returns []Result identical
 // to the generic path.
 package knn
@@ -101,7 +104,7 @@ func (s *Scan) searchTiles(q []float64, k int, w []float64, work *searchWork) []
 	n, tiles := s.mat.Len(), s.tiles()
 	h := nodeHeap(bufs.heap[:0])
 	root := int32(2*tiles - 2)
-	h.push(nodeRank{boxBound2(q, w, s.box(root)), root})
+	h.push(nodeRank{boxBound2Sel(&q[0], &w[0], &s.box(root)[0]), root})
 	if work != nil {
 		work.bounded++
 	}
@@ -121,7 +124,7 @@ func (s *Scan) searchTiles(q []float64, k int, w []float64, work *searchWork) []
 		}
 		i := 2 * (int(top.node) - tiles)
 		for _, c := range s.kids[i : i+2 : i+2] {
-			if b := boxBound2(q, w, s.box(c)); b <= st.bound2 {
+			if b := boxBound2Sel(&q[0], &w[0], &s.box(c)[0]); b <= st.bound2 {
 				h.push(nodeRank{b, c})
 			}
 		}
@@ -314,6 +317,11 @@ func (s *Scan) box(i int32) []float64 {
 // holds each child's, so per dimension its gap is ≤ the child's, and its
 // bound ≤ the child's bitwise. The float64 conversions forbid FMA fusion,
 // matching the separate roundings of the phase kernels.
+//
+// This loop is the Go tier and the specification of the box-bound
+// kernel, the third beside the two phase kernels: searches call it
+// through boxBound2Sel, which holds the packed AVX2 form
+// (phase1_avx2_amd64.s) where the CPU has it, bit for bit the same.
 func boxBound2(q, w, box []float64) float64 {
 	q, w = q[:32:32], w[:32:32]
 	lo, hi := box[:32:32], box[32:64:64]

@@ -1,11 +1,12 @@
-// AVX2 phase kernels of the tiled batch scan. Lane L of the ymm
-// accumulator is stripe accumulator sL (dim i feeds stripe i%4, exactly
-// the scalar striping), each VSUBPD/VMULPD/VADDPD is the four scalar
-// IEEE ops of one 4-dim block — no FMA, whose single rounding would
-// diverge from the two-rounding scalar sequence — and the reduction adds
-// (s0+s1)+(s2+s3) in the canonical association. Survivor compaction,
-// cursor arithmetic and the strict bound comparison mirror the portable
-// Go kernels in phase1.go step for step.
+// AVX2 kernels of the tiled search: the two phase kernels and the node
+// box bound. Lane L of the ymm accumulator is stripe accumulator sL (dim
+// i feeds stripe i%4, exactly the scalar striping), each
+// VSUBPD/VMULPD/VADDPD is the four scalar IEEE ops of one 4-dim block —
+// no FMA, whose single rounding would diverge from the two-rounding
+// scalar sequence — and the reduction adds (s0+s1)+(s2+s3) in the
+// canonical association. Survivor compaction, cursor arithmetic and the
+// strict bound comparison mirror the portable Go kernels in phase1.go
+// step for step, and the box bound mirrors boxBound2 in kernel.go.
 
 #include "textflag.h"
 
@@ -149,5 +150,54 @@ nwloop:
 
 nwdone:
 	MOVQ BX, ret+88(FP)
+	VZEROUPPER
+	RET
+
+// func boxBound2AVX2(q, w, box *float64) float64
+//
+// Same contract as boxBound2: box holds a node's 32 minima, then its 32
+// maxima. Each pass of the loop is one block of four dims, dim i in lane
+// i%4, added in ascending order onto accumulators that start at +0, as
+// the Go loop's do. positivePart clears a value whose sign bit is set:
+// VPCMPGTQ of zero against the value's bits as a signed int64 is true
+// exactly then (−0 included), and VANDNPD clears those lanes.
+TEXT ·boxBound2AVX2(SB), NOSPLIT, $0-32
+	MOVQ q+0(FP), SI
+	MOVQ w+8(FP), R13
+	MOVQ box+16(FP), DI
+
+	VXORPD Y15, Y15, Y15 // zero, for the sign compare
+	VXORPD Y4, Y4, Y4    // [s0,s1,s2,s3] = +0
+	MOVQ   $8, CX        // blocks of four dims
+
+bbloop:
+	VMOVUPD  0(SI), Y0
+	VMOVUPD  0(DI), Y1
+	VMOVUPD  256(DI), Y2
+	VSUBPD   Y0, Y1, Y1     // lo − q
+	VSUBPD   Y2, Y0, Y2     // q − hi
+	VPCMPGTQ Y1, Y15, Y3    // all ones where lo − q has its sign bit set
+	VANDNPD  Y1, Y3, Y1     // pp(lo − q)
+	VPCMPGTQ Y2, Y15, Y3
+	VANDNPD  Y2, Y3, Y2     // pp(q − hi)
+	VADDPD   Y2, Y1, Y1     // g
+	VMULPD   0(R13), Y1, Y5 // w·g
+	VMULPD   Y1, Y5, Y5     // (w·g)·g
+	VADDPD   Y5, Y4, Y4     // sL += (w·g)·g
+
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, R13
+	DECQ CX
+	JNZ  bbloop
+
+	// (s0+s1)+(s2+s3)
+	VEXTRACTF128 $1, Y4, X5 // [s2,s3]; X4 = [s0,s1]
+	VUNPCKHPD    X4, X4, X6 // [s1,s1]
+	VADDSD       X6, X4, X6 // s0+s1
+	VUNPCKHPD    X5, X5, X7 // [s3,s3]
+	VADDSD       X7, X5, X7 // s2+s3
+	VADDSD       X7, X6, X6
+	VMOVSD       X6, ret+24(FP)
 	VZEROUPPER
 	RET

@@ -91,16 +91,112 @@ func TestPhaseAVX2Parity(t *testing.T) {
 
 // TestPhaseDispatch pins what init selected: the AVX2 kernels exactly
 // when vec.HasAVX2(), and the Go wrappers of phase1_generic.go otherwise
-// (no AVX2 on the CPU, or GODEBUG=cpu.avx2=off).
+// (no AVX2 on the CPU, or GODEBUG=cpu.avx2=off) — the two phase kernels
+// and the box bound.
 func TestPhaseDispatch(t *testing.T) {
-	want1, wantN := reflect.ValueOf(phase1x32w).Pointer(), reflect.ValueOf(phaseNext8w).Pointer()
+	ptr := func(f any) uintptr { return reflect.ValueOf(f).Pointer() }
+	want1, wantN, wantB := ptr(phase1x32w), ptr(phaseNext8w), ptr(boxBound2Ptr)
 	if vec.HasAVX2() {
-		want1, wantN = reflect.ValueOf(phase1x32wAVX2).Pointer(), reflect.ValueOf(phaseNext8wAVX2).Pointer()
+		want1, wantN, wantB = ptr(phase1x32wAVX2), ptr(phaseNext8wAVX2), ptr(boxBound2AVX2)
 	}
-	if got := reflect.ValueOf(phase1x32wSel).Pointer(); got != want1 {
+	if got := ptr(phase1x32wSel); got != want1 {
 		t.Errorf("HasAVX2=%v: phase1x32wSel is %#x, want %#x", vec.HasAVX2(), got, want1)
 	}
-	if got := reflect.ValueOf(phaseNext8wSel).Pointer(); got != wantN {
+	if got := ptr(phaseNext8wSel); got != wantN {
 		t.Errorf("HasAVX2=%v: phaseNext8wSel is %#x, want %#x", vec.HasAVX2(), got, wantN)
+	}
+	if got := ptr(boxBound2Sel); got != wantB {
+		t.Errorf("HasAVX2=%v: boxBound2Sel is %#x, want %#x", vec.HasAVX2(), got, wantB)
+	}
+}
+
+// TestBoxBoundAVX2Parity pins the AVX2 box-bound kernel, and the Go
+// wrapper it replaces, bitwise to boxBound2, the Go loop. Random boxes
+// hold the query in some dimensions and miss it in others, under unit,
+// random and partly zero weights. Adversarial boxes draw each dimension
+// from a menu: lo == hi, the query on a face, ±0 bounds and queries (the
+// gaps ±0, which positivePart must clear to +0), subnormal gaps and
+// weights, zero weights of either sign, a product that overflows to +Inf,
+// and a gap that overflows to +Inf under a zero weight (NaN); some boxes
+// have every weight −0, so every term is −0. Skipped, like
+// TestPhaseAVX2Parity, when AVX2 is absent or disabled.
+func TestBoxBoundAVX2Parity(t *testing.T) {
+	if !vec.HasAVX2() {
+		t.Skip("AVX2 unavailable or disabled; dispatch uses the Go box bound")
+	}
+	rng := rand.New(rand.NewSource(29))
+	q, w, box := make([]float64, 32), make([]float64, 32), make([]float64, 64)
+	check := func(trial int, what string) {
+		t.Helper()
+		want := boxBound2(q, w, box)
+		for _, got := range [2]float64{boxBound2AVX2(&q[0], &w[0], &box[0]), boxBound2Ptr(&q[0], &w[0], &box[0])} {
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s trial %d: %v (%#x), Go loop %v (%#x)\nq   %v\nw   %v\nbox %v",
+					what, trial, got, math.Float64bits(got), want, math.Float64bits(want), q, w, box)
+			}
+		}
+	}
+	const sub = 5e-324 // the least subnormal
+	negZero := math.Copysign(0, -1)
+	for trial := 0; trial < 20000; trial++ {
+		for j := range 32 {
+			lo := rng.NormFloat64() * 4
+			box[j], box[32+j] = lo, lo+rng.ExpFloat64()
+			q[j] = rng.NormFloat64() * 6
+			switch trial % 3 {
+			case 0:
+				w[j] = 1
+			case 1:
+				w[j] = rng.Float64() * 2
+			default:
+				w[j] = float64(rng.Intn(3)) * rng.Float64()
+			}
+		}
+		check(trial, "random")
+	}
+	for trial := 0; trial < 20000; trial++ {
+		// Every 100th box gets only weights −0, below, so every term is
+		// −0 and the accumulators' +0 start decides the bound's sign; it
+		// draws no gap overflow, whose NaN would mask that.
+		menu := 10
+		if trial%100 == 0 {
+			menu = 8
+		}
+		for j := range 32 {
+			lo := math.Trunc(rng.NormFloat64() * 4)
+			hi := lo + math.Trunc(rng.ExpFloat64()*2)
+			x := math.Trunc(rng.NormFloat64() * 6)
+			wj := rng.Float64() * 2
+			switch rng.Intn(menu) {
+			case 0: // a point box
+				hi = lo
+			case 1: // the query on the low face
+				x = lo
+			case 2: // the query on the high face
+				x = hi
+			case 3: // ±0 bounds and query: every gap is ±0
+				pick := func() float64 { return [2]float64{0, negZero}[rng.Intn(2)] }
+				lo, hi, x = pick(), pick(), pick()
+			case 4: // subnormal gaps
+				lo, hi = float64(rng.Intn(4))*sub, float64(4+rng.Intn(4))*sub
+				x = float64(rng.Intn(12)) * sub
+			case 5: // subnormal weight
+				wj = float64(1+rng.Intn(8)) * sub
+			case 6: // zero weight, either sign
+				wj = [2]float64{0, negZero}[rng.Intn(2)]
+			case 7: // (w·g)·g overflows to +Inf
+				lo, hi, x = 1e200, 2e200, -1e200
+			case 8: // the gap overflows to +Inf; a zero weight makes NaN
+				lo, hi, x = math.MaxFloat64, math.MaxFloat64, -math.MaxFloat64
+				wj = float64(rng.Intn(2))
+			}
+			box[j], box[32+j], q[j], w[j] = lo, hi, x, wj
+		}
+		if trial%100 == 0 {
+			for j := range w {
+				w[j] = negZero
+			}
+		}
+		check(trial, "adversarial")
 	}
 }

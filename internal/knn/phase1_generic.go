@@ -24,3 +24,11 @@ func phaseNext8w(q8, w8, slab8 *float64, surv *int32, count int, bound2 float64,
 		unsafe.Slice(q8, 8), unsafe.Slice(w8, 8), unsafe.Slice(slab8, slabRows*32-24), unsafe.Slice(surv, count), count, bound2,
 		unsafe.Slice(s0b, count), unsafe.Slice(s1b, count), unsafe.Slice(s2b, count), unsafe.Slice(s3b, count))
 }
+
+// boxBound2Ptr is the baseline box-bound kernel: boxBound2 behind the
+// pointer signature of the AVX2 kernel that replaces it at init on
+// amd64. q and w point at 32 values, box at a node's 64 (32 minima, then
+// 32 maxima).
+func boxBound2Ptr(q, w, box *float64) float64 {
+	return boxBound2(unsafe.Slice(q, 32), unsafe.Slice(w, 32), unsafe.Slice(box, 64))
+}

@@ -102,3 +102,38 @@ func TestPhaseWrappersMatchGo(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBoxBound2 prices one node bound over 256 random boxes that
+// hold the query in some dimensions and miss it in others: go is the
+// portable loop, dispatched the kernel a search calls (boxBound2Sel: the
+// AVX2 kernel where init chose it, the Go wrapper elsewhere).
+func BenchmarkBoxBound2(b *testing.B) {
+	rng := rand.New(rand.NewSource(60))
+	const boxes = 256
+	bx := make([]float64, boxes*64)
+	for i := 0; i < boxes; i++ {
+		for j := 0; j < 32; j++ {
+			lo := rng.NormFloat64()
+			bx[i*64+j], bx[i*64+32+j] = lo, lo+rng.Float64()
+		}
+	}
+	q, w := make([]float64, 32), make([]float64, 32)
+	for j := range q {
+		q[j], w[j] = rng.NormFloat64(), rng.Float64()*2
+	}
+	var sum float64
+	b.Run("go", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			j := i % boxes * 64
+			sum += boxBound2(q, w, bx[j:j+64])
+		}
+	})
+	b.Run("dispatched", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sum += boxBound2Sel(&q[0], &w[0], &bx[i%boxes*64])
+		}
+	})
+	if math.IsNaN(sum) {
+		b.Fatal("NaN bound")
+	}
+}
