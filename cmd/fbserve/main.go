@@ -150,7 +150,7 @@ func main() {
 
 	// Graceful shutdown: stop accepting, drain the sessions (inserting
 	// their converged outcomes), then make the learned state durable and
-	// release the backend.
+	// close the feature matrix.
 	log.Print("shutting down ...")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -171,15 +171,13 @@ func main() {
 // collection.fbmx is mapped, not rendered again. No durable state is
 // opened.
 func exportCollection(spec, path string, cfg httpapi.Config) {
-	ds, canon, mm, err := httpapi.BuildDataset(spec, "", cfg)
+	ds, canon, err := httpapi.BuildDataset(spec, "", cfg)
 	if err != nil {
 		log.Fatalf("fbserve: collection: %v", err)
 	}
 	if err := store.WriteFBMX(path, ds.Matrix(), ds.Labels(canon)); err != nil {
 		log.Fatalf("fbserve: exporting the collection: %v", err)
 	}
-	if mm != nil {
-		_ = mm.Close()
-	}
+	_ = ds.Matrix().Close()
 	log.Printf("exported %s (%d items, %d bins) to %s", canon, ds.Len(), ds.Dim, path)
 }

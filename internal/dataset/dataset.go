@@ -26,18 +26,17 @@ type Item struct {
 }
 
 // Dataset is the collection the retrieval engine searches. Feature
-// vectors live behind one contiguous row-major store.Backend — an
-// in-heap FlatMatrix for generated collections, or an mmap-resident
-// MmapMatrix for collections opened from FBMX files — and every
-// Item.Feature is a view into it, so the scan kernels stream the whole
-// collection as one slab regardless of where it resides.
+// vectors live in one contiguous row-major store.Matrix — in the heap
+// for generated collections, mapped for collections opened from FBMX
+// files — and every Item.Feature is a view into it, so the scan kernels
+// stream the whole collection as one slab wherever it resides.
 type Dataset struct {
 	Items      []Item
 	Dim        int
 	ByCategory map[string][]int // category → item indices
 	QueryCats  []string         // categories queries are sampled from
 
-	mat store.Backend
+	mat *store.Matrix
 }
 
 // Build generates the collection from cfg and extracts features with the
@@ -57,7 +56,7 @@ func Build(cfg imagegen.Config, ex histogram.Extractor) (*Dataset, error) {
 	if n == 0 {
 		return nil, errors.New("dataset: configuration generates no images")
 	}
-	mat, err := store.NewFlatMatrix(n, ex.Bins())
+	mat, err := store.NewMatrix(n, ex.Bins())
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
@@ -112,7 +111,7 @@ func FromItems(items []Item, queryCats []string) (*Dataset, error) {
 	}
 	dim := len(items[0].Feature)
 	d := &Dataset{Dim: dim, ByCategory: make(map[string][]int), QueryCats: queryCats}
-	mat, err := store.NewFlatMatrix(len(items), dim)
+	mat, err := store.NewMatrix(len(items), dim)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
@@ -121,9 +120,7 @@ func FromItems(items []Item, queryCats []string) (*Dataset, error) {
 		if len(it.Feature) != dim {
 			return nil, fmt.Errorf("dataset: item %d has dimension %d, want %d", i, len(it.Feature), dim)
 		}
-		if err := mat.SetRow(i, it.Feature); err != nil {
-			return nil, fmt.Errorf("dataset: %w", err)
-		}
+		copy(mat.Row(i), it.Feature)
 		it.Feature = mat.Row(i)
 		d.ByCategory[it.Category] = append(d.ByCategory[it.Category], i)
 		d.Items = append(d.Items, it)
@@ -131,22 +128,19 @@ func FromItems(items []Item, queryCats []string) (*Dataset, error) {
 	return d, nil
 }
 
-// FromBackend builds a dataset directly over an existing feature
-// backend — the open path for FBMX collection files, whose rows are
-// served in place (mmap-resident) rather than copied into the heap —
-// with each row's category and theme, and the query categories, taken
-// from the labels stored beside the rows.
-func FromBackend(b store.Backend, l store.Labels) (*Dataset, error) {
-	if b == nil || b.Len() == 0 {
-		return nil, errors.New("dataset: empty backend")
-	}
-	n := b.Len()
+// FromMatrix builds a dataset directly over an existing feature matrix
+// — the open path for FBMX collection files, whose rows are served in
+// place (mapped) rather than copied — with each row's category and
+// theme, and the query categories, taken from the labels stored beside
+// the rows.
+func FromMatrix(m *store.Matrix, l store.Labels) (*Dataset, error) {
+	n := m.Len()
 	if len(l.Category) != n || len(l.Theme) != n {
 		return nil, fmt.Errorf("dataset: %d categories and %d themes for %d rows", len(l.Category), len(l.Theme), n)
 	}
-	d := &Dataset{Items: make([]Item, n), Dim: b.Dim(), ByCategory: make(map[string][]int), QueryCats: l.QueryCats, mat: b}
+	d := &Dataset{Items: make([]Item, n), Dim: m.Dim(), ByCategory: make(map[string][]int), QueryCats: l.QueryCats, mat: m}
 	for i := range d.Items {
-		d.Items[i] = Item{ID: i, Category: l.Category[i], Theme: l.Theme[i], Feature: b.Row(i)}
+		d.Items[i] = Item{ID: i, Category: l.Category[i], Theme: l.Theme[i], Feature: m.Row(i)}
 		d.ByCategory[l.Category[i]] = append(d.ByCategory[l.Category[i]], i)
 	}
 	return d, nil
@@ -170,7 +164,7 @@ func (d *Dataset) Len() int { return len(d.Items) }
 // request) returns an error wrapping store.ErrOutOfRange instead of
 // panicking.
 func (d *Dataset) Feature(i int) ([]float64, error) {
-	row, err := store.RowChecked(d.mat, i)
+	row, err := d.mat.RowChecked(i)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
@@ -187,9 +181,10 @@ func (d *Dataset) IsGood(i int, queryCategory string) bool {
 	return d.Items[i].Category == queryCategory
 }
 
-// Matrix returns the feature backend the collection is served from
-// (aliased; callers must not mutate).
-func (d *Dataset) Matrix() store.Backend { return d.mat }
+// Matrix returns the feature matrix the collection is served from
+// (aliased; callers must not mutate). Whoever opened the dataset closes
+// it.
+func (d *Dataset) Matrix() *store.Matrix { return d.mat }
 
 // SampleQueries draws n item indices uniformly at random from the query
 // categories, without replacement when possible (with replacement once the

@@ -58,21 +58,27 @@ const collectionName = "default"
 var collectionLabels = []obsv.Label{obsv.L("collection", collectionName)}
 
 // Collection is the collection's full serving stack: dataset over its
-// backend, retrieval engine, bypass module, and the service — sessions,
-// prediction cache and admission control.
+// feature matrix, retrieval engine, bypass module, and the service —
+// sessions, prediction cache and admission control.
 type Collection struct {
 	Dataset *dataset.Dataset
 	Service *service.Service
 	Bypass  *core.Bypass // the bypass behind Service: its counters, log and health
+}
 
-	backend string            // "heap" or "mmap"
-	mm      *store.MmapMatrix // close handle (nil unless FBMX-backed)
+// backend names where the collection's rows reside, as /stats reports
+// it: "mmap" for a mapped FBMX file, "heap" otherwise.
+func (c *Collection) backend() string {
+	if c.Dataset.Matrix().Mapped() {
+		return "mmap"
+	}
+	return "heap"
 }
 
 // Shutdown makes the collection's learned state durable — one last
 // compaction, which with -dir leaves a census with an empty journal,
-// then the log closed — and releases the retrieval backend. Sessions
-// must have been drained first.
+// then the log closed — and closes the feature matrix. Sessions must
+// have been drained first.
 func (c *Collection) Shutdown() {
 	if err := c.Bypass.Compact(); err != nil {
 		log.Printf("fbserve: compact: %v", err)
@@ -82,10 +88,8 @@ func (c *Collection) Shutdown() {
 		log.Printf("fbserve: close: %v", err)
 	}
 	log.Printf("compacted and closed the module: %d points, %d log bytes", c.Bypass.Stats().Points, walBytes)
-	if c.mm != nil {
-		if err := c.mm.Close(); err != nil {
-			log.Printf("fbserve: unmapping collection: %v", err)
-		}
+	if err := c.Dataset.Matrix().Close(); err != nil {
+		log.Printf("fbserve: unmapping collection: %v", err)
 	}
 }
 
@@ -99,17 +103,17 @@ const CollectionFile = "collection.fbmx"
 // seed are resolved, so "synth:" under -scale 1 and
 // "synth:scale=1,seed=1" name one collection; an FBMX file's is the
 // spec it records. With dir, the collection's durable directory, a
-// synth: collection is kept there as CollectionFile and mapped like any
-// FBMX file; with dir "" (no -dir) it is rendered into the heap, and mm
-// is nil.
-func BuildDataset(spec, dir string, cfg Config) (ds *dataset.Dataset, canon string, mm *store.MmapMatrix, err error) {
+// synth: collection is kept there as CollectionFile and opened like any
+// FBMX file; with dir "" (no -dir) it is rendered into the heap. The
+// caller closes ds.Matrix().
+func BuildDataset(spec, dir string, cfg Config) (ds *dataset.Dataset, canon string, err error) {
 	if params, ok := strings.CutPrefix(spec, "synth:"); ok {
 		scale, seed := cfg.Scale, cfg.Seed
 		if params != "" {
 			for _, kv := range strings.Split(params, ",") {
 				key, val, ok := strings.Cut(kv, "=")
 				if !ok {
-					return nil, "", nil, fmt.Errorf("synth spec: want key=value, got %q", kv)
+					return nil, "", fmt.Errorf("synth spec: want key=value, got %q", kv)
 				}
 				switch key {
 				case "scale":
@@ -120,7 +124,7 @@ func BuildDataset(spec, dir string, cfg Config) (ds *dataset.Dataset, canon stri
 					err = fmt.Errorf("unknown synth parameter %q", key)
 				}
 				if err != nil {
-					return nil, "", nil, fmt.Errorf("synth spec %q: %w", kv, err)
+					return nil, "", fmt.Errorf("synth spec %q: %w", kv, err)
 				}
 			}
 		}
@@ -128,64 +132,57 @@ func BuildDataset(spec, dir string, cfg Config) (ds *dataset.Dataset, canon stri
 		canon = fmt.Sprintf("synth:scale=%g,seed=%d", scale, seed)
 		if dir == "" {
 			ds, err = dataset.Build(gen, histogram.DefaultExtractor)
-			return ds, canon, nil, err
+		} else {
+			ds, err = keptCollection(nil, filepath.Join(dir, CollectionFile), canon, gen)
 		}
-		ds, mm, err = keptCollection(nil, filepath.Join(dir, CollectionFile), canon, gen)
-		return ds, canon, mm, err
+		return ds, canon, err
 	}
 	path := strings.TrimPrefix(spec, "fbmx:")
 	if !strings.HasPrefix(spec, "fbmx:") && !strings.HasSuffix(path, ".fbmx") {
-		return nil, "", nil, fmt.Errorf("spec %q: want synth:..., fbmx:path, or a .fbmx file path", spec)
-	}
-	if ds, mm, err = openFBMX(path); err != nil {
-		return nil, "", nil, err
-	}
-	return ds, mm.Labels().Spec, mm, nil
-}
-
-// keptCollection maps the collection file at path when it holds an
-// intact copy of the collection canon names. Otherwise it logs why,
-// renders, writes the file atomically through fsys and maps what it
-// wrote: the file is derived state, so it is replaced, never refused.
-func keptCollection(fsys persist.FS, path, canon string, gen imagegen.Config) (*dataset.Dataset, *store.MmapMatrix, error) {
-	ds, mm, err := openFBMX(path)
-	if err == nil && mm.Labels().Spec == canon {
-		log.Printf("collection file %s holds %s: mapped, not rendered", path, canon)
-		return ds, mm, nil
-	}
-	if err == nil {
-		err = fmt.Errorf("it holds %s", mm.Labels().Spec)
-		_ = mm.Close()
-	}
-	log.Printf("collection file %s not reused (%v): rendering %s", path, err, canon)
-	if ds, err = dataset.Build(gen, histogram.DefaultExtractor); err != nil {
-		return nil, nil, err
-	}
-	if err := store.WriteFBMXFS(fsys, path, ds.Matrix(), ds.Labels(canon)); err != nil {
-		return nil, nil, fmt.Errorf("keeping the collection in %s: %w", path, err)
+		return nil, "", fmt.Errorf("spec %q: want synth:..., fbmx:path, or a .fbmx file path", spec)
 	}
 	return openFBMX(path)
 }
 
-// openFBMX maps an FBMX collection file and builds the dataset over it
-// with the labels stored beside its rows. A long-lived server pays the
-// one-time page walk of Verify to know the collection it announces is
-// intact (see DESIGN.md on FBMX checksums).
-func openFBMX(path string) (*dataset.Dataset, *store.MmapMatrix, error) {
-	mm, err := store.OpenMmap(path)
+// keptCollection opens the collection file at path when it holds an
+// intact copy of the collection canon names. Otherwise it logs why,
+// renders, writes the file atomically through fsys and opens what it
+// wrote: the file is derived state, so it is replaced, never refused.
+func keptCollection(fsys persist.FS, path, canon string, gen imagegen.Config) (*dataset.Dataset, error) {
+	ds, spec, err := openFBMX(path)
+	if err == nil && spec == canon {
+		log.Printf("collection file %s holds %s: mapped, not rendered", path, canon)
+		return ds, nil
+	}
+	if err == nil {
+		err = fmt.Errorf("it holds %s", spec)
+		_ = ds.Matrix().Close()
+	}
+	log.Printf("collection file %s not reused (%v): rendering %s", path, err, canon)
+	if ds, err = dataset.Build(gen, histogram.DefaultExtractor); err != nil {
+		return nil, err
+	}
+	if err := store.WriteFBMXFS(fsys, path, ds.Matrix(), ds.Labels(canon)); err != nil {
+		return nil, fmt.Errorf("keeping the collection in %s: %w", path, err)
+	}
+	ds, _, err = openFBMX(path)
+	return ds, err
+}
+
+// openFBMX opens an FBMX collection file, every checksum verified (see
+// DESIGN.md on FBMX checksums), builds the dataset over it with the
+// labels stored beside its rows, and returns the spec the file records.
+func openFBMX(path string) (*dataset.Dataset, string, error) {
+	m, l, err := store.OpenFBMX(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, "", err
 	}
-	if err := mm.Verify(); err != nil {
-		_ = mm.Close()
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	ds, err := dataset.FromBackend(mm, mm.Labels())
+	ds, err := dataset.FromMatrix(m, l)
 	if err != nil {
-		_ = mm.Close()
-		return nil, nil, err
+		_ = m.Close()
+		return nil, "", err
 	}
-	return ds, mm, nil
+	return ds, l.Spec, nil
 }
 
 // BuildCollection resolves spec into a dataset and assembles the
@@ -205,22 +202,16 @@ func BuildCollection(spec string, cfg Config) (*Collection, error) {
 			return nil, err
 		}
 	}
-	ds, _, mm, err := BuildDataset(spec, cfg.Dir, cfg)
+	ds, _, err := BuildDataset(spec, cfg.Dir, cfg)
 	if err != nil {
 		return nil, err
 	}
 	c, err := Assemble(ds, cfg)
 	if err != nil {
-		if mm != nil {
-			_ = mm.Close()
-		}
+		_ = ds.Matrix().Close()
 		return nil, err
 	}
-	c.backend, c.mm = "heap", mm
-	if mm != nil {
-		c.backend = "mmap"
-	}
-	log.Printf("collection %s: %d items (%d bins) from %s backend (%s)", collectionName, ds.Len(), ds.Dim, c.backend, spec)
+	log.Printf("collection %s: %d items (%d bins) from %s backend (%s)", collectionName, ds.Len(), ds.Dim, c.backend(), spec)
 	return c, nil
 }
 
@@ -255,8 +246,8 @@ func refuseNested(dir string) error {
 // returns; compacting every cfg.CompactEvery accepted inserts either
 // way — and the service in front of both. It is the only place
 // outside tests and bench/ that constructs a service.Service;
-// cmd/fbserve reaches it through BuildCollection. The caller keeps
-// ownership of ds.
+// cmd/fbserve reaches it through BuildCollection. The collection takes
+// ds over: Shutdown closes its matrix (which does nothing in the heap).
 func Assemble(ds *dataset.Dataset, cfg Config) (*Collection, error) {
 	eng, err := engine.New(ds, engine.Options{})
 	if err != nil {

@@ -120,7 +120,7 @@ type statsResponse struct {
 // statsFor assembles one collection's stats block.
 func statsFor(c *Collection) collectionStats {
 	return collectionStats{
-		Collection:  collectionInfo{Name: collectionName, Backend: c.backend, Items: c.Dataset.Len(), Dim: c.Dataset.Dim},
+		Collection:  collectionInfo{Name: collectionName, Backend: c.backend(), Items: c.Dataset.Len(), Dim: c.Dataset.Dim},
 		Stats:       c.Service.Stats(),
 		Journaled:   c.Bypass.Journaled(),
 		WALBytes:    c.Bypass.WALSize(),

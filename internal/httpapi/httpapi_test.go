@@ -52,7 +52,7 @@ func newTestCollectionWith(t *testing.T, seed int64, opts core.DurableOptions) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Collection{backend: "heap", Dataset: ds, Service: svc, Bypass: db}
+	return &Collection{Dataset: ds, Service: svc, Bypass: db}
 }
 
 // newTestCollection is the default composition: real filesystem, no
@@ -388,15 +388,12 @@ func newMmapTestCollection(t *testing.T, ds *dataset.Dataset) *Collection {
 	if err := store.WriteFBMX(path, ds.Matrix(), ds.Labels("synth:test")); err != nil {
 		t.Fatal(err)
 	}
-	mm, err := store.OpenMmap(path)
+	mm, labels, err := store.OpenFBMX(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mm.Close() })
-	if err := mm.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	mds, err := dataset.FromBackend(mm, mm.Labels())
+	mds, err := dataset.FromMatrix(mm, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +413,7 @@ func newMmapTestCollection(t *testing.T, ds *dataset.Dataset) *Collection {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Collection{backend: "mmap", Dataset: mds, Service: svc, Bypass: byp, mm: mm}
+	return &Collection{Dataset: mds, Service: svc, Bypass: byp}
 }
 
 // TestMmapCollectionServing serves a heap-synthetic collection and its
@@ -430,11 +427,12 @@ func TestMmapCollectionServing(t *testing.T) {
 	category := heap.Dataset.Items[item].Category
 	var states [2][]stateJSON
 	for i, c := range []*Collection{heap, mapped} {
+		backend := [...]string{"heap", "mmap"}[i]
 		srv := httptest.NewServer(NewMux(c, nil, false))
 		defer srv.Close()
 		var st stateJSON
 		if code := postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 5}, &st); code != http.StatusOK {
-			t.Fatalf("%s query: status %d", c.backend, code)
+			t.Fatalf("%s query: status %d", backend, code)
 		}
 		states[i] = append(states[i], st)
 		for rounds := 0; !st.Converged && rounds < 100; rounds++ {
@@ -445,19 +443,19 @@ func TestMmapCollectionServing(t *testing.T) {
 				}
 			}
 			if code := postJSON(t, srv.URL+"/feedback", feedbackRequest{Session: st.Session, Scores: scores}, &st); code != http.StatusOK {
-				t.Fatalf("%s feedback: status %d", c.backend, code)
+				t.Fatalf("%s feedback: status %d", backend, code)
 			}
 			states[i] = append(states[i], st)
 		}
 		if code := postJSON(t, srv.URL+"/close", closeRequest{Session: st.Session}, nil); code != http.StatusOK {
-			t.Fatalf("%s close: status %d", c.backend, code)
+			t.Fatalf("%s close: status %d", backend, code)
 		}
 		var stats statsResponse
 		if code := getJSON(t, srv.URL+"/stats", &stats); code != http.StatusOK {
-			t.Fatalf("%s stats: status %d", c.backend, code)
+			t.Fatalf("%s stats: status %d", backend, code)
 		}
-		if got := stats.Collections["default"].Collection.Backend; got != c.backend {
-			t.Errorf("/stats names the %s backend %q", c.backend, got)
+		if got := stats.Collections["default"].Collection.Backend; got != backend {
+			t.Errorf("/stats names the %s backend %q", backend, got)
 		}
 	}
 	if len(states[0]) != len(states[1]) {
@@ -527,34 +525,34 @@ func TestNestedLayoutRefused(t *testing.T) {
 // collection file is labelled with.
 func TestCollectionSpecParsing(t *testing.T) {
 	cfg := Config{Scale: 0.05, Seed: 3}
-	if _, _, _, err := BuildDataset("synth:scale=bogus", "", cfg); err == nil {
+	if _, _, err := BuildDataset("synth:scale=bogus", "", cfg); err == nil {
 		t.Error("bogus synth scale accepted")
 	}
-	if _, _, _, err := BuildDataset("synth:rows=5", "", cfg); err == nil {
+	if _, _, err := BuildDataset("synth:rows=5", "", cfg); err == nil {
 		t.Error("unknown synth key accepted")
 	}
-	if _, _, _, err := BuildDataset("plainpath", "", cfg); err == nil {
+	if _, _, err := BuildDataset("plainpath", "", cfg); err == nil {
 		t.Error("pathless spec accepted")
 	}
-	if _, _, _, err := BuildDataset(filepath.Join(t.TempDir(), "missing.fbmx"), "", cfg); !errors.Is(err, os.ErrNotExist) {
+	if _, _, err := BuildDataset(filepath.Join(t.TempDir(), "missing.fbmx"), "", cfg); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("missing fbmx file: %v", err)
 	}
-	if _, canon, _, err := BuildDataset("synth:scale=0.02", "", cfg); err != nil || canon != "synth:scale=0.02,seed=3" {
+	if _, canon, err := BuildDataset("synth:scale=0.02", "", cfg); err != nil || canon != "synth:scale=0.02,seed=3" {
 		t.Errorf("synth:scale=0.02 under -seed 3 resolves to %q (%v)", canon, err)
 	}
-	ds, canon, mm, err := BuildDataset("synth:seed=4,scale=0.02", "", cfg)
-	if err != nil || mm != nil || ds.Len() == 0 || canon != "synth:scale=0.02,seed=4" {
-		t.Fatalf("synth build: %v, mapped %v, canonical spec %q", err, mm != nil, canon)
+	ds, canon, err := BuildDataset("synth:seed=4,scale=0.02", "", cfg)
+	if err != nil || ds.Matrix().Mapped() || ds.Len() == 0 || canon != "synth:scale=0.02,seed=4" {
+		t.Fatalf("synth build: %v, mapped %v, canonical spec %q", err, err == nil && ds.Matrix().Mapped(), canon)
 	}
 	path := filepath.Join(t.TempDir(), "c.fbmx")
 	if err := store.WriteFBMX(path, ds.Matrix(), ds.Labels("synth:scale=0.02,seed=4")); err != nil {
 		t.Fatal(err)
 	}
-	mds, canon, mm, err := BuildDataset(path, "", cfg)
-	if err != nil || mm == nil || canon != "synth:scale=0.02,seed=4" {
-		t.Fatalf("fbmx build: %v, mapped %v, canonical spec %q", err, mm != nil, canon)
+	mds, canon, err := BuildDataset(path, "", cfg)
+	if err != nil || !mds.Matrix().Mapped() || canon != "synth:scale=0.02,seed=4" {
+		t.Fatalf("fbmx build: %v, mapped %v, canonical spec %q", err, err == nil && mds.Matrix().Mapped(), canon)
 	}
-	defer mm.Close()
+	defer mds.Matrix().Close()
 	if mds.Len() != ds.Len() || mds.Dim != ds.Dim {
 		t.Fatalf("fbmx dataset shape %dx%d, want %dx%d", mds.Len(), mds.Dim, ds.Len(), ds.Dim)
 	}

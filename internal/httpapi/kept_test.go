@@ -28,19 +28,24 @@ const (
 	golden03  = 0xe8670ea4cdf29a12
 )
 
-// keptHash checks a kept collection against its golden value twice: the
-// hash the writer stored in the file's header, and one recomputed here
-// from the mapped rows and the decoded labels, the way TestBuildGolden
-// hashes a freshly rendered collection.
-func keptHash(t *testing.T, ds *dataset.Dataset, mm *store.MmapMatrix, want uint64) {
+// keptHash checks the collection kept in dir against its golden value
+// twice: the hash the writer stored in the file's header, and one
+// recomputed here from ds's mapped rows and labels, the way
+// TestBuildGolden hashes a freshly rendered collection.
+func keptHash(t *testing.T, ds *dataset.Dataset, dir string, want uint64) {
 	t.Helper()
-	if got := mm.Labels().Hash; got != want {
-		t.Fatalf("kept collection: stored hash %#016x, want %#016x", got, want)
+	m, l, err := store.OpenFBMX(filepath.Join(dir, CollectionFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	if l.Hash != want {
+		t.Fatalf("kept collection: stored hash %#016x, want %#016x", l.Hash, want)
 	}
 	h := fnv.New64a()
 	var b [8]byte
-	for i, it := range ds.Items {
-		for _, v := range mm.Row(i) {
+	for _, it := range ds.Items {
+		for _, v := range it.Feature {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 			h.Write(b[:])
 		}
@@ -52,16 +57,16 @@ func keptHash(t *testing.T, ds *dataset.Dataset, mm *store.MmapMatrix, want uint
 }
 
 // openKept builds the dataset a single-collection -dir start serves.
-func openKept(t *testing.T, spec string, cfg Config) (*dataset.Dataset, *store.MmapMatrix, error) {
+func openKept(t *testing.T, spec string, cfg Config) (*dataset.Dataset, error) {
 	t.Helper()
-	ds, _, mm, err := BuildDataset(spec, cfg.Dir, cfg)
-	if err == nil && mm == nil {
+	ds, _, err := BuildDataset(spec, cfg.Dir, cfg)
+	if err == nil && !ds.Matrix().Mapped() {
 		t.Fatal("kept collection served from the heap")
 	}
 	if _, serr := os.Stat(filepath.Join(cfg.Dir, CollectionFile)); err == nil && serr != nil {
 		t.Fatalf("kept collection mapped, but not kept in its directory: %v", serr)
 	}
-	return ds, mm, err
+	return ds, err
 }
 
 // fileOf stats the kept collection file: a re-render replaces it through
@@ -84,12 +89,12 @@ func TestKeptCollectionGolden(t *testing.T) {
 	cfg := Config{Scale: 0.3, Seed: 1, Dir: t.TempDir()}
 	reopen := func(spec string, want uint64) os.FileInfo {
 		t.Helper()
-		ds, mm, err := openKept(t, spec, cfg)
+		ds, err := openKept(t, spec, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer mm.Close()
-		keptHash(t, ds, mm, want)
+		defer ds.Matrix().Close()
+		keptHash(t, ds, cfg.Dir, want)
 		return fileOf(t, cfg.Dir)
 	}
 
@@ -133,11 +138,11 @@ func TestKeptCollectionGolden(t *testing.T) {
 func TestKeptCollectionCrashSchedule(t *testing.T) {
 	spec, gen := "synth:scale=0.05,seed=1", imagegen.IMSILike(1, 0.05)
 	counting := faultfs.New(nil)
-	_, mm, err := keptCollection(counting, filepath.Join(t.TempDir(), CollectionFile), spec, gen)
+	ds, err := keptCollection(counting, filepath.Join(t.TempDir(), CollectionFile), spec, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm.Close()
+	ds.Matrix().Close()
 	ops := counting.Ops()
 	// open, header page, one payload chunk, labels, header rewrite, fsync,
 	// rename, directory fsync.
@@ -148,15 +153,15 @@ func TestKeptCollectionCrashSchedule(t *testing.T) {
 		cfg := Config{Dir: t.TempDir()}
 		fs := faultfs.New(nil)
 		fs.SetCrashAt(n)
-		if _, _, err := keptCollection(fs, filepath.Join(cfg.Dir, CollectionFile), spec, gen); !errors.Is(err, faultfs.ErrCrashed) {
+		if _, err := keptCollection(fs, filepath.Join(cfg.Dir, CollectionFile), spec, gen); !errors.Is(err, faultfs.ErrCrashed) {
 			t.Fatalf("crash at op %d: first start returned %v, want ErrCrashed", n, err)
 		}
-		ds, mm, err := openKept(t, spec, cfg)
+		ds, err := openKept(t, spec, cfg)
 		if err != nil {
 			t.Fatalf("crash at op %d: restart: %v", n, err)
 		}
-		keptHash(t, ds, mm, golden005)
-		mm.Close()
+		keptHash(t, ds, cfg.Dir, golden005)
+		ds.Matrix().Close()
 		if _, err := os.Stat(filepath.Join(cfg.Dir, CollectionFile+".tmp")); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("crash at op %d: a temporary file survived the restart: %v", n, err)
 		}
@@ -212,8 +217,8 @@ func scriptBodies(t *testing.T, spec string, cfg Config) [][]byte {
 		}
 		c.Shutdown()
 	}()
-	if cfg.Dir != "" && c.backend != "mmap" {
-		t.Fatalf("-dir collection served from the %s backend", c.backend)
+	if cfg.Dir != "" && c.backend() != "mmap" {
+		t.Fatalf("-dir collection served from the %s backend", c.backend())
 	}
 	var bodies [][]byte
 	post := func(route string, req any) []byte {

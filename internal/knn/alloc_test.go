@@ -57,7 +57,7 @@ func TestSearchAllocationBudget(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, c := range cases {
-		dim := c.scan.mat.Dim()
+		dim := c.scan.dim
 		wm, err := distance.NewWeightedEuclidean(w[:dim])
 		if err != nil {
 			t.Fatal(err)

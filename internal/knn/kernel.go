@@ -74,8 +74,7 @@ func (s *Scan) searchKernel(q []float64, k int, w []float64) []Result {
 func (s *Scan) scanRows(q []float64, k int, w []float64) []Result {
 	st := newTopK(k)
 	bound2 := st.bound2
-	dim, n := s.mat.Dim(), s.mat.Len()
-	slab := s.mat.Slab(0, n)
+	dim, n, slab := s.dim, s.n, s.slab
 	for i := 0; i < n; i++ {
 		row := slab[i*dim : i*dim+dim : i*dim+dim]
 		if sum, abandoned := vec.SqDistWAbandon(q, row, w, bound2); !abandoned {
@@ -101,7 +100,7 @@ func (s *Scan) searchTiles(q []float64, k int, w []float64, work *searchWork) []
 	bufs := s.getTileBufs()
 	defer tileBufPool.Put(bufs)
 	st := newTopK(k)
-	n, tiles := s.mat.Len(), s.tiles()
+	n, tiles := s.n, s.tiles()
 	h := nodeHeap(bufs.heap[:0])
 	root := int32(2*tiles - 2)
 	h.push(nodeRank{boxBound2Sel(&q[0], &w[0], &s.box(root)[0]), root})
@@ -260,7 +259,7 @@ func (s *Scan) getTileBufs() *tileBufs {
 // rejects most rows (78–91% on the paper's histograms; DESIGN.md has the
 // table), so it reads the head slab — 64 contiguous bytes per row, in
 // scan order — and only the survivors' later segments are gathered from
-// the backend's 256-byte row-major rows, by collection row (Scan.ids).
+// the slab's 256-byte row-major rows, by collection row (Scan.ids).
 // Filtering against the tile-entry bound (always ≥ the live bound) can
 // only keep extra candidates, never drop one a sequential scan would
 // keep — the final live-bound check restores exactness.
@@ -272,9 +271,9 @@ func (s *Scan) getTileBufs() *tileBufs {
 // search can have done.
 func (s *Scan) scanTile32(q, w []float64, lo, hi int, st *TopK, b *tileBufs) {
 	bound2 := st.bound2
-	rows, n := hi-lo, s.mat.Len()
+	rows, n := hi-lo, s.n
 	head := s.head[lo*8 : hi*8]
-	slab := s.mat.Slab(0, n)
+	slab := s.slab
 	q, w = q[:32], w[:32]
 	s0b, s1b, s2b, s3b := b.s0, b.s1, b.s2, b.s3
 	surv := b.surv
@@ -296,7 +295,7 @@ func (s *Scan) scanTile32(q, w []float64, lo, hi int, st *TopK, b *tileBufs) {
 }
 
 // tiles returns the number of tiles, the leaves of s's k-d tree.
-func (s *Scan) tiles() int { return (s.mat.Len() + tileRows - 1) / tileRows }
+func (s *Scan) tiles() int { return (s.n + tileRows - 1) / tileRows }
 
 // box returns the bounding box of node i of s's k-d tree (layout:
 // Scan.boxes).

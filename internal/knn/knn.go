@@ -46,19 +46,22 @@ type BatchSearcher interface {
 
 // Scan is the exact scan searcher: it supports *any* metric, including
 // the per-query re-weighted distances of the feedback loop, which
-// fixed-metric indexes cannot serve directly. Features live behind a
-// store.Backend — the in-heap FlatMatrix or an mmap-resident FBMX
-// collection — whose contiguous slabs the kernels consume directly; for
-// a weighted-Euclidean metric (unit weights for the plain Euclidean
-// distance) the scan runs a squared-space early-abandoning kernel, at
-// D = 32 over the tiles, reached by a best-first descent of the k-d tree
-// whose leaves they are (see DESIGN.md, "Retrieval core").
+// fixed-metric indexes cannot serve directly. The kernels consume the
+// row-major slab of a store.Matrix — in the heap, or mapped from an FBMX
+// file — directly; for a weighted-Euclidean metric (unit weights for the
+// plain Euclidean distance) the scan runs a squared-space
+// early-abandoning kernel, at D = 32 over the tiles, reached by a
+// best-first descent of the k-d tree whose leaves they are (see
+// DESIGN.md, "Retrieval core").
 type Scan struct {
-	mat store.Backend
+	// slab is the collection's n × dim rows in stored order, aliased from
+	// the matrix the scan was built over.
+	slab   []float64
+	n, dim int
 	// ids is the scan order of a D = 32 collection (TileOrder): scan
 	// position p holds collection row ids[p]. The head slab and the tile
 	// boxes are laid out in that order; the later phases of the cascade
-	// gather a survivor's remaining dimensions from the unchanged backend
+	// gather a survivor's remaining dimensions from the unchanged slab
 	// through it, and every candidate is offered under its collection row.
 	// Nil at other dimensionalities.
 	ids []int32
@@ -81,39 +84,35 @@ type Scan struct {
 	kids []int32
 }
 
-// NewScanBackend builds a scan searcher directly over any feature
-// backend (aliased, not copied). The kernels stream the backend's slabs
-// without per-row copies, so an mmap-resident collection is scanned in
-// place. A D = 32 backend additionally gets its scan order (TileOrder),
-// and in that order its head slab and the boxes of its tile tree, built
-// here (+1.6%, +25% and +6.3% of the feature bytes, on the heap for
-// either backend), so the backend's contents must not change afterwards.
+// NewScanBackend builds a scan searcher directly over a feature matrix
+// (aliased, not copied). The kernels stream the matrix's slab without
+// per-row copies, so a mapped collection is scanned in place. A D = 32
+// matrix additionally gets its scan order (TileOrder), and in that order
+// its head slab and the boxes of its tile tree, built here (+1.6%, +25%
+// and +6.3% of the feature bytes, on the heap for either residency), so
+// the matrix's contents must not change afterwards.
 //
 // Non-finite values never enter a scan: a collection holding a NaN or
 // ±Inf is refused, as is such a query (checkQuery). At D = 32 the check
 // rides on headSlab's pass over every value: Go's min and max propagate
 // NaN and keep ±Inf, so the root's box is finite exactly when the rows
 // are.
-func NewScanBackend(b store.Backend) (*Scan, error) {
-	if b == nil || b.Len() == 0 {
+func NewScanBackend(m *store.Matrix) (*Scan, error) {
+	if m == nil {
 		return nil, fmt.Errorf("knn: empty collection")
 	}
-	var ids []int32
-	if b.Dim() == 32 {
-		ids = TileOrder(b)
-	}
-	return buildScan(b, ids)
+	return buildScan(m, TileOrder(m))
 }
 
-// buildScan builds the scan of a non-empty b whose tiles are laid out in
+// buildScan builds the scan of a non-empty m whose tiles are laid out in
 // the scan order ids (nil: no tiles): the head slab, the tile boxes, and
 // over them the tree of TileOrder's partition with every internal node's
 // box, bottom-up.
-func buildScan(b store.Backend, ids []int32) (*Scan, error) {
-	s := &Scan{mat: b, ids: ids}
-	checked := b.Slab(0, b.Len())
+func buildScan(m *store.Matrix, ids []int32) (*Scan, error) {
+	s := &Scan{slab: m.Slab(0, m.Len()), n: m.Len(), dim: m.Dim(), ids: ids}
+	checked := s.slab
 	if ids != nil {
-		s.head, s.boxes = headSlab(checked, ids)
+		s.head, s.boxes = headSlab(s.slab, ids)
 		tiles := s.tiles()
 		s.kids = tileTree(len(ids))
 		for i := range tiles - 1 {
@@ -126,20 +125,25 @@ func buildScan(b store.Backend, ids []int32) (*Scan, error) {
 		checked = s.box(int32(2*tiles - 2))
 	}
 	if !vec.IsFinite(checked) {
-		return nil, fmt.Errorf("knn: collection row %d is not finite", nonFiniteRow(b))
+		return nil, fmt.Errorf("knn: collection row %d is not finite", s.nonFiniteRow())
 	}
 	return s, nil
 }
 
-// nonFiniteRow returns the first row of b that holds a NaN or ±Inf, or
+// nonFiniteRow returns the first row of s that holds a NaN or ±Inf, or
 // -1 when every row is finite.
-func nonFiniteRow(b store.Backend) int {
-	for i := range b.Len() {
-		if !vec.IsFinite(b.Row(i)) {
+func (s *Scan) nonFiniteRow() int {
+	for i := range s.n {
+		if !vec.IsFinite(s.row(i)) {
 			return i
 		}
 	}
 	return -1
+}
+
+// row returns collection row i of s's slab.
+func (s *Scan) row(i int) []float64 {
+	return s.slab[i*s.dim : i*s.dim+s.dim : i*s.dim+s.dim]
 }
 
 // headSlab copies dims [0,8) of the rows of a 32-wide row-major slab, in
@@ -175,14 +179,14 @@ func headSlab(slab []float64, ids []int32) (head, boxes []float64) {
 }
 
 // Len implements Searcher.
-func (s *Scan) Len() int { return s.mat.Len() }
+func (s *Scan) Len() int { return s.n }
 
 func (s *Scan) checkQuery(q []float64, k int) error {
 	if k <= 0 {
 		return fmt.Errorf("knn: k must be positive, got %d", k)
 	}
-	if len(q) != s.mat.Dim() {
-		return fmt.Errorf("knn: query has dimension %d, want %d", len(q), s.mat.Dim())
+	if len(q) != s.dim {
+		return fmt.Errorf("knn: query has dimension %d, want %d", len(q), s.dim)
 	}
 	if !vec.IsFinite(q) {
 		return fmt.Errorf("knn: query is not finite")
@@ -206,8 +210,8 @@ func (s *Scan) Search(q []float64, k int, m distance.Metric) ([]Result, error) {
 // parity tests compare the kernels against.
 func (s *Scan) searchGeneric(q []float64, k int, m distance.Metric) []Result {
 	h := NewTopK(k)
-	for i, n := 0, s.mat.Len(); i < n; i++ {
-		h.Offer(i, m.Distance(q, s.mat.Row(i)))
+	for i := range s.n {
+		h.Offer(i, m.Distance(q, s.row(i)))
 	}
 	return h.Results()
 }

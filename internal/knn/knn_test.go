@@ -33,7 +33,7 @@ func newScan(data [][]float64) (*Scan, error) {
 
 func TestNewScanValidation(t *testing.T) {
 	if _, err := NewScanBackend(nil); err == nil {
-		t.Error("nil backend should error")
+		t.Error("nil matrix should error")
 	}
 	if _, err := newScan(nil); err == nil {
 		t.Error("empty collection should error")

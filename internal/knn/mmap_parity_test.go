@@ -11,11 +11,11 @@ import (
 )
 
 // mmapTwin writes the collection to a temporary FBMX file and opens it
-// back as an mmap-resident backend, so every test below can run the
-// same query stream against heap- and file-resident storage.
+// back as a mapped matrix, so every test below can run the same query
+// stream against heap- and file-resident storage.
 func mmapTwin(t *testing.T, data [][]float64) (heap, mapped *Scan) {
 	t.Helper()
-	heapB, mappedB := twinBackends(t, data)
+	heapB, mappedB := twinMatrices(t, data)
 	heap, err := NewScanBackend(heapB)
 	if err != nil {
 		t.Fatal(err)
@@ -27,9 +27,9 @@ func mmapTwin(t *testing.T, data [][]float64) (heap, mapped *Scan) {
 	return heap, mapped
 }
 
-// twinBackends returns data as a heap backend and as its verified mmap
-// twin, before any scan is built over them.
-func twinBackends(t *testing.T, data [][]float64) (heap, mapped store.Backend) {
+// twinMatrices returns data as a heap matrix and as its mapped twin,
+// before any scan is built over them.
+func twinMatrices(t *testing.T, data [][]float64) (heap, mapped *store.Matrix) {
 	t.Helper()
 	mat, err := store.FromRows(data)
 	if err != nil {
@@ -40,18 +40,15 @@ func twinBackends(t *testing.T, data [][]float64) (heap, mapped store.Backend) {
 	if err := store.WriteFBMX(path, mat, unlabeled); err != nil {
 		t.Fatal(err)
 	}
-	mm, err := store.OpenMmap(path)
+	mm, _, err := store.OpenFBMX(path)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mm.Verify(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mm.Close() })
 	return mat, mm
 }
 
-// TestMmapParityAllPaths mirrors the PR 1 parity suite across backends:
+// TestMmapParityAllPaths mirrors the PR 1 parity suite across residencies:
 // for randomized dims (including the D=32 fast/asm paths), collection
 // sizes, weights (with zeros), and tie-heavy data, the mmap-backed scan
 // must return []Result bitwise identical to the heap-backed scan on
@@ -119,10 +116,10 @@ func TestMmapParityAllPaths(t *testing.T) {
 	}
 }
 
-// TestMmapParityShardedScan drives the real goroutine fan-out of the
-// scan's build (inHalves) under raised GOMAXPROCS on an mmap backend, and
-// a lone Search there, anchored to the heap backend's naive path.
-func TestMmapParityShardedScan(t *testing.T) {
+// TestMmapParityParallelBuild drives the two-goroutine build of the scan
+// (inHalves) under raised GOMAXPROCS on a mapped matrix, and a lone
+// Search there, anchored to the heap matrix's naive path.
+func TestMmapParityParallelBuild(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 

@@ -10,7 +10,7 @@ import (
 	"repro/internal/store"
 )
 
-// TileOrder returns the scan order NewScanBackend lays a D = 32 backend's
+// TileOrder returns the scan order NewScanBackend lays a D = 32 matrix's
 // tiles out in: position p of the scan holds collection row order[p]. It
 // is a k-d partition whose leaves are the tiles: the row ids are split
 // recursively on the dimension of highest variance, each cut at the
@@ -24,15 +24,15 @@ import (
 // as cmp.Compare orders them and ties by row id, so NaN and ±Inf rows
 // keep a total order and the result is the same at every GOMAXPROCS.
 // Every split is stable, so the ids of a tile ascend and a tile reads the
-// backend in address order. Nil at other dimensionalities, which have no
+// matrix in address order. Nil at other dimensionalities, which have no
 // tiles.
-func TileOrder(b store.Backend) []int32 {
-	if b.Dim() != 32 {
+func TileOrder(m *store.Matrix) []int32 {
+	if m.Dim() != 32 {
 		return nil
 	}
-	n := b.Len()
+	n := m.Len()
 	ids := identityOrder(n)
-	kdSplit(b.Slab(0, n), ids, kdBuf{keys: make([]uint64, n), sel: make([]uint64, n), right: make([]int32, n)})
+	kdSplit(m.Slab(0, n), ids, kdBuf{keys: make([]uint64, n), sel: make([]uint64, n), right: make([]int32, n)})
 	return ids
 }
 

@@ -183,7 +183,7 @@ func treeSpans(t *testing.T, n int) (lo, cut, hi int) {
 // around a tile, under GOMAXPROCS 1, 2 and 4. SearchBatchMulti, a loop
 // over Search, must return the same lists and refuse a metric count that
 // differs from the query count. Non-finite values never enter a scan:
-// NewScanBackend refuses the hostile collection on either backend,
+// NewScanBackend refuses the hostile collection in either residency,
 // naming its first non-finite row, and Search and SearchNaive both
 // refuse a query holding a NaN or ±Inf.
 func TestTileOrderParity(t *testing.T) {
@@ -191,8 +191,8 @@ func TestTileOrderParity(t *testing.T) {
 	for _, n := range tileSizes {
 		for name, data := range layoutCollections(rng, n) {
 			if name == "hostile" {
-				heapB, mappedB := twinBackends(t, data)
-				for _, b := range []store.Backend{heapB, mappedB} {
+				heapB, mappedB := twinMatrices(t, data)
+				for _, b := range []*store.Matrix{heapB, mappedB} {
 					if _, err := NewScanBackend(b); err == nil || !strings.Contains(err.Error(), "row 64 ") {
 						t.Fatalf("n=%d hostile: NewScanBackend error %v, want a refusal of row 64", n, err)
 					}

@@ -186,7 +186,7 @@ func seamCollection(rng *rand.Rand, n int) (data, qs [][]float64) {
 // TestLoneCascadeParity pins the lone-query path — tiles in best-first
 // order, phase 1 over the head slab, the scan stopped at the first tile
 // whose box is beyond the k-th best — at D = 32: Search == SearchNaive ==
-// with == on every Result, on heap and mmap backends, under GOMAXPROCS 1, 2 and 4. The
+// with == on every Result, on heap and mapped matrices, under GOMAXPROCS 1, 2 and 4. The
 // inputs are seamCollection's tie-heavy rows and categoryCollection's
 // runs, where most tiles are never scanned and the k-th neighbour is a
 // tie exactly on a tile's box bound, found first in a later tile.

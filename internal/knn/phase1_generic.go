@@ -14,7 +14,7 @@ func phase1x32w(q, w, head *float64, rows int, bound2 float64, s0b, s1b, s2b, s3
 }
 
 // phaseNext8w delegates to the portable continuation kernel. Survivors
-// are collection rows, so the slab view spans the whole backend: its
+// are collection rows, so the slab view spans the whole collection: its
 // length slabRows*32-24 is the furthest element any pass reads (the last
 // row's 8-dim segment at the deepest offset) and is within the allocation
 // for every segment offset (8, 16, or 24 dims in). The stripe and

@@ -2,9 +2,10 @@ package store
 
 // FBMX is the on-disk form of a served collection: a page-aligned,
 // CRC-checked row-major float64 matrix followed by the labels the serving
-// layer needs beside the rows. It is written once and opened read-only —
-// usually through OpenMmap, which maps the payload straight into the scan
-// kernels' address space (no heap copy of the collection).
+// layer needs beside the rows. It is written once and opened read-only
+// through OpenFBMX, which maps the payload straight into the scan
+// kernels' address space (no heap copy of the collection) where the
+// platform allows.
 //
 // Format (little-endian; DESIGN.md "FBMX file format" has the reasons):
 //
@@ -99,21 +100,21 @@ func (h *fbmxHeader) put(page []byte) {
 	le.PutUint32(page[end:], crc32.ChecksumIEEE(page[:end]))
 }
 
-// WriteFBMX writes the backend's rows and their labels to path as an
+// WriteFBMX writes the matrix's rows and their labels to path as an
 // FBMX collection file, atomically: a temporary file is written,
 // fsynced, renamed into place, and the directory entry made durable.
-func WriteFBMX(path string, b Backend, l Labels) error {
-	return WriteFBMXFS(nil, path, b, l)
+func WriteFBMX(path string, m *Matrix, l Labels) error {
+	return WriteFBMXFS(nil, path, m, l)
 }
 
 // WriteFBMXFS is WriteFBMX with every filesystem operation routed
 // through fs (nil means the real filesystem) — the fault-injection seam
 // for collection writes. l.Hash is ignored: the writer computes it.
-func WriteFBMXFS(fsys persist.FS, path string, b Backend, l Labels) error {
-	if b == nil || b.Len() == 0 || b.Dim() <= 0 {
+func WriteFBMXFS(fsys persist.FS, path string, m *Matrix, l Labels) error {
+	if m == nil {
 		return fmt.Errorf("store: cannot write empty collection to %s", path)
 	}
-	n, dim := b.Len(), b.Dim()
+	n, dim := m.Len(), m.Dim()
 	if len(l.Category) != n || len(l.Theme) != n || len(l.QueryCats) > n || len(l.Spec) > fbmxMaxSpec {
 		return fmt.Errorf("store: labels do not fit the %d rows written to %s (%d categories, %d themes, %d query categories, %d-byte spec)",
 			n, path, len(l.Category), len(l.Theme), len(l.QueryCats), len(l.Spec))
@@ -148,7 +149,7 @@ func WriteFBMXFS(fsys persist.FS, path string, b Backend, l Labels) error {
 		chunk := buf[:(hi-lo)*rowBytes]
 		for i := lo; i < hi; i++ {
 			row := chunk[(i-lo)*rowBytes : (i-lo+1)*rowBytes]
-			encodeRow(row, b.Row(i))
+			encodeRow(row, m.Row(i))
 			rec = append(append(append(append(append(rec[:0], row...), l.Category[i]...), 0), l.Theme[i]...), 0)
 			hash.Write(rec)
 		}
@@ -334,12 +335,12 @@ func verifyFBMXPayload(payload []byte, dataCRC uint32) error {
 }
 
 // DecodeFBMX parses a complete FBMX image from memory into a fresh
-// in-heap FlatMatrix and its labels, verifying every checksum. It is the
-// portable open path (used when mmap is unavailable) and the fuzzing
+// heap Matrix and its labels, verifying every checksum. It is the
+// portable OpenFBMX (used when mmap is unavailable) and the fuzzing
 // target: any input either decodes fully or returns an error wrapping
 // ErrCorrupt — never a panic, never an allocation beyond the input's
 // own size.
-func DecodeFBMX(data []byte) (*FlatMatrix, Labels, error) {
+func DecodeFBMX(data []byte) (*Matrix, Labels, error) {
 	if len(data) < fbmxHeaderPage {
 		return nil, Labels{}, fmt.Errorf("%w: FBMX image is %d bytes, want at least the %d-byte header page", ErrCorrupt, len(data), fbmxHeaderPage)
 	}
@@ -359,5 +360,5 @@ func DecodeFBMX(data []byte) (*FlatMatrix, Labels, error) {
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
 	}
-	return &FlatMatrix{data: vals, n: int(h.n), dim: int(h.dim)}, l, nil
+	return &Matrix{data: vals, n: int(h.n), dim: int(h.dim)}, l, nil
 }

@@ -15,24 +15,25 @@ import (
 	"testing"
 )
 
-// randomMatrix builds an n×dim FlatMatrix with NormFloat64 entries plus
+// mapsFiles is whether OpenFBMX maps the file on this build; the
+// build-tagged mmap_unix_test.go sets it where mmap_unix.go builds.
+var mapsFiles bool
+
+// randomMatrix builds an n×dim heap Matrix with NormFloat64 entries plus
 // the awkward values an on-disk roundtrip must preserve bitwise.
-func randomMatrix(t *testing.T, rng *rand.Rand, n, dim int) *FlatMatrix {
+func randomMatrix(t *testing.T, rng *rand.Rand, n, dim int) *Matrix {
 	t.Helper()
-	m, err := NewFlatMatrix(n, dim)
+	m, err := NewMatrix(n, dim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		row := make([]float64, dim)
+		row := m.Row(i)
 		for j := range row {
 			row[j] = rng.NormFloat64()
 		}
 		if i == 0 && dim >= 4 {
 			row[0], row[1], row[2], row[3] = 0, math.Copysign(0, -1), math.Inf(1), math.NaN()
-		}
-		if err := m.SetRow(i, row); err != nil {
-			t.Fatal(err)
 		}
 	}
 	return m
@@ -51,7 +52,7 @@ func testLabels(n int) Labels {
 	return l
 }
 
-func writeTempFBMX(t *testing.T, m *FlatMatrix) string {
+func writeTempFBMX(t *testing.T, m *Matrix) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "coll.fbmx")
 	if err := WriteFBMX(path, m, testLabels(m.Len())); err != nil {
@@ -62,7 +63,7 @@ func writeTempFBMX(t *testing.T, m *FlatMatrix) string {
 
 // collectionHash is the FNV-64a the writer stores, recomputed
 // independently from rows and labels.
-func collectionHash(b Backend, l Labels) uint64 {
+func collectionHash(b *Matrix, l Labels) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	for i := 0; i < b.Len(); i++ {
@@ -77,7 +78,7 @@ func collectionHash(b Backend, l Labels) uint64 {
 
 // checkLabels holds decoded labels to the ones written, and the stored
 // hash to one recomputed from the decoded rows and labels.
-func checkLabels(t *testing.T, how string, rows Backend, got, want Labels) {
+func checkLabels(t *testing.T, how string, rows *Matrix, got, want Labels) {
 	t.Helper()
 	if got.Spec != want.Spec || !reflect.DeepEqual(got.QueryCats, want.QueryCats) ||
 		!reflect.DeepEqual(got.Category, want.Category) || !reflect.DeepEqual(got.Theme, want.Theme) {
@@ -102,9 +103,9 @@ func rewriteHeader(t *testing.T, raw []byte, edit func(h *fbmxHeader, labels []b
 	return c
 }
 
-// rowsBitwiseEqual compares two backends row by row on float64 bit
+// rowsBitwiseEqual compares two matrices row by row on float64 bit
 // patterns (so NaNs and signed zeros count as preserved).
-func rowsBitwiseEqual(a, b Backend) bool {
+func rowsBitwiseEqual(a, b *Matrix) bool {
 	if a.Len() != b.Len() || a.Dim() != b.Dim() {
 		return false
 	}
@@ -119,30 +120,33 @@ func rowsBitwiseEqual(a, b Backend) bool {
 	return true
 }
 
-// TestFBMXRoundTrip: write → OpenMmap and write → DecodeFBMX must both
+// TestFBMXRoundTrip: write → OpenFBMX and write → DecodeFBMX must both
 // reproduce the matrix bitwise, including NaN payloads and -0, and the
-// labels and provenance written beside it.
+// labels and provenance written beside it. A file-opened matrix is
+// mapped exactly on the mmap platforms, a FromRows or DecodeFBMX one
+// never; a heap Close leaves the rows readable, a mapped Close is
+// idempotent, and the labels outlive it.
 func TestFBMXRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, shape := range []struct{ n, dim int }{{1, 1}, {3, 5}, {70, 32}, {600, 7}} {
 		m := randomMatrix(t, rng, shape.n, shape.dim)
 		path := writeTempFBMX(t, m)
 
-		mm, err := OpenMmap(path)
+		mm, mmLabels, err := OpenFBMX(path)
 		if err != nil {
-			t.Fatalf("%dx%d: OpenMmap: %v", shape.n, shape.dim, err)
+			t.Fatalf("%dx%d: OpenFBMX: %v", shape.n, shape.dim, err)
 		}
 		if mm.Len() != shape.n || mm.Dim() != shape.dim {
-			t.Fatalf("mmap shape %dx%d, want %dx%d", mm.Len(), mm.Dim(), shape.n, shape.dim)
+			t.Fatalf("opened shape %dx%d, want %dx%d", mm.Len(), mm.Dim(), shape.n, shape.dim)
 		}
-		if err := mm.Verify(); err != nil {
-			t.Fatalf("Verify: %v", err)
+		if mm.Mapped() != mapsFiles {
+			t.Fatalf("OpenFBMX: Mapped() = %v on a build that maps files: %v", mm.Mapped(), mapsFiles)
 		}
 		if !rowsBitwiseEqual(m, mm) {
-			t.Fatalf("%dx%d: mmap rows differ from source", shape.n, shape.dim)
+			t.Fatalf("%dx%d: opened rows differ from source", shape.n, shape.dim)
 		}
 		want := testLabels(shape.n)
-		checkLabels(t, "OpenMmap", mm, mm.Labels(), want)
+		checkLabels(t, "OpenFBMX", mm, mmLabels, want)
 
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -156,27 +160,42 @@ func TestFBMXRoundTrip(t *testing.T) {
 			t.Fatalf("%dx%d: decoded rows differ from source", shape.n, shape.dim)
 		}
 		checkLabels(t, "DecodeFBMX", dec, labels, want)
+		rows, err := FromRows([][]float64{m.Row(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.Mapped() || rows.Mapped() {
+			t.Fatalf("heap matrices report Mapped(): DecodeFBMX %v, FromRows %v", dec.Mapped(), rows.Mapped())
+		}
+		for _, heap := range []*Matrix{m, dec} {
+			if err := heap.Close(); err != nil {
+				t.Fatalf("heap Close: %v", err)
+			}
+		}
+		if !rowsBitwiseEqual(m, dec) {
+			t.Fatalf("%dx%d: heap rows differ after Close", shape.n, shape.dim)
+		}
 		if err := mm.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if err := mm.Close(); err != nil {
 			t.Fatalf("second Close: %v", err)
 		}
-		checkLabels(t, "after Close", dec, mm.Labels(), want)
+		checkLabels(t, "after Close", dec, mmLabels, want)
 	}
 }
 
 // TestFBMXSlabMatchesRows pins the slab view the tiled kernels consume
-// against per-row access on both backends.
+// against per-row access, in the heap and file-opened.
 func TestFBMXSlabMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := randomMatrix(t, rng, 40, 8)
-	mm, err := OpenMmap(writeTempFBMX(t, m))
+	mm, _, err := OpenFBMX(writeTempFBMX(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mm.Close()
-	for _, b := range []Backend{m, mm} {
+	for _, b := range []*Matrix{m, mm} {
 		slab := b.Slab(10, 25)
 		if len(slab) != 15*8 {
 			t.Fatalf("slab length %d", len(slab))
@@ -243,22 +262,21 @@ func TestFBMXCorruptionDetected(t *testing.T) {
 		if _, _, err := DecodeFBMX(tc.data); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: DecodeFBMX error %v, want ErrCorrupt", tc.name, err)
 		}
-		// The same bytes on disk must be rejected by the mmap open path
-		// too (payload damage surfaces at Verify).
+		// The same bytes on disk must be refused by the open itself,
+		// payload damage included.
 		p := filepath.Join(t.TempDir(), "bad.fbmx")
 		if err := os.WriteFile(p, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		mm, err := OpenMmap(p)
+		mm, _, err := OpenFBMX(p)
 		if err == nil {
-			err = mm.Verify()
 			mm.Close()
 		}
 		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: OpenMmap(+Verify) error %v, want ErrCorrupt", tc.name, err)
+			t.Errorf("%s: OpenFBMX error %v, want ErrCorrupt", tc.name, err)
 		}
 	}
-	if _, err := OpenMmap(filepath.Join(t.TempDir(), "missing.fbmx")); !errors.Is(err, os.ErrNotExist) {
+	if _, _, err := OpenFBMX(filepath.Join(t.TempDir(), "missing.fbmx")); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("missing file: %v, want os.ErrNotExist", err)
 	}
 }
@@ -267,7 +285,7 @@ func TestFBMXCorruptionDetected(t *testing.T) {
 // size-check overflow: a CRC-valid header whose n*dim*8 wraps 64-bit
 // arithmetic back to a tiny payload size must be rejected as corrupt,
 // not accepted (which would panic DecodeFBMX's allocation and hand
-// OpenMmap a wildly out-of-bounds slice view).
+// OpenFBMX a wildly out-of-bounds slice view).
 func TestFBMXShapeOverflowRejected(t *testing.T) {
 	// n*dim ≈ 2.3e18, so 8*n*dim mod 2^64 = 64: with naive byte-count
 	// arithmetic this 4160-byte file (64-byte payload) looks exactly the
@@ -288,12 +306,12 @@ func TestFBMXShapeOverflowRejected(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mm, err := OpenMmap(path)
+	mm, _, err := OpenFBMX(path)
 	if err == nil {
 		mm.Close()
 	}
 	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("OpenMmap accepted an overflowed shape: %v", err)
+		t.Fatalf("OpenFBMX accepted an overflowed shape: %v", err)
 	}
 }
 
@@ -315,8 +333,8 @@ func TestFBMXVersion1Refused(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenMmap(path); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported FBMX version 1") {
-		t.Fatalf("OpenMmap of a v1 image: %v, want ErrCorrupt naming version 1", err)
+	if _, _, err := OpenFBMX(path); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported FBMX version 1") {
+		t.Fatalf("OpenFBMX of a v1 image: %v, want ErrCorrupt naming version 1", err)
 	}
 }
 
@@ -337,7 +355,7 @@ func TestFBMXAtomicWrite(t *testing.T) {
 	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("temporary file left behind: %v", err)
 	}
-	mm, err := OpenMmap(path)
+	mm, _, err := OpenFBMX(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,57 +364,45 @@ func TestFBMXAtomicWrite(t *testing.T) {
 		t.Error("rewrite did not replace the collection")
 	}
 	if err := WriteFBMX(filepath.Join(dir, "empty.fbmx"), nil, Labels{}); err == nil {
-		t.Error("writing a nil backend should fail")
+		t.Error("writing a nil matrix should fail")
 	}
 	if err := WriteFBMX(filepath.Join(dir, "unlabeled.fbmx"), second, testLabels(second.Len()-1)); err == nil {
 		t.Error("writing labels for a different row count should fail")
 	}
 }
 
-// TestCheckedBoundsSentinels is the satellite regression: Row/SetRow/
-// Slab bounds violations on the serving path surface as errors.Is-able
-// ErrOutOfRange, for both backends, instead of slice-bounds panics.
+// TestCheckedBoundsSentinels is the satellite regression: row bounds
+// violations on the serving path surface as errors.Is-able
+// ErrOutOfRange, in the heap and file-opened, instead of slice-bounds
+// panics.
 func TestCheckedBoundsSentinels(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := randomMatrix(t, rng, 10, 3)
-	mm, err := OpenMmap(writeTempFBMX(t, m))
+	mm, _, err := OpenFBMX(writeTempFBMX(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mm.Close()
 
-	for _, b := range []Backend{m, mm} {
+	for _, b := range []*Matrix{m, mm} {
 		for _, i := range []int{-1, 10, 1 << 30} {
-			if _, err := RowChecked(b, i); !errors.Is(err, ErrOutOfRange) {
+			if _, err := b.RowChecked(i); !errors.Is(err, ErrOutOfRange) {
 				t.Errorf("RowChecked(%d): %v, want ErrOutOfRange", i, err)
 			}
 		}
-		if row, err := RowChecked(b, 9); err != nil || len(row) != 3 {
+		if row, err := b.RowChecked(9); err != nil || len(row) != 3 {
 			t.Errorf("RowChecked(9): %v, %v", row, err)
 		}
-	}
-
-	if err := m.SetRow(-1, []float64{1, 2, 3}); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("SetRow(-1): %v, want ErrOutOfRange", err)
-	}
-	if err := m.SetRow(10, []float64{1, 2, 3}); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("SetRow(10): %v, want ErrOutOfRange", err)
-	}
-	if err := m.SetRow(0, []float64{1}); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("SetRow wrong dim: %v, want ErrOutOfRange", err)
-	}
-	if err := m.SetRow(0, []float64{1, 2, 3}); err != nil {
-		t.Errorf("valid SetRow: %v", err)
 	}
 }
 
 // TestMmapRowsAreReadOnlyViews documents the aliasing contract: rows of
 // a mapped collection reflect the file, row for row identical to the
-// heap backend.
+// heap matrix written.
 func TestMmapRowsAreReadOnlyViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := randomMatrix(t, rng, 5, 4)
-	mm, err := OpenMmap(writeTempFBMX(t, m))
+	mm, _, err := OpenFBMX(writeTempFBMX(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}

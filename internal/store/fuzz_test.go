@@ -20,18 +20,15 @@ import (
 // fbmxImage builds a valid FBMX byte image through the real writer.
 func fbmxImage(tb testing.TB, n, dim int) []byte {
 	tb.Helper()
-	m, err := NewFlatMatrix(n, dim)
+	m, err := NewMatrix(n, dim)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	row := make([]float64, dim)
 	for i := 0; i < n; i++ {
+		row := m.Row(i)
 		for j := range row {
 			row[j] = rng.NormFloat64()
-		}
-		if err := m.SetRow(i, row); err != nil {
-			tb.Fatal(err)
 		}
 	}
 	path := filepath.Join(tb.(interface{ TempDir() string }).TempDir(), "seed.fbmx")
@@ -84,7 +81,7 @@ func FuzzFBMX(f *testing.F) {
 		if got := len(m.Slab(0, m.Len())); got != m.Len()*m.Dim() {
 			t.Fatalf("full slab has %d elements, want %d", got, m.Len()*m.Dim())
 		}
-		if _, err := RowChecked(m, m.Len()); !errors.Is(err, ErrOutOfRange) {
+		if _, err := m.RowChecked(m.Len()); !errors.Is(err, ErrOutOfRange) {
 			t.Fatalf("RowChecked past the end: %v", err)
 		}
 	})

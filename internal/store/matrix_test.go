@@ -40,7 +40,7 @@ func TestFromRowsValidation(t *testing.T) {
 }
 
 func TestRowsViewsShareStorage(t *testing.T) {
-	m, err := NewFlatMatrix(3, 2)
+	m, err := NewMatrix(3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestRowsViewsShareStorage(t *testing.T) {
 }
 
 func TestRowViewCapacityClipped(t *testing.T) {
-	m, _ := NewFlatMatrix(2, 2)
+	m, _ := NewMatrix(2, 2)
 	r := m.Row(0)
 	if cap(r) != 2 {
 		t.Errorf("row view capacity = %d, want 2 (clipped so append cannot clobber the next row)", cap(r))

@@ -25,9 +25,9 @@ run_test() {
 	go vet ./...
 	# The portable kernel tier (internal/knn/phase1_generic.go) builds on
 	# every arch, but internal/vec/cpu_generic.go builds only off amd64,
-	# and internal/store/mmap_portable.go only off the little-endian mmap
-	# platforms; vet each where it builds: linux/arm64, and big-endian
-	# linux/s390x. (windows/arm64 cannot stand in for s390x: the root test
+	# and internal/store/mmap_portable.go, the OpenFBMX that decodes into
+	# the heap, only off the little-endian mmap platforms; vet each where
+	# it builds: linux/arm64, and big-endian linux/s390x. (windows/arm64 cannot stand in for s390x: the root test
 	# package calls syscall.Getrusage, which windows lacks.)
 	# Cross-vetting needs no network.
 	GOOS=linux GOARCH=arm64 go vet ./...
@@ -132,11 +132,13 @@ run_chaos() {
 }
 
 # run_loc prints the tracked line counts the ROADMAP reports: every file
-# git tracks, outside bench/ (its own module) and testdata/.
+# git tracks, outside bench/ (its own module) and testdata/. A tracked
+# file deleted from the working tree counts nothing, so a deletion shows
+# in the counts before it is committed.
 run_loc() {
 	count() {
 		git ls-files -- "$@" | grep -v -e '^bench/' -e '\(^\|/\)testdata/' |
-			while IFS= read -r f; do cat -- "$f"; done | wc -l
+			while IFS= read -r f; do [ ! -f "$f" ] || cat -- "$f"; done | wc -l
 	}
 	printf 'non-test Go  %6d\n' "$(count '*.go' ':!:*_test.go')"
 	printf 'test Go      %6d\n' "$(count '*_test.go')"
