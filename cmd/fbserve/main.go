@@ -17,7 +17,7 @@
 // Endpoints:
 //
 //	GET  /healthz             liveness
-//	GET  /stats               counters, cache occupancy, tree shape
+//	GET  /stats               counters (read from /metrics' series), cache occupancy, tree shape
 //	GET  /metrics             Prometheus text exposition
 //	POST /query               open a session: {"item": 3, "k": 5} or
 //	                          {"feature": [...], "k": 5} → first results + session id
@@ -25,7 +25,8 @@
 //	POST /feedback            {"session": S, "scores": [1,0,...]} → refined results
 //	POST /close               {"session": S} → converged OQPs inserted into the bypass
 //
-// Replies name the collection "default". Results carry each item's
+// /stats files the collection under the name "default", and every
+// metric series carries collection="default". Results carry each item's
 // category and theme so a client (or a human with curl) can play the
 // relevance oracle; an FBMX file stores them beside its rows. On
 // SIGINT/SIGTERM the server stops accepting connections, drains the

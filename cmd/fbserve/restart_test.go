@@ -331,9 +331,8 @@ func TestBinaryServesExportedFBMX(t *testing.T) {
 	p := start(t, bin, args...)
 
 	type state struct {
-		Collection string `json:"collection"`
-		Session    uint64 `json:"session"`
-		Results    []struct {
+		Session uint64 `json:"session"`
+		Results []struct {
 			Category string `json:"category"`
 		} `json:"results"`
 		Converged bool `json:"converged"`
@@ -355,8 +354,8 @@ func TestBinaryServesExportedFBMX(t *testing.T) {
 		}
 		var st state
 		p.call(t, http.MethodPost, "/query", map[string]any{"item": item}, &st)
-		if st.Collection != "default" || len(st.Results) == 0 || st.Results[0].Category == "" {
-			t.Fatalf("/query: %+v, want default results with the file's categories", st)
+		if len(st.Results) == 0 || st.Results[0].Category == "" {
+			t.Fatalf("/query: %+v, want results with the file's categories", st)
 		}
 		category := st.Results[0].Category
 		for !st.Converged {

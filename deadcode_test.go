@@ -27,8 +27,6 @@ var deadCodeAllowlist = map[string]string{
 	"repro/internal/knn.Scan.SearchNaive":            "the per-row oracle the knn parity suites and BenchmarkKNNScanNaive hold the kernels to",
 	"repro/internal/simplextree.Tree.PredictNaive":   "the full-solve oracle of TestPredictMatchesNaiveDescent and BenchmarkLookupNaive",
 	"repro/internal/simplextree.Tree.Snapshot":       "the structural oracle the recovery and compaction tests hold a rebuilt tree to",
-	"repro/internal/obsv.Registry.Snapshot":          "the structured read every metric test asserts through",
-	"repro/internal/obsv.Snapshot.Find":              "the lookup every metric test asserts through",
 	"repro/internal/simplextree.Tree.CompressValues": "the paper's §3.1 storage/accuracy trade-off; only compress_test.go calls it, and no serving path does (ROADMAP 28)",
 	"repro/internal/imagegen.Generate":               "the serial renderer TestBuildMatchesSerialGenerate holds the parallel dataset.Build to",
 	"repro/internal/vec.Det":                         "the determinant oracle of TestInterpolationEqualsDeterminantFormulation",

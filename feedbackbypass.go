@@ -90,7 +90,7 @@ func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*Bypass
 
 // NewForHistograms wires a Bypass and its codec for normalized-histogram
 // features in one call: D = P = bins−1, standard-simplex domain, log-ratio
-// default weights. Only Epsilon and Tol of cfg are consulted.
+// default weights. Only Epsilon of cfg is consulted.
 func NewForHistograms(bins int, cfg Config) (*Bypass, HistogramCodec, error) {
 	codec, err := core.NewHistogramCodec(bins)
 	if err != nil {
@@ -98,7 +98,6 @@ func NewForHistograms(bins int, cfg Config) (*Bypass, HistogramCodec, error) {
 	}
 	b, err := core.New(codec.D(), codec.P(), Config{
 		Epsilon:        cfg.Epsilon,
-		Tol:            cfg.Tol,
 		DefaultWeights: codec.DefaultWeights(),
 	})
 	if err != nil {

@@ -64,8 +64,6 @@ func DecodeOQP(v []float64, d, p int) (OQP, error) {
 type Config struct {
 	// Epsilon is the Simplex Tree insert threshold ε (§4.2).
 	Epsilon float64
-	// Tol is the geometric tolerance; geom.DefaultTol when zero.
-	Tol float64
 	// DefaultWeights seeds the domain corners' weight parameters; all-ones
 	// when nil. Codecs that store weights in a transformed domain (e.g.
 	// the log-ratio parameterization of HistogramCodec, whose neutral
@@ -121,11 +119,9 @@ type Bypass struct {
 	degMu    sync.Mutex
 	degraded error // errors.Join(ErrDegraded, cause); nil while healthy
 
-	// Counters of the compactions that rebuilt the tree, and the module's
-	// instruments once opened with DurableOptions.Obs (nil otherwise,
-	// which observes nothing).
-	compactions  atomic.Uint64
-	reclaimed    atomic.Uint64
+	// The module's instruments, in DurableOptions.Obs or a private
+	// registry; the two counters are also what Compactions and Reclaimed
+	// read.
 	compactionsC *obsv.Counter   // fb_bypass_compactions_total
 	reclaimedC   *obsv.Counter   // fb_bypass_reclaimed_vertices_total
 	compactH     *obsv.Histogram // fb_bypass_compaction_seconds
@@ -158,7 +154,6 @@ func newTree(d, p int, cfg Config) (*simplextree.Tree, error) {
 	def := OQP{Delta: vec.Zeros(d), Weights: vec.Clone(defW)}
 	return simplextree.New(d, def.Encode(), simplextree.Options{
 		Epsilon:     cfg.Epsilon,
-		Tol:         cfg.Tol,
 		MaxVertices: cfg.MaxVertices,
 		AgeHorizon:  cfg.AgeHorizon,
 	})
@@ -332,8 +327,6 @@ func (b *Bypass) compactLocked() (int, error) {
 		old.SetObserver(nil)
 	}
 	b.tree.Store(nt)
-	b.compactions.Add(1)
-	b.reclaimed.Add(uint64(rst.Reclaimed))
 	b.compactionsC.Inc()
 	b.reclaimedC.Add(uint64(rst.Reclaimed))
 	b.pointsBefG.Set(float64(rst.Before))
@@ -343,11 +336,13 @@ func (b *Bypass) compactLocked() (int, error) {
 }
 
 // Compactions reports the number of compactions that rebuilt the tree
-// (aging on) since the module was created or opened.
-func (b *Bypass) Compactions() uint64 { return b.compactions.Load() }
+// (aging on) since the module was created or opened: the value of
+// fb_bypass_compactions_total.
+func (b *Bypass) Compactions() uint64 { return b.compactionsC.Value() }
 
-// Reclaimed reports the total vertices those compactions reclaimed.
-func (b *Bypass) Reclaimed() uint64 { return b.reclaimed.Load() }
+// Reclaimed reports the total vertices those compactions reclaimed: the
+// value of fb_bypass_reclaimed_vertices_total.
+func (b *Bypass) Reclaimed() uint64 { return b.reclaimedC.Value() }
 
 // HistogramCodec translates between the retrieval engine's world —
 // full normalized histograms of Bins dimensions with Bins distance weights

@@ -48,11 +48,11 @@ type DurableOptions struct {
 	// filesystem; the fault-injection plane (internal/faultfs)
 	// substitutes scripted failures here.
 	FS persist.FS
-	// Obs, when non-nil, registers the module's instruments in the given
-	// registry, each carrying ObsLabels: the tree and aged-compaction
-	// series, and with a log its append, fsync, size and commit series.
-	// Nil disables instrumentation: every instrument is then nil, and
-	// observing a nil instrument does nothing.
+	// Obs is the registry the module's instruments join, each carrying
+	// ObsLabels: the tree and aged-compaction series, and with a log its
+	// append, fsync, size and commit series. Nil gives the module a
+	// private registry: its counters still count, for Compactions and
+	// Reclaimed, but no exposition shows them.
 	Obs *obsv.Registry
 	// ObsLabels are attached to every instrument this module registers
 	// (typically the collection name).
@@ -153,16 +153,20 @@ func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*Bypass
 }
 
 // open wraps tree, and its log when wal is non-nil, as a module with P
-// distance parameters, and registers its series in opts.Obs (a nil
-// registry registers nothing): the tree's size and depth, the
-// aged-compaction series, and with a log its size, append, fsync and
+// distance parameters, and registers its series in opts.Obs, or in a
+// private registry when that is nil: the tree's size, depth and bytes,
+// the aged-compaction series, and with a log its size, append, fsync and
 // commit series.
 func open(tree *simplextree.Tree, wal *persist.WAL, p int, opts DurableOptions) *Bypass {
 	b := &Bypass{d: tree.Dim(), p: p, wal: wal, compactEvery: opts.CompactEvery}
 	b.tree.Store(tree)
 	reg, labels := opts.Obs, opts.ObsLabels
+	if reg == nil {
+		reg = obsv.NewRegistry()
+	}
 	reg.GaugeFunc("fb_tree_points", "Simplex Tree stored points.", func() float64 { return float64(b.Stats().Points) }, labels...)
 	reg.GaugeFunc("fb_tree_depth", "Simplex Tree depth.", func() float64 { return float64(b.Stats().Depth) }, labels...)
+	reg.GaugeFunc("fb_tree_bytes", "Simplex Tree flat-array capacity in bytes.", func() float64 { return float64(b.Stats().Bytes) }, labels...)
 	b.compactionsC = reg.Counter("fb_bypass_compactions_total", "Aged tree compactions (rebuild, log commit when durable, swap) completed.", labels...)
 	b.reclaimedC = reg.Counter("fb_bypass_reclaimed_vertices_total", "Vertices reclaimed by aged compactions (aged out or ε-absorbed).", labels...)
 	b.compactH = reg.Histogram("fb_bypass_compaction_seconds", "Aged compaction duration (rebuild, log commit when durable, swap).", obsv.LatencyBounds(), labels...)

@@ -48,9 +48,9 @@ type Config struct {
 	Obs          *obsv.Registry
 }
 
-// collectionName names the one collection a process serves on the wire:
-// the "collection" field of every reply, the key of the /stats and
-// /healthz maps, and the collection label of every metric series.
+// collectionName names the one collection a process serves: the key of
+// the /stats map, its name in that block, and the collection label of
+// every metric series.
 const collectionName = "default"
 
 // collectionLabels is the label set every instrument of the collection

@@ -163,14 +163,13 @@ func NewMux(c *Collection, reg *obsv.Registry, pprofOn bool) *http.ServeMux {
 	// but the status says so and why inserts fail.
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		body := map[string]any{
-			"status":      "ok",
-			"collections": 1,
-			"sessions":    c.Service.Stats().ActiveSessions,
-			"server":      currentServerInfo(),
+			"status":   "ok",
+			"sessions": c.Service.Stats().ActiveSessions,
+			"server":   currentServerInfo(),
 		}
 		if derr := c.Service.Degraded(); derr != nil {
 			body["status"] = "degraded"
-			body["degraded"] = map[string]string{collectionName: derr.Error()}
+			body["degraded"] = derr.Error()
 		}
 		writeJSON(w, r, http.StatusOK, body)
 	})

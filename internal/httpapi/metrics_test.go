@@ -5,12 +5,18 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
+	"repro/internal/faultfs"
+	"repro/internal/histogram"
+	"repro/internal/imagegen"
 	"repro/internal/obsv"
+	"repro/internal/service"
 )
 
 // newInstrumentedTestServer wires the production handler over one
@@ -210,22 +216,22 @@ func TestMemoryCollectionExportsNoPersistenceSeries(t *testing.T) {
 	if compactions != 2 || reclaimed == 0 {
 		t.Fatalf("module counters: %d compactions reclaimed %d; want a pass and a quota retry, reclaiming some", compactions, reclaimed)
 	}
-	snap := reg.Snapshot()
-	label := obsv.L("collection", "default")
-	for name, want := range map[string]uint64{
-		"fb_bypass_compactions_total":        compactions,
-		"fb_bypass_reclaimed_vertices_total": reclaimed,
+	s := scrape(t, reg)
+	for series, want := range map[string]uint64{
+		`fb_bypass_compactions_total{collection="default"}`:        compactions,
+		`fb_bypass_reclaimed_vertices_total{collection="default"}`: reclaimed,
+		`fb_bypass_compaction_seconds_count{collection="default"}`: compactions,
 	} {
-		if m := snap.Find(name, label); m == nil || m.Value != float64(want) {
-			t.Errorf("%s = %+v, want %d", name, m, want)
+		if m, ok := s[series]; !ok || m != float64(want) {
+			t.Errorf("%s = %v (exposed %v), want %d", series, m, ok, want)
 		}
 	}
-	if m := snap.Find("fb_bypass_compaction_seconds", label); m == nil || m.Hist.Count != compactions {
-		t.Errorf("fb_bypass_compaction_seconds = %+v, want %d observations", m, compactions)
-	}
-	for _, name := range []string{"fb_bypass_compaction_points_before", "fb_bypass_compaction_points_after"} {
-		if snap.Find(name, label) == nil {
-			t.Errorf("memory collection lacks %s", name)
+	for _, series := range []string{
+		`fb_bypass_compaction_points_before{collection="default"}`,
+		`fb_bypass_compaction_points_after{collection="default"}`,
+	} {
+		if _, ok := s[series]; !ok {
+			t.Errorf("memory collection lacks %s", series)
 		}
 	}
 
@@ -248,4 +254,168 @@ func TestMemoryCollectionExportsNoPersistenceSeries(t *testing.T) {
 			t.Errorf("memory collection lacks %s", want)
 		}
 	}
+}
+
+// TestStatsReadsMetrics drives a session mix through NewMux — sessions
+// fed back to convergence over an aging module that compacts, a
+// prediction-cache hit, an admission refusal, outcomes refused by the
+// vertex quota and then by a failed journal — and holds every count
+// /stats reports to the /metrics series it reads, each of them nonzero:
+// one tally per event.
+func TestStatsReadsMetrics(t *testing.T) {
+	ds, err := dataset.Build(imagegen.IMSILike(5, 0.03), histogram.DefaultExtractor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(ds, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := core.NewHistogramCodec(ds.Dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, fs := obsv.NewRegistry(), faultfs.New(nil)
+	db, err := core.OpenDurable(t.TempDir(), codec.D(), codec.P(),
+		core.Config{Epsilon: 0.05, DefaultWeights: codec.DefaultWeights(), AgeHorizon: 2},
+		core.DurableOptions{CompactEvery: 2, FS: fs, Obs: reg, ObsLabels: collectionLabels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	svc, err := service.New(eng, db, service.Options{MaxSessions: 2, DefaultK: 8, Obs: reg, ObsLabels: collectionLabels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewMux(&Collection{Dataset: ds, Service: svc, Bypass: db}, reg, false))
+	t.Cleanup(srv.Close)
+
+	// Closes until one answers want, each session fed to convergence.
+	item := 0
+	closeUntil := func(want int) {
+		t.Helper()
+		for start := item; ; item++ {
+			if item-start == 48 {
+				t.Fatalf("48 sessions from item %d, none closed with status %d", start, want)
+			}
+			if resp, _ := driveSession(t, srv, ds, item); resp.StatusCode == want {
+				item++
+				return
+			}
+		}
+	}
+	for db.Reclaimed() == 0 {
+		closeUntil(http.StatusOK)
+	}
+	// A session closed without feedback inserts nothing, so the reopen
+	// hits the cache; the third open is one past MaxSessions.
+	var a, b stateJSON
+	postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 8}, &a)
+	postJSON(t, srv.URL+"/close", closeRequest{Session: a.Session}, nil)
+	postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 8}, &a)
+	postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 8}, &b)
+	if code := postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: 8}, nil); code != http.StatusTooManyRequests {
+		t.Fatalf("open past MaxSessions: status %d", code)
+	}
+	postJSON(t, srv.URL+"/close", closeRequest{Session: a.Session}, nil)
+	postJSON(t, srv.URL+"/close", closeRequest{Session: b.Session}, nil)
+	// The tree at its vertex quota, aging off so nothing is reclaimed to
+	// make room; then the quota lifted and the journal failing.
+	tree := db.Tree()
+	tree.SetAgeHorizon(0)
+	tree.SetQuota(tree.Stats().DistinctVertices)
+	closeUntil(http.StatusInsufficientStorage)
+	tree.SetQuota(0)
+	fs.AddRule(faultfs.Rule{Op: faultfs.OpWrite, Path: core.JournalFile, Kind: faultfs.Fail})
+	closeUntil(http.StatusServiceUnavailable)
+
+	var stats statsResponse
+	if code := getJSON(t, srv.URL+"/stats", &stats); code != http.StatusOK {
+		t.Fatalf("/stats: status %d", code)
+	}
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := parseProm(t, string(body))
+	st := stats.Collections[collectionName]
+	series := func(name string, labels ...string) float64 {
+		t.Helper()
+		key := name + `{collection="default"` + strings.Join(append([]string{""}, labels...), ",") + "}"
+		v, ok := m[key]
+		if !ok {
+			t.Errorf("/metrics has no %s", key)
+		}
+		return v
+	}
+	requests := func(op, outcome string) float64 {
+		return series("fb_service_requests_total", `op="`+op+`"`, `outcome="`+outcome+`"`)
+	}
+	hit, miss := series("fb_service_cache_requests_total", `result="hit"`), series("fb_service_cache_requests_total", `result="miss"`)
+	for _, c := range []struct {
+		field  string
+		stat   float64
+		metric float64
+	}{
+		{"opened", float64(st.Opened), requests("open", "ok")},
+		{"rejected", float64(st.Rejected), requests("open", "overloaded")},
+		{"closed", float64(st.Closed), series("fb_service_sessions_closed_total")},
+		{"feedbacks", float64(st.Feedbacks), series("fb_service_feedback_rounds_total")},
+		{"predictions", float64(st.Predictions), hit + miss},
+		{"cache_hits", float64(st.CacheHits), hit},
+		{"warm_starts", float64(st.WarmStarts), series("fb_service_warm_starts_total")},
+		{"inserts", float64(st.Inserts), series("fb_service_inserts_total")},
+		{"inserts_stored", float64(st.InsertsStored), series("fb_service_inserts_stored_total")},
+		{"quota_rejects", float64(st.QuotaRejects), requests("close", "quota_exceeded")},
+		{"degraded_rejects", float64(st.DegradedRejects), requests("close", "degraded")},
+		{"compactions", float64(st.Compactions), series("fb_bypass_compactions_total")},
+		{"reclaimed", float64(st.Reclaimed), series("fb_bypass_reclaimed_vertices_total")},
+		{"cache_entries", float64(st.CacheEntries), series("fb_service_cache_entries")},
+		{"wal_bytes", float64(st.WALBytes), series("fb_wal_bytes")},
+		{"tree.points", float64(st.Tree.Points), series("fb_tree_points")},
+		{"tree.depth", float64(st.Tree.Depth), series("fb_tree_depth")},
+		{"tree.bytes", float64(st.Tree.Bytes), series("fb_tree_bytes")},
+	} {
+		if c.stat != c.metric || c.stat == 0 {
+			t.Errorf("/stats %s = %v, its /metrics series %v; want them equal and nonzero", c.field, c.stat, c.metric)
+		}
+	}
+	if st.ActiveSessions != 0 || series("fb_service_sessions_active") != 0 {
+		t.Errorf("active sessions: /stats %d, /metrics %v; want 0", st.ActiveSessions, series("fb_service_sessions_active"))
+	}
+}
+
+// parseProm reads a text exposition into a map keyed by the full series
+// name, labels included, exactly as exposed: the way the benchmark
+// harness and Prometheus read /metrics.
+func parseProm(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("exposition line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// scrape is parseProm over reg's exposition.
+func scrape(t *testing.T, reg *obsv.Registry) map[string]float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return parseProm(t, sb.String())
 }

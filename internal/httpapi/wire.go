@@ -48,9 +48,7 @@ func putBuf(b *[]byte) {
 // /session, labelling each result with its item's category and theme.
 // A non-finite distance is the error json.Marshal gives for it.
 func appendState(b []byte, st service.SessionState, items []dataset.Item) ([]byte, error) {
-	b = append(b, `{"collection":`...)
-	b = appendLabel(b, collectionName)
-	b = append(b, `,"session":`...)
+	b = append(b, `{"session":`...)
 	b = strconv.AppendUint(b, st.ID, 10)
 	b = append(b, `,"k":`...)
 	b = strconv.AppendInt(b, int64(st.K), 10)
@@ -88,9 +86,7 @@ func appendState(b []byte, st service.SessionState, items []dataset.Item) ([]byt
 
 // appendClose appends the /close reply.
 func appendClose(b []byte, res service.CloseResult) []byte {
-	b = append(b, `{"collection":`...)
-	b = appendLabel(b, collectionName)
-	b = append(b, `,"session":`...)
+	b = append(b, `{"session":`...)
 	b = strconv.AppendUint(b, res.ID, 10)
 	b = append(b, `,"iterations":`...)
 	b = strconv.AppendInt(b, int64(res.Iterations), 10)

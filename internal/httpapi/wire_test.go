@@ -32,7 +32,6 @@ type resultJSON struct {
 
 // stateJSON is the wire form of a session snapshot.
 type stateJSON struct {
-	Collection string       `json:"collection"`
 	Session    uint64       `json:"session"`
 	K          int          `json:"k"`
 	Results    []resultJSON `json:"results"`
@@ -44,7 +43,6 @@ type stateJSON struct {
 }
 
 type closeResponse struct {
-	Collection string `json:"collection"`
 	Session    uint64 `json:"session"`
 	Iterations int    `json:"iterations"`
 	Inserted   bool   `json:"inserted"`
@@ -57,7 +55,7 @@ func stateOracle(st service.SessionState, items []dataset.Item) stateJSON {
 		results[i] = resultJSON{Index: r.Index, Distance: r.Distance, Category: item.Category, Theme: item.Theme}
 	}
 	return stateJSON{
-		Collection: collectionName, Session: st.ID, K: st.K, Results: results,
+		Session: st.ID, K: st.K, Results: results,
 		Iterations: st.Iterations, BudgetLeft: st.BudgetLeft,
 		Converged: st.Converged, CacheHit: st.CacheHit, Warm: st.Warm,
 	}
@@ -183,7 +181,7 @@ func FuzzWireCodec(f *testing.F) {
 			t.Fatalf("state %+v:\nappendState %q (%v)\njson.Encoder %q", st, got, err, want)
 		}
 		res := service.CloseResult{ID: id, Iterations: n, Inserted: n&2 != 0}
-		want, _ = encodeOracle(closeResponse{Collection: collectionName, Session: res.ID, Iterations: res.Iterations, Inserted: res.Inserted})
+		want, _ = encodeOracle(closeResponse{Session: res.ID, Iterations: res.Iterations, Inserted: res.Inserted})
 		if got := appendClose(nil, res); !bytes.Equal(got, want) {
 			t.Fatalf("close %+v:\nappendClose %q\njson.Encoder %q", res, got, want)
 		}

@@ -11,9 +11,11 @@
 //     branch on "is observability enabled" — they just call through.
 //     Packages that would otherwise pay for time.Now() still guard the
 //     timing itself with a nil check.
-//  3. Zero dependencies. Exposition (prom.go) is hand-rolled Prometheus
-//     text format; snapshots are plain JSON-encodable structs so bench
-//     artifacts can embed them.
+//  3. Zero dependencies and one read path. Exposition (prom.go) is
+//     hand-rolled Prometheus text format, and it is the only way out of
+//     a registry: /metrics, the benchmark harness and the tests all read
+//     that text. A package that reports a count elsewhere (the serving
+//     layer's /stats) reads the instrument's Value, so the two agree.
 package obsv
 
 import (
@@ -28,14 +30,14 @@ import (
 
 // Label is a metric dimension. Labels are fixed at instrument creation.
 type Label struct {
-	Key   string `json:"key"`
-	Value string `json:"value"`
+	Key   string
+	Value string
 }
 
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Instrument kinds, used in exposition and snapshots.
+// Instrument kinds, as exposition names them.
 const (
 	KindCounter   = "counter"
 	KindGauge     = "gauge"
@@ -92,7 +94,7 @@ func (g *Gauge) Value() float64 {
 }
 
 // gaugeFunc is a gauge whose value is pulled from a callback at
-// collection time (exposition / snapshot), not pushed.
+// collection time (exposition), not pushed.
 type gaugeFunc struct {
 	labels []Label
 	fn     atomic.Pointer[func() float64] // swapped by re-registration while collectors call it

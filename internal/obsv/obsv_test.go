@@ -27,8 +27,8 @@ func TestNilSafety(t *testing.T) {
 	if err := r.WriteProm(nil); err != nil {
 		t.Fatalf("nil registry WriteProm: %v", err)
 	}
-	if s := r.Snapshot(); s == nil || len(s.Families) != 0 {
-		t.Fatalf("nil registry snapshot must be empty, got %+v", s)
+	if s := scrape(t, r); len(s) != 0 {
+		t.Fatalf("nil registry exposes %v, want nothing", s)
 	}
 }
 
@@ -105,27 +105,28 @@ func TestLatencyBounds(t *testing.T) {
 	}
 }
 
+// TestGaugeFuncAndFind: a pull gauge's callback is read at exposition,
+// found under its exact series name, and re-registering replaces it.
 func TestGaugeFuncAndFind(t *testing.T) {
 	r := NewRegistry()
 	v := 7.0
 	r.GaugeFunc("pool_size", "pull gauge", func() float64 { return v }, L("pool", "a"))
-	s := r.Snapshot()
-	m := s.Find("pool_size", L("pool", "a"))
-	if m == nil || m.Value != 7 {
-		t.Fatalf("Find = %+v, want value 7", m)
+	s := scrape(t, r)
+	if m, ok := s[`pool_size{pool="a"}`]; !ok || m != 7 {
+		t.Fatalf("pool_size = %v (present %v), want 7 in %v", m, ok, s)
 	}
-	if s.Find("pool_size", L("pool", "zzz")) != nil {
-		t.Fatalf("Find with wrong label must be nil")
+	if _, ok := s[`pool_size{pool="zzz"}`]; ok {
+		t.Fatalf("a series with the wrong label is exposed: %v", s)
 	}
 	// Re-registering replaces the callback.
 	r.GaugeFunc("pool_size", "pull gauge", func() float64 { return 42 }, L("pool", "a"))
-	if m := r.Snapshot().Find("pool_size", L("pool", "a")); m == nil || m.Value != 42 {
-		t.Fatalf("replaced gauge func = %+v, want 42", m)
+	if m := scrape(t, r)[`pool_size{pool="a"}`]; m != 42 {
+		t.Fatalf("replaced gauge func = %v, want 42", m)
 	}
 }
 
 // TestRegistryRace hammers every instrument kind from many goroutines
-// while concurrently snapshotting and exposing; run under -race in CI.
+// while concurrently exposing; run under -race in CI.
 func TestRegistryRace(t *testing.T) {
 	r := NewRegistry()
 	const workers = 16
@@ -150,7 +151,6 @@ func TestRegistryRace(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			r.Snapshot()
 			var sb discard
 			_ = r.WriteProm(&sb)
 		}

@@ -139,99 +139,8 @@ func escapeHelp(s string) string {
 // HistSnapshot is a point-in-time copy of one histogram. Counts has
 // len(Bounds)+1 entries; the final entry is the +Inf overflow bucket.
 type HistSnapshot struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []uint64  `json:"counts"`
-	Count  uint64    `json:"count"`
-	Sum    float64   `json:"sum"`
-}
-
-// MetricSnapshot is one instrument's state inside a Snapshot.
-type MetricSnapshot struct {
-	Labels []Label       `json:"labels,omitempty"`
-	Value  float64       `json:"value,omitempty"`
-	Hist   *HistSnapshot `json:"hist,omitempty"`
-}
-
-// FamilySnapshot is one metric family's state inside a Snapshot.
-type FamilySnapshot struct {
-	Name    string           `json:"name"`
-	Kind    string           `json:"kind"`
-	Help    string           `json:"help,omitempty"`
-	Metrics []MetricSnapshot `json:"metrics"`
-}
-
-// Snapshot is a point-in-time, JSON-encodable copy of a whole registry,
-// suitable for embedding in benchmark artifacts.
-type Snapshot struct {
-	Families []FamilySnapshot `json:"families"`
-}
-
-// Snapshot captures every family and instrument. Nil-safe (returns an
-// empty snapshot).
-func (r *Registry) Snapshot() *Snapshot {
-	s := &Snapshot{}
-	if r == nil {
-		return s
-	}
-	r.mu.Lock()
-	fams := append([]*family(nil), r.order...)
-	r.mu.Unlock()
-	for _, f := range fams {
-		f.mu.Lock()
-		metrics := append([]any(nil), f.order...)
-		f.mu.Unlock()
-		fs := FamilySnapshot{Name: f.name, Kind: f.kind, Help: f.help}
-		for _, m := range metrics {
-			var ms MetricSnapshot
-			switch v := m.(type) {
-			case *Counter:
-				ms = MetricSnapshot{Labels: v.labels, Value: float64(v.Value())}
-			case *Gauge:
-				ms = MetricSnapshot{Labels: v.labels, Value: v.Value()}
-			case *gaugeFunc:
-				ms = MetricSnapshot{Labels: v.labels, Value: v.value()}
-			case *Histogram:
-				ms = MetricSnapshot{Labels: v.labels, Hist: v.Snapshot()}
-			}
-			fs.Metrics = append(fs.Metrics, ms)
-		}
-		s.Families = append(s.Families, fs)
-	}
-	return s
-}
-
-// Find returns the metric with the given family name whose labels are a
-// superset of want, or nil. Convenience for tests and reports.
-func (s *Snapshot) Find(name string, want ...Label) *MetricSnapshot {
-	if s == nil {
-		return nil
-	}
-	for fi := range s.Families {
-		if s.Families[fi].Name != name {
-			continue
-		}
-		for mi := range s.Families[fi].Metrics {
-			m := &s.Families[fi].Metrics[mi]
-			if labelsContain(m.Labels, want) {
-				return m
-			}
-		}
-	}
-	return nil
-}
-
-func labelsContain(have, want []Label) bool {
-	for _, w := range want {
-		found := false
-		for _, h := range have {
-			if h.Key == w.Key && h.Value == w.Value {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
+	Bounds []float64
+	Counts []uint64
+	Count  uint64
+	Sum    float64
 }

@@ -2,8 +2,8 @@ package obsv
 
 import (
 	"bufio"
-	"fmt"
 	"math"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -163,19 +163,44 @@ func TestFormatFloatSpecials(t *testing.T) {
 	}
 }
 
+// TestSnapshotJSONRoundTrip: a counter and a histogram read back from
+// the text exposition, the registry's one read path, with the values
+// they were given; the histogram's buckets cumulative.
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total", "").Add(2)
 	r.Histogram("h_seconds", "", []float64{1, 2}).Observe(1.5)
-	s := r.Snapshot()
-	if len(s.Families) != 2 {
-		t.Fatalf("families = %d, want 2", len(s.Families))
+	s := scrape(t, r)
+	want := map[string]float64{
+		"c_total":                  2,
+		`h_seconds_bucket{le="1"}`: 0, `h_seconds_bucket{le="2"}`: 1, `h_seconds_bucket{le="+Inf"}`: 1,
+		"h_seconds_sum": 1.5, "h_seconds_count": 1,
 	}
-	m := s.Find("h_seconds")
-	if m == nil || m.Hist == nil || m.Hist.Count != 1 {
-		t.Fatalf("hist snapshot = %+v", m)
+	if !reflect.DeepEqual(s, want) {
+		t.Fatalf("exposed %v, want %v", s, want)
 	}
-	if got := fmt.Sprintf("%v", m.Hist.Counts); got != "[0 1 0]" {
-		t.Fatalf("counts = %s, want [0 1 0]", got)
+}
+
+// scrape reads r's text exposition into a map keyed by the full series
+// name, labels included, exactly as exposed: the way /metrics is read
+// by the benchmark harness and by Prometheus.
+func scrape(t *testing.T, r *Registry) map[string]float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := r.WriteProm(&sb); err != nil {
+		t.Fatal(err)
 	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("exposition line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
 }

@@ -3,13 +3,10 @@ package service
 import (
 	"context"
 	"testing"
-
-	"repro/internal/obsv"
 )
 
-// benchSession drives one full Open → Feedback* → Close session — the
-// serve-path unit the ≤5% instrumentation-overhead budget is measured
-// over (see DESIGN.md, "Observability plane").
+// benchSession drives one full Open → Feedback* → Close session, the
+// serve-path unit.
 func benchSession(b *testing.B, svc *Service, feature []float64, scores []float64) {
 	ctx := context.Background()
 	st, err := svc.Open(ctx, feature, 10)
@@ -28,8 +25,11 @@ func benchSession(b *testing.B, svc *Service, feature []float64, scores []float6
 	}
 }
 
-func runServeBench(b *testing.B, opts Options) {
-	svc, ds := newTestService(b, opts)
+// BenchmarkServe is the serve path, one session per op. A service
+// always counts into its instruments (a private registry when
+// Options.Obs is nil), so there is no uninstrumented twin to compare.
+func BenchmarkServe(b *testing.B) {
+	svc, ds := newTestService(b, Options{})
 	item := ds.Items[0]
 	scores := make([]float64, 64)
 	for i := range scores {
@@ -42,20 +42,4 @@ func runServeBench(b *testing.B, opts Options) {
 	for i := 0; i < b.N; i++ {
 		benchSession(b, svc, item.Feature, scores)
 	}
-}
-
-// BenchmarkServe is the uninstrumented serve path (Options.Obs nil: no
-// registry, every instrument nil).
-func BenchmarkServe(b *testing.B) {
-	runServeBench(b, Options{})
-}
-
-// BenchmarkServeInstrumented is the same path with the full observability
-// plane attached. Compare against BenchmarkServe to measure the
-// instrumentation overhead; budget is ≤5%.
-func BenchmarkServeInstrumented(b *testing.B) {
-	runServeBench(b, Options{
-		Obs:       obsv.NewRegistry(),
-		ObsLabels: []obsv.Label{obsv.L("collection", "bench")},
-	})
 }

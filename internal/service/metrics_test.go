@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -34,73 +36,86 @@ func TestClassifyOutcome(t *testing.T) {
 }
 
 // TestServiceInstrumentation drives a full session through an
-// instrumented service and checks the registry ends up with the series
-// the /metrics endpoint and the soak report read.
+// instrumented service and checks the registry's text exposition — what
+// /metrics serves and the benchmark reads — carries the series, and that
+// Stats reports the same counts.
 func TestServiceInstrumentation(t *testing.T) {
 	reg := obsv.NewRegistry()
 	svc, ds := newTestService(t, Options{Obs: reg, ObsLabels: []obsv.Label{obsv.L("collection", "test")}})
 	runSession(t, svc, ds, 0, 5)
-	// A second session on the same item exercises the cache-hit path.
+	// A second session on the same item looks the prediction up again.
 	runSession(t, svc, ds, 0, 5)
 	// And one invalid open for the error taxonomy.
 	if _, err := svc.Open(context.Background(), []float64{1}, 5); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("short feature: %v", err)
 	}
 
-	s := reg.Snapshot()
-	okOpens := s.Find("fb_service_requests_total", obsv.L("op", "open"), obsv.L("outcome", "ok"))
-	if okOpens == nil || okOpens.Value != 2 {
-		t.Fatalf("open/ok = %+v, want 2", okOpens)
+	s := scrape(t, reg)
+	st := svc.Stats()
+	for series, want := range map[string]float64{
+		`fb_service_requests_total{collection="test",op="open",outcome="ok"}`:               2,
+		`fb_service_requests_total{collection="test",op="open",outcome="invalid_argument"}`: 1,
+		`fb_service_request_seconds_count{collection="test",op="open"}`:                     3,
+		`fb_service_requests_total{collection="test",op="close",outcome="ok"}`:              2,
+		`fb_service_cache_requests_total{collection="test",result="hit"}`:                   float64(st.CacheHits),
+		`fb_service_sessions_closed_total{collection="test"}`:                               2,
+		`fb_service_feedback_rounds_total{collection="test"}`:                               float64(st.Feedbacks),
+		`fb_service_warm_starts_total{collection="test"}`:                                   float64(st.WarmStarts),
+		`fb_service_inserts_total{collection="test"}`:                                       float64(st.Inserts),
+		`fb_service_inserts_stored_total{collection="test"}`:                                float64(st.InsertsStored),
+		`fb_service_sessions_active{collection="test"}`:                                     0,
+	} {
+		if got, ok := s[series]; !ok || got != want {
+			t.Errorf("%s = %v (exposed %v), want %v", series, got, ok, want)
+		}
 	}
-	badOpens := s.Find("fb_service_requests_total", obsv.L("op", "open"), obsv.L("outcome", "invalid_argument"))
-	if badOpens == nil || badOpens.Value != 1 {
-		t.Fatalf("open/invalid_argument = %+v, want 1", badOpens)
+	misses := s[`fb_service_cache_requests_total{collection="test",result="miss"}`]
+	if misses < 1 || int64(misses)+st.CacheHits != st.Predictions {
+		t.Errorf("cache misses %v + hits %d, want >= 1 miss summing to %d predictions", misses, st.CacheHits, st.Predictions)
 	}
-	lat := s.Find("fb_service_request_seconds", obsv.L("op", "open"))
-	if lat == nil || lat.Hist == nil || lat.Hist.Count != 3 {
-		t.Fatalf("open latency histogram = %+v, want 3 observations", lat)
+	if st.Feedbacks == 0 || st.Inserts == 0 {
+		t.Errorf("Stats %+v: want feedback rounds and an insert", st)
 	}
-	closes := s.Find("fb_service_requests_total", obsv.L("op", "close"), obsv.L("outcome", "ok"))
-	if closes == nil || closes.Value != 2 {
-		t.Fatalf("close/ok = %+v, want 2", closes)
-	}
-	hits := s.Find("fb_service_cache_requests_total", obsv.L("result", "hit"))
-	misses := s.Find("fb_service_cache_requests_total", obsv.L("result", "miss"))
-	if misses == nil || misses.Value < 1 {
-		t.Fatalf("cache misses = %+v, want >= 1", misses)
-	}
-	if hits == nil {
-		t.Fatalf("cache hit counter was not registered")
-	}
-	if int64(hits.Value) != svc.Stats().CacheHits {
-		t.Fatalf("cache hits metric %v != Stats().CacheHits %d", hits.Value, svc.Stats().CacheHits)
-	}
-	if g := s.Find("fb_service_sessions_active"); g == nil || g.Value != 0 {
-		t.Fatalf("sessions_active = %+v, want 0 after all sessions closed", g)
-	}
-	if g := s.Find("fb_service_cache_entries"); g == nil {
-		t.Fatalf("cache_entries gauge missing")
+	if _, ok := s[`fb_service_cache_entries{collection="test"}`]; !ok {
+		t.Error("cache_entries gauge missing")
 	}
 }
 
-// TestUninstrumentedServiceHasNoMetrics: with Options.Obs nil every
-// instrument of the service is nil, so each observation is a no-op, and
-// sessions serve as usual.
+// TestUninstrumentedServiceHasNoMetrics: a service with Options.Obs nil
+// counts into a private registry that no exposition shows; it serves
+// sessions as usual, and Stats reports their counts.
 func TestUninstrumentedServiceHasNoMetrics(t *testing.T) {
 	svc, ds := newTestService(t, Options{})
-	m := svc.met
-	if m.cacheHit != nil || m.cacheMiss != nil {
-		t.Fatal("service without Obs carries cache counters")
-	}
-	for op := range numOps {
-		if m.lat[op] != nil {
-			t.Fatalf("service without Obs carries a %s latency histogram", opNames[op])
-		}
-		for out := range numOutcomes {
-			if m.req[op][out] != nil {
-				t.Fatalf("service without Obs carries a %s/%s counter", opNames[op], outcomeNames[out])
-			}
-		}
-	}
+	first := runSession(t, svc, ds, 0, 5)
 	runSession(t, svc, ds, 0, 5)
+	st := svc.Stats()
+	if st.Opened != 2 || st.Closed != 2 || st.Predictions != 2 || st.Rejected != 0 {
+		t.Fatalf("Stats %+v: want 2 opened, closed and predicted, none rejected", st)
+	}
+	if first.Iterations > 0 && (st.Feedbacks == 0 || st.Inserts == 0) {
+		t.Fatalf("Stats %+v: a session with %d rounds counted no feedback or insert", st, first.Iterations)
+	}
+}
+
+// scrape reads reg's text exposition into a map keyed by the full series
+// name, labels included, exactly as exposed.
+func scrape(t *testing.T, reg *obsv.Registry) map[string]float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("exposition line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
 }

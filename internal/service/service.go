@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -92,11 +91,12 @@ type Options struct {
 	// DefaultK is the result-list size used when Open is called with
 	// k <= 0. Default 10.
 	DefaultK int
-	// Obs, when non-nil, registers the serving-layer instruments
-	// (request latency histograms, per-outcome request counters, cache
-	// hit/miss counters, live-session and cache-size gauges) in the
-	// given registry. Nil disables instrumentation: every instrument is
-	// then nil, and observing a nil instrument does nothing.
+	// Obs is the registry the serving-layer instruments join: request
+	// latency histograms, per-outcome request counters, cache hit/miss
+	// counters, the session, feedback-round, warm-start and insert
+	// counters, and the live-session and cache-size gauges. Stats reads
+	// its counts from the same instruments. Nil gives the service a
+	// private registry, which no exposition shows.
 	Obs *obsv.Registry
 	// ObsLabels are attached to every instrument the service registers
 	// (typically the collection name).
@@ -131,25 +131,7 @@ type Service struct {
 	sessions map[uint64]*session
 	nextID   uint64
 
-	// counters (atomic: bumped outside the table lock)
-	opened      atomic.Int64
-	rejected    atomic.Int64
-	closed      atomic.Int64
-	feedbacks   atomic.Int64
-	predictions atomic.Int64
-	cacheHits   atomic.Int64
-	warmStarts  atomic.Int64
-	inserts     atomic.Int64
-	stored      atomic.Int64
-	// Resource-governance rejections, classified from Close's insert path:
-	// quotaRejects counts outcomes refused by the store's vertex/byte
-	// quota, degradedRejects outcomes refused because the store had flipped
-	// to read-only after a persistence failure. In both cases the session
-	// itself completed normally — only the learning was lost.
-	quotaRejects    atomic.Int64
-	degradedRejects atomic.Int64
-
-	met *svcMetrics // every instrument nil when Options.Obs is nil
+	met *svcMetrics // every count the service keeps, for /metrics and Stats alike
 }
 
 // Request-path operations and outcomes, indexing the pre-created
@@ -211,13 +193,19 @@ func classifyOutcome(err error) int {
 
 // svcMetrics holds every pre-created serving-layer instrument. Creating
 // them once at New time keeps the request path allocation-free: an
-// observation is two atomic adds plus (for histograms) a CAS loop. Over
-// a nil registry every instrument is nil and every observation a no-op.
+// observation is two atomic adds plus (for histograms) a CAS loop. Each
+// event is counted once, here; Stats reads these counters back.
 type svcMetrics struct {
 	lat       [numOps]*obsv.Histogram
 	req       [numOps][numOutcomes]*obsv.Counter
 	cacheHit  *obsv.Counter
 	cacheMiss *obsv.Counter
+
+	closed     *obsv.Counter // sessions Close ended, whatever their insert did
+	feedbacks  *obsv.Counter // feedback rounds applied
+	warmStarts *obsv.Counter // opens whose prediction was not the default
+	inserts    *obsv.Counter // outcomes Close offered to the bypass
+	stored     *obsv.Counter // offered outcomes that changed it
 }
 
 func newSvcMetrics(reg *obsv.Registry, labels []obsv.Label) *svcMetrics {
@@ -234,8 +222,16 @@ func newSvcMetrics(reg *obsv.Registry, labels []obsv.Label) *svcMetrics {
 		append(append([]obsv.Label(nil), labels...), obsv.L("result", "hit"))...)
 	m.cacheMiss = reg.Counter("fb_service_cache_requests_total", "Prediction-cache lookups by result.",
 		append(append([]obsv.Label(nil), labels...), obsv.L("result", "miss"))...)
+	m.closed = reg.Counter("fb_service_sessions_closed_total", "Sessions ended by Close, including those whose insert was refused.", labels...)
+	m.feedbacks = reg.Counter("fb_service_feedback_rounds_total", "Feedback rounds applied to sessions.", labels...)
+	m.warmStarts = reg.Counter("fb_service_warm_starts_total", "Sessions opened from a learned (non-default) prediction.", labels...)
+	m.inserts = reg.Counter("fb_service_inserts_total", "Session outcomes offered to the bypass at Close.", labels...)
+	m.stored = reg.Counter("fb_service_inserts_stored_total", "Offered outcomes that changed the bypass.", labels...)
 	return m
 }
+
+// count reads the counter of one (op, outcome) pair.
+func (m *svcMetrics) count(op, outcome int) int64 { return int64(m.req[op][outcome].Value()) }
 
 // done records one finished request: latency into the op's histogram and
 // a count into the (op, outcome) counter.
@@ -275,6 +271,9 @@ func New(eng *engine.Engine, byp Bypass, opts Options) (*Service, error) {
 		return nil, fmt.Errorf("service: negative IterationBudget %d", opts.IterationBudget)
 	}
 	opts.fill()
+	if opts.Obs == nil {
+		opts.Obs = obsv.NewRegistry()
+	}
 	codec, err := core.NewHistogramCodec(eng.Dataset().Dim)
 	if err != nil {
 		return nil, err
@@ -350,7 +349,6 @@ func (sess *session) stateLocked() SessionState {
 // fence makes a cached entry impossible to go stale: a Put races an
 // invalidation only in the discarded direction.
 func (s *Service) predict(qp []float64) (core.OQP, bool, error) {
-	s.predictions.Add(1)
 	t0 := time.Now()
 	if s.cache == nil {
 		oqp, err := s.byp.Predict(qp)
@@ -360,7 +358,6 @@ func (s *Service) predict(qp []float64) (core.OQP, bool, error) {
 	}
 	sig := engine.QuerySignature(qp)
 	if oqp, ok := s.cache.Get(sig, qp); ok {
-		s.cacheHits.Add(1)
 		s.met.done(opPredict, t0, nil)
 		s.met.cacheHit.Inc()
 		return oqp, true, nil
@@ -438,7 +435,6 @@ func (s *Service) Open(ctx context.Context, feature []float64, k int) (_ Session
 	s.mu.Lock()
 	if len(s.sessions) >= s.opts.MaxSessions {
 		s.mu.Unlock()
-		s.rejected.Add(1)
 		return SessionState{}, fmt.Errorf("%d sessions in flight: %w", s.opts.MaxSessions, ErrOverloaded)
 	}
 	sess.id = s.nextID
@@ -479,9 +475,8 @@ func (s *Service) Open(ctx context.Context, feature []float64, k int) (_ Session
 	sess.loop = loop
 	sess.cacheHit = cacheHit
 	sess.warm = !isDefaultOQP(oqp)
-	s.opened.Add(1)
 	if sess.warm {
-		s.warmStarts.Add(1)
+		s.met.warmStarts.Inc()
 	}
 	return sess.stateLocked(), nil
 }
@@ -545,7 +540,7 @@ func (s *Service) Feedback(ctx context.Context, id uint64, scores []float64) (_ 
 		}
 		return SessionState{}, err
 	}
-	s.feedbacks.Add(int64(sess.loop.Rounds() - rounds))
+	s.met.feedbacks.Add(uint64(sess.loop.Rounds() - rounds))
 	return sess.stateLocked(), nil
 }
 
@@ -594,7 +589,7 @@ func (s *Service) Close(ctx context.Context, id uint64) (_ CloseResult, err erro
 		return CloseResult{}, fmt.Errorf("session %d: %w", id, ErrSessionNotFound)
 	}
 	sess.closed = true
-	s.closed.Add(1)
+	s.met.closed.Inc()
 	out := CloseResult{ID: id, Iterations: sess.loop.Rounds()}
 	if !sess.loop.Moved() {
 		// The final parameters are the prediction itself; re-inserting it
@@ -610,7 +605,7 @@ func (s *Service) Close(ctx context.Context, id uint64) (_ CloseResult, err erro
 	if err != nil {
 		return out, err
 	}
-	s.inserts.Add(1)
+	s.met.inserts.Inc()
 	changed, err := s.byp.Insert(qp, oqp)
 	if changed && s.cache != nil {
 		// The tree changed — by the insert, or by a compaction it ran,
@@ -620,17 +615,11 @@ func (s *Service) Close(ctx context.Context, id uint64) (_ CloseResult, err erro
 		s.cache.Invalidate()
 	}
 	if err != nil {
-		switch {
-		case errors.Is(err, core.ErrQuotaExceeded):
-			s.quotaRejects.Add(1)
-		case errors.Is(err, core.ErrDegraded):
-			s.degradedRejects.Add(1)
-		}
 		return out, err
 	}
 	out.Inserted = changed
 	if changed {
-		s.stored.Add(1)
+		s.met.stored.Inc()
 	}
 	return out, nil
 }
@@ -670,7 +659,8 @@ func (s *Service) Drain(ctx context.Context) (closedSessions, inserted int, err 
 	return closedSessions, inserted, firstErr
 }
 
-// Stats is a point-in-time snapshot of the serving layer.
+// Stats is a point-in-time snapshot of the serving layer. Every count is
+// read from one of the service's instruments (see Service.Stats).
 type Stats struct {
 	ActiveSessions int   `json:"active_sessions"`
 	Opened         int64 `json:"opened"`
@@ -685,8 +675,10 @@ type Stats struct {
 	InsertsStored  int64 `json:"inserts_stored"`
 
 	// Degraded carries the store's sticky persistence failure (empty while
-	// healthy): the module serves reads but rejects inserts. QuotaRejects / DegradedRejects count session
-	// outcomes the store refused to learn from, by cause.
+	// healthy): the module serves reads but rejects inserts.
+	// QuotaRejects / DegradedRejects count session outcomes the store
+	// refused to learn from, by cause: the session itself closed
+	// normally, only the learning was lost.
 	Degraded        string `json:"degraded,omitempty"`
 	QuotaRejects    int64  `json:"quota_rejects,omitempty"`
 	DegradedRejects int64  `json:"degraded_rejects,omitempty"`
@@ -694,24 +686,31 @@ type Stats struct {
 	Tree simplextree.Stats `json:"tree"`
 }
 
-// Stats snapshots the service counters and the shared tree's shape.
+// Stats snapshots the service counters and the shared tree's shape. The
+// counts are the values of the service's series: Opened, Rejected,
+// QuotaRejects and DegradedRejects are fb_service_requests_total at
+// (open, ok), (open, overloaded), (close, quota_exceeded) and
+// (close, degraded); CacheHits is the cache's hit counter and
+// Predictions its hits plus misses; the rest have series of their own.
 func (s *Service) Stats() Stats {
 	s.mu.RLock()
 	active := len(s.sessions)
 	s.mu.RUnlock()
+	m := s.met
+	hits := int64(m.cacheHit.Value())
 	st := Stats{
 		ActiveSessions:  active,
-		Opened:          s.opened.Load(),
-		Rejected:        s.rejected.Load(),
-		Closed:          s.closed.Load(),
-		Feedbacks:       s.feedbacks.Load(),
-		Predictions:     s.predictions.Load(),
-		CacheHits:       s.cacheHits.Load(),
-		WarmStarts:      s.warmStarts.Load(),
-		Inserts:         s.inserts.Load(),
-		InsertsStored:   s.stored.Load(),
-		QuotaRejects:    s.quotaRejects.Load(),
-		DegradedRejects: s.degradedRejects.Load(),
+		Opened:          m.count(opOpen, outOK),
+		Rejected:        m.count(opOpen, outOverloaded),
+		Closed:          int64(m.closed.Value()),
+		Feedbacks:       int64(m.feedbacks.Value()),
+		Predictions:     hits + int64(m.cacheMiss.Value()),
+		CacheHits:       hits,
+		WarmStarts:      int64(m.warmStarts.Value()),
+		Inserts:         int64(m.inserts.Value()),
+		InsertsStored:   int64(m.stored.Value()),
+		QuotaRejects:    m.count(opClose, outQuota),
+		DegradedRejects: m.count(opClose, outDegraded),
 		Tree:            s.byp.Stats(),
 	}
 	if derr := s.Degraded(); derr != nil {

@@ -54,6 +54,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/vec"
@@ -155,8 +156,13 @@ type Tree struct {
 	values []float64
 	stamps []uint64
 
-	numPoints int // stored (split or updated) query points
-	numLeaves int
+	// Shape tallies, kept by splitLeaf so Stats visits no node:
+	// numPoints counts stored (split or updated) query points, and the
+	// rest describe the leaves, the root at depth 1.
+	numPoints    int
+	numLeaves    int
+	sumLeafDepth int // Σ depth over the leaves
+	maxDepth     int // depth of the deepest leaf
 
 	// clock is the monotonic logical time of the lifecycle plane: it
 	// advances on every accepted insert, and the accepting vertex is
@@ -184,9 +190,6 @@ type Options struct {
 	// max_i |m_i(q) − v̂_i| > ε. Zero stores every point with a prediction
 	// mismatch; larger values trade accuracy for storage (§4.2).
 	Epsilon float64
-	// Tol is the geometric tolerance for containment and degeneracy
-	// decisions; geom.DefaultTol when zero.
-	Tol float64
 	// MaxVertices bounds the number of distinct vertices the tree may
 	// hold, counting the D+1 domain corners. Zero means unbounded. An
 	// insert that would create a vertex past the bound is rejected with
@@ -215,12 +218,6 @@ func New(d int, defaultOQP []float64, opts Options) (*Tree, error) {
 	if opts.Epsilon < 0 {
 		return nil, fmt.Errorf("simplextree: negative epsilon %v", opts.Epsilon)
 	}
-	if opts.Tol == 0 {
-		opts.Tol = geom.DefaultTol
-	}
-	if opts.Tol < 0 {
-		return nil, fmt.Errorf("simplextree: negative tolerance %v", opts.Tol)
-	}
 	if opts.MaxVertices < 0 {
 		return nil, fmt.Errorf("simplextree: negative quota MaxVertices=%d", opts.MaxVertices)
 	}
@@ -228,7 +225,7 @@ func New(d int, defaultOQP []float64, opts Options) (*Tree, error) {
 		dim:        d,
 		oqpDim:     len(defaultOQP),
 		epsilon:    opts.Epsilon,
-		tol:        opts.Tol,
+		tol:        geom.DefaultTol,
 		maxVerts:   opts.MaxVertices,
 		ageHorizon: opts.AgeHorizon,
 	}
@@ -255,7 +252,7 @@ func (t *Tree) plant(nverts int) {
 	t.points = reserve(t.points, nverts*t.dim)
 	t.values = reserve(t.values, nverts*t.oqpDim)
 	t.stamps = reserve(t.stamps, nverts)
-	t.numLeaves = 1
+	t.numLeaves, t.sumLeafDepth, t.maxDepth = 1, 1, 1
 	t.scratch.New = func() interface{} {
 		return &scratch{
 			lam:  make([]float64, n),
@@ -633,7 +630,7 @@ func (t *Tree) insertLocked(q, value []float64, stamp uint64) (bool, error) {
 	}
 	sc := t.scratch.Get().(*scratch)
 	defer t.scratch.Put(sc)
-	leaf, lam, _, err := t.lookup(q, sc)
+	leaf, lam, depth, err := t.lookup(q, sc)
 	if err != nil {
 		return false, err
 	}
@@ -669,17 +666,17 @@ func (t *Tree) insertLocked(q, value []float64, stamp uint64) (bool, error) {
 	if nv := len(t.stamps); t.maxVerts > 0 && nv+1 > t.maxVerts {
 		return false, fmt.Errorf("%w: %d vertices stored, limit %d", ErrQuotaExceeded, nv, t.maxVerts)
 	}
-	if err := t.splitLocked(leaf, lam, q, value, stamp); err != nil {
+	if err := t.splitLocked(leaf, depth, lam, q, value, stamp); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
-// splitLocked stores q as a new vertex and splits leaf around it (see
-// splitLeaf); lam is q's barycentric coordinates in leaf. The observer
-// hears of the split before the tree changes, and an observer error
-// leaves the tree unchanged.
-func (t *Tree) splitLocked(leaf int32, lam, q, value []float64, stamp uint64) error {
+// splitLocked stores q as a new vertex and splits leaf, at depth, around
+// it (see splitLeaf); lam is q's barycentric coordinates in leaf. The
+// observer hears of the split before the tree changes, and an observer
+// error leaves the tree unchanged.
+func (t *Tree) splitLocked(leaf int32, depth int, lam, q, value []float64, stamp uint64) error {
 	if err := t.checkSplit(lam, q); err != nil {
 		return err
 	}
@@ -691,7 +688,7 @@ func (t *Tree) splitLocked(leaf int32, lam, q, value []float64, stamp uint64) er
 	t.values = append(t.values, value...)
 	t.stamps = append(t.stamps, 0)
 	t.stampVertex(id, stamp)
-	t.splitLeaf(leaf, lam, id)
+	t.splitLeaf(leaf, depth, lam, id)
 	t.numPoints++
 	return nil
 }
@@ -718,8 +715,9 @@ func (t *Tree) checkSplit(lam, q []float64) error {
 // of leaf, where its barycentric coordinates are lam. The children are
 // appended to the node array side by side, child h taking the leaf's
 // vertices with slot h replaced by the split point; lam is appended to
-// mus (see Tree.mus).
-func (t *Tree) splitLeaf(leaf int32, lam []float64, id int32) {
+// mus (see Tree.mus). depth is the leaf's, as lookup counts it: the
+// leaf tallies trade the leaf for its children one level down.
+func (t *Tree) splitLeaf(leaf int32, depth int, lam []float64, id int32) {
 	first := int32(len(t.nodes))
 	for h, l := range lam {
 		if l > t.tol {
@@ -731,6 +729,8 @@ func (t *Tree) splitLeaf(leaf int32, lam []float64, id int32) {
 	// lam aliases a scratch buffer; mus keeps the split's copy.
 	t.mus = append(t.mus, lam...)
 	t.numLeaves += int(kids) - 1
+	t.sumLeafDepth += int(kids)*(depth+1) - depth
+	t.maxDepth = max(t.maxDepth, depth+1)
 }
 
 // stampVertex records an accepted insert's logical time on vertex id and
@@ -766,37 +766,29 @@ type Stats struct {
 	Nodes            int     `json:"nodes"`
 	AvgLeafDepth     float64 `json:"avg_leaf_depth"`
 	DistinctVertices int     `json:"distinct_vertices"`
+	// Bytes is the capacity of the tree's flat arrays (nodes, split
+	// coordinates, vertex points, values and stamps): the heap they
+	// hold, grown ahead of use.
+	Bytes int `json:"bytes"`
 }
 
-// Stats computes shape statistics in one traversal.
+// Stats reports the shape from the tallies splitLeaf keeps, in O(1):
+// it visits no node.
 func (t *Tree) Stats() Stats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	s := Stats{
+	return Stats{
 		Dim:              t.dim,
 		OQPDim:           t.oqpDim,
 		Points:           t.numPoints,
 		Leaves:           t.numLeaves,
+		Depth:            t.maxDepth,
 		Nodes:            len(t.nodes),
+		AvgLeafDepth:     float64(t.sumLeafDepth) / float64(t.numLeaves),
 		DistinctVertices: len(t.stamps),
+		Bytes: cap(t.nodes)*int(unsafe.Sizeof(node{})) +
+			8*(cap(t.mus)+cap(t.points)+cap(t.values)+cap(t.stamps)),
 	}
-	var sumLeafDepth, leaves int
-	var rec func(n int32, depth int)
-	rec = func(n int32, depth int) {
-		nd := t.nodes[n]
-		if nd.nchild == 0 {
-			leaves++
-			sumLeafDepth += depth
-			s.Depth = max(s.Depth, depth)
-			return
-		}
-		for c := nd.child; c < nd.child+nd.nchild; c++ {
-			rec(c, depth+1)
-		}
-	}
-	rec(0, 1)
-	s.AvgLeafDepth = float64(sumLeafDepth) / float64(leaves)
-	return s
 }
 
 func maxAbsDiff(a, b []float64) float64 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/geom"
@@ -45,9 +46,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(2, []float64{1}, Options{Epsilon: -1}); err == nil {
 		t.Error("negative epsilon should error")
-	}
-	if _, err := New(2, []float64{1}, Options{Tol: -1}); err == nil {
-		t.Error("negative tol should error")
 	}
 	if _, err := New(2, []float64{1}, Options{MaxVertices: -1}); err == nil {
 		t.Error("negative quota should error")
@@ -421,19 +419,33 @@ func TestHighDimensionalTreeD31(t *testing.T) {
 	}
 }
 
-// shape returns the leaf count and maximum depth (1 = a lone leaf) of
-// the subtree at n by plain recursion, independent of Stats' counters.
-func shape(tr *Tree, n int32) (leaves, depth int) {
-	nd := tr.nodes[n]
-	if nd.nchild == 0 {
-		return 1, 1
+// walkStats is the oracle of Stats' shape tallies: the leaf count, the
+// deepest leaf (1 = a lone root) and the mean leaf depth, by a plain
+// recursion over the nodes — the walk Stats made before the tree kept
+// tallies — with every other field as Stats reports it.
+func walkStats(tr *Tree) Stats {
+	st := tr.Stats()
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	var leaves, sumDepth, depth, nodes int
+	var rec func(n int32, d int)
+	rec = func(n int32, d int) {
+		nodes++
+		nd := tr.nodes[n]
+		if nd.nchild == 0 {
+			leaves++
+			sumDepth += d
+			depth = max(depth, d)
+			return
+		}
+		for c := nd.child; c < nd.child+nd.nchild; c++ {
+			rec(c, d+1)
+		}
 	}
-	for c := nd.child; c < nd.child+nd.nchild; c++ {
-		l, d := shape(tr, c)
-		leaves += l
-		depth = max(depth, d)
-	}
-	return leaves, depth + 1
+	rec(0, 1)
+	st.Leaves, st.Depth, st.Nodes = leaves, depth, nodes
+	st.AvgLeafDepth = float64(sumDepth) / float64(leaves)
+	return st
 }
 
 func TestStatsAndWalk(t *testing.T) {
@@ -445,8 +457,8 @@ func TestStatsAndWalk(t *testing.T) {
 		}
 	}
 	st := tr.Stats()
-	if leaves, depth := shape(tr, 0); st.Leaves != leaves || st.Depth != depth {
-		t.Errorf("stats leaves/depth %d/%d, recursion says %d/%d", st.Leaves, st.Depth, leaves, depth)
+	if walked := walkStats(tr); st != walked {
+		t.Errorf("stats %+v, the walk says %+v", st, walked)
 	}
 	if st.AvgLeafDepth > float64(st.Depth) || st.AvgLeafDepth < 1 {
 		t.Errorf("avg leaf depth %v out of range", st.AvgLeafDepth)
@@ -457,6 +469,105 @@ func TestStatsAndWalk(t *testing.T) {
 	}
 	if count := len(tr.Census().Stamps); count != st.DistinctVertices {
 		t.Errorf("census holds %d vertices, want %d", count, st.DistinctVertices)
+	}
+}
+
+// TestTreeStatsMatchesWalk: the shape tallies Stats reads in O(1) equal
+// a full walk of the nodes, bit for bit, after every step of seeded
+// streams that store points, skip them under ε, update stored vertices,
+// are refused by the quota, and rebuild the tree by FromCensus and by
+// RebuildAged.
+func TestTreeStatsMatchesWalk(t *testing.T) {
+	for _, d := range []int{2, 3, 8} {
+		rng := rand.New(rand.NewSource(int64(90 + d)))
+		tr := newTestTree(t, d, vec.Zeros(2), 0.3)
+		check := func(step string) {
+			t.Helper()
+			if st, walked := tr.Stats(), walkStats(tr); st != walked {
+				t.Fatalf("D=%d %s: stats %+v, the walk says %+v", d, step, st, walked)
+			}
+		}
+		check("new")
+		var pts [][]float64
+		var skipped, updated, refused int
+		for i := 0; i < 300; i++ {
+			q := randomInterior(rng, d)
+			if len(pts) > 0 && i%9 == 8 {
+				q = pts[rng.Intn(len(pts))]
+			}
+			v := []float64{rng.NormFloat64(), rng.NormFloat64()}
+			before := tr.Stats().DistinctVertices
+			changed, err := tr.Insert(q, v)
+			switch {
+			case errors.Is(err, ErrQuotaExceeded):
+				refused++
+			case err != nil:
+				t.Fatal(err)
+			case !changed:
+				skipped++
+			case tr.Stats().DistinctVertices == before:
+				updated++
+			default:
+				pts = append(pts, q)
+			}
+			check("insert " + strconv.Itoa(i))
+			switch i {
+			case 150:
+				tr.SetQuota(tr.Stats().DistinctVertices)
+			case 200:
+				tr.SetQuota(0)
+				back, err := FromCensus(tr.Census(), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr = back
+				check("FromCensus")
+			case 250:
+				aged, _, err := tr.RebuildAged(40)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr = aged
+				check("RebuildAged")
+			}
+		}
+		if skipped == 0 || updated == 0 || refused == 0 {
+			t.Fatalf("D=%d: %d skips, %d updates, %d quota refusals; the stream must hold each", d, skipped, updated, refused)
+		}
+	}
+}
+
+// TestStatsBytesIsArrayCapacity: Stats.Bytes is the capacity of the
+// tree's five flat arrays, 16 bytes a node and 8 an element of the rest,
+// as they grow with inserts and after a rebuild.
+func TestStatsBytesIsArrayCapacity(t *testing.T) {
+	tr := newTestTree(t, 3, vec.Zeros(4), 0)
+	rng := rand.New(rand.NewSource(12))
+	want := func() int {
+		return 16*cap(tr.nodes) + 8*(cap(tr.mus)+cap(tr.points)+cap(tr.values)+cap(tr.stamps))
+	}
+	first := tr.Stats().Bytes
+	for i := 0; i < 100; i++ {
+		v := make([]float64, 4)
+		for j := range v {
+			v[j] = rng.NormFloat64()
+		}
+		if _, err := tr.Insert(randomInterior(rng, 3), v); err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.Stats().Bytes; got != want() {
+			t.Fatalf("insert %d: Bytes = %d, the arrays' capacities hold %d", i, got, want())
+		}
+	}
+	if grown := tr.Stats().Bytes; grown <= first {
+		t.Fatalf("Bytes %d after 100 inserts, %d before: the arrays never grew", grown, first)
+	}
+	tr, _, err := tr.RebuildAged(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Stats().Bytes; got != want() {
+		t.Fatalf("rebuilt: Bytes = %d, the arrays' capacities hold %d", got, want())
 	}
 }
 

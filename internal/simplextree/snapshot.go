@@ -176,7 +176,7 @@ func FromCensus(c *Census, journal int) (*Tree, error) {
 	// t is private to this call, so no lock is needed.
 	for id := int32(n); id < int32(nv); id++ {
 		q := t.point(id)
-		leaf, lam, _, err := t.lookup(q, sc)
+		leaf, lam, depth, err := t.lookup(q, sc)
 		if err == nil {
 			for _, l := range lam {
 				if l >= 1-t.tol {
@@ -190,7 +190,7 @@ func FromCensus(c *Census, journal int) (*Tree, error) {
 		if err != nil {
 			return nil, fmt.Errorf("simplextree: census vertex %d: %w", id, err)
 		}
-		t.splitLeaf(leaf, lam, id)
+		t.splitLeaf(leaf, depth, lam, id)
 	}
 	t.numPoints = c.Points
 	return t, nil

@@ -124,10 +124,13 @@ run_chaos() {
 	# insert → WAL append → compact (aged compactions ride the log commit
 	# that CompactEvery triggers: TestCrashScheduleCompactEvery), quota
 	# and degraded-mode behaviour, aging parity/idempotence, the lifecycle
-	# figure's golden (TestLifecycleFigureGolden), and the hardened
-	# serving edge — all under the race detector.
-	go test -race -run 'Crash|Fault|Degraded|Quota|Context|Hardened|StatusFor|Lifecycle|Aging|Timestamped|Compact' \
-		./internal/faultfs/ ./internal/persist/ ./internal/core/ \
+	# figure's golden (TestLifecycleFigureGolden), the hardened serving
+	# edge, and the metric tests, whose counters concurrent sessions bump
+	# and /stats, /metrics and the registry's text read back
+	# (TestStatsReadsMetrics, TestServiceInstrumentation, the obsv
+	# exposition tests) — all under the race detector.
+	go test -race -run 'Crash|Fault|Degraded|Quota|Context|Hardened|StatusFor|Lifecycle|Aging|Timestamped|Compact|Metrics|Instrumentation|GaugeFunc|SnapshotJSON' \
+		./internal/faultfs/ ./internal/persist/ ./internal/core/ ./internal/obsv/ \
 		./internal/service/ ./internal/experiments/ ./internal/httpapi/ ./cmd/fbserve/
 }
 
