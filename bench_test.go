@@ -1,6 +1,6 @@
 // The ablation benchmarks called out in DESIGN.md: incremental vs. naive
-// Simplex Tree lookup, the ε storage/accuracy trade-off, index structures
-// for the query-processing step, and Haar OQP compression, plus component
+// Simplex Tree lookup, the ε storage/accuracy trade-off and index
+// structures for the query-processing step, plus component
 // micro-benchmarks and the end-to-end per-query protocol. The paper's
 // figures themselves are pinned by TestPaperFiguresGolden and regenerated
 // by cmd/fbbench.
@@ -24,7 +24,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/feedback"
 	"repro/internal/geom"
-	"repro/internal/haar"
 	"repro/internal/histogram"
 	"repro/internal/imagegen"
 	"repro/internal/knn"
@@ -738,32 +737,6 @@ func BenchmarkDatasetBuild(b *testing.B) {
 // cpuTime is the user plus system time of a getrusage sample, in ns.
 func cpuTime(ru syscall.Rusage) int64 {
 	return ru.Utime.Nano() + ru.Stime.Nano()
-}
-
-// --- Ablation: Haar compression of stored OQP vectors (§3.1 trade-off). ---
-
-func BenchmarkOQPCompression(b *testing.B) {
-	rng := rand.New(rand.NewSource(17))
-	oqp := make([]float64, 62) // the paper's N = 62
-	for i := range oqp {
-		oqp[i] = rng.NormFloat64()
-	}
-	for _, eps := range []float64{0, 0.05, 0.2} {
-		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
-			var kept int
-			for i := 0; i < b.N; i++ {
-				s, err := haar.Compress(oqp, eps)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.Decompress(); err != nil {
-					b.Fatal(err)
-				}
-				kept = s.StorageSize()
-			}
-			b.ReportMetric(float64(kept), "coeffs-kept")
-		})
-	}
 }
 
 // --- Component micro-benchmarks. ---

@@ -24,15 +24,14 @@ import (
 // "pkgpath.Type.Method". An entry that is referenced again, or no longer
 // declared, fails the test.
 var deadCodeAllowlist = map[string]string{
-	"repro/internal/knn.Scan.SearchNaive":            "the per-row oracle the knn parity suites and BenchmarkKNNScanNaive hold the kernels to",
-	"repro/internal/simplextree.Tree.PredictNaive":   "the full-solve oracle of TestPredictMatchesNaiveDescent and BenchmarkLookupNaive",
-	"repro/internal/simplextree.Tree.Snapshot":       "the structural oracle the recovery and compaction tests hold a rebuilt tree to",
-	"repro/internal/simplextree.Tree.CompressValues": "the paper's §3.1 storage/accuracy trade-off; only compress_test.go calls it, and no serving path does (ROADMAP 28)",
-	"repro/internal/imagegen.Generate":               "the serial renderer TestBuildMatchesSerialGenerate holds the parallel dataset.Build to",
-	"repro/internal/vec.Det":                         "the determinant oracle of TestInterpolationEqualsDeterminantFormulation",
-	"repro/internal/vec.MatrixFromRows":              "the matrix-literal constructor of vec's own Solve and Det tests",
-	"repro/internal/store.FromRows":                  "the row-literal constructor of the store, knn and engine tests and the root benchmarks",
-	"repro/internal/vec.EqualTol":                    "the tolerance comparison six packages' tests assert with",
+	"repro/internal/knn.Scan.SearchNaive":          "the per-row oracle the knn parity suites and BenchmarkKNNScanNaive hold the kernels to",
+	"repro/internal/simplextree.Tree.PredictNaive": "the full-solve oracle of TestPredictMatchesNaiveDescent and BenchmarkLookupNaive",
+	"repro/internal/simplextree.Tree.Snapshot":     "the structural oracle the recovery and compaction tests hold a rebuilt tree to",
+	"repro/internal/imagegen.Generate":             "the serial renderer TestBuildMatchesSerialGenerate holds the parallel dataset.Build to",
+	"repro/internal/vec.Det":                       "the determinant oracle of TestInterpolationEqualsDeterminantFormulation",
+	"repro/internal/vec.MatrixFromRows":            "the matrix-literal constructor of vec's own Solve and Det tests",
+	"repro/internal/store.FromRows":                "the row-literal constructor of the store, knn and engine tests and the root benchmarks",
+	"repro/internal/vec.EqualTol":                  "the tolerance comparison six packages' tests assert with",
 }
 
 // deadCodeConfigs are the build configurations TestNoDeadCode and

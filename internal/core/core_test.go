@@ -141,6 +141,30 @@ func TestOpenDurableChecksDims(t *testing.T) {
 	}
 }
 
+// TestOpenDurableChecksPolicy refuses a negative quota, and a threshold
+// that is negative or one a log could not reopen with (NaN, +Inf), the
+// same way without a directory, on a fresh one and on one that already
+// holds a log, where the tree comes from recovery rather than from
+// simplextree.New.
+func TestOpenDurableChecksPolicy(t *testing.T) {
+	logged := t.TempDir()
+	b, err := OpenDurable(logged, 2, 3, Config{}, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{{MaxVertices: -1}, {Epsilon: -0.5}, {Epsilon: math.NaN()}, {Epsilon: math.Inf(1)}} {
+		for name, dir := range map[string]string{"no dir": "", "fresh dir": t.TempDir(), "logged dir": logged} {
+			if b, err := OpenDurable(dir, 2, 3, cfg, DurableOptions{}); err == nil {
+				_ = b.Close()
+				t.Errorf("%s: %+v accepted", name, cfg)
+			}
+		}
+	}
+}
+
 func TestStats(t *testing.T) {
 	b, _ := New(2, 2, Config{})
 	st := b.Stats()

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -113,6 +114,13 @@ func RefuseRetired(fsys persist.FS, dir string) error {
 func OpenDurable(dir string, d, p int, cfg Config, opts DurableOptions) (*Bypass, error) {
 	if opts.CompactEvery < 0 {
 		return nil, fmt.Errorf("core: negative CompactEvery %d", opts.CompactEvery)
+	}
+	// The serving policy is checked here, before any path, because a
+	// recovered tree takes its thresholds from the log, not from
+	// simplextree.New's checks. Epsilon must also be one FromCensus
+	// accepts, or the log written with it would not reopen.
+	if !(cfg.Epsilon >= 0) || math.IsInf(cfg.Epsilon, 1) || cfg.MaxVertices < 0 {
+		return nil, fmt.Errorf("core: invalid Epsilon %v or negative MaxVertices %d", cfg.Epsilon, cfg.MaxVertices)
 	}
 	if dir == "" {
 		tree, err := newTree(d, p, cfg)

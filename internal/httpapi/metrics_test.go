@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -87,6 +88,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`fb_tree_depth{collection="default"}`,
 		`fb_service_sessions_active{collection="default"} 0`,
 		`fb_process_goroutines`,
+		`fb_process_heap_live_bytes`,
 		`fb_process_start_time_seconds`,
 		"# TYPE fb_service_request_seconds histogram",
 		"# TYPE fb_service_requests_total counter",
@@ -119,10 +121,11 @@ func TestRequestIDOnSuccess(t *testing.T) {
 	}
 }
 
-// TestStatsServerInfo: /stats and /healthz surface the process identity
-// block (start time, go version, pid).
+// TestStatsServerInfo: /stats and /healthz surface the process block
+// (start time, go version, pid, live heap).
 func TestStatsServerInfo(t *testing.T) {
 	srv, _, _ := newInstrumentedTestServer(t, false)
+	runtime.GC() // the live heap reads 0 until a first cycle completes
 	var stats statsResponse
 	if code := getJSON(t, srv.URL+"/stats", &stats); code != http.StatusOK {
 		t.Fatalf("stats: status %d", code)
@@ -130,8 +133,8 @@ func TestStatsServerInfo(t *testing.T) {
 	if stats.Server.StartTime == "" || stats.Server.GoVersion == "" || stats.Server.PID == 0 {
 		t.Fatalf("stats server info incomplete: %+v", stats.Server)
 	}
-	if stats.Server.UptimeSeconds < 0 {
-		t.Fatalf("negative uptime: %+v", stats.Server)
+	if stats.Server.UptimeSeconds < 0 || stats.Server.HeapLiveBytes == 0 {
+		t.Fatalf("negative uptime or no live heap: %+v", stats.Server)
 	}
 	var health struct {
 		Server serverInfo `json:"server"`
@@ -141,6 +144,23 @@ func TestStatsServerInfo(t *testing.T) {
 	}
 	if health.Server.PID == 0 || health.Server.GoVersion == "" {
 		t.Fatalf("healthz server info incomplete: %+v", health.Server)
+	}
+}
+
+// TestProcessHeapGauges: after a GC, the live heap that cycle marked is
+// positive and no more than the heap objects still allocated, as the
+// two /metrics gauges read them. The runtime documents its marked-byte
+// count as "very close", not exact: on go1.24/amd64 it reads 288 bytes
+// above the heap objects right after runtime.GC, so the bound allows
+// 1 KiB.
+func TestProcessHeapGauges(t *testing.T) {
+	reg := obsv.NewRegistry()
+	RegisterProcessMetrics(reg)
+	runtime.GC()
+	got := scrape(t, reg)
+	live, objects := got["fb_process_heap_live_bytes"], got["fb_process_heap_alloc_bytes"]
+	if !(live > 0 && live <= objects+1024) {
+		t.Fatalf("heap live %v, heap objects %v: want 0 < live <= objects + 1 KiB", live, objects)
 	}
 }
 

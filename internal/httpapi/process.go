@@ -4,6 +4,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"time"
 
 	"repro/internal/obsv"
@@ -22,6 +23,9 @@ type serverInfo struct {
 	GoVersion     string  `json:"go_version"`
 	Revision      string  `json:"revision,omitempty"`
 	PID           int     `json:"pid"`
+	// HeapLiveBytes is the heap the last GC marked live
+	// (runtime/metrics /gc/heap/live:bytes).
+	HeapLiveBytes uint64 `json:"heap_live_bytes"`
 }
 
 // buildRevision reads the VCS revision stamped into the binary at build
@@ -60,7 +64,20 @@ func currentServerInfo() serverInfo {
 		GoVersion:     runtime.Version(),
 		Revision:      buildRev,
 		PID:           os.Getpid(),
+		HeapLiveBytes: readRuntimeMetric("/gc/heap/live:bytes"),
 	}
+}
+
+// readRuntimeMetric returns the value of the uint64 runtime/metrics
+// sample name; unlike runtime.ReadMemStats, reading it does not stop the
+// world.
+func readRuntimeMetric(name string) uint64 {
+	s := []metrics.Sample{{Name: name}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return s[0].Value.Uint64()
 }
 
 // RegisterProcessMetrics exposes process-level runtime series next to
@@ -74,17 +91,12 @@ func RegisterProcessMetrics(reg *obsv.Registry) {
 		"Current number of goroutines.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	reg.GaugeFunc("fb_process_heap_alloc_bytes",
-		"Bytes of allocated heap objects (runtime.MemStats.HeapAlloc).",
-		func() float64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return float64(ms.HeapAlloc)
-		})
+		"Bytes of allocated heap objects, live or not yet swept (runtime.MemStats.HeapAlloc).",
+		func() float64 { return float64(readRuntimeMetric("/memory/classes/heap/objects:bytes")) })
+	reg.GaugeFunc("fb_process_heap_live_bytes",
+		"Bytes of heap objects the last GC marked live.",
+		func() float64 { return float64(readRuntimeMetric("/gc/heap/live:bytes")) })
 	reg.GaugeFunc("fb_process_gc_cycles_total",
 		"Completed GC cycles since process start.",
-		func() float64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return float64(ms.NumGC)
-		})
+		func() float64 { return float64(readRuntimeMetric("/gc/cycles/total:gc-cycles")) })
 }

@@ -21,12 +21,12 @@ var updateWire = flag.Bool("update", false, "rewrite testdata/wire_golden.txt fr
 const wireGolden = "testdata/wire_golden.txt"
 
 // wireVolatile names every reply field whose value differs between two
-// runs of the same script: the process identity block and the request
-// ID. The golden file holds each as "<masked>", in place, so the field's
+// runs of the same script: the process block (identity and live heap)
+// and the request ID. The golden file holds each as "<masked>", in place, so the field's
 // presence and position still count. /metrics is recorded by series
 // name and labels only, which leaves out every duration and gauge
 // value.
-var wireVolatile = []string{"start_time", "uptime_seconds", "go_version", "revision", "pid", "request_id"}
+var wireVolatile = []string{"start_time", "uptime_seconds", "go_version", "revision", "pid", "heap_live_bytes", "request_id"}
 
 var wireMask = regexp.MustCompile(`"(` + strings.Join(wireVolatile, "|") + `)":("[^"]*"|[-+.0-9eE]+)`)
 

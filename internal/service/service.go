@@ -89,7 +89,7 @@ type Options struct {
 	// default (1024); negative disables caching.
 	CacheSize int
 	// DefaultK is the result-list size used when Open is called with
-	// k <= 0. Default 10.
+	// k <= 0. Default 10; New refuses a negative one.
 	DefaultK int
 	// Obs is the registry the serving-layer instruments join: request
 	// latency histograms, per-outcome request counters, cache hit/miss
@@ -269,6 +269,9 @@ func New(eng *engine.Engine, byp Bypass, opts Options) (*Service, error) {
 	}
 	if opts.IterationBudget < 0 {
 		return nil, fmt.Errorf("service: negative IterationBudget %d", opts.IterationBudget)
+	}
+	if opts.DefaultK < 0 {
+		return nil, fmt.Errorf("service: negative DefaultK %d", opts.DefaultK)
 	}
 	opts.fill()
 	if opts.Obs == nil {

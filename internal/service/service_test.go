@@ -103,8 +103,12 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(svc.eng, wrong, Options{}); err == nil {
 		t.Error("mismatched bypass dimensions accepted")
 	}
-	if _, err := New(svc.eng, wrong, Options{MaxSessions: -1}); err == nil {
-		t.Error("negative MaxSessions accepted")
+	// A negative option is refused up front: a negative DefaultK would
+	// otherwise fail every default-k Open as an engine error.
+	for _, o := range []Options{{MaxSessions: -1}, {IterationBudget: -1}, {DefaultK: -3}} {
+		if _, err := New(svc.eng, svc.byp, o); err == nil {
+			t.Errorf("%+v accepted", o)
+		}
 	}
 	_ = ds
 }

@@ -23,8 +23,8 @@
 // the tree, and reports per-call traversal counts through PredictStats
 // instead of storing them. Every prediction runs on its caller's
 // goroutine, and any number of readers proceed in parallel. The write
-// plane — Insert, InsertStamped, SetObserver, CompressValues — takes the
-// exclusive lock. Lookups are allocation-free after warm-up: a point's
+// plane — Insert, InsertStamped, SetObserver — takes the exclusive
+// lock. Lookups are allocation-free after warm-up: a point's
 // coordinates in the root, the standard simplex, have a closed form
 // (rootCoordsInto), and per-call buffers come from a scratch pool; see
 // DESIGN.md ("Concurrent prediction plane").

@@ -3,7 +3,7 @@
 # toolchain), in order, stopping at the first failure. The same script
 # runs in .github/workflows/ci.yml and on a developer machine:
 #
-#   scripts/ci.sh test    # build, vet, tests, race, fuzz and bench smokes, figures
+#   scripts/ci.sh test    # build, gofmt, vet, tests, race, fuzz and bench smokes, figures
 #   scripts/ci.sh chaos   # the crash-schedule and governance suite under -race
 #   scripts/ci.sh loc     # tracked line counts: non-test Go, test Go, assembly
 #
@@ -17,6 +17,14 @@ step() { printf '\n== %s\n' "$*"; }
 run_test() {
 	step "Build"
 	go build ./...
+
+	step "Format"
+	# gofmt -l names every file whose formatting differs; any name fails.
+	unformatted=$(gofmt -l .)
+	if [ -n "$unformatted" ]; then
+		printf 'gofmt needed:\n%s\n' "$unformatted"
+		return 1
+	fi
 
 	step "Vet"
 	# The default analyzers: copylocks, atomic and lostcancel among them,
