@@ -108,6 +108,13 @@ func main() {
 	)
 	flag.Parse()
 
+	// net/http and Hardened treat every timeout ≤ 0 as none, so a
+	// negative one would switch its protection off as silently as 0.
+	flag.VisitAll(func(f *flag.Flag) {
+		if d, ok := f.Value.(flag.Getter).Get().(time.Duration); ok && d < 0 {
+			log.Fatalf("fbserve: -%s %v: want a timeout ≥ 0 (0 disables it)", f.Name, d)
+		}
+	})
 	if *spec == "" {
 		*spec = fmt.Sprintf("synth:scale=%g,seed=%d", *scale, *seed)
 	}

@@ -403,3 +403,33 @@ func TestBinaryServesExportedFBMX(t *testing.T) {
 		t.Fatalf("the exported file placed in -dir was not mapped:\n%s", log)
 	}
 }
+
+// TestBinaryRefusesBadFlags: a negative timeout, which net/http would
+// read as none, a scale that is not finite and > 0, and a scale whose
+// collection outgrows the feature matrix each stop start-up with a
+// message naming the flag or the spec, before anything listens. A
+// wrongly accepted start would serve forever; the deadline reaps it.
+func TestBinaryRefusesBadFlags(t *testing.T) {
+	bin := buildBinary(t)
+	for _, c := range []struct{ flag, value, want string }{
+		{"-read-header-timeout", "-1s", "-read-header-timeout"},
+		{"-read-timeout", "-1ms", "-read-timeout"},
+		{"-write-timeout", "-5s", "-write-timeout"},
+		{"-idle-timeout", "-1m", "-idle-timeout"},
+		{"-request-timeout", "-1ns", "-request-timeout"},
+		{"-scale", "NaN", "synth:scale=NaN"},
+		{"-scale", "+Inf", "synth:scale=+Inf"},
+		{"-scale", "0", "synth:scale=0"},
+		{"-scale", "-3", "synth:scale=-3"},
+		{"-collection", "synth:scale=NaN", "synth:scale=NaN"},
+		{"-collection", "synth:scale=0.01,scale=0.02", "synth:scale=0.01,scale=0.02"},
+		{"-scale", "1e9", "rows exceed"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		out, err := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", "-scale", "0.01", c.flag, c.value).CombinedOutput()
+		cancel()
+		if err == nil || !strings.Contains(string(out), c.want) || strings.Contains(string(out), "panic") {
+			t.Errorf("fbserve %s %s: err = %v, want a refusal naming %q\n%s", c.flag, c.value, err, c.want, out)
+		}
+	}
+}

@@ -47,7 +47,9 @@ type Dataset struct {
 // pixels depend only on (cfg.Seed, id), and Histogram's bins are the
 // raster's, so the dataset is bit-identical to a serial
 // imagegen.Generate → ExtractInto pass for any worker count, without
-// ever holding the rasters (1.35 GB at scale 10).
+// ever holding the rasters (1.35 GB at scale 10). Nearly all of its time
+// is the renderer's sampling: the reseed and, per pixel, four draws and
+// a bin (DESIGN.md, "Build cost").
 func Build(cfg imagegen.Config, ex histogram.Extractor) (*Dataset, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

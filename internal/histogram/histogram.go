@@ -56,7 +56,7 @@ func HSV(r, g, b float64) (h, s, v float64) {
 // FromHSV converts HSV (h in degrees, s and v in [0,1]) back to RGB. The
 // synthetic image generator samples colours in HSV — the space the paper's
 // features live in — and renders its rasters through this function;
-// SampleBin bins such a pixel as ExtractInto would, mostly without it.
+// Sampler.Bin bins such a pixel as ExtractInto would, mostly without it.
 func FromHSV(h, s, v float64) RGB {
 	h = mod(h, 360)
 	if h < 0 {
@@ -142,7 +142,7 @@ func (e Extractor) BinOf(h, s float64) int {
 	return hb*e.SatBins + sb
 }
 
-// The bound below lets SampleBin skip the round trip. Write u = 2⁻⁵³.
+// The bound below lets Sampler.Bin skip the round trip. Write u = 2⁻⁵³.
 // For 0 ≤ h < 360 and v ∈ [minVal, 1], FromHSV's arithmetic is exact up
 // to the rounding of c = v·s, t = h/60 (at most 6u, which the triangle
 // wave carries into x with at most 2u more), x, m = v − c and the sums.
@@ -167,15 +167,45 @@ const (
 	certMargin  = 1e-9
 )
 
-// SampleBin returns the bin ExtractInto counts for the pixel
-// FromHSV(h, s, v), that is BinOf of HSV(FromHSV(h, s, v)). It bins
-// (h, s) directly where the bound above certifies that the round trip
-// keeps that bin, and makes the round trip otherwise (NaN included).
-func (e Extractor) SampleBin(h, s, v float64) int {
-	if bin, ok := e.certifiedBin(h, s, v); ok {
-		return bin
+// Sampler bins pixels sampled in HSV under one extractor, as
+// ExtractInto bins the raster FromHSV renders from them. Extractor.Sampler
+// makes the checks that depend on the extractor alone, so a loop over an
+// image's pixels pays only the tests on the pixel.
+type Sampler struct {
+	e         Extractor
+	hue, sat  float64 // e.HueBins and e.SatBins
+	certifies bool    // both at most maxCertBins, so the bound below holds
+	trips     int     // pixels Bin has binned through the round trip
+}
+
+// Sampler returns e's Sampler.
+func (e Extractor) Sampler() Sampler {
+	return Sampler{
+		e:         e,
+		hue:       float64(e.HueBins),
+		sat:       float64(e.SatBins),
+		certifies: e.HueBins <= maxCertBins && e.SatBins <= maxCertBins,
 	}
-	return e.roundTripBin(h, s, v)
+}
+
+// Bin returns the bin ExtractInto counts for the pixel FromHSV(h, s, v),
+// that is e.BinOf of HSV(FromHSV(h, s, v)). It bins (h, s) directly
+// where the bound above certifies that the round trip keeps that bin,
+// and makes the round trip otherwise (NaN included). A grey pixel
+// (s = 0) lands in BinOf(0, 0), which is bin 0 for every extractor.
+func (p *Sampler) Bin(h, s, v float64) int {
+	if p.certifies && v >= minVal && v <= 1 {
+		hb := h / 360 * p.hue
+		sb := s * p.sat
+		if s >= minSat && inBin(hb, p.hue) && inBin(sb, p.sat) {
+			return int(hb)*p.e.SatBins + int(sb)
+		}
+		if s == 0 && h >= 0 && h < 360 {
+			return 0
+		}
+	}
+	p.trips++
+	return p.e.roundTripBin(h, s, v)
 }
 
 // roundTripBin is BinOf of HSV(FromHSV(h, s, v)).
@@ -185,27 +215,10 @@ func (e Extractor) roundTripBin(h, s, v float64) int {
 	return e.BinOf(h, s)
 }
 
-// certifiedBin returns the bin of the pixel FromHSV(h, s, v) and true
-// when the bound above certifies it, and false otherwise.
-func (e Extractor) certifiedBin(h, s, v float64) (int, bool) {
-	if !(v >= minVal && v <= 1 && e.HueBins <= maxCertBins && e.SatBins <= maxCertBins) {
-		return 0, false
-	}
-	hb := h / 360 * float64(e.HueBins)
-	sb := s * float64(e.SatBins)
-	if s >= minSat && inBin(hb, e.HueBins) && inBin(sb, e.SatBins) {
-		return int(hb)*e.SatBins + int(sb), true
-	}
-	if s == 0 && h >= 0 && h < 360 {
-		return e.BinOf(0, 0), true
-	}
-	return 0, false
-}
-
 // inBin reports whether x lies in [0, n) at least certMargin from every
 // integer. For x ≥ 1 the fraction is exact (Sterbenz's lemma).
-func inBin(x float64, n int) bool {
-	if !(x >= 0 && x < float64(n)) {
+func inBin(x, n float64) bool {
+	if !(x >= 0 && x < n) {
 		return false
 	}
 	f := x - float64(int(x))

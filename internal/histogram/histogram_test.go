@@ -260,8 +260,8 @@ func TestExtractErrors(t *testing.T) {
 	}
 }
 
-// TestCertifiedBinIsRoundTrip holds SampleBin's certificate to the round
-// trip it skips: wherever certifiedBin claims a bin, BinOf of
+// TestCertifiedBinIsRoundTrip holds Sampler.Bin's certificate to the round
+// trip it skips: wherever Bin certifies a bin, BinOf of
 // HSV(FromHSV(h, s, v)) must be that bin. The points are seeded random
 // pixels, random pixels close to a hue edge at low saturation, and, for
 // three bin layouts, the bin edges of either channel ± 1…8 ulps and hues
@@ -302,14 +302,16 @@ func TestCertifiedBinIsRoundTrip(t *testing.T) {
 			math.Nextafter(minSat, 0), minSat, math.Nextafter(minSat, 1), math.NaN())
 		vals := []float64{0, 0x1p-1074, math.Nextafter(minVal, 0), minVal, 0.35, 0.7, 1, math.Nextafter(1, 2), math.NaN()}
 
+		bins := e.Sampler()
 		certified, points := 0, 0
 		check := func(h, s, v float64) {
 			points++
 			want := e.roundTripBin(h, s, v)
-			if got := e.SampleBin(h, s, v); got != want {
-				t.Fatalf("%dx%d bins: SampleBin(%v, %v, %v) = %d, round trip %d", e.HueBins, e.SatBins, h, s, v, got, want)
+			trips := bins.trips
+			if got := bins.Bin(h, s, v); got != want {
+				t.Fatalf("%dx%d bins: Bin(%v, %v, %v) = %d, round trip %d", e.HueBins, e.SatBins, h, s, v, got, want)
 			}
-			if _, ok := e.certifiedBin(h, s, v); ok {
+			if bins.trips == trips {
 				certified++
 			}
 		}
@@ -336,7 +338,7 @@ func TestCertifiedBinIsRoundTrip(t *testing.T) {
 			check((edge+(2*rng.Float64()-1)*100*certMargin)*degPerBin, math.Pow(10, -10*rng.Float64()), 0.35+0.65*rng.Float64())
 		}
 		// The certificate must cover nearly every ordinary pixel, or the
-		// test above checks little and SampleBin saves little.
+		// test above checks little and Bin saves little.
 		if random < 19_000 {
 			t.Errorf("%dx%d bins: %d of 20,000 random pixels certified", e.HueBins, e.SatBins, random)
 		}

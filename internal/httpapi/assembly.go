@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -110,23 +111,33 @@ func BuildDataset(spec, dir string, cfg Config) (ds *dataset.Dataset, canon stri
 	if params, ok := strings.CutPrefix(spec, "synth:"); ok {
 		scale, seed := cfg.Scale, cfg.Seed
 		if params != "" {
+			seen := make(map[string]bool)
 			for _, kv := range strings.Split(params, ",") {
 				key, val, ok := strings.Cut(kv, "=")
 				if !ok {
-					return nil, "", fmt.Errorf("synth spec: want key=value, got %q", kv)
+					return nil, "", fmt.Errorf("synth spec %q: want key=value, got %q", spec, kv)
 				}
-				switch key {
-				case "scale":
+				switch {
+				case seen[key]:
+					err = fmt.Errorf("repeats %q", key)
+				case key == "scale":
 					scale, err = strconv.ParseFloat(val, 64)
-				case "seed":
+				case key == "seed":
 					seed, err = strconv.ParseInt(val, 10, 64)
 				default:
 					err = fmt.Errorf("unknown synth parameter %q", key)
 				}
 				if err != nil {
-					return nil, "", fmt.Errorf("synth spec %q: %w", kv, err)
+					return nil, "", fmt.Errorf("synth spec %q: %q: %w", spec, kv, err)
 				}
+				seen[key] = true
 			}
+		}
+		// IMSILike keeps at least two images per category, so a NaN, an
+		// infinite or a non-positive scale would serve a tiny collection
+		// under its own label instead of failing.
+		if !(scale > 0 && scale <= math.MaxFloat64) {
+			return nil, "", fmt.Errorf("synth spec %q: scale %g: want a finite scale > 0", spec, scale)
 		}
 		gen := imagegen.IMSILike(seed, scale)
 		canon = fmt.Sprintf("synth:scale=%g,seed=%d", scale, seed)

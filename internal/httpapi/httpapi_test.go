@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -530,6 +532,22 @@ func TestCollectionSpecParsing(t *testing.T) {
 	}
 	if _, _, err := BuildDataset("synth:rows=5", "", cfg); err == nil {
 		t.Error("unknown synth key accepted")
+	}
+	// A scale that is not finite and > 0 would render a few images per
+	// category under its own label; a repeated key leaves the spec
+	// ambiguous. Each refusal names the spec, -scale's default one too.
+	for _, spec := range []string{
+		"synth:scale=NaN", "synth:scale=+Inf", "synth:scale=-Inf", "synth:scale=0", "synth:scale=-3",
+		"synth:scale=0.02,scale=0.03", "synth:seed=1,scale=0.02,seed=2",
+	} {
+		if _, _, err := BuildDataset(spec, "", cfg); err == nil || !strings.Contains(err.Error(), strconv.Quote(spec)) {
+			t.Errorf("BuildDataset(%q): %v, want a refusal naming the spec", spec, err)
+		}
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), 0, -3} {
+		if _, _, err := BuildDataset("synth:", "", Config{Scale: scale, Seed: 1}); err == nil {
+			t.Errorf("BuildDataset under -scale %v accepted", scale)
+		}
 	}
 	if _, _, err := BuildDataset("plainpath", "", cfg); err == nil {
 		t.Error("pathless spec accepted")

@@ -153,14 +153,14 @@ func (r *Renderer) Render(id int) (Generated, error) {
 	if err != nil {
 		return Generated{}, err
 	}
-	r.paint(nil, histogram.Extractor{})
+	r.paint(nil, histogram.Sampler{})
 	g.Image = &r.img
 	return g, nil
 }
 
 // Histogram writes image id's colour histogram under ex into dst, which
 // must have length ex.Bins(), without rendering the raster. It samples
-// every pixel as Render does and bins it with ex.SampleBin, so dst holds
+// every pixel as Render does and bins it with ex's Sampler, so dst holds
 // the bits ex.ExtractInto writes for Render(id).Image. The returned
 // Generated has no Image.
 func (r *Renderer) Histogram(dst []float64, id int, ex histogram.Extractor) (Generated, error) {
@@ -171,7 +171,7 @@ func (r *Renderer) Histogram(dst []float64, id int, ex histogram.Extractor) (Gen
 	if err != nil {
 		return Generated{}, err
 	}
-	r.paint(dst, ex)
+	r.paint(dst, ex.Sampler())
 	ex.Normalize(dst, len(r.img.Pix))
 	return g, nil
 }
@@ -232,8 +232,15 @@ func imageSeed(seed int64, id int) int64 {
 // paint samples each pixel from the mixture of the blobs draw collected,
 // after applying a per-image jitter to blob centers and masses. With a
 // nil hist it writes the pixel to the raster; otherwise it adds the
-// pixel to hist's bin under ex.
-func (r *Renderer) paint(hist []float64, ex histogram.Extractor) {
+// pixel to hist's bin under bin.
+//
+// The pixel loop draws on a local cursor, written back to the source
+// once per image, and inlines the ziggurat's rectangle test: the only
+// call left in a draw is normSlow, for the ≈ 2.5% of normals that miss
+// the rectangle. The draws are math/rand's, in math/rand's order, so
+// the stream and every pixel are what rand.New(rand.NewSource(seed))
+// would give.
+func (r *Renderer) paint(hist []float64, bin histogram.Sampler) {
 	rng := r.rng
 
 	// Per-image jitter: the palette drifts and the blob masses vary, so
@@ -250,43 +257,84 @@ func (r *Renderer) paint(hist []float64, ex histogram.Extractor) {
 		r.weights = append(r.weights, w)
 		totalW += w
 	}
-	r.cum = r.cum[:0]
-	acc := 0.0
-	for _, w := range r.weights {
-		acc += w / totalW
-		r.cum = append(r.cum, acc)
-	}
+	r.cum = blobSums(r.cum[:0], r.weights, totalW)
+	below := r.cum[:len(r.cum)-1]
 
+	c := rng.cur
 	for i := range r.img.Pix {
-		b := r.blobs[pickBlob(r.cum, rng.Float64())]
-		hue := wrapHue(b.Hue + hueJitter + rng.NormFloat64()*b.HueStd)
-		sat := clamp01(b.Sat + satJitter + rng.NormFloat64()*b.SatStd)
-		val := 0.35 + 0.65*rng.Float64() // brightness is not a feature; keep it away from 0 so hue is well-defined
+		var u, v float64
+		c, u = c.float()
+		b := &r.blobs[pickBlob(below, u)]
+		var x int64
+		c, x = c.step()
+		hn, j, in := rectangle(x)
+		if !in {
+			c, hn = normSlow(c, j)
+		}
+		c, x = c.step()
+		sn, j, in := rectangle(x)
+		if !in {
+			c, sn = normSlow(c, j)
+		}
+		c, v = c.float()
+		hue := wrapHue(b.Hue + hueJitter + hn*b.HueStd)
+		sat := clamp01(b.Sat + satJitter + sn*b.SatStd)
+		val := 0.35 + 0.65*v // brightness is not a feature; keep it away from 0 so hue is well-defined
 		if hist == nil {
 			r.img.Pix[i] = histogram.FromHSV(hue, sat, val)
 		} else {
-			hist[ex.SampleBin(hue, sat, val)]++
+			hist[bin.Bin(hue, sat, val)]++
 		}
 	}
+	rng.cur = c
 }
 
-func pickBlob(cum []float64, u float64) int {
-	for i, c := range cum {
-		if u <= c {
-			return i
+// blobSums appends to dst the running sums of weights/total that
+// pickBlob reads. They never decrease, as each term is ≥ 0, until a
+// weight overflows to +Inf and they turn NaN; from there blobSums repeats
+// the last ordered sum (−∞ if there is none). That keeps every pick a
+// search of the raw sums would make, and the sums non-decreasing.
+func blobSums(dst, weights []float64, total float64) []float64 {
+	acc, last := 0.0, math.Inf(-1)
+	for _, w := range weights {
+		acc += w / total
+		if !math.IsNaN(acc) {
+			last = acc
 		}
+		dst = append(dst, last)
 	}
-	return len(cum) - 1
+	return dst
+}
+
+// pickBlob returns the blob a pixel with draw u takes: the first i with
+// u ≤ sums[i], or the last blob if there is none, where below is every
+// sum but the last. As the sums never decrease, that is the count of
+// sums in below that are < u, each the sign bit of s − u: a difference
+// of floats is zero only between equal ones, and then +0. No branch
+// depends on u.
+func pickBlob(below []float64, u float64) int {
+	k := 0
+	for _, s := range below {
+		k += int(math.Float64bits(s-u) >> 63)
+	}
+	return k
 }
 
 // wrapHue is math.Mod(h, 360) moved into [0, 360], bit for bit. Within a
 // turn of [0, 360) — every hue a blob draws in practice — math.Mod is
 // exact, so it is replaced by what it returns: h itself for |h| < 360,
-// and h − 360 for 360 ≤ h < 720, exact by Sterbenz's lemma.
+// and h − 360 for 360 ≤ h < 720, exact by Sterbenz's lemma. The common
+// case is small enough to inline; wrapHueOutside takes the rest.
 func wrapHue(h float64) float64 {
-	switch {
-	case h >= 0 && h < 360:
+	if h >= 0 && h < 360 {
 		return h
+	}
+	return wrapHueOutside(h)
+}
+
+// wrapHueOutside is wrapHue for h outside [0, 360).
+func wrapHueOutside(h float64) float64 {
+	switch {
 	case h > -360 && h < 0:
 		return h + 360
 	case h >= 360 && h < 720:

@@ -445,3 +445,84 @@ func TestClamp01(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRendererHistogram prices one image of the scale-1 collection
+// through a warm Renderer's Histogram, the streaming build's per-image
+// work: the reseed, the theme and jitter draws, and 576 sampled and
+// binned pixels. Successive ops walk the collection's ids.
+func BenchmarkRendererHistogram(b *testing.B) {
+	cfg := IMSILike(1, 1)
+	r, err := NewRenderer(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ex := histogram.DefaultExtractor
+	row := make([]float64, ex.Bins())
+	for i := range cfg.Count() {
+		if _, err := r.Histogram(row, i, ex); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Histogram(row, i%cfg.Count(), ex); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestPickBlobMatchesSearch holds the branch-free pick to the search it
+// replaced: the first blob i with u ≤ the i-th raw running sum, or the
+// last blob if there is none. The weights are random, equal, zero and
+// overflowing: a +Inf weight turns the raw sums NaN from its blob on,
+// and a total that underflows to 0 makes every sum NaN. The draws are 0,
+// the largest below 1, random ones, and each raw sum with its neighbours.
+func TestPickBlobMatchesSearch(t *testing.T) {
+	search := func(weights []float64, total, u float64) int {
+		acc := 0.0
+		for i, w := range weights {
+			acc += w / total
+			if u <= acc {
+				return i
+			}
+		}
+		return len(weights) - 1
+	}
+	inf := math.Inf(1)
+	sets := [][]float64{{1}, {1, 1, 1}, {0.2, 0.5, 0.3}, {1, inf, 2}, {inf, 1}, {1, 2, inf}, {inf, inf}, {0, 0, 1}, {1e308, 1e308, 1}, {5e-324, 5e-324}, {0, 0}}
+	rng := rand.New(rand.NewSource(3))
+	for range 500 {
+		w := make([]float64, 1+rng.Intn(8))
+		for i := range w {
+			w[i] = rng.ExpFloat64()
+			if rng.Intn(10) == 0 {
+				w[i] = inf
+			}
+		}
+		sets = append(sets, w)
+	}
+	for _, w := range sets {
+		total := 0.0
+		for _, x := range w {
+			total += x
+		}
+		sums := blobSums(nil, w, total)
+		us := []float64{0, math.Nextafter(1, 0)}
+		for range 50 {
+			us = append(us, rng.Float64())
+		}
+		acc := 0.0
+		for _, x := range w {
+			acc += x / total
+			us = append(us, acc, math.Nextafter(acc, 0), math.Nextafter(acc, 1))
+		}
+		for _, u := range us {
+			if !(u >= 0 && u < 1) {
+				continue
+			}
+			if got, want := pickBlob(sums[:len(sums)-1], u), search(w, total, u); got != want {
+				t.Fatalf("weights %v, u = %v: pickBlob %d, search %d (sums %v)", w, u, got, want, sums)
+			}
+		}
+	}
+}

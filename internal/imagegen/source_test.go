@@ -10,14 +10,12 @@ import (
 // Uint64 stream after Seed, at the seed arithmetic's edges (zero, signs,
 // multiples of 2³¹−1, the zero-seed replacement) and at every seed the
 // first 20,000 images of a collection draw from, and the same Intn,
-// Float64 and NormFloat64 sequences, both through rand.New and called on
-// the source itself, whose copies of those draws the renderer calls.
+// Float64 and NormFloat64 sequences, both through rand.New and drawn
+// directly: Intn and NormFloat64 on the source, Float64 as the cursor's
+// float, the draws the renderer makes.
 func TestSourceMatchesMathRand(t *testing.T) {
 	const draws = 5000
-	seeds := []int64{0, 1, -1, 89482311, int32max, int32max + 5, -int32max, 1 << 62, math.MinInt64}
-	for id := range 20000 {
-		seeds = append(seeds, imageSeed(1, id))
-	}
+	seeds := sourceSeeds()
 	var src source
 	for _, s := range seeds {
 		src.Seed(s)
@@ -58,8 +56,10 @@ func TestSourceMatchesMathRand(t *testing.T) {
 					t.Fatalf("seed %d, draw %d: Intn(%d) %d, math/rand %d", s, d, n, g, w)
 				}
 			}
-			if g, w := src.Float64(), want.Float64(); g != w {
-				t.Fatalf("seed %d, draw %d: Float64 %v, math/rand %v", s, d, g, w)
+			var f float64
+			src.cur, f = src.cur.float()
+			if w := want.Float64(); f != w {
+				t.Fatalf("seed %d, draw %d: cursor float %v, math/rand's Float64 %v", s, d, f, w)
 			}
 			g, w := src.NormFloat64(), want.NormFloat64()
 			if g != w {
@@ -73,6 +73,18 @@ func TestSourceMatchesMathRand(t *testing.T) {
 	if tail == 0 {
 		t.Errorf("no NormFloat64 draw lay beyond the tail bound %v; the base strip's tail went unchecked", rn)
 	}
+}
+
+// sourceSeeds are the seeds the source is held to math/rand's at: the
+// edges of Seed's arithmetic (zero, signs, multiples of 2³¹−1, the
+// zero-seed replacement), then the seeds of a collection's first 20,000
+// images.
+func sourceSeeds() []int64 {
+	seeds := []int64{0, 1, -1, 89482311, int32max, int32max + 5, -int32max, 1 << 62, math.MinInt64}
+	for id := range 20000 {
+		seeds = append(seeds, imageSeed(1, id))
+	}
+	return seeds
 }
 
 // TestSourceIntnRange holds Intn to the n it draws for: math/rand panics
@@ -93,5 +105,14 @@ func TestSourceIntnRange(t *testing.T) {
 	}
 	if got := src.Intn(int32max); got < 0 || got >= int32max {
 		t.Errorf("Intn(2³¹−1) = %d", got)
+	}
+}
+
+// BenchmarkSourceSeed prices one Seed, the register fill every image
+// pays before its first draw, at the seeds of successive images.
+func BenchmarkSourceSeed(b *testing.B) {
+	var src source
+	for i := 0; i < b.N; i++ {
+		src.Seed(imageSeed(1, i))
 	}
 }

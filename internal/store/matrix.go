@@ -12,6 +12,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrOutOfRange is wrapped by all bounds failures of RowChecked, so a
@@ -48,11 +49,26 @@ type Matrix struct {
 	mapped []byte // the file mapping data views; nil in the heap
 }
 
+// maxRows bounds the rows of a matrix NewMatrix allocates: the scan
+// numbers rows with int32 (knn.TileOrder).
+const maxRows = 1<<31 - 1
+
+// maxElems bounds n·dim: make panics beyond an int's byte count, and on
+// 64-bit platforms beyond 2⁴⁸ bytes, the most the Go runtime allocates.
+const maxElems = min(math.MaxInt, 1<<48) / 8
+
 // NewMatrix allocates a zeroed n×dim heap matrix, for a builder to fill
-// through Row before sharing it.
+// through Row before sharing it. A shape with more than maxRows rows, or
+// more than make can allocate, is an error, not a panic.
 func NewMatrix(n, dim int) (*Matrix, error) {
 	if n <= 0 || dim <= 0 {
 		return nil, fmt.Errorf("store: invalid matrix shape %dx%d", n, dim)
+	}
+	if n > maxRows {
+		return nil, fmt.Errorf("store: %d rows exceed the %d a scan can number", n, maxRows)
+	}
+	if dim > maxElems/n {
+		return nil, fmt.Errorf("store: a %dx%d matrix exceeds the %d float64s make can allocate", n, dim, maxElems)
 	}
 	return &Matrix{data: make([]float64, n*dim), n: n, dim: dim}, nil
 }

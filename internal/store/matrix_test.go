@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"testing"
 )
 
@@ -56,5 +57,20 @@ func TestRowViewCapacityClipped(t *testing.T) {
 	r := m.Row(0)
 	if cap(r) != 2 {
 		t.Errorf("row view capacity = %d, want 2 (clipped so append cannot clobber the next row)", cap(r))
+	}
+}
+
+// TestNewMatrixShapeBound: NewMatrix refuses more rows than the scan's
+// int32 row numbers reach, and more float64s than make can allocate,
+// with an error instead of make's panic.
+func TestNewMatrixShapeBound(t *testing.T) {
+	rows := maxRows // a variable, so maxRows+1 compiles where int is 32 bits
+	for _, shape := range [][2]int{{rows + 1, 1}, {maxRows, math.MaxInt / maxRows}, {2, math.MaxInt / 16}, {1, maxElems + 1}, {0, 4}, {4, -1}} {
+		if m, err := NewMatrix(shape[0], shape[1]); err == nil {
+			t.Errorf("NewMatrix(%d, %d) = %dx%d, want an error", shape[0], shape[1], m.Len(), m.Dim())
+		}
+	}
+	if m, err := NewMatrix(3, 2); err != nil || m.Len() != 3 || m.Dim() != 2 {
+		t.Fatalf("NewMatrix(3, 2): %v", err)
 	}
 }

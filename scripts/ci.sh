@@ -61,13 +61,14 @@ run_test() {
 		./internal/histogram/ ./internal/vec/ ./internal/obsv/ ./cmd/fbserve/
 
 	step "Kernel parity with AVX2 dispatch disabled"
-	# The AVX2 kernels (the two phase kernels and the node box bound) are
-	# pinned bitwise against the portable Go kernels; rerun the parity and
-	# dispatch suites with the AVX2 path forced off, so the Go tier is
-	# what the search runs (the fallback on every CPU without AVX2) and
-	# checkptr checks its unsafe.Slice wrappers, and hold the paper
-	# figures to the same golden file.
-	GODEBUG=cpu.avx2=off go test -race ./internal/vec/ ./internal/knn/
+	# The AVX2 kernels (the two phase kernels, the node box bound and the
+	# RNG's Seed) are pinned bitwise against the portable Go kernels;
+	# rerun the parity and dispatch suites with the AVX2 path forced off,
+	# so the Go tier is what the search and the renderer run (the fallback
+	# on every CPU without AVX2) and checkptr checks the search's
+	# unsafe.Slice wrappers, and hold the paper figures to the same golden
+	# file.
+	GODEBUG=cpu.avx2=off go test -race ./internal/vec/ ./internal/knn/ ./internal/imagegen/
 	GODEBUG=cpu.avx2=off go test -run '^TestPaperFiguresGolden$' .
 
 	step "Fuzz smoke (binary parsers + the JSON request surface)"
@@ -90,7 +91,8 @@ run_test() {
 
 	step "Benchmark smoke pass"
 	# One iteration of the retrieval-core, prediction-plane, census-replay,
-	# feedback, box-bound kernel and scale-1 collection-build benchmarks:
+	# feedback, box-bound kernel, per-image render and reseed, and scale-1
+	# collection-build benchmarks:
 	# catches benchmarks that no longer compile or crash, without paying
 	# for a full measurement run. The build has its own line: -bench
 	# splits its pattern at '/', so a sub-benchmark filter would apply to
@@ -99,6 +101,7 @@ run_test() {
 	go test -run '^$' -bench 'BenchmarkDatasetBuild/scale=1$' -benchtime 1x .
 	go test -run '^$' -bench 'Feedback' -benchtime 1x ./internal/engine/
 	go test -run '^$' -bench 'BoxBound2' -benchtime 1x ./internal/knn/
+	go test -run '^$' -bench 'RendererHistogram|SourceSeed' -benchtime 1x ./internal/imagegen/
 
 	step "Benchmark regression smoke (prediction plane, retrieval core, collection build, restart)"
 	# Short measured runs of the serial and parallel predict series, of
